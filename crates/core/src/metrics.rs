@@ -94,24 +94,6 @@ impl OpKind {
         self as usize
     }
 
-    /// The kind of a one-shot plan node.
-    pub fn of_plan(plan: &crate::plan::Plan) -> OpKind {
-        use crate::plan::Plan;
-        match plan {
-            Plan::Relation(_) => OpKind::Relation,
-            Plan::Union(..) => OpKind::Union,
-            Plan::Intersect(..) => OpKind::Intersect,
-            Plan::Difference(..) => OpKind::Difference,
-            Plan::Project(..) => OpKind::Project,
-            Plan::Select(..) => OpKind::Select,
-            Plan::Rename(..) => OpKind::Rename,
-            Plan::Join(..) => OpKind::Join,
-            Plan::Assign(..) => OpKind::Assign,
-            Plan::Invoke(..) => OpKind::Invoke,
-            Plan::Aggregate(..) => OpKind::Aggregate,
-        }
-    }
-
     /// The operator's algebra symbol (empty for leaves).
     pub fn symbol(&self) -> &'static str {
         match self {

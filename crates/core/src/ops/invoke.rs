@@ -23,6 +23,8 @@ use crate::tuple::Tuple;
 use crate::value::ServiceRef;
 use crate::xrelation::XRelation;
 
+use super::compiled::Slot;
+
 /// Resolve the binding pattern named by `(prototype, service_attr)` on
 /// `schema` and derive the output schema of `β_bp(r)`.
 ///
@@ -88,9 +90,9 @@ pub fn invoke_schema(
 
 /// Running tallies of one β application, consumed by the metrics layer
 /// ([`crate::metrics`]): how many live invocations were performed and how
-/// many of them failed. The plain [`invoke`]/[`invoke_delta`] entry points
-/// discard the tally; the instrumented executor reads it back into an
-/// [`crate::metrics::OpObservation`].
+/// they ended. The plain [`invoke`] entry point discards the tally; the
+/// executors copy it into an [`OpObservation`](crate::metrics::OpObservation)
+/// ([`InvokeTally::record_into`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct InvokeTally {
     /// Invocations performed (one per input tuple reaching the invoker).
@@ -103,6 +105,20 @@ pub struct InvokeTally {
     /// Invocations whose service implementation panicked. The panic was
     /// contained ([`EvalError::Panicked`]) and also counts as a failure.
     pub panics: u64,
+    /// Invocations that failed because the node hosting the service was
+    /// unreachable ([`EvalError::RemoteUnavailable`]); also failures.
+    pub remote_unavailable: u64,
+}
+
+impl InvokeTally {
+    /// Add this tally to `obs`'s β counters.
+    pub fn record_into(&self, obs: &mut crate::metrics::OpObservation) {
+        obs.invocations += self.invocations;
+        obs.failures += self.failures;
+        obs.degraded += self.degraded;
+        obs.panics += self.panics;
+        obs.remote_unavailable += self.remote_unavailable;
+    }
 }
 
 /// How β/βˢ reacts when one tuple's invocation fails — the graceful
@@ -148,58 +164,25 @@ pub fn invoke(
     at: Instant,
     actions: &mut ActionSet,
 ) -> Result<XRelation, EvalError> {
-    invoke_observed(
-        r,
-        prototype,
-        service_attr,
+    let recipe = InvokeRecipe::prepare(r.schema(), prototype, service_attr)?;
+    let tuples: Vec<&Tuple> = r.iter().collect();
+    let out = recipe.invoke_batch_observed(
+        &tuples,
         invoker,
         at,
+        1,
         actions,
         &mut InvokeTally::default(),
-    )
-}
-
-/// [`invoke`], additionally reporting invocation counts through `tally`.
-/// The tally is updated even when the result is an error, so instrumented
-/// callers can record partial progress before propagating the failure.
-#[allow(clippy::too_many_arguments)]
-pub fn invoke_observed(
-    r: &XRelation,
-    prototype: &str,
-    service_attr: &str,
-    invoker: &dyn Invoker,
-    at: Instant,
-    actions: &mut ActionSet,
-    tally: &mut InvokeTally,
-) -> Result<XRelation, EvalError> {
-    let recipe = InvokeRecipe::prepare(r.schema(), prototype, service_attr)?;
-    let tuples = recipe.invoke_serial(
-        r.iter(),
-        invoker,
-        at,
-        actions,
-        tally,
         DegradePolicy::FailQuery,
     )?;
-    Ok(XRelation::from_tuples(recipe.out_schema().clone(), tuples))
-}
-
-/// Where one slot of a β output tuple comes from: carried over from the
-/// input tuple, or produced by the invocation result.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    /// Coordinate in the input tuple.
-    Carry(usize),
-    /// Index in the invocation result tuple (`Output_ψ` order).
-    Fresh(usize),
+    Ok(XRelation::from_tuples(recipe.out_schema().clone(), out))
 }
 
 /// Everything `β_bp(r)` needs per call, resolved **once** against the input
 /// schema: the input-projection coordinates, the service-reference
-/// coordinate, and the output-assembly recipe. Historically all of this was
-/// re-derived on every δ-batch of every tick; an `InvokeRecipe` is computed
-/// at plan-compile time and reused by both the one-shot physical executor
-/// and the continuous executor.
+/// coordinate, and the output-assembly recipe. An `InvokeRecipe` is computed
+/// at plan-compile time and used by both the one-shot physical executor and
+/// the continuous executor.
 #[derive(Debug, Clone)]
 pub struct InvokeRecipe {
     bp: BindingPattern,
@@ -208,8 +191,12 @@ pub struct InvokeRecipe {
     input_coords: Vec<usize>,
     /// Coordinate of the service-reference attribute in the input tuple.
     service_coord: usize,
-    /// One entry per real attribute of the output schema.
+    /// One entry per real attribute of the output schema, over (input
+    /// tuple, invocation result row in `Output_ψ` order).
     slots: Vec<Slot>,
+    /// The [`DegradePolicy::NullFill`] result row: each output attribute's
+    /// type default.
+    filler: Tuple,
 }
 
 /// The raw outcome of one prepared-and-invoked input tuple, produced by
@@ -235,37 +222,34 @@ impl InvokeRecipe {
         service_attr: &str,
     ) -> Result<InvokeRecipe, PlanError> {
         let (out_schema, bp) = invoke_schema(in_schema, prototype, service_attr)?;
-        Ok(InvokeRecipe::from_parts(in_schema, out_schema, bp))
-    }
-
-    /// Build a recipe from an already-derived output schema and binding
-    /// pattern (the pieces [`invoke_schema`] returns).
-    pub fn from_parts(in_schema: &XSchema, out_schema: SchemaRef, bp: BindingPattern) -> Self {
         let proto = bp.prototype();
-        let input_coords: Vec<usize> = proto
-            .input()
-            .names()
-            .map(|a| in_schema.coord_of(a.as_str()).expect("validated real"))
-            .collect();
+        let input_coords = in_schema
+            .coords_of(proto.input().names().map(|a| a.as_str()))
+            .expect("validated real");
         let service_coord = in_schema
             .coord_of(bp.service_attr().as_str())
             .expect("validated real");
-        let slots: Vec<Slot> = out_schema
+        let slots = Slot::resolve(&out_schema, in_schema, |a| {
+            Slot::Right(
+                proto
+                    .output()
+                    .index_of(a)
+                    .expect("realized by the prototype"),
+            )
+        });
+        let filler = proto
+            .output()
             .attrs()
-            .iter()
-            .filter(|a| a.is_real())
-            .map(|a| match proto.output().index_of(a.name.as_str()) {
-                Some(i) => Slot::Fresh(i),
-                None => Slot::Carry(in_schema.coord_of(a.name.as_str()).expect("was real")),
-            })
+            .map(|(_, ty)| ty.default_value())
             .collect();
-        InvokeRecipe {
+        Ok(InvokeRecipe {
             bp,
             out_schema,
             input_coords,
             service_coord,
             slots,
-        }
+            filler,
+        })
     }
 
     /// The derived output schema of `β_bp(r)`.
@@ -278,10 +262,10 @@ impl InvokeRecipe {
         &self.bp
     }
 
-    /// Extract the service reference and projected prototype input from one
-    /// input tuple. Fails (without invoking anything) when the service
-    /// attribute does not hold a service reference.
-    pub fn prepare_call(&self, t: &Tuple) -> Result<(ServiceRef, Tuple), EvalError> {
+    /// Prepare and invoke one input tuple. `Err` when the service attribute
+    /// does not hold a service reference (nothing was invoked); otherwise
+    /// the invocation's own result rides in the [`TupleCall`].
+    fn call(&self, t: &Tuple, invoker: &dyn Invoker, at: Instant) -> Result<TupleCall, EvalError> {
         let sref = t[self.service_coord].as_service_ref().ok_or_else(|| {
             EvalError::Value(format!(
                 "attribute `{}` does not hold a service reference: {}",
@@ -289,23 +273,17 @@ impl InvokeRecipe {
                 t[self.service_coord]
             ))
         })?;
-        Ok((sref, t.project_positions(&self.input_coords)))
-    }
-
-    /// Extend `out` with one output tuple per invocation result row,
-    /// duplicating the input tuple per the pre-resolved slot recipe.
-    pub fn assemble_into(&self, t: &Tuple, results: &[Tuple], out: &mut Vec<Tuple>) {
-        for o in results {
-            let new_t: Tuple = self
-                .slots
-                .iter()
-                .map(|s| match s {
-                    Slot::Carry(c) => t[*c].clone(),
-                    Slot::Fresh(i) => o[*i].clone(),
-                })
-                .collect();
-            out.push(new_t);
-        }
+        let input = t.project_positions(&self.input_coords);
+        // Contain panics here rather than letting them unwind through a
+        // scoped worker: a panicking service must surface as
+        // `EvalError::Panicked`, never poison the β pool or the process.
+        let result =
+            crate::service::invoke_contained(invoker, self.bp.prototype(), &sref, &input, at);
+        Ok(TupleCall {
+            sref,
+            input,
+            result,
+        })
     }
 
     /// Prepare and invoke every tuple of the batch, fanning the live
@@ -316,8 +294,8 @@ impl InvokeRecipe {
     /// `Ok` entry carries the invocation's own result.
     ///
     /// Every tuple is invoked regardless of other tuples' failures; callers
-    /// wanting serial stop-at-first-failure semantics fold the outcomes in
-    /// order (see [`InvokeRecipe::invoke_batch_observed`]).
+    /// wanting serial stop-at-first-failure semantics use
+    /// [`InvokeRecipe::invoke_batch_observed`].
     pub fn call_batch(
         &self,
         tuples: &[&Tuple],
@@ -325,22 +303,9 @@ impl InvokeRecipe {
         at: Instant,
         parallelism: usize,
     ) -> Vec<Result<TupleCall, EvalError>> {
-        let call_one = |t: &Tuple| -> Result<TupleCall, EvalError> {
-            let (sref, input) = self.prepare_call(t)?;
-            // Contain panics here rather than letting them unwind through a
-            // scoped worker: a panicking service must surface as
-            // `EvalError::Panicked`, never poison the β pool or the process.
-            let result =
-                crate::service::invoke_contained(invoker, self.bp.prototype(), &sref, &input, at);
-            Ok(TupleCall {
-                sref,
-                input,
-                result,
-            })
-        };
         let workers = parallelism.min(tuples.len());
         if workers <= 1 {
-            return tuples.iter().map(|t| call_one(t)).collect();
+            return tuples.iter().map(|t| self.call(t, invoker, at)).collect();
         }
         // Bounded worker pool over a shared cursor: each worker claims the
         // next unclaimed index, invokes outside any lock, and writes its
@@ -361,7 +326,7 @@ impl InvokeRecipe {
                         if i >= tuples.len() {
                             break;
                         }
-                        let outcome = call_one(tuples[i]);
+                        let outcome = self.call(tuples[i], invoker, at);
                         slots.lock()[i] = Some(outcome);
                     }
                 });
@@ -373,74 +338,64 @@ impl InvokeRecipe {
             .collect()
     }
 
-    /// One filler row for [`DegradePolicy::NullFill`]: the prototype's
-    /// output attributes, each holding its type's default value.
-    pub fn null_fill_row(&self) -> Tuple {
-        self.bp
-            .prototype()
-            .output()
-            .attrs()
-            .map(|(_, ty)| ty.default_value())
-            .collect()
-    }
-
-    /// Serial β over `tuples` with the paper's §3.2 one-shot semantics:
-    /// tuples are processed in order, active invocations are recorded in
-    /// `actions` *before* invoking, and — under [`DegradePolicy::FailQuery`]
-    /// — the first failure aborts the batch (the tally still counts the
-    /// failed attempt). Under the degrading policies a failed tuple is
-    /// dropped or null-filled instead and the batch continues.
-    #[allow(clippy::too_many_arguments)]
-    pub fn invoke_serial<'a>(
+    /// Settle one invoked tuple: turn the invocation's `result` for input
+    /// tuple `t` into the extended tuples β emits for it, counting a failure
+    /// in `tally` and applying `degrade` to it — the single place a failed β
+    /// outcome is interpreted.
+    ///
+    /// * `Ok(Some(outputs))` — `t` extended by each result row (possibly
+    ///   none), or by the type-default filler row under
+    ///   [`DegradePolicy::NullFill`];
+    /// * `Ok(None)` — the failed tuple was dropped
+    ///   ([`DegradePolicy::DropTuple`]): nothing to emit, nothing to cache;
+    /// * `Err(e)` — [`DegradePolicy::FailQuery`]: the caller fails the
+    ///   query (one-shot) or surfaces `e` for the tick (continuous).
+    pub fn settle(
         &self,
-        tuples: impl Iterator<Item = &'a Tuple>,
-        invoker: &dyn Invoker,
-        at: Instant,
-        actions: &mut ActionSet,
-        tally: &mut InvokeTally,
+        t: &Tuple,
+        result: Result<Vec<Tuple>, EvalError>,
         degrade: DegradePolicy,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        let filler = matches!(degrade, DegradePolicy::NullFill).then(|| self.null_fill_row());
-        let mut out = Vec::new();
-        for t in tuples {
-            let (sref, input) = self.prepare_call(t)?;
-            if self.bp.is_active() {
-                actions.record(Action::new(self.bp.clone(), sref.clone(), input.clone()));
+        tally: &mut InvokeTally,
+    ) -> Result<Option<Vec<Tuple>>, EvalError> {
+        let extend = |rows: &[Tuple]| {
+            rows.iter()
+                .map(|o| Slot::gather(&self.slots, t, o))
+                .collect()
+        };
+        let e = match result {
+            Ok(rows) => return Ok(Some(extend(&rows))),
+            Err(e) => e,
+        };
+        tally.failures += 1;
+        tally.panics += u64::from(matches!(e, EvalError::Panicked { .. }));
+        tally.remote_unavailable += u64::from(matches!(e, EvalError::RemoteUnavailable { .. }));
+        match degrade {
+            DegradePolicy::FailQuery => Err(e),
+            DegradePolicy::DropTuple => {
+                tally.degraded += 1;
+                Ok(None)
             }
-            tally.invocations += 1;
-            match crate::service::invoke_contained(invoker, self.bp.prototype(), &sref, &input, at)
-            {
-                Ok(results) => self.assemble_into(t, &results, &mut out),
-                Err(e) => {
-                    tally.failures += 1;
-                    if matches!(e, EvalError::Panicked { .. }) {
-                        tally.panics += 1;
-                    }
-                    match (degrade, &filler) {
-                        (DegradePolicy::FailQuery, _) => return Err(e),
-                        (DegradePolicy::DropTuple, _) => tally.degraded += 1,
-                        (_, Some(row)) => {
-                            tally.degraded += 1;
-                            self.assemble_into(t, std::slice::from_ref(row), &mut out);
-                        }
-                        (DegradePolicy::NullFill, None) => unreachable!("filler precomputed"),
-                    }
-                }
+            DegradePolicy::NullFill => {
+                tally.degraded += 1;
+                Ok(Some(extend(std::slice::from_ref(&self.filler))))
             }
         }
-        Ok(out)
     }
 
-    /// β over a batch with observable behaviour **identical** to
-    /// [`InvokeRecipe::invoke_serial`] — same output tuples in the same
-    /// order, same action set, same tally, same first-failure error — but
-    /// with the live invocations fanned across up to `parallelism` worker
-    /// threads. With `parallelism <= 1` this *is* the serial path.
+    /// β over a batch with the paper's §3.2 one-shot semantics: tuples are
+    /// settled in input order, each active invocation is recorded in
+    /// `actions`, and — under [`DegradePolicy::FailQuery`] — the first
+    /// failure aborts the batch (the tally still counts the failed attempt).
+    /// Under the degrading policies a failed tuple is dropped or null-filled
+    /// instead and the batch continues.
     ///
-    /// On a [`DegradePolicy::FailQuery`] failure the parallel path may have
-    /// invoked tuples past the failing one (they were already in flight);
-    /// their results are discarded and neither the action set nor the tally
-    /// observes them, exactly as if execution had stopped at the failure.
+    /// With `parallelism <= 1` tuples are invoked one by one and nothing past
+    /// a failing tuple is invoked. Above that the live invocations are
+    /// fanned across up to `parallelism` worker threads with **identical**
+    /// observable behaviour — same output tuples in the same order, same
+    /// action set, same tally, same first-failure error: tuples past a
+    /// failing one may already have been in flight, but their results are
+    /// discarded and neither the action set nor the tally observes them.
     #[allow(clippy::too_many_arguments)]
     pub fn invoke_batch_observed(
         &self,
@@ -452,97 +407,29 @@ impl InvokeRecipe {
         tally: &mut InvokeTally,
         degrade: DegradePolicy,
     ) -> Result<Vec<Tuple>, EvalError> {
-        if parallelism <= 1 {
-            return self.invoke_serial(
-                tuples.iter().copied(),
-                invoker,
-                at,
-                actions,
-                tally,
-                degrade,
-            );
-        }
-        let filler = matches!(degrade, DegradePolicy::NullFill).then(|| self.null_fill_row());
-        let outcomes = self.call_batch(tuples, invoker, at, parallelism);
+        let calls: Box<dyn Iterator<Item = Result<TupleCall, EvalError>> + '_> = if parallelism > 1
+        {
+            Box::new(
+                self.call_batch(tuples, invoker, at, parallelism)
+                    .into_iter(),
+            )
+        } else {
+            Box::new(tuples.iter().map(|t| self.call(t, invoker, at)))
+        };
         let mut out = Vec::new();
-        for (t, outcome) in tuples.iter().zip(outcomes) {
-            let call = outcome?;
+        for (t, call) in tuples.iter().zip(calls) {
+            let call = call?;
             if self.bp.is_active() {
                 actions.record(Action::new(self.bp.clone(), call.sref, call.input));
             }
             tally.invocations += 1;
-            match call.result {
-                Ok(results) => self.assemble_into(t, &results, &mut out),
-                Err(e) => {
-                    tally.failures += 1;
-                    if matches!(e, EvalError::Panicked { .. }) {
-                        tally.panics += 1;
-                    }
-                    match (degrade, &filler) {
-                        (DegradePolicy::FailQuery, _) => return Err(e),
-                        (DegradePolicy::DropTuple, _) => tally.degraded += 1,
-                        (_, Some(row)) => {
-                            tally.degraded += 1;
-                            self.assemble_into(t, std::slice::from_ref(row), &mut out);
-                        }
-                        (DegradePolicy::NullFill, None) => unreachable!("filler precomputed"),
-                    }
-                }
-            }
+            out.extend(
+                self.settle(t, call.result, degrade, tally)?
+                    .unwrap_or_default(),
+            );
         }
         Ok(out)
     }
-}
-
-/// The tuple-level core of β, shared with the continuous executor (§4.2:
-/// in continuous mode "a binding pattern is actually invoked only for newly
-/// inserted tuples"): invoke `bp` for each tuple of `tuples` (over
-/// `in_schema`) and return the extended tuples over `out_schema`.
-#[allow(clippy::too_many_arguments)]
-pub fn invoke_delta<'a>(
-    in_schema: &XSchema,
-    out_schema: &XSchema,
-    bp: &BindingPattern,
-    tuples: impl Iterator<Item = &'a Tuple>,
-    invoker: &dyn Invoker,
-    at: Instant,
-    actions: &mut ActionSet,
-) -> Result<Vec<Tuple>, EvalError> {
-    invoke_delta_observed(
-        in_schema,
-        out_schema,
-        bp,
-        tuples,
-        invoker,
-        at,
-        actions,
-        &mut InvokeTally::default(),
-    )
-}
-
-/// [`invoke_delta`], additionally reporting invocation counts through
-/// `tally` (updated even on error).
-#[allow(clippy::too_many_arguments)]
-pub fn invoke_delta_observed<'a>(
-    in_schema: &XSchema,
-    out_schema: &XSchema,
-    bp: &BindingPattern,
-    tuples: impl Iterator<Item = &'a Tuple>,
-    invoker: &dyn Invoker,
-    at: Instant,
-    actions: &mut ActionSet,
-    tally: &mut InvokeTally,
-) -> Result<Vec<Tuple>, EvalError> {
-    let recipe =
-        InvokeRecipe::from_parts(in_schema, SchemaRef::new(out_schema.clone()), bp.clone());
-    recipe.invoke_serial(
-        tuples,
-        invoker,
-        at,
-        actions,
-        tally,
-        DegradePolicy::FailQuery,
-    )
 }
 
 #[cfg(test)]
@@ -790,10 +677,12 @@ mod tests {
         let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
         let mut actions = ActionSet::new();
         let mut tally = InvokeTally::default();
-        let out = recipe.invoke_serial(
-            r.iter(),
+        let tuples: Vec<&Tuple> = r.iter().collect();
+        let out = recipe.invoke_batch_observed(
+            &tuples,
             &reg,
             Instant(3),
+            1,
             &mut actions,
             &mut tally,
             degrade,

@@ -15,7 +15,8 @@
 //! output [`XSchema`](crate::schema::XSchema) (used for static plan validation) and an executor
 //! producing the output [`XRelation`](crate::xrelation::XRelation). Executors always go through the
 //! schema derivation, so a plan that validates cannot fail on schema grounds
-//! at runtime.
+//! at runtime. A [`CompiledOp`] is both halves resolved once against the
+//! operand schemas — what the physical and the continuous executor run.
 //!
 //! [`aggregate`] (γ) is an **extension** beyond the paper (motivated by the
 //! "mean temperature" queries of §1.2) and is excluded from the
@@ -23,6 +24,7 @@
 
 mod aggregate;
 mod assign;
+mod compiled;
 mod invoke;
 mod join;
 mod project;
@@ -32,10 +34,8 @@ mod set;
 
 pub use aggregate::{aggregate, aggregate_schema, AggFun, AggSpec};
 pub use assign::{assign, assign_schema, AssignSource};
-pub use invoke::{
-    invoke, invoke_delta, invoke_delta_observed, invoke_observed, invoke_schema, DegradePolicy,
-    InvokeRecipe, InvokeTally, TupleCall,
-};
+pub use compiled::{CompiledOp, Slot};
+pub use invoke::{invoke, invoke_schema, DegradePolicy, InvokeRecipe, InvokeTally, TupleCall};
 pub use join::{join, join_schema};
 pub use project::{project, project_schema};
 pub use rename::{rename, rename_schema};

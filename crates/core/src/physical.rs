@@ -2,12 +2,12 @@
 //!
 //! A logical [`Plan`] describes *what* to compute; compiling it against a
 //! [`SchemaCatalog`] produces a physical operator tree where everything the
-//! interpreter used to re-derive on every evaluation is resolved **once**:
-//! projection coordinate vectors, the β [`InvokeRecipe`] (input coordinates,
-//! service coordinate, output-assembly recipe), join column pairings and
-//! output slots, set-operator reorder maps, compiled selection formulas and
-//! derived output schemas. Executing the compiled plan then only moves
-//! tuples.
+//! interpreter used to re-derive on every evaluation is resolved **once**,
+//! one [`CompiledOp`] per node: projection coordinate vectors, the β
+//! [`InvokeRecipe`](crate::ops::InvokeRecipe) (input coordinates, service
+//! coordinate, output-assembly recipe), join column pairings and output
+//! slots, set-operator reorder maps, compiled selection formulas and derived
+//! output schemas. Executing the compiled plan then only moves tuples.
 //!
 //! Each physical node carries the **same pre-order [`NodeId`]** (root = 0,
 //! children left to right) the interpreter assigned, so recorded
@@ -21,21 +21,18 @@
 //! so the output [`XRelation`] and [`ActionSet`] are identical to serial
 //! execution, as are the invocation/failure tallies.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::time::Instant as WallClock;
 
 use crate::action::ActionSet;
-use crate::attr::AttrName;
 use crate::error::{EvalError, PlanError};
 use crate::eval::EvalOutcome;
 use crate::exec::ExecContext;
-use crate::formula::CompiledFormula;
 use crate::metrics::{NodeId, OpKind, OpObservation};
-use crate::ops::{self, AggSpec, AssignSource, DegradePolicy, InvokeRecipe, InvokeTally};
+use crate::ops::{self, CompiledOp, DegradePolicy, InvokeTally};
 use crate::plan::{Plan, SchemaCatalog};
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
-use crate::value::Value;
 use crate::xrelation::XRelation;
 
 /// Execution knobs, separate from the data-plane [`ExecContext`] fields.
@@ -121,76 +118,18 @@ impl PhysicalPlan {
     }
 }
 
-/// One compiled operator: stable id, pre-derived output schema, resolved
+/// One compiled node: stable id, pre-derived output schema, resolved
 /// physical state, children in plan order.
 struct PhysNode {
     id: NodeId,
-    kind: OpKind,
     schema: SchemaRef,
     op: PhysOp,
     children: Vec<PhysNode>,
 }
 
-/// Where one slot of a join output tuple comes from.
-#[derive(Debug, Clone, Copy)]
-enum JoinSlot {
-    Left(usize),
-    Right(usize),
-}
-
-/// Where one slot of an assign output tuple comes from.
-#[derive(Debug, Clone, Copy)]
-enum AssignSlot {
-    Old(usize),
-    New,
-}
-
-/// The resolved right-hand side of an assignment.
-#[derive(Debug, Clone)]
-enum AssignBinding {
-    Coord(usize),
-    Const(Value),
-}
-
 enum PhysOp {
-    Scan {
-        name: String,
-    },
-    /// `rhs_reorder` permutes right-operand tuples into the output
-    /// coordinate order; `None` when the operands already agree.
-    Union {
-        rhs_reorder: Option<Vec<usize>>,
-    },
-    Intersect {
-        rhs_reorder: Option<Vec<usize>>,
-    },
-    Difference {
-        rhs_reorder: Option<Vec<usize>>,
-    },
-    Project {
-        coords: Vec<usize>,
-    },
-    Select {
-        formula: CompiledFormula,
-    },
-    /// Schema-only: tuples pass through untouched.
-    Rename,
-    Join {
-        key_left: Vec<usize>,
-        key_right: Vec<usize>,
-        slots: Vec<JoinSlot>,
-    },
-    Assign {
-        slots: Vec<AssignSlot>,
-        binding: AssignBinding,
-    },
-    Invoke {
-        recipe: InvokeRecipe,
-    },
-    Aggregate {
-        group: Vec<AttrName>,
-        aggs: Vec<AggSpec>,
-    },
+    Scan { name: String },
+    Op(CompiledOp),
 }
 
 impl PhysNode {
@@ -204,147 +143,38 @@ impl PhysNode {
     ) -> Result<PhysNode, PlanError> {
         let id = NodeId(*next_id);
         *next_id += 1;
-        let kind = OpKind::of_plan(plan);
         let mut children = Vec::with_capacity(plan.children().len());
         for c in plan.children() {
             children.push(PhysNode::compile(c, catalog, next_id)?);
         }
-
-        let set_op_state =
-            |children: &[PhysNode]| -> Result<(SchemaRef, Option<Vec<usize>>), PlanError> {
-                let schema = ops::set_op_schema(&children[0].schema, &children[1].schema)?;
-                let map = schema
-                    .reorder_map(&children[1].schema)
-                    .expect("checked compatible");
-                let identity: Vec<usize> = (0..schema.real_arity()).collect();
-                Ok((schema, if map == identity { None } else { Some(map) }))
-            };
-
+        let child = |i: usize| &children[i].schema;
         let (schema, op) = match plan {
             Plan::Relation(name) => {
                 let schema = catalog
                     .schema_of(name)
                     .ok_or_else(|| PlanError::UnknownRelation(name.clone()))?;
-                (schema, PhysOp::Scan { name: name.clone() })
-            }
-            Plan::Union(..) => {
-                let (schema, rhs_reorder) = set_op_state(&children)?;
-                (schema, PhysOp::Union { rhs_reorder })
-            }
-            Plan::Intersect(..) => {
-                let (schema, rhs_reorder) = set_op_state(&children)?;
-                (schema, PhysOp::Intersect { rhs_reorder })
-            }
-            Plan::Difference(..) => {
-                let (schema, rhs_reorder) = set_op_state(&children)?;
-                (schema, PhysOp::Difference { rhs_reorder })
-            }
-            Plan::Project(_, attrs) => {
-                let schema = ops::project_schema(&children[0].schema, attrs)?;
-                let coords: Vec<usize> = schema
-                    .attrs()
-                    .iter()
-                    .filter(|a| a.is_real())
-                    .map(|a| {
-                        children[0]
-                            .schema
-                            .coord_of(a.name.as_str())
-                            .expect("real in input schema")
-                    })
-                    .collect();
-                (schema, PhysOp::Project { coords })
-            }
-            Plan::Select(_, f) => {
-                let schema = ops::select_schema(&children[0].schema, f)?;
-                let formula = f.compile(&schema)?;
-                (schema, PhysOp::Select { formula })
-            }
-            Plan::Rename(_, from, to) => {
-                let schema = ops::rename_schema(&children[0].schema, from, to)?;
-                (schema, PhysOp::Rename)
-            }
-            Plan::Join(..) => {
-                let s1 = &children[0].schema;
-                let s2 = &children[1].schema;
-                let schema = ops::join_schema(s1, s2)?;
-                // Join predicate: attributes real in BOTH operands.
-                let key_attrs: Vec<&str> = s1
-                    .attrs()
-                    .iter()
-                    .filter(|a| a.is_real() && s2.is_real(a.name.as_str()))
-                    .map(|a| a.name.as_str())
-                    .collect();
-                let key_left: Vec<usize> = key_attrs
-                    .iter()
-                    .map(|a| s1.coord_of(a).expect("real in s1"))
-                    .collect();
-                let key_right: Vec<usize> = key_attrs
-                    .iter()
-                    .map(|a| s2.coord_of(a).expect("real in s2"))
-                    .collect();
-                // Output slots: pull from the left operand when real there.
-                let slots: Vec<JoinSlot> = schema
-                    .attrs()
-                    .iter()
-                    .filter(|a| a.is_real())
-                    .map(|a| match s1.coord_of(a.name.as_str()) {
-                        Some(c) => JoinSlot::Left(c),
-                        None => JoinSlot::Right(s2.coord_of(a.name.as_str()).expect("real in s2")),
-                    })
-                    .collect();
-                (
+                return Ok(PhysNode {
+                    id,
                     schema,
-                    PhysOp::Join {
-                        key_left,
-                        key_right,
-                        slots,
-                    },
-                )
+                    op: PhysOp::Scan { name: name.clone() },
+                    children,
+                });
             }
-            Plan::Assign(_, attr, src) => {
-                let in_schema = &children[0].schema;
-                let schema = ops::assign_schema(in_schema, attr, src)?;
-                let slots: Vec<AssignSlot> = schema
-                    .attrs()
-                    .iter()
-                    .filter(|a| a.is_real())
-                    .map(|a| {
-                        if a.name == *attr {
-                            AssignSlot::New
-                        } else {
-                            AssignSlot::Old(in_schema.coord_of(a.name.as_str()).expect("was real"))
-                        }
-                    })
-                    .collect();
-                let binding = match src {
-                    AssignSource::Attr(b) => AssignBinding::Coord(
-                        in_schema.coord_of(b.as_str()).expect("validated real"),
-                    ),
-                    AssignSource::Const(v) => AssignBinding::Const(v.clone()),
-                };
-                (schema, PhysOp::Assign { slots, binding })
-            }
-            Plan::Invoke(_, proto, service_attr) => {
-                let recipe =
-                    InvokeRecipe::prepare(&children[0].schema, proto, service_attr.as_str())?;
-                (recipe.out_schema().clone(), PhysOp::Invoke { recipe })
-            }
-            Plan::Aggregate(_, group, aggs) => {
-                let schema = ops::aggregate_schema(&children[0].schema, group, aggs)?;
-                (
-                    schema,
-                    PhysOp::Aggregate {
-                        group: group.clone(),
-                        aggs: aggs.clone(),
-                    },
-                )
-            }
+            Plan::Union(..) => CompiledOp::union(child(0), child(1))?,
+            Plan::Intersect(..) => CompiledOp::intersect(child(0), child(1))?,
+            Plan::Difference(..) => CompiledOp::difference(child(0), child(1))?,
+            Plan::Project(_, attrs) => CompiledOp::project(child(0), attrs)?,
+            Plan::Select(_, f) => CompiledOp::select(child(0), f)?,
+            Plan::Rename(_, from, to) => CompiledOp::rename(child(0), from, to)?,
+            Plan::Join(..) => CompiledOp::join(child(0), child(1))?,
+            Plan::Assign(_, attr, src) => CompiledOp::assign(child(0), attr, src)?,
+            Plan::Invoke(_, proto, sa) => CompiledOp::invoke(child(0), proto, sa.as_str())?,
+            Plan::Aggregate(_, group, aggs) => CompiledOp::aggregate(child(0), group, aggs)?,
         };
         Ok(PhysNode {
             id,
-            kind,
             schema,
-            op,
+            op: PhysOp::Op(op),
             children,
         })
     }
@@ -358,227 +188,128 @@ impl PhysNode {
         ctx: &ExecContext<'_>,
         actions: &mut ActionSet,
     ) -> Result<XRelation, EvalError> {
-        let mut obs = OpObservation::new(self.id, self.kind);
-        let result = self.apply(ctx, actions, &mut obs);
-        match result {
-            Ok(r) => {
-                obs.tuples_out = r.len() as u64;
-                ctx.metrics.record(&obs);
-                Ok(r)
-            }
-            Err(e) => {
-                // Invocation failures are already tallied; everything else
-                // counts as one failed application of this operator.
-                if obs.failures == 0 {
-                    obs.failures = 1;
-                }
-                ctx.metrics.record(&obs);
-                Err(e)
-            }
+        let kind = match &self.op {
+            PhysOp::Scan { .. } => OpKind::Relation,
+            PhysOp::Op(op) => op.kind(),
+        };
+        let mut obs = OpObservation::new(self.id, kind);
+        let result = self.operands(ctx, actions).and_then(|inputs| {
+            obs.tuples_in = inputs.iter().map(|r| r.len() as u64).sum();
+            let started = WallClock::now();
+            let result = self.apply(inputs, ctx, actions, &mut obs);
+            obs.elapsed = started.elapsed();
+            result
+        });
+        match &result {
+            Ok(r) => obs.tuples_out = r.len() as u64,
+            // Invocation failures are already tallied; everything else
+            // counts as one failed application of this operator.
+            Err(_) => obs.failures = obs.failures.max(1),
         }
+        ctx.metrics.record(&obs);
+        result
     }
 
+    /// Evaluate the children, left to right.
+    fn operands(
+        &self,
+        ctx: &ExecContext<'_>,
+        actions: &mut ActionSet,
+    ) -> Result<Vec<XRelation>, EvalError> {
+        self.children
+            .iter()
+            .map(|c| c.execute(ctx, actions))
+            .collect()
+    }
+
+    /// Apply this node's operator to its evaluated operands.
     fn apply(
         &self,
+        inputs: Vec<XRelation>,
         ctx: &ExecContext<'_>,
         actions: &mut ActionSet,
         obs: &mut OpObservation,
     ) -> Result<XRelation, EvalError> {
-        match &self.op {
-            PhysOp::Scan { name } => {
-                let started = WallClock::now();
-                let r = self.scan(ctx, name);
-                obs.elapsed = started.elapsed();
-                r
-            }
-            PhysOp::Union { rhs_reorder } => {
-                let (ra, rb) = self.both(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let mut out = ra;
-                for t in reordered(&rb, rhs_reorder) {
-                    out.insert(t);
-                }
-                obs.elapsed = started.elapsed();
-                Ok(out)
-            }
-            PhysOp::Intersect { rhs_reorder } => {
-                let (ra, rb) = self.both(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let rhs: std::collections::HashSet<Tuple> = reordered(&rb, rhs_reorder).collect();
+        let op = match &self.op {
+            PhysOp::Scan { name } => return self.scan(ctx, name),
+            PhysOp::Op(op) => op,
+        };
+        let mut inputs = inputs.into_iter();
+        let mut next = || inputs.next().expect("one operand per child");
+        let ra = next();
+        Ok(match op {
+            CompiledOp::Project { .. }
+            | CompiledOp::Select { .. }
+            | CompiledOp::Rename
+            | CompiledOp::Assign { .. } => {
                 let mut out = XRelation::empty(self.schema.clone());
                 for t in ra.iter() {
-                    if rhs.contains(t) {
-                        out.insert(t.clone());
+                    if let Some(mapped) = op.map_tuple(t)? {
+                        out.insert(mapped);
                     }
                 }
-                obs.elapsed = started.elapsed();
-                Ok(out)
-            }
-            PhysOp::Difference { rhs_reorder } => {
-                let (ra, rb) = self.both(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let rhs: std::collections::HashSet<Tuple> = reordered(&rb, rhs_reorder).collect();
-                let mut out = XRelation::empty(self.schema.clone());
-                for t in ra.iter() {
-                    if !rhs.contains(t) {
-                        out.insert(t.clone());
-                    }
-                }
-                obs.elapsed = started.elapsed();
-                Ok(out)
-            }
-            PhysOp::Project { coords } => {
-                let r = self.only(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let mut out = XRelation::empty(self.schema.clone());
-                for t in r.iter() {
-                    out.insert(t.project_positions(coords));
-                }
-                obs.elapsed = started.elapsed();
-                Ok(out)
-            }
-            PhysOp::Select { formula } => {
-                let r = self.only(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let run = || -> Result<XRelation, EvalError> {
-                    let mut out = XRelation::empty(self.schema.clone());
-                    for t in r.iter() {
-                        if formula.matches(t)? {
-                            out.insert(t.clone());
-                        }
-                    }
-                    Ok(out)
-                };
-                let out = run();
-                obs.elapsed = started.elapsed();
                 out
             }
-            PhysOp::Rename => {
-                let r = self.only(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let out = XRelation::from_tuples(self.schema.clone(), r.iter().cloned());
-                obs.elapsed = started.elapsed();
-                Ok(out)
+            CompiledOp::Union { .. } => {
+                let mut out = ra;
+                for t in next().iter() {
+                    out.insert(op.reorder_rhs(t));
+                }
+                out
             }
-            PhysOp::Join {
+            CompiledOp::Intersect { .. } | CompiledOp::Difference { .. } => {
+                let rhs: HashSet<Tuple> = next().iter().map(|t| op.reorder_rhs(t)).collect();
+                let keep = matches!(op, CompiledOp::Intersect { .. });
+                XRelation::from_tuples(
+                    self.schema.clone(),
+                    ra.iter().filter(|t| rhs.contains(*t) == keep).cloned(),
+                )
+            }
+            CompiledOp::Join {
                 key_left,
                 key_right,
-                slots,
+                ..
             } => {
-                let (ra, rb) = self.both(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let build = |t1: &Tuple, t2: &Tuple| -> Tuple {
-                    slots
-                        .iter()
-                        .map(|s| match s {
-                            JoinSlot::Left(c) => t1[*c].clone(),
-                            JoinSlot::Right(c) => t2[*c].clone(),
-                        })
-                        .collect()
-                };
+                // an empty key (no shared real attribute) pairs everything:
+                // the cross product
+                let rb = next();
+                let mut table: HashMap<Tuple, Vec<&Tuple>> = HashMap::new();
+                for t2 in rb.iter() {
+                    table
+                        .entry(t2.project_positions(key_right))
+                        .or_default()
+                        .push(t2);
+                }
                 let mut out = XRelation::empty(self.schema.clone());
-                if key_left.is_empty() {
-                    for t1 in ra.iter() {
-                        for t2 in rb.iter() {
-                            out.insert(build(t1, t2));
-                        }
-                    }
-                } else {
-                    let mut table: HashMap<Vec<Value>, Vec<&Tuple>> = HashMap::new();
-                    for t2 in rb.iter() {
-                        let k: Vec<Value> = key_right.iter().map(|&c| t2[c].clone()).collect();
-                        table.entry(k).or_default().push(t2);
-                    }
-                    for t1 in ra.iter() {
-                        let k: Vec<Value> = key_left.iter().map(|&c| t1[c].clone()).collect();
-                        if let Some(matches) = table.get(&k) {
-                            for t2 in matches {
-                                out.insert(build(t1, t2));
-                            }
-                        }
+                for t1 in ra.iter() {
+                    for t2 in table
+                        .get(&t1.project_positions(key_left))
+                        .into_iter()
+                        .flatten()
+                    {
+                        out.insert(op.join_tuple(t1, t2));
                     }
                 }
-                obs.elapsed = started.elapsed();
-                Ok(out)
+                out
             }
-            PhysOp::Assign { slots, binding } => {
-                let r = self.only(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let mut out = XRelation::empty(self.schema.clone());
-                for t in r.iter() {
-                    let v = match binding {
-                        AssignBinding::Coord(c) => t[*c].clone(),
-                        AssignBinding::Const(v) => v.clone(),
-                    };
-                    let new_t: Tuple = slots
-                        .iter()
-                        .map(|s| match s {
-                            AssignSlot::Old(c) => t[*c].clone(),
-                            AssignSlot::New => v.clone(),
-                        })
-                        .collect();
-                    out.insert(new_t);
-                }
-                obs.elapsed = started.elapsed();
-                Ok(out)
-            }
-            PhysOp::Invoke { recipe } => {
-                let r = self.only(ctx, actions, obs)?;
+            CompiledOp::Invoke { recipe } => {
                 let mut tally = InvokeTally::default();
-                let started = WallClock::now();
-                let tuples: Vec<&Tuple> = r.iter().collect();
-                let out = recipe
-                    .invoke_batch_observed(
-                        &tuples,
-                        ctx.invoker,
-                        ctx.at,
-                        ctx.options.invoke_parallelism,
-                        actions,
-                        &mut tally,
-                        ctx.options.degrade,
-                    )
-                    .map(|ts| XRelation::from_tuples(recipe.out_schema().clone(), ts));
-                obs.elapsed = started.elapsed();
-                obs.invocations = tally.invocations;
+                let tuples: Vec<&Tuple> = ra.iter().collect();
+                let result = recipe.invoke_batch_observed(
+                    &tuples,
+                    ctx.invoker,
+                    ctx.at,
+                    ctx.options.invoke_parallelism,
+                    actions,
+                    &mut tally,
+                    ctx.options.degrade,
+                );
+                tally.record_into(obs);
                 obs.cache_misses = tally.invocations;
-                obs.failures = tally.failures;
-                obs.degraded = tally.degraded;
-                obs.panics = tally.panics;
-                out
+                XRelation::from_tuples(self.schema.clone(), result?)
             }
-            PhysOp::Aggregate { group, aggs } => {
-                let r = self.only(ctx, actions, obs)?;
-                let started = WallClock::now();
-                let out = ops::aggregate(&r, group, aggs);
-                obs.elapsed = started.elapsed();
-                out
-            }
-        }
-    }
-
-    /// Evaluate the single child and charge its cardinality to `tuples_in`.
-    fn only(
-        &self,
-        ctx: &ExecContext<'_>,
-        actions: &mut ActionSet,
-        obs: &mut OpObservation,
-    ) -> Result<XRelation, EvalError> {
-        let r = self.children[0].execute(ctx, actions)?;
-        obs.tuples_in = r.len() as u64;
-        Ok(r)
-    }
-
-    /// Evaluate both children and charge their combined cardinality.
-    fn both(
-        &self,
-        ctx: &ExecContext<'_>,
-        actions: &mut ActionSet,
-        obs: &mut OpObservation,
-    ) -> Result<(XRelation, XRelation), EvalError> {
-        let ra = self.children[0].execute(ctx, actions)?;
-        let rb = self.children[1].execute(ctx, actions)?;
-        obs.tuples_in = (ra.len() + rb.len()) as u64;
-        Ok((ra, rb))
+            CompiledOp::Aggregate { group, aggs, .. } => ops::aggregate(&ra, group, aggs)?,
+        })
     }
 
     /// Look up the scanned relation, normalizing its tuples into the
@@ -603,30 +334,11 @@ impl PhysNode {
             .schema
             .reorder_map(r.schema())
             .expect("checked compatible");
-        let identity: Vec<usize> = (0..self.schema.real_arity()).collect();
-        if map == identity {
-            Ok(XRelation::from_tuples(
-                self.schema.clone(),
-                r.iter().cloned(),
-            ))
-        } else {
-            Ok(XRelation::from_tuples(
-                self.schema.clone(),
-                r.iter().map(|t| t.project_positions(&map)),
-            ))
-        }
+        Ok(XRelation::from_tuples(
+            self.schema.clone(),
+            r.iter().map(|t| t.project_positions(&map)),
+        ))
     }
-}
-
-/// Iterate `r`'s tuples permuted by `map` (cloned as-is when `None`).
-fn reordered<'r>(
-    r: &'r XRelation,
-    map: &'r Option<Vec<usize>>,
-) -> impl Iterator<Item = Tuple> + 'r {
-    r.iter().map(move |t| match map {
-        None => t.clone(),
-        Some(m) => t.project_positions(m),
-    })
 }
 
 #[cfg(test)]
@@ -715,5 +427,52 @@ mod tests {
             assert_eq!(stats.total_invocations(), serial_counting.total());
             assert_eq!(stats.total_failures(), 0);
         }
+    }
+
+    /// A β call lost to an unreachable peer is tallied as such on the
+    /// one-shot path too, not only by the continuous executor.
+    #[test]
+    fn unreachable_peer_is_counted_in_one_shot_stats() {
+        use crate::prototype::Prototype;
+        use crate::value::ServiceRef;
+
+        /// `sensor06` lives on a peer that is gone.
+        struct EvictedPeer<I>(I);
+        impl<I: crate::service::Invoker> crate::service::Invoker for EvictedPeer<I> {
+            fn invoke(
+                &self,
+                prototype: &Prototype,
+                service_ref: &ServiceRef,
+                input: &Tuple,
+                at: Instant,
+            ) -> Result<Vec<Tuple>, EvalError> {
+                if service_ref.as_str() == "sensor06" {
+                    return Err(EvalError::RemoteUnavailable {
+                        service: service_ref.to_string(),
+                        prototype: prototype.name().to_string(),
+                        node: "peer-b".into(),
+                        reason: "connection closed".into(),
+                    });
+                }
+                self.0.invoke(prototype, service_ref, input, at)
+            }
+            fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
+                self.0.providers_of(prototype)
+            }
+        }
+
+        let env = example_environment();
+        let invoker = EvictedPeer(example_registry());
+        let plan = Plan::relation("sensors").invoke("getTemperature", "sensor");
+        let physical = PhysicalPlan::compile(&plan, &env).unwrap();
+        let stats = ExecStats::new();
+        let ctx = ExecContext::with_metrics(&env, &invoker, Instant(1), &stats)
+            .with_options(ExecOptions::serial().with_degrade(DegradePolicy::DropTuple));
+        let out = physical.execute(&ctx).unwrap();
+        assert_eq!(out.relation.len(), 3); // 4 sensors, the evicted one dropped
+        let beta = &stats.nodes()[&NodeId(0)];
+        assert_eq!((beta.failures, beta.degraded), (1, 1));
+        assert_eq!(beta.remote_unavailable, 1);
+        assert_eq!(stats.total_remote_unavailable(), 1);
     }
 }

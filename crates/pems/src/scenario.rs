@@ -16,7 +16,6 @@ use std::sync::Arc;
 
 use serena_core::sync::Mutex;
 
-use serena_core::attr::AttrName;
 use serena_core::formula::Formula;
 use serena_core::prototype::examples as protos;
 use serena_core::schema::XSchema;
@@ -340,9 +339,6 @@ pub fn rss_expected_matches(
         })
         .sum()
 }
-
-#[allow(unused_imports)]
-use AttrName as _AttrNameUsedInDocs;
 
 #[cfg(test)]
 mod tests {

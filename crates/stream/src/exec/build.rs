@@ -1,0 +1,96 @@
+//! Compiling a [`StreamPlan`] into the executor's node tree.
+
+use super::*;
+
+/// Compile one plan node and its subtree, assigning pre-order [`NodeId`]s
+/// (this node first, then children left to right — the order a tick visits
+/// them) and returning the node with its output schema. Every Serena
+/// operator is resolved by the [`CompiledOp`] constructor the one-shot
+/// physical plan uses; the plan as a whole has already passed
+/// [`StreamPlan::stream_schema`], which owns the finite/infinite rules.
+pub(super) fn build(
+    plan: &StreamPlan,
+    sources: &mut SourceSet,
+    next_id: &mut usize,
+) -> Result<(Node, SchemaRef), PlanError> {
+    let id = NodeId(*next_id);
+    *next_id += 1;
+    let mut children = Vec::new();
+    let mut operand = |p: &StreamPlan, sources: &mut SourceSet| {
+        let (node, schema) = build(p, sources, next_id)?;
+        children.push(node);
+        Ok::<_, PlanError>(schema)
+    };
+    let linear = |(schema, op)| (schema, Op::Linear(op));
+    let recompute = |(schema, op)| (schema, Op::Recompute(op));
+    let (schema, op) = match plan {
+        StreamPlan::Source(name) => {
+            if let Some(handle) = sources.tables.get(name) {
+                let handle = handle.clone();
+                let started = false;
+                (handle.schema(), Op::Table { handle, started })
+            } else if let Some((schema, source)) = sources.streams.remove(name) {
+                (schema, Op::Stream { source })
+            } else {
+                return Err(PlanError::UnknownRelation(name.clone()));
+            }
+        }
+        StreamPlan::Select(p, f) => linear(CompiledOp::select(&operand(p, sources)?, f)?),
+        StreamPlan::Project(p, attrs) => linear(CompiledOp::project(&operand(p, sources)?, attrs)?),
+        StreamPlan::Rename(p, from, to) => {
+            linear(CompiledOp::rename(&operand(p, sources)?, from, to)?)
+        }
+        StreamPlan::Assign(p, attr, src) => {
+            linear(CompiledOp::assign(&operand(p, sources)?, attr, src)?)
+        }
+        StreamPlan::Union(a, b) => {
+            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            recompute(CompiledOp::union(&sa, &sb)?)
+        }
+        StreamPlan::Intersect(a, b) => {
+            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            recompute(CompiledOp::intersect(&sa, &sb)?)
+        }
+        StreamPlan::Difference(a, b) => {
+            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            recompute(CompiledOp::difference(&sa, &sb)?)
+        }
+        StreamPlan::Join(a, b) => {
+            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            recompute(CompiledOp::join(&sa, &sb)?)
+        }
+        StreamPlan::Aggregate(p, group, aggs) => {
+            recompute(CompiledOp::aggregate(&operand(p, sources)?, group, aggs)?)
+        }
+        StreamPlan::Invoke(p, proto, sa) => {
+            let child = operand(p, sources)?;
+            let recipe = InvokeRecipe::prepare(&child, proto, sa.as_str())?;
+            let cache = HashMap::new();
+            (recipe.out_schema().clone(), Op::Invoke { recipe, cache })
+        }
+        StreamPlan::Window(p, period) => {
+            let (period, ring, warm) = ((*period).max(1), VecDeque::new(), false);
+            (operand(p, sources)?, Op::Window { period, ring, warm })
+        }
+        StreamPlan::Stream(p, kind) => (operand(p, sources)?, Op::StreamOf(*kind)),
+        StreamPlan::SampleInvoke(p, proto, sa, period) => {
+            let child = operand(p, sources)?;
+            let recipe = InvokeRecipe::prepare(&child, proto, sa.as_str())?;
+            let period = (*period).max(1);
+            (
+                recipe.out_schema().clone(),
+                Op::SampleInvoke { recipe, period },
+            )
+        }
+    };
+    let current = Multiset::new();
+    Ok((
+        Node {
+            id,
+            op,
+            children,
+            current,
+        },
+        schema,
+    ))
+}

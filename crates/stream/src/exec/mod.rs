@@ -1,0 +1,470 @@
+//! The incremental continuous-query executor (§4.2, §5.1 Query Processor).
+//!
+//! A [`ContinuousQuery`] compiles a [`StreamPlan`] once into a tree of nodes
+//! and ticks it over discrete time. The Serena operators inside it are the
+//! same [`CompiledOp`]s the one-shot physical plan runs (§4: the continuous
+//! operators *are* Table 3's, applied to instantaneous relations); this
+//! module adds only what is continuous. Each node keeps its instantaneous
+//! state (a multiset, per §4.1) and produces a per-tick [`Delta`]:
+//!
+//! * **linear operators** (σ, π, ρ, α) map their child's delta tuple by
+//!   tuple;
+//! * **nonlinear operators** (⋈, set ops, γ) recompute their instantaneous
+//!   output from their children's current states and diff against their
+//!   previous output — simple, uniform and correct for the experiment
+//!   scales this reproduction targets;
+//! * **β (invocation)** follows §4.2 exactly: "a binding pattern is
+//!   actually invoked only for newly inserted tuples, and not for every
+//!   tuple from the relation at each time instant". Results are cached per
+//!   input tuple so a later deletion retracts exactly the tuples the
+//!   insertion produced;
+//! * **W\[p\]** buffers the last `p` stream batches; **S\[kind\]** converts
+//!   a finite node's delta back into a stream.
+//!
+//! Invocation failures (a sensor dying mid-query) do not abort the query:
+//! the affected input tuple contributes nothing this tick and the error is
+//! surfaced in the [`TickReport`] — the robustness behaviour §5.2 calls
+//! for.
+//!
+//! Layout: this file holds the node shape and the public API; `build`
+//! compiles a plan into nodes, `tick` evaluates one instant, `state` is
+//! everything that outlives a tick boundary (checkpoint, restore, hot-swap
+//! adoption).
+
+mod build;
+mod state;
+#[cfg(test)]
+mod tests;
+mod tick;
+
+use std::collections::{HashMap, VecDeque};
+
+use serena_core::action::ActionSet;
+use serena_core::error::{EvalError, PlanError};
+use serena_core::metrics::{ExecStats, MetricsSink, NodeId, NoopMetrics, OpKind, Tee};
+use serena_core::ops::{CompiledOp, InvokeRecipe};
+use serena_core::physical::ExecOptions;
+use serena_core::schema::SchemaRef;
+use serena_core::service::Invoker;
+use serena_core::snapshot::{Reader, SnapshotError, Writer};
+use serena_core::telemetry::FlightRecorder;
+use serena_core::time::Instant;
+use serena_core::tuple::Tuple;
+use serena_core::xrelation::XRelation;
+
+use crate::multiset::{Delta, Multiset};
+use crate::plan::{StreamKind, StreamPlan, StreamSchema, XdCatalog};
+use crate::source::{StreamSource, TableHandle};
+
+/// The named XD-Relations a continuous query runs over.
+#[derive(Default)]
+pub struct SourceSet {
+    tables: HashMap<String, TableHandle>,
+    streams: HashMap<String, (SchemaRef, Box<dyn StreamSource>)>,
+}
+
+impl SourceSet {
+    /// Empty source set.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a finite XD-Relation (a dynamic table).
+    pub fn add_table(&mut self, name: impl Into<String>, table: TableHandle) -> &mut Self {
+        self.tables.insert(name.into(), table);
+        self
+    }
+
+    /// Add an infinite XD-Relation (a stream) with its schema.
+    pub fn add_stream(
+        &mut self,
+        name: impl Into<String>,
+        schema: SchemaRef,
+        source: Box<dyn StreamSource>,
+    ) -> &mut Self {
+        self.streams.insert(name.into(), (schema, source));
+        self
+    }
+
+    /// Handle to a registered table.
+    pub fn table(&self, name: &str) -> Option<&TableHandle> {
+        self.tables.get(name)
+    }
+}
+
+impl XdCatalog for SourceSet {
+    fn xd_schema_of(&self, name: &str) -> Option<StreamSchema> {
+        if let Some(t) = self.tables.get(name) {
+            return Some(StreamSchema::finite(t.schema()));
+        }
+        self.streams
+            .get(name)
+            .map(|(s, _)| StreamSchema::infinite(s.clone()))
+    }
+}
+
+/// What one tick produced.
+#[derive(Debug)]
+pub struct TickReport {
+    /// The instant that was evaluated.
+    pub at: Instant,
+    /// Root delta (finite roots).
+    pub delta: Delta,
+    /// Root stream batch (infinite roots; empty for finite roots).
+    pub batch: Vec<Tuple>,
+    /// Active invocations triggered this tick (Definition 8, per-tick).
+    pub actions: ActionSet,
+    /// Invocation errors survived this tick.
+    pub errors: Vec<EvalError>,
+    /// Per-node statistics of this tick (delta sizes, β invocations and
+    /// cache hits/misses, self-time), keyed by the plan's pre-order
+    /// [`NodeId`]s.
+    pub stats: ExecStats,
+    /// Wall-clock duration of the whole tick (all nodes, β calls
+    /// included) — the sample behind per-query tick-duration histograms.
+    pub elapsed: std::time::Duration,
+}
+
+/// One node of a running query. Every node has this shape — whatever an
+/// operator carries across ticks beyond its instantaneous multiset lives in
+/// its [`Op`] — so checkpoint, restore and state adoption are one pre-order
+/// traversal ([`Node::walk`]) plus a per-operator step.
+struct Node {
+    /// Stable pre-order id (this node, then children left to right),
+    /// assigned once at compile time and reused every tick so per-tick and
+    /// rolling statistics line up across the query's lifetime.
+    id: NodeId,
+    op: Op,
+    children: Vec<Node>,
+    /// The node's instantaneous multiset after its last tick (§4.1). Stays
+    /// empty on stream-valued nodes, which have no instantaneous state.
+    current: Multiset,
+}
+
+enum Op {
+    Table {
+        handle: TableHandle,
+        /// Whether this node has ticked before (first tick bootstraps the
+        /// node from the table's current contents — queries registered
+        /// mid-run start from the live state, §5.1).
+        started: bool,
+    },
+    Stream {
+        source: Box<dyn StreamSource>,
+    },
+    /// σ, π, ρ, α: maps the child's delta tuple by tuple.
+    Linear(CompiledOp),
+    /// ∪, ∩, −, ⋈, γ: recomputed from the children's current states.
+    Recompute(CompiledOp),
+    Invoke {
+        recipe: InvokeRecipe,
+        cache: HashMap<Tuple, CacheEntry>,
+    },
+    Window {
+        period: u64,
+        ring: VecDeque<Vec<Tuple>>,
+        /// Set when a plan hot-swap adopted this ring from an outgoing
+        /// query: the first tick then emits the full (post-update) window
+        /// content as pure insertions — downstream nodes of the new plan
+        /// start cold and need the complete state, not an incremental
+        /// delta. Cleared after that bootstrap tick; survives checkpoints.
+        warm: bool,
+    },
+    StreamOf(StreamKind),
+    /// Streaming binding pattern `βˢ` (extension, §7 future work):
+    /// periodically invoke a passive BP over the whole finite child and
+    /// stream the extended tuples.
+    SampleInvoke {
+        recipe: InvokeRecipe,
+        period: u64,
+    },
+}
+
+struct CacheEntry {
+    count: usize,
+    outputs: Vec<Tuple>,
+}
+
+impl Op {
+    /// The operator's snapshot tag (stable: shape verification across
+    /// checkpoint/restore), observation kind and span name.
+    fn meta(&self) -> (u8, OpKind, &'static str) {
+        let (tag, kind) = match self {
+            Op::Table { .. } => (0, OpKind::Relation),
+            Op::Stream { .. } => (1, OpKind::Source),
+            Op::Linear(op) => (2, op.kind()),
+            Op::Recompute(op) => (3, op.kind()),
+            Op::Invoke { .. } => (4, OpKind::Invoke),
+            Op::Window { .. } => (5, OpKind::Window),
+            Op::StreamOf(_) => (6, OpKind::StreamOf),
+            Op::SampleInvoke { .. } => (7, OpKind::SampleInvoke),
+        };
+        let span = match kind {
+            OpKind::Relation => "op.table",
+            OpKind::Source => "op.stream",
+            OpKind::Union => "op.union",
+            OpKind::Intersect => "op.intersect",
+            OpKind::Difference => "op.difference",
+            OpKind::Project => "op.project",
+            OpKind::Select => "op.select",
+            OpKind::Rename => "op.rename",
+            OpKind::Join => "op.join",
+            OpKind::Assign => "op.assign",
+            OpKind::Invoke => "op.invoke",
+            OpKind::Aggregate => "op.aggregate",
+            OpKind::Window => "op.window",
+            OpKind::StreamOf => "op.streamof",
+            OpKind::SampleInvoke => "op.sample_invoke",
+        };
+        (tag, kind, span)
+    }
+}
+
+impl Node {
+    /// Visit this subtree in pre-order — the order [`NodeId`]s, snapshot
+    /// records and migration positions all count in.
+    fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Node)) {
+        f(self);
+        for c in &self.children {
+            c.walk(f);
+        }
+    }
+
+    /// [`Node::walk`] over mutable nodes.
+    fn walk_mut(&mut self, f: &mut impl FnMut(&mut Node)) {
+        f(self);
+        for c in &mut self.children {
+            c.walk_mut(f);
+        }
+    }
+}
+
+/// A running continuous query.
+pub struct ContinuousQuery {
+    root: Node,
+    schema: StreamSchema,
+    next: Instant,
+    options: ExecOptions,
+    tracer: Option<std::sync::Arc<FlightRecorder>>,
+}
+
+impl ContinuousQuery {
+    /// Compile `plan` against `sources`, consuming the stream sources it
+    /// references. Performs full static validation first.
+    pub fn compile(plan: &StreamPlan, sources: &mut SourceSet) -> Result<Self, PlanError> {
+        Self::compile_with_options(plan, sources, ExecOptions::default())
+    }
+
+    /// [`ContinuousQuery::compile`] with explicit execution options
+    /// (β worker-pool width).
+    pub fn compile_with_options(
+        plan: &StreamPlan,
+        sources: &mut SourceSet,
+        options: ExecOptions,
+    ) -> Result<Self, PlanError> {
+        let schema = plan.stream_schema(sources)?;
+        let (root, _) = build::build(plan, sources, &mut 0)?;
+        Ok(ContinuousQuery {
+            root,
+            schema,
+            next: Instant::ZERO,
+            options,
+            tracer: None,
+        })
+    }
+
+    /// Attach (or detach) a flight recorder: every tick then records one
+    /// span per plan node, keyed by the compile-time [`NodeId`], with
+    /// delta sizes and β counters as attributes. Purely observational —
+    /// results are byte-identical with or without a recorder.
+    pub fn set_tracer(&mut self, tracer: Option<std::sync::Arc<FlightRecorder>>) {
+        self.tracer = tracer;
+    }
+
+    /// The query's output schema and finite/infinite status.
+    pub fn schema(&self) -> &StreamSchema {
+        &self.schema
+    }
+
+    /// The instant the next `tick` will evaluate.
+    pub fn next_instant(&self) -> Instant {
+        self.next
+    }
+
+    /// The configured β invocation pool width (see
+    /// [`ContinuousQuery::tick_with_budget`] for how a multi-query
+    /// scheduler divides it among concurrent ticks).
+    pub fn invoke_parallelism(&self) -> usize {
+        self.options.invoke_parallelism
+    }
+
+    /// The full execution options the query was compiled with — a plan
+    /// hot-swap recompiles the replacement with the same knobs.
+    pub fn options(&self) -> ExecOptions {
+        self.options
+    }
+
+    /// Align the query's clock so its next tick evaluates `at` — used when
+    /// registering a query mid-run so it joins the global tick cadence.
+    pub fn seek(&mut self, at: Instant) {
+        self.next = at;
+    }
+
+    /// Evaluate one instant, additionally duplicating this tick's
+    /// per-node observations into `sink` — the hook the Query Processor
+    /// uses to accumulate rolling per-query statistics. The per-tick
+    /// statistics are always available in the returned
+    /// [`TickReport::stats`].
+    pub fn tick_with(&mut self, invoker: &dyn Invoker, sink: &dyn MetricsSink) -> TickReport {
+        self.tick_with_budget(invoker, sink, self.options.invoke_parallelism)
+    }
+
+    /// [`ContinuousQuery::tick_with`] under an explicit intra-β
+    /// parallelism budget: the effective β pool width for this tick is
+    /// `min(invoke_parallelism, budget)` (floored at 1). The multi-query
+    /// scheduler uses this to *divide* the configured budget among queries
+    /// ticking concurrently instead of multiplying it — β parallelism is
+    /// proven output-neutral (`tests/physical_differential.rs`), so the
+    /// clamp never changes results, only thread counts.
+    pub fn tick_with_budget(
+        &mut self,
+        invoker: &dyn Invoker,
+        sink: &dyn MetricsSink,
+        budget: usize,
+    ) -> TickReport {
+        let started = std::time::Instant::now();
+        let at = self.next;
+        self.next = at.next();
+        let mut actions = ActionSet::new();
+        let mut errors = Vec::new();
+        let stats = ExecStats::new();
+        let out = {
+            let tee = Tee(&stats, sink);
+            let mut ctx = tick::Ctx {
+                at,
+                invoker,
+                actions: &mut actions,
+                errors: &mut errors,
+                metrics: &tee,
+                parallelism: self.options.invoke_parallelism.min(budget.max(1)),
+                degrade: self.options.degrade,
+                tracer: self.tracer.as_deref().filter(|r| r.armed()),
+            };
+            tick::tick_node(&mut self.root, &mut ctx)
+        };
+        let (delta, batch) = match out {
+            tick::Out::Finite(d) => (d, Vec::new()),
+            tick::Out::Batch(b) => (Delta::new(), b),
+        };
+        TickReport {
+            at,
+            delta,
+            batch,
+            actions,
+            errors,
+            stats,
+            elapsed: started.elapsed(),
+        }
+    }
+
+    /// Run `n` ticks, collecting reports.
+    pub fn run(&mut self, invoker: &dyn Invoker, n: u64) -> Vec<TickReport> {
+        (0..n)
+            .map(|_| self.tick_with(invoker, &NoopMetrics))
+            .collect()
+    }
+
+    /// Snapshot the current instantaneous result as an [`XRelation`]
+    /// (finite queries only; multiplicities collapse to set semantics).
+    pub fn current_relation(&self) -> Option<XRelation> {
+        if self.schema.infinite {
+            return None;
+        }
+        let mut rel = XRelation::empty(self.schema.schema.clone());
+        for t in self.root.current.sorted_occurrences() {
+            rel.insert(t);
+        }
+        Some(rel)
+    }
+
+    /// Serialize the query's dynamic state into a checkpoint: the logical
+    /// clock plus, per node in pre-order, whatever the operator carries
+    /// across ticks (instantaneous multisets, the β cache, window rings,
+    /// the table bootstrap flag). Static structure — the plan shape,
+    /// schemas, compiled recipes — is *not* captured: restore recompiles
+    /// the plan and [`ContinuousQuery::read_snapshot`] verifies the shapes
+    /// agree.
+    ///
+    /// Table *contents* are shared state owned by [`TableHandle`]s and are
+    /// checkpointed separately (see [`TableHandle::export_state`]).
+    pub fn write_snapshot(&self, w: &mut Writer) {
+        w.u64(self.next.ticks());
+        self.root.walk(&mut |n| n.snapshot(w));
+    }
+
+    /// Restore dynamic state written by [`ContinuousQuery::write_snapshot`]
+    /// into a freshly compiled query over the same plan. Fails with
+    /// [`SnapshotError::Mismatch`] if the snapshot's node tree does not
+    /// match this query's shape; on any error the query's state is
+    /// unspecified and the query should be discarded.
+    pub fn read_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        let next = r.u64()?;
+        let mut restored = Ok(());
+        self.root.walk_mut(&mut |n| {
+            if restored.is_ok() {
+                restored = n.restore(r);
+            }
+        });
+        restored?;
+        self.next = Instant(next);
+        Ok(())
+    }
+
+    /// Carry reusable operator state over from the outgoing query of a
+    /// plan hot-swap. `windows` and `invokes` are `(new_pos, old_pos)`
+    /// pairs, positions counting nodes of that kind in pre-order (the
+    /// plan-level [`crate::rewrite::migration_pairs`] inventory) — only
+    /// pairs whose operand subtree (windows) or operand schema (β caches)
+    /// is unchanged may be passed.
+    ///
+    /// * a window adopts the old ring and content and is marked *warm*:
+    ///   its first tick emits the full window as insertions so the cold
+    ///   downstream nodes of the new plan see complete state;
+    /// * a β node adopts the old cache with all counts zeroed (its cold
+    ///   child will re-insert whatever subset of inputs survives the new
+    ///   plan); adopted hits re-emit cached outputs without re-invoking
+    ///   the service — no duplicate actions, no duplicate calls.
+    ///
+    /// Everything else starts cold, which is exactly the registered-
+    /// mid-run bootstrap every node already supports.
+    pub fn adopt_state_from(
+        &mut self,
+        old: &ContinuousQuery,
+        windows: &[(usize, usize)],
+        invokes: &[(usize, usize)],
+    ) {
+        type OfKind = fn(&Op) -> bool;
+        let kinds: [(OfKind, &[(usize, usize)]); 2] = [
+            (|op| matches!(op, Op::Window { .. }), windows),
+            (|op| matches!(op, Op::Invoke { .. }), invokes),
+        ];
+        for (of_kind, pairs) in kinds {
+            let mut donors = Vec::new();
+            old.root.walk(&mut |n| {
+                if of_kind(&n.op) {
+                    donors.push(n);
+                }
+            });
+            let pairs: HashMap<usize, usize> = pairs.iter().copied().collect();
+            let mut pos = 0usize;
+            self.root.walk_mut(&mut |n| {
+                if of_kind(&n.op) {
+                    if let Some(donor) = pairs.get(&pos).and_then(|&o| donors.get(o)) {
+                        n.adopt(donor);
+                    }
+                    pos += 1;
+                }
+            });
+        }
+    }
+}

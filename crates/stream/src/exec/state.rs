@@ -1,0 +1,168 @@
+//! State that outlives a tick boundary: each node's checkpoint record, its
+//! restore, and what a hot-swapped plan adopts from the outgoing one.
+//!
+//! A snapshot is one record per node in pre-order: the operator tag (shape
+//! verification) followed by whatever that operator cannot re-derive.
+
+use super::*;
+
+impl Node {
+    /// Write this node's snapshot record.
+    pub(super) fn snapshot(&self, w: &mut Writer) {
+        w.u8(self.op.meta().0);
+        match &self.op {
+            // at a tick boundary the node's instantaneous state equals the
+            // table's committed contents, which the table manager already
+            // persists — only the bootstrap flag is node-local
+            Op::Table { started, .. } => {
+                w.bool(*started);
+            }
+            // stream sources are driven by the environment, S and βˢ keep
+            // nothing between ticks
+            Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
+            Op::Linear(_) | Op::Recompute(_) => self.current.encode(w),
+            // every β emission is mirrored in the cache (fillers included),
+            // so `current` is Σ count × outputs over the entries — derived
+            // on restore rather than encoded
+            Op::Invoke { cache, .. } => {
+                let mut entries: Vec<(&Tuple, &CacheEntry)> = cache.iter().collect();
+                entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+                w.usize(entries.len());
+                for (t, e) in entries {
+                    w.tuple(t).usize(e.count).usize(e.outputs.len());
+                    for o in &e.outputs {
+                        w.tuple(o);
+                    }
+                }
+            }
+            // `current` is exactly the multiset of the ring's tuples (each
+            // tick inserts the new batch and deletes the expired one), so
+            // it is derived on restore rather than encoded — the dominant
+            // term of a windowed query's snapshot, halved
+            Op::Window { period, ring, warm } => {
+                w.u64(*period);
+                // a checkpoint can land between a plan hot-swap and the
+                // adopted ring's bootstrap tick — the pending full emission
+                // must survive restore (snapshot format v2)
+                w.bool(*warm);
+                w.usize(ring.len());
+                for batch in ring {
+                    w.usize(batch.len());
+                    for t in batch {
+                        w.tuple(t);
+                    }
+                }
+            }
+        }
+    }
+
+    /// Read back the record [`Node::snapshot`] wrote for this position of
+    /// the tree, failing on a different operator there.
+    pub(super) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
+        let tag = r.u8()?;
+        let expected = self.op.meta().0;
+        if tag != expected {
+            return Err(SnapshotError::Mismatch(format!(
+                "node {}: plan has operator tag {expected}, snapshot has {tag}",
+                self.id
+            )));
+        }
+        match &mut self.op {
+            Op::Table { handle, started } => {
+                *started = r.bool()?;
+                // derived: the table manager restored the handle's committed
+                // contents before the processor restore reached this node.
+                // A node checkpointed *before* its bootstrap tick (e.g. a plan
+                // hot-swap checkpointed before the new plan's first tick) was
+                // still empty — its bootstrap tick will apply the contents.
+                self.current = if *started {
+                    handle.snapshot()
+                } else {
+                    Multiset::new()
+                };
+            }
+            Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
+            Op::Linear(_) | Op::Recompute(_) => self.current = Multiset::decode(r)?,
+            Op::Invoke { cache, .. } => {
+                let entries = r.usize()?;
+                cache.clear();
+                self.current = Multiset::new();
+                for _ in 0..entries {
+                    let t = r.tuple()?;
+                    let count = r.usize()?;
+                    let n_outputs = r.usize()?;
+                    let mut outputs = Vec::with_capacity(n_outputs.min(r.remaining()));
+                    for _ in 0..n_outputs {
+                        let o = r.tuple()?;
+                        // derived: the β output is the cached extensions, one
+                        // occurrence per cached occurrence of the input tuple
+                        self.current.insert(o.clone(), count);
+                        outputs.push(o);
+                    }
+                    cache.insert(t, CacheEntry { count, outputs });
+                }
+            }
+            Op::Window { period, ring, warm } => {
+                let stored = r.u64()?;
+                if stored != *period {
+                    return Err(SnapshotError::Mismatch(format!(
+                        "node {}: window period {period} vs snapshot {stored}",
+                        self.id
+                    )));
+                }
+                *warm = r.bool()?;
+                let batches = r.usize()?;
+                ring.clear();
+                self.current = Multiset::new();
+                for _ in 0..batches {
+                    let len = r.usize()?;
+                    let mut batch = Vec::with_capacity(len.min(r.remaining()));
+                    for _ in 0..len {
+                        batch.push(r.tuple()?);
+                    }
+                    // the instantaneous window content is derived, not stored:
+                    // it is the multiset union of the ring's batches
+                    for t in &batch {
+                        self.current.insert(t.clone(), 1);
+                    }
+                    ring.push_back(batch);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Take over the reusable state of `donor`, the node of the same kind a
+    /// plan hot-swap paired this one with (see
+    /// [`ContinuousQuery::adopt_state_from`]).
+    pub(super) fn adopt(&mut self, donor: &Node) {
+        match (&mut self.op, &donor.op) {
+            (
+                Op::Window { period, ring, warm },
+                Op::Window {
+                    period: donor_period,
+                    ring: donor_ring,
+                    ..
+                },
+                // defense in depth: the pairing already implies identical
+                // subtrees, which includes the period
+            ) if period == donor_period => {
+                *ring = donor_ring.clone();
+                self.current = donor.current.clone();
+                *warm = true;
+            }
+            // counts zeroed: the cold child re-inserts whatever survives
+            (Op::Invoke { cache, .. }, Op::Invoke { cache: donor, .. }) => {
+                self.current = Multiset::new();
+                *cache = donor
+                    .iter()
+                    .map(|(t, e)| {
+                        let outputs = e.outputs.clone();
+                        (t.clone(), CacheEntry { count: 0, outputs })
+                    })
+                    .collect();
+            }
+            _ => {}
+        }
+    }
+}

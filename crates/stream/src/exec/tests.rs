@@ -1,0 +1,1025 @@
+use super::*;
+use crate::plan::StreamPlan;
+use crate::source::{FnStream, PushStream};
+use serena_core::formula::Formula;
+use serena_core::ops::{AggFun, AggSpec, DegradePolicy};
+use serena_core::schema::XSchema;
+use serena_core::service::fixtures::example_registry;
+use serena_core::tuple;
+use serena_core::value::{DataType, Value};
+
+fn int_schema(name: &str) -> SchemaRef {
+    XSchema::builder()
+        .real(name, DataType::Int)
+        .build()
+        .unwrap()
+}
+
+#[test]
+fn table_select_project_pipeline() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(
+        XSchema::builder()
+            .real("x", DataType::Int)
+            .real("y", DataType::Str)
+            .build()
+            .unwrap(),
+    );
+    sources.add_table("t", table.clone());
+    let plan = StreamPlan::source("t")
+        .select(Formula::gt_const("x", 10))
+        .project(["y"]);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    table.insert(tuple![5, "small"]);
+    table.insert(tuple![20, "big"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.delta.inserts.sorted_occurrences(), vec![tuple!["big"]]);
+
+    table.delete(tuple![20, "big"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.delta.deletes.sorted_occurrences(), vec![tuple!["big"]]);
+    assert!(q.current_relation().unwrap().is_empty());
+}
+
+#[test]
+fn window_slides_and_expires() {
+    let mut sources = SourceSet::new();
+    let push = PushStream::new();
+    sources.add_stream("s", int_schema("x"), Box::new(push.clone()));
+    let plan = StreamPlan::source("s").window(2);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    push.push(tuple![1]);
+    let r = q.tick_with(&reg, &NoopMetrics); // window {1}
+    assert_eq!(r.delta.inserts.len(), 1);
+
+    push.push(tuple![2]);
+    let r = q.tick_with(&reg, &NoopMetrics); // window {1, 2}
+    assert_eq!(r.delta.inserts.len(), 1);
+    assert!(r.delta.deletes.is_empty());
+
+    push.push(tuple![3]);
+    let r = q.tick_with(&reg, &NoopMetrics); // window {2, 3}; 1 expires
+    assert_eq!(r.delta.inserts.sorted_occurrences(), vec![tuple![3]]);
+    assert_eq!(r.delta.deletes.sorted_occurrences(), vec![tuple![1]]);
+
+    let r = q.tick_with(&reg, &NoopMetrics); // window {3}; 2 expires
+    assert_eq!(r.delta.deletes.sorted_occurrences(), vec![tuple![2]]);
+    let r = q.tick_with(&reg, &NoopMetrics); // window {}; 3 expires
+    assert_eq!(r.delta.deletes.sorted_occurrences(), vec![tuple![3]]);
+    assert!(q.current_relation().unwrap().is_empty());
+}
+
+#[test]
+fn stream_insertion_emits_deltas_only() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(int_schema("x"));
+    sources.add_table("t", table.clone());
+    let plan = StreamPlan::source("t").stream(StreamKind::Insertion);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    table.insert(tuple![1]);
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch, vec![tuple![1]]);
+    // no change → empty batch
+    assert!(q.tick_with(&reg, &NoopMetrics).batch.is_empty());
+    table.delete(tuple![1]);
+    assert!(q.tick_with(&reg, &NoopMetrics).batch.is_empty()); // deletions invisible to S[insertion]
+}
+
+#[test]
+fn stream_heartbeat_repeats_current() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(int_schema("x"));
+    sources.add_table("t", table.clone());
+    let plan = StreamPlan::source("t").stream(StreamKind::Heartbeat);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    table.insert(tuple![1]);
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 1);
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 1); // repeated while present
+    table.delete(tuple![1]);
+    assert!(q.tick_with(&reg, &NoopMetrics).batch.is_empty());
+}
+
+#[test]
+fn incremental_join_tracks_both_sides() {
+    let mut sources = SourceSet::new();
+    let left = TableHandle::new(
+        XSchema::builder()
+            .real("k", DataType::Int)
+            .real("a", DataType::Str)
+            .build()
+            .unwrap(),
+    );
+    let right = TableHandle::new(
+        XSchema::builder()
+            .real("k", DataType::Int)
+            .real("b", DataType::Str)
+            .build()
+            .unwrap(),
+    );
+    sources.add_table("l", left.clone());
+    sources.add_table("r", right.clone());
+    let plan = StreamPlan::source("l").join(StreamPlan::source("r"));
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    left.insert(tuple![1, "x"]);
+    let r1 = q.tick_with(&reg, &NoopMetrics);
+    assert!(r1.delta.is_empty()); // no right match yet
+
+    right.insert(tuple![1, "y"]);
+    let r2 = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(
+        r2.delta.inserts.sorted_occurrences(),
+        vec![tuple![1, "x", "y"]]
+    );
+
+    left.delete(tuple![1, "x"]);
+    let r3 = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(
+        r3.delta.deletes.sorted_occurrences(),
+        vec![tuple![1, "x", "y"]]
+    );
+}
+
+#[test]
+fn continuous_invoke_only_new_tuples() {
+    use serena_core::value::ServiceRef;
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    sources.add_table("sensors", table.clone());
+    let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    let counting = serena_core::eval::CountingInvoker::new(&reg);
+
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    q.tick_with(&counting, &NoopMetrics);
+    assert_eq!(counting.count_of("getTemperature"), 1);
+    // stable table → no further invocations despite more ticks
+    q.tick_with(&counting, &NoopMetrics);
+    q.tick_with(&counting, &NoopMetrics);
+    assert_eq!(counting.count_of("getTemperature"), 1);
+    // new sensor → exactly one more invocation
+    table.insert(tuple![Value::service("sensor06"), "office"]);
+    q.tick_with(&counting, &NoopMetrics);
+    assert_eq!(counting.count_of("getTemperature"), 2);
+    let _ = ServiceRef::new("sensor01");
+}
+
+#[test]
+fn invoke_retracts_cached_outputs_on_delete() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    sources.add_table("sensors", table.clone());
+    let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let produced = r.delta.inserts.sorted_occurrences();
+    assert_eq!(produced.len(), 1);
+
+    table.delete(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    // the retracted tuple is exactly the cached extension (same value,
+    // even though the *current* instant would read differently)
+    assert_eq!(r.delta.deletes.sorted_occurrences(), produced);
+    assert!(q.current_relation().unwrap().is_empty());
+}
+
+#[test]
+fn invoke_failure_surfaces_error_and_continues() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    sources.add_table("sensors", table.clone());
+    let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry(); // has no `deadbeef` service
+
+    table.insert(tuple![Value::service("deadbeef"), "void"]);
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.errors.len(), 1);
+    assert_eq!(r.delta.inserts.len(), 1); // the healthy sensor got through
+}
+
+#[test]
+fn windowed_aggregate_mean_temperature() {
+    let mut sources = SourceSet::new();
+    let schema = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap();
+    // synthetic stream: at tick t, one reading (office, 20+t)
+    let src = FnStream(move |at: Instant| vec![tuple!["office", 20.0 + at.ticks() as f64]]);
+    sources.add_stream("temps", schema, Box::new(src));
+    let plan = StreamPlan::source("temps").window(2).aggregate(
+        ["location"],
+        vec![AggSpec::new(AggFun::Avg, "temperature").named("mean")],
+    );
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    q.tick_with(&reg, &NoopMetrics); // window {20} → mean 20
+    let rel = q.current_relation().unwrap();
+    assert!(rel.contains(&tuple!["office", 20.0]));
+    q.tick_with(&reg, &NoopMetrics); // window {20, 21} → mean 20.5
+    let rel = q.current_relation().unwrap();
+    assert!(rel.contains(&tuple!["office", 20.5]));
+    q.tick_with(&reg, &NoopMetrics); // window {21, 22} → mean 21.5
+    let rel = q.current_relation().unwrap();
+    assert!(rel.contains(&tuple!["office", 21.5]));
+}
+
+#[test]
+fn set_ops_multiset_semantics() {
+    let mut sources = SourceSet::new();
+    let a = TableHandle::new(int_schema("x"));
+    let b = TableHandle::new(int_schema("x"));
+    sources.add_table("a", a.clone());
+    sources.add_table("b", b.clone());
+    let plan = StreamPlan::source("a").difference(StreamPlan::source("b"));
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    a.insert(tuple![1]);
+    a.insert(tuple![2]);
+    q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(q.current_relation().unwrap().len(), 2);
+    b.insert(tuple![1]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.delta.deletes.sorted_occurrences(), vec![tuple![1]]);
+    assert_eq!(q.current_relation().unwrap().len(), 1);
+}
+
+#[test]
+fn q3_sends_hot_alerts_once_per_reading() {
+    // End-to-end Q3 over a scripted temperature stream.
+    let mut sources = SourceSet::new();
+    let temps_schema = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap();
+    // hot reading only at tick 3
+    let src = FnStream(|at: Instant| {
+        if at.ticks() == 3 {
+            vec![tuple!["office", 40.0]]
+        } else {
+            vec![tuple!["office", 20.0]]
+        }
+    });
+    sources.add_stream("temperatures", temps_schema, Box::new(src));
+    let contacts = TableHandle::with_tuples(
+        serena_core::schema::examples::contacts_schema(),
+        serena_core::xrelation::examples::contacts().into_tuples(),
+    );
+    sources.add_table("contacts", contacts);
+    let mut q = ContinuousQuery::compile(&crate::plan::examples::q3(), &mut sources).unwrap();
+    let reg = example_registry();
+
+    let mut total_actions = 0;
+    for t in 0..6 {
+        let r = q.tick_with(&reg, &NoopMetrics);
+        if t == 3 {
+            // 3 contacts × 1 hot reading
+            assert_eq!(r.actions.len(), 3, "tick {t}");
+        } else {
+            assert!(r.actions.is_empty(), "tick {t}: {:?}", r.actions);
+        }
+        total_actions += r.actions.len();
+    }
+    assert_eq!(total_actions, 3);
+}
+
+#[test]
+fn sample_invoke_streams_periodic_readings() {
+    // βˢ[2] getTemperature[sensor] (sensors): every 2 ticks, sample
+    // every sensor currently in the table.
+    let mut sources = SourceSet::new();
+    let table = TableHandle::with_tuples(
+        serena_core::schema::examples::sensors_schema(),
+        vec![
+            tuple![Value::service("sensor01"), "corridor"],
+            tuple![Value::service("sensor06"), "office"],
+        ],
+    );
+    sources.add_table("sensors", table.clone());
+    let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 2);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    assert!(q.schema().infinite);
+    assert!(q.schema().schema.is_real("temperature"));
+    let reg = example_registry();
+
+    // τ0: sample (2 sensors); τ1: quiet; τ2: sample again
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 2);
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 0);
+    let b2 = q.tick_with(&reg, &NoopMetrics).batch;
+    assert_eq!(b2.len(), 2);
+    // new sensor joins → next sampling includes it
+    table.insert(tuple![Value::service("sensor22"), "roof"]);
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 0); // τ3 off-period
+    assert_eq!(q.tick_with(&reg, &NoopMetrics).batch.len(), 3); // τ4
+}
+
+#[test]
+fn sample_invoke_rejects_active_bp_and_surfaces_errors() {
+    // active BP → static rejection
+    let mut sources = SourceSet::new();
+    sources.add_table(
+        "contacts",
+        TableHandle::with_tuples(
+            serena_core::schema::examples::contacts_schema(),
+            serena_core::xrelation::examples::contacts().into_tuples(),
+        ),
+    );
+    let plan = StreamPlan::source("contacts")
+        .assign_const("text", "hi")
+        .sample_invoke("sendMessage", "messenger", 1);
+    assert!(matches!(
+        ContinuousQuery::compile(&plan, &mut sources),
+        Err(PlanError::StreamStatusMismatch { .. })
+    ));
+
+    // unknown service → per-tick error, healthy sensors still sampled
+    let mut sources = SourceSet::new();
+    sources.add_table(
+        "sensors",
+        TableHandle::with_tuples(
+            serena_core::schema::examples::sensors_schema(),
+            vec![
+                tuple![Value::service("sensor01"), "corridor"],
+                tuple![Value::service("ghost"), "void"],
+            ],
+        ),
+    );
+    let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let r = q.tick_with(&example_registry(), &NoopMetrics);
+    assert_eq!(r.batch.len(), 1);
+    assert_eq!(r.errors.len(), 1);
+}
+
+#[test]
+fn sample_invoke_feeds_windows_downstream() {
+    // the full future-work composition: sensors →βˢ→ stream →W[1]→ σ
+    let mut sources = SourceSet::new();
+    sources.add_table(
+        "sensors",
+        TableHandle::with_tuples(
+            serena_core::schema::examples::sensors_schema(),
+            vec![tuple![Value::service("sensor01"), "corridor"]],
+        ),
+    );
+    let plan = StreamPlan::source("sensors")
+        .sample_invoke("getTemperature", "sensor", 1)
+        .window(1)
+        .select(Formula::gt_const("temperature", -1000.0));
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    assert!(!q.schema().infinite);
+    let reg = example_registry();
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.delta.inserts.len(), 1);
+}
+
+#[test]
+fn tick_stats_track_beta_cache_hits_and_misses() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    sources.add_table("sensors", table.clone());
+    let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    // pre-order: 0 = Invoke (root), 1 = Table
+    let beta = NodeId(0);
+
+    // a brand-new tuple is a cache miss → one live invocation
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let s = r.stats.node(beta).unwrap();
+    assert_eq!(s.op, OpKind::Invoke);
+    assert_eq!((s.cache_misses, s.cache_hits, s.invocations), (1, 0, 1));
+    assert_eq!(r.stats.node(NodeId(1)).unwrap().op, OpKind::Relation);
+
+    // a quiet tick records the node with all-zero counters
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let s = r.stats.node(beta).unwrap();
+    assert_eq!((s.cache_misses, s.cache_hits, s.invocations), (0, 0, 0));
+
+    // re-inserting the same tuple (still cached) is a hit — no call
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let s = r.stats.node(beta).unwrap();
+    assert_eq!((s.cache_misses, s.cache_hits, s.invocations), (0, 1, 0));
+
+    // a different tuple is a miss again
+    table.insert(tuple![Value::service("sensor06"), "office"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let s = r.stats.node(beta).unwrap();
+    assert_eq!((s.cache_misses, s.cache_hits, s.invocations), (1, 0, 1));
+
+    // a failed invocation is counted as miss + failure, no output
+    table.insert(tuple![Value::service("ghost"), "void"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    let s = r.stats.node(beta).unwrap();
+    assert_eq!((s.cache_misses, s.failures, s.invocations), (1, 1, 1));
+    assert_eq!(r.errors.len(), 1);
+}
+
+/// Satellite regression (PR 3): the batched β path
+/// (`InvokeRecipe::call_batch`) must record cache hits/misses and
+/// failures in `ExecStats` identically to the serial path — stats are
+/// a function of the input, not of `invoke_parallelism`.
+#[test]
+fn batched_beta_stats_identical_across_parallelism() {
+    use serena_core::metrics::NodeStats;
+    fn run(
+        parallelism: usize,
+        degrade: DegradePolicy,
+    ) -> Vec<std::collections::BTreeMap<NodeId, NodeStats>> {
+        let mut sources = SourceSet::new();
+        let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+        sources.add_table("sensors", table.clone());
+        let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+        let mut q = ContinuousQuery::compile_with_options(
+            &plan,
+            &mut sources,
+            ExecOptions::parallel(parallelism).with_degrade(degrade),
+        )
+        .unwrap();
+        let reg = example_registry();
+        let mut per_tick = Vec::new();
+
+        // tick 0: a cold batch with two failures mixed in
+        for (sref, loc) in [
+            ("sensor01", "corridor"),
+            ("sensor06", "office"),
+            ("sensor07", "roof"),
+            ("ghost", "void"),
+            ("deadbeef", "void"),
+        ] {
+            table.insert(tuple![Value::service(sref), loc]);
+        }
+        per_tick.push(q.tick_with(&reg, &NoopMetrics).stats.nodes());
+        // tick 1: re-insert a cached tuple (hit) + one new miss
+        table.insert(tuple![Value::service("sensor01"), "corridor"]);
+        table.insert(tuple![Value::service("sensor22"), "kitchen"]);
+        per_tick.push(q.tick_with(&reg, &NoopMetrics).stats.nodes());
+        // tick 2: quiet
+        per_tick.push(q.tick_with(&reg, &NoopMetrics).stats.nodes());
+        per_tick
+    }
+
+    let serial = run(1, DegradePolicy::FailQuery);
+    // sanity: the scenario exercises every counter we compare
+    let beta0 = &serial[0][&NodeId(0)];
+    assert_eq!((beta0.cache_misses, beta0.failures), (5, 2));
+    let beta1 = &serial[1][&NodeId(0)];
+    assert_eq!((beta1.cache_hits, beta1.cache_misses), (1, 1));
+    // and the degrading policies account every failure as degraded
+    let dropped = run(1, DegradePolicy::DropTuple);
+    assert_eq!(dropped[0][&NodeId(0)].degraded, 2);
+
+    for degrade in [
+        DegradePolicy::FailQuery,
+        DegradePolicy::DropTuple,
+        DegradePolicy::NullFill,
+    ] {
+        let serial = run(1, degrade);
+        for workers in [1usize, 8] {
+            let batched = run(workers, degrade);
+            assert_eq!(batched.len(), serial.len());
+            for (tick, (a, b)) in serial.iter().zip(&batched).enumerate() {
+                assert_eq!(
+                    a.keys().collect::<Vec<_>>(),
+                    b.keys().collect::<Vec<_>>(),
+                    "node set diverged at tick {tick} (workers={workers})"
+                );
+                for (id, sa) in a {
+                    let sb = &b[id];
+                    assert_eq!(
+                        (
+                            sa.op,
+                            sa.applications,
+                            sa.tuples_in,
+                            sa.tuples_out,
+                            sa.invocations,
+                            sa.cache_hits,
+                            sa.cache_misses,
+                            sa.failures,
+                            sa.degraded
+                        ),
+                        (
+                            sb.op,
+                            sb.applications,
+                            sb.tuples_in,
+                            sb.tuples_out,
+                            sb.invocations,
+                            sb.cache_hits,
+                            sb.cache_misses,
+                            sb.failures,
+                            sb.degraded
+                        ),
+                        "node {id} diverged at tick {tick} \
+                         (workers={workers}, degrade={degrade:?})"
+                    );
+                }
+            }
+        }
+    }
+}
+
+/// Tentpole: β degradation in the incremental executor. `DropTuple`
+/// suppresses the error and contributes nothing; `NullFill` emits (and
+/// caches) a type-default filler extension so a later deletion retracts
+/// exactly what was emitted.
+#[test]
+fn degrade_policies_shape_stream_deltas() {
+    fn query(degrade: DegradePolicy) -> (TableHandle, ContinuousQuery) {
+        let mut sources = SourceSet::new();
+        let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+        sources.add_table("sensors", table.clone());
+        let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+        let q = ContinuousQuery::compile_with_options(
+            &plan,
+            &mut sources,
+            ExecOptions::default().with_degrade(degrade),
+        )
+        .unwrap();
+        (table, q)
+    }
+    let reg = example_registry();
+
+    // DropTuple: the dead sensor vanishes, the healthy one survives.
+    let (table, mut q) = query(DegradePolicy::DropTuple);
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    table.insert(tuple![Value::service("ghost"), "void"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty());
+    assert_eq!(r.delta.inserts.len(), 1);
+    let s = r.stats.node(NodeId(0)).unwrap();
+    assert_eq!((s.failures, s.degraded), (1, 1));
+
+    // NullFill: the dead sensor yields a type-default extension…
+    let (table, mut q) = query(DegradePolicy::NullFill);
+    table.insert(tuple![Value::service("ghost"), "void"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty());
+    let filler = tuple![Value::service("ghost"), "void", 0.0];
+    assert_eq!(r.delta.inserts.iter().collect::<Vec<_>>(), [(&filler, 1)]);
+    assert_eq!(r.stats.node(NodeId(0)).unwrap().degraded, 1);
+
+    // …which is cached: deleting the input retracts the filler exactly.
+    table.delete(tuple![Value::service("ghost"), "void"]);
+    let r = q.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty());
+    assert_eq!(r.delta.deletes.iter().collect::<Vec<_>>(), [(&filler, 1)]);
+}
+
+#[test]
+fn tick_with_accumulates_into_external_sink() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(int_schema("x"));
+    sources.add_table("t", table.clone());
+    let plan = StreamPlan::source("t").select(Formula::gt_const("x", 0));
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    let rolling = ExecStats::new();
+
+    table.insert(tuple![1]);
+    q.tick_with(&reg, &rolling);
+    table.insert(tuple![2]);
+    let r = q.tick_with(&reg, &rolling);
+
+    // the per-tick report sees only this tick…
+    assert_eq!(r.stats.node(NodeId(0)).unwrap().tuples_out, 1);
+    assert_eq!(r.stats.node(NodeId(0)).unwrap().applications, 1);
+    // …while the external sink accumulates across ticks
+    let total = rolling.node(NodeId(0)).unwrap();
+    assert_eq!(total.applications, 2);
+    assert_eq!(total.tuples_out, 2);
+    assert_eq!(total.op, OpKind::Select);
+}
+
+#[test]
+fn snapshot_restores_window_and_clock_mid_stream() {
+    // deterministic stream: one reading per tick, value = tick
+    fn make() -> (SourceSet, StreamPlan) {
+        let mut sources = SourceSet::new();
+        let src = FnStream(|at: Instant| vec![tuple![at.ticks() as i64]]);
+        sources.add_stream("s", int_schema("x"), Box::new(src));
+        (sources, StreamPlan::source("s").window(2))
+    }
+    let reg = example_registry();
+
+    // uninterrupted run: 6 ticks
+    let (mut sources, plan) = make();
+    let mut baseline = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let mut expected = Vec::new();
+    for t in 0..6u64 {
+        let r = baseline.tick_with(&reg, &NoopMetrics);
+        if t >= 3 {
+            expected.push((
+                r.delta.inserts.sorted_occurrences(),
+                r.delta.deletes.sorted_occurrences(),
+            ));
+        }
+    }
+
+    // interrupted run: 3 ticks, snapshot, "crash", restore, 3 more
+    let (mut sources, plan) = make();
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    for _ in 0..3 {
+        q.tick_with(&reg, &NoopMetrics);
+    }
+    let mut w = Writer::new();
+    q.write_snapshot(&mut w);
+    let bytes = w.into_bytes();
+    drop(q);
+
+    let (mut sources, plan) = make();
+    let mut restored = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
+    assert_eq!(restored.next_instant(), Instant(3));
+    let got: Vec<_> = (0..3)
+        .map(|_| {
+            let r = restored.tick_with(&reg, &NoopMetrics);
+            (
+                r.delta.inserts.sorted_occurrences(),
+                r.delta.deletes.sorted_occurrences(),
+            )
+        })
+        .collect();
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn snapshot_restores_beta_cache_exactly() {
+    // the cached extension (not a re-invocation) must be retracted
+    // after restore, even though a live call would read differently
+    fn make(table: &TableHandle) -> ContinuousQuery {
+        let mut sources = SourceSet::new();
+        sources.add_table("sensors", table.clone());
+        let plan = StreamPlan::source("sensors").invoke("getTemperature", "sensor");
+        ContinuousQuery::compile(&plan, &mut sources).unwrap()
+    }
+    let reg = example_registry();
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    let mut q = make(&table);
+    table.insert(tuple![Value::service("sensor01"), "corridor"]);
+    let produced = q
+        .tick_with(&reg, &NoopMetrics)
+        .delta
+        .inserts
+        .sorted_occurrences();
+    let mut w = Writer::new();
+    q.write_snapshot(&mut w);
+    let mut tw = Writer::new();
+    table.export_state(&mut tw);
+    let (qb, tb) = (w.into_bytes(), tw.into_bytes());
+    drop((q, table));
+
+    let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
+    table.import_state(&mut Reader::new(&tb)).unwrap();
+    let mut q = make(&table);
+    q.read_snapshot(&mut Reader::new(&qb)).unwrap();
+    let counting = serena_core::eval::CountingInvoker::new(&reg);
+    table.delete(tuple![Value::service("sensor01"), "corridor"]);
+    let r = q.tick_with(&counting, &NoopMetrics);
+    assert_eq!(r.delta.deletes.sorted_occurrences(), produced);
+    assert_eq!(counting.count_of("getTemperature"), 0); // served from cache
+}
+
+#[test]
+fn snapshot_shape_mismatch_is_a_typed_error() {
+    let mut sources = SourceSet::new();
+    let table = TableHandle::new(int_schema("x"));
+    sources.add_table("t", table.clone());
+    let q = ContinuousQuery::compile(&StreamPlan::source("t"), &mut sources).unwrap();
+    let mut w = Writer::new();
+    q.write_snapshot(&mut w);
+    let bytes = w.into_bytes();
+
+    // restore into a structurally different query
+    let mut sources = SourceSet::new();
+    sources.add_table("t", table.clone());
+    let plan = StreamPlan::source("t").select(Formula::gt_const("x", 0));
+    let mut other = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    assert!(matches!(
+        other.read_snapshot(&mut Reader::new(&bytes)),
+        Err(SnapshotError::Mismatch(_))
+    ));
+}
+
+#[test]
+fn q4_emits_photo_stream_on_cold_readings() {
+    let mut sources = SourceSet::new();
+    let temps_schema = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap();
+    let src = FnStream(|at: Instant| {
+        if at.ticks() == 2 {
+            vec![tuple!["office", 5.0]]
+        } else {
+            vec![tuple!["office", 20.0]]
+        }
+    });
+    sources.add_stream("temperatures", temps_schema, Box::new(src));
+    let cameras = TableHandle::with_tuples(
+        serena_core::schema::examples::cameras_schema(),
+        serena_core::xrelation::examples::cameras().into_tuples(),
+    );
+    sources.add_table("cameras", cameras);
+    let mut q = ContinuousQuery::compile(&crate::plan::examples::q4(), &mut sources).unwrap();
+    let reg = example_registry();
+
+    for t in 0..5 {
+        let r = q.tick_with(&reg, &NoopMetrics);
+        if t == 2 {
+            // two cameras cover "office" (camera01, webcam07)
+            assert_eq!(r.batch.len(), 2, "tick {t}");
+            assert!(r.actions.is_empty()); // both prototypes passive
+        } else {
+            assert!(r.batch.is_empty(), "tick {t}");
+        }
+    }
+}
+
+#[test]
+fn adopted_window_ring_survives_a_hot_swap() {
+    // the shared table feeds both the outgoing and the incoming query;
+    // the incoming query adopts the ring and must agree with the
+    // uninterrupted one from its first tick on
+    let plan = StreamPlan::source("t")
+        .stream(StreamKind::Heartbeat)
+        .window(2);
+    let table = TableHandle::new(int_schema("x"));
+    let mut sources = SourceSet::new();
+    sources.add_table("t", table.clone());
+    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    table.insert(tuple![1]);
+    old.tick_with(&reg, &NoopMetrics); // window {[1]}
+    table.insert(tuple![2]);
+    old.tick_with(&reg, &NoopMetrics); // window {[1], [1,2]}
+
+    let mut sources2 = SourceSet::new();
+    sources2.add_table("t", table.clone());
+    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
+    new.seek(Instant(2));
+    new.adopt_state_from(&old, &[(0, 0)], &[]);
+
+    // bootstrap tick: the adopted window emits its full post-update
+    // content as insertions for the cold downstream
+    let r_new = new.tick_with(&reg, &NoopMetrics);
+    let r_old = old.tick_with(&reg, &NoopMetrics);
+    assert!(r_new.delta.deletes.is_empty());
+    assert_eq!(
+        r_new.delta.inserts.sorted_occurrences(),
+        vec![tuple![1], tuple![1], tuple![2], tuple![2]],
+    );
+    assert_eq!(new.current_relation(), old.current_relation());
+    assert!(r_old.delta.deletes.is_empty() || !r_old.delta.inserts.is_empty());
+
+    // steady state: byte-identical deltas from here on
+    table.insert(tuple![3]);
+    let r_old = old.tick_with(&reg, &NoopMetrics);
+    let r_new = new.tick_with(&reg, &NoopMetrics);
+    assert_eq!(
+        r_old.delta.inserts.sorted_occurrences(),
+        r_new.delta.inserts.sorted_occurrences()
+    );
+    assert_eq!(
+        r_old.delta.deletes.sorted_occurrences(),
+        r_new.delta.deletes.sorted_occurrences()
+    );
+    assert_eq!(new.current_relation(), old.current_relation());
+}
+
+#[test]
+fn unadopted_window_starts_cold_after_a_swap() {
+    let plan = StreamPlan::source("t")
+        .stream(StreamKind::Heartbeat)
+        .window(2);
+    let table = TableHandle::new(int_schema("x"));
+    let mut sources = SourceSet::new();
+    sources.add_table("t", table.clone());
+    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    table.insert(tuple![1]);
+    old.tick_with(&reg, &NoopMetrics);
+
+    let mut sources2 = SourceSet::new();
+    sources2.add_table("t", table.clone());
+    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
+    new.seek(Instant(1));
+    new.adopt_state_from(&old, &[], &[]); // nothing portable
+    let r = new.tick_with(&reg, &NoopMetrics);
+    // cold window: only this tick's heartbeat batch, not the old ring
+    assert_eq!(r.delta.inserts.sorted_occurrences(), vec![tuple![1]]);
+    assert_eq!(new.current_relation().unwrap().len(), 1);
+    // the cold ring holds one batch where the adopted path would hold
+    // two: new's *next* tick pops nothing, so no deletes surface yet
+    let r2 = new.tick_with(&reg, &NoopMetrics);
+    assert!(r2.delta.deletes.is_empty(), "ring not yet full");
+}
+
+#[test]
+fn adopted_invoke_cache_skips_reinvocation_and_actions() {
+    let contacts = TableHandle::new(serena_core::schema::examples::contacts_schema());
+    let plan = StreamPlan::source("c")
+        .assign_const("text", "hi")
+        .invoke("sendMessage", "messenger");
+    let mut sources = SourceSet::new();
+    sources.add_table("c", contacts.clone());
+    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+
+    contacts.insert(tuple![
+        "Alice",
+        "alice@example.org",
+        serena_core::value::Value::service("email")
+    ]);
+    let r = old.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.actions.len(), 1, "first insertion invokes the BP");
+
+    let mut sources2 = SourceSet::new();
+    sources2.add_table("c", contacts.clone());
+    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
+    new.seek(Instant(1));
+    new.adopt_state_from(&old, &[], &[(0, 0)]);
+
+    // the cold table re-inserts Alice; the adopted cache serves the
+    // hit — no action recorded, no service call made
+    let r = new.tick_with(&reg, &NoopMetrics);
+    assert!(r.actions.is_empty(), "adopted cache must not re-invoke");
+    assert!(r.errors.is_empty());
+    assert_eq!(new.current_relation(), old.current_relation());
+
+    // a *new* contact still invokes normally
+    contacts.insert(tuple![
+        "Bob",
+        "bob@example.org",
+        serena_core::value::Value::service("jabber")
+    ]);
+    let r = new.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.actions.len(), 1);
+
+    // and a deletion retracts exactly the cached extension
+    contacts.delete(tuple![
+        "Alice",
+        "alice@example.org",
+        serena_core::value::Value::service("email")
+    ]);
+    let r = new.tick_with(&reg, &NoopMetrics);
+    assert_eq!(r.delta.deletes.len(), 1);
+}
+
+#[test]
+fn warm_flag_round_trips_through_a_snapshot() {
+    // a checkpoint can land between a hot-swap and the adopted ring's
+    // bootstrap tick; the pending full emission must survive restore
+    let plan = StreamPlan::source("t")
+        .stream(StreamKind::Heartbeat)
+        .window(2);
+    let table = TableHandle::new(int_schema("x"));
+    let mut sources = SourceSet::new();
+    sources.add_table("t", table.clone());
+    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    table.insert(tuple![1]);
+    old.tick_with(&reg, &NoopMetrics);
+    old.tick_with(&reg, &NoopMetrics);
+
+    let mut sources2 = SourceSet::new();
+    sources2.add_table("t", table.clone());
+    let mut swapped = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
+    swapped.seek(Instant(2));
+    swapped.adopt_state_from(&old, &[(0, 0)], &[]);
+
+    // checkpoint *before* the bootstrap tick, restore into a fresh
+    // compile, and compare the bootstrap emission byte for byte
+    let mut w = Writer::new();
+    swapped.write_snapshot(&mut w);
+    let bytes = w.into_bytes();
+    let mut sources3 = SourceSet::new();
+    sources3.add_table("t", table.clone());
+    let mut restored = ContinuousQuery::compile(&plan, &mut sources3).unwrap();
+    restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
+
+    let r_swapped = swapped.tick_with(&reg, &NoopMetrics);
+    let r_restored = restored.tick_with(&reg, &NoopMetrics);
+    assert_eq!(
+        r_swapped.delta.inserts.sorted_occurrences(),
+        r_restored.delta.inserts.sorted_occurrences()
+    );
+    assert!(!r_restored.delta.inserts.is_empty(), "bootstrap preserved");
+    assert_eq!(swapped.current_relation(), restored.current_relation());
+}
+
+/// One plan holding every node kind: table, stream, σ, π, ρ, α, ∪, ⋈,
+/// γ, β, W, S[insertion], βˢ.
+fn every_node_kind(sensors: &TableHandle, rooms: &TableHandle) -> ContinuousQuery {
+    let mut sources = SourceSet::new();
+    sources.add_table("sensors", sensors.clone());
+    sources.add_table("rooms", rooms.clone());
+    let temps = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap();
+    let src = FnStream(|at: Instant| {
+        let t = at.ticks() as f64;
+        vec![tuple!["office", 20.0 + t], tuple!["lab", 15.0 - t]]
+    });
+    sources.add_stream("temps", temps, Box::new(src));
+    let readings = |p: StreamPlan| p.project(["location", "temperature"]);
+    let plan = StreamPlan::source("temps")
+        .window(3)
+        .union(readings(
+            StreamPlan::source("sensors").invoke("getTemperature", "sensor"),
+        ))
+        .union(readings(
+            StreamPlan::source("sensors")
+                .sample_invoke("getTemperature", "sensor", 2)
+                .window(2),
+        ))
+        .join(StreamPlan::source("rooms"))
+        .select(Formula::gt_const("temperature", -1000.0))
+        .rename("floor", "level")
+        .assign_const("note", "ok")
+        .aggregate(
+            ["location"],
+            vec![AggSpec::new(AggFun::Avg, "temperature").named("mean")],
+        )
+        .stream(StreamKind::Insertion);
+    ContinuousQuery::compile(&plan, &mut sources).unwrap()
+}
+
+/// FNV-1a 64 of a query's snapshot bytes, with the byte count.
+fn digest(q: &ContinuousQuery) -> (usize, String) {
+    let mut w = Writer::new();
+    q.write_snapshot(&mut w);
+    let bytes = w.into_bytes();
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in &bytes {
+        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    (bytes.len(), format!("{h:016x}"))
+}
+
+/// Snapshot format guard: the digests were recorded from the executor as
+/// of PR 11 (tags 0–7, field order, `VERSION = 2`). Same-build round trips
+/// cannot see a format change; this does.
+#[test]
+fn snapshot_bytes_match_the_recorded_format() {
+    let sensors = TableHandle::with_tuples(
+        serena_core::schema::examples::sensors_schema(),
+        vec![
+            tuple![Value::service("sensor01"), "corridor"],
+            tuple![Value::service("sensor06"), "office"],
+        ],
+    );
+    let rooms = TableHandle::with_tuples(
+        XSchema::builder()
+            .real("location", DataType::Str)
+            .real("floor", DataType::Int)
+            .virt("note", DataType::Str)
+            .build()
+            .unwrap(),
+        vec![tuple!["office", 1], tuple!["corridor", 0], tuple!["lab", 2]],
+    );
+    let reg = example_registry();
+    let mut old = every_node_kind(&sensors, &rooms);
+    let r = old.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty(), "{:?}", r.errors);
+    assert!(!r.batch.is_empty());
+    sensors.insert(tuple![Value::service("sensor22"), "lab"]);
+    sensors.insert(tuple![Value::service("sensor06"), "office"]);
+    sensors.delete(tuple![Value::service("sensor01"), "corridor"]);
+    let r = old.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty(), "{:?}", r.errors);
+    // populated β cache, W[3] holding two of three batches
+    assert_eq!(digest(&old), (2804, "8bdfa717accaf8bc".into()));
+
+    // a hot-swap adopts both rings and the β cache: the windows are
+    // warm and the cache counts zeroed until the bootstrap tick
+    let mut new = every_node_kind(&sensors, &rooms);
+    new.seek(old.next_instant());
+    new.adopt_state_from(&old, &[(0, 0), (1, 1)], &[(0, 0)]);
+    assert_eq!(digest(&new), (601, "75956701f73b39d0".into()));
+    let r = new.tick_with(&reg, &NoopMetrics);
+    assert!(r.errors.is_empty(), "{:?}", r.errors);
+    assert!(r.actions.is_empty());
+    assert_eq!(digest(&new), (3401, "f7f15ecbc9fadf2c".into()));
+}

@@ -182,6 +182,72 @@ fn streaming_operators_echo_deltas() {
     }
 }
 
+/// Continuous ∪/∩/− over operands that declare the same attributes in a
+/// different order: right-operand tuples are matched in the left operand's
+/// coordinate order, exactly as the one-shot operators do.
+#[test]
+fn continuous_set_ops_equal_one_shot() {
+    type Continuous = fn(StreamPlan, StreamPlan) -> StreamPlan;
+    type OneShot = fn(&XRelation, &XRelation) -> Result<XRelation, PlanError>;
+    let set_ops: [(Continuous, OneShot); 3] = [
+        (StreamPlan::union, serena::core::ops::union),
+        (StreamPlan::intersect, serena::core::ops::intersect),
+        (StreamPlan::difference, serena::core::ops::difference),
+    ];
+    let yx_schema = XSchema::builder()
+        .real("y", DataType::Int)
+        .real("x", DataType::Int)
+        .build()
+        .unwrap();
+    // tables are multisets, the one-shot operators are sets: keep every
+    // tuple at one occurrence so `−` means the same thing on both sides
+    let apply = |table: &TableHandle, op: &Op| match op {
+        Op::Insert(a, b) if !table.projected().contains(&tuple![*a, *b]) => {
+            table.insert(tuple![*a, *b])
+        }
+        Op::Delete(a, b) => table.delete(tuple![*a, *b]),
+        _ => {}
+    };
+    for case in 0..64u64 {
+        let mut rng = Rng::new(0x5500 + case);
+        let left_ops = gen_ops(&mut rng);
+        let right_ops = gen_ops(&mut rng);
+        for (continuous, one_shot) in set_ops {
+            let l = TableHandle::new(int_schema());
+            let r = TableHandle::new(yx_schema.clone());
+            let mut sources = SourceSet::new();
+            sources.add_table("l", l.clone());
+            sources.add_table("r", r.clone());
+            let plan = continuous(StreamPlan::source("l"), StreamPlan::source("r"));
+            let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+            let reg = example_registry();
+
+            let mut replayed = Multiset::new();
+            for i in 0..left_ops.len().max(right_ops.len()) {
+                if let Some(op) = left_ops.get(i) {
+                    apply(&l, op);
+                }
+                if let Some(op) = right_ops.get(i) {
+                    apply(&r, op);
+                }
+                let report = q.tick_with(&reg, &NoopMetrics);
+                assert_eq!(replayed.apply(&report.delta), 0);
+            }
+            let l_rel =
+                XRelation::from_tuples(int_schema(), l.snapshot().iter_occurrences().cloned());
+            let r_rel =
+                XRelation::from_tuples(yx_schema.clone(), r.snapshot().iter_occurrences().cloned());
+            let expected = one_shot(&l_rel, &r_rel).unwrap();
+            assert_eq!(
+                q.current_relation().unwrap(),
+                expected,
+                "case {case}: {}",
+                plan.to_algebra()
+            );
+        }
+    }
+}
+
 /// Join deltas are consistent: replaying them equals recomputing the
 /// join of the final states.
 #[test]
