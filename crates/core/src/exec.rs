@@ -213,6 +213,27 @@ mod tests {
             .is_err());
     }
 
+    /// A continuous plan handed to the one-shot side is a typed error, and
+    /// nothing is invoked on the way to it.
+    #[test]
+    fn continuous_plan_is_a_typed_error_not_a_panic() {
+        let env = example_environment();
+        let reg = example_registry();
+        let stats = ExecStats::new();
+        let plan = q1().stream(crate::plan::StreamKind::Insertion).window(1);
+        let err = ExecContext::with_metrics(&env, &reg, Instant::ZERO, &stats)
+            .execute(&plan)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                crate::error::EvalError::Plan(crate::error::PlanError::StreamStatusMismatch { .. })
+            ),
+            "{err}"
+        );
+        assert_eq!(stats.total_invocations(), 0);
+    }
+
     #[test]
     fn explain_analyze_text_lines_up_with_plan() {
         let env = example_environment();

@@ -89,7 +89,9 @@ pub struct PhysicalPlan {
 impl PhysicalPlan {
     /// Validate `plan` against `catalog` and pre-resolve every operator.
     /// Fails with exactly the [`PlanError`] static validation
-    /// ([`Plan::schema`]) would report.
+    /// ([`Plan::schema`]) would report; a plan that is not one-shot — a
+    /// continuous operator, or a scan of an infinite XD-Relation — fails
+    /// with [`PlanError::StreamStatusMismatch`].
     pub fn compile(plan: &Plan, catalog: &dyn SchemaCatalog) -> Result<PhysicalPlan, PlanError> {
         let mut next_id = 0usize;
         let root = PhysNode::compile(plan, catalog, &mut next_id)?;
@@ -133,9 +135,9 @@ enum PhysOp {
 }
 
 impl PhysNode {
-    /// Pre-order compilation: this node takes the next id, then children
-    /// left to right — the same numbering the instrumented interpreter
-    /// assigned at runtime.
+    /// Pre-order compilation: this node takes the next id, then its
+    /// operands left to right — the same numbering the instrumented
+    /// interpreter assigned at runtime.
     fn compile(
         plan: &Plan,
         catalog: &dyn SchemaCatalog,
@@ -143,38 +145,66 @@ impl PhysNode {
     ) -> Result<PhysNode, PlanError> {
         let id = NodeId(*next_id);
         *next_id += 1;
-        let mut children = Vec::with_capacity(plan.children().len());
-        for c in plan.children() {
-            children.push(PhysNode::compile(c, catalog, next_id)?);
-        }
-        let child = |i: usize| &children[i].schema;
+        let mut children = Vec::new();
+        let mut operand = |p: &Plan| {
+            let node = PhysNode::compile(p, catalog, next_id)?;
+            let schema = node.schema.clone();
+            children.push(node);
+            Ok::<_, PlanError>(schema)
+        };
+        let not_one_shot = |detail: &str| PlanError::StreamStatusMismatch {
+            operator: "one-shot evaluation",
+            detail: detail.into(),
+        };
+        let op = |(schema, op)| (schema, PhysOp::Op(op));
         let (schema, op) = match plan {
             Plan::Relation(name) => {
-                let schema = catalog
+                let source = catalog
                     .schema_of(name)
                     .ok_or_else(|| PlanError::UnknownRelation(name.clone()))?;
-                return Ok(PhysNode {
-                    id,
-                    schema,
-                    op: PhysOp::Scan { name: name.clone() },
-                    children,
-                });
+                if source.infinite {
+                    return Err(not_one_shot(
+                        "scan of an infinite XD-Relation; apply a window and register the query",
+                    ));
+                }
+                (source.schema, PhysOp::Scan { name: name.clone() })
             }
-            Plan::Union(..) => CompiledOp::union(child(0), child(1))?,
-            Plan::Intersect(..) => CompiledOp::intersect(child(0), child(1))?,
-            Plan::Difference(..) => CompiledOp::difference(child(0), child(1))?,
-            Plan::Project(_, attrs) => CompiledOp::project(child(0), attrs)?,
-            Plan::Select(_, f) => CompiledOp::select(child(0), f)?,
-            Plan::Rename(_, from, to) => CompiledOp::rename(child(0), from, to)?,
-            Plan::Join(..) => CompiledOp::join(child(0), child(1))?,
-            Plan::Assign(_, attr, src) => CompiledOp::assign(child(0), attr, src)?,
-            Plan::Invoke(_, proto, sa) => CompiledOp::invoke(child(0), proto, sa.as_str())?,
-            Plan::Aggregate(_, group, aggs) => CompiledOp::aggregate(child(0), group, aggs)?,
+            Plan::Union(a, b) => {
+                let (sa, sb) = (operand(a)?, operand(b)?);
+                op(CompiledOp::union(&sa, &sb)?)
+            }
+            Plan::Intersect(a, b) => {
+                let (sa, sb) = (operand(a)?, operand(b)?);
+                op(CompiledOp::intersect(&sa, &sb)?)
+            }
+            Plan::Difference(a, b) => {
+                let (sa, sb) = (operand(a)?, operand(b)?);
+                op(CompiledOp::difference(&sa, &sb)?)
+            }
+            Plan::Project(p, attrs) => op(CompiledOp::project(&operand(p)?, attrs)?),
+            Plan::Select(p, f) => op(CompiledOp::select(&operand(p)?, f)?),
+            Plan::Rename(p, from, to) => op(CompiledOp::rename(&operand(p)?, from, to)?),
+            Plan::Join(a, b) => {
+                let (sa, sb) = (operand(a)?, operand(b)?);
+                op(CompiledOp::join(&sa, &sb)?)
+            }
+            Plan::Assign(p, attr, src) => op(CompiledOp::assign(&operand(p)?, attr, src)?),
+            Plan::Invoke(p, proto, sa) => op(CompiledOp::invoke(&operand(p)?, proto, sa.as_str())?),
+            Plan::Aggregate(p, group, aggs) => {
+                op(CompiledOp::aggregate(&operand(p)?, group, aggs)?)
+            }
+            // refused before its operand compiles, so the outermost
+            // continuous operator is the one reported
+            Plan::Window(..) | Plan::Stream(..) | Plan::SampleInvoke(..) => {
+                return Err(not_one_shot(
+                    "continuous operator (window/stream); register the query instead",
+                ))
+            }
         };
         Ok(PhysNode {
             id,
             schema,
-            op: PhysOp::Op(op),
+            op,
             children,
         })
     }
@@ -384,6 +414,33 @@ mod tests {
             PhysicalPlan::compile(&bad, &env),
             Err(PlanError::UnknownRelation(_))
         ));
+    }
+
+    #[test]
+    fn compile_refuses_continuous_plans_with_a_typed_error() {
+        use crate::plan::{StreamKind, StreamSchema};
+        let env = example_environment();
+        let is_status_mismatch = |r: Result<PhysicalPlan, PlanError>| {
+            matches!(r, Err(PlanError::StreamStatusMismatch { .. }))
+        };
+        // the operator is refused before its operand is looked up: the
+        // environment has no `temperatures`, and that is not what is wrong
+        for plan in [
+            Plan::source("temperatures").window(1),
+            Plan::source("contacts").stream(StreamKind::Insertion),
+            Plan::source("sensors").sample_invoke("getTemperature", "sensor", 1),
+            Plan::relation("contacts").join(Plan::source("temperatures").window(1)),
+        ] {
+            assert!(is_status_mismatch(PhysicalPlan::compile(&plan, &env)));
+        }
+        // a bare scan of a stream, through a catalog that knows streams
+        let mut cat = std::collections::BTreeMap::new();
+        let schema = crate::schema::examples::sensors_schema();
+        cat.insert("readings".to_string(), StreamSchema::infinite(schema));
+        assert!(is_status_mismatch(PhysicalPlan::compile(
+            &Plan::relation("readings"),
+            &cat
+        )));
     }
 
     #[test]

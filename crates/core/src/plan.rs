@@ -6,6 +6,17 @@
 //! no data and can be statically validated (schema inference per Table 3)
 //! against any catalog of relation schemas, rewritten (Table 5), displayed
 //! (`EXPLAIN`-style) and evaluated ([`crate::eval`]).
+//!
+//! §4.2 keeps these operators for continuous queries over XD-Relations and
+//! adds two, so the same tree carries them: **window** `W[period]`
+//! (infinite → finite: the tuples inserted during the last `period`
+//! instants) and **streaming** `S[kind]` (finite → infinite), plus the
+//! streaming binding pattern `βˢ` of §7. Every Table 3 operator reads
+//! instantaneous relations and so requires *finite* operands;
+//! [`Plan::stream_schema`] checks that status together with Table 3. A plan
+//! without `W`/`S`/`βˢ` over finite relations is a one-shot query; only those
+//! compile to a [`crate::physical::PhysicalPlan`], the others run in
+//! `serena-stream`'s executor.
 
 use std::fmt;
 
@@ -15,31 +26,89 @@ use crate::formula::Formula;
 use crate::ops::{self, AggSpec, AssignSource};
 use crate::schema::SchemaRef;
 
-/// A source of relation schemas for static plan validation. Implemented by
-/// [`crate::env::Environment`] and by plain maps for schema-only contexts.
-pub trait SchemaCatalog {
-    /// Schema of the named X-Relation, if defined.
-    fn schema_of(&self, name: &str) -> Option<SchemaRef>;
+/// Streaming operator flavour (§4.2).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamKind {
+    /// Emit tuples inserted at each instant.
+    Insertion,
+    /// Emit tuples deleted at each instant.
+    Deletion,
+    /// Emit the full instantaneous relation at each instant.
+    Heartbeat,
 }
 
-impl SchemaCatalog for crate::env::Environment {
-    fn schema_of(&self, name: &str) -> Option<SchemaRef> {
-        self.relation(name).map(|r| r.schema_ref())
+impl fmt::Display for StreamKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            StreamKind::Insertion => "insertion",
+            StreamKind::Deletion => "deletion",
+            StreamKind::Heartbeat => "heartbeat",
+        })
     }
 }
 
-/// Map-like schema lookup. The std map types and [`MapCatalog`] implement
-/// this one-method trait; a single blanket impl below derives
-/// [`SchemaCatalog`] from it, so `name → schema` containers need no
-/// per-type catalog boilerplate.
+/// Schema of an XD-Relation: an extended relation schema plus its
+/// finite/infinite status.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct StreamSchema {
+    /// The extended relation schema.
+    pub schema: SchemaRef,
+    /// Whether the XD-Relation is infinite (a stream).
+    pub infinite: bool,
+}
+
+impl StreamSchema {
+    /// A finite XD-Relation schema.
+    pub fn finite(schema: SchemaRef) -> Self {
+        StreamSchema {
+            schema,
+            infinite: false,
+        }
+    }
+
+    /// An infinite XD-Relation schema.
+    pub fn infinite(schema: SchemaRef) -> Self {
+        StreamSchema {
+            schema,
+            infinite: true,
+        }
+    }
+}
+
+/// A source of XD-Relation schemas for static plan validation. Implemented
+/// by [`crate::env::Environment`] (all finite), by plain maps for
+/// schema-only contexts, and by the runtime's table manager.
+pub trait SchemaCatalog {
+    /// Schema and finite/infinite status of the named XD-Relation, if
+    /// defined.
+    fn schema_of(&self, name: &str) -> Option<StreamSchema>;
+}
+
+impl SchemaCatalog for crate::env::Environment {
+    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
+        self.relation(name)
+            .map(|r| StreamSchema::finite(r.schema_ref()))
+    }
+}
+
+impl SchemaCatalog for std::collections::BTreeMap<String, StreamSchema> {
+    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
+        self.get(name).cloned()
+    }
+}
+
+/// Map-like lookup of *finite* relation schemas. The std map types and
+/// [`MapCatalog`] implement this one-method trait; a single blanket impl
+/// below derives [`SchemaCatalog`] from it, so `name → schema` containers
+/// need no per-type catalog boilerplate.
 pub trait SchemaLookup {
     /// The schema stored under `name`, if any.
     fn lookup(&self, name: &str) -> Option<&SchemaRef>;
 }
 
 impl<T: SchemaLookup> SchemaCatalog for T {
-    fn schema_of(&self, name: &str) -> Option<SchemaRef> {
-        self.lookup(name).cloned()
+    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
+        self.lookup(name).cloned().map(StreamSchema::finite)
     }
 }
 
@@ -58,7 +127,8 @@ impl SchemaLookup for std::collections::BTreeMap<String, SchemaRef> {
 /// A Serena algebra expression tree.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Plan {
-    /// Leaf: a named X-Relation of the environment.
+    /// Leaf: a named XD-Relation of the environment (finite table or
+    /// infinite stream).
     Relation(String),
     /// `r1 ∪ r2`
     Union(Box<Plan>, Box<Plan>),
@@ -80,12 +150,31 @@ pub enum Plan {
     Invoke(Box<Plan>, String, AttrName),
     /// `γ_{group; aggs}(r)` — extension, see [`crate::ops::aggregate`].
     Aggregate(Box<Plan>, Vec<AttrName>, Vec<AggSpec>),
+    /// `W[period](r)` (infinite operand → finite output).
+    Window(Box<Plan>, u64),
+    /// `S[kind](r)` (finite operand → infinite output).
+    Stream(Box<Plan>, StreamKind),
+    /// `βˢ[period]_{proto[service]}(r)` — **streaming binding pattern**
+    /// (the paper's §7 future work: "a new notion of streaming binding
+    /// pattern to homogeneously integrate in our framework streams
+    /// provided by services"). Every `period` instants, the (passive)
+    /// binding pattern is invoked on *every* tuple of the finite operand
+    /// and the extended tuples are appended to the output stream — the
+    /// algebraic form of a periodic sensor sampler. Finite operand →
+    /// infinite output.
+    SampleInvoke(Box<Plan>, String, AttrName, u64),
 }
 
 impl Plan {
     /// Leaf plan scanning the named relation.
     pub fn relation(name: impl Into<String>) -> Plan {
         Plan::Relation(name.into())
+    }
+
+    /// [`Plan::relation`] under the name continuous queries use for their
+    /// leaves (an XD-Relation *source*).
+    pub fn source(name: impl Into<String>) -> Plan {
+        Plan::relation(name)
     }
 
     /// `self ∪ other`.
@@ -163,48 +252,130 @@ impl Plan {
         )
     }
 
+    /// `W[period](self)`.
+    pub fn window(self, period: u64) -> Plan {
+        Plan::Window(Box::new(self), period)
+    }
+
+    /// `S[kind](self)`.
+    pub fn stream(self, kind: StreamKind) -> Plan {
+        Plan::Stream(Box::new(self), kind)
+    }
+
+    /// `βˢ[period]_{prototype[service_attr]}(self)` — streaming binding
+    /// pattern (extension, §7 future work). The prototype must be passive.
+    pub fn sample_invoke(
+        self,
+        prototype: impl Into<String>,
+        service_attr: impl Into<AttrName>,
+        period: u64,
+    ) -> Plan {
+        Plan::SampleInvoke(
+            Box::new(self),
+            prototype.into(),
+            service_attr.into(),
+            period.max(1),
+        )
+    }
+
     /// Static validation & schema inference: derive the output schema per
-    /// Table 3, failing exactly where an executor would.
+    /// Table 3, failing exactly where an executor would. The schema half of
+    /// [`Plan::stream_schema`].
     pub fn schema(&self, catalog: &dyn SchemaCatalog) -> Result<SchemaRef, PlanError> {
-        match self {
-            Plan::Relation(name) => catalog
-                .schema_of(name)
-                .ok_or_else(|| PlanError::UnknownRelation(name.clone())),
+        self.stream_schema(catalog).map(|s| s.schema)
+    }
+
+    /// Static validation: derive the output schema and its finite/infinite
+    /// status, checking both the Table 3 constraints and the operand status
+    /// rules of §4.2.
+    pub fn stream_schema(&self, catalog: &dyn SchemaCatalog) -> Result<StreamSchema, PlanError> {
+        let finite = |p: &Plan, operator: &'static str| -> Result<SchemaRef, PlanError> {
+            let s = p.stream_schema(catalog)?;
+            if s.infinite {
+                return Err(PlanError::StreamStatusMismatch {
+                    operator,
+                    detail: "operand is an infinite XD-Relation; apply a window first".into(),
+                });
+            }
+            Ok(s.schema)
+        };
+        let schema = match self {
+            Plan::Relation(name) => {
+                return catalog
+                    .schema_of(name)
+                    .ok_or_else(|| PlanError::UnknownRelation(name.clone()))
+            }
             Plan::Union(a, b) | Plan::Intersect(a, b) | Plan::Difference(a, b) => {
-                let sa = a.schema(catalog)?;
-                let sb = b.schema(catalog)?;
-                ops::set_op_schema(&sa, &sb)
+                let sa = finite(a, "set operator")?;
+                let sb = finite(b, "set operator")?;
+                ops::set_op_schema(&sa, &sb)?
             }
             Plan::Project(p, attrs) => {
-                let s = p.schema(catalog)?;
-                ops::project_schema(&s, attrs)
+                let s = finite(p, "projection")?;
+                ops::project_schema(&s, attrs)?
             }
             Plan::Select(p, f) => {
-                let s = p.schema(catalog)?;
-                ops::select_schema(&s, f)
+                let s = finite(p, "selection")?;
+                ops::select_schema(&s, f)?
             }
             Plan::Rename(p, from, to) => {
-                let s = p.schema(catalog)?;
-                ops::rename_schema(&s, from, to)
+                let s = finite(p, "renaming")?;
+                ops::rename_schema(&s, from, to)?
             }
             Plan::Join(a, b) => {
-                let sa = a.schema(catalog)?;
-                let sb = b.schema(catalog)?;
-                ops::join_schema(&sa, &sb)
+                let sa = finite(a, "join")?;
+                let sb = finite(b, "join")?;
+                ops::join_schema(&sa, &sb)?
             }
             Plan::Assign(p, attr, src) => {
-                let s = p.schema(catalog)?;
-                ops::assign_schema(&s, attr, src)
+                let s = finite(p, "assignment")?;
+                ops::assign_schema(&s, attr, src)?
             }
             Plan::Invoke(p, proto, service_attr) => {
-                let s = p.schema(catalog)?;
-                ops::invoke_schema(&s, proto, service_attr.as_str()).map(|(s, _)| s)
+                let s = finite(p, "invocation")?;
+                ops::invoke_schema(&s, proto, service_attr.as_str())?.0
             }
             Plan::Aggregate(p, group, aggs) => {
-                let s = p.schema(catalog)?;
-                ops::aggregate_schema(&s, group, aggs)
+                let s = finite(p, "aggregation")?;
+                ops::aggregate_schema(&s, group, aggs)?
             }
-        }
+            Plan::Window(p, _) => {
+                let s = p.stream_schema(catalog)?;
+                if !s.infinite {
+                    return Err(PlanError::StreamStatusMismatch {
+                        operator: "window",
+                        detail: "operand is already finite".into(),
+                    });
+                }
+                s.schema
+            }
+            Plan::Stream(p, _) => return Ok(StreamSchema::infinite(finite(p, "streaming")?)),
+            Plan::SampleInvoke(p, proto, service_attr, _) => {
+                let s = finite(p, "streaming invocation")?;
+                let (out, bp) = ops::invoke_schema(&s, proto, service_attr.as_str())?;
+                if bp.is_active() {
+                    return Err(PlanError::StreamStatusMismatch {
+                        operator: "streaming invocation",
+                        detail: format!(
+                            "binding pattern {} is active; periodic sampling would \
+                             repeat its side effect every period",
+                            bp.key()
+                        ),
+                    });
+                }
+                return Ok(StreamSchema::infinite(out));
+            }
+        };
+        Ok(StreamSchema::finite(schema))
+    }
+
+    /// Whether the plan contains a continuous operator (`W`, `S` or `βˢ`)
+    /// — such a plan has no one-shot evaluation.
+    pub fn is_continuous(&self) -> bool {
+        matches!(
+            self,
+            Plan::Window(..) | Plan::Stream(..) | Plan::SampleInvoke(..)
+        ) || self.children().iter().any(|c| c.is_continuous())
     }
 
     /// Child subplans (0, 1 or 2).
@@ -220,7 +391,10 @@ impl Plan {
             | Plan::Rename(p, _, _)
             | Plan::Assign(p, _, _)
             | Plan::Invoke(p, _, _)
-            | Plan::Aggregate(p, _, _) => vec![p],
+            | Plan::Aggregate(p, _, _)
+            | Plan::Window(p, _)
+            | Plan::Stream(p, _)
+            | Plan::SampleInvoke(p, _, _, _) => vec![p],
         }
     }
 
@@ -255,6 +429,11 @@ impl Plan {
             Plan::Assign(_, a, s) => Plan::Assign(Box::new(next()), a.clone(), s.clone()),
             Plan::Invoke(_, p, s) => Plan::Invoke(Box::new(next()), p.clone(), s.clone()),
             Plan::Aggregate(_, g, a) => Plan::Aggregate(Box::new(next()), g.clone(), a.clone()),
+            Plan::Window(_, period) => Plan::Window(Box::new(next()), *period),
+            Plan::Stream(_, kind) => Plan::Stream(Box::new(next()), *kind),
+            Plan::SampleInvoke(_, p, s, k) => {
+                Plan::SampleInvoke(Box::new(next()), p.clone(), s.clone(), *k)
+            }
         }
     }
 
@@ -350,6 +529,11 @@ impl Plan {
                     .join(",");
                 format!("γ [{g}; {a}] ({})", p.to_algebra())
             }
+            Plan::Window(p, period) => format!("W[{period}] ({})", p.to_algebra()),
+            Plan::Stream(p, kind) => format!("S[{kind}] ({})", p.to_algebra()),
+            Plan::SampleInvoke(p, proto, sa, period) => {
+                format!("βˢ[{period}] {proto}[{sa}] ({})", p.to_algebra())
+            }
         }
     }
 
@@ -391,6 +575,9 @@ impl Plan {
                     .join(", "),
                 a.len()
             ),
+            Plan::Window(_, period) => format!("Window [{period}]"),
+            Plan::Stream(_, kind) => format!("Stream [{kind}]"),
+            Plan::SampleInvoke(_, p, sa, period) => format!("SampleInvoke [{period}] {p}[{sa}]"),
         }
     }
 
@@ -448,8 +635,8 @@ impl SchemaLookup for MapCatalog {
 }
 
 /// The one-shot example queries of Table 4, as plan constructors. `Q3`/`Q4`
-/// (the continuous queries) live in `serena-stream` since they involve
-/// window/streaming operators.
+/// (the continuous queries) are in `serena-stream::plan::examples`, beside
+/// the executor that runs them.
 pub mod examples {
     use super::*;
     use crate::formula::Formula;
@@ -589,6 +776,84 @@ mod tests {
         let p = Plan::relation("x").select(Formula::True);
         let rebuilt = p.with_children(vec![Plan::relation("y")]);
         assert_eq!(rebuilt, Plan::relation("y").select(Formula::True));
+    }
+
+    /// temperatures (infinite, the sensor stream of §1.2) beside the
+    /// finite contacts table.
+    fn xd_catalog() -> std::collections::BTreeMap<String, StreamSchema> {
+        let temperatures = crate::schema::XSchema::builder()
+            .real("location", crate::value::DataType::Str)
+            .real("temperature", crate::value::DataType::Real)
+            .build()
+            .unwrap();
+        [
+            ("temperatures", StreamSchema::infinite(temperatures)),
+            (
+                "contacts",
+                StreamSchema::finite(crate::schema::examples::contacts_schema()),
+            ),
+        ]
+        .into_iter()
+        .map(|(n, s)| (n.to_string(), s))
+        .collect()
+    }
+
+    #[test]
+    fn window_requires_infinite_operand() {
+        let err = Plan::source("contacts")
+            .window(1)
+            .stream_schema(&xd_catalog())
+            .unwrap_err();
+        assert!(matches!(err, PlanError::StreamStatusMismatch { .. }));
+    }
+
+    #[test]
+    fn relational_ops_require_finite_operands() {
+        let err = Plan::source("temperatures")
+            .select(Formula::gt_const("temperature", 30.0))
+            .stream_schema(&xd_catalog())
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            PlanError::StreamStatusMismatch {
+                operator: "selection",
+                ..
+            }
+        ));
+    }
+
+    #[test]
+    fn streaming_requires_finite_operand() {
+        let err = Plan::source("temperatures")
+            .stream(StreamKind::Insertion)
+            .stream_schema(&xd_catalog())
+            .unwrap_err();
+        assert!(matches!(err, PlanError::StreamStatusMismatch { .. }));
+    }
+
+    #[test]
+    fn window_then_stream_round_trips_status() {
+        let s = Plan::source("temperatures")
+            .window(5)
+            .stream(StreamKind::Heartbeat)
+            .stream_schema(&xd_catalog())
+            .unwrap();
+        assert!(s.infinite);
+    }
+
+    #[test]
+    fn unknown_source_rejected() {
+        assert!(matches!(
+            Plan::source("ghost").stream_schema(&xd_catalog()),
+            Err(PlanError::UnknownRelation(_))
+        ));
+    }
+
+    #[test]
+    fn continuous_operators_are_detected_anywhere_in_the_tree() {
+        assert!(!q2().is_continuous());
+        let windowed = Plan::source("temperatures").window(1);
+        assert!(Plan::relation("contacts").join(windowed).is_continuous());
     }
 
     #[test]

@@ -113,7 +113,11 @@ pub fn estimate(
 }
 
 /// Estimate `plan`'s cost against an arbitrary [`CostInputs`] provider —
-/// the entry point used by [`MeasuredCosts::estimate`].
+/// the entry point used by [`MeasuredCosts::estimate`]. In a continuous
+/// plan the figures are *per instant*: a stream's cardinality is its
+/// expected tuples per instant, a window multiplies its operand's rate by
+/// its period, and a sampling invocation `βˢ[k]` amortizes one full scan of
+/// its operand every `k` instants.
 pub fn estimate_with(
     plan: &Plan,
     catalog: &dyn SchemaCatalog,
@@ -157,7 +161,10 @@ pub fn estimate_with(
             let rows = ea.rows * params.selectivity;
             Ok(combine2(ea, eb, rows))
         }
-        Plan::Project(p, _) | Plan::Rename(p, _, _) | Plan::Assign(p, _, _) => {
+        Plan::Project(p, _)
+        | Plan::Rename(p, _, _)
+        | Plan::Assign(p, _, _)
+        | Plan::Stream(p, _) => {
             let e = estimate_with(p, catalog, inputs)?;
             Ok(CostEstimate {
                 rows: e.rows,
@@ -215,6 +222,24 @@ pub fn estimate_with(
                 rows,
                 invocations: e.invocations,
                 cost: e.cost + e.rows,
+            })
+        }
+        Plan::Window(p, period) => {
+            let e = estimate_with(p, catalog, inputs)?;
+            let rows = e.rows * (*period).max(1) as f64;
+            Ok(CostEstimate {
+                rows,
+                invocations: e.invocations,
+                cost: e.cost + rows,
+            })
+        }
+        Plan::SampleInvoke(p, proto, _, period) => {
+            let e = estimate_with(p, catalog, inputs)?;
+            let per = (*period).max(1) as f64;
+            Ok(CostEstimate {
+                rows: e.rows * inputs.invocation_fanout(proto) / per,
+                invocations: e.invocations + e.rows / per,
+                cost: e.cost + (e.rows / per) * inputs.invocation_cost(proto),
             })
         }
     }
@@ -538,6 +563,53 @@ mod tests {
             naive - opt
         };
         assert!(gap(&degraded) > gap(&healthy));
+    }
+
+    #[test]
+    fn degradation_widens_the_sampling_pushdown_gap() {
+        // the E20 pair: filter a windowed periodic sampling of the sensors
+        // after it, or filter the sensors before sampling them
+        let env = example_environment();
+        let corridor = || crate::formula::Formula::eq_const("location", "corridor");
+        let naive = Plan::source("sensors")
+            .sample_invoke("getTemperature", "sensor", 1)
+            .window(1)
+            .select(corridor());
+        let pushed = Plan::source("sensors")
+            .select(corridor())
+            .sample_invoke("getTemperature", "sensor", 1)
+            .window(1);
+        let mut healthy = MeasuredCosts::new();
+        healthy.observe_cardinality("sensors", 100);
+        let mut degraded = healthy.clone();
+        degraded.observe(
+            "getTemperature",
+            ServiceObservation {
+                failure_rate: 0.8,
+                breaker_open: true,
+                ..ServiceObservation::default()
+            },
+        );
+        let gap = |m: &MeasuredCosts| {
+            m.estimate(&naive, &env).unwrap().cost - m.estimate(&pushed, &env).unwrap().cost
+        };
+        assert!(gap(&healthy) > 0.0, "pushdown wins even when healthy");
+        assert!(gap(&degraded) > gap(&healthy), "and wins harder degraded");
+    }
+
+    #[test]
+    fn sampling_period_amortizes_invocations() {
+        let env = example_environment();
+        let m = MeasuredCosts::new();
+        let sampled = |every| {
+            Plan::source("sensors")
+                .sample_invoke("getTemperature", "sensor", every)
+                .window(1)
+        };
+        let e1 = m.estimate(&sampled(1), &env).unwrap();
+        let e4 = m.estimate(&sampled(4), &env).unwrap();
+        assert!(e4.invocations < e1.invocations);
+        assert!(e4.cost < e1.cost);
     }
 
     #[test]

@@ -14,6 +14,11 @@
 //! Invocations of *active* binding patterns are never crossed (the rules
 //! refuse), so optimization provably preserves action sets: the optimizer
 //! output is Definition 9-equivalent to its input.
+//!
+//! A continuous plan goes through the same pipeline: `W`, `S` and `βˢ`
+//! stop every Table 5 rule, so each finite region is optimized on its own,
+//! and two pushdown rules carry a selection from the region above a
+//! `W∘S` / `W∘βˢ` pair into the region below it.
 
 use crate::plan::{Plan, SchemaCatalog};
 
@@ -21,7 +26,7 @@ use super::rules::{
     apply_everywhere, AssignIntoJoin, DropTrueSelect, InvokeIntoJoin, MergeProjects, MergeSelects,
     ProjectPastAssign, ProjectPastInvoke, RewriteRule, SelectIntoJoin, SelectIntoSetOp,
     SelectPastAssign, SelectPastInvoke, SelectPastProject, SelectPastRename, SelectPastSelect,
-    SplitConjunctiveSelect,
+    SelectPastWindowedSample, SelectPastWindowedStream, SplitConjunctiveSelect,
 };
 
 /// What the optimizer did to a plan.
@@ -64,7 +69,7 @@ pub fn optimize(plan: &Plan, catalog: &dyn SchemaCatalog) -> OptimizerReport {
     current = run(&current, &DropTrueSelect, &mut applied);
 
     // Phase 2: pushdown to fixpoint.
-    let pushdown: [&dyn RewriteRule; 10] = [
+    let pushdown: [&dyn RewriteRule; 12] = [
         &SelectPastSelect,
         &SelectPastProject,
         &SelectPastAssign,
@@ -72,6 +77,8 @@ pub fn optimize(plan: &Plan, catalog: &dyn SchemaCatalog) -> OptimizerReport {
         &SelectIntoJoin,
         &SelectIntoSetOp,
         &SelectPastRename,
+        &SelectPastWindowedStream,
+        &SelectPastWindowedSample,
         &ProjectPastAssign,
         &ProjectPastInvoke,
         &SplitConjunctiveSelect,
@@ -119,6 +126,7 @@ mod tests {
     use crate::exec::ExecContext;
     use crate::formula::Formula;
     use crate::plan::examples::{q1, q1_prime, q2, q2_prime};
+    use crate::plan::StreamKind;
     use crate::service::fixtures::example_registry;
     use crate::time::Instant;
 
@@ -191,6 +199,80 @@ mod tests {
             rendered.contains("σ location = 'office' (sensors)"),
             "unexpected plan: {rendered}"
         );
+    }
+
+    /// The E20 shape: filter a windowed periodic sampling of the sensor
+    /// fleet down to one location.
+    fn naive_sampler() -> Plan {
+        Plan::source("sensors")
+            .sample_invoke("getTemperature", "sensor", 1)
+            .window(1)
+            .select(Formula::eq_const("location", "corridor"))
+    }
+
+    fn same_stream_schema(a: &Plan, b: &Plan, catalog: &dyn SchemaCatalog) -> bool {
+        a.stream_schema(catalog).unwrap() == b.stream_schema(catalog).unwrap()
+    }
+
+    #[test]
+    fn selection_pushes_below_sampling_invocation() {
+        let env = example_environment();
+        let pushed = Plan::source("sensors")
+            .select(Formula::eq_const("location", "corridor"))
+            .sample_invoke("getTemperature", "sensor", 1)
+            .window(1);
+        let opt = optimize(&naive_sampler(), &env).plan;
+        assert_eq!(opt, pushed, "{opt}");
+        assert!(same_stream_schema(&naive_sampler(), &opt, &env));
+        // an already-pushed plan is a fixpoint
+        assert_eq!(optimize(&pushed, &env).plan, pushed);
+    }
+
+    #[test]
+    fn selection_on_realized_attr_stays_put() {
+        // temperature is *realized by* the sampling invocation — the
+        // filter cannot move below it
+        let env = example_environment();
+        let plan = Plan::source("sensors")
+            .sample_invoke("getTemperature", "sensor", 1)
+            .window(1)
+            .select(Formula::gt_const("temperature", 35.5));
+        assert_eq!(optimize(&plan, &env).plan, plan);
+    }
+
+    #[test]
+    fn selection_pushes_below_stream_of() {
+        let env = example_environment();
+        let plan = Plan::source("contacts")
+            .stream(StreamKind::Insertion)
+            .window(2)
+            .select(Formula::eq_const("name", "Alice"));
+        let expected = Plan::source("contacts")
+            .select(Formula::eq_const("name", "Alice"))
+            .stream(StreamKind::Insertion)
+            .window(2);
+        assert_eq!(optimize(&plan, &env).plan, expected);
+    }
+
+    #[test]
+    fn table_5_rules_reach_regions_above_windows() {
+        // σ above a projection above a window: the window bounds the
+        // region, inside it σ moves below π as in a one-shot plan
+        let env = example_environment();
+        let plan = Plan::source("contacts")
+            .stream(StreamKind::Insertion)
+            .window(1)
+            .project(["name", "address"])
+            .select(Formula::eq_const("name", "Alice"));
+        let opt = optimize(&plan, &env).plan;
+        let text = opt.to_algebra();
+        let sigma = text.find('\u{3c3}').expect("selection survives");
+        let pi = text.find('\u{3c0}').expect("projection survives");
+        assert!(
+            sigma > pi,
+            "selection should sit below the projection: {text}"
+        );
+        assert!(same_stream_schema(&plan, &opt, &env));
     }
 
     #[test]

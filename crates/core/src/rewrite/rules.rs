@@ -14,6 +14,12 @@
 //! Active binding patterns are the hard wall (§3.3): no rule moves a σ or
 //! π past an invocation of an *active* binding pattern, because doing so
 //! changes the action set (see `Q1` vs `Q1'` in Example 6).
+//!
+//! The continuous operators `W`, `S` and `βˢ` are walls too: every rule
+//! matches a pair of Table 3 operators, so none reaches across them, and
+//! each finite region of a continuous plan is rewritten on its own. The two
+//! exceptions are the selection pushdowns of the last section, which cross
+//! a window *together with* the streaming operator under it.
 
 use crate::error::PlanError;
 use crate::formula::Formula;
@@ -30,11 +36,12 @@ pub trait RewriteRule: Sync {
 }
 
 /// Verify the rewritten plan is schema-compatible with the original —
-/// returns `Some(rewritten)` only when both validate and agree.
+/// returns `Some(rewritten)` only when both validate and agree, in schema
+/// and in finite/infinite status.
 fn checked(original: &Plan, rewritten: Plan, catalog: &dyn SchemaCatalog) -> Option<Plan> {
-    let before = original.schema(catalog).ok()?;
-    let after = rewritten.schema(catalog).ok()?;
-    if before.compatible_with(&after) {
+    let before = original.stream_schema(catalog).ok()?;
+    let after = rewritten.stream_schema(catalog).ok()?;
+    if before.infinite == after.infinite && before.schema.compatible_with(&after.schema) {
         Some(rewritten)
     } else {
         None
@@ -471,7 +478,10 @@ fn can_push_below(f: &Formula, node: &Plan, catalog: &dyn SchemaCatalog) -> bool
         }
         Plan::Union(..) | Plan::Intersect(..) | Plan::Difference(..) => true,
         Plan::Rename(..) | Plan::Project(..) => true,
-        Plan::Relation(_) | Plan::Aggregate(..) => false,
+        Plan::Window(streamer, _) => passes_through_streamer(f, streamer, catalog),
+        Plan::Relation(_) | Plan::Aggregate(..) | Plan::Stream(..) | Plan::SampleInvoke(..) => {
+            false
+        }
     }
 }
 
@@ -559,6 +569,78 @@ impl RewriteRule for MergeProjects {
     }
 }
 
+// ---------------------------------------------------------------------
+// Continuous plans (§4.2): σ past a window over a streaming operator
+// ---------------------------------------------------------------------
+
+/// `streamer` is `S[kind](q)` or `βˢ(q)` and every attribute `f`
+/// references is *real* in `q`'s schema — i.e. the streaming operator
+/// passes it through unchanged (realization only turns virtual attributes
+/// real), so `σ_f` commutes with it per tuple.
+fn passes_through_streamer(f: &Formula, streamer: &Plan, catalog: &dyn SchemaCatalog) -> bool {
+    let (Plan::Stream(q, _) | Plan::SampleInvoke(q, ..)) = streamer else {
+        return false;
+    };
+    match q.stream_schema(catalog) {
+        Ok(s) if !s.infinite => f.attrs().iter().all(|a| s.schema.is_real(a.as_str())),
+        _ => false,
+    }
+}
+
+/// `σ_F(W[p](X(q))) ⇒ W[p](X(σ_F(q)))` for a streaming operator `X`
+/// accepted by `is_streamer`, when `F` only touches attributes `X` passes
+/// through.
+fn select_past_windowed(
+    plan: &Plan,
+    catalog: &dyn SchemaCatalog,
+    is_streamer: fn(&Plan) -> bool,
+) -> Option<Plan> {
+    let Plan::Select(window, f) = plan else {
+        return None;
+    };
+    let Plan::Window(streamer, _) = window.as_ref() else {
+        return None;
+    };
+    if !is_streamer(streamer) || !passes_through_streamer(f, streamer, catalog) {
+        return None;
+    }
+    let q = streamer.children()[0].clone();
+    let rewritten = window.with_children(vec![streamer.with_children(vec![q.select(f.clone())])]);
+    checked(plan, rewritten, catalog)
+}
+
+/// `σ_F(W[p](S[kind](q))) ⇒ W[p](S[kind](σ_F(q)))` when `F` references
+/// only real attributes of `q`: `S` re-emits `q`'s tuples verbatim for all
+/// three kinds, so the selection commutes per tuple.
+pub struct SelectPastWindowedStream;
+
+impl RewriteRule for SelectPastWindowedStream {
+    fn name(&self) -> &'static str {
+        "select-past-windowed-stream"
+    }
+
+    fn try_apply(&self, plan: &Plan, catalog: &dyn SchemaCatalog) -> Option<Plan> {
+        select_past_windowed(plan, catalog, |p| matches!(p, Plan::Stream(..)))
+    }
+}
+
+/// `σ_F(W[p](βˢ[k]_bp(q))) ⇒ W[p](βˢ[k]_bp(σ_F(q)))` when `F` references
+/// only real attributes of `q`: the sampling invocation (always passive)
+/// copies them through unchanged, so filtering before sampling removes
+/// exactly the rows whose outputs the selection would have dropped — and
+/// saves their service calls.
+pub struct SelectPastWindowedSample;
+
+impl RewriteRule for SelectPastWindowedSample {
+    fn name(&self) -> &'static str {
+        "select-past-windowed-sample"
+    }
+
+    fn try_apply(&self, plan: &Plan, catalog: &dyn SchemaCatalog) -> Option<Plan> {
+        select_past_windowed(plan, catalog, |p| matches!(p, Plan::SampleInvoke(..)))
+    }
+}
+
 /// All rules, in the order the optimizer's pushdown phase tries them.
 pub fn all_rules() -> Vec<Box<dyn RewriteRule>> {
     vec![
@@ -571,6 +653,8 @@ pub fn all_rules() -> Vec<Box<dyn RewriteRule>> {
         Box::new(SelectIntoJoin),
         Box::new(SelectIntoSetOp),
         Box::new(SelectPastRename),
+        Box::new(SelectPastWindowedStream),
+        Box::new(SelectPastWindowedSample),
         Box::new(ProjectPastAssign),
         Box::new(ProjectPastInvoke),
         Box::new(AssignIntoJoin),

@@ -9,8 +9,8 @@
 //! (`REGISTER QUERY … AS …`, `EXECUTE …`).
 //!
 //! Pipeline: [`lexer`] → [`parser`] (name-based [`ast`]) → [`resolve`]
-//! (core schemas and [`serena_stream::plan::StreamPlan`]s, given a
-//! prototype catalog).
+//! (core schemas and plans — [`serena_stream::plan::StreamPlan`], the one
+//! plan tree of `serena-core` — given a prototype catalog).
 //!
 //! ```
 //! use serena_ddl::parser::parse_query;

@@ -3,8 +3,9 @@
 //! `EXTENDED RELATION` statements reference prototypes by name, so
 //! resolution needs a [`PrototypeCatalog`] (the environment's declared
 //! prototypes). Query expressions resolve without context into
-//! [`StreamPlan`]s — schema validation happens at plan-compilation time,
-//! as for programmatically-built plans.
+//! [`StreamPlan`]s (core's [`Plan`], under its continuous-query name) —
+//! schema validation happens at plan-compilation time, as for
+//! programmatically-built plans.
 
 use std::sync::Arc;
 
@@ -284,29 +285,12 @@ pub fn resolve_query(expr: &QueryExpr) -> StreamPlan {
     }
 }
 
-/// Lower a continuous plan to a one-shot [`Plan`] when it contains no
-/// window/streaming operators — `EXECUTE` uses this for one-shot queries
-/// over finite XD-Relations ("one-shot queries like Q1 and Q2 are still
-/// possible over finite XD-Relations", §4.2).
+/// The plan itself when it is one-shot — free of window/streaming
+/// operators — and `None` otherwise. `EXECUTE` evaluates the former ("one-shot
+/// queries like Q1 and Q2 are still possible over finite XD-Relations",
+/// §4.2); the latter must be registered.
 pub fn to_one_shot(plan: &StreamPlan) -> Option<Plan> {
-    Some(match plan {
-        StreamPlan::Source(n) => Plan::relation(n.clone()),
-        StreamPlan::Union(a, b) => to_one_shot(a)?.union(to_one_shot(b)?),
-        StreamPlan::Intersect(a, b) => to_one_shot(a)?.intersect(to_one_shot(b)?),
-        StreamPlan::Difference(a, b) => to_one_shot(a)?.difference(to_one_shot(b)?),
-        StreamPlan::Project(p, attrs) => to_one_shot(p)?.project(attrs.iter().cloned()),
-        StreamPlan::Select(p, f) => to_one_shot(p)?.select(f.clone()),
-        StreamPlan::Rename(p, a, b) => to_one_shot(p)?.rename(a.clone(), b.clone()),
-        StreamPlan::Join(a, b) => to_one_shot(a)?.join(to_one_shot(b)?),
-        StreamPlan::Assign(p, a, s) => {
-            Plan::Assign(Box::new(to_one_shot(p)?), a.clone(), s.clone())
-        }
-        StreamPlan::Invoke(p, proto, sa) => to_one_shot(p)?.invoke(proto.clone(), sa.clone()),
-        StreamPlan::Aggregate(p, g, a) => to_one_shot(p)?.aggregate(g.iter().cloned(), a.clone()),
-        StreamPlan::Window(..) | StreamPlan::Stream(..) | StreamPlan::SampleInvoke(..) => {
-            return None
-        }
-    })
+    (!plan.is_continuous()).then(|| plan.clone())
 }
 
 #[cfg(test)]

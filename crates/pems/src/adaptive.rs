@@ -394,38 +394,6 @@ impl AdaptiveController {
     }
 }
 
-/// Names of every base relation (`Source` leaf) a plan reads — what the
-/// replan loop feeds observed cardinalities for.
-pub fn source_names(plan: &StreamPlan) -> std::collections::BTreeSet<String> {
-    let mut names = std::collections::BTreeSet::new();
-    collect_sources(plan, &mut names);
-    names
-}
-
-fn collect_sources(plan: &StreamPlan, names: &mut std::collections::BTreeSet<String>) {
-    match plan {
-        StreamPlan::Source(name) => {
-            names.insert(name.clone());
-        }
-        StreamPlan::Union(a, b)
-        | StreamPlan::Intersect(a, b)
-        | StreamPlan::Difference(a, b)
-        | StreamPlan::Join(a, b) => {
-            collect_sources(a, names);
-            collect_sources(b, names);
-        }
-        StreamPlan::Project(p, _)
-        | StreamPlan::Select(p, _)
-        | StreamPlan::Rename(p, _, _)
-        | StreamPlan::Assign(p, _, _)
-        | StreamPlan::Invoke(p, _, _)
-        | StreamPlan::Aggregate(p, _, _)
-        | StreamPlan::Window(p, _)
-        | StreamPlan::Stream(p, _)
-        | StreamPlan::SampleInvoke(p, _, _, _) => collect_sources(p, names),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

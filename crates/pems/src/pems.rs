@@ -1284,7 +1284,7 @@ impl Pems {
         let mut out = format!("query `{query}`: {} candidate plan(s)\n", candidates.len());
         for (i, cand) in candidates.iter().enumerate() {
             let marker = if i == current { '*' } else { ' ' };
-            match serena_stream::estimate_stream(cand, &self.tables, &costs) {
+            match costs.estimate(cand, &self.tables) {
                 Ok(e) => out.push_str(&format!(
                     "{marker} [{i}] cost={:.1} invocations={:.1} rows={:.1}\n      {cand}\n",
                     e.cost, e.invocations, e.rows
@@ -1354,7 +1354,7 @@ impl Pems {
         let candidates = serena_stream::candidates_for(original, &self.tables);
         let mut best: Option<(usize, f64)> = None;
         for (i, cand) in candidates.iter().enumerate() {
-            let Ok(e) = serena_stream::estimate_stream(cand, &self.tables, costs) else {
+            let Ok(e) = costs.estimate(cand, &self.tables) else {
                 continue;
             };
             // ties keep the lower index — candidate order is
@@ -1369,10 +1369,10 @@ impl Pems {
         if best == current {
             return false;
         }
-        let current_cost =
-            serena_stream::estimate_stream(&candidates[current], &self.tables, costs)
-                .map(|e| e.cost)
-                .unwrap_or(f64::INFINITY);
+        let current_cost = costs
+            .estimate(&candidates[current], &self.tables)
+            .map(|e| e.cost)
+            .unwrap_or(f64::INFINITY);
         if best_cost >= current_cost {
             return false;
         }
@@ -1463,8 +1463,8 @@ impl Pems {
         }
         for name in ctrl.tracked() {
             if let Some(plan) = ctrl.original(name) {
-                for source in crate::adaptive::source_names(plan) {
-                    if let Some(handle) = self.tables.table(&source) {
+                for source in plan.relations() {
+                    if let Some(handle) = self.tables.table(source) {
                         costs.observe_cardinality(source, handle.snapshot().len());
                     }
                 }
@@ -1740,6 +1740,38 @@ mod tests {
             .run_program("EXECUTE SELECT[x = 1](WINDOW[1](s));")
             .is_err());
         assert!(pems.run_program("this is not DDL").is_err());
+    }
+
+    /// A window/stream operator reaching a one-shot entry point is a typed
+    /// plan error; `EXECUTE` says what to do instead.
+    #[test]
+    fn continuous_plans_are_refused_by_every_one_shot_entry_point() {
+        let mut pems = pems_with_messenger();
+        pems.run_program(SETUP).unwrap();
+        pems.run_program("EXTENDED RELATION s ( x INTEGER ) STREAM;")
+            .unwrap();
+        let is_status_mismatch = |e: &PemsError| {
+            matches!(
+                e,
+                PemsError::Eval(EvalError::Plan(PlanError::StreamStatusMismatch { .. }))
+            )
+        };
+        for plan in [
+            Plan::source("s").window(1),
+            Plan::source("contacts").stream(serena_stream::StreamKind::Heartbeat),
+        ] {
+            let err = pems.one_shot(&plan).unwrap_err();
+            assert!(is_status_mismatch(&err), "{err}");
+            let err = pems.explain_analyze(&plan).map(|_| ()).unwrap_err();
+            assert!(is_status_mismatch(&err), "{err}");
+        }
+        let err = pems
+            .run_program("EXECUTE SELECT[x = 1](WINDOW[1](s));")
+            .unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "continuous expression (window/stream); use REGISTER QUERY"
+        );
     }
 
     #[test]

@@ -33,7 +33,7 @@ use serena_core::sync::RwLock;
 use serena_core::tuple::Tuple;
 use serena_core::xrelation::XRelation;
 use serena_stream::exec::SourceSet;
-use serena_stream::plan::{StreamPlan, StreamSchema, XdCatalog};
+use serena_stream::plan::{StreamPlan, StreamSchema};
 use serena_stream::source::{StreamSource, TableHandle};
 
 use crate::hub::StreamHub;
@@ -262,9 +262,7 @@ impl ExtendedTableManager {
     /// references.
     pub fn source_set_for(&self, plan: &StreamPlan) -> SourceSet {
         let mut sources = SourceSet::new();
-        let mut names = Vec::new();
-        collect_sources(plan, &mut names);
-        for name in names {
+        for name in plan.relations() {
             if let Some(handle) = self.table(name) {
                 sources.add_table(name.to_string(), handle);
             } else if let Some((schema, source)) = self.subscribe(name) {
@@ -362,34 +360,8 @@ impl ExtendedTableManager {
     }
 }
 
-fn collect_sources<'a>(plan: &'a StreamPlan, out: &mut Vec<&'a str>) {
-    match plan {
-        StreamPlan::Source(n) => {
-            if !out.contains(&n.as_str()) {
-                out.push(n);
-            }
-        }
-        StreamPlan::Union(a, b)
-        | StreamPlan::Intersect(a, b)
-        | StreamPlan::Difference(a, b)
-        | StreamPlan::Join(a, b) => {
-            collect_sources(a, out);
-            collect_sources(b, out);
-        }
-        StreamPlan::Project(p, _)
-        | StreamPlan::Select(p, _)
-        | StreamPlan::Rename(p, _, _)
-        | StreamPlan::Assign(p, _, _)
-        | StreamPlan::Invoke(p, _, _)
-        | StreamPlan::Aggregate(p, _, _)
-        | StreamPlan::Window(p, _)
-        | StreamPlan::Stream(p, _)
-        | StreamPlan::SampleInvoke(p, _, _, _) => collect_sources(p, out),
-    }
-}
-
-impl XdCatalog for ExtendedTableManager {
-    fn xd_schema_of(&self, name: &str) -> Option<StreamSchema> {
+impl SchemaCatalog for ExtendedTableManager {
+    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
         let shard = self.shard(name);
         if let Some(t) = shard.tables.read().get(name) {
             return Some(StreamSchema::finite(t.schema()));
@@ -399,12 +371,6 @@ impl XdCatalog for ExtendedTableManager {
             .read()
             .get(name)
             .map(|d| StreamSchema::infinite(d.schema.clone()))
-    }
-}
-
-impl SchemaCatalog for ExtendedTableManager {
-    fn schema_of(&self, name: &str) -> Option<SchemaRef> {
-        self.table(name).map(|t| t.schema())
     }
 }
 
@@ -500,12 +466,9 @@ mod tests {
                 .unwrap(),
         )
         .unwrap();
-        assert!(!m.xd_schema_of("t").unwrap().infinite);
-        assert!(m.xd_schema_of("s").unwrap().infinite);
-        assert!(m.xd_schema_of("nope").is_none());
-        // SchemaCatalog (one-shot) exposes finite tables only
-        assert!(m.schema_of("t").is_some());
-        assert!(m.schema_of("s").is_none());
+        assert!(!m.schema_of("t").unwrap().infinite);
+        assert!(m.schema_of("s").unwrap().infinite);
+        assert!(m.schema_of("nope").is_none());
     }
 
     #[test]

@@ -24,7 +24,7 @@ pub(super) fn build(
     let linear = |(schema, op)| (schema, Op::Linear(op));
     let recompute = |(schema, op)| (schema, Op::Recompute(op));
     let (schema, op) = match plan {
-        StreamPlan::Source(name) => {
+        StreamPlan::Relation(name) => {
             if let Some(handle) = sources.tables.get(name) {
                 let handle = handle.clone();
                 let started = false;

@@ -53,7 +53,7 @@ use serena_core::tuple::Tuple;
 use serena_core::xrelation::XRelation;
 
 use crate::multiset::{Delta, Multiset};
-use crate::plan::{StreamKind, StreamPlan, StreamSchema, XdCatalog};
+use crate::plan::{StreamKind, StreamPlan, StreamSchema};
 use crate::source::{StreamSource, TableHandle};
 
 /// The named XD-Relations a continuous query runs over.
@@ -92,8 +92,8 @@ impl SourceSet {
     }
 }
 
-impl XdCatalog for SourceSet {
-    fn xd_schema_of(&self, name: &str) -> Option<StreamSchema> {
+impl serena_core::plan::SchemaCatalog for SourceSet {
+    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
         if let Some(t) = self.tables.get(name) {
             return Some(StreamSchema::finite(t.schema()));
         }

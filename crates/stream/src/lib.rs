@@ -8,16 +8,17 @@
 //!   deltas (§4.1's CQL-style semantics);
 //! * [`source`] — dynamic tables ([`source::TableHandle`]) and stream
 //!   producers ([`source::StreamSource`]);
-//! * [`plan`] — [`plan::StreamPlan`]: the Serena operators plus
-//!   `W[period]` and `S[insertion|deletion|heartbeat]`, with static
-//!   finite/infinite checking;
+//! * [`plan`] — [`plan::StreamPlan`], the name continuous-query code
+//!   gives [`serena_core::plan::Plan`] (one tree: the Serena operators plus
+//!   `W[period]`, `S[insertion|deletion|heartbeat]` and `βˢ`, with static
+//!   finite/infinite checking), and the continuous examples `Q3`/`Q4`;
 //! * [`exec`] — [`exec::ContinuousQuery`]: tick-by-tick incremental
 //!   evaluation with §4.2's delta-only invocation semantics and per-tick
 //!   action sets;
-//! * [`rewrite`] — stream-level optimization: σ-pushdown past windows,
-//!   a bridge into the core heuristic optimizer for every finite region,
-//!   deterministic candidate generation, telemetry-fed cost estimation
-//!   and the state-migration inventory behind adaptive plan hot-swaps.
+//! * [`rewrite`] — what adaptive plan hot-swaps need: the deterministic
+//!   candidate list (the plan and its [`serena_core::rewrite::optimize`]d
+//!   form) and the state-migration inventory. Optimization and cost
+//!   estimation themselves are the core optimizer's and cost walk's.
 //!
 //! ```
 //! use serena_core::formula::Formula;
@@ -63,9 +64,6 @@ pub mod source;
 
 pub use exec::{ContinuousQuery, SourceSet, TickReport};
 pub use multiset::{Delta, Multiset};
-pub use plan::{StreamKind, StreamPlan, StreamSchema, XdCatalog};
-pub use rewrite::{
-    candidates_for, estimate_stream, migration_pairs, optimize_stream, state_keys, MigrationMap,
-    StateKeys,
-};
+pub use plan::{StreamKind, StreamPlan, StreamSchema};
+pub use rewrite::{candidates_for, migration_pairs, state_keys, MigrationMap, StateKeys};
 pub use source::{FnStream, PushStream, StreamSource, TableHandle};

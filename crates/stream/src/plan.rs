@@ -1,373 +1,14 @@
 //! Continuous query plans over XD-Relations (§4.2).
 //!
-//! [`StreamPlan`] extends the Serena algebra tree with the two continuous
-//! operators:
-//!
-//! * **Window** `W[period]` — infinite → finite: at every instant, the
-//!   multiset of tuples inserted during the last `period` instants;
-//! * **Streaming** `S[type]` — finite → infinite: at every instant, emits
-//!   the tuples inserted / deleted / present (`insertion` / `deletion` /
-//!   `heartbeat`).
-//!
-//! All core operators require *finite* operands (they are evaluated on
-//! instantaneous relations); windows require *infinite* operands. The
-//! finite/infinite status is checked statically by
-//! [`StreamPlan::stream_schema`].
+//! §4.2 does not define a second algebra: it keeps the Serena operators over
+//! XD-Relations and adds **window** `W[period]` and **streaming**
+//! `S[kind]`. So there is one plan tree, [`serena_core::plan::Plan`], which
+//! carries those two (and the streaming binding pattern `βˢ`) beside the
+//! Table 3 operators and checks the finite/infinite operand rules in
+//! [`Plan::stream_schema`](serena_core::plan::Plan::stream_schema).
+//! [`StreamPlan`] is that type under the name continuous-query code uses.
 
-use serena_core::attr::AttrName;
-use serena_core::error::PlanError;
-use serena_core::formula::Formula;
-use serena_core::ops::{self, AggSpec, AssignSource};
-use serena_core::schema::SchemaRef;
-
-/// Streaming operator flavour (§4.2).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamKind {
-    /// Emit tuples inserted at each instant.
-    Insertion,
-    /// Emit tuples deleted at each instant.
-    Deletion,
-    /// Emit the full instantaneous relation at each instant.
-    Heartbeat,
-}
-
-impl std::fmt::Display for StreamKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            StreamKind::Insertion => "insertion",
-            StreamKind::Deletion => "deletion",
-            StreamKind::Heartbeat => "heartbeat",
-        })
-    }
-}
-
-/// Schema of an XD-Relation: an extended relation schema plus its
-/// finite/infinite status.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct StreamSchema {
-    /// The extended relation schema.
-    pub schema: SchemaRef,
-    /// Whether the XD-Relation is infinite (a stream).
-    pub infinite: bool,
-}
-
-impl StreamSchema {
-    /// A finite XD-Relation schema.
-    pub fn finite(schema: SchemaRef) -> Self {
-        StreamSchema {
-            schema,
-            infinite: false,
-        }
-    }
-
-    /// An infinite XD-Relation schema.
-    pub fn infinite(schema: SchemaRef) -> Self {
-        StreamSchema {
-            schema,
-            infinite: true,
-        }
-    }
-}
-
-/// Catalog of XD-Relation schemas for static validation.
-pub trait XdCatalog {
-    /// Schema and status of the named XD-Relation.
-    fn xd_schema_of(&self, name: &str) -> Option<StreamSchema>;
-}
-
-impl XdCatalog for std::collections::BTreeMap<String, StreamSchema> {
-    fn xd_schema_of(&self, name: &str) -> Option<StreamSchema> {
-        self.get(name).cloned()
-    }
-}
-
-/// A continuous query plan.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamPlan {
-    /// Leaf: a named XD-Relation (finite table or infinite stream).
-    Source(String),
-    /// `r1 ∪ r2` (finite operands).
-    Union(Box<StreamPlan>, Box<StreamPlan>),
-    /// `r1 ∩ r2` (finite operands).
-    Intersect(Box<StreamPlan>, Box<StreamPlan>),
-    /// `r1 − r2` (finite operands).
-    Difference(Box<StreamPlan>, Box<StreamPlan>),
-    /// `π_Y(r)` (finite operand).
-    Project(Box<StreamPlan>, Vec<AttrName>),
-    /// `σ_F(r)` (finite operand).
-    Select(Box<StreamPlan>, Formula),
-    /// `ρ_{A→B}(r)` (finite operand).
-    Rename(Box<StreamPlan>, AttrName, AttrName),
-    /// `r1 ⋈ r2` (finite operands).
-    Join(Box<StreamPlan>, Box<StreamPlan>),
-    /// `α_{A:=src}(r)` (finite operand).
-    Assign(Box<StreamPlan>, AttrName, AssignSource),
-    /// `β_{proto[service]}(r)` (finite operand; §4.2: invoked only for
-    /// newly inserted tuples).
-    Invoke(Box<StreamPlan>, String, AttrName),
-    /// `γ_{group; aggs}(r)` (finite operand) — extension.
-    Aggregate(Box<StreamPlan>, Vec<AttrName>, Vec<AggSpec>),
-    /// `W[period](r)` (infinite operand → finite output).
-    Window(Box<StreamPlan>, u64),
-    /// `S[kind](r)` (finite operand → infinite output).
-    Stream(Box<StreamPlan>, StreamKind),
-    /// `βˢ[period]_{proto[service]}(r)` — **streaming binding pattern**
-    /// (the paper's §7 future work: "a new notion of streaming binding
-    /// pattern to homogeneously integrate in our framework streams
-    /// provided by services"). Every `period` instants, the (passive)
-    /// binding pattern is invoked on *every* tuple of the finite operand
-    /// and the extended tuples are appended to the output stream — the
-    /// algebraic form of a periodic sensor sampler. Finite operand →
-    /// infinite output.
-    SampleInvoke(Box<StreamPlan>, String, AttrName, u64),
-}
-
-impl StreamPlan {
-    /// Leaf source.
-    pub fn source(name: impl Into<String>) -> StreamPlan {
-        StreamPlan::Source(name.into())
-    }
-
-    /// `self ∪ other`.
-    pub fn union(self, other: StreamPlan) -> StreamPlan {
-        StreamPlan::Union(Box::new(self), Box::new(other))
-    }
-
-    /// `self ∩ other`.
-    pub fn intersect(self, other: StreamPlan) -> StreamPlan {
-        StreamPlan::Intersect(Box::new(self), Box::new(other))
-    }
-
-    /// `self − other`.
-    pub fn difference(self, other: StreamPlan) -> StreamPlan {
-        StreamPlan::Difference(Box::new(self), Box::new(other))
-    }
-
-    /// `π_Y(self)`.
-    pub fn project<I, A>(self, attrs: I) -> StreamPlan
-    where
-        I: IntoIterator<Item = A>,
-        A: Into<AttrName>,
-    {
-        StreamPlan::Project(Box::new(self), attrs.into_iter().map(Into::into).collect())
-    }
-
-    /// `σ_F(self)`.
-    pub fn select(self, formula: Formula) -> StreamPlan {
-        StreamPlan::Select(Box::new(self), formula)
-    }
-
-    /// `ρ_{A→B}(self)`.
-    pub fn rename(self, from: impl Into<AttrName>, to: impl Into<AttrName>) -> StreamPlan {
-        StreamPlan::Rename(Box::new(self), from.into(), to.into())
-    }
-
-    /// `self ⋈ other`.
-    pub fn join(self, other: StreamPlan) -> StreamPlan {
-        StreamPlan::Join(Box::new(self), Box::new(other))
-    }
-
-    /// `α_{A:=constant}(self)`.
-    pub fn assign_const(
-        self,
-        attr: impl Into<AttrName>,
-        value: impl Into<serena_core::value::Value>,
-    ) -> StreamPlan {
-        StreamPlan::Assign(Box::new(self), attr.into(), AssignSource::constant(value))
-    }
-
-    /// `α_{A:=B}(self)`.
-    pub fn assign_attr(self, attr: impl Into<AttrName>, source: impl Into<AttrName>) -> StreamPlan {
-        StreamPlan::Assign(
-            Box::new(self),
-            attr.into(),
-            AssignSource::Attr(source.into()),
-        )
-    }
-
-    /// `β_{prototype[service_attr]}(self)`.
-    pub fn invoke(
-        self,
-        prototype: impl Into<String>,
-        service_attr: impl Into<AttrName>,
-    ) -> StreamPlan {
-        StreamPlan::Invoke(Box::new(self), prototype.into(), service_attr.into())
-    }
-
-    /// `γ_{group; aggs}(self)` — extension.
-    pub fn aggregate<I, A>(self, group: I, aggs: Vec<AggSpec>) -> StreamPlan
-    where
-        I: IntoIterator<Item = A>,
-        A: Into<AttrName>,
-    {
-        StreamPlan::Aggregate(
-            Box::new(self),
-            group.into_iter().map(Into::into).collect(),
-            aggs,
-        )
-    }
-
-    /// `W[period](self)`.
-    pub fn window(self, period: u64) -> StreamPlan {
-        StreamPlan::Window(Box::new(self), period)
-    }
-
-    /// `S[kind](self)`.
-    pub fn stream(self, kind: StreamKind) -> StreamPlan {
-        StreamPlan::Stream(Box::new(self), kind)
-    }
-
-    /// `βˢ[period]_{prototype[service_attr]}(self)` — streaming binding
-    /// pattern (extension, §7 future work). The prototype must be passive.
-    pub fn sample_invoke(
-        self,
-        prototype: impl Into<String>,
-        service_attr: impl Into<AttrName>,
-        period: u64,
-    ) -> StreamPlan {
-        StreamPlan::SampleInvoke(
-            Box::new(self),
-            prototype.into(),
-            service_attr.into(),
-            period.max(1),
-        )
-    }
-
-    /// Static validation: derive the output [`StreamSchema`], checking both
-    /// Table 3 constraints (via the core schema derivations) and the
-    /// finite/infinite status rules of §4.2.
-    pub fn stream_schema(&self, catalog: &dyn XdCatalog) -> Result<StreamSchema, PlanError> {
-        let finite_operand = |p: &StreamPlan, op: &'static str| -> Result<SchemaRef, PlanError> {
-            let s = p.stream_schema(catalog)?;
-            if s.infinite {
-                return Err(PlanError::StreamStatusMismatch {
-                    operator: op,
-                    detail: "operand is an infinite XD-Relation; apply a window first".into(),
-                });
-            }
-            Ok(s.schema)
-        };
-        match self {
-            StreamPlan::Source(name) => catalog
-                .xd_schema_of(name)
-                .ok_or_else(|| PlanError::UnknownRelation(name.clone())),
-            StreamPlan::Union(a, b)
-            | StreamPlan::Intersect(a, b)
-            | StreamPlan::Difference(a, b) => {
-                let sa = finite_operand(a, "set operator")?;
-                let sb = finite_operand(b, "set operator")?;
-                Ok(StreamSchema::finite(ops::set_op_schema(&sa, &sb)?))
-            }
-            StreamPlan::Project(p, attrs) => {
-                let s = finite_operand(p, "projection")?;
-                Ok(StreamSchema::finite(ops::project_schema(&s, attrs)?))
-            }
-            StreamPlan::Select(p, f) => {
-                let s = finite_operand(p, "selection")?;
-                Ok(StreamSchema::finite(ops::select_schema(&s, f)?))
-            }
-            StreamPlan::Rename(p, from, to) => {
-                let s = finite_operand(p, "renaming")?;
-                Ok(StreamSchema::finite(ops::rename_schema(&s, from, to)?))
-            }
-            StreamPlan::Join(a, b) => {
-                let sa = finite_operand(a, "join")?;
-                let sb = finite_operand(b, "join")?;
-                Ok(StreamSchema::finite(ops::join_schema(&sa, &sb)?))
-            }
-            StreamPlan::Assign(p, attr, src) => {
-                let s = finite_operand(p, "assignment")?;
-                Ok(StreamSchema::finite(ops::assign_schema(&s, attr, src)?))
-            }
-            StreamPlan::Invoke(p, proto, sa) => {
-                let s = finite_operand(p, "invocation")?;
-                let (out, _) = ops::invoke_schema(&s, proto, sa.as_str())?;
-                Ok(StreamSchema::finite(out))
-            }
-            StreamPlan::Aggregate(p, group, aggs) => {
-                let s = finite_operand(p, "aggregation")?;
-                Ok(StreamSchema::finite(ops::aggregate_schema(
-                    &s, group, aggs,
-                )?))
-            }
-            StreamPlan::Window(p, _) => {
-                let s = p.stream_schema(catalog)?;
-                if !s.infinite {
-                    return Err(PlanError::StreamStatusMismatch {
-                        operator: "window",
-                        detail: "operand is already finite".into(),
-                    });
-                }
-                Ok(StreamSchema::finite(s.schema))
-            }
-            StreamPlan::Stream(p, _) => {
-                let s = finite_operand(p, "streaming")?;
-                Ok(StreamSchema::infinite(s))
-            }
-            StreamPlan::SampleInvoke(p, proto, sa, _) => {
-                let s = finite_operand(p, "streaming invocation")?;
-                let (out, bp) = ops::invoke_schema(&s, proto, sa.as_str())?;
-                if bp.is_active() {
-                    return Err(PlanError::StreamStatusMismatch {
-                        operator: "streaming invocation",
-                        detail: format!(
-                            "binding pattern {} is active; periodic sampling would \
-                             repeat its side effect every period",
-                            bp.key()
-                        ),
-                    });
-                }
-                Ok(StreamSchema::infinite(out))
-            }
-        }
-    }
-
-    /// One-line algebra notation extending [`serena_core::plan::Plan`]'s.
-    pub fn to_algebra(&self) -> String {
-        match self {
-            StreamPlan::Source(n) => n.clone(),
-            StreamPlan::Union(a, b) => format!("({} ∪ {})", a.to_algebra(), b.to_algebra()),
-            StreamPlan::Intersect(a, b) => format!("({} ∩ {})", a.to_algebra(), b.to_algebra()),
-            StreamPlan::Difference(a, b) => format!("({} − {})", a.to_algebra(), b.to_algebra()),
-            StreamPlan::Project(p, attrs) => format!(
-                "π {} ({})",
-                attrs
-                    .iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                p.to_algebra()
-            ),
-            StreamPlan::Select(p, f) => format!("σ {f} ({})", p.to_algebra()),
-            StreamPlan::Rename(p, a, b) => format!("ρ {a}→{b} ({})", p.to_algebra()),
-            StreamPlan::Join(a, b) => format!("({} ⋈ {})", a.to_algebra(), b.to_algebra()),
-            StreamPlan::Assign(p, a, s) => format!("α {a}:={s} ({})", p.to_algebra()),
-            StreamPlan::Invoke(p, proto, sa) => {
-                format!("β {proto}[{sa}] ({})", p.to_algebra())
-            }
-            StreamPlan::Aggregate(p, g, aggs) => format!(
-                "γ [{}; {} aggs] ({})",
-                g.iter()
-                    .map(|a| a.to_string())
-                    .collect::<Vec<_>>()
-                    .join(","),
-                aggs.len(),
-                p.to_algebra()
-            ),
-            StreamPlan::Window(p, period) => format!("W[{period}] ({})", p.to_algebra()),
-            StreamPlan::Stream(p, kind) => format!("S[{kind}] ({})", p.to_algebra()),
-            StreamPlan::SampleInvoke(p, proto, sa, period) => {
-                format!("βˢ[{period}] {proto}[{sa}] ({})", p.to_algebra())
-            }
-        }
-    }
-}
-
-impl std::fmt::Display for StreamPlan {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(&self.to_algebra())
-    }
-}
+pub use serena_core::plan::{Plan as StreamPlan, StreamKind, StreamSchema};
 
 /// The continuous example queries of Table 4 / Example 8, reconstructed
 /// from the paper's prose (the camera-ready table is partially garbled in
@@ -420,21 +61,16 @@ mod tests {
     use serena_core::value::DataType;
     use std::collections::BTreeMap;
 
-    /// temperatures(location STRING, temperature REAL) — an infinite
-    /// XD-Relation (the sensor stream of §1.2).
-    pub fn temperatures_schema() -> SchemaRef {
-        XSchema::builder()
+    fn catalog() -> BTreeMap<String, StreamSchema> {
+        let temperatures = XSchema::builder()
             .real("location", DataType::Str)
             .real("temperature", DataType::Real)
             .build()
-            .unwrap()
-    }
-
-    fn catalog() -> BTreeMap<String, StreamSchema> {
+            .unwrap();
         let mut cat = BTreeMap::new();
         cat.insert(
             "temperatures".to_string(),
-            StreamSchema::infinite(temperatures_schema()),
+            StreamSchema::infinite(temperatures),
         );
         cat.insert(
             "contacts".to_string(),
@@ -461,57 +97,6 @@ mod tests {
         assert!(s.infinite);
         let names: Vec<String> = s.schema.names().map(|a| a.to_string()).collect();
         assert_eq!(names, vec!["photo"]);
-    }
-
-    #[test]
-    fn window_requires_infinite_operand() {
-        let err = StreamPlan::source("contacts")
-            .window(1)
-            .stream_schema(&catalog())
-            .unwrap_err();
-        assert!(matches!(err, PlanError::StreamStatusMismatch { .. }));
-    }
-
-    #[test]
-    fn relational_ops_require_finite_operands() {
-        let err = StreamPlan::source("temperatures")
-            .select(Formula::gt_const("temperature", 30.0))
-            .stream_schema(&catalog())
-            .unwrap_err();
-        assert!(matches!(
-            err,
-            PlanError::StreamStatusMismatch {
-                operator: "selection",
-                ..
-            }
-        ));
-    }
-
-    #[test]
-    fn streaming_requires_finite_operand() {
-        let err = StreamPlan::source("temperatures")
-            .stream(StreamKind::Insertion)
-            .stream_schema(&catalog())
-            .unwrap_err();
-        assert!(matches!(err, PlanError::StreamStatusMismatch { .. }));
-    }
-
-    #[test]
-    fn window_then_stream_round_trips_status() {
-        let s = StreamPlan::source("temperatures")
-            .window(5)
-            .stream(StreamKind::Heartbeat)
-            .stream_schema(&catalog())
-            .unwrap();
-        assert!(s.infinite);
-    }
-
-    #[test]
-    fn unknown_source_rejected() {
-        assert!(matches!(
-            StreamPlan::source("ghost").stream_schema(&catalog()),
-            Err(PlanError::UnknownRelation(_))
-        ));
     }
 
     #[test]

@@ -13,10 +13,13 @@
 //! * [`core`] (`serena-core`) — the data model (§2.3: virtual attributes,
 //!   binding patterns, X-Relations), the algebra of Table 3, action sets &
 //!   query equivalence (Definitions 8–9), the rewrite rules of Table 5 and
-//!   a heuristic optimizer;
-//! * [`stream`] (`serena-stream`) — XD-Relations, `W[period]` /
-//!   `S[insertion|deletion|heartbeat]`, and an incremental continuous
-//!   executor (§4);
+//!   a heuristic optimizer. Its `Plan` is the one query tree: it also
+//!   carries §4.2's `W[period]` / `S[insertion|deletion|heartbeat]`, so a
+//!   continuous query is validated, rewritten and costed by the same code
+//!   as a one-shot one;
+//! * [`stream`] (`serena-stream`) — XD-Relations as tables and stream
+//!   sources, and the incremental continuous executor that runs such a
+//!   plan tick by tick (§4);
 //! * [`services`] (`serena-services`) — dynamic registry, discovery bus
 //!   with Local Environment Resource Managers, simulated sensors, cameras,
 //!   messengers and RSS feeds (§5.1–5.2);

@@ -11,11 +11,14 @@ mod common;
 use common::Rng;
 use serena::core::formula::Formula;
 use serena::core::prelude::*;
+use serena::core::rewrite::optimize;
+use serena::core::schema::examples as schemas;
 use serena::core::schema::XSchema;
 use serena::core::service::fixtures::example_registry;
 use serena::core::tuple;
 use serena::stream::{
-    ContinuousQuery, Delta, Multiset, PushStream, SourceSet, StreamKind, StreamPlan, TableHandle,
+    ContinuousQuery, Delta, FnStream, Multiset, PushStream, SourceSet, StreamKind, StreamPlan,
+    TableHandle,
 };
 
 fn int_schema() -> SchemaRef {
@@ -298,4 +301,352 @@ fn incremental_join_consistency() {
         assert_eq!(q.current_relation().unwrap(), expected);
         let _ = Delta::new();
     }
+}
+
+// ---------------------------------------------------------------------
+// optimizer soundness on continuous plans
+// ---------------------------------------------------------------------
+
+const STREAM_KINDS: [StreamKind; 3] = [
+    StreamKind::Insertion,
+    StreamKind::Deletion,
+    StreamKind::Heartbeat,
+];
+
+fn readings_schema() -> SchemaRef {
+    XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap()
+}
+
+/// The XD-Relations the generated plans read: the running example's three
+/// tables (shared by every query compiled against the world, as in the
+/// PEMS) and the `temperatures` stream, a pure function of the instant so
+/// each query can own a copy.
+struct World {
+    tables: Vec<(&'static str, TableHandle, Vec<Tuple>)>,
+}
+
+impl World {
+    fn new() -> World {
+        let service = Value::service;
+        let rows = |name, schema, rows: Vec<Tuple>| (name, TableHandle::new(schema), rows);
+        World {
+            tables: vec![
+                rows(
+                    "sensors",
+                    schemas::sensors_schema(),
+                    vec![
+                        tuple![service("sensor01"), "corridor"],
+                        tuple![service("sensor06"), "office"],
+                        tuple![service("sensor07"), "office"],
+                        tuple![service("sensor22"), "roof"],
+                    ],
+                ),
+                rows(
+                    "contacts",
+                    schemas::contacts_schema(),
+                    vec![
+                        tuple!["Nicolas", "nicolas@elysee.fr", service("email")],
+                        tuple!["Carla", "carla@elysee.fr", service("email")],
+                        tuple!["Francois", "francois@im.gouv.fr", service("jabber")],
+                    ],
+                ),
+                rows(
+                    "cameras",
+                    schemas::cameras_schema(),
+                    vec![
+                        tuple![service("camera01"), "office"],
+                        tuple![service("camera02"), "corridor"],
+                        tuple![service("webcam07"), "roof"],
+                    ],
+                ),
+            ],
+        }
+    }
+
+    fn sources(&self) -> SourceSet {
+        let mut sources = SourceSet::new();
+        for (name, handle, _) in &self.tables {
+            sources.add_table(*name, handle.clone());
+        }
+        let temperatures = FnStream(|at: Instant| {
+            let t = at.ticks();
+            ["corridor", "office", "roof"]
+                .iter()
+                .enumerate()
+                .filter(|(i, _)| !(t + *i as u64).is_multiple_of(3))
+                .map(|(i, place)| tuple![*place, 8.0 + ((t * 5 + i as u64 * 11) % 30) as f64])
+                .collect()
+        });
+        sources.add_stream("temperatures", readings_schema(), Box::new(temperatures));
+        sources
+    }
+
+    /// Insert or delete one pooled row of one table (both no-ops when the
+    /// row is already present resp. absent).
+    fn mutate(&self, rng: &mut Rng) {
+        let (_, handle, pool) = rng.pick(&self.tables);
+        let row = rng.pick(pool).clone();
+        if handle.projected().contains(&row) {
+            handle.delete(row);
+        } else {
+            handle.insert(row);
+        }
+    }
+}
+
+/// A selection over one real attribute of `schema`, constants drawn from
+/// the values the world actually holds.
+fn gen_selection(rng: &mut Rng, schema: &XSchema) -> Option<Formula> {
+    let places = ["corridor", "office", "roof"];
+    let mut options = Vec::new();
+    for a in schema.attrs().iter().filter(|a| a.is_real()) {
+        options.push(match a.name.as_str() {
+            "location" | "area" => Formula::eq_const(a.name.as_str(), *rng.pick(&places)),
+            "temperature" => Formula::gt_const("temperature", 10.0 + rng.below(20) as f64),
+            "name" => Formula::ne_const("name", *rng.pick(&["Carla", "Nicolas"])),
+            "quality" => Formula::ge_const("quality", rng.i64_in(2, 8)),
+            "n" => Formula::ge_const("n", rng.i64_in(1, 3)),
+            _ => continue,
+        });
+    }
+    if options.len() >= 2 && rng.below(4) == 0 {
+        let second = options.swap_remove(rng.below(options.len()));
+        let first = options.swap_remove(rng.below(options.len()));
+        return Some(first.and(second));
+    }
+    (!options.is_empty()).then(|| options.swap_remove(rng.below(options.len())))
+}
+
+/// One more operator on top of a finite `plan`, drawn from those its
+/// schema admits: σ, π, ρ, α, β (passive and active) or γ.
+fn grow(rng: &mut Rng, plan: StreamPlan, cat: &SourceSet) -> StreamPlan {
+    use serena::core::ops::{AggFun, AggSpec};
+    let schema = plan.schema(cat).unwrap();
+    let mut options = Vec::new();
+    options.extend(gen_selection(rng, &schema).map(|f| plan.clone().select(f)));
+    let keep: Vec<_> = schema
+        .names()
+        .filter(|_| rng.below(3) != 0)
+        .cloned()
+        .collect();
+    if !keep.is_empty() {
+        options.push(plan.clone().project(keep));
+    }
+    options.push(plan.clone().rename("location", "area"));
+    // the realization operators are what Table 5 is about: offered twice
+    for _ in 0..2 {
+        options.push(
+            plan.clone()
+                .assign_const("text", *rng.pick(&["Hot!", "Hi"])),
+        );
+        for bp in schema.binding_patterns() {
+            options.push(
+                plan.clone()
+                    .invoke(bp.prototype().name(), bp.service_attr().clone()),
+            );
+        }
+    }
+    // γ leaves little to build on: offered to a third of the draws
+    if let Some(a) = schema
+        .attrs()
+        .iter()
+        .find(|a| a.is_real() && rng.below(3) == 0)
+    {
+        let count = AggSpec::new(AggFun::Count, a.name.as_str()).named("n");
+        options.push(plan.clone().aggregate([a.name.clone()], vec![count]));
+    }
+    options.retain(|p| p.stream_schema(cat).is_ok());
+    if options.is_empty() {
+        return plan;
+    }
+    options.swap_remove(rng.below(options.len()))
+}
+
+/// A finite region with `location` and `temperature` real, projected onto
+/// them in the given order — the operands of the set operators.
+fn gen_readings(rng: &mut Rng, order: [&str; 2]) -> StreamPlan {
+    let sampled =
+        |every| StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", every);
+    match rng.below(3) {
+        0 => StreamPlan::source("temperatures").window(rng.u64_in(1, 4)),
+        1 => sampled(rng.u64_in(1, 3)).window(rng.u64_in(1, 4)),
+        _ => StreamPlan::source("sensors").invoke("getTemperature", "sensor"),
+    }
+    .project(order)
+}
+
+/// A well-typed finite plan: a leaf (table, windowed stream, or a window
+/// over a re-streamed or sampled finite region — i.e. finite regions
+/// *below* windows), grown by unary operators, joined or set-combined.
+fn gen_finite(rng: &mut Rng, cat: &SourceSet, depth: usize) -> StreamPlan {
+    let mut plan = match rng.below(if depth == 0 { 5 } else { 9 }) {
+        0 => StreamPlan::source("sensors"),
+        1 => StreamPlan::source("contacts"),
+        2 => StreamPlan::source("cameras"),
+        3 => StreamPlan::source("temperatures").window(rng.u64_in(1, 4)),
+        // the active invocation no σ or π may cross (Q1 / Q3)
+        4 => StreamPlan::source("contacts")
+            .assign_const("text", "Hot!")
+            .invoke("sendMessage", "messenger"),
+        5 | 6 => {
+            // W∘S over a finite region, half of the time directly under a σ
+            let below = gen_finite(rng, cat, depth - 1);
+            let windowed = below
+                .stream(*rng.pick(&STREAM_KINDS))
+                .window(rng.u64_in(1, 4));
+            if rng.bool() {
+                grow_with_selection(rng, windowed, cat)
+            } else {
+                windowed
+            }
+        }
+        7 => {
+            // W∘βˢ over the (possibly filtered) sensors, mostly under a σ
+            let mut sensors = StreamPlan::source("sensors");
+            if rng.bool() {
+                sensors = grow_with_selection(rng, sensors, cat);
+            }
+            let windowed = sensors
+                .sample_invoke("getTemperature", "sensor", rng.u64_in(1, 3))
+                .window(rng.u64_in(1, 4));
+            if rng.below(3) != 0 {
+                grow_with_selection(rng, windowed, cat)
+            } else {
+                windowed
+            }
+        }
+        _ => {
+            let set_op = *rng.pick(&[
+                StreamPlan::union as fn(StreamPlan, StreamPlan) -> StreamPlan,
+                StreamPlan::intersect,
+                StreamPlan::difference,
+            ]);
+            // the right operand declares the attributes in the other order
+            set_op(
+                gen_readings(rng, ["location", "temperature"]),
+                gen_readings(rng, ["temperature", "location"]),
+            )
+        }
+    };
+    for _ in 0..rng.below(4) {
+        plan = grow(rng, plan, cat);
+    }
+    if depth > 0 && rng.below(3) == 0 {
+        let other = gen_finite(rng, cat, depth - 1);
+        let joined = plan.clone().join(other);
+        if joined.stream_schema(cat).is_ok() {
+            plan = joined;
+        }
+        for _ in 0..rng.below(3) {
+            plan = grow(rng, plan, cat);
+        }
+    }
+    plan
+}
+
+fn stream_reads(plan: &StreamPlan) -> usize {
+    let here = usize::from(*plan == StreamPlan::source("temperatures"));
+    here + plan.children().into_iter().map(stream_reads).sum::<usize>()
+}
+
+fn grow_with_selection(rng: &mut Rng, plan: StreamPlan, cat: &SourceSet) -> StreamPlan {
+    match gen_selection(rng, &plan.schema(cat).unwrap()) {
+        Some(f) => plan.select(f),
+        None => plan,
+    }
+}
+
+/// The optimizer on continuous plans, checked against what the algebra
+/// promises rather than against how it is built: an optimized plan has the
+/// same schema and status, and — ticked beside the original over the same
+/// tables, the same stream and the same services — the same deltas, stream
+/// batches and action sets at every instant (Definition 9, per instant).
+#[test]
+fn optimized_continuous_plans_tick_like_the_original() {
+    const PLANS: u64 = 240;
+    let (mut rewritten, mut crossed_a_window, mut streams, mut moved_invocations) = (0, 0, 0, 0);
+    for case in 0..PLANS {
+        let mut rng = Rng::new(0x5600 + case);
+        let world = World::new();
+        let cat = world.sources();
+        // a query owns one subscription per stream it names, so a plan may
+        // read `temperatures` once
+        let mut plan = loop {
+            let plan = gen_finite(&mut rng, &cat, 2);
+            if stream_reads(&plan) <= 1 {
+                break plan;
+            }
+        };
+        if rng.below(3) == 0 {
+            plan = plan.stream(*rng.pick(&STREAM_KINDS));
+            streams += 1;
+        }
+        let schema = plan
+            .stream_schema(&cat)
+            .unwrap_or_else(|e| panic!("case {case}: generated an ill-typed plan {plan}: {e}"));
+
+        let report = optimize(&plan, &cat);
+        let optimized = report.plan;
+        assert_eq!(
+            optimized.stream_schema(&cat).as_ref(),
+            Ok(&schema),
+            "case {case}: {plan}  ⇒  {optimized}"
+        );
+        rewritten += usize::from(optimized != plan);
+        crossed_a_window += usize::from(
+            report
+                .applied
+                .iter()
+                .any(|(rule, _)| rule.starts_with("select-past-windowed")),
+        );
+
+        // Known gap, left out of the tick comparison (ROADMAP item 3):
+        // `invoke-into-join` moves a passive β from the join's tuples to one
+        // operand's, i.e. from the instant the *pair* appears to the instant
+        // the operand's tuple did. Equivalent at one instant (Table 5), not
+        // over time when the service's answer depends on the instant.
+        if report.applied.iter().any(|(r, _)| *r == "invoke-into-join") {
+            moved_invocations += 1;
+            continue;
+        }
+        let mut original = ContinuousQuery::compile(&plan, &mut world.sources()).unwrap();
+        let mut candidate = ContinuousQuery::compile(&optimized, &mut world.sources()).unwrap();
+        let reg = example_registry();
+        for (_, handle, rows) in &world.tables {
+            for row in rows.iter().filter(|_| rng.below(4) != 0) {
+                handle.insert(row.clone());
+            }
+        }
+        for instant in 0..8 {
+            let a = original.tick_with(&reg, &NoopMetrics);
+            let b = candidate.tick_with(&reg, &NoopMetrics);
+            let context = format!("case {case} instant {instant}: {plan}  ⇒  {optimized}");
+            assert_eq!(a.delta, b.delta, "{context}");
+            let sorted = |mut batch: Vec<Tuple>| {
+                batch.sort();
+                batch
+            };
+            assert_eq!(sorted(a.batch), sorted(b.batch), "{context}");
+            assert_eq!(a.actions, b.actions, "{context}");
+            assert_eq!(a.errors.len(), b.errors.len(), "{context}");
+            for _ in 0..rng.below(3) {
+                world.mutate(&mut rng);
+            }
+        }
+    }
+    // the generator reaches the cases the property is about
+    assert!(rewritten >= 100, "only {rewritten} plans were rewritten");
+    assert!(
+        crossed_a_window >= 30,
+        "only {crossed_a_window} selections crossed a window"
+    );
+    assert!(streams >= 40, "only {streams} stream-valued plans");
+    assert!(
+        moved_invocations <= 24,
+        "{moved_invocations} plans left out of the tick comparison"
+    );
 }
