@@ -28,9 +28,14 @@ pub enum AggFun {
     /// Row count (argument attribute ignored for counting semantics but
     /// kept for naming).
     Count,
-    /// Sum over INTEGER/REAL.
+    /// Sum over INTEGER/REAL. Floating-point addition does not associate,
+    /// so the value depends on the fold order: the one-shot operator folds
+    /// a group in the operand's insertion order, the continuous γ in the
+    /// ascending order of the group's aggregated values — a function of the
+    /// group's content alone, whatever sequence of deltas produced it.
     Sum,
-    /// Arithmetic mean over INTEGER/REAL; result is REAL.
+    /// Arithmetic mean over INTEGER/REAL; result is REAL. The sum under it
+    /// is folded in [`AggFun::Sum`]'s order.
     Avg,
     /// Minimum (any ordered type).
     Min,
@@ -47,6 +52,16 @@ impl AggFun {
             AggFun::Min => "min",
             AggFun::Max => "max",
         }
+    }
+
+    /// The aggregate of one non-empty group's values, folded in the order
+    /// given.
+    pub fn fold<'a>(self, values: impl IntoIterator<Item = &'a Value>) -> Value {
+        let mut acc = Accumulator::new(self);
+        for v in values {
+            acc.push(v);
+        }
+        acc.finish()
     }
 
     fn output_type(&self, input: DataType) -> Result<DataType, PlanError> {
@@ -155,13 +170,14 @@ pub fn aggregate_schema(
     XSchema::from_attrs(attrs, Vec::new()).map_err(PlanError::Schema)
 }
 
+/// One aggregate of one group, fed a value at a time.
 struct Accumulator {
     fun: AggFun,
     count: i64,
     sum: f64,
     int_only: bool,
-    min: Option<Value>,
-    max: Option<Value>,
+    /// The least (MIN) or greatest (MAX) value so far; the first of equals.
+    extreme: Option<Value>,
 }
 
 impl Accumulator {
@@ -171,32 +187,32 @@ impl Accumulator {
             count: 0,
             sum: 0.0,
             int_only: true,
-            min: None,
-            max: None,
+            extreme: None,
         }
     }
 
     fn push(&mut self, v: &Value) {
         self.count += 1;
-        if let Some(r) = v.as_real() {
-            self.sum += r;
-        }
-        if !matches!(v, Value::Int(_)) {
-            self.int_only = false;
-        }
-        let better_min = self
-            .min
+        let wanted = match self.fun {
+            AggFun::Count => return,
+            AggFun::Sum | AggFun::Avg => {
+                if let Some(r) = v.as_real() {
+                    self.sum += r;
+                }
+                if !matches!(v, Value::Int(_)) {
+                    self.int_only = false;
+                }
+                return;
+            }
+            AggFun::Min => std::cmp::Ordering::Less,
+            AggFun::Max => std::cmp::Ordering::Greater,
+        };
+        let better = self
+            .extreme
             .as_ref()
-            .is_none_or(|m| v.partial_cmp_typed(m) == Some(std::cmp::Ordering::Less));
-        if better_min {
-            self.min = Some(v.clone());
-        }
-        let better_max = self
-            .max
-            .as_ref()
-            .is_none_or(|m| v.partial_cmp_typed(m) == Some(std::cmp::Ordering::Greater));
-        if better_max {
-            self.max = Some(v.clone());
+            .is_none_or(|m| v.partial_cmp_typed(m) == Some(wanted));
+        if better {
+            self.extreme = Some(v.clone());
         }
     }
 
@@ -215,8 +231,7 @@ impl Accumulator {
             } else {
                 self.sum / self.count as f64
             }),
-            AggFun::Min => self.min.expect("group is non-empty"),
-            AggFun::Max => self.max.expect("group is non-empty"),
+            AggFun::Min | AggFun::Max => self.extreme.expect("group is non-empty"),
         }
     }
 }

@@ -21,8 +21,11 @@ pub(super) fn build(
         children.push(node);
         Ok::<_, PlanError>(schema)
     };
-    let linear = |(schema, op)| (schema, Op::Linear(op));
-    let recompute = |(schema, op)| (schema, Op::Recompute(op));
+    // the children are cold, so whatever state the operator keeps is empty
+    let serena = |(schema, op), children: &[Node]| {
+        let state = OpState::over(&op, children);
+        (schema, Op::Serena { op, state })
+    };
     let (schema, op) = match plan {
         StreamPlan::Relation(name) => {
             if let Some(handle) = sources.tables.get(name) {
@@ -35,33 +38,41 @@ pub(super) fn build(
                 return Err(PlanError::UnknownRelation(name.clone()));
             }
         }
-        StreamPlan::Select(p, f) => linear(CompiledOp::select(&operand(p, sources)?, f)?),
-        StreamPlan::Project(p, attrs) => linear(CompiledOp::project(&operand(p, sources)?, attrs)?),
-        StreamPlan::Rename(p, from, to) => {
-            linear(CompiledOp::rename(&operand(p, sources)?, from, to)?)
+        StreamPlan::Select(p, f) => {
+            serena(CompiledOp::select(&operand(p, sources)?, f)?, &children)
         }
-        StreamPlan::Assign(p, attr, src) => {
-            linear(CompiledOp::assign(&operand(p, sources)?, attr, src)?)
-        }
+        StreamPlan::Project(p, attrs) => serena(
+            CompiledOp::project(&operand(p, sources)?, attrs)?,
+            &children,
+        ),
+        StreamPlan::Rename(p, from, to) => serena(
+            CompiledOp::rename(&operand(p, sources)?, from, to)?,
+            &children,
+        ),
+        StreamPlan::Assign(p, attr, src) => serena(
+            CompiledOp::assign(&operand(p, sources)?, attr, src)?,
+            &children,
+        ),
         StreamPlan::Union(a, b) => {
             let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
-            recompute(CompiledOp::union(&sa, &sb)?)
+            serena(CompiledOp::union(&sa, &sb)?, &children)
         }
         StreamPlan::Intersect(a, b) => {
             let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
-            recompute(CompiledOp::intersect(&sa, &sb)?)
+            serena(CompiledOp::intersect(&sa, &sb)?, &children)
         }
         StreamPlan::Difference(a, b) => {
             let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
-            recompute(CompiledOp::difference(&sa, &sb)?)
+            serena(CompiledOp::difference(&sa, &sb)?, &children)
         }
         StreamPlan::Join(a, b) => {
             let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
-            recompute(CompiledOp::join(&sa, &sb)?)
+            serena(CompiledOp::join(&sa, &sb)?, &children)
         }
-        StreamPlan::Aggregate(p, group, aggs) => {
-            recompute(CompiledOp::aggregate(&operand(p, sources)?, group, aggs)?)
-        }
+        StreamPlan::Aggregate(p, group, aggs) => serena(
+            CompiledOp::aggregate(&operand(p, sources)?, group, aggs)?,
+            &children,
+        ),
         StreamPlan::Invoke(p, proto, sa) => {
             let child = operand(p, sources)?;
             let recipe = InvokeRecipe::prepare(&child, proto, sa.as_str())?;

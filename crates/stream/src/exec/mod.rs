@@ -7,12 +7,12 @@
 //! module adds only what is continuous. Each node keeps its instantaneous
 //! state (a multiset, per §4.1) and produces a per-tick [`Delta`]:
 //!
-//! * **linear operators** (σ, π, ρ, α) map their child's delta tuple by
-//!   tuple;
-//! * **nonlinear operators** (⋈, set ops, γ) recompute their instantaneous
-//!   output from their children's current states and diff against their
-//!   previous output — simple, uniform and correct for the experiment
-//!   scales this reproduction targets;
+//! * **σ, π, ρ, α** map their child's delta tuple by tuple;
+//! * **⋈, ∪/∩/−, γ** consume both operands' deltas and emit the net change
+//!   of their output — ⋈ through one key→tuples index per operand, the set
+//!   operators by re-deciding only the tuples a delta touched, γ by
+//!   re-finishing only the groups whose membership changed — so a tick
+//!   costs what changed, not what the windows hold (`stateful`);
 //! * **β (invocation)** follows §4.2 exactly: "a binding pattern is
 //!   actually invoked only for newly inserted tuples, and not for every
 //!   tuple from the relation at each time instant". Results are cached per
@@ -27,12 +27,13 @@
 //! for.
 //!
 //! Layout: this file holds the node shape and the public API; `build`
-//! compiles a plan into nodes, `tick` evaluates one instant, `state` is
-//! everything that outlives a tick boundary (checkpoint, restore, hot-swap
-//! adoption).
+//! compiles a plan into nodes, `tick` evaluates one instant, `stateful` is
+//! ⋈, ∪/∩/− and γ over deltas, `state` is everything that outlives a tick
+//! boundary (checkpoint, restore, hot-swap adoption).
 
 mod build;
 mod state;
+mod stateful;
 #[cfg(test)]
 mod tests;
 mod tick;
@@ -55,6 +56,7 @@ use serena_core::xrelation::XRelation;
 use crate::multiset::{Delta, Multiset};
 use crate::plan::{StreamKind, StreamPlan, StreamSchema};
 use crate::source::{StreamSource, TableHandle};
+use stateful::OpState;
 
 /// The named XD-Relations a continuous query runs over.
 #[derive(Default)]
@@ -152,10 +154,14 @@ enum Op {
     Stream {
         source: Box<dyn StreamSource>,
     },
-    /// σ, π, ρ, α: maps the child's delta tuple by tuple.
-    Linear(CompiledOp),
-    /// ∪, ∩, −, ⋈, γ: recomputed from the children's current states.
-    Recompute(CompiledOp),
+    /// σ, π, ρ, α, ∪, ∩, −, ⋈, γ: operand deltas in, the output's net
+    /// delta out. `state` is what the operator keeps between ticks besides
+    /// the node's `current`; it is a function of the children's `current`,
+    /// so a checkpoint leaves it out and a restore derives it.
+    Serena {
+        op: CompiledOp,
+        state: OpState,
+    },
     Invoke {
         recipe: InvokeRecipe,
         cache: HashMap<Tuple, CacheEntry>,
@@ -192,8 +198,12 @@ impl Op {
         let (tag, kind) = match self {
             Op::Table { .. } => (0, OpKind::Relation),
             Op::Stream { .. } => (1, OpKind::Source),
-            Op::Linear(op) => (2, op.kind()),
-            Op::Recompute(op) => (3, op.kind()),
+            // the tags predate the single arm: 2 was the tuple-at-a-time
+            // operators, 3 the ones that hold state
+            Op::Serena { op, state } => {
+                let stateless = matches!(state, OpState::Stateless);
+                (if stateless { 2 } else { 3 }, op.kind())
+            }
             Op::Invoke { .. } => (4, OpKind::Invoke),
             Op::Window { .. } => (5, OpKind::Window),
             Op::StreamOf(_) => (6, OpKind::StreamOf),
@@ -409,13 +419,7 @@ impl ContinuousQuery {
     /// unspecified and the query should be discarded.
     pub fn read_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let next = r.u64()?;
-        let mut restored = Ok(());
-        self.root.walk_mut(&mut |n| {
-            if restored.is_ok() {
-                restored = n.restore(r);
-            }
-        });
-        restored?;
+        self.root.restore(r)?;
         self.next = Instant(next);
         Ok(())
     }
@@ -435,8 +439,10 @@ impl ContinuousQuery {
     ///   plan); adopted hits re-emit cached outputs without re-invoking
     ///   the service — no duplicate actions, no duplicate calls.
     ///
-    /// Everything else starts cold, which is exactly the registered-
-    /// mid-run bootstrap every node already supports.
+    /// Everything else starts cold — the ⋈ indexes, set-operator operands
+    /// and γ groups empty, filled by the warm windows' bootstrap emission —
+    /// which is exactly the registered-mid-run bootstrap every node already
+    /// supports.
     pub fn adopt_state_from(
         &mut self,
         old: &ContinuousQuery,

@@ -2,7 +2,9 @@
 //! restore, and what a hot-swapped plan adopts from the outgoing one.
 //!
 //! A snapshot is one record per node in pre-order: the operator tag (shape
-//! verification) followed by whatever that operator cannot re-derive.
+//! verification) followed by whatever that operator cannot re-derive. What
+//! ⋈, ∪/∩/− and γ keep beside `current` is derived from their children's
+//! `current`, so it has no record.
 
 use super::*;
 
@@ -20,7 +22,7 @@ impl Node {
             // stream sources are driven by the environment, S and βˢ keep
             // nothing between ticks
             Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
-            Op::Linear(_) | Op::Recompute(_) => self.current.encode(w),
+            Op::Serena { .. } => self.current.encode(w),
             // every β emission is mirrored in the cache (fillers included),
             // so `current` is Σ count × outputs over the entries — derived
             // on restore rather than encoded
@@ -56,8 +58,10 @@ impl Node {
         }
     }
 
-    /// Read back the record [`Node::snapshot`] wrote for this position of
-    /// the tree, failing on a different operator there.
+    /// Read back the records [`Node::snapshot`] wrote for this subtree, in
+    /// the same pre-order, failing on a different operator at any position;
+    /// then derive what this node's operator keeps from its children's
+    /// restored `current`.
     pub(super) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let tag = r.u8()?;
         let expected = self.op.meta().0;
@@ -82,7 +86,7 @@ impl Node {
                 };
             }
             Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
-            Op::Linear(_) | Op::Recompute(_) => self.current = Multiset::decode(r)?,
+            Op::Serena { .. } => self.current = Multiset::decode(r)?,
             Op::Invoke { cache, .. } => {
                 let entries = r.usize()?;
                 cache.clear();
@@ -128,6 +132,12 @@ impl Node {
                     ring.push_back(batch);
                 }
             }
+        }
+        for child in &mut self.children {
+            child.restore(r)?;
+        }
+        if let Op::Serena { op, state } = &mut self.op {
+            *state = OpState::over(op, &self.children);
         }
         Ok(())
     }

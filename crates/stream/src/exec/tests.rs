@@ -1023,3 +1023,474 @@ fn snapshot_bytes_match_the_recorded_format() {
     assert!(r.actions.is_empty());
     assert_eq!(digest(&new), (3401, "f7f15ecbc9fadf2c".into()));
 }
+
+// ---------------------------------------------------------------------
+// The delta-native ⋈, ∪/∩/− and γ against the naive tick they refine.
+// ---------------------------------------------------------------------
+
+/// xorshift64*, as `tests/common::Rng`.
+struct Rng(u64);
+
+impl Rng {
+    fn new(seed: u64) -> Self {
+        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
+    }
+
+    fn below(&mut self, bound: u64) -> i64 {
+        let mut x = self.0;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        self.0 = x;
+        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound) as i64
+    }
+}
+
+/// The reference: the instantaneous output of ⋈, ∪, ∩, − or γ rebuilt from
+/// its operands' whole `current`. Until PR 14 this *was* the tick of these
+/// operators (followed by `Multiset::diff_to` against the previous output);
+/// the delta-native operators must be a refinement of it.
+fn recompute(op: &CompiledOp, children: &[Node]) -> Multiset {
+    let left = &children[0].current;
+    let mut out = Multiset::new();
+    match op {
+        CompiledOp::Union { .. } | CompiledOp::Intersect { .. } | CompiledOp::Difference { .. } => {
+            // the right operand's state in the left operand's coordinates
+            let mut right = Multiset::new();
+            for (t, c) in children[1].current.iter() {
+                right.insert(op.reorder_rhs(t), c);
+            }
+            if matches!(op, CompiledOp::Union { .. }) {
+                out = left.clone();
+                for (t, c) in right.iter() {
+                    out.insert(t.clone(), c);
+                }
+            } else {
+                let common = matches!(op, CompiledOp::Intersect { .. });
+                for (t, c) in left.iter() {
+                    let r = right.count(t);
+                    let m = if common {
+                        c.min(r)
+                    } else {
+                        c.saturating_sub(r)
+                    };
+                    out.insert(t.clone(), m);
+                }
+            }
+        }
+        CompiledOp::Join {
+            key_left,
+            key_right,
+            ..
+        } => {
+            for (tl, cl) in left.iter() {
+                for (tr, cr) in children[1].current.iter() {
+                    if tl.project_positions(key_left) == tr.project_positions(key_right) {
+                        out.insert(op.join_tuple(tl, tr), cl * cr);
+                    }
+                }
+            }
+        }
+        CompiledOp::Aggregate {
+            in_schema,
+            group,
+            aggs,
+        } => {
+            // over the child's *distinct* tuples, as the one-shot operator
+            let rel =
+                XRelation::from_tuples(in_schema.clone(), left.iter().map(|(t, _)| t.clone()));
+            let out_rel = serena_core::ops::aggregate(&rel, group, aggs).unwrap();
+            out = out_rel.into_tuples().into_iter().collect();
+        }
+        _ => unreachable!("{} keeps no state", op.kind()),
+    }
+    out
+}
+
+/// Seeded sources for the differential runs: tables `t(x, y)`, `u(y, x)` —
+/// `t`'s attributes in the other order — and `r(x, z)`, and a stream
+/// `s(x, y)`. Attribute domains are small, so tuples repeat (counts above
+/// one, in a table and across a window's batches), and `x` drifts upwards,
+/// so join keys and groups appear and vanish for good.
+struct World {
+    seed: u64,
+    t: TableHandle,
+    u: TableHandle,
+    r: TableHandle,
+}
+
+fn drift(at: u64) -> i64 {
+    (at / 16) as i64
+}
+
+impl World {
+    fn new(seed: u64) -> World {
+        let ints = |a: &str, b: &str| {
+            XSchema::builder()
+                .real(a, DataType::Int)
+                .real(b, DataType::Int)
+                .build()
+                .unwrap()
+        };
+        let xz = XSchema::builder()
+            .real("x", DataType::Int)
+            .real("z", DataType::Real)
+            .build()
+            .unwrap();
+        World {
+            seed,
+            t: TableHandle::new(ints("x", "y")),
+            u: TableHandle::new(ints("y", "x")),
+            r: TableHandle::new(xz),
+        }
+    }
+
+    /// A source set of this world for one more query: the tables are
+    /// shared, the stream is the same function of the instant every time.
+    fn sources(&self) -> SourceSet {
+        let mut sources = SourceSet::new();
+        sources.add_table("t", self.t.clone());
+        sources.add_table("u", self.u.clone());
+        sources.add_table("r", self.r.clone());
+        let seed = self.seed;
+        let batches = FnStream(move |at: Instant| {
+            let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0xA24B_AED4_963E_E407));
+            (0..rng.below(7))
+                .map(|_| tuple![drift(at.ticks()) + rng.below(4), rng.below(3)])
+                .collect()
+        });
+        sources.add_stream("s", self.t.schema(), Box::new(batches));
+        sources
+    }
+
+    /// The table writes before instant `at`: a few deletions of tuples the
+    /// table holds, a few insertions — some of a tuple it already holds,
+    /// some of one deleted in this same instant.
+    fn churn(&self, rng: &mut Rng, at: u64) {
+        let x = |rng: &mut Rng| drift(at) + rng.below(4);
+        for (table, fresh) in [
+            (
+                &self.t,
+                &(|rng: &mut Rng| tuple![x(rng), rng.below(3)]) as &dyn Fn(&mut Rng) -> Tuple,
+            ),
+            (&self.u, &|rng: &mut Rng| tuple![rng.below(3), x(rng)]),
+            // quarters: every sum is exact, whatever order it is taken in
+            (&self.r, &|rng: &mut Rng| {
+                tuple![x(rng), rng.below(12) as f64 * 0.25]
+            }),
+        ] {
+            let held = table.snapshot().sorted_occurrences();
+            let mut deleted = Vec::new();
+            for _ in 0..rng.below(4) {
+                if !held.is_empty() {
+                    let t = &held[rng.below(held.len() as u64) as usize];
+                    table.delete(t.clone());
+                    deleted.push(t.clone());
+                }
+            }
+            for _ in 0..rng.below(4) {
+                let t = match rng.below(4) {
+                    0 if !deleted.is_empty() => deleted[0].clone(),
+                    1 if !held.is_empty() => held[rng.below(held.len() as u64) as usize].clone(),
+                    _ => fresh(rng),
+                };
+                table.insert(t);
+            }
+        }
+    }
+}
+
+fn keeps_state(node: &Node) -> Option<&CompiledOp> {
+    match &node.op {
+        Op::Serena { op, state } if !matches!(state, OpState::Stateless) => Some(op),
+        _ => None,
+    }
+}
+
+/// Run every plan, and every subplan of it rooted at a ⋈, ∪, ∩, − or γ, as
+/// a query of its own over one world for `instants` instants. After each
+/// instant every such node of every query must hold what the reference
+/// computes from its operands, and each query rooted at one must have
+/// reported exactly the reference's diff — so every such node's own delta is
+/// checked, as the root of some query.
+fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
+    fn subplans<'a>(plan: &'a StreamPlan, out: &mut Vec<&'a StreamPlan>) {
+        use StreamPlan::*;
+        if matches!(
+            plan,
+            Union(..) | Intersect(..) | Difference(..) | Join(..) | Aggregate(..)
+        ) {
+            out.push(plan);
+        }
+        for child in plan.children() {
+            subplans(child, out);
+        }
+    }
+    let world = World::new(seed);
+    let mut rooted = Vec::new();
+    for plan in plans {
+        subplans(plan, &mut rooted);
+    }
+    assert!(rooted.len() >= plans.len());
+    let mut queries: Vec<ContinuousQuery> = rooted
+        .iter()
+        .map(|plan| ContinuousQuery::compile(plan, &mut world.sources()).unwrap())
+        .collect();
+    let reg = example_registry();
+    let mut rng = Rng::new(seed);
+    let (mut emitted, mut held) = (0, 0);
+    for at in 0..instants {
+        world.churn(&mut rng, at);
+        for (q, plan) in queries.iter_mut().zip(&rooted) {
+            let before = q.root.current.clone();
+            let report = q.tick_with(&reg, &NoopMetrics);
+            assert!(report.errors.is_empty(), "{:?}", report.errors);
+            let context = format!("seed {seed}, instant {at}, {}", plan.to_algebra());
+            q.root.walk(&mut |n| {
+                if let Some(op) = keeps_state(n) {
+                    let reference = recompute(op, &n.children);
+                    assert_eq!(n.current, reference, "node {} of {context}", n.id);
+                }
+            });
+            assert_eq!(report.delta, before.diff_to(&q.root.current), "{context}");
+            emitted += report.delta.magnitude();
+            held += q.root.current.len();
+        }
+    }
+    // the runs are not vacuous
+    assert!(emitted > 40 * queries.len() && held > 40 * queries.len());
+}
+
+fn s_window(period: u64) -> StreamPlan {
+    StreamPlan::source("s").window(period)
+}
+
+fn table(name: &str) -> StreamPlan {
+    StreamPlan::source(name)
+}
+
+#[test]
+fn delta_native_join_matches_the_reference() {
+    let plans = [
+        // window slide on one side, table churn on the other
+        s_window(3).join(table("r")),
+        // π makes the left delta name one tuple on both sides, with counts
+        // above one; two key attributes, in the other order on the right
+        s_window(4).project(["x"]).join(table("t")),
+        table("t").join(table("u")),
+        // no common attribute: every pair matches
+        s_window(2).project(["y"]).join(table("r").project(["z"])),
+        // ⋈ over ⋈: the inner one's net delta feeds the outer one's index
+        s_window(2).join(table("r")).join(table("u")),
+    ];
+    differential(0x14_01, &plans, 520);
+    differential(0x14_02, &plans[..3], 520);
+}
+
+#[test]
+fn delta_native_set_operators_match_the_reference() {
+    type SetOp = fn(StreamPlan, StreamPlan) -> StreamPlan;
+    let set_ops: [SetOp; 3] = [
+        StreamPlan::union,
+        StreamPlan::intersect,
+        StreamPlan::difference,
+    ];
+    let mut plans = Vec::new();
+    for op in set_ops {
+        // (x, y) against (y, x): the right operand is held reordered
+        plans.push(op(s_window(3), table("u")));
+        plans.push(op(table("u"), table("t")));
+        // both deltas name tuples on both sides, with counts above one
+        plans.push(op(s_window(4).project(["x"]), table("t").project(["x"])));
+        plans.push(op(table("t"), s_window(2)));
+    }
+    // set operators over set operators
+    plans.push(
+        table("t")
+            .difference(s_window(2))
+            .intersect(table("u"))
+            .union(table("t")),
+    );
+    differential(0x14_03, &plans, 520);
+}
+
+#[test]
+fn delta_native_aggregate_matches_the_reference() {
+    let every_fun = |attr: &str| {
+        [
+            AggFun::Count,
+            AggFun::Sum,
+            AggFun::Avg,
+            AggFun::Min,
+            AggFun::Max,
+        ]
+        .map(|fun| AggSpec::new(fun, attr))
+        .to_vec()
+    };
+    let plans = [
+        s_window(4).aggregate(["x"], every_fun("y")),
+        // one global group, over reals; it dies when `r` empties
+        table("r").aggregate(Vec::<&str>::new(), every_fun("z")),
+        // duplicates collapse: γ is over the operand's distinct tuples
+        s_window(5)
+            .project(["x"])
+            .aggregate(["x"], vec![AggSpec::new(AggFun::Count, "x")]),
+        // groups on two attributes, a ⋈ and a ∪ below
+        s_window(3)
+            .union(table("t"))
+            .join(table("r"))
+            .aggregate(["y", "x"], every_fun("z")),
+        // γ over γ
+        s_window(4)
+            .aggregate(
+                ["x", "y"],
+                vec![AggSpec::new(AggFun::Count, "x").named("n")],
+            )
+            .aggregate(["y"], every_fun("n")),
+    ];
+    differential(0x14_04, &plans, 520);
+    differential(0x14_05, &plans[..2], 520);
+}
+
+/// SUM and AVG over values whose sums round: the continuous γ folds each
+/// group in the ascending order of its values, so the result is a function
+/// of what the group holds — not of the map instance holding it, nor of the
+/// deltas that built it.
+#[test]
+fn continuous_avg_is_a_function_of_the_group_content() {
+    let schema = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("seq", DataType::Int)
+        .real("temperature", DataType::Real)
+        .build()
+        .unwrap();
+    let readings = TableHandle::new(schema);
+    let plan = StreamPlan::source("readings").aggregate(
+        ["location"],
+        vec![
+            AggSpec::new(AggFun::Avg, "temperature").named("mean"),
+            AggSpec::new(AggFun::Sum, "temperature").named("total"),
+        ],
+    );
+    let compile = || {
+        let mut sources = SourceSet::new();
+        sources.add_table("readings", readings.clone());
+        ContinuousQuery::compile(&plan, &mut sources).unwrap()
+    };
+    let (mut a, mut b) = (compile(), compile());
+    let reg = example_registry();
+    let mut rng = Rng::new(0x14_06);
+    let reading = |rng: &mut Rng, location: &str, seq: i64| {
+        tuple![
+            location,
+            seq,
+            [0.1, 0.2, 0.3][rng.below(3) as usize] * (1 + rng.below(9)) as f64
+        ]
+    };
+    let mut seq = 0;
+    for at in 0..40 {
+        // "roof" is written in the first instant only, "office" and "lab"
+        // gain a few dozen readings and lose some every instant
+        let mut locations = vec!["office", "lab"];
+        if at == 0 {
+            locations.push("roof");
+        }
+        for location in locations {
+            for _ in 0..24 + rng.below(24) {
+                seq += 1;
+                readings.insert(reading(&mut rng, location, seq));
+            }
+        }
+        if at > 0 {
+            let held = readings.snapshot().sorted_occurrences();
+            for _ in 0..30 {
+                let t = &held[rng.below(held.len() as u64) as usize];
+                if t[0] != Value::str("roof") {
+                    readings.delete(t.clone());
+                }
+            }
+        }
+        let (ra, rb) = (
+            a.tick_with(&reg, &NoopMetrics),
+            b.tick_with(&reg, &NoopMetrics),
+        );
+        // two queries of one plan agree to the bit …
+        assert_eq!(ra.delta, rb.delta, "instant {at}");
+        assert_eq!(a.root.current, b.root.current, "instant {at}");
+        // … on the fold of each group's values in ascending order
+        let mut groups: std::collections::BTreeMap<Value, Vec<f64>> = Default::default();
+        for (t, _) in readings.snapshot().iter() {
+            let temperature = t[2].as_real().unwrap();
+            groups.entry(t[0].clone()).or_default().push(temperature);
+        }
+        assert_eq!(a.root.current.distinct(), groups.len());
+        for (location, mut values) in groups {
+            values.sort_by(f64::total_cmp);
+            let total = values.iter().fold(0.0, |sum, v| sum + v);
+            let mean = total / values.len() as f64;
+            let expected = Tuple::new(vec![location, Value::Real(mean), Value::Real(total)]);
+            assert!(a.root.current.contains(&expected), "{expected:?} at {at}");
+        }
+        // a group no delta touched emits nothing
+        if at > 0 {
+            let roof = |m: &Multiset| m.iter().any(|(t, _)| t[0] == Value::str("roof"));
+            assert!(!roof(&ra.delta.inserts) && !roof(&ra.delta.deletes));
+        }
+    }
+}
+
+/// Boundedness: join and group keys that never recur leave nothing behind
+/// once they slide out of the windows.
+#[test]
+fn indexes_and_groups_hold_only_what_the_operands_hold() {
+    let pair = |a: &str, b: &str| {
+        XSchema::builder()
+            .real(a, DataType::Int)
+            .real(b, DataType::Int)
+            .build()
+            .unwrap()
+    };
+    let mut sources = SourceSet::new();
+    for (name, schema) in [("s", pair("k", "a")), ("p", pair("k", "b"))] {
+        // two tuples an instant under a key no other instant uses
+        let src = FnStream(|at: Instant| {
+            let k = at.ticks() as i64;
+            vec![tuple![k, 0], tuple![k, 1]]
+        });
+        sources.add_stream(name, schema, Box::new(src));
+    }
+    let plan = StreamPlan::source("s")
+        .window(4)
+        .join(StreamPlan::source("p").window(4))
+        .aggregate(["k"], vec![AggSpec::new(AggFun::Count, "a")]);
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    for _ in 0..2_000 {
+        q.tick_with(&reg, &NoopMetrics);
+    }
+    let distinct_keys = |m: &Multiset| {
+        let keys: std::collections::HashSet<Value> = m.iter().map(|(t, _)| t[0].clone()).collect();
+        keys.len()
+    };
+    let join = &q.root.children[0];
+    let Op::Serena {
+        state: OpState::Join { left, right },
+        ..
+    } = &join.op
+    else {
+        panic!("⋈ under γ")
+    };
+    assert_eq!(left.keys(), distinct_keys(&join.children[0].current));
+    assert_eq!(right.keys(), distinct_keys(&join.children[1].current));
+    assert_eq!(left.keys(), 4);
+    let Op::Serena {
+        state: OpState::Groups(groups),
+        ..
+    } = &q.root.op
+    else {
+        panic!("γ at the root")
+    };
+    assert_eq!(groups.live(), distinct_keys(&join.current));
+    assert_eq!(groups.live(), 4);
+    assert_eq!(q.root.current.len(), 4);
+}

@@ -1,12 +1,11 @@
 //! Evaluating one instant: the per-node tick and the operators' delta
 //! semantics.
 
-use std::borrow::Cow;
-
 use serena_core::action::Action;
 use serena_core::metrics::OpObservation;
-use serena_core::ops::{self, DegradePolicy, InvokeTally};
+use serena_core::ops::{DegradePolicy, InvokeTally};
 
+use super::stateful::{join_delta, setop_delta};
 use super::*;
 
 pub(super) struct Ctx<'a> {
@@ -63,18 +62,17 @@ pub(super) fn tick_node(node: &mut Node, ctx: &mut Ctx<'_>) -> Out {
     let mut span = ctx.tracer.and_then(|t| t.start(span_name, ctx.at));
     let out = {
         let _in_span = span.as_ref().map(|s| s.enter());
-        // Children first, left to right. Only the first child's output is
-        // handed on: the binary operators read their operands' `current`.
-        let mut input = None;
-        for child in &mut node.children {
+        // Children first, left to right; no operator has more than two.
+        let mut inputs = [None, None];
+        debug_assert!(node.children.len() <= inputs.len());
+        for (input, child) in inputs.iter_mut().zip(&mut node.children) {
             let out = tick_node(child, ctx);
             obs.tuples_in += out.size();
-            input.get_or_insert(out);
+            *input = Some(out);
         }
         let started_at = std::time::Instant::now();
-        let out = node
-            .op
-            .tick(input, &node.children, &mut node.current, ctx, &mut obs);
+        let (id, children, current) = (node.id, &node.children, &mut node.current);
+        let out = node.op.tick(id, inputs, children, current, ctx, &mut obs);
         obs.elapsed = started_at.elapsed();
         out
     };
@@ -103,16 +101,18 @@ pub(super) fn tick_node(node: &mut Node, ctx: &mut Ctx<'_>) -> Out {
 }
 
 impl Op {
-    /// One instant of this operator: consume the first child's `input`,
-    /// bring `current` up to date, produce the node's output.
+    /// One instant of this operator: consume the children's outputs, bring
+    /// `current` up to date, produce the node's output.
     fn tick(
         &mut self,
-        input: Option<Out>,
+        id: NodeId,
+        inputs: [Option<Out>; 2],
         children: &[Node],
         current: &mut Multiset,
         ctx: &mut Ctx<'_>,
         obs: &mut OpObservation,
     ) -> Out {
+        let [input, second] = inputs;
         let delta = match self {
             Op::Table { handle, started } => {
                 let delta = handle.tick_at(ctx.at, !*started);
@@ -120,12 +120,18 @@ impl Op {
                 delta
             }
             Op::Stream { source } => return Out::Batch(source.poll(ctx.at)),
-            Op::Linear(op) => map_delta(op, &finite(input), ctx),
-            Op::Recompute(op) => {
-                let new = recompute(op, children, ctx);
-                let delta = current.diff_to(&new);
-                *current = new;
-                return Out::Finite(delta);
+            Op::Serena { op, state } => {
+                let delta = finite(input);
+                match state {
+                    OpState::Stateless => map_delta(op, &delta, ctx),
+                    OpState::Join { left, right } => {
+                        join_delta(op, left, right, &delta, &finite(second))
+                    }
+                    OpState::SetOp { right } => {
+                        setop_delta(op, right, &delta, &finite(second), children, current)
+                    }
+                    OpState::Groups(groups) => groups.delta(&delta, &children[0].current),
+                }
             }
             Op::Invoke { recipe, cache } => apply_invoke(recipe, cache, &finite(input), ctx, obs),
             Op::Window { period, ring, warm } => {
@@ -141,7 +147,7 @@ impl Op {
                         delta.deletes.insert(t, 1);
                     }
                 }
-                current.apply(&delta);
+                apply(id, current, &delta);
                 if *warm {
                     // bootstrap tick after a hot-swap adopted this ring: the
                     // nodes downstream are cold, so replace the incremental
@@ -169,9 +175,18 @@ impl Op {
                 return Out::Batch(sample(recipe, &children[0].current, ctx, obs));
             }
         };
-        current.apply(&delta);
+        apply(id, current, &delta);
         Out::Finite(delta)
     }
+}
+
+/// Bring a node's `current` up to date with the delta it emits. A delta
+/// that retracts what `current` does not hold would be clamped and leave
+/// every operator downstream — which carries state across ticks — out of
+/// step with it for good.
+fn apply(id: NodeId, current: &mut Multiset, delta: &Delta) {
+    let missing = current.apply(delta);
+    debug_assert_eq!(missing, 0, "node {id} retracted tuples it does not hold");
 }
 
 /// σ/π/ρ/α over a delta: each side maps tuple by tuple.
@@ -188,83 +203,6 @@ fn map_delta(op: &CompiledOp, child_delta: &Delta, ctx: &mut Ctx<'_>) -> Delta {
                 Err(e) => ctx.errors.push(e),
             }
         }
-    }
-    out
-}
-
-/// The instantaneous output of a nonlinear operator, from its operands'
-/// current states.
-fn recompute(op: &CompiledOp, children: &[Node], ctx: &mut Ctx<'_>) -> Multiset {
-    let left = &children[0].current;
-    let mut out = Multiset::new();
-    match op {
-        CompiledOp::Union { rhs_reorder }
-        | CompiledOp::Intersect { rhs_reorder }
-        | CompiledOp::Difference { rhs_reorder } => {
-            // the right operand's state in the left operand's coordinates
-            let mut right = Cow::Borrowed(&children[1].current);
-            if rhs_reorder.is_some() {
-                let mut reordered = Multiset::new();
-                for (t, c) in right.iter() {
-                    reordered.insert(op.reorder_rhs(t), c);
-                }
-                right = Cow::Owned(reordered);
-            }
-            if matches!(op, CompiledOp::Union { .. }) {
-                out = left.clone();
-                for (t, c) in right.iter() {
-                    out.insert(t.clone(), c);
-                }
-            } else {
-                let common = matches!(op, CompiledOp::Intersect { .. });
-                for (t, c) in left.iter() {
-                    let r = right.count(t);
-                    let m = if common {
-                        c.min(r)
-                    } else {
-                        c.saturating_sub(r)
-                    };
-                    if m > 0 {
-                        out.insert(t.clone(), m);
-                    }
-                }
-            }
-        }
-        CompiledOp::Join {
-            key_left,
-            key_right,
-            ..
-        } => {
-            let mut index: HashMap<Tuple, Vec<(&Tuple, usize)>> = HashMap::new();
-            for (t, c) in children[1].current.iter() {
-                index
-                    .entry(t.project_positions(key_right))
-                    .or_default()
-                    .push((t, c));
-            }
-            for (tl, cl) in left.iter() {
-                if let Some(matches) = index.get(&tl.project_positions(key_left)) {
-                    for (tr, cr) in matches {
-                        out.insert(op.join_tuple(tl, tr), cl * cr);
-                    }
-                }
-            }
-        }
-        CompiledOp::Aggregate {
-            in_schema,
-            group,
-            aggs,
-        } => {
-            // Aggregate over the child's *distinct* tuples (set semantics,
-            // matching the one-shot operator).
-            let rel =
-                XRelation::from_tuples(in_schema.clone(), left.iter().map(|(t, _)| t.clone()));
-            match ops::aggregate(&rel, group, aggs) {
-                Ok(out_rel) => out = out_rel.into_tuples().into_iter().collect(),
-                Err(e) => ctx.errors.push(e),
-            }
-        }
-        _ => unreachable!("{} keeps its state incrementally", op.kind()),
     }
     out
 }

@@ -113,8 +113,10 @@ impl Multiset {
         missing
     }
 
-    /// Multiset difference driving recompute-and-diff operators:
-    /// `self → target` as a [`Delta`].
+    /// `self → target` as a net [`Delta`]: what a wholesale replacement
+    /// ([`TableHandle::replace_with`](crate::source::TableHandle::replace_with))
+    /// changes, and what the executor's operators must emit for an instant
+    /// that takes their output from `self` to `target`.
     pub fn diff_to(&self, target: &Multiset) -> Delta {
         let mut delta = Delta::new();
         for (t, new_c) in target.iter() {
@@ -202,6 +204,28 @@ impl Delta {
     /// Total occurrences touched.
     pub fn magnitude(&self) -> usize {
         self.inserts.len() + self.deletes.len()
+    }
+
+    /// The same change with every tuple on one side only: occurrences named
+    /// on both sides cancel.
+    pub fn net(mut self) -> Delta {
+        let (few, many) = if self.inserts.distinct() <= self.deletes.distinct() {
+            (&self.inserts, &self.deletes)
+        } else {
+            (&self.deletes, &self.inserts)
+        };
+        let both: Vec<(Tuple, usize)> = few
+            .iter()
+            .filter_map(|(t, c)| {
+                let n = c.min(many.count(t));
+                (n > 0).then(|| (t.clone(), n))
+            })
+            .collect();
+        for (t, n) in both {
+            self.inserts.remove(&t, n);
+            self.deletes.remove(&t, n);
+        }
+        self
     }
 
     /// Encode into a checkpoint (inserts, then deletes).

@@ -10,6 +10,7 @@ mod common;
 
 use common::Rng;
 use serena::core::formula::Formula;
+use serena::core::ops::{AggFun, AggSpec};
 use serena::core::prelude::*;
 use serena::core::rewrite::optimize;
 use serena::core::schema::examples as schemas;
@@ -185,17 +186,43 @@ fn streaming_operators_echo_deltas() {
     }
 }
 
-/// Continuous ∪/∩/− over operands that declare the same attributes in a
-/// different order: right-operand tuples are matched in the left operand's
-/// coordinate order, exactly as the one-shot operators do.
+/// One aggregate of every function over `y`.
+fn every_aggregate() -> Vec<AggSpec> {
+    [
+        AggFun::Count,
+        AggFun::Sum,
+        AggFun::Avg,
+        AggFun::Min,
+        AggFun::Max,
+    ]
+    .map(|fun| AggSpec::new(fun, "y"))
+    .to_vec()
+}
+
+/// Continuous ∪/∩/−, ⋈ and γ over operands that declare the same attributes
+/// in a different order: right-operand tuples are matched in the left
+/// operand's coordinate order, exactly as the one-shot operators do, and
+/// the deltas reported along the way add up to the one-shot answer.
 #[test]
 fn continuous_set_ops_equal_one_shot() {
+    use serena::core::ops;
     type Continuous = fn(StreamPlan, StreamPlan) -> StreamPlan;
-    type OneShot = fn(&XRelation, &XRelation) -> Result<XRelation, PlanError>;
-    let set_ops: [(Continuous, OneShot); 3] = [
-        (StreamPlan::union, serena::core::ops::union),
-        (StreamPlan::intersect, serena::core::ops::intersect),
-        (StreamPlan::difference, serena::core::ops::difference),
+    type OneShot = fn(&XRelation, &XRelation) -> XRelation;
+    let set_ops: [(Continuous, OneShot); 5] = [
+        (StreamPlan::union, |l, r| ops::union(l, r).unwrap()),
+        (StreamPlan::intersect, |l, r| ops::intersect(l, r).unwrap()),
+        (StreamPlan::difference, |l, r| {
+            ops::difference(l, r).unwrap()
+        }),
+        // on both attributes, the key's coordinates swapped on the right
+        (StreamPlan::join, |l, r| ops::join(l, r).unwrap()),
+        (
+            |l, r| l.union(r).aggregate(["x"], every_aggregate()),
+            |l, r| {
+                let group = [serena::core::attr::attr("x")];
+                ops::aggregate(&ops::union(l, r).unwrap(), &group, &every_aggregate()).unwrap()
+            },
+        ),
     ];
     let yx_schema = XSchema::builder()
         .real("y", DataType::Int)
@@ -240,13 +267,14 @@ fn continuous_set_ops_equal_one_shot() {
                 XRelation::from_tuples(int_schema(), l.snapshot().iter_occurrences().cloned());
             let r_rel =
                 XRelation::from_tuples(yx_schema.clone(), r.snapshot().iter_occurrences().cloned());
-            let expected = one_shot(&l_rel, &r_rel).unwrap();
-            assert_eq!(
-                q.current_relation().unwrap(),
-                expected,
-                "case {case}: {}",
-                plan.to_algebra()
+            let expected = one_shot(&l_rel, &r_rel);
+            let replayed = XRelation::from_tuples(
+                q.schema().schema.clone(),
+                replayed.iter_occurrences().cloned(),
             );
+            for continuous in [q.current_relation().unwrap(), replayed] {
+                assert_eq!(continuous, expected, "case {case}: {}", plan.to_algebra());
+            }
         }
     }
 }

@@ -384,3 +384,254 @@ fn panicking_service_is_contained_through_the_full_stack() {
 
     std::panic::set_hook(prev);
 }
+
+/// The `readings` of [`stateful_pems`] and the hot-swap test: six tuples an
+/// instant over four locations, temperatures in tenths — sums of them round,
+/// so a SUM or AVG that depended on fold order would show.
+fn tenths(at: Instant) -> Vec<serena::core::tuple::Tuple> {
+    let t = at.ticks();
+    (0..6u64)
+        .map(|i| {
+            let location = ["office", "lab", "roof", "hall"][((t + i * i) % 4) as usize];
+            tuple![location, 0.1 * ((t * 7 + i * 13) % 90) as f64]
+        })
+        .collect()
+}
+
+/// The `rooms` rows written before instant `t`: rooms come and go, so join
+/// keys, ∪/− tuples and groups appear and vanish.
+fn rooms_script(t: u64) -> Vec<(bool, serena::core::tuple::Tuple)> {
+    let room = |i: u64| {
+        tuple![
+            ["office", "lab", "roof", "hall"][(i % 4) as usize],
+            (i % 3) as i64
+        ]
+    };
+    match t % 4 {
+        0 => vec![(true, room(t / 4)), (true, room(t / 4 + 1))],
+        2 => vec![(false, room(t / 4))],
+        3 => vec![(true, room(t / 4 + 2)), (false, room(t / 4 + 1))],
+        _ => vec![],
+    }
+}
+
+/// ⋈, γ, ∪ and − — the operators whose state beside `current` is derived on
+/// restore, not checkpointed — over `readings` windows and a churning
+/// `rooms` table.
+fn stateful_plans() -> Vec<(&'static str, StreamPlan)> {
+    use serena::core::ops::{AggFun, AggSpec};
+    let readings = |w: u64| StreamPlan::source("readings").window(w);
+    let rooms = || StreamPlan::source("rooms");
+    let every = |attr: &str| {
+        [
+            AggFun::Count,
+            AggFun::Sum,
+            AggFun::Avg,
+            AggFun::Min,
+            AggFun::Max,
+        ]
+        .map(|fun| AggSpec::new(fun, attr))
+        .to_vec()
+    };
+    vec![
+        ("joined", readings(3).join(rooms())),
+        (
+            "mean",
+            readings(4).aggregate(["location"], every("temperature")),
+        ),
+        (
+            "seen",
+            readings(2)
+                .project(["location"])
+                .union(rooms().project(["location"])),
+        ),
+        (
+            "unseen",
+            rooms()
+                .project(["location"])
+                .difference(readings(2).project(["location"])),
+        ),
+        (
+            "per_floor",
+            readings(3)
+                .join(rooms())
+                .aggregate(["floor"], every("temperature")),
+        ),
+    ]
+}
+
+fn stateful_pems() -> Pems {
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program("EXTENDED RELATION rooms ( location STRING, floor INTEGER );")
+        .unwrap();
+    let schema = serena::core::schema::XSchema::builder()
+        .real("location", serena::core::value::DataType::Str)
+        .real("temperature", serena::core::value::DataType::Real)
+        .build()
+        .unwrap();
+    pems.tables_mut()
+        .define_stream_with("readings", schema, || {
+            Box::new(serena::stream::FnStream(tenths))
+        })
+        .unwrap();
+    for (name, plan) in stateful_plans() {
+        pems.register_query(name, &plan).unwrap();
+    }
+    pems
+}
+
+fn apply_rooms_script(pems: &mut Pems, t: u64) {
+    for (insert, row) in rooms_script(t) {
+        if insert {
+            pems.tables().insert("rooms", row).unwrap();
+        } else {
+            pems.tables().delete("rooms", row).unwrap();
+        }
+    }
+}
+
+/// ISSUE 14: the ⋈ indexes, the reordered set-operator operand and the γ
+/// groups are not in the snapshot; a restore derives them from the restored
+/// `current`s, and every later delta is byte-identical to the uninterrupted
+/// run's — at kill points drawn from a seed.
+#[test]
+fn delta_native_operators_resume_byte_identically() {
+    const RUN: u64 = 28;
+    let mut baseline = stateful_pems();
+    let mut expected = Vec::new();
+    for t in 0..RUN {
+        apply_rooms_script(&mut baseline, t);
+        expected.push(observe(baseline.tick()));
+    }
+    let emitted: usize = expected.iter().flatten().map(|o| o.delta_bytes.len()).sum();
+    assert!(emitted > 10_000, "the run must exercise the operators");
+
+    let mut seed = 0x14_u64;
+    for _ in 0..4 {
+        // xorshift64: kill points in 3..RUN-3
+        seed ^= seed << 13;
+        seed ^= seed >> 7;
+        seed ^= seed << 17;
+        let kill = 3 + seed % (RUN - 6);
+        let mut doomed = stateful_pems();
+        for t in 0..kill {
+            apply_rooms_script(&mut doomed, t);
+            doomed.tick();
+        }
+        let snapshot = doomed.snapshot_bytes();
+        drop(doomed);
+
+        let mut recovered = stateful_pems();
+        recovered
+            .restore_bytes(&snapshot)
+            .unwrap_or_else(|e| panic!("restore failed (kill={kill}): {e}"));
+        assert_eq!(recovered.clock(), Instant(kill));
+        for t in kill..RUN {
+            apply_rooms_script(&mut recovered, t);
+            let got = observe(recovered.tick());
+            assert_eq!(got, expected[t as usize], "tick {t} diverged, kill={kill}");
+        }
+        for (query, _) in stateful_plans() {
+            assert_eq!(
+                recovered.processor().current_relation(query),
+                baseline.processor().current_relation(query),
+                "result of `{query}` diverged after kill={kill}"
+            );
+        }
+    }
+}
+
+/// ISSUE 14: after a plan hot-swap the windows are adopted warm and
+/// everything above them — ⋈ indexes, ∪ operand, γ groups — starts cold.
+/// The bootstrap tick emits the whole result as insertions; from then on the
+/// swapped-in query reports byte for byte what the one it replaced would have.
+#[test]
+fn hot_swap_feeds_cold_delta_native_operators_from_warm_windows() {
+    use serena::core::ops::{AggFun, AggSpec};
+    use serena::stream::FnStream;
+    let rooms = TableHandle::new(
+        serena::core::schema::XSchema::builder()
+            .real("location", serena::core::value::DataType::Str)
+            .real("floor", serena::core::value::DataType::Int)
+            .build()
+            .unwrap(),
+    );
+    let readings_schema = serena::core::schema::XSchema::builder()
+        .real("location", serena::core::value::DataType::Str)
+        .real("temperature", serena::core::value::DataType::Real)
+        .build()
+        .unwrap();
+    let plan = StreamPlan::source("readings")
+        .window(4)
+        .join(StreamPlan::source("rooms"))
+        .union(
+            StreamPlan::source("more")
+                .window(2)
+                .join(StreamPlan::source("rooms")),
+        )
+        .aggregate(
+            ["floor"],
+            vec![
+                AggSpec::new(AggFun::Avg, "temperature"),
+                AggSpec::new(AggFun::Count, "location"),
+            ],
+        );
+    let compile = || {
+        let mut sources = SourceSet::new();
+        sources.add_table("rooms", rooms.clone());
+        for (name, shift) in [("readings", 0u64), ("more", 5)] {
+            let src = FnStream(move |at: Instant| tenths(Instant(at.ticks() + shift)));
+            sources.add_stream(name, readings_schema.clone(), Box::new(src));
+        }
+        ContinuousQuery::compile(&plan, &mut sources).unwrap()
+    };
+    let write_rooms = |t: u64| {
+        for (insert, row) in rooms_script(t) {
+            if insert {
+                rooms.insert(row);
+            } else {
+                rooms.delete(row);
+            }
+        }
+    };
+    let reg = serena::core::service::fixtures::example_registry();
+    let sink = serena::core::metrics::NoopMetrics;
+    let bytes = |r: &TickReport| {
+        let mut w = Writer::new();
+        r.delta.encode(&mut w);
+        w.into_bytes()
+    };
+
+    let mut old = compile();
+    for t in 0..9 {
+        write_rooms(t);
+        old.tick_with(&reg, &sink);
+    }
+    // both windows keep their position in the unchanged plan
+    let mut new = compile();
+    new.seek(old.next_instant());
+    new.adopt_state_from(&old, &[(0, 0), (1, 1)], &[]);
+
+    write_rooms(9);
+    old.tick_with(&reg, &sink);
+    let bootstrap = new.tick_with(&reg, &sink);
+    assert!(bootstrap.delta.deletes.is_empty());
+    assert_eq!(
+        Some(bootstrap.delta.inserts.sorted_occurrences()),
+        old.current_relation().map(|r| {
+            let mut tuples = r.into_tuples();
+            tuples.sort();
+            tuples
+        })
+    );
+    assert!(!bootstrap.delta.inserts.is_empty());
+    let mut later = 0;
+    for t in 10..30 {
+        write_rooms(t);
+        let (want, got) = (old.tick_with(&reg, &sink), new.tick_with(&reg, &sink));
+        assert_eq!(bytes(&got), bytes(&want), "instant {t}");
+        later += got.delta.magnitude();
+    }
+    assert!(later > 20);
+    assert_eq!(new.current_relation(), old.current_relation());
+}
