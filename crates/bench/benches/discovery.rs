@@ -11,27 +11,25 @@ use serena_bench::{criterion_group, criterion_main};
 use serena_core::service::{fixtures, Invoker as _};
 use serena_core::time::Instant;
 use serena_core::value::Value;
-use serena_services::bus::{BusConfig, CoreErm, DiscoveryBus, LocalErm};
+use serena_services::bus::{BusConfig, DiscoveryBus, LocalErm};
 use serena_services::directory::NodeDirectory;
 use serena_services::discovery::DiscoveryQuery;
-use serena_services::registry::DynamicRegistry;
 
 fn bench_registry_ops(c: &mut Criterion) {
     c.bench_function("registry_register_unregister", |b| {
-        let reg = DynamicRegistry::new();
+        let reg = NodeDirectory::new("bench");
         let mut i = 0u64;
         b.iter(|| {
             let name = format!("s{i}");
             reg.register(name.clone(), fixtures::temperature_sensor(i));
-            reg.unregister(&serena_core::value::ServiceRef::new(&name));
-            reg.drain_events();
+            reg.deregister(name);
             i += 1;
         });
     });
 
     let mut group = c.benchmark_group("providers_of");
     for n in [10usize, 100, 1_000] {
-        let reg = DynamicRegistry::new();
+        let reg = NodeDirectory::new("bench");
         for i in 0..n {
             reg.register(format!("s{i}"), fixtures::temperature_sensor(i as u64));
         }
@@ -51,7 +49,7 @@ fn bench_bus_throughput(c: &mut Criterion) {
             b.iter(|| {
                 let bus = DiscoveryBus::new(BusConfig::instant());
                 let lerm = LocalErm::new("L", std::sync::Arc::clone(&bus));
-                let core = CoreErm::new(std::sync::Arc::clone(&bus));
+                let core = NodeDirectory::new("bench");
                 for i in 0..n {
                     lerm.register_service(
                         format!("s{i}"),
@@ -59,7 +57,7 @@ fn bench_bus_throughput(c: &mut Criterion) {
                         Instant(0),
                     );
                 }
-                core.tick(Instant(0))
+                bus.deliver_due(Instant(0), &core)
             });
         });
     }

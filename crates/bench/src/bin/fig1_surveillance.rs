@@ -51,7 +51,7 @@ fn main() {
 
     let mut rows = Vec::new();
     for tick in 0..12u64 {
-        let discovered = s.pems.directory().registry().len();
+        let discovered = s.pems.directory().len();
         let reports = s.pems.tick();
         let mut alerts = 0;
         let mut photos = 0;

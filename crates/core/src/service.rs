@@ -427,6 +427,39 @@ pub fn validate_invocation_result(
     Ok(())
 }
 
+/// Whether `service` implements the prototype named `prototype`.
+pub fn implements(service: &dyn Service, prototype: &str) -> bool {
+    service.prototypes().iter().any(|p| p.name() == prototype)
+}
+
+/// The invocation sequence behind every service table: `resolved` is what
+/// the table's lookup found for `service_ref` (taken under a lock the
+/// caller has already released, so a slow service blocks no registration).
+/// Checks that the service implements `prototype`, calls it, classifies a
+/// fault and validates the result against `Output_ψ`.
+pub fn invoke_resolved(
+    resolved: Option<Arc<dyn Service>>,
+    prototype: &Prototype,
+    service_ref: &ServiceRef,
+    input: &Tuple,
+    at: Instant,
+) -> Result<Vec<Tuple>, EvalError> {
+    let service = resolved.ok_or_else(|| EvalError::UnknownService {
+        reference: service_ref.to_string(),
+    })?;
+    if !implements(&*service, prototype.name()) {
+        return Err(EvalError::PrototypeNotImplemented {
+            service: service_ref.to_string(),
+            prototype: prototype.name().to_string(),
+        });
+    }
+    let result = service
+        .invoke_classified(prototype, input, at)
+        .map_err(|fault| fault_to_eval_error(fault, service_ref, prototype))?;
+    validate_invocation_result(prototype, service_ref, &result)?;
+    Ok(result)
+}
+
 /// A static in-memory service registry: the minimal [`Invoker`] for
 /// one-shot query evaluation and tests. Dynamic discovery lives in
 /// `serena-services`.
@@ -476,35 +509,15 @@ impl Invoker for StaticRegistry {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
-        let service = {
-            let guard = self.services.read();
-            guard.get(service_ref).cloned()
-        }
-        .ok_or_else(|| EvalError::UnknownService {
-            reference: service_ref.to_string(),
-        })?;
-        if !service
-            .prototypes()
-            .iter()
-            .any(|p| p.name() == prototype.name())
-        {
-            return Err(EvalError::PrototypeNotImplemented {
-                service: service_ref.to_string(),
-                prototype: prototype.name().to_string(),
-            });
-        }
-        let result = service
-            .invoke_classified(prototype, input, at)
-            .map_err(|fault| fault_to_eval_error(fault, service_ref, prototype))?;
-        validate_invocation_result(prototype, service_ref, &result)?;
-        Ok(result)
+        let resolved = self.services.read().get(service_ref).cloned();
+        invoke_resolved(resolved, prototype, service_ref, input, at)
     }
 
     fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
         let guard = self.services.read();
         let mut refs: Vec<ServiceRef> = guard
             .iter()
-            .filter(|(_, s)| s.prototypes().iter().any(|p| p.name() == prototype))
+            .filter(|(_, s)| implements(s.as_ref(), prototype))
             .map(|(r, _)| r.clone())
             .collect();
         refs.sort();

@@ -464,7 +464,6 @@ impl EnvSpec {
                 pems.tables_mut()
                     .define_stream_with("temperatures", temp_schema, move || {
                         Box::new(SensorSampler::new(
-                            directory.clone() as Arc<dyn serena_core::service::Invoker>,
                             directory.clone(),
                             protos::get_temperature(),
                             &["location"],

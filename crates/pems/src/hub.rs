@@ -23,7 +23,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::Value;
 use serena_services::devices::rss::SimRssFeed;
-use serena_services::ServiceDirectory;
+use serena_services::directory::NodeDirectory;
 use serena_stream::source::StreamSource;
 
 /// An append-only broadcast log: every subscriber sees every tuple pushed
@@ -86,8 +86,7 @@ impl StreamSource for HubSubscription {
 /// For the surveillance scenario: prototype `getTemperature`, metadata
 /// attribute `location` → stream `(location, temperature)`.
 pub struct SensorSampler {
-    invoker: Arc<dyn Invoker>,
-    directory: Arc<dyn ServiceDirectory>,
+    directory: Arc<NodeDirectory>,
     prototype: Arc<Prototype>,
     /// Metadata keys prepended to each output tuple (e.g. `["location"]`).
     metadata_attrs: Vec<String>,
@@ -98,13 +97,11 @@ impl SensorSampler {
     /// Sample providers of `prototype`, prefixing outputs with the given
     /// directory metadata attributes.
     pub fn new(
-        invoker: Arc<dyn Invoker>,
-        directory: Arc<dyn ServiceDirectory>,
+        directory: Arc<NodeDirectory>,
         prototype: Arc<Prototype>,
         metadata_attrs: &[&str],
     ) -> Self {
         SensorSampler {
-            invoker,
             directory,
             prototype,
             metadata_attrs: metadata_attrs.iter().map(|s| s.to_string()).collect(),
@@ -121,16 +118,12 @@ impl SensorSampler {
 impl StreamSource for SensorSampler {
     fn poll(&mut self, at: Instant) -> Vec<Tuple> {
         let mut out = Vec::new();
-        'providers: for reference in self.invoker.providers_of(self.prototype.name()) {
-            let mut prefix: Vec<Value> = Vec::with_capacity(self.metadata_attrs.len());
-            for key in &self.metadata_attrs {
-                match self.directory.metadata(&reference, key) {
-                    Some(v) => prefix.push(v),
-                    None => continue 'providers, // not describable yet
-                }
-            }
+        let providers = self
+            .directory
+            .described_providers(self.prototype.name(), &self.metadata_attrs);
+        for (reference, prefix) in providers {
             match self
-                .invoker
+                .directory
                 .invoke(&self.prototype, &reference, &Tuple::empty(), at)
             {
                 Ok(results) => {
@@ -177,8 +170,6 @@ mod tests {
     use super::*;
     use serena_core::prototype::examples as protos;
     use serena_core::tuple;
-    use serena_services::directory::NodeDirectory;
-    use serena_services::registry::DynamicRegistry;
 
     #[test]
     fn hub_broadcasts_to_all_subscribers() {
@@ -195,24 +186,18 @@ mod tests {
 
     #[test]
     fn sensor_sampler_emits_located_readings() {
-        let reg = Arc::new(DynamicRegistry::new());
-        reg.register(
+        let dir = Arc::new(NodeDirectory::new("test"));
+        dir.register(
             "sensor01",
             serena_core::service::fixtures::temperature_sensor(1),
         );
-        reg.register(
+        dir.register(
             "sensor06",
             serena_core::service::fixtures::temperature_sensor(6),
         );
-        let dir = Arc::new(NodeDirectory::new("test"));
         dir.set("sensor01", "location", Value::str("corridor"));
         dir.set("sensor06", "location", Value::str("office"));
-        let mut sampler = SensorSampler::new(
-            reg.clone() as Arc<dyn Invoker>,
-            dir,
-            protos::get_temperature(),
-            &["location"],
-        );
+        let mut sampler = SensorSampler::new(dir, protos::get_temperature(), &["location"]);
         let batch = sampler.poll(Instant(3));
         assert_eq!(batch.len(), 2);
         for t in &batch {
@@ -225,8 +210,8 @@ mod tests {
 
     #[test]
     fn sensor_sampler_skips_undescribed_and_counts_failures() {
-        let reg = Arc::new(DynamicRegistry::new());
-        reg.register(
+        let dir = Arc::new(NodeDirectory::new("test"));
+        dir.register(
             "sensor01",
             serena_core::service::fixtures::temperature_sensor(1),
         );
@@ -235,21 +220,15 @@ mod tests {
             serena_core::service::fixtures::temperature_sensor(2),
             serena_services::faults::FaultPolicy::EveryNth(1),
         );
-        reg.register("sensor02", flaky);
-        let dir = Arc::new(NodeDirectory::new("test"));
+        dir.register("sensor02", flaky);
         dir.set("sensor01", "location", Value::str("corridor"));
         dir.set("sensor02", "location", Value::str("roof"));
         // sensor03 registered but no metadata
-        reg.register(
+        dir.register(
             "sensor03",
             serena_core::service::fixtures::temperature_sensor(3),
         );
-        let mut sampler = SensorSampler::new(
-            reg.clone() as Arc<dyn Invoker>,
-            dir,
-            protos::get_temperature(),
-            &["location"],
-        );
+        let mut sampler = SensorSampler::new(dir, protos::get_temperature(), &["location"]);
         let errors = sampler.error_counter();
         let batch = sampler.poll(Instant(0));
         assert_eq!(batch.len(), 1); // only sensor01 delivers

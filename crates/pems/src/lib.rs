@@ -5,9 +5,11 @@
 //! data sources and set of services, and execute continuous queries over
 //! this environment."
 //!
-//! * [`pems::Pems`] — the facade: discovery bus + registry (the core
-//!   Environment Resource Manager), table manager, query processor and
-//!   discovery queries, advanced tick by tick;
+//! * [`pems::Pems`] — the facade: the service directory the discovery bus
+//!   delivers into (the core Environment Resource Manager), table manager,
+//!   query processor and discovery queries, advanced tick by tick — per
+//!   instant: deliver due announcements and poll peers, refresh the
+//!   discovery tables, tick every query;
 //! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
 //!   execution, one-shot environment snapshots;
 //! * [`processor::QueryProcessor`] — registered continuous queries in

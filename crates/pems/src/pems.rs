@@ -1,14 +1,15 @@
 //! The PEMS facade: Figure 1 assembled.
 //!
 //! A [`Pems`] instance wires together the core **Environment Resource
-//! Manager** (discovery bus + dynamic registry + service directory), the
+//! Manager** (the service directory, fed by the discovery bus), the
 //! **Extended Table Manager** (named XD-Relations, DDL execution) and the
 //! **Query Processor** (registered continuous queries on a shared logical
 //! clock), plus the *service-discovery queries* that keep provider tables
 //! (like the scenario's `cameras`) up to date.
 //!
 //! Each [`Pems::tick`] advances one logical instant:
-//! 1. discovery messages due at this instant are applied to the registry;
+//! 1. discovery messages due at this instant are delivered to the
+//!    directory, and every linked peer is polled;
 //! 2. discovery queries refresh their provider tables;
 //! 3. every registered continuous query evaluates the instant.
 
@@ -36,12 +37,11 @@ use serena_ddl::resolve::{
     resolve_prototype, resolve_query, resolve_relation_schema, resolve_tuple, to_one_shot,
 };
 use serena_ddl::DdlError;
-use serena_services::bus::{BusConfig, CoreErm, DiscoveryBus, LocalErm};
+use serena_services::bus::{BusConfig, DiscoveryBus, LocalErm};
 use serena_services::directory::{NodeDirectory, PeerStatus};
 use serena_services::discovery::DiscoveryQuery;
 use serena_services::health::{HealthTracker, ServiceHealth};
 use serena_services::node::{NodeHandle, RemoteNodeClient, ServiceNode};
-use serena_services::registry::DynamicRegistry;
 use serena_services::resilience::{
     BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientLayer,
 };
@@ -334,7 +334,6 @@ impl PemsBuilder {
     /// Assemble the runtime.
     pub fn build(self) -> Pems {
         let bus = DiscoveryBus::new(self.bus);
-        let erm = CoreErm::new(Arc::clone(&bus));
         let telemetry = Arc::new(MetricsRegistry::new());
         let telemetry_sink = RegistrySink::new(&telemetry);
         let trace: Arc<dyn TraceSink> = self.trace.unwrap_or_else(|| Arc::new(NoopTrace));
@@ -368,14 +367,9 @@ impl PemsBuilder {
                     .map(|_| ReplanPolicy::default())
             })
             .map(AdaptiveController::new);
-        let directory = Arc::new(NodeDirectory::with_registry(
-            self.node_id,
-            Arc::clone(erm.registry()),
-        ));
         Pems {
             bus,
-            erm,
-            directory,
+            directory: Arc::new(NodeDirectory::new(self.node_id)),
             standby: None,
             tables: ExtendedTableManager::new(),
             processor,
@@ -411,7 +405,6 @@ impl Default for PemsBuilder {
 /// A Pervasive Environment Management System instance.
 pub struct Pems {
     bus: Arc<DiscoveryBus>,
-    erm: CoreErm,
     directory: Arc<NodeDirectory>,
     /// Standby peer receiving a checkpoint stream after every tick, when
     /// configured via [`Pems::replicate_to`].
@@ -469,19 +462,17 @@ impl Pems {
         PemsBuilder::new()
     }
 
-    /// The unified service directory: registration, resolution, discovery
-    /// metadata, join/leave events and multi-node peer links. Local
-    /// registrations go through
-    /// [`ServiceDirectory::register`](serena_services::ServiceDirectory::register);
-    /// remote services appear here automatically once
-    /// [`Pems::connect_peer`] links their node.
+    /// The service directory: registration, resolution, discovery
+    /// metadata, the join/leave log and multi-node peer links. Local
+    /// registrations go through [`NodeDirectory::register`] or a
+    /// [`Pems::local_erm`]; remote services appear here automatically
+    /// once [`Pems::connect_peer`] links their node.
     pub fn directory(&self) -> Arc<NodeDirectory> {
         Arc::clone(&self.directory)
     }
 
     /// This runtime's node id (see [`PemsBuilder::node_id`]).
     pub fn node_id(&self) -> &str {
-        use serena_services::ServiceDirectory as _;
         self.directory.node()
     }
 
@@ -585,12 +576,12 @@ impl Pems {
 
     /// The full β invoker stack for *one-shot* evaluations — see
     /// [`build_invoker_stack`]. One-shots run between ticks and must
-    /// observe registry hot-swaps immediately, so the cross-query dedup
-    /// memo (valid only within one atomic tick round, where the registry
+    /// observe directory hot-swaps immediately, so the cross-query dedup
+    /// memo (valid only within one atomic tick round, where the directory
     /// is stable) is never armed here.
-    fn invoker_stack<'r>(&'r self, registry: &'r DynamicRegistry) -> Box<dyn Invoker + 'r> {
+    fn invoker_stack(&self) -> Box<dyn Invoker + '_> {
         build_invoker_stack(
-            registry,
+            &self.directory,
             &self.telemetry,
             &self.health,
             &*self.trace,
@@ -950,7 +941,7 @@ impl Pems {
     }
 
     /// Evaluate a one-shot query "now": against a snapshot of the finite
-    /// tables, at the current logical instant, through the live registry.
+    /// tables, at the current logical instant, through the live directory.
     pub fn one_shot(&self, plan: &Plan) -> Result<EvalOutcome, PemsError> {
         self.one_shot_with(plan, &*self.metrics)
     }
@@ -963,8 +954,7 @@ impl Pems {
         sink: &dyn MetricsSink,
     ) -> Result<EvalOutcome, PemsError> {
         let env = self.snapshot_environment();
-        let registry = Arc::clone(self.erm.registry());
-        let invoker = self.invoker_stack(&registry);
+        let invoker = self.invoker_stack();
         let tee = Tee(&self.telemetry_sink, sink);
         let ctx = ExecContext::with_metrics(&env, &*invoker, self.clock(), &tee)
             .with_options(self.exec_options);
@@ -1127,13 +1117,12 @@ impl Pems {
         // heartbeat/poll round over every linked peer (remote joins and
         // leaves land in the directory with the same this-tick visibility
         // as bus announcements)
-        self.erm.tick(now);
+        self.bus.deliver_due(now, &self.directory);
         self.directory.poll_peers(now);
         // 2. refresh discovery-maintained provider tables
-        let registry = Arc::clone(self.erm.registry());
         for (table, query) in &self.discoveries {
             if let Some(handle) = self.tables.table(table) {
-                let rel = query.refresh_in(&*self.directory);
+                let rel = query.refresh_in(&self.directory);
                 handle.replace_with(rel.into_tuples());
             }
         }
@@ -1142,7 +1131,7 @@ impl Pems {
         // field borrows: the stack must not borrow all of `self` while the
         // processor ticks mutably)
         let invoker = build_invoker_stack(
-            &registry,
+            &self.directory,
             &self.telemetry,
             &self.health,
             &*self.trace,
@@ -1415,7 +1404,7 @@ impl Pems {
 
     /// Assemble the telemetry-fed cost model from the runtime's current
     /// instant-scoped state: per-prototype failure rates and breaker
-    /// flags aggregated over the registry's providers, the global β-cache
+    /// flags aggregated over the directory's providers, the global β-cache
     /// hit rate, and observed cardinalities of every table the tracked
     /// plans read. Always [deterministic] — wall-clock latency never
     /// feeds a replan decision.
@@ -1438,11 +1427,10 @@ impl Pems {
             0.0
         };
         // per-prototype health/breaker aggregation over providers
-        let registry = self.erm.registry();
         let mut observations: std::collections::BTreeMap<String, ServiceObservation> =
             std::collections::BTreeMap::new();
-        for reference in registry.references() {
-            let Some(service) = registry.resolve(&reference) else {
+        for reference in self.directory.references() {
+            let Some(service) = self.directory.resolve(&reference) else {
                 continue;
             };
             let failure_rate = self
@@ -1474,17 +1462,6 @@ impl Pems {
     }
 }
 
-/// The full β invoker stack: registry → panic containment (innermost, so
-/// a panicking service body becomes an [`EvalError::Panicked`] every outer
-/// layer sees as an ordinary failure) → instrumentation (metrics, health,
-/// trace) → resilience (retry/deadline/breaker, so every retry attempt is
-/// individually observed and counted) → cross-query β dedup (outermost:
-/// only the *first* logical caller of a `(service, args)` key at an
-/// instant descends into resilience and performs — possibly retries — the
-/// upstream call; coalesced callers share its final result and are
-/// counted in `serena_beta_dedup_total`). The resilient layer is a no-op
-/// pass-through when `policy` is disabled, the dedup layer when
-/// `dedup_enabled` is false.
 /// Render [`Pems::profile`]'s report from a flight-recorder snapshot:
 /// tick timeline, slowest operators by total self time (parent-chain
 /// ownership walk, tolerant of evicted ancestors), and the p99 tick with
@@ -1585,9 +1562,20 @@ fn profile_text(
     out
 }
 
+/// The full β invoker stack: directory → panic containment (innermost, so
+/// a panicking service body becomes an [`EvalError::Panicked`] every outer
+/// layer sees as an ordinary failure) → instrumentation (metrics, health,
+/// trace) → resilience (retry/deadline/breaker, so every retry attempt is
+/// individually observed and counted) → cross-query β dedup (outermost:
+/// only the *first* logical caller of a `(service, args)` key at an
+/// instant descends into resilience and performs — possibly retries — the
+/// upstream call; coalesced callers share its final result and are
+/// counted in `serena_beta_dedup_total`). The resilient layer is a no-op
+/// pass-through when `policy` is disabled, the dedup layer when
+/// `dedup_enabled` is false.
 #[allow(clippy::too_many_arguments)]
 fn build_invoker_stack<'r>(
-    registry: &'r DynamicRegistry,
+    directory: &'r NodeDirectory,
     telemetry: &'r Arc<MetricsRegistry>,
     health: &'r HealthTracker,
     trace: &'r dyn TraceSink,
@@ -1597,7 +1585,7 @@ fn build_invoker_stack<'r>(
     dedup: Arc<DedupState>,
     dedup_enabled: bool,
 ) -> Box<dyn Invoker + 'r> {
-    InvokerStack::new(registry)
+    InvokerStack::new(directory)
         .layer(CatchPanicLayer::new())
         .layer(
             InstrumentedLayer::new()
@@ -1715,6 +1703,35 @@ mod tests {
         lerm.unregister_service("sensor01", pems.clock());
         let reports = pems.tick();
         assert_eq!(reports[0].1.delta.deletes.len(), 1);
+    }
+
+    #[test]
+    fn discovery_table_without_a_consumer_reads_the_same_on_every_tick() {
+        // no registered query commits `sensors`, so every tick's refresh
+        // lands on the previous tick's still-pending one
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+        pems.run_program(
+            "PROTOTYPE getTemperature( ) : ( temperature REAL );
+             EXTENDED RELATION sensors (
+               sensor SERVICE, location STRING, temperature REAL VIRTUAL
+             ) USING BINDING PATTERNS ( getTemperature[sensor] );",
+        )
+        .unwrap();
+        pems.register_discovery("sensors", "getTemperature", "sensor")
+            .unwrap();
+        for name in ["sensor01", "sensor02"] {
+            let sensor = serena_core::service::fixtures::temperature_sensor(1);
+            pems.directory().register(name, sensor);
+            pems.directory().set(name, "location", Value::str("lab"));
+        }
+        for tick in 0..5 {
+            pems.tick();
+            let out = pems.run_sql(None, "SELECT sensor FROM sensors").unwrap();
+            let ExecOutcome::OneShot(out) = out else {
+                panic!()
+            };
+            assert_eq!(out.relation.len(), 2, "tick {tick}");
+        }
     }
 
     #[test]

@@ -210,7 +210,6 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
     pems.tables_mut()
         .define_stream_with("temperatures", temp_schema, move || {
             Box::new(SensorSampler::new(
-                directory.clone() as Arc<dyn serena_core::service::Invoker>,
                 directory.clone(),
                 protos::get_temperature(),
                 &["location"],

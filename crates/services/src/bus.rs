@@ -10,8 +10,9 @@
 //!   latency and deterministic jitter (seeded xorshift — no wall clock, no
 //!   global RNG, so every experiment replays identically);
 //! * a [`LocalErm`] is a named registration point for services;
-//! * the [`CoreErm`] drains due messages each logical tick and applies them
-//!   to its [`DynamicRegistry`], from which queries resolve invocations.
+//! * each logical tick, [`DiscoveryBus::deliver_due`] hands the messages
+//!   that are due to the core ERM's [`NodeDirectory`], from which queries
+//!   resolve invocations.
 //!
 //! The latency model is what makes discovery *churn* observable: a sensor
 //! announced at instant τ only becomes queryable at τ + latency(+jitter),
@@ -26,7 +27,7 @@ use serena_core::service::Service;
 use serena_core::time::Instant;
 use serena_core::value::ServiceRef;
 
-use crate::registry::DynamicRegistry;
+use crate::directory::NodeDirectory;
 
 /// Latency/jitter configuration for the simulated network.
 #[derive(Debug, Clone, Copy)]
@@ -137,22 +138,33 @@ impl DiscoveryBus {
         self.state.lock().queue.len()
     }
 
-    /// Remove and return all messages due at or before `now`, in
-    /// (deliver_at, enqueue order).
-    fn drain_due(&self, now: Instant) -> Vec<Scheduled> {
-        let mut state = self.state.lock();
-        let mut due: Vec<Scheduled> = Vec::new();
-        let mut keep = VecDeque::with_capacity(state.queue.len());
-        while let Some(msg) = state.queue.pop_front() {
-            if msg.deliver_at <= now {
-                due.push(msg);
-            } else {
-                keep.push_back(msg);
+    /// Deliver every message due at or before `now` to `directory`, in
+    /// (deliver_at, enqueue) order: announcements register, leaves
+    /// deregister. Returns the number delivered. Call once per logical
+    /// tick.
+    pub fn deliver_due(&self, now: Instant, directory: &NodeDirectory) -> usize {
+        let mut due = {
+            let mut state = self.state.lock();
+            let (due, keep): (VecDeque<Scheduled>, VecDeque<Scheduled>) =
+                state.queue.drain(..).partition(|m| m.deliver_at <= now);
+            state.queue = keep;
+            Vec::from(due)
+        };
+        due.sort_by_key(|m| (m.deliver_at, m.seq));
+        let delivered = due.len();
+        for msg in due {
+            match msg.payload {
+                Payload::Announce {
+                    reference,
+                    service,
+                    origin,
+                } => directory.register_from(reference, service, origin),
+                Payload::Leave { reference } => {
+                    directory.deregister(reference);
+                }
             }
         }
-        state.queue = keep;
-        due.sort_by_key(|m| (m.deliver_at, m.seq));
-        due
+        delivered
     }
 }
 
@@ -205,55 +217,6 @@ impl LocalErm {
     }
 }
 
-/// The core Environment Resource Manager: discovers LERM-announced services
-/// and maintains the registry used by query evaluation.
-pub struct CoreErm {
-    bus: Arc<DiscoveryBus>,
-    registry: Arc<DynamicRegistry>,
-}
-
-impl CoreErm {
-    /// Attach a core ERM to `bus` with a fresh registry.
-    pub fn new(bus: Arc<DiscoveryBus>) -> Self {
-        CoreErm {
-            bus,
-            registry: Arc::new(DynamicRegistry::new()),
-        }
-    }
-
-    /// Attach to `bus` reusing an existing registry.
-    pub fn with_registry(bus: Arc<DiscoveryBus>, registry: Arc<DynamicRegistry>) -> Self {
-        CoreErm { bus, registry }
-    }
-
-    /// The registry queries invoke through.
-    pub fn registry(&self) -> &Arc<DynamicRegistry> {
-        &self.registry
-    }
-
-    /// Apply all discovery messages due at or before `now`. Returns the
-    /// number of messages applied. Call once per logical tick.
-    pub fn tick(&self, now: Instant) -> usize {
-        let due = self.bus.drain_due(now);
-        let n = due.len();
-        for msg in due {
-            match msg.payload {
-                Payload::Announce {
-                    reference,
-                    service,
-                    origin,
-                } => {
-                    self.registry.register_from(reference, service, origin);
-                }
-                Payload::Leave { reference } => {
-                    self.registry.unregister(&reference);
-                }
-            }
-        }
-        n
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,18 +232,16 @@ mod tests {
             seed: 1,
         });
         let lerm = LocalErm::new("lerm-A", Arc::clone(&bus));
-        let core = CoreErm::new(Arc::clone(&bus));
+        let core = NodeDirectory::new("core");
 
         lerm.register_service("sensor01", fixtures::temperature_sensor(1), Instant(0));
-        assert_eq!(core.tick(Instant(0)), 0);
-        assert_eq!(core.tick(Instant(2)), 0);
-        assert!(!core.registry().contains(&ServiceRef::new("sensor01")));
-        assert_eq!(core.tick(Instant(3)), 1);
-        assert!(core.registry().contains(&ServiceRef::new("sensor01")));
+        assert_eq!(bus.deliver_due(Instant(0), &core), 0);
+        assert_eq!(bus.deliver_due(Instant(2), &core), 0);
+        assert!(!core.contains(&ServiceRef::new("sensor01")));
+        assert_eq!(bus.deliver_due(Instant(3), &core), 1);
+        assert!(core.contains(&ServiceRef::new("sensor01")));
         assert_eq!(
-            core.registry()
-                .origin_of(&ServiceRef::new("sensor01"))
-                .unwrap(),
+            core.origin_of(&ServiceRef::new("sensor01")).unwrap(),
             "lerm-A"
         );
     }
@@ -289,13 +250,13 @@ mod tests {
     fn leave_removes_after_latency() {
         let bus = DiscoveryBus::new(BusConfig::instant());
         let lerm = LocalErm::new("lerm-A", Arc::clone(&bus));
-        let core = CoreErm::new(Arc::clone(&bus));
+        let core = NodeDirectory::new("core");
         lerm.register_service("s", fixtures::temperature_sensor(1), Instant(0));
-        core.tick(Instant(0));
-        assert_eq!(core.registry().len(), 1);
+        bus.deliver_due(Instant(0), &core);
+        assert_eq!(core.len(), 1);
         lerm.unregister_service("s", Instant(1));
-        core.tick(Instant(1));
-        assert_eq!(core.registry().len(), 0);
+        bus.deliver_due(Instant(1), &core);
+        assert_eq!(core.len(), 0);
     }
 
     #[test]
@@ -308,12 +269,12 @@ mod tests {
                 seed: 42,
             });
             let lerm = LocalErm::new("L", Arc::clone(&bus));
-            let core = CoreErm::new(Arc::clone(&bus));
+            let core = NodeDirectory::new("core");
             for i in 0..10u64 {
                 lerm.register_service(format!("s{i}"), fixtures::temperature_sensor(i), Instant(0));
             }
             (0..10)
-                .map(|t| core.tick(Instant(t)))
+                .map(|t| bus.deliver_due(Instant(t), &core))
                 .collect::<Vec<usize>>()
         };
         assert_eq!(run(), run());
@@ -326,17 +287,12 @@ mod tests {
         let bus = DiscoveryBus::new(BusConfig::instant());
         let lerm_a = LocalErm::new("A", Arc::clone(&bus));
         let lerm_b = LocalErm::new("B", Arc::clone(&bus));
-        let core = CoreErm::new(Arc::clone(&bus));
+        let core = NodeDirectory::new("core");
         lerm_a.register_service("sensor01", fixtures::temperature_sensor(1), Instant(0));
         lerm_b.register_service("camera01", fixtures::camera(1), Instant(0));
-        core.tick(Instant(0));
-        assert_eq!(core.registry().len(), 2);
-        assert_eq!(
-            core.registry()
-                .origin_of(&ServiceRef::new("camera01"))
-                .unwrap(),
-            "B"
-        );
+        bus.deliver_due(Instant(0), &core);
+        assert_eq!(core.len(), 2);
+        assert_eq!(core.origin_of(&ServiceRef::new("camera01")).unwrap(), "B");
         assert_eq!(bus.pending(), 0);
     }
 
@@ -344,12 +300,12 @@ mod tests {
     fn ordering_within_tick_is_fifo_per_deliver_time() {
         let bus = DiscoveryBus::new(BusConfig::instant());
         let lerm = LocalErm::new("L", Arc::clone(&bus));
-        let core = CoreErm::new(Arc::clone(&bus));
+        let core = NodeDirectory::new("core");
         // register then immediately unregister: both due at the same tick —
         // FIFO order must leave the service absent.
         lerm.register_service("s", fixtures::temperature_sensor(1), Instant(0));
         lerm.unregister_service("s", Instant(0));
-        core.tick(Instant(0));
-        assert!(!core.registry().contains(&ServiceRef::new("s")));
+        bus.deliver_due(Instant(0), &core);
+        assert!(!core.contains(&ServiceRef::new("s")));
     }
 }

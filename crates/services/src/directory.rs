@@ -1,127 +1,209 @@
-//! The unified, transport-agnostic service directory (§5.1, Fig. 1).
+//! The service directory: the core Environment Resource Manager's one
+//! table (§5.1, Fig. 1).
 //!
-//! Earlier PRs grew three overlapping surfaces for "what services exist
-//! and how do I call them": the [`DynamicRegistry`](crate::registry)
-//! (resolution + invocation), the discovery metadata store
-//! (attribute key/values for β discovery queries) and the
-//! [`DiscoveryBus`](crate::bus) (announcement latency). This module
-//! collapses them behind one trait, [`ServiceDirectory`]:
+//! A [`NodeDirectory`] owns which services exist on this node, where each
+//! came from (the Local ERM that announced it, the peer node hosting it),
+//! the discovery metadata describing it, and how to call it:
 //!
-//! * **resolve / register / deregister** — the registry surface;
-//! * **join/leave subscription** — [`ServiceDirectory::drain_events`]
-//!   yields typed [`DirectoryEvent`]s;
-//! * **metadata** — the discovery attribute store;
-//! * **invocation** — `ServiceDirectory: Invoker`, so a directory drops
-//!   into the β executor and the whole `InvokerStack` unchanged.
+//! * **one table** — service, LERM origin, hosting peer and metadata
+//!   behind a single `RwLock`. A β call takes one read lock to resolve the
+//!   service and releases it before calling;
+//! * **one event log** — every join and leave appends one entry at an
+//!   absolute position. Peers poll it ([`NodeDirectory::events_since`]);
+//!   only a fixed window of it is kept, and a peer whose cursor has fallen
+//!   out of the window is re-synced from the full listing instead;
+//! * **one removal** — a direct [`NodeDirectory::deregister`], a leave
+//!   delivered by the [`bus`](crate::bus), a peer's `Left` event and the
+//!   eviction of a dead peer all end in the same function, which drops the
+//!   service with its metadata and host tag and logs the leave;
+//! * **invocation** — `NodeDirectory: Invoker`, so the directory is the
+//!   base of the β executor's `InvokerStack`.
 //!
-//! [`NodeDirectory`] is the one implementation: a node id, the node's
-//! registry + metadata, an append-only event log peers poll, and links
-//! to remote peers whose services appear here as local proxies
-//! ([`RemoteService`]). Liveness is
-//! heartbeat-driven: every [`NodeDirectory::poll_peers`] round-trip
-//! doubles as the heartbeat, and a peer that fails one is marked down
-//! and its proxies deregistered — continuous queries observe the
-//! departure exactly like a local unregistration. A later successful
-//! poll re-syncs the full listing and the proxies return.
+//! Services of linked peers appear here as local proxies
+//! ([`RemoteService`]). Liveness is heartbeat-driven: every
+//! [`NodeDirectory::poll_peers`] round-trip doubles as the heartbeat, and
+//! a peer that fails one is marked down and its proxies removed —
+//! continuous queries observe the departure exactly like a local leave. A
+//! later successful poll re-syncs the full listing and the proxies return.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use serena_core::sync::{Mutex, RwLock};
 
 use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
-use serena_core::service::{Invoker, Service};
+use serena_core::service::{implements, invoke_resolved, Invoker, Service};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::{ServiceRef, Value};
 
-use crate::node::{RemoteNodeClient, RemoteService};
-use crate::registry::{DynamicRegistry, RegistryEvent};
+use crate::node::{PeerUpdate, RemoteNodeClient, RemoteService};
 use crate::transport::{ServiceAd, Transport, TransportError, WireEvent};
 
-/// A directory membership change, as observed by subscribers.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DirectoryEvent {
-    /// A service joined the directory.
-    Joined {
-        /// The service's reference.
-        reference: ServiceRef,
-        /// Names of the prototypes it implements.
-        prototypes: Vec<String>,
-        /// The Local ERM that announced it ("" for direct registration).
-        origin: String,
-    },
-    /// A service left the directory.
-    Left {
-        /// The departed service's reference.
-        reference: ServiceRef,
-    },
-}
+/// How many of the most recent event-log entries are kept. A peer polls
+/// once per tick, so this only has to exceed one tick's joins and leaves;
+/// a peer further behind is answered with the full listing.
+const LOG_WINDOW: usize = 4096;
 
-/// The transport-agnostic service directory: resolution, join/leave
-/// subscription, registration and discovery metadata behind one
-/// object-safe trait. `ServiceDirectory: Invoker`, so every directory is
-/// also the β executor's service-invocation hook.
-pub trait ServiceDirectory: Invoker {
-    /// This node's id.
-    fn node(&self) -> &str;
+/// Discovery metadata of one service, sorted by key.
+type Metadata = Vec<(String, Value)>;
 
-    /// Register `service` under `reference`, announced by LERM `origin`
-    /// ("" for direct registration). Subscribers observe a
-    /// [`DirectoryEvent::Joined`].
-    fn register_from(&self, reference: ServiceRef, service: Arc<dyn Service>, origin: String);
-
-    /// Register `service` with no LERM origin.
-    fn register(&self, reference: ServiceRef, service: Arc<dyn Service>) {
-        self.register_from(reference, service, String::new());
-    }
-
-    /// Remove `reference`. Returns `true` if it was present; subscribers
-    /// observe a [`DirectoryEvent::Left`].
-    fn deregister(&self, reference: &ServiceRef) -> bool;
-
-    /// The service implementation behind `reference`, if present (for a
-    /// remote service this is its local proxy).
-    fn resolve(&self, reference: &ServiceRef) -> Option<Arc<dyn Service>>;
-
-    /// All registered references (sorted — deterministic output).
-    fn references(&self) -> Vec<ServiceRef>;
-
-    /// Number of registered services.
-    fn len(&self) -> usize;
-
-    /// True iff no services are registered.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether `reference` is currently registered.
-    fn contains(&self, reference: &ServiceRef) -> bool;
-
-    /// Origin LERM of `reference`, if registered.
-    fn origin_of(&self, reference: &ServiceRef) -> Option<String>;
-
-    /// Set one discovery metadata attribute of `reference`.
-    fn set_metadata(&self, reference: ServiceRef, key: &str, value: Value);
-
-    /// One discovery metadata attribute of `reference`.
-    fn metadata(&self, reference: &ServiceRef, key: &str) -> Option<Value>;
-
-    /// All discovery metadata of `reference`, sorted by key.
-    fn metadata_of(&self, reference: &ServiceRef) -> Vec<(String, Value)>;
-
-    /// Drain the join/leave events accumulated since the previous drain
-    /// (the subscribe surface — non-blocking, at-least-once per change).
-    fn drain_events(&self) -> Vec<DirectoryEvent>;
+struct Entry {
+    service: Arc<dyn Service>,
+    /// The Local ERM that announced it ("" for direct registration).
+    origin: String,
+    /// Node id of the peer hosting it; `None` for a service hosted here.
+    host: Option<String>,
 }
 
 struct LogEntry {
-    event: DirectoryEvent,
-    /// Whether the subject service is hosted by *this* node (proxies for
-    /// remote services are excluded from what peers see, so service
-    /// listings never loop through intermediate nodes).
+    reference: ServiceRef,
+    joined: bool,
+    /// Whether the service is hosted by *this* node. Proxies are left out
+    /// of what peers see, so listings never loop through a third node.
     local: bool,
+}
+
+#[derive(Default)]
+struct State {
+    services: HashMap<ServiceRef, Entry>,
+    /// Keyed beside `services`, not inside `Entry`: a device's metadata
+    /// may be set while its announcement is still on the bus, and then
+    /// describes the registration that announcement makes.
+    metadata: HashMap<ServiceRef, Metadata>,
+    log: VecDeque<LogEntry>,
+    /// Absolute position of `log[0]`.
+    log_base: u64,
+}
+
+impl State {
+    fn position(&self) -> u64 {
+        self.log_base + self.log.len() as u64
+    }
+
+    fn append(&mut self, reference: ServiceRef, joined: bool, local: bool) {
+        if self.log.len() == LOG_WINDOW {
+            self.log.pop_front();
+            self.log_base += 1;
+        }
+        self.log.push_back(LogEntry {
+            reference,
+            joined,
+            local,
+        });
+    }
+
+    fn insert(&mut self, reference: ServiceRef, entry: Entry) {
+        let local = entry.host.is_none();
+        let replaced = self.services.insert(reference.clone(), entry);
+        // a proxy taking over a reference that was hosted here: peers
+        // following the log must see the local service go
+        if !local && replaced.is_some_and(|old| old.host.is_none()) {
+            self.append(reference.clone(), false, true);
+        }
+        self.append(reference, true, local);
+    }
+
+    /// The one way a service leaves the directory, whoever asked.
+    fn remove(&mut self, reference: &ServiceRef) -> bool {
+        let Some(entry) = self.services.remove(reference) else {
+            return false;
+        };
+        self.metadata.remove(reference);
+        self.append(reference.clone(), false, entry.host.is_none());
+        true
+    }
+
+    fn set(&mut self, reference: ServiceRef, key: &str, value: Value) {
+        let slot = self.metadata.entry(reference).or_default();
+        match slot.binary_search_by(|(k, _)| k.as_str().cmp(key)) {
+            Ok(i) => slot[i].1 = value,
+            Err(i) => slot.insert(i, (key.to_string(), value)),
+        }
+    }
+
+    fn get(&self, reference: &ServiceRef, key: &str) -> Option<&Value> {
+        let slot = self.metadata.get(reference)?;
+        let i = slot.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
+        Some(&slot[i].1)
+    }
+
+    /// The advertisement for `reference`, if it is hosted here.
+    fn advertise(&self, reference: &ServiceRef) -> Option<ServiceAd> {
+        let entry = self.services.get(reference).filter(|e| e.host.is_none())?;
+        Some(ServiceAd {
+            reference: reference.clone(),
+            origin: entry.origin.clone(),
+            prototypes: entry.service.prototypes(),
+            metadata: self.metadata.get(reference).cloned().unwrap_or_default(),
+        })
+    }
+
+    /// Sorted references of the services `keep` accepts.
+    fn references(&self, keep: impl Fn(&Entry) -> bool) -> Vec<ServiceRef> {
+        let mut refs: Vec<ServiceRef> = self
+            .services
+            .iter()
+            .filter(|(_, e)| keep(e))
+            .map(|(r, _)| r.clone())
+            .collect();
+        refs.sort();
+        refs
+    }
+
+    /// Register a proxy for a service advertised by the peer behind `client`.
+    fn adopt(&mut self, client: &RemoteNodeClient, ad: ServiceAd) {
+        for (key, value) in ad.metadata {
+            self.set(ad.reference.clone(), &key, value);
+        }
+        let proxy = RemoteService::new(client.share(), ad.reference.clone(), ad.prototypes);
+        let entry = Entry {
+            service: Arc::new(proxy),
+            origin: ad.origin,
+            host: Some(client.node().to_string()),
+        };
+        self.insert(ad.reference, entry);
+    }
+
+    fn hosts(&self, reference: &ServiceRef, node: &str) -> bool {
+        self.services
+            .get(reference)
+            .is_some_and(|e| e.host.as_deref() == Some(node))
+    }
+
+    /// Apply one answer of the peer behind `client`: its events in order,
+    /// or — for a listing — everything imported from it replaced.
+    fn apply(&mut self, client: &RemoteNodeClient, update: PeerUpdate) {
+        let node = client.node();
+        match update {
+            PeerUpdate::Events(events) => {
+                for event in events {
+                    match event {
+                        WireEvent::Joined(ad) => self.adopt(client, ad),
+                        WireEvent::Left(reference) => {
+                            if self.hosts(&reference, node) {
+                                self.remove(&reference);
+                            }
+                        }
+                    }
+                }
+            }
+            PeerUpdate::Listing(services) => {
+                self.evict(node);
+                for ad in services {
+                    self.adopt(client, ad);
+                }
+            }
+        }
+    }
+
+    /// Drop every proxy imported from `node`, in reference order.
+    fn evict(&mut self, node: &str) {
+        for reference in self.references(|e| e.host.as_deref() == Some(node)) {
+            self.remove(&reference);
+        }
+    }
 }
 
 struct PeerLink {
@@ -150,154 +232,174 @@ pub struct PeerStatus {
     pub services: usize,
 }
 
-/// The [`ServiceDirectory`] implementation: one node's registry,
-/// metadata, event log and peer links.
-///
-/// The event log is append-only with absolute positions, so a peer that
-/// reconnects after missing events re-syncs with a full listing and a
-/// fresh cursor rather than guessing what it missed.
+/// One node's service directory: its service table, event log and peer
+/// links (see the module docs).
 pub struct NodeDirectory {
     node: String,
-    registry: Arc<DynamicRegistry>,
-    metadata: RwLock<HashMap<ServiceRef, Vec<(String, Value)>>>,
-    log: Mutex<Vec<LogEntry>>,
-    local_cursor: Mutex<usize>,
-    /// reference → node id of the peer hosting it (proxies only).
-    remote_origin: RwLock<HashMap<ServiceRef, String>>,
+    state: RwLock<State>,
     peers: Mutex<Vec<PeerLink>>,
 }
 
 impl NodeDirectory {
-    /// A directory for node `node` with a fresh registry.
+    /// An empty directory for node `node`.
     pub fn new(node: impl Into<String>) -> Self {
-        Self::with_registry(node, Arc::new(DynamicRegistry::new()))
-    }
-
-    /// A directory wrapping an existing registry (shared with e.g. a
-    /// `CoreErm`, so bus-announced registrations surface here too).
-    pub fn with_registry(node: impl Into<String>, registry: Arc<DynamicRegistry>) -> Self {
         NodeDirectory {
             node: node.into(),
-            registry,
-            metadata: RwLock::new(HashMap::new()),
-            log: Mutex::new(Vec::new()),
-            local_cursor: Mutex::new(0),
-            remote_origin: RwLock::new(HashMap::new()),
+            state: RwLock::new(State::default()),
             peers: Mutex::new(Vec::new()),
         }
     }
 
-    /// The underlying registry (shared with the core ERM / bus).
-    pub fn registry(&self) -> &Arc<DynamicRegistry> {
-        &self.registry
+    /// This node's id.
+    pub fn node(&self) -> &str {
+        &self.node
     }
 
-    /// Set one discovery metadata attribute (convenience form accepting
-    /// anything convertible to a [`ServiceRef`]).
-    pub fn set(&self, reference: impl Into<ServiceRef>, key: &str, value: Value) {
-        ServiceDirectory::set_metadata(self, reference.into(), key, value);
-    }
-
-    /// One metadata attribute (convenience form).
-    pub fn get(&self, reference: impl Into<ServiceRef>, key: &str) -> Option<Value> {
-        ServiceDirectory::metadata(self, &reference.into(), key)
-    }
-
-    /// Register a locally hosted service (convenience form accepting
-    /// anything convertible to a [`ServiceRef`], mirroring [`Self::set`]).
+    /// Register a service hosted here, with no LERM origin. Replaces any
+    /// service already registered under `reference`.
     pub fn register(&self, reference: impl Into<ServiceRef>, service: Arc<dyn Service>) {
-        ServiceDirectory::register(self, reference.into(), service);
+        self.register_from(reference, service, "");
     }
 
-    /// Deregister a service (convenience form).
+    /// Register a service hosted here that LERM `origin` announced.
+    /// Metadata already [`set`](Self::set) for `reference` describes it.
+    pub fn register_from(
+        &self,
+        reference: impl Into<ServiceRef>,
+        service: Arc<dyn Service>,
+        origin: impl Into<String>,
+    ) {
+        let entry = Entry {
+            service,
+            origin: origin.into(),
+            host: None,
+        };
+        self.state.write().insert(reference.into(), entry);
+    }
+
+    /// Remove `reference` and its metadata. Returns `true` if it was
+    /// registered.
     pub fn deregister(&self, reference: impl Into<ServiceRef>) -> bool {
-        ServiceDirectory::deregister(self, &reference.into())
+        self.state.write().remove(&reference.into())
     }
 
-    /// Pump registry events (bus announcements, direct registrations)
-    /// into the directory event log. Called implicitly by every reading
-    /// surface; callers never need to invoke it directly.
-    fn sync(&self) {
-        let events = self.registry.drain_events();
-        if events.is_empty() {
-            return;
-        }
-        let remote = self.remote_origin.read();
-        let mut log = self.log.lock();
-        for event in events {
-            let (entry, reference) = match event {
-                RegistryEvent::Registered {
-                    reference,
-                    prototypes,
-                    origin,
-                } => (
-                    DirectoryEvent::Joined {
-                        reference: reference.clone(),
-                        prototypes,
-                        origin,
-                    },
-                    reference,
-                ),
-                RegistryEvent::Unregistered { reference } => (
-                    DirectoryEvent::Left {
-                        reference: reference.clone(),
-                    },
-                    reference,
-                ),
-            };
-            log.push(LogEntry {
-                event: entry,
-                local: !remote.contains_key(&reference),
-            });
-        }
+    /// The service implementation behind `reference`, if registered (for
+    /// a remote service this is its local proxy).
+    pub fn resolve(&self, reference: &ServiceRef) -> Option<Arc<dyn Service>> {
+        let state = self.state.read();
+        state.services.get(reference).map(|e| e.service.clone())
     }
 
-    /// Events for *locally hosted* services after absolute log position
-    /// `after`, with the caller's next cursor. This is what peers poll.
-    pub fn events_since(&self, after: u64) -> (u64, Vec<DirectoryEvent>) {
-        self.sync();
-        let log = self.log.lock();
-        let start = (after as usize).min(log.len());
-        let events = log[start..]
+    /// All registered references (sorted — deterministic output).
+    pub fn references(&self) -> Vec<ServiceRef> {
+        self.state.read().references(|_| true)
+    }
+
+    /// Number of registered services.
+    pub fn len(&self) -> usize {
+        self.state.read().services.len()
+    }
+
+    /// True iff no services are registered.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Whether `reference` is currently registered.
+    pub fn contains(&self, reference: &ServiceRef) -> bool {
+        self.state.read().services.contains_key(reference)
+    }
+
+    /// The Local ERM that announced `reference`, if registered ("" for a
+    /// direct registration).
+    pub fn origin_of(&self, reference: &ServiceRef) -> Option<String> {
+        let state = self.state.read();
+        state.services.get(reference).map(|e| e.origin.clone())
+    }
+
+    /// Whether `reference` is a proxy for a service on another node, and
+    /// if so which one.
+    pub fn hosted_by(&self, reference: &ServiceRef) -> Option<String> {
+        let state = self.state.read();
+        state.services.get(reference).and_then(|e| e.host.clone())
+    }
+
+    /// Set one discovery metadata attribute of `reference`. It is dropped
+    /// when the service leaves; set before the service's announcement has
+    /// landed, it is kept for that registration.
+    pub fn set(&self, reference: impl Into<ServiceRef>, key: &str, value: Value) {
+        self.state.write().set(reference.into(), key, value);
+    }
+
+    /// One discovery metadata attribute of `reference`.
+    pub fn get(&self, reference: impl Into<ServiceRef>, key: &str) -> Option<Value> {
+        self.state.read().get(&reference.into(), key).cloned()
+    }
+
+    /// The providers of `prototype` (sorted) that have a metadata value
+    /// for every one of `keys`, each with those values in `keys` order. A
+    /// provider lacking one is discovered but not yet describable: it is
+    /// left out until its metadata arrives.
+    pub fn described_providers(
+        &self,
+        prototype: &str,
+        keys: &[String],
+    ) -> Vec<(ServiceRef, Vec<Value>)> {
+        let state = self.state.read();
+        state
+            .references(|e| implements(&*e.service, prototype))
+            .into_iter()
+            .filter_map(|reference| {
+                let values: Option<Vec<Value>> = keys
+                    .iter()
+                    .map(|key| state.get(&reference, key).cloned())
+                    .collect();
+                Some((reference, values?))
+            })
+            .collect()
+    }
+
+    /// What happened to *locally hosted* services after absolute log
+    /// position `after`, with the caller's next cursor — what peers poll.
+    /// A join carries the service's advertisement as of now; a service
+    /// that joined and left again since `after` shows only its leave.
+    /// `None` when `after` is older than the kept window of the log: the
+    /// caller has missed events and must take
+    /// [`advertise_all`](Self::advertise_all) instead.
+    pub fn events_since(&self, after: u64) -> Option<(u64, Vec<WireEvent>)> {
+        let state = self.state.read();
+        let skip = usize::try_from(after.checked_sub(state.log_base)?).unwrap_or(usize::MAX);
+        let events = state
+            .log
             .iter()
+            .skip(skip)
             .filter(|e| e.local)
-            .map(|e| e.event.clone())
+            .filter_map(|e| {
+                if e.joined {
+                    state.advertise(&e.reference).map(WireEvent::Joined)
+                } else {
+                    Some(WireEvent::Left(e.reference.clone()))
+                }
+            })
             .collect();
-        (log.len() as u64, events)
-    }
-
-    /// Current absolute event-log position (the cursor a fresh listing
-    /// pairs with).
-    pub fn log_position(&self) -> u64 {
-        self.sync();
-        self.log.lock().len() as u64
+        Some((state.position(), events))
     }
 
     /// The advertisement for `reference`, if it is hosted locally.
     pub fn advertise(&self, reference: &ServiceRef) -> Option<ServiceAd> {
-        if self.remote_origin.read().contains_key(reference) {
-            return None;
-        }
-        let service = self.registry.resolve(reference)?;
-        Some(ServiceAd {
-            reference: reference.clone(),
-            origin: self.registry.origin_of(reference).unwrap_or_default(),
-            prototypes: service.prototypes(),
-            metadata: ServiceDirectory::metadata_of(self, reference),
-        })
+        self.state.read().advertise(reference)
     }
 
     /// Advertisements for every locally hosted service (sorted by
     /// reference), paired with the log position of the listing.
     pub fn advertise_all(&self) -> (u64, Vec<ServiceAd>) {
-        let seq = self.log_position();
-        let ads = self
-            .registry
-            .references()
+        let state = self.state.read();
+        let ads = state
+            .references(|e| e.host.is_none())
             .iter()
-            .filter_map(|r| self.advertise(r))
+            .filter_map(|r| state.advertise(r))
             .collect();
-        (seq, ads)
+        (state.position(), ads)
     }
 
     /// Connect to the peer node listening at `addr` and import its
@@ -316,222 +418,74 @@ impl NodeDirectory {
                 "node `{node}` refuses to link to itself"
             )));
         }
-        let (seq, services) = client.list_services()?;
-        for ad in services {
-            self.adopt(&node, &client, ad);
-        }
+        let (cursor, services) = client.list_services()?;
+        self.state
+            .write()
+            .apply(&client, PeerUpdate::Listing(services));
         self.peers.lock().push(PeerLink {
             client,
-            cursor: seq,
+            cursor,
             alive: true,
             last_seen: Instant(0),
         });
         Ok(node)
     }
 
-    /// Register a proxy for a remote service advertised by `node`.
-    fn adopt(&self, node: &str, client: &RemoteNodeClient, ad: ServiceAd) {
-        // record the remote origin *first* so sync() classifies the
-        // registration event as non-local (never re-advertised to peers)
-        self.remote_origin
-            .write()
-            .insert(ad.reference.clone(), node.to_string());
-        {
-            let mut meta = self.metadata.write();
-            let slot = meta.entry(ad.reference.clone()).or_default();
-            for (k, v) in &ad.metadata {
-                match slot.binary_search_by(|(q, _)| q.as_str().cmp(k)) {
-                    Ok(i) => slot[i].1 = v.clone(),
-                    Err(i) => slot.insert(i, (k.clone(), v.clone())),
-                }
-            }
-        }
-        let proxy = RemoteService::new(client.share(), ad.reference.clone(), ad.prototypes);
-        self.registry
-            .register_from(ad.reference, Arc::new(proxy), ad.origin);
-    }
-
-    /// Drop every proxy imported from `node` (the peer died or is being
-    /// re-synced).
-    fn evict(&self, node: &str) {
-        let victims: Vec<ServiceRef> = self
-            .remote_origin
-            .read()
-            .iter()
-            .filter(|(_, n)| n.as_str() == node)
-            .map(|(r, _)| r.clone())
-            .collect();
-        let mut victims = victims;
-        victims.sort();
-        for reference in victims {
-            self.registry.unregister(&reference);
-            self.metadata.write().remove(&reference);
-            self.remote_origin.write().remove(&reference);
-        }
-    }
-
-    /// Poll every connected peer once: apply its join/leave events,
-    /// refresh liveness, and attempt re-sync of peers marked down. The
-    /// successful round-trip *is* the heartbeat; one failure marks the
-    /// peer down and evicts its proxies, so β calls routed at it fail
-    /// fast as [`EvalError::UnknownService`] rather than hanging.
+    /// Poll every connected peer once: apply its join/leave events and
+    /// refresh liveness. The successful round-trip *is* the heartbeat;
+    /// one failure marks the peer down and evicts its proxies, so β calls
+    /// routed at it fail fast as [`EvalError::UnknownService`] rather than
+    /// hanging. A peer that is down is asked for its full listing (a
+    /// stale cursor is useless after a server restart), and a live peer
+    /// answers with one when our cursor has left its log window; either
+    /// way the listing replaces what was imported in one step, so readers
+    /// see no gap.
     ///
     /// Called once per tick by the PEMS engine, before discovery
     /// refresh, so membership changes land with the same timing as a
     /// local bus announcement.
     pub fn poll_peers(&self, now: Instant) {
-        let mut peers = self.peers.lock();
-        for peer in peers.iter_mut() {
-            if peer.alive {
-                match peer.client.poll_events(peer.cursor) {
-                    Ok((next, events)) => {
-                        peer.cursor = next;
-                        peer.last_seen = now;
-                        let node = peer.client.node().to_string();
-                        for event in events {
-                            match event {
-                                WireEvent::Joined(ad) => self.adopt(&node, &peer.client, ad),
-                                WireEvent::Left(reference) => {
-                                    if self
-                                        .remote_origin
-                                        .read()
-                                        .get(&reference)
-                                        .is_some_and(|n| n == &node)
-                                    {
-                                        self.registry.unregister(&reference);
-                                        self.metadata.write().remove(&reference);
-                                        self.remote_origin.write().remove(&reference);
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    Err(_) => {
-                        peer.alive = false;
-                        self.evict(peer.client.node());
-                    }
-                }
+        for peer in self.peers.lock().iter_mut() {
+            let answer = if peer.alive {
+                peer.client.poll_events(peer.cursor)
             } else {
-                // down: retry with a full re-sync (stale cursors are
-                // useless after a server restart)
-                if let Ok((seq, services)) = peer.client.resync() {
-                    let node = peer.client.node().to_string();
-                    self.evict(&node);
-                    for ad in services {
-                        self.adopt(&node, &peer.client, ad);
-                    }
-                    peer.cursor = seq;
+                let listing = peer.client.list_services();
+                listing.map(|(seq, services)| (seq, PeerUpdate::Listing(services)))
+            };
+            match answer {
+                Ok((cursor, update)) => {
+                    self.state.write().apply(&peer.client, update);
+                    peer.cursor = cursor;
                     peer.alive = true;
                     peer.last_seen = now;
                 }
+                Err(_) if peer.alive => {
+                    peer.alive = false;
+                    self.state.write().evict(peer.client.node());
+                }
+                Err(_) => {}
             }
         }
     }
 
     /// Liveness and proxy counts for every connected peer.
     pub fn peer_status(&self) -> Vec<PeerStatus> {
-        let origin = self.remote_origin.read();
-        self.peers
-            .lock()
+        let peers = self.peers.lock();
+        let state = self.state.read();
+        peers
             .iter()
             .map(|p| PeerStatus {
                 node: p.client.node().to_string(),
                 addr: p.client.addr().to_string(),
                 alive: p.alive,
                 last_seen: p.last_seen,
-                services: origin
+                services: state
+                    .services
                     .values()
-                    .filter(|n| n.as_str() == p.client.node())
+                    .filter(|e| e.host.as_deref() == Some(p.client.node()))
                     .count(),
             })
             .collect()
-    }
-
-    /// Number of connected peers (alive or down).
-    pub fn peer_count(&self) -> usize {
-        self.peers.lock().len()
-    }
-
-    /// Whether `reference` is a proxy for a service on another node, and
-    /// if so which one.
-    pub fn hosted_by(&self, reference: &ServiceRef) -> Option<String> {
-        self.remote_origin.read().get(reference).cloned()
-    }
-}
-
-impl ServiceDirectory for NodeDirectory {
-    fn node(&self) -> &str {
-        &self.node
-    }
-
-    fn register_from(&self, reference: ServiceRef, service: Arc<dyn Service>, origin: String) {
-        self.registry.register_from(reference, service, origin);
-        self.sync();
-    }
-
-    fn deregister(&self, reference: &ServiceRef) -> bool {
-        let removed = self.registry.unregister(reference);
-        if removed {
-            self.metadata.write().remove(reference);
-            self.remote_origin.write().remove(reference);
-            self.sync();
-        }
-        removed
-    }
-
-    fn resolve(&self, reference: &ServiceRef) -> Option<Arc<dyn Service>> {
-        self.registry.resolve(reference)
-    }
-
-    fn references(&self) -> Vec<ServiceRef> {
-        self.registry.references()
-    }
-
-    fn len(&self) -> usize {
-        self.registry.len()
-    }
-
-    fn contains(&self, reference: &ServiceRef) -> bool {
-        self.registry.contains(reference)
-    }
-
-    fn origin_of(&self, reference: &ServiceRef) -> Option<String> {
-        self.registry.origin_of(reference)
-    }
-
-    fn set_metadata(&self, reference: ServiceRef, key: &str, value: Value) {
-        let mut meta = self.metadata.write();
-        let slot = meta.entry(reference).or_default();
-        match slot.binary_search_by(|(q, _)| q.as_str().cmp(key)) {
-            Ok(i) => slot[i].1 = value,
-            Err(i) => slot.insert(i, (key.to_string(), value)),
-        }
-    }
-
-    fn metadata(&self, reference: &ServiceRef, key: &str) -> Option<Value> {
-        self.metadata.read().get(reference).and_then(|slot| {
-            slot.binary_search_by(|(q, _)| q.as_str().cmp(key))
-                .ok()
-                .map(|i| slot[i].1.clone())
-        })
-    }
-
-    fn metadata_of(&self, reference: &ServiceRef) -> Vec<(String, Value)> {
-        self.metadata
-            .read()
-            .get(reference)
-            .cloned()
-            .unwrap_or_default()
-    }
-
-    fn drain_events(&self) -> Vec<DirectoryEvent> {
-        self.sync();
-        let log = self.log.lock();
-        let mut cursor = self.local_cursor.lock();
-        let start = (*cursor).min(log.len());
-        let events = log[start..].iter().map(|e| e.event.clone()).collect();
-        *cursor = log.len();
-        events
     }
 }
 
@@ -543,103 +497,136 @@ impl Invoker for NodeDirectory {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
-        self.registry.invoke(prototype, service_ref, input, at)
+        invoke_resolved(self.resolve(service_ref), prototype, service_ref, input, at)
     }
 
     fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.registry.providers_of(prototype)
+        let state = self.state.read();
+        state.references(|e| implements(&*e.service, prototype))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bus::{BusConfig, DiscoveryBus, LocalErm};
+    use crate::node::{NodeHandle, ServiceNode};
+    use crate::transport::InProcTransport;
     use serena_core::prototype::examples as protos;
     use serena_core::service::fixtures;
+    use std::collections::BTreeMap;
+
+    fn sref(name: &str) -> ServiceRef {
+        ServiceRef::new(name)
+    }
+
+    fn joined(event: &WireEvent) -> Option<&str> {
+        match event {
+            WireEvent::Joined(ad) => Some(ad.reference.as_str()),
+            WireEvent::Left(_) => None,
+        }
+    }
 
     #[test]
     fn register_resolve_events_and_metadata() {
         let dir = NodeDirectory::new("n1");
-        assert_eq!(ServiceDirectory::node(&dir), "n1");
-        ServiceDirectory::register(
-            &dir,
-            ServiceRef::new("sensor01"),
-            fixtures::temperature_sensor(1),
-        );
+        assert_eq!(dir.node(), "n1");
+        dir.register("sensor01", fixtures::temperature_sensor(1));
         dir.set("sensor01", "location", Value::str("office"));
 
-        assert!(dir.contains(&ServiceRef::new("sensor01")));
-        assert!(ServiceDirectory::resolve(&dir, &ServiceRef::new("sensor01")).is_some());
+        assert!(dir.contains(&sref("sensor01")));
+        assert!(dir.resolve(&sref("sensor01")).is_some());
         assert_eq!(dir.get("sensor01", "location"), Some(Value::str("office")));
         assert_eq!(
-            ServiceDirectory::metadata_of(&dir, &ServiceRef::new("sensor01")),
+            dir.advertise(&sref("sensor01")).unwrap().metadata,
             vec![("location".to_string(), Value::str("office"))]
         );
 
-        let events = ServiceDirectory::drain_events(&dir);
+        let (next, events) = dir.events_since(0).unwrap();
         assert_eq!(events.len(), 1);
-        assert!(matches!(
-            &events[0],
-            DirectoryEvent::Joined { reference, .. } if reference.as_str() == "sensor01"
-        ));
+        assert_eq!(joined(&events[0]), Some("sensor01"));
 
-        assert!(dir.deregister(ServiceRef::new("sensor01")));
-        let events = ServiceDirectory::drain_events(&dir);
-        assert_eq!(
-            events,
-            vec![DirectoryEvent::Left {
-                reference: ServiceRef::new("sensor01")
-            }]
-        );
+        assert!(dir.deregister("sensor01"));
+        let (_, events) = dir.events_since(next).unwrap();
+        assert_eq!(events, vec![WireEvent::Left(sref("sensor01"))]);
         // metadata evicted with the service
         assert_eq!(dir.get("sensor01", "location"), None);
     }
 
     #[test]
+    fn register_unregister_with_events() {
+        let dir = NodeDirectory::new("n1");
+        dir.register_from("sensor01", fixtures::temperature_sensor(1), "lerm-A");
+        dir.register("sensor02", fixtures::temperature_sensor(2));
+        assert_eq!(dir.len(), 2);
+        assert_eq!(dir.origin_of(&sref("sensor01")).unwrap(), "lerm-A");
+
+        let (next, events) = dir.events_since(0).unwrap();
+        assert_eq!(events.len(), 2);
+        assert_eq!(joined(&events[0]), Some("sensor01"));
+
+        assert!(dir.deregister("sensor01"));
+        assert!(!dir.deregister("sensor01"));
+        let (_, events) = dir.events_since(next).unwrap();
+        assert_eq!(events, vec![WireEvent::Left(sref("sensor01"))]);
+    }
+
+    #[test]
     fn directory_is_an_invoker() {
         let dir = NodeDirectory::new("n1");
-        ServiceDirectory::register(
-            &dir,
-            ServiceRef::new("sensor01"),
-            fixtures::temperature_sensor(1),
-        );
-        let out = dir
-            .invoke(
+        dir.register("sensor01", fixtures::temperature_sensor(1));
+        let call = |name: &str| {
+            dir.invoke(
                 &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
+                &sref(name),
                 &Tuple::empty(),
                 Instant(1),
             )
-            .unwrap();
-        assert_eq!(out.len(), 1);
+        };
+        assert_eq!(call("sensor01").unwrap().len(), 1);
+        assert!(call("ghost").is_err());
         assert_eq!(dir.providers_of("getTemperature").len(), 1);
+    }
+
+    #[test]
+    fn providers_of_updates_with_churn() {
+        let dir = NodeDirectory::new("n1");
+        dir.register("sensor01", fixtures::temperature_sensor(1));
+        dir.register("camera01", fixtures::camera(1));
+        assert_eq!(dir.providers_of("getTemperature").len(), 1);
+        dir.register("sensor02", fixtures::temperature_sensor(2));
+        assert_eq!(dir.providers_of("getTemperature").len(), 2);
+        dir.deregister("sensor01");
+        assert_eq!(dir.providers_of("getTemperature"), vec![sref("sensor02")]);
+    }
+
+    #[test]
+    fn replace_registration_keeps_single_entry() {
+        let dir = NodeDirectory::new("n1");
+        dir.register("s", fixtures::temperature_sensor(1));
+        dir.register("s", fixtures::temperature_sensor(9));
+        assert_eq!(dir.len(), 1);
+        assert_eq!(dir.references().len(), 1);
     }
 
     #[test]
     fn events_since_excludes_nothing_when_all_local() {
         let dir = NodeDirectory::new("n1");
-        ServiceDirectory::register(&dir, ServiceRef::new("a"), fixtures::temperature_sensor(1));
-        ServiceDirectory::register(&dir, ServiceRef::new("b"), fixtures::temperature_sensor(2));
-        let (next, events) = dir.events_since(0);
+        dir.register("a", fixtures::temperature_sensor(1));
+        dir.register("b", fixtures::temperature_sensor(2));
+        let (next, events) = dir.events_since(0).unwrap();
         assert_eq!(next, 2);
         assert_eq!(events.len(), 2);
         // cursor semantics: nothing new after `next`
-        let (next2, events) = dir.events_since(next);
-        assert_eq!(next2, next);
-        assert!(events.is_empty());
+        assert_eq!(dir.events_since(next), Some((next, Vec::new())));
     }
 
     #[test]
     fn advertise_carries_prototypes_and_metadata() {
         let dir = NodeDirectory::new("n1");
-        ServiceDirectory::register_from(
-            &dir,
-            ServiceRef::new("sensor01"),
-            fixtures::temperature_sensor(1),
-            "building".to_string(),
-        );
+        dir.register_from("sensor01", fixtures::temperature_sensor(1), "building");
         dir.set("sensor01", "location", Value::str("office"));
-        let ad = dir.advertise(&ServiceRef::new("sensor01")).unwrap();
+        let ad = dir.advertise(&sref("sensor01")).unwrap();
         assert_eq!(ad.origin, "building");
         assert_eq!(ad.prototypes.len(), 1);
         assert_eq!(ad.prototypes[0].name(), "getTemperature");
@@ -649,5 +636,395 @@ mod tests {
         );
         let (_, ads) = dir.advertise_all();
         assert_eq!(ads.len(), 1);
+    }
+
+    #[test]
+    fn metadata_set_before_the_announcement_lands_describes_it_and_leaves_with_it() {
+        let bus = DiscoveryBus::new(BusConfig::default());
+        let lerm = LocalErm::new("wing", Arc::clone(&bus));
+        let dir = NodeDirectory::new("n1");
+        let location = ["location".to_string()];
+
+        lerm.register_service("s0", fixtures::temperature_sensor(1), Instant(0));
+        dir.set("s0", "location", Value::str("office"));
+        assert!(dir
+            .described_providers("getTemperature", &location)
+            .is_empty());
+        bus.deliver_due(Instant(1), &dir);
+        assert_eq!(
+            dir.described_providers("getTemperature", &location),
+            vec![(sref("s0"), vec![Value::str("office")])]
+        );
+
+        // a leave delivered by the bus drops the metadata like a direct one
+        lerm.unregister_service("s0", Instant(1));
+        bus.deliver_due(Instant(2), &dir);
+        assert_eq!(dir.get("s0", "location"), None);
+        lerm.register_service("s0", fixtures::temperature_sensor(2), Instant(2));
+        bus.deliver_due(Instant(3), &dir);
+        assert!(dir.contains(&sref("s0")));
+        assert!(dir
+            .described_providers("getTemperature", &location)
+            .is_empty());
+    }
+
+    /// A served, empty directory named `node` and a client connected to it:
+    /// what `State::apply` needs to stand in for a polled peer.
+    fn peer(transport: &Arc<dyn Transport>, node: &str) -> (NodeHandle, RemoteNodeClient) {
+        let addr = format!("inproc:{node}");
+        let host = Arc::new(NodeDirectory::new(node));
+        let handle = ServiceNode::serve(Arc::clone(transport), &addr, host).unwrap();
+        let client = RemoteNodeClient::connect(Arc::clone(transport), &addr, "model").unwrap();
+        (handle, client)
+    }
+
+    /// xorshift64*, as `tests/common::Rng`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
+        }
+    }
+
+    #[derive(Clone, Debug, PartialEq)]
+    struct ModelEntry {
+        camera: bool,
+        origin: String,
+        host: Option<String>,
+    }
+
+    /// The directory as two plain maps, and the bus as a list.
+    #[derive(Default)]
+    struct Model {
+        services: BTreeMap<String, ModelEntry>,
+        metadata: BTreeMap<String, BTreeMap<String, Value>>,
+        /// `(deliver_at, bus, name, Some(camera) to announce | None to leave)`
+        /// in send order.
+        in_flight: Vec<(u64, usize, String, Option<bool>)>,
+    }
+
+    impl Model {
+        /// Metadata goes with the service it described — a leave for a
+        /// name that is not registered takes nothing.
+        fn remove(&mut self, name: &str) -> bool {
+            let present = self.services.remove(name).is_some();
+            if present {
+                self.metadata.remove(name);
+            }
+            present
+        }
+
+        fn adopt(&mut self, node: &str, ad: &ServiceAd) {
+            let name = ad.reference.as_str().to_string();
+            let slot = self.metadata.entry(name.clone()).or_default();
+            slot.extend(ad.metadata.iter().cloned());
+            let entry = ModelEntry {
+                camera: ad.prototypes[0].name() != "getTemperature",
+                origin: ad.origin.clone(),
+                host: Some(node.to_string()),
+            };
+            self.services.insert(name, entry);
+        }
+
+        fn evict(&mut self, node: &str) {
+            let hosted = |e: &ModelEntry| e.host.as_deref() == Some(node);
+            let victims: Vec<String> = self
+                .services
+                .iter()
+                .filter(|(_, e)| hosted(e))
+                .map(|(name, _)| name.clone())
+                .collect();
+            for name in victims {
+                self.remove(&name);
+            }
+        }
+
+        fn providers(&self, camera: bool) -> Vec<ServiceRef> {
+            let of_kind = self.services.iter().filter(|(_, e)| e.camera == camera);
+            of_kind.map(|(name, _)| sref(name)).collect()
+        }
+    }
+
+    fn device(camera: bool, seed: u64) -> Arc<dyn Service> {
+        if camera {
+            fixtures::camera(seed)
+        } else {
+            fixtures::temperature_sensor(seed)
+        }
+    }
+
+    fn ad(rng: &mut Rng, name: &str) -> ServiceAd {
+        let camera = rng.below(3) == 0;
+        let mut metadata = Vec::new();
+        if rng.below(2) == 0 {
+            metadata.push(("location".to_string(), Value::Int(rng.below(5) as i64)));
+        }
+        ServiceAd {
+            reference: sref(name),
+            origin: format!("far-{}", rng.below(2)),
+            prototypes: device(camera, 0).prototypes(),
+            metadata,
+        }
+    }
+
+    /// Apply `events_since` output to a reference → origin map.
+    fn replay(map: &mut BTreeMap<String, String>, events: Vec<WireEvent>) {
+        for event in events {
+            match event {
+                WireEvent::Joined(ad) => map.insert(ad.reference.as_str().to_string(), ad.origin),
+                WireEvent::Left(reference) => map.remove(reference.as_str()),
+            };
+        }
+    }
+
+    #[test]
+    fn random_walk_agrees_with_a_plain_map_model() {
+        const STEPS: usize = 2500;
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let (_handle_a, peer_a) = peer(&transport, "peer-a");
+        let (_handle_b, peer_b) = peer(&transport, "peer-b");
+        let peers = [peer_a, peer_b];
+        // two buses: announcements race leaves at different delays
+        let configs = [
+            BusConfig::instant(),
+            BusConfig {
+                announce_latency: 3,
+                leave_latency: 1,
+                ..BusConfig::instant()
+            },
+        ];
+        let buses = configs.map(DiscoveryBus::new);
+        let lerms = [0, 1].map(|i| LocalErm::new(format!("lerm-{i}"), Arc::clone(&buses[i])));
+        let names: Vec<String> = (0..12).map(|i| format!("s{i:02}")).collect();
+
+        let dir = NodeDirectory::new("model");
+        let mut model = Model::default();
+        let mut rng = Rng(0x5EED_D1CE);
+        let mut now = 0u64;
+        let mut followed = BTreeMap::new();
+        let mut cursor = 0u64;
+
+        for step in 0..STEPS {
+            let name = names[rng.below(names.len())].as_str();
+            let which = rng.below(2);
+            let node = peers[which].node().to_string();
+            match rng.below(10) {
+                0 => {
+                    let camera = rng.below(3) == 0;
+                    dir.register(name, device(camera, step as u64));
+                    let entry = ModelEntry {
+                        camera,
+                        origin: String::new(),
+                        host: None,
+                    };
+                    model.services.insert(name.to_string(), entry);
+                }
+                1 => assert_eq!(dir.deregister(name), model.remove(name), "step {step}"),
+                2 => {
+                    let camera = rng.below(3) == 0;
+                    lerms[which].register_service(name, device(camera, step as u64), Instant(now));
+                    let due = now + configs[which].announce_latency;
+                    model
+                        .in_flight
+                        .push((due, which, name.to_string(), Some(camera)));
+                }
+                3 => {
+                    lerms[which].unregister_service(name, Instant(now));
+                    let due = now + configs[which].leave_latency;
+                    model.in_flight.push((due, which, name.to_string(), None));
+                }
+                4 | 5 => {
+                    now += 1;
+                    for (i, bus) in buses.iter().enumerate() {
+                        bus.deliver_due(Instant(now), &dir);
+                        let (mut due, later): (Vec<_>, Vec<_>) =
+                            std::mem::take(&mut model.in_flight)
+                                .into_iter()
+                                .partition(|m| m.1 == i && m.0 <= now);
+                        model.in_flight = later;
+                        due.sort_by_key(|m| m.0); // stable: send order within an instant
+                        for (_, _, name, announced) in due {
+                            match announced {
+                                Some(camera) => {
+                                    let entry = ModelEntry {
+                                        camera,
+                                        origin: format!("lerm-{i}"),
+                                        host: None,
+                                    };
+                                    model.services.insert(name, entry);
+                                }
+                                None => {
+                                    model.remove(&name);
+                                }
+                            }
+                        }
+                    }
+                }
+                6 => {
+                    let value = Value::Int(rng.below(5) as i64);
+                    dir.set(name, "location", value.clone());
+                    let slot = model.metadata.entry(name.to_string()).or_default();
+                    slot.insert("location".to_string(), value);
+                }
+                7 => {
+                    let ad = ad(&mut rng, name);
+                    model.adopt(&node, &ad);
+                    let update = PeerUpdate::Events(vec![WireEvent::Joined(ad)]);
+                    dir.state.write().apply(&peers[which], update);
+                }
+                8 => {
+                    if model.services.get(name).and_then(|e| e.host.as_ref()) == Some(&node) {
+                        model.remove(name);
+                    }
+                    let update = PeerUpdate::Events(vec![WireEvent::Left(sref(name))]);
+                    dir.state.write().apply(&peers[which], update);
+                }
+                _ => {
+                    model.evict(&node);
+                    if rng.below(2) == 0 {
+                        dir.state.write().evict(&node);
+                    } else {
+                        let listed = [name, names[rng.below(names.len())].as_str()];
+                        let ads: Vec<ServiceAd> =
+                            listed.iter().map(|name| ad(&mut rng, name)).collect();
+                        ads.iter().for_each(|ad| model.adopt(&node, ad));
+                        dir.state
+                            .write()
+                            .apply(&peers[which], PeerUpdate::Listing(ads));
+                    }
+                }
+            }
+
+            let listed: Vec<ServiceRef> = model.services.keys().map(|n| sref(n)).collect();
+            assert_eq!(dir.references(), listed, "step {step}");
+            assert_eq!(dir.len(), model.services.len(), "step {step}");
+            assert_eq!(
+                dir.providers_of("getTemperature"),
+                model.providers(false),
+                "step {step}"
+            );
+            assert_eq!(
+                dir.providers_of("checkPhoto"),
+                model.providers(true),
+                "step {step}"
+            );
+            for name in &names {
+                let entry = model.services.get(name);
+                let location = model.metadata.get(name).and_then(|m| m.get("location"));
+                assert_eq!(dir.get(name.as_str(), "location").as_ref(), location);
+                assert_eq!(dir.origin_of(&sref(name)), entry.map(|e| e.origin.clone()));
+                assert_eq!(
+                    dir.hosted_by(&sref(name)),
+                    entry.and_then(|e| e.host.clone())
+                );
+            }
+
+            // the log rebuilds the locally hosted half, followed from a
+            // cursor like a peer does and replayed from the start
+            let local: BTreeMap<String, String> = model
+                .services
+                .iter()
+                .filter(|(_, e)| e.host.is_none())
+                .map(|(name, e)| (name.clone(), e.origin.clone()))
+                .collect();
+            let (next, events) = dir.events_since(cursor).unwrap();
+            cursor = next;
+            replay(&mut followed, events);
+            assert_eq!(followed, local, "step {step}");
+            if step % 16 == 0 {
+                let (_, events) = dir.events_since(0).expect("window holds the whole walk");
+                let mut replayed = BTreeMap::new();
+                replay(&mut replayed, events);
+                assert_eq!(replayed, local, "step {step}");
+            }
+        }
+        // the walk exercised every half of the table
+        assert!(cursor > STEPS as u64 / 2, "only {cursor} events");
+    }
+
+    #[test]
+    fn ten_thousand_fresh_names_leave_nothing_behind() {
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let (_handle, client) = peer(&transport, "peer-a");
+        let bus = DiscoveryBus::new(BusConfig::instant());
+        let lerm = LocalErm::new("wing", Arc::clone(&bus));
+        let dir = NodeDirectory::new("n1");
+        dir.register("resident", fixtures::temperature_sensor(0));
+        dir.set("resident", "location", Value::str("hall"));
+
+        let mut plateau = None;
+        for round in 0..10_000u64 {
+            let (near, far) = (format!("near{round}"), format!("far{round}"));
+            lerm.register_service(
+                near.clone(),
+                fixtures::temperature_sensor(round),
+                Instant(round),
+            );
+            dir.set(near.clone(), "location", Value::str("office"));
+            bus.deliver_due(Instant(round), &dir);
+            let mut ad = dir.advertise(&sref(&near)).unwrap();
+            ad.reference = sref(&far);
+            let joined = PeerUpdate::Events(vec![WireEvent::Joined(ad)]);
+            dir.state.write().apply(&client, joined);
+            assert_eq!(dir.len(), 3);
+
+            lerm.unregister_service(near, Instant(round));
+            bus.deliver_due(Instant(round), &dir);
+            if round % 2 == 0 {
+                let left = PeerUpdate::Events(vec![WireEvent::Left(sref(&far))]);
+                dir.state.write().apply(&client, left);
+            } else {
+                dir.state.write().evict(client.node());
+            }
+
+            let state = dir.state.read();
+            let sizes = (state.services.len(), state.metadata.len(), state.log.len());
+            assert_eq!(state.position(), 1 + 4 * (round + 1));
+            if state.position() > 2 * LOG_WINDOW as u64 {
+                assert_eq!(*plateau.get_or_insert(sizes), sizes, "round {round}");
+            }
+        }
+        assert_eq!(plateau, Some((1, 1, LOG_WINDOW)));
+    }
+
+    #[test]
+    fn a_poller_that_fell_out_of_the_log_window_converges_from_the_listing() {
+        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+        let host = Arc::new(NodeDirectory::new("host"));
+        host.register("old", fixtures::temperature_sensor(1));
+        host.set("old", "location", Value::str("attic"));
+        host.register("stays", fixtures::temperature_sensor(2));
+        let _handle =
+            ServiceNode::serve(Arc::clone(&transport), "inproc:host", Arc::clone(&host)).unwrap();
+        let edge = NodeDirectory::new("edge");
+        edge.connect_peer(Arc::clone(&transport), "inproc:host")
+            .unwrap();
+        assert_eq!(edge.references(), host.references());
+
+        // the host churns through more than a window before the edge polls
+        host.deregister("old");
+        for i in 0..LOG_WINDOW {
+            host.register(format!("blip{i}"), fixtures::temperature_sensor(3));
+            host.deregister(format!("blip{i}"));
+        }
+        host.register("new", fixtures::camera(4));
+        host.set("new", "area", Value::str("roof"));
+        assert_eq!(host.events_since(2), None);
+
+        edge.poll_peers(Instant(1));
+        assert_eq!(edge.references(), vec![sref("new"), sref("stays")]);
+        assert_eq!(edge.get("new", "area"), Some(Value::str("roof")));
+        assert_eq!(edge.get("old", "location"), None);
+        // in band: no down/up blip, and the fresh cursor follows on
+        let status = edge.peer_status();
+        assert!(status[0].alive);
+        assert_eq!((status[0].last_seen, status[0].services), (Instant(1), 2));
+        host.deregister("stays");
+        edge.poll_peers(Instant(2));
+        assert_eq!(edge.references(), vec![sref("new")]);
     }
 }

@@ -12,67 +12,28 @@
 //! attribute holding the provider's reference and the remaining real
 //! attributes filled from the directory's per-service metadata (e.g. a
 //! sensor's installed location). [`DiscoveryQuery::refresh_in`] reads
-//! both provider set and metadata from one
-//! [`ServiceDirectory`](crate::directory::ServiceDirectory) — local and
-//! remote (proxied) services are indistinguishable here, which is what
-//! makes discovery transport-agnostic.
-
-use std::collections::{BTreeMap, HashMap};
-
-use serena_core::sync::RwLock;
+//! both from one [`NodeDirectory`] in one step — local and remote
+//! (proxied) services are indistinguishable here, which is what makes
+//! discovery transport-agnostic.
 
 use serena_core::attr::AttrName;
 use serena_core::error::SchemaError;
 use serena_core::schema::SchemaRef;
-use serena_core::service::Invoker;
 use serena_core::tuple::Tuple;
-use serena_core::value::{ServiceRef, Value};
+use serena_core::value::Value;
 use serena_core::xrelation::XRelation;
 
-/// Per-service metadata: the static facts about a device that the network
-/// announcement carries alongside the reference (location, coverage, …).
-///
-/// Kept for the legacy split-surface API; the unified
-/// [`ServiceDirectory`](crate::directory::ServiceDirectory) trait
-/// carries metadata itself
-/// (`set_metadata`/`metadata`/`metadata_of`), so new code never touches
-/// this type directly.
-#[derive(Default)]
-pub struct MetadataStore {
-    metadata: RwLock<HashMap<ServiceRef, BTreeMap<String, Value>>>,
-}
-
-impl MetadataStore {
-    /// Empty store.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Set one metadata field for a service.
-    pub fn set(&self, reference: impl Into<ServiceRef>, key: impl Into<String>, value: Value) {
-        self.metadata
-            .write()
-            .entry(reference.into())
-            .or_default()
-            .insert(key.into(), value);
-    }
-
-    /// Get one metadata field.
-    pub fn get(&self, reference: &ServiceRef, key: &str) -> Option<Value> {
-        self.metadata.read().get(reference)?.get(key).cloned()
-    }
-
-    /// Forget everything about a service.
-    pub fn remove(&self, reference: &ServiceRef) {
-        self.metadata.write().remove(reference);
-    }
-}
+use crate::directory::NodeDirectory;
 
 /// A continuously-refreshable discovery relation.
 pub struct DiscoveryQuery {
     prototype: String,
     schema: SchemaRef,
-    service_attr: AttrName,
+    /// Position of the service-reference attribute among the real ones.
+    service_slot: usize,
+    /// The other real attributes — the metadata keys a provider must
+    /// carry — in schema order.
+    metadata_attrs: Vec<String>,
 }
 
 impl DiscoveryQuery {
@@ -84,16 +45,22 @@ impl DiscoveryQuery {
         service_attr: impl Into<AttrName>,
     ) -> Result<Self, SchemaError> {
         let service_attr = service_attr.into();
-        if !schema.is_real(service_attr.as_str()) {
+        let real = || schema.attrs().iter().filter(|a| a.is_real());
+        let Some(service_slot) = real().position(|a| a.name == service_attr) else {
             return Err(SchemaError::ServiceAttrNotReal {
                 prototype: "discovery".into(),
                 attr: service_attr,
             });
-        }
+        };
+        let metadata_attrs = real()
+            .filter(|a| a.name != service_attr)
+            .map(|a| a.name.as_str().to_string())
+            .collect();
         Ok(DiscoveryQuery {
             prototype: prototype.into(),
             schema,
-            service_attr,
+            service_slot,
+            metadata_attrs,
         })
     }
 
@@ -102,35 +69,16 @@ impl DiscoveryQuery {
         &self.schema
     }
 
-    /// Materialize the current provider set from one unified directory
-    /// (provider resolution *and* metadata). Services lacking metadata
-    /// for some required real attribute are skipped (discovered but not
-    /// yet describable — the refresh after their metadata arrives picks
-    /// them up).
-    pub fn refresh_in(&self, directory: &dyn crate::directory::ServiceDirectory) -> XRelation {
-        self.materialize(directory, &|reference, key| {
-            directory.metadata(reference, key)
-        })
-    }
-
-    fn materialize(
-        &self,
-        providers: &dyn Invoker,
-        metadata: &dyn Fn(&ServiceRef, &str) -> Option<Value>,
-    ) -> XRelation {
+    /// Materialize the current provider set from `directory`. Services
+    /// lacking metadata for some required real attribute are skipped
+    /// (discovered but not yet describable — the refresh after their
+    /// metadata arrives picks them up).
+    pub fn refresh_in(&self, directory: &NodeDirectory) -> XRelation {
         let mut rel = XRelation::empty(self.schema.clone());
-        'providers: for reference in providers.providers_of(&self.prototype) {
-            let mut values = Vec::with_capacity(self.schema.real_arity());
-            for attr in self.schema.attrs().iter().filter(|a| a.is_real()) {
-                if attr.name == self.service_attr {
-                    values.push(Value::Service(reference.clone()));
-                } else {
-                    match metadata(&reference, attr.name.as_str()) {
-                        Some(v) => values.push(v),
-                        None => continue 'providers,
-                    }
-                }
-            }
+        for (reference, mut values) in
+            directory.described_providers(&self.prototype, &self.metadata_attrs)
+        {
+            values.insert(self.service_slot, Value::Service(reference));
             rel.insert(Tuple::new(values));
         }
         rel
@@ -140,7 +88,6 @@ impl DiscoveryQuery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::directory::NodeDirectory;
     use serena_core::schema::examples::sensors_schema;
     use serena_core::service::fixtures;
     use serena_core::tuple;

@@ -287,9 +287,8 @@ impl InvocationObserver for HealthTracker {
 mod tests {
     use super::*;
     use crate::faults::{FaultPolicy, FaultyService};
-    use crate::registry::DynamicRegistry;
     use serena_core::prototype::examples as protos;
-    use serena_core::service::{fixtures, Invoker};
+    use serena_core::service::{fixtures, Invoker, StaticRegistry};
     use serena_core::telemetry::InstrumentedInvoker;
     use serena_core::tuple::Tuple;
 
@@ -331,7 +330,7 @@ mod tests {
             // cycle: 1 failure then 3 successes → 25% failure rate
             FaultPolicy::Intermittent { fail: 1, ok: 3 },
         );
-        let reg = DynamicRegistry::new();
+        let reg = StaticRegistry::new();
         reg.register("flaky", faulty.clone());
 
         let tracker = HealthTracker::new(16);

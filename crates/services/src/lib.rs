@@ -11,13 +11,17 @@
 //! deterministic simulations that exercise the *same code paths* (see
 //! DESIGN.md §2 for the substitution table):
 //!
-//! * [`registry`] — a dynamic, thread-safe service registry implementing
-//!   the core [`serena_core::service::Invoker`] trait, with
-//!   registration/unregistration events;
-//! * [`bus`] — an in-process discovery bus: *Local Environment Resource
-//!   Managers* announce their services with configurable latency and churn;
-//!   the core ERM applies due announcements each logical tick (Figure 1's
-//!   distributed module layout, minus the real network);
+//! * [`directory`] — the core Environment Resource Manager's service
+//!   table, [`NodeDirectory`]: which services exist, the Local ERM and
+//!   peer node each came from, the metadata describing it, a bounded
+//!   join/leave log, and the [`serena_core::service::Invoker`] impl β
+//!   calls resolve through; multi-node peer links with heartbeat-driven
+//!   liveness;
+//! * [`bus`] — the simulated network delay in front of it: *Local
+//!   Environment Resource Managers* announce their services with
+//!   configurable latency and jitter, and each logical tick the bus
+//!   delivers what is due to the directory (Figure 1's distributed module
+//!   layout, minus the real network);
 //! * [`devices`] — simulated temperature sensors (with scriptable heat
 //!   events), cameras, messengers (e-mail / jabber / SMS with an
 //!   inspectable outbox) and RSS feed wrappers;
@@ -35,10 +39,6 @@
 //!   [`serena_core::service::InvokerStack`];
 //! * [`discovery`] — turning "which services implement prototype ψ?" into
 //!   X-Relation rows, the data backing the PEMS service-discovery queries;
-//! * [`directory`] — the unified, transport-agnostic [`ServiceDirectory`]
-//!   trait (resolve, register/deregister, join/leave subscription,
-//!   metadata, invocation) and its [`NodeDirectory`] implementation with
-//!   multi-node peer links and heartbeat-driven liveness;
 //! * [`transport`] — the node-to-node seam: [`Transport`] with an
 //!   in-process hub ([`InProcTransport`], the deterministic test
 //!   default) and real TCP/UDS sockets ([`SocketTransport`]), speaking
@@ -59,15 +59,13 @@ pub mod faults;
 pub mod fleet;
 pub mod health;
 pub mod node;
-pub mod registry;
 pub mod resilience;
 pub mod transport;
 
-pub use bus::{BusConfig, CoreErm, DiscoveryBus, LocalErm};
-pub use directory::{DirectoryEvent, NodeDirectory, PeerStatus, ServiceDirectory};
+pub use bus::{BusConfig, DiscoveryBus, LocalErm};
+pub use directory::{NodeDirectory, PeerStatus};
 pub use health::{HealthStatus, HealthTracker, ServiceHealth};
 pub use node::{NodeHandle, RemoteNodeClient, RemoteService, ServiceNode};
-pub use registry::{DynamicRegistry, RegistryEvent};
 pub use resilience::{
     BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientInvoker,
     ResilientLayer,

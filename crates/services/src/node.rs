@@ -30,12 +30,12 @@ use serena_core::sync::Mutex;
 
 use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
-use serena_core::service::{invoke_contained, InvokeFault, Invoker, Service};
+use serena_core::service::{invoke_contained, InvokeFault, Service};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
 
-use crate::directory::{DirectoryEvent, NodeDirectory, ServiceDirectory};
+use crate::directory::NodeDirectory;
 use crate::transport::{Connection, Frame, ServiceAd, Transport, TransportError, WireEvent};
 
 struct ClientCore {
@@ -116,18 +116,14 @@ impl RemoteNodeClient {
         }
     }
 
-    /// Re-sync after a failure: a fresh full listing (callers replace
-    /// everything they imported and adopt the returned cursor).
-    pub fn resync(&self) -> Result<(u64, Vec<ServiceAd>), TransportError> {
-        self.list_services()
-    }
-
-    /// Directory events after log position `after`. A successful
-    /// round-trip doubles as the liveness heartbeat.
-    pub fn poll_events(&self, after: u64) -> Result<(u64, Vec<WireEvent>), TransportError> {
+    /// What the peer's directory did after log position `after`, with the
+    /// caller's next cursor. A successful round-trip doubles as the
+    /// liveness heartbeat.
+    pub fn poll_events(&self, after: u64) -> Result<(u64, PeerUpdate), TransportError> {
         match self.call(&Frame::PollEvents { after })? {
-            Frame::Events { next, events } => Ok((next, events)),
-            other => Err(unexpected("Events", &other)),
+            Frame::Events { next, events } => Ok((next, PeerUpdate::Events(events))),
+            Frame::ServiceList { seq, services } => Ok((seq, PeerUpdate::Listing(services))),
+            other => Err(unexpected("Events/ServiceList", &other)),
         }
     }
 
@@ -173,6 +169,16 @@ impl RemoteNodeClient {
             other => Err(unexpected("CheckpointAck", &other)),
         }
     }
+}
+
+/// A peer's answer to [`RemoteNodeClient::poll_events`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum PeerUpdate {
+    /// The join/leave events after the polled position, in order.
+    Events(Vec<WireEvent>),
+    /// The polled position has left the peer's log window: its full
+    /// listing, which replaces everything imported from it.
+    Listing(Vec<ServiceAd>),
 }
 
 fn dial(
@@ -401,29 +407,15 @@ fn serve_connection(mut conn: Box<dyn Connection>, state: &NodeState) {
         let directory = &state.directory;
         let reply = match request {
             Frame::Hello { .. } => Frame::Welcome {
-                node: ServiceDirectory::node(&**directory).to_string(),
+                node: directory.node().to_string(),
             },
-            Frame::ListServices => {
-                let (seq, services) = directory.advertise_all();
-                Frame::ServiceList { seq, services }
-            }
-            Frame::PollEvents { after } => {
-                let (next, events) = directory.events_since(after);
-                let events = events
-                    .into_iter()
-                    .filter_map(|event| match event {
-                        // resolve the full ad at send time; a service
-                        // joined-then-left inside the window is skipped
-                        // (its Left still crosses, and deregistering an
-                        // unknown reference is a no-op for the peer)
-                        DirectoryEvent::Joined { reference, .. } => {
-                            directory.advertise(&reference).map(WireEvent::Joined)
-                        }
-                        DirectoryEvent::Left { reference } => Some(WireEvent::Left(reference)),
-                    })
-                    .collect();
-                Frame::Events { next, events }
-            }
+            Frame::ListServices => service_list(directory),
+            // a cursor the log window has moved past gets the full listing:
+            // the poller replaces what it imported and carries on
+            Frame::PollEvents { after } => match directory.events_since(after) {
+                Some((next, events)) => Frame::Events { next, events },
+                None => service_list(directory),
+            },
             Frame::Invoke {
                 service,
                 prototype,
@@ -435,7 +427,7 @@ fn serve_connection(mut conn: Box<dyn Connection>, state: &NodeState) {
             },
             Frame::Heartbeat { at } => Frame::HeartbeatAck {
                 at,
-                services: ServiceDirectory::len(&**directory) as u64,
+                services: directory.len() as u64,
             },
             Frame::Checkpoint { tick, bytes } => {
                 *state.last_checkpoint.lock() = Some((tick, bytes));
@@ -453,7 +445,7 @@ fn serve_connection(mut conn: Box<dyn Connection>, state: &NodeState) {
 }
 
 fn handle_invoke(
-    directory: &Arc<NodeDirectory>,
+    directory: &NodeDirectory,
     service: &ServiceRef,
     prototype: &str,
     input: &Tuple,
@@ -469,11 +461,11 @@ fn handle_invoke(
     }
     // resolve the full prototype from the local registration — schemas
     // never cross the wire for invocations, only names
-    let resolved = ServiceDirectory::resolve(&**directory, service).ok_or_else(|| {
-        EvalError::UnknownService {
+    let resolved = directory
+        .resolve(service)
+        .ok_or_else(|| EvalError::UnknownService {
             reference: service.to_string(),
-        }
-    })?;
+        })?;
     let proto = resolved
         .prototypes()
         .into_iter()
@@ -485,7 +477,12 @@ fn handle_invoke(
     // contain panics here so a panicking device on this node relays as
     // `Panicked` — byte-identical to what a local caller's
     // CatchPanicLayer would produce
-    invoke_contained(&**directory as &dyn Invoker, &proto, service, input, at)
+    invoke_contained(directory, &proto, service, input, at)
+}
+
+fn service_list(directory: &NodeDirectory) -> Frame {
+    let (seq, services) = directory.advertise_all();
+    Frame::ServiceList { seq, services }
 }
 
 #[cfg(test)]
@@ -498,11 +495,7 @@ mod tests {
     fn served_directory() -> (Arc<dyn Transport>, NodeHandle, Arc<NodeDirectory>) {
         let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
         let dir = Arc::new(NodeDirectory::new("host"));
-        ServiceDirectory::register(
-            &*dir,
-            ServiceRef::new("sensor01"),
-            fixtures::temperature_sensor(1),
-        );
+        dir.register("sensor01", fixtures::temperature_sensor(1));
         dir.set("sensor01", "location", Value::str("office"));
         let handle =
             ServiceNode::serve(Arc::clone(&transport), "inproc:host", Arc::clone(&dir)).unwrap();
@@ -553,7 +546,7 @@ mod tests {
     #[test]
     fn server_side_panic_relays_as_panicked() {
         let (transport, _handle, dir) = served_directory();
-        ServiceDirectory::register(&*dir, ServiceRef::new("bad"), fixtures::panicking_sensor());
+        dir.register("bad", fixtures::panicking_sensor());
         let client = RemoteNodeClient::connect(transport, "inproc:host", "client").unwrap();
         let err = client
             .invoke(
@@ -573,14 +566,12 @@ mod tests {
         let client = RemoteNodeClient::connect(transport, "inproc:host", "client").unwrap();
         let (seq, _) = client.list_services().unwrap();
 
-        ServiceDirectory::register(
-            &*dir,
-            ServiceRef::new("sensor02"),
-            fixtures::temperature_sensor(2),
-        );
-        ServiceDirectory::deregister(&*dir, &ServiceRef::new("sensor01"));
+        dir.register("sensor02", fixtures::temperature_sensor(2));
+        dir.deregister("sensor01");
 
-        let (next, events) = client.poll_events(seq).unwrap();
+        let (next, PeerUpdate::Events(events)) = client.poll_events(seq).unwrap() else {
+            panic!("expected events")
+        };
         assert_eq!(events.len(), 2);
         assert!(matches!(
             &events[0],
@@ -590,9 +581,10 @@ mod tests {
             &events[1],
             WireEvent::Left(r) if r.as_str() == "sensor01"
         ));
-        let (next2, events) = client.poll_events(next).unwrap();
-        assert_eq!(next2, next);
-        assert!(events.is_empty());
+        assert_eq!(
+            client.poll_events(next).unwrap(),
+            (next, PeerUpdate::Events(Vec::new()))
+        );
     }
 
     #[test]

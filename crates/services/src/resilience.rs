@@ -802,13 +802,12 @@ impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
 mod tests {
     use super::*;
     use crate::faults::{FaultPolicy, FaultyService};
-    use crate::registry::DynamicRegistry;
     use serena_core::prototype::examples as protos;
-    use serena_core::service::fixtures;
+    use serena_core::service::{fixtures, StaticRegistry};
 
-    fn flaky(policy: FaultPolicy) -> (DynamicRegistry, Arc<FaultyService>) {
+    fn flaky(policy: FaultPolicy) -> (StaticRegistry, Arc<FaultyService>) {
         let faulty = FaultyService::new(fixtures::temperature_sensor(1), policy);
-        let reg = DynamicRegistry::new();
+        let reg = StaticRegistry::new();
         reg.register("flaky", faulty.clone());
         (reg, faulty)
     }
@@ -857,7 +856,7 @@ mod tests {
 
     #[test]
     fn non_transient_errors_are_not_retried() {
-        let reg = DynamicRegistry::new();
+        let reg = StaticRegistry::new();
         let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(5));
         // unknown service → not transient
         let err = call(&invoker, Instant(0)).unwrap_err();
@@ -1033,12 +1032,12 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_and_bounded() {
         let s = ServiceRef::new("svc");
-        let a = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(7), 2);
-        let b = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(7), 2);
+        let a = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(7), 2);
+        let b = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(7), 2);
         assert_eq!(a, b);
         for at in 0..50u64 {
             for attempt in 1..4u32 {
-                let j = ResilientInvoker::<&DynamicRegistry>::jitter(&s, Instant(at), attempt);
+                let j = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(at), attempt);
                 assert!((0.5..1.0).contains(&j), "{j}");
             }
         }

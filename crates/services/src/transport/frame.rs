@@ -83,7 +83,9 @@ pub enum Frame {
     },
     /// Request the full current service listing.
     ListServices,
-    /// Reply to [`Frame::ListServices`].
+    /// Reply to [`Frame::ListServices`] — and to a [`Frame::PollEvents`]
+    /// whose cursor the server's bounded event log no longer reaches: the
+    /// poller replaces what it imported with this listing.
     ServiceList {
         /// The server's event-log position at listing time; poll from
         /// here to observe every later change exactly once.
@@ -97,7 +99,8 @@ pub enum Frame {
         /// The caller's cursor into the server's event log.
         after: u64,
     },
-    /// Reply to [`Frame::PollEvents`].
+    /// Reply to [`Frame::PollEvents`] when the log still holds everything
+    /// after the caller's cursor.
     Events {
         /// The caller's next cursor.
         next: u64,

@@ -8,14 +8,13 @@
 use std::sync::Arc;
 
 use serena_core::prototype::examples as protos;
-use serena_core::service::{fixtures, Invoker};
+use serena_core::service::{fixtures, Invoker, StaticRegistry};
 use serena_core::snapshot::{Reader, Writer};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
 use serena_services::faults::{FaultPolicy, FaultyService};
 use serena_services::health::HealthTracker;
-use serena_services::registry::DynamicRegistry;
 use serena_services::resilience::{
     BreakerState, ResiliencePolicy, ResilienceState, ResilientInvoker,
 };
@@ -47,15 +46,15 @@ fn roundtrip_resilience(src: &ResilienceState, dst: &ResilienceState) {
     assert_eq!(bytes, w2.into_bytes(), "re-export differs");
 }
 
-fn flaky_registry(policy: FaultPolicy) -> DynamicRegistry {
+fn flaky_registry(policy: FaultPolicy) -> StaticRegistry {
     let faulty = FaultyService::new(fixtures::temperature_sensor(1), policy);
-    let reg = DynamicRegistry::new();
+    let reg = StaticRegistry::new();
     reg.register("flaky", faulty);
     reg
 }
 
 fn call(
-    invoker: &ResilientInvoker<'_, &DynamicRegistry>,
+    invoker: &ResilientInvoker<'_, &StaticRegistry>,
     sref: &ServiceRef,
     at: Instant,
 ) -> Result<Vec<Tuple>, serena_core::error::EvalError> {

@@ -77,15 +77,13 @@ impl TableHandle {
     }
 
     /// Replace the table's contents wholesale (applied at the next tick) —
-    /// used by discovery queries refreshing provider tables.
+    /// used by discovery queries refreshing provider tables. Mutations
+    /// still pending are superseded, so repeating the call between two
+    /// ticks is idempotent.
     pub fn replace_with(&self, tuples: impl IntoIterator<Item = Tuple>) {
         let mut state = self.inner.lock();
         let target: Multiset = tuples.into_iter().collect();
-        // desired delta from (current ⊕ already-pending) to target
-        let mut projected = state.current.clone();
-        let pending = std::mem::take(&mut state.pending);
-        projected.apply(&pending);
-        state.pending = projected.diff_to(&target);
+        state.pending = state.current.diff_to(&target);
     }
 
     /// Snapshot of the current (already-ticked) contents.
@@ -281,6 +279,21 @@ mod tests {
         assert!(snap.contains(&tuple![2]));
         assert!(!snap.contains(&tuple![1]));
         assert_eq!(snap.len(), 1);
+    }
+
+    #[test]
+    fn replace_with_twice_between_ticks_still_projects_the_target() {
+        let target = || vec![tuple![1], tuple![2]];
+        let t = TableHandle::new(schema());
+        t.replace_with(target());
+        t.replace_with(target());
+        assert_eq!(t.projected(), target().into_iter().collect());
+        // and from a committed state that differs from the target
+        t.replace_with(vec![tuple![9]]);
+        t.tick_at(Instant(9), false);
+        t.replace_with(target());
+        t.replace_with(target());
+        assert_eq!(t.projected(), target().into_iter().collect());
     }
 
     #[test]

@@ -20,7 +20,7 @@
 //! * [`stream`] (`serena-stream`) — XD-Relations as tables and stream
 //!   sources, and the incremental continuous executor that runs such a
 //!   plan tick by tick (§4);
-//! * [`services`] (`serena-services`) — dynamic registry, discovery bus
+//! * [`services`] (`serena-services`) — the service directory, discovery bus
 //!   with Local Environment Resource Managers, simulated sensors, cameras,
 //!   messengers and RSS feeds (§5.1–5.2);
 //! * [`ddl`] (`serena-ddl`) — the Serena DDL and Serena Algebra Language;

@@ -17,7 +17,6 @@ use serena::services::directory::NodeDirectory;
 use serena::services::fleet::FailureProfile;
 use serena::services::node::{NodeHandle, ServiceNode};
 use serena::services::transport::{InProcTransport, SocketTransport, Transport};
-use serena::services::ServiceDirectory;
 use serena::stream::exec::TickReport;
 
 const TICKS: u64 = 8;

@@ -79,15 +79,17 @@ fn invocation_cache_retracts_under_sensor_churn() {
     pems.register_discovery("sensors", "getTemperature", "sensor")
         .unwrap();
     let lerm = pems.local_erm("wing");
-    pems.directory().set("s0", "location", Value::str("office"));
 
     for round in 0..200u64 {
-        if round % 2 == 0 {
+        let joining = round % 2 == 0;
+        if joining {
             lerm.register_service(
                 "s0",
                 serena::core::service::fixtures::temperature_sensor(round),
                 pems.clock(),
             );
+            // metadata leaves with the service, so it is set per registration
+            pems.directory().set("s0", "location", Value::str("office"));
         } else {
             lerm.unregister_service("s0", pems.clock());
         }
@@ -97,6 +99,56 @@ fn invocation_cache_retracts_under_sensor_churn() {
             .current_relation("temps")
             .map(|r| r.len())
             .unwrap_or(0);
-        assert!(held <= 1, "stale rows accumulated: {held} at round {round}");
+        assert_eq!(held, usize::from(joining), "at round {round}");
     }
+}
+
+#[test]
+fn directory_state_plateaus_under_ten_thousand_device_churn() {
+    // 10⁴ fresh-named sensors pass through a runtime that serves no peer —
+    // nobody reads the directory's join/leave log, and it must stay bounded
+    // all the same, as must the metadata of the departed.
+    use serena::pems::Pems;
+    use serena::services::bus::BusConfig;
+
+    const BATCH: u64 = 20;
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "PROTOTYPE getTemperature( ) : ( temperature REAL );
+         EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         REGISTER QUERY fleet AS sensors;",
+    )
+    .unwrap();
+    pems.register_discovery("sensors", "getTemperature", "sensor")
+        .unwrap();
+    let lerm = pems.local_erm("wing");
+    let directory = pems.directory();
+    let name = |round: u64, i: u64| format!("s{}", round * BATCH + i);
+
+    for round in 0..500u64 {
+        for i in 0..BATCH {
+            if round > 0 {
+                lerm.unregister_service(name(round - 1, i), pems.clock());
+            }
+            let sensor = serena::core::service::fixtures::temperature_sensor(i);
+            lerm.register_service(name(round, i), sensor, pems.clock());
+            directory.set(name(round, i), "location", Value::str("office"));
+        }
+        pems.tick();
+        assert_eq!(directory.len(), BATCH as usize);
+        let fleet = pems.processor().current_relation("fleet").unwrap();
+        assert_eq!(fleet.len(), BATCH as usize, "at round {round}");
+        if round > 0 {
+            assert_eq!(directory.get(name(round - 1, 0), "location"), None);
+        }
+    }
+    // 2·10⁴ − 20 events were logged and only a window of them is kept: the
+    // start is gone, the recent end still answers
+    let (position, _) = directory.events_since(u64::MAX).unwrap();
+    assert_eq!(position, 2 * 500 * BATCH - BATCH);
+    assert!(directory.events_since(0).is_none());
+    let (_, recent) = directory.events_since(position - 2 * BATCH).unwrap();
+    assert_eq!(recent.len(), 2 * BATCH as usize);
 }
