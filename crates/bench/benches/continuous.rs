@@ -110,7 +110,6 @@ fn bench_incremental_join(c: &mut Criterion) {
 
 fn bench_surveillance_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("surveillance_tick");
-    group.sample_size(20);
     for sensors in [10usize, 50, 200] {
         group.bench_with_input(
             BenchmarkId::from_parameter(sensors),

@@ -84,7 +84,6 @@ fn bench_assign(c: &mut Criterion) {
 
 fn bench_invoke(c: &mut Criterion) {
     let mut group = c.benchmark_group("invoke");
-    group.sample_size(20);
     for n in [100usize, 1_000, 5_000] {
         let rel = workload::sensors_relation(n);
         let reg = workload::scaled_registry(n, 0);

@@ -6,13 +6,15 @@
 //! ```
 //!
 //! Besides the usual printed report, this harness writes every measurement
-//! (plus the parallel-β speedup factors) to `BENCH_physical.json` in the
-//! invoking directory — override the path with `SERENA_BENCH_OUT`.
+//! (plus the parallel-β speedup factors) to `target/physical.json` — the
+//! committed `BENCH_physical.json` is a copy of one run.
 
 use std::time::Duration;
 
 use serena_bench::criterion_group;
-use serena_bench::harness::{take_records, BenchRecord, BenchmarkId, Criterion, Throughput};
+use serena_bench::harness::{
+    take_records, write_report, BenchRecord, BenchmarkId, Criterion, Json, Throughput,
+};
 use serena_bench::workload;
 
 use serena_core::exec::ExecContext;
@@ -91,17 +93,9 @@ fn main() {
     benches();
     let records = take_records();
 
-    // Hand-rolled JSON (the workspace is dependency-free): one entry per
-    // measurement, plus derived speedups for the parallel-β comparison.
-    let mut json = String::from("{\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 < records.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"mean_ns\": {}, \"best_ns\": {}}}{sep}\n",
-            r.label, r.mean_ns, r.best_ns
-        ));
-    }
-    json.push_str("  ]");
+    // One entry per measurement, plus derived speedups for the parallel-β
+    // comparison.
+    let mut report = vec![("results".to_string(), Json::records(&records))];
     let serial = mean_of(&records, "physical_invoke_parallel/workers/1");
     for workers in [2u32, 8] {
         let parallel = mean_of(
@@ -111,17 +105,13 @@ fn main() {
         if let (Some(s), Some(p)) = (serial, parallel) {
             let speedup = s.mean_ns as f64 / p.mean_ns.max(1) as f64;
             println!("parallel β speedup ({workers} workers vs serial): {speedup:.2}x");
-            json.push_str(&format!(",\n  \"speedup_{workers}_workers\": {speedup:.3}"));
+            report.push((format!("speedup_{workers}_workers"), Json::Num(speedup)));
         }
     }
-    json.push_str(&format!(
-        ",\n  \"slow_call_ms\": {},\n  \"slow_rows\": {}\n}}\n",
-        SLOW_CALL.as_millis(),
-        SLOW_ROWS
+    report.push((
+        "slow_call_ms".to_string(),
+        Json::Num(SLOW_CALL.as_millis() as f64),
     ));
-
-    let path =
-        std::env::var("SERENA_BENCH_OUT").unwrap_or_else(|_| "BENCH_physical.json".to_string());
-    std::fs::write(&path, json).expect("write bench results");
-    println!("wrote {path}");
+    report.push(("slow_rows".to_string(), Json::Num(SLOW_ROWS as f64)));
+    write_report("physical", &Json::Obj(report));
 }

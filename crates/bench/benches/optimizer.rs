@@ -15,7 +15,6 @@ use serena_core::time::Instant;
 
 fn bench_q2_family(c: &mut Criterion) {
     let mut group = c.benchmark_group("q2_naive_vs_optimized");
-    group.sample_size(30);
     for n in [10usize, 100, 1_000] {
         let env = workload::scaled_environment(0, n, 0);
         let reg = workload::scaled_registry(0, n);

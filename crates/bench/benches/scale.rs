@@ -6,19 +6,20 @@
 //! cargo bench -p serena-bench --bench scale
 //! ```
 //!
-//! Writes `BENCH_scale.json` (override with `SERENA_BENCH_OUT`) with the
-//! objective indicators: tuples/sec, merged p99 tick latency and memory per
-//! query, plus a `scaling` curve — the same workload re-run at each
-//! scheduler width in `SERENA_SCALE_WORKER_COUNTS` (default `1,2,4,8`),
-//! gated so the widest pool is at least as fast as the single-worker run
-//! and (on overlapping workloads) cross-query β dedup actually fired.
+//! Writes `target/scale.json` (the committed `BENCH_scale.json` is a copy of
+//! one full-size run) with the objective indicators: tuples/sec, merged p99
+//! tick latency and memory per query, plus a `scaling` curve — the same
+//! workload re-run at each scheduler width in `SERENA_SCALE_WORKER_COUNTS`
+//! (default `1,2,4,8`), gated so the widest pool is at least as fast as the
+//! single-worker run and (on overlapping workloads) cross-query β dedup
+//! actually fired.
 //! Scale down for smokes with `SERENA_SCALE_DEVICES`,
 //! `SERENA_SCALE_QUERIES`, `SERENA_SCALE_TICKS` … (see
 //! [`serena_bench::envgen::ScaleConfig::from_env`]).
 
 use serena_bench::criterion_group;
 use serena_bench::envgen::{run_scale, ScaleConfig, ScaleOutcome};
-use serena_bench::harness::{take_records, BenchmarkId, Criterion};
+use serena_bench::harness::{take_records, write_report, BenchmarkId, Criterion, Json};
 
 fn bench_scale(c: &mut Criterion) {
     let config = ScaleConfig::from_env();
@@ -132,43 +133,33 @@ fn main() {
         std::process::exit(1);
     }
 
-    let mut json = String::from("{\n  \"results\": [\n");
-    for (i, r) in records.iter().enumerate() {
-        let sep = if i + 1 < records.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"label\": \"{}\", \"mean_ns\": {}, \"best_ns\": {}}}{sep}\n",
-            r.label, r.mean_ns, r.best_ns
-        ));
-    }
-    json.push_str("  ]");
-    json.push_str(&format!(
-        ",\n  \"devices\": {},\n  \"queries\": {},\n  \"ticks\": {}",
-        outcome.devices, outcome.queries, outcome.ticks
-    ));
-    json.push_str(&format!(
-        ",\n  \"tuples_per_sec\": {:.1},\n  \"tuples_in\": {},\n  \"tuples_out\": {}",
-        outcome.tuples_per_sec, outcome.tuples_in, outcome.tuples_out
-    ));
-    json.push_str(&format!(
-        ",\n  \"errors\": {},\n  \"elapsed_ns\": {}",
-        outcome.errors, outcome.elapsed_ns
-    ));
-    json.push_str(&format!(
-        ",\n  \"p99_tick_ns\": {},\n  \"mem_bytes\": {},\n  \"mem_per_query_bytes\": {}",
-        outcome.p99_tick_ns, outcome.mem_bytes, outcome.mem_per_query
-    ));
-    json.push_str(",\n  \"scaling\": [\n");
-    for (i, o) in curve.iter().enumerate() {
-        let sep = if i + 1 < curve.len() { "," } else { "" };
-        json.push_str(&format!(
-            "    {{\"workers\": {}, \"tuples_per_sec\": {:.1}, \"p99_tick_ns\": {}, \
-             \"elapsed_ns\": {}, \"sched_steals\": {}, \"beta_dedup\": {}}}{sep}\n",
-            o.workers, o.tuples_per_sec, o.p99_tick_ns, o.elapsed_ns, o.sched_steals, o.beta_dedup
-        ));
-    }
-    json.push_str("  ]\n}\n");
-
-    let path = std::env::var("SERENA_BENCH_OUT").unwrap_or_else(|_| "BENCH_scale.json".to_string());
-    std::fs::write(&path, json).expect("write bench results");
-    println!("wrote {path}");
+    let scaling = curve.iter().map(|o| {
+        Json::obj([
+            ("workers", Json::Num(o.workers as f64)),
+            ("tuples_per_sec", Json::Num(o.tuples_per_sec)),
+            ("p99_tick_ns", Json::Num(o.p99_tick_ns as f64)),
+            ("elapsed_ns", Json::Num(o.elapsed_ns as f64)),
+            ("sched_steals", Json::Num(o.sched_steals as f64)),
+            ("beta_dedup", Json::Num(o.beta_dedup as f64)),
+        ])
+    });
+    let report = Json::obj([
+        ("results", Json::records(&records)),
+        ("devices", Json::Num(outcome.devices as f64)),
+        ("queries", Json::Num(outcome.queries as f64)),
+        ("ticks", Json::Num(outcome.ticks as f64)),
+        ("tuples_per_sec", Json::Num(outcome.tuples_per_sec)),
+        ("tuples_in", Json::Num(outcome.tuples_in as f64)),
+        ("tuples_out", Json::Num(outcome.tuples_out as f64)),
+        ("errors", Json::Num(outcome.errors as f64)),
+        ("elapsed_ns", Json::Num(outcome.elapsed_ns as f64)),
+        ("p99_tick_ns", Json::Num(outcome.p99_tick_ns as f64)),
+        ("mem_bytes", Json::Num(outcome.mem_bytes as f64)),
+        (
+            "mem_per_query_bytes",
+            Json::Num(outcome.mem_per_query as f64),
+        ),
+        ("scaling", Json::Arr(scaling.collect())),
+    ]);
+    write_report("scale", &report);
 }

@@ -8,13 +8,12 @@
 //! cargo run --release -p serena-bench --bin opt_sweep
 //! ```
 
-use std::collections::BTreeMap;
 use std::time::Instant as WallClock;
 
 use serena_bench::{report, workload};
 use serena_core::eval::CountingInvoker;
 use serena_core::prelude::*;
-use serena_core::rewrite::{estimate, optimize, CostParams};
+use serena_core::rewrite::{optimize, CostParams, MeasuredCosts};
 
 fn main() {
     println!(
@@ -39,13 +38,13 @@ fn main() {
         let (inv_naive, t_naive) = measure(&naive);
         let (inv_opt, t_opt) = measure(&optimized);
 
-        let cards: BTreeMap<String, usize> = [("cameras".to_string(), n)].into();
-        let params = CostParams {
+        let mut costs = MeasuredCosts::new().with_params(CostParams {
             selectivity: 1.0 / 5.0,
             ..CostParams::default()
-        };
-        let c_naive = estimate(&naive, &env, &cards, &params).unwrap();
-        let c_opt = estimate(&optimized, &env, &cards, &params).unwrap();
+        });
+        costs.observe_cardinality("cameras", n);
+        let c_naive = costs.estimate(&naive, &env).unwrap();
+        let c_opt = costs.estimate(&optimized, &env).unwrap();
 
         rows.push(vec![
             format!("{n}"),

@@ -2,7 +2,8 @@
 //!
 //! Workload generators and reporting helpers shared by the experiment
 //! harnesses (one binary per paper table/figure, see DESIGN.md §5) and the
-//! Criterion micro-benchmarks.
+//! `benches/` targets: micro-benchmarks over [`harness`]'s calibrated timing
+//! loop, and the overhead table over its paired measurement and 5 % gate.
 //!
 //! The paper's own evaluation (§5.2) is qualitative; §7 calls the missing
 //! quantitative benchmark out as future work ("we also aim at developing a

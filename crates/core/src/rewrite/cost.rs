@@ -52,199 +52,6 @@ pub struct CostEstimate {
     pub cost: f64,
 }
 
-/// The per-operator inputs an estimate walk consumes. The static model
-/// ([`CostParams`] + a cardinality map) and the telemetry-fed model
-/// ([`MeasuredCosts`]) both speak this vocabulary; the walk itself is
-/// shared.
-pub trait CostInputs {
-    /// Structural parameters (selectivities, join factor, defaults).
-    fn params(&self) -> &CostParams;
-
-    /// Cardinality of the named base relation, if known.
-    fn cardinality(&self, name: &str) -> Option<f64>;
-
-    /// Cost charged per invocation of `prototype` (relative to 1.0 per
-    /// processed tuple).
-    fn invocation_cost(&self, prototype: &str) -> f64;
-
-    /// Expected output tuples per invocation of `prototype`.
-    fn invocation_fanout(&self, prototype: &str) -> f64;
-}
-
-/// Adapter giving the classic static model the [`CostInputs`] vocabulary.
-struct StaticInputs<'a> {
-    params: &'a CostParams,
-    cardinalities: &'a BTreeMap<String, usize>,
-}
-
-impl CostInputs for StaticInputs<'_> {
-    fn params(&self) -> &CostParams {
-        self.params
-    }
-
-    fn cardinality(&self, name: &str) -> Option<f64> {
-        self.cardinalities.get(name).map(|&n| n as f64)
-    }
-
-    fn invocation_cost(&self, _prototype: &str) -> f64 {
-        self.params.invocation_cost
-    }
-
-    fn invocation_fanout(&self, _prototype: &str) -> f64 {
-        self.params.invocation_fanout
-    }
-}
-
-/// Estimate `plan`'s cost given base-relation cardinalities.
-pub fn estimate(
-    plan: &Plan,
-    catalog: &dyn SchemaCatalog,
-    cardinalities: &BTreeMap<String, usize>,
-    params: &CostParams,
-) -> Result<CostEstimate, PlanError> {
-    estimate_with(
-        plan,
-        catalog,
-        &StaticInputs {
-            params,
-            cardinalities,
-        },
-    )
-}
-
-/// Estimate `plan`'s cost against an arbitrary [`CostInputs`] provider —
-/// the entry point used by [`MeasuredCosts::estimate`]. In a continuous
-/// plan the figures are *per instant*: a stream's cardinality is its
-/// expected tuples per instant, a window multiplies its operand's rate by
-/// its period, and a sampling invocation `βˢ[k]` amortizes one full scan of
-/// its operand every `k` instants.
-pub fn estimate_with(
-    plan: &Plan,
-    catalog: &dyn SchemaCatalog,
-    inputs: &dyn CostInputs,
-) -> Result<CostEstimate, PlanError> {
-    let params = *inputs.params();
-    match plan {
-        Plan::Relation(name) => {
-            // validate existence
-            plan.schema(catalog)?;
-            let rows = inputs
-                .cardinality(name)
-                .unwrap_or(params.default_cardinality);
-            Ok(CostEstimate {
-                rows,
-                invocations: 0.0,
-                cost: rows,
-            })
-        }
-        Plan::Union(a, b) => {
-            let (ea, eb) = (
-                estimate_with(a, catalog, inputs)?,
-                estimate_with(b, catalog, inputs)?,
-            );
-            let rows = ea.rows + eb.rows;
-            Ok(combine2(ea, eb, rows))
-        }
-        Plan::Intersect(a, b) => {
-            let (ea, eb) = (
-                estimate_with(a, catalog, inputs)?,
-                estimate_with(b, catalog, inputs)?,
-            );
-            let rows = ea.rows.min(eb.rows) * params.selectivity;
-            Ok(combine2(ea, eb, rows))
-        }
-        Plan::Difference(a, b) => {
-            let (ea, eb) = (
-                estimate_with(a, catalog, inputs)?,
-                estimate_with(b, catalog, inputs)?,
-            );
-            let rows = ea.rows * params.selectivity;
-            Ok(combine2(ea, eb, rows))
-        }
-        Plan::Project(p, _)
-        | Plan::Rename(p, _, _)
-        | Plan::Assign(p, _, _)
-        | Plan::Stream(p, _) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            Ok(CostEstimate {
-                rows: e.rows,
-                invocations: e.invocations,
-                cost: e.cost + e.rows,
-            })
-        }
-        Plan::Select(p, _) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            let rows = e.rows * params.selectivity;
-            Ok(CostEstimate {
-                rows,
-                invocations: e.invocations,
-                cost: e.cost + e.rows,
-            })
-        }
-        Plan::Join(a, b) => {
-            let (ea, eb) = (
-                estimate_with(a, catalog, inputs)?,
-                estimate_with(b, catalog, inputs)?,
-            );
-            // does the join have a predicate? (common both-real attributes)
-            let sa = a.schema(catalog)?;
-            let sb = b.schema(catalog)?;
-            let has_predicate = sa
-                .attrs()
-                .iter()
-                .any(|x| x.is_real() && sb.is_real(x.name.as_str()));
-            let rows = if has_predicate {
-                (ea.rows * eb.rows * params.join_factor).max(ea.rows.min(eb.rows))
-            } else {
-                ea.rows * eb.rows
-            };
-            Ok(combine2(ea, eb, rows))
-        }
-        Plan::Invoke(p, proto, _) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            // one invocation per input tuple
-            let invocations = e.invocations + e.rows;
-            let rows = e.rows * inputs.invocation_fanout(proto);
-            Ok(CostEstimate {
-                rows,
-                invocations,
-                cost: e.cost + e.rows * inputs.invocation_cost(proto),
-            })
-        }
-        Plan::Aggregate(p, group, _) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            let rows = if group.is_empty() {
-                1.0
-            } else {
-                (e.rows * params.selectivity).max(1.0)
-            };
-            Ok(CostEstimate {
-                rows,
-                invocations: e.invocations,
-                cost: e.cost + e.rows,
-            })
-        }
-        Plan::Window(p, period) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            let rows = e.rows * (*period).max(1) as f64;
-            Ok(CostEstimate {
-                rows,
-                invocations: e.invocations,
-                cost: e.cost + rows,
-            })
-        }
-        Plan::SampleInvoke(p, proto, _, period) => {
-            let e = estimate_with(p, catalog, inputs)?;
-            let per = (*period).max(1) as f64;
-            Ok(CostEstimate {
-                rows: e.rows * inputs.invocation_fanout(proto) / per,
-                invocations: e.invocations + e.rows / per,
-                cost: e.cost + (e.rows / per) * inputs.invocation_cost(proto),
-            })
-        }
-    }
-}
-
 /// Per-prototype measured state, assembled from the telemetry subsystem:
 /// latency quantiles from the instrumented invoker's histograms, failure
 /// rate and breaker state from the health tracker / resilience layer,
@@ -310,8 +117,8 @@ impl Default for MeasuredCosts {
 }
 
 impl MeasuredCosts {
-    /// A provider with default structural parameters and no observations
-    /// (behaves exactly like the static model until fed).
+    /// A provider with default structural parameters and no observations:
+    /// the static model, until fed.
     pub fn new() -> Self {
         MeasuredCosts::default()
     }
@@ -356,25 +163,129 @@ impl MeasuredCosts {
         self.observations.iter().map(|(k, v)| (k.as_str(), v))
     }
 
-    /// Estimate `plan` under this model.
+    /// Estimate `plan` under this model. In a continuous plan the figures
+    /// are *per instant*: a stream's cardinality is its expected tuples per
+    /// instant, a window multiplies its operand's rate by its period, and a
+    /// sampling invocation `βˢ[k]` amortizes one full scan of its operand
+    /// every `k` instants.
     pub fn estimate(
         &self,
         plan: &Plan,
         catalog: &dyn SchemaCatalog,
     ) -> Result<CostEstimate, PlanError> {
-        estimate_with(plan, catalog, self)
+        let params = self.base;
+        match plan {
+            Plan::Relation(name) => {
+                // validate existence
+                plan.schema(catalog)?;
+                let rows = self
+                    .cardinalities
+                    .get(name)
+                    .map_or(params.default_cardinality, |&n| n as f64);
+                Ok(CostEstimate {
+                    rows,
+                    invocations: 0.0,
+                    cost: rows,
+                })
+            }
+            Plan::Union(a, b) => {
+                let (ea, eb) = (self.estimate(a, catalog)?, self.estimate(b, catalog)?);
+                let rows = ea.rows + eb.rows;
+                Ok(combine2(ea, eb, rows))
+            }
+            Plan::Intersect(a, b) => {
+                let (ea, eb) = (self.estimate(a, catalog)?, self.estimate(b, catalog)?);
+                let rows = ea.rows.min(eb.rows) * params.selectivity;
+                Ok(combine2(ea, eb, rows))
+            }
+            Plan::Difference(a, b) => {
+                let (ea, eb) = (self.estimate(a, catalog)?, self.estimate(b, catalog)?);
+                let rows = ea.rows * params.selectivity;
+                Ok(combine2(ea, eb, rows))
+            }
+            Plan::Project(p, _)
+            | Plan::Rename(p, _, _)
+            | Plan::Assign(p, _, _)
+            | Plan::Stream(p, _) => {
+                let e = self.estimate(p, catalog)?;
+                Ok(CostEstimate {
+                    rows: e.rows,
+                    invocations: e.invocations,
+                    cost: e.cost + e.rows,
+                })
+            }
+            Plan::Select(p, _) => {
+                let e = self.estimate(p, catalog)?;
+                let rows = e.rows * params.selectivity;
+                Ok(CostEstimate {
+                    rows,
+                    invocations: e.invocations,
+                    cost: e.cost + e.rows,
+                })
+            }
+            Plan::Join(a, b) => {
+                let (ea, eb) = (self.estimate(a, catalog)?, self.estimate(b, catalog)?);
+                // does the join have a predicate? (common both-real attributes)
+                let sa = a.schema(catalog)?;
+                let sb = b.schema(catalog)?;
+                let has_predicate = sa
+                    .attrs()
+                    .iter()
+                    .any(|x| x.is_real() && sb.is_real(x.name.as_str()));
+                let rows = if has_predicate {
+                    (ea.rows * eb.rows * params.join_factor).max(ea.rows.min(eb.rows))
+                } else {
+                    ea.rows * eb.rows
+                };
+                Ok(combine2(ea, eb, rows))
+            }
+            Plan::Invoke(p, proto, _) => {
+                let e = self.estimate(p, catalog)?;
+                // one invocation per input tuple
+                let invocations = e.invocations + e.rows;
+                let rows = e.rows * self.invocation_fanout(proto);
+                Ok(CostEstimate {
+                    rows,
+                    invocations,
+                    cost: e.cost + e.rows * self.invocation_cost(proto),
+                })
+            }
+            Plan::Aggregate(p, group, _) => {
+                let e = self.estimate(p, catalog)?;
+                let rows = if group.is_empty() {
+                    1.0
+                } else {
+                    (e.rows * params.selectivity).max(1.0)
+                };
+                Ok(CostEstimate {
+                    rows,
+                    invocations: e.invocations,
+                    cost: e.cost + e.rows,
+                })
+            }
+            Plan::Window(p, period) => {
+                let e = self.estimate(p, catalog)?;
+                let rows = e.rows * (*period).max(1) as f64;
+                Ok(CostEstimate {
+                    rows,
+                    invocations: e.invocations,
+                    cost: e.cost + rows,
+                })
+            }
+            Plan::SampleInvoke(p, proto, _, period) => {
+                let e = self.estimate(p, catalog)?;
+                let per = (*period).max(1) as f64;
+                Ok(CostEstimate {
+                    rows: e.rows * self.invocation_fanout(proto) / per,
+                    invocations: e.invocations + e.rows / per,
+                    cost: e.cost + (e.rows / per) * self.invocation_cost(proto),
+                })
+            }
+        }
     }
-}
 
-impl CostInputs for MeasuredCosts {
-    fn params(&self) -> &CostParams {
-        &self.base
-    }
-
-    fn cardinality(&self, name: &str) -> Option<f64> {
-        self.cardinalities.get(name).map(|&n| n as f64)
-    }
-
+    /// Cost charged per invocation of `prototype` (relative to 1.0 per
+    /// processed tuple).
     fn invocation_cost(&self, prototype: &str) -> f64 {
         let Some(obs) = self.observations.get(prototype) else {
             return self.base.invocation_cost;
@@ -395,6 +306,7 @@ impl CostInputs for MeasuredCosts {
         cost * (1.0 - obs.cache_hit_rate.clamp(0.0, 0.95))
     }
 
+    /// Expected output tuples per invocation of `prototype`.
     fn invocation_fanout(&self, prototype: &str) -> f64 {
         self.observations
             .get(prototype)
@@ -427,12 +339,21 @@ mod tests {
         .collect()
     }
 
+    /// The static model: default parameters plus known cardinalities, no
+    /// observations.
+    fn unfed(cards: &BTreeMap<String, usize>) -> MeasuredCosts {
+        let mut m = MeasuredCosts::new();
+        for (name, n) in cards {
+            m.observe_cardinality(name, *n);
+        }
+        m
+    }
+
     #[test]
     fn pushed_down_plan_costs_less() {
         let env = example_environment();
-        let params = CostParams::default();
-        let e_opt = estimate(&q2(), &env, &cards(), &params).unwrap();
-        let e_naive = estimate(&q2_prime(), &env, &cards(), &params).unwrap();
+        let e_opt = unfed(&cards()).estimate(&q2(), &env).unwrap();
+        let e_naive = unfed(&cards()).estimate(&q2_prime(), &env).unwrap();
         assert!(
             e_opt.cost < e_naive.cost,
             "Q2 ({}) should be cheaper than Q2' ({})",
@@ -445,11 +366,10 @@ mod tests {
     #[test]
     fn invocation_dominates_cost() {
         let env = example_environment();
-        let params = CostParams::default();
         let scan = Plan::relation("cameras");
         let inv = Plan::relation("cameras").invoke("checkPhoto", "camera");
-        let e_scan = estimate(&scan, &env, &cards(), &params).unwrap();
-        let e_inv = estimate(&inv, &env, &cards(), &params).unwrap();
+        let e_scan = unfed(&cards()).estimate(&scan, &env).unwrap();
+        let e_inv = unfed(&cards()).estimate(&inv, &env).unwrap();
         assert!(e_inv.cost > e_scan.cost * 100.0);
         assert_eq!(e_inv.invocations, 3.0);
     }
@@ -458,22 +378,31 @@ mod tests {
     fn default_cardinality_for_unknown_relations() {
         let env = example_environment();
         let params = CostParams::default();
-        let e = estimate(&Plan::relation("cameras"), &env, &BTreeMap::new(), &params).unwrap();
+        let e = unfed(&BTreeMap::new())
+            .estimate(&Plan::relation("cameras"), &env)
+            .unwrap();
         assert_eq!(e.rows, params.default_cardinality);
     }
 
     #[test]
-    fn measured_costs_match_static_until_fed() {
+    fn unfed_model_is_the_static_model() {
+        // what the deleted static entry point (`CostParams` + cardinality
+        // map) returned for Table 5's pair; every figure is exact in f64,
+        // so `==` here is bit-identity
         let env = example_environment();
-        let params = CostParams::default();
-        let mut m = MeasuredCosts::new();
-        for (name, n) in cards() {
-            m.observe_cardinality(name, n);
-        }
-        let p = Plan::relation("cameras").invoke("checkPhoto", "camera");
-        let e_static = estimate(&p, &env, &cards(), &params).unwrap();
-        let e_measured = m.estimate(&p, &env).unwrap();
-        assert_eq!(e_static, e_measured);
+        let m = unfed(&cards());
+        let pushed = CostEstimate {
+            rows: 0.75,
+            invocations: 2.25,
+            cost: 2258.25,
+        };
+        let naive = CostEstimate {
+            rows: 1.5,
+            invocations: 4.5,
+            cost: 4507.5,
+        };
+        assert_eq!(m.estimate(&q2(), &env).unwrap(), pushed);
+        assert_eq!(m.estimate(&q2_prime(), &env).unwrap(), naive);
     }
 
     #[test]
@@ -615,11 +544,10 @@ mod tests {
     #[test]
     fn cartesian_join_estimates_product() {
         let env = example_environment();
-        let params = CostParams::default();
         // sensors ⋈ π_{name,address}(contacts): no common attrs → product
         let p =
             Plan::relation("sensors").join(Plan::relation("contacts").project(["name", "address"]));
-        let e = estimate(&p, &env, &cards(), &params).unwrap();
+        let e = unfed(&cards()).estimate(&p, &env).unwrap();
         assert_eq!(e.rows, 12.0);
     }
 }

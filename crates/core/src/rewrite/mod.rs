@@ -21,10 +21,7 @@ pub mod cost;
 pub mod optimizer;
 pub mod rules;
 
-pub use cost::{
-    estimate, estimate_with, CostEstimate, CostInputs, CostParams, MeasuredCosts,
-    ServiceObservation,
-};
+pub use cost::{CostEstimate, CostParams, MeasuredCosts, ServiceObservation};
 pub use optimizer::{optimize, OptimizerReport};
 pub use rules::{all_rules, apply_everywhere, RewriteRule};
 

@@ -44,6 +44,18 @@ use crate::time::Instant;
 /// Default total ring capacity when `SERENA_TRACE_CAPACITY` is unset.
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
+/// Most slots a recorder will ever allocate (they are built eagerly), so a
+/// capacity that arrives from outside the program cannot size the heap.
+const MAX_CAPACITY: usize = 1 << 20;
+
+/// The total capacity a `SERENA_TRACE_CAPACITY` value asks for; unset,
+/// unparsable or zero means [`DEFAULT_CAPACITY`].
+fn requested_capacity(var: Option<&str>) -> usize {
+    var.and_then(|v| v.trim().parse::<usize>().ok())
+        .filter(|&c| c > 0)
+        .unwrap_or(DEFAULT_CAPACITY)
+}
+
 /// One span attribute value: small integers stay unboxed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum AttrValue {
@@ -200,14 +212,15 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with `capacity` total slots, spread over one lane per
-    /// available core (capped at 16), armed.
+    /// A recorder with `capacity` total slots (at least 64 per lane, at most
+    /// 2²⁰ in all), spread over one lane per available core (capped at 16),
+    /// armed.
     pub fn with_capacity(capacity: usize) -> Self {
         let lanes = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .clamp(1, 16);
-        let per_lane = (capacity / lanes).max(64);
+        let per_lane = (capacity.min(MAX_CAPACITY) / lanes).max(64);
         FlightRecorder {
             lanes: (0..lanes).map(|_| Lane::new(per_lane)).collect(),
             armed: AtomicBool::new(true),
@@ -221,12 +234,8 @@ impl FlightRecorder {
     /// sets the total slot count and `SERENA_TRACE=0` starts it disarmed
     /// (armed otherwise).
     pub fn from_env() -> Self {
-        let capacity = std::env::var("SERENA_TRACE_CAPACITY")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .filter(|&c| c > 0)
-            .unwrap_or(DEFAULT_CAPACITY);
-        let rec = Self::with_capacity(capacity);
+        let capacity = std::env::var("SERENA_TRACE_CAPACITY").ok();
+        let rec = Self::with_capacity(requested_capacity(capacity.as_deref()));
         if std::env::var("SERENA_TRACE").is_ok_and(|v| v.trim() == "0") {
             rec.arm(false);
         }
@@ -550,5 +559,20 @@ mod tests {
         assert!(rec.capacity() >= DEFAULT_CAPACITY / 16);
         assert!(rec.armed());
         assert!(rec.now_ns() <= rec.now_ns());
+    }
+
+    #[test]
+    fn capacity_from_outside_is_clamped_before_it_allocates() {
+        assert!(FlightRecorder::with_capacity(usize::MAX).capacity() <= MAX_CAPACITY);
+        // what `from_env` does with a hostile SERENA_TRACE_CAPACITY
+        for hostile in ["18446744073709551615", "1000000000000"] {
+            let asked = requested_capacity(Some(hostile));
+            assert!(asked > MAX_CAPACITY);
+            assert!(FlightRecorder::with_capacity(asked).capacity() <= MAX_CAPACITY);
+        }
+        for unset in [None, Some("0"), Some("lots"), Some("-5")] {
+            assert_eq!(requested_capacity(unset), DEFAULT_CAPACITY);
+        }
+        assert_eq!(requested_capacity(Some(" 256 ")), 256);
     }
 }

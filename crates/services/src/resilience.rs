@@ -832,6 +832,18 @@ mod tests {
     }
 
     #[test]
+    fn armed_policy_is_silent_on_the_happy_path() {
+        // what the overhead bench relies on: the recommended policy, armed,
+        // never retries or rejects a healthy call
+        let (reg, faulty) = flaky(FaultPolicy::None);
+        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::standard());
+        assert!(call(&invoker, Instant(1)).is_ok());
+        let c = invoker.state().counters();
+        assert_eq!((c.retries, c.rejected), (0, 0));
+        assert_eq!(faulty.attempts(), 1);
+    }
+
+    #[test]
     fn retries_recover_transient_faults() {
         // every cycle: 1 failure then 3 successes; one retry suffices
         let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 3 });

@@ -4,7 +4,7 @@
 //! [`serena_core::rewrite::optimize`]: a continuous plan is a
 //! [`serena_core::plan::Plan`], `W`/`S`/`βˢ` bound its finite regions, and the
 //! two selection pushdowns past `W∘S` and `W∘βˢ` sit in its pushdown phase;
-//! [`serena_core::rewrite::estimate_with`] costs it per instant. This module
+//! [`serena_core::rewrite::MeasuredCosts::estimate`] costs it per instant. This module
 //! adds the two things only a *running* query needs:
 //!
 //! * [`candidates_for`] — the deterministic candidate set the adaptive
@@ -149,7 +149,7 @@ mod tests {
 
     /// The E20 shape: filter a windowed periodic sampling of the sensor
     /// fleet down to one location (also the plan of `tests/adaptive.rs` and
-    /// `benches/adaptive_overhead.rs`).
+    /// the `adaptive` workload of `benches/overhead.rs`).
     fn naive_sampler() -> StreamPlan {
         StreamPlan::source("sensors")
             .sample_invoke("getTemperature", "sensor", 1)

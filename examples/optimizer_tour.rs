@@ -10,13 +10,11 @@
 //! cargo run --example optimizer_tour
 //! ```
 
-use std::collections::BTreeMap;
-
 use serena::core::env::examples::example_environment;
 use serena::core::eval::CountingInvoker;
 use serena::core::plan::examples::{q1_prime, q2, q2_prime};
 use serena::core::prelude::*;
-use serena::core::rewrite::{estimate, optimize, CostParams};
+use serena::core::rewrite::{optimize, MeasuredCosts};
 use serena::core::service::fixtures::example_registry;
 
 fn main() {
@@ -45,11 +43,11 @@ fn main() {
     println!("invocations (paper's Q2): {:?}", count(&q2()));
 
     // --- the cost model agrees ---
-    let cards: BTreeMap<String, usize> =
-        [("cameras".to_string(), 3usize), ("contacts".to_string(), 3)].into();
-    let params = CostParams::default();
-    let c_naive = estimate(&naive, &env, &cards, &params).expect("estimable");
-    let c_opt = estimate(&report.plan, &env, &cards, &params).expect("estimable");
+    let mut costs = MeasuredCosts::new();
+    costs.observe_cardinality("cameras", 3);
+    costs.observe_cardinality("contacts", 3);
+    let c_naive = costs.estimate(&naive, &env).expect("estimable");
+    let c_opt = costs.estimate(&report.plan, &env).expect("estimable");
     println!(
         "\ncost model: naive {:.0} (≈{:.0} invocations) vs optimized {:.0} (≈{:.0} invocations)",
         c_naive.cost, c_naive.invocations, c_opt.cost, c_opt.invocations
