@@ -118,7 +118,7 @@ impl SensorSampler {
 impl StreamSource for SensorSampler {
     fn poll(&mut self, at: Instant) -> Vec<Tuple> {
         let mut out = Vec::new();
-        let providers = self
+        let (_, providers) = self
             .directory
             .described_providers(self.prototype.name(), &self.metadata_attrs);
         for (reference, prefix) in providers {

@@ -10,7 +10,8 @@
 //! Each [`Pems::tick`] advances one logical instant:
 //! 1. discovery messages due at this instant are delivered to the
 //!    directory, and every linked peer is polled;
-//! 2. discovery queries refresh their provider tables;
+//! 2. discovery queries bring their provider tables up to date with what
+//!    the directory logged since the previous tick;
 //! 3. every registered continuous query evaluates the instant.
 
 use std::path::{Path, PathBuf};
@@ -39,7 +40,7 @@ use serena_ddl::resolve::{
 use serena_ddl::DdlError;
 use serena_services::bus::{BusConfig, DiscoveryBus, LocalErm};
 use serena_services::directory::{NodeDirectory, PeerStatus};
-use serena_services::discovery::DiscoveryQuery;
+use serena_services::discovery::{Applied, DiscoveryQuery};
 use serena_services::health::{HealthTracker, ServiceHealth};
 use serena_services::node::{NodeHandle, RemoteNodeClient, ServiceNode};
 use serena_services::resilience::{
@@ -765,7 +766,12 @@ impl Pems {
 
     /// Register a service-discovery query maintaining finite table
     /// `table` as "providers of `prototype`", with the table's
-    /// `service_attr` holding the references (§5.1).
+    /// `service_attr` holding the references (§5.1). Each tick it looks
+    /// again at the references the directory logged since the previous
+    /// one (`serena_discovery_reconciled_total{table}` counts them) and
+    /// lists the whole directory only on its first tick, after a restore,
+    /// or when the log has wrapped past it
+    /// (`serena_discovery_relist_total{table}`).
     pub fn register_discovery(
         &mut self,
         table: &str,
@@ -778,6 +784,11 @@ impl Pems {
             .ok_or_else(|| PemsError::Other(format!("unknown table `{table}`")))?;
         let query = DiscoveryQuery::new(prototype, handle.schema(), service_attr)?;
         self.discoveries.push((table.to_string(), query));
+        // both series render (at zero) from here on
+        self.telemetry
+            .counter("serena_discovery_relist_total", &[("table", table)]);
+        self.telemetry
+            .counter("serena_discovery_reconciled_total", &[("table", table)]);
         Ok(())
     }
 
@@ -1020,6 +1031,11 @@ impl Pems {
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), PemsError> {
         let mut r = Reader::new(bytes);
         snapshot::read_header(&mut r)?;
+        // the tables are about to hold what the checkpointed runtime's
+        // did, not what this runtime's discovery queries wrote into them
+        for (_, query) in &mut self.discoveries {
+            query.forget();
+        }
         self.tables.import_tables(&mut r)?;
         // adaptive section: restore the replan history and re-apply each
         // adapted plan choice (regenerating the deterministic candidate
@@ -1119,12 +1135,17 @@ impl Pems {
         // as bus announcements)
         self.bus.deliver_due(now, &self.directory);
         self.directory.poll_peers(now);
-        // 2. refresh discovery-maintained provider tables
-        for (table, query) in &self.discoveries {
-            if let Some(handle) = self.tables.table(table) {
-                let rel = query.refresh_in(&self.directory);
-                handle.replace_with(rel.into_tuples());
-            }
+        // 2. bring discovery-maintained provider tables up to date
+        for (table, query) in &mut self.discoveries {
+            let Some(handle) = self.tables.table(table) else {
+                continue;
+            };
+            let (series, n) = match query.apply(&self.directory, &handle) {
+                Applied::Reconciled(0) => continue,
+                Applied::Reconciled(n) => ("serena_discovery_reconciled_total", n as u64),
+                Applied::Relisted => ("serena_discovery_relist_total", 1),
+            };
+            self.telemetry.counter(series, &[("table", table)]).add(n);
         }
         // 3. evaluate every continuous query at `now`, through the same
         // instrumented + resilient stack one-shot queries use (disjoint

@@ -8,10 +8,14 @@
 //! * **one table** — service, LERM origin, hosting peer and metadata
 //!   behind a single `RwLock`. A β call takes one read lock to resolve the
 //!   service and releases it before calling;
-//! * **one event log** — every join and leave appends one entry at an
-//!   absolute position. Peers poll it ([`NodeDirectory::events_since`]);
-//!   only a fixed window of it is kept, and a peer whose cursor has fallen
-//!   out of the window is re-synced from the full listing instead;
+//! * **one change log** — every join, leave and metadata write appends
+//!   the reference it touched at an absolute position. Readers treat it as
+//!   a feed of *dirty keys*: they look the touched references up in the
+//!   table as it is now, so what an entry recorded never matters, only
+//!   that it is there. Peers poll it ([`NodeDirectory::events_since`]) and
+//!   discovery relations fold it ([`NodeDirectory::described_since`]);
+//!   only a fixed window of it is kept, and a reader whose cursor has
+//!   fallen out of the window starts over from the full listing;
 //! * **one removal** — a direct [`NodeDirectory::deregister`], a leave
 //!   delivered by the [`bus`](crate::bus), a peer's `Left` event and the
 //!   eviction of a dead peer all end in the same function, which drops the
@@ -26,7 +30,7 @@
 //! continuous queries observe the departure exactly like a local leave. A
 //! later successful poll re-syncs the full listing and the proxies return.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use serena_core::sync::{Mutex, RwLock};
@@ -41,13 +45,18 @@ use serena_core::value::{ServiceRef, Value};
 use crate::node::{PeerUpdate, RemoteNodeClient, RemoteService};
 use crate::transport::{ServiceAd, Transport, TransportError, WireEvent};
 
-/// How many of the most recent event-log entries are kept. A peer polls
-/// once per tick, so this only has to exceed one tick's joins and leaves;
-/// a peer further behind is answered with the full listing.
+/// How many of the most recent log entries are kept. Peers and discovery
+/// relations read once per tick, so this only has to exceed one tick's
+/// joins, leaves and metadata writes; a reader further behind takes the
+/// full listing.
 const LOG_WINDOW: usize = 4096;
 
 /// Discovery metadata of one service, sorted by key.
 type Metadata = Vec<(String, Value)>;
+
+/// A reference the log named, with the metadata values asked for if it is
+/// a describable provider now (see [`NodeDirectory::described_since`]).
+pub type Touched = (ServiceRef, Option<Vec<Value>>);
 
 struct Entry {
     service: Arc<dyn Service>,
@@ -59,9 +68,9 @@ struct Entry {
 
 struct LogEntry {
     reference: ServiceRef,
-    joined: bool,
-    /// Whether the service is hosted by *this* node. Proxies are left out
-    /// of what peers see, so listings never loop through a third node.
+    /// Whether the change was to a service hosted by *this* node. Proxies
+    /// are left out of what peers see, so listings never loop through a
+    /// third node.
     local: bool,
 }
 
@@ -82,16 +91,27 @@ impl State {
         self.log_base + self.log.len() as u64
     }
 
-    fn append(&mut self, reference: ServiceRef, joined: bool, local: bool) {
+    fn append(&mut self, reference: ServiceRef, local: bool) {
         if self.log.len() == LOG_WINDOW {
             self.log.pop_front();
             self.log_base += 1;
         }
-        self.log.push_back(LogEntry {
-            reference,
-            joined,
-            local,
-        });
+        self.log.push_back(LogEntry { reference, local });
+    }
+
+    /// The references of the entries `keep` accepts at absolute positions
+    /// `after..`, once each, in order of first appearance; `None` when the
+    /// kept window starts later than `after`.
+    fn touched<'a>(
+        &'a self,
+        after: u64,
+        keep: impl Fn(&LogEntry) -> bool + 'a,
+    ) -> Option<impl Iterator<Item = &'a ServiceRef>> {
+        let skip = usize::try_from(after.checked_sub(self.log_base)?).unwrap_or(usize::MAX);
+        let mut seen = HashSet::new();
+        let entries = self.log.iter().skip(skip);
+        let distinct = entries.filter(move |e| keep(e) && seen.insert(&e.reference));
+        Some(distinct.map(|e| &e.reference))
     }
 
     fn insert(&mut self, reference: ServiceRef, entry: Entry) {
@@ -100,9 +120,9 @@ impl State {
         // a proxy taking over a reference that was hosted here: peers
         // following the log must see the local service go
         if !local && replaced.is_some_and(|old| old.host.is_none()) {
-            self.append(reference.clone(), false, true);
+            self.append(reference.clone(), true);
         }
-        self.append(reference, true, local);
+        self.append(reference, local);
     }
 
     /// The one way a service leaves the directory, whoever asked.
@@ -111,7 +131,7 @@ impl State {
             return false;
         };
         self.metadata.remove(reference);
-        self.append(reference.clone(), false, entry.host.is_none());
+        self.append(reference.clone(), entry.host.is_none());
         true
     }
 
@@ -127,6 +147,14 @@ impl State {
         let slot = self.metadata.get(reference)?;
         let i = slot.binary_search_by(|(k, _)| k.as_str().cmp(key)).ok()?;
         Some(&slot[i].1)
+    }
+
+    /// The metadata values of `reference` for `keys`, in `keys` order, if
+    /// it has one for each.
+    fn values(&self, reference: &ServiceRef, keys: &[String]) -> Option<Vec<Value>> {
+        keys.iter()
+            .map(|key| self.get(reference, key).cloned())
+            .collect()
     }
 
     /// The advertisement for `reference`, if it is hosted here.
@@ -326,9 +354,18 @@ impl NodeDirectory {
 
     /// Set one discovery metadata attribute of `reference`. It is dropped
     /// when the service leaves; set before the service's announcement has
-    /// landed, it is kept for that registration.
+    /// landed, it is kept for that registration. Logged like a join: peers
+    /// and discovery relations that already saw the service look at it
+    /// again.
     pub fn set(&self, reference: impl Into<ServiceRef>, key: &str, value: Value) {
-        self.state.write().set(reference.into(), key, value);
+        let reference = reference.into();
+        let mut state = self.state.write();
+        state.set(reference.clone(), key, value);
+        let local = state
+            .services
+            .get(&reference)
+            .is_some_and(|e| e.host.is_none());
+        state.append(reference, local);
     }
 
     /// One discovery metadata attribute of `reference`.
@@ -337,49 +374,73 @@ impl NodeDirectory {
     }
 
     /// The providers of `prototype` (sorted) that have a metadata value
-    /// for every one of `keys`, each with those values in `keys` order. A
-    /// provider lacking one is discovered but not yet describable: it is
-    /// left out until its metadata arrives.
+    /// for every one of `keys`, each with those values in `keys` order,
+    /// paired with the log position of the listing. A provider lacking a
+    /// value is discovered but not yet describable: it is left out until
+    /// its metadata arrives.
     pub fn described_providers(
         &self,
         prototype: &str,
         keys: &[String],
-    ) -> Vec<(ServiceRef, Vec<Value>)> {
+    ) -> (u64, Vec<(ServiceRef, Vec<Value>)>) {
         let state = self.state.read();
-        state
+        let providers = state
             .references(|e| implements(&*e.service, prototype))
             .into_iter()
             .filter_map(|reference| {
-                let values: Option<Vec<Value>> = keys
-                    .iter()
-                    .map(|key| state.get(&reference, key).cloned())
-                    .collect();
-                Some((reference, values?))
+                let values = state.values(&reference, keys)?;
+                Some((reference, values))
             })
-            .collect()
+            .collect();
+        (state.position(), providers)
     }
 
-    /// What happened to *locally hosted* services after absolute log
+    /// Every reference logged after absolute position `after`, once each,
+    /// with what [`described_providers`](Self::described_providers) says
+    /// about it now — its values, or `None` if it is not (any longer, or
+    /// yet) a describable provider of `prototype` — and the caller's next
+    /// cursor. A reader that applies this to the listing it took at
+    /// `after` holds the listing as of the returned position. `None` when
+    /// `after` is older than the kept window of the log: the reader must
+    /// take the listing again.
+    pub fn described_since(
+        &self,
+        after: u64,
+        prototype: &str,
+        keys: &[String],
+    ) -> Option<(u64, Vec<Touched>)> {
+        let state = self.state.read();
+        let touched = state
+            .touched(after, |_| true)?
+            .map(|reference| {
+                let values = match state.services.get(reference) {
+                    Some(entry) if implements(&*entry.service, prototype) => {
+                        state.values(reference, keys)
+                    }
+                    _ => None,
+                };
+                (reference.clone(), values)
+            })
+            .collect();
+        Some((state.position(), touched))
+    }
+
+    /// One event per *locally hosted* reference logged after absolute
     /// position `after`, with the caller's next cursor — what peers poll.
-    /// A join carries the service's advertisement as of now; a service
-    /// that joined and left again since `after` shows only its leave.
-    /// `None` when `after` is older than the kept window of the log: the
-    /// caller has missed events and must take
+    /// The event says what holds now: `Joined`, carrying the service's
+    /// current advertisement, if it is hosted here (so metadata set after
+    /// the join re-advertises it), `Left` otherwise (so a service that
+    /// joined and left again since `after` shows only its leave). `None`
+    /// when `after` is older than the kept window of the log: the caller
+    /// has missed entries and must take
     /// [`advertise_all`](Self::advertise_all) instead.
     pub fn events_since(&self, after: u64) -> Option<(u64, Vec<WireEvent>)> {
         let state = self.state.read();
-        let skip = usize::try_from(after.checked_sub(state.log_base)?).unwrap_or(usize::MAX);
         let events = state
-            .log
-            .iter()
-            .skip(skip)
-            .filter(|e| e.local)
-            .filter_map(|e| {
-                if e.joined {
-                    state.advertise(&e.reference).map(WireEvent::Joined)
-                } else {
-                    Some(WireEvent::Left(e.reference.clone()))
-                }
+            .touched(after, |e| e.local)?
+            .map(|reference| match state.advertise(reference) {
+                Some(ad) => WireEvent::Joined(ad),
+                None => WireEvent::Left(reference.clone()),
             })
             .collect();
         Some((state.position(), events))
@@ -510,10 +571,18 @@ impl Invoker for NodeDirectory {
 mod tests {
     use super::*;
     use crate::bus::{BusConfig, DiscoveryBus, LocalErm};
+    use crate::discovery::{Applied, DiscoveryQuery};
     use crate::node::{NodeHandle, ServiceNode};
     use crate::transport::InProcTransport;
+    use serena_core::metrics::NoopMetrics;
+    use serena_core::plan::Plan;
     use serena_core::prototype::examples as protos;
+    use serena_core::schema::XSchema;
     use serena_core::service::fixtures;
+    use serena_core::value::DataType;
+    use serena_stream::exec::{ContinuousQuery, SourceSet};
+    use serena_stream::multiset::Multiset;
+    use serena_stream::source::TableHandle;
     use std::collections::BTreeMap;
 
     fn sref(name: &str) -> ServiceRef {
@@ -645,16 +714,12 @@ mod tests {
         let dir = NodeDirectory::new("n1");
         let location = ["location".to_string()];
 
+        let described = || dir.described_providers("getTemperature", &location).1;
         lerm.register_service("s0", fixtures::temperature_sensor(1), Instant(0));
         dir.set("s0", "location", Value::str("office"));
-        assert!(dir
-            .described_providers("getTemperature", &location)
-            .is_empty());
+        assert!(described().is_empty());
         bus.deliver_due(Instant(1), &dir);
-        assert_eq!(
-            dir.described_providers("getTemperature", &location),
-            vec![(sref("s0"), vec![Value::str("office")])]
-        );
+        assert_eq!(described(), vec![(sref("s0"), vec![Value::str("office")])]);
 
         // a leave delivered by the bus drops the metadata like a direct one
         lerm.unregister_service("s0", Instant(1));
@@ -663,9 +728,7 @@ mod tests {
         lerm.register_service("s0", fixtures::temperature_sensor(2), Instant(2));
         bus.deliver_due(Instant(3), &dir);
         assert!(dir.contains(&sref("s0")));
-        assert!(dir
-            .described_providers("getTemperature", &location)
-            .is_empty());
+        assert!(described().is_empty());
     }
 
     /// A served, empty directory named `node` and a client connected to it:
@@ -781,6 +844,71 @@ mod tests {
         }
     }
 
+    /// A discovery relation maintained from the log in a table of its own,
+    /// beside a twin table that is handed the whole query every time
+    /// (`replace_with`, the maintenance this one replaced). Each table has a
+    /// continuous reader that commits it when ticked.
+    struct Maintained {
+        query: DiscoveryQuery,
+        table: TableHandle,
+        twin: TableHandle,
+        readers: [ContinuousQuery; 2],
+    }
+
+    impl Maintained {
+        /// Providers of `prototype`, described by the metadata `keys`
+        /// (integers, as the walk sets them).
+        fn new(prototype: &str, keys: &[&str]) -> Self {
+            let mut schema = XSchema::builder().real("service", DataType::Service);
+            for key in keys {
+                schema = schema.real(*key, DataType::Int);
+            }
+            let schema = schema.build().unwrap();
+            let [table, twin] = [0, 1].map(|_| TableHandle::new(schema.clone()));
+            let readers = [&table, &twin].map(|handle| {
+                let mut sources = SourceSet::new();
+                sources.add_table("maintained", handle.clone());
+                ContinuousQuery::compile(&Plan::source("maintained"), &mut sources).unwrap()
+            });
+            Maintained {
+                query: DiscoveryQuery::new(prototype, schema, "service").unwrap(),
+                table,
+                twin,
+                readers,
+            }
+        }
+
+        /// One `apply`, then the invariant: the table projects the query,
+        /// and holds it as the very mutations a wholesale replacement
+        /// would have queued — a checkpoint cannot tell the two apart.
+        fn apply(&mut self, dir: &NodeDirectory, context: &str) -> Applied {
+            let applied = self.query.apply(dir, &self.table);
+            let listed = self.query.refresh_in(dir).into_tuples();
+            self.twin.replace_with(listed.iter().cloned());
+            let listed: Multiset = listed.into_iter().collect();
+            assert_eq!(self.table.projected(), listed, "{context}");
+            let exported = |table: &TableHandle| {
+                let mut w = serena_core::snapshot::Writer::new();
+                table.export_state(&mut w);
+                w.into_bytes()
+            };
+            assert_eq!(exported(&self.table), exported(&self.twin), "{context}");
+            applied
+        }
+
+        /// Commit both tables; a continuous reader holds the query too.
+        fn commit(&mut self, dir: &NodeDirectory, context: &str) {
+            let mut deltas = self
+                .readers
+                .iter_mut()
+                .map(|reader| reader.tick_with(dir, &NoopMetrics).delta);
+            assert_eq!(deltas.next(), deltas.next(), "{context}");
+            let read = self.readers[0].current_relation().unwrap();
+            assert_eq!(read, self.query.refresh_in(dir), "{context}");
+            assert_eq!(self.table.snapshot(), self.table.projected(), "{context}");
+        }
+    }
+
     #[test]
     fn random_walk_agrees_with_a_plain_map_model() {
         const STEPS: usize = 2500;
@@ -807,6 +935,13 @@ mod tests {
         let mut now = 0u64;
         let mut followed = BTreeMap::new();
         let mut cursor = 0u64;
+        // two relations folded from the log: one a provider enters when
+        // its `location` arrives, one that needs no metadata
+        let mut maintained = [
+            Maintained::new("getTemperature", &["location"]),
+            Maintained::new("checkPhoto", &[]),
+        ];
+        let mut reconciled = 0;
 
         for step in 0..STEPS {
             let name = names[rng.below(names.len())].as_str();
@@ -941,9 +1076,57 @@ mod tests {
                 replay(&mut replayed, events);
                 assert_eq!(replayed, local, "step {step}");
             }
+
+            // the fold equals the query, whether or not the table was
+            // committed since the rows it is asked to take back went in
+            for relation in &mut maintained {
+                match relation.apply(&dir, &format!("step {step}")) {
+                    Applied::Relisted => assert_eq!(step, 0, "the window holds the whole walk"),
+                    Applied::Reconciled(n) => reconciled += n,
+                }
+                if step % 7 == 0 {
+                    relation.commit(&dir, &format!("step {step}"));
+                }
+            }
         }
         // the walk exercised every half of the table
         assert!(cursor > STEPS as u64 / 2, "only {cursor} events");
+        assert!(reconciled > STEPS / 2, "only {reconciled} references");
+    }
+
+    #[test]
+    fn a_discovery_relation_that_fell_out_of_the_log_window_converges_from_the_listing() {
+        let dir = NodeDirectory::new("n1");
+        let mut sensors = Maintained::new("getTemperature", &["location"]);
+        dir.register("stays", fixtures::temperature_sensor(1));
+        dir.set("stays", "location", Value::Int(1));
+        dir.register("goes", fixtures::temperature_sensor(2));
+        dir.set("goes", "location", Value::Int(2));
+        dir.register("moves", fixtures::temperature_sensor(3));
+        dir.set("moves", "location", Value::Int(3));
+        assert_eq!(sensors.apply(&dir, "first"), Applied::Relisted);
+        sensors.commit(&dir, "first");
+        assert_eq!(sensors.apply(&dir, "idle"), Applied::Reconciled(0));
+
+        // within the window: the three touched references, nothing else
+        dir.deregister("goes");
+        dir.set("moves", "location", Value::Int(4));
+        dir.set("moves", "location", Value::Int(5));
+        dir.register("camera", fixtures::camera(4));
+        assert_eq!(sensors.apply(&dir, "churn"), Applied::Reconciled(3));
+
+        // more than a window between two calls: the entries that named
+        // `moves` and `comes` are gone, the listing still finds them
+        dir.set("moves", "location", Value::Int(6));
+        dir.register("comes", fixtures::temperature_sensor(5));
+        dir.set("comes", "location", Value::Int(7));
+        for i in 0..LOG_WINDOW {
+            dir.set(format!("blip{}", i % 3), "location", Value::Int(0));
+        }
+        assert_eq!(sensors.apply(&dir, "overflow"), Applied::Relisted);
+        assert_eq!(sensors.table.projected().len(), 3);
+        sensors.commit(&dir, "overflow");
+        assert_eq!(sensors.apply(&dir, "idle again"), Applied::Reconciled(0));
     }
 
     #[test]
@@ -983,7 +1166,9 @@ mod tests {
 
             let state = dir.state.read();
             let sizes = (state.services.len(), state.metadata.len(), state.log.len());
-            assert_eq!(state.position(), 1 + 4 * (round + 1));
+            // the resident's join and `set`; per round two joins, the near
+            // one's `set`, two leaves
+            assert_eq!(state.position(), 2 + 5 * (round + 1));
             if state.position() > 2 * LOG_WINDOW as u64 {
                 assert_eq!(*plateau.get_or_insert(sizes), sizes, "round {round}");
             }

@@ -38,7 +38,8 @@
 //!   health-informed circuit breaker, composable onto any invoker via
 //!   [`serena_core::service::InvokerStack`];
 //! * [`discovery`] — turning "which services implement prototype ψ?" into
-//!   X-Relation rows, the data backing the PEMS service-discovery queries;
+//!   X-Relation rows, and keeping a table equal to that answer by folding
+//!   the directory's change log: the PEMS service-discovery queries;
 //! * [`transport`] — the node-to-node seam: [`Transport`] with an
 //!   in-process hub ([`InProcTransport`], the deterministic test
 //!   default) and real TCP/UDS sockets ([`SocketTransport`]), speaking

@@ -6,7 +6,8 @@
 //! (sensor samplers, RSS wrappers, …).
 //!
 //! * [`TableHandle`] — a shared, mutable finite XD-Relation; mutations are
-//!   buffered and become the table's delta at the next tick boundary;
+//!   buffered, each taking effect after the ones before it, and their net
+//!   effect becomes the table's delta at the next tick boundary;
 //! * [`StreamSource`] — the producer side of an infinite XD-Relation:
 //!   polled once per tick for the batch of newly appended tuples;
 //! * [`PushStream`] — a buffering `StreamSource` for manually pushed
@@ -32,10 +33,33 @@ pub struct TableHandle {
 struct TableState {
     schema: SchemaRef,
     current: Multiset,
+    /// The net change from `current` to what the queued mutations leave:
+    /// no tuple on both sides, no deletion `current` cannot honour. Every
+    /// write goes through [`TableState::insert`] / [`TableState::delete`]
+    /// or assigns a `diff_to`, so it is always `current.diff_to(projected)`.
     pending: Delta,
     /// The last committed tick, kept so several queries sharing this table
     /// within the same global instant all observe the same delta.
     committed: Option<(Instant, Delta)>,
+}
+
+impl TableState {
+    /// `n` more occurrences of `t`: first the ones a queued deletion was
+    /// about to take, the rest as insertions.
+    fn insert(&mut self, t: Tuple, n: usize) {
+        let revived = self.pending.deletes.remove(&t, n);
+        self.pending.inserts.insert(t, n - revived);
+    }
+
+    /// Up to `n` fewer occurrences of `t`: first the ones a queued
+    /// insertion was about to add, then the ones `current` holds that no
+    /// queued deletion has claimed. Occurrences the table would not hold
+    /// are not deleted.
+    fn delete(&mut self, t: Tuple, n: usize) {
+        let unqueued = self.pending.inserts.remove(&t, n);
+        let held = self.current.count(&t) - self.pending.deletes.count(&t);
+        self.pending.deletes.insert(t, (n - unqueued).min(held));
+    }
 }
 
 impl TableHandle {
@@ -68,12 +92,16 @@ impl TableHandle {
 
     /// Queue a tuple insertion (applied at the next tick).
     pub fn insert(&self, t: Tuple) {
-        self.inner.lock().pending.inserts.insert(t, 1);
+        self.inner.lock().insert(t, 1);
     }
 
-    /// Queue a tuple deletion (applied at the next tick).
+    /// Queue the deletion of one occurrence of `t` (applied at the next
+    /// tick). Queued mutations take effect in the order they were made: a
+    /// deletion after an insertion of the same tuple takes that insertion
+    /// back, and deleting a tuple the table would not hold by then does
+    /// nothing.
     pub fn delete(&self, t: Tuple) {
-        self.inner.lock().pending.deletes.insert(t, 1);
+        self.inner.lock().delete(t, 1);
     }
 
     /// Replace the table's contents wholesale (applied at the next tick) —
@@ -122,7 +150,16 @@ impl TableHandle {
         let pending = Delta::decode(r)?;
         let mut state = self.inner.lock();
         state.current = current;
-        state.pending = pending;
+        // replayed, not assigned: the bytes come from outside and need not
+        // hold what `pending` promises (a tuple on both sides, a deletion
+        // the contents cannot honour)
+        state.pending = Delta::new();
+        for (t, n) in pending.deletes.iter() {
+            state.delete(t.clone(), n);
+        }
+        for (t, n) in pending.inserts.iter() {
+            state.insert(t.clone(), n);
+        }
         state.committed = None;
         Ok(())
     }
@@ -138,21 +175,9 @@ impl TableHandle {
         let already = matches!(&state.committed, Some((t, _)) if *t == at);
         if !already {
             let delta = std::mem::take(&mut state.pending);
-            // Clamp deletions of absent tuples: the applied delta must be
-            // consistent with what downstream operators see.
-            let mut effective = Delta::new();
-            for (t, c) in delta.inserts.iter() {
-                effective.inserts.insert(t.clone(), c);
-            }
-            for (t, c) in delta.deletes.iter() {
-                let present = state.current.count(t);
-                let c = c.min(present);
-                if c > 0 {
-                    effective.deletes.insert(t.clone(), c);
-                }
-            }
-            state.current.apply(&effective);
-            state.committed = Some((at, effective));
+            let missing = state.current.apply(&delta);
+            debug_assert_eq!(missing, 0, "queued deletions exceed the contents");
+            state.committed = Some((at, delta));
         }
         if bootstrap {
             return Delta {
@@ -255,6 +280,64 @@ mod tests {
         let d = t.tick_at(Instant(5), false);
         assert_eq!(d.deletes.count(&tuple![1]), 1);
         assert!(t.snapshot().is_empty());
+    }
+
+    #[test]
+    fn queued_mutations_net_in_the_order_they_were_made() {
+        let t = TableHandle::with_tuples(schema(), vec![tuple![1], tuple![2], tuple![2]]);
+        t.tick_at(Instant(0), false);
+        // insert; delete — of an absent tuple and of a present one
+        t.insert(tuple![9]);
+        t.delete(tuple![9]);
+        t.insert(tuple![1]);
+        t.delete(tuple![1]);
+        assert_eq!(t.projected(), t.snapshot());
+        assert!(t.tick_at(Instant(1), false).is_empty());
+        assert_eq!(t.snapshot().count(&tuple![1]), 1);
+        assert!(!t.snapshot().contains(&tuple![9]));
+        // delete; insert — of a present tuple and of an absent one
+        t.delete(tuple![1]);
+        t.insert(tuple![1]);
+        t.delete(tuple![9]);
+        t.insert(tuple![9]);
+        assert_eq!(
+            t.tick_at(Instant(2), false),
+            Delta::of_inserts(vec![tuple![9]])
+        );
+        // bag counts: held twice, queued once more, deleted four times
+        // (the fourth finds nothing left), inserted again
+        t.insert(tuple![2]);
+        for _ in 0..4 {
+            t.delete(tuple![2]);
+        }
+        assert!(!t.projected().contains(&tuple![2]));
+        t.insert(tuple![2]);
+        let d = t.tick_at(Instant(3), false);
+        assert!(d.inserts.is_empty());
+        assert_eq!(d.deletes.count(&tuple![2]), 1);
+        assert_eq!(d.magnitude(), 1);
+        assert_eq!(t.snapshot().count(&tuple![2]), 1);
+    }
+
+    #[test]
+    fn restored_pending_mutations_are_netted_like_queued_ones() {
+        use serena_core::snapshot::{Reader, Writer};
+        // contents {1}; queued: delete 1, delete 7 (absent), insert 1, insert 8
+        let mut w = Writer::new();
+        Multiset::from_tuples(vec![tuple![1]]).encode(&mut w);
+        Delta {
+            inserts: Multiset::from_tuples(vec![tuple![1], tuple![8]]),
+            deletes: Multiset::from_tuples(vec![tuple![1], tuple![7]]),
+        }
+        .encode(&mut w);
+        let bytes = w.into_bytes();
+        let t = TableHandle::new(schema());
+        t.import_state(&mut Reader::new(&bytes)).unwrap();
+        assert_eq!(
+            t.tick_at(Instant(0), false),
+            Delta::of_inserts(vec![tuple![8]])
+        );
+        assert_eq!(t.snapshot().len(), 2);
     }
 
     #[test]

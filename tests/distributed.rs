@@ -370,3 +370,75 @@ fn served_endpoint_survives_hostile_bytes() {
         "listing still served after hostile bytes"
     );
 }
+
+/// Metadata the host sets *after* the edge has polled the join reaches
+/// the edge on its next poll: the `set` is in the host's log, the poll
+/// answers it with the service's current advertisement, and the edge's
+/// discovery relation re-evaluates the re-adopted proxy.
+fn metadata_set_after_the_join_reaches_the_edge(transport: Arc<dyn Transport>, addr: &str) {
+    use serena::core::service::fixtures::temperature_sensor;
+    use serena::core::tuple;
+    use serena::core::value::Value;
+
+    let host = Pems::builder().node_id("host").build();
+    host.directory().register("moves", temperature_sensor(1));
+    host.directory()
+        .set("moves", "location", Value::str("office"));
+    host.directory().register("late", temperature_sensor(2));
+    let handle = host.serve(Arc::clone(&transport), addr).expect("serves");
+
+    let mut edge = Pems::builder().node_id("edge").build();
+    edge.run_program(
+        "PROTOTYPE getTemperature( ) : ( temperature REAL );
+         EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         REGISTER QUERY fleet AS sensors;",
+    )
+    .expect("edge catalog installs");
+    edge.register_discovery("sensors", "getTemperature", "sensor")
+        .expect("discovery registers");
+    edge.connect_peer(transport, handle.addr()).expect("links");
+    let fleet = |edge: &Pems| {
+        let held = edge.processor().current_relation("fleet");
+        held.expect("fleet is registered").into_tuples()
+    };
+
+    // the edge has polled both joins; `late` is not describable yet
+    edge.tick();
+    edge.tick();
+    assert_eq!(
+        fleet(&edge),
+        vec![tuple![Value::service("moves"), "office"]]
+    );
+
+    host.directory()
+        .set("moves", "location", Value::str("roof"));
+    host.directory()
+        .set("late", "location", Value::str("attic"));
+    edge.tick();
+    assert_eq!(
+        fleet(&edge),
+        vec![
+            tuple![Value::service("late"), "attic"],
+            tuple![Value::service("moves"), "roof"],
+        ]
+    );
+    assert_eq!(
+        edge.directory().get("moves", "location"),
+        Some(Value::str("roof"))
+    );
+}
+
+#[test]
+fn metadata_set_after_the_join_is_relayed_in_proc() {
+    let transport = Arc::new(InProcTransport::new());
+    metadata_set_after_the_join_reaches_the_edge(transport, "inproc:dist-late-metadata");
+}
+
+#[test]
+#[cfg(unix)]
+fn metadata_set_after_the_join_is_relayed_over_uds() {
+    let transport = Arc::new(SocketTransport::new());
+    metadata_set_after_the_join_reaches_the_edge(transport, &fresh_uds_addr());
+}

@@ -144,11 +144,82 @@ fn directory_state_plateaus_under_ten_thousand_device_churn() {
             assert_eq!(directory.get(name(round - 1, 0), "location"), None);
         }
     }
-    // 2·10⁴ − 20 events were logged and only a window of them is kept: the
-    // start is gone, the recent end still answers
+    // 3·10⁴ − 20 entries were logged (a `set`, a join and a leave per
+    // sensor) and only a window of them is kept: the start is gone, the
+    // recent end still answers
     let (position, _) = directory.events_since(u64::MAX).unwrap();
-    assert_eq!(position, 2 * 500 * BATCH - BATCH);
+    assert_eq!(position, 3 * 500 * BATCH - BATCH);
     assert!(directory.events_since(0).is_none());
     let (_, recent) = directory.events_since(position - 2 * BATCH).unwrap();
     assert_eq!(recent.len(), 2 * BATCH as usize);
+}
+
+#[test]
+fn unconsumed_discovery_table_stays_at_fleet_size_over_ten_thousand_ticks() {
+    // 10⁴ ticks, each with one sensor leaving and a fresh-named one joining,
+    // on a discovery table no query reads: nothing ever commits it, so every
+    // row a departed sensor had must be taken back out of the *queued*
+    // mutations, and the rows the discovery query remembers must go with
+    // the sensors. A second relation over the same directory, driven by
+    // hand, shows the part `Pems` keeps to itself.
+    use serena::core::snapshot::Writer;
+    use serena::pems::Pems;
+    use serena::services::bus::BusConfig;
+    use serena::services::discovery::{Applied, DiscoveryQuery};
+    use serena::stream::TableHandle;
+
+    const FLEET: u64 = 20;
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "PROTOTYPE getTemperature( ) : ( temperature REAL );
+         EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );",
+    )
+    .unwrap();
+    pems.register_discovery("sensors", "getTemperature", "sensor")
+        .unwrap();
+    let sensors = pems.tables().table("sensors").unwrap();
+    let mut by_hand = DiscoveryQuery::new("getTemperature", sensors.schema(), "sensor").unwrap();
+    let shadow = TableHandle::new(sensors.schema());
+    let exported = |table: &TableHandle| {
+        let mut w = Writer::new();
+        table.export_state(&mut w);
+        w.into_bytes().len()
+    };
+
+    let lerm = pems.local_erm("wing");
+    let directory = pems.directory();
+    let join = |index: u64, at: Instant| {
+        // fixed-width names: every row encodes to the same number of bytes
+        let name = format!("s{index:06}");
+        let sensor = serena::core::service::fixtures::temperature_sensor(index);
+        lerm.register_service(name.clone(), sensor, at);
+        directory.set(name, "location", Value::str("office"));
+    };
+    for index in 0..FLEET {
+        join(index, pems.clock());
+    }
+    pems.tick();
+    assert_eq!(by_hand.apply(&directory, &shadow), Applied::Relisted);
+    let plateau = exported(&sensors);
+    assert_eq!(exported(&shadow), plateau);
+
+    for tick in 0..10_000u64 {
+        lerm.unregister_service(format!("s{tick:06}"), pems.clock());
+        join(FLEET + tick, pems.clock());
+        assert!(pems.tick().is_empty());
+        // the leaver and the joiner, whose `set` and announcement are two
+        // entries naming one reference
+        let applied = by_hand.apply(&directory, &shadow);
+        assert_eq!(applied, Applied::Reconciled(2), "at tick {tick}");
+        assert_eq!(by_hand.held() as u64, FLEET, "at tick {tick}");
+        if tick % 500 == 0 || tick == 9_999 {
+            assert_eq!(sensors.projected().len() as u64, FLEET, "at tick {tick}");
+            assert!(sensors.snapshot().is_empty(), "nothing commits the table");
+            assert_eq!(exported(&sensors), plateau, "at tick {tick}");
+            assert_eq!(exported(&shadow), plateau, "at tick {tick}");
+        }
+    }
+    assert_eq!(directory.len() as u64, FLEET);
 }

@@ -208,3 +208,114 @@ fn service_replacement_changes_behaviour_not_schema() {
         .relation
         .contains(&tuple![Value::service("s1"), "lab", 99.0]));
 }
+
+#[test]
+fn insert_then_delete_between_two_ticks_leaves_no_row() {
+    // queued statements take effect in statement order: the DELETE takes
+    // back the INSERT before it, whether or not the table already held
+    // the row — neither a one-shot nor a continuous reader ever sees it
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "EXTENDED RELATION rooms ( location STRING, floor INTEGER );
+         INSERT INTO rooms VALUES ('lab', 1);
+         REGISTER QUERY watch AS rooms;",
+    )
+    .unwrap();
+    pems.tick();
+    let rooms = serena::core::plan::Plan::relation("rooms");
+    let held = |pems: &Pems| pems.one_shot(&rooms).unwrap().relation.into_tuples();
+
+    pems.run_program(
+        "INSERT INTO rooms VALUES ('attic', 3);
+         DELETE FROM rooms VALUES ('attic', 3);",
+    )
+    .unwrap();
+    assert_eq!(held(&pems), vec![tuple!["lab", 1]]);
+    let reports = pems.tick();
+    assert!(reports[0].1.delta.is_empty(), "{:?}", reports[0].1.delta);
+    assert_eq!(held(&pems), vec![tuple!["lab", 1]]);
+    let watched = pems.processor().current_relation("watch").unwrap();
+    assert_eq!(watched.into_tuples(), vec![tuple!["lab", 1]]);
+
+    // and the other order still ends with the row in place
+    pems.run_program(
+        "DELETE FROM rooms VALUES ('attic', 3);
+         INSERT INTO rooms VALUES ('attic', 3);",
+    )
+    .unwrap();
+    let reports = pems.tick();
+    assert_eq!(reports[0].1.delta.inserts.len(), 1);
+    assert_eq!(held(&pems).len(), 2);
+}
+
+#[test]
+fn an_idle_directory_costs_a_discovery_relation_nothing() {
+    // "idle" as a count: a tick with nothing logged neither lists the
+    // directory nor looks at a single reference, and churn looks at
+    // exactly the references it touched
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "PROTOTYPE getTemperature( ) : ( temperature REAL );
+         EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         REGISTER QUERY fleet AS sensors;",
+    )
+    .unwrap();
+    pems.register_discovery("sensors", "getTemperature", "sensor")
+        .unwrap();
+    let lerm = pems.local_erm("wing");
+    let directory = pems.directory();
+    let deploy = |name: String, at: Instant| {
+        lerm.register_service(
+            name.clone(),
+            SimTemperatureSensor::room(7).into_service(),
+            at,
+        );
+        directory.set(name, "location", Value::str("office"));
+    };
+    for i in 0..50 {
+        deploy(format!("s{i:02}"), pems.clock());
+    }
+    let registry = pems.metrics_registry();
+    let count = |series: &str| {
+        registry
+            .counter_value(series, &[("table", "sensors")])
+            .expect("registered with the discovery query")
+    };
+    let counts = || {
+        (
+            count("serena_discovery_relist_total"),
+            count("serena_discovery_reconciled_total"),
+        )
+    };
+
+    pems.tick();
+    assert_eq!(counts(), (1, 0), "the first tick lists");
+    assert_eq!(
+        pems.processor().current_relation("fleet").unwrap().len(),
+        50
+    );
+    for _ in 0..100 {
+        let reports = pems.tick();
+        assert!(reports[0].1.delta.is_empty());
+    }
+    assert_eq!(counts(), (1, 0), "100 churn-free ticks");
+
+    // k = 5 leave, 5 fresh ones join, one that stays moves twice: 11
+    // distinct references, however many entries they logged
+    for i in 0..5 {
+        lerm.unregister_service(format!("s{i:02}"), pems.clock());
+        deploy(format!("s{}", 50 + i), pems.clock());
+    }
+    directory.set("s07", "location", Value::str("attic"));
+    directory.set("s07", "location", Value::str("roof"));
+    let reports = pems.tick();
+    assert_eq!(counts(), (1, 11));
+    assert_eq!(reports[0].1.delta.magnitude(), 12);
+    let fleet = pems.processor().current_relation("fleet").unwrap();
+    assert_eq!(fleet.len(), 50);
+    assert!(fleet.contains(&tuple![Value::service("s07"), "roof"]));
+    pems.tick();
+    assert_eq!(counts(), (1, 11));
+}

@@ -635,3 +635,107 @@ fn hot_swap_feeds_cold_delta_native_operators_from_warm_windows() {
     assert!(later > 20);
     assert_eq!(new.current_relation(), old.current_relation());
 }
+
+/// A runtime whose `sensors` table is maintained by a discovery query, read
+/// by one continuous query (`fleet`) and left alone by nothing else.
+fn discovered_pems() -> Pems {
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "PROTOTYPE getTemperature( ) : ( temperature REAL );
+         EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         REGISTER QUERY fleet AS sensors;",
+    )
+    .unwrap();
+    pems.register_discovery("sensors", "getTemperature", "sensor")
+        .unwrap();
+    pems
+}
+
+/// The directory churn applied *before* tick `t`: joins with and without
+/// a location, a location that arrives late, one that changes, a leave, a
+/// return, and an instant where nothing moves.
+fn apply_directory_script(pems: &Pems, t: u64) {
+    use serena::core::service::fixtures::temperature_sensor;
+    let directory = pems.directory();
+    let place = |name: &str, location: &str| directory.set(name, "location", Value::str(location));
+    match t {
+        0 => {
+            directory.register("s1", temperature_sensor(1));
+            place("s1", "office");
+            directory.register("s2", temperature_sensor(2));
+        }
+        1 => place("s2", "roof"),
+        2 => {
+            directory.deregister("s1");
+            directory.register("s3", temperature_sensor(3));
+            place("s3", "lab");
+        }
+        3 => place("s3", "attic"),
+        5 => {
+            directory.register("s1", temperature_sensor(1));
+            place("s1", "hall");
+            directory.deregister("s2");
+        }
+        _ => {}
+    }
+}
+
+/// ISSUE 17: what a discovery query remembers — its cursor into the
+/// directory's log and the rows it wrote — is not in the snapshot, and a
+/// restore must not trust it: the tables go back to the checkpoint while
+/// the directory stays where it is. A *live* runtime that is checkpointed,
+/// ticks on through the next churn and is then restored re-lists, and from
+/// there reports the `sensors` deltas of the uninterrupted run.
+#[test]
+fn discovery_relations_relist_after_a_restore_on_a_live_runtime() {
+    let mut baseline = discovered_pems();
+    let mut expected = Vec::new();
+    for t in 0..TICKS {
+        apply_directory_script(&baseline, t);
+        expected.push(observe(baseline.tick()));
+    }
+    // an empty delta encodes as two empty multisets, 8 bytes each
+    let moved = expected
+        .iter()
+        .flatten()
+        .filter(|o| o.delta_bytes.len() > 16);
+    assert!(moved.count() >= 5, "the script must move `sensors`");
+
+    for kill in 0..TICKS {
+        let mut live = discovered_pems();
+        for t in 0..kill {
+            apply_directory_script(&live, t);
+            live.tick();
+        }
+        let snapshot = live.snapshot_bytes();
+        // the runtime lives on: instant `kill` happens, the discovery
+        // query folds its churn in, and only then is the snapshot restored
+        apply_directory_script(&live, kill);
+        assert_eq!(observe(live.tick()), expected[kill as usize]);
+        live.restore_bytes(&snapshot).unwrap();
+        assert_eq!(live.clock(), Instant(kill));
+        assert_eq!(
+            observe(live.tick()),
+            expected[kill as usize],
+            "tick {kill} diverged after the restore"
+        );
+        for t in kill + 1..TICKS {
+            apply_directory_script(&live, t);
+            let got = observe(live.tick());
+            assert_eq!(got, expected[t as usize], "tick {t} diverged, kill={kill}");
+        }
+        assert_eq!(
+            live.processor().current_relation("fleet"),
+            baseline.processor().current_relation("fleet"),
+        );
+        // and the table itself, queued mutations included, byte for byte
+        let sensors = |pems: &Pems| {
+            let mut w = Writer::new();
+            pems.tables().table("sensors").unwrap().export_state(&mut w);
+            w.into_bytes()
+        };
+        assert_eq!(sensors(&live), sensors(&baseline), "kill={kill}");
+    }
+}
