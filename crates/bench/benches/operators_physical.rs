@@ -6,8 +6,7 @@
 //! ```
 //!
 //! Besides the usual printed report, this harness writes every measurement
-//! (plus the parallel-β speedup factors) to `target/physical.json` — the
-//! committed `BENCH_physical.json` is a copy of one run.
+//! (plus the parallel-β speedup factors) to `target/physical.json`.
 
 use std::time::Duration;
 

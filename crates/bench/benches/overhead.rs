@@ -25,13 +25,13 @@ use serena_core::metrics::NoopMetrics;
 use serena_core::physical::PhysicalPlan;
 use serena_core::plan::Plan;
 use serena_core::prelude::{DegradePolicy, ExecOptions, Formula, Instant};
-use serena_core::service::fixtures;
+use serena_core::service::{fixtures, InvokerStack};
 use serena_core::telemetry::{MetricsRegistry, RegistrySink};
 use serena_pems::{Pems, ReplanPolicy};
 use serena_services::bus::BusConfig;
 use serena_services::directory::NodeDirectory;
 use serena_services::node::ServiceNode;
-use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientInvoker};
+use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientLayer};
 use serena_services::transport::{InProcTransport, SocketTransport, Transport};
 use serena_stream::plan::StreamPlan;
 
@@ -91,7 +91,10 @@ fn resilience() -> Vec<OverheadRow> {
     let plan = beta_plan();
     let bare = ExecContext::new(&env, &reg, Instant(1));
     let measure = |policy: ResiliencePolicy| {
-        let armed = ResilientInvoker::with_state(&reg, policy, Arc::new(ResilienceState::new()));
+        let armed = InvokerStack::new(&reg).layer(ResilientLayer::new(
+            policy,
+            Arc::new(ResilienceState::new()),
+        ));
         let ctx = ExecContext::new(&env, &armed, Instant(1));
         harness::paired(
             100,

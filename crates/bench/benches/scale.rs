@@ -6,8 +6,7 @@
 //! cargo bench -p serena-bench --bench scale
 //! ```
 //!
-//! Writes `target/scale.json` (the committed `BENCH_scale.json` is a copy of
-//! one full-size run) with the objective indicators: tuples/sec, merged p99
+//! Writes `target/scale.json` with the objective indicators: tuples/sec, merged p99
 //! tick latency and memory per query, plus a `scaling` curve — the same
 //! workload re-run at each scheduler width in `SERENA_SCALE_WORKER_COUNTS`
 //! (default `1,2,4,8`), gated so the widest pool is at least as fast as the

@@ -11,7 +11,7 @@
 //! same relation, and performing the upstream call once is semantically
 //! invisible.
 //!
-//! [`DedupInvoker`] exploits this: placed **outermost** in the PEMS
+//! [`DedupLayer`] exploits this: placed **outermost** in the PEMS
 //! [`InvokerStack`](crate::service::InvokerStack) (above resilience, so
 //! retries of a genuinely failing call still re-invoke), it keeps a
 //! per-instant table keyed on `(prototype, service, input)`. The first
@@ -171,108 +171,11 @@ impl DedupState {
     }
 }
 
-/// The dedup decorator: coalesces identical invocations issued within one
-/// instant into a single upstream call. See the module docs for placement
-/// and the soundness argument.
-pub struct DedupInvoker<I> {
-    inner: I,
-    state: Arc<DedupState>,
-    registry: Option<Arc<MetricsRegistry>>,
-    tracer: Option<Arc<FlightRecorder>>,
-}
-
-impl<I: Invoker> DedupInvoker<I> {
-    /// Wrap `inner`, memoizing through `state`.
-    pub fn new(inner: I, state: Arc<DedupState>) -> Self {
-        DedupInvoker {
-            inner,
-            state,
-            registry: None,
-            tracer: None,
-        }
-    }
-
-    /// Count coalesced calls in `registry` as
-    /// `serena_beta_dedup_total{service=…}` — one increment per logical
-    /// caller whose call was served without an upstream invocation.
-    pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Record one `beta` span per logical call into `tracer`, annotated
-    /// with how the memo resolved it (`dedup` = `hit`/`wait`/`call`).
-    pub fn tracer(mut self, tracer: Arc<FlightRecorder>) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    fn count_dedup(&self, service: &ServiceRef) {
-        self.state.hits.fetch_add(1, Ordering::Relaxed);
-        if let Some(registry) = &self.registry {
-            registry
-                .counter("serena_beta_dedup_total", &[("service", service.as_str())])
-                .inc();
-        }
-    }
-}
-
-impl<I: Invoker> Invoker for DedupInvoker<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        let key = DedupKey {
-            prototype: prototype.name().to_string(),
-            service: service_ref.clone(),
-            input: input.clone(),
-        };
-        let mut span = self.tracer.as_deref().and_then(|t| t.start("beta", at));
-        if let Some(s) = span.as_mut() {
-            s.attr_str("service", service_ref.as_str());
-            s.attr_str("prototype", prototype.name());
-        }
-        let (result, how) = match self.state.claim(&key, at) {
-            Claim::Serve(result) => {
-                self.count_dedup(service_ref);
-                (result, "hit")
-            }
-            Claim::Wait(latch) => {
-                let result = latch.wait();
-                self.count_dedup(service_ref);
-                (result, "wait")
-            }
-            Claim::Call(latch) => {
-                let result = {
-                    // layers below (resilience, per-attempt
-                    // instrumentation) nest under this logical β span
-                    let _in_span = span.as_ref().map(|s| s.enter());
-                    self.inner.invoke(prototype, service_ref, input, at)
-                };
-                self.state.misses.fetch_add(1, Ordering::Relaxed);
-                self.state.complete(&key, at, result.clone());
-                latch.publish(result.clone());
-                (result, "call")
-            }
-        };
-        if let Some(s) = span.as_mut() {
-            s.attr_str("dedup", how);
-            s.attr_u64("ok", result.is_ok() as u64);
-        }
-        result
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
-    }
-}
-
-/// The [`InvokerLayer`] form of [`DedupInvoker`]. Add it **last** (making
-/// it the outermost decorator) so resilience retries underneath it still
-/// reach the service, while logical callers above share one result per
+/// The dedup [`InvokerLayer`]: coalesces identical invocations issued
+/// within one instant into a single upstream call. See the module docs for
+/// the soundness argument. Add it **last** (making it the outermost
+/// decorator) so resilience retries underneath it still reach the service,
+/// while logical callers above share one result per
 /// `(prototype, service, input, instant)`. A disabled layer is an exact
 /// pass-through.
 pub struct DedupLayer {
@@ -293,14 +196,16 @@ impl DedupLayer {
         }
     }
 
-    /// Count coalesced calls in `registry` (see
-    /// [`DedupInvoker::registry`]).
+    /// Count coalesced calls in `registry` as
+    /// `serena_beta_dedup_total{service=…}` — one increment per logical
+    /// caller whose call was served without an upstream invocation.
     pub fn registry(mut self, registry: Arc<MetricsRegistry>) -> Self {
         self.registry = Some(registry);
         self
     }
 
-    /// Record `beta` spans into `tracer` (see [`DedupInvoker::tracer`]).
+    /// Record one `beta` span per logical call into `tracer`, annotated
+    /// with how the memo resolved it (`dedup` = `hit`/`wait`/`call`).
     pub fn tracer(mut self, tracer: Arc<FlightRecorder>) -> Self {
         self.tracer = Some(tracer);
         self
@@ -312,6 +217,15 @@ impl DedupLayer {
         self.enabled = enabled;
         self
     }
+
+    fn count_dedup(&self, service: &ServiceRef) {
+        self.state.hits.fetch_add(1, Ordering::Relaxed);
+        if let Some(registry) = &self.registry {
+            registry
+                .counter("serena_beta_dedup_total", &[("service", service.as_str())])
+                .inc();
+        }
+    }
 }
 
 impl<'a> InvokerLayer<'a> for DedupLayer {
@@ -319,14 +233,67 @@ impl<'a> InvokerLayer<'a> for DedupLayer {
         if !self.enabled {
             return inner;
         }
-        let mut invoker = DedupInvoker::new(inner, self.state);
-        if let Some(registry) = self.registry {
-            invoker = invoker.registry(registry);
+        Box::new(Dedup { inner, layer: self })
+    }
+}
+
+/// What an enabled [`DedupLayer`] wraps the invoker below it in.
+struct Dedup<'a> {
+    inner: Box<dyn Invoker + 'a>,
+    layer: DedupLayer,
+}
+
+impl Invoker for Dedup<'_> {
+    fn invoke(
+        &self,
+        prototype: &Prototype,
+        service_ref: &ServiceRef,
+        input: &Tuple,
+        at: Instant,
+    ) -> Result<Vec<Tuple>, EvalError> {
+        let DedupLayer { state, tracer, .. } = &self.layer;
+        let key = DedupKey {
+            prototype: prototype.name().to_string(),
+            service: service_ref.clone(),
+            input: input.clone(),
+        };
+        let mut span = tracer.as_deref().and_then(|t| t.start("beta", at));
+        if let Some(s) = span.as_mut() {
+            s.attr_str("service", service_ref.as_str());
+            s.attr_str("prototype", prototype.name());
         }
-        if let Some(tracer) = self.tracer {
-            invoker = invoker.tracer(tracer);
+        let (result, how) = match state.claim(&key, at) {
+            Claim::Serve(result) => {
+                self.layer.count_dedup(service_ref);
+                (result, "hit")
+            }
+            Claim::Wait(latch) => {
+                let result = latch.wait();
+                self.layer.count_dedup(service_ref);
+                (result, "wait")
+            }
+            Claim::Call(latch) => {
+                let result = {
+                    // layers below (resilience, per-attempt
+                    // instrumentation) nest under this logical β span
+                    let _in_span = span.as_ref().map(|s| s.enter());
+                    self.inner.invoke(prototype, service_ref, input, at)
+                };
+                state.misses.fetch_add(1, Ordering::Relaxed);
+                state.complete(&key, at, result.clone());
+                latch.publish(result.clone());
+                (result, "call")
+            }
+        };
+        if let Some(s) = span.as_mut() {
+            s.attr_str("dedup", how);
+            s.attr_u64("ok", result.is_ok() as u64);
         }
-        Box::new(invoker)
+        result
+    }
+
+    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
+        self.inner.providers_of(prototype)
     }
 }
 

@@ -82,7 +82,7 @@ pub mod prelude {
     pub use crate::action::{Action, ActionSet};
     pub use crate::attr::{attr, AttrName};
     pub use crate::binding::BindingPattern;
-    pub use crate::dedup::{DedupInvoker, DedupLayer, DedupState};
+    pub use crate::dedup::{DedupLayer, DedupState};
     pub use crate::env::Environment;
     pub use crate::error::{EvalError, PlanError, SchemaError};
     pub use crate::eval::EvalOutcome;
@@ -98,9 +98,8 @@ pub mod prelude {
     pub use crate::schema::{AttrKind, Attribute, SchemaRef, XSchema};
     pub use crate::service::{Invoker, InvokerLayer, InvokerStack, Service, StaticRegistry};
     pub use crate::telemetry::{
-        beta_cache_hit_ratio, Counter, Gauge, Histogram, InstrumentedInvoker, InstrumentedLayer,
-        InvocationObserver, JsonlTrace, MemoryTrace, MetricsRegistry, NoopTrace, RegistrySink,
-        TraceEvent, TraceSink,
+        beta_cache_hit_ratio, Counter, Gauge, Histogram, InstrumentedLayer, InvocationObserver,
+        JsonlTrace, MemoryTrace, MetricsRegistry, NoopTrace, RegistrySink, TraceEvent, TraceSink,
     };
     pub use crate::time::Instant;
     pub use crate::tuple::Tuple;

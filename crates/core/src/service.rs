@@ -312,7 +312,7 @@ impl Invoker for InvokerStack<'_> {
 /// Run one invocation with panic containment: a panicking service becomes
 /// [`EvalError::Panicked`] instead of unwinding into (and aborting) the
 /// execution engine. Used by the β batch executor and by
-/// [`CatchPanicInvoker`]; string panic payloads are preserved as the
+/// [`CatchPanicLayer`]; string panic payloads are preserved as the
 /// error's `reason`.
 pub fn invoke_contained(
     invoker: &dyn Invoker,
@@ -343,42 +343,12 @@ fn panic_reason(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// An [`Invoker`] decorator containing panics: any panic raised by the
-/// wrapped invoker (typically a buggy service implementation) is caught and
-/// surfaced as [`EvalError::Panicked`]. Placed *innermost* in an
+/// An [`InvokerLayer`] containing panics: any panic raised by the invoker
+/// below it (typically a buggy service implementation) is caught and
+/// surfaced as [`EvalError::Panicked`]. Add it *first* when building an
 /// [`InvokerStack`] — directly over the registry — so outer layers
 /// (instrumentation, health, resilience) observe the panic as an ordinary
 /// invocation error.
-pub struct CatchPanicInvoker<I> {
-    inner: I,
-}
-
-impl<I: Invoker> CatchPanicInvoker<I> {
-    /// Wrap `inner` with panic containment.
-    pub fn new(inner: I) -> Self {
-        CatchPanicInvoker { inner }
-    }
-}
-
-impl<I: Invoker> Invoker for CatchPanicInvoker<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        invoke_contained(&self.inner, prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
-    }
-}
-
-/// The [`InvokerLayer`] form of [`CatchPanicInvoker`]. Add it *first* when
-/// building a stack so it wraps the base registry and every outer layer
-/// sees contained panics as errors.
 #[derive(Default, Clone, Copy)]
 pub struct CatchPanicLayer;
 
@@ -391,7 +361,25 @@ impl CatchPanicLayer {
 
 impl<'a> InvokerLayer<'a> for CatchPanicLayer {
     fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        Box::new(CatchPanicInvoker::new(inner))
+        Box::new(CatchPanic(inner))
+    }
+}
+
+struct CatchPanic<'a>(Box<dyn Invoker + 'a>);
+
+impl Invoker for CatchPanic<'_> {
+    fn invoke(
+        &self,
+        prototype: &Prototype,
+        service_ref: &ServiceRef,
+        input: &Tuple,
+        at: Instant,
+    ) -> Result<Vec<Tuple>, EvalError> {
+        invoke_contained(&*self.0, prototype, service_ref, input, at)
+    }
+
+    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
+        self.0.providers_of(prototype)
     }
 }
 

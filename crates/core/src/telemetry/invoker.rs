@@ -1,6 +1,6 @@
 //! Invocation-level instrumentation: latency, outcomes, health feed.
 //!
-//! [`InstrumentedInvoker`] decorates any [`Invoker`] and, per call, records
+//! [`InstrumentedLayer`] decorates any [`Invoker`] and, per call, records
 //! wall-clock latency into per-service registry series, notifies an
 //! [`InvocationObserver`] (the hook service-health trackers implement), and
 //! emits [`TraceEvent::Invocation`]/[`TraceEvent::Failure`] trace events —
@@ -47,7 +47,10 @@ struct ServiceSeries {
     failures: Arc<Counter>,
 }
 
-/// An [`Invoker`] decorator measuring every call.
+/// An [`InvokerLayer`] measuring every call, for use with
+/// [`InvokerStack`](crate::service::InvokerStack): the layer holds the
+/// instrumentation outputs and, when the stack is built, wraps the invoker
+/// below it.
 ///
 /// Registry series (when a registry is attached):
 /// `serena_service_latency_ns{service}` (histogram),
@@ -56,59 +59,74 @@ struct ServiceSeries {
 /// cached per [`ServiceRef`], so steady-state recording takes one read
 /// lock plus a few atomic updates.
 ///
-/// Generic over the wrapped invoker `I` (a `&dyn Invoker`, a concrete
-/// registry, or a `Box<dyn Invoker>` from an
-/// [`InvokerStack`](crate::service::InvokerStack) — see
-/// [`InstrumentedLayer`]).
-pub struct InstrumentedInvoker<'a, I> {
-    inner: I,
+/// ```
+/// use serena_core::prelude::*;
+/// use serena_core::telemetry::InstrumentedLayer;
+///
+/// let base = serena_core::service::fixtures::example_registry();
+/// let registry = MetricsRegistry::new();
+/// let stack = InvokerStack::new(base).layer(InstrumentedLayer::new().registry(&registry));
+/// assert!(!stack.providers_of("getTemperature").is_empty());
+/// ```
+#[derive(Default, Clone, Copy)]
+pub struct InstrumentedLayer<'a> {
     registry: Option<&'a MetricsRegistry>,
     observer: Option<&'a dyn InvocationObserver>,
     trace: Option<&'a dyn TraceSink>,
     tracer: Option<&'a FlightRecorder>,
-    series: RwLock<HashMap<ServiceRef, ServiceSeries>>,
 }
 
-impl<'a, I: Invoker> InstrumentedInvoker<'a, I> {
-    /// Wrap `inner` with no outputs attached (a transparent pass-through
-    /// until [`Self::with_registry`] / [`Self::with_observer`] /
-    /// [`Self::with_trace`] add some).
-    pub fn new(inner: I) -> Self {
-        InstrumentedInvoker {
-            inner,
-            registry: None,
-            observer: None,
-            trace: None,
-            tracer: None,
-            series: RwLock::new(HashMap::new()),
-        }
+impl<'a> InstrumentedLayer<'a> {
+    /// A layer with no outputs attached yet (a transparent pass-through
+    /// until some are).
+    pub fn new() -> Self {
+        InstrumentedLayer::default()
     }
 
     /// Record per-service latency/call/failure series into `registry`.
-    pub fn with_registry(mut self, registry: &'a MetricsRegistry) -> Self {
+    pub fn registry(mut self, registry: &'a MetricsRegistry) -> Self {
         self.registry = Some(registry);
         self
     }
 
     /// Notify `observer` of every invocation outcome.
-    pub fn with_observer(mut self, observer: &'a dyn InvocationObserver) -> Self {
+    pub fn observer(mut self, observer: &'a dyn InvocationObserver) -> Self {
         self.observer = Some(observer);
         self
     }
 
     /// Emit invocation/failure trace events to `trace`.
-    pub fn with_trace(mut self, trace: &'a dyn TraceSink) -> Self {
+    pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
         self.trace = Some(trace);
         self
     }
 
     /// Record one `beta.attempt` span per call into `tracer`, and stamp
     /// the span id as the latency histogram's exemplar.
-    pub fn with_tracer(mut self, tracer: &'a FlightRecorder) -> Self {
+    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
         self.tracer = Some(tracer);
         self
     }
+}
 
+impl<'a> InvokerLayer<'a> for InstrumentedLayer<'a> {
+    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
+        Box::new(Instrumented {
+            inner,
+            outputs: self,
+            series: RwLock::new(HashMap::new()),
+        })
+    }
+}
+
+/// What [`InstrumentedLayer`] wraps the invoker below it in.
+struct Instrumented<'a> {
+    inner: Box<dyn Invoker + 'a>,
+    outputs: InstrumentedLayer<'a>,
+    series: RwLock<HashMap<ServiceRef, ServiceSeries>>,
+}
+
+impl Instrumented<'_> {
     fn series_for(&self, registry: &MetricsRegistry, service: &ServiceRef) -> ServiceSeries {
         if let Some(series) = self.series.read().get(service) {
             return series.clone();
@@ -127,7 +145,7 @@ impl<'a, I: Invoker> InstrumentedInvoker<'a, I> {
     }
 }
 
-impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
+impl Invoker for Instrumented<'_> {
     fn invoke(
         &self,
         prototype: &Prototype,
@@ -135,7 +153,13 @@ impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
-        let mut span = self.tracer.and_then(|t| t.start("beta.attempt", at));
+        let InstrumentedLayer {
+            registry,
+            observer,
+            trace,
+            tracer,
+        } = self.outputs;
+        let mut span = tracer.and_then(|t| t.start("beta.attempt", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());
             s.attr_str("prototype", prototype.name());
@@ -155,7 +179,7 @@ impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
         }
         drop(span); // close before the latency sample so the exemplar resolves
 
-        if let Some(registry) = self.registry {
+        if let Some(registry) = registry {
             let series = self.series_for(registry, service_ref);
             series.latency.record_with_exemplar(
                 u128::min(latency.as_nanos(), u64::MAX as u128) as u64,
@@ -166,7 +190,7 @@ impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
                 series.failures.inc();
             }
         }
-        if let Some(observer) = self.observer {
+        if let Some(observer) = observer {
             observer.observe_invocation(
                 service_ref,
                 prototype.name(),
@@ -175,7 +199,7 @@ impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
                 result.as_ref().err(),
             );
         }
-        if let Some(trace) = self.trace {
+        if let Some(trace) = trace {
             trace.emit(&TraceEvent::Invocation {
                 service: service_ref.to_string(),
                 prototype: prototype.name().to_string(),
@@ -199,84 +223,12 @@ impl<I: Invoker> Invoker for InstrumentedInvoker<'_, I> {
     }
 }
 
-/// The [`InvokerLayer`] form of [`InstrumentedInvoker`], for use with
-/// [`InvokerStack`](crate::service::InvokerStack): the layer holds the
-/// instrumentation config and, when the stack is built, wraps the invoker
-/// below it.
-///
-/// ```
-/// use serena_core::prelude::*;
-/// use serena_core::telemetry::InstrumentedLayer;
-///
-/// let base = serena_core::service::fixtures::example_registry();
-/// let registry = MetricsRegistry::new();
-/// let stack = InvokerStack::new(base).layer(InstrumentedLayer::new().registry(&registry));
-/// assert!(!stack.providers_of("getTemperature").is_empty());
-/// ```
-#[derive(Default, Clone, Copy)]
-pub struct InstrumentedLayer<'a> {
-    registry: Option<&'a MetricsRegistry>,
-    observer: Option<&'a dyn InvocationObserver>,
-    trace: Option<&'a dyn TraceSink>,
-    tracer: Option<&'a FlightRecorder>,
-}
-
-impl<'a> InstrumentedLayer<'a> {
-    /// A layer with no outputs attached yet.
-    pub fn new() -> Self {
-        InstrumentedLayer::default()
-    }
-
-    /// Record per-service latency/call/failure series into `registry`.
-    pub fn registry(mut self, registry: &'a MetricsRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// Notify `observer` of every invocation outcome.
-    pub fn observer(mut self, observer: &'a dyn InvocationObserver) -> Self {
-        self.observer = Some(observer);
-        self
-    }
-
-    /// Emit invocation/failure trace events to `trace`.
-    pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-
-    /// Record `beta.attempt` spans into `tracer` (see
-    /// [`InstrumentedInvoker::with_tracer`]).
-    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-}
-
-impl<'a> InvokerLayer<'a> for InstrumentedLayer<'a> {
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        let mut invoker = InstrumentedInvoker::new(inner);
-        if let Some(registry) = self.registry {
-            invoker = invoker.with_registry(registry);
-        }
-        if let Some(observer) = self.observer {
-            invoker = invoker.with_observer(observer);
-        }
-        if let Some(trace) = self.trace {
-            invoker = invoker.with_trace(trace);
-        }
-        if let Some(tracer) = self.tracer {
-            invoker = invoker.with_tracer(tracer);
-        }
-        Box::new(invoker)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::prototype::examples as protos;
     use crate::service::fixtures::example_registry;
+    use crate::service::InvokerStack;
     use crate::sync::Mutex;
     use crate::telemetry::trace::MemoryTrace;
 
@@ -304,10 +256,12 @@ mod tests {
         let registry = MetricsRegistry::new();
         let outcomes = Outcomes::default();
         let trace = MemoryTrace::new();
-        let invoker = InstrumentedInvoker::new(&inner)
-            .with_registry(&registry)
-            .with_observer(&outcomes)
-            .with_trace(&trace);
+        let invoker = InvokerStack::new(&inner).layer(
+            InstrumentedLayer::new()
+                .registry(&registry)
+                .observer(&outcomes)
+                .trace(&trace),
+        );
 
         let sref = ServiceRef::new("sensor01");
         let ghost = ServiceRef::new("ghost");
@@ -372,7 +326,7 @@ mod tests {
     #[test]
     fn bare_wrapper_is_transparent() {
         let inner = example_registry();
-        let invoker = InstrumentedInvoker::new(&inner);
+        let invoker = InvokerStack::new(&inner).layer(InstrumentedLayer::new());
         let out = invoker
             .invoke(
                 &protos::get_temperature(),

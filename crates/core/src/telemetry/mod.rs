@@ -12,7 +12,7 @@
 //! * [`sink`] — [`RegistrySink`], bridging per-operator observations into
 //!   per-`OpKind` wall-time histograms, tuple counters and β-cache
 //!   counters;
-//! * [`invoker`] — [`InstrumentedInvoker`], measuring every β service
+//! * [`invoker`] — [`InstrumentedLayer`], measuring every β service
 //!   call (per-service latency histograms, failure counters) and feeding
 //!   [`InvocationObserver`]s such as service-health trackers;
 //! * [`trace`] — span-style [`TraceEvent`]s (query registered, tick
@@ -25,7 +25,7 @@
 //!
 //! Everything here is optional and composable: executors keep talking to
 //! the `MetricsSink`/`Invoker` traits they already know; telemetry attaches
-//! by decoration (a `Tee` to a [`RegistrySink`], an [`InstrumentedInvoker`]
+//! by decoration (a `Tee` to a [`RegistrySink`], an [`InstrumentedLayer`]
 //! around the service registry).
 
 pub mod histogram;
@@ -36,7 +36,7 @@ pub mod span;
 pub mod trace;
 
 pub use histogram::Histogram;
-pub use invoker::{InstrumentedInvoker, InstrumentedLayer, InvocationObserver};
+pub use invoker::{InstrumentedLayer, InvocationObserver};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use sink::{beta_cache_hit_ratio, RegistrySink};
 pub use span::{chrome_trace, ActiveSpan, AttrValue, FlightRecorder, SpanRecord};

@@ -1,23 +1,11 @@
-//! Abstract syntax for the Serena DDL and the Serena Algebra Language.
+//! Parsed statements of the Serena DDL and the Serena Algebra Language.
 //!
-//! The parser produces these name-based trees; [`crate::resolve`] turns
-//! them into core schema objects and executable plans against a prototype
-//! catalog.
+//! Declarations stay name-based — [`crate::resolve`] turns them into core
+//! schema objects against a prototype catalog — while an algebra expression
+//! is parsed straight into the one query tree, core's [`Plan`].
 
-use serena_core::value::DataType;
-
-/// A literal constant in DDL/queries.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Literal {
-    /// `'text'`
-    Str(String),
-    /// `42`
-    Int(i64),
-    /// `3.5`
-    Real(f64),
-    /// `TRUE` / `FALSE`
-    Bool(bool),
-}
+use serena_core::plan::Plan;
+use serena_core::value::{DataType, Value};
 
 /// One attribute declaration inside `EXTENDED RELATION`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -85,15 +73,17 @@ pub enum Statement {
     Insert {
         /// Target relation.
         relation: String,
-        /// Tuples of literals.
-        tuples: Vec<Vec<Literal>>,
+        /// Tuples of literals, typed against the relation's schema by
+        /// [`crate::resolve::resolve_tuple`].
+        tuples: Vec<Vec<Value>>,
     },
     /// `DELETE FROM name VALUES (…);`
     Delete {
         /// Target relation.
         relation: String,
-        /// Tuples of literals.
-        tuples: Vec<Vec<Literal>>,
+        /// Tuples of literals, typed against the relation's schema by
+        /// [`crate::resolve::resolve_tuple`].
+        tuples: Vec<Vec<Value>>,
     },
     /// `DROP RELATION name;`
     DropRelation {
@@ -105,7 +95,7 @@ pub enum Statement {
         /// Query name.
         name: String,
         /// The algebra expression.
-        expr: QueryExpr,
+        plan: Plan,
     },
     /// `UNREGISTER QUERY name;` — stop and remove a continuous query.
     UnregisterQuery {
@@ -115,132 +105,6 @@ pub enum Statement {
     /// `EXECUTE <expr>;` — one-shot evaluation.
     Execute {
         /// The algebra expression.
-        expr: QueryExpr,
+        plan: Plan,
     },
-}
-
-/// Comparison operators in formulas.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CmpOpAst {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-/// A term in a comparison: attribute or literal.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TermAst {
-    /// Attribute reference.
-    Attr(String),
-    /// Constant.
-    Lit(Literal),
-}
-
-/// A selection formula.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FormulaAst {
-    /// `TRUE`
-    True,
-    /// `FALSE`
-    False,
-    /// `term op term`
-    Cmp(TermAst, CmpOpAst, TermAst),
-    /// `attr CONTAINS 'needle'` (extension, see
-    /// [`serena_core::formula::Formula::Contains`]).
-    Contains(String, String),
-    /// `a AND b`
-    And(Box<FormulaAst>, Box<FormulaAst>),
-    /// `a OR b`
-    Or(Box<FormulaAst>, Box<FormulaAst>),
-    /// `NOT a`
-    Not(Box<FormulaAst>),
-}
-
-/// Assignment source in `ASSIGN [attr := …]`.
-#[derive(Debug, Clone, PartialEq)]
-pub enum AssignAst {
-    /// Copy from another attribute.
-    Attr(String),
-    /// Constant.
-    Lit(Literal),
-}
-
-/// Aggregate function names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AggFunAst {
-    /// `COUNT(attr)`
-    Count,
-    /// `SUM(attr)`
-    Sum,
-    /// `AVG(attr)`
-    Avg,
-    /// `MIN(attr)`
-    Min,
-    /// `MAX(attr)`
-    Max,
-}
-
-/// One aggregate column: `avg(temperature) AS mean`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AggAst {
-    /// Function.
-    pub fun: AggFunAst,
-    /// Aggregated attribute.
-    pub attr: String,
-    /// Output name (defaulted by the resolver when absent).
-    pub as_name: Option<String>,
-}
-
-/// Streaming operator kinds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamKindAst {
-    /// `insertion`
-    Insertion,
-    /// `deletion`
-    Deletion,
-    /// `heartbeat`
-    Heartbeat,
-}
-
-/// An algebra-language expression.
-#[derive(Debug, Clone, PartialEq)]
-pub enum QueryExpr {
-    /// Named XD-Relation.
-    Source(String),
-    /// `SELECT [F] (e)`
-    Select(Box<QueryExpr>, FormulaAst),
-    /// `PROJECT [a, b] (e)`
-    Project(Box<QueryExpr>, Vec<String>),
-    /// `RENAME [a -> b] (e)`
-    Rename(Box<QueryExpr>, String, String),
-    /// `JOIN (e1, e2)`
-    Join(Box<QueryExpr>, Box<QueryExpr>),
-    /// `UNION (e1, e2)`
-    Union(Box<QueryExpr>, Box<QueryExpr>),
-    /// `INTERSECT (e1, e2)`
-    Intersect(Box<QueryExpr>, Box<QueryExpr>),
-    /// `DIFFERENCE (e1, e2)`
-    Difference(Box<QueryExpr>, Box<QueryExpr>),
-    /// `ASSIGN [a := src] (e)`
-    Assign(Box<QueryExpr>, String, AssignAst),
-    /// `INVOKE [proto[service]] (e)`
-    Invoke(Box<QueryExpr>, String, String),
-    /// `AGGREGATE [g1, g2 ; aggs] (e)`
-    Aggregate(Box<QueryExpr>, Vec<String>, Vec<AggAst>),
-    /// `WINDOW [n] (e)`
-    Window(Box<QueryExpr>, u64),
-    /// `STREAM [kind] (e)`
-    Stream(Box<QueryExpr>, StreamKindAst),
-    /// `SAMPLE [proto[service], n] (e)` — streaming binding pattern
-    /// (extension, §7 future work).
-    Sample(Box<QueryExpr>, String, String, u64),
 }

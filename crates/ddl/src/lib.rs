@@ -8,19 +8,21 @@
 //! (`INSERT`/`DELETE`/`DROP`) and query registration
 //! (`REGISTER QUERY … AS …`, `EXECUTE …`).
 //!
-//! Pipeline: [`lexer`] → [`parser`] (name-based [`ast`]) → [`resolve`]
-//! (core schemas and plans — [`serena_stream::plan::StreamPlan`], the one
-//! plan tree of `serena-core` — given a prototype catalog).
+//! Pipeline: [`lexer`] → [`parser`] → [`serena_core::plan::Plan`]. An
+//! algebra expression parses straight into the one plan tree of
+//! `serena-core`, built by the same calls a programmatic plan uses;
+//! [`resolve`] is for what needs a catalog or can fail on one — prototype
+//! and relation schemas ([`ast`]'s name-based declarations) and `INSERT` /
+//! `DELETE` tuples. [`sql`] lowers a `SELECT` onto the same tree.
 //!
 //! ```
-//! use serena_ddl::parser::parse_query;
-//! use serena_ddl::resolve::{resolve_query, to_one_shot};
+//! use serena_ddl::{parse_query, to_one_shot};
 //!
-//! let expr = parse_query(
+//! let plan = parse_query(
 //!     "INVOKE[sendMessage[messenger]](ASSIGN[text := 'Bonjour!'](SELECT[name <> 'Carla'](contacts)))",
 //! ).unwrap();
-//! let plan = to_one_shot(&resolve_query(&expr)).unwrap();
 //! assert_eq!(plan, serena_core::plan::examples::q1());
+//! assert_eq!(to_one_shot(&plan), Some(plan));
 //! ```
 
 #![warn(missing_docs)]
@@ -34,6 +36,6 @@ pub mod sql;
 pub use ast::Statement;
 pub use parser::{parse_program, parse_query, ParseError};
 pub use resolve::{
-    literal_value, resolve_formula, resolve_prototype, resolve_query, resolve_relation_schema,
-    resolve_tuple, to_one_shot, DdlError, PrototypeCatalog,
+    resolve_prototype, resolve_relation_schema, resolve_tuple, to_one_shot, DdlError,
+    PrototypeCatalog,
 };

@@ -1,11 +1,15 @@
 //! Recursive-descent parser for the Serena DDL and algebra language.
 //!
+//! An algebra expression is parsed straight into core's [`Plan`] and
+//! [`Formula`], through the same builder calls a programmatic plan uses:
+//! there is no second tree between the text and the executor.
+//!
 //! Grammar summary (keywords case-insensitive):
 //!
 //! ```text
 //! program    := statement* ;
 //! statement  := prototype | service | xrelation | insert | delete | drop
-//!             | register | execute ;
+//!             | register | unregister | execute ;
 //! prototype  := PROTOTYPE name '(' params? ')' ':' '(' params ')' ACTIVE? ';'
 //! service    := SERVICE name IMPLEMENTS name (',' name)* ';'
 //! xrelation  := EXTENDED RELATION name '(' attr (',' attr)* ')'
@@ -16,6 +20,7 @@
 //! delete     := DELETE FROM name VALUES tuple (',' tuple)* ';'
 //! drop       := DROP RELATION name ';'
 //! register   := REGISTER QUERY name AS expr ';'
+//! unregister := UNREGISTER QUERY name ';'
 //! execute    := EXECUTE expr ';'
 //! expr       := SELECT '[' formula ']' '(' expr ')'
 //!             | PROJECT '[' names ']' '(' expr ')'
@@ -26,12 +31,16 @@
 //!             | AGGREGATE '[' names? ';' agg (',' agg)* ']' '(' expr ')'
 //!             | WINDOW '[' int ']' '(' expr ')'
 //!             | STREAM '[' kind ']' '(' expr ')'
+//!             | SAMPLE '[' name '[' name ']' ',' int ']' '(' expr ')'
 //!             | '(' expr ')' | name
 //! formula    := or ; or := and (OR and)* ; and := not (AND not)* ;
 //! not        := NOT not | TRUE | FALSE | '(' formula ')' | term cmp term
 //! ```
 
-use serena_core::value::DataType;
+use serena_core::formula::{CmpOp, Expr, Formula};
+use serena_core::ops::{AggFun, AggSpec, AssignSource};
+use serena_core::plan::{Plan, StreamKind};
+use serena_core::value::{DataType, Value};
 
 use crate::ast::*;
 use crate::lexer::{lex, Spanned, Token};
@@ -65,12 +74,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse a whole program (a `;`-separated statement list).
 pub fn parse_program(input: &str) -> Result<Vec<Statement>, ParseError> {
-    let tokens = lex(input).map_err(|e| ParseError {
-        message: e.message,
-        line: e.line,
-        col: e.col,
-    })?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser::new(input)?;
     let mut out = Vec::new();
     while !p.at_end() {
         out.push(p.statement()?);
@@ -79,86 +83,69 @@ pub fn parse_program(input: &str) -> Result<Vec<Statement>, ParseError> {
 }
 
 /// Parse a single algebra expression (no trailing `;` required).
-pub fn parse_query(input: &str) -> Result<QueryExpr, ParseError> {
-    let tokens = lex(input).map_err(|e| ParseError {
-        message: e.message,
-        line: e.line,
-        col: e.col,
-    })?;
-    let mut p = Parser { tokens, pos: 0 };
-    let expr = p.expr()?;
+pub fn parse_query(input: &str) -> Result<Plan, ParseError> {
+    let mut p = Parser::new(input)?;
+    let plan = p.expr()?;
     if !p.at_end() {
         return Err(p.err("trailing input after expression"));
     }
-    Ok(expr)
+    Ok(plan)
 }
 
+/// Bound on the depth of the tree one statement parses into: operator and
+/// formula nesting, parentheses, and the left-deep spine an `AND` / `OR`
+/// chain grows, alike. The parser and every walk behind it (schema
+/// derivation, the optimizer, compilation, `Drop`) recurse once per level,
+/// and a debug build spends up to 18 KiB of stack on one: this many levels
+/// — twice over, for a `SELECT` whose conjuncts lower to σ levels above
+/// formulas of their own — hold on a 2 MiB thread stack.
+pub(crate) const MAX_DEPTH: usize = 48;
+
+/// The token cursor both front ends parse from ([`crate::sql`] reads its
+/// clauses with the same methods).
 pub(crate) struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Levels open above the production being parsed: [`Parser::nested`]
+    /// frames, plus the SQL items [`Parser::deepen`] counted.
+    depth: usize,
 }
 
-/// Crate-internal parser handle reused by the Serena SQL front-end
-/// ([`crate::sql`]), exposing the shared token/formula machinery.
-pub(crate) type RawParser = Parser;
-
-/// Build a [`RawParser`] over pre-lexed tokens.
-pub(crate) fn raw_parser(tokens: Vec<Spanned>) -> RawParser {
-    Parser { tokens, pos: 0 }
-}
-
-impl Parser {
-    pub(crate) fn peek_token(&self) -> Option<&Token> {
-        self.peek()
-    }
-
-    pub(crate) fn bump_token(&mut self) -> Option<Token> {
-        self.bump()
-    }
-
-    pub(crate) fn at_end_token(&self) -> bool {
-        self.at_end()
-    }
-
-    pub(crate) fn error_here(&self, message: &str) -> ParseError {
-        self.err(message)
-    }
-
-    pub(crate) fn expect_kw(&mut self, kw: &str) -> Result<(), ParseError> {
-        self.eat_kw(kw)
-    }
-
-    pub(crate) fn accept_kw(&mut self, kw: &str) -> bool {
-        self.try_kw(kw)
-    }
-
-    pub(crate) fn expect_ident(&mut self) -> Result<String, ParseError> {
-        self.ident()
-    }
-
-    pub(crate) fn expect_token(&mut self, t: &Token) -> Result<(), ParseError> {
-        self.eat(t)
-    }
-
-    pub(crate) fn expect_literal(&mut self) -> Result<Literal, ParseError> {
-        self.literal()
-    }
-
-    pub(crate) fn parse_formula(&mut self) -> Result<FormulaAst, ParseError> {
-        self.formula()
+/// The aggregate function called `name`, in either front end.
+pub(crate) fn agg_fun(name: &str) -> Option<AggFun> {
+    match name.to_ascii_lowercase().as_str() {
+        "count" => Some(AggFun::Count),
+        "sum" => Some(AggFun::Sum),
+        "avg" => Some(AggFun::Avg),
+        "min" => Some(AggFun::Min),
+        "max" => Some(AggFun::Max),
+        _ => None,
     }
 }
 
 impl Parser {
-    fn at_end(&self) -> bool {
+    pub(crate) fn new(input: &str) -> Result<Parser, ParseError> {
+        let tokens = lex(input).map_err(|e| ParseError {
+            message: e.message,
+            line: e.line,
+            col: e.col,
+        })?;
+        Ok(Parser {
+            tokens,
+            pos: 0,
+            depth: 0,
+        })
+    }
+
+    pub(crate) fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
 
-    fn peek(&self) -> Option<&Token> {
+    pub(crate) fn peek(&self) -> Option<&Token> {
         self.tokens.get(self.pos).map(|t| &t.token)
     }
 
-    fn err(&self, message: &str) -> ParseError {
+    pub(crate) fn err(&self, message: &str) -> ParseError {
         match self.tokens.get(self.pos) {
             Some(t) => ParseError {
                 message: format!("{message} (found `{}`)", t.token),
@@ -173,7 +160,7 @@ impl Parser {
         }
     }
 
-    fn bump(&mut self) -> Option<Token> {
+    pub(crate) fn bump(&mut self) -> Option<Token> {
         let t = self.tokens.get(self.pos).map(|t| t.token.clone());
         if t.is_some() {
             self.pos += 1;
@@ -181,7 +168,7 @@ impl Parser {
         t
     }
 
-    fn eat(&mut self, t: &Token) -> Result<(), ParseError> {
+    pub(crate) fn eat(&mut self, t: &Token) -> Result<(), ParseError> {
         if self.peek() == Some(t) {
             self.pos += 1;
             Ok(())
@@ -190,7 +177,7 @@ impl Parser {
         }
     }
 
-    fn eat_kw(&mut self, kw: &str) -> Result<(), ParseError> {
+    pub(crate) fn eat_kw(&mut self, kw: &str) -> Result<(), ParseError> {
         if self.peek().is_some_and(|t| t.is_kw(kw)) {
             self.pos += 1;
             Ok(())
@@ -199,7 +186,7 @@ impl Parser {
         }
     }
 
-    fn try_kw(&mut self, kw: &str) -> bool {
+    pub(crate) fn try_kw(&mut self, kw: &str) -> bool {
         if self.peek().is_some_and(|t| t.is_kw(kw)) {
             self.pos += 1;
             true
@@ -208,7 +195,7 @@ impl Parser {
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    pub(crate) fn ident(&mut self) -> Result<String, ParseError> {
         match self.peek() {
             Some(Token::Ident(s)) => {
                 let s = s.clone();
@@ -242,30 +229,17 @@ impl Parser {
         }
     }
 
-    fn literal(&mut self) -> Result<Literal, ParseError> {
-        match self.peek().cloned() {
-            Some(Token::Str(s)) => {
-                self.pos += 1;
-                Ok(Literal::Str(s))
-            }
-            Some(Token::Int(i)) => {
-                self.pos += 1;
-                Ok(Literal::Int(i))
-            }
-            Some(Token::Real(r)) => {
-                self.pos += 1;
-                Ok(Literal::Real(r))
-            }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("true") => {
-                self.pos += 1;
-                Ok(Literal::Bool(true))
-            }
-            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("false") => {
-                self.pos += 1;
-                Ok(Literal::Bool(false))
-            }
-            _ => Err(self.err("expected literal")),
-        }
+    fn literal(&mut self) -> Result<Value, ParseError> {
+        let v = match self.peek() {
+            Some(Token::Str(s)) => Value::str(s),
+            Some(Token::Int(i)) => Value::Int(*i),
+            Some(Token::Real(r)) => Value::Real(*r),
+            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("true") => Value::Bool(true),
+            Some(Token::Ident(s)) if s.eq_ignore_ascii_case("false") => Value::Bool(false),
+            _ => return Err(self.err("expected literal")),
+        };
+        self.pos += 1;
+        Ok(v)
     }
 
     // ---------------------------------------------------------------
@@ -417,7 +391,7 @@ impl Parser {
         })
     }
 
-    fn tuple(&mut self) -> Result<Vec<Literal>, ParseError> {
+    fn tuple(&mut self) -> Result<Vec<Value>, ParseError> {
         self.eat(&Token::LParen)?;
         let mut out = Vec::new();
         if self.peek() != Some(&Token::RParen) {
@@ -433,7 +407,7 @@ impl Parser {
         Ok(out)
     }
 
-    fn tuples(&mut self) -> Result<Vec<Vec<Literal>>, ParseError> {
+    fn tuples(&mut self) -> Result<Vec<Vec<Value>>, ParseError> {
         let mut out = vec![self.tuple()?];
         while matches!(self.peek(), Some(Token::Comma)) {
             self.pos += 1;
@@ -475,9 +449,9 @@ impl Parser {
         self.eat_kw("QUERY")?;
         let name = self.ident()?;
         self.eat_kw("AS")?;
-        let expr = self.expr()?;
+        let plan = self.expr()?;
         self.eat(&Token::Semi)?;
-        Ok(Statement::RegisterQuery { name, expr })
+        Ok(Statement::RegisterQuery { name, plan })
     }
 
     fn unregister(&mut self) -> Result<Statement, ParseError> {
@@ -490,34 +464,61 @@ impl Parser {
 
     fn execute(&mut self) -> Result<Statement, ParseError> {
         self.eat_kw("EXECUTE")?;
-        let expr = self.expr()?;
+        let plan = self.expr()?;
         self.eat(&Token::Semi)?;
-        Ok(Statement::Execute { expr })
+        Ok(Statement::Execute { plan })
     }
 
     // ---------------------------------------------------------------
     // algebra expressions
     // ---------------------------------------------------------------
 
-    fn expr(&mut self) -> Result<QueryExpr, ParseError> {
-        let kw = match self.peek() {
-            Some(Token::Ident(s)) => s.to_ascii_uppercase(),
-            Some(Token::LParen) => {
-                self.pos += 1;
-                let e = self.expr()?;
-                self.eat(&Token::RParen)?;
-                return Ok(e);
+    /// Whether a tree `levels` deep still fits under the open levels.
+    fn fits(&self, levels: usize) -> Result<(), ParseError> {
+        if self.depth + levels > MAX_DEPTH {
+            return Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")));
+        }
+        Ok(())
+    }
+
+    /// One level deeper for the rest of the parse: SQL's `FROM` / `WITH` /
+    /// `USING` items each lower to a level of the plan.
+    pub(crate) fn deepen(&mut self) -> Result<(), ParseError> {
+        self.fits(1)?;
+        self.depth += 1;
+        Ok(())
+    }
+
+    /// Run `f` one level deeper.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        self.deepen()?;
+        let out = f(self)?;
+        self.depth -= 1;
+        Ok(out)
+    }
+
+    pub(crate) fn expr(&mut self) -> Result<Plan, ParseError> {
+        self.nested(|p| match p.peek() {
+            Some(Token::LParen) => p.parens_expr(),
+            Some(Token::Ident(s)) => {
+                let kw = s.to_ascii_uppercase();
+                p.operator(&kw)
             }
-            _ => return Err(self.err("expected an algebra expression")),
-        };
-        match kw.as_str() {
+            _ => Err(p.err("expected an algebra expression")),
+        })
+    }
+
+    fn operator(&mut self, kw: &str) -> Result<Plan, ParseError> {
+        match kw {
             "SELECT" => {
                 self.pos += 1;
                 self.eat(&Token::LBracket)?;
                 let f = self.formula()?;
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Select(Box::new(e), f))
+                Ok(self.parens_expr()?.select(f))
             }
             "PROJECT" => {
                 self.pos += 1;
@@ -528,8 +529,7 @@ impl Parser {
                     attrs.push(self.ident()?);
                 }
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Project(Box::new(e), attrs))
+                Ok(self.parens_expr()?.project(attrs))
             }
             "RENAME" => {
                 self.pos += 1;
@@ -538,8 +538,7 @@ impl Parser {
                 self.eat(&Token::Arrow)?;
                 let to = self.ident()?;
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Rename(Box::new(e), from, to))
+                Ok(self.parens_expr()?.rename(from, to))
             }
             "JOIN" | "UNION" | "INTERSECT" | "DIFFERENCE" => {
                 self.pos += 1;
@@ -548,11 +547,11 @@ impl Parser {
                 self.eat(&Token::Comma)?;
                 let b = self.expr()?;
                 self.eat(&Token::RParen)?;
-                Ok(match kw.as_str() {
-                    "JOIN" => QueryExpr::Join(Box::new(a), Box::new(b)),
-                    "UNION" => QueryExpr::Union(Box::new(a), Box::new(b)),
-                    "INTERSECT" => QueryExpr::Intersect(Box::new(a), Box::new(b)),
-                    _ => QueryExpr::Difference(Box::new(a), Box::new(b)),
+                Ok(match kw {
+                    "JOIN" => a.join(b),
+                    "UNION" => a.union(b),
+                    "INTERSECT" => a.intersect(b),
+                    _ => a.difference(b),
                 })
             }
             "ASSIGN" => {
@@ -560,28 +559,17 @@ impl Parser {
                 self.eat(&Token::LBracket)?;
                 let attr = self.ident()?;
                 self.eat(&Token::Assign)?;
-                let src = match self.peek() {
-                    Some(Token::Ident(s))
-                        if !s.eq_ignore_ascii_case("true") && !s.eq_ignore_ascii_case("false") =>
-                    {
-                        AssignAst::Attr(self.ident()?)
-                    }
-                    _ => AssignAst::Lit(self.literal()?),
-                };
+                let src = self.assign_source()?;
                 self.eat(&Token::RBracket)?;
                 let e = self.parens_expr()?;
-                Ok(QueryExpr::Assign(Box::new(e), attr, src))
+                Ok(Plan::Assign(Box::new(e), attr.into(), src))
             }
             "INVOKE" => {
                 self.pos += 1;
                 self.eat(&Token::LBracket)?;
-                let proto = self.ident()?;
-                self.eat(&Token::LBracket)?;
-                let service_attr = self.ident()?;
+                let (proto, service_attr) = self.binding_ref()?;
                 self.eat(&Token::RBracket)?;
-                self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Invoke(Box::new(e), proto, service_attr))
+                Ok(self.parens_expr()?.invoke(proto, service_attr))
             }
             "AGGREGATE" => {
                 self.pos += 1;
@@ -606,172 +594,186 @@ impl Parser {
                     aggs.push(self.agg()?);
                 }
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Aggregate(Box::new(e), group, aggs))
+                Ok(self.parens_expr()?.aggregate(group, aggs))
             }
             "SAMPLE" => {
                 self.pos += 1;
                 self.eat(&Token::LBracket)?;
-                let proto = self.ident()?;
-                self.eat(&Token::LBracket)?;
-                let service_attr = self.ident()?;
-                self.eat(&Token::RBracket)?;
+                let (proto, service_attr) = self.binding_ref()?;
                 self.eat(&Token::Comma)?;
-                let n = match self.bump() {
-                    Some(Token::Int(i)) if i > 0 => i as u64,
-                    _ => return Err(self.err("expected positive sampling period")),
-                };
+                let n = self.period("expected positive sampling period")?;
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Sample(Box::new(e), proto, service_attr, n))
+                Ok(self.parens_expr()?.sample_invoke(proto, service_attr, n))
             }
             "WINDOW" => {
                 self.pos += 1;
                 self.eat(&Token::LBracket)?;
-                let n = match self.bump() {
-                    Some(Token::Int(i)) if i > 0 => i as u64,
-                    _ => return Err(self.err("expected positive window period")),
-                };
+                let n = self.period("expected positive window period")?;
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Window(Box::new(e), n))
+                Ok(self.parens_expr()?.window(n))
             }
             "STREAM" => {
                 self.pos += 1;
                 self.eat(&Token::LBracket)?;
-                let kind = self.ident()?;
-                let kind = match kind.to_ascii_lowercase().as_str() {
-                    "insertion" => StreamKindAst::Insertion,
-                    "deletion" => StreamKindAst::Deletion,
-                    "heartbeat" => StreamKindAst::Heartbeat,
-                    other => {
-                        return Err(ParseError {
-                            message: format!("unknown streaming kind `{other}`"),
-                            line: 0,
-                            col: 0,
-                        })
-                    }
+                let kind = match self.ident()?.to_ascii_lowercase().as_str() {
+                    "insertion" => StreamKind::Insertion,
+                    "deletion" => StreamKind::Deletion,
+                    "heartbeat" => StreamKind::Heartbeat,
+                    other => return Err(self.err(&format!("unknown streaming kind `{other}`"))),
                 };
                 self.eat(&Token::RBracket)?;
-                let e = self.parens_expr()?;
-                Ok(QueryExpr::Stream(Box::new(e), kind))
+                Ok(self.parens_expr()?.stream(kind))
             }
-            _ => {
-                // plain source name
-                let name = self.ident()?;
-                Ok(QueryExpr::Source(name))
-            }
+            // plain source name
+            _ => Ok(Plan::source(self.ident()?)),
         }
     }
 
-    fn parens_expr(&mut self) -> Result<QueryExpr, ParseError> {
+    fn parens_expr(&mut self) -> Result<Plan, ParseError> {
         self.eat(&Token::LParen)?;
         let e = self.expr()?;
         self.eat(&Token::RParen)?;
         Ok(e)
     }
 
-    fn agg(&mut self) -> Result<AggAst, ParseError> {
-        let fun = self.ident()?;
-        let fun = match fun.to_ascii_lowercase().as_str() {
-            "count" => AggFunAst::Count,
-            "sum" => AggFunAst::Sum,
-            "avg" => AggFunAst::Avg,
-            "min" => AggFunAst::Min,
-            "max" => AggFunAst::Max,
-            other => {
-                return Err(self.err(&format!("unknown aggregate function `{other}`")));
-            }
-        };
+    /// `prototype '[' service_attr ']'`.
+    pub(crate) fn binding_ref(&mut self) -> Result<(String, String), ParseError> {
+        let proto = self.ident()?;
+        self.eat(&Token::LBracket)?;
+        let service_attr = self.ident()?;
+        self.eat(&Token::RBracket)?;
+        Ok((proto, service_attr))
+    }
+
+    /// A positive `W` / `βˢ` period.
+    pub(crate) fn period(&mut self, expected: &str) -> Result<u64, ParseError> {
+        match self.bump() {
+            Some(Token::Int(i)) if i > 0 => Ok(i as u64),
+            _ => Err(self.err(expected)),
+        }
+    }
+
+    fn agg(&mut self) -> Result<AggSpec, ParseError> {
+        let name = self.ident()?;
+        let fun = agg_fun(&name)
+            .ok_or_else(|| self.err(&format!("unknown aggregate function `{name}`")))?;
+        self.agg_args(fun)
+    }
+
+    /// `'(' attr ')' (AS name)?` after an aggregate function's name.
+    pub(crate) fn agg_args(&mut self, fun: AggFun) -> Result<AggSpec, ParseError> {
         self.eat(&Token::LParen)?;
-        let attr = self.ident()?;
+        let spec = AggSpec::new(fun, self.ident()?);
         self.eat(&Token::RParen)?;
-        let as_name = if self.try_kw("AS") {
-            Some(self.ident()?)
+        Ok(if self.try_kw("AS") {
+            spec.named(self.ident()?)
         } else {
-            None
-        };
-        Ok(AggAst { fun, attr, as_name })
+            spec
+        })
     }
 
     // ---------------------------------------------------------------
     // formulas
     // ---------------------------------------------------------------
 
-    fn formula(&mut self) -> Result<FormulaAst, ParseError> {
-        self.or_formula()
+    pub(crate) fn formula(&mut self) -> Result<Formula, ParseError> {
+        Ok(self.or_formula()?.0)
     }
 
-    fn or_formula(&mut self) -> Result<FormulaAst, ParseError> {
-        let mut left = self.and_formula()?;
-        while self.try_kw("OR") {
-            let right = self.and_formula()?;
-            left = FormulaAst::Or(Box::new(left), Box::new(right));
+    // A connective chain grows its left-deep spine in a loop, where
+    // `nested` cannot see it: the formula productions return each tree
+    // with its height, and `chain` refuses a level the open frames above
+    // leave no room for.
+
+    fn or_formula(&mut self) -> Result<(Formula, usize), ParseError> {
+        self.chain("OR", Self::and_formula, Formula::or)
+    }
+
+    fn and_formula(&mut self) -> Result<(Formula, usize), ParseError> {
+        self.chain("AND", Self::not_formula, Formula::and)
+    }
+
+    fn chain(
+        &mut self,
+        kw: &str,
+        operand: fn(&mut Self) -> Result<(Formula, usize), ParseError>,
+        connect: fn(Formula, Formula) -> Formula,
+    ) -> Result<(Formula, usize), ParseError> {
+        let (mut left, mut height) = operand(self)?;
+        while self.try_kw(kw) {
+            let (right, h) = operand(self)?;
+            height = height.max(h) + 1;
+            self.fits(height)?;
+            left = connect(left, right);
         }
-        Ok(left)
+        Ok((left, height))
     }
 
-    fn and_formula(&mut self) -> Result<FormulaAst, ParseError> {
-        let mut left = self.not_formula()?;
-        while self.try_kw("AND") {
-            let right = self.not_formula()?;
-            left = FormulaAst::And(Box::new(left), Box::new(right));
-        }
-        Ok(left)
-    }
-
-    fn not_formula(&mut self) -> Result<FormulaAst, ParseError> {
+    fn not_formula(&mut self) -> Result<(Formula, usize), ParseError> {
         if self.try_kw("NOT") {
-            return Ok(FormulaAst::Not(Box::new(self.not_formula()?)));
-        }
-        if self.try_kw("TRUE") {
-            return Ok(FormulaAst::True);
-        }
-        if self.try_kw("FALSE") {
-            return Ok(FormulaAst::False);
+            let (f, height) = self.nested(Self::not_formula)?;
+            return Ok((f.not(), height + 1));
         }
         if self.peek() == Some(&Token::LParen) {
             self.pos += 1;
-            let f = self.formula()?;
+            let f = self.nested(Self::or_formula)?;
             self.eat(&Token::RParen)?;
             return Ok(f);
         }
+        let atom = if self.try_kw("TRUE") {
+            Formula::True
+        } else if self.try_kw("FALSE") {
+            Formula::False
+        } else {
+            self.comparison()?
+        };
+        Ok((atom, 0))
+    }
+
+    fn comparison(&mut self) -> Result<Formula, ParseError> {
         let left = self.term()?;
         if self.try_kw("CONTAINS") {
-            let TermAst::Attr(attr) = left else {
+            let Expr::Attr(attr) = left else {
                 return Err(self.err("CONTAINS requires an attribute on the left"));
             };
-            let needle = match self.bump() {
-                Some(Token::Str(s)) => s,
-                _ => return Err(self.err("CONTAINS requires a string literal")),
+            return match self.bump() {
+                Some(Token::Str(needle)) => Ok(Formula::Contains(attr, needle)),
+                _ => Err(self.err("CONTAINS requires a string literal")),
             };
-            return Ok(FormulaAst::Contains(attr, needle));
         }
         let op = match self.bump() {
-            Some(Token::Eq) => CmpOpAst::Eq,
-            Some(Token::Ne) => CmpOpAst::Ne,
-            Some(Token::Lt) => CmpOpAst::Lt,
-            Some(Token::Le) => CmpOpAst::Le,
-            Some(Token::Gt) => CmpOpAst::Gt,
-            Some(Token::Ge) => CmpOpAst::Ge,
+            Some(Token::Eq) => CmpOp::Eq,
+            Some(Token::Ne) => CmpOp::Ne,
+            Some(Token::Lt) => CmpOp::Lt,
+            Some(Token::Le) => CmpOp::Le,
+            Some(Token::Gt) => CmpOp::Gt,
+            Some(Token::Ge) => CmpOp::Ge,
             _ => {
                 self.pos = self.pos.saturating_sub(1);
                 return Err(self.err("expected comparison operator"));
             }
         };
-        let right = self.term()?;
-        Ok(FormulaAst::Cmp(left, op, right))
+        Ok(Formula::Cmp(left, op, self.term()?))
     }
 
-    fn term(&mut self) -> Result<TermAst, ParseError> {
+    /// `name | literal`: a comparison's term.
+    fn term(&mut self) -> Result<Expr, ParseError> {
         match self.peek() {
             Some(Token::Ident(s))
                 if !s.eq_ignore_ascii_case("true") && !s.eq_ignore_ascii_case("false") =>
             {
-                Ok(TermAst::Attr(self.ident()?))
+                Ok(Expr::attr(self.ident()?))
             }
-            _ => Ok(TermAst::Lit(self.literal()?)),
+            _ => Ok(Expr::Const(self.literal()?)),
         }
+    }
+
+    /// `name | literal`: the right-hand side of `ASSIGN` and of SQL's `WITH`.
+    pub(crate) fn assign_source(&mut self) -> Result<AssignSource, ParseError> {
+        Ok(match self.term()? {
+            Expr::Attr(a) => AssignSource::Attr(a),
+            Expr::Const(v) => AssignSource::Const(v),
+        })
     }
 }
 
@@ -892,39 +894,31 @@ mod tests {
             "INVOKE[sendMessage[messenger]](ASSIGN[text := 'Bonjour!'](SELECT[name <> 'Carla'](contacts)))",
         )
         .unwrap();
-        match q {
-            QueryExpr::Invoke(inner, proto, sa) => {
-                assert_eq!(proto, "sendMessage");
-                assert_eq!(sa, "messenger");
-                assert!(matches!(*inner, QueryExpr::Assign(..)));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(q, serena_core::plan::examples::q1());
     }
 
     #[test]
-    fn parses_continuous_q4_expression() {
+    fn parses_continuous_q3_and_q4_expressions() {
+        let q = parse_query(
+            "INVOKE[sendMessage[messenger]](ASSIGN[text := 'Hot!'](JOIN(PROJECT[temperature](SELECT[temperature > 35.5](WINDOW[1](temperatures))), contacts)))",
+        )
+        .unwrap();
+        assert_eq!(q, serena_stream::plan::examples::q3());
         let q = parse_query(
             "STREAM[insertion](PROJECT[photo](INVOKE[takePhoto[camera]](INVOKE[checkPhoto[camera]](JOIN(PROJECT[area](RENAME[location -> area](SELECT[temperature < 12.0](WINDOW[1](temperatures)))), cameras)))))",
         )
         .unwrap();
-        assert!(matches!(q, QueryExpr::Stream(_, StreamKindAst::Insertion)));
+        assert_eq!(q, serena_stream::plan::examples::q4());
     }
 
     #[test]
     fn parses_sample_invoke() {
         let q = parse_query("WINDOW[3](SAMPLE[getTemperature[sensor], 2](sensors))").unwrap();
-        let QueryExpr::Window(inner, 3) = q else {
-            panic!("expected window")
-        };
         assert_eq!(
-            *inner,
-            QueryExpr::Sample(
-                Box::new(QueryExpr::Source("sensors".into())),
-                "getTemperature".into(),
-                "sensor".into(),
-                2
-            )
+            q,
+            Plan::source("sensors")
+                .sample_invoke("getTemperature", "sensor", 2)
+                .window(3)
         );
         assert!(parse_query("SAMPLE[getTemperature[sensor], 0](sensors)").is_err());
     }
@@ -936,46 +930,80 @@ mod tests {
              EXECUTE PROJECT[name](contacts);",
         )
         .unwrap();
-        assert!(matches!(&stmts[0], Statement::RegisterQuery { name, .. } if name == "alert"));
-        assert!(matches!(&stmts[1], Statement::Execute { .. }));
+        assert_eq!(
+            stmts,
+            vec![
+                Statement::RegisterQuery {
+                    name: "alert".into(),
+                    plan: Plan::source("temperatures")
+                        .window(1)
+                        .select(Formula::gt_const("temperature", 35.5)),
+                },
+                Statement::Execute {
+                    plan: Plan::source("contacts").project(["name"]),
+                },
+            ]
+        );
     }
 
     #[test]
     fn parses_aggregate_with_and_without_group() {
         let q = parse_query("AGGREGATE[location; avg(temperature) AS mean](readings)").unwrap();
-        match q {
-            QueryExpr::Aggregate(_, group, aggs) => {
-                assert_eq!(group, vec!["location"]);
-                assert_eq!(aggs.len(), 1);
-                assert_eq!(aggs[0].as_name.as_deref(), Some("mean"));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        assert_eq!(
+            q,
+            Plan::source("readings").aggregate(
+                ["location"],
+                vec![AggSpec::new(AggFun::Avg, "temperature").named("mean")]
+            )
+        );
+        // without a group, and with the defaulted `fun_attr` output name
         let q = parse_query("AGGREGATE[count(name)](contacts)").unwrap();
-        assert!(matches!(q, QueryExpr::Aggregate(_, g, _) if g.is_empty()));
+        let no_group: [&str; 0] = [];
+        assert_eq!(
+            q,
+            Plan::source("contacts").aggregate(no_group, vec![AggSpec::new(AggFun::Count, "name")])
+        );
+        let Plan::Aggregate(_, _, aggs) = q else {
+            panic!()
+        };
+        assert_eq!(aggs[0].as_name.as_str(), "count_name");
     }
 
     #[test]
     fn parses_formula_precedence() {
-        let q = parse_query("SELECT[a = 1 OR b = 2 AND NOT c = 3](t)").unwrap();
-        let QueryExpr::Select(_, f) = q else { panic!() };
         // OR binds loosest: Or(a=1, And(b=2, Not(c=3)))
-        match f {
-            FormulaAst::Or(l, r) => {
-                assert!(matches!(*l, FormulaAst::Cmp(..)));
-                assert!(matches!(*r, FormulaAst::And(..)));
-            }
-            other => panic!("unexpected: {other:?}"),
-        }
+        let q = parse_query("SELECT[a = 1 OR b = 2 AND NOT c = 3](t)").unwrap();
+        assert_eq!(
+            q,
+            Plan::source("t").select(
+                Formula::eq_const("a", 1)
+                    .or(Formula::eq_const("b", 2).and(Formula::eq_const("c", 3).not()))
+            )
+        );
+    }
+
+    #[test]
+    fn parses_the_full_formula_surface() {
+        let q = parse_query(
+            "SELECT[NOT (a = 1 AND b <> 'x') OR c >= 2.5 AND d = TRUE OR 3 < e AND f CONTAINS 'y' AND (TRUE OR FALSE)](t)",
+        )
+        .unwrap();
+        let formula = Formula::eq_const("a", 1)
+            .and(Formula::ne_const("b", "x"))
+            .not()
+            .or(Formula::ge_const("c", 2.5).and(Formula::eq_const("d", true)))
+            .or(Formula::Cmp(Expr::val(3), CmpOp::Lt, Expr::attr("e"))
+                .and(Formula::contains_const("f", "y"))
+                .and(Formula::True.or(Formula::False)));
+        assert_eq!(q, Plan::source("t").select(formula));
     }
 
     #[test]
     fn parses_boolean_literals_in_formula() {
-        let q = parse_query("SELECT[sent = TRUE](t)").unwrap();
-        let QueryExpr::Select(_, FormulaAst::Cmp(_, _, TermAst::Lit(Literal::Bool(true)))) = q
-        else {
-            panic!("expected boolean literal comparison");
-        };
+        assert_eq!(
+            parse_query("SELECT[sent = TRUE](t)").unwrap(),
+            Plan::source("t").select(Formula::eq_const("sent", true))
+        );
     }
 
     #[test]
@@ -995,6 +1023,6 @@ mod tests {
     #[test]
     fn parenthesized_expression() {
         let q = parse_query("(contacts)").unwrap();
-        assert_eq!(q, QueryExpr::Source("contacts".into()));
+        assert_eq!(q, Plan::source("contacts"));
     }
 }

@@ -1,24 +1,21 @@
-//! Resolution: name-based AST → core schema objects and executable plans.
+//! Resolution: name-based declarations → core schema objects and tuples.
 //!
 //! `EXTENDED RELATION` statements reference prototypes by name, so
 //! resolution needs a [`PrototypeCatalog`] (the environment's declared
-//! prototypes). Query expressions resolve without context into
-//! [`StreamPlan`]s (core's [`Plan`], under its continuous-query name) —
-//! schema validation happens at plan-compilation time, as for
-//! programmatically-built plans.
+//! prototypes), and `INSERT` / `DELETE` literals are typed against the
+//! target relation's schema. Query expressions need no resolution: the
+//! parser builds [`Plan`]s, and schema validation happens at
+//! plan-compilation time, as for programmatically-built plans.
 
 use std::sync::Arc;
 
 use serena_core::attr::AttrName;
 use serena_core::error::{PlanError, SchemaError};
-use serena_core::formula::{CmpOp, Expr, Formula};
-use serena_core::ops::{AggFun, AggSpec, AssignSource};
 use serena_core::plan::Plan;
 use serena_core::prototype::{Prototype, RelationSchema};
 use serena_core::schema::{Attribute, SchemaRef, XSchema};
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
-use serena_stream::plan::{StreamKind, StreamPlan};
 
 use crate::ast::*;
 use crate::parser::ParseError;
@@ -160,19 +157,9 @@ pub fn resolve_relation_schema(
     Ok(XSchema::from_attrs(attributes, bps)?)
 }
 
-/// Convert a literal to a value.
-pub fn literal_value(lit: &Literal) -> Value {
-    match lit {
-        Literal::Str(s) => Value::str(s),
-        Literal::Int(i) => Value::Int(*i),
-        Literal::Real(r) => Value::Real(*r),
-        Literal::Bool(b) => Value::Bool(*b),
-    }
-}
-
 /// Build a tuple over `schema` from a literal list, coercing strings into
 /// SERVICE attributes and checking arity/types.
-pub fn resolve_tuple(lits: &[Literal], schema: &XSchema) -> Result<Tuple, DdlError> {
+pub fn resolve_tuple(lits: &[Value], schema: &XSchema) -> Result<Tuple, DdlError> {
     let real: Vec<&Attribute> = schema.attrs().iter().filter(|a| a.is_real()).collect();
     if lits.len() != real.len() {
         return Err(DdlError::Value(format!(
@@ -183,10 +170,9 @@ pub fn resolve_tuple(lits: &[Literal], schema: &XSchema) -> Result<Tuple, DdlErr
     }
     let mut out = Vec::with_capacity(lits.len());
     for (lit, attr) in lits.iter().zip(&real) {
-        let v = literal_value(lit);
-        let v = match (&v, attr.ty) {
+        let v = match (lit, attr.ty) {
             (Value::Str(s), DataType::Service) => Value::service(&**s),
-            _ => v,
+            _ => lit.clone(),
         };
         if !v.conforms_to(attr.ty) {
             return Err(DdlError::Value(format!(
@@ -201,95 +187,11 @@ pub fn resolve_tuple(lits: &[Literal], schema: &XSchema) -> Result<Tuple, DdlErr
     Ok(Tuple::new(out))
 }
 
-/// Resolve a formula AST into a core formula.
-pub fn resolve_formula(ast: &FormulaAst) -> Formula {
-    let term = |t: &TermAst| match t {
-        TermAst::Attr(a) => Expr::Attr(AttrName::new(a)),
-        TermAst::Lit(l) => Expr::Const(literal_value(l)),
-    };
-    match ast {
-        FormulaAst::True => Formula::True,
-        FormulaAst::False => Formula::False,
-        FormulaAst::Contains(attr, needle) => {
-            Formula::contains_const(attr.as_str(), needle.clone())
-        }
-        FormulaAst::Cmp(l, op, r) => {
-            let op = match op {
-                CmpOpAst::Eq => CmpOp::Eq,
-                CmpOpAst::Ne => CmpOp::Ne,
-                CmpOpAst::Lt => CmpOp::Lt,
-                CmpOpAst::Le => CmpOp::Le,
-                CmpOpAst::Gt => CmpOp::Gt,
-                CmpOpAst::Ge => CmpOp::Ge,
-            };
-            Formula::Cmp(term(l), op, term(r))
-        }
-        FormulaAst::And(a, b) => resolve_formula(a).and(resolve_formula(b)),
-        FormulaAst::Or(a, b) => resolve_formula(a).or(resolve_formula(b)),
-        FormulaAst::Not(a) => resolve_formula(a).not(),
-    }
-}
-
-/// Resolve an algebra expression into a continuous plan.
-pub fn resolve_query(expr: &QueryExpr) -> StreamPlan {
-    match expr {
-        QueryExpr::Source(n) => StreamPlan::source(n.clone()),
-        QueryExpr::Select(e, f) => resolve_query(e).select(resolve_formula(f)),
-        QueryExpr::Project(e, attrs) => resolve_query(e).project(attrs.iter().map(AttrName::new)),
-        QueryExpr::Rename(e, from, to) => resolve_query(e).rename(from.as_str(), to.as_str()),
-        QueryExpr::Join(a, b) => resolve_query(a).join(resolve_query(b)),
-        QueryExpr::Union(a, b) => resolve_query(a).union(resolve_query(b)),
-        QueryExpr::Intersect(a, b) => resolve_query(a).intersect(resolve_query(b)),
-        QueryExpr::Difference(a, b) => resolve_query(a).difference(resolve_query(b)),
-        QueryExpr::Assign(e, attr, src) => {
-            let plan = resolve_query(e);
-            match src {
-                AssignAst::Attr(b) => plan.assign_attr(attr.as_str(), b.as_str()),
-                AssignAst::Lit(l) => StreamPlan::Assign(
-                    Box::new(plan),
-                    AttrName::new(attr),
-                    AssignSource::Const(literal_value(l)),
-                ),
-            }
-        }
-        QueryExpr::Invoke(e, proto, sa) => resolve_query(e).invoke(proto.clone(), sa.as_str()),
-        QueryExpr::Aggregate(e, group, aggs) => {
-            let specs: Vec<AggSpec> = aggs
-                .iter()
-                .map(|a| {
-                    let fun = match a.fun {
-                        AggFunAst::Count => AggFun::Count,
-                        AggFunAst::Sum => AggFun::Sum,
-                        AggFunAst::Avg => AggFun::Avg,
-                        AggFunAst::Min => AggFun::Min,
-                        AggFunAst::Max => AggFun::Max,
-                    };
-                    let spec = AggSpec::new(fun, a.attr.as_str());
-                    match &a.as_name {
-                        Some(n) => spec.named(n.as_str()),
-                        None => spec,
-                    }
-                })
-                .collect();
-            resolve_query(e).aggregate(group.iter().map(AttrName::new), specs)
-        }
-        QueryExpr::Window(e, n) => resolve_query(e).window(*n),
-        QueryExpr::Sample(e, proto, sa, n) => {
-            resolve_query(e).sample_invoke(proto.clone(), sa.as_str(), *n)
-        }
-        QueryExpr::Stream(e, kind) => resolve_query(e).stream(match kind {
-            StreamKindAst::Insertion => StreamKind::Insertion,
-            StreamKindAst::Deletion => StreamKind::Deletion,
-            StreamKindAst::Heartbeat => StreamKind::Heartbeat,
-        }),
-    }
-}
-
 /// The plan itself when it is one-shot — free of window/streaming
 /// operators — and `None` otherwise. `EXECUTE` evaluates the former ("one-shot
 /// queries like Q1 and Q2 are still possible over finite XD-Relations",
 /// §4.2); the latter must be registered.
-pub fn to_one_shot(plan: &StreamPlan) -> Option<Plan> {
+pub fn to_one_shot(plan: &Plan) -> Option<Plan> {
     (!plan.is_continuous()).then(|| plan.clone())
 }
 
@@ -368,23 +270,19 @@ mod tests {
         let schema = serena_core::schema::examples::contacts_schema();
         let t = resolve_tuple(
             &[
-                Literal::Str("Nicolas".into()),
-                Literal::Str("n@e.fr".into()),
-                Literal::Str("email".into()),
+                Value::str("Nicolas"),
+                Value::str("n@e.fr"),
+                Value::str("email"),
             ],
             &schema,
         )
         .unwrap();
         assert_eq!(t[2], Value::service("email"));
         // arity mismatch
-        assert!(resolve_tuple(&[Literal::Int(1)], &schema).is_err());
+        assert!(resolve_tuple(&[Value::Int(1)], &schema).is_err());
         // type mismatch
         assert!(resolve_tuple(
-            &[
-                Literal::Int(1),
-                Literal::Str("n@e.fr".into()),
-                Literal::Str("email".into()),
-            ],
+            &[Value::Int(1), Value::str("n@e.fr"), Value::str("email"),],
             &schema,
         )
         .is_err());
@@ -396,11 +294,11 @@ mod tests {
         use serena_core::service::fixtures::example_registry;
         use serena_core::time::Instant;
         let env = example_environment();
-        let expr = parse_query(
+        let plan = parse_query(
             "INVOKE[sendMessage[messenger]](ASSIGN[text := 'Bonjour!'](SELECT[name <> 'Carla'](contacts)))",
         )
         .unwrap();
-        let plan = to_one_shot(&resolve_query(&expr)).unwrap();
+        let plan = to_one_shot(&plan).unwrap();
         assert_eq!(plan, serena_core::plan::examples::q1());
         let out = ExecContext::new(&env, &example_registry(), Instant::ZERO)
             .execute(&plan)
@@ -410,35 +308,8 @@ mod tests {
 
     #[test]
     fn continuous_expression_has_no_one_shot_form() {
-        let expr = parse_query("SELECT[temperature > 35.5](WINDOW[1](temperatures))").unwrap();
-        let plan = resolve_query(&expr);
+        let plan = parse_query("SELECT[temperature > 35.5](WINDOW[1](temperatures))").unwrap();
         assert!(to_one_shot(&plan).is_none());
-    }
-
-    #[test]
-    fn formula_resolution_full_surface() {
-        let expr =
-            parse_query("SELECT[NOT (a = 1 AND b <> 'x') OR c >= 2.5 AND d = TRUE](t)").unwrap();
-        let QueryExpr::Select(_, f) = expr else {
-            panic!()
-        };
-        let formula = resolve_formula(&f);
-        let rendered = formula.to_string();
-        assert!(rendered.contains("¬"));
-        assert!(rendered.contains("∨"));
-        assert!(rendered.contains("∧"));
-        assert!(rendered.contains("2.5"));
-    }
-
-    #[test]
-    fn aggregate_resolution_defaults_names() {
-        let expr = parse_query("AGGREGATE[location; avg(temperature)](readings)").unwrap();
-        let plan = resolve_query(&expr);
-        let StreamPlan::Aggregate(_, group, aggs) = plan else {
-            panic!()
-        };
-        assert_eq!(group, vec![AttrName::new("location")]);
-        assert_eq!(aggs[0].as_name.as_str(), "avg_temperature");
     }
 
     #[test]

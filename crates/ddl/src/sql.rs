@@ -41,13 +41,12 @@
 
 use serena_core::attr::AttrName;
 use serena_core::formula::Formula;
-use serena_core::ops::{AggFun, AggSpec, AssignSource};
-use serena_stream::plan::{StreamKind, StreamPlan};
+use serena_core::ops::{AggSpec, AssignSource};
+use serena_core::plan::{Plan, StreamKind};
 
-use crate::ast::{AggFunAst, AssignAst, FormulaAst, Literal, StreamKindAst};
-use crate::lexer::{lex, Token};
-use crate::parser::ParseError;
-use crate::resolve::{literal_value, resolve_formula, DdlError, PrototypeCatalog};
+use crate::lexer::Token;
+use crate::parser::{agg_fun, ParseError, Parser};
+use crate::resolve::{DdlError, PrototypeCatalog};
 
 /// One item of the `SELECT` list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,14 +54,7 @@ pub enum SelectItem {
     /// A plain attribute.
     Attr(String),
     /// `fun(attr) [AS name]`.
-    Agg {
-        /// Aggregate function.
-        fun: AggFunAst,
-        /// Aggregated attribute.
-        attr: String,
-        /// Optional output name.
-        as_name: Option<String>,
-    },
+    Agg(AggSpec),
 }
 
 /// One `FROM` item: an XD-Relation, optionally windowed.
@@ -74,7 +66,9 @@ pub struct FromItem {
     pub window: Option<u64>,
 }
 
-/// A parsed Serena SQL `SELECT`.
+/// A parsed Serena SQL `SELECT`. Its clauses hold the algebra's own
+/// parameter types; what is left to [`lower_select`] is their placement,
+/// which consults the catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectAst {
     /// `SELECT` list; empty = `*`.
@@ -82,184 +76,146 @@ pub struct SelectAst {
     /// `FROM` items (natural-joined left-to-right).
     pub from: Vec<FromItem>,
     /// `WITH attr := value` assignments.
-    pub with: Vec<(String, AssignAst)>,
+    pub with: Vec<(String, AssignSource)>,
     /// `USING proto[service]` invocations.
     pub using: Vec<(String, String)>,
     /// `WHERE` formula.
-    pub where_: Option<FormulaAst>,
+    pub where_: Option<Formula>,
     /// `GROUP BY` attributes.
     pub group_by: Vec<String>,
     /// `EMIT` streaming kind.
-    pub emit: Option<StreamKindAst>,
+    pub emit: Option<StreamKind>,
 }
 
 /// Parse one Serena SQL `SELECT` statement (trailing `;` optional).
 pub fn parse_select(input: &str) -> Result<SelectAst, ParseError> {
-    let tokens = lex(input).map_err(|e| ParseError {
-        message: e.message,
-        line: e.line,
-        col: e.col,
-    })?;
-    let mut p = SqlParser {
-        inner: crate::parser::raw_parser(tokens),
-    };
-    let ast = p.select()?;
-    if p.inner.peek_token() == Some(&Token::Semi) {
-        p.inner.bump_token();
+    let mut p = Parser::new(input)?;
+    let ast = select(&mut p)?;
+    if p.peek() == Some(&Token::Semi) {
+        p.bump();
     }
-    if !p.inner.at_end_token() {
-        return Err(p.inner.error_here("trailing input after SELECT statement"));
+    if !p.at_end() {
+        return Err(p.err("trailing input after SELECT statement"));
     }
     Ok(ast)
 }
 
-struct SqlParser {
-    inner: crate::parser::RawParser,
+/// Whether a `,` continues the list being read (consumed if so).
+fn comma(p: &mut Parser) -> bool {
+    let more = p.peek() == Some(&Token::Comma);
+    if more {
+        p.bump();
+    }
+    more
 }
 
-impl SqlParser {
-    fn select(&mut self) -> Result<SelectAst, ParseError> {
-        let p = &mut self.inner;
-        p.expect_kw("SELECT")?;
-        // select list; an empty list (SELECT FROM …) means `*`
-        let mut items = Vec::new();
-        if matches!(p.peek_token(), Some(t) if !t.is_kw("FROM")) {
-            loop {
-                items.push(Self::select_item(p)?);
-                if p.peek_token() == Some(&Token::Comma) {
-                    p.bump_token();
-                } else {
-                    break;
-                }
+fn select(p: &mut Parser) -> Result<SelectAst, ParseError> {
+    p.eat_kw("SELECT")?;
+    // select list; an empty list (SELECT FROM …) means `*`
+    let mut items = Vec::new();
+    if matches!(p.peek(), Some(t) if !t.is_kw("FROM")) {
+        loop {
+            items.push(select_item(p)?);
+            if !comma(p) {
+                break;
             }
         }
-        p.expect_kw("FROM")?;
-        let mut from = vec![Self::from_item(p)?];
-        while p.peek_token() == Some(&Token::Comma) {
-            p.bump_token();
-            from.push(Self::from_item(p)?);
+    }
+    // every FROM / WITH / USING item and every WHERE conjunct lowers to one
+    // level of the plan, under the parser's depth bound like the formulas
+    p.eat_kw("FROM")?;
+    let mut from = Vec::new();
+    loop {
+        p.deepen()?;
+        from.push(from_item(p)?);
+        if !comma(p) {
+            break;
         }
-        let mut with = Vec::new();
-        if p.accept_kw("WITH") {
-            loop {
-                let attr = p.expect_ident()?;
-                p.expect_token(&Token::Assign)?;
-                let src = match p.peek_token() {
-                    Some(Token::Ident(s))
-                        if !s.eq_ignore_ascii_case("true") && !s.eq_ignore_ascii_case("false") =>
-                    {
-                        AssignAst::Attr(p.expect_ident()?)
-                    }
-                    _ => AssignAst::Lit(p.expect_literal()?),
-                };
-                with.push((attr, src));
-                if p.peek_token() == Some(&Token::Comma) {
-                    p.bump_token();
-                } else {
-                    break;
-                }
+    }
+    let mut with = Vec::new();
+    if p.try_kw("WITH") {
+        loop {
+            p.deepen()?;
+            let attr = p.ident()?;
+            p.eat(&Token::Assign)?;
+            with.push((attr, p.assign_source()?));
+            if !comma(p) {
+                break;
             }
         }
-        let mut using = Vec::new();
-        if p.accept_kw("USING") {
-            loop {
-                let proto = p.expect_ident()?;
-                p.expect_token(&Token::LBracket)?;
-                let service = p.expect_ident()?;
-                p.expect_token(&Token::RBracket)?;
-                using.push((proto, service));
-                if p.peek_token() == Some(&Token::Comma) {
-                    p.bump_token();
-                } else {
-                    break;
-                }
+    }
+    let mut using = Vec::new();
+    if p.try_kw("USING") {
+        loop {
+            p.deepen()?;
+            using.push(p.binding_ref()?);
+            if !comma(p) {
+                break;
             }
         }
-        let where_ = if p.accept_kw("WHERE") {
-            Some(p.parse_formula()?)
-        } else {
-            None
-        };
-        let mut group_by = Vec::new();
-        if p.accept_kw("GROUP") {
-            p.expect_kw("BY")?;
-            loop {
-                group_by.push(p.expect_ident()?);
-                if p.peek_token() == Some(&Token::Comma) {
-                    p.bump_token();
-                } else {
-                    break;
-                }
+    }
+    let where_ = if p.try_kw("WHERE") {
+        let f = p.formula()?;
+        for _ in split_conjuncts(&f) {
+            p.deepen()?;
+        }
+        Some(f)
+    } else {
+        None
+    };
+    let mut group_by = Vec::new();
+    if p.try_kw("GROUP") {
+        p.eat_kw("BY")?;
+        loop {
+            group_by.push(p.ident()?);
+            if !comma(p) {
+                break;
             }
         }
-        let emit = if p.accept_kw("EMIT") {
-            let kind = p.expect_ident()?;
-            Some(match kind.to_ascii_uppercase().as_str() {
-                "INSERTIONS" | "INSERTION" => StreamKindAst::Insertion,
-                "DELETIONS" | "DELETION" => StreamKindAst::Deletion,
-                "HEARTBEAT" => StreamKindAst::Heartbeat,
-                other => return Err(p.error_here(&format!("unknown EMIT kind `{other}`"))),
-            })
-        } else {
-            None
-        };
-        Ok(SelectAst {
-            items,
-            from,
-            with,
-            using,
-            where_,
-            group_by,
-            emit,
+    }
+    let emit = if p.try_kw("EMIT") {
+        let kind = p.ident()?;
+        Some(match kind.to_ascii_uppercase().as_str() {
+            "INSERTIONS" | "INSERTION" => StreamKind::Insertion,
+            "DELETIONS" | "DELETION" => StreamKind::Deletion,
+            "HEARTBEAT" => StreamKind::Heartbeat,
+            other => return Err(p.err(&format!("unknown EMIT kind `{other}`"))),
         })
-    }
+    } else {
+        None
+    };
+    Ok(SelectAst {
+        items,
+        from,
+        with,
+        using,
+        where_,
+        group_by,
+        emit,
+    })
+}
 
-    fn select_item(p: &mut crate::parser::RawParser) -> Result<SelectItem, ParseError> {
-        let name = p.expect_ident()?;
-        let fun = match name.to_ascii_lowercase().as_str() {
-            "count" => Some(AggFunAst::Count),
-            "sum" => Some(AggFunAst::Sum),
-            "avg" => Some(AggFunAst::Avg),
-            "min" => Some(AggFunAst::Min),
-            "max" => Some(AggFunAst::Max),
-            _ => None,
-        };
-        if let Some(fun) = fun {
-            if p.peek_token() == Some(&Token::LParen) {
-                p.bump_token();
-                let attr = p.expect_ident()?;
-                p.expect_token(&Token::RParen)?;
-                let as_name = if p.accept_kw("AS") {
-                    Some(p.expect_ident()?)
-                } else {
-                    None
-                };
-                return Ok(SelectItem::Agg { fun, attr, as_name });
-            }
-        }
-        Ok(SelectItem::Attr(name))
-    }
-
-    fn from_item(p: &mut crate::parser::RawParser) -> Result<FromItem, ParseError> {
-        let relation = p.expect_ident()?;
-        let window = if p.accept_kw("WINDOW") {
-            match p.bump_token() {
-                Some(Token::Int(i)) if i > 0 => Some(i as u64),
-                _ => return Err(p.error_here("expected positive window period")),
-            }
-        } else {
-            None
-        };
-        Ok(FromItem { relation, window })
+fn select_item(p: &mut Parser) -> Result<SelectItem, ParseError> {
+    let name = p.ident()?;
+    match agg_fun(&name) {
+        Some(fun) if p.peek() == Some(&Token::LParen) => Ok(SelectItem::Agg(p.agg_args(fun)?)),
+        _ => Ok(SelectItem::Attr(name)),
     }
 }
 
-/// Lower a parsed `SELECT` onto the algebra (a [`StreamPlan`]; use
+fn from_item(p: &mut Parser) -> Result<FromItem, ParseError> {
+    let relation = p.ident()?;
+    let window = if p.try_kw("WINDOW") {
+        Some(p.period("expected positive window period")?)
+    } else {
+        None
+    };
+    Ok(FromItem { relation, window })
+}
+
+/// Lower a parsed `SELECT` onto the algebra (use
 /// [`crate::resolve::to_one_shot`] afterwards for one-shot execution).
-pub fn lower_select(
-    ast: &SelectAst,
-    catalog: &dyn PrototypeCatalog,
-) -> Result<StreamPlan, DdlError> {
+pub fn lower_select(ast: &SelectAst, catalog: &dyn PrototypeCatalog) -> Result<Plan, DdlError> {
     // FROM: natural joins left-to-right
     let mut iter = ast.from.iter();
     let first = iter
@@ -286,7 +242,8 @@ pub fn lower_select(
     let mut before_using = Vec::new();
     let mut post = Vec::new();
     if let Some(f) = &ast.where_ {
-        for conjunct in split_conjuncts(resolve_formula(f)) {
+        for conjunct in split_conjuncts(f) {
+            let conjunct = conjunct.clone();
             let attrs = conjunct.attrs();
             let uses_output = attrs
                 .iter()
@@ -307,14 +264,7 @@ pub fn lower_select(
 
     // WITH: α in order
     for (attr, src) in &ast.with {
-        plan = match src {
-            AssignAst::Attr(b) => plan.assign_attr(attr.as_str(), b.as_str()),
-            AssignAst::Lit(l) => StreamPlan::Assign(
-                Box::new(plan),
-                AttrName::new(attr),
-                AssignSource::Const(literal_value(l)),
-            ),
-        };
+        plan = Plan::Assign(Box::new(plan), AttrName::new(attr), src.clone());
     }
     for f in before_using {
         plan = plan.select(f);
@@ -331,85 +281,50 @@ pub fn lower_select(
     }
 
     // GROUP BY / aggregates / projection
-    let aggs: Vec<&SelectItem> = ast
-        .items
-        .iter()
-        .filter(|i| matches!(i, SelectItem::Agg { .. }))
-        .collect();
-    if !aggs.is_empty() || !ast.group_by.is_empty() {
-        let specs: Vec<AggSpec> = aggs
-            .iter()
-            .map(|i| {
-                let SelectItem::Agg { fun, attr, as_name } = i else {
-                    unreachable!()
-                };
-                let fun = match fun {
-                    AggFunAst::Count => AggFun::Count,
-                    AggFunAst::Sum => AggFun::Sum,
-                    AggFunAst::Avg => AggFun::Avg,
-                    AggFunAst::Min => AggFun::Min,
-                    AggFunAst::Max => AggFun::Max,
-                };
-                let spec = AggSpec::new(fun, attr.as_str());
-                match as_name {
-                    Some(n) => spec.named(n.as_str()),
-                    None => spec,
-                }
-            })
-            .collect();
+    let mut attrs = Vec::new();
+    let mut specs = Vec::new();
+    for item in &ast.items {
+        match item {
+            SelectItem::Attr(a) => attrs.push(a),
+            SelectItem::Agg(spec) => specs.push(spec.clone()),
+        }
+    }
+    if !specs.is_empty() || !ast.group_by.is_empty() {
         if specs.is_empty() {
             return Err(DdlError::Value(
                 "GROUP BY requires at least one aggregate select item".into(),
             ));
         }
         // plain select items must be group-by attributes
-        for item in &ast.items {
-            if let SelectItem::Attr(a) = item {
-                if !ast.group_by.contains(a) {
-                    return Err(DdlError::Value(format!(
-                        "select item `{a}` must appear in GROUP BY"
-                    )));
-                }
-            }
+        if let Some(a) = attrs.iter().find(|a| !ast.group_by.contains(a)) {
+            return Err(DdlError::Value(format!(
+                "select item `{a}` must appear in GROUP BY"
+            )));
         }
         plan = plan.aggregate(ast.group_by.iter().map(AttrName::new), specs);
-    } else if !ast.items.is_empty() {
-        let attrs: Vec<AttrName> = ast
-            .items
-            .iter()
-            .map(|i| {
-                let SelectItem::Attr(a) = i else {
-                    unreachable!()
-                };
-                AttrName::new(a)
-            })
-            .collect();
-        plan = StreamPlan::Project(Box::new(plan), attrs);
+    } else if !attrs.is_empty() {
+        plan = plan.project(attrs.into_iter().map(AttrName::new));
     }
 
     if let Some(kind) = ast.emit {
-        plan = plan.stream(match kind {
-            StreamKindAst::Insertion => StreamKind::Insertion,
-            StreamKindAst::Deletion => StreamKind::Deletion,
-            StreamKindAst::Heartbeat => StreamKind::Heartbeat,
-        });
+        plan = plan.stream(kind);
     }
     Ok(plan)
 }
 
-fn lower_from(item: &FromItem) -> StreamPlan {
-    let mut plan = StreamPlan::source(item.relation.clone());
+fn lower_from(item: &FromItem) -> Plan {
+    let mut plan = Plan::source(item.relation.clone());
     if let Some(n) = item.window {
         plan = plan.window(n);
     }
     plan
 }
 
-fn split_conjuncts(f: Formula) -> Vec<Formula> {
+fn split_conjuncts(f: &Formula) -> Vec<&Formula> {
     match f {
         Formula::And(a, b) => {
-            let mut out = split_conjuncts(*a);
-            out.extend(split_conjuncts(*b));
+            let mut out = split_conjuncts(a);
+            out.extend(split_conjuncts(b));
             out
         }
         other => vec![other],
@@ -417,14 +332,10 @@ fn split_conjuncts(f: Formula) -> Vec<Formula> {
 }
 
 /// Parse + lower in one step.
-pub fn compile_select(input: &str, catalog: &dyn PrototypeCatalog) -> Result<StreamPlan, DdlError> {
+pub fn compile_select(input: &str, catalog: &dyn PrototypeCatalog) -> Result<Plan, DdlError> {
     let ast = parse_select(input)?;
     lower_select(&ast, catalog)
 }
-
-// re-export used by parse_select's literal handling
-#[allow(unused_imports)]
-use Literal as _LiteralUsed;
 
 #[cfg(test)]
 mod tests {
@@ -523,7 +434,7 @@ mod tests {
         .unwrap();
         assert_eq!(ast.from[0].window, Some(60));
         assert_eq!(ast.group_by, vec!["location"]);
-        assert_eq!(ast.emit, Some(StreamKindAst::Insertion));
+        assert_eq!(ast.emit, Some(StreamKind::Insertion));
         let env = example_environment();
         let plan = lower_select(&ast, &env).unwrap();
         let rendered = plan.to_algebra();

@@ -34,9 +34,7 @@ use serena_core::telemetry::{
 use serena_core::time::Instant;
 use serena_core::value::ServiceRef;
 use serena_ddl::ast::Statement;
-use serena_ddl::resolve::{
-    resolve_prototype, resolve_query, resolve_relation_schema, resolve_tuple, to_one_shot,
-};
+use serena_ddl::resolve::{resolve_prototype, resolve_relation_schema, resolve_tuple, to_one_shot};
 use serena_ddl::DdlError;
 use serena_services::bus::{BusConfig, DiscoveryBus, LocalErm};
 use serena_services::directory::{NodeDirectory, PeerStatus};
@@ -893,9 +891,8 @@ impl Pems {
                 }
                 Ok(ExecOutcome::Done)
             }
-            Statement::RegisterQuery { name, expr } => {
-                let plan = resolve_query(expr);
-                self.register_query(name.clone(), &plan)?;
+            Statement::RegisterQuery { name, plan } => {
+                self.register_query(name.clone(), plan)?;
                 Ok(ExecOutcome::Registered(name.clone()))
             }
             Statement::UnregisterQuery { name } => {
@@ -907,9 +904,8 @@ impl Pems {
                 }
                 Ok(ExecOutcome::Done)
             }
-            Statement::Execute { expr } => {
-                let stream_plan = resolve_query(expr);
-                let plan = to_one_shot(&stream_plan).ok_or_else(|| {
+            Statement::Execute { plan } => {
+                let plan = to_one_shot(plan).ok_or_else(|| {
                     PemsError::Other(
                         "continuous expression (window/stream); use REGISTER QUERY".into(),
                     )

@@ -1032,6 +1032,61 @@ mod tests {
             .is_err());
     }
 
+    /// A plan with two leaves over one stream swaps the way the adaptive
+    /// loop does it — `source_set_for` the incoming plan, `migration_pairs`
+    /// over both plans' windows — and keeps both rings: after the bootstrap
+    /// tick it reports what a never-swapped twin does.
+    #[test]
+    fn swap_query_keeps_both_rings_of_a_stream_named_twice() {
+        use serena_stream::{migration_pairs, state_keys};
+        let tables = crate::table_manager::ExtendedTableManager::new();
+        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
+        let hub = tables.define_push_stream("s", schema).unwrap();
+        let window = |n| StreamPlan::source("s").window(n);
+        let plan = window(1).union(window(3));
+        let mut qp = QueryProcessor::new();
+        for name in ["swapped", "twin"] {
+            qp.register(name, &plan, &mut tables.source_set_for(&plan))
+                .unwrap();
+        }
+        let reg = example_registry();
+        let tick = |qp: &mut QueryProcessor, at: i64| {
+            hub.push(tuple![at]);
+            hub.push(tuple![at % 2]);
+            let mut reports = qp.tick_all_with(&reg, &NoopMetrics);
+            reports.sort_by(|a, b| a.0.cmp(&b.0));
+            let [(_, swapped), (_, twin)] = <[_; 2]>::try_from(reports).ok().unwrap();
+            (swapped.delta, twin.delta)
+        };
+        for at in 0..4 {
+            let (swapped, twin) = tick(&mut qp, at);
+            assert_eq!(swapped, twin);
+        }
+
+        let keys = state_keys(&plan, &tables);
+        let migration = migration_pairs(&keys, &keys);
+        assert_eq!(migration.windows, vec![(0, 0), (1, 1)]);
+        qp.swap_query(
+            "swapped",
+            &plan,
+            &mut tables.source_set_for(&plan),
+            &migration,
+        )
+        .unwrap();
+
+        // the bootstrap tick re-emits the whole result from the two warm
+        // rings: 2 tuples of W[1] and 6 of W[3]
+        let (bootstrap, _) = tick(&mut qp, 4);
+        assert!(bootstrap.deletes.is_empty());
+        assert_eq!(bootstrap.inserts.len(), 8);
+        assert_eq!(qp.current_relation("swapped"), qp.current_relation("twin"));
+        for at in 5..9 {
+            let (swapped, twin) = tick(&mut qp, at);
+            assert_eq!(swapped, twin, "instant {at}");
+            assert!(!swapped.is_empty());
+        }
+    }
+
     #[test]
     fn many_parallel_queries_agree() {
         let mut qp = QueryProcessor::new();

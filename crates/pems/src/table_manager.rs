@@ -7,18 +7,14 @@
 //! broadcast [`StreamHub`] (externally pushed) or a factory creating a
 //! fresh deterministic source per subscribing query.
 //!
-//! State is **sharded by relation name**: each of [`SHARDS`] shards holds
-//! its own lock over its slice of the table and stream maps, so
-//! concurrent query ticks (or DDL from the shell while queries run)
-//! touching disjoint relations never serialize on a whole-manager lock.
-//! Every method takes `&self` — the manager is interior-mutable and
-//! freely shareable with the scheduler's worker pool. A name's tables
-//! *and* streams land in the same shard (the hash only sees the name),
-//! so the cross-kind freshness check stays shard-local.
-//!
-//! Serialization (`export_tables` / `snapshot_environment`) collects
-//! across shards and sorts globally by name, keeping the encoding
-//! byte-identical to the pre-sharding single-map layout.
+//! Both maps sit behind **one** lock. No tick contends for it: a
+//! registered query holds clones of its [`TableHandle`]s and its own
+//! stream subscriptions, so the manager is consulted when a relation is
+//! defined, looked up by name, subscribed to or exported — never per
+//! tuple. Every method takes `&self` (the manager is interior-mutable),
+//! a name is fresh across both kinds under that one lock, and the maps
+//! are ordered, so `export_tables` / `snapshot_environment` walk them in
+//! name order as they are.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -38,11 +34,6 @@ use serena_stream::source::{StreamSource, TableHandle};
 
 use crate::hub::StreamHub;
 
-/// Shards in the catalog. A modest power of two: enough that 8–16
-/// workers rarely collide, small enough that full scans (exports,
-/// snapshots) stay cheap.
-pub const SHARDS: usize = 16;
-
 /// How an infinite XD-Relation obtains its tuples.
 enum StreamBinding {
     /// Externally pushed via [`ExtendedTableManager::push_stream`].
@@ -56,54 +47,37 @@ struct StreamDef {
     binding: StreamBinding,
 }
 
-/// One shard's slice of the catalog. Tables and streams share the shard
-/// (and its locks are taken together on definition) so duplicate-name
-/// checks across the two kinds need no global lock.
+/// The named XD-Relations of both kinds; a name is defined in at most one
+/// of the maps.
 #[derive(Default)]
-struct Shard {
-    tables: RwLock<BTreeMap<String, TableHandle>>,
-    streams: RwLock<BTreeMap<String, StreamDef>>,
+struct Relations {
+    tables: BTreeMap<String, TableHandle>,
+    streams: BTreeMap<String, StreamDef>,
 }
 
-/// FNV-1a — deterministic (no per-process `RandomState`) and fast for
-/// the short relation names we key shards on.
-fn shard_of(name: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x100_0000_01b3);
+impl Relations {
+    fn check_fresh(&self, name: String) -> Result<String, SchemaError> {
+        if self.tables.contains_key(&name) || self.streams.contains_key(&name) {
+            return Err(SchemaError::DuplicateRelation(name));
+        }
+        Ok(name)
     }
-    (h % SHARDS as u64) as usize
 }
 
-/// The PEMS table catalog: named finite tables and infinite streams,
-/// sharded by name (see the module docs).
+/// The PEMS table catalog: named finite tables and infinite streams.
+#[derive(Default)]
 pub struct ExtendedTableManager {
-    shards: Vec<Shard>,
+    relations: RwLock<Relations>,
     prototypes: RwLock<BTreeMap<String, Arc<Prototype>>>,
     /// `SERVICE name IMPLEMENTS …` declarations (Table 1) — metadata the
     /// registry is validated against.
     service_decls: RwLock<BTreeMap<String, Vec<String>>>,
 }
 
-impl Default for ExtendedTableManager {
-    fn default() -> Self {
-        ExtendedTableManager {
-            shards: (0..SHARDS).map(|_| Shard::default()).collect(),
-            prototypes: RwLock::new(BTreeMap::new()),
-            service_decls: RwLock::new(BTreeMap::new()),
-        }
-    }
-}
-
 impl ExtendedTableManager {
     /// Empty manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn shard(&self, name: &str) -> &Shard {
-        &self.shards[shard_of(name)]
     }
 
     /// Declare a prototype.
@@ -146,14 +120,10 @@ impl ExtendedTableManager {
         name: impl Into<String>,
         schema: SchemaRef,
     ) -> Result<TableHandle, SchemaError> {
-        let name = name.into();
-        let shard = self.shard(&name);
-        let mut tables = shard.tables.write();
-        if tables.contains_key(&name) || shard.streams.read().contains_key(&name) {
-            return Err(SchemaError::DuplicateRelation(name));
-        }
+        let mut relations = self.relations.write();
+        let name = relations.check_fresh(name.into())?;
         let handle = TableHandle::new(schema);
-        tables.insert(name, handle.clone());
+        relations.tables.insert(name, handle.clone());
         Ok(handle)
     }
 
@@ -195,25 +165,22 @@ impl ExtendedTableManager {
     }
 
     fn define_stream(&self, name: String, def: StreamDef) -> Result<(), SchemaError> {
-        let shard = self.shard(&name);
-        let mut streams = shard.streams.write();
-        if streams.contains_key(&name) || shard.tables.read().contains_key(&name) {
-            return Err(SchemaError::DuplicateRelation(name));
-        }
-        streams.insert(name, def);
+        let mut relations = self.relations.write();
+        let name = relations.check_fresh(name)?;
+        relations.streams.insert(name, def);
         Ok(())
     }
 
     /// Handle of a finite table (a cheap `Arc` clone of the shared
     /// state).
     pub fn table(&self, name: &str) -> Option<TableHandle> {
-        self.shard(name).tables.read().get(name).cloned()
+        self.relations.read().tables.get(name).cloned()
     }
 
     /// Push a tuple into a hub-backed stream. `false` if the stream does
     /// not exist or is factory-backed.
     pub fn push_stream(&self, name: &str, t: Tuple) -> bool {
-        match self.shard(name).streams.read().get(name) {
+        match self.relations.read().streams.get(name) {
             Some(StreamDef {
                 binding: StreamBinding::Hub(hub),
                 ..
@@ -253,30 +220,37 @@ impl ExtendedTableManager {
 
     /// Drop a relation (table or stream). Returns whether it existed.
     pub fn drop_relation(&self, name: &str) -> bool {
-        let shard = self.shard(name);
-        shard.tables.write().remove(name).is_some() || shard.streams.write().remove(name).is_some()
+        let mut relations = self.relations.write();
+        relations.tables.remove(name).is_some() || relations.streams.remove(name).is_some()
     }
 
     /// Build the [`SourceSet`] a continuous plan compiles against: shared
-    /// table handles plus a fresh subscription/instance per stream the plan
-    /// references.
+    /// table handles plus a fresh subscription/instance per *leaf* over a
+    /// stream — a plan may name one stream twice, and both leaves read the
+    /// same batch at an instant.
     pub fn source_set_for(&self, plan: &StreamPlan) -> SourceSet {
         let mut sources = SourceSet::new();
-        for name in plan.relations() {
+        self.add_leaves(plan, &mut sources);
+        sources
+    }
+
+    fn add_leaves(&self, plan: &StreamPlan, sources: &mut SourceSet) {
+        if let StreamPlan::Relation(name) = plan {
             if let Some(handle) = self.table(name) {
-                sources.add_table(name.to_string(), handle);
+                sources.add_table(name.clone(), handle);
             } else if let Some((schema, source)) = self.subscribe(name) {
-                sources.add_stream(name.to_string(), schema, source);
+                sources.add_stream(name.clone(), schema, source);
             }
         }
-        sources
+        for child in plan.children() {
+            self.add_leaves(child, sources);
+        }
     }
 
     /// A fresh subscription/instance of stream `name`, with its schema.
     fn subscribe(&self, name: &str) -> Option<(SchemaRef, Box<dyn StreamSource>)> {
-        let shard = self.shard(name);
-        let streams = shard.streams.read();
-        let def = streams.get(name)?;
+        let relations = self.relations.read();
+        let def = relations.streams.get(name)?;
         let source: Box<dyn StreamSource> = match &def.binding {
             StreamBinding::Hub(hub) => Box::new(hub.subscribe()),
             StreamBinding::Factory(f) => f(),
@@ -284,23 +258,14 @@ impl ExtendedTableManager {
         Some((def.schema.clone(), source))
     }
 
-    /// Every finite table, globally sorted by name — shard layout is an
-    /// implementation detail that must never leak into encodings or
-    /// one-shot snapshots.
+    /// Every finite table, in name order.
     fn tables_by_name(&self) -> Vec<(String, TableHandle)> {
-        let mut all: Vec<(String, TableHandle)> = self
-            .shards
+        let relations = self.relations.read();
+        relations
+            .tables
             .iter()
-            .flat_map(|s| {
-                s.tables
-                    .read()
-                    .iter()
-                    .map(|(n, h)| (n.clone(), h.clone()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
+            .map(|(n, h)| (n.clone(), h.clone()))
+            .collect()
     }
 
     /// Serialize every finite table's dynamic contents (committed state +
@@ -362,13 +327,12 @@ impl ExtendedTableManager {
 
 impl SchemaCatalog for ExtendedTableManager {
     fn schema_of(&self, name: &str) -> Option<StreamSchema> {
-        let shard = self.shard(name);
-        if let Some(t) = shard.tables.read().get(name) {
+        let relations = self.relations.read();
+        if let Some(t) = relations.tables.get(name) {
             return Some(StreamSchema::finite(t.schema()));
         }
-        shard
+        relations
             .streams
-            .read()
             .get(name)
             .map(|d| StreamSchema::infinite(d.schema.clone()))
     }
@@ -505,9 +469,9 @@ mod tests {
     }
 
     #[test]
-    fn exports_are_name_ordered_across_shards() {
-        // Names chosen to scatter across shards; the export must still be
-        // globally name-ordered (the pre-sharding byte layout).
+    fn exports_are_name_ordered() {
+        // Defined out of order; the export is name-ordered (the byte
+        // layout every checkpoint so far was written in).
         let m = manager();
         let names = ["zeta", "alpha", "mu", "kappa", "beta17", "omega"];
         for n in names {
@@ -536,15 +500,26 @@ mod tests {
         m2.import_tables(&mut Reader::new(&bytes)).unwrap();
     }
 
+    /// Tables and streams defined side by side from eight threads: the
+    /// sharded manager took a shard's two locks in opposite orders for the
+    /// two kinds, so this could deadlock; under one lock it terminates.
     #[test]
     fn concurrent_definitions_on_disjoint_names() {
         let m = Arc::new(manager());
+        let start = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
             for t in 0..8 {
-                let m = Arc::clone(&m);
+                let (m, start) = (Arc::clone(&m), &start);
                 scope.spawn(move || {
+                    start.wait();
                     for i in 0..16 {
                         let name = format!("rel_{t}_{i}");
+                        if t % 2 == 1 {
+                            m.define_push_stream(&name, schemas::contacts_schema())
+                                .unwrap();
+                            assert!(m.push_stream(&name, tuple!["Ada", "ada@l.org", "email"]));
+                            continue;
+                        }
                         m.define_table(&name, schemas::contacts_schema()).unwrap();
                         m.insert(&name, tuple!["Ada", "ada@l.org", "email"])
                             .unwrap();
@@ -552,8 +527,10 @@ mod tests {
                 });
             }
         });
-        assert_eq!(m.tables_by_name().len(), 128);
+        assert_eq!(m.tables_by_name().len(), 64);
+        assert_eq!(m.relations.read().streams.len(), 64);
+        assert!(m.schema_of("rel_7_15").unwrap().infinite);
         let env = m.snapshot_environment();
-        assert_eq!(env.relation("rel_7_15").unwrap().len(), 1);
+        assert_eq!(env.relation("rel_6_15").unwrap().len(), 1);
     }
 }

@@ -4,7 +4,7 @@
 //! pervasive environment come and go, fail intermittently, and the system
 //! must keep answering. A [`HealthTracker`] implements
 //! [`serena_core::telemetry::InvocationObserver`] — plug it into an
-//! [`serena_core::telemetry::InstrumentedInvoker`] and every β invocation
+//! [`serena_core::telemetry::InstrumentedLayer`] and every β invocation
 //! outcome (including injected [`crate::faults::FaultyService`] errors)
 //! updates a per-[`ServiceRef`] record: total attempts/failures, the
 //! **rolling failure rate** over the last [`HealthTracker::window`]
@@ -288,8 +288,8 @@ mod tests {
     use super::*;
     use crate::faults::{FaultPolicy, FaultyService};
     use serena_core::prototype::examples as protos;
-    use serena_core::service::{fixtures, Invoker, StaticRegistry};
-    use serena_core::telemetry::InstrumentedInvoker;
+    use serena_core::service::{fixtures, Invoker, InvokerStack, StaticRegistry};
+    use serena_core::telemetry::InstrumentedLayer;
     use serena_core::tuple::Tuple;
 
     #[test]
@@ -334,7 +334,7 @@ mod tests {
         reg.register("flaky", faulty.clone());
 
         let tracker = HealthTracker::new(16);
-        let invoker = InstrumentedInvoker::new(&reg).with_observer(&tracker);
+        let invoker = InvokerStack::new(&reg).layer(InstrumentedLayer::new().observer(&tracker));
         let sref = ServiceRef::new("flaky");
         for t in 0..16u64 {
             let _ = invoker.invoke(

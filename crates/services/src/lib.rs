@@ -68,7 +68,6 @@ pub use directory::{NodeDirectory, PeerStatus};
 pub use health::{HealthStatus, HealthTracker, ServiceHealth};
 pub use node::{NodeHandle, RemoteNodeClient, RemoteService, ServiceNode};
 pub use resilience::{
-    BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientInvoker,
-    ResilientLayer,
+    BreakerState, ResilienceCounters, ResiliencePolicy, ResilienceState, ResilientLayer,
 };
 pub use transport::{Frame, InProcTransport, SocketTransport, Transport, TransportError};

@@ -3,7 +3,7 @@
 //!
 //! The paper's services are "dynamic, volatile" (§2.1) and §5.2 calls for
 //! robustness experiments — yet a raw [`Invoker`] surfaces every transient
-//! fault straight into the query. [`ResilientInvoker`] is an
+//! fault straight into the query. [`ResilientLayer`] is an
 //! [`InvokerLayer`] that wraps any invoker with three independent,
 //! per-service mechanisms, all configured by a [`ResiliencePolicy`]:
 //!
@@ -217,7 +217,7 @@ pub struct ResilienceCounters {
 
 /// Shared, tick-surviving state of the resilience layer: per-service
 /// breakers plus global counters. One `Arc<ResilienceState>` is created per
-/// PEMS (or per test) and handed to every [`ResilientInvoker`] built over
+/// PEMS (or per test) and handed to every [`ResilientLayer`] built over
 /// it, so breakers keep their memory even though the invoker stack itself
 /// is rebuilt per tick.
 #[derive(Debug, Default)]
@@ -357,52 +357,55 @@ struct ResilienceSeries {
 }
 
 /// The resilience middleware: deadline + retry/backoff + circuit breaker
-/// around any [`Invoker`]. See the [module docs](self) for the semantics
-/// and [`ResilientLayer`] for the [`InvokerStack`]-friendly constructor.
+/// around the invoker below it in an
+/// [`InvokerStack`](serena_core::service::InvokerStack). See the
+/// [module docs](self) for the semantics.
 ///
-/// [`InvokerStack`]: serena_core::service::InvokerStack
-pub struct ResilientInvoker<'a, I> {
-    inner: I,
+/// ```
+/// use std::sync::Arc;
+/// use serena_core::prelude::*;
+/// use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientLayer};
+///
+/// let base = serena_core::service::fixtures::example_registry();
+/// let state = Arc::new(ResilienceState::new());
+/// let stack = InvokerStack::new(base)
+///     .layer(InstrumentedLayer::new())
+///     .layer(ResilientLayer::new(ResiliencePolicy::standard(), state));
+/// assert!(!stack.providers_of("getTemperature").is_empty());
+/// ```
+pub struct ResilientLayer<'a> {
     policy: ResiliencePolicy,
     state: Arc<ResilienceState>,
     health: Option<&'a HealthTracker>,
     registry: Option<&'a MetricsRegistry>,
     tracer: Option<&'a FlightRecorder>,
     trace: Option<&'a dyn TraceSink>,
-    series: RwLock<HashMap<ServiceRef, ResilienceSeries>>,
 }
 
-impl<'a, I: Invoker> ResilientInvoker<'a, I> {
-    /// Wrap `inner` under `policy` with fresh private state.
-    pub fn new(inner: I, policy: ResiliencePolicy) -> Self {
-        Self::with_state(inner, policy, Arc::new(ResilienceState::new()))
-    }
-
-    /// Wrap `inner` under `policy`, sharing `state` (breakers + counters)
-    /// with other invokers built over it.
-    pub fn with_state(inner: I, policy: ResiliencePolicy, state: Arc<ResilienceState>) -> Self {
-        ResilientInvoker {
-            inner,
+impl<'a> ResilientLayer<'a> {
+    /// A layer applying `policy`, sharing `state` (breakers + counters)
+    /// across rebuilds of the stack.
+    pub fn new(policy: ResiliencePolicy, state: Arc<ResilienceState>) -> Self {
+        ResilientLayer {
             policy,
             state,
             health: None,
             registry: None,
             tracer: None,
             trace: None,
-            series: RwLock::new(HashMap::new()),
         }
     }
 
     /// Let the breaker also consult `health`'s consecutive-error count, and
     /// record deadline conversions as failures there.
-    pub fn with_health(mut self, health: &'a HealthTracker) -> Self {
+    pub fn health(mut self, health: &'a HealthTracker) -> Self {
         self.health = Some(health);
         self
     }
 
     /// Publish per-service `serena_resilience_*_total{service}` counters
     /// into `registry`.
-    pub fn with_registry(mut self, registry: &'a MetricsRegistry) -> Self {
+    pub fn registry(mut self, registry: &'a MetricsRegistry) -> Self {
         self.registry = Some(registry);
         self
     }
@@ -411,23 +414,41 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
     /// annotated with attempts/retries, breaker state, deadline and
     /// outcome; per-attempt spans from the instrumented layer below nest
     /// inside it.
-    pub fn with_tracer(mut self, tracer: &'a FlightRecorder) -> Self {
+    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
         self.tracer = Some(tracer);
         self
     }
 
     /// Emit a [`TraceEvent::BreakerTransition`] into `trace` on every
     /// closed → open → half-open → closed edge.
-    pub fn with_trace(mut self, trace: &'a dyn TraceSink) -> Self {
+    pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
         self.trace = Some(trace);
         self
     }
+}
 
-    /// The shared state (for snapshots).
-    pub fn state(&self) -> &Arc<ResilienceState> {
-        &self.state
+impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
+    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
+        if self.policy.is_disabled() {
+            // Nothing to do — keep the stack free of a dead layer.
+            return inner;
+        }
+        Box::new(Resilient {
+            inner,
+            layer: self,
+            series: RwLock::new(HashMap::new()),
+        })
     }
+}
 
+/// What an armed [`ResilientLayer`] wraps the invoker below it in.
+struct Resilient<'a> {
+    inner: Box<dyn Invoker + 'a>,
+    layer: ResilientLayer<'a>,
+    series: RwLock<HashMap<ServiceRef, ResilienceSeries>>,
+}
+
+impl Resilient<'_> {
     fn series_for(&self, registry: &MetricsRegistry, service: &ServiceRef) -> ResilienceSeries {
         if let Some(series) = self.series.read().get(service) {
             return series.clone();
@@ -458,7 +479,7 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
     }
 
     fn bump(&self, service: &ServiceRef, pick: impl Fn(&ResilienceSeries) -> &Arc<Counter>) {
-        if let Some(registry) = self.registry {
+        if let Some(registry) = self.layer.registry {
             pick(&self.series_for(registry, service)).inc();
         }
     }
@@ -480,7 +501,7 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
             _ => 2,
         };
         self.bump(service, |s| &s.transitions[to_index]);
-        if let Some(trace) = self.trace {
+        if let Some(trace) = self.layer.trace {
             trace.emit(&TraceEvent::BreakerTransition {
                 service: service.to_string(),
                 at,
@@ -497,10 +518,12 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
     /// [`BreakerState::Closed`]; while no record exists anywhere (no
     /// failure observed yet) this is a single relaxed atomic load.
     fn admit(&self, service: &ServiceRef, at: Instant) -> Result<(), EvalError> {
-        if self.policy.breaker_threshold == 0 || self.state.engaged.load(Ordering::Relaxed) == 0 {
+        if self.layer.policy.breaker_threshold == 0
+            || self.layer.state.engaged.load(Ordering::Relaxed) == 0
+        {
             return Ok(());
         }
-        let mut breakers = self.state.breakers.lock();
+        let mut breakers = self.layer.state.breakers.lock();
         let Some(b) = breakers.get_mut(service) else {
             return Ok(());
         };
@@ -508,7 +531,7 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
             BreakerState::Closed => Ok(()),
             BreakerState::Open { until } if at >= until => {
                 b.state = BreakerState::HalfOpen {
-                    probes_left: self.policy.half_open_probes.max(1) - 1,
+                    probes_left: self.layer.policy.half_open_probes.max(1) - 1,
                 };
                 drop(breakers);
                 self.breaker_transition(service, at, "open", "half_open");
@@ -522,7 +545,7 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
             }
             _ => {
                 drop(breakers);
-                self.state.rejected.fetch_add(1, Ordering::Relaxed);
+                self.layer.state.rejected.fetch_add(1, Ordering::Relaxed);
                 self.bump(service, |s| &s.rejected);
                 Err(EvalError::CircuitOpen {
                     service: service.to_string(),
@@ -535,13 +558,15 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
     /// A reset breaker is back at the default, so its record is dropped
     /// (keeping the `engaged == 0` fast path reachable again).
     fn on_success(&self, service: &ServiceRef, at: Instant) {
-        if self.policy.breaker_threshold == 0 || self.state.engaged.load(Ordering::Relaxed) == 0 {
+        if self.layer.policy.breaker_threshold == 0
+            || self.layer.state.engaged.load(Ordering::Relaxed) == 0
+        {
             return;
         }
-        let mut breakers = self.state.breakers.lock();
+        let mut breakers = self.layer.state.breakers.lock();
         let removed = breakers.remove(service);
         if let Some(b) = removed {
-            self.state.engaged.fetch_sub(1, Ordering::Relaxed);
+            self.layer.state.engaged.fetch_sub(1, Ordering::Relaxed);
             drop(breakers);
             // Only a breaker that had actually left Closed closes *now*;
             // dropping a record that merely tracked a failure streak is
@@ -560,32 +585,36 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
     /// health tracker's view when attached) and open the breaker when the
     /// threshold is reached — immediately when half-open.
     fn on_failure(&self, service: &ServiceRef, at: Instant) {
-        if self.policy.breaker_threshold == 0 {
+        if self.layer.policy.breaker_threshold == 0 {
             return;
         }
-        let mut breakers = self.state.breakers.lock();
+        let mut breakers = self.layer.state.breakers.lock();
         let b = match breakers.entry(service.clone()) {
             std::collections::hash_map::Entry::Occupied(o) => o.into_mut(),
             std::collections::hash_map::Entry::Vacant(v) => {
-                self.state.engaged.fetch_add(1, Ordering::Relaxed);
+                self.layer.state.engaged.fetch_add(1, Ordering::Relaxed);
                 v.insert(Breaker::default())
             }
         };
         b.consecutive_failures += 1;
         let health_view = self
+            .layer
             .health
             .and_then(|h| h.health_of(service))
             .map(|h| h.consecutive_errors)
             .unwrap_or(0);
         let streak = b.consecutive_failures.max(health_view);
         let half_open = matches!(b.state, BreakerState::HalfOpen { .. });
-        if half_open || streak >= u64::from(self.policy.breaker_threshold) {
+        if half_open || streak >= u64::from(self.layer.policy.breaker_threshold) {
             b.state = BreakerState::Open {
-                until: at + self.policy.breaker_cooldown,
+                until: at + self.layer.policy.breaker_cooldown,
             };
             b.consecutive_failures = 0;
             drop(breakers);
-            self.state.breaker_opened.fetch_add(1, Ordering::Relaxed);
+            self.layer
+                .state
+                .breaker_opened
+                .fetch_add(1, Ordering::Relaxed);
             self.bump(service, |s| &s.breaker_opened);
             self.breaker_transition(
                 service,
@@ -595,18 +624,18 @@ impl<'a, I: Invoker> ResilientInvoker<'a, I> {
             );
         }
     }
+}
 
-    /// Deterministic jitter factor in `[0.5, 1.0)` for one (service,
-    /// instant, attempt) triple — stable across runs, decorrelated across
-    /// services and attempts.
-    fn jitter(service: &ServiceRef, at: Instant, attempt: u32) -> f64 {
-        let mut hasher = DefaultHasher::new();
-        service.as_str().hash(&mut hasher);
-        at.ticks().hash(&mut hasher);
-        attempt.hash(&mut hasher);
-        let unit = (hasher.finish() >> 11) as f64 / (1u64 << 53) as f64;
-        0.5 + unit / 2.0
-    }
+/// Deterministic jitter factor in `[0.5, 1.0)` for one (service,
+/// instant, attempt) triple — stable across runs, decorrelated across
+/// services and attempts.
+fn jitter(service: &ServiceRef, at: Instant, attempt: u32) -> f64 {
+    let mut hasher = DefaultHasher::new();
+    service.as_str().hash(&mut hasher);
+    at.ticks().hash(&mut hasher);
+    attempt.hash(&mut hasher);
+    let unit = (hasher.finish() >> 11) as f64 / (1u64 << 53) as f64;
+    0.5 + unit / 2.0
 }
 
 /// An error worth retrying: the service exists and speaks the prototype,
@@ -620,7 +649,7 @@ fn is_transient(e: &EvalError) -> bool {
     )
 }
 
-impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
+impl Invoker for Resilient<'_> {
     fn invoke(
         &self,
         prototype: &Prototype,
@@ -628,13 +657,13 @@ impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
-        if self.policy.is_disabled() {
+        if self.layer.policy.is_disabled() {
             return self.inner.invoke(prototype, service_ref, input, at);
         }
-        let mut span = self.tracer.and_then(|t| t.start("beta.call", at));
+        let mut span = self.layer.tracer.and_then(|t| t.start("beta.call", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());
-            if let Some(d) = self.policy.deadline {
+            if let Some(d) = self.layer.policy.deadline {
                 s.attr_u64("deadline_ms", d.as_millis() as u64);
             }
         }
@@ -651,21 +680,25 @@ impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
         let outcome = loop {
             attempt += 1;
             // the wall clock is only consulted when a deadline is armed
-            let started = self.policy.deadline.map(|_| std::time::Instant::now());
+            let started = self
+                .layer
+                .policy
+                .deadline
+                .map(|_| std::time::Instant::now());
             let mut result = self.inner.invoke(prototype, service_ref, input, at);
-            if let (Some(deadline), Some(started)) = (self.policy.deadline, started) {
+            if let (Some(deadline), Some(started)) = (self.layer.policy.deadline, started) {
                 if result.is_ok() && started.elapsed() > deadline {
                     // Soft deadline: the call completed but too late — its
                     // result is discarded. The instrumented layer below saw
                     // a success, so feed the failure to health directly
                     // (one extra attempt in its window).
-                    self.state.timeouts.fetch_add(1, Ordering::Relaxed);
+                    self.layer.state.timeouts.fetch_add(1, Ordering::Relaxed);
                     self.bump(service_ref, |s| &s.timeouts);
                     let err = EvalError::DeadlineExceeded {
                         service: service_ref.to_string(),
                         prototype: prototype.name().to_string(),
                     };
-                    if let Some(health) = self.health {
+                    if let Some(health) = self.layer.health {
                         health.record(service_ref, at, Some(&err.to_string()));
                     }
                     result = Err(err);
@@ -678,22 +711,22 @@ impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
                 }
                 Err(e) => {
                     self.on_failure(service_ref, at);
-                    if attempt > self.policy.max_retries || !is_transient(&e) {
+                    if attempt > self.layer.policy.max_retries || !is_transient(&e) {
                         break Err(e);
                     }
                     // A breaker opened by this streak stops the retry loop:
                     // the service is presumed gone, fail fast.
                     if matches!(
-                        self.state.breaker_of(service_ref),
+                        self.layer.state.breaker_of(service_ref),
                         BreakerState::Open { .. }
                     ) {
                         break Err(e);
                     }
-                    self.state.retries.fetch_add(1, Ordering::Relaxed);
+                    self.layer.state.retries.fetch_add(1, Ordering::Relaxed);
                     self.bump(service_ref, |s| &s.retries);
-                    let delay = self.policy.backoff_for(attempt);
+                    let delay = self.layer.policy.backoff_for(attempt);
                     if !delay.is_zero() {
-                        let jittered = delay.mul_f64(Self::jitter(service_ref, at, attempt));
+                        let jittered = delay.mul_f64(jitter(service_ref, at, attempt));
                         std::thread::sleep(jittered);
                     }
                 }
@@ -702,7 +735,10 @@ impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
         if let Some(s) = span.as_mut() {
             s.attr_u64("attempts", u64::from(attempt));
             s.attr_u64("retries", u64::from(attempt.saturating_sub(1)));
-            s.attr_str("breaker", self.state.breaker_of(service_ref).to_string());
+            s.attr_str(
+                "breaker",
+                self.layer.state.breaker_of(service_ref).to_string(),
+            );
             s.attr_u64("ok", outcome.is_ok() as u64);
         }
         outcome
@@ -713,103 +749,28 @@ impl<I: Invoker> Invoker for ResilientInvoker<'_, I> {
     }
 }
 
-/// The [`InvokerLayer`] form of [`ResilientInvoker`], for use with
-/// [`InvokerStack`](serena_core::service::InvokerStack):
-///
-/// ```
-/// use std::sync::Arc;
-/// use serena_core::prelude::*;
-/// use serena_services::resilience::{ResiliencePolicy, ResilienceState, ResilientLayer};
-///
-/// let base = serena_core::service::fixtures::example_registry();
-/// let state = Arc::new(ResilienceState::new());
-/// let stack = InvokerStack::new(base)
-///     .layer(InstrumentedLayer::new())
-///     .layer(ResilientLayer::new(ResiliencePolicy::standard(), state));
-/// assert!(!stack.providers_of("getTemperature").is_empty());
-/// ```
-pub struct ResilientLayer<'a> {
-    policy: ResiliencePolicy,
-    state: Arc<ResilienceState>,
-    health: Option<&'a HealthTracker>,
-    registry: Option<&'a MetricsRegistry>,
-    tracer: Option<&'a FlightRecorder>,
-    trace: Option<&'a dyn TraceSink>,
-}
-
-impl<'a> ResilientLayer<'a> {
-    /// A layer applying `policy`, sharing `state` across rebuilds.
-    pub fn new(policy: ResiliencePolicy, state: Arc<ResilienceState>) -> Self {
-        ResilientLayer {
-            policy,
-            state,
-            health: None,
-            registry: None,
-            tracer: None,
-            trace: None,
-        }
-    }
-
-    /// See [`ResilientInvoker::with_health`].
-    pub fn health(mut self, health: &'a HealthTracker) -> Self {
-        self.health = Some(health);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_registry`].
-    pub fn registry(mut self, registry: &'a MetricsRegistry) -> Self {
-        self.registry = Some(registry);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_tracer`].
-    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// See [`ResilientInvoker::with_trace`].
-    pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
-        self.trace = Some(trace);
-        self
-    }
-}
-
-impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
-    fn wrap(self, inner: Box<dyn Invoker + 'a>) -> Box<dyn Invoker + 'a> {
-        if self.policy.is_disabled() {
-            // Nothing to do — keep the stack free of a dead layer.
-            return inner;
-        }
-        let mut invoker = ResilientInvoker::with_state(inner, self.policy, self.state);
-        if let Some(health) = self.health {
-            invoker = invoker.with_health(health);
-        }
-        if let Some(registry) = self.registry {
-            invoker = invoker.with_registry(registry);
-        }
-        if let Some(tracer) = self.tracer {
-            invoker = invoker.with_tracer(tracer);
-        }
-        if let Some(trace) = self.trace {
-            invoker = invoker.with_trace(trace);
-        }
-        Box::new(invoker)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::faults::{FaultPolicy, FaultyService};
     use serena_core::prototype::examples as protos;
-    use serena_core::service::{fixtures, StaticRegistry};
+    use serena_core::service::{fixtures, InvokerStack, StaticRegistry};
 
     fn flaky(policy: FaultPolicy) -> (StaticRegistry, Arc<FaultyService>) {
         let faulty = FaultyService::new(fixtures::temperature_sensor(1), policy);
         let reg = StaticRegistry::new();
         reg.register("flaky", faulty.clone());
         (reg, faulty)
+    }
+
+    /// `inner` under `policy`, over `state` — built the way the runtime
+    /// builds it.
+    fn resilient<'a>(
+        inner: impl Invoker + 'a,
+        policy: ResiliencePolicy,
+        state: &Arc<ResilienceState>,
+    ) -> InvokerStack<'a> {
+        InvokerStack::new(inner).layer(ResilientLayer::new(policy, state.clone()))
     }
 
     fn call(invoker: &dyn Invoker, at: Instant) -> Result<Vec<Tuple>, EvalError> {
@@ -824,11 +785,12 @@ mod tests {
     #[test]
     fn disabled_policy_is_transparent() {
         let (reg, faulty) = flaky(FaultPolicy::EveryNth(2));
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled());
+        let state = Arc::new(ResilienceState::new());
+        let invoker = resilient(&reg, ResiliencePolicy::disabled(), &state);
         assert!(call(&invoker, Instant(0)).is_err()); // call 0 fails
         assert!(call(&invoker, Instant(0)).is_ok());
         assert_eq!(faulty.attempts(), 2); // no retries happened
-        assert_eq!(invoker.state().counters(), ResilienceCounters::default());
+        assert_eq!(state.counters(), ResilienceCounters::default());
     }
 
     #[test]
@@ -836,9 +798,10 @@ mod tests {
         // what the overhead bench relies on: the recommended policy, armed,
         // never retries or rejects a healthy call
         let (reg, faulty) = flaky(FaultPolicy::None);
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::standard());
+        let state = Arc::new(ResilienceState::new());
+        let invoker = resilient(&reg, ResiliencePolicy::standard(), &state);
         assert!(call(&invoker, Instant(1)).is_ok());
-        let c = invoker.state().counters();
+        let c = state.counters();
         assert_eq!((c.retries, c.rejected), (0, 0));
         assert_eq!(faulty.attempts(), 1);
     }
@@ -847,11 +810,12 @@ mod tests {
     fn retries_recover_transient_faults() {
         // every cycle: 1 failure then 3 successes; one retry suffices
         let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 3 });
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(2));
+        let state = Arc::new(ResilienceState::new());
+        let invoker = resilient(&reg, ResiliencePolicy::disabled().with_retries(2), &state);
         for t in 0..8u64 {
             assert!(call(&invoker, Instant(t)).is_ok(), "t={t}");
         }
-        let c = invoker.state().counters();
+        let c = state.counters();
         assert_eq!(c.retries, 3); // faults at raw calls 0, 4 and 8
         assert_eq!(faulty.attempts(), 11); // 8 logical + 3 retries
     }
@@ -859,21 +823,23 @@ mod tests {
     #[test]
     fn retry_budget_exhausts_on_persistent_faults() {
         let (reg, faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(3));
+        let state = Arc::new(ResilienceState::new());
+        let invoker = resilient(&reg, ResiliencePolicy::disabled().with_retries(3), &state);
         let err = call(&invoker, Instant(0)).unwrap_err();
         assert!(matches!(err, EvalError::InvocationFailed { .. }));
         assert_eq!(faulty.attempts(), 4); // 1 + 3 retries
-        assert_eq!(invoker.state().counters().retries, 3);
+        assert_eq!(state.counters().retries, 3);
     }
 
     #[test]
     fn non_transient_errors_are_not_retried() {
         let reg = StaticRegistry::new();
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(5));
+        let state = Arc::new(ResilienceState::new());
+        let invoker = resilient(&reg, ResiliencePolicy::disabled().with_retries(5), &state);
         // unknown service → not transient
         let err = call(&invoker, Instant(0)).unwrap_err();
         assert!(matches!(err, EvalError::UnknownService { .. }));
-        assert_eq!(invoker.state().counters().retries, 0);
+        assert_eq!(state.counters().retries, 0);
     }
 
     #[test]
@@ -881,7 +847,7 @@ mod tests {
         let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 3, ok: 100 });
         let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
         let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+        let invoker = resilient(&reg, policy, &state);
         let sref = ServiceRef::new("flaky");
 
         // three consecutive failures trip the breaker at τ=2
@@ -915,9 +881,11 @@ mod tests {
         let state = Arc::new(ResilienceState::new());
         let registry = MetricsRegistry::new();
         let trace = MemoryTrace::new();
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone())
-            .with_registry(&registry)
-            .with_trace(&trace);
+        let invoker = InvokerStack::new(&reg).layer(
+            ResilientLayer::new(policy, state.clone())
+                .registry(&registry)
+                .trace(&trace),
+        );
 
         // closed → open at τ=2, open → half-open → closed at τ=6
         for t in 0..3u64 {
@@ -962,7 +930,7 @@ mod tests {
         let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
         let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
         let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+        let invoker = resilient(&reg, policy, &state);
         let sref = ServiceRef::new("flaky");
 
         assert!(call(&invoker, Instant(0)).is_err());
@@ -987,7 +955,9 @@ mod tests {
         let slow = SlowInvoker::new(reg, Duration::from_millis(10));
         let policy = ResiliencePolicy::disabled().with_deadline(Duration::from_millis(1));
         let health = HealthTracker::default();
-        let invoker = ResilientInvoker::new(slow, policy).with_health(&health);
+        let state = Arc::new(ResilienceState::new());
+        let invoker = InvokerStack::new(slow)
+            .layer(ResilientLayer::new(policy, state.clone()).health(&health));
         let sref = ServiceRef::new("sensor01");
         let err = invoker
             .invoke(
@@ -998,7 +968,7 @@ mod tests {
             )
             .unwrap_err();
         assert!(matches!(err, EvalError::DeadlineExceeded { .. }));
-        assert_eq!(invoker.state().counters().timeouts, 1);
+        assert_eq!(state.counters().timeouts, 1);
         // the conversion is visible to health
         let h = health.health_of(&sref).unwrap();
         assert_eq!(h.failures, 1);
@@ -1008,8 +978,10 @@ mod tests {
     fn registry_series_are_published() {
         let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
         let registry = MetricsRegistry::new();
-        let invoker = ResilientInvoker::new(&reg, ResiliencePolicy::disabled().with_retries(1))
-            .with_registry(&registry);
+        let policy = ResiliencePolicy::disabled().with_retries(1);
+        let invoker = InvokerStack::new(&reg).layer(
+            ResilientLayer::new(policy, Arc::new(ResilienceState::new())).registry(&registry),
+        );
         let _ = call(&invoker, Instant(0));
         assert_eq!(
             registry.counter_value("serena_resilience_retries_total", &[("service", "flaky")]),
@@ -1022,7 +994,7 @@ mod tests {
         let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
         let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
         let state = Arc::new(ResilienceState::new());
-        let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+        let invoker = resilient(&reg, policy, &state);
         assert!(call(&invoker, Instant(0)).is_err());
         assert!(call(&invoker, Instant(1)).is_err()); // opens the breaker
 
@@ -1036,7 +1008,7 @@ mod tests {
         assert_eq!(restored.breakers(), state.breakers());
         // the restored breaker still rejects during cooldown, without any
         // warm-up calls — the engaged fast path was rebuilt too
-        let invoker = ResilientInvoker::with_state(&reg, policy, restored.clone());
+        let invoker = resilient(&reg, policy, &restored);
         let err = call(&invoker, Instant(2)).unwrap_err();
         assert!(matches!(err, EvalError::CircuitOpen { .. }));
     }
@@ -1044,12 +1016,12 @@ mod tests {
     #[test]
     fn jitter_is_deterministic_and_bounded() {
         let s = ServiceRef::new("svc");
-        let a = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(7), 2);
-        let b = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(7), 2);
+        let a = jitter(&s, Instant(7), 2);
+        let b = jitter(&s, Instant(7), 2);
         assert_eq!(a, b);
         for at in 0..50u64 {
             for attempt in 1..4u32 {
-                let j = ResilientInvoker::<&StaticRegistry>::jitter(&s, Instant(at), attempt);
+                let j = jitter(&s, Instant(at), attempt);
                 assert!((0.5..1.0).contains(&j), "{j}");
             }
         }

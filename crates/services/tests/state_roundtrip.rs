@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use serena_core::prototype::examples as protos;
-use serena_core::service::{fixtures, Invoker, StaticRegistry};
+use serena_core::service::{fixtures, Invoker, InvokerStack, StaticRegistry};
 use serena_core::snapshot::{Reader, Writer};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
@@ -16,7 +16,7 @@ use serena_core::value::ServiceRef;
 use serena_services::faults::{FaultPolicy, FaultyService};
 use serena_services::health::HealthTracker;
 use serena_services::resilience::{
-    BreakerState, ResiliencePolicy, ResilienceState, ResilientInvoker,
+    BreakerState, ResiliencePolicy, ResilienceState, ResilientLayer,
 };
 
 fn roundtrip_health(src: &HealthTracker, dst: &HealthTracker) {
@@ -54,7 +54,7 @@ fn flaky_registry(policy: FaultPolicy) -> StaticRegistry {
 }
 
 fn call(
-    invoker: &ResilientInvoker<'_, &StaticRegistry>,
+    invoker: &dyn Invoker,
     sref: &ServiceRef,
     at: Instant,
 ) -> Result<Vec<Tuple>, serena_core::error::EvalError> {
@@ -156,7 +156,7 @@ fn resilience_breaker_phases_round_trip() {
     let reg = flaky_registry(FaultPolicy::EveryNth(1)); // always fails
     let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
     let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let invoker = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, state.clone()));
     let sref = ServiceRef::new("flaky");
 
     // phase 1: one failure — breaker still closed but a streak record
@@ -192,7 +192,7 @@ fn resilience_half_open_mid_probe_round_trips() {
     let mut policy = ResiliencePolicy::disabled().with_breaker(3, 4);
     policy.half_open_probes = 3;
     let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let invoker = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, state.clone()));
     let sref = ServiceRef::new("flaky");
     for t in 0..3u64 {
         assert!(call(&invoker, &sref, Instant(t)).is_err());
@@ -208,7 +208,7 @@ fn resilience_half_open_mid_probe_round_trips() {
     restored
         .import_state(&mut Reader::new(&bytes))
         .expect("import");
-    let invoker2 = ResilientInvoker::with_state(&reg, policy, restored.clone());
+    let invoker2 = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, restored.clone()));
     assert!(call(&invoker2, &sref, Instant(6)).is_ok());
     assert_eq!(restored.breaker_of(&sref), BreakerState::Closed);
     // the original, run the same way, agrees
@@ -223,7 +223,7 @@ fn resilience_counters_round_trip_independently_of_breakers() {
         .with_breaker(2, 10)
         .with_retries(1);
     let state = Arc::new(ResilienceState::new());
-    let invoker = ResilientInvoker::with_state(&reg, policy, state.clone());
+    let invoker = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, state.clone()));
     let sref = ServiceRef::new("flaky");
     for t in 0..4u64 {
         let _ = call(&invoker, &sref, Instant(t));

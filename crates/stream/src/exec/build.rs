@@ -32,7 +32,7 @@ pub(super) fn build(
                 let handle = handle.clone();
                 let started = false;
                 (handle.schema(), Op::Table { handle, started })
-            } else if let Some((schema, source)) = sources.streams.remove(name) {
+            } else if let Some((schema, source)) = sources.take_stream(name) {
                 (schema, Op::Stream { source })
             } else {
                 return Err(PlanError::UnknownRelation(name.clone()));

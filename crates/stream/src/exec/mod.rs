@@ -62,7 +62,10 @@ use stateful::OpState;
 #[derive(Default)]
 pub struct SourceSet {
     tables: HashMap<String, TableHandle>,
-    streams: HashMap<String, (SchemaRef, Box<dyn StreamSource>)>,
+    /// Per stream, the subscriptions not yet taken: every leaf of a plan
+    /// polls a subscription of its own, so a plan that names a stream
+    /// twice needs two.
+    streams: HashMap<String, (SchemaRef, Vec<Box<dyn StreamSource>>)>,
 }
 
 impl SourceSet {
@@ -77,15 +80,26 @@ impl SourceSet {
         self
     }
 
-    /// Add an infinite XD-Relation (a stream) with its schema.
+    /// Add one subscription of an infinite XD-Relation (a stream) with its
+    /// schema — once per leaf of the plan that names it.
     pub fn add_stream(
         &mut self,
         name: impl Into<String>,
         schema: SchemaRef,
         source: Box<dyn StreamSource>,
     ) -> &mut Self {
-        self.streams.insert(name.into(), (schema, source));
+        let (_, subscriptions) = self
+            .streams
+            .entry(name.into())
+            .or_insert_with(|| (schema, Vec::new()));
+        subscriptions.push(source);
         self
+    }
+
+    /// The subscription one leaf over stream `name` polls.
+    fn take_stream(&mut self, name: &str) -> Option<(SchemaRef, Box<dyn StreamSource>)> {
+        let (schema, subscriptions) = self.streams.get_mut(name)?;
+        Some((schema.clone(), subscriptions.pop()?))
     }
 
     /// Handle to a registered table.

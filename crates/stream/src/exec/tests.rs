@@ -1146,20 +1146,23 @@ impl World {
     }
 
     /// A source set of this world for one more query: the tables are
-    /// shared, the stream is the same function of the instant every time.
+    /// shared, the stream is the same function of the instant every time —
+    /// subscribed twice, for the plans with two leaves over it.
     fn sources(&self) -> SourceSet {
         let mut sources = SourceSet::new();
         sources.add_table("t", self.t.clone());
         sources.add_table("u", self.u.clone());
         sources.add_table("r", self.r.clone());
         let seed = self.seed;
-        let batches = FnStream(move |at: Instant| {
+        let batches = move |at: Instant| {
             let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0xA24B_AED4_963E_E407));
             (0..rng.below(7))
                 .map(|_| tuple![drift(at.ticks()) + rng.below(4), rng.below(3)])
                 .collect()
-        });
-        sources.add_stream("s", self.t.schema(), Box::new(batches));
+        };
+        for _ in 0..2 {
+            sources.add_stream("s", self.t.schema(), Box::new(FnStream(batches)));
+        }
         sources
     }
 
@@ -1303,6 +1306,10 @@ fn delta_native_set_operators_match_the_reference() {
         // both deltas name tuples on both sides, with counts above one
         plans.push(op(s_window(4).project(["x"]), table("t").project(["x"])));
         plans.push(op(table("t"), s_window(2)));
+        // one stream under both operands: each leaf polls a subscription of
+        // its own and sees the same batch at an instant
+        plans.push(op(s_window(1), s_window(3)));
+        plans.push(op(s_window(3), s_window(1)));
     }
     // set operators over set operators
     plans.push(

@@ -23,7 +23,8 @@
 //! * [`services`] (`serena-services`) — the service directory, discovery bus
 //!   with Local Environment Resource Managers, simulated sensors, cameras,
 //!   messengers and RSS feeds (§5.1–5.2);
-//! * [`ddl`] (`serena-ddl`) — the Serena DDL and Serena Algebra Language;
+//! * [`ddl`] (`serena-ddl`) — the Serena DDL, the Serena Algebra Language
+//!   and Serena SQL, parsed straight into that `Plan`;
 //! * [`pems`] (`serena-pems`) — the assembled PEMS runtime (Figure 1) and
 //!   the paper's two experimental scenarios.
 //!
@@ -65,7 +66,7 @@ pub mod prelude {
     };
     pub use serena_services::{
         BreakerState, HealthStatus, HealthTracker, ResilienceCounters, ResiliencePolicy,
-        ResilienceState, ResilientInvoker, ResilientLayer, ServiceHealth,
+        ResilienceState, ResilientLayer, ServiceHealth,
     };
     pub use serena_stream::{
         ContinuousQuery, SourceSet, StreamKind, StreamPlan, TableHandle, TickReport,

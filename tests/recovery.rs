@@ -739,3 +739,65 @@ fn discovery_relations_relist_after_a_restore_on_a_live_runtime() {
         assert_eq!(sensors(&live), sensors(&baseline), "kill={kill}");
     }
 }
+
+/// A runtime with one pushed stream and the query that names it twice —
+/// registered from DDL text, the way a user writes it.
+fn self_union_pems() -> Pems {
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program(
+        "EXTENDED RELATION readings ( location STRING, temperature REAL ) STREAM;
+         REGISTER QUERY both AS UNION(WINDOW[1](readings), WINDOW[3](readings));",
+    )
+    .unwrap();
+    pems
+}
+
+/// A plan may name one stream under several leaves (it used to fail with
+/// `unknown relation`: the first leaf took the name's only subscription).
+/// Each leaf gets a hub cursor of its own, both see the same batch at an
+/// instant, and a kill mid-run restores both rings.
+#[test]
+fn a_stream_named_twice_in_one_plan_registers_ticks_and_resumes() {
+    use serena::stream::Multiset;
+    const RUN: u64 = 8;
+    let push = |pems: &Pems, t: u64| {
+        for tuple in tenths(Instant(t)) {
+            assert!(pems.tables().push_stream("readings", tuple));
+        }
+    };
+
+    // the result is the bag union of the last batch and the last three
+    let mut baseline = self_union_pems();
+    let mut held = Multiset::new();
+    let mut expected = Vec::new();
+    for t in 0..RUN {
+        push(&baseline, t);
+        let reports = baseline.tick();
+        held.apply(&reports[0].1.delta);
+        let reference: Multiset = (t.saturating_sub(2)..=t)
+            .chain([t])
+            .flat_map(|b| tenths(Instant(b)))
+            .collect();
+        assert_eq!(held, reference, "instant {t}");
+        expected.push(observe(reports));
+    }
+
+    const KILL: u64 = 4;
+    let mut doomed = self_union_pems();
+    for t in 0..KILL {
+        push(&doomed, t);
+        doomed.tick();
+    }
+    let snapshot = doomed.snapshot_bytes();
+    drop(doomed);
+    let mut recovered = self_union_pems();
+    recovered.restore_bytes(&snapshot).unwrap();
+    for t in KILL..RUN {
+        push(&recovered, t);
+        assert_eq!(observe(recovered.tick()), expected[t as usize], "tick {t}");
+    }
+    assert_eq!(
+        recovered.processor().current_relation("both"),
+        baseline.processor().current_relation("both")
+    );
+}
