@@ -1,11 +1,12 @@
 //! E10 (criterion half) — continuous-engine tick latency: windowed
-//! selection, incremental join, and the full surveillance deployment.
+//! selection, incremental join, N queries over one shared push stream, and
+//! the full surveillance deployment.
 //!
 //! ```sh
 //! cargo bench -p serena-bench --bench continuous
 //! ```
 
-use serena_bench::harness::{BenchmarkId, Criterion, Throughput};
+use serena_bench::harness::{take_records, BenchmarkId, Criterion, Throughput};
 use serena_bench::{criterion_group, criterion_main};
 
 use serena_core::formula::Formula;
@@ -15,7 +16,10 @@ use serena_core::service::fixtures::example_registry;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
+use serena_pems::processor::QueryProcessor;
 use serena_pems::scenario::{deploy_surveillance, SurveillanceConfig};
+use serena_pems::table_manager::ExtendedTableManager;
+use serena_pems::SchedulerConfig;
 use serena_stream::plan::StreamPlan;
 use serena_stream::{ContinuousQuery, FnStream, SourceSet};
 
@@ -108,6 +112,73 @@ fn bench_incremental_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// N × `σ_{temperature>θᵢ}(W[4](readings))` over one push stream, 256 tuples
+/// an instant, ticked serially: the instant's batch is sealed and bagged
+/// once whatever N is, so what one more query costs is its own σ over the
+/// two shared bags. Temperatures and thresholds are `perf`'s `fanout`'s (a
+/// 1/8 °C grid over 15–33 °C, θ from 28 to 31.5: a sixth of the readings
+/// pass). Reported per tuple-query (a tick is N × 256 of them).
+fn bench_shared_stream_tick(c: &mut Criterion) {
+    const PER_INSTANT: usize = 256;
+    let mut group = c.benchmark_group("shared_stream_tick");
+    for queries in [1usize, 16, 128] {
+        group.throughput(Throughput::Elements((queries * PER_INSTANT) as u64));
+        let id = BenchmarkId::from_parameter(queries);
+        group.bench_with_input(id, &queries, |b, &queries| {
+            let schema = XSchema::builder()
+                .real("location", DataType::Str)
+                .real("temperature", DataType::Real)
+                .build()
+                .unwrap();
+            let tables = ExtendedTableManager::new();
+            let hub = tables.define_push_stream("readings", schema).unwrap();
+            let mut processor = QueryProcessor::new();
+            processor.set_scheduler(SchedulerConfig::new(1));
+            for i in 0..queries {
+                let theta = 28.0 + (i % 8) as f64 * 0.5;
+                let plan = StreamPlan::source("readings")
+                    .window(4)
+                    .select(Formula::gt_const("temperature", theta));
+                let mut sources = tables.source_set_for(&plan);
+                processor
+                    .register(format!("q{i:03}"), &plan, &mut sources)
+                    .unwrap();
+            }
+            // eight instants of arrivals, materialised before timing
+            let arrivals: Vec<Vec<Tuple>> = (0..8usize)
+                .map(|at| {
+                    (0..PER_INSTANT)
+                        .map(|i| {
+                            Tuple::new(vec![
+                                Value::str(format!("area{}", i % 64)),
+                                Value::Real(15.0 + ((at * 31 + i * 7) % 145) as f64 * 0.125),
+                            ])
+                        })
+                        .collect()
+                })
+                .collect();
+            let reg = example_registry();
+            let mut at = 0usize;
+            b.iter(|| {
+                for t in &arrivals[at % arrivals.len()] {
+                    hub.push(t.clone());
+                }
+                at += 1;
+                processor.tick_all_with(&reg, &NoopMetrics)
+            });
+        });
+    }
+    group.finish();
+    for record in take_records() {
+        let Some(queries) = record.label.strip_prefix("shared_stream_tick/") else {
+            continue;
+        };
+        let tuple_queries = queries.parse::<usize>().unwrap() * PER_INSTANT;
+        let ns = record.mean_ns as f64 / tuple_queries as f64;
+        println!("{:<44} {ns:>9.1} ns per tuple-query", record.label);
+    }
+}
+
 fn bench_surveillance_tick(c: &mut Criterion) {
     let mut group = c.benchmark_group("surveillance_tick");
     for sensors in [10usize, 50, 200] {
@@ -135,6 +206,7 @@ criterion_group!(
     benches,
     bench_windowed_select,
     bench_incremental_join,
+    bench_shared_stream_tick,
     bench_surveillance_tick
 );
 criterion_main!(benches);

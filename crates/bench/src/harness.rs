@@ -481,12 +481,16 @@ macro_rules! criterion_main {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::hint::black_box;
 
     #[test]
     fn bench_harness_runs_and_reports() {
         let mut c = Criterion {
             measure_for: Duration::from_millis(5),
         };
+        // a body the optimizer cannot fold: a release build runs `1 + 1` in
+        // under a nanosecond, and the integer mean of that is 0
+        let work = |x: u64| (0..black_box(64)).fold(x, |acc, i| acc ^ black_box(i));
         let mut ran = 0u64;
         {
             let mut g = c.benchmark_group("smoke");
@@ -494,12 +498,12 @@ mod tests {
             g.bench_with_input(BenchmarkId::from_parameter(1), &3u64, |b, &x| {
                 b.iter(|| {
                     ran += 1;
-                    x * 2
+                    work(x)
                 })
             });
             g.finish();
         }
-        c.bench_function("standalone", |b| b.iter(|| 1 + 1));
+        c.bench_function("standalone", |b| b.iter(|| work(1)));
         assert!(ran > 0);
         let records = take_records();
         assert!(records.iter().any(|r| r.label == "smoke/1"));

@@ -44,7 +44,7 @@ use serena_services::devices::temperature::SimTemperatureSensor;
 use serena_services::faults::{FaultPolicy, FaultyService};
 use serena_services::fleet::{mix64, FailureProfile, FlakyService, LatencyProfile, SlowService};
 use serena_stream::plan::StreamPlan;
-use serena_stream::source::StreamSource;
+use serena_stream::source::{Batch, StreamSource};
 
 use crate::hub::SensorSampler;
 use crate::pems::{Pems, PemsError};
@@ -496,8 +496,8 @@ struct TraceSource {
 }
 
 impl StreamSource for TraceSource {
-    fn poll(&mut self, at: Instant) -> Vec<Tuple> {
-        self.trace.tuples_at(at, &self.areas)
+    fn poll(&mut self, at: Instant) -> Arc<Batch> {
+        Arc::new(self.trace.tuples_at(at, &self.areas).into())
     }
 }
 

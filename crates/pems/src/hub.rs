@@ -4,8 +4,10 @@
 //! each [`serena_stream::source::StreamSource`] is single-consumer, so the
 //! Extended Table Manager hands each query its own subscription:
 //!
-//! * [`StreamHub`] — an append-only log with per-subscriber cursors, for
-//!   externally pushed streams (DDL-declared `STREAM` relations);
+//! * [`StreamHub`] — a broadcast of sealed batches, for externally pushed
+//!   streams (DDL-declared `STREAM` relations): the pushes of an instant
+//!   become one [`Batch`] that every subscription receives by `Arc`, kept
+//!   only until the last live subscription has read it;
 //! * [`SensorSampler`] — the temperature stream of the surveillance
 //!   scenario: each tick, sample every currently-discovered provider of a
 //!   prototype (new sensors join the stream as soon as discovery sees
@@ -13,6 +15,7 @@
 //! * [`RssStream`] — the RSS wrapper of scenario 2: merge the items the
 //!   simulated feeds publish at each instant.
 
+use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use serena_core::sync::Mutex;
@@ -24,13 +27,73 @@ use serena_core::tuple::Tuple;
 use serena_core::value::Value;
 use serena_services::devices::rss::SimRssFeed;
 use serena_services::directory::NodeDirectory;
-use serena_stream::source::StreamSource;
+use serena_stream::source::{Batch, StreamSource};
 
-/// An append-only broadcast log: every subscriber sees every tuple pushed
-/// after it subscribed.
+/// A broadcast hub: every subscription sees every tuple pushed after it
+/// subscribed, and the subscriptions that poll at one instant receive the
+/// same `Arc<Batch>`. Retention is bounded by the slowest live
+/// subscription, not by the run's length.
 #[derive(Clone, Default)]
 pub struct StreamHub {
-    log: Arc<Mutex<Vec<Tuple>>>,
+    state: Arc<Mutex<HubState>>,
+}
+
+#[derive(Default)]
+struct HubState {
+    /// Pushes not yet sealed into a batch, in push order.
+    open: Vec<Tuple>,
+    /// Sealed batches a live subscription has yet to read, oldest first,
+    /// each with how many have yet to. A subscription reads in order, so the
+    /// count never falls from one batch to the next: the front is the first
+    /// to reach zero.
+    sealed: VecDeque<(Arc<Batch>, usize)>,
+    /// Sequence number of `sealed[0]`: the batches every live subscription
+    /// has read, and that were dropped for it.
+    base: u64,
+    /// Per live subscription, the sequence number of the batch it reads
+    /// next.
+    cursors: HashMap<u64, u64>,
+    next_subscription: u64,
+}
+
+impl HubState {
+    /// Sequence number of the next batch to be sealed.
+    fn end(&self) -> u64 {
+        self.base + self.sealed.len() as u64
+    }
+
+    /// Close the open pushes into one batch: what was pushed up to here is
+    /// delivered, whole, to exactly the subscriptions live now.
+    fn seal(&mut self) {
+        if !self.open.is_empty() {
+            // the next instant's pushes find the room this one's needed
+            let room = Vec::with_capacity(self.open.len());
+            let batch = std::mem::replace(&mut self.open, room);
+            let readers = self.cursors.len();
+            self.sealed.push_back((Arc::new(batch.into()), readers));
+        }
+    }
+
+    /// Position in `sealed` of the batch with sequence number `cursor`.
+    fn position(&self, cursor: u64) -> usize {
+        (cursor - self.base) as usize
+    }
+
+    /// The subscription that stood at `cursor` is past everything sealed —
+    /// it read it, or it is gone: drop what no other waits for.
+    fn pass(&mut self, cursor: u64) {
+        for (_, readers) in self.sealed.range_mut(self.position(cursor)..) {
+            *readers -= 1;
+        }
+        while self
+            .sealed
+            .front()
+            .is_some_and(|(_, readers)| *readers == 0)
+        {
+            self.sealed.pop_front();
+            self.base += 1;
+        }
+    }
 }
 
 impl StreamHub {
@@ -40,43 +103,86 @@ impl StreamHub {
     }
 
     /// Append a tuple; every live subscription will deliver it on its next
-    /// poll.
+    /// poll. With no subscription there is nobody to deliver it to, ever
+    /// (history is not replayed), so nothing is kept.
     pub fn push(&self, t: Tuple) {
-        self.log.lock().push(t);
+        let mut state = self.state.lock();
+        if !state.cursors.is_empty() {
+            state.open.push(t);
+        }
     }
 
-    /// Total tuples ever pushed.
+    /// Tuples retained: pushed, and not yet read by every live
+    /// subscription.
     pub fn len(&self) -> usize {
-        self.log.lock().len()
+        let state = self.state.lock();
+        state.open.len() + state.sealed.iter().map(|(b, _)| b.len()).sum::<usize>()
     }
 
-    /// True iff nothing was ever pushed.
+    /// True iff no tuple is retained.
     pub fn is_empty(&self) -> bool {
-        self.log.lock().is_empty()
+        self.len() == 0
     }
 
-    /// A new subscription starting at the current end of the log (streams
+    /// A new subscription starting after everything pushed so far (streams
     /// are append-only: history is not replayed).
     pub fn subscribe(&self) -> HubSubscription {
+        let mut state = self.state.lock();
+        state.seal();
+        let id = state.next_subscription;
+        state.next_subscription += 1;
+        let end = state.end();
+        state.cursors.insert(id, end);
         HubSubscription {
-            log: Arc::clone(&self.log),
-            offset: self.log.lock().len(),
+            state: Arc::clone(&self.state),
+            id,
         }
     }
 }
 
-/// One subscriber's cursor over a [`StreamHub`].
+/// One subscriber of a [`StreamHub`]; its cursor lives in the hub, and
+/// dropping the subscription releases it.
 pub struct HubSubscription {
-    log: Arc<Mutex<Vec<Tuple>>>,
-    offset: usize,
+    state: Arc<Mutex<HubState>>,
+    id: u64,
 }
 
 impl StreamSource for HubSubscription {
-    fn poll(&mut self, _at: Instant) -> Vec<Tuple> {
-        let log = self.log.lock();
-        let out = log[self.offset..].to_vec();
-        self.offset = log.len();
-        out
+    /// What was pushed since the previous poll. The first poll to find open
+    /// pushes seals them, so every subscription polling at that instant
+    /// returns the same `Arc`; one that skipped polls gets the batches it
+    /// missed concatenated, in push order, as a batch of its own.
+    fn poll(&mut self, _at: Instant) -> Arc<Batch> {
+        let mut state = self.state.lock();
+        state.seal();
+        let end = state.end();
+        let cursor = state
+            .cursors
+            .insert(self.id, end)
+            .expect("live subscription");
+        let unread = state.sealed.range(state.position(cursor)..);
+        let batch = match unread.len() {
+            0 => Arc::default(),
+            1 => Arc::clone(&state.sealed.back().expect("one unread batch").0),
+            _ => {
+                let tuples: Vec<Tuple> = unread.flat_map(|(b, _)| b.tuples()).cloned().collect();
+                Arc::new(tuples.into())
+            }
+        };
+        state.pass(cursor);
+        batch
+    }
+}
+
+impl Drop for HubSubscription {
+    fn drop(&mut self) {
+        let mut state = self.state.lock();
+        if let Some(cursor) = state.cursors.remove(&self.id) {
+            state.pass(cursor);
+        }
+        if state.cursors.is_empty() {
+            state.open.clear();
+        }
     }
 }
 
@@ -116,7 +222,7 @@ impl SensorSampler {
 }
 
 impl StreamSource for SensorSampler {
-    fn poll(&mut self, at: Instant) -> Vec<Tuple> {
+    fn poll(&mut self, at: Instant) -> Arc<Batch> {
         let mut out = Vec::new();
         let (_, providers) = self
             .directory
@@ -138,7 +244,7 @@ impl StreamSource for SensorSampler {
                 }
             }
         }
-        out
+        Arc::new(out.into())
     }
 }
 
@@ -156,12 +262,12 @@ impl RssStream {
 }
 
 impl StreamSource for RssStream {
-    fn poll(&mut self, at: Instant) -> Vec<Tuple> {
-        self.feeds
-            .iter()
-            .flat_map(|f| f.items_at(at))
+    fn poll(&mut self, at: Instant) -> Arc<Batch> {
+        let items = self.feeds.iter().flat_map(|f| f.items_at(at));
+        let tuples: Vec<Tuple> = items
             .map(|item| Tuple::new(vec![Value::str(&item.source), Value::str(&item.title)]))
-            .collect()
+            .collect();
+        Arc::new(tuples.into())
     }
 }
 
@@ -178,10 +284,155 @@ mod tests {
         hub.push(tuple![1]);
         let mut b = hub.subscribe(); // subscribes after push → misses it
         hub.push(tuple![2]);
-        assert_eq!(a.poll(Instant(0)), vec![tuple![1], tuple![2]]);
-        assert_eq!(b.poll(Instant(0)), vec![tuple![2]]);
-        assert!(a.poll(Instant(1)).is_empty());
         assert_eq!(hub.len(), 2);
+        assert_eq!(a.poll(Instant(0)).tuples(), [tuple![1], tuple![2]]);
+        assert_eq!(hub.len(), 1, "only b has yet to read [2]");
+        assert_eq!(b.poll(Instant(0)).tuples(), [tuple![2]]);
+        assert!(a.poll(Instant(1)).is_empty());
+        assert_eq!(hub.len(), 0, "both polled: nothing is retained");
+    }
+
+    #[test]
+    fn subscriptions_polled_at_one_instant_share_one_batch() {
+        let hub = StreamHub::new();
+        let (mut a, mut b) = (hub.subscribe(), hub.subscribe());
+        for at in 0..3 {
+            hub.push(tuple![at]);
+            hub.push(tuple![at]);
+            let (for_a, for_b) = (a.poll(Instant(at as u64)), b.poll(Instant(at as u64)));
+            assert!(Arc::ptr_eq(&for_a, &for_b), "instant {at}");
+            assert_eq!(for_a.tuples(), [tuple![at], tuple![at]]);
+            assert!(hub.is_empty());
+        }
+        // a late subscription starts empty, then shares like the others
+        let mut late = hub.subscribe();
+        assert!(late.poll(Instant(3)).is_empty());
+        hub.push(tuple![9]);
+        let for_a = a.poll(Instant(3));
+        assert!(Arc::ptr_eq(&for_a, &late.poll(Instant(4))));
+        assert!(Arc::ptr_eq(&for_a, &b.poll(Instant(3))));
+        assert!(hub.is_empty());
+    }
+
+    #[test]
+    fn retention_follows_the_slowest_live_subscription() {
+        let hub = StreamHub::new();
+        // nobody subscribes: nothing to deliver, nothing kept
+        hub.push(tuple![0]);
+        assert!(hub.is_empty());
+        let (mut fast, mut slow) = (hub.subscribe(), hub.subscribe());
+        for at in 1..=3 {
+            hub.push(tuple![at]);
+            hub.push(tuple![-at]);
+            assert_eq!(fast.poll(Instant(at as u64)).len(), 2);
+            assert_eq!(hub.len(), 2 * at as usize, "slow has read none of them");
+        }
+        // the skipped batches arrive concatenated, in push order
+        let missed = slow.poll(Instant(3));
+        let pushed = (1..=3).flat_map(|at| [tuple![at], tuple![-at]]);
+        assert_eq!(missed.tuples(), pushed.collect::<Vec<_>>());
+        assert!(hub.is_empty());
+        // a dropped subscription releases what only it had yet to read
+        hub.push(tuple![4]);
+        fast.poll(Instant(4));
+        assert_eq!(hub.len(), 1);
+        drop(slow);
+        assert!(hub.is_empty());
+        // and the last one to go takes the open pushes with it
+        hub.push(tuple![5]);
+        drop(fast);
+        assert!(hub.is_empty());
+        hub.push(tuple![6]);
+        assert!(hub.subscribe().poll(Instant(5)).is_empty());
+    }
+
+    /// Sharing changes nothing a query can see: N queries over one hub
+    /// report what each reports over a private `PushStream` fed the same
+    /// tuples — one registered late, one that skips an instant's poll.
+    #[test]
+    fn queries_over_one_hub_report_what_they_report_over_private_streams() {
+        use serena_core::formula::Formula;
+        use serena_core::metrics::NoopMetrics;
+        use serena_core::ops::{AggFun, AggSpec};
+        use serena_core::schema::XSchema;
+        use serena_core::value::DataType;
+        use serena_stream::source::PushStream;
+        use serena_stream::{ContinuousQuery, SourceSet, StreamKind, StreamPlan};
+
+        let schema = XSchema::builder()
+            .real("x", DataType::Int)
+            .real("y", DataType::Int)
+            .build()
+            .unwrap();
+        let window = |p| StreamPlan::source("s").window(p);
+        let plans = [
+            window(4).select(Formula::gt_const("y", 0)),
+            window(3).project(["x"]),
+            window(2).aggregate(["x"], vec![AggSpec::new(AggFun::Count, "y")]),
+            window(1).union(window(3)),
+            window(2).stream(StreamKind::Heartbeat),
+            window(4),
+        ];
+        let hub = StreamHub::new();
+        let registry = serena_core::service::fixtures::example_registry();
+        // (shared, private twin, the twin's streams — one per leaf: a
+        // `PushStream` has one consumer), the last plan joining late
+        let mut queries = Vec::new();
+        let join = |plan: &StreamPlan, at: u64| {
+            let private = [PushStream::new(), PushStream::new()];
+            let (mut over_hub, mut over_private) = (SourceSet::new(), SourceSet::new());
+            for leaf in &private {
+                over_hub.add_stream("s", schema.clone(), Box::new(hub.subscribe()));
+                over_private.add_stream("s", schema.clone(), Box::new(leaf.clone()));
+            }
+            let mut pair = [over_hub, over_private]
+                .map(|mut sources| ContinuousQuery::compile(plan, &mut sources).unwrap());
+            pair.iter_mut().for_each(|q| q.seek(Instant(at)));
+            let [shared, twin] = pair;
+            (shared, twin, private)
+        };
+        for plan in &plans[..5] {
+            queries.push(join(plan, 0));
+        }
+        let mut skipped: Vec<Tuple> = Vec::new();
+        for at in 0..40u64 {
+            if at == 7 {
+                queries.push(join(&plans[5], at));
+            }
+            // a repeated tuple, a duplicate inside the batch, an idle instant
+            let x = (at % 5) as i64;
+            let pushed = match at % 4 {
+                3 => vec![],
+                _ => vec![tuple![x, 1], tuple![x, 1], tuple![x + 1, 0], tuple![0, 2]],
+            };
+            pushed.iter().for_each(|t| hub.push(t.clone()));
+            for (i, (shared, twin, private)) in queries.iter_mut().enumerate() {
+                // query 1 sits instant 20 out: it reads two batches at 21
+                if i == 1 && at == 20 {
+                    skipped = pushed.clone();
+                    continue;
+                }
+                let missed = if i == 1 {
+                    std::mem::take(&mut skipped)
+                } else {
+                    vec![]
+                };
+                for t in missed.iter().chain(&pushed) {
+                    private.iter().for_each(|leaf| leaf.push(t.clone()));
+                }
+                if i == 1 && at == 21 {
+                    shared.seek(Instant(at));
+                    twin.seek(Instant(at));
+                }
+                let over_hub = shared.tick_with(&registry, &NoopMetrics);
+                let over_private = twin.tick_with(&registry, &NoopMetrics);
+                assert_eq!(over_hub.at, Instant(at));
+                assert_eq!(over_hub.delta, over_private.delta, "query {i} at {at}");
+                assert_eq!(over_hub.batch, over_private.batch, "query {i} at {at}");
+                assert_eq!(shared.current_relation(), twin.current_relation());
+            }
+            assert!(hub.len() <= pushed.len(), "instant {at}: {}", hub.len());
+        }
     }
 
     #[test]
@@ -200,12 +451,12 @@ mod tests {
         let mut sampler = SensorSampler::new(dir, protos::get_temperature(), &["location"]);
         let batch = sampler.poll(Instant(3));
         assert_eq!(batch.len(), 2);
-        for t in &batch {
+        for t in batch.tuples() {
             assert_eq!(t.arity(), 2);
             assert!(t[1].as_real().is_some());
         }
         // deterministic at the instant
-        assert_eq!(batch, sampler.poll(Instant(3)));
+        assert_eq!(batch.tuples(), sampler.poll(Instant(3)).tuples());
     }
 
     #[test]
@@ -245,6 +496,6 @@ mod tests {
         let mut s = RssStream::new(feeds);
         let batch = s.poll(Instant(4));
         assert_eq!(batch.len(), expected);
-        assert!(batch.iter().all(|t| t.arity() == 2));
+        assert!(batch.tuples().iter().all(|t| t.arity() == 2));
     }
 }

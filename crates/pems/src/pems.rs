@@ -1162,6 +1162,13 @@ impl Pems {
             .processor
             .tick_all_with(&*invoker, &Tee(&self.telemetry_sink, &*self.metrics));
         drop(invoker);
+        // every subscription has polled: what a hub still holds is what a
+        // live subscription skipped
+        for (stream, retained) in self.tables.hub_retention() {
+            self.telemetry
+                .gauge("serena_hub_retained_tuples", &[("stream", &stream)])
+                .set(retained as i64);
+        }
         // 3½. adaptive re-optimization: evaluate the replan triggers
         // against this tick's instant-scoped telemetry and hot-swap any
         // query whose measured-cost ranking changed. Runs before the

@@ -1087,6 +1087,87 @@ mod tests {
         }
     }
 
+    /// `σ(W[3](s))` keeps no `current` in its window, `γ(W[3](s))` does. A
+    /// hot swap from one to the other pairs the two windows, and the adopted
+    /// one takes its content from the ring — the donor may not hold any:
+    /// the bootstrap tick emits the whole window through the new plan, and
+    /// from the next instant on the swapped query reports what a twin that
+    /// ran the plan all along does. And back.
+    #[test]
+    fn swap_query_between_windows_that_do_and_do_not_keep_current() {
+        use serena_core::ops::{AggFun, AggSpec};
+        use serena_stream::{migration_pairs, state_keys};
+        let tables = crate::table_manager::ExtendedTableManager::new();
+        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
+        let hub = tables.define_push_stream("s", schema).unwrap();
+        let window = || StreamPlan::source("s").window(3);
+        let unread = window().select(Formula::gt_const("x", 0));
+        let read = window().aggregate(["x"], vec![AggSpec::new(AggFun::Count, "x")]);
+        let mut qp = QueryProcessor::new();
+        for (name, plan) in [
+            ("swapped", &unread),
+            ("twin_unread", &unread),
+            ("twin_read", &read),
+        ] {
+            qp.register(name, plan, &mut tables.source_set_for(plan))
+                .unwrap();
+        }
+        let reg = example_registry();
+        // a duplicate inside each batch, and 7 in every entering and every
+        // expiring one
+        let tick = |qp: &mut QueryProcessor, at: i64| -> BTreeMap<String, Delta> {
+            for x in [at % 4, at % 4, 7] {
+                hub.push(tuple![x]);
+            }
+            let reports = qp.tick_all_with(&reg, &NoopMetrics);
+            reports.into_iter().map(|(n, r)| (n, r.delta)).collect()
+        };
+        let swap = |qp: &mut QueryProcessor, from: &StreamPlan, to: &StreamPlan| {
+            let migration = migration_pairs(&state_keys(from, &tables), &state_keys(to, &tables));
+            assert_eq!(migration.windows, vec![(0, 0)]);
+            qp.swap_query("swapped", to, &mut tables.source_set_for(to), &migration)
+                .unwrap();
+        };
+        let whole = |qp: &QueryProcessor, twin: &str| {
+            let held = qp.current_relation(twin).unwrap().into_tuples();
+            assert!(!held.is_empty());
+            held
+        };
+        let mut at = 0;
+        // the first swap lands while the ring is part-filled
+        for (settle, from, to, twin) in [
+            (2, &unread, &read, "twin_read"),
+            (5, &read, &unread, "twin_unread"),
+            (4, &unread, &read, "twin_read"),
+        ] {
+            for _ in 0..settle {
+                tick(&mut qp, at);
+                at += 1;
+            }
+            swap(&mut qp, from, to);
+            let bootstrap = tick(&mut qp, at).remove("swapped").unwrap();
+            at += 1;
+            assert!(bootstrap.deletes.is_empty());
+            // γ's result is a set; σ's holds 7 once per batch of the window
+            let emitted: std::collections::BTreeSet<_> =
+                bootstrap.inserts.iter().map(|(t, _)| t.clone()).collect();
+            assert_eq!(emitted.into_iter().collect::<Vec<_>>(), whole(&qp, twin));
+            assert_eq!(qp.current_relation("swapped"), qp.current_relation(twin));
+            for _ in 0..4 {
+                let mut deltas = tick(&mut qp, at);
+                assert_eq!(
+                    deltas.remove("swapped"),
+                    deltas.remove(twin),
+                    "instant {at}"
+                );
+                assert_eq!(qp.current_relation("swapped"), qp.current_relation(twin));
+                at += 1;
+            }
+        }
+        // nothing the swaps left behind pins the hub
+        assert_eq!(hub.len(), 0);
+    }
+
     #[test]
     fn many_parallel_queries_agree() {
         let mut qp = QueryProcessor::new();

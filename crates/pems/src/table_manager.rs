@@ -192,6 +192,19 @@ impl ExtendedTableManager {
         }
     }
 
+    /// Tuples each push stream's hub retains (see [`StreamHub::len`]), in
+    /// name order.
+    pub fn hub_retention(&self) -> Vec<(String, usize)> {
+        let relations = self.relations.read();
+        let hubs = relations.streams.iter().filter_map(|(name, def)| {
+            let StreamBinding::Hub(hub) = &def.binding else {
+                return None;
+            };
+            Some((name.clone(), hub.len()))
+        });
+        hubs.collect()
+    }
+
     /// Queue an insertion into a finite table.
     pub fn insert(&self, name: &str, t: Tuple) -> Result<(), SchemaError> {
         match self.table(name) {

@@ -8,16 +8,20 @@ use super::*;
 /// operator is resolved by the [`CompiledOp`] constructor the one-shot
 /// physical plan uses; the plan as a whole has already passed
 /// [`StreamPlan::stream_schema`], which owns the finite/infinite rules.
+/// `read` says whether the node's parent reads its `current` (the root's is
+/// the query's result): each operator states that for its operands here,
+/// and a window keeps `current` only where it holds.
 pub(super) fn build(
     plan: &StreamPlan,
     sources: &mut SourceSet,
     next_id: &mut usize,
+    read: bool,
 ) -> Result<(Node, SchemaRef), PlanError> {
     let id = NodeId(*next_id);
     *next_id += 1;
     let mut children = Vec::new();
-    let mut operand = |p: &StreamPlan, sources: &mut SourceSet| {
-        let (node, schema) = build(p, sources, next_id)?;
+    let mut operand = |p: &StreamPlan, sources: &mut SourceSet, read: bool| {
+        let (node, schema) = build(p, sources, next_id, read)?;
         children.push(node);
         Ok::<_, PlanError>(schema)
     };
@@ -38,54 +42,63 @@ pub(super) fn build(
                 return Err(PlanError::UnknownRelation(name.clone()));
             }
         }
-        StreamPlan::Select(p, f) => {
-            serena(CompiledOp::select(&operand(p, sources)?, f)?, &children)
-        }
+        StreamPlan::Select(p, f) => serena(
+            CompiledOp::select(&operand(p, sources, false)?, f)?,
+            &children,
+        ),
         StreamPlan::Project(p, attrs) => serena(
-            CompiledOp::project(&operand(p, sources)?, attrs)?,
+            CompiledOp::project(&operand(p, sources, false)?, attrs)?,
             &children,
         ),
         StreamPlan::Rename(p, from, to) => serena(
-            CompiledOp::rename(&operand(p, sources)?, from, to)?,
+            CompiledOp::rename(&operand(p, sources, false)?, from, to)?,
             &children,
         ),
         StreamPlan::Assign(p, attr, src) => serena(
-            CompiledOp::assign(&operand(p, sources)?, attr, src)?,
+            CompiledOp::assign(&operand(p, sources, false)?, attr, src)?,
             &children,
         ),
         StreamPlan::Union(a, b) => {
-            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            let (sa, sb) = (operand(a, sources, true)?, operand(b, sources, true)?);
             serena(CompiledOp::union(&sa, &sb)?, &children)
         }
         StreamPlan::Intersect(a, b) => {
-            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            let (sa, sb) = (operand(a, sources, true)?, operand(b, sources, true)?);
             serena(CompiledOp::intersect(&sa, &sb)?, &children)
         }
         StreamPlan::Difference(a, b) => {
-            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            let (sa, sb) = (operand(a, sources, true)?, operand(b, sources, true)?);
             serena(CompiledOp::difference(&sa, &sb)?, &children)
         }
         StreamPlan::Join(a, b) => {
-            let (sa, sb) = (operand(a, sources)?, operand(b, sources)?);
+            let (sa, sb) = (operand(a, sources, true)?, operand(b, sources, true)?);
             serena(CompiledOp::join(&sa, &sb)?, &children)
         }
         StreamPlan::Aggregate(p, group, aggs) => serena(
-            CompiledOp::aggregate(&operand(p, sources)?, group, aggs)?,
+            CompiledOp::aggregate(&operand(p, sources, true)?, group, aggs)?,
             &children,
         ),
         StreamPlan::Invoke(p, proto, sa) => {
-            let child = operand(p, sources)?;
+            let child = operand(p, sources, false)?;
             let recipe = InvokeRecipe::prepare(&child, proto, sa.as_str())?;
             let cache = HashMap::new();
             (recipe.out_schema().clone(), Op::Invoke { recipe, cache })
         }
         StreamPlan::Window(p, period) => {
-            let (period, ring, warm) = ((*period).max(1), VecDeque::new(), false);
-            (operand(p, sources)?, Op::Window { period, ring, warm })
+            let window = Op::Window {
+                period: (*period).max(1),
+                ring: VecDeque::new(),
+                keeps_current: read,
+                warm: false,
+            };
+            (operand(p, sources, false)?, window)
         }
-        StreamPlan::Stream(p, kind) => (operand(p, sources)?, Op::StreamOf(*kind)),
+        StreamPlan::Stream(p, kind) => {
+            let heartbeat = *kind == StreamKind::Heartbeat;
+            (operand(p, sources, heartbeat)?, Op::StreamOf(*kind))
+        }
         StreamPlan::SampleInvoke(p, proto, sa, period) => {
-            let child = operand(p, sources)?;
+            let child = operand(p, sources, true)?;
             let recipe = InvokeRecipe::prepare(&child, proto, sa.as_str())?;
             let period = (*period).max(1);
             (

@@ -18,8 +18,10 @@
 //!   tuple from the relation at each time instant". Results are cached per
 //!   input tuple so a later deletion retracts exactly the tuples the
 //!   insertion produced;
-//! * **W\[p\]** buffers the last `p` stream batches; **S\[kind\]** converts
-//!   a finite node's delta back into a stream.
+//! * **W\[p\]** holds the last `p` stream [`Batch`]es — the same
+//!   `Arc<Batch>` every other query over the stream holds — and hands its
+//!   parent the entered and the expired one by reference; **S\[kind\]**
+//!   converts a finite node's delta back into a stream.
 //!
 //! Invocation failures (a sensor dying mid-query) do not abort the query:
 //! the affected input tuple contributes nothing this tick and the error is
@@ -39,6 +41,7 @@ mod tests;
 mod tick;
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use serena_core::action::ActionSet;
 use serena_core::error::{EvalError, PlanError};
@@ -55,7 +58,7 @@ use serena_core::xrelation::XRelation;
 
 use crate::multiset::{Delta, Multiset};
 use crate::plan::{StreamKind, StreamPlan, StreamSchema};
-use crate::source::{StreamSource, TableHandle};
+use crate::source::{Batch, StreamSource, TableHandle};
 use stateful::OpState;
 
 /// The named XD-Relations a continuous query runs over.
@@ -153,7 +156,8 @@ struct Node {
     op: Op,
     children: Vec<Node>,
     /// The node's instantaneous multiset after its last tick (§4.1). Stays
-    /// empty on stream-valued nodes, which have no instantaneous state.
+    /// empty on stream-valued nodes, which have no instantaneous state, and
+    /// on a window nothing reads it from (see [`Op::Window`]).
     current: Multiset,
 }
 
@@ -182,7 +186,17 @@ enum Op {
     },
     Window {
         period: u64,
-        ring: VecDeque<Vec<Tuple>>,
+        /// The last `period` batches, oldest first, each shared with every
+        /// other query over the stream that polled it.
+        ring: VecDeque<Arc<Batch>>,
+        /// Whether the node maintains `current` — the ring's batches as one
+        /// bag. Something must read it for that: the window is the root, or
+        /// its parent is ⋈, ∪/∩/−, γ, `S[heartbeat]` or βˢ. σ, π, ρ, α, β and
+        /// `S[insertion|deletion]` see an operand only through its delta, so
+        /// under them the window hashes nothing. Decided by `build` from the
+        /// parent operator; everything that outlives a tick derives the
+        /// content from the ring.
+        keeps_current: bool,
         /// Set when a plan hot-swap adopted this ring from an outgoing
         /// query: the first tick then emits the full (post-update) window
         /// content as pure insertions — downstream nodes of the new plan
@@ -269,7 +283,7 @@ pub struct ContinuousQuery {
     schema: StreamSchema,
     next: Instant,
     options: ExecOptions,
-    tracer: Option<std::sync::Arc<FlightRecorder>>,
+    tracer: Option<Arc<FlightRecorder>>,
 }
 
 impl ContinuousQuery {
@@ -287,7 +301,8 @@ impl ContinuousQuery {
         options: ExecOptions,
     ) -> Result<Self, PlanError> {
         let schema = plan.stream_schema(sources)?;
-        let (root, _) = build::build(plan, sources, &mut 0)?;
+        // the root's `current` is the query's result
+        let (root, _) = build::build(plan, sources, &mut 0, true)?;
         Ok(ContinuousQuery {
             root,
             schema,
@@ -301,7 +316,7 @@ impl ContinuousQuery {
     /// span per plan node, keyed by the compile-time [`NodeId`], with
     /// delta sizes and β counters as attributes. Purely observational —
     /// results are byte-identical with or without a recorder.
-    pub fn set_tracer(&mut self, tracer: Option<std::sync::Arc<FlightRecorder>>) {
+    pub fn set_tracer(&mut self, tracer: Option<Arc<FlightRecorder>>) {
         self.tracer = tracer;
     }
 
@@ -377,8 +392,8 @@ impl ContinuousQuery {
             tick::tick_node(&mut self.root, &mut ctx)
         };
         let (delta, batch) = match out {
-            tick::Out::Finite(d) => (d, Vec::new()),
-            tick::Out::Batch(b) => (Delta::new(), b),
+            tick::Out::Batch(b) => (Delta::new(), b.into_tuples()),
+            finite => (finite.into_delta(), Vec::new()),
         };
         TickReport {
             at,
@@ -445,9 +460,10 @@ impl ContinuousQuery {
     /// pairs whose operand subtree (windows) or operand schema (β caches)
     /// is unchanged may be passed.
     ///
-    /// * a window adopts the old ring and content and is marked *warm*:
-    ///   its first tick emits the full window as insertions so the cold
-    ///   downstream nodes of the new plan see complete state;
+    /// * a window adopts the old ring — its content, where it keeps
+    ///   `current`, is derived from it — and is marked *warm*: its first
+    ///   tick emits the full window as insertions so the cold downstream
+    ///   nodes of the new plan see complete state;
     /// * a β node adopts the old cache with all counts zeroed (its cold
     ///   child will re-insert whatever subset of inputs survives the new
     ///   plan); adopted hits re-emit cached outputs without re-invoking

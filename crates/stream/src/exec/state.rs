@@ -8,6 +8,14 @@
 
 use super::*;
 
+/// A window's instantaneous content: its ring's batches as one bag.
+pub(super) fn window_content(ring: &VecDeque<Arc<Batch>>) -> Multiset {
+    ring.iter()
+        .flat_map(|batch| batch.tuples())
+        .cloned()
+        .collect()
+}
+
 impl Node {
     /// Write this node's snapshot record.
     pub(super) fn snapshot(&self, w: &mut Writer) {
@@ -37,11 +45,14 @@ impl Node {
                     }
                 }
             }
-            // `current` is exactly the multiset of the ring's tuples (each
-            // tick inserts the new batch and deletes the expired one), so
-            // it is derived on restore rather than encoded — the dominant
-            // term of a windowed query's snapshot, halved
-            Op::Window { period, ring, warm } => {
+            // `current`, where the window keeps it, is exactly the multiset
+            // of the ring's tuples (each tick inserts the new batch and
+            // deletes the expired one), so it is derived on restore rather
+            // than encoded — the dominant term of a windowed query's
+            // snapshot, halved
+            Op::Window {
+                period, ring, warm, ..
+            } => {
                 w.u64(*period);
                 // a checkpoint can land between a plan hot-swap and the
                 // adopted ring's bootstrap tick — the pending full emission
@@ -50,7 +61,7 @@ impl Node {
                 w.usize(ring.len());
                 for batch in ring {
                     w.usize(batch.len());
-                    for t in batch {
+                    for t in batch.tuples() {
                         w.tuple(t);
                     }
                 }
@@ -106,7 +117,12 @@ impl Node {
                     cache.insert(t, CacheEntry { count, outputs });
                 }
             }
-            Op::Window { period, ring, warm } => {
+            Op::Window {
+                period,
+                ring,
+                keeps_current,
+                warm,
+            } => {
                 let stored = r.u64()?;
                 if stored != *period {
                     return Err(SnapshotError::Mismatch(format!(
@@ -117,20 +133,20 @@ impl Node {
                 *warm = r.bool()?;
                 let batches = r.usize()?;
                 ring.clear();
-                self.current = Multiset::new();
                 for _ in 0..batches {
                     let len = r.usize()?;
                     let mut batch = Vec::with_capacity(len.min(r.remaining()));
                     for _ in 0..len {
                         batch.push(r.tuple()?);
                     }
-                    // the instantaneous window content is derived, not stored:
-                    // it is the multiset union of the ring's batches
-                    for t in &batch {
-                        self.current.insert(t.clone(), 1);
-                    }
-                    ring.push_back(batch);
+                    ring.push_back(Arc::new(batch.into()));
                 }
+                // the instantaneous window content is derived, not stored
+                self.current = if *keeps_current {
+                    window_content(ring)
+                } else {
+                    Multiset::new()
+                };
             }
         }
         for child in &mut self.children {
@@ -148,7 +164,12 @@ impl Node {
     pub(super) fn adopt(&mut self, donor: &Node) {
         match (&mut self.op, &donor.op) {
             (
-                Op::Window { period, ring, warm },
+                Op::Window {
+                    period,
+                    ring,
+                    keeps_current,
+                    warm,
+                },
                 Op::Window {
                     period: donor_period,
                     ring: donor_ring,
@@ -157,8 +178,12 @@ impl Node {
                 // defense in depth: the pairing already implies identical
                 // subtrees, which includes the period
             ) if period == donor_period => {
+                // the batches stay shared; the donor's parent need not read
+                // `current` where this one's does, so the ring is the source
                 *ring = donor_ring.clone();
-                self.current = donor.current.clone();
+                if *keeps_current {
+                    self.current = window_content(ring);
+                }
                 *warm = true;
             }
             // counts zeroed: the cold child re-inserts whatever survives

@@ -1108,10 +1108,12 @@ fn recompute(op: &CompiledOp, children: &[Node]) -> Multiset {
 }
 
 /// Seeded sources for the differential runs: tables `t(x, y)`, `u(y, x)` —
-/// `t`'s attributes in the other order — and `r(x, z)`, and a stream
-/// `s(x, y)`. Attribute domains are small, so tuples repeat (counts above
-/// one, in a table and across a window's batches), and `x` drifts upwards,
-/// so join keys and groups appear and vanish for good.
+/// `t`'s attributes in the other order — and `r(x, z)`, a stream `s(x, y)`
+/// and a stream `m` of located sensors (a service attribute for β, a
+/// virtual one for α). Attribute domains are small, so tuples repeat
+/// (counts above one, in a table, inside a batch and across a window's
+/// batches), and `x` drifts upwards, so join keys and groups appear and
+/// vanish for good.
 struct World {
     seed: u64,
     t: TableHandle,
@@ -1121,6 +1123,28 @@ struct World {
 
 fn drift(at: u64) -> i64 {
     (at / 16) as i64
+}
+
+/// What stream `s` appends at `at`.
+fn s_batch(seed: u64, at: Instant) -> Vec<Tuple> {
+    let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0xA24B_AED4_963E_E407));
+    (0..rng.below(7))
+        .map(|_| tuple![drift(at.ticks()) + rng.below(4), rng.below(3)])
+        .collect()
+}
+
+/// What stream `m` appends at `at`: one reading twice at every instant — a
+/// duplicate inside the batch, and a tuple the entering and the expiring
+/// batch of any window both hold — and a few that come and go.
+fn m_batch(seed: u64, at: Instant) -> Vec<Tuple> {
+    let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0x9FB2_1C65_1E98_DF25));
+    let reading = |sensor: &str, room: i64| tuple![Value::service(sensor), format!("room{room}")];
+    let mut batch = vec![reading("sensor01", 0), reading("sensor01", 0)];
+    for _ in 0..rng.below(4) {
+        let sensor = ["sensor01", "sensor06", "sensor07", "sensor22"][rng.below(4) as usize];
+        batch.push(reading(sensor, rng.below(2)));
+    }
+    batch
 }
 
 impl World {
@@ -1154,14 +1178,12 @@ impl World {
         sources.add_table("u", self.u.clone());
         sources.add_table("r", self.r.clone());
         let seed = self.seed;
-        let batches = move |at: Instant| {
-            let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0xA24B_AED4_963E_E407));
-            (0..rng.below(7))
-                .map(|_| tuple![drift(at.ticks()) + rng.below(4), rng.below(3)])
-                .collect()
-        };
+        let located = serena_core::schema::examples::sensors_schema();
         for _ in 0..2 {
-            sources.add_stream("s", self.t.schema(), Box::new(FnStream(batches)));
+            let batches = FnStream(move |at| s_batch(seed, at));
+            sources.add_stream("s", self.t.schema(), Box::new(batches));
+            let batches = FnStream(move |at| m_batch(seed, at));
+            sources.add_stream("m", located.clone(), Box::new(batches));
         }
         sources
     }
@@ -1210,11 +1232,84 @@ fn keeps_state(node: &Node) -> Option<&CompiledOp> {
     }
 }
 
+/// What a node's parent sees it hold: `current`, or for a window — which
+/// keeps `current` only where it is read — the ring's batches as one bag.
+fn content(node: &Node) -> Multiset {
+    match &node.op {
+        Op::Window { ring, .. } => super::state::window_content(ring),
+        _ => node.current.clone(),
+    }
+}
+
+/// The per-node half of [`differential`], over `node`'s subtree. `read` says
+/// whether the node's parent reads its `current` — stated here from the
+/// operators' definitions, not taken from what `build` decided.
+fn check_node(node: &Node, read: bool, context: &str) {
+    let context = &format!("node {} of {context}", node.id);
+    let operand = || content(&node.children[0]);
+    let reads_operands = match &node.op {
+        Op::Window {
+            ring,
+            keeps_current,
+            period,
+            ..
+        } => {
+            assert_eq!(*keeps_current, read, "{context}");
+            assert!(ring.len() as u64 <= *period, "{context}");
+            if read {
+                assert_eq!(node.current, content(node), "{context}");
+            } else {
+                assert!(node.current.is_empty(), "unread, but kept: {context}");
+            }
+            false
+        }
+        // σ, π, ρ, α rebuilt from the operand's whole content
+        Op::Serena {
+            op,
+            state: OpState::Stateless,
+        } => {
+            let mut rebuilt = Multiset::new();
+            for (t, c) in operand().iter() {
+                if let Some(mapped) = op.map_tuple(t).unwrap() {
+                    rebuilt.insert(mapped, c);
+                }
+            }
+            assert_eq!(node.current, rebuilt, "{context}");
+            false
+        }
+        Op::Serena { op, .. } => {
+            assert_eq!(node.current, recompute(op, &node.children), "{context}");
+            true
+        }
+        // β holds, per operand tuple, the extensions it was invoked for
+        Op::Invoke { cache, .. } => {
+            let operand = operand();
+            assert_eq!(cache.len(), operand.distinct(), "{context}");
+            let mut rebuilt = Multiset::new();
+            for (t, c) in operand.iter() {
+                assert_eq!(cache[t].count, c, "{t:?} in {context}");
+                for o in &cache[t].outputs {
+                    rebuilt.insert(o.clone(), c);
+                }
+            }
+            assert_eq!(node.current, rebuilt, "{context}");
+            false
+        }
+        Op::StreamOf(kind) => *kind == StreamKind::Heartbeat,
+        Op::SampleInvoke { .. } => true,
+        Op::Table { .. } | Op::Stream { .. } => false,
+    };
+    for child in &node.children {
+        check_node(child, reads_operands, context);
+    }
+}
+
 /// Run every plan, and every subplan of it rooted at a ⋈, ∪, ∩, − or γ, as
 /// a query of its own over one world for `instants` instants. After each
-/// instant every such node of every query must hold what the reference
-/// computes from its operands, and each query rooted at one must have
-/// reported exactly the reference's diff — so every such node's own delta is
+/// instant every node of every query must hold what the reference rebuilds
+/// from its operands' whole content — a window what its ring holds, and
+/// only where its parent reads it — and each query must have reported
+/// exactly the diff of its root, so every ⋈, ∪, ∩, − and γ's own delta is
 /// checked, as the root of some query.
 fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
     fn subplans<'a>(plan: &'a StreamPlan, out: &mut Vec<&'a StreamPlan>) {
@@ -1233,8 +1328,10 @@ fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
     let mut rooted = Vec::new();
     for plan in plans {
         subplans(plan, &mut rooted);
+        if !rooted.iter().any(|seen| std::ptr::eq(*seen, plan)) {
+            rooted.push(plan);
+        }
     }
-    assert!(rooted.len() >= plans.len());
     let mut queries: Vec<ContinuousQuery> = rooted
         .iter()
         .map(|plan| ContinuousQuery::compile(plan, &mut world.sources()).unwrap())
@@ -1249,15 +1346,21 @@ fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
             let report = q.tick_with(&reg, &NoopMetrics);
             assert!(report.errors.is_empty(), "{:?}", report.errors);
             let context = format!("seed {seed}, instant {at}, {}", plan.to_algebra());
-            q.root.walk(&mut |n| {
-                if let Some(op) = keeps_state(n) {
-                    let reference = recompute(op, &n.children);
-                    assert_eq!(n.current, reference, "node {} of {context}", n.id);
-                }
-            });
-            assert_eq!(report.delta, before.diff_to(&q.root.current), "{context}");
-            emitted += report.delta.magnitude();
-            held += q.root.current.len();
+            check_node(&q.root, true, &context);
+            // ⋈, ∪, ∩, − and γ emit net deltas; a window's, and what σ, π, ρ,
+            // α and β make of it, may name one tuple on both sides
+            let moved = before.diff_to(&q.root.current);
+            if keeps_state(&q.root).is_some() {
+                assert_eq!(report.delta, moved, "{context}");
+            } else {
+                assert_eq!(report.delta.clone().net(), moved, "{context}");
+            }
+            if matches!(q.root.op, Op::StreamOf(StreamKind::Heartbeat)) {
+                let repeated = content(&q.root.children[0]).sorted_occurrences();
+                assert_eq!(report.batch, repeated, "{context}");
+            }
+            emitted += report.delta.magnitude() + report.batch.len();
+            held += content(&q.root).len();
         }
     }
     // the runs are not vacuous
@@ -1357,6 +1460,50 @@ fn delta_native_aggregate_matches_the_reference() {
     ];
     differential(0x14_04, &plans, 520);
     differential(0x14_05, &plans[..2], 520);
+}
+
+/// A window under each kind of parent. σ, π, ρ, α, β and `S[insertion]` see
+/// it only through the entered and the expired batch, so it keeps no
+/// `current`; ⋈, ∪, −, γ, `S[heartbeat]`, βˢ and the query's reader do read
+/// it, so it does. Stream `m` repeats one tuple inside every batch — so in
+/// every entering *and* every expiring one — and `s` does both often.
+#[test]
+fn a_window_keeps_current_only_where_it_is_read() {
+    let m_window = |period| StreamPlan::source("m").window(period);
+    let count = || vec![AggSpec::new(AggFun::Count, "y")];
+    let plans = [
+        // not read
+        s_window(3).select(Formula::gt_const("y", 0)),
+        s_window(4).project(["y"]),
+        s_window(2).rename("x", "k"),
+        m_window(3).assign_const("temperature", 20.5),
+        m_window(2).invoke("getTemperature", "sensor"),
+        s_window(2).stream(StreamKind::Insertion),
+        m_window(1).stream(StreamKind::Deletion),
+        // read
+        s_window(3).aggregate(["x"], count()),
+        m_window(2).project(["location"]).join(m_window(3)),
+        s_window(2).union(table("t")),
+        table("t").difference(s_window(3)),
+        s_window(3).stream(StreamKind::Heartbeat),
+        m_window(2).sample_invoke("getTemperature", "sensor", 2),
+        s_window(4),
+        m_window(3),
+        // both in one plan: the σ-parented window of a ∪ whose other operand
+        // is a window itself
+        s_window(1)
+            .select(Formula::gt_const("y", 0))
+            .union(s_window(3)),
+    ];
+    let seed = 0x19_01;
+    differential(seed, &plans, 260);
+    // `s` too names a tuple in the entering and the expiring batch of W[3],
+    // and twice in one batch, at a good share of the instants
+    let bag = |at: u64| Multiset::from_tuples(s_batch(seed, Instant(at)));
+    let both_sides = |at: &u64| bag(*at).iter().any(|(t, _)| bag(at - 3).contains(t));
+    let duplicate = |at: &u64| bag(*at).distinct() < bag(*at).len();
+    assert!((3..260).filter(both_sides).count() > 40);
+    assert!((0..260).filter(duplicate).count() > 40);
 }
 
 /// SUM and AVG over values whose sums round: the continuous γ folds each

@@ -5,6 +5,7 @@ use serena_core::action::Action;
 use serena_core::metrics::OpObservation;
 use serena_core::ops::{DegradePolicy, InvokeTally};
 
+use super::state::window_content;
 use super::stateful::{join_delta, setop_delta};
 use super::*;
 
@@ -22,29 +23,49 @@ pub(super) struct Ctx<'a> {
     pub(super) tracer: Option<&'a FlightRecorder>,
 }
 
-/// Per-tick node output: a finite delta or a stream batch.
+/// Per-tick node output: a finite change or a stream batch.
 pub(super) enum Out {
     Finite(Delta),
-    Batch(Vec<Tuple>),
+    /// A window's change, by reference: the batch that entered inserts its
+    /// tuples, the one that expired deletes its own. Both are the stream's,
+    /// shared with every other query over it, and so are their bags — no
+    /// per-query delta is built. As any operand delta, it may name one
+    /// tuple on both sides.
+    Slide {
+        entered: Arc<Batch>,
+        expired: Arc<Batch>,
+    },
+    Batch(Arc<Batch>),
 }
 
 impl Out {
     fn size(&self) -> u64 {
         match self {
-            Out::Finite(d) => (d.inserts.len() + d.deletes.len()) as u64,
+            Out::Finite(d) => d.magnitude() as u64,
+            Out::Slide { entered, expired } => (entered.len() + expired.len()) as u64,
             Out::Batch(b) => b.len() as u64,
+        }
+    }
+
+    /// A finite output as a delta of its own: a window's two shared bags are
+    /// copied (a table copy — nothing is hashed again).
+    pub(super) fn into_delta(self) -> Delta {
+        match self {
+            Out::Finite(d) => d,
+            Out::Slide { entered, expired } => Delta {
+                inserts: entered.bag().clone(),
+                deletes: expired.bag().clone(),
+            },
+            Out::Batch(_) => unreachable!("type-checked: finite operand expected"),
         }
     }
 }
 
 fn finite(input: Option<Out>) -> Delta {
-    match input {
-        Some(Out::Finite(d)) => d,
-        _ => unreachable!("type-checked: finite operand expected"),
-    }
+    input.expect("operator has this operand").into_delta()
 }
 
-fn batch(input: Option<Out>) -> Vec<Tuple> {
+fn batch(input: Option<Out>) -> Arc<Batch> {
     match input {
         Some(Out::Batch(b)) => b,
         _ => unreachable!("type-checked: stream operand expected"),
@@ -120,82 +141,91 @@ impl Op {
                 delta
             }
             Op::Stream { source } => return Out::Batch(source.poll(ctx.at)),
-            Op::Serena { op, state } => {
-                let delta = finite(input);
-                match state {
-                    OpState::Stateless => map_delta(op, &delta, ctx),
-                    OpState::Join { left, right } => {
-                        join_delta(op, left, right, &delta, &finite(second))
-                    }
-                    OpState::SetOp { right } => {
-                        setop_delta(op, right, &delta, &finite(second), children, current)
-                    }
-                    OpState::Groups(groups) => groups.delta(&delta, &children[0].current),
+            Op::Serena { op, state } => match state {
+                OpState::Stateless => map_delta(op, sides(&input), ctx),
+                OpState::Join { left, right } => {
+                    join_delta(op, left, right, &finite(input), &finite(second))
                 }
-            }
-            Op::Invoke { recipe, cache } => apply_invoke(recipe, cache, &finite(input), ctx, obs),
-            Op::Window { period, ring, warm } => {
-                let batch = batch(input);
-                let mut delta = Delta::new();
-                for t in &batch {
-                    delta.inserts.insert(t.clone(), 1);
+                OpState::SetOp { right } => {
+                    let (delta, second) = (&finite(input), &finite(second));
+                    setop_delta(op, right, delta, second, children, current)
                 }
-                ring.push_back(batch);
-                if ring.len() as u64 > *period {
-                    let expired = ring.pop_front().expect("nonempty");
-                    for t in expired {
-                        delta.deletes.insert(t, 1);
-                    }
+                OpState::Groups(groups) => groups.delta(&finite(input), &children[0].current),
+            },
+            Op::Invoke { recipe, cache } => apply_invoke(recipe, cache, sides(&input), ctx, obs),
+            Op::Window {
+                period,
+                ring,
+                keeps_current,
+                warm,
+            } => {
+                let entered = batch(input);
+                ring.push_back(Arc::clone(&entered));
+                let expired = if ring.len() as u64 > *period {
+                    ring.pop_front().expect("nonempty")
+                } else {
+                    Arc::default()
+                };
+                if *keeps_current {
+                    apply(id, current, [entered.bag(), expired.bag()]);
                 }
-                apply(id, current, &delta);
                 if *warm {
                     // bootstrap tick after a hot-swap adopted this ring: the
                     // nodes downstream are cold, so replace the incremental
-                    // delta with the full post-update content as insertions
+                    // change with the full post-update content as insertions
                     *warm = false;
-                    delta = Delta::new();
-                    for (t, c) in current.iter() {
-                        delta.inserts.insert(t.clone(), c);
-                    }
+                    return Out::Finite(Delta {
+                        inserts: window_content(ring),
+                        deletes: Multiset::new(),
+                    });
                 }
-                return Out::Finite(delta);
+                return Out::Slide { entered, expired };
             }
             Op::StreamOf(kind) => {
-                let delta = finite(input);
-                return Out::Batch(match kind {
-                    StreamKind::Insertion => delta.inserts.sorted_occurrences(),
-                    StreamKind::Deletion => delta.deletes.sorted_occurrences(),
+                let [inserts, deletes] = sides(&input);
+                let batch = match kind {
+                    StreamKind::Insertion => inserts.sorted_occurrences(),
+                    StreamKind::Deletion => deletes.sorted_occurrences(),
                     StreamKind::Heartbeat => children[0].current.sorted_occurrences(),
-                });
+                };
+                return Out::Batch(Arc::new(batch.into()));
             }
             Op::SampleInvoke { recipe, period } => {
-                if !ctx.at.ticks().is_multiple_of(*period) {
-                    return Out::Batch(Vec::new());
-                }
-                return Out::Batch(sample(recipe, &children[0].current, ctx, obs));
+                let batch = if ctx.at.ticks().is_multiple_of(*period) {
+                    sample(recipe, &children[0].current, ctx, obs)
+                } else {
+                    Vec::new()
+                };
+                return Out::Batch(Arc::new(batch.into()));
             }
         };
-        apply(id, current, &delta);
+        apply(id, current, [&delta.inserts, &delta.deletes]);
         Out::Finite(delta)
     }
 }
 
-/// Bring a node's `current` up to date with the delta it emits. A delta
+/// A finite operand's inserted and deleted bags, where they lie.
+fn sides(input: &Option<Out>) -> [&Multiset; 2] {
+    match input {
+        Some(Out::Finite(d)) => [&d.inserts, &d.deletes],
+        Some(Out::Slide { entered, expired }) => [entered.bag(), expired.bag()],
+        _ => unreachable!("type-checked: finite operand expected"),
+    }
+}
+
+/// Bring a node's `current` up to date with the change it emits. A change
 /// that retracts what `current` does not hold would be clamped and leave
 /// every operator downstream — which carries state across ticks — out of
 /// step with it for good.
-fn apply(id: NodeId, current: &mut Multiset, delta: &Delta) {
-    let missing = current.apply(delta);
+fn apply(id: NodeId, current: &mut Multiset, [inserts, deletes]: [&Multiset; 2]) {
+    let missing = current.apply_sides(inserts, deletes);
     debug_assert_eq!(missing, 0, "node {id} retracted tuples it does not hold");
 }
 
-/// σ/π/ρ/α over a delta: each side maps tuple by tuple.
-fn map_delta(op: &CompiledOp, child_delta: &Delta, ctx: &mut Ctx<'_>) -> Delta {
+/// σ/π/ρ/α over a change: each side maps tuple by tuple.
+fn map_delta(op: &CompiledOp, [inserts, deletes]: [&Multiset; 2], ctx: &mut Ctx<'_>) -> Delta {
     let mut out = Delta::new();
-    for (side, mapped) in [
-        (&child_delta.inserts, &mut out.inserts),
-        (&child_delta.deletes, &mut out.deletes),
-    ] {
+    for (side, mapped) in [(inserts, &mut out.inserts), (deletes, &mut out.deletes)] {
         for (t, c) in side.iter() {
             match op.map_tuple(t) {
                 Ok(Some(m)) => mapped.insert(m, c),
@@ -207,18 +237,18 @@ fn map_delta(op: &CompiledOp, child_delta: &Delta, ctx: &mut Ctx<'_>) -> Delta {
     out
 }
 
-/// β over a delta (§4.2): deletions retract the cached extensions,
+/// β over a change (§4.2): deletions retract the cached extensions,
 /// insertions invoke only tuples the cache has not seen.
 fn apply_invoke(
     recipe: &InvokeRecipe,
     cache: &mut HashMap<Tuple, CacheEntry>,
-    child_delta: &Delta,
+    [inserts, deletes]: [&Multiset; 2],
     ctx: &mut Ctx<'_>,
     obs: &mut OpObservation,
 ) -> Delta {
     let mut out = Delta::new();
     // Deletions first: retract the cached extensions.
-    for (t, c) in child_delta.deletes.iter() {
+    for (t, c) in deletes.iter() {
         if let Some(entry) = cache.get_mut(t) {
             let retract = c.min(entry.count);
             for o in &entry.outputs {
@@ -234,7 +264,7 @@ fn apply_invoke(
     // re-emit their cached extensions; the misses of one δ-batch are fanned
     // across the worker pool together.
     let mut misses: Vec<(&Tuple, usize)> = Vec::new();
-    for (t, c) in child_delta.inserts.iter() {
+    for (t, c) in inserts.iter() {
         if let Some(entry) = cache.get_mut(t) {
             // the same tuple re-inserted reuses its cached invocation
             obs.cache_hits += 1;

@@ -102,12 +102,18 @@ impl Multiset {
     /// reported as a consistency violation count, which callers may assert
     /// on in tests).
     pub fn apply(&mut self, delta: &Delta) -> usize {
+        self.apply_sides(&delta.inserts, &delta.deletes)
+    }
+
+    /// [`Multiset::apply`] for a change whose two sides lie apart: take
+    /// `deletes` out, then put `inserts` in.
+    pub(crate) fn apply_sides(&mut self, inserts: &Multiset, deletes: &Multiset) -> usize {
         let mut missing = 0;
-        for (t, c) in delta.deletes.iter() {
+        for (t, c) in deletes.iter() {
             let removed = self.remove(t, c);
             missing += c - removed;
         }
-        for (t, c) in delta.inserts.iter() {
+        for (t, c) in inserts.iter() {
             self.insert(t.clone(), c);
         }
         missing

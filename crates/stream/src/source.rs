@@ -9,12 +9,15 @@
 //!   buffered, each taking effect after the ones before it, and their net
 //!   effect becomes the table's delta at the next tick boundary;
 //! * [`StreamSource`] — the producer side of an infinite XD-Relation:
-//!   polled once per tick for the batch of newly appended tuples;
+//!   polled once per tick for the [`Batch`] of newly appended tuples;
+//! * [`Batch`] — one instant's appended tuples as one immutable value: every
+//!   query over the stream holds the same `Arc<Batch>`, in its window ring
+//!   and in what the window hands its parent;
 //! * [`PushStream`] — a buffering `StreamSource` for manually pushed
 //!   tuples; [`FnStream`] — a source computed from the instant (e.g. a
 //!   simulated device sampler).
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serena_core::sync::Mutex;
 
@@ -193,12 +196,65 @@ impl TableHandle {
     }
 }
 
+/// The tuples a stream appended at one instant (§4.1): in arrival order, and
+/// as the bag a window over the stream adds when the batch enters and takes
+/// back when it expires. Immutable, so the queries over one stream share one
+/// `Arc<Batch>` and the bag is built once, by whichever window asks first —
+/// never for a batch no window reads.
+#[derive(Debug, Default)]
+pub struct Batch {
+    tuples: Vec<Tuple>,
+    bag: OnceLock<Multiset>,
+}
+
+impl Batch {
+    /// The batch holding `tuples`, in that order.
+    pub fn new(tuples: Vec<Tuple>) -> Self {
+        Batch {
+            tuples,
+            bag: OnceLock::new(),
+        }
+    }
+
+    /// The tuples in arrival order.
+    pub fn tuples(&self) -> &[Tuple] {
+        &self.tuples
+    }
+
+    /// The tuples as a bag.
+    pub fn bag(&self) -> &Multiset {
+        self.bag
+            .get_or_init(|| self.tuples.iter().cloned().collect())
+    }
+
+    /// Number of tuples (occurrences).
+    pub fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// True iff the instant appended nothing.
+    pub fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    /// The tuples of a batch nothing else holds; a copy of a shared one's.
+    pub(crate) fn into_tuples(self: Arc<Self>) -> Vec<Tuple> {
+        Arc::try_unwrap(self).map_or_else(|shared| shared.tuples.clone(), |batch| batch.tuples)
+    }
+}
+
+impl From<Vec<Tuple>> for Batch {
+    fn from(tuples: Vec<Tuple>) -> Self {
+        Batch::new(tuples)
+    }
+}
+
 /// The producer side of an infinite XD-Relation: per tick, the batch of
 /// newly appended tuples.
 pub trait StreamSource: Send {
-    /// Tuples appended at instant `at`. Called exactly once per instant, in
-    /// increasing order.
-    fn poll(&mut self, at: Instant) -> Vec<Tuple>;
+    /// The batch appended at instant `at`. Called exactly once per instant,
+    /// in increasing order.
+    fn poll(&mut self, at: Instant) -> Arc<Batch>;
 }
 
 /// A stream fed by explicit pushes (the manual/test source).
@@ -225,8 +281,8 @@ impl PushStream {
 }
 
 impl StreamSource for PushStream {
-    fn poll(&mut self, _at: Instant) -> Vec<Tuple> {
-        std::mem::take(&mut *self.buffer.lock())
+    fn poll(&mut self, _at: Instant) -> Arc<Batch> {
+        Arc::new(std::mem::take(&mut *self.buffer.lock()).into())
     }
 }
 
@@ -238,8 +294,8 @@ impl<F> StreamSource for FnStream<F>
 where
     F: FnMut(Instant) -> Vec<Tuple> + Send,
 {
-    fn poll(&mut self, at: Instant) -> Vec<Tuple> {
-        (self.0)(at)
+    fn poll(&mut self, at: Instant) -> Arc<Batch> {
+        Arc::new((self.0)(at).into())
     }
 }
 
@@ -408,7 +464,7 @@ mod tests {
         assert_eq!(src.poll(Instant(0)).len(), 2);
         assert_eq!(src.poll(Instant(1)).len(), 0);
         s.push(tuple![3]);
-        assert_eq!(src.poll(Instant(2)), vec![tuple![3]]);
+        assert_eq!(src.poll(Instant(2)).tuples(), [tuple![3]]);
     }
 
     #[test]
@@ -422,6 +478,20 @@ mod tests {
         });
         assert_eq!(src.poll(Instant(0)).len(), 1);
         assert_eq!(src.poll(Instant(1)).len(), 0);
-        assert_eq!(src.poll(Instant(2)), vec![tuple![2]]);
+        assert_eq!(src.poll(Instant(2)).tuples(), [tuple![2]]);
+    }
+
+    #[test]
+    fn a_batch_is_its_tuples_in_order_and_as_a_bag() {
+        let batch = Arc::new(Batch::new(vec![tuple![2], tuple![1], tuple![2]]));
+        assert_eq!(batch.len(), 3);
+        assert_eq!(batch.tuples(), [tuple![2], tuple![1], tuple![2]]);
+        assert_eq!(batch.bag().count(&tuple![2]), 2);
+        assert_eq!(batch.bag().len(), 3);
+        // a shared batch is copied out, a sole holder gives its tuples up
+        let shared = Arc::clone(&batch);
+        assert_eq!(shared.into_tuples(), batch.tuples());
+        assert_eq!(batch.into_tuples().len(), 3);
+        assert!(Batch::default().is_empty() && Batch::default().bag().is_empty());
     }
 }

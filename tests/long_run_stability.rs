@@ -223,3 +223,56 @@ fn unconsumed_discovery_table_stays_at_fleet_size_over_ten_thousand_ticks() {
     }
     assert_eq!(directory.len() as u64, FLEET);
 }
+
+#[test]
+fn hub_retention_stays_within_one_instant_over_ten_thousand_ticks() {
+    // 10⁴ instants of pushes into one stream three queries read, one of them
+    // deregistered halfway: a hub keeps a batch until its last live
+    // subscription has read it, so after each tick it holds nothing — and
+    // between the pushes and the tick, that instant's pushes and no more. A
+    // departed query's cursor must not pin the log from there on.
+    use serena::core::tuple;
+    use serena::pems::Pems;
+
+    const PER_INSTANT: usize = 8;
+    let mut pems = Pems::builder().build();
+    pems.run_program(
+        "EXTENDED RELATION readings ( location STRING, temperature REAL ) STREAM;
+         REGISTER QUERY hot AS SELECT[temperature > 30.0](WINDOW[4](readings));
+         REGISTER QUERY places AS PROJECT[location](WINDOW[8](readings));
+         REGISTER QUERY both AS UNION(WINDOW[1](readings), WINDOW[3](readings));",
+    )
+    .unwrap();
+    let retained = |pems: &Pems| pems.tables().hub_retention()[0].1;
+    let gauge = |pems: &Pems| {
+        let stream = [("stream", "readings")];
+        let registry = pems.metrics_registry();
+        registry.gauge("serena_hub_retained_tuples", &stream).get()
+    };
+    let mut reported = 0usize;
+    for at in 0..10_000u64 {
+        if at == 5_000 {
+            pems.run_program("UNREGISTER QUERY places;").unwrap();
+        }
+        for i in 0..PER_INSTANT as u64 {
+            let temperature = 20.0 + ((at * 7 + i) % 15) as f64;
+            let reading = tuple![format!("room{}", (at + i) % 5), temperature];
+            assert!(pems.tables().push_stream("readings", reading));
+        }
+        assert_eq!(retained(&pems), PER_INSTANT, "before tick {at}");
+        let reports = pems.tick();
+        assert_eq!(reports.len(), if at < 5_000 { 3 } else { 2 });
+        reported += reports
+            .iter()
+            .map(|(_, r)| r.delta.magnitude())
+            .sum::<usize>();
+        assert_eq!(retained(&pems), 0, "after tick {at}");
+        assert_eq!(gauge(&pems), 0, "after tick {at}");
+    }
+    assert!(reported > 10_000 * PER_INSTANT, "the queries stayed live");
+    // with no query left nothing is delivered to anybody: nothing is kept
+    pems.run_program("UNREGISTER QUERY hot; UNREGISTER QUERY both;")
+        .unwrap();
+    assert!(pems.tables().push_stream("readings", tuple!["attic", 31.0]));
+    assert_eq!(retained(&pems), 0);
+}

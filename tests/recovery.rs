@@ -636,6 +636,152 @@ fn hot_swap_feeds_cold_delta_native_operators_from_warm_windows() {
     assert_eq!(new.current_relation(), old.current_relation());
 }
 
+/// `σ(W[4](readings))`, whose window keeps no `current`, and
+/// `γ(W[4](readings))`, whose window does, over one *pushed* stream: the two
+/// rings hold the same `Arc`s until a restore gives each its own.
+fn shared_window_pems() -> Pems {
+    use serena::core::ops::{AggFun, AggSpec};
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+    pems.run_program("EXTENDED RELATION readings ( location STRING, temperature REAL ) STREAM;")
+        .unwrap();
+    let window = || StreamPlan::source("readings").window(4);
+    let warm = window().select(Formula::gt_const("temperature", 4.0));
+    let mean = window().aggregate(
+        ["location"],
+        vec![
+            AggSpec::new(AggFun::Avg, "temperature"),
+            AggSpec::new(AggFun::Count, "temperature"),
+        ],
+    );
+    pems.register_query("warm", &warm).unwrap();
+    pems.register_query("mean", &mean).unwrap();
+    pems
+}
+
+fn push_readings(pems: &Pems, t: u64) {
+    for reading in tenths(Instant(t)) {
+        assert!(pems.tables().push_stream("readings", reading));
+    }
+}
+
+/// What `shared_window_pems().snapshot_bytes()` returned **at the parent
+/// commit** (PR 18: private `Vec<Tuple>` rings, every window keeping
+/// `current`) after instants 0 and 1 — the rings half-filled.
+const PR18_SNAPSHOT_AFTER_TWO_INSTANTS: &str = "\
+    534552454e534e50020000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000200000000000000020000000000000004000000000000006d65616e0200000000000000\
+    03030000000000000003000000000000000303000000000000006c616202cdcccccccccc0c40010600000000\
+    000000010000000000000003000000000000000306000000000000006f666669636502cdcccccccccc044001\
+    030000000000000001000000000000000300000000000000030400000000000000726f6f6602676666666666\
+    1240010300000000000000010000000000000005040000000000000000020000000000000006000000000000\
+    0002000000000000000306000000000000006f66666963650200000000000000000200000000000000030300\
+    0000000000006c616202cdccccccccccf43f02000000000000000306000000000000006f666669636502cdcc\
+    cccccccc044002000000000000000303000000000000006c6162023433333333330f40020000000000000003\
+    06000000000000006f666669636502cdcccccccccc144002000000000000000303000000000000006c616202\
+    0000000000001a40060000000000000002000000000000000303000000000000006c616202676666666666e6\
+    3f0200000000000000030400000000000000726f6f6602000000000000004002000000000000000303000000\
+    000000006c6162026766666666660a400200000000000000030400000000000000726f6f6602676666666666\
+    124002000000000000000303000000000000006c6162029a9999999999174002000000000000000304000000\
+    00000000726f6f6602cdcccccccccc1c40010200000000000000040000000000000001000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000000000000000030000000000\
+    000000000000000000000b02000000000000000c000000000000000500000000000000000000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    000000198301000000000001000000000000000c02000000000000000c000000000000000c00000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000002cbc000000000000020000000000000001020000000000000000000000000000\
+    000c000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000000000000000000000008a1f00000000000004000000000000007761726d020000\
+    000000000002050000000000000002000000000000000303000000000000006c6162029a9999999999174001\
+    0000000000000002000000000000000303000000000000006c6162020000000000001a400100000000000000\
+    02000000000000000306000000000000006f666669636502cdcccccccccc1440010000000000000002000000\
+    00000000030400000000000000726f6f66026766666666661240010000000000000002000000000000000304\
+    00000000000000726f6f6602cdcccccccccc1c40010000000000000005040000000000000000020000000000\
+    0000060000000000000002000000000000000306000000000000006f66666963650200000000000000000200\
+    0000000000000303000000000000006c616202cdccccccccccf43f0200000000000000030600000000000000\
+    6f666669636502cdcccccccccc044002000000000000000303000000000000006c6162023433333333330f40\
+    02000000000000000306000000000000006f666669636502cdcccccccccc1440020000000000000003030000\
+    00000000006c6162020000000000001a40060000000000000002000000000000000303000000000000006c61\
+    6202676666666666e63f0200000000000000030400000000000000726f6f6602000000000000004002000000\
+    000000000303000000000000006c6162026766666666660a400200000000000000030400000000000000726f\
+    6f6602676666666666124002000000000000000303000000000000006c6162029a9999999999174002000000\
+    00000000030400000000000000726f6f6602cdcccccccccc1c40010200000000000000050000000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    000000030000000000000000000000000000000602000000000000000c000000000000000500000000000000\
+    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    0000000000000000000000001c5d00000000000001000000000000000c02000000000000000c000000000000\
+    000c000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    000000000000000000000000000000000000000000c4a4000000000000020000000000000001020000000000\
+    000000000000000000000c000000000000000000000000000000000000000000000000000000000000000000\
+    000000000000000000000000000000000000000000000000000000000000b719000000000000000000000000\
+    000000000000000000000000000000000000000000000000000000000000000000000000000000000000";
+
+fn unhex(hex: &str) -> Vec<u8> {
+    let digit = |b: u8| (b as char).to_digit(16).unwrap() as u8;
+    hex.as_bytes()
+        .chunks(2)
+        .map(|pair| digit(pair[0]) << 4 | digit(pair[1]))
+        .collect()
+}
+
+/// ISSUE 19: a window's ring is `Arc<Batch>`es shared with the other queries
+/// over the stream, and only some windows keep `current` — neither is in the
+/// snapshot. Killed while the rings are part-filled (and once they are
+/// full), both kinds of window resume byte-identically; and a snapshot the
+/// parent commit wrote restores into this one and resumes the same way.
+#[test]
+fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
+    const RUN: u64 = 12;
+    let mut baseline = shared_window_pems();
+    let mut expected = Vec::new();
+    for t in 0..RUN {
+        push_readings(&baseline, t);
+        expected.push(observe(baseline.tick()));
+    }
+    let resume = |snapshot: &[u8], kill: u64, from: &str| {
+        let mut recovered = shared_window_pems();
+        recovered
+            .restore_bytes(snapshot)
+            .unwrap_or_else(|e| panic!("restore failed ({from}, kill={kill}): {e}"));
+        assert_eq!(recovered.clock(), Instant(kill));
+        for t in kill..RUN {
+            push_readings(&recovered, t);
+            let got = observe(recovered.tick());
+            assert_eq!(
+                got, expected[t as usize],
+                "tick {t} diverged ({from}, kill={kill})"
+            );
+        }
+        for query in ["warm", "mean"] {
+            assert_eq!(
+                recovered.processor().current_relation(query),
+                baseline.processor().current_relation(query),
+                "result of `{query}` diverged ({from}, kill={kill})"
+            );
+            assert_eq!(
+                recovered.processor().stats(query),
+                baseline.processor().stats(query)
+            );
+        }
+    };
+    let parent = unhex(PR18_SNAPSHOT_AFTER_TWO_INSTANTS);
+    for kill in [1u64, 2, 3, 7] {
+        let mut doomed = shared_window_pems();
+        for t in 0..kill {
+            push_readings(&doomed, t);
+            doomed.tick();
+        }
+        let snapshot = doomed.snapshot_bytes();
+        drop(doomed);
+        if kill == 2 {
+            // the format is untouched: same layout, to the byte count (the
+            // bytes themselves carry wall-clock operator timings)
+            assert_eq!(snapshot.len(), parent.len());
+        }
+        resume(&snapshot, kill, "own snapshot");
+    }
+    resume(&parent, 2, "parent's snapshot");
+}
+
 /// A runtime whose `sensors` table is maintained by a discovery query, read
 /// by one continuous query (`fleet`) and left alone by nothing else.
 fn discovered_pems() -> Pems {
