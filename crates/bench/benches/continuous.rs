@@ -1,6 +1,6 @@
 //! E10 (criterion half) — continuous-engine tick latency: windowed
-//! selection, incremental join, N queries over one shared push stream, and
-//! the full surveillance deployment.
+//! selection, incremental join, N queries over one shared push stream, N
+//! queries sampling one shared fleet, and the full surveillance deployment.
 //!
 //! ```sh
 //! cargo bench -p serena-bench --bench continuous
@@ -16,10 +16,11 @@ use serena_core::service::fixtures::example_registry;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
+use serena_pems::envspec::{EnvSpec, QueryTemplate, WorkloadSpec};
 use serena_pems::processor::QueryProcessor;
 use serena_pems::scenario::{deploy_surveillance, SurveillanceConfig};
 use serena_pems::table_manager::ExtendedTableManager;
-use serena_pems::SchedulerConfig;
+use serena_pems::{Pems, SchedulerConfig};
 use serena_stream::plan::StreamPlan;
 use serena_stream::{ContinuousQuery, FnStream, SourceSet};
 
@@ -112,6 +113,19 @@ fn bench_incremental_join(c: &mut Criterion) {
     group.finish();
 }
 
+/// Print what one element cost in each `<group>N` record just taken: a tick
+/// of N queries is N × `per_query` elements.
+fn report_per_element(group: &str, per_query: usize, element: &str) {
+    for record in take_records() {
+        let Some(queries) = record.label.strip_prefix(group) else {
+            continue;
+        };
+        let elements = queries.parse::<usize>().unwrap() * per_query;
+        let ns = record.mean_ns as f64 / elements as f64;
+        println!("{:<44} {ns:>9.1} ns per {element}", record.label);
+    }
+}
+
 /// N × `σ_{temperature>θᵢ}(W[4](readings))` over one push stream, 256 tuples
 /// an instant, ticked serially: the instant's batch is sealed and bagged
 /// once whatever N is, so what one more query costs is its own σ over the
@@ -169,14 +183,41 @@ fn bench_shared_stream_tick(c: &mut Criterion) {
         });
     }
     group.finish();
-    for record in take_records() {
-        let Some(queries) = record.label.strip_prefix("shared_stream_tick/") else {
-            continue;
-        };
-        let tuple_queries = queries.parse::<usize>().unwrap() * PER_INSTANT;
-        let ns = record.mean_ns as f64 / tuple_queries as f64;
-        println!("{:<44} {ns:>9.1} ns per tuple-query", record.label);
+    report_per_element("shared_stream_tick/", PER_INSTANT, "tuple-query");
+}
+
+/// N × `βˢ getTemperature[sensor] every 1` over one 2 000-sensor fleet,
+/// through `Pems::tick` on one worker: every instant builds a fresh β stack,
+/// the first query's 2 000 calls are physical and the other N − 1 queries'
+/// are served from the instant's memo, so what one more identical query
+/// costs is N's slope. Reported per logical call (a tick is N × 2 000).
+fn bench_shared_beta_tick(c: &mut Criterion) {
+    const SENSORS: usize = 2_000;
+    let mut group = c.benchmark_group("shared_beta_tick");
+    for queries in [1usize, 4, 16] {
+        group.throughput(Throughput::Elements((queries * SENSORS) as u64));
+        let id = BenchmarkId::from_parameter(queries);
+        group.bench_with_input(id, &queries, |b, &queries| {
+            let spec = EnvSpec::new(25).sensors(SENSORS);
+            let mut pems = Pems::builder()
+                .scheduler(SchedulerConfig::new(1))
+                .dedup(true)
+                .tracing(false)
+                .build();
+            spec.install_catalog(&mut pems).unwrap();
+            spec.deploy_into(&pems);
+            WorkloadSpec::new()
+                .queries(QueryTemplate::SampledTemperatures { every: 1 }, queries)
+                .register_into(&mut pems, &spec)
+                .unwrap();
+            pems.run_ticks(2); // discovery settles, every series exists
+            b.iter(|| pems.tick());
+            let (hits, misses) = pems.dedup_stats();
+            assert_eq!(hits, misses * (queries as u64 - 1), "all but one coalesce");
+        });
     }
+    group.finish();
+    report_per_element("shared_beta_tick/", SENSORS, "logical call");
 }
 
 fn bench_surveillance_tick(c: &mut Criterion) {
@@ -207,6 +248,7 @@ criterion_group!(
     bench_windowed_select,
     bench_incremental_join,
     bench_shared_stream_tick,
+    bench_shared_beta_tick,
     bench_surveillance_tick
 );
 criterion_main!(benches);

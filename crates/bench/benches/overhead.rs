@@ -1,4 +1,4 @@
-//! The overhead table (E13–E15, E18–E20): what each optional layer costs on
+//! The overhead table (E13–E15, E18–E20, E25): what each optional layer costs on
 //! the path it sits on, every row measured the same way —
 //! [`harness::paired`] alternates batches of a *base* and a *variant*
 //! closure and takes the median per-round ratio — and every gated row held
@@ -12,7 +12,7 @@
 //! gated row is over the bound. Each workload below only *builds* its two
 //! closures; sizes and round counts are constants, not options.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -20,13 +20,14 @@ use serena_bench::envgen::ScaleConfig;
 use serena_bench::harness::{self, Json, OverheadRow, Paired};
 use serena_bench::workload;
 
+use serena_core::dedup::{DedupLayer, DedupState};
 use serena_core::exec::ExecContext;
 use serena_core::metrics::NoopMetrics;
 use serena_core::physical::PhysicalPlan;
 use serena_core::plan::Plan;
 use serena_core::prelude::{DegradePolicy, ExecOptions, Formula, Instant};
 use serena_core::service::{fixtures, InvokerStack};
-use serena_core::telemetry::{MetricsRegistry, RegistrySink};
+use serena_core::telemetry::{InstrumentedLayer, MetricsRegistry, RegistrySink};
 use serena_pems::{Pems, ReplanPolicy};
 use serena_services::bus::BusConfig;
 use serena_services::directory::NodeDirectory;
@@ -109,6 +110,42 @@ fn resilience() -> Vec<OverheadRow> {
         row("resilience_stack", measure(standard), true),
         row("resilience_deadline", measure(deadline), false),
     ]
+}
+
+/// E25 — what rebuilding the β stack costs. `Pems::tick` builds a fresh
+/// instrumented → dedup stack every instant over the runtime's one registry
+/// and one memo; a pass here is an instant of two identical 200-sensor β
+/// scans (200 physical calls, 200 coalesced ones) through one stack, which
+/// the base keeps for the whole run and the variant builds anew per pass.
+/// What a layer resolves per service must therefore outlive the stack: a
+/// layer that keeps its series handles in its own fields resolves them cold
+/// on every pass of the variant and is far over the gate.
+fn beta_stack() -> Vec<OverheadRow> {
+    let env = workload::scaled_environment(200, 0, 0);
+    let reg = workload::scaled_registry(200, 0);
+    let physical = PhysicalPlan::compile(&beta_plan(), &env).unwrap();
+    let registry = Arc::new(MetricsRegistry::new());
+    let memo = Arc::new(DedupState::new());
+    let build = || {
+        InvokerStack::new(&reg)
+            .layer(InstrumentedLayer::new().registry(&registry))
+            .layer(DedupLayer::new(Arc::clone(&memo)).registry(Arc::clone(&registry)))
+    };
+    // every pass is an instant of its own, so its first scan is all misses
+    let clock = Cell::new(0u64);
+    let instant = |stack: &InvokerStack| {
+        clock.set(clock.get() + 1);
+        let ctx = ExecContext::new(&env, stack, Instant(clock.get()));
+        (
+            physical.execute(&ctx).unwrap(),
+            physical.execute(&ctx).unwrap(),
+        )
+    };
+    let kept = build();
+    let m = harness::paired(100, 10, || instant(&kept), || instant(&build()));
+    let (hits, misses) = (memo.hits(), memo.misses());
+    assert_eq!(hits, misses, "each pass: one scan called, one coalesced");
+    vec![row("beta_stack_rebuilt", m, true)]
 }
 
 /// A runtime in steady state: a `W[64]` stream query whose ring is full, a
@@ -331,8 +368,9 @@ fn remote() -> Vec<OverheadRow> {
 }
 
 fn main() {
-    let workloads: [fn() -> Vec<OverheadRow>; 6] =
-        [telemetry, resilience, checkpoint, adaptive, trace, remote];
+    let workloads: [fn() -> Vec<OverheadRow>; 7] = [
+        telemetry, resilience, beta_stack, checkpoint, adaptive, trace, remote,
+    ];
     let mut rows = Vec::new();
     for workload in workloads {
         for row in workload() {

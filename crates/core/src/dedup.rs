@@ -21,10 +21,20 @@
 //! entry. Advancing to a new instant clears the table — the memo never
 //! outlives the instant whose determinism justifies it.
 //!
+//! The first caller owes the others a result whatever happens below it,
+//! so its upstream call is [contained](invoke_contained): an invocation
+//! observer or trace sink that panics (both run *above* the catch-panic
+//! layer) is memoized and served as the [`EvalError::Panicked`] the
+//! caller's own containment would have made of it — the same error for
+//! every caller of the key, and no key left in flight with a latch nobody
+//! will publish.
+//!
 //! Every coalesced call is counted per logical caller in
-//! `serena_beta_dedup_total{service=…}` (when a registry is attached) and
+//! `serena_beta_dedup_total{service=…}` (when a registry is attached,
+//! through the handle it [keeps per service](MetricsRegistry::bundle)) and
 //! in [`DedupState::hits`]; physical upstream calls remain individually
-//! observed by the instrumented layer below.
+//! observed by the instrumented layer below. A memo hit resolves no series
+//! and allocates nothing beyond the rows it hands back.
 //!
 //! [`Service`]: crate::service::Service
 
@@ -36,18 +46,26 @@ use crate::sync::Mutex;
 
 use crate::error::EvalError;
 use crate::prototype::Prototype;
-use crate::service::{Invoker, InvokerLayer};
-use crate::telemetry::{FlightRecorder, MetricsRegistry};
+use crate::service::{invoke_contained, Invoker, InvokerLayer};
+use crate::telemetry::{Counter, FlightRecorder, MetricsRegistry};
 use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::ServiceRef;
 
-/// The identity of one β invocation within an instant.
+/// The identity of one β invocation within an instant. All three parts
+/// are shared handles: building a key allocates nothing.
 #[derive(Clone, PartialEq, Eq, Hash)]
 struct DedupKey {
-    prototype: String,
+    prototype: Arc<str>,
     service: ServiceRef,
     input: Tuple,
+}
+
+/// `serena_beta_dedup_total{service}` — this layer's per-service
+/// [bundle](MetricsRegistry::bundle), so counting a coalesced call resolves
+/// no series.
+struct DedupSeries {
+    coalesced: Arc<Counter>,
 }
 
 type CallResult = Result<Vec<Tuple>, EvalError>;
@@ -221,9 +239,10 @@ impl DedupLayer {
     fn count_dedup(&self, service: &ServiceRef) {
         self.state.hits.fetch_add(1, Ordering::Relaxed);
         if let Some(registry) = &self.registry {
-            registry
-                .counter("serena_beta_dedup_total", &[("service", service.as_str())])
-                .inc();
+            let series = registry.bundle(service, |r| DedupSeries {
+                coalesced: r.counter("serena_beta_dedup_total", &[("service", service.as_str())]),
+            });
+            series.coalesced.inc();
         }
     }
 }
@@ -253,7 +272,7 @@ impl Invoker for Dedup<'_> {
     ) -> Result<Vec<Tuple>, EvalError> {
         let DedupLayer { state, tracer, .. } = &self.layer;
         let key = DedupKey {
-            prototype: prototype.name().to_string(),
+            prototype: Arc::clone(prototype.shared_name()),
             service: service_ref.clone(),
             input: input.clone(),
         };
@@ -277,7 +296,12 @@ impl Invoker for Dedup<'_> {
                     // layers below (resilience, per-attempt
                     // instrumentation) nest under this logical β span
                     let _in_span = span.as_ref().map(|s| s.enter());
-                    self.inner.invoke(prototype, service_ref, input, at)
+                    // Contained: this caller owes every waiter on `latch`
+                    // a result. An observer or trace sink that panics
+                    // above the catch-panic layer would otherwise unwind
+                    // past the publish below and leave the key in flight
+                    // for good — the next caller of it would never wake.
+                    invoke_contained(&*self.inner, prototype, service_ref, input, at)
                 };
                 state.misses.fetch_add(1, Ordering::Relaxed);
                 state.complete(&key, at, result.clone());
@@ -476,6 +500,63 @@ mod tests {
         assert_eq!(calls.load(Ordering::SeqCst), 1, "calls coalesced");
         assert_eq!(state.hits() + state.misses(), 8);
         assert_eq!(state.misses(), 1);
+    }
+
+    /// Panics the first time it is called — as an invocation observer or
+    /// a trace sink would, above the catch-panic layer.
+    struct PanicsOnce(AtomicU64);
+
+    impl Invoker for PanicsOnce {
+        fn invoke(
+            &self,
+            _prototype: &Prototype,
+            _service_ref: &ServiceRef,
+            _input: &Tuple,
+            at: Instant,
+        ) -> Result<Vec<Tuple>, EvalError> {
+            if self.0.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("observer is down");
+            }
+            Ok(vec![Tuple::new(vec![Value::Real(at.ticks() as f64)])])
+        }
+
+        fn providers_of(&self, _prototype: &str) -> Vec<ServiceRef> {
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn an_unwinding_call_is_served_as_its_error_not_left_in_flight() {
+        // on a thread of its own: left in flight, the second call below
+        // waits for good, and a test that hangs reports nothing
+        let (done, outcome) = std::sync::mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let state = Arc::new(DedupState::new());
+            let inv = InvokerStack::new(PanicsOnce(AtomicU64::new(0)))
+                .layer(DedupLayer::new(Arc::clone(&state)))
+                .into_inner();
+            let call = |at| {
+                inv.invoke(
+                    &protos::get_temperature(),
+                    &ServiceRef::new("sensor01"),
+                    &Tuple::empty(),
+                    at,
+                )
+            };
+            let calls = [call(Instant(1)), call(Instant(1)), call(Instant(2))];
+            let _ = done.send((calls, state.hits(), state.misses()));
+        });
+        let ([first, second, next], hits, misses) = outcome
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("the second caller of an unwound key waits for nobody");
+        caller.join().expect("caller thread");
+        assert!(
+            matches!(&first, Err(EvalError::Panicked { reason, .. }) if reason == "observer is down"),
+            "{first:?}"
+        );
+        assert_eq!(first, second, "every caller of the key sees that error");
+        assert!(next.is_ok(), "the next instant starts clean: {next:?}");
+        assert_eq!((hits, misses), (1, 2));
     }
 
     #[test]

@@ -109,7 +109,9 @@ impl fmt::Display for RelationSchema {
 /// A prototype `ψ ∈ P` (§2.3.1).
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct Prototype {
-    name: String,
+    /// Shared, so a per-call key naming the prototype (the β dedup memo's)
+    /// clones a handle instead of the text.
+    name: Arc<str>,
     input: RelationSchema,
     output: RelationSchema,
     active: bool,
@@ -135,7 +137,7 @@ impl Prototype {
             });
         }
         Ok(Arc::new(Prototype {
-            name,
+            name: name.into(),
             input,
             output,
             active,
@@ -157,6 +159,10 @@ impl Prototype {
 
     /// Prototype name.
     pub fn name(&self) -> &str {
+        &self.name
+    }
+
+    pub(crate) fn shared_name(&self) -> &Arc<str> {
         &self.name
     }
 

@@ -9,6 +9,7 @@
 //! paths shared across executor threads.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 
 /// Linear sub-buckets per power-of-two octave (relative error ≤ 1/SUBS).
 pub const SUBS: u64 = 8;
@@ -52,7 +53,11 @@ pub struct Histogram {
     buckets: Vec<AtomicU64>,
     /// Last span id recorded into each bucket (0 = none) — **exemplars**:
     /// a quantile estimate links back to a concrete recorded span tree.
-    exemplars: Vec<AtomicU64>,
+    /// Allocated by the first stamped sample: span ids exist only while
+    /// the flight recorder is armed, and a table as large as the buckets
+    /// on each of a fleet's per-service histograms is otherwise half of
+    /// what they weigh.
+    exemplars: OnceLock<Box<[AtomicU64]>>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
@@ -69,7 +74,7 @@ impl Histogram {
     pub fn new() -> Self {
         Histogram {
             buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
-            exemplars: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
+            exemplars: OnceLock::new(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
@@ -91,7 +96,10 @@ impl Histogram {
         let idx = bucket_index(v);
         self.buckets[idx].fetch_add(1, Ordering::Relaxed);
         if span_id != 0 {
-            self.exemplars[idx].store(span_id, Ordering::Relaxed);
+            let exemplars = self
+                .exemplars
+                .get_or_init(|| (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect());
+            exemplars[idx].store(span_id, Ordering::Relaxed);
         }
         self.count.fetch_add(1, Ordering::Relaxed);
         self.sum.fetch_add(v, Ordering::Relaxed);
@@ -99,9 +107,10 @@ impl Histogram {
     }
 
     /// The exemplar span id for the bucket holding the `q`-quantile rank
-    /// (`None` when the histogram is empty or no exemplar was stamped
-    /// there).
+    /// (`None` when the histogram is empty, was never stamped, or no
+    /// exemplar was stamped there).
     pub fn exemplar_for_quantile(&self, q: f64) -> Option<u64> {
+        let exemplars = self.exemplars.get()?;
         let total = self.count();
         if total == 0 {
             return None;
@@ -111,7 +120,7 @@ impl Histogram {
         for (i, b) in self.buckets.iter().enumerate() {
             cum += b.load(Ordering::Relaxed);
             if cum >= rank {
-                let id = self.exemplars[i].load(Ordering::Relaxed);
+                let id = exemplars[i].load(Ordering::Relaxed);
                 return (id != 0).then_some(id);
             }
         }
@@ -294,6 +303,23 @@ mod tests {
         // recording without a span id keeps the previous exemplar
         h.record_with_exemplar(1 << 20, 0);
         assert_eq!(h.exemplar_for_quantile(1.0), Some(42));
+    }
+
+    #[test]
+    fn an_unstamped_histogram_holds_no_exemplar_table() {
+        let h = Histogram::new();
+        for v in [10u64, 1 << 20] {
+            h.record(v);
+            h.record_with_exemplar(v, 0); // tracing off: span id 0
+        }
+        assert!(h.exemplars.get().is_none(), "no span id, no table");
+        assert_eq!(h.exemplar_for_quantile(0.5), None);
+        assert_eq!(h.count(), 4);
+        // the first stamped sample allocates it, and its quantile links
+        h.record_with_exemplar(1 << 20, 42);
+        assert_eq!(h.exemplars.get().map(|t| t.len()), Some(BUCKET_COUNT));
+        assert_eq!(h.exemplar_for_quantile(1.0), Some(42));
+        assert_eq!(h.exemplar_for_quantile(0.1), None, "bucket never stamped");
     }
 
     #[test]

@@ -8,14 +8,12 @@
 //! operator, so both the one-shot executor and the batched/parallel
 //! continuous path (`InvokeRecipe::call_batch`) are observed identically.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::EvalError;
 use crate::prototype::Prototype;
 use crate::service::{Invoker, InvokerLayer};
-use crate::sync::RwLock;
 use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::ServiceRef;
@@ -39,12 +37,23 @@ pub trait InvocationObserver: Send + Sync {
     );
 }
 
-/// Cached per-service series handles.
-#[derive(Clone)]
+/// One service's series handles — this layer's
+/// [bundle](MetricsRegistry::bundle).
 struct ServiceSeries {
     latency: Arc<Histogram>,
     calls: Arc<Counter>,
     failures: Arc<Counter>,
+}
+
+impl ServiceSeries {
+    fn resolve(registry: &MetricsRegistry, service: &ServiceRef) -> Self {
+        let labels: [(&str, &str); 1] = [("service", service.as_str())];
+        ServiceSeries {
+            latency: registry.histogram("serena_service_latency_ns", &labels),
+            calls: registry.counter("serena_service_calls_total", &labels),
+            failures: registry.counter("serena_service_failures_total", &labels),
+        }
+    }
 }
 
 /// An [`InvokerLayer`] measuring every call, for use with
@@ -55,9 +64,12 @@ struct ServiceSeries {
 /// Registry series (when a registry is attached):
 /// `serena_service_latency_ns{service}` (histogram),
 /// `serena_service_calls_total{service}` and
-/// `serena_service_failures_total{service}` (counters). Series handles are
-/// cached per [`ServiceRef`], so steady-state recording takes one read
-/// lock plus a few atomic updates.
+/// `serena_service_failures_total{service}` (counters). The handles are
+/// the registry's per-service [bundle](MetricsRegistry::bundle), resolved
+/// on a service's first call and kept by the registry — not by this layer,
+/// which the runtime rebuilds every tick — so recording takes one hash
+/// lookup under a read lock plus a few atomic updates, whichever stack
+/// the call came through.
 ///
 /// ```
 /// use serena_core::prelude::*;
@@ -114,7 +126,6 @@ impl<'a> InvokerLayer<'a> for InstrumentedLayer<'a> {
         Box::new(Instrumented {
             inner,
             outputs: self,
-            series: RwLock::new(HashMap::new()),
         })
     }
 }
@@ -123,26 +134,6 @@ impl<'a> InvokerLayer<'a> for InstrumentedLayer<'a> {
 struct Instrumented<'a> {
     inner: Box<dyn Invoker + 'a>,
     outputs: InstrumentedLayer<'a>,
-    series: RwLock<HashMap<ServiceRef, ServiceSeries>>,
-}
-
-impl Instrumented<'_> {
-    fn series_for(&self, registry: &MetricsRegistry, service: &ServiceRef) -> ServiceSeries {
-        if let Some(series) = self.series.read().get(service) {
-            return series.clone();
-        }
-        let labels: [(&str, &str); 1] = [("service", service.as_str())];
-        let series = ServiceSeries {
-            latency: registry.histogram("serena_service_latency_ns", &labels),
-            calls: registry.counter("serena_service_calls_total", &labels),
-            failures: registry.counter("serena_service_failures_total", &labels),
-        };
-        self.series
-            .write()
-            .entry(service.clone())
-            .or_insert(series)
-            .clone()
-    }
 }
 
 impl Invoker for Instrumented<'_> {
@@ -180,7 +171,7 @@ impl Invoker for Instrumented<'_> {
         drop(span); // close before the latency sample so the exemplar resolves
 
         if let Some(registry) = registry {
-            let series = self.series_for(registry, service_ref);
+            let series = registry.bundle(service_ref, |r| ServiceSeries::resolve(r, service_ref));
             series.latency.record_with_exemplar(
                 u128::min(latency.as_nanos(), u64::MAX as u128) as u64,
                 span_id,

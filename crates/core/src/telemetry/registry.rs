@@ -4,19 +4,33 @@
 //! label set)* to a shared metric instrument. Lookups take a read lock and
 //! return an [`Arc`] handle; hot paths resolve their handles once and then
 //! update them with plain atomic operations — the registry lock is never
-//! held while recording.
+//! held while recording. A resolution is not cheap (it builds the key's
+//! strings and descends a map ordered by them), so "once" has to mean once
+//! per series, not once per object that happens to do the recording.
+//!
+//! For series labelled by *service* the registry keeps that promise itself:
+//! [`MetricsRegistry::bundle`] maps a [`ServiceRef`] to a caller-defined
+//! struct of handles, resolved on the service's first call and kept for the
+//! registry's life. The β invoker stack is rebuilt every tick, so a layer
+//! that kept its handles in its own fields would resolve them again every
+//! tick; the bundles live here because the handles are this registry's
+//! series — a bundle cannot count into a registry it was not resolved from,
+//! and [`MetricsRegistry::remove_matching`] retires a service's series and
+//! its bundles in one place.
 //!
 //! [`MetricsRegistry::render_prometheus`] serialises every series in the
 //! [Prometheus text exposition format](https://prometheus.io/docs/instrumenting/exposition_formats/):
 //! `# TYPE` headers, `name{label="value"} sample` lines, and cumulative
 //! `_bucket`/`_sum`/`_count` series for histograms.
 
-use std::collections::BTreeMap;
+use std::any::{Any, TypeId};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use crate::sync::RwLock;
+use crate::value::ServiceRef;
 
 use super::histogram::Histogram;
 
@@ -94,6 +108,31 @@ pub struct MetricsRegistry {
     counters: RwLock<BTreeMap<SeriesKey, Arc<Counter>>>,
     gauges: RwLock<BTreeMap<SeriesKey, Arc<Gauge>>>,
     histograms: RwLock<BTreeMap<SeriesKey, Arc<Histogram>>>,
+    bundles: RwLock<Bundles>,
+}
+
+type Bundle = Arc<dyn Any + Send + Sync>;
+
+/// Per-service handle bundles, one per bundle type that has recorded for
+/// the service (at most three: the β layers'). Keyed by service first so a
+/// call pays one hash of the reference it already holds.
+#[derive(Debug, Default)]
+struct Bundles {
+    by_service: HashMap<ServiceRef, Vec<(TypeId, Bundle)>>,
+    /// How many services [`MetricsRegistry::remove_matching`] has retired:
+    /// handles resolved before a retirement may be the retired series'.
+    retirements: u64,
+}
+
+impl Bundles {
+    fn find<S: Any + Send + Sync>(&self, service: &ServiceRef) -> Option<Arc<S>> {
+        let (_, bundle) = self
+            .by_service
+            .get(service)?
+            .iter()
+            .find(|(id, _)| *id == TypeId::of::<S>())?;
+        Some(Arc::clone(bundle).downcast().expect("stored under S's id"))
+    }
 }
 
 fn get_or_create<T: Default>(
@@ -129,6 +168,51 @@ impl MetricsRegistry {
         get_or_create(&self.histograms, name, labels)
     }
 
+    /// The handles a hot path keeps for `service`: `resolve` runs on the
+    /// first call for this `(S, service)` and its result is kept for the
+    /// registry's life (or until [`Self::remove_matching`] retires the
+    /// service), so every later call is one hash lookup under a read lock
+    /// — no series key built, no series map descended. `S` is the caller's
+    /// own struct of [`Counter`] / [`Histogram`] handles labelled
+    /// `service=<service>`; two callers asking for the same `S` share one
+    /// bundle.
+    ///
+    /// `resolve` runs outside the map's lock — it allocates series under
+    /// the series maps' own locks, and a first call must not stall every
+    /// other worker's lookups for that long — so two workers first-calling
+    /// one service may both resolve; the series are the same, one bundle is
+    /// kept and both are handed it. A bundle resolved while a service was
+    /// being retired is resolved again rather than kept.
+    pub fn bundle<S: Any + Send + Sync>(
+        &self,
+        service: &ServiceRef,
+        resolve: impl Fn(&MetricsRegistry) -> S,
+    ) -> Arc<S> {
+        let mut seen = {
+            let bundles = self.bundles.read();
+            if let Some(kept) = bundles.find(service) {
+                return kept;
+            }
+            bundles.retirements
+        };
+        loop {
+            let fresh = Arc::new(resolve(self));
+            let mut bundles = self.bundles.write();
+            if let Some(raced) = bundles.find(service) {
+                return raced;
+            }
+            if bundles.retirements == seen {
+                bundles
+                    .by_service
+                    .entry(service.clone())
+                    .or_default()
+                    .push((TypeId::of::<S>(), Arc::clone(&fresh) as Bundle));
+                return fresh;
+            }
+            seen = bundles.retirements;
+        }
+    }
+
     /// Current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         self.counters
@@ -153,7 +237,11 @@ impl MetricsRegistry {
     ///
     /// This is how per-entity series are retired when the entity goes
     /// away — e.g. deregistering a continuous query must not leave its
-    /// `query="…"` gauges frozen at their last values forever.
+    /// `query="…"` gauges frozen at their last values forever. Retiring
+    /// `service="x"` also drops `x`'s [`bundles`](Self::bundle), after the
+    /// series and in one step with counting the retirement: a handle
+    /// resolved before the sweep is never kept past it, so the service's
+    /// next call counts into a live, rendered series.
     pub fn remove_matching(&self, label_key: &str, label_value: &str) -> usize {
         fn sweep<T>(
             map: &RwLock<BTreeMap<SeriesKey, Arc<T>>>,
@@ -169,9 +257,15 @@ impl MetricsRegistry {
             });
             before - map.len()
         }
-        sweep(&self.counters, label_key, label_value)
+        let removed = sweep(&self.counters, label_key, label_value)
             + sweep(&self.gauges, label_key, label_value)
-            + sweep(&self.histograms, label_key, label_value)
+            + sweep(&self.histograms, label_key, label_value);
+        if label_key == "service" {
+            let mut bundles = self.bundles.write();
+            bundles.retirements += 1;
+            bundles.by_service.remove(&ServiceRef::new(label_value));
+        }
+        removed
     }
 
     /// Render every series in the Prometheus text exposition format.
@@ -389,5 +483,139 @@ mod tests {
         assert!(text.contains("global_total 1"));
         // removing again is a no-op
         assert_eq!(reg.remove_matching("query", "q1"), 0);
+    }
+
+    /// A layer's bundle, as the β layers define theirs.
+    struct Calls(Arc<Counter>);
+
+    fn calls(reg: &MetricsRegistry, service: &ServiceRef) -> Arc<Calls> {
+        reg.bundle(service, |r| {
+            Calls(r.counter("calls_total", &[("service", service.as_str())]))
+        })
+    }
+
+    #[test]
+    fn a_bundle_is_resolved_once_per_service_and_type() {
+        let reg = MetricsRegistry::new();
+        let (s1, s2) = (ServiceRef::new("s1"), ServiceRef::new("s2"));
+        let resolved = AtomicU64::new(0);
+        let get = |service: &ServiceRef| {
+            reg.bundle(service, |r| {
+                resolved.fetch_add(1, Ordering::SeqCst);
+                Calls(r.counter("calls_total", &[("service", service.as_str())]))
+            })
+        };
+        let first = get(&s1);
+        assert!(Arc::ptr_eq(&first, &get(&s1)));
+        assert!(!Arc::ptr_eq(&first, &get(&s2)));
+        assert_eq!(resolved.load(Ordering::SeqCst), 2, "one resolution each");
+        // another bundle type for the same service is its own entry
+        struct Other(Arc<Counter>);
+        let other = reg.bundle(&s1, |r| Other(r.counter("other_total", &[])));
+        other.0.inc();
+        first.0.inc();
+        assert_eq!(
+            reg.counter_value("calls_total", &[("service", "s1")]),
+            Some(1)
+        );
+        assert_eq!(reg.counter_value("other_total", &[]), Some(1));
+    }
+
+    #[test]
+    fn concurrent_first_calls_share_one_bundle_and_lose_no_increment() {
+        const ROUNDS: usize = 200;
+        const PER_THREAD: u64 = 500;
+        let reg = MetricsRegistry::new();
+        for round in 0..ROUNDS {
+            let service = ServiceRef::new(format!("s{round}"));
+            let resolved = AtomicU64::new(0);
+            // both threads leave the barrier into the service's first call
+            let start = std::sync::Barrier::new(2);
+            let bundles: Vec<Arc<Calls>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            let mut kept = None;
+                            for _ in 0..PER_THREAD {
+                                let bundle = reg.bundle(&service, |r| {
+                                    resolved.fetch_add(1, Ordering::SeqCst);
+                                    Calls(
+                                        r.counter("calls_total", &[("service", service.as_str())]),
+                                    )
+                                });
+                                bundle.0.inc();
+                                kept = Some(bundle);
+                            }
+                            kept.expect("PER_THREAD > 0")
+                        })
+                    })
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("caller thread"))
+                    .collect()
+            });
+            // both may have resolved (the same series); one bundle is kept
+            assert!((1..=2).contains(&resolved.load(Ordering::SeqCst)));
+            assert!(Arc::ptr_eq(&bundles[0], &bundles[1]), "round {round}");
+            assert_eq!(
+                reg.counter_value("calls_total", &[("service", service.as_str())]),
+                Some(2 * PER_THREAD),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_bundle_resolved_across_a_retirement_is_resolved_again() {
+        let reg = MetricsRegistry::new();
+        let service = ServiceRef::new("s");
+        let resolutions = AtomicU64::new(0);
+        let bundle = reg.bundle(&service, |r| {
+            let calls = Calls(r.counter("calls_total", &[("service", "s")]));
+            // the service is retired after this resolution, before its
+            // handles are kept: they are the swept series'
+            if resolutions.fetch_add(1, Ordering::SeqCst) == 0 {
+                assert_eq!(r.remove_matching("service", "s"), 1);
+            }
+            calls
+        });
+        assert_eq!(resolutions.load(Ordering::SeqCst), 2);
+        bundle.0.inc();
+        assert_eq!(
+            reg.counter_value("calls_total", &[("service", "s")]),
+            Some(1),
+            "the kept handle counts into the live series"
+        );
+        assert!(Arc::ptr_eq(&bundle, &calls(&reg, &service)));
+    }
+
+    #[test]
+    fn retiring_a_service_drops_its_bundles_with_its_series() {
+        let reg = MetricsRegistry::new();
+        let (gone, stays) = (ServiceRef::new("gone"), ServiceRef::new("stays"));
+        calls(&reg, &gone).0.add(7);
+        calls(&reg, &stays).0.add(1);
+        assert_eq!(reg.remove_matching("service", "gone"), 1);
+        assert!(!reg.render_prometheus().contains("gone"));
+        // the next call counts into a live, rendered series — not into the
+        // retired one through a handle kept past its retirement
+        calls(&reg, &gone).0.inc();
+        assert_eq!(
+            reg.counter_value("calls_total", &[("service", "gone")]),
+            Some(1)
+        );
+        assert!(reg
+            .render_prometheus()
+            .contains("calls_total{service=\"gone\"} 1"));
+        // a bystander's bundle is untouched, and so is any other label's
+        calls(&reg, &stays).0.inc();
+        reg.remove_matching("query", "stays");
+        calls(&reg, &stays).0.inc();
+        assert_eq!(
+            reg.counter_value("calls_total", &[("service", "stays")]),
+            Some(3)
+        );
     }
 }

@@ -99,7 +99,8 @@ pub trait TraceSink: Send + Sync {
     fn emit(&self, event: &TraceEvent);
 }
 
-/// The default sink: discards everything.
+/// A sink that discards everything, for callers that must pass one. (A
+/// runtime without a sink holds none, so that no event is built for it.)
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopTrace;
 

@@ -28,8 +28,8 @@ use serena_core::plan::Plan;
 use serena_core::service::{CatchPanicLayer, Invoker, InvokerStack};
 use serena_core::snapshot::{self, Reader, SnapshotError, Writer};
 use serena_core::telemetry::{
-    chrome_trace, FlightRecorder, InstrumentedLayer, MetricsRegistry, NoopTrace, RegistrySink,
-    SpanRecord, TraceSink,
+    chrome_trace, FlightRecorder, InstrumentedLayer, MetricsRegistry, RegistrySink, SpanRecord,
+    TraceSink,
 };
 use serena_core::time::Instant;
 use serena_core::value::ServiceRef;
@@ -335,14 +335,13 @@ impl PemsBuilder {
         let bus = DiscoveryBus::new(self.bus);
         let telemetry = Arc::new(MetricsRegistry::new());
         let telemetry_sink = RegistrySink::new(&telemetry);
-        let trace: Arc<dyn TraceSink> = self.trace.unwrap_or_else(|| Arc::new(NoopTrace));
         let tracer = Arc::new(FlightRecorder::from_env());
         if let Some(on) = self.tracing {
             tracer.arm(on);
         }
         let mut processor = QueryProcessor::new();
         processor.seek(self.clock);
-        processor.set_telemetry(Arc::clone(&telemetry), Arc::clone(&trace));
+        processor.set_telemetry(Arc::clone(&telemetry), self.trace.clone());
         processor.set_scheduler(self.scheduler.unwrap_or_else(SchedulerConfig::from_env));
         processor.set_tracer(Arc::clone(&tracer));
         let dedup_enabled = self
@@ -379,7 +378,7 @@ impl PemsBuilder {
             telemetry,
             telemetry_sink,
             health: Arc::new(HealthTracker::new(self.health_window)),
-            trace,
+            trace: self.trace,
             resilience_policy: self.resilience,
             resilience: Arc::new(ResilienceState::new()),
             dedup: Arc::new(DedupState::new()),
@@ -420,8 +419,10 @@ pub struct Pems {
     telemetry_sink: RegistrySink,
     /// Rolling per-service health fed by every β invocation outcome.
     health: Arc<HealthTracker>,
-    /// Structured trace sink ([`NoopTrace`] unless configured).
-    trace: Arc<dyn TraceSink>,
+    /// Structured trace sink. `None` unless configured: without a sink no
+    /// layer builds a [`TraceEvent`](serena_core::telemetry::TraceEvent)
+    /// at all, rather than building one for a sink that discards it.
+    trace: Option<Arc<dyn TraceSink>>,
     /// Resilience policy the invoker stack is built with.
     resilience_policy: ResiliencePolicy,
     /// Breakers and retry/timeout counters, shared across rebuilt stacks.
@@ -583,7 +584,7 @@ impl Pems {
             &self.directory,
             &self.telemetry,
             &self.health,
-            &*self.trace,
+            self.trace.as_deref(),
             &self.tracer,
             self.resilience_policy,
             Arc::clone(&self.resilience),
@@ -1151,7 +1152,7 @@ impl Pems {
             &self.directory,
             &self.telemetry,
             &self.health,
-            &*self.trace,
+            self.trace.as_deref(),
             &self.tracer,
             self.resilience_policy,
             Arc::clone(&self.resilience),
@@ -1199,12 +1200,7 @@ impl Pems {
                     self.telemetry
                         .counter("serena_checkpoint_errors_total", &[])
                         .inc();
-                    self.trace
-                        .emit(&serena_core::telemetry::TraceEvent::Failure {
-                            scope: "checkpoint".into(),
-                            at: self.processor.clock(),
-                            message: e.to_string(),
-                        });
+                    self.trace_failure("checkpoint", self.processor.clock(), &e);
                 }
             }
             if let Some(standby) = &self.standby {
@@ -1218,17 +1214,23 @@ impl Pems {
                         self.telemetry
                             .counter("serena_replication_errors_total", &[])
                             .inc();
-                        self.trace
-                            .emit(&serena_core::telemetry::TraceEvent::Failure {
-                                scope: "replication".into(),
-                                at: self.processor.clock(),
-                                message: e.to_string(),
-                            });
+                        self.trace_failure("replication", self.processor.clock(), &e);
                     }
                 }
             }
         }
         reports
+    }
+
+    /// Tell the trace sink, when there is one, that `scope` failed.
+    fn trace_failure(&self, scope: &str, at: Instant, error: &dyn std::fmt::Display) {
+        if let Some(trace) = &self.trace {
+            trace.emit(&serena_core::telemetry::TraceEvent::Failure {
+                scope: scope.to_string(),
+                at,
+                message: error.to_string(),
+            });
+        }
     }
 
     /// Run `n` ticks, returning all reports flattened.
@@ -1400,12 +1402,7 @@ impl Pems {
             .processor
             .swap_query(name, new_plan, &mut sources, &migration)
         {
-            self.trace
-                .emit(&serena_core::telemetry::TraceEvent::Failure {
-                    scope: format!("replan:{name}"),
-                    at,
-                    message: e.to_string(),
-                });
+            self.trace_failure(&format!("replan:{name}"), at, &e);
             return false;
         }
         ctrl.record(at, name, reason, best);
@@ -1597,34 +1594,40 @@ fn profile_text(
 /// counted in `serena_beta_dedup_total`). The resilient layer is a no-op
 /// pass-through when `policy` is disabled, the dedup layer when
 /// `dedup_enabled` is false.
+///
+/// Built once per tick and per one-shot statement, which costs the four
+/// boxes and nothing else: what a layer resolves or remembers per service
+/// — series handles (`telemetry`'s bundles), breakers (`state`), the memo
+/// (`dedup`), health windows — is owned by the arguments, which outlive
+/// the stack. No sink, no [`TraceEvent`](serena_core::telemetry::TraceEvent).
 #[allow(clippy::too_many_arguments)]
 fn build_invoker_stack<'r>(
     directory: &'r NodeDirectory,
     telemetry: &'r Arc<MetricsRegistry>,
     health: &'r HealthTracker,
-    trace: &'r dyn TraceSink,
+    trace: Option<&'r dyn TraceSink>,
     tracer: &'r Arc<FlightRecorder>,
     policy: ResiliencePolicy,
     state: Arc<ResilienceState>,
     dedup: Arc<DedupState>,
     dedup_enabled: bool,
 ) -> Box<dyn Invoker + 'r> {
+    let mut instrumented = InstrumentedLayer::new()
+        .registry(telemetry.as_ref())
+        .observer(health)
+        .tracer(tracer.as_ref());
+    let mut resilient = ResilientLayer::new(policy, state)
+        .health(health)
+        .registry(telemetry.as_ref())
+        .tracer(tracer.as_ref());
+    if let Some(trace) = trace {
+        instrumented = instrumented.trace(trace);
+        resilient = resilient.trace(trace);
+    }
     InvokerStack::new(directory)
         .layer(CatchPanicLayer::new())
-        .layer(
-            InstrumentedLayer::new()
-                .registry(telemetry.as_ref())
-                .observer(health)
-                .trace(trace)
-                .tracer(tracer.as_ref()),
-        )
-        .layer(
-            ResilientLayer::new(policy, state)
-                .health(health)
-                .registry(telemetry.as_ref())
-                .tracer(tracer.as_ref())
-                .trace(trace),
-        )
+        .layer(instrumented)
+        .layer(resilient)
         .layer(
             DedupLayer::new(dedup)
                 .registry(Arc::clone(telemetry))

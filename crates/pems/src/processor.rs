@@ -86,7 +86,8 @@ impl QuerySeries {
 
 struct Telemetry {
     registry: Arc<MetricsRegistry>,
-    trace: Arc<dyn TraceSink>,
+    /// `None`: nobody listens, so no [`TraceEvent`] is built.
+    trace: Option<Arc<dyn TraceSink>>,
 }
 
 struct Registered {
@@ -188,9 +189,11 @@ impl QueryProcessor {
         query.seek(self.clock);
         query.set_tracer(self.tracer.clone());
         let series = self.telemetry.as_ref().map(|t| {
-            t.trace.emit(&TraceEvent::QueryRegistered {
-                query: name.clone(),
-            });
+            if let Some(trace) = &t.trace {
+                trace.emit(&TraceEvent::QueryRegistered {
+                    query: name.clone(),
+                });
+            }
             QuerySeries::new(&t.registry, &name)
         });
         self.queries.insert(
@@ -244,9 +247,13 @@ impl QueryProcessor {
     /// Attach continuous-query telemetry: per-query tick-duration,
     /// freshness-lag and cache-miss-batch histograms plus tick/tuple/error
     /// counters in `registry` (labelled `query=<name>`), and span-style
-    /// [`TraceEvent`]s to `trace`. Applies to already-registered queries
-    /// and everything registered afterwards.
-    pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>, trace: Arc<dyn TraceSink>) {
+    /// [`TraceEvent`]s to `trace` when there is one. Applies to
+    /// already-registered queries and everything registered afterwards.
+    pub fn set_telemetry(
+        &mut self,
+        registry: Arc<MetricsRegistry>,
+        trace: Option<Arc<dyn TraceSink>>,
+    ) {
         for (name, reg) in &mut self.queries {
             reg.series = Some(QuerySeries::new(&registry, name));
         }
@@ -392,7 +399,8 @@ impl QueryProcessor {
         // query's lag is the wall-clock from here to its tick completing.
         let scheduled = std::time::Instant::now();
         let at = self.clock;
-        let trace: Option<&dyn TraceSink> = self.telemetry.as_ref().map(|t| &*t.trace);
+        let trace: Option<&dyn TraceSink> =
+            self.telemetry.as_ref().and_then(|t| t.trace.as_deref());
         // Disjoint field borrow (`self.queries` is borrowed mutably
         // below); `Option<&FlightRecorder>` is `Copy`, so the tick
         // closures capture it by value.
@@ -565,8 +573,8 @@ impl QueryProcessor {
                     series.miss_batch.record(misses);
                 }
             }
-            if let Some(t) = &self.telemetry {
-                t.trace.emit(&TraceEvent::TickEnd {
+            if let Some(trace) = trace {
+                trace.emit(&TraceEvent::TickEnd {
                     query: name.clone(),
                     at: report.at,
                     duration_ns: u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64,
@@ -575,7 +583,7 @@ impl QueryProcessor {
                     errors: report.errors.len() as u64,
                 });
                 for e in &report.errors {
-                    t.trace.emit(&TraceEvent::Failure {
+                    trace.emit(&TraceEvent::Failure {
                         scope: name.clone(),
                         at: report.at,
                         message: e.to_string(),
@@ -740,7 +748,7 @@ mod tests {
         let (table, mut s1) = int_table();
         qp.register("early", &StreamPlan::source("t"), &mut s1)
             .unwrap();
-        qp.set_telemetry(registry.clone(), trace.clone());
+        qp.set_telemetry(registry.clone(), Some(trace.clone()));
         let mut s2 = SourceSet::new();
         s2.add_table("t", table.clone());
         qp.register("late", &StreamPlan::source("t"), &mut s2)
@@ -875,7 +883,7 @@ mod tests {
             let mut qp = QueryProcessor::new();
             qp.set_scheduler(SchedulerConfig::new(workers));
             let registry = Arc::new(MetricsRegistry::new());
-            qp.set_telemetry(registry.clone(), Arc::new(MemoryTrace::new()));
+            qp.set_telemetry(registry.clone(), Some(Arc::new(MemoryTrace::new())));
             let (table, mut s1) = int_table();
             qp.register("healthy", &StreamPlan::source("t"), &mut s1)
                 .unwrap();
@@ -970,7 +978,7 @@ mod tests {
         let mut qp = QueryProcessor::new();
         qp.set_scheduler(SchedulerConfig::new(4));
         let registry = Arc::new(MetricsRegistry::new());
-        qp.set_telemetry(registry.clone(), Arc::new(MemoryTrace::new()));
+        qp.set_telemetry(registry.clone(), Some(Arc::new(MemoryTrace::new())));
         let (table, _) = int_table();
         for i in 0..5 {
             let mut s = SourceSet::new();

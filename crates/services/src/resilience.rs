@@ -27,7 +27,8 @@
 //!
 //! Breaker state and counters live in a shared [`ResilienceState`] so they
 //! survive across ticks (the invoker stack is rebuilt per tick in the PEMS
-//! runtime). Graceful degradation of the β *output* — emitting partial
+//! runtime); the per-service registry series they are mirrored into are
+//! kept by the registry itself ([`MetricsRegistry::bundle`]). Graceful degradation of the β *output* — emitting partial
 //! results instead of erroring — is the executor's side of the contract:
 //! see [`DegradePolicy`](serena_core::ops::DegradePolicy).
 
@@ -42,7 +43,7 @@ use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
 use serena_core::service::{Invoker, InvokerLayer};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
-use serena_core::sync::{Mutex, RwLock};
+use serena_core::sync::Mutex;
 use serena_core::telemetry::{Counter, FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
@@ -344,8 +345,9 @@ impl ResilienceState {
     }
 }
 
-/// Cached per-service registry series.
-#[derive(Clone)]
+/// One service's registry series — this layer's
+/// [bundle](MetricsRegistry::bundle), kept by the registry across rebuilt
+/// stacks like the breakers are kept by [`ResilienceState`].
 struct ResilienceSeries {
     retries: Arc<Counter>,
     timeouts: Arc<Counter>,
@@ -354,6 +356,29 @@ struct ResilienceSeries {
     /// `serena_breaker_transitions_total{service,to}` for
     /// `to ∈ {closed, open, half_open}`, in that order.
     transitions: [Arc<Counter>; 3],
+}
+
+impl ResilienceSeries {
+    fn resolve(registry: &MetricsRegistry, service: &ServiceRef) -> Self {
+        let labels: [(&str, &str); 1] = [("service", service.as_str())];
+        let transition = |to: &str| {
+            registry.counter(
+                "serena_breaker_transitions_total",
+                &[("service", service.as_str()), ("to", to)],
+            )
+        };
+        ResilienceSeries {
+            retries: registry.counter("serena_resilience_retries_total", &labels),
+            timeouts: registry.counter("serena_resilience_timeouts_total", &labels),
+            breaker_opened: registry.counter("serena_resilience_breaker_opened_total", &labels),
+            rejected: registry.counter("serena_resilience_rejected_total", &labels),
+            transitions: [
+                transition("closed"),
+                transition("open"),
+                transition("half_open"),
+            ],
+        }
+    }
 }
 
 /// The resilience middleware: deadline + retry/backoff + circuit breaker
@@ -433,11 +458,7 @@ impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
             // Nothing to do — keep the stack free of a dead layer.
             return inner;
         }
-        Box::new(Resilient {
-            inner,
-            layer: self,
-            series: RwLock::new(HashMap::new()),
-        })
+        Box::new(Resilient { inner, layer: self })
     }
 }
 
@@ -445,42 +466,13 @@ impl<'a> InvokerLayer<'a> for ResilientLayer<'a> {
 struct Resilient<'a> {
     inner: Box<dyn Invoker + 'a>,
     layer: ResilientLayer<'a>,
-    series: RwLock<HashMap<ServiceRef, ResilienceSeries>>,
 }
 
 impl Resilient<'_> {
-    fn series_for(&self, registry: &MetricsRegistry, service: &ServiceRef) -> ResilienceSeries {
-        if let Some(series) = self.series.read().get(service) {
-            return series.clone();
-        }
-        let labels: [(&str, &str); 1] = [("service", service.as_str())];
-        let transition = |to: &str| {
-            registry.counter(
-                "serena_breaker_transitions_total",
-                &[("service", service.as_str()), ("to", to)],
-            )
-        };
-        let series = ResilienceSeries {
-            retries: registry.counter("serena_resilience_retries_total", &labels),
-            timeouts: registry.counter("serena_resilience_timeouts_total", &labels),
-            breaker_opened: registry.counter("serena_resilience_breaker_opened_total", &labels),
-            rejected: registry.counter("serena_resilience_rejected_total", &labels),
-            transitions: [
-                transition("closed"),
-                transition("open"),
-                transition("half_open"),
-            ],
-        };
-        self.series
-            .write()
-            .entry(service.clone())
-            .or_insert(series)
-            .clone()
-    }
-
     fn bump(&self, service: &ServiceRef, pick: impl Fn(&ResilienceSeries) -> &Arc<Counter>) {
         if let Some(registry) = self.layer.registry {
-            pick(&self.series_for(registry, service)).inc();
+            let series = registry.bundle(service, |r| ResilienceSeries::resolve(r, service));
+            pick(&series).inc();
         }
     }
 
