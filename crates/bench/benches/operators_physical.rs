@@ -1,5 +1,7 @@
 //! E12 — physical-plan execution: compile-once vs recompile-per-call, and
-//! serial vs parallel β under slow services.
+//! serial vs parallel β under slow services; E26 — one σπ statement through
+//! `Pems::run_sql`, straight after another read and straight after a
+//! one-row write.
 //!
 //! ```sh
 //! cargo bench -p serena-bench --bench operators_physical
@@ -20,7 +22,9 @@ use serena_core::exec::ExecContext;
 use serena_core::formula::Formula;
 use serena_core::physical::{ExecOptions, PhysicalPlan};
 use serena_core::plan::Plan;
+use serena_core::schema::examples as schemas;
 use serena_core::time::Instant;
+use serena_pems::Pems;
 use serena_services::faults::SlowInvoker;
 
 /// How slow each simulated device answers in the parallel-β comparison.
@@ -78,10 +82,48 @@ fn bench_invoke_parallelism(c: &mut Criterion) {
     group.finish();
 }
 
+/// A statement after a one-row write pays for one row: the same σπ over a
+/// 1 000-row table, with nothing written since the last statement and with
+/// one row inserted or deleted (in turn, so the table keeps its size) before
+/// each. The table's relation is shared between the reads and patched in
+/// place by the writes; re-sorting the table per statement, or dropping the
+/// relation on a write, would show as `after_write` a multiple of
+/// `after_read`.
+fn bench_one_shot_select(c: &mut Criterion) {
+    const ROWS: usize = 1_000;
+    const SELECT: &str = "SELECT name, address FROM contacts WHERE name = 'contact500'";
+    let mut group = c.benchmark_group("one_shot_select");
+    let mut pems = Pems::default();
+    let contacts = pems
+        .tables()
+        .define_table("contacts", schemas::contacts_schema())
+        .unwrap();
+    let rows = workload::contacts_relation(ROWS + 1).into_tuples();
+    let (extra, rows) = rows.split_last().unwrap();
+    rows.iter().for_each(|t| contacts.insert(t.clone()));
+    group.bench_function("after_read", |b| {
+        b.iter(|| pems.run_sql(None, SELECT).unwrap())
+    });
+    let mut present = false;
+    group.bench_function("after_write", |b| {
+        b.iter(|| {
+            if present {
+                contacts.delete(extra.clone());
+            } else {
+                contacts.insert(extra.clone());
+            }
+            present = !present;
+            pems.run_sql(None, SELECT).unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_compile_once_vs_recompile,
-    bench_invoke_parallelism
+    bench_invoke_parallelism,
+    bench_one_shot_select
 );
 
 fn mean_of<'a>(records: &'a [BenchRecord], label: &str) -> Option<&'a BenchRecord> {

@@ -10,6 +10,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use crate::attr::AttrName;
 use crate::error::SchemaError;
 use crate::prototype::Prototype;
 use crate::schema::SchemaRef;
@@ -17,13 +18,15 @@ use crate::value::DataType;
 use crate::xrelation::XRelation;
 
 /// A relational pervasive environment: named X-Relations + declared
-/// prototypes.
+/// prototypes. A relation is held by `Arc`, so an environment can share one
+/// with whoever built it (a table's instant, handed to every statement
+/// between two writes); nothing here can write into a relation once defined.
 #[derive(Default, Clone)]
 pub struct Environment {
-    relations: BTreeMap<String, XRelation>,
+    relations: BTreeMap<String, Arc<XRelation>>,
     prototypes: BTreeMap<String, Arc<Prototype>>,
     /// URSA ledger: attribute name → type first seen with.
-    attr_types: BTreeMap<String, DataType>,
+    attr_types: BTreeMap<AttrName, DataType>,
 }
 
 impl Environment {
@@ -42,10 +45,10 @@ impl Environment {
         }
         // URSA also covers prototype parameters.
         for (name, ty) in p.input().attrs().chain(p.output().attrs()) {
-            self.check_ursa(name.as_str(), *ty)?;
+            self.check_ursa(name, *ty)?;
         }
         for (name, ty) in p.input().attrs().chain(p.output().attrs()) {
-            self.attr_types.insert(name.to_string(), *ty);
+            self.attr_types.insert(name.clone(), *ty);
         }
         self.prototypes.insert(p.name().to_string(), p);
         Ok(())
@@ -61,11 +64,11 @@ impl Environment {
         self.prototypes.values()
     }
 
-    fn check_ursa(&self, attr: &str, ty: DataType) -> Result<(), SchemaError> {
+    fn check_ursa(&self, attr: &AttrName, ty: DataType) -> Result<(), SchemaError> {
         if let Some(prev) = self.attr_types.get(attr) {
             if *prev != ty {
                 return Err(SchemaError::UrsaViolation {
-                    attr: crate::attr::AttrName::new(attr),
+                    attr: attr.clone(),
                     first: *prev,
                     second: ty,
                 });
@@ -74,21 +77,22 @@ impl Environment {
         Ok(())
     }
 
-    /// Define a named X-Relation. Enforces name uniqueness and URSA.
+    /// Define a named X-Relation, owned or shared. Enforces name uniqueness
+    /// and URSA.
     pub fn define_relation(
         &mut self,
         name: impl Into<String>,
-        relation: XRelation,
+        relation: impl Into<Arc<XRelation>>,
     ) -> Result<(), SchemaError> {
-        let name = name.into();
+        let (name, relation) = (name.into(), relation.into());
         if self.relations.contains_key(&name) {
             return Err(SchemaError::DuplicateRelation(name));
         }
         for a in relation.schema().attrs() {
-            self.check_ursa(a.name.as_str(), a.ty)?;
+            self.check_ursa(&a.name, a.ty)?;
         }
         for a in relation.schema().attrs() {
-            self.attr_types.insert(a.name.to_string(), a.ty);
+            self.attr_types.insert(a.name.clone(), a.ty);
         }
         self.relations.insert(name, relation);
         Ok(())
@@ -103,38 +107,19 @@ impl Environment {
         self.define_relation(name, XRelation::empty(schema))
     }
 
-    /// Replace the *contents* of an existing relation (schema must stay
-    /// compatible). Used by discovery queries and the table manager.
-    pub fn replace_relation(&mut self, name: &str, relation: XRelation) -> Result<(), SchemaError> {
-        match self.relations.get_mut(name) {
-            None => Err(SchemaError::DuplicateRelation(format!(
-                "{name} (not defined)"
-            ))),
-            Some(slot) => {
-                *slot = relation;
-                Ok(())
-            }
-        }
-    }
-
     /// Remove a relation. Returns it if present.
-    pub fn drop_relation(&mut self, name: &str) -> Option<XRelation> {
+    pub fn drop_relation(&mut self, name: &str) -> Option<Arc<XRelation>> {
         self.relations.remove(name)
     }
 
     /// Look up a relation.
     pub fn relation(&self, name: &str) -> Option<&XRelation> {
-        self.relations.get(name)
-    }
-
-    /// Mutable access to a relation (insert/delete tuples).
-    pub fn relation_mut(&mut self, name: &str) -> Option<&mut XRelation> {
-        self.relations.get_mut(name)
+        self.relations.get(name).map(|r| &**r)
     }
 
     /// Iterate `(name, relation)` sorted by name.
     pub fn relations(&self) -> impl Iterator<Item = (&str, &XRelation)> {
-        self.relations.iter().map(|(n, r)| (n.as_str(), r))
+        self.relations.iter().map(|(n, r)| (n.as_str(), &**r))
     }
 
     /// Number of relations.
@@ -194,7 +179,6 @@ mod tests {
     use super::*;
     use crate::prototype::examples as protos;
     use crate::schema::XSchema;
-    use crate::tuple;
 
     #[test]
     fn example_environment_is_complete() {
@@ -250,24 +234,19 @@ mod tests {
     }
 
     #[test]
-    fn mutation_and_replacement() {
-        let mut env = example_environment();
-        env.relation_mut("contacts")
-            .unwrap()
-            .insert(tuple!["Ada", "ada@lovelace.org", "email"]);
-        assert_eq!(env.relation("contacts").unwrap().len(), 4);
+    fn a_shared_relation_is_defined_without_a_copy() {
+        let shared = Arc::new(crate::xrelation::examples::contacts());
+        let mut env = Environment::new();
+        env.define_relation("contacts", Arc::clone(&shared))
+            .unwrap();
+        assert!(std::ptr::eq(env.relation("contacts").unwrap(), &*shared));
+        // a copy of the environment shares it too
+        let copy = env.clone();
+        assert!(std::ptr::eq(copy.relation("contacts").unwrap(), &*shared));
 
-        let empty = XRelation::empty(env.relation("contacts").unwrap().schema_ref());
-        env.replace_relation("contacts", empty).unwrap();
-        assert_eq!(env.relation("contacts").unwrap().len(), 0);
-        assert!(env
-            .replace_relation(
-                "ghost",
-                XRelation::empty(crate::schema::examples::contacts_schema(),)
-            )
-            .is_err());
-
-        assert!(env.drop_relation("contacts").is_some());
+        let dropped = env.drop_relation("contacts").unwrap();
+        assert!(Arc::ptr_eq(&dropped, &shared));
         assert!(env.relation("contacts").is_none());
+        assert!(env.drop_relation("contacts").is_none());
     }
 }

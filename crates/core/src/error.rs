@@ -78,6 +78,8 @@ pub enum SchemaError {
     UnknownAttribute(AttrName),
     /// A relation with this name is already defined in the environment.
     DuplicateRelation(String),
+    /// No relation with this name is defined in the environment.
+    UnknownRelation(String),
     /// A prototype with this name is already declared.
     DuplicatePrototype(String),
     /// Referenced prototype is not declared in the environment.
@@ -119,6 +121,7 @@ impl fmt::Display for SchemaError {
             ),
             SchemaError::UnknownAttribute(a) => write!(f, "unknown attribute `{a}`"),
             SchemaError::DuplicateRelation(n) => write!(f, "relation `{n}` already defined"),
+            SchemaError::UnknownRelation(n) => write!(f, "unknown relation `{n}`"),
             SchemaError::DuplicatePrototype(n) => write!(f, "prototype `{n}` already declared"),
             SchemaError::UnknownPrototype(n) => write!(f, "unknown prototype `{n}`"),
         }

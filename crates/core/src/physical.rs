@@ -21,6 +21,7 @@
 //! so the output [`XRelation`] and [`ActionSet`] are identical to serial
 //! execution, as are the invocation/failure tallies.
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::time::Instant as WallClock;
 
@@ -115,7 +116,7 @@ impl PhysicalPlan {
     /// the context's metrics sink under the node's compile-time [`NodeId`].
     pub fn execute(&self, ctx: &ExecContext<'_>) -> Result<EvalOutcome, EvalError> {
         let mut actions = ActionSet::new();
-        let relation = self.root.execute(ctx, &mut actions)?;
+        let relation = self.root.execute(ctx, &mut actions)?.into_owned();
         Ok(EvalOutcome { relation, actions })
     }
 }
@@ -213,11 +214,15 @@ impl PhysNode {
     /// own first). Mirrors the interpreter's accounting: binary operators
     /// report combined child cardinality as `tuples_in`, `elapsed` is
     /// self-time, a failed application records before the error propagates.
-    fn execute(
+    ///
+    /// A scan lends the environment's relation instead of copying it, and
+    /// every operator but ∪ only iterates its operands, so executing a plan
+    /// cannot write into the environment.
+    fn execute<'a>(
         &self,
-        ctx: &ExecContext<'_>,
+        ctx: &ExecContext<'a>,
         actions: &mut ActionSet,
-    ) -> Result<XRelation, EvalError> {
+    ) -> Result<Cow<'a, XRelation>, EvalError> {
         let kind = match &self.op {
             PhysOp::Scan { .. } => OpKind::Relation,
             PhysOp::Op(op) => op.kind(),
@@ -241,11 +246,11 @@ impl PhysNode {
     }
 
     /// Evaluate the children, left to right.
-    fn operands(
+    fn operands<'a>(
         &self,
-        ctx: &ExecContext<'_>,
+        ctx: &ExecContext<'a>,
         actions: &mut ActionSet,
-    ) -> Result<Vec<XRelation>, EvalError> {
+    ) -> Result<Vec<Cow<'a, XRelation>>, EvalError> {
         self.children
             .iter()
             .map(|c| c.execute(ctx, actions))
@@ -253,13 +258,13 @@ impl PhysNode {
     }
 
     /// Apply this node's operator to its evaluated operands.
-    fn apply(
+    fn apply<'a>(
         &self,
-        inputs: Vec<XRelation>,
-        ctx: &ExecContext<'_>,
+        inputs: Vec<Cow<'a, XRelation>>,
+        ctx: &ExecContext<'a>,
         actions: &mut ActionSet,
         obs: &mut OpObservation,
-    ) -> Result<XRelation, EvalError> {
+    ) -> Result<Cow<'a, XRelation>, EvalError> {
         let op = match &self.op {
             PhysOp::Scan { name } => return self.scan(ctx, name),
             PhysOp::Op(op) => op,
@@ -267,7 +272,7 @@ impl PhysNode {
         let mut inputs = inputs.into_iter();
         let mut next = || inputs.next().expect("one operand per child");
         let ra = next();
-        Ok(match op {
+        Ok(Cow::Owned(match op {
             CompiledOp::Project { .. }
             | CompiledOp::Select { .. }
             | CompiledOp::Rename
@@ -281,7 +286,9 @@ impl PhysNode {
                 out
             }
             CompiledOp::Union { .. } => {
-                let mut out = ra;
+                // the one operator that grows an operand in place: a lent
+                // relation is copied first
+                let mut out = ra.into_owned();
                 for t in next().iter() {
                     out.insert(op.reorder_rhs(t));
                 }
@@ -339,21 +346,21 @@ impl PhysNode {
                 XRelation::from_tuples(self.schema.clone(), result?)
             }
             CompiledOp::Aggregate { group, aggs, .. } => ops::aggregate(&ra, group, aggs)?,
-        })
+        }))
     }
 
-    /// Look up the scanned relation, normalizing its tuples into the
-    /// compile-time coordinate order if the stored schema instance was
-    /// replaced by an equivalent one since compilation. An incompatible
-    /// replacement is a runtime error: downstream coordinate maps would be
-    /// meaningless.
-    fn scan(&self, ctx: &ExecContext<'_>, name: &str) -> Result<XRelation, EvalError> {
+    /// Look up the scanned relation and lend it; only if the stored schema
+    /// instance was replaced by an equivalent one since compilation is it
+    /// copied, its tuples normalized into the compile-time coordinate
+    /// order. An incompatible replacement is a runtime error: downstream
+    /// coordinate maps would be meaningless.
+    fn scan<'a>(&self, ctx: &ExecContext<'a>, name: &str) -> Result<Cow<'a, XRelation>, EvalError> {
         let r = ctx
             .env
             .relation(name)
             .ok_or_else(|| EvalError::Plan(PlanError::UnknownRelation(name.to_string())))?;
-        if SchemaRef::ptr_eq(&r.schema_ref(), &self.schema) {
-            return Ok(r.clone());
+        if SchemaRef::ptr_eq(r.schema(), &self.schema) {
+            return Ok(Cow::Borrowed(r));
         }
         if !r.schema().compatible_with(&self.schema) {
             return Err(EvalError::Value(format!(
@@ -364,10 +371,10 @@ impl PhysNode {
             .schema
             .reorder_map(r.schema())
             .expect("checked compatible");
-        Ok(XRelation::from_tuples(
+        Ok(Cow::Owned(XRelation::from_tuples(
             self.schema.clone(),
             r.iter().map(|t| t.project_positions(&map)),
-        ))
+        )))
     }
 }
 

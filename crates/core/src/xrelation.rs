@@ -100,6 +100,29 @@ impl XRelation {
         }
     }
 
+    /// [`XRelation::insert`] for a relation whose tuples are in ascending
+    /// order (built from sorted input, changed only through this and
+    /// [`XRelation::remove_sorted`]): `t` enters at its sorted position.
+    pub fn insert_sorted(&mut self, t: Tuple) -> bool {
+        let Err(pos) = self.tuples.binary_search(&t) else {
+            return false;
+        };
+        self.index.insert(t.clone());
+        self.tuples.insert(pos, t);
+        true
+    }
+
+    /// [`XRelation::remove`] for a relation whose tuples are in ascending
+    /// order: `t` is found by binary search, not by a scan.
+    pub fn remove_sorted(&mut self, t: &Tuple) -> bool {
+        let Ok(pos) = self.tuples.binary_search(t) else {
+            return false;
+        };
+        self.index.remove(t);
+        self.tuples.remove(pos);
+        true
+    }
+
     /// Membership test.
     pub fn contains(&self, t: &Tuple) -> bool {
         self.index.contains(t)
@@ -277,6 +300,24 @@ mod tests {
         assert!(r.remove(&tuple![1]));
         assert!(!r.remove(&tuple![1]));
         assert_eq!(r.len(), 1);
+    }
+
+    #[test]
+    fn sorted_insert_and_remove_keep_the_order() {
+        let s = XSchema::builder().real("x", DataType::Int).build().unwrap();
+        let mut r = XRelation::from_tuples(s, vec![tuple![2], tuple![4], tuple![6]]);
+        assert!(r.insert_sorted(tuple![5]));
+        assert!(r.insert_sorted(tuple![1]));
+        assert!(r.insert_sorted(tuple![7]));
+        assert!(!r.insert_sorted(tuple![4]));
+        assert!(r.remove_sorted(&tuple![2]));
+        assert!(!r.remove_sorted(&tuple![2]));
+        assert!(!r.remove_sorted(&tuple![3]));
+        assert_eq!(
+            r.tuples(),
+            [tuple![1], tuple![4], tuple![5], tuple![6], tuple![7]]
+        );
+        assert!(r.contains(&tuple![5]) && !r.contains(&tuple![2]));
     }
 
     #[test]

@@ -961,7 +961,7 @@ impl Pems {
         plan: &Plan,
         sink: &dyn MetricsSink,
     ) -> Result<EvalOutcome, PemsError> {
-        let env = self.snapshot_environment();
+        let env = self.tables.snapshot_environment(Some(&plan.relations()));
         let invoker = self.invoker_stack();
         let tee = Tee(&self.telemetry_sink, sink);
         let ctx = ExecContext::with_metrics(&env, &*invoker, self.clock(), &tee)
@@ -985,9 +985,11 @@ impl Pems {
         })
     }
 
-    /// Snapshot the finite tables into a one-shot [`Environment`].
+    /// The one-shot [`Environment`] of every finite table, as it is now —
+    /// each relation shared with its table, none copied. A statement takes
+    /// the same snapshot of only the tables its plan names.
     pub fn snapshot_environment(&self) -> Environment {
-        self.tables.snapshot_environment()
+        self.tables.snapshot_environment(None)
     }
 
     /// The periodic checkpoint writer, when one was configured via
@@ -1773,6 +1775,203 @@ mod tests {
         let reports = pems.tick();
         assert_eq!(reports[0].1.delta.deletes.len(), 1);
         assert_eq!(pems.processor().current_relation("watch").unwrap().len(), 1);
+    }
+
+    /// First column of a relation's rows, in the order it holds them.
+    fn column(rel: &serena_core::xrelation::XRelation) -> Vec<String> {
+        rel.iter().map(|t| t[0].to_string()).collect()
+    }
+
+    /// First column of a one-shot `SELECT`'s rows, in the order returned.
+    fn first_column(pems: &mut Pems, sql: &str) -> Vec<String> {
+        let ExecOutcome::OneShot(out) = pems.run_sql(None, sql).unwrap() else {
+            panic!("`{sql}` is one-shot")
+        };
+        column(&out.relation)
+    }
+
+    /// A table's instant is shared: the statements between two writes to a
+    /// table read one relation — whatever happens to other tables or to the
+    /// clock — and a statement straight after a write sees it, while an
+    /// environment taken before the write does not.
+    #[test]
+    fn statements_between_two_writes_share_a_tables_relation() {
+        let mut pems = pems_with_messenger();
+        pems.run_program(SETUP).unwrap();
+        pems.run_program("EXTENDED RELATION rooms ( room STRING, floor INTEGER );")
+            .unwrap();
+        const NAMES: &str = "SELECT name FROM contacts";
+        let contacts = pems.tables().table("contacts").unwrap();
+        let shared = contacts.relation();
+        assert_eq!(first_column(&mut pems, NAMES), ["Carla", "Nicolas"]);
+        pems.run_program("INSERT INTO rooms VALUES ('lab', 2);")
+            .unwrap();
+        pems.tick();
+        assert_eq!(first_column(&mut pems, NAMES), ["Carla", "Nicolas"]);
+        assert!(Arc::ptr_eq(&shared, &contacts.relation()));
+        let env = pems.snapshot_environment();
+        assert!(std::ptr::eq(env.relation("contacts").unwrap(), &*shared));
+        assert_eq!(env.relation("rooms").unwrap().len(), 1);
+        drop((shared, env));
+
+        // a row enters at its sorted position, with the relation unheld …
+        pems.run_program(
+            "INSERT INTO contacts VALUES ('Francois', 'francois@im.gouv.fr', 'email');",
+        )
+        .unwrap();
+        let all = ["Carla", "Francois", "Nicolas"];
+        assert_eq!(first_column(&mut pems, NAMES), all);
+        // … and leaves behind the back of whoever holds it
+        let env = pems.snapshot_environment();
+        pems.run_program("DELETE FROM contacts VALUES ('Carla', 'carla@elysee.fr', 'email');")
+            .unwrap();
+        assert_eq!(first_column(&mut pems, NAMES), ["Francois", "Nicolas"]);
+        assert_eq!(column(env.relation("contacts").unwrap()), all);
+
+        // a restore replaces the contents under the relation
+        let bytes = pems.snapshot_bytes();
+        pems.run_program("DELETE FROM contacts VALUES ('Nicolas', 'nicolas@elysee.fr', 'email');")
+            .unwrap();
+        assert_eq!(first_column(&mut pems, NAMES), ["Francois"]);
+        pems.restore_bytes(&bytes).unwrap();
+        assert_eq!(first_column(&mut pems, NAMES), ["Francois", "Nicolas"]);
+    }
+
+    /// Discovery writes through the same handle: a statement after the fold
+    /// sees the fleet as the tick left it.
+    #[test]
+    fn a_statement_after_a_discovery_fold_sees_it() {
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+        pems.run_program(
+            "PROTOTYPE getTemperature( ) : ( temperature REAL );
+             EXTENDED RELATION sensors (
+               sensor SERVICE, location STRING, temperature REAL VIRTUAL
+             ) USING BINDING PATTERNS ( getTemperature[sensor] );",
+        )
+        .unwrap();
+        pems.register_discovery("sensors", "getTemperature", "sensor")
+            .unwrap();
+        const SENSORS: &str = "SELECT sensor FROM sensors";
+        let lerm = pems.local_erm("lab");
+        let mut expected = Vec::new();
+        for name in ["sensor07", "sensor02", "sensor05"] {
+            let sensor = serena_core::service::fixtures::temperature_sensor(1);
+            lerm.register_service(name, sensor, pems.clock());
+            pems.directory().set(name, "location", Value::str("lab"));
+            pems.tick();
+            expected.push(name);
+            expected.sort_unstable();
+            assert_eq!(first_column(&mut pems, SENSORS), expected);
+        }
+        lerm.unregister_service("sensor05", pems.clock());
+        pems.tick();
+        assert_eq!(first_column(&mut pems, SENSORS), ["sensor02", "sensor07"]);
+    }
+
+    /// Executing a plan cannot write into a table: a scan lends the table's
+    /// relation, ∪ — the one operator that grows an operand — copies a lent
+    /// one first, and the one scan that still copies (the schema instance was
+    /// replaced since compilation) leaves its source alone too.
+    #[test]
+    fn executing_a_plan_cannot_write_into_a_table() {
+        use serena_core::physical::PhysicalPlan;
+        use serena_core::tuple::Tuple;
+        use serena_core::xrelation::XRelation;
+        let mut pems = Pems::default();
+        pems.run_program(
+            "EXTENDED RELATION t ( x INTEGER, y STRING );
+             EXTENDED RELATION u ( x INTEGER, y STRING );
+             EXTENDED RELATION v ( x INTEGER, z STRING );
+             INSERT INTO t VALUES (3, 'c'), (1, 'a'), (2, 'b');
+             INSERT INTO u VALUES (2, 'b'), (4, 'd');
+             INSERT INTO v VALUES (1, 'p'), (4, 'q');",
+        )
+        .unwrap();
+        let [t, u, v] = ["t", "u", "v"].map(Plan::relation);
+        let plans = [
+            (t.clone().union(u.clone()), 4),
+            (t.clone().intersect(u.clone()), 1),
+            (t.clone().difference(u.clone()), 2),
+            (t.clone().join(v), 1),
+            (t.clone().union(t), 3),
+            (u.clone().union(u.clone()).union(u), 2),
+        ];
+        let env = pems.snapshot_environment();
+        let before: Vec<(String, Vec<Tuple>)> = env
+            .relations()
+            .map(|(name, rel)| (name.to_string(), rel.tuples().to_vec()))
+            .collect();
+        let nobody = serena_core::service::StaticRegistry::new();
+        // the same tables under equivalent schemas built apart, columns
+        // swapped: what a plan compiled against `env` must copy to scan
+        let mut replaced = Environment::new();
+        for name in ["t", "u", "v"] {
+            let rel = env.relation(name).unwrap();
+            let attrs = rel.schema().attrs().iter().rev();
+            let schema = attrs
+                .fold(serena_core::schema::XSchema::builder(), |b, a| {
+                    b.real(a.name.as_str(), a.ty)
+                })
+                .build()
+                .unwrap();
+            let swapped = rel.iter().map(|t| Tuple::new([t[1].clone(), t[0].clone()]));
+            replaced
+                .define_relation(name, XRelation::from_tuples(schema, swapped))
+                .unwrap();
+        }
+        let swapped_before: Vec<Vec<Tuple>> = replaced
+            .relations()
+            .map(|(_, rel)| rel.tuples().to_vec())
+            .collect();
+        for (plan, rows) in &plans {
+            let physical = PhysicalPlan::compile(plan, &env).unwrap();
+            let run = |env| physical.execute(&ExecContext::new(env, &nobody, Instant(0)));
+            let (first, second) = (run(&env).unwrap(), run(&env).unwrap());
+            assert_eq!(first.relation.len(), *rows, "{plan:?}");
+            assert_eq!(first.relation.tuples(), second.relation.tuples());
+            let copied = run(&replaced).unwrap();
+            assert_eq!(copied.relation.tuples(), first.relation.tuples());
+            assert_eq!(pems.one_shot(plan).unwrap().relation, first.relation);
+        }
+        // length, order and identity: each is still the table's own relation
+        for (name, tuples) in &before {
+            let rel = env.relation(name).unwrap();
+            assert_eq!(rel.tuples(), tuples);
+            let shared = pems.tables().table(name).unwrap().relation();
+            assert!(std::ptr::eq(rel, &*shared), "{name}");
+        }
+        let swapped_after = replaced.relations().map(|(_, rel)| rel.tuples().to_vec());
+        assert_eq!(swapped_after.collect::<Vec<_>>(), swapped_before);
+        assert_eq!(first_column(&mut pems, "SELECT x FROM t"), ["1", "2", "3"]);
+        assert_eq!(first_column(&mut pems, "SELECT x FROM u"), ["2", "4"]);
+    }
+
+    /// URSA is refused where the relation is defined — a defined table is
+    /// never "unknown" to a statement — and a write to an undefined table
+    /// says so.
+    #[test]
+    fn a_defined_table_is_known_to_every_statement() {
+        let mut pems = Pems::default();
+        pems.run_program("EXTENDED RELATION a ( x STRING );")
+            .unwrap();
+        let err = pems
+            .run_program("EXTENDED RELATION b ( x INTEGER, y STRING );")
+            .unwrap_err();
+        assert!(
+            matches!(&err, PemsError::Schema(SchemaError::UrsaViolation { attr, .. }) if attr == "x"),
+            "{err}"
+        );
+        assert!(pems.tables().table("b").is_none());
+        pems.run_program(
+            "DROP RELATION a;
+             EXTENDED RELATION b ( x INTEGER, y STRING );
+             EXTENDED RELATION a ( z STRING );
+             INSERT INTO b VALUES (1, 'q');",
+        )
+        .unwrap();
+        assert_eq!(first_column(&mut pems, "SELECT y FROM b"), ["q"]);
+        let err = pems.tables().insert("ghost", tuple![1]).unwrap_err();
+        assert_eq!(err, SchemaError::UnknownRelation("ghost".into()));
     }
 
     #[test]

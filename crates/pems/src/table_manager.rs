@@ -7,27 +7,36 @@
 //! broadcast [`StreamHub`] (externally pushed) or a factory creating a
 //! fresh deterministic source per subscribing query.
 //!
-//! Both maps sit behind **one** lock. No tick contends for it: a
-//! registered query holds clones of its [`TableHandle`]s and its own
+//! Relations of both kinds, the declared prototypes and the URSA ledger
+//! over all of them (§2.3.2) sit behind **one** lock. No tick contends for
+//! it: a registered query holds clones of its [`TableHandle`]s and its own
 //! stream subscriptions, so the manager is consulted when a relation is
 //! defined, looked up by name, subscribed to or exported — never per
 //! tuple. Every method takes `&self` (the manager is interior-mutable),
-//! a name is fresh across both kinds under that one lock, and the maps
-//! are ordered, so `export_tables` / `snapshot_environment` walk them in
-//! name order as they are.
+//! a name is fresh across both kinds and an attribute keeps one type
+//! across every definition under that one lock, and the maps are ordered,
+//! so `export_tables` / `snapshot_environment` walk them in name order as
+//! they are.
+//!
+//! A one-shot statement (§3.2) reads the environment at one instant:
+//! [`ExtendedTableManager::snapshot_environment`] hands it, per table it
+//! names, the relation the table's handle shares
+//! ([`TableHandle::relation`]) — nothing is copied, sorted or re-checked
+//! per statement.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use serena_core::attr::AttrName;
 use serena_core::env::Environment;
 use serena_core::error::SchemaError;
 use serena_core::plan::SchemaCatalog;
 use serena_core::prototype::Prototype;
-use serena_core::schema::SchemaRef;
+use serena_core::schema::{SchemaRef, XSchema};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
 use serena_core::sync::RwLock;
 use serena_core::tuple::Tuple;
-use serena_core::xrelation::XRelation;
+use serena_core::value::DataType;
 use serena_stream::exec::SourceSet;
 use serena_stream::plan::{StreamPlan, StreamSchema};
 use serena_stream::source::{StreamSource, TableHandle};
@@ -47,28 +56,70 @@ struct StreamDef {
     binding: StreamBinding,
 }
 
-/// The named XD-Relations of both kinds; a name is defined in at most one
-/// of the maps.
+/// What is defined: the named XD-Relations of both kinds (a name is in at
+/// most one of the maps), the declared prototypes, and the URSA ledger.
 #[derive(Default)]
-struct Relations {
+struct Catalog {
     tables: BTreeMap<String, TableHandle>,
     streams: BTreeMap<String, StreamDef>,
+    prototypes: BTreeMap<String, Arc<Prototype>>,
+    /// URSA (§2.3.2): an attribute name denotes one type in every relation
+    /// schema and prototype defined here — the type, and how many of them
+    /// hold it.
+    attr_types: BTreeMap<AttrName, (DataType, usize)>,
 }
 
-impl Relations {
-    fn check_fresh(&self, name: String) -> Result<String, SchemaError> {
+impl Catalog {
+    /// Define a relation: `name` must be fresh across both kinds and
+    /// `schema` agree with URSA, which it then holds.
+    fn admit(&mut self, name: String, schema: &XSchema) -> Result<String, SchemaError> {
         if self.tables.contains_key(&name) || self.streams.contains_key(&name) {
             return Err(SchemaError::DuplicateRelation(name));
         }
+        let attrs: Vec<_> = schema.attrs().iter().map(|a| (&a.name, a.ty)).collect();
+        self.hold_attrs(&attrs)?;
         Ok(name)
+    }
+
+    /// Check every one of `attrs` against the ledger, then hold them all:
+    /// a refused definition leaves the ledger as it was.
+    fn hold_attrs(&mut self, attrs: &[(&AttrName, DataType)]) -> Result<(), SchemaError> {
+        for &(attr, second) in attrs {
+            match self.attr_types.get(attr) {
+                Some(&(first, _)) if first != second => {
+                    return Err(SchemaError::UrsaViolation {
+                        attr: attr.clone(),
+                        first,
+                        second,
+                    })
+                }
+                _ => {}
+            }
+        }
+        for &(attr, ty) in attrs {
+            self.attr_types.entry(attr.clone()).or_insert((ty, 0)).1 += 1;
+        }
+        Ok(())
+    }
+
+    /// A relation over `schema` was dropped: an attribute nothing else
+    /// holds may be defined with another type again.
+    fn release_attrs(&mut self, schema: &XSchema) {
+        for a in schema.attrs() {
+            if let Some((_, holders)) = self.attr_types.get_mut(&a.name) {
+                *holders -= 1;
+                if *holders == 0 {
+                    self.attr_types.remove(&a.name);
+                }
+            }
+        }
     }
 }
 
 /// The PEMS table catalog: named finite tables and infinite streams.
 #[derive(Default)]
 pub struct ExtendedTableManager {
-    relations: RwLock<Relations>,
-    prototypes: RwLock<BTreeMap<String, Arc<Prototype>>>,
+    catalog: RwLock<Catalog>,
     /// `SERVICE name IMPLEMENTS …` declarations (Table 1) — metadata the
     /// registry is validated against.
     service_decls: RwLock<BTreeMap<String, Vec<String>>>,
@@ -80,24 +131,28 @@ impl ExtendedTableManager {
         Self::default()
     }
 
-    /// Declare a prototype.
+    /// Declare a prototype; its parameters are held to URSA like a
+    /// relation's attributes.
     pub fn declare_prototype(&self, p: Arc<Prototype>) -> Result<(), SchemaError> {
-        let mut protos = self.prototypes.write();
-        if protos.contains_key(p.name()) {
+        let mut catalog = self.catalog.write();
+        if catalog.prototypes.contains_key(p.name()) {
             return Err(SchemaError::DuplicatePrototype(p.name().to_string()));
         }
-        protos.insert(p.name().to_string(), p);
+        let params = p.input().attrs().chain(p.output().attrs());
+        let params: Vec<_> = params.map(|(attr, ty)| (attr, *ty)).collect();
+        catalog.hold_attrs(&params)?;
+        catalog.prototypes.insert(p.name().to_string(), p);
         Ok(())
     }
 
     /// Look up a declared prototype.
     pub fn prototype(&self, name: &str) -> Option<Arc<Prototype>> {
-        self.prototypes.read().get(name).cloned()
+        self.catalog.read().prototypes.get(name).cloned()
     }
 
     /// All declared prototypes, sorted by name.
     pub fn prototypes(&self) -> Vec<Arc<Prototype>> {
-        self.prototypes.read().values().cloned().collect()
+        self.catalog.read().prototypes.values().cloned().collect()
     }
 
     /// Record a `SERVICE … IMPLEMENTS …` declaration.
@@ -120,10 +175,10 @@ impl ExtendedTableManager {
         name: impl Into<String>,
         schema: SchemaRef,
     ) -> Result<TableHandle, SchemaError> {
-        let mut relations = self.relations.write();
-        let name = relations.check_fresh(name.into())?;
+        let mut catalog = self.catalog.write();
+        let name = catalog.admit(name.into(), &schema)?;
         let handle = TableHandle::new(schema);
-        relations.tables.insert(name, handle.clone());
+        catalog.tables.insert(name, handle.clone());
         Ok(handle)
     }
 
@@ -165,22 +220,22 @@ impl ExtendedTableManager {
     }
 
     fn define_stream(&self, name: String, def: StreamDef) -> Result<(), SchemaError> {
-        let mut relations = self.relations.write();
-        let name = relations.check_fresh(name)?;
-        relations.streams.insert(name, def);
+        let mut catalog = self.catalog.write();
+        let name = catalog.admit(name, &def.schema)?;
+        catalog.streams.insert(name, def);
         Ok(())
     }
 
     /// Handle of a finite table (a cheap `Arc` clone of the shared
     /// state).
     pub fn table(&self, name: &str) -> Option<TableHandle> {
-        self.relations.read().tables.get(name).cloned()
+        self.catalog.read().tables.get(name).cloned()
     }
 
     /// Push a tuple into a hub-backed stream. `false` if the stream does
     /// not exist or is factory-backed.
     pub fn push_stream(&self, name: &str, t: Tuple) -> bool {
-        match self.relations.read().streams.get(name) {
+        match self.catalog.read().streams.get(name) {
             Some(StreamDef {
                 binding: StreamBinding::Hub(hub),
                 ..
@@ -195,8 +250,8 @@ impl ExtendedTableManager {
     /// Tuples each push stream's hub retains (see [`StreamHub::len`]), in
     /// name order.
     pub fn hub_retention(&self) -> Vec<(String, usize)> {
-        let relations = self.relations.read();
-        let hubs = relations.streams.iter().filter_map(|(name, def)| {
+        let catalog = self.catalog.read();
+        let hubs = catalog.streams.iter().filter_map(|(name, def)| {
             let StreamBinding::Hub(hub) = &def.binding else {
                 return None;
             };
@@ -212,9 +267,7 @@ impl ExtendedTableManager {
                 h.insert(t);
                 Ok(())
             }
-            None => Err(SchemaError::DuplicateRelation(format!(
-                "{name} (not defined)"
-            ))),
+            None => Err(SchemaError::UnknownRelation(name.to_string())),
         }
     }
 
@@ -225,16 +278,19 @@ impl ExtendedTableManager {
                 h.delete(t);
                 Ok(())
             }
-            None => Err(SchemaError::DuplicateRelation(format!(
-                "{name} (not defined)"
-            ))),
+            None => Err(SchemaError::UnknownRelation(name.to_string())),
         }
     }
 
     /// Drop a relation (table or stream). Returns whether it existed.
     pub fn drop_relation(&self, name: &str) -> bool {
-        let mut relations = self.relations.write();
-        relations.tables.remove(name).is_some() || relations.streams.remove(name).is_some()
+        let mut catalog = self.catalog.write();
+        let table = catalog.tables.remove(name).map(|t| t.schema());
+        let Some(schema) = table.or_else(|| catalog.streams.remove(name).map(|s| s.schema)) else {
+            return false;
+        };
+        catalog.release_attrs(&schema);
+        true
     }
 
     /// Build the [`SourceSet`] a continuous plan compiles against: shared
@@ -262,8 +318,8 @@ impl ExtendedTableManager {
 
     /// A fresh subscription/instance of stream `name`, with its schema.
     fn subscribe(&self, name: &str) -> Option<(SchemaRef, Box<dyn StreamSource>)> {
-        let relations = self.relations.read();
-        let def = relations.streams.get(name)?;
+        let catalog = self.catalog.read();
+        let def = catalog.streams.get(name)?;
         let source: Box<dyn StreamSource> = match &def.binding {
             StreamBinding::Hub(hub) => Box::new(hub.subscribe()),
             StreamBinding::Factory(f) => f(),
@@ -273,8 +329,8 @@ impl ExtendedTableManager {
 
     /// Every finite table, in name order.
     fn tables_by_name(&self) -> Vec<(String, TableHandle)> {
-        let relations = self.relations.read();
-        relations
+        let catalog = self.catalog.read();
+        catalog
             .tables
             .iter()
             .map(|(n, h)| (n.clone(), h.clone()))
@@ -317,22 +373,27 @@ impl ExtendedTableManager {
         Ok(())
     }
 
-    /// Snapshot every finite table into a one-shot [`Environment`]
-    /// (pending mutations included), for `EXECUTE` statements.
-    pub fn snapshot_environment(&self) -> Environment {
+    /// The environment a one-shot statement evaluates against (§3.2):
+    /// every declared prototype and, of the finite tables named in `only`
+    /// (all of them for `None`), the relation the table's handle shares —
+    /// pending mutations included, and the same `Arc` for every statement
+    /// between two writes to the table.
+    pub fn snapshot_environment(&self, only: Option<&[&str]>) -> Environment {
+        // names are unique per map and URSA was checked over the whole
+        // catalog as each entry was defined, so no part of it is refused
+        const ADMITTED: &str = "the catalog holds unique names and URSA";
+        let catalog = self.catalog.read();
         let mut env = Environment::new();
-        for p in self.prototypes() {
-            // prototypes were URSA-checked on declaration paths upstream;
-            // snapshotting must not fail on re-declaration order
-            let _ = env.declare_prototype(p);
+        for p in catalog.prototypes.values() {
+            env.declare_prototype(Arc::clone(p)).expect(ADMITTED);
         }
-        for (name, handle) in self.tables_by_name() {
-            let schema = handle.schema();
-            let mut rel = XRelation::empty(schema);
-            for t in handle.projected().sorted_occurrences() {
-                rel.insert(t);
-            }
-            let _ = env.define_relation(name, rel);
+        let wanted = |name: &str| match only {
+            Some(names) => names.contains(&name),
+            None => true,
+        };
+        for (name, handle) in catalog.tables.iter().filter(|(name, _)| wanted(name)) {
+            env.define_relation(name.as_str(), handle.relation())
+                .expect(ADMITTED);
         }
         env
     }
@@ -340,11 +401,11 @@ impl ExtendedTableManager {
 
 impl SchemaCatalog for ExtendedTableManager {
     fn schema_of(&self, name: &str) -> Option<StreamSchema> {
-        let relations = self.relations.read();
-        if let Some(t) = relations.tables.get(name) {
+        let catalog = self.catalog.read();
+        if let Some(t) = catalog.tables.get(name) {
             return Some(StreamSchema::finite(t.schema()));
         }
-        relations
+        catalog
             .streams
             .get(name)
             .map(|d| StreamSchema::infinite(d.schema.clone()))
@@ -378,9 +439,62 @@ mod tests {
             .unwrap();
         m.insert("contacts", tuple!["Ada", "ada@l.org", "email"])
             .unwrap();
-        assert!(m.insert("ghost", tuple![1]).is_err());
-        let env = m.snapshot_environment();
+        for missing in [m.insert("ghost", tuple![1]), m.delete("ghost", tuple![1])] {
+            let err = missing.unwrap_err();
+            assert_eq!(err, SchemaError::UnknownRelation("ghost".into()));
+            assert_eq!(err.to_string(), "unknown relation `ghost`");
+        }
+        let env = m.snapshot_environment(None);
         assert_eq!(env.relation("contacts").unwrap().len(), 1);
+    }
+
+    /// URSA (§2.3.2) is checked where a relation or prototype is defined —
+    /// whichever comes first keeps the type — so a snapshot has nothing left
+    /// to refuse: every table defined is in it.
+    #[test]
+    fn ursa_is_checked_where_a_relation_or_prototype_is_defined() {
+        use serena_core::value::DataType::{Int, Real, Str};
+        let over_x = |ty| XSchema::builder().real("x", ty).build().unwrap();
+        let violation = |attr: &str, first, second| SchemaError::UrsaViolation {
+            attr: attr.into(),
+            first,
+            second,
+        };
+        for (first, second) in [(Str, Int), (Int, Str)] {
+            let m = manager();
+            m.define_table("a", over_x(first)).unwrap();
+            for refused in [
+                m.define_table("b", over_x(second)).map(|_| ()),
+                m.define_push_stream("b", over_x(second)).map(|_| ()),
+                m.define_stream_with("b", over_x(second), || unreachable!()),
+            ] {
+                assert_eq!(refused.unwrap_err(), violation("x", first, second));
+            }
+            assert!(m.schema_of("b").is_none());
+            // the refusal held nothing: once `a` is gone, so is its claim
+            m.define_push_stream("c", over_x(first)).unwrap();
+            assert!(m.drop_relation("a"));
+            assert!(m.define_table("b", over_x(second)).is_err());
+            assert!(m.drop_relation("c"));
+            m.define_table("b", over_x(second)).unwrap();
+            m.insert("b", tuple![1]).unwrap();
+            assert_eq!(m.snapshot_environment(None).relation("b").unwrap().len(), 1);
+        }
+        // a prototype's parameters and a relation's attributes, either way
+        let m = manager();
+        let temperature = |ty| XSchema::builder().real("temperature", ty).build().unwrap();
+        let err = m.define_table("t", temperature(Int)).err();
+        assert_eq!(err, Some(violation("temperature", Real, Int)));
+        m.define_table("a", over_x(Str)).unwrap();
+        let p = Prototype::declare("p", &[("x", Int)], &[("y", Int)], false).unwrap();
+        let err = m.declare_prototype(p).unwrap_err();
+        assert_eq!(err, violation("x", Str, Int));
+        assert!(m.prototype("p").is_none());
+        // … and `y`, checked after `x`, was not held by the refused `p`
+        m.define_table("b", XSchema::builder().real("y", Str).build().unwrap())
+            .unwrap();
+        assert_eq!(m.snapshot_environment(None).len(), 2);
+        assert_eq!(m.snapshot_environment(Some(&["b", "t", "b"])).len(), 1);
     }
 
     #[test]
@@ -541,9 +655,9 @@ mod tests {
             }
         });
         assert_eq!(m.tables_by_name().len(), 64);
-        assert_eq!(m.relations.read().streams.len(), 64);
+        assert_eq!(m.catalog.read().streams.len(), 64);
         assert!(m.schema_of("rel_7_15").unwrap().infinite);
-        let env = m.snapshot_environment();
+        let env = m.snapshot_environment(None);
         assert_eq!(env.relation("rel_6_15").unwrap().len(), 1);
     }
 }

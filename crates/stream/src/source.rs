@@ -7,7 +7,11 @@
 //!
 //! * [`TableHandle`] — a shared, mutable finite XD-Relation; mutations are
 //!   buffered, each taking effect after the ones before it, and their net
-//!   effect becomes the table's delta at the next tick boundary;
+//!   effect becomes the table's delta at the next tick boundary. What a
+//!   one-shot statement sees of it is one `Arc<XRelation>`
+//!   ([`TableHandle::relation`]): built by the first statement that asks,
+//!   shared by every one until a write changes it, kept current by the
+//!   writes;
 //! * [`StreamSource`] — the producer side of an infinite XD-Relation:
 //!   polled once per tick for the [`Batch`] of newly appended tuples;
 //! * [`Batch`] — one instant's appended tuples as one immutable value: every
@@ -24,6 +28,7 @@ use serena_core::sync::Mutex;
 use serena_core::schema::SchemaRef;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
+use serena_core::xrelation::XRelation;
 
 use crate::multiset::{Delta, Multiset};
 
@@ -44,12 +49,23 @@ struct TableState {
     /// The last committed tick, kept so several queries sharing this table
     /// within the same global instant all observe the same delta.
     committed: Option<(Instant, Delta)>,
+    /// What a one-shot statement sees, once one has asked: the distinct
+    /// tuples of `current ⊎ pending` in ascending order. Derived state — a
+    /// tick leaves it alone (a commit moves tuples from `pending` to
+    /// `current`, their sum stays), a write keeps it current or drops it
+    /// ([`TableState::patch`]), and it is never checkpointed. The bag
+    /// cannot stand in for it: a `Multiset` iterates in `RandomState`
+    /// order, and a statement's row order must not depend on that.
+    relation: Option<Arc<XRelation>>,
 }
 
 impl TableState {
     /// `n` more occurrences of `t`: first the ones a queued deletion was
     /// about to take, the rest as insertions.
     fn insert(&mut self, t: Tuple, n: usize) {
+        if self.relation.is_some() && n > 0 && self.projected_count(&t) == 0 {
+            self.patch(|rel| rel.insert_sorted(t.clone()));
+        }
         let revived = self.pending.deletes.remove(&t, n);
         self.pending.inserts.insert(t, n - revived);
     }
@@ -61,7 +77,35 @@ impl TableState {
     fn delete(&mut self, t: Tuple, n: usize) {
         let unqueued = self.pending.inserts.remove(&t, n);
         let held = self.current.count(&t) - self.pending.deletes.count(&t);
-        self.pending.deletes.insert(t, (n - unqueued).min(held));
+        let taken = (n - unqueued).min(held);
+        // something goes, and it is the last occurrence a statement saw
+        if self.relation.is_some()
+            && unqueued + taken > 0
+            && taken == held
+            && !self.pending.inserts.contains(&t)
+        {
+            self.patch(|rel| rel.remove_sorted(&t));
+        }
+        self.pending.deletes.insert(t, taken);
+    }
+
+    /// Occurrences of `t` in `current ⊎ pending`.
+    fn projected_count(&self, t: &Tuple) -> usize {
+        self.current.count(t) - self.pending.deletes.count(t) + self.pending.inserts.count(t)
+    }
+
+    /// A distinct tuple entered or left: change the shared relation in
+    /// place when no statement still holds it, and drop it otherwise — the
+    /// next statement builds a new one, and whoever holds the old one never
+    /// observes a later write.
+    fn patch(&mut self, change: impl FnOnce(&mut XRelation) -> bool) {
+        match self.relation.as_mut().and_then(Arc::get_mut) {
+            Some(rel) => {
+                let changed = change(rel);
+                debug_assert!(changed, "the relation held what the bag did");
+            }
+            None => self.relation = None,
+        }
     }
 }
 
@@ -74,6 +118,7 @@ impl TableHandle {
                 current: Multiset::new(),
                 pending: Delta::new(),
                 committed: None,
+                relation: None,
             })),
         }
     }
@@ -115,6 +160,7 @@ impl TableHandle {
         let mut state = self.inner.lock();
         let target: Multiset = tuples.into_iter().collect();
         state.pending = state.current.diff_to(&target);
+        state.relation = None;
     }
 
     /// Snapshot of the current (already-ticked) contents.
@@ -130,6 +176,30 @@ impl TableHandle {
         let mut m = state.current.clone();
         m.apply(&state.pending);
         m
+    }
+
+    /// [`TableHandle::projected`] as the X-Relation a one-shot statement
+    /// scans (§3.2: the environment at one instant): each distinct tuple
+    /// once, in ascending order. Between two writes the state is one value,
+    /// so every caller between them gets the same `Arc`; a write that finds
+    /// it held elsewhere leaves that copy as it was.
+    pub fn relation(&self) -> Arc<XRelation> {
+        let mut state = self.inner.lock();
+        if let Some(rel) = &state.relation {
+            return Arc::clone(rel);
+        }
+        let pending = &state.pending;
+        let kept = state.current.iter();
+        let kept = kept.filter(|(t, n)| *n > pending.deletes.count(t));
+        let mut tuples: Vec<Tuple> = kept
+            .chain(pending.inserts.iter())
+            .map(|(t, _)| t.clone())
+            .collect();
+        tuples.sort_unstable();
+        // a tuple both kept and queued is there twice; the relation is a set
+        let rel = Arc::new(XRelation::from_tuples(state.schema.clone(), tuples));
+        state.relation = Some(Arc::clone(&rel));
+        rel
     }
 
     /// Serialize the table's dynamic state — current contents and pending
@@ -153,6 +223,7 @@ impl TableHandle {
         let pending = Delta::decode(r)?;
         let mut state = self.inner.lock();
         state.current = current;
+        state.relation = None;
         // replayed, not assigned: the bytes come from outside and need not
         // hold what `pending` promises (a tuple on both sides, a deletion
         // the contents cannot honour)
@@ -452,6 +523,117 @@ mod tests {
         let d = restored.tick_at(Instant(1), false);
         assert_eq!(d.inserts.sorted_occurrences(), vec![tuple![3]]);
         assert_eq!(restored.snapshot().len(), 3);
+    }
+
+    /// xorshift64*, as `tests/common::Rng`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, bound: usize) -> usize {
+            let mut x = self.0;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            self.0 = x;
+            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
+        }
+    }
+
+    /// The oracle: what every statement rebuilt for itself before the table
+    /// kept its relation — the projected bag, sorted, duplicates dropped.
+    fn rebuilt(t: &TableHandle) -> Vec<Tuple> {
+        let mut tuples = t.projected().sorted_occurrences();
+        tuples.dedup();
+        tuples
+    }
+
+    /// Random writes, ticks, restores and readers that come and go: the
+    /// relation handed out is always the rebuilt one, tuple for tuple and in
+    /// order; a held one stays as it was taken; between two writes there is
+    /// one; and a table nobody reads builds none.
+    #[test]
+    fn the_shared_relation_is_the_rebuilt_one_after_every_step() {
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let pick = |rng: &mut Rng| tuple![rng.below(10) as i64];
+        let (t, unread) = (TableHandle::new(schema()), TableHandle::new(schema()));
+        let both = [&t, &unread];
+        let mut held: Vec<(Arc<XRelation>, Vec<Tuple>)> = Vec::new();
+        let mut saved: Option<Vec<u8>> = None;
+        let mut at = 0;
+        let (mut patched, mut replaced) = (0, 0);
+        let mut deleted = [0; 3]; // committed, pending-only, absent
+        for step in 0..20_000 {
+            let was = t.relation().tuples().to_vec();
+            match rng.below(16) {
+                0..=4 => {
+                    let x = pick(&mut rng);
+                    both.iter().for_each(|h| h.insert(x.clone()));
+                }
+                5..=8 => {
+                    let x = pick(&mut rng);
+                    let kind = match (t.snapshot().contains(&x), t.projected().contains(&x)) {
+                        (true, _) => 0,
+                        (false, true) => 1,
+                        (false, false) => 2,
+                    };
+                    deleted[kind] += 1;
+                    both.iter().for_each(|h| h.delete(x.clone()));
+                }
+                9 => {
+                    let target: Vec<Tuple> = (0..rng.below(8)).map(|_| pick(&mut rng)).collect();
+                    both.iter().for_each(|h| h.replace_with(target.clone()));
+                }
+                10 | 11 => {
+                    // a new instant, or the last one again; either way the
+                    // statement's view does not change hands
+                    at += rng.below(2) as u64;
+                    let before = t.relation();
+                    for h in both {
+                        h.tick_at(Instant(at), false);
+                    }
+                    assert!(Arc::ptr_eq(&before, &t.relation()), "step {step}");
+                }
+                12 => {
+                    let mut w = serena_core::snapshot::Writer::new();
+                    t.export_state(&mut w);
+                    saved = Some(w.into_bytes());
+                }
+                13 => {
+                    for h in both {
+                        let Some(bytes) = &saved else { continue };
+                        h.import_state(&mut serena_core::snapshot::Reader::new(bytes))
+                            .unwrap();
+                    }
+                }
+                14 => held.push((t.relation(), rebuilt(&t))),
+                _ if !held.is_empty() => drop(held.swap_remove(rng.below(held.len()))),
+                _ => {}
+            }
+            let survived = t.inner.lock().relation.is_some();
+            let now = t.relation();
+            assert_eq!(now.tuples(), rebuilt(&t), "step {step}");
+            assert_eq!(now.len(), now.iter().filter(|x| now.contains(x)).count());
+            assert!(Arc::ptr_eq(&now, &t.relation()), "step {step}");
+            if now.tuples() != was {
+                *(if survived {
+                    &mut patched
+                } else {
+                    &mut replaced
+                }) += 1;
+            }
+            for (rel, as_taken) in &held {
+                assert_eq!(rel.tuples(), as_taken, "step {step}");
+            }
+            assert!(unread.inner.lock().relation.is_none(), "step {step}");
+            if held.len() > 4 {
+                held.remove(0);
+            }
+        }
+        assert_eq!(unread.projected(), t.projected());
+        // every path was taken: a write patched the relation in place, a
+        // write found it held (or replaced the contents) and left it behind
+        assert!(patched > 1_000 && replaced > 1_000, "{patched} {replaced}");
+        assert!(deleted.iter().all(|&n| n > 100), "{deleted:?}");
     }
 
     #[test]

@@ -66,6 +66,14 @@ fn main() {
         }
     }
 
+    // URSA (§2.3.2): an attribute name denotes one type across the whole
+    // environment, so a relation that disagrees is refused where it is
+    // defined — `temperature` is REAL in getTemperature and `temperatures`
+    let err = pems
+        .run_program("EXTENDED RELATION thermostats ( room STRING, temperature INTEGER );")
+        .expect_err("temperature is REAL everywhere else");
+    println!("\ndefining `thermostats` with an INTEGER temperature:\n  error: {err}");
+
     // feed the declared stream and watch the continuous query react
     println!("\nfeeding the `temperatures` stream…");
     use serena::core::tuple::Tuple;
