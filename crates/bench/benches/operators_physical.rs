@@ -1,7 +1,7 @@
 //! E12 — physical-plan execution: compile-once vs recompile-per-call, and
 //! serial vs parallel β under slow services; E26 — one σπ statement through
 //! `Pems::run_sql`, straight after another read and straight after a
-//! one-row write.
+//! one-row write; E27 — the benchmark's two-table join statement.
 //!
 //! ```sh
 //! cargo bench -p serena-bench --bench operators_physical
@@ -22,8 +22,11 @@ use serena_core::exec::ExecContext;
 use serena_core::formula::Formula;
 use serena_core::physical::{ExecOptions, PhysicalPlan};
 use serena_core::plan::Plan;
-use serena_core::schema::examples as schemas;
+use serena_core::schema::{examples as schemas, XSchema};
 use serena_core::time::Instant;
+use serena_core::tuple;
+use serena_core::tuple::Tuple;
+use serena_core::value::{DataType, Value};
 use serena_pems::Pems;
 use serena_services::faults::SlowInvoker;
 
@@ -88,7 +91,8 @@ fn bench_invoke_parallelism(c: &mut Criterion) {
 /// each. The table's relation is shared between the reads and patched in
 /// place by the writes; re-sorting the table per statement, or dropping the
 /// relation on a write, would show as `after_write` a multiple of
-/// `after_read`.
+/// `after_read`. Beside them, `join_selective`: a `sensors ⋈ rooms`
+/// statement whose conjuncts keep one area and one floor.
 fn bench_one_shot_select(c: &mut Criterion) {
     const ROWS: usize = 1_000;
     const SELECT: &str = "SELECT name, address FROM contacts WHERE name = 'contact500'";
@@ -114,6 +118,41 @@ fn bench_one_shot_select(c: &mut Criterion) {
             }
             present = !present;
             pems.run_sql(None, SELECT).unwrap()
+        })
+    });
+    // E27 — the perf benchmark's join statement at half its size: 1 000
+    // sensors over 32 areas, `rooms` with a row per (area, floor). Each
+    // conjunct filters the table that binds it before `⋈` pairs them, so the
+    // statement hashes ≈ 31 + 1 rows and reads 55–85 µs; joined first it
+    // paired 8 000 and read 4–7 ms.
+    const AREAS: usize = 32;
+    let sensors = pems
+        .tables()
+        .define_table("sensors", schemas::sensors_schema())
+        .unwrap();
+    for i in 0..ROWS {
+        let area = format!("area{}", i % AREAS);
+        sensors.insert(Tuple::new(vec![
+            Value::service(format!("s{i}")),
+            Value::str(area),
+        ]));
+    }
+    let rooms_schema = XSchema::builder()
+        .real("location", DataType::Str)
+        .real("floor", DataType::Int)
+        .real("owner", DataType::Str)
+        .build()
+        .unwrap();
+    let rooms = pems.tables().define_table("rooms", rooms_schema).unwrap();
+    for i in 0..256 {
+        let (area, floor) = (i % AREAS, (i / AREAS) as i64);
+        rooms.insert(tuple![format!("area{area}"), floor, format!("owner{i}")]);
+    }
+    group.bench_function("join_selective", |b| {
+        b.iter(|| {
+            let sql = "SELECT sensor, owner FROM sensors, rooms \
+                       WHERE location = 'area7' AND floor = 3";
+            pems.run_sql(None, sql).unwrap()
         })
     });
     group.finish();

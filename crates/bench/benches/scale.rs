@@ -1,5 +1,5 @@
-//! Massive-scale benchmark (ROADMAP item 1, §7's "benchmark for pervasive
-//! environments"): a 10⁴-device zipf-skewed fleet, trace-driven arrivals,
+//! Massive-scale benchmark (DESIGN § 4, *Scale benchmark & environment
+//! generator*; §7's "benchmark for pervasive environments"): a 10⁴-device zipf-skewed fleet, trace-driven arrivals,
 //! and 120 concurrent continuous queries, measured end to end.
 //!
 //! ```sh

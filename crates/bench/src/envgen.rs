@@ -1,5 +1,6 @@
 //! Massive-scale environment generation and the scale-benchmark driver
-//! (the §7 "benchmark for pervasive environments", ROADMAP item 1).
+//! (the §7 "benchmark for pervasive environments"; DESIGN § 4, *Scale
+//! benchmark & environment generator*).
 //!
 //! Thin orchestration over the public [`EnvSpec`] / [`WorkloadSpec`]
 //! builders from `serena-pems`: [`ScaleConfig`] describes a run (device

@@ -74,8 +74,8 @@ pub struct ServiceObservation {
     pub fanout: Option<f64>,
 }
 
-/// Telemetry-fed cost provider (optimizer v2, ROADMAP item 4): ranks plans
-/// by *measured* invocation cost instead of the flat
+/// Telemetry-fed cost provider (DESIGN § 4, *Adaptive optimization*): ranks
+/// plans by *measured* invocation cost instead of the flat
 /// [`CostParams::invocation_cost`] guess.
 ///
 /// The per-prototype invocation charge starts from the static baseline and

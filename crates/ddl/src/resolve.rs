@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use serena_core::attr::AttrName;
 use serena_core::error::{PlanError, SchemaError};
-use serena_core::plan::Plan;
+use serena_core::plan::{Plan, SchemaCatalog, StreamSchema};
 use serena_core::prototype::{Prototype, RelationSchema};
 use serena_core::schema::{Attribute, SchemaRef, XSchema};
 use serena_core::tuple::Tuple;
@@ -78,15 +78,30 @@ impl From<PlanError> for DdlError {
     }
 }
 
-/// Where `EXTENDED RELATION` resolution finds its prototypes.
+/// Where `EXTENDED RELATION` resolution and the `SELECT` lowering find
+/// their prototypes — and, for a catalog that holds relations too, where the
+/// lowering learns what a `FROM` item binds.
 pub trait PrototypeCatalog {
     /// The declared prototype named `name`.
     fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>>;
+
+    /// Schema and finite/infinite status of the XD-Relation named `name`, for
+    /// [`crate::sql::lower_select`]'s placement of `WHERE` conjuncts on the
+    /// `FROM` items that bind them. A catalog of prototypes alone knows no
+    /// relation, and a statement lowered against it places nothing on an
+    /// item.
+    fn relation_schema(&self, _name: &str) -> Option<StreamSchema> {
+        None
+    }
 }
 
 impl PrototypeCatalog for serena_core::env::Environment {
     fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>> {
         self.prototype(name).cloned()
+    }
+
+    fn relation_schema(&self, name: &str) -> Option<StreamSchema> {
+        self.schema_of(name)
     }
 }
 

@@ -22,27 +22,60 @@
 //! ## Lowering semantics
 //!
 //! * `FROM a, b WINDOW n, c` — each item is an XD-Relation; `WINDOW n`
-//!   wraps a stream; items are combined left-to-right with natural joins.
+//!   wraps a stream; each item stands under the `WHERE` conjuncts it binds
+//!   (below), and the items are combined left-to-right with natural joins.
 //! * `WITH a := v, …` — α assignments, in order.
 //! * `USING p[s], …` — β invocations, in order.
-//! * `WHERE F` — `F` is split into conjuncts. A conjunct that references
-//!   **no output attribute of any USING prototype** filters *before* the
-//!   invocations (SQL's WHERE filters rows before output expressions are
-//!   computed — this gives `Q1`, not `Q1'`, for active prototypes); the
-//!   remaining conjuncts filter after. This placement is part of the
-//!   language definition, not an equivalence rewrite.
+//! * `WHERE F` — `F` is split into conjuncts, and each filters as early as
+//!   what it reads exists. Both rules are part of the language definition,
+//!   not equivalence rewrites — the plan a statement lowers to is the plan
+//!   that runs, one-shot or continuous, and no optimizer pass is needed to
+//!   reach it:
+//!   * A conjunct that references **no output attribute of any USING
+//!     prototype** filters *before* the invocations (SQL's WHERE filters
+//!     rows before output expressions are computed — this gives `Q1`, not
+//!     `Q1'`, for active prototypes), and before the `WITH` assignments too
+//!     unless it reads one of their targets; the remaining conjuncts filter
+//!     after.
+//!   * Of those earliest conjuncts, when the `FROM` list has more than one
+//!     item, one that reads at least one attribute becomes a `σ` directly on
+//!     **every** item whose schema has all of its attributes *real* — above
+//!     the item's `W[n]` — and is not repeated above the joins. This is
+//!     Table 5's `σ_F(r1 ⋈ r2) ≡ σ_F(r1) ⋈ r2` for an `F` one operand binds,
+//!     and `σ_F(r1) ⋈ σ_F(r2)` for an `F` both bind: the natural join equates
+//!     exactly the attributes real in both, so a pair that joins agrees on
+//!     everything `F` reads. `σ` keeps its operand's order, so the rows come
+//!     out as they would have, in the same order; no `β` is crossed (items
+//!     are scans and windows), so the action set (Def. 8) is the same. A
+//!     conjunct no single item binds — it spans items, reads a virtual or
+//!     unknown attribute, or its relation is unknown to the catalog — stays
+//!     above the joins, where the same stage raises the same error as ever.
+//!     A single-item `FROM` consults no schema.
 //! * `GROUP BY g` + aggregate select items — γ (extension operator).
 //! * plain select items — π (omitted for `SELECT *`).
 //! * `EMIT INSERTIONS|DELETIONS|HEARTBEAT` — a trailing `S[kind]`,
 //!   producing a stream result (continuous queries only).
 //!
+//! The third example above (the paper's Q4) lowers to
+//!
+//! ```text
+//! S[insertion] (π photo (σ quality >= 5 (β takePhoto[camera] (β checkPhoto[camera]
+//!   ((σ temperature < 12.0 (W[1] (temperatures)) ⋈ cameras))))))
+//! ```
+//!
+//! — the cold readings are picked out of the window before they meet the
+//! cameras; `quality` is a `checkPhoto` output, so its conjunct waits for
+//! the invocations.
+//!
 //! Lowering needs a [`PrototypeCatalog`] to know each USING prototype's
-//! output schema (for the WHERE split and for documentation-grade errors).
+//! output schema (for the WHERE split and for documentation-grade errors)
+//! and, when it holds relations too, what each `FROM` item binds.
 
 use serena_core::attr::AttrName;
 use serena_core::formula::Formula;
 use serena_core::ops::{AggSpec, AssignSource};
 use serena_core::plan::{Plan, StreamKind};
+use serena_core::schema::SchemaRef;
 
 use crate::lexer::Token;
 use crate::parser::{agg_fun, ParseError, Parser};
@@ -216,20 +249,14 @@ fn from_item(p: &mut Parser) -> Result<FromItem, ParseError> {
 /// Lower a parsed `SELECT` onto the algebra (use
 /// [`crate::resolve::to_one_shot`] afterwards for one-shot execution).
 pub fn lower_select(ast: &SelectAst, catalog: &dyn PrototypeCatalog) -> Result<Plan, DdlError> {
-    // FROM: natural joins left-to-right
-    let mut iter = ast.from.iter();
-    let first = iter
-        .next()
-        .ok_or_else(|| DdlError::Value("FROM list is empty".into()))?;
-    let mut plan = lower_from(first);
-    for item in iter {
-        plan = plan.join(lower_from(item));
+    if ast.from.is_empty() {
+        return Err(DdlError::Value("FROM list is empty".into()));
     }
 
     // WHERE split: a conjunct filters as early as its attributes allow —
-    // before the WITH assignments unless it references an assigned
-    // attribute, before the USING invocations unless it references one of
-    // their outputs.
+    // on the FROM items that bind it when there are several, before the
+    // WITH assignments unless it references an assigned attribute, before
+    // the USING invocations unless it references one of their outputs.
     let mut output_attrs: Vec<String> = Vec::new();
     for (proto_name, _) in &ast.using {
         let proto = catalog
@@ -238,26 +265,54 @@ pub fn lower_select(ast: &SelectAst, catalog: &dyn PrototypeCatalog) -> Result<P
         output_attrs.extend(proto.output().names().map(|a| a.to_string()));
     }
     let with_targets: Vec<&str> = ast.with.iter().map(|(a, _)| a.as_str()).collect();
+    // what each FROM item binds; a single item is not looked up, it takes
+    // its conjuncts where it always did
+    let bound: Vec<Option<SchemaRef>> = match ast.from.as_slice() {
+        [_] => Vec::new(),
+        items => items.iter().map(|i| item_schema(i, catalog)).collect(),
+    };
+    let mut on_item: Vec<Vec<Formula>> = vec![Vec::new(); ast.from.len()];
     let mut before_with = Vec::new();
     let mut before_using = Vec::new();
     let mut post = Vec::new();
     if let Some(f) = &ast.where_ {
         for conjunct in split_conjuncts(f) {
-            let conjunct = conjunct.clone();
             let attrs = conjunct.attrs();
             let uses_output = attrs
                 .iter()
                 .any(|a| output_attrs.iter().any(|o| o == a.as_str()));
             let uses_with = attrs.iter().any(|a| with_targets.contains(&a.as_str()));
             if uses_output {
-                post.push(conjunct);
+                post.push(conjunct.clone());
             } else if uses_with {
-                before_using.push(conjunct);
+                before_using.push(conjunct.clone());
             } else {
-                before_with.push(conjunct);
+                let mut placed = false;
+                if !attrs.is_empty() {
+                    for (schema, filters) in bound.iter().zip(&mut on_item) {
+                        let binds = |s: &SchemaRef| attrs.iter().all(|a| s.is_real(a.as_str()));
+                        if schema.as_ref().is_some_and(binds) {
+                            filters.push(conjunct.clone());
+                            placed = true;
+                        }
+                    }
+                }
+                if !placed {
+                    before_with.push(conjunct.clone());
+                }
             }
         }
     }
+
+    // FROM: each item under the conjuncts it binds, natural joins
+    // left-to-right
+    let mut items = ast
+        .from
+        .iter()
+        .zip(on_item)
+        .map(|(item, filters)| filters.into_iter().fold(lower_from(item), Plan::select));
+    let first = items.next().expect("FROM list checked non-empty");
+    let mut plan = items.fold(first, Plan::join);
     for f in before_with {
         plan = plan.select(f);
     }
@@ -318,6 +373,17 @@ fn lower_from(item: &FromItem) -> Plan {
         plan = plan.window(n);
     }
     plan
+}
+
+/// The schema a `FROM` item presents to a `σ` placed on it, when the
+/// catalog knows the relation and the item reads it the way its status
+/// allows (`WINDOW` on a stream, none on a table); an item validation will
+/// refuse is left for validation to refuse.
+fn item_schema(item: &FromItem, catalog: &dyn PrototypeCatalog) -> Option<SchemaRef> {
+    catalog
+        .relation_schema(&item.relation)
+        .filter(|s| s.infinite == item.window.is_some())
+        .map(|s| s.schema)
 }
 
 fn split_conjuncts(f: &Formula) -> Vec<&Formula> {
@@ -456,6 +522,29 @@ mod tests {
         let env = example_environment();
         let plan = compile_select("SELECT sensor, location FROM sensors, cameras", &env).unwrap();
         assert!(plan.to_algebra().contains("⋈"));
+    }
+
+    #[test]
+    fn where_conjuncts_go_on_the_from_items_that_bind_them() {
+        let env = example_environment();
+        let sql = "SELECT sensor, camera FROM sensors, cameras
+                   WHERE location = 'office' AND area = 'office' AND location = area";
+        // one conjunct per item, the spanning one above the join
+        assert_eq!(
+            compile_select(sql, &env).unwrap().to_algebra(),
+            "π sensor,camera (σ location = area \
+             ((σ location = 'office' (sensors) ⋈ σ area = 'office' (cameras))))"
+        );
+        // a catalog of prototypes alone knows no relation: nothing is placed
+        let prototypes: std::collections::BTreeMap<_, _> = env
+            .prototypes()
+            .map(|p| (p.name().to_string(), p.clone()))
+            .collect();
+        assert_eq!(
+            compile_select(sql, &prototypes).unwrap().to_algebra(),
+            "π sensor,camera (σ location = area (σ area = 'office' \
+             (σ location = 'office' ((sensors ⋈ cameras)))))"
+        );
     }
 
     #[test]

@@ -25,6 +25,9 @@
 //!   * `.replan <query>` — force a re-optimization pass for one query
 //!     right now, swapping to the cheapest candidate if it isn't already
 //!     running;
+//!   * `.explain <SELECT …>` — the algebra expression a Serena SQL
+//!     statement lowers to (where each `WHERE` conjunct went); nothing is
+//!     executed, so an active `USING` prototype sends nothing;
 //!   * `.demo` — load the paper's running example (Tables 1–2, Example 4's
 //!     tuples, simulated services);
 //!   * `.checkpoint <dir>` — write a snapshot of the dynamic state;
@@ -156,7 +159,7 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             println!(
                 ".tick [n] | .tables | .show <rel> | .queries | .result <query>\n\
                  .metrics | .health | .top | .profile <query> | .trace <file>\n\
-                 .plan <query> | .replan <query>\n\
+                 .plan <query> | .replan <query> | .explain <SELECT …>\n\
                  .checkpoint <dir> | .restore <dir> | .demo | .quit\n\
                  .serve <addr> | .connect <addr> | .replicate <addr> | .peers\n\
                  (backslash aliases work: \\metrics)\n\
@@ -281,6 +284,17 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             },
             None => println!("usage: .replan <query>"),
         },
+        ".explain" => {
+            let sql = cmd[".explain".len()..].trim();
+            if sql.is_empty() {
+                println!("usage: .explain <SELECT …>");
+            } else {
+                match serena_ddl::sql::compile_select(sql, pems.tables()) {
+                    Ok(plan) => println!("{}", plan.to_algebra()),
+                    Err(e) => println!("error: {e}"),
+                }
+            }
+        }
         ".trace" => match parts.next() {
             Some(path) => match pems.export_trace(path) {
                 Ok(n) => println!("wrote {n} spans to {path}"),

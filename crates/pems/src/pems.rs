@@ -25,6 +25,7 @@ use serena_core::exec::{explain_analyze_text, ExecContext};
 use serena_core::metrics::{ExecStats, MetricsSink, NoopMetrics, Tee};
 use serena_core::physical::ExecOptions;
 use serena_core::plan::Plan;
+use serena_core::schema::SchemaRef;
 use serena_core::service::{CatchPanicLayer, Invoker, InvokerStack};
 use serena_core::snapshot::{self, Reader, SnapshotError, Writer};
 use serena_core::telemetry::{
@@ -68,6 +69,16 @@ pub enum PemsError {
     Snapshot(SnapshotError),
     /// Node-to-node transport failure (serve/connect/replicate).
     Transport(TransportError),
+    /// A DDL `INSERT` / `DELETE` named a table a discovery query maintains
+    /// ([`Pems::register_discovery`]): its rows are the directory's
+    /// providers of `prototype`, and a user's write would last only until
+    /// the next re-listing.
+    DiscoveryMaintained {
+        /// The table the statement named.
+        table: String,
+        /// The prototype whose providers the table lists.
+        prototype: String,
+    },
     /// Anything else.
     Other(String),
 }
@@ -81,6 +92,11 @@ impl std::fmt::Display for PemsError {
             PemsError::Schema(e) => write!(f, "{e}"),
             PemsError::Snapshot(e) => write!(f, "{e}"),
             PemsError::Transport(e) => write!(f, "{e}"),
+            PemsError::DiscoveryMaintained { table, prototype } => write!(
+                f,
+                "table `{table}` is maintained by the discovery of `{prototype}` providers; \
+                 deploy or withdraw the service instead of writing the row"
+            ),
             PemsError::Other(s) => write!(f, "{s}"),
         }
     }
@@ -830,6 +846,22 @@ impl Pems {
         Ok(names)
     }
 
+    /// The schema a DDL `INSERT` / `DELETE` types its literals against: the
+    /// table exists and is the user's to write. (The discovery fold writes
+    /// its tables through [`ExtendedTableManager`] directly.)
+    fn user_table_schema(&self, relation: &str) -> Result<SchemaRef, PemsError> {
+        if let Some((table, query)) = self.discoveries.iter().find(|(t, _)| t == relation) {
+            return Err(PemsError::DiscoveryMaintained {
+                table: table.clone(),
+                prototype: query.prototype().to_string(),
+            });
+        }
+        self.tables
+            .table(relation)
+            .map(|t| t.schema())
+            .ok_or_else(|| PemsError::Other(format!("unknown table `{relation}`")))
+    }
+
     /// Execute a parsed statement.
     pub fn run_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome, PemsError> {
         match stmt {
@@ -863,11 +895,7 @@ impl Pems {
                 Ok(ExecOutcome::Done)
             }
             Statement::Insert { relation, tuples } => {
-                let schema = self
-                    .tables
-                    .table(relation)
-                    .map(|t| t.schema())
-                    .ok_or_else(|| PemsError::Other(format!("unknown table `{relation}`")))?;
+                let schema = self.user_table_schema(relation)?;
                 for lits in tuples {
                     let t = resolve_tuple(lits, &schema)?;
                     self.tables.insert(relation, t)?;
@@ -875,11 +903,7 @@ impl Pems {
                 Ok(ExecOutcome::Done)
             }
             Statement::Delete { relation, tuples } => {
-                let schema = self
-                    .tables
-                    .table(relation)
-                    .map(|t| t.schema())
-                    .ok_or_else(|| PemsError::Other(format!("unknown table `{relation}`")))?;
+                let schema = self.user_table_schema(relation)?;
                 for lits in tuples {
                     let t = resolve_tuple(lits, &schema)?;
                     self.tables.delete(relation, t)?;
@@ -1761,6 +1785,65 @@ mod tests {
             };
             assert_eq!(out.relation.len(), 2, "tick {tick}");
         }
+    }
+
+    #[test]
+    fn a_ddl_write_to_a_discovery_table_is_refused() {
+        // the write used to be accepted and to last until the next
+        // re-listing; the table is the directory's, not the user's
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+        pems.run_program(
+            "PROTOTYPE getTemperature( ) : ( temperature REAL );
+             EXTENDED RELATION sensors (
+               sensor SERVICE, location STRING, temperature REAL VIRTUAL
+             ) USING BINDING PATTERNS ( getTemperature[sensor] );
+             EXTENDED RELATION rooms ( location STRING, floor INTEGER );",
+        )
+        .unwrap();
+        pems.register_discovery("sensors", "getTemperature", "sensor")
+            .unwrap();
+        let sensor = serena_core::service::fixtures::temperature_sensor(1);
+        pems.directory().register("sensor01", sensor);
+        pems.directory()
+            .set("sensor01", "location", Value::str("lab"));
+        pems.tick();
+        let sensors = |pems: &Pems| pems.tables().table("sensors").unwrap().relation();
+        let before = sensors(&pems);
+        assert_eq!(before.len(), 1);
+
+        for write in [
+            "INSERT INTO sensors VALUES ('ghost', 'attic');",
+            "DELETE FROM sensors VALUES ('sensor01', 'lab');",
+            // refused before its literals are typed against the schema
+            "INSERT INTO sensors VALUES (1);",
+        ] {
+            let err = pems.run_program(write).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    PemsError::DiscoveryMaintained { table, prototype }
+                        if table == "sensors" && prototype == "getTemperature"
+                ),
+                "{write}: {err}"
+            );
+            let message = err.to_string();
+            assert!(message.contains("`sensors`") && message.contains("`getTemperature`"));
+            assert_eq!(*sensors(&pems), *before, "{write}");
+        }
+        pems.tick();
+        assert_eq!(*sensors(&pems), *before);
+
+        // an ordinary table beside it is the user's to write
+        pems.run_program("INSERT INTO rooms VALUES ('lab', 2), ('attic', 3);")
+            .unwrap();
+        pems.run_program("DELETE FROM rooms VALUES ('attic', 3);")
+            .unwrap();
+        assert_eq!(pems.tables().table("rooms").unwrap().relation().len(), 1);
+        // and a table that does not exist is still "unknown", not "maintained"
+        let err = pems
+            .run_program("INSERT INTO ghost VALUES (1);")
+            .unwrap_err();
+        assert!(matches!(err, PemsError::Other(_)), "{err}");
     }
 
     #[test]

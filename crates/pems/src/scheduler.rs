@@ -1,5 +1,5 @@
 //! The multi-query tick scheduler: a persistent, bounded, work-stealing
-//! worker pool (ROADMAP item 1).
+//! worker pool (DESIGN § 4, *Multi-query scheduler & β dedup*).
 //!
 //! The query processor used to tick every registered query on its own OS
 //! thread (`thread::scope` + one spawn per query) — fine for the paper's

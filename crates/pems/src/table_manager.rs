@@ -416,6 +416,10 @@ impl serena_ddl::PrototypeCatalog for ExtendedTableManager {
     fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>> {
         self.prototype(name)
     }
+
+    fn relation_schema(&self, name: &str) -> Option<StreamSchema> {
+        self.schema_of(name)
+    }
 }
 
 #[cfg(test)]

@@ -155,3 +155,39 @@ fn tables_and_result_commands() {
     assert!(out.contains("contacts (3 tuples)"));
     assert!(out.contains("sensors (4 tuples)"));
 }
+
+/// `.explain` shows where the lowering put each `WHERE` conjunct — on the
+/// `FROM` items that bind it, under the join — and executes nothing: the
+/// active `sendMessage` of the second statement sends no message.
+#[test]
+fn explain_prints_the_lowered_algebra_without_executing() {
+    let out = run_shell(
+        ".demo\n\
+         EXTENDED RELATION rooms ( location STRING, floor INTEGER );\n\
+         .explain SELECT sensor, floor FROM sensors, rooms WHERE location = 'office' AND floor = 2;\n\
+         \\explain SELECT sent FROM contacts WITH text := 'Hi' USING sendMessage[messenger] WHERE name <> 'Carla'\n\
+         .explain SELECT FROM contacts USING teleport[messenger];\n\
+         .explain\n\
+         .help\n\
+         .metrics\n\
+         .quit\n",
+    );
+    assert!(
+        out.contains(
+            "π sensor,floor ((σ location = 'office' (sensors) \
+             ⋈ σ floor = 2 (σ location = 'office' (rooms))))"
+        ),
+        "σ under ⋈ on both sides:\n{out}"
+    );
+    assert!(
+        out.contains(
+            "π sent (β sendMessage[messenger] (α text:='Hi' (σ name <> 'Carla' (contacts))))"
+        ),
+        "a single-item statement lowers as it always did:\n{out}"
+    );
+    assert!(!out.contains("actions:"), "nothing is executed:\n{out}");
+    assert!(!out.contains("serena_service_calls_total{"), "{out}");
+    assert!(out.contains("error: unknown prototype `teleport`"), "{out}");
+    assert!(out.contains("usage: .explain <SELECT …>"));
+    assert!(out.contains(".replan <query> | .explain <SELECT …>"));
+}

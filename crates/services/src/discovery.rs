@@ -92,6 +92,11 @@ impl DiscoveryQuery {
         })
     }
 
+    /// The prototype whose providers are discovered.
+    pub fn prototype(&self) -> &str {
+        &self.prototype
+    }
+
     /// The target schema.
     pub fn schema(&self) -> &SchemaRef {
         &self.schema

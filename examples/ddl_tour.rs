@@ -74,22 +74,70 @@ fn main() {
         .expect_err("temperature is REAL everywhere else");
     println!("\ndefining `thermostats` with an INTEGER temperature:\n  error: {err}");
 
+    // a two-table SELECT: each WHERE conjunct filters the FROM item that
+    // binds it — `location` both tables, `floor` only `rooms` — before the
+    // natural join pairs what is left
+    pems.run_program(
+        "EXTENDED RELATION sensors (
+           sensor SERVICE, location STRING, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         EXTENDED RELATION rooms ( location STRING, floor INTEGER );
+         INSERT INTO sensors VALUES
+           ('sensor01', 'corridor'), ('sensor06', 'office'), ('sensor07', 'office');
+         INSERT INTO rooms VALUES ('office', 2), ('corridor', 1), ('roof', 9);
+         REGISTER QUERY watch AS rooms;",
+    )
+    .expect("program is valid");
+    let sql = "SELECT sensor, floor FROM sensors, rooms WHERE location = 'office' AND floor = 2";
+    let lowered = serena::ddl::sql::compile_select(sql, pems.tables()).expect("statement lowers");
+    println!("\n{sql}\n  lowers to {}", lowered.to_algebra());
+    if let ExecOutcome::OneShot(out) = pems.run_sql(None, sql).expect("statement runs") {
+        print!("{}", out.relation.to_table());
+    }
+
+    // mutations queued between two ticks net sequentially (§4's Istream
+    // reading): deleting a present row and inserting it again leaves the
+    // table as it was, so the next tick reports an empty delta — not a
+    // deletion and an insertion that cancel
+    pems.tick();
+    pems.run_program(
+        "DELETE FROM rooms VALUES ('roof', 9);
+         INSERT INTO rooms VALUES ('roof', 9);",
+    )
+    .expect("program is valid");
+    let reports = pems.tick();
+    let watch = &reports
+        .iter()
+        .find(|(n, _)| n == "watch")
+        .expect("registered")
+        .1;
+    println!(
+        "\nDELETE ('roof', 9); INSERT ('roof', 9); of a present row → `watch` gained {}, lost {}",
+        watch.delta.inserts.len(),
+        watch.delta.deletes.len()
+    );
+
     // feed the declared stream and watch the continuous query react
     println!("\nfeeding the `temperatures` stream…");
     use serena::core::tuple::Tuple;
     use serena::core::value::Value;
-    for (tick, temp) in [20.0, 36.5, 22.0, 40.0].iter().enumerate() {
+    for temp in [20.0, 36.5, 22.0, 40.0] {
         pems.tables()
             .push_stream(
                 "temperatures",
-                Tuple::new(vec![Value::str("office"), Value::Real(*temp)]),
+                Tuple::new(vec![Value::str("office"), Value::Real(temp)]),
             )
             .then_some(())
             .expect("stream exists");
         let reports = pems.tick();
-        let hot = &reports[0].1;
+        let hot = &reports
+            .iter()
+            .find(|(n, _)| n == "hot")
+            .expect("registered")
+            .1;
         println!(
-            "τ={tick}: pushed {temp:>5} °C → hot window gained {} tuple(s), lost {}",
+            "{}: pushed {temp:>5} °C → hot window gained {} tuple(s), lost {}",
+            hot.at,
             hot.delta.inserts.len(),
             hot.delta.deletes.len()
         );

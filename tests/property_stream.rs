@@ -632,7 +632,8 @@ fn optimized_continuous_plans_tick_like_the_original() {
                 .any(|(rule, _)| rule.starts_with("select-past-windowed")),
         );
 
-        // Known gap, left out of the tick comparison (ROADMAP item 3):
+        // Known gap, left out of the tick comparison (DESIGN § 4,
+        // *Rewriting*):
         // `invoke-into-join` moves a passive β from the join's tuples to one
         // operand's, i.e. from the instant the *pair* appears to the instant
         // the operand's tuple did. Equivalent at one instant (Table 5), not
