@@ -477,6 +477,26 @@ impl CompiledFormula {
     pub fn matches(&self, t: &Tuple) -> Result<bool, EvalError> {
         self.prog.eval(t)
     }
+
+    /// The first conjunct [`CompiledFormula::matches`] evaluates — the
+    /// leftmost leaf of the `∧` spine, never one under `∨` or `¬` — when it
+    /// is `attr = 'text'`, the constant on either side: the attribute's
+    /// coordinate and the text. A tuple whose coordinate holds another text
+    /// fails the whole formula with nothing else evaluated, and without an
+    /// error: text compares with text.
+    pub(crate) fn leading_text_eq(&self) -> Option<(usize, &str)> {
+        let mut first = &self.prog;
+        while let CompiledNode::And(a, _) = first {
+            first = a;
+        }
+        match first {
+            CompiledNode::Cmp(CompiledExpr::Coord(c), CmpOp::Eq, CompiledExpr::Const(v))
+            | CompiledNode::Cmp(CompiledExpr::Const(v), CmpOp::Eq, CompiledExpr::Coord(c)) => {
+                Some((*c, v.as_str()?))
+            }
+            _ => None,
+        }
+    }
 }
 
 #[cfg(test)]

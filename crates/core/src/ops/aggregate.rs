@@ -12,8 +12,17 @@
 //! group attributes and the aggregate columns — all real, no virtual
 //! attributes, no binding patterns (aggregation collapses tuple identity,
 //! so per-tuple service references are no longer meaningful).
+//!
+//! The one-shot operator ([`aggregate`]) finds a row's group by a key that
+//! borrows the row — hashed and compared over the row's group coordinates —
+//! and builds one key tuple per *group*, from the group's first row, when
+//! it emits the group (DESIGN § 4, *A statement looks up the rows its
+//! equality selects*). Groups come out in order of first appearance, each
+//! folded in operand order, so a `SUM` / `AVG` over REAL is the same float,
+//! bit for bit, as when every row built its own key tuple.
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 
 use crate::attr::AttrName;
 use crate::error::{EvalError, PlanError};
@@ -236,7 +245,32 @@ impl Accumulator {
     }
 }
 
-/// `γ_{group; aggs}(r)`.
+/// A row's group key, borrowed: hashed and compared over `row[c]` for each
+/// group coordinate `c`, with `Value`'s storage `Eq` — what a key tuple
+/// projected out of the row would hash and compare, without building one.
+struct GroupKey<'a> {
+    row: &'a Tuple,
+    coords: &'a [usize],
+}
+
+impl Hash for GroupKey<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for &c in self.coords {
+            self.row[c].hash(state);
+        }
+    }
+}
+
+impl PartialEq for GroupKey<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.coords.iter().all(|&c| self.row[c] == other.row[c])
+    }
+}
+
+impl Eq for GroupKey<'_> {}
+
+/// `γ_{group; aggs}(r)`: one output tuple per group, groups in order of
+/// first appearance, each folded in operand order.
 pub fn aggregate(
     r: &XRelation,
     group: &[AttrName],
@@ -253,25 +287,31 @@ pub fn aggregate(
         .map(|s| in_schema.coord_of(s.attr.as_str()).expect("validated real"))
         .collect();
 
-    let mut groups: HashMap<Tuple, Vec<Accumulator>> = HashMap::new();
-    let mut order: Vec<Tuple> = Vec::new();
+    // each group's first row (its key values) and accumulators, in order of
+    // first appearance; the map finds a row's group without a key tuple
+    let mut groups: Vec<(&Tuple, Vec<Accumulator>)> = Vec::new();
+    let mut slot_of: HashMap<GroupKey<'_>, usize> = HashMap::new();
     for t in r.iter() {
-        let key = t.project_positions(&group_coords);
-        let accs = groups.entry(key.clone()).or_insert_with(|| {
-            order.push(key);
-            aggs.iter().map(|s| Accumulator::new(s.fun)).collect()
+        let key = GroupKey {
+            row: t,
+            coords: &group_coords,
+        };
+        let slot = *slot_of.entry(key).or_insert_with(|| {
+            groups.push((t, aggs.iter().map(|s| Accumulator::new(s.fun)).collect()));
+            groups.len() - 1
         });
-        for (acc, &c) in accs.iter_mut().zip(&agg_coords) {
+        for (acc, &c) in groups[slot].1.iter_mut().zip(&agg_coords) {
             acc.push(&t[c]);
         }
     }
 
-    let mut out = XRelation::empty(out_schema);
-    for key in order {
-        let accs = groups.remove(&key).expect("keyed");
-        let mut values: Vec<Value> = key.values().cloned().collect();
-        values.extend(accs.into_iter().map(Accumulator::finish));
-        out.insert(Tuple::new(values));
+    let mut out = XRelation::with_capacity(out_schema, groups.len());
+    for (first, accs) in groups {
+        let key = group_coords.iter().map(|&c| first[c].clone());
+        out.insert(
+            key.chain(accs.into_iter().map(Accumulator::finish))
+                .collect(),
+        );
     }
     Ok(out)
 }
@@ -362,6 +402,114 @@ mod tests {
         )
         .unwrap();
         assert!(out.is_empty());
+    }
+
+    /// The per-row-key γ this operator replaced, kept as the oracle: every
+    /// row projects its key tuple and looks its group up by it.
+    fn aggregate_per_row_key(r: &XRelation, group: &[AttrName], aggs: &[AggSpec]) -> XRelation {
+        let in_schema = r.schema();
+        let coord = |a: &AttrName| in_schema.coord_of(a.as_str()).unwrap();
+        let group_coords: Vec<usize> = group.iter().map(coord).collect();
+        let agg_coords: Vec<usize> = aggs.iter().map(|s| coord(&s.attr)).collect();
+        let mut groups: HashMap<Tuple, Vec<Accumulator>> = HashMap::new();
+        let mut order: Vec<Tuple> = Vec::new();
+        for t in r.iter() {
+            let key = t.project_positions(&group_coords);
+            let accs = groups.entry(key.clone()).or_insert_with(|| {
+                order.push(key);
+                aggs.iter().map(|s| Accumulator::new(s.fun)).collect()
+            });
+            for (acc, &c) in accs.iter_mut().zip(&agg_coords) {
+                acc.push(&t[c]);
+            }
+        }
+        let mut out = XRelation::empty(aggregate_schema(in_schema, group, aggs).unwrap());
+        for key in order {
+            let accs = groups.remove(&key).unwrap();
+            let mut values: Vec<Value> = key.values().cloned().collect();
+            values.extend(accs.into_iter().map(Accumulator::finish));
+            out.insert(Tuple::new(values));
+        }
+        out
+    }
+
+    /// γ groups by borrowed keys and returns what the per-row-key γ did: the
+    /// same groups in the same order, every aggregate the same value — REAL
+    /// sums and means bit for bit — over 0–3 group attributes, all five
+    /// functions, keys shared across groups and empty input.
+    #[test]
+    fn borrowed_keys_group_like_per_row_key_tuples() {
+        let schema = XSchema::builder()
+            .real("g", DataType::Str)
+            .real("h", DataType::Int)
+            .real("k", DataType::Service)
+            .real("x", DataType::Real)
+            .real("y", DataType::Int)
+            .build()
+            .unwrap();
+        let mut state = 0x9E37_79B9_7F4A_7C15u64;
+        let mut below = |n: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
+        };
+        let funs = [
+            AggFun::Count,
+            AggFun::Sum,
+            AggFun::Avg,
+            AggFun::Min,
+            AggFun::Max,
+        ];
+        let (mut groups_seen, mut reals_seen) = (0, 0);
+        for case in 0..400 {
+            let rows = if case % 20 == 0 { 0 } else { below(120) };
+            let tuples = (0..rows).map(|_| {
+                // few distinct values per column: keys repeat across groups
+                let x = (below(2_000) as f64 - 1_000.0) / [3.0, 7.0, 10.0][below(3) as usize];
+                Tuple::new(vec![
+                    Value::str(["p", "q", "r"][below(3) as usize]),
+                    Value::Int(below(3) as i64),
+                    Value::service(["s1", "s2"][below(2) as usize]),
+                    Value::Real(x),
+                    Value::Int(below(50) as i64 - 25),
+                ])
+            });
+            let r = XRelation::from_tuples(schema.clone(), tuples.collect::<Vec<_>>());
+            let group: Vec<AttrName> = ["g", "h", "k"]
+                .into_iter()
+                .filter(|_| below(2) == 0)
+                .map(AttrName::new)
+                .collect();
+            let aggs: Vec<AggSpec> = funs
+                .iter()
+                .flat_map(|&f| {
+                    [
+                        AggSpec::new(f, "x"),
+                        AggSpec::new(f, "y").named(format!("{}_y2", f.name())),
+                    ]
+                })
+                .collect();
+            let out = aggregate(&r, &group, &aggs).unwrap();
+            let oracle = aggregate_per_row_key(&r, &group, &aggs);
+            assert_eq!(out.schema(), oracle.schema());
+            // `Value`'s equality on REAL is `total_cmp`: equal means the
+            // same bits; the loop below says so out loud
+            assert_eq!(out.tuples(), oracle.tuples(), "case {case}");
+            for (a, b) in out.iter().zip(oracle.iter()) {
+                for (u, v) in a.values().zip(b.values()) {
+                    if let (Value::Real(u), Value::Real(v)) = (u, v) {
+                        assert_eq!(u.to_bits(), v.to_bits(), "case {case}");
+                        reals_seen += 1;
+                    }
+                }
+            }
+            groups_seen += out.len();
+        }
+        assert!(
+            groups_seen > 1_000 && reals_seen > 5_000,
+            "{groups_seen} / {reals_seen}"
+        );
     }
 
     #[test]

@@ -29,6 +29,7 @@ use crate::action::ActionSet;
 use crate::error::{EvalError, PlanError};
 use crate::eval::EvalOutcome;
 use crate::exec::ExecContext;
+use crate::formula::CompiledFormula;
 use crate::metrics::{NodeId, OpKind, OpObservation};
 use crate::ops::{self, CompiledOp, DegradePolicy, InvokeTally};
 use crate::plan::{Plan, SchemaCatalog};
@@ -273,10 +274,8 @@ impl PhysNode {
         let mut next = || inputs.next().expect("one operand per child");
         let ra = next();
         Ok(Cow::Owned(match op {
-            CompiledOp::Project { .. }
-            | CompiledOp::Select { .. }
-            | CompiledOp::Rename
-            | CompiledOp::Assign { .. } => {
+            CompiledOp::Select { formula } => select(&self.schema, formula, ra)?,
+            CompiledOp::Project { .. } | CompiledOp::Rename | CompiledOp::Assign { .. } => {
                 let mut out = XRelation::empty(self.schema.clone());
                 for t in ra.iter() {
                     if let Some(mapped) = op.map_tuple(t)? {
@@ -376,6 +375,41 @@ impl PhysNode {
             r.iter().map(|t| t.project_positions(&map)),
         )))
     }
+}
+
+/// `σ`: the operand's tuples that satisfy `formula`, in operand order.
+///
+/// A relation the environment lends looks its rows up instead of scanning
+/// (DESIGN § 4, *A statement looks up the rows its equality selects*) when
+/// the formula's first conjunct is `attr = 'text'` and every tuple holds
+/// text at that attribute: the scan rejects every tuple outside that text's
+/// bucket without evaluating anything else and without an error, so
+/// evaluating the whole formula on the bucket, in order, yields the scan's
+/// rows in the scan's order, or its first error. Only a lent relation
+/// outlives the statement, and the lookup built on it with it; anything
+/// else scans.
+fn select(
+    schema: &SchemaRef,
+    formula: &CompiledFormula,
+    operand: Cow<'_, XRelation>,
+) -> Result<XRelation, EvalError> {
+    let bucket = match &operand {
+        Cow::Borrowed(r) => formula
+            .leading_text_eq()
+            .and_then(|(coord, text)| r.text_lookup(coord, text)),
+        Cow::Owned(_) => None,
+    };
+    let (rows, capacity) = match bucket {
+        Some(rows) => (rows, rows.len()),
+        None => (operand.tuples(), 0),
+    };
+    let mut out = XRelation::with_capacity(schema.clone(), capacity);
+    for t in rows {
+        if formula.matches(t)? {
+            out.insert(t.clone());
+        }
+    }
+    Ok(out)
 }
 
 #[cfg(test)]
@@ -491,6 +525,169 @@ mod tests {
             assert_eq!(stats.total_invocations(), serial_counting.total());
             assert_eq!(stats.total_failures(), 0);
         }
+    }
+
+    /// A seeded xorshift64* stream: core has no `tests/common`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+        }
+
+        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
+            &items[self.below(items.len())]
+        }
+    }
+
+    /// A `σ` that looks its rows up returns what the scan returns — the same
+    /// rows in the same order, or the same error — over relations whose
+    /// lookups are built once and then patched by every kind of write, while
+    /// a relation held across a write never sees it.
+    #[test]
+    fn a_looked_up_selection_is_the_scan_row_for_row() {
+        use crate::formula::{CmpOp, Expr, Formula};
+        use crate::schema::XSchema;
+        use crate::value::{DataType, Value};
+        use std::sync::Arc;
+
+        const TEXTS: [&str; 4] = ["x", "y", "z", "w"];
+        let schema = XSchema::builder()
+            .real("a", DataType::Str)
+            .real("s", DataType::Service)
+            .real("n", DataType::Int)
+            .build()
+            .unwrap();
+        // how a relation's `a` and `s` values are drawn: 0 `Str` only,
+        // 1 `Service` only, 2 either, 3 either and now and then an INTEGER
+        // in `s` (a SERVICE attribute admits one)
+        let text = |rng: &mut Rng, kind: usize, t: &str| match (kind, rng.below(2)) {
+            (0, _) | (2 | 3, 0) => Value::str(t),
+            _ => Value::service(t),
+        };
+        let draw = |rng: &mut Rng, kind: usize| {
+            let (a, s) = (*rng.pick(&TEXTS), *rng.pick(&TEXTS));
+            let a = text(rng, kind, a);
+            let s = if kind == 3 && rng.below(8) == 0 {
+                Value::Int(rng.below(3) as i64)
+            } else {
+                text(rng, kind, s)
+            };
+            Tuple::new(vec![a, s, Value::Int(rng.below(4) as i64)])
+        };
+        // the first conjunct evaluated: `attr = 'text'`, either way round
+        let leading = |rng: &mut Rng| {
+            let attr = Expr::attr(*rng.pick(&["a", "s"]));
+            let t = *rng.pick(&["x", "y", "z", "w", "nothing"]);
+            let constant = Expr::Const(text(rng, 2, t));
+            match rng.below(2) {
+                0 => Formula::Cmp(attr, CmpOp::Eq, constant),
+                _ => Formula::Cmp(constant, CmpOp::Eq, attr),
+            }
+        };
+        // anything else; `s CONTAINS` and `s = …` fail on an INTEGER
+        let other = |rng: &mut Rng| match rng.below(5) {
+            0 => Formula::gt_const("n", rng.below(4) as i64),
+            1 => Formula::eq_const("n", rng.below(4) as i64),
+            2 => Formula::contains_const("s", *rng.pick(&TEXTS)),
+            3 => Formula::ne_const("a", *rng.pick(&TEXTS)),
+            _ => Formula::eq_const("s", *rng.pick(&TEXTS)),
+        };
+        let formula = |rng: &mut Rng| {
+            let (lead, rest) = (leading(rng), other(rng));
+            match rng.below(7) {
+                0 => lead,
+                1 => lead.and(rest),
+                2 => lead.and(rest).and(other(rng)),
+                3 => rest.and(lead),
+                4 => lead.or(rest),
+                5 => lead.not().and(rest),
+                _ => lead.and(rest.or(other(rng))),
+            }
+        };
+
+        let mut rng = Rng(0x5EED_1A2B_3C4D_5E6F);
+        // four kinds × {kept in ascending order, in insertion order}
+        let mut rels: Vec<Arc<XRelation>> = (0..8)
+            .map(|_| Arc::new(XRelation::empty(schema.clone())))
+            .collect();
+        let mut held: Vec<Option<(Arc<XRelation>, Vec<Tuple>)>> = vec![None; 8];
+        let (mut looked_up, mut refused, mut errors, mut held_checks) = (0, 0, 0, 0);
+        for _ in 0..12_000 {
+            let i = rng.below(rels.len());
+            let (kind, sorted) = (i / 2, i.is_multiple_of(2));
+            match rng.below(10) {
+                0..=2 => {
+                    let t = draw(&mut rng, kind);
+                    let rel = Arc::make_mut(&mut rels[i]);
+                    let in_order = rel.tuples().last().is_none_or(|last| *last < t);
+                    if !sorted || (in_order && rng.below(2) == 0) {
+                        rel.insert(t);
+                    } else {
+                        rel.insert_sorted(t);
+                    }
+                }
+                3..=4 => {
+                    let t = match rels[i].len() {
+                        0 => draw(&mut rng, kind),
+                        n => rels[i].tuples()[rng.below(n)].clone(),
+                    };
+                    let rel = Arc::make_mut(&mut rels[i]);
+                    if sorted && rng.below(2) == 0 {
+                        rel.remove_sorted(&t);
+                    } else {
+                        rel.remove(&t);
+                    }
+                }
+                5 => {
+                    // take the relation and what `a = 'x'` selects now, or
+                    // check and let go of the one taken
+                    held[i] = match held[i].take() {
+                        None => {
+                            let rel = Arc::clone(&rels[i]);
+                            let x = rel.iter().filter(|t| t[0].as_str() == Some("x"));
+                            let x = x.cloned().collect();
+                            Some((rel, x))
+                        }
+                        Some((rel, x)) => {
+                            let f = Formula::eq_const("a", "x").compile(&schema).unwrap();
+                            let out = select(&schema, &f, Cow::Borrowed(&*rel)).unwrap();
+                            assert_eq!(out.tuples(), x);
+                            held_checks += 1;
+                            None
+                        }
+                    }
+                }
+                _ => {
+                    let f = formula(&mut rng);
+                    let compiled = f.compile(&schema).unwrap();
+                    let rel = &*rels[i];
+                    match compiled.leading_text_eq() {
+                        Some((c, t)) if rel.text_lookup(c, t).is_some() => looked_up += 1,
+                        Some(_) => refused += 1,
+                        None => {}
+                    }
+                    let lookup = select(&schema, &compiled, Cow::Borrowed(rel));
+                    let scan = select(&schema, &compiled, Cow::Owned(rel.clone()));
+                    match (lookup, scan) {
+                        (Ok(a), Ok(b)) => assert_eq!(a.tuples(), b.tuples(), "{f}"),
+                        (Err(a), Err(b)) => {
+                            assert_eq!(format!("{a:?}"), format!("{b:?}"), "{f}");
+                            errors += 1;
+                        }
+                        (a, b) => panic!("{f}: looked up {a:?}, scanned {b:?}"),
+                    }
+                }
+            }
+        }
+        assert!(
+            looked_up > 1_000 && refused > 100,
+            "{looked_up} / {refused}"
+        );
+        assert!(errors > 50 && held_checks > 100, "{errors} / {held_checks}");
     }
 
     /// A β call lost to an unreachable peer is tallied as such on the

@@ -4,16 +4,40 @@
 //! schema. Tuples carry coordinates for real attributes only; the schema's
 //! δ mapping locates them. Set semantics are enforced: inserting a duplicate
 //! tuple is a no-op.
+//!
+//! **Text lookups** (DESIGN § 4, *A statement looks up the rows its equality
+//! selects*). A relation may also carry, per coordinate, a lookup from a
+//! text to the tuples whose coordinate holds it, each bucket in relation
+//! order. The text is [`Value::as_str`], so a `Str` and a `Service` with
+//! equal text share a bucket, as [`Value::partial_cmp_typed`] compares them.
+//! It is derived state, and:
+//! - *built* by the first one-shot `σ` that can use it, on the relation that
+//!   `σ` reads — a table's shared instant, so it outlives the statement;
+//! - *kept current* by [`XRelation::insert`], [`XRelation::remove`],
+//!   [`XRelation::insert_sorted`] and [`XRelation::remove_sorted`], the only
+//!   ways a relation changes: an entry goes in at its place in the bucket, so
+//!   a bucket stays a subsequence of the relation;
+//! - *refused* for a coordinate where some tuple holds no text: that
+//!   coordinate remembers it and every `σ` on it scans;
+//! - *dropped* by `Clone` (a copy builds its own, if a `σ` asks), never
+//!   compared, printed or checkpointed.
+//!
+//! A relation no such `σ` read allocates nothing for it, and a write to it
+//! costs one check, taking no lock.
 
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use crate::schema::SchemaRef;
 use crate::tuple::Tuple;
+use crate::value::Value;
+
+/// One coordinate's text lookup: text → the tuples holding it, in relation
+/// order; `None` once a tuple held no text there (refused).
+type TextLookup = Option<HashMap<Box<str>, Vec<Tuple>>>;
 
 /// An extended relation over an [`XSchema`](crate::schema::XSchema) (Definition 3).
-#[derive(Clone)]
 pub struct XRelation {
     schema: SchemaRef,
     /// Insertion-ordered unique tuples. A parallel hash set provides O(1)
@@ -21,15 +45,24 @@ pub struct XRelation {
     /// (important for reproducible experiment output).
     tuples: Vec<Tuple>,
     index: HashSet<Tuple>,
+    /// Text lookups by coordinate (module docs): one slot per real
+    /// attribute once a `σ` asked, each built on first use.
+    lookups: OnceLock<Box<[OnceLock<TextLookup>]>>,
 }
 
 impl XRelation {
     /// The empty relation over `schema`.
     pub fn empty(schema: SchemaRef) -> Self {
+        XRelation::with_capacity(schema, 0)
+    }
+
+    /// The empty relation over `schema`, with room for `n` tuples.
+    pub(crate) fn with_capacity(schema: SchemaRef, n: usize) -> Self {
         XRelation {
             schema,
-            tuples: Vec::new(),
-            index: HashSet::new(),
+            tuples: Vec::with_capacity(n),
+            index: HashSet::with_capacity(n),
+            lookups: OnceLock::new(),
         }
     }
 
@@ -80,24 +113,24 @@ impl XRelation {
 
     /// Insert a tuple (set semantics). Returns `true` if newly inserted.
     pub fn insert(&mut self, t: Tuple) -> bool {
-        if self.index.insert(t.clone()) {
-            self.tuples.push(t);
-            true
-        } else {
-            false
+        if !self.index.insert(t.clone()) {
+            return false;
         }
+        self.patch_lookups(&t, |bucket| bucket.push(t.clone()));
+        self.tuples.push(t);
+        true
     }
 
     /// Remove a tuple. Returns `true` if it was present.
     pub fn remove(&mut self, t: &Tuple) -> bool {
-        if self.index.remove(t) {
-            if let Some(pos) = self.tuples.iter().position(|u| u == t) {
-                self.tuples.remove(pos);
-            }
-            true
-        } else {
-            false
+        if !self.index.remove(t) {
+            return false;
         }
+        if let Some(pos) = self.tuples.iter().position(|u| u == t) {
+            self.tuples.remove(pos);
+        }
+        self.patch_lookups(t, |bucket| bucket.retain(|u| u != t));
+        true
     }
 
     /// [`XRelation::insert`] for a relation whose tuples are in ascending
@@ -108,6 +141,10 @@ impl XRelation {
             return false;
         };
         self.index.insert(t.clone());
+        self.patch_lookups(&t, |bucket| {
+            let at = bucket.binary_search(&t).unwrap_or_else(|at| at);
+            bucket.insert(at, t.clone());
+        });
         self.tuples.insert(pos, t);
         true
     }
@@ -120,7 +157,72 @@ impl XRelation {
         };
         self.index.remove(t);
         self.tuples.remove(pos);
+        self.patch_lookups(t, |bucket| {
+            if let Ok(at) = bucket.binary_search(t) {
+                bucket.remove(at);
+            }
+        });
         true
+    }
+
+    /// The tuples whose coordinate `coord` holds `text` (module docs), in
+    /// relation order; `None` when some tuple holds no text there. The
+    /// coordinate's lookup is built by the first call.
+    pub(crate) fn text_lookup(&self, coord: usize, text: &str) -> Option<&[Tuple]> {
+        let slots = self.lookups.get_or_init(|| {
+            (0..self.schema.real_arity())
+                .map(|_| OnceLock::new())
+                .collect()
+        });
+        let lookup = slots.get(coord)?.get_or_init(|| self.build_lookup(coord));
+        Some(lookup.as_ref()?.get(text).map_or(&[], Vec::as_slice))
+    }
+
+    fn build_lookup(&self, coord: usize) -> TextLookup {
+        #[cfg(test)]
+        tests::LOOKUP_BUILDS.with(|n| n.set(n.get() + 1));
+        let mut buckets: HashMap<Box<str>, Vec<Tuple>> = HashMap::new();
+        for t in &self.tuples {
+            let text = t.get(coord).and_then(Value::as_str)?;
+            match buckets.get_mut(text) {
+                Some(bucket) => bucket.push(t.clone()),
+                None => {
+                    buckets.insert(text.into(), vec![t.clone()]);
+                }
+            }
+        }
+        Some(buckets)
+    }
+
+    /// Keep every built lookup current after the distinct tuple `t` entered
+    /// or left the relation: `change` does to `t`'s bucket what was done to
+    /// the relation.
+    fn patch_lookups(&mut self, t: &Tuple, change: impl Fn(&mut Vec<Tuple>)) {
+        let Some(slots) = self.lookups.get_mut() else {
+            return;
+        };
+        for (coord, slot) in slots.iter_mut().enumerate() {
+            let Some(lookup) = slot.get_mut() else {
+                continue;
+            };
+            let Some(buckets) = lookup else {
+                continue;
+            };
+            let Some(text) = t.get(coord).and_then(Value::as_str) else {
+                // only an entering tuple can hold no text: every one the
+                // lookup was built over or patched with did
+                *lookup = None;
+                continue;
+            };
+            if !buckets.contains_key(text) {
+                buckets.insert(text.into(), Vec::new());
+            }
+            let bucket = buckets.get_mut(text).expect("just inserted");
+            change(bucket);
+            if bucket.is_empty() {
+                buckets.remove(text);
+            }
+        }
     }
 
     /// Membership test.
@@ -200,6 +302,19 @@ impl XRelation {
             out.push_str(&format!("| {} |\n", cells.join(" | ")));
         }
         out
+    }
+}
+
+/// A copy starts without text lookups; a `σ` on the copy builds what it
+/// needs.
+impl Clone for XRelation {
+    fn clone(&self) -> Self {
+        XRelation {
+            schema: self.schema.clone(),
+            tuples: self.tuples.clone(),
+            index: self.index.clone(),
+            lookups: OnceLock::new(),
+        }
     }
 }
 
@@ -287,6 +402,99 @@ mod tests {
     use crate::schema::XSchema;
     use crate::tuple;
     use crate::value::DataType;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// Text lookups built on this thread: each one walks its relation.
+        pub(super) static LOOKUP_BUILDS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    fn builds() -> usize {
+        LOOKUP_BUILDS.with(Cell::get)
+    }
+
+    /// What a lookup must answer: the tuples holding `text` at `coord`, in
+    /// relation order.
+    fn scanned(r: &XRelation, coord: usize, text: &str) -> Vec<Tuple> {
+        let holds = |t: &&Tuple| t[coord].as_str() == Some(text);
+        r.iter().filter(holds).cloned().collect()
+    }
+
+    /// The regression guard that needs no clock: a coordinate's lookup is
+    /// built once, patched — not rebuilt — by every kind of write, absent
+    /// from a copy, and refused for good once a tuple holds no text there.
+    #[test]
+    fn a_text_lookup_is_built_once_patched_by_writes_and_not_copied() {
+        let s = XSchema::builder()
+            .real("name", DataType::Str)
+            .real("kind", DataType::Service)
+            .real("n", DataType::Int)
+            .build()
+            .unwrap();
+        let row = |name: &str, kind: &str, n: i64| {
+            Tuple::new(vec![Value::str(name), Value::service(kind), Value::Int(n)])
+        };
+        let mut rows: Vec<Tuple> = (0..30)
+            .map(|i| row(["a", "b", "c"][i % 3], ["x", "y"][i % 2], i as i64))
+            .collect();
+        rows.sort_unstable();
+        let mut r = XRelation::from_tuples(s, rows);
+        let agrees = |r: &XRelation| {
+            for (coord, text) in [(0, "a"), (0, "c"), (0, "z"), (1, "x"), (1, "y")] {
+                assert_eq!(r.text_lookup(coord, text).unwrap(), scanned(r, coord, text));
+            }
+        };
+
+        let at_start = builds();
+        agrees(&r);
+        agrees(&r);
+        assert_eq!(builds(), at_start + 2, "one build per coordinate asked");
+        assert!(
+            r.text_lookup(2, "1").is_none(),
+            "an INTEGER coordinate refuses"
+        );
+        assert!(r.text_lookup(2, "1").is_none());
+        assert_eq!(builds(), at_start + 3, "a refusal is remembered");
+
+        // 100 writes of every kind, the relation kept in ascending order
+        for i in 0..100i64 {
+            let name = ["a", "b", "c"][i as usize % 3];
+            match i % 4 {
+                0 => assert!(r.insert_sorted(row(name, "y", 100 + i))),
+                1 => assert!(r.insert(row("z", "x", 100 + i))),
+                2 => {
+                    let first = r.tuples()[0].clone();
+                    assert!(r.remove_sorted(&first));
+                }
+                _ => {
+                    let middle = r.tuples()[r.len() / 2].clone();
+                    assert!(r.remove(&middle));
+                }
+            }
+            assert!(r.tuples().windows(2).all(|w| w[0] < w[1]));
+            agrees(&r);
+        }
+        assert_eq!(builds(), at_start + 3, "patched, never rebuilt");
+
+        let copy = r.clone();
+        agrees(&copy);
+        assert_eq!(builds(), at_start + 5, "a copy builds its own");
+
+        // a non-text value enters `kind`: that coordinate scans from now on,
+        // even once the value has left; `name` keeps its lookup
+        let odd = Tuple::new(vec![Value::str("b"), Value::Int(7), Value::Int(0)]);
+        assert!(r.insert_sorted(odd.clone()));
+        assert!(r.text_lookup(1, "x").is_none());
+        assert_eq!(r.text_lookup(0, "b").unwrap(), scanned(&r, 0, "b"));
+        assert!(r.remove_sorted(&odd));
+        assert!(r.text_lookup(1, "x").is_none());
+        assert_eq!(builds(), at_start + 5);
+        // and a relation that holds one from the start refuses at its build
+        let fresh = XRelation::from_tuples(r.schema_ref(), [odd]);
+        assert!(fresh.text_lookup(1, "x").is_none());
+        assert!(fresh.text_lookup(1, "x").is_none());
+        assert_eq!(builds(), at_start + 6);
+    }
 
     #[test]
     fn set_semantics_dedup() {

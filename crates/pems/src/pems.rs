@@ -859,7 +859,7 @@ impl Pems {
         self.tables
             .table(relation)
             .map(|t| t.schema())
-            .ok_or_else(|| PemsError::Other(format!("unknown table `{relation}`")))
+            .ok_or_else(|| SchemaError::UnknownRelation(relation.to_string()).into())
     }
 
     /// Execute a parsed statement.
@@ -912,7 +912,7 @@ impl Pems {
             }
             Statement::DropRelation { name } => {
                 if !self.tables.drop_relation(name) {
-                    return Err(PemsError::Other(format!("unknown relation `{name}`")));
+                    return Err(SchemaError::UnknownRelation(name.clone()).into());
                 }
                 Ok(ExecOutcome::Done)
             }
@@ -1843,7 +1843,39 @@ mod tests {
         let err = pems
             .run_program("INSERT INTO ghost VALUES (1);")
             .unwrap_err();
-        assert!(matches!(err, PemsError::Other(_)), "{err}");
+        assert!(
+            matches!(err, PemsError::Schema(SchemaError::UnknownRelation(_))),
+            "{err}"
+        );
+    }
+
+    /// A DDL write to, or `DROP` of, a relation nobody defined is the typed
+    /// `SchemaError::UnknownRelation` the table manager's API answers with.
+    #[test]
+    fn a_ddl_statement_on_an_unknown_relation_is_a_typed_error() {
+        let mut pems = Pems::default();
+        pems.run_program("EXTENDED RELATION t ( x INTEGER );")
+            .unwrap();
+        for statement in [
+            "INSERT INTO ghost VALUES (1);",
+            "DELETE FROM ghost VALUES (1);",
+            "DROP RELATION ghost;",
+        ] {
+            let err = pems.run_program(statement).unwrap_err();
+            assert!(
+                matches!(&err, PemsError::Schema(SchemaError::UnknownRelation(r)) if r == "ghost"),
+                "{statement}: {err:?}"
+            );
+            assert_eq!(err.to_string(), "unknown relation `ghost`");
+        }
+        // the relation beside it is untouched, and dropped only once
+        pems.run_program("INSERT INTO t VALUES (1); DROP RELATION t;")
+            .unwrap();
+        let err = pems.run_program("DROP RELATION t;").unwrap_err();
+        assert!(matches!(
+            err,
+            PemsError::Schema(SchemaError::UnknownRelation(_))
+        ));
     }
 
     #[test]
