@@ -1,4 +1,4 @@
-//! The overhead table (E13–E15, E18–E20, E25): what each optional layer costs on
+//! The overhead table (E13–E15, E18, E19, E25): what each optional layer costs on
 //! the path it sits on, every row measured the same way —
 //! [`harness::paired`] alternates batches of a *base* and a *variant*
 //! closure and takes the median per-round ratio — and every gated row held
@@ -25,10 +25,10 @@ use serena_core::exec::ExecContext;
 use serena_core::metrics::NoopMetrics;
 use serena_core::physical::PhysicalPlan;
 use serena_core::plan::Plan;
-use serena_core::prelude::{DegradePolicy, ExecOptions, Formula, Instant};
+use serena_core::prelude::{ExecOptions, Formula, Instant};
 use serena_core::service::{fixtures, InvokerStack};
 use serena_core::telemetry::{InstrumentedLayer, MetricsRegistry, RegistrySink};
-use serena_pems::{Pems, ReplanPolicy};
+use serena_pems::Pems;
 use serena_services::bus::BusConfig;
 use serena_services::directory::NodeDirectory;
 use serena_services::node::ServiceNode;
@@ -219,53 +219,6 @@ fn checkpoint() -> Vec<OverheadRow> {
     }]
 }
 
-/// E20's naive corridor watch (sample every sensor, then filter) on four
-/// healthy sensors, with or without `PemsBuilder::adaptive` armed.
-fn corridor_watch(adaptive: bool) -> Pems {
-    let mut builder = Pems::builder()
-        .bus(BusConfig::instant())
-        .resilience(ResiliencePolicy::disabled().with_breaker(3, 8))
-        .exec_options(ExecOptions::default().with_degrade(DegradePolicy::DropTuple));
-    if adaptive {
-        builder = builder.adaptive(ReplanPolicy::default());
-    }
-    let mut pems = builder.build();
-    for (name, seed) in [
-        ("sensor01", 1),
-        ("sensor06", 6),
-        ("sensor07", 7),
-        ("sensor22", 22),
-    ] {
-        pems.directory()
-            .register(name, fixtures::temperature_sensor(seed));
-    }
-    pems.run_program(&format!(
-        "{SENSOR_DDL} INSERT INTO sensors VALUES
-           ('sensor01', 'corridor'), ('sensor06', 'office'),
-           ('sensor07', 'roof'), ('sensor22', 'kitchen');"
-    ))
-    .expect("sensor DDL");
-    let watch = StreamPlan::source("sensors")
-        .sample_invoke("getTemperature", "sensor", 1)
-        .window(1)
-        .select(Formula::eq_const("location", "corridor"));
-    pems.register_query("watch", &watch).expect("watch");
-    pems
-}
-
-/// The armed-but-idle control loop: no trigger ever fires, so the
-/// difference is the per-tick breaker-edge scan + health scan.
-fn adaptive() -> Vec<OverheadRow> {
-    let mut plain = corridor_watch(false);
-    let mut armed = corridor_watch(true);
-    let m = harness::paired(80, 10, || plain.tick(), || armed.tick());
-    assert!(
-        armed.replan_history().is_empty(),
-        "idle loop must stay idle"
-    );
-    vec![row("adaptive_idle_loop", m, true)]
-}
-
 /// E18 — a small-but-real generated fleet (window maintenance, β calls,
 /// scheduler rounds) ticked with the flight recorder disarmed (wired
 /// through every layer, recording nothing) vs armed.
@@ -368,9 +321,8 @@ fn remote() -> Vec<OverheadRow> {
 }
 
 fn main() {
-    let workloads: [fn() -> Vec<OverheadRow>; 7] = [
-        telemetry, resilience, beta_stack, checkpoint, adaptive, trace, remote,
-    ];
+    let workloads: [fn() -> Vec<OverheadRow>; 6] =
+        [telemetry, resilience, beta_stack, checkpoint, trace, remote];
     let mut rows = Vec::new();
     for workload in workloads {
         for row in workload() {

@@ -52,73 +52,17 @@ pub struct CostEstimate {
     pub cost: f64,
 }
 
-/// Per-prototype measured state, assembled from the telemetry subsystem:
-/// latency quantiles from the instrumented invoker's histograms, failure
-/// rate and breaker state from the health tracker / resilience layer,
-/// β-cache hit rate from the metrics registry, and observed fanout from
-/// executor statistics.
+/// The static cost model: [`CostParams`] plus the observed cardinalities of
+/// base relations (a relation without one is assumed to hold
+/// [`CostParams::default_cardinality`] rows).
 #[derive(Debug, Clone, Default, PartialEq)]
-pub struct ServiceObservation {
-    /// Median invocation latency (nanoseconds), if measured.
-    pub p50_latency_ns: Option<u64>,
-    /// Tail invocation latency (nanoseconds), if measured.
-    pub p99_latency_ns: Option<u64>,
-    /// Fraction of recent invocations that failed, in `[0, 1]`.
-    pub failure_rate: f64,
-    /// Whether any circuit breaker guarding the prototype's services is
-    /// currently open or half-open.
-    pub breaker_open: bool,
-    /// Fraction of β lookups served from cache, in `[0, 1]`.
-    pub cache_hit_rate: f64,
-    /// Observed output tuples per invocation, if measured.
-    pub fanout: Option<f64>,
-}
-
-/// Telemetry-fed cost provider (DESIGN § 4, *Adaptive optimization*): ranks
-/// plans by *measured* invocation cost instead of the flat
-/// [`CostParams::invocation_cost`] guess.
-///
-/// The per-prototype invocation charge starts from the static baseline and
-/// is then
-/// - scaled by the measured p50 latency relative to a reference latency
-///   (skipped in [deterministic](MeasuredCosts::deterministic) mode —
-///   wall-clock inputs would make replans diverge between replays),
-/// - inflated by the failure rate (failed calls are retried and their work
-///   wasted), and by a large penalty while a breaker is open (calls are
-///   rejected or degraded outright),
-/// - discounted by the β-cache hit rate (a cached invocation costs no
-///   service round-trip).
-#[derive(Debug, Clone, PartialEq)]
 pub struct MeasuredCosts {
     base: CostParams,
-    /// Latency that corresponds to the baseline `invocation_cost` charge.
-    reference_latency_ns: u64,
-    /// Multiplier applied on top of a fully-failing service's cost.
-    failure_penalty: f64,
-    /// Multiplier applied while the service's breaker is open.
-    breaker_penalty: f64,
-    deterministic: bool,
-    observations: BTreeMap<String, ServiceObservation>,
     cardinalities: BTreeMap<String, usize>,
 }
 
-impl Default for MeasuredCosts {
-    fn default() -> Self {
-        MeasuredCosts {
-            base: CostParams::default(),
-            reference_latency_ns: 1_000_000, // 1 ms ≙ the 1000.0 baseline
-            failure_penalty: 4.0,
-            breaker_penalty: 50.0,
-            deterministic: false,
-            observations: BTreeMap::new(),
-            cardinalities: BTreeMap::new(),
-        }
-    }
-}
-
 impl MeasuredCosts {
-    /// A provider with default structural parameters and no observations:
-    /// the static model, until fed.
+    /// A model with default parameters and no observed cardinalities.
     pub fn new() -> Self {
         MeasuredCosts::default()
     }
@@ -129,38 +73,9 @@ impl MeasuredCosts {
         self
     }
 
-    /// Restrict the model to replay-stable inputs: latency histograms are
-    /// ignored, leaving only logically-timed signals (failure rates,
-    /// breaker states, cache hit rates, observed cardinalities). Two runs
-    /// with the same fault schedule then rank candidates identically.
-    pub fn deterministic(mut self, on: bool) -> Self {
-        self.deterministic = on;
-        self
-    }
-
-    /// Whether the model is restricted to replay-stable inputs.
-    pub fn is_deterministic(&self) -> bool {
-        self.deterministic
-    }
-
-    /// Record (or replace) the measured state of `prototype`.
-    pub fn observe(&mut self, prototype: impl Into<String>, obs: ServiceObservation) {
-        self.observations.insert(prototype.into(), obs);
-    }
-
     /// Record the observed cardinality of base relation `name`.
     pub fn observe_cardinality(&mut self, name: impl Into<String>, rows: usize) {
         self.cardinalities.insert(name.into(), rows);
-    }
-
-    /// The measured state of `prototype`, if any was recorded.
-    pub fn observation(&self, prototype: &str) -> Option<&ServiceObservation> {
-        self.observations.get(prototype)
-    }
-
-    /// All recorded observations, keyed by prototype name.
-    pub fn observations(&self) -> impl Iterator<Item = (&str, &ServiceObservation)> {
-        self.observations.iter().map(|(k, v)| (k.as_str(), v))
     }
 
     /// Estimate `plan` under this model. In a continuous plan the figures
@@ -239,15 +154,15 @@ impl MeasuredCosts {
                 };
                 Ok(combine2(ea, eb, rows))
             }
-            Plan::Invoke(p, proto, _) => {
+            Plan::Invoke(p, _, _) => {
                 let e = self.estimate(p, catalog)?;
                 // one invocation per input tuple
                 let invocations = e.invocations + e.rows;
-                let rows = e.rows * self.invocation_fanout(proto);
+                let rows = e.rows * params.invocation_fanout;
                 Ok(CostEstimate {
                     rows,
                     invocations,
-                    cost: e.cost + e.rows * self.invocation_cost(proto),
+                    cost: e.cost + e.rows * params.invocation_cost,
                 })
             }
             Plan::Aggregate(p, group, _) => {
@@ -272,46 +187,16 @@ impl MeasuredCosts {
                     cost: e.cost + rows,
                 })
             }
-            Plan::SampleInvoke(p, proto, _, period) => {
+            Plan::SampleInvoke(p, _, _, period) => {
                 let e = self.estimate(p, catalog)?;
                 let per = (*period).max(1) as f64;
                 Ok(CostEstimate {
-                    rows: e.rows * self.invocation_fanout(proto) / per,
+                    rows: e.rows * params.invocation_fanout / per,
                     invocations: e.invocations + e.rows / per,
-                    cost: e.cost + (e.rows / per) * self.invocation_cost(proto),
+                    cost: e.cost + (e.rows / per) * params.invocation_cost,
                 })
             }
         }
-    }
-
-    /// Cost charged per invocation of `prototype` (relative to 1.0 per
-    /// processed tuple).
-    fn invocation_cost(&self, prototype: &str) -> f64 {
-        let Some(obs) = self.observations.get(prototype) else {
-            return self.base.invocation_cost;
-        };
-        let mut cost = self.base.invocation_cost;
-        if !self.deterministic {
-            if let Some(p50) = obs.p50_latency_ns {
-                let scale = p50 as f64 / self.reference_latency_ns as f64;
-                cost *= scale.clamp(0.1, 100.0);
-            }
-        }
-        cost *= 1.0 + obs.failure_rate.clamp(0.0, 1.0) * self.failure_penalty;
-        if obs.breaker_open {
-            cost *= self.breaker_penalty;
-        }
-        // a cache hit skips the service round-trip entirely; keep a floor
-        // so invocations never become free
-        cost * (1.0 - obs.cache_hit_rate.clamp(0.0, 0.95))
-    }
-
-    /// Expected output tuples per invocation of `prototype`.
-    fn invocation_fanout(&self, prototype: &str) -> f64 {
-        self.observations
-            .get(prototype)
-            .and_then(|o| o.fanout)
-            .unwrap_or(self.base.invocation_fanout)
     }
 }
 
@@ -406,98 +291,9 @@ mod tests {
     }
 
     #[test]
-    fn degraded_service_inflates_invocation_cost() {
-        let env = example_environment();
-        let mut m = MeasuredCosts::new();
-        let p = Plan::relation("cameras").invoke("checkPhoto", "camera");
-        let healthy = m.estimate(&p, &env).unwrap();
-        m.observe(
-            "checkPhoto",
-            ServiceObservation {
-                failure_rate: 0.5,
-                ..ServiceObservation::default()
-            },
-        );
-        let failing = m.estimate(&p, &env).unwrap();
-        assert!(failing.cost > healthy.cost * 2.0);
-        m.observe(
-            "checkPhoto",
-            ServiceObservation {
-                breaker_open: true,
-                ..ServiceObservation::default()
-            },
-        );
-        let broken = m.estimate(&p, &env).unwrap();
-        assert!(broken.cost > failing.cost * 5.0);
-    }
-
-    #[test]
-    fn cache_hits_discount_invocation_cost() {
-        let env = example_environment();
-        let mut m = MeasuredCosts::new();
-        let p = Plan::relation("cameras").invoke("checkPhoto", "camera");
-        let cold = m.estimate(&p, &env).unwrap();
-        m.observe(
-            "checkPhoto",
-            ServiceObservation {
-                cache_hit_rate: 0.9,
-                ..ServiceObservation::default()
-            },
-        );
-        let warm = m.estimate(&p, &env).unwrap();
-        assert!(warm.cost < cold.cost);
-    }
-
-    #[test]
-    fn deterministic_mode_ignores_latency() {
-        let env = example_environment();
-        let p = Plan::relation("cameras").invoke("checkPhoto", "camera");
-        let slow = ServiceObservation {
-            p50_latency_ns: Some(50_000_000), // 50 ms vs 1 ms reference
-            ..ServiceObservation::default()
-        };
-        let mut live = MeasuredCosts::new();
-        live.observe("checkPhoto", slow.clone());
-        let mut det = MeasuredCosts::new().deterministic(true);
-        det.observe("checkPhoto", slow);
-        let baseline = MeasuredCosts::new().estimate(&p, &env).unwrap();
-        assert!(live.estimate(&p, &env).unwrap().cost > baseline.cost * 10.0);
-        assert_eq!(det.estimate(&p, &env).unwrap(), baseline);
-    }
-
-    #[test]
-    fn measured_costs_widen_the_pushdown_gap_under_degradation() {
-        // Table 5's σ-pushdown (Q2 vs Q2') is worth strictly more when the
-        // invoked service is degraded: the optimizer should prefer the
-        // rewritten plan even harder once the breaker penalty kicks in.
-        let env = example_environment();
-        let mut healthy = MeasuredCosts::new();
-        let mut degraded = MeasuredCosts::new();
-        for m in [&mut healthy, &mut degraded] {
-            for (name, n) in cards() {
-                m.observe_cardinality(name, n);
-            }
-        }
-        degraded.observe(
-            "checkPhoto",
-            ServiceObservation {
-                failure_rate: 0.8,
-                breaker_open: true,
-                ..ServiceObservation::default()
-            },
-        );
-        let gap = |m: &MeasuredCosts| {
-            let opt = m.estimate(&q2(), &env).unwrap().cost;
-            let naive = m.estimate(&q2_prime(), &env).unwrap().cost;
-            naive - opt
-        };
-        assert!(gap(&degraded) > gap(&healthy));
-    }
-
-    #[test]
-    fn degradation_widens_the_sampling_pushdown_gap() {
-        // the E20 pair: filter a windowed periodic sampling of the sensors
-        // after it, or filter the sensors before sampling them
+    fn sampling_pushdown_costs_less() {
+        // filter a windowed periodic sampling of the sensors after it, or
+        // filter the sensors before sampling them
         let env = example_environment();
         let corridor = || crate::formula::Formula::eq_const("location", "corridor");
         let naive = Plan::source("sensors")
@@ -508,22 +304,14 @@ mod tests {
             .select(corridor())
             .sample_invoke("getTemperature", "sensor", 1)
             .window(1);
-        let mut healthy = MeasuredCosts::new();
-        healthy.observe_cardinality("sensors", 100);
-        let mut degraded = healthy.clone();
-        degraded.observe(
-            "getTemperature",
-            ServiceObservation {
-                failure_rate: 0.8,
-                breaker_open: true,
-                ..ServiceObservation::default()
-            },
+        let mut m = MeasuredCosts::new();
+        m.observe_cardinality("sensors", 100);
+        let (naive, pushed) = (
+            m.estimate(&naive, &env).unwrap(),
+            m.estimate(&pushed, &env).unwrap(),
         );
-        let gap = |m: &MeasuredCosts| {
-            m.estimate(&naive, &env).unwrap().cost - m.estimate(&pushed, &env).unwrap().cost
-        };
-        assert!(gap(&healthy) > 0.0, "pushdown wins even when healthy");
-        assert!(gap(&degraded) > gap(&healthy), "and wins harder degraded");
+        assert!(pushed.cost < naive.cost);
+        assert!(pushed.invocations < naive.invocations);
     }
 
     #[test]

@@ -11,17 +11,15 @@
 //!   toward the leaves and below *passive* invocation operators,
 //!   minimising service invocations. Active binding patterns are never
 //!   moved: "active binding patterns limit the possibility of rewriting";
-//! * [`cost`] — a simple cardinality/invocation cost model (the paper
-//!   defers cost models to future work; this extension makes the optimizer
-//!   benchmarks quantitative), plus the telemetry-fed [`MeasuredCosts`]
-//!   provider that ranks plans by *measured* per-service invocation cost
-//!   (optimizer v2).
+//! * [`cost`] — [`MeasuredCosts`], a simple cardinality/invocation cost
+//!   model (the paper defers cost models to future work; this extension
+//!   makes the optimizer benchmarks quantitative).
 
 pub mod cost;
 pub mod optimizer;
 pub mod rules;
 
-pub use cost::{CostEstimate, CostParams, MeasuredCosts, ServiceObservation};
+pub use cost::{CostEstimate, CostParams, MeasuredCosts};
 pub use optimizer::{optimize, OptimizerReport};
 pub use rules::{all_rules, apply_everywhere, RewriteRule};
 

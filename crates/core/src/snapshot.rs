@@ -25,9 +25,10 @@ use crate::value::{Bytes, ServiceRef, Value};
 pub const MAGIC: [u8; 8] = *b"SERENSNP";
 
 /// Current snapshot format version. Bumped on any incompatible change;
-/// [`read_header`] refuses other versions. v2: window nodes carry the
-/// hot-swap bootstrap (`warm`) flag; v1 snapshots are not readable.
-pub const VERSION: u32 = 2;
+/// [`read_header`] refuses other versions. v3: no adaptive section, and a
+/// window node writes no bootstrap flag; v1 and v2 snapshots are not
+/// readable.
+pub const VERSION: u32 = 3;
 
 /// Errors raised while encoding or (mostly) decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

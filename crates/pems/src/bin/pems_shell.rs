@@ -20,11 +20,6 @@
 //!   * `.trace <file>` — export the retained spans as a Chrome/Perfetto
 //!     `trace.json` (`SERENA_TRACE=0` disarms the recorder,
 //!     `SERENA_TRACE_CAPACITY` bounds it);
-//!   * `.plan <query>` — the optimizer's candidate plans with measured
-//!     costs, the running one marked (needs `SERENA_ADAPTIVE=1`);
-//!   * `.replan <query>` — force a re-optimization pass for one query
-//!     right now, swapping to the cheapest candidate if it isn't already
-//!     running;
 //!   * `.explain <SELECT …>` — the algebra expression a Serena SQL
 //!     statement lowers to (where each `WHERE` conjunct went); nothing is
 //!     executed, so an active `USING` prototype sends nothing;
@@ -159,8 +154,8 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             println!(
                 ".tick [n] | .tables | .show <rel> | .queries | .result <query>\n\
                  .metrics | .health | .top | .profile <query> | .trace <file>\n\
-                 .plan <query> | .replan <query> | .explain <SELECT …>\n\
-                 .checkpoint <dir> | .restore <dir> | .demo | .quit\n\
+                 .explain <SELECT …> | .checkpoint <dir> | .restore <dir>\n\
+                 .demo | .quit\n\
                  .serve <addr> | .connect <addr> | .replicate <addr> | .peers\n\
                  (backslash aliases work: \\metrics)\n\
                  …or any Serena DDL / algebra statement ending with `;`"
@@ -268,21 +263,6 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
         ".profile" => match parts.next() {
             Some(query) => print!("{}", pems.profile(query)),
             None => println!("usage: .profile <query>"),
-        },
-        ".plan" => match parts.next() {
-            Some(query) => match pems.plan_report(query) {
-                Ok(report) => print!("{report}"),
-                Err(e) => println!("error: {e}"),
-            },
-            None => println!("usage: .plan <query>"),
-        },
-        ".replan" => match parts.next() {
-            Some(query) => match pems.force_replan(query) {
-                Ok(true) => println!("replanned `{query}` — .plan {query} shows the new shape"),
-                Ok(false) => println!("`{query}` already runs the cheapest candidate"),
-                Err(e) => println!("error: {e}"),
-            },
-            None => println!("usage: .replan <query>"),
         },
         ".explain" => {
             let sql = cmd[".explain".len()..].trim();

@@ -13,14 +13,11 @@
 //! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
 //!   execution, one-shot environment snapshots;
 //! * [`processor::QueryProcessor`] — registered continuous queries in
-//!   lock-step, ticked in parallel;
+//!   lock-step, ticked in parallel; each runs the plan it was registered
+//!   with until it is unregistered;
 //! * [`scheduler`] — the persistent work-stealing worker pool the
 //!   processor runs multi-query tick rounds on ([`scheduler::WorkerPool`],
 //!   sized by [`scheduler::SchedulerConfig`] / `SERENA_SCHED_WORKERS`);
-//! * [`adaptive`] — the adaptive re-optimization controller: replan
-//!   triggers fed by breakers/health, candidate bookkeeping and the
-//!   checkpoint-surviving replan history behind
-//!   [`pems::PemsBuilder::adaptive`];
 //! * [`hub`] — stream plumbing (broadcast hubs, sensor samplers, RSS
 //!   adapters);
 //! * [`recovery`] — periodic checkpoints of the runtime's dynamic state
@@ -53,7 +50,6 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-pub mod adaptive;
 pub mod envspec;
 pub mod hub;
 pub mod pems;
@@ -63,7 +59,6 @@ pub mod scenario;
 pub mod scheduler;
 pub mod table_manager;
 
-pub use adaptive::{AdaptiveController, ReplanEvent, ReplanPolicy, ReplanReason};
 pub use envspec::{ArrivalTrace, EnvSpec, Fleet, MessengerFleet, QueryTemplate, WorkloadSpec};
 pub use hub::{RssStream, SensorSampler, StreamHub};
 pub use pems::{ExecOutcome, ExplainAnalyze, Pems, PemsBuilder, PemsError};

@@ -48,7 +48,6 @@ use serena_services::resilience::{
 use serena_services::transport::{Transport, TransportError};
 use serena_stream::exec::TickReport;
 
-use crate::adaptive::{AdaptiveController, ReplanEvent, ReplanPolicy, ReplanReason};
 use crate::processor::QueryProcessor;
 use crate::recovery::{read_checkpoint, RecoveryManager};
 use crate::scheduler::SchedulerConfig;
@@ -197,7 +196,6 @@ pub struct PemsBuilder {
     scheduler: Option<SchedulerConfig>,
     dedup: Option<bool>,
     tracing: Option<bool>,
-    adaptive: Option<ReplanPolicy>,
 }
 
 impl PemsBuilder {
@@ -219,7 +217,6 @@ impl PemsBuilder {
             scheduler: None,
             dedup: None,
             tracing: None,
-            adaptive: None,
         }
     }
 
@@ -327,25 +324,6 @@ impl PemsBuilder {
         self
     }
 
-    /// Arm adaptive re-optimization: after every tick, the runtime checks
-    /// `policy`'s triggers (circuit-breaker transitions, sustained
-    /// degradation) against instant-scoped telemetry, re-ranks each
-    /// registered query's candidate plans under the telemetry-fed
-    /// [`MeasuredCosts`] model, and hot-swaps a cheaper plan in at the
-    /// tick boundary with portable operator state (window rings, β
-    /// caches) carried over. Off by default; `SERENA_ADAPTIVE=1` arms the
-    /// default policy from the environment.
-    ///
-    /// Replan decisions consume only logically-timed signals, so two runs
-    /// with the same fault schedule replan at the same instants and
-    /// produce byte-identical output.
-    ///
-    /// [`MeasuredCosts`]: serena_core::rewrite::MeasuredCosts
-    pub fn adaptive(mut self, policy: ReplanPolicy) -> Self {
-        self.adaptive = Some(policy);
-        self
-    }
-
     /// Assemble the runtime.
     pub fn build(self) -> Pems {
         let bus = DiscoveryBus::new(self.bus);
@@ -371,16 +349,6 @@ impl PemsBuilder {
         telemetry.counter("serena_trace_dropped_total", &[]);
         telemetry.counter("serena_replication_total", &[]);
         telemetry.counter("serena_replication_errors_total", &[]);
-        telemetry.counter("serena_replan_total", &[]);
-        let adaptive = self
-            .adaptive
-            .or_else(|| {
-                std::env::var("SERENA_ADAPTIVE")
-                    .ok()
-                    .filter(|v| v != "0" && !v.is_empty())
-                    .map(|_| ReplanPolicy::default())
-            })
-            .map(AdaptiveController::new);
         Pems {
             bus,
             directory: Arc::new(NodeDirectory::new(self.node_id)),
@@ -405,7 +373,6 @@ impl PemsBuilder {
             snapshot_size_hint: std::sync::atomic::AtomicUsize::new(0),
             tracer,
             trace_dropped_seen: 0,
-            adaptive,
         }
     }
 }
@@ -461,9 +428,6 @@ pub struct Pems {
     /// `serena_trace_dropped_total` (the counter is monotone; the recorder
     /// reports a cumulative total).
     trace_dropped_seen: u64,
-    /// Adaptive re-optimization controller, when armed via
-    /// [`PemsBuilder::adaptive`] / `SERENA_ADAPTIVE`.
-    adaptive: Option<AdaptiveController>,
 }
 
 impl Default for Pems {
@@ -796,7 +760,7 @@ impl Pems {
         let handle = self
             .tables
             .table(table)
-            .ok_or_else(|| PemsError::Other(format!("unknown table `{table}`")))?;
+            .ok_or_else(|| SchemaError::UnknownRelation(table.to_string()))?;
         let query = DiscoveryQuery::new(prototype, handle.schema(), service_attr)?;
         self.discoveries.push((table.to_string(), query));
         // both series render (at zero) from here on
@@ -822,9 +786,6 @@ impl Pems {
             &mut sources,
             self.exec_options,
         )?;
-        if let Some(ctrl) = &mut self.adaptive {
-            ctrl.track(name, plan.clone());
-        }
         Ok(())
     }
 
@@ -923,9 +884,6 @@ impl Pems {
             Statement::UnregisterQuery { name } => {
                 if !self.processor.deregister(name) {
                     return Err(PemsError::Other(format!("unknown query `{name}`")));
-                }
-                if let Some(ctrl) = &mut self.adaptive {
-                    ctrl.untrack(name);
                 }
                 Ok(ExecOutcome::Done)
             }
@@ -1033,13 +991,6 @@ impl Pems {
         let mut w = Writer::with_capacity(hint + hint / 4 + 256);
         snapshot::write_header(&mut w);
         self.tables.export_tables(&mut w);
-        // the adaptive section is always present (empty when the feature
-        // is off) and precedes the processor: recovery must rebuild the
-        // adapted plan structures before rehydrating executor state
-        match &self.adaptive {
-            Some(ctrl) => ctrl.export_state(&mut w),
-            None => AdaptiveController::export_empty(&mut w),
-        }
         self.processor.write_snapshot(&mut w);
         self.resilience.export_state(&mut w);
         self.health.export_state(&mut w);
@@ -1060,43 +1011,6 @@ impl Pems {
             query.forget();
         }
         self.tables.import_tables(&mut r)?;
-        // adaptive section: restore the replan history and re-apply each
-        // adapted plan choice (regenerating the deterministic candidate
-        // list from the original plan), so the processor restore below
-        // finds structurally matching executors. State carry-over is not
-        // needed here — read_snapshot rehydrates every node.
-        match self.adaptive.take() {
-            Some(mut ctrl) => {
-                ctrl.import_state(&mut r)?;
-                for name in ctrl.tracked().iter().map(|s| s.to_string()) {
-                    let candidate = ctrl.candidate(&name).unwrap_or(0);
-                    if candidate == 0 {
-                        continue;
-                    }
-                    let plan = ctrl
-                        .original(&name)
-                        .cloned()
-                        .expect("tracked query has an original plan");
-                    let candidates = serena_stream::candidates_for(&plan, &self.tables);
-                    let adapted = candidates.get(candidate).ok_or_else(|| {
-                        SnapshotError::Mismatch(format!(
-                            "query `{name}` snapshot selects candidate {candidate}, \
-                             only {} generated",
-                            candidates.len()
-                        ))
-                    })?;
-                    let mut sources = self.tables.source_set_for(adapted);
-                    self.processor.swap_query(
-                        &name,
-                        adapted,
-                        &mut sources,
-                        &serena_stream::MigrationMap::empty(),
-                    )?;
-                }
-                self.adaptive = Some(ctrl);
-            }
-            None => AdaptiveController::import_disabled(&mut r)?,
-        }
         self.processor.read_snapshot(&mut r)?;
         self.resilience.import_state(&mut r)?;
         self.health.import_state(&mut r)?;
@@ -1196,12 +1110,6 @@ impl Pems {
                 .gauge("serena_hub_retained_tuples", &[("stream", &stream)])
                 .set(retained as i64);
         }
-        // 3½. adaptive re-optimization: evaluate the replan triggers
-        // against this tick's instant-scoped telemetry and hot-swap any
-        // query whose measured-cost ranking changed. Runs before the
-        // checkpoint cut, so a snapshot taken below already carries the
-        // adapted plans and the replan history.
-        self.evaluate_replans(now);
         // publish the flight recorder's eviction count as a monotone series
         let dropped = self.tracer.dropped_total();
         if dropped > self.trace_dropped_seen {
@@ -1269,243 +1177,6 @@ impl Pems {
             }
         }
         out
-    }
-
-    /// Whether adaptive re-optimization is armed (see
-    /// [`PemsBuilder::adaptive`]).
-    pub fn adaptive_enabled(&self) -> bool {
-        self.adaptive.is_some()
-    }
-
-    /// Every plan swap applied so far, in application order. Empty when
-    /// adaptivity is off (or nothing has triggered).
-    pub fn replan_history(&self) -> &[ReplanEvent] {
-        self.adaptive
-            .as_ref()
-            .map_or(&[], AdaptiveController::history)
-    }
-
-    /// Force a replan evaluation of `query` right now (the shell's
-    /// `.replan` command): candidates are re-ranked under the current
-    /// measured costs, ignoring triggers and cooldown. Returns whether a
-    /// swap was applied. Errors when adaptivity is off or the query is
-    /// unknown.
-    pub fn force_replan(&mut self, query: &str) -> Result<bool, PemsError> {
-        let Some(mut ctrl) = self.adaptive.take() else {
-            return Err(PemsError::Other(
-                "adaptive optimization is off (PemsBuilder::adaptive / SERENA_ADAPTIVE=1)".into(),
-            ));
-        };
-        if ctrl.original(query).is_none() {
-            self.adaptive = Some(ctrl);
-            return Err(PemsError::Other(format!("unknown query `{query}`")));
-        }
-        let costs = self.assemble_costs(&ctrl);
-        let at = self.clock();
-        let swapped = self.replan_query(&mut ctrl, query, at, ReplanReason::Forced, true, &costs);
-        self.adaptive = Some(ctrl);
-        Ok(swapped)
-    }
-
-    /// Render `query`'s candidate plans with their telemetry-fed cost
-    /// estimates, marking the one currently running — the shell's `.plan`
-    /// command. Errors when adaptivity is off or the query is unknown.
-    pub fn plan_report(&self, query: &str) -> Result<String, PemsError> {
-        let Some(ctrl) = &self.adaptive else {
-            return Err(PemsError::Other(
-                "adaptive optimization is off (PemsBuilder::adaptive / SERENA_ADAPTIVE=1)".into(),
-            ));
-        };
-        let Some(original) = ctrl.original(query) else {
-            return Err(PemsError::Other(format!("unknown query `{query}`")));
-        };
-        let costs = self.assemble_costs(ctrl);
-        let current = ctrl.candidate(query).unwrap_or(0);
-        let candidates = serena_stream::candidates_for(original, &self.tables);
-        let mut out = format!("query `{query}`: {} candidate plan(s)\n", candidates.len());
-        for (i, cand) in candidates.iter().enumerate() {
-            let marker = if i == current { '*' } else { ' ' };
-            match costs.estimate(cand, &self.tables) {
-                Ok(e) => out.push_str(&format!(
-                    "{marker} [{i}] cost={:.1} invocations={:.1} rows={:.1}\n      {cand}\n",
-                    e.cost, e.invocations, e.rows
-                )),
-                Err(e) => out.push_str(&format!("{marker} [{i}] <estimate failed: {e}>\n")),
-            }
-        }
-        let replans = ctrl.history().iter().filter(|e| e.query == query).count();
-        out.push_str(&format!("replans so far: {replans}\n"));
-        Ok(out)
-    }
-
-    /// Phase 3½ of [`Self::tick`]: evaluate the replan triggers against
-    /// this tick's instant-scoped telemetry and hot-swap any query whose
-    /// best candidate changed. Runs *before* the checkpoint cut so a
-    /// snapshot taken this tick already carries the adapted plans.
-    fn evaluate_replans(&mut self, at: Instant) {
-        let Some(mut ctrl) = self.adaptive.take() else {
-            return;
-        };
-        // triggers, from logical state only (breakers + rolling health)
-        let breaker_edge = ctrl.observe_breakers(&self.resilience.breakers());
-        let worst = self
-            .health
-            .report()
-            .iter()
-            .map(|h| h.failure_rate)
-            .fold(0.0, f64::max);
-        let degraded = ctrl.observe_degradation(worst);
-        let reason = if breaker_edge && ctrl.policy().on_breaker_transition {
-            Some(ReplanReason::BreakerTransition)
-        } else if degraded {
-            Some(ReplanReason::SustainedDegradation)
-        } else {
-            None
-        };
-        if let Some(reason) = reason {
-            let costs = self.assemble_costs(&ctrl);
-            let names: Vec<String> = ctrl.tracked().iter().map(|s| s.to_string()).collect();
-            for name in names {
-                self.replan_query(&mut ctrl, &name, at, reason, false, &costs);
-            }
-        }
-        self.adaptive = Some(ctrl);
-    }
-
-    /// Re-rank one query's candidates and hot-swap if a strictly cheaper
-    /// plan than the running one exists. Idempotent: a restored node
-    /// re-detecting the same degradation finds its best candidate already
-    /// running and applies nothing.
-    fn replan_query(
-        &mut self,
-        ctrl: &mut AdaptiveController,
-        name: &str,
-        at: Instant,
-        reason: ReplanReason,
-        force: bool,
-        costs: &serena_core::rewrite::MeasuredCosts,
-    ) -> bool {
-        if !force && !ctrl.cooled_down(name, at) {
-            return false;
-        }
-        let Some(original) = ctrl.original(name) else {
-            return false;
-        };
-        let current = ctrl.candidate(name).unwrap_or(0);
-        let candidates = serena_stream::candidates_for(original, &self.tables);
-        let mut best: Option<(usize, f64)> = None;
-        for (i, cand) in candidates.iter().enumerate() {
-            let Ok(e) = costs.estimate(cand, &self.tables) else {
-                continue;
-            };
-            // ties keep the lower index — candidate order is
-            // deterministic, so so is the choice
-            if best.is_none_or(|(_, c)| e.cost < c) {
-                best = Some((i, e.cost));
-            }
-        }
-        let Some((best, best_cost)) = best else {
-            return false;
-        };
-        if best == current {
-            return false;
-        }
-        let current_cost = costs
-            .estimate(&candidates[current], &self.tables)
-            .map(|e| e.cost)
-            .unwrap_or(f64::INFINITY);
-        if best_cost >= current_cost {
-            return false;
-        }
-        let old_plan = &candidates[current];
-        let new_plan = &candidates[best];
-        let migration = serena_stream::migration_pairs(
-            &serena_stream::state_keys(old_plan, &self.tables),
-            &serena_stream::state_keys(new_plan, &self.tables),
-        );
-        let mut sources = self.tables.source_set_for(new_plan);
-        if let Err(e) = self
-            .processor
-            .swap_query(name, new_plan, &mut sources, &migration)
-        {
-            self.trace_failure(&format!("replan:{name}"), at, &e);
-            return false;
-        }
-        ctrl.record(at, name, reason, best);
-        self.telemetry
-            .counter(
-                "serena_replan_total",
-                &[("query", name), ("reason", reason.label())],
-            )
-            .inc();
-        if let Some(mut span) = self.tracer.start("query.replan", at) {
-            span.attr_str("query", name);
-            span.attr_str("reason", reason.label());
-            span.attr_u64("from", current as u64);
-            span.attr_u64("to", best as u64);
-            span.attr_u64("windows_migrated", migration.windows.len() as u64);
-            span.attr_u64("caches_migrated", migration.invokes.len() as u64);
-        }
-        true
-    }
-
-    /// Assemble the telemetry-fed cost model from the runtime's current
-    /// instant-scoped state: per-prototype failure rates and breaker
-    /// flags aggregated over the directory's providers, the global β-cache
-    /// hit rate, and observed cardinalities of every table the tracked
-    /// plans read. Always [deterministic] — wall-clock latency never
-    /// feeds a replan decision.
-    ///
-    /// [deterministic]: serena_core::rewrite::MeasuredCosts::deterministic
-    fn assemble_costs(&self, ctrl: &AdaptiveController) -> serena_core::rewrite::MeasuredCosts {
-        use serena_core::rewrite::{MeasuredCosts, ServiceObservation};
-        let mut costs = MeasuredCosts::new().deterministic(true);
-        // global β-cache hit rate from the processors' rolling stats
-        let (mut hits, mut misses) = (0u64, 0u64);
-        for name in self.processor.names() {
-            if let Some(s) = self.processor.stats(name) {
-                hits += s.cache_hits;
-                misses += s.cache_misses;
-            }
-        }
-        let hit_rate = if hits + misses > 0 {
-            hits as f64 / (hits + misses) as f64
-        } else {
-            0.0
-        };
-        // per-prototype health/breaker aggregation over providers
-        let mut observations: std::collections::BTreeMap<String, ServiceObservation> =
-            std::collections::BTreeMap::new();
-        for reference in self.directory.references() {
-            let Some(service) = self.directory.resolve(&reference) else {
-                continue;
-            };
-            let failure_rate = self
-                .health
-                .health_of(&reference)
-                .map_or(0.0, |h| h.failure_rate);
-            let breaker_open =
-                !matches!(self.resilience.breaker_of(&reference), BreakerState::Closed);
-            for proto in service.prototypes() {
-                let obs = observations.entry(proto.name().to_string()).or_default();
-                obs.failure_rate = obs.failure_rate.max(failure_rate);
-                obs.breaker_open |= breaker_open;
-                obs.cache_hit_rate = hit_rate;
-            }
-        }
-        for (proto, obs) in observations {
-            costs.observe(proto, obs);
-        }
-        for name in ctrl.tracked() {
-            if let Some(plan) = ctrl.original(name) {
-                for source in plan.relations() {
-                    if let Some(handle) = self.tables.table(source) {
-                        costs.observe_cardinality(source, handle.snapshot().len());
-                    }
-                }
-            }
-        }
-        costs
     }
 }
 
@@ -1876,6 +1547,22 @@ mod tests {
             err,
             PemsError::Schema(SchemaError::UnknownRelation(_))
         ));
+    }
+
+    /// A discovery query over a table nobody defined is refused with the
+    /// same typed error, and leaves no series behind.
+    #[test]
+    fn a_discovery_on_an_unknown_table_is_a_typed_error() {
+        let mut pems = Pems::default();
+        let err = pems
+            .register_discovery("ghost", "getTemperature", "sensor")
+            .unwrap_err();
+        assert!(
+            matches!(&err, PemsError::Schema(SchemaError::UnknownRelation(r)) if r == "ghost"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "unknown relation `ghost`");
+        assert!(!pems.render_metrics().contains("table=\"ghost\""));
     }
 
     #[test]

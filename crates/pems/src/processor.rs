@@ -209,41 +209,6 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Replace a registered query's plan at a tick boundary, carrying
-    /// portable operator state across (adaptive re-optimization's hot
-    /// swap). The replacement compiles against `sources` with the *same*
-    /// execution options as the outgoing query, joins the global cadence
-    /// at the current clock, and adopts window rings / β caches according
-    /// to `migration` (pairs from [`serena_stream::migration_pairs`]).
-    ///
-    /// Aggregated [`QueryStats`] and telemetry series survive the swap —
-    /// the query is still the same query to observers — but the rolling
-    /// per-node [`ExecStats`] reset: node ids are positions in the plan,
-    /// and the new plan's positions mean different operators.
-    ///
-    /// Errors with [`PlanError::UnknownRelation`] when `name` is not
-    /// registered, or propagates the compile error for a bad plan (the
-    /// running query is untouched in both cases).
-    pub fn swap_query(
-        &mut self,
-        name: &str,
-        plan: &StreamPlan,
-        sources: &mut SourceSet,
-        migration: &serena_stream::MigrationMap,
-    ) -> Result<(), PlanError> {
-        let reg = self
-            .queries
-            .get_mut(name)
-            .ok_or_else(|| PlanError::UnknownRelation(format!("query `{name}` not registered")))?;
-        let mut query = ContinuousQuery::compile_with_options(plan, sources, reg.query.options())?;
-        query.seek(self.clock);
-        query.set_tracer(self.tracer.clone());
-        query.adopt_state_from(&reg.query, &migration.windows, &migration.invokes);
-        reg.query = query;
-        reg.exec = ExecStats::new();
-        Ok(())
-    }
-
     /// Attach continuous-query telemetry: per-query tick-duration,
     /// freshness-lag and cache-miss-batch histograms plus tick/tuple/error
     /// counters in `registry` (labelled `query=<name>`), and span-style
@@ -997,183 +962,6 @@ mod tests {
         // steals are timing-dependent: assert the counter is publishable,
         // not a specific value
         let _ = registry.counter_value("serena_sched_steals_total", &[]);
-    }
-
-    #[test]
-    fn swap_query_carries_window_state_and_keeps_stats() {
-        use serena_stream::{migration_pairs, state_keys};
-        let mut qp = QueryProcessor::new();
-        let (table, mut s1) = int_table();
-        let old_plan = StreamPlan::source("t")
-            .stream(serena_stream::StreamKind::Heartbeat)
-            .window(3)
-            .select(Formula::gt_const("x", 10));
-        qp.register("w", &old_plan, &mut s1).unwrap();
-        let reg = example_registry();
-        table.insert(tuple![20]);
-        qp.tick_all_with(&reg, &NoopMetrics);
-        qp.tick_all_with(&reg, &NoopMetrics);
-        let ticks_before = qp.stats("w").unwrap().ticks;
-
-        // the σ-pushed equivalent: same window subtree, so the ring ports
-        let new_plan = StreamPlan::source("t")
-            .stream(serena_stream::StreamKind::Heartbeat)
-            .window(3)
-            .select(Formula::gt_const("x", 10));
-        let mut s2 = SourceSet::new();
-        s2.add_table("t", table.clone());
-        let migration = migration_pairs(&state_keys(&old_plan, &s2), &state_keys(&new_plan, &s2));
-        assert_eq!(migration.windows, vec![(0, 0)]);
-        qp.swap_query("w", &new_plan, &mut s2, &migration).unwrap();
-
-        // the adopted ring bootstraps: full current re-emitted, then the
-        // query keeps rolling at the global cadence
-        let r = qp.tick_all_with(&reg, &NoopMetrics);
-        assert_eq!(r[0].1.at, Instant(2));
-        assert!(!r[0].1.delta.inserts.is_empty());
-        assert_eq!(qp.stats("w").unwrap().ticks, ticks_before + 1);
-        assert_eq!(qp.clock(), Instant(3));
-
-        // unknown names are a typed error
-        assert!(qp
-            .swap_query("missing", &new_plan, &mut SourceSet::new(), &migration)
-            .is_err());
-    }
-
-    /// A plan with two leaves over one stream swaps the way the adaptive
-    /// loop does it — `source_set_for` the incoming plan, `migration_pairs`
-    /// over both plans' windows — and keeps both rings: after the bootstrap
-    /// tick it reports what a never-swapped twin does.
-    #[test]
-    fn swap_query_keeps_both_rings_of_a_stream_named_twice() {
-        use serena_stream::{migration_pairs, state_keys};
-        let tables = crate::table_manager::ExtendedTableManager::new();
-        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
-        let hub = tables.define_push_stream("s", schema).unwrap();
-        let window = |n| StreamPlan::source("s").window(n);
-        let plan = window(1).union(window(3));
-        let mut qp = QueryProcessor::new();
-        for name in ["swapped", "twin"] {
-            qp.register(name, &plan, &mut tables.source_set_for(&plan))
-                .unwrap();
-        }
-        let reg = example_registry();
-        let tick = |qp: &mut QueryProcessor, at: i64| {
-            hub.push(tuple![at]);
-            hub.push(tuple![at % 2]);
-            let mut reports = qp.tick_all_with(&reg, &NoopMetrics);
-            reports.sort_by(|a, b| a.0.cmp(&b.0));
-            let [(_, swapped), (_, twin)] = <[_; 2]>::try_from(reports).ok().unwrap();
-            (swapped.delta, twin.delta)
-        };
-        for at in 0..4 {
-            let (swapped, twin) = tick(&mut qp, at);
-            assert_eq!(swapped, twin);
-        }
-
-        let keys = state_keys(&plan, &tables);
-        let migration = migration_pairs(&keys, &keys);
-        assert_eq!(migration.windows, vec![(0, 0), (1, 1)]);
-        qp.swap_query(
-            "swapped",
-            &plan,
-            &mut tables.source_set_for(&plan),
-            &migration,
-        )
-        .unwrap();
-
-        // the bootstrap tick re-emits the whole result from the two warm
-        // rings: 2 tuples of W[1] and 6 of W[3]
-        let (bootstrap, _) = tick(&mut qp, 4);
-        assert!(bootstrap.deletes.is_empty());
-        assert_eq!(bootstrap.inserts.len(), 8);
-        assert_eq!(qp.current_relation("swapped"), qp.current_relation("twin"));
-        for at in 5..9 {
-            let (swapped, twin) = tick(&mut qp, at);
-            assert_eq!(swapped, twin, "instant {at}");
-            assert!(!swapped.is_empty());
-        }
-    }
-
-    /// `σ(W[3](s))` keeps no `current` in its window, `γ(W[3](s))` does. A
-    /// hot swap from one to the other pairs the two windows, and the adopted
-    /// one takes its content from the ring — the donor may not hold any:
-    /// the bootstrap tick emits the whole window through the new plan, and
-    /// from the next instant on the swapped query reports what a twin that
-    /// ran the plan all along does. And back.
-    #[test]
-    fn swap_query_between_windows_that_do_and_do_not_keep_current() {
-        use serena_core::ops::{AggFun, AggSpec};
-        use serena_stream::{migration_pairs, state_keys};
-        let tables = crate::table_manager::ExtendedTableManager::new();
-        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
-        let hub = tables.define_push_stream("s", schema).unwrap();
-        let window = || StreamPlan::source("s").window(3);
-        let unread = window().select(Formula::gt_const("x", 0));
-        let read = window().aggregate(["x"], vec![AggSpec::new(AggFun::Count, "x")]);
-        let mut qp = QueryProcessor::new();
-        for (name, plan) in [
-            ("swapped", &unread),
-            ("twin_unread", &unread),
-            ("twin_read", &read),
-        ] {
-            qp.register(name, plan, &mut tables.source_set_for(plan))
-                .unwrap();
-        }
-        let reg = example_registry();
-        // a duplicate inside each batch, and 7 in every entering and every
-        // expiring one
-        let tick = |qp: &mut QueryProcessor, at: i64| -> BTreeMap<String, Delta> {
-            for x in [at % 4, at % 4, 7] {
-                hub.push(tuple![x]);
-            }
-            let reports = qp.tick_all_with(&reg, &NoopMetrics);
-            reports.into_iter().map(|(n, r)| (n, r.delta)).collect()
-        };
-        let swap = |qp: &mut QueryProcessor, from: &StreamPlan, to: &StreamPlan| {
-            let migration = migration_pairs(&state_keys(from, &tables), &state_keys(to, &tables));
-            assert_eq!(migration.windows, vec![(0, 0)]);
-            qp.swap_query("swapped", to, &mut tables.source_set_for(to), &migration)
-                .unwrap();
-        };
-        let whole = |qp: &QueryProcessor, twin: &str| {
-            let held = qp.current_relation(twin).unwrap().into_tuples();
-            assert!(!held.is_empty());
-            held
-        };
-        let mut at = 0;
-        // the first swap lands while the ring is part-filled
-        for (settle, from, to, twin) in [
-            (2, &unread, &read, "twin_read"),
-            (5, &read, &unread, "twin_unread"),
-            (4, &unread, &read, "twin_read"),
-        ] {
-            for _ in 0..settle {
-                tick(&mut qp, at);
-                at += 1;
-            }
-            swap(&mut qp, from, to);
-            let bootstrap = tick(&mut qp, at).remove("swapped").unwrap();
-            at += 1;
-            assert!(bootstrap.deletes.is_empty());
-            // γ's result is a set; σ's holds 7 once per batch of the window
-            let emitted: std::collections::BTreeSet<_> =
-                bootstrap.inserts.iter().map(|(t, _)| t.clone()).collect();
-            assert_eq!(emitted.into_iter().collect::<Vec<_>>(), whole(&qp, twin));
-            assert_eq!(qp.current_relation("swapped"), qp.current_relation(twin));
-            for _ in 0..4 {
-                let mut deltas = tick(&mut qp, at);
-                assert_eq!(
-                    deltas.remove("swapped"),
-                    deltas.remove(twin),
-                    "instant {at}"
-                );
-                assert_eq!(qp.current_relation("swapped"), qp.current_relation(twin));
-                at += 1;
-            }
-        }
-        // nothing the swaps left behind pins the hub
-        assert_eq!(hub.len(), 0);
     }
 
     #[test]

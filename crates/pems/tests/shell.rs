@@ -6,12 +6,7 @@ use std::io::Write;
 use std::process::{Command, Stdio};
 
 fn run_shell(script: &str) -> String {
-    run_shell_with_env(script, &[])
-}
-
-fn run_shell_with_env(script: &str, env: &[(&str, &str)]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pems_shell"))
-        .envs(env.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -106,41 +101,6 @@ fn metrics_and_health_commands() {
     assert!(!out.contains("unknown command"), "alias failed:\n{out}");
 }
 
-/// Acceptance (PR 10): `.plan` renders the candidate list with the running
-/// plan marked, `.replan` forces a swap to the cheapest candidate, and both
-/// explain themselves when adaptivity is off.
-#[test]
-fn plan_and_replan_commands() {
-    let script = ".demo\n\
-         REGISTER QUERY watch AS SELECT[location = 'corridor'](WINDOW[1](SAMPLE[getTemperature[sensor], 1](sensors)));\n\
-         .tick 1\n\
-         .plan watch\n\
-         .replan watch\n\
-         .replan watch\n\
-         .quit\n";
-    let out = run_shell_with_env(script, &[("SERENA_ADAPTIVE", "1")]);
-    assert!(out.contains("* [0]"), "original marked current:\n{out}");
-    assert!(out.contains("replanned `watch`"), "forced swap:\n{out}");
-    assert!(
-        out.contains("already runs the cheapest candidate"),
-        "second .replan is a no-op:\n{out}"
-    );
-
-    // without SERENA_ADAPTIVE both commands fail with a pointer to the knob
-    let off = run_shell(
-        ".demo\n\
-         REGISTER QUERY watch AS sensors;\n\
-         .plan watch\n\
-         .replan nosuch\n\
-         .quit\n",
-    );
-    assert!(off.contains("error:"), "off-mode errors:\n{off}");
-    assert!(
-        off.contains("SERENA_ADAPTIVE"),
-        "error names the knob:\n{off}"
-    );
-}
-
 #[test]
 fn tables_and_result_commands() {
     let out = run_shell(
@@ -168,6 +128,7 @@ fn explain_prints_the_lowered_algebra_without_executing() {
          \\explain SELECT sent FROM contacts WITH text := 'Hi' USING sendMessage[messenger] WHERE name <> 'Carla'\n\
          .explain SELECT FROM contacts USING teleport[messenger];\n\
          .explain\n\
+         .plan watch\n\
          .help\n\
          .metrics\n\
          .quit\n",
@@ -189,5 +150,7 @@ fn explain_prints_the_lowered_algebra_without_executing() {
     assert!(!out.contains("serena_service_calls_total{"), "{out}");
     assert!(out.contains("error: unknown prototype `teleport`"), "{out}");
     assert!(out.contains("usage: .explain <SELECT …>"));
-    assert!(out.contains(".replan <query> | .explain <SELECT …>"));
+    assert!(out.contains(".explain <SELECT …> | .checkpoint <dir> | .restore <dir>"));
+    assert!(!out.contains(".plan <query>"), "{out}");
+    assert!(out.contains("unknown command `.plan` — try .help"), "{out}");
 }

@@ -89,7 +89,6 @@ pub(super) fn build(
                 period: (*period).max(1),
                 ring: VecDeque::new(),
                 keeps_current: read,
-                warm: false,
             };
             (operand(p, sources, false)?, window)
         }

@@ -31,7 +31,7 @@
 //! Layout: this file holds the node shape and the public API; `build`
 //! compiles a plan into nodes, `tick` evaluates one instant, `stateful` is
 //! ⋈, ∪/∩/− and γ over deltas, `state` is everything that outlives a tick
-//! boundary (checkpoint, restore, hot-swap adoption).
+//! boundary (checkpoint, restore).
 
 mod build;
 mod state;
@@ -146,8 +146,8 @@ pub struct TickReport {
 
 /// One node of a running query. Every node has this shape — whatever an
 /// operator carries across ticks beyond its instantaneous multiset lives in
-/// its [`Op`] — so checkpoint, restore and state adoption are one pre-order
-/// traversal ([`Node::walk`]) plus a per-operator step.
+/// its [`Op`] — so checkpoint and restore are one pre-order traversal
+/// ([`Node::walk`]) plus a per-operator step.
 struct Node {
     /// Stable pre-order id (this node, then children left to right),
     /// assigned once at compile time and reused every tick so per-tick and
@@ -197,12 +197,6 @@ enum Op {
         /// parent operator; everything that outlives a tick derives the
         /// content from the ring.
         keeps_current: bool,
-        /// Set when a plan hot-swap adopted this ring from an outgoing
-        /// query: the first tick then emits the full (post-update) window
-        /// content as pure insertions — downstream nodes of the new plan
-        /// start cold and need the complete state, not an incremental
-        /// delta. Cleared after that bootstrap tick; survives checkpoints.
-        warm: bool,
     },
     StreamOf(StreamKind),
     /// Streaming binding pattern `βˢ` (extension, §7 future work):
@@ -259,20 +253,12 @@ impl Op {
 }
 
 impl Node {
-    /// Visit this subtree in pre-order — the order [`NodeId`]s, snapshot
-    /// records and migration positions all count in.
+    /// Visit this subtree in pre-order — the order [`NodeId`]s and snapshot
+    /// records count in.
     fn walk<'a>(&'a self, f: &mut impl FnMut(&'a Node)) {
         f(self);
         for c in &self.children {
             c.walk(f);
-        }
-    }
-
-    /// [`Node::walk`] over mutable nodes.
-    fn walk_mut(&mut self, f: &mut impl FnMut(&mut Node)) {
-        f(self);
-        for c in &mut self.children {
-            c.walk_mut(f);
         }
     }
 }
@@ -335,12 +321,6 @@ impl ContinuousQuery {
     /// scheduler divides it among concurrent ticks).
     pub fn invoke_parallelism(&self) -> usize {
         self.options.invoke_parallelism
-    }
-
-    /// The full execution options the query was compiled with — a plan
-    /// hot-swap recompiles the replacement with the same knobs.
-    pub fn options(&self) -> ExecOptions {
-        self.options
     }
 
     /// Align the query's clock so its next tick evaluates `at` — used when
@@ -451,56 +431,5 @@ impl ContinuousQuery {
         self.root.restore(r)?;
         self.next = Instant(next);
         Ok(())
-    }
-
-    /// Carry reusable operator state over from the outgoing query of a
-    /// plan hot-swap. `windows` and `invokes` are `(new_pos, old_pos)`
-    /// pairs, positions counting nodes of that kind in pre-order (the
-    /// plan-level [`crate::rewrite::migration_pairs`] inventory) — only
-    /// pairs whose operand subtree (windows) or operand schema (β caches)
-    /// is unchanged may be passed.
-    ///
-    /// * a window adopts the old ring — its content, where it keeps
-    ///   `current`, is derived from it — and is marked *warm*: its first
-    ///   tick emits the full window as insertions so the cold downstream
-    ///   nodes of the new plan see complete state;
-    /// * a β node adopts the old cache with all counts zeroed (its cold
-    ///   child will re-insert whatever subset of inputs survives the new
-    ///   plan); adopted hits re-emit cached outputs without re-invoking
-    ///   the service — no duplicate actions, no duplicate calls.
-    ///
-    /// Everything else starts cold — the ⋈ indexes, set-operator operands
-    /// and γ groups empty, filled by the warm windows' bootstrap emission —
-    /// which is exactly the registered-mid-run bootstrap every node already
-    /// supports.
-    pub fn adopt_state_from(
-        &mut self,
-        old: &ContinuousQuery,
-        windows: &[(usize, usize)],
-        invokes: &[(usize, usize)],
-    ) {
-        type OfKind = fn(&Op) -> bool;
-        let kinds: [(OfKind, &[(usize, usize)]); 2] = [
-            (|op| matches!(op, Op::Window { .. }), windows),
-            (|op| matches!(op, Op::Invoke { .. }), invokes),
-        ];
-        for (of_kind, pairs) in kinds {
-            let mut donors = Vec::new();
-            old.root.walk(&mut |n| {
-                if of_kind(&n.op) {
-                    donors.push(n);
-                }
-            });
-            let pairs: HashMap<usize, usize> = pairs.iter().copied().collect();
-            let mut pos = 0usize;
-            self.root.walk_mut(&mut |n| {
-                if of_kind(&n.op) {
-                    if let Some(donor) = pairs.get(&pos).and_then(|&o| donors.get(o)) {
-                        n.adopt(donor);
-                    }
-                    pos += 1;
-                }
-            });
-        }
     }
 }

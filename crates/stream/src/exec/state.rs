@@ -1,5 +1,5 @@
-//! State that outlives a tick boundary: each node's checkpoint record, its
-//! restore, and what a hot-swapped plan adopts from the outgoing one.
+//! State that outlives a tick boundary: each node's checkpoint record and
+//! its restore.
 //!
 //! A snapshot is one record per node in pre-order: the operator tag (shape
 //! verification) followed by whatever that operator cannot re-derive. What
@@ -50,14 +50,8 @@ impl Node {
             // deletes the expired one), so it is derived on restore rather
             // than encoded — the dominant term of a windowed query's
             // snapshot, halved
-            Op::Window {
-                period, ring, warm, ..
-            } => {
+            Op::Window { period, ring, .. } => {
                 w.u64(*period);
-                // a checkpoint can land between a plan hot-swap and the
-                // adopted ring's bootstrap tick — the pending full emission
-                // must survive restore (snapshot format v2)
-                w.bool(*warm);
                 w.usize(ring.len());
                 for batch in ring {
                     w.usize(batch.len());
@@ -87,9 +81,9 @@ impl Node {
                 *started = r.bool()?;
                 // derived: the table manager restored the handle's committed
                 // contents before the processor restore reached this node.
-                // A node checkpointed *before* its bootstrap tick (e.g. a plan
-                // hot-swap checkpointed before the new plan's first tick) was
-                // still empty — its bootstrap tick will apply the contents.
+                // A node checkpointed *before* its bootstrap tick (a query
+                // registered after the last tick) was still empty — its
+                // bootstrap tick will apply the contents.
                 self.current = if *started {
                     handle.snapshot()
                 } else {
@@ -121,7 +115,6 @@ impl Node {
                 period,
                 ring,
                 keeps_current,
-                warm,
             } => {
                 let stored = r.u64()?;
                 if stored != *period {
@@ -130,7 +123,6 @@ impl Node {
                         self.id
                     )));
                 }
-                *warm = r.bool()?;
                 let batches = r.usize()?;
                 ring.clear();
                 for _ in 0..batches {
@@ -156,48 +148,5 @@ impl Node {
             *state = OpState::over(op, &self.children);
         }
         Ok(())
-    }
-
-    /// Take over the reusable state of `donor`, the node of the same kind a
-    /// plan hot-swap paired this one with (see
-    /// [`ContinuousQuery::adopt_state_from`]).
-    pub(super) fn adopt(&mut self, donor: &Node) {
-        match (&mut self.op, &donor.op) {
-            (
-                Op::Window {
-                    period,
-                    ring,
-                    keeps_current,
-                    warm,
-                },
-                Op::Window {
-                    period: donor_period,
-                    ring: donor_ring,
-                    ..
-                },
-                // defense in depth: the pairing already implies identical
-                // subtrees, which includes the period
-            ) if period == donor_period => {
-                // the batches stay shared; the donor's parent need not read
-                // `current` where this one's does, so the ring is the source
-                *ring = donor_ring.clone();
-                if *keeps_current {
-                    self.current = window_content(ring);
-                }
-                *warm = true;
-            }
-            // counts zeroed: the cold child re-inserts whatever survives
-            (Op::Invoke { cache, .. }, Op::Invoke { cache: donor, .. }) => {
-                self.current = Multiset::new();
-                *cache = donor
-                    .iter()
-                    .map(|(t, e)| {
-                        let outputs = e.outputs.clone();
-                        (t.clone(), CacheEntry { count: 0, outputs })
-                    })
-                    .collect();
-            }
-            _ => {}
-        }
     }
 }

@@ -754,179 +754,6 @@ fn q4_emits_photo_stream_on_cold_readings() {
     }
 }
 
-#[test]
-fn adopted_window_ring_survives_a_hot_swap() {
-    // the shared table feeds both the outgoing and the incoming query;
-    // the incoming query adopts the ring and must agree with the
-    // uninterrupted one from its first tick on
-    let plan = StreamPlan::source("t")
-        .stream(StreamKind::Heartbeat)
-        .window(2);
-    let table = TableHandle::new(int_schema("x"));
-    let mut sources = SourceSet::new();
-    sources.add_table("t", table.clone());
-    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
-
-    table.insert(tuple![1]);
-    old.tick_with(&reg, &NoopMetrics); // window {[1]}
-    table.insert(tuple![2]);
-    old.tick_with(&reg, &NoopMetrics); // window {[1], [1,2]}
-
-    let mut sources2 = SourceSet::new();
-    sources2.add_table("t", table.clone());
-    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
-    new.seek(Instant(2));
-    new.adopt_state_from(&old, &[(0, 0)], &[]);
-
-    // bootstrap tick: the adopted window emits its full post-update
-    // content as insertions for the cold downstream
-    let r_new = new.tick_with(&reg, &NoopMetrics);
-    let r_old = old.tick_with(&reg, &NoopMetrics);
-    assert!(r_new.delta.deletes.is_empty());
-    assert_eq!(
-        r_new.delta.inserts.sorted_occurrences(),
-        vec![tuple![1], tuple![1], tuple![2], tuple![2]],
-    );
-    assert_eq!(new.current_relation(), old.current_relation());
-    assert!(r_old.delta.deletes.is_empty() || !r_old.delta.inserts.is_empty());
-
-    // steady state: byte-identical deltas from here on
-    table.insert(tuple![3]);
-    let r_old = old.tick_with(&reg, &NoopMetrics);
-    let r_new = new.tick_with(&reg, &NoopMetrics);
-    assert_eq!(
-        r_old.delta.inserts.sorted_occurrences(),
-        r_new.delta.inserts.sorted_occurrences()
-    );
-    assert_eq!(
-        r_old.delta.deletes.sorted_occurrences(),
-        r_new.delta.deletes.sorted_occurrences()
-    );
-    assert_eq!(new.current_relation(), old.current_relation());
-}
-
-#[test]
-fn unadopted_window_starts_cold_after_a_swap() {
-    let plan = StreamPlan::source("t")
-        .stream(StreamKind::Heartbeat)
-        .window(2);
-    let table = TableHandle::new(int_schema("x"));
-    let mut sources = SourceSet::new();
-    sources.add_table("t", table.clone());
-    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
-    table.insert(tuple![1]);
-    old.tick_with(&reg, &NoopMetrics);
-
-    let mut sources2 = SourceSet::new();
-    sources2.add_table("t", table.clone());
-    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
-    new.seek(Instant(1));
-    new.adopt_state_from(&old, &[], &[]); // nothing portable
-    let r = new.tick_with(&reg, &NoopMetrics);
-    // cold window: only this tick's heartbeat batch, not the old ring
-    assert_eq!(r.delta.inserts.sorted_occurrences(), vec![tuple![1]]);
-    assert_eq!(new.current_relation().unwrap().len(), 1);
-    // the cold ring holds one batch where the adopted path would hold
-    // two: new's *next* tick pops nothing, so no deletes surface yet
-    let r2 = new.tick_with(&reg, &NoopMetrics);
-    assert!(r2.delta.deletes.is_empty(), "ring not yet full");
-}
-
-#[test]
-fn adopted_invoke_cache_skips_reinvocation_and_actions() {
-    let contacts = TableHandle::new(serena_core::schema::examples::contacts_schema());
-    let plan = StreamPlan::source("c")
-        .assign_const("text", "hi")
-        .invoke("sendMessage", "messenger");
-    let mut sources = SourceSet::new();
-    sources.add_table("c", contacts.clone());
-    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
-
-    contacts.insert(tuple![
-        "Alice",
-        "alice@example.org",
-        serena_core::value::Value::service("email")
-    ]);
-    let r = old.tick_with(&reg, &NoopMetrics);
-    assert_eq!(r.actions.len(), 1, "first insertion invokes the BP");
-
-    let mut sources2 = SourceSet::new();
-    sources2.add_table("c", contacts.clone());
-    let mut new = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
-    new.seek(Instant(1));
-    new.adopt_state_from(&old, &[], &[(0, 0)]);
-
-    // the cold table re-inserts Alice; the adopted cache serves the
-    // hit — no action recorded, no service call made
-    let r = new.tick_with(&reg, &NoopMetrics);
-    assert!(r.actions.is_empty(), "adopted cache must not re-invoke");
-    assert!(r.errors.is_empty());
-    assert_eq!(new.current_relation(), old.current_relation());
-
-    // a *new* contact still invokes normally
-    contacts.insert(tuple![
-        "Bob",
-        "bob@example.org",
-        serena_core::value::Value::service("jabber")
-    ]);
-    let r = new.tick_with(&reg, &NoopMetrics);
-    assert_eq!(r.actions.len(), 1);
-
-    // and a deletion retracts exactly the cached extension
-    contacts.delete(tuple![
-        "Alice",
-        "alice@example.org",
-        serena_core::value::Value::service("email")
-    ]);
-    let r = new.tick_with(&reg, &NoopMetrics);
-    assert_eq!(r.delta.deletes.len(), 1);
-}
-
-#[test]
-fn warm_flag_round_trips_through_a_snapshot() {
-    // a checkpoint can land between a hot-swap and the adopted ring's
-    // bootstrap tick; the pending full emission must survive restore
-    let plan = StreamPlan::source("t")
-        .stream(StreamKind::Heartbeat)
-        .window(2);
-    let table = TableHandle::new(int_schema("x"));
-    let mut sources = SourceSet::new();
-    sources.add_table("t", table.clone());
-    let mut old = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
-    table.insert(tuple![1]);
-    old.tick_with(&reg, &NoopMetrics);
-    old.tick_with(&reg, &NoopMetrics);
-
-    let mut sources2 = SourceSet::new();
-    sources2.add_table("t", table.clone());
-    let mut swapped = ContinuousQuery::compile(&plan, &mut sources2).unwrap();
-    swapped.seek(Instant(2));
-    swapped.adopt_state_from(&old, &[(0, 0)], &[]);
-
-    // checkpoint *before* the bootstrap tick, restore into a fresh
-    // compile, and compare the bootstrap emission byte for byte
-    let mut w = Writer::new();
-    swapped.write_snapshot(&mut w);
-    let bytes = w.into_bytes();
-    let mut sources3 = SourceSet::new();
-    sources3.add_table("t", table.clone());
-    let mut restored = ContinuousQuery::compile(&plan, &mut sources3).unwrap();
-    restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
-
-    let r_swapped = swapped.tick_with(&reg, &NoopMetrics);
-    let r_restored = restored.tick_with(&reg, &NoopMetrics);
-    assert_eq!(
-        r_swapped.delta.inserts.sorted_occurrences(),
-        r_restored.delta.inserts.sorted_occurrences()
-    );
-    assert!(!r_restored.delta.inserts.is_empty(), "bootstrap preserved");
-    assert_eq!(swapped.current_relation(), restored.current_relation());
-}
-
 /// One plan holding every node kind: table, stream, σ, π, ρ, α, ∪, ⋈,
 /// γ, β, W, S[insertion], βˢ.
 fn every_node_kind(sensors: &TableHandle, rooms: &TableHandle) -> ContinuousQuery {
@@ -978,9 +805,10 @@ fn digest(q: &ContinuousQuery) -> (usize, String) {
     (bytes.len(), format!("{h:016x}"))
 }
 
-/// Snapshot format guard: the digests were recorded from the executor as
-/// of PR 11 (tags 0–7, field order, `VERSION = 2`). Same-build round trips
-/// cannot see a format change; this does.
+/// Snapshot format guard: the digest was recorded from the executor of
+/// snapshot `VERSION = 3` (tags 0–7, field order; a window writes its period
+/// and its ring). Same-build round trips cannot see a format change; this
+/// does.
 #[test]
 fn snapshot_bytes_match_the_recorded_format() {
     let sensors = TableHandle::with_tuples(
@@ -1000,28 +828,17 @@ fn snapshot_bytes_match_the_recorded_format() {
         vec![tuple!["office", 1], tuple!["corridor", 0], tuple!["lab", 2]],
     );
     let reg = example_registry();
-    let mut old = every_node_kind(&sensors, &rooms);
-    let r = old.tick_with(&reg, &NoopMetrics);
+    let mut q = every_node_kind(&sensors, &rooms);
+    let r = q.tick_with(&reg, &NoopMetrics);
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     assert!(!r.batch.is_empty());
     sensors.insert(tuple![Value::service("sensor22"), "lab"]);
     sensors.insert(tuple![Value::service("sensor06"), "office"]);
     sensors.delete(tuple![Value::service("sensor01"), "corridor"]);
-    let r = old.tick_with(&reg, &NoopMetrics);
+    let r = q.tick_with(&reg, &NoopMetrics);
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     // populated β cache, W[3] holding two of three batches
-    assert_eq!(digest(&old), (2804, "8bdfa717accaf8bc".into()));
-
-    // a hot-swap adopts both rings and the β cache: the windows are
-    // warm and the cache counts zeroed until the bootstrap tick
-    let mut new = every_node_kind(&sensors, &rooms);
-    new.seek(old.next_instant());
-    new.adopt_state_from(&old, &[(0, 0), (1, 1)], &[(0, 0)]);
-    assert_eq!(digest(&new), (601, "75956701f73b39d0".into()));
-    let r = new.tick_with(&reg, &NoopMetrics);
-    assert!(r.errors.is_empty(), "{:?}", r.errors);
-    assert!(r.actions.is_empty());
-    assert_eq!(digest(&new), (3401, "f7f15ecbc9fadf2c".into()));
+    assert_eq!(digest(&q), (2802, "f3518726fb22c236".into()));
 }
 
 // ---------------------------------------------------------------------

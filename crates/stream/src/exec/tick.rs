@@ -5,7 +5,6 @@ use serena_core::action::Action;
 use serena_core::metrics::OpObservation;
 use serena_core::ops::{DegradePolicy, InvokeTally};
 
-use super::state::window_content;
 use super::stateful::{join_delta, setop_delta};
 use super::*;
 
@@ -157,7 +156,6 @@ impl Op {
                 period,
                 ring,
                 keeps_current,
-                warm,
             } => {
                 let entered = batch(input);
                 ring.push_back(Arc::clone(&entered));
@@ -168,16 +166,6 @@ impl Op {
                 };
                 if *keeps_current {
                     apply(id, current, [entered.bag(), expired.bag()]);
-                }
-                if *warm {
-                    // bootstrap tick after a hot-swap adopted this ring: the
-                    // nodes downstream are cold, so replace the incremental
-                    // change with the full post-update content as insertions
-                    *warm = false;
-                    return Out::Finite(Delta {
-                        inserts: window_content(ring),
-                        deletes: Multiset::new(),
-                    });
                 }
                 return Out::Slide { entered, expired };
             }

@@ -14,11 +14,9 @@
 //!   finite/infinite checking), and the continuous examples `Q3`/`Q4`;
 //! * [`exec`] — [`exec::ContinuousQuery`]: tick-by-tick incremental
 //!   evaluation with §4.2's delta-only invocation semantics and per-tick
-//!   action sets;
-//! * [`rewrite`] — what adaptive plan hot-swaps need: the deterministic
-//!   candidate list (the plan and its [`serena_core::rewrite::optimize`]d
-//!   form) and the state-migration inventory. Optimization and cost
-//!   estimation themselves are the core optimizer's and cost walk's.
+//!   action sets. A query runs the plan it was compiled from for its whole
+//!   life; rewriting and costing a plan ([`serena_core::rewrite`]) happen
+//!   before it is compiled, never while it runs.
 //!
 //! ```
 //! use serena_core::formula::Formula;
@@ -59,11 +57,9 @@
 pub mod exec;
 pub mod multiset;
 pub mod plan;
-pub mod rewrite;
 pub mod source;
 
 pub use exec::{ContinuousQuery, SourceSet, TickReport};
 pub use multiset::{Delta, Multiset};
 pub use plan::{StreamKind, StreamPlan, StreamSchema};
-pub use rewrite::{candidates_for, migration_pairs, state_keys, MigrationMap, StateKeys};
 pub use source::{FnStream, PushStream, StreamSource, TableHandle};

@@ -106,4 +106,17 @@ mod tests {
         assert!(text.contains("S[insertion]"));
         assert!(text.contains("β takePhoto[camera]"));
     }
+
+    #[test]
+    fn q3_and_q4_keep_their_schema_and_status_when_optimized() {
+        let cat = catalog();
+        for q in [examples::q3(), examples::q4()] {
+            let opt = serena_core::rewrite::optimize(&q, &cat).plan;
+            assert_eq!(
+                q.stream_schema(&cat).unwrap(),
+                opt.stream_schema(&cat).unwrap(),
+                "{q} vs {opt}"
+            );
+        }
+    }
 }

@@ -60,10 +60,7 @@ pub use serena_stream as stream;
 /// Everything most programs need.
 pub mod prelude {
     pub use serena_core::prelude::*;
-    pub use serena_pems::{
-        ExecOutcome, ExplainAnalyze, Pems, PemsBuilder, PemsError, QueryStats, ReplanEvent,
-        ReplanPolicy, ReplanReason,
-    };
+    pub use serena_pems::{ExecOutcome, ExplainAnalyze, Pems, PemsBuilder, PemsError, QueryStats};
     pub use serena_services::{
         BreakerState, HealthStatus, HealthTracker, ResilienceCounters, ResiliencePolicy,
         ResilienceState, ResilientLayer, ServiceHealth,

@@ -238,10 +238,21 @@ fn example_8_continuous_queries() {
     );
     let mut q4 = ContinuousQuery::compile(&q4(), &mut sources).unwrap();
     assert!(q4.schema().infinite, "Q4's result is a stream (ends in S)");
-    let batches: Vec<usize> = (0..4)
-        .map(|_| q4.tick_with(&reg, &NoopMetrics).batch.len())
+    let batches: Vec<Vec<Tuple>> = (0..4)
+        .map(|_| q4.tick_with(&reg, &NoopMetrics).batch)
         .collect();
-    assert_eq!(batches, vec![0, 2, 0, 0]); // camera01 + webcam07 cover office
+    let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
+    assert_eq!(sizes, vec![0, 2, 0, 0]); // camera01 + webcam07 cover office
+                                         // each photo is taken at the cold instant, not when its camera row
+                                         // first reached the plan
+    for photo in &batches[1] {
+        let blob = photo.get(0).and_then(|v| v.as_blob()).unwrap();
+        let header = std::str::from_utf8(blob).unwrap();
+        assert!(
+            header.starts_with("photo[office|") && header.ends_with("|t=1]"),
+            "{header}"
+        );
+    }
 }
 
 /// Table 2's DDL defines schemas identical to the programmatic ones.

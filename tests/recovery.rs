@@ -11,7 +11,7 @@
 //! error visible in health, Prometheus and the tick report, honoring the
 //! configured degradation policy.
 
-use serena::core::snapshot::Writer;
+use serena::core::snapshot::{SnapshotError, Writer};
 use serena::core::tuple;
 use serena::pems::SchedulerConfig;
 use serena::prelude::*;
@@ -385,7 +385,7 @@ fn panicking_service_is_contained_through_the_full_stack() {
     std::panic::set_hook(prev);
 }
 
-/// The `readings` of [`stateful_pems`] and the hot-swap test: six tuples an
+/// The `readings` of [`stateful_pems`]: six tuples an
 /// instant over four locations, temperatures in tenths — sums of them round,
 /// so a SUM or AVG that depended on fold order would show.
 fn tenths(at: Instant) -> Vec<serena::core::tuple::Tuple> {
@@ -541,101 +541,6 @@ fn delta_native_operators_resume_byte_identically() {
     }
 }
 
-/// ISSUE 14: after a plan hot-swap the windows are adopted warm and
-/// everything above them — ⋈ indexes, ∪ operand, γ groups — starts cold.
-/// The bootstrap tick emits the whole result as insertions; from then on the
-/// swapped-in query reports byte for byte what the one it replaced would have.
-#[test]
-fn hot_swap_feeds_cold_delta_native_operators_from_warm_windows() {
-    use serena::core::ops::{AggFun, AggSpec};
-    use serena::stream::FnStream;
-    let rooms = TableHandle::new(
-        serena::core::schema::XSchema::builder()
-            .real("location", serena::core::value::DataType::Str)
-            .real("floor", serena::core::value::DataType::Int)
-            .build()
-            .unwrap(),
-    );
-    let readings_schema = serena::core::schema::XSchema::builder()
-        .real("location", serena::core::value::DataType::Str)
-        .real("temperature", serena::core::value::DataType::Real)
-        .build()
-        .unwrap();
-    let plan = StreamPlan::source("readings")
-        .window(4)
-        .join(StreamPlan::source("rooms"))
-        .union(
-            StreamPlan::source("more")
-                .window(2)
-                .join(StreamPlan::source("rooms")),
-        )
-        .aggregate(
-            ["floor"],
-            vec![
-                AggSpec::new(AggFun::Avg, "temperature"),
-                AggSpec::new(AggFun::Count, "location"),
-            ],
-        );
-    let compile = || {
-        let mut sources = SourceSet::new();
-        sources.add_table("rooms", rooms.clone());
-        for (name, shift) in [("readings", 0u64), ("more", 5)] {
-            let src = FnStream(move |at: Instant| tenths(Instant(at.ticks() + shift)));
-            sources.add_stream(name, readings_schema.clone(), Box::new(src));
-        }
-        ContinuousQuery::compile(&plan, &mut sources).unwrap()
-    };
-    let write_rooms = |t: u64| {
-        for (insert, row) in rooms_script(t) {
-            if insert {
-                rooms.insert(row);
-            } else {
-                rooms.delete(row);
-            }
-        }
-    };
-    let reg = serena::core::service::fixtures::example_registry();
-    let sink = serena::core::metrics::NoopMetrics;
-    let bytes = |r: &TickReport| {
-        let mut w = Writer::new();
-        r.delta.encode(&mut w);
-        w.into_bytes()
-    };
-
-    let mut old = compile();
-    for t in 0..9 {
-        write_rooms(t);
-        old.tick_with(&reg, &sink);
-    }
-    // both windows keep their position in the unchanged plan
-    let mut new = compile();
-    new.seek(old.next_instant());
-    new.adopt_state_from(&old, &[(0, 0), (1, 1)], &[]);
-
-    write_rooms(9);
-    old.tick_with(&reg, &sink);
-    let bootstrap = new.tick_with(&reg, &sink);
-    assert!(bootstrap.delta.deletes.is_empty());
-    assert_eq!(
-        Some(bootstrap.delta.inserts.sorted_occurrences()),
-        old.current_relation().map(|r| {
-            let mut tuples = r.into_tuples();
-            tuples.sort();
-            tuples
-        })
-    );
-    assert!(!bootstrap.delta.inserts.is_empty());
-    let mut later = 0;
-    for t in 10..30 {
-        write_rooms(t);
-        let (want, got) = (old.tick_with(&reg, &sink), new.tick_with(&reg, &sink));
-        assert_eq!(bytes(&got), bytes(&want), "instant {t}");
-        later += got.delta.magnitude();
-    }
-    assert!(later > 20);
-    assert_eq!(new.current_relation(), old.current_relation());
-}
-
 /// `σ(W[4](readings))`, whose window keeps no `current`, and
 /// `γ(W[4](readings))`, whose window does, over one *pushed* stream: the two
 /// rings hold the same `Arc`s until a restore gives each its own.
@@ -664,10 +569,10 @@ fn push_readings(pems: &Pems, t: u64) {
     }
 }
 
-/// What `shared_window_pems().snapshot_bytes()` returned **at the parent
-/// commit** (PR 18: private `Vec<Tuple>` rings, every window keeping
-/// `current`) after instants 0 and 1 — the rings half-filled.
-const PR18_SNAPSHOT_AFTER_TWO_INSTANTS: &str = "\
+/// What `shared_window_pems().snapshot_bytes()` returned under snapshot
+/// format v2 (an adaptive section, a bootstrap flag per window) after
+/// instants 0 and 1 — the rings half-filled.
+const V2_SNAPSHOT_AFTER_TWO_INSTANTS: &str = "\
     534552454e534e50020000000000000000000000000000000000000000000000000000000000000000000000\
     00000000000000000200000000000000020000000000000004000000000000006d65616e0200000000000000\
     03030000000000000003000000000000000303000000000000006c616202cdcccccccccc0c40010600000000\
@@ -723,11 +628,12 @@ fn unhex(hex: &str) -> Vec<u8> {
         .collect()
 }
 
-/// ISSUE 19: a window's ring is `Arc<Batch>`es shared with the other queries
-/// over the stream, and only some windows keep `current` — neither is in the
+/// A window's ring is `Arc<Batch>`es shared with the other queries over the
+/// stream, and only some windows keep `current` — neither is in the
 /// snapshot. Killed while the rings are part-filled (and once they are
-/// full), both kinds of window resume byte-identically; and a snapshot the
-/// parent commit wrote restores into this one and resumes the same way.
+/// full), both kinds of window resume byte-identically. A snapshot of the
+/// previous format is refused with a typed error, and the runtime that
+/// refused it is untouched.
 #[test]
 fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
     const RUN: u64 = 12;
@@ -763,7 +669,7 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
             );
         }
     };
-    let parent = unhex(PR18_SNAPSHOT_AFTER_TWO_INSTANTS);
+    let v2 = unhex(V2_SNAPSHOT_AFTER_TWO_INSTANTS);
     for kill in [1u64, 2, 3, 7] {
         let mut doomed = shared_window_pems();
         for t in 0..kill {
@@ -773,13 +679,24 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
         let snapshot = doomed.snapshot_bytes();
         drop(doomed);
         if kill == 2 {
-            // the format is untouched: same layout, to the byte count (the
-            // bytes themselves carry wall-clock operator timings)
-            assert_eq!(snapshot.len(), parent.len());
+            // v3 is v2 less the empty adaptive section (four 8-byte
+            // counts) and the two windows' bootstrap flags, to the byte
+            // count (the bytes themselves carry wall-clock operator timings)
+            assert_eq!(snapshot.len() + 4 * 8 + 2, v2.len());
         }
         resume(&snapshot, kill, "own snapshot");
     }
-    resume(&parent, 2, "parent's snapshot");
+    let mut refusing = shared_window_pems();
+    push_readings(&refusing, 0);
+    assert_eq!(observe(refusing.tick()), expected[0]);
+    match refusing.restore_bytes(&v2) {
+        Err(PemsError::Snapshot(SnapshotError::UnsupportedVersion(2))) => {}
+        other => panic!("a v2 snapshot must be refused, got {other:?}"),
+    }
+    // the refusal happened at the header: nothing was restored
+    assert_eq!(refusing.clock(), Instant(1));
+    push_readings(&refusing, 1);
+    assert_eq!(observe(refusing.tick()), expected[1]);
 }
 
 /// A runtime whose `sensors` table is maintained by a discovery query, read
