@@ -67,10 +67,9 @@ fn main() {
         let outcome = run_scale(&config.with_workers(workers));
         println!(
             "  {workers} worker(s): {:.0} tuples/s, p99 tick {:.3} ms, \
-             {} tasks stolen, {} β calls deduped",
+             {} β calls deduped",
             outcome.tuples_per_sec,
             outcome.p99_tick_ns as f64 / 1e6,
-            outcome.sched_steals,
             outcome.beta_dedup,
         );
         curve.push(outcome);
@@ -138,7 +137,6 @@ fn main() {
             ("tuples_per_sec", Json::Num(o.tuples_per_sec)),
             ("p99_tick_ns", Json::Num(o.p99_tick_ns as f64)),
             ("elapsed_ns", Json::Num(o.elapsed_ns as f64)),
-            ("sched_steals", Json::Num(o.sched_steals as f64)),
             ("beta_dedup", Json::Num(o.beta_dedup as f64)),
         ])
     });

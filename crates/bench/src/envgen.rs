@@ -181,13 +181,11 @@ pub struct ScaleOutcome {
     pub mem_bytes: usize,
     /// Snapshot bytes per registered query.
     pub mem_per_query: usize,
-    /// Scheduler worker-pool width the run executed on (0 = runtime default).
+    /// Threads per tick round the run executed on (0 = runtime default).
     pub workers: usize,
     /// Cross-query β invocations coalesced onto an identical in-flight or
     /// memoized call (`serena_beta_dedup_total`).
     pub beta_dedup: u64,
-    /// Tick tasks stolen across scheduler workers (`serena_sched_steals_total`).
-    pub sched_steals: u64,
 }
 
 /// Run the scale benchmark: deploy, register, tick, measure.
@@ -228,10 +226,6 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleOutcome {
     let p99_tick_ns = merged_p99_tick_ns(&pems, &names);
     let mem_bytes = pems.snapshot_bytes().len();
     let (beta_dedup, _misses) = pems.dedup_stats();
-    let sched_steals = pems
-        .metrics_registry()
-        .counter_value("serena_sched_steals_total", &[])
-        .unwrap_or(0);
 
     ScaleOutcome {
         devices: config.devices + config.cameras + config.messengers,
@@ -247,7 +241,6 @@ pub fn run_scale(config: &ScaleConfig) -> ScaleOutcome {
         mem_per_query: mem_bytes / names.len().max(1),
         workers: config.workers,
         beta_dedup,
-        sched_steals,
     }
 }
 
@@ -355,6 +348,5 @@ mod tests {
         assert_eq!(serial.tuples_out, wide.tuples_out);
         assert_eq!(serial.errors, wide.errors);
         assert_eq!(serial.mem_bytes, wide.mem_bytes);
-        assert_eq!(serial.sched_steals, 0, "a 1-wide pool has nothing to steal");
     }
 }

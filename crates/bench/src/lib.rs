@@ -12,6 +12,7 @@
 //! scaled pervasive environments with a tunable number of services,
 //! tuples, selectivities and churn rates, all deterministic.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -47,6 +47,7 @@
 //! assert_eq!(outcome.actions.len(), 2);       // two messages actually sent
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -26,7 +26,7 @@
 //!
 //! Parent/child linkage is implicit through a thread-local "current span"
 //! ([`current`]/[`enter`]): a span started while another is entered becomes
-//! its child. Work that hops threads (the scheduler's stealing pool, the β
+//! its child. Work that hops threads (the scheduler's round, the β
 //! fan-out in `InvokeRecipe::call_batch`) captures `current()` before the
 //! hop and re-[`enter`]s it on the worker, so the tree survives migration.
 //!

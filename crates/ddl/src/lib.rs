@@ -25,6 +25,7 @@
 //! assert_eq!(to_one_shot(&plan), Some(plan));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod ast;

@@ -13,8 +13,8 @@
 //!   * `.result <query>` — current result of a finite continuous query;
 //!   * `.metrics` — every telemetry series in the Prometheus text format;
 //!   * `.health` — per-service health (attempts, failure rate, status);
-//!   * `.top` — live dashboard: worker utilization, queue depth, per-query
-//!     tick latency, per-service health and breakers;
+//!   * `.top` — live dashboard: worker utilization, per-query tick
+//!     latency, per-service health and breakers;
 //!   * `.profile <query>` — per-query tick timeline and slowest operators
 //!     from the flight recorder;
 //!   * `.trace <file>` — export the retained spans as a Chrome/Perfetto

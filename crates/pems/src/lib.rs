@@ -15,9 +15,10 @@
 //! * [`processor::QueryProcessor`] — registered continuous queries in
 //!   lock-step, ticked in parallel; each runs the plan it was registered
 //!   with until it is unregistered;
-//! * [`scheduler`] — the persistent work-stealing worker pool the
-//!   processor runs multi-query tick rounds on ([`scheduler::WorkerPool`],
-//!   sized by [`scheduler::SchedulerConfig`] / `SERENA_SCHED_WORKERS`);
+//! * [`scheduler`] — how the processor runs a tick round: the queries split
+//!   into contiguous runs over scoped threads, the caller running the first
+//!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`] /
+//!   `SERENA_SCHED_WORKERS`);
 //! * [`hub`] — stream plumbing (broadcast hubs, sensor samplers, RSS
 //!   adapters);
 //! * [`recovery`] — periodic checkpoints of the runtime's dynamic state
@@ -46,6 +47,7 @@
 //! assert_eq!(reports.len(), 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

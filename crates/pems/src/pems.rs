@@ -78,6 +78,11 @@ pub enum PemsError {
         /// The prototype whose providers the table lists.
         prototype: String,
     },
+    /// `REGISTER QUERY` (or [`Pems::register_query`]) named a query that is
+    /// already registered.
+    DuplicateQuery(String),
+    /// `UNREGISTER QUERY` named no registered query.
+    UnknownQuery(String),
     /// Anything else.
     Other(String),
 }
@@ -96,6 +101,8 @@ impl std::fmt::Display for PemsError {
                 "table `{table}` is maintained by the discovery of `{prototype}` providers; \
                  deploy or withdraw the service instead of writing the row"
             ),
+            PemsError::DuplicateQuery(name) => write!(f, "query `{name}` already registered"),
+            PemsError::UnknownQuery(name) => write!(f, "unknown query `{name}`"),
             PemsError::Other(s) => write!(f, "{s}"),
         }
     }
@@ -190,7 +197,6 @@ pub struct PemsBuilder {
     metrics: Option<Arc<dyn MetricsSink>>,
     exec_options: ExecOptions,
     trace: Option<Arc<dyn TraceSink>>,
-    health_window: usize,
     resilience: ResiliencePolicy,
     checkpoint: Option<(PathBuf, u64)>,
     scheduler: Option<SchedulerConfig>,
@@ -200,8 +206,7 @@ pub struct PemsBuilder {
 
 impl PemsBuilder {
     /// Defaults: default bus latency, clock at zero, no metrics sink,
-    /// serial execution, no trace sink, default health window, resilience
-    /// disabled, scheduler and β dedup from the environment
+    /// serial execution, no trace sink, resilience disabled, scheduler and β dedup from the environment
     /// (`SERENA_SCHED_WORKERS` / `SERENA_SCHED_DEDUP`).
     pub fn new() -> Self {
         PemsBuilder {
@@ -211,7 +216,6 @@ impl PemsBuilder {
             metrics: None,
             exec_options: ExecOptions::default(),
             trace: None,
-            health_window: serena_services::health::DEFAULT_WINDOW,
             resilience: ResiliencePolicy::disabled(),
             checkpoint: None,
             scheduler: None,
@@ -264,12 +268,6 @@ impl PemsBuilder {
         self
     }
 
-    /// Rolling-window length (outcomes per service) for health tracking.
-    pub fn health_window(mut self, window: usize) -> Self {
-        self.health_window = window;
-        self
-    }
-
     /// Resilience policy applied to every β invocation (one-shot and
     /// continuous): per-service deadline, bounded retry with jittered
     /// exponential backoff, and a circuit breaker. Disabled by default —
@@ -292,8 +290,8 @@ impl PemsBuilder {
         self
     }
 
-    /// Multi-query tick scheduler configuration: the width of the
-    /// persistent work-stealing worker pool query ticks run on. Defaults
+    /// Multi-query tick scheduler configuration: how many threads, the
+    /// caller's included, a tick round splits the queries over. Defaults
     /// to [`SchedulerConfig::from_env`] (`SERENA_SCHED_WORKERS`, else one
     /// worker per core). Worker count never changes query output — see
     /// `tests/envgen_determinism.rs`.
@@ -341,10 +339,8 @@ impl PemsBuilder {
         let dedup_enabled = self
             .dedup
             .unwrap_or_else(|| std::env::var("SERENA_SCHED_DEDUP").map_or(true, |v| v != "0"));
-        // Eagerly register the scheduler/dedup series so they render (at
-        // zero) from the first `.metrics` call, armed or not.
-        telemetry.counter("serena_sched_steals_total", &[]);
-        telemetry.gauge("serena_sched_queue_depth", &[]);
+        // Eagerly register the dedup/trace/replication series so they render
+        // (at zero) from the first `.metrics` call, armed or not.
         telemetry.counter("serena_beta_dedup_total", &[]);
         telemetry.counter("serena_trace_dropped_total", &[]);
         telemetry.counter("serena_replication_total", &[]);
@@ -361,7 +357,7 @@ impl PemsBuilder {
             exec_options: self.exec_options,
             telemetry,
             telemetry_sink,
-            health: Arc::new(HealthTracker::new(self.health_window)),
+            health: Arc::new(HealthTracker::new(serena_services::health::DEFAULT_WINDOW)),
             trace: self.trace,
             resilience_policy: self.resilience,
             resilience: Arc::new(ResilienceState::new()),
@@ -618,9 +614,9 @@ impl Pems {
     }
 
     /// Live runtime dashboard — the shell's `.top` command: worker
-    /// utilization over the retained scheduler rounds, queue depth and
-    /// steal counts, per-query tick rates/latency/errors, and per-service
-    /// health, latency and breaker state.
+    /// utilization over the retained scheduler rounds, per-query tick
+    /// rates/latency/errors, and per-service health, latency and breaker
+    /// state.
     pub fn top(&self) -> String {
         let mut out = String::new();
         let spans = self.tracer.snapshot();
@@ -637,12 +633,8 @@ impl Pems {
             e.1 += 1;
         }
         out.push_str(&format!(
-            "scheduler  rounds={} queue_depth={} steals={} spans={} dropped={}\n",
+            "scheduler  rounds={} spans={} dropped={}\n",
             rounds.len(),
-            self.telemetry.gauge("serena_sched_queue_depth", &[]).get(),
-            self.telemetry
-                .counter_value("serena_sched_steals_total", &[])
-                .unwrap_or(0),
             spans.len(),
             self.tracer.dropped_total(),
         ));
@@ -706,15 +698,10 @@ impl Pems {
         out
     }
 
-    /// Replace the tick scheduler configuration (worker-pool width) on a
+    /// Replace the tick scheduler configuration (threads per round) on a
     /// built runtime — how the scale bench sweeps its worker axis.
     pub fn set_scheduler(&mut self, config: SchedulerConfig) {
         self.processor.set_scheduler(config);
-    }
-
-    /// Arm or disarm the cross-query β dedup layer on a built runtime.
-    pub fn set_dedup(&mut self, enabled: bool) {
-        self.dedup_enabled = enabled;
     }
 
     /// Create a Local Environment Resource Manager attached to this PEMS's
@@ -883,7 +870,7 @@ impl Pems {
             }
             Statement::UnregisterQuery { name } => {
                 if !self.processor.deregister(name) {
-                    return Err(PemsError::Other(format!("unknown query `{name}`")));
+                    return Err(PemsError::UnknownQuery(name.clone()));
                 }
                 Ok(ExecOutcome::Done)
             }
@@ -1566,6 +1553,32 @@ mod tests {
     }
 
     #[test]
+    fn query_names_taken_or_unknown_are_typed_errors() {
+        let mut pems = pems_with_messenger();
+        pems.run_program(SETUP).unwrap();
+        pems.run_program("REGISTER QUERY watch AS contacts;")
+            .unwrap();
+        let err = pems
+            .run_program("REGISTER QUERY watch AS contacts;")
+            .unwrap_err();
+        assert!(
+            matches!(&err, PemsError::DuplicateQuery(q) if q == "watch"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "query `watch` already registered");
+        assert_eq!(pems.processor().names(), ["watch"]);
+
+        let err = pems.run_program("UNREGISTER QUERY ghost;").unwrap_err();
+        assert!(
+            matches!(&err, PemsError::UnknownQuery(q) if q == "ghost"),
+            "{err:?}"
+        );
+        assert_eq!(err.to_string(), "unknown query `ghost`");
+        pems.run_program("UNREGISTER QUERY watch;").unwrap();
+        assert!(pems.processor().names().is_empty());
+    }
+
+    #[test]
     fn insert_delete_via_ddl_affect_queries() {
         let mut pems = pems_with_messenger();
         pems.run_program(SETUP).unwrap();
@@ -2168,10 +2181,8 @@ mod tests {
         assert!(text.contains("serena_service_latency_ns_bucket"));
         assert!(text.contains("le=\"+Inf\""));
         assert!(text.contains("serena_service_failures_total{service=\"email\"}"));
-        // the scheduler/dedup series render (zero-valued) from the start,
-        // so scrapes and the shell's `.metrics` always expose them
-        assert!(text.contains("# TYPE serena_sched_steals_total counter"));
-        assert!(text.contains("# TYPE serena_sched_queue_depth gauge"));
+        // the dedup series renders (zero-valued) from the start, so scrapes
+        // and the shell's `.metrics` always expose it
         assert!(text.contains("# TYPE serena_beta_dedup_total counter"));
 
         // the configured trace sink saw the failed invocations

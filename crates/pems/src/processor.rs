@@ -4,27 +4,27 @@
 //! Algebra Language and to execute them in a real-time fashion." Here:
 //! registered [`ContinuousQuery`]s advance in lock-step on a shared logical
 //! clock; each global tick evaluates every query at the same instant
-//! (§3.2's simultaneous-evaluation model). When several queries are
-//! registered, their ticks run as stealable tasks on the persistent
-//! [`WorkerPool`] (sized by [`SchedulerConfig`], shared across ticks) —
-//! the reproduction of the prototype's *asynchronous invocation handling*:
-//! slow service calls in one query do not serialize behind another
-//! query's, and 120 queries no longer mean 120 OS threads. Each query's
-//! intra-β parallelism budget is divided by the number of concurrently
-//! ticking queries ([`ContinuousQuery::tick_with_budget`]) so the pool's
-//! width bounds total concurrency instead of multiplying it.
+//! (§3.2's simultaneous-evaluation model). A round's query ticks are one
+//! [`WorkerPool`] round: split in name order into at most
+//! [`SchedulerConfig::workers`] contiguous runs, the first on the calling
+//! thread — the reproduction of the prototype's *asynchronous invocation
+//! handling*: slow service calls in one query do not serialize behind
+//! another query's, and 120 queries do not mean 120 OS threads. Each
+//! query's intra-β parallelism budget is divided by the number of
+//! concurrently ticking queries ([`ContinuousQuery::tick_with_budget`]) so
+//! the round's width bounds total concurrency instead of multiplying it.
 //!
 //! A panicking query tick is contained: the query fails *that tick* (an
 //! [`EvalError::Panicked`] in its report, counted in
 //! `serena_query_panics_total` and traced as a failure) while every other
-//! query — and the pool — keeps running.
+//! query keeps running.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use serena_core::action::ActionSet;
-use serena_core::error::{EvalError, PlanError};
+use serena_core::error::EvalError;
 use serena_core::metrics::{ExecStats, MetricsSink, Tee};
 use serena_core::physical::ExecOptions;
 use serena_core::service::Invoker;
@@ -37,6 +37,7 @@ use serena_stream::exec::{ContinuousQuery, SourceSet, TickReport};
 use serena_stream::plan::StreamPlan;
 use serena_stream::Delta;
 
+use crate::pems::PemsError;
 use crate::scheduler::{SchedulerConfig, WorkerPool};
 
 /// Aggregated statistics for one registered query.
@@ -106,13 +107,8 @@ pub struct QueryProcessor {
     clock: Instant,
     telemetry: Option<Telemetry>,
     scheduler: SchedulerConfig,
-    /// Lazily started on the first multi-query tick; survives across
-    /// ticks (no per-tick thread churn) and across panicking tasks.
-    pool: Option<WorkerPool>,
-    /// Pool-cumulative steal count already published to telemetry.
-    steals_seen: u64,
     /// Flight recorder for `sched.round`/`sched.job`/`query.tick` spans,
-    /// propagated into every registered query and the worker pool.
+    /// propagated into every registered query and every round.
     tracer: Option<Arc<FlightRecorder>>,
 }
 
@@ -127,15 +123,10 @@ impl QueryProcessor {
         self.clock
     }
 
-    /// Replace the tick scheduler configuration. A running worker pool of
-    /// a different width is shut down; the next multi-query tick starts a
-    /// fresh one.
+    /// Replace the tick scheduler configuration; the next round runs on
+    /// `config.workers` threads.
     pub fn set_scheduler(&mut self, config: SchedulerConfig) {
-        if self.scheduler != config {
-            self.scheduler = config;
-            self.pool = None;
-            self.steals_seen = 0;
-        }
+        self.scheduler = config;
     }
 
     /// The current scheduler configuration.
@@ -146,26 +137,23 @@ impl QueryProcessor {
     /// Attach a flight recorder: tick rounds, per-worker jobs, query
     /// ticks and (through each query's executor) per-operator work all
     /// record hierarchical spans into it. Applies to already-registered
-    /// queries and everything registered afterwards; a running worker
-    /// pool is restarted so its jobs are traced too.
+    /// queries and everything registered afterwards.
     pub fn set_tracer(&mut self, tracer: Arc<FlightRecorder>) {
         for reg in self.queries.values_mut() {
             reg.query.set_tracer(Some(Arc::clone(&tracer)));
         }
         self.tracer = Some(tracer);
-        self.pool = None;
-        self.steals_seen = 0;
     }
 
     /// Register a continuous query under `name`, compiling `plan` against
     /// `sources`. The query joins the global cadence: its first tick is the
-    /// next global tick.
+    /// next global tick. A taken `name` is [`PemsError::DuplicateQuery`].
     pub fn register(
         &mut self,
         name: impl Into<String>,
         plan: &StreamPlan,
         sources: &mut SourceSet,
-    ) -> Result<(), PlanError> {
+    ) -> Result<(), PemsError> {
         self.register_with_options(name, plan, sources, ExecOptions::default())
     }
 
@@ -178,12 +166,10 @@ impl QueryProcessor {
         plan: &StreamPlan,
         sources: &mut SourceSet,
         options: ExecOptions,
-    ) -> Result<(), PlanError> {
+    ) -> Result<(), PemsError> {
         let name = name.into();
         if self.queries.contains_key(&name) {
-            return Err(PlanError::UnknownRelation(format!(
-                "query `{name}` already registered"
-            )));
+            return Err(PemsError::DuplicateQuery(name));
         }
         let mut query = ContinuousQuery::compile_with_options(plan, sources, options)?;
         query.seek(self.clock);
@@ -345,16 +331,15 @@ impl QueryProcessor {
     }
 
     /// Advance the global clock by one instant, ticking every registered
-    /// query at that instant (as stealable tasks on the persistent worker
-    /// pool when there are several), duplicating every query's per-node
-    /// observations into a shared `sink` as well (the PEMS-wide sink
-    /// configured through the builder). Each query's rolling stats
-    /// accumulate regardless.
+    /// query at that instant (as one [`WorkerPool`] round), duplicating
+    /// every query's per-node observations into a shared `sink` as well
+    /// (the PEMS-wide sink configured through the builder). Each query's
+    /// rolling stats accumulate regardless.
     ///
-    /// Reports come back in registration (name) order whatever order the
-    /// pool finished the tasks in, and a panicking query tick fails only
-    /// that query (its report carries an [`EvalError::Panicked`]); the
-    /// round, the pool and the clock all survive.
+    /// Reports come back in registration (name) order whichever thread ran
+    /// each query, and a panicking query tick fails only that query (its
+    /// report carries an [`EvalError::Panicked`]); the round and the clock
+    /// survive.
     pub fn tick_all_with(
         &mut self,
         invoker: &dyn Invoker,
@@ -375,11 +360,6 @@ impl QueryProcessor {
         // per-query β budget divides by it so the configured β width is a
         // round-wide bound, not a per-query multiplier.
         let concurrent = self.scheduler.workers.min(n).max(1);
-        if let Some(t) = &self.telemetry {
-            t.registry
-                .gauge("serena_sched_queue_depth", &[])
-                .set(n as i64);
-        }
         let mut round_span = tracer.and_then(|r| r.start("sched.round", at));
         if let Some(s) = round_span.as_mut() {
             s.attr_u64("queries", n as u64);
@@ -421,31 +401,15 @@ impl QueryProcessor {
             (result, sid)
         };
         type Outcome = (String, Result<TickReport, String>, Duration, u64);
-        let outcomes: Vec<Outcome> = if concurrent <= 1 {
-            let _in_round = round_span.as_ref().map(|s| s.enter());
-            self.queries
-                .iter_mut()
-                .map(|(name, reg)| {
-                    let budget = reg.query.invoke_parallelism();
-                    let (result, sid) = ticked(name, reg, budget);
-                    (name.clone(), result, scheduled.elapsed(), sid)
-                })
-                .collect()
-        } else {
-            if self.pool.as_ref().map(WorkerPool::workers) != Some(self.scheduler.workers) {
-                self.pool = Some(WorkerPool::with_tracer(self.scheduler, self.tracer.clone()));
-                self.steals_seen = 0;
-            }
-            let pool = self.pool.as_ref().expect("pool just ensured");
-            let queries = &mut self.queries;
-            let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
+        {
             // Entered during submission so each job captures the round
             // span as its parent (`sched.job` spans bridge the thread
-            // hop); the guard outlives the scope barrier, so job and tick
-            // spans all close inside the round's interval.
+            // hop); the guard outlives the round, so job and tick spans
+            // all close inside the round's interval.
             let _in_round = round_span.as_ref().map(|s| s.enter());
-            pool.scope(|scope| {
-                for (slot, (name, reg)) in slots.iter_mut().zip(queries.iter_mut()) {
+            WorkerPool::with_tracer(self.scheduler, self.tracer.clone()).scope(|scope| {
+                for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
                     let name = name.clone();
                     let budget = (reg.query.invoke_parallelism() / concurrent).max(1);
                     let ticked = &ticked;
@@ -455,31 +419,13 @@ impl QueryProcessor {
                     });
                 }
             });
-            // scope() returned ⇒ every task ran (even panicking ones are
-            // contained inside the task), so every slot is filled.
-            slots.into_iter().flatten().collect()
-        };
-        let steal_delta = self.pool.as_ref().map(|pool| {
-            let total = pool.steals();
-            let delta = total.saturating_sub(self.steals_seen);
-            self.steals_seen = total;
-            delta
-        });
-        if let Some(delta) = steal_delta {
-            if let Some(s) = round_span.as_mut() {
-                s.attr_u64("steals", delta);
-            }
-            if let Some(t) = &self.telemetry {
-                if delta > 0 {
-                    t.registry
-                        .counter("serena_sched_steals_total", &[])
-                        .add(delta);
-                }
-            }
         }
         drop(round_span);
-        let reports: Vec<(String, TickReport, Duration, u64)> = outcomes
+        // scope() returned ⇒ every job ran (even panicking ones are
+        // contained inside the job), so every slot is filled.
+        let reports: Vec<(String, TickReport, Duration, u64)> = slots
             .into_iter()
+            .flatten()
             .map(|(name, result, lag, sid)| match result {
                 Ok(report) => (name, report, lag, sid),
                 Err(reason) => {
@@ -565,8 +511,8 @@ impl QueryProcessor {
 }
 
 /// Run one query tick with panic containment: a panic unwinding out of
-/// the executor becomes an `Err(reason)` instead of killing the worker
-/// (pool path) or the engine (serial path). The query's operator state
+/// the executor becomes an `Err(reason)`, which the round turns into the
+/// query's failed report. The query's operator state
 /// after a panicked tick is whatever the unwind left behind — same
 /// contract as a contained β panic — but its clock advanced first, so
 /// lock-step is preserved.
@@ -659,7 +605,10 @@ mod tests {
         let (_, mut s1) = int_table();
         qp.register("q", &StreamPlan::source("t"), &mut s1).unwrap();
         let (_, mut s2) = int_table();
-        assert!(qp.register("q", &StreamPlan::source("t"), &mut s2).is_err());
+        assert!(matches!(
+            qp.register("q", &StreamPlan::source("t"), &mut s2),
+            Err(PemsError::DuplicateQuery(name)) if name == "q"
+        ));
         assert!(qp.deregister("q"));
         assert!(!qp.deregister("q"));
         assert!(qp.names().is_empty());
@@ -900,7 +849,7 @@ mod tests {
             assert_eq!(qp.clock(), Instant(2));
             table.insert(tuple![3]);
             let third = qp.tick_all_with(&reg, &NoopMetrics);
-            assert_eq!(third[1].1.delta.inserts.len(), 1, "pool survived");
+            assert_eq!(third[1].1.delta.inserts.len(), 1, "next round ran");
             assert_eq!(qp.stats("doomed").unwrap().errors, 2);
             assert_eq!(qp.stats("healthy").unwrap().errors, 0);
         }
@@ -935,33 +884,6 @@ mod tests {
         let serial = run(1);
         assert_eq!(serial, run(2), "workers=2 diverged");
         assert_eq!(serial, run(8), "workers=8 diverged");
-    }
-
-    #[test]
-    fn scheduler_telemetry_series_update() {
-        use serena_core::telemetry::MemoryTrace;
-        let mut qp = QueryProcessor::new();
-        qp.set_scheduler(SchedulerConfig::new(4));
-        let registry = Arc::new(MetricsRegistry::new());
-        qp.set_telemetry(registry.clone(), Some(Arc::new(MemoryTrace::new())));
-        let (table, _) = int_table();
-        for i in 0..5 {
-            let mut s = SourceSet::new();
-            s.add_table("t", table.clone());
-            qp.register(format!("q{i}"), &StreamPlan::source("t"), &mut s)
-                .unwrap();
-        }
-        let reg = example_registry();
-        table.insert(tuple![1]);
-        qp.tick_all_with(&reg, &NoopMetrics);
-        assert_eq!(
-            registry.gauge("serena_sched_queue_depth", &[]).get(),
-            5,
-            "queue depth = tasks submitted this round"
-        );
-        // steals are timing-dependent: assert the counter is publishable,
-        // not a specific value
-        let _ = registry.counter_value("serena_sched_steals_total", &[]);
     }
 
     #[test]

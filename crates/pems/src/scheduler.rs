@@ -1,53 +1,32 @@
-//! The multi-query tick scheduler: a persistent, bounded, work-stealing
-//! worker pool (DESIGN § 4, *Multi-query scheduler & β dedup*).
+//! The multi-query tick scheduler (DESIGN § 4, *Multi-query scheduler &
+//! β dedup*). A tick round submits one job per registered query, in name
+//! order; [`WorkerPool::scope`] cuts the list into at most `workers`
+//! contiguous runs (job `i` goes to run `i · runs / jobs`), runs the first
+//! on the calling thread and each other on a `std::thread::scope` thread
+//! spawned for the round, and returns when every run has finished. A
+//! round with one worker or one job spawns no thread. A panicking job is
+//! caught where it runs; the jobs after it in its run still run.
 //!
-//! The query processor used to tick every registered query on its own OS
-//! thread (`thread::scope` + one spawn per query) — fine for the paper's
-//! §5.2 scenario, pathological for the §7-scale benchmark with 120+
-//! concurrent queries on a handful of cores. [`WorkerPool`] replaces that
-//! with `SchedulerConfig::workers` persistent threads and per-worker
-//! deques: a tick round submits one stealable task per query
-//! (round-robin across workers), idle workers steal from the back of
-//! their peers' queues, and the round barrier (`Scope`) blocks the
-//! caller until every task completed. The pool survives across ticks —
-//! no per-tick thread spawn/join churn — and panicking tasks are caught
-//! by the worker loop, so one bad tick cannot take the pool (or the
-//! engine) down.
-//!
-//! Determinism: tasks may run in any order on any worker, so the
-//! scheduler is only used for *independent* work — one task per query,
-//! with results written into per-task slots and read back in registration
-//! (name) order. Combined with the per-instant commit memo in
-//! [`TableHandle::tick_at`](serena_stream::source::TableHandle::tick_at)
-//! this keeps multi-worker output byte-identical to serial execution
-//! (`tests/envgen_determinism.rs`).
-//!
-//! Observability: the pool counts cross-worker steals
-//! (`serena_sched_steals_total`) and exposes the submitted-task depth per
-//! round (`serena_sched_queue_depth`); the processor publishes both.
+//! The jobs are independent — one per query, each writing its own result
+//! slot, read back in name order — so output is byte-identical at every
+//! worker count (`tests/envgen_determinism.rs`).
 
-use std::collections::VecDeque;
+use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
-use serena_core::sync::Mutex;
-use serena_core::telemetry::span;
-use serena_core::telemetry::FlightRecorder;
+use serena_core::telemetry::{span, FlightRecorder};
 use serena_core::time::Instant;
 
 /// How the processor runs a multi-query tick round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchedulerConfig {
-    /// Worker threads in the persistent pool. `1` means serial in-place
-    /// execution (no pool is ever started).
+    /// Threads a round runs on, the calling thread included.
     pub workers: usize,
 }
 
 impl Default for SchedulerConfig {
-    /// One worker per available core (the pool is shared by all queries;
-    /// intra-β parallelism is budgeted *within* it, not on top of it).
+    /// One worker per available core.
     fn default() -> Self {
         SchedulerConfig {
             workers: std::thread::available_parallelism()
@@ -58,7 +37,7 @@ impl Default for SchedulerConfig {
 }
 
 impl SchedulerConfig {
-    /// A pool of exactly `workers` threads (floored at 1).
+    /// Exactly `workers` threads per round (floored at 1).
     pub fn new(workers: usize) -> Self {
         SchedulerConfig {
             workers: workers.max(1),
@@ -78,245 +57,89 @@ impl SchedulerConfig {
     }
 }
 
-/// A unit of work: type-erased, lifetime-erased (see [`Scope::submit`]
-/// for why the erasure is sound).
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// A queued job plus its scheduling provenance: the span that submitted
-/// it (so worker-side `sched.job` spans parent correctly across the
-/// thread hop), the queue it was submitted to (steal attribution) and
-/// when it was enqueued (queue-wait vs run-time split). The provenance
-/// fields are zero when no recorder is armed.
-struct Tracked {
-    job: Job,
+/// A submitted job, the span it was submitted under and when (both zero
+/// when no recorder is armed), so its `sched.job` span can cross threads.
+struct Tracked<'env> {
+    job: Box<dyn FnOnce() + Send + 'env>,
     parent: u64,
-    home: u32,
     submitted_ns: u64,
 }
 
-/// Shared pool state: per-worker job deques plus the round barrier.
-struct Shared {
-    /// One deque per worker. Owners pop from the front, thieves steal
-    /// from the back.
-    queues: Vec<Mutex<VecDeque<Tracked>>>,
-    /// Parks idle workers; notified on submit and shutdown.
-    work: Condvar,
-    /// Guards the park decision (re-checked under this lock so a submit
-    /// between "queues empty" and "park" cannot be lost).
-    park: Mutex<()>,
-    /// Jobs submitted but not yet finished in the current round.
-    pending: AtomicUsize,
-    /// Signals `pending == 0`; waited on by [`Scope`]'s drop barrier.
-    done: Condvar,
-    done_lock: Mutex<()>,
-    /// Pool shutdown flag (checked by parked workers).
-    shutdown: AtomicBool,
-    /// Jobs executed by a worker other than the one they were submitted
-    /// to — the work-stealing effectiveness signal.
-    steals: AtomicU64,
-    /// Span recorder for `sched.job` spans (None = no tracing).
+/// Runs rounds of scoped jobs; holds no thread between rounds.
+pub struct WorkerPool {
+    workers: usize,
     tracer: Option<Arc<FlightRecorder>>,
 }
 
-impl Shared {
-    fn pop_local(&self, worker: usize) -> Option<Tracked> {
-        self.queues[worker].lock().pop_front()
-    }
-
-    fn steal(&self, thief: usize) -> Option<Tracked> {
-        let n = self.queues.len();
-        for i in 1..n {
-            let victim = (thief + i) % n;
-            if let Some(job) = self.queues[victim].lock().pop_back() {
-                self.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(job);
-            }
-        }
-        None
-    }
-
-    fn finish_one(&self) {
-        if self.pending.fetch_sub(1, Ordering::AcqRel) == 1 {
-            // Notify under the lock so a barrier thread between its
-            // pending check and its park cannot miss the wakeup.
-            let _guard = self.done_lock.lock();
-            self.done.notify_all();
-        }
-    }
-}
-
-fn worker_loop(shared: Arc<Shared>, index: usize) {
-    loop {
-        if let Some(tracked) = shared.pop_local(index).or_else(|| shared.steal(index)) {
-            let tracer = shared.tracer.as_deref().filter(|r| r.armed());
-            // The job span parents under the submitting round's span
-            // (captured at submit time — thread-locals don't cross the
-            // queue) and splits queue-wait from run time.
-            let mut job_span =
-                tracer.and_then(|r| r.start_with("sched.job", tracked.parent, Instant::ZERO));
-            if let Some(s) = job_span.as_mut() {
-                let wait = if tracked.submitted_ns > 0 {
-                    tracer.map_or(0, |r| r.now_ns().saturating_sub(tracked.submitted_ns))
-                } else {
-                    0
-                };
-                s.attr_u64("queue_wait_ns", wait);
-                s.attr_u64("worker", index as u64);
-                s.attr_u64("home_worker", u64::from(tracked.home));
-                s.attr_u64("stolen", u64::from(tracked.home as usize != index));
-            }
-            let in_span = job_span.as_ref().map(|s| s.enter());
-            // Contain panics: a panicking tick task must not kill the
-            // worker (the processor records the failure from its slot).
-            let _ = std::panic::catch_unwind(AssertUnwindSafe(tracked.job));
-            drop(in_span);
-            drop(job_span);
-            shared.finish_one();
-            continue;
-        }
-        // Park until new work or shutdown; re-check queues under the park
-        // lock so a submit racing with this decision is never lost.
-        let guard = shared.park.lock();
-        if shared.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let queues_empty = shared.queues.iter().all(|q| q.lock().is_empty());
-        if queues_empty {
-            drop(shared.work.wait(guard).unwrap_or_else(|e| e.into_inner()));
-        }
-    }
-}
-
-/// A persistent work-stealing thread pool. Create once, submit rounds of
-/// scoped tasks via [`WorkerPool::scope`], drop to shut down.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
-    handles: Vec<JoinHandle<()>>,
-    next_queue: AtomicUsize,
-}
-
 impl WorkerPool {
-    /// Start `config.workers` threads (at least 1).
+    /// Rounds of `config.workers` threads (at least 1).
     pub fn new(config: SchedulerConfig) -> Self {
         Self::with_tracer(config, None)
     }
 
     /// [`WorkerPool::new`] recording one `sched.job` span per executed
-    /// job into `tracer` (queue-wait vs run time, steal attribution).
+    /// job into `tracer` (worker, queue wait vs run time).
     pub fn with_tracer(config: SchedulerConfig, tracer: Option<Arc<FlightRecorder>>) -> Self {
-        let workers = config.workers.max(1);
-        let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            work: Condvar::new(),
-            park: Mutex::new(()),
-            pending: AtomicUsize::new(0),
-            done: Condvar::new(),
-            done_lock: Mutex::new(()),
-            shutdown: AtomicBool::new(false),
-            steals: AtomicU64::new(0),
-            tracer,
-        });
-        let handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                std::thread::Builder::new()
-                    .name(format!("serena-sched-{i}"))
-                    .spawn(move || worker_loop(shared, i))
-                    .expect("spawn scheduler worker")
-            })
-            .collect();
         WorkerPool {
-            shared,
-            handles,
-            next_queue: AtomicUsize::new(0),
+            workers: config.workers.max(1),
+            tracer,
         }
     }
 
-    /// Worker threads in the pool.
+    /// Threads a round runs on, the caller's included.
     pub fn workers(&self) -> usize {
-        self.handles.len()
+        self.workers
     }
 
-    /// Cross-worker steals since the pool started (cumulative).
-    pub fn steals(&self) -> u64 {
-        self.shared.steals.load(Ordering::Relaxed)
-    }
-
-    /// Run one round of scoped tasks: `f` submits any number of jobs
-    /// borrowing from the caller's stack via [`Scope::submit`]; `scope`
-    /// returns only when every submitted job has finished (even if `f`
-    /// or a job panics — the drop barrier waits either way, which is
-    /// exactly what makes the lifetime erasure in `submit` sound).
+    /// Run one round: `f` submits any number of jobs borrowing from the
+    /// caller's stack via [`Scope::submit`]; they start once `f` returns,
+    /// and `scope` returns when every one has finished. If `f` panics, the
+    /// jobs it submitted are dropped without running.
     pub fn scope<'env, F>(&self, f: F)
     where
         F: FnOnce(&Scope<'env, '_>),
     {
+        let tracer = self.tracer.as_deref().filter(|r| r.armed());
         let scope = Scope {
-            pool: self,
-            _env: std::marker::PhantomData,
+            tracer,
+            jobs: RefCell::new(Vec::new()),
         };
-        // Barrier runs from Drop so unwinding out of `f` still waits for
-        // already-submitted jobs before their borrows go out of scope.
         f(&scope);
-    }
-
-    fn submit_erased(&self, job: Job) {
-        self.shared.pending.fetch_add(1, Ordering::AcqRel);
-        let slot = self.next_queue.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        let armed = self.shared.tracer.as_deref().filter(|r| r.armed());
-        let tracked = Tracked {
-            job,
-            parent: if armed.is_some() { span::current() } else { 0 },
-            home: slot as u32,
-            submitted_ns: armed.map_or(0, |r| r.now_ns()),
-        };
-        self.shared.queues[slot].lock().push_back(tracked);
-        // Hold the park lock while notifying so a worker's empty-check →
-        // park transition cannot swallow this wakeup.
-        let _guard = self.shared.park.lock();
-        self.shared.work.notify_all();
-    }
-
-    fn wait_idle(&self) {
-        loop {
-            if self.shared.pending.load(Ordering::Acquire) == 0 {
-                return;
+        let mut jobs = scope.jobs.into_inner();
+        let n = jobs.len();
+        let runs = self.workers.min(n);
+        std::thread::scope(|threads| {
+            // Run `r` starts at the first job `i` with `i · runs / n ≥ r`.
+            for r in (1..runs).rev() {
+                let tail = jobs.split_off((r * n).div_ceil(runs));
+                threads.spawn(move || run(tail, r, tracer));
             }
-            let guard = self.shared.done_lock.lock();
-            if self.shared.pending.load(Ordering::Acquire) == 0 {
-                return;
-            }
-            drop(
-                self.shared
-                    .done
-                    .wait(guard)
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-        }
+            run(jobs, 0, tracer);
+        });
     }
 }
 
-impl Drop for WorkerPool {
-    fn drop(&mut self) {
-        // Finish any in-flight round, then wake everyone for shutdown.
-        self.wait_idle();
-        self.shared.shutdown.store(true, Ordering::Release);
-        {
-            let _guard = self.shared.park.lock();
-            self.shared.work.notify_all();
+/// Run one contiguous run of a round, in order, as worker `worker`.
+fn run(jobs: Vec<Tracked<'_>>, worker: usize, tracer: Option<&FlightRecorder>) {
+    for tracked in jobs {
+        let mut job_span =
+            tracer.and_then(|r| r.start_with("sched.job", tracked.parent, Instant::ZERO));
+        if let Some(s) = job_span.as_mut() {
+            let wait = tracer.map_or(0, |r| r.now_ns().saturating_sub(tracked.submitted_ns));
+            s.attr_u64("queue_wait_ns", wait);
+            s.attr_u64("worker", worker as u64);
         }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
+        let _in_span = job_span.as_ref().map(|s| s.enter());
+        // a panicking job must not stop the rest of its run
+        let _ = std::panic::catch_unwind(AssertUnwindSafe(tracked.job));
     }
 }
 
-/// A submission handle for one round. Jobs may borrow from the `'env`
-/// stack frame; the round barrier (run on drop) guarantees they finish
-/// before `'env` ends.
+/// The submission handle of one round. Jobs may borrow from the `'env`
+/// stack frame: every one finishes before [`WorkerPool::scope`] returns.
 pub struct Scope<'env, 'pool> {
-    pool: &'pool WorkerPool,
-    _env: std::marker::PhantomData<&'env mut &'env ()>,
+    tracer: Option<&'pool FlightRecorder>,
+    jobs: RefCell<Vec<Tracked<'env>>>,
 }
 
 impl<'env> Scope<'env, '_> {
@@ -325,27 +148,19 @@ impl<'env> Scope<'env, '_> {
     where
         F: FnOnce() + Send + 'env,
     {
-        let job: Box<dyn FnOnce() + Send + 'env> = Box::new(f);
-        // SAFETY: lifetime erasure `'env → 'static`. The job only runs on
-        // pool worker threads, and `Scope`'s drop barrier (`wait_idle`)
-        // blocks the submitting thread until `pending == 0` — including
-        // when unwinding — so the job can never outlive the `'env`
-        // borrows it captures. This is the `thread::scope` argument with
-        // the spawn/join replaced by submit/barrier.
-        let job: Job = unsafe { std::mem::transmute(job) };
-        self.pool.submit_erased(job);
-    }
-}
-
-impl Drop for Scope<'_, '_> {
-    fn drop(&mut self) {
-        self.pool.wait_idle();
+        self.jobs.borrow_mut().push(Tracked {
+            job: Box::new(f),
+            parent: self.tracer.map_or(0, |_| span::current()),
+            submitted_ns: self.tracer.map_or(0, |r| r.now_ns()),
+        });
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::thread::ThreadId;
 
     #[test]
     fn config_floors_at_one_worker() {
@@ -406,6 +221,7 @@ mod tests {
         let pool = WorkerPool::new(SchedulerConfig::new(2));
         let counter = AtomicUsize::new(0);
         pool.scope(|scope| {
+            // first in the caller's run, with the rest of that run after it
             scope.submit(|| panic!("tick exploded"));
             for _ in 0..4 {
                 scope.submit(|| {
@@ -424,39 +240,57 @@ mod tests {
     }
 
     #[test]
-    fn uneven_rounds_trigger_steals() {
-        // 8 workers, 256 jobs of uneven cost submitted round-robin: the
-        // long jobs pile onto a few queues and idle workers must steal.
-        let pool = WorkerPool::new(SchedulerConfig::new(8));
-        let counter = AtomicUsize::new(0);
-        pool.scope(|scope| {
-            for i in 0..256 {
-                scope.submit(move || {
-                    if i % 8 == 0 {
-                        std::thread::sleep(std::time::Duration::from_micros(500));
-                    }
-                });
-            }
-            let _ = &counter;
-        });
-        // steals are timing-dependent; assert the counter is wired, not a
-        // specific count (≥ 0 trivially — the point is it didn't wedge).
-        let _ = pool.steals();
-    }
-
-    #[test]
     fn single_worker_pool_is_exact() {
         let pool = WorkerPool::new(SchedulerConfig::new(1));
         let sum = AtomicUsize::new(0);
         pool.scope(|scope| {
             for i in 1..=100 {
+                let sum = &sum;
                 scope.submit(move || {
-                    let _ = i;
+                    sum.fetch_add(i, Ordering::SeqCst);
                 });
             }
-            sum.store(5050, Ordering::SeqCst);
         });
         assert_eq!(sum.load(Ordering::SeqCst), 5050);
-        assert_eq!(pool.steals(), 0, "nobody to steal from");
+    }
+
+    /// The thread each of `jobs` jobs ran on, at `workers`.
+    fn threads_of(workers: usize, jobs: usize) -> Vec<ThreadId> {
+        let pool = WorkerPool::new(SchedulerConfig::new(workers));
+        let mut ran: Vec<Option<ThreadId>> = vec![None; jobs];
+        pool.scope(|scope| {
+            for slot in ran.iter_mut() {
+                scope.submit(move || *slot = Some(std::thread::current().id()));
+            }
+        });
+        ran.into_iter().map(|t| t.expect("job ran")).collect()
+    }
+
+    #[test]
+    fn a_round_is_a_contiguous_split_led_by_the_caller() {
+        let caller = std::thread::current().id();
+        for (workers, jobs) in [(2, 2), (2, 5), (3, 7), (4, 10), (4, 4), (8, 20)] {
+            let ran = threads_of(workers, jobs);
+            let runs = workers.min(jobs);
+            for (i, thread) in ran.iter().enumerate() {
+                // job `i` shares a thread exactly with the jobs of its run
+                for (j, other) in ran.iter().enumerate() {
+                    let same_run = i * runs / jobs == j * runs / jobs;
+                    assert_eq!(
+                        thread == other,
+                        same_run,
+                        "{workers}w/{jobs}: jobs {i}, {j}"
+                    );
+                }
+                assert_eq!(
+                    *thread == caller,
+                    i * runs / jobs == 0,
+                    "{workers}w/{jobs}: {i}"
+                );
+            }
+        }
+        // a one-job round and a one-worker round never leave the caller
+        assert_eq!(threads_of(4, 1), vec![caller]);
+        assert_eq!(threads_of(1, 9), vec![caller; 9]);
     }
 }

@@ -48,6 +48,7 @@
 //!   proxying remote services locally ([`RemoteService`]), including
 //!   standby checkpoint replication.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]

@@ -49,6 +49,7 @@
 //! assert_eq!(out.actions.len(), 2); // the action set of Example 6
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub use serena_core as core;

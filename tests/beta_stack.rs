@@ -192,9 +192,7 @@ fn run(workers: usize) -> BTreeMap<String, String> {
         .filter_map(|line| {
             let (series, value) = line.rsplit_once(' ')?;
             let name = series.split('{').next()?;
-            // steals are the scheduler's own business at four workers
-            let exact = (name.ends_with("_total") && name != "serena_sched_steals_total")
-                || name.ends_with("_count");
+            let exact = name.ends_with("_total") || name.ends_with("_count");
             exact.then(|| (series.to_string(), value.to_string()))
         })
         .collect()

@@ -266,7 +266,7 @@ fn parallel_replay_is_byte_identical_to_serial() {
 fn worker_counts_replay_byte_identically() {
     // ISSUE 7 acceptance: per-query deltas, actions and final relations
     // are byte-identical whether the tick round runs on one worker or
-    // on a stealing pool — and so is the health report, because with the
+    // is split over several — and so is the health report, because with the
     // dedup memo armed the *physical* call set is deterministic too.
     let (base_obs, base_state) = run_with(4, 1, true);
     for workers in [2, 8] {
@@ -303,7 +303,7 @@ fn flight_recorder_changes_no_query_observable() {
     // ISSUE 8 acceptance: the span tracer is a pure observer. Every
     // per-query delta, batch, action set, error multiset, β statistic,
     // final relation *and the health report* must be byte-identical with
-    // the flight recorder armed vs disarmed — on a stealing pool with
+    // the flight recorder armed vs disarmed — on a 4-wide round with
     // parallel β invocation, where spans actually record on every layer.
     let (armed_obs, armed_state) = run_traced(4, 4, true, true);
     let (off_obs, off_state) = run_traced(4, 4, true, false);

@@ -214,7 +214,7 @@ fn recovery_is_byte_identical_at_every_kill_point() {
 }
 
 /// ISSUE 7 satellite: a checkpoint cut while the multi-query scheduler is
-/// running a 4-wide stealing pool restores byte-identically — whether the
+/// splitting its rounds over 4 workers restores byte-identically — whether the
 /// recovered runtime resumes on 4 workers or on a single one. The
 /// snapshot format is scheduler-agnostic, so the uninterrupted
 /// single-worker run is the ground truth for both resume widths.

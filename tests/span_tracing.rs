@@ -127,7 +127,7 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
     for workers in [1usize, 4] {
         for dedup in [true, false] {
             let label = format!("workers={workers} dedup={dedup}");
-            let (_pems, spans) = run(workers, dedup, false);
+            let (pems, spans) = run(workers, dedup, false);
             assert_span_tree_invariants(&spans, &label);
 
             let names: std::collections::HashSet<&str> = spans.iter().map(|s| s.name).collect();
@@ -147,22 +147,27 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
                 dedup,
                 "{label}: dedup span mismatch"
             );
-            // the worker pool only runs — and only emits job spans — when
-            // the round is actually concurrent
-            assert_eq!(
-                names.contains("sched.job"),
-                workers > 1,
-                "{label}: job span mismatch"
-            );
-            if workers > 1 {
-                let jobs: Vec<&SpanRecord> =
-                    spans.iter().filter(|s| s.name == "sched.job").collect();
-                assert!(jobs.iter().all(|j| j.attr_u64("worker").is_some()
-                    && j.attr_u64("stolen").is_some()
-                    && j.attr_u64("queue_wait_ns").is_some()));
-                // job spans bridge the submit→worker thread hop: each one
-                // still hangs off its round span
-                assert!(jobs.iter().any(|j| j.parent != 0));
+            // every round runs its queries as jobs, on the caller alone at
+            // one worker; a job carries its worker and queue wait and
+            // nothing else, and hangs off its round span, across the thread
+            // hop too
+            let jobs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "sched.job").collect();
+            assert!(jobs.iter().all(|j| {
+                let keys: Vec<&str> = j.attrs.iter().map(|(k, _)| *k).collect();
+                keys == ["queue_wait_ns", "worker"]
+                    && j.attr_u64("worker").is_some()
+                    && j.attr_u64("queue_wait_ns").is_some()
+            }));
+            assert_eq!(pems.flight_recorder().dropped_total(), 0, "{label}");
+            for round in spans.iter().filter(|s| s.name == "sched.round") {
+                assert!(
+                    jobs.iter().any(|j| j.parent == round.id),
+                    "{label}: round {} has no job span",
+                    round.id
+                );
+            }
+            if workers == 1 {
+                assert!(jobs.iter().all(|j| j.attr_u64("worker") == Some(0)));
             }
         }
     }
@@ -225,7 +230,7 @@ fn chrome_trace_export_is_valid_json_with_nested_events() {
 
 /// CI smoke artifact: a scheduler+dedup+resilience run exported to
 /// `target/trace_smoke.json`, validated structurally by the workflow's
-/// python step (valid JSON, nested spans, steal/dedup/retry attributes).
+/// python step (valid JSON, nested spans, worker/dedup/retry attributes).
 #[test]
 fn ci_smoke_trace_export() {
     let (pems, spans) = run(4, true, true);
