@@ -12,7 +12,8 @@ use serena_core::equiv::check_over_instants;
 use serena_core::formula::Formula;
 use serena_core::plan::Plan;
 use serena_core::prelude::*;
-use serena_core::rewrite::{all_rules, apply_everywhere};
+use serena_core::rewrite::rules::{Rule, SELECT_PAST_ASSIGN, SELECT_PAST_INVOKE};
+use serena_core::rewrite::{apply_everywhere, RULES};
 
 /// The plan family exercised against every rule: σ/π stacked over α, β
 /// (passive and active) and ⋈, mirroring Table 5's rows and columns.
@@ -95,8 +96,8 @@ fn main() {
     let mut total_checks = 0usize;
     for (label, plan) in plan_family() {
         assert!(plan.schema(&env).is_ok(), "{label}: plan must validate");
-        for rule in all_rules() {
-            let (rewritten, n) = apply_everywhere(&plan, rule.as_ref(), &env);
+        for rule in &RULES {
+            let (rewritten, n) = apply_everywhere(&plan, rule, &env);
             if n == 0 {
                 continue;
             }
@@ -107,11 +108,11 @@ fn main() {
             assert!(
                 verdict.equivalent(),
                 "{label}: rule {} broke equivalence",
-                rule.name()
+                rule.name
             );
             rows.push(vec![
                 label.to_string(),
-                rule.name().to_string(),
+                rule.name.to_string(),
                 format!("×{n}"),
                 "≡ (results + action sets)".to_string(),
             ]);
@@ -127,10 +128,10 @@ fn main() {
         "{}",
         report::banner("Precondition gating (rules must refuse)")
     );
-    let blocked: Vec<(&str, &dyn serena_core::rewrite::rules::RewriteRule, Plan)> = vec![
+    let blocked: Vec<(&str, Rule, Plan)> = vec![
         (
             "σ cannot cross an ACTIVE β (action set would shrink)",
-            &serena_core::rewrite::rules::SelectPastInvoke,
+            SELECT_PAST_INVOKE,
             Plan::relation("contacts")
                 .assign_const("text", "Hi")
                 .invoke("sendMessage", "messenger")
@@ -138,14 +139,14 @@ fn main() {
         ),
         (
             "σ on a β output cannot cross the β",
-            &serena_core::rewrite::rules::SelectPastInvoke,
+            SELECT_PAST_INVOKE,
             Plan::relation("sensors")
                 .invoke("getTemperature", "sensor")
                 .select(Formula::gt_const("temperature", 20.0)),
         ),
         (
             "σ on the α target cannot cross the α",
-            &serena_core::rewrite::rules::SelectPastAssign,
+            SELECT_PAST_ASSIGN,
             Plan::relation("contacts")
                 .assign_const("text", "Hi")
                 .select(Formula::eq_const("text", "Hi")),
@@ -153,12 +154,12 @@ fn main() {
     ];
     let mut gate_rows = Vec::new();
     for (label, rule, plan) in blocked {
-        let (rewritten, n) = apply_everywhere(&plan, rule, &env);
+        let (rewritten, n) = apply_everywhere(&plan, &rule, &env);
         assert_eq!(n, 0, "{label}: the rule must refuse");
         assert_eq!(rewritten, plan);
         gate_rows.push(vec![
             label.to_string(),
-            rule.name().to_string(),
+            rule.name.to_string(),
             "refused ✓".into(),
         ]);
     }

@@ -2,11 +2,12 @@
 //!
 //! Equivalence-preserving transformations over [`Plan`]s:
 //!
-//! * [`rules`] — the individual rewrite rules: the Table 5 rules commuting
+//! * [`rules`] — the rule table, [`RULES`]: the Table 5 rules commuting
 //!   realization operators (α, β) with π, σ and ⋈, plus the "well-known
 //!   rewriting rules of the relational algebra" the paper declares still
-//!   pertinent. Every rule checks its preconditions (e.g. `A ∉ F`) *and*
-//!   re-derives the output schema as a safety net;
+//!   pertinent, one [`Rule`] row each. A row holds a pattern, its side
+//!   condition (e.g. `A ∉ F`) and its replacement; [`Rule::try_apply`]
+//!   re-derives the output schema after every row as a safety net;
 //! * [`optimizer`] — a heuristic fixpoint pipeline that pushes selections
 //!   toward the leaves and below *passive* invocation operators,
 //!   minimising service invocations. Active binding patterns are never
@@ -21,7 +22,7 @@ pub mod rules;
 
 pub use cost::{CostEstimate, CostParams, MeasuredCosts};
 pub use optimizer::{optimize, OptimizerReport};
-pub use rules::{all_rules, apply_everywhere, RewriteRule};
+pub use rules::{apply_everywhere, Rule, RULES};
 
 #[allow(unused_imports)]
 use crate::plan::Plan;

@@ -1,6 +1,7 @@
 //! Heuristic logical optimizer (§3.3 applied).
 //!
-//! A fixpoint pipeline over the rules of [`super::rules`]:
+//! A fixpoint pipeline over the rows of [`super::rules`], one array of
+//! rows per phase:
 //!
 //! 1. **normalize** — split conjunctive selections, drop trivial ones;
 //! 2. **pushdown** — drive every selection as far toward the leaves as the
@@ -8,7 +9,8 @@
 //!    invocations, into joins, set operators and renamings. Because remote
 //!    invocations dominate cost, filtering before invoking is the dominant
 //!    win (cf. `Q2` vs `Q2'`);
-//! 3. **cleanup** — merge re-adjacent selections and absorb stacked
+//! 3. **place** — sink α and passive β into the join operand they need;
+//! 4. **cleanup** — merge re-adjacent selections and absorb stacked
 //!    projections.
 //!
 //! Invocations of *active* binding patterns are never crossed (the rules
@@ -22,12 +24,7 @@
 
 use crate::plan::{Plan, SchemaCatalog};
 
-use super::rules::{
-    apply_everywhere, AssignIntoJoin, DropTrueSelect, InvokeIntoJoin, MergeProjects, MergeSelects,
-    ProjectPastAssign, ProjectPastInvoke, RewriteRule, SelectIntoJoin, SelectIntoSetOp,
-    SelectPastAssign, SelectPastInvoke, SelectPastProject, SelectPastRename, SelectPastSelect,
-    SelectPastWindowedSample, SelectPastWindowedStream, SplitConjunctiveSelect,
-};
+use super::rules::*;
 
 /// What the optimizer did to a plan.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,72 +46,65 @@ impl OptimizerReport {
 
 const MAX_ITERATIONS: usize = 32;
 
+/// Phase 1: normalize.
+const NORMALIZE: [Rule; 2] = [SPLIT_CONJUNCTIVE_SELECT, DROP_TRUE_SELECT];
+
+/// Phase 2, run to a fixpoint: push selections (and projections) down.
+const PUSHDOWN: [Rule; 12] = [
+    SELECT_PAST_SELECT,
+    SELECT_PAST_PROJECT,
+    SELECT_PAST_ASSIGN,
+    SELECT_PAST_INVOKE,
+    SELECT_INTO_JOIN,
+    SELECT_INTO_SET_OP,
+    SELECT_PAST_RENAME,
+    SELECT_PAST_WINDOWED_STREAM,
+    SELECT_PAST_WINDOWED_SAMPLE,
+    PROJECT_PAST_ASSIGN,
+    PROJECT_PAST_INVOKE,
+    SPLIT_CONJUNCTIVE_SELECT,
+];
+
+/// Phase 3: realization-operator placement across joins (reduce the tuple
+/// count seen by α/β when one join side is irrelevant).
+const PLACE: [Rule; 2] = [ASSIGN_INTO_JOIN, INVOKE_INTO_JOIN];
+
+/// Phase 4: cleanup.
+const CLEANUP: [Rule; 2] = [MERGE_SELECTS, MERGE_PROJECTS];
+
 /// Optimize `plan` against `catalog`. Always returns a plan
 /// Definition 9-equivalent to the input (rules preserve result relations
 /// and action sets by construction).
 pub fn optimize(plan: &Plan, catalog: &dyn SchemaCatalog) -> OptimizerReport {
     let mut applied: Vec<(&'static str, usize)> = Vec::new();
-    let mut current = plan.clone();
-
-    let run = |plan: &Plan, rule: &dyn RewriteRule, applied: &mut Vec<(&'static str, usize)>| {
-        let (next, n) = apply_everywhere(plan, rule, catalog);
-        if n > 0 {
-            applied.push((rule.name(), n));
-        }
-        next
+    let mut run = |plan: Plan, phase: &[Rule]| {
+        phase.iter().fold(plan, |plan, rule| {
+            let (next, n) = apply_everywhere(&plan, rule, catalog);
+            if n > 0 {
+                applied.push((rule.name, n));
+            }
+            next
+        })
     };
 
-    // Phase 1: normalize.
-    current = run(&current, &SplitConjunctiveSelect, &mut applied);
-    current = run(&current, &DropTrueSelect, &mut applied);
-
-    // Phase 2: pushdown to fixpoint.
-    let pushdown: [&dyn RewriteRule; 12] = [
-        &SelectPastSelect,
-        &SelectPastProject,
-        &SelectPastAssign,
-        &SelectPastInvoke,
-        &SelectIntoJoin,
-        &SelectIntoSetOp,
-        &SelectPastRename,
-        &SelectPastWindowedStream,
-        &SelectPastWindowedSample,
-        &ProjectPastAssign,
-        &ProjectPastInvoke,
-        &SplitConjunctiveSelect,
-    ];
+    let mut current = run(plan.clone(), &NORMALIZE);
     let mut iterations = 0;
     loop {
         iterations += 1;
         let before = current.clone();
-        for rule in pushdown {
-            current = run(&current, rule, &mut applied);
-        }
+        current = run(current, &PUSHDOWN);
         if current == before || iterations >= MAX_ITERATIONS {
             break;
         }
     }
-
-    // Phase 3: realization-operator placement across joins (reduce the
-    // tuple count seen by α/β when one join side is irrelevant).
-    for rule in [&AssignIntoJoin as &dyn RewriteRule, &InvokeIntoJoin] {
-        current = run(&current, rule, &mut applied);
-    }
-
-    // Phase 4: cleanup.
-    current = run(&current, &MergeSelects, &mut applied);
-    current = run(&current, &MergeProjects, &mut applied);
+    current = run(current, &PLACE);
+    current = run(current, &CLEANUP);
 
     OptimizerReport {
         plan: current,
         applied,
         iterations,
     }
-}
-
-/// Convenience: optimize and return only the plan.
-pub fn optimize_plan(plan: &Plan, catalog: &dyn SchemaCatalog) -> Plan {
-    optimize(plan, catalog).plan
 }
 
 #[cfg(test)]
@@ -273,6 +263,142 @@ mod tests {
             "selection should sit below the projection: {text}"
         );
         assert!(same_stream_schema(&plan, &opt, &env));
+    }
+
+    /// The continuous catalog of `serena_stream::plan::examples`' tests:
+    /// an infinite `temperatures` beside finite `contacts` and `cameras`.
+    fn stream_catalog() -> std::collections::BTreeMap<String, crate::plan::StreamSchema> {
+        use crate::plan::StreamSchema;
+        use crate::schema::{examples as schemas, XSchema};
+        use crate::value::DataType;
+        let temperatures = XSchema::builder()
+            .real("location", DataType::Str)
+            .real("temperature", DataType::Real)
+            .build()
+            .unwrap();
+        [
+            ("temperatures", StreamSchema::infinite(temperatures)),
+            ("contacts", StreamSchema::finite(schemas::contacts_schema())),
+            ("cameras", StreamSchema::finite(schemas::cameras_schema())),
+        ]
+        .into_iter()
+        .map(|(name, s)| (name.to_string(), s))
+        .collect()
+    }
+
+    /// `Q3` and `Q4` as `serena_stream::plan::examples` builds them (that
+    /// crate depends on this one, so its examples cannot be imported here).
+    fn q3() -> Plan {
+        Plan::source("temperatures")
+            .window(1)
+            .select(Formula::gt_const("temperature", 35.5))
+            .project(["temperature"])
+            .join(Plan::source("contacts"))
+            .assign_const("text", "Hot!")
+            .invoke("sendMessage", "messenger")
+    }
+
+    fn q4() -> Plan {
+        Plan::source("temperatures")
+            .window(1)
+            .select(Formula::lt_const("temperature", 12.0))
+            .rename("location", "area")
+            .project(["area"])
+            .join(Plan::source("cameras"))
+            .invoke("checkPhoto", "camera")
+            .invoke("takePhoto", "camera")
+            .project(["photo"])
+            .stream(StreamKind::Insertion)
+    }
+
+    /// The optimizer's whole output on the paper's queries and the E20
+    /// sampler, pinned: the rewritten algebra, which rules fired how often
+    /// in which order, and the pushdown phase's iteration count.
+    #[test]
+    fn optimizer_output_is_pinned_on_the_paper_queries() {
+        let env = example_environment();
+        let cat = stream_catalog();
+        type Pinned = (&'static str, &'static [(&'static str, usize)], usize);
+        let cases: [(Plan, &dyn SchemaCatalog, Pinned); 7] = [
+            (
+                q1(),
+                &env,
+                (
+                    "β sendMessage[messenger] (α text:='Bonjour!' (σ name <> 'Carla' (contacts)))",
+                    &[],
+                    1,
+                ),
+            ),
+            (
+                q1_prime(),
+                &env,
+                (
+                    "σ name <> 'Carla' (β sendMessage[messenger] (α text:='Bonjour!' (contacts)))",
+                    &[],
+                    1,
+                ),
+            ),
+            (
+                q2(),
+                &env,
+                (
+                    "π photo (β takePhoto[camera] (σ quality >= 5 (β checkPhoto[camera] \
+                     (σ area = 'office' (cameras)))))",
+                    &[],
+                    1,
+                ),
+            ),
+            (
+                q2_prime(),
+                &env,
+                (
+                    "π photo (β takePhoto[camera] (σ quality >= 5 (β checkPhoto[camera] \
+                     (σ area = 'office' (cameras)))))",
+                    &[
+                        ("split-conjunctive-select", 1),
+                        ("select-past-select", 1),
+                        ("select-past-invoke", 1),
+                    ],
+                    2,
+                ),
+            ),
+            (
+                q3(),
+                &cat,
+                (
+                    "β sendMessage[messenger] ((π temperature (σ temperature > 35.5 \
+                     (W[1] (temperatures))) ⋈ α text:='Hot!' (contacts)))",
+                    &[("assign-into-join", 1)],
+                    1,
+                ),
+            ),
+            (
+                q4(),
+                &cat,
+                (
+                    "S[insertion] (π photo ((π area (ρ location→area (σ temperature < 12.0 \
+                     (W[1] (temperatures)))) ⋈ β takePhoto[camera] (β checkPhoto[camera] \
+                     (cameras)))))",
+                    &[("invoke-into-join", 2)],
+                    1,
+                ),
+            ),
+            (
+                naive_sampler(),
+                &env,
+                (
+                    "W[1] (βˢ[1] getTemperature[sensor] (σ location = 'corridor' (sensors)))",
+                    &[("select-past-windowed-sample", 1)],
+                    2,
+                ),
+            ),
+        ];
+        for (plan, catalog, (algebra, applied, iterations)) in cases {
+            let r = optimize(&plan, catalog);
+            assert_eq!(r.plan.to_algebra(), algebra, "{plan}");
+            assert_eq!(r.applied, applied, "{plan}");
+            assert_eq!(r.iterations, iterations, "{plan}");
+        }
     }
 
     #[test]
