@@ -8,9 +8,9 @@ use super::*;
 /// operator is resolved by the [`CompiledOp`] constructor the one-shot
 /// physical plan uses; the plan as a whole has already passed
 /// [`StreamPlan::stream_schema`], which owns the finite/infinite rules.
-/// `read` says whether the node's parent reads its `current` (the root's is
-/// the query's result): each operator states that for its operands here,
-/// and a window keeps `current` only where it holds.
+/// `read` says whether the node's parent reads its `current` (the root's
+/// reader derives it instead): each operator states that for its operands
+/// here, and a sliding node keeps `current` only where it holds.
 pub(super) fn build(
     plan: &StreamPlan,
     sources: &mut SourceSet,
@@ -88,7 +88,6 @@ pub(super) fn build(
             let window = Op::Window {
                 period: (*period).max(1),
                 ring: VecDeque::new(),
-                keeps_current: read,
             };
             (operand(p, sources, false)?, window)
         }
@@ -112,6 +111,7 @@ pub(super) fn build(
             id,
             op,
             children,
+            read,
             current,
         },
         schema,

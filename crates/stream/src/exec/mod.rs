@@ -7,7 +7,9 @@
 //! module adds only what is continuous. Each node keeps its instantaneous
 //! state (a multiset, per §4.1) and produces a per-tick [`Delta`]:
 //!
-//! * **σ, π, ρ, α** map their child's delta tuple by tuple;
+//! * **σ, π, ρ, α** map their child's delta tuple by tuple — over a sliding
+//!   operand (a window, or σ, π, ρ, α over one) only the entering batch,
+//!   keeping the bag it mapped to until the batch expires;
 //! * **⋈, ∪/∩/−, γ** consume both operands' deltas and emit the net change
 //!   of their output — ⋈ through one key→tuples index per operand, the set
 //!   operators by re-deciding only the tuples a delta touched, γ by
@@ -20,8 +22,12 @@
 //!   insertion produced;
 //! * **W\[p\]** holds the last `p` stream [`Batch`]es — the same
 //!   `Arc<Batch>` every other query over the stream holds — and hands its
-//!   parent the entered and the expired one by reference; **S\[kind\]**
+//!   parent the entered and the expired one's bag by reference; **S\[kind\]**
 //!   converts a finite node's delta back into a stream.
+//!
+//! A sliding node keeps `current` only where its parent reads it; the
+//! query's result is the root's content (`Node::content`), derived where it
+//! is not kept.
 //!
 //! Invocation failures (a sensor dying mid-query) do not abort the query:
 //! the affected input tuple contributes nothing this tick and the error is
@@ -40,6 +46,7 @@ mod stateful;
 mod tests;
 mod tick;
 
+use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -155,9 +162,14 @@ struct Node {
     id: NodeId,
     op: Op,
     children: Vec<Node>,
+    /// Whether the node's parent reads its `current`: it is ⋈, ∪/∩/−, γ,
+    /// `S[heartbeat]` or βˢ (decided by `build`; the root's reader derives
+    /// [`Node::content`] instead). A sliding node — a window, or σ, π, ρ, α
+    /// over one — maintains `current` only then; every other node always.
+    read: bool,
     /// The node's instantaneous multiset after its last tick (§4.1). Stays
     /// empty on stream-valued nodes, which have no instantaneous state, and
-    /// on a window nothing reads it from (see [`Op::Window`]).
+    /// on a sliding node whose parent does not read it.
     current: Multiset,
 }
 
@@ -172,10 +184,11 @@ enum Op {
     Stream {
         source: Box<dyn StreamSource>,
     },
-    /// σ, π, ρ, α, ∪, ∩, −, ⋈, γ: operand deltas in, the output's net
-    /// delta out. `state` is what the operator keeps between ticks besides
-    /// the node's `current`; it is a function of the children's `current`,
-    /// so a checkpoint leaves it out and a restore derives it.
+    /// σ, π, ρ, α, ∪, ∩, −, ⋈, γ: operand deltas in, the output's delta
+    /// out (σ, π, ρ, α over a sliding operand slide themselves). `state` is
+    /// what the operator keeps between ticks besides the node's `current`;
+    /// it is a function of the children's `current` or ring, so a checkpoint
+    /// leaves it out and a restore derives it.
     Serena {
         op: CompiledOp,
         state: OpState,
@@ -189,14 +202,6 @@ enum Op {
         /// The last `period` batches, oldest first, each shared with every
         /// other query over the stream that polled it.
         ring: VecDeque<Arc<Batch>>,
-        /// Whether the node maintains `current` — the ring's batches as one
-        /// bag. Something must read it for that: the window is the root, or
-        /// its parent is ⋈, ∪/∩/−, γ, `S[heartbeat]` or βˢ. σ, π, ρ, α, β and
-        /// `S[insertion|deletion]` see an operand only through its delta, so
-        /// under them the window hashes nothing. Decided by `build` from the
-        /// parent operator; everything that outlives a tick derives the
-        /// content from the ring.
-        keeps_current: bool,
     },
     StreamOf(StreamKind),
     /// Streaming binding pattern `βˢ` (extension, §7 future work):
@@ -220,11 +225,11 @@ impl Op {
         let (tag, kind) = match self {
             Op::Table { .. } => (0, OpKind::Relation),
             Op::Stream { .. } => (1, OpKind::Source),
-            // the tags predate the single arm: 2 was the tuple-at-a-time
-            // operators, 3 the ones that hold state
+            // the tags predate the single arm: 2 is the tuple-at-a-time
+            // operators, 3 the ones whose state is a function of `current`
             Op::Serena { op, state } => {
-                let stateless = matches!(state, OpState::Stateless);
-                (if stateless { 2 } else { 3 }, op.kind())
+                let tuple_at_a_time = matches!(state, OpState::Stateless | OpState::Ring(_));
+                (if tuple_at_a_time { 2 } else { 3 }, op.kind())
             }
             Op::Invoke { .. } => (4, OpKind::Invoke),
             Op::Window { .. } => (5, OpKind::Window),
@@ -261,6 +266,38 @@ impl Node {
             c.walk(f);
         }
     }
+
+    /// A sliding node's bags, oldest first — a window's batches, or what
+    /// σ, π, ρ, α over one mapped them to — and `None` for any other node.
+    fn ring(&self) -> Option<Vec<&Multiset>> {
+        match &self.op {
+            Op::Window { ring, .. } => Some(ring.iter().map(|batch| &**batch.bag()).collect()),
+            Op::Serena {
+                state: OpState::Ring(bags),
+                ..
+            } => Some(bags.iter().map(|bag| &**bag).collect()),
+            _ => None,
+        }
+    }
+
+    /// What the node holds at this instant (§4.1), as its reader sees it:
+    /// `current`, or — for a sliding node that keeps none — its ring's bags
+    /// as one.
+    fn content(&self) -> Cow<'_, Multiset> {
+        match self.ring() {
+            Some(bags) if !self.read => Cow::Owned(union(bags)),
+            _ => Cow::Borrowed(&self.current),
+        }
+    }
+}
+
+/// Bags as one: each tuple with the sum of its counts.
+fn union(bags: Vec<&Multiset>) -> Multiset {
+    let mut all = Multiset::new();
+    for (t, c) in bags.into_iter().flat_map(Multiset::iter) {
+        all.insert(t.clone(), c);
+    }
+    all
 }
 
 /// A running continuous query.
@@ -287,8 +324,8 @@ impl ContinuousQuery {
         options: ExecOptions,
     ) -> Result<Self, PlanError> {
         let schema = plan.stream_schema(sources)?;
-        // the root's `current` is the query's result
-        let (root, _) = build::build(plan, sources, &mut 0, true)?;
+        // the query's result is the root's content, derived where not kept
+        let (root, _) = build::build(plan, sources, &mut 0, false)?;
         Ok(ContinuousQuery {
             root,
             schema,
@@ -400,7 +437,7 @@ impl ContinuousQuery {
             return None;
         }
         let mut rel = XRelation::empty(self.schema.schema.clone());
-        for t in self.root.current.sorted_occurrences() {
+        for t in self.root.content().sorted_occurrences() {
             rel.insert(t);
         }
         Some(rel)

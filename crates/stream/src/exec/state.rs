@@ -4,17 +4,10 @@
 //! A snapshot is one record per node in pre-order: the operator tag (shape
 //! verification) followed by whatever that operator cannot re-derive. What
 //! ⋈, ∪/∩/− and γ keep beside `current` is derived from their children's
-//! `current`, so it has no record.
+//! `current`, and the ring σ, π, ρ, α keep over a window from the window's
+//! ring, so neither has a record.
 
 use super::*;
-
-/// A window's instantaneous content: its ring's batches as one bag.
-pub(super) fn window_content(ring: &VecDeque<Arc<Batch>>) -> Multiset {
-    ring.iter()
-        .flat_map(|batch| batch.tuples())
-        .cloned()
-        .collect()
-}
 
 impl Node {
     /// Write this node's snapshot record.
@@ -30,7 +23,7 @@ impl Node {
             // stream sources are driven by the environment, S and βˢ keep
             // nothing between ticks
             Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
-            Op::Serena { .. } => self.current.encode(w),
+            Op::Serena { .. } => self.content().encode(w),
             // every β emission is mirrored in the cache (fillers included),
             // so `current` is Σ count × outputs over the entries — derived
             // on restore rather than encoded
@@ -45,12 +38,11 @@ impl Node {
                     }
                 }
             }
-            // `current`, where the window keeps it, is exactly the multiset
-            // of the ring's tuples (each tick inserts the new batch and
-            // deletes the expired one), so it is derived on restore rather
-            // than encoded — the dominant term of a windowed query's
-            // snapshot, halved
-            Op::Window { period, ring, .. } => {
+            // the window's content is exactly the multiset of the ring's
+            // tuples (each tick inserts the new batch and deletes the expired
+            // one), so it is derived on restore rather than encoded — the
+            // dominant term of a windowed query's snapshot, halved
+            Op::Window { period, ring } => {
                 w.u64(*period);
                 w.usize(ring.len());
                 for batch in ring {
@@ -66,7 +58,7 @@ impl Node {
     /// Read back the records [`Node::snapshot`] wrote for this subtree, in
     /// the same pre-order, failing on a different operator at any position;
     /// then derive what this node's operator keeps from its children's
-    /// restored `current`.
+    /// restored `current` or ring.
     pub(super) fn restore(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let tag = r.u8()?;
         let expected = self.op.meta().0;
@@ -91,6 +83,7 @@ impl Node {
                 };
             }
             Op::Stream { .. } | Op::StreamOf(_) | Op::SampleInvoke { .. } => {}
+            // over a window, σ, π, ρ, α derive it below
             Op::Serena { .. } => self.current = Multiset::decode(r)?,
             Op::Invoke { cache, .. } => {
                 let entries = r.usize()?;
@@ -111,11 +104,7 @@ impl Node {
                     cache.insert(t, CacheEntry { count, outputs });
                 }
             }
-            Op::Window {
-                period,
-                ring,
-                keeps_current,
-            } => {
+            Op::Window { period, ring } => {
                 let stored = r.u64()?;
                 if stored != *period {
                     return Err(SnapshotError::Mismatch(format!(
@@ -133,12 +122,6 @@ impl Node {
                     }
                     ring.push_back(Arc::new(batch.into()));
                 }
-                // the instantaneous window content is derived, not stored
-                self.current = if *keeps_current {
-                    window_content(ring)
-                } else {
-                    Multiset::new()
-                };
             }
         }
         for child in &mut self.children {
@@ -146,6 +129,18 @@ impl Node {
         }
         if let Op::Serena { op, state } = &mut self.op {
             *state = OpState::over(op, &self.children);
+        }
+        // a sliding node's `current`, where it keeps one, is its ring's
+        // content: derived, not stored
+        let derived = self.ring().map(|bags| {
+            if self.read {
+                union(bags)
+            } else {
+                Multiset::new()
+            }
+        });
+        if let Some(current) = derived {
+            self.current = current;
         }
         Ok(())
     }

@@ -1,8 +1,10 @@
 //! ⋈, ∪/∩/− and γ over deltas: what each keeps across ticks beside its
-//! [`CompiledOp`], and the net delta it derives from its operands' deltas.
+//! [`CompiledOp`], and the net delta it derives from its operands' deltas;
+//! and the ring σ, π, ρ, α keep over a sliding operand.
 //!
-//! All of it is *derived*: a function of the operands' `current`, so it is
-//! rebuilt from them ([`OpState::over`]) and never checkpointed. Children
+//! All of it is *derived*: a function of the operands' `current` (of the
+//! operand's ring, for σ, π, ρ, α), so it is rebuilt from them
+//! ([`OpState::over`]) and never checkpointed. Children
 //! tick first, so an operator here sees its operands' `current` *after* this
 //! instant's deltas and its own `current` *before* — and an operand delta may
 //! name one tuple on both sides (π over a sliding window does), so nothing
@@ -18,12 +20,17 @@ use serena_core::attr::AttrName;
 use serena_core::ops::{AggFun, AggSpec};
 use serena_core::value::Value;
 
+use super::tick::map_bag;
 use super::*;
 
 /// What a Serena operator carries across ticks besides its node's `current`.
 pub(super) enum OpState {
-    /// σ, π, ρ, α map each delta tuple on its own.
+    /// σ, π, ρ, α over a finite delta map each tuple on its own.
     Stateless,
+    /// σ, π, ρ, α over a sliding operand: per batch in the window's ring,
+    /// oldest first, the bag it mapped to when it entered — what the node
+    /// hands on again when the batch expires.
+    Ring(VecDeque<Arc<Multiset>>),
     /// ⋈: each operand's tuples under their join key.
     Join { left: KeyIndex, right: KeyIndex },
     /// ∪, ∩, −: the right operand in the left's coordinate order, held only
@@ -34,8 +41,9 @@ pub(super) enum OpState {
 }
 
 impl OpState {
-    /// The state `op` holds while its operands hold `children`'s `current`:
-    /// empty over the cold children of a fresh compile, full after a restore.
+    /// The state `op` holds while its operands hold `children`'s `current`
+    /// (or ring): empty over the cold children of a fresh compile, full after
+    /// a restore.
     pub(super) fn over(op: &CompiledOp, children: &[Node]) -> OpState {
         match op {
             CompiledOp::Join {
@@ -58,7 +66,19 @@ impl OpState {
                 group,
                 aggs,
             } => OpState::Groups(Groups::over(in_schema, group, aggs, &children[0].current)),
-            _ => OpState::Stateless,
+            _ => match children[0].ring() {
+                Some(bags) => {
+                    let mut ring: VecDeque<Arc<Multiset>> = VecDeque::with_capacity(bags.len());
+                    for bag in bags {
+                        // a failing tuple was reported when its batch entered
+                        let like = ring.back().map(Arc::as_ref);
+                        let mapped = map_bag(op, bag, &mut Vec::new(), like);
+                        ring.push_back(Arc::new(mapped));
+                    }
+                    OpState::Ring(ring)
+                }
+                None => OpState::Stateless,
+            },
         }
     }
 }

@@ -1044,18 +1044,22 @@ impl World {
 
 fn keeps_state(node: &Node) -> Option<&CompiledOp> {
     match &node.op {
-        Op::Serena { op, state } if !matches!(state, OpState::Stateless) => Some(op),
+        Op::Serena { op, state } if !matches!(state, OpState::Stateless | OpState::Ring(_)) => {
+            Some(op)
+        }
         _ => None,
     }
 }
 
-/// What a node's parent sees it hold: `current`, or for a window — which
-/// keeps `current` only where it is read — the ring's batches as one bag.
-fn content(node: &Node) -> Multiset {
-    match &node.op {
-        Op::Window { ring, .. } => super::state::window_content(ring),
-        _ => node.current.clone(),
+/// σ, π, ρ, α over a bag, tuple by tuple.
+fn mapped(op: &CompiledOp, bag: &Multiset) -> Multiset {
+    let mut out = Multiset::new();
+    for (t, c) in bag.iter() {
+        if let Some(m) = op.map_tuple(t).unwrap() {
+            out.insert(m, c);
+        }
     }
+    out
 }
 
 /// The per-node half of [`differential`], over `node`'s subtree. `read` says
@@ -1063,35 +1067,37 @@ fn content(node: &Node) -> Multiset {
 /// operators' definitions, not taken from what `build` decided.
 fn check_node(node: &Node, read: bool, context: &str) {
     let context = &format!("node {} of {context}", node.id);
-    let operand = || content(&node.children[0]);
+    assert_eq!(node.read, read, "{context}");
+    let operand = || node.children[0].content();
+    // a sliding node keeps `current` — its ring's bags as one — only where
+    // it is read
+    if let Some(bags) = node.ring() {
+        if read {
+            assert_eq!(node.current, union(bags), "{context}");
+        } else {
+            assert!(node.current.is_empty(), "unread, but kept: {context}");
+        }
+    }
     let reads_operands = match &node.op {
-        Op::Window {
-            ring,
-            keeps_current,
-            period,
-            ..
-        } => {
-            assert_eq!(*keeps_current, read, "{context}");
+        Op::Window { ring, period } => {
             assert!(ring.len() as u64 <= *period, "{context}");
-            if read {
-                assert_eq!(node.current, content(node), "{context}");
-            } else {
-                assert!(node.current.is_empty(), "unread, but kept: {context}");
-            }
             false
         }
-        // σ, π, ρ, α rebuilt from the operand's whole content
+        // σ, π, ρ, α rebuilt from the operand's whole content; over a
+        // sliding operand, one bag per operand bag, each that bag mapped
         Op::Serena {
             op,
-            state: OpState::Stateless,
+            state: state @ (OpState::Stateless | OpState::Ring(_)),
         } => {
-            let mut rebuilt = Multiset::new();
-            for (t, c) in operand().iter() {
-                if let Some(mapped) = op.map_tuple(t).unwrap() {
-                    rebuilt.insert(mapped, c);
+            assert_eq!(*node.content(), mapped(op, &operand()), "{context}");
+            let slides = node.children[0].ring();
+            assert_eq!(matches!(state, OpState::Ring(_)), slides.is_some());
+            if let (Some(bags), Some(operand_bags)) = (node.ring(), slides) {
+                assert_eq!(bags.len(), operand_bags.len(), "{context}");
+                for (bag, operand_bag) in bags.into_iter().zip(operand_bags) {
+                    assert_eq!(*bag, mapped(op, operand_bag), "{context}");
                 }
             }
-            assert_eq!(node.current, rebuilt, "{context}");
             false
         }
         Op::Serena { op, .. } => {
@@ -1124,8 +1130,8 @@ fn check_node(node: &Node, read: bool, context: &str) {
 /// Run every plan, and every subplan of it rooted at a ⋈, ∪, ∩, − or γ, as
 /// a query of its own over one world for `instants` instants. After each
 /// instant every node of every query must hold what the reference rebuilds
-/// from its operands' whole content — a window what its ring holds, and
-/// only where its parent reads it — and each query must have reported
+/// from its operands' whole content — a sliding node in its ring, and in
+/// `current` only where its parent reads it — and each query must have reported
 /// exactly the diff of its root, so every ⋈, ∪, ∩, − and γ's own delta is
 /// checked, as the root of some query.
 fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
@@ -1159,25 +1165,26 @@ fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
     for at in 0..instants {
         world.churn(&mut rng, at);
         for (q, plan) in queries.iter_mut().zip(&rooted) {
-            let before = q.root.current.clone();
+            let before = q.root.content().into_owned();
             let report = q.tick_with(&reg, &NoopMetrics);
             assert!(report.errors.is_empty(), "{:?}", report.errors);
             let context = format!("seed {seed}, instant {at}, {}", plan.to_algebra());
-            check_node(&q.root, true, &context);
+            // the query's reader derives the root's content
+            check_node(&q.root, false, &context);
             // ⋈, ∪, ∩, − and γ emit net deltas; a window's, and what σ, π, ρ,
             // α and β make of it, may name one tuple on both sides
-            let moved = before.diff_to(&q.root.current);
+            let moved = before.diff_to(&q.root.content());
             if keeps_state(&q.root).is_some() {
                 assert_eq!(report.delta, moved, "{context}");
             } else {
                 assert_eq!(report.delta.clone().net(), moved, "{context}");
             }
             if matches!(q.root.op, Op::StreamOf(StreamKind::Heartbeat)) {
-                let repeated = content(&q.root.children[0]).sorted_occurrences();
+                let repeated = q.root.children[0].content().sorted_occurrences();
                 assert_eq!(report.batch, repeated, "{context}");
             }
             emitted += report.delta.magnitude() + report.batch.len();
-            held += content(&q.root).len();
+            held += q.root.content().len();
         }
     }
     // the runs are not vacuous
@@ -1279,24 +1286,34 @@ fn delta_native_aggregate_matches_the_reference() {
     differential(0x14_05, &plans[..2], 520);
 }
 
-/// A window under each kind of parent. σ, π, ρ, α, β and `S[insertion]` see
-/// it only through the entered and the expired batch, so it keeps no
-/// `current`; ⋈, ∪, −, γ, `S[heartbeat]`, βˢ and the query's reader do read
-/// it, so it does. Stream `m` repeats one tuple inside every batch — so in
-/// every entering *and* every expiring one — and `s` does both often.
+/// A sliding node — a window, or σ, π, ρ, α over one — under each kind of
+/// parent. σ, π, ρ, α, β and `S[insertion]` see it only through the entered
+/// and the expired bag, and the query's reader derives the root's content,
+/// so there it keeps no `current`; ⋈, ∪, −, γ, `S[heartbeat]` and βˢ do read
+/// it, so there it does. Stream `m` repeats one tuple inside every batch —
+/// so in every entering *and* every expiring one — and `s` does both often.
 #[test]
 fn a_window_keeps_current_only_where_it_is_read() {
     let m_window = |period| StreamPlan::source("m").window(period);
     let count = || vec![AggSpec::new(AggFun::Count, "y")];
+    let positive = || Formula::gt_const("y", 0);
     let plans = [
         // not read
-        s_window(3).select(Formula::gt_const("y", 0)),
+        s_window(3).select(positive()),
         s_window(4).project(["y"]),
         s_window(2).rename("x", "k"),
         m_window(3).assign_const("temperature", 20.5),
         m_window(2).invoke("getTemperature", "sensor"),
         s_window(2).stream(StreamKind::Insertion),
         m_window(1).stream(StreamKind::Deletion),
+        s_window(4),
+        m_window(3),
+        // chains: each link maps what the one below it handed on
+        s_window(3).project(["x", "y"]).select(positive()),
+        s_window(1).select(positive()).rename("x", "k"),
+        m_window(2)
+            .project(["location"])
+            .stream(StreamKind::Insertion),
         // read
         s_window(3).aggregate(["x"], count()),
         m_window(2).project(["location"]).join(m_window(3)),
@@ -1304,13 +1321,19 @@ fn a_window_keeps_current_only_where_it_is_read() {
         table("t").difference(s_window(3)),
         s_window(3).stream(StreamKind::Heartbeat),
         m_window(2).sample_invoke("getTemperature", "sensor", 2),
-        s_window(4),
-        m_window(3),
+        s_window(2).select(positive()).stream(StreamKind::Heartbeat),
+        // a linear chain as the left operand of ⋈, and under γ
+        s_window(3)
+            .select(positive())
+            .project(["x"])
+            .join(table("r")),
+        s_window(4)
+            .rename("y", "w")
+            .select(Formula::gt_const("w", 0))
+            .aggregate(["x"], vec![AggSpec::new(AggFun::Count, "w")]),
         // both in one plan: the σ-parented window of a ∪ whose other operand
         // is a window itself
-        s_window(1)
-            .select(Formula::gt_const("y", 0))
-            .union(s_window(3)),
+        s_window(1).select(positive()).union(s_window(3)),
     ];
     let seed = 0x19_01;
     differential(seed, &plans, 260);
@@ -1321,6 +1344,88 @@ fn a_window_keeps_current_only_where_it_is_read() {
     let duplicate = |at: &u64| bag(*at).distinct() < bag(*at).len();
     assert!((3..260).filter(both_sides).count() > 40);
     assert!((0..260).filter(duplicate).count() > 40);
+}
+
+/// σ over W[3] and π over W[4], checkpointed after each of the instants
+/// 0…6 and restored into a fresh compile: the snapshot holds no mapped bag,
+/// the restore rebuilds them from the window's ring, and the next six
+/// reports and results are the uninterrupted run's.
+#[test]
+fn a_restored_ring_continues_the_uninterrupted_run() {
+    let world = World::new(0x29_01);
+    let reg = example_registry();
+    let compile = |plan: &StreamPlan| ContinuousQuery::compile(plan, &mut world.sources()).unwrap();
+    let next = |q: &mut ContinuousQuery| {
+        let r = q.tick_with(&reg, &NoopMetrics);
+        assert!(r.errors.is_empty(), "{:?}", r.errors);
+        (r.at, r.delta, q.current_relation().unwrap())
+    };
+    let plans = [
+        (s_window(3).select(Formula::gt_const("y", 0)), 3),
+        (s_window(4).project(["x"]), 4),
+    ];
+    for (plan, period) in &plans {
+        let mut uninterrupted = compile(plan);
+        let run: Vec<_> = (0..13).map(|_| next(&mut uninterrupted)).collect();
+        for at in 0..=6 {
+            let mut q = compile(plan);
+            for _ in 0..at {
+                next(&mut q);
+            }
+            let mut w = Writer::new();
+            q.write_snapshot(&mut w);
+            let (bytes, written) = (w.into_bytes(), digest(&q));
+            drop(q);
+            let mut restored = compile(plan);
+            restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
+            let Op::Serena {
+                state: OpState::Ring(bags),
+                ..
+            } = &restored.root.op
+            else {
+                panic!("σ and π over a window keep a ring")
+            };
+            assert_eq!(bags.len(), at.min(*period));
+            assert_eq!(digest(&restored), written);
+            for (i, expected) in run[at..at + 6].iter().enumerate() {
+                let context = format!("{} from {at}, instant {}", plan.to_algebra(), at + i);
+                assert_eq!(&next(&mut restored), expected, "{context}");
+            }
+        }
+    }
+}
+
+/// A tuple σ fails on is reported once, at the instant its batch enters the
+/// window — not again when the batch expires, since the expired side is the
+/// bag the batch mapped to on entry, which does not hold it.
+#[test]
+fn a_bad_tuple_is_one_error_when_it_enters() {
+    let mut sources = SourceSet::new();
+    // instant 1 appends a STRING where `x` is an INTEGER
+    let src = FnStream(|at: Instant| match at.ticks() {
+        1 => vec![tuple!["oops"], tuple![7]],
+        n => vec![tuple![n as i64]],
+    });
+    sources.add_stream("s", int_schema("x"), Box::new(src));
+    let plan = StreamPlan::source("s")
+        .window(3)
+        .select(Formula::gt_const("x", 0))
+        .rename("x", "k");
+    let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
+    let reg = example_registry();
+    let reports = q.run(&reg, 8);
+    let errors: Vec<usize> = reports.iter().map(|r| r.errors.len()).collect();
+    assert_eq!(errors, [0, 1, 0, 0, 0, 0, 0, 0]);
+    assert!(
+        reports[1].errors[0]
+            .to_string()
+            .contains("incomparable values"),
+        "{}",
+        reports[1].errors[0]
+    );
+    // the good tuple of that batch enters and expires as any other
+    assert_eq!(reports[1].delta.inserts.sorted_occurrences(), [tuple![7]]);
+    assert_eq!(reports[4].delta.deletes.sorted_occurrences(), [tuple![7]]);
 }
 
 /// SUM and AVG over values whose sums round: the continuous γ folds each

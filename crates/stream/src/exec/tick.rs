@@ -1,6 +1,8 @@
 //! Evaluating one instant: the per-node tick and the operators' delta
 //! semantics.
 
+use std::sync::OnceLock;
+
 use serena_core::action::Action;
 use serena_core::metrics::OpObservation;
 use serena_core::ops::{DegradePolicy, InvokeTally};
@@ -25,35 +27,53 @@ pub(super) struct Ctx<'a> {
 /// Per-tick node output: a finite change or a stream batch.
 pub(super) enum Out {
     Finite(Delta),
-    /// A window's change, by reference: the batch that entered inserts its
-    /// tuples, the one that expired deletes its own. Both are the stream's,
-    /// shared with every other query over it, and so are their bags — no
-    /// per-query delta is built. As any operand delta, it may name one
-    /// tuple on both sides.
+    /// A sliding node's change, by reference: the bag of the batch that
+    /// entered inserts, the bag of the one that expired — if one did —
+    /// deletes. A window's are the batches' own, shared with every other
+    /// query over the stream; σ, π, ρ, α over a slide hand on the bags the
+    /// batches mapped to when they entered. No per-query delta is built. As
+    /// any operand delta, it may name one tuple on both sides.
     Slide {
-        entered: Arc<Batch>,
-        expired: Arc<Batch>,
+        entered: Arc<Multiset>,
+        expired: Option<Arc<Multiset>>,
     },
     Batch(Arc<Batch>),
 }
 
 impl Out {
     fn size(&self) -> u64 {
+        let [inserts, deletes] = match self {
+            Out::Batch(b) => return b.len() as u64,
+            finite => finite.sides(),
+        };
+        (inserts.len() + deletes.len()) as u64
+    }
+
+    /// A finite output's inserted and deleted bags, where they lie.
+    fn sides(&self) -> [&Multiset; 2] {
+        static NOTHING: OnceLock<Multiset> = OnceLock::new();
         match self {
-            Out::Finite(d) => d.magnitude() as u64,
-            Out::Slide { entered, expired } => (entered.len() + expired.len()) as u64,
-            Out::Batch(b) => b.len() as u64,
+            Out::Finite(d) => [&d.inserts, &d.deletes],
+            Out::Slide { entered, expired } => [
+                entered,
+                expired
+                    .as_deref()
+                    .unwrap_or_else(|| NOTHING.get_or_init(Multiset::new)),
+            ],
+            Out::Batch(_) => unreachable!("type-checked: finite operand expected"),
         }
     }
 
-    /// A finite output as a delta of its own: a window's two shared bags are
-    /// copied (a table copy — nothing is hashed again).
+    /// A finite output as a delta of its own: a shared bag of a slide is
+    /// copied (a table copy — nothing is hashed again), one nothing else
+    /// holds is taken.
     pub(super) fn into_delta(self) -> Delta {
+        let take = |bag: Arc<Multiset>| Arc::try_unwrap(bag).unwrap_or_else(|bag| (*bag).clone());
         match self {
             Out::Finite(d) => d,
             Out::Slide { entered, expired } => Delta {
-                inserts: entered.bag().clone(),
-                deletes: expired.bag().clone(),
+                inserts: take(entered),
+                deletes: expired.map(take).unwrap_or_default(),
             },
             Out::Batch(_) => unreachable!("type-checked: finite operand expected"),
         }
@@ -93,6 +113,10 @@ pub(super) fn tick_node(node: &mut Node, ctx: &mut Ctx<'_>) -> Out {
         let started_at = std::time::Instant::now();
         let (id, children, current) = (node.id, &node.children, &mut node.current);
         let out = node.op.tick(id, inputs, children, current, ctx, &mut obs);
+        // a sliding node keeps `current` only where its parent reads it
+        if node.read && matches!(out, Out::Slide { .. }) {
+            apply(id, current, out.sides());
+        }
         obs.elapsed = started_at.elapsed();
         out
     };
@@ -122,7 +146,8 @@ pub(super) fn tick_node(node: &mut Node, ctx: &mut Ctx<'_>) -> Out {
 
 impl Op {
     /// One instant of this operator: consume the children's outputs, bring
-    /// `current` up to date, produce the node's output.
+    /// `current` up to date, produce the node's output — except that a
+    /// slide's `current` is [`tick_node`]'s to keep, where it is read.
     fn tick(
         &mut self,
         id: NodeId,
@@ -142,6 +167,17 @@ impl Op {
             Op::Stream { source } => return Out::Batch(source.poll(ctx.at)),
             Op::Serena { op, state } => match state {
                 OpState::Stateless => map_delta(op, sides(&input), ctx),
+                OpState::Ring(bags) => {
+                    let Some(Out::Slide { entered, expired }) = input else {
+                        unreachable!("a ring is kept over a sliding operand")
+                    };
+                    let like = bags.back().map(Arc::as_ref);
+                    let entered = Arc::new(map_bag(op, &entered, ctx.errors, like));
+                    bags.push_back(Arc::clone(&entered));
+                    // what the expiring batch mapped to when it entered
+                    let expired = expired.map(|_| bags.pop_front().expect("a bag per batch"));
+                    return Out::Slide { entered, expired };
+                }
                 OpState::Join { left, right } => {
                     join_delta(op, left, right, &finite(input), &finite(second))
                 }
@@ -152,21 +188,12 @@ impl Op {
                 OpState::Groups(groups) => groups.delta(&finite(input), &children[0].current),
             },
             Op::Invoke { recipe, cache } => apply_invoke(recipe, cache, sides(&input), ctx, obs),
-            Op::Window {
-                period,
-                ring,
-                keeps_current,
-            } => {
-                let entered = batch(input);
-                ring.push_back(Arc::clone(&entered));
-                let expired = if ring.len() as u64 > *period {
-                    ring.pop_front().expect("nonempty")
-                } else {
-                    Arc::default()
-                };
-                if *keeps_current {
-                    apply(id, current, [entered.bag(), expired.bag()]);
-                }
+            Op::Window { period, ring } => {
+                let batch = batch(input);
+                let entered = Arc::clone(batch.bag());
+                ring.push_back(batch);
+                let expired = (ring.len() as u64 > *period)
+                    .then(|| Arc::clone(ring.pop_front().expect("nonempty").bag()));
                 return Out::Slide { entered, expired };
             }
             Op::StreamOf(kind) => {
@@ -194,11 +221,7 @@ impl Op {
 
 /// A finite operand's inserted and deleted bags, where they lie.
 fn sides(input: &Option<Out>) -> [&Multiset; 2] {
-    match input {
-        Some(Out::Finite(d)) => [&d.inserts, &d.deletes],
-        Some(Out::Slide { entered, expired }) => [entered.bag(), expired.bag()],
-        _ => unreachable!("type-checked: finite operand expected"),
-    }
+    input.as_ref().expect("operator has this operand").sides()
 }
 
 /// Bring a node's `current` up to date with the change it emits. A change
@@ -210,19 +233,37 @@ fn apply(id: NodeId, current: &mut Multiset, [inserts, deletes]: [&Multiset; 2])
     debug_assert_eq!(missing, 0, "node {id} retracted tuples it does not hold");
 }
 
-/// σ/π/ρ/α over a change: each side maps tuple by tuple.
+/// σ/π/ρ/α over a finite delta: each side maps tuple by tuple. (Over a
+/// sliding operand only the entering side is mapped: see [`OpState::Ring`].)
 fn map_delta(op: &CompiledOp, [inserts, deletes]: [&Multiset; 2], ctx: &mut Ctx<'_>) -> Delta {
-    let mut out = Delta::new();
-    for (side, mapped) in [(inserts, &mut out.inserts), (deletes, &mut out.deletes)] {
-        for (t, c) in side.iter() {
-            match op.map_tuple(t) {
-                Ok(Some(m)) => mapped.insert(m, c),
-                Ok(None) => {}
-                Err(e) => ctx.errors.push(e),
-            }
+    Delta {
+        inserts: map_bag(op, inserts, ctx.errors, None),
+        deletes: map_bag(op, deletes, ctx.errors, None),
+    }
+}
+
+/// σ/π/ρ/α over one bag, tuple by tuple; a tuple the operator fails on
+/// contributes nothing and its error goes to `errors`. A tuple π or α builds
+/// that `like` — a ring's newest bag — holds is kept as `like`'s copy: a
+/// ring whose π bags each held their own cost `fanout` ≈ 10 % of its peak
+/// RSS. (σ and ρ hand on the operand's own tuples.)
+pub(super) fn map_bag(
+    op: &CompiledOp,
+    bag: &Multiset,
+    errors: &mut Vec<EvalError>,
+    like: Option<&Multiset>,
+) -> Multiset {
+    let builds = matches!(op, CompiledOp::Project { .. } | CompiledOp::Assign { .. });
+    let like = like.filter(|_| builds);
+    let mut mapped = Multiset::new();
+    for (t, c) in bag.iter() {
+        match op.map_tuple(t) {
+            Ok(Some(m)) => mapped.insert_like(m, c, like),
+            Ok(None) => {}
+            Err(e) => errors.push(e),
         }
     }
-    out
+    mapped
 }
 
 /// β over a change (§4.2): deletions retract the cached extensions,

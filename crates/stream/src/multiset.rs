@@ -67,6 +67,23 @@ impl Multiset {
         self.total += n;
     }
 
+    /// [`Multiset::insert`], except that a tuple new to `self` which `like`
+    /// holds is kept as `like`'s copy: bags that have tuples in common then
+    /// share them instead of holding equal copies.
+    pub(crate) fn insert_like(&mut self, t: Tuple, n: usize, like: Option<&Multiset>) {
+        let Some(like) = like.filter(|_| n > 0) else {
+            return self.insert(t, n);
+        };
+        if let Some(count) = self.counts.get_mut(&t) {
+            *count += n;
+        } else {
+            let held = like.counts.get_key_value(&t);
+            self.counts
+                .insert(held.map_or(t, |(held, _)| held.clone()), n);
+        }
+        self.total += n;
+    }
+
     /// Remove up to `n` occurrences; returns how many were removed.
     pub fn remove(&mut self, t: &Tuple, n: usize) -> usize {
         if n == 0 {
@@ -266,6 +283,32 @@ mod tests {
         assert!(!m.contains(&tuple![1]));
         assert_eq!(m.len(), 1);
         assert_eq!(m.remove(&tuple![9], 1), 0);
+    }
+
+    #[test]
+    fn insert_like_shares_the_tuples_it_has_in_common() {
+        let like: Multiset = vec![tuple![1], tuple![2]].into_iter().collect();
+        let mut m = Multiset::new();
+        m.insert_like(tuple![1], 2, Some(&like));
+        m.insert_like(tuple![3], 1, Some(&like));
+        m.insert_like(tuple![1], 1, Some(&like));
+        m.insert_like(tuple![2], 0, Some(&like));
+        m.insert_like(tuple![4], 1, None);
+        assert_eq!(
+            m,
+            vec![tuple![1], tuple![1], tuple![1], tuple![3], tuple![4]]
+                .into_iter()
+                .collect()
+        );
+        let held = |bag: &Multiset| {
+            bag.counts
+                .get_key_value(&tuple![1])
+                .unwrap()
+                .0
+                .as_slice()
+                .as_ptr()
+        };
+        assert_eq!(held(&m), held(&like));
     }
 
     #[test]

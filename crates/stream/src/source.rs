@@ -15,8 +15,8 @@
 //! * [`StreamSource`] — the producer side of an infinite XD-Relation:
 //!   polled once per tick for the [`Batch`] of newly appended tuples;
 //! * [`Batch`] — one instant's appended tuples as one immutable value: every
-//!   query over the stream holds the same `Arc<Batch>`, in its window ring
-//!   and in what the window hands its parent;
+//!   query over the stream holds the same `Arc<Batch>` in its window ring,
+//!   and the same bag in what the window hands its parent;
 //! * [`PushStream`] — a buffering `StreamSource` for manually pushed
 //!   tuples; [`FnStream`] — a source computed from the instant (e.g. a
 //!   simulated device sampler).
@@ -275,7 +275,7 @@ impl TableHandle {
 #[derive(Debug, Default)]
 pub struct Batch {
     tuples: Vec<Tuple>,
-    bag: OnceLock<Multiset>,
+    bag: OnceLock<Arc<Multiset>>,
 }
 
 impl Batch {
@@ -292,10 +292,11 @@ impl Batch {
         &self.tuples
     }
 
-    /// The tuples as a bag.
-    pub fn bag(&self) -> &Multiset {
+    /// The tuples as a bag — a shared value, which a window hands its parent
+    /// by reference when the batch enters and again when it expires.
+    pub fn bag(&self) -> &Arc<Multiset> {
         self.bag
-            .get_or_init(|| self.tuples.iter().cloned().collect())
+            .get_or_init(|| Arc::new(self.tuples.iter().cloned().collect()))
     }
 
     /// Number of tuples (occurrences).
