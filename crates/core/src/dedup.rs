@@ -73,29 +73,42 @@ type CallResult = Result<Vec<Tuple>, EvalError>;
 /// A latch one in-flight upstream call publishes its result through;
 /// concurrent callers of the same key wait here instead of re-invoking.
 struct Latch {
-    slot: Mutex<Option<CallResult>>,
+    slot: Mutex<Outcome>,
     ready: Condvar,
+}
+
+#[derive(Default)]
+struct Outcome {
+    result: Option<CallResult>,
+    /// A caller sleeps on `ready`. Set under the lock before it sleeps, so
+    /// `publish` wakes exactly when someone waits: a wake with nobody
+    /// waiting is still a syscall, and most keys have no waiter.
+    waited: bool,
 }
 
 impl Latch {
     fn new() -> Arc<Self> {
         Arc::new(Latch {
-            slot: Mutex::new(None),
+            slot: Mutex::default(),
             ready: Condvar::new(),
         })
     }
 
     fn publish(&self, result: CallResult) {
-        *self.slot.lock() = Some(result);
-        self.ready.notify_all();
+        let mut slot = self.slot.lock();
+        slot.result = Some(result);
+        if slot.waited {
+            self.ready.notify_all();
+        }
     }
 
     fn wait(&self) -> CallResult {
         let mut guard = self.slot.lock();
         loop {
-            if let Some(result) = guard.as_ref() {
+            if let Some(result) = guard.result.as_ref() {
                 return result.clone();
             }
+            guard.waited = true;
             guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
         }
     }
@@ -557,6 +570,42 @@ mod tests {
         assert_eq!(first, second, "every caller of the key sees that error");
         assert!(next.is_ok(), "the next instant starts clean: {next:?}");
         assert_eq!((hits, misses), (1, 2));
+    }
+
+    #[test]
+    fn a_latch_wakes_a_parked_waiter_and_serves_a_late_one() {
+        // each waiter on a thread of its own: one never woken hangs, and a
+        // test that hangs reports nothing
+        let waiter = |latch: &Arc<Latch>| {
+            let (done, outcome) = std::sync::mpsc::channel();
+            let latch = Arc::clone(latch);
+            let thread = std::thread::spawn(move || done.send(latch.wait()));
+            (outcome, thread)
+        };
+        let latch = Latch::new();
+        let parked = waiter(&latch);
+        // `waited` is set under the lock `Condvar::wait` releases
+        while !latch.slot.lock().waited {
+            std::thread::yield_now();
+        }
+        let result: CallResult = Ok(vec![Tuple::new(vec![Value::Int(7)])]);
+        latch.publish(result.clone());
+        let late = waiter(&latch);
+        for (who, (outcome, thread)) in [("parked", parked), ("late", late)] {
+            let served = outcome
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("the {who} waiter was never served"));
+            assert_eq!(served, result, "{who}");
+            thread
+                .join()
+                .expect("waiter thread")
+                .expect("receiver alive");
+        }
+        // nobody waited on this one: its publish wakes nobody
+        let unwaited = Latch::new();
+        unwaited.publish(result.clone());
+        assert!(!unwaited.slot.lock().waited);
+        assert_eq!(unwaited.wait(), result);
     }
 
     #[test]

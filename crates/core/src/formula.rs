@@ -389,11 +389,15 @@ impl fmt::Display for Formula {
     }
 }
 
-/// Coordinate-resolved formula for fast per-tuple evaluation.
+/// Coordinate-resolved formula for fast per-tuple evaluation. Two are equal
+/// when they evaluate the same coordinates against the same constants,
+/// whatever attribute names they were written with.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct CompiledFormula {
     prog: CompiledNode,
 }
 
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CompiledExpr {
     Coord(usize),
     Const(Value),
@@ -409,6 +413,7 @@ impl CompiledExpr {
     }
 }
 
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum CompiledNode {
     Bool(bool),
     Contains(usize, String),

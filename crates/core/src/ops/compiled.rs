@@ -13,7 +13,7 @@ use crate::tuple::Tuple;
 /// that build each output tuple out of two inputs: ⋈ (left and right operand
 /// tuple), α (input tuple and the constant row) and β (input tuple and one
 /// row of the service's answer).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Slot {
     /// Coordinate in the first input.
     Left(usize),

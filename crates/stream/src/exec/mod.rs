@@ -9,7 +9,10 @@
 //!
 //! * **σ, π, ρ, α** map their child's delta tuple by tuple — over a sliding
 //!   operand (a window, or σ, π, ρ, α over one) only the entering batch,
-//!   keeping the bag it mapped to until the batch expires;
+//!   keeping the bag it mapped to until the batch expires. That bag is a
+//!   [`SharedBag`]'s mapping, so a query whose operator computes what
+//!   another's over the same batch does takes the other's bag and maps
+//!   nothing;
 //! * **⋈, ∪/∩/−, γ** consume both operands' deltas and emit the net change
 //!   of their output — ⋈ through one key→tuples index per operand, the set
 //!   operators by re-deciding only the tuples a delta touched, γ by
@@ -63,7 +66,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::xrelation::XRelation;
 
-use crate::multiset::{Delta, Multiset};
+use crate::multiset::{Delta, Multiset, SharedBag};
 use crate::plan::{StreamKind, StreamPlan, StreamSchema};
 use crate::source::{Batch, StreamSource, TableHandle};
 use stateful::OpState;
@@ -228,7 +231,7 @@ impl Op {
             // the tags predate the single arm: 2 is the tuple-at-a-time
             // operators, 3 the ones whose state is a function of `current`
             Op::Serena { op, state } => {
-                let tuple_at_a_time = matches!(state, OpState::Stateless | OpState::Ring(_));
+                let tuple_at_a_time = matches!(state, OpState::Stateless | OpState::Ring { .. });
                 (if tuple_at_a_time { 2 } else { 3 }, op.kind())
             }
             Op::Invoke { .. } => (4, OpKind::Invoke),
@@ -269,11 +272,11 @@ impl Node {
 
     /// A sliding node's bags, oldest first — a window's batches, or what
     /// σ, π, ρ, α over one mapped them to — and `None` for any other node.
-    fn ring(&self) -> Option<Vec<&Multiset>> {
+    fn ring(&self) -> Option<Vec<&SharedBag>> {
         match &self.op {
             Op::Window { ring, .. } => Some(ring.iter().map(|batch| &**batch.bag()).collect()),
             Op::Serena {
-                state: OpState::Ring(bags),
+                state: OpState::Ring { bags, .. },
                 ..
             } => Some(bags.iter().map(|bag| &**bag).collect()),
             _ => None,
@@ -292,9 +295,9 @@ impl Node {
 }
 
 /// Bags as one: each tuple with the sum of its counts.
-fn union(bags: Vec<&Multiset>) -> Multiset {
+fn union(bags: Vec<&SharedBag>) -> Multiset {
     let mut all = Multiset::new();
-    for (t, c) in bags.into_iter().flat_map(Multiset::iter) {
+    for (t, c) in bags.into_iter().flat_map(|bag| bag.iter()) {
         all.insert(t.clone(), c);
     }
     all

@@ -22,6 +22,7 @@ use serena_core::value::Value;
 
 use super::tick::map_bag;
 use super::*;
+use crate::multiset::Mapping;
 
 /// What a Serena operator carries across ticks besides its node's `current`.
 pub(super) enum OpState {
@@ -29,8 +30,13 @@ pub(super) enum OpState {
     Stateless,
     /// σ, π, ρ, α over a sliding operand: per batch in the window's ring,
     /// oldest first, the bag it mapped to when it entered — what the node
-    /// hands on again when the batch expires.
-    Ring(VecDeque<Arc<Multiset>>),
+    /// hands on again when the batch expires. Each is the entering bag's
+    /// memo entry under `mapping`, the bag every query with the same
+    /// operator holds.
+    Ring {
+        mapping: Arc<Mapping>,
+        bags: VecDeque<Arc<SharedBag>>,
+    },
     /// ⋈: each operand's tuples under their join key.
     Join { left: KeyIndex, right: KeyIndex },
     /// ∪, ∩, −: the right operand in the left's coordinate order, held only
@@ -67,15 +73,18 @@ impl OpState {
                 aggs,
             } => OpState::Groups(Groups::over(in_schema, group, aggs, &children[0].current)),
             _ => match children[0].ring() {
-                Some(bags) => {
-                    let mut ring: VecDeque<Arc<Multiset>> = VecDeque::with_capacity(bags.len());
-                    for bag in bags {
+                Some(operand) => {
+                    let mapping = Arc::new(Mapping::of(op));
+                    let mut bags: VecDeque<Arc<SharedBag>> = VecDeque::with_capacity(operand.len());
+                    for bag in operand {
+                        let like = bags.back().map(|bag| &***bag);
                         // a failing tuple was reported when its batch entered
-                        let like = ring.back().map(Arc::as_ref);
-                        let mapped = map_bag(op, bag, &mut Vec::new(), like);
-                        ring.push_back(Arc::new(mapped));
+                        let mapped = bag.mapped(&mapping, &mut Vec::new(), |bag, errors| {
+                            map_bag(op, bag, errors, like)
+                        });
+                        bags.push_back(mapped);
                     }
-                    OpState::Ring(ring)
+                    OpState::Ring { mapping, bags }
                 }
                 None => OpState::Stateless,
             },

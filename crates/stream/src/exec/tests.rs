@@ -1,4 +1,5 @@
 use super::*;
+use crate::multiset::Mapping;
 use crate::plan::StreamPlan;
 use crate::source::{FnStream, PushStream};
 use serena_core::formula::Formula;
@@ -1044,7 +1045,7 @@ impl World {
 
 fn keeps_state(node: &Node) -> Option<&CompiledOp> {
     match &node.op {
-        Op::Serena { op, state } if !matches!(state, OpState::Stateless | OpState::Ring(_)) => {
+        Op::Serena { op, state } if !matches!(state, OpState::Stateless | OpState::Ring { .. }) => {
             Some(op)
         }
         _ => None,
@@ -1087,15 +1088,15 @@ fn check_node(node: &Node, read: bool, context: &str) {
         // sliding operand, one bag per operand bag, each that bag mapped
         Op::Serena {
             op,
-            state: state @ (OpState::Stateless | OpState::Ring(_)),
+            state: state @ (OpState::Stateless | OpState::Ring { .. }),
         } => {
             assert_eq!(*node.content(), mapped(op, &operand()), "{context}");
             let slides = node.children[0].ring();
-            assert_eq!(matches!(state, OpState::Ring(_)), slides.is_some());
+            assert_eq!(matches!(state, OpState::Ring { .. }), slides.is_some());
             if let (Some(bags), Some(operand_bags)) = (node.ring(), slides) {
                 assert_eq!(bags.len(), operand_bags.len(), "{context}");
                 for (bag, operand_bag) in bags.into_iter().zip(operand_bags) {
-                    assert_eq!(*bag, mapped(op, operand_bag), "{context}");
+                    assert_eq!(**bag, mapped(op, operand_bag), "{context}");
                 }
             }
             false
@@ -1379,7 +1380,7 @@ fn a_restored_ring_continues_the_uninterrupted_run() {
             let mut restored = compile(plan);
             restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
             let Op::Serena {
-                state: OpState::Ring(bags),
+                state: OpState::Ring { bags, .. },
                 ..
             } = &restored.root.op
             else {
@@ -1426,6 +1427,222 @@ fn a_bad_tuple_is_one_error_when_it_enters() {
     // the good tuple of that batch enters and expires as any other
     assert_eq!(reports[1].delta.inserts.sorted_occurrences(), [tuple![7]]);
     assert_eq!(reports[4].delta.deletes.sorted_occurrences(), [tuple![7]]);
+}
+
+// ---------------------------------------------------------------------
+// σ, π, ρ, α over one shared batch: mapped once per distinct operator.
+// ---------------------------------------------------------------------
+
+/// Stream `s(x, y)`, with a virtual `note` for α, as a hub delivers it:
+/// every subscription polling an instant gets the same `Arc<Batch>`, made by
+/// the first to poll it and kept, so a test can look at it afterwards.
+#[derive(Clone)]
+struct Broadcast {
+    made: Arc<serena_core::sync::Mutex<HashMap<u64, Arc<Batch>>>>,
+    batch: fn(Instant) -> Vec<Tuple>,
+}
+
+impl Broadcast {
+    fn new(batch: fn(Instant) -> Vec<Tuple>) -> Self {
+        Broadcast {
+            made: Arc::default(),
+            batch,
+        }
+    }
+
+    /// `plan` over subscriptions of its own, its clock at `at`.
+    fn compile(&self, plan: &StreamPlan, at: u64) -> ContinuousQuery {
+        let schema = XSchema::builder()
+            .real("x", DataType::Int)
+            .real("y", DataType::Int)
+            .virt("note", DataType::Str)
+            .build()
+            .unwrap();
+        let mut sources = SourceSet::new();
+        for _ in 0..2 {
+            sources.add_stream("s", schema.clone(), Box::new(self.clone()));
+        }
+        let mut q = ContinuousQuery::compile(plan, &mut sources).unwrap();
+        q.seek(Instant(at));
+        q
+    }
+
+    fn made(&self, at: u64) -> Arc<Batch> {
+        Arc::clone(&self.made.lock()[&at])
+    }
+}
+
+impl StreamSource for Broadcast {
+    fn poll(&mut self, at: Instant) -> Arc<Batch> {
+        let mut made = self.made.lock();
+        let batch = made
+            .entry(at.ticks())
+            .or_insert_with(|| Arc::new((self.batch)(at).into()));
+        Arc::clone(batch)
+    }
+}
+
+fn broadcast_batch(at: Instant) -> Vec<Tuple> {
+    s_batch(0x30_01, at)
+}
+
+/// What one instant of a query shows: its report and its result.
+type Shown = (Delta, Vec<Tuple>, ActionSet, usize, Option<XRelation>);
+
+fn shown(q: &mut ContinuousQuery) -> Shown {
+    let r = q.tick_with(&example_registry(), &NoopMetrics);
+    let (delta, batch, actions, errors) = (r.delta, r.batch, r.actions, r.errors.len());
+    (delta, batch, actions, errors, q.current_relation())
+}
+
+/// The bag a σ, π, ρ, α root over a window mapped the last batch to, and
+/// the key it asked the memo under.
+fn newest(q: &ContinuousQuery) -> (Arc<SharedBag>, &Mapping) {
+    match &q.root.op {
+        Op::Serena {
+            state: OpState::Ring { mapping, bags },
+            ..
+        } => (Arc::clone(bags.back().expect("a batch entered")), mapping),
+        _ => panic!("σ, π, ρ, α over a window keep a ring"),
+    }
+}
+
+#[test]
+fn equal_operators_over_one_batch_hand_on_one_bag() {
+    let hub = Broadcast::new(broadcast_batch);
+    let over = |f: Formula| s_window(3).select(f);
+    let plans = [
+        over(Formula::gt_const("x", 1)),
+        over(Formula::gt_const("x", 1)),
+        // another θ
+        over(Formula::gt_const("x", 2)),
+        // `y` is coordinate 1 of `s`; under ρ_{y→z} then ρ_{x→y} it names
+        // coordinate 0, which is what σ_{x>1}(s) reads
+        over(Formula::gt_const("y", 1)),
+        s_window(3)
+            .rename("y", "z")
+            .rename("x", "y")
+            .select(Formula::gt_const("y", 1)),
+    ];
+    let mut queries: Vec<_> = plans.iter().map(|p| hub.compile(p, 0)).collect();
+    for at in 0..4 {
+        queries.iter_mut().for_each(|q| drop(shown(q)));
+        let [equal, again, theta, named, renamed] = [0, 1, 2, 3, 4].map(|i| newest(&queries[i]));
+        assert!(Arc::ptr_eq(&equal.0, &again.0), "instant {at}");
+        assert!(!Arc::ptr_eq(&equal.0, &theta.0), "instant {at}");
+        assert!(!Arc::ptr_eq(&named.0, &renamed.0), "instant {at}");
+        // the key is what σ computes, not what it is called
+        assert!(equal.1 == again.1 && equal.1 != theta.1);
+        assert!(named.1 != renamed.1 && renamed.1 == equal.1);
+        // … and ρ's bag is a bag of its own, so σ over it shares nothing
+        // with σ over the bare window, whose key it has
+        assert!(!Arc::ptr_eq(&renamed.0, &equal.0), "instant {at}");
+        assert_eq!(**renamed.0, **equal.0, "instant {at}");
+        // the entering batch's bag holds one entry per distinct operator
+        let batch = hub.made(at);
+        assert_eq!(batch.bag().memoized().len(), 4, "instant {at}");
+    }
+}
+
+/// Queries that share mappings with others — σ, π, ρ, α and chains of
+/// them, some twice — each show, instant for instant, what the same plan
+/// shows compiled alone over a stream of its own: a query registered at
+/// instant 5 starts from an empty window, one restored beside a live
+/// sharer continues its uninterrupted run, a tuple σ fails on is one error
+/// per query at entry; and once every query has gone, no memo keeps a
+/// mapped bag alive.
+#[test]
+fn sharing_queries_show_what_they_show_alone() {
+    // instant 2 appends a STRING where `x` is an INTEGER
+    fn batch(at: Instant) -> Vec<Tuple> {
+        let mut tuples = broadcast_batch(at);
+        if at.ticks() == 2 {
+            tuples.push(tuple!["oops", 1]);
+        }
+        tuples
+    }
+    let positive = || Formula::gt_const("x", 0);
+    // per plan, the errors it reports: one, at instant 2, if a σ reads `x`
+    let fails = [1, 1, 0, 0, 1, 0, 1, 1, 1];
+    let plans = [
+        s_window(3).select(positive()),
+        s_window(3).select(positive()),
+        s_window(4).project(["y"]),
+        s_window(4).project(["y"]),
+        s_window(2)
+            .rename("x", "k")
+            .select(Formula::gt_const("k", 0)),
+        s_window(3)
+            .assign_const("note", "hot")
+            .project(["x", "note"]),
+        s_window(3).select(positive()).project(["x"]),
+        s_window(3).select(positive()).project(["x"]),
+        s_window(1).project(["x"]).select(positive()),
+    ];
+    const INSTANTS: u64 = 12;
+    let alone: Vec<Vec<Shown>> = plans
+        .iter()
+        .map(|plan| {
+            let mut q = Broadcast::new(batch).compile(plan, 0);
+            (0..INSTANTS).map(|_| shown(&mut q)).collect()
+        })
+        .collect();
+    let late: Vec<Vec<Shown>> = plans
+        .iter()
+        .map(|plan| {
+            let mut q = Broadcast::new(batch).compile(plan, 5);
+            (5..INSTANTS).map(|_| shown(&mut q)).collect()
+        })
+        .collect();
+    let hub = Broadcast::new(batch);
+    let mut early: Vec<_> = plans.iter().map(|p| hub.compile(p, 0)).collect();
+    let mut registered_late = Vec::new();
+    let mut restored: Vec<Option<ContinuousQuery>> = plans.iter().map(|_| None).collect();
+    for at in 0..INSTANTS {
+        if at == 5 {
+            registered_late = plans.iter().map(|p| hub.compile(p, 5)).collect();
+        }
+        for (i, q) in early.iter_mut().enumerate() {
+            let context = format!("{} at {at}", plans[i].to_algebra());
+            let now = shown(q);
+            assert_eq!(now, alone[i][at as usize], "{context}");
+            assert_eq!(now.3, if at == 2 { fails[i] } else { 0 }, "{context}");
+        }
+        for (i, q) in registered_late.iter_mut().enumerate() {
+            let now = shown(q);
+            let context = format!("{} registered at 5, at {at}", plans[i].to_algebra());
+            assert_eq!(now, late[i][at as usize - 5], "{context}");
+        }
+        // checkpointed and restored after instant 3, then run beside the
+        // live sharers for six instants
+        for (i, q) in restored.iter_mut().enumerate() {
+            match at {
+                3 => {
+                    let mut w = Writer::new();
+                    early[i].write_snapshot(&mut w);
+                    let mut fresh = hub.compile(&plans[i], 0);
+                    fresh
+                        .read_snapshot(&mut Reader::new(&w.into_bytes()))
+                        .unwrap();
+                    *q = Some(fresh);
+                }
+                4..=9 => {
+                    let q = q.as_mut().expect("restored");
+                    let context = format!("{} restored, at {at}", plans[i].to_algebra());
+                    assert_eq!(shown(q), alone[i][at as usize], "{context}");
+                }
+                _ => {}
+            }
+        }
+    }
+    // every query gone: the batches are alive (the stream keeps them), the
+    // bags their memos point at are not
+    let mapped = (0..INSTANTS).map(|at| hub.made(at)).collect::<Vec<_>>();
+    let weak: Vec<_> = mapped.iter().flat_map(|b| b.bag().memoized()).collect();
+    assert!(weak.iter().any(|bag| bag.strong_count() > 0));
+    drop((early, registered_late, restored));
+    assert!(weak.len() > 4 * INSTANTS as usize);
+    assert!(weak.iter().all(|bag| bag.strong_count() == 0));
 }
 
 /// SUM and AVG over values whose sums round: the continuous γ folds each

@@ -31,11 +31,12 @@ pub(super) enum Out {
     /// entered inserts, the bag of the one that expired — if one did —
     /// deletes. A window's are the batches' own, shared with every other
     /// query over the stream; σ, π, ρ, α over a slide hand on the bags the
-    /// batches mapped to when they entered. No per-query delta is built. As
-    /// any operand delta, it may name one tuple on both sides.
+    /// batches mapped to when they entered, shared with every query whose
+    /// operator computes the same. No per-query delta is built. As any
+    /// operand delta, it may name one tuple on both sides.
     Slide {
-        entered: Arc<Multiset>,
-        expired: Option<Arc<Multiset>>,
+        entered: Arc<SharedBag>,
+        expired: Option<Arc<SharedBag>>,
     },
     Batch(Arc<Batch>),
 }
@@ -51,14 +52,14 @@ impl Out {
 
     /// A finite output's inserted and deleted bags, where they lie.
     fn sides(&self) -> [&Multiset; 2] {
-        static NOTHING: OnceLock<Multiset> = OnceLock::new();
+        static NOTHING: OnceLock<SharedBag> = OnceLock::new();
         match self {
             Out::Finite(d) => [&d.inserts, &d.deletes],
             Out::Slide { entered, expired } => [
                 entered,
                 expired
                     .as_deref()
-                    .unwrap_or_else(|| NOTHING.get_or_init(Multiset::new)),
+                    .unwrap_or_else(|| NOTHING.get_or_init(|| Multiset::new().into())),
             ],
             Out::Batch(_) => unreachable!("type-checked: finite operand expected"),
         }
@@ -68,12 +69,11 @@ impl Out {
     /// copied (a table copy — nothing is hashed again), one nothing else
     /// holds is taken.
     pub(super) fn into_delta(self) -> Delta {
-        let take = |bag: Arc<Multiset>| Arc::try_unwrap(bag).unwrap_or_else(|bag| (*bag).clone());
         match self {
             Out::Finite(d) => d,
             Out::Slide { entered, expired } => Delta {
-                inserts: take(entered),
-                deletes: expired.map(take).unwrap_or_default(),
+                inserts: entered.into_bag(),
+                deletes: expired.map(SharedBag::into_bag).unwrap_or_default(),
             },
             Out::Batch(_) => unreachable!("type-checked: finite operand expected"),
         }
@@ -167,12 +167,14 @@ impl Op {
             Op::Stream { source } => return Out::Batch(source.poll(ctx.at)),
             Op::Serena { op, state } => match state {
                 OpState::Stateless => map_delta(op, sides(&input), ctx),
-                OpState::Ring(bags) => {
+                OpState::Ring { mapping, bags } => {
                     let Some(Out::Slide { entered, expired }) = input else {
                         unreachable!("a ring is kept over a sliding operand")
                     };
-                    let like = bags.back().map(Arc::as_ref);
-                    let entered = Arc::new(map_bag(op, &entered, ctx.errors, like));
+                    let like = bags.back().map(|bag| &***bag);
+                    let entered = entered.mapped(mapping, ctx.errors, |bag, errors| {
+                        map_bag(op, bag, errors, like)
+                    });
                     bags.push_back(Arc::clone(&entered));
                     // what the expiring batch mapped to when it entered
                     let expired = expired.map(|_| bags.pop_front().expect("a bag per batch"));
@@ -234,7 +236,8 @@ fn apply(id: NodeId, current: &mut Multiset, [inserts, deletes]: [&Multiset; 2])
 }
 
 /// σ/π/ρ/α over a finite delta: each side maps tuple by tuple. (Over a
-/// sliding operand only the entering side is mapped: see [`OpState::Ring`].)
+/// sliding operand only the entering side is mapped, once per distinct
+/// operator: see [`OpState::Ring`].)
 fn map_delta(op: &CompiledOp, [inserts, deletes]: [&Multiset; 2], ctx: &mut Ctx<'_>) -> Delta {
     Delta {
         inserts: map_bag(op, inserts, ctx.errors, None),

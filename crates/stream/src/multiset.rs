@@ -4,11 +4,19 @@
 //! of tuples (finite for dynamic relations, infinite append-only for
 //! streams), following CQL. The continuous executor manipulates
 //! instantaneous states as [`Multiset`]s and communicates changes between
-//! operators as [`Delta`]s (inserted/deleted multisets per tick).
+//! operators as [`Delta`]s (inserted/deleted multisets per tick). A bag a
+//! window's slide hands on is a [`SharedBag`]: one value for every query
+//! over the stream, which remembers what σ, π, ρ, α made of it.
 
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::{Arc, Weak};
 
+use serena_core::error::EvalError;
+use serena_core::formula::CompiledFormula;
+use serena_core::ops::{CompiledOp, Slot};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
+use serena_core::sync::Mutex;
 use serena_core::tuple::Tuple;
 
 /// A finite multiset of tuples with positive counts.
@@ -196,6 +204,104 @@ impl FromIterator<Tuple> for Multiset {
     }
 }
 
+/// A bag a slide hands on — a stream batch's, or what σ, π, ρ, α over a
+/// window made of one — shared by every query that reads it. σ, π, ρ, α are
+/// tuple-at-a-time, so what one makes of the bag is a function of the bag
+/// and the operator: the bag remembers it per distinct operator, with the
+/// errors the operator met, and every other query asking for the same
+/// mapping takes that bag instead of mapping again.
+#[derive(Debug)]
+pub struct SharedBag {
+    bag: Multiset,
+    /// Per mapping, the bag and the errors met. The bag is held weakly: an
+    /// entry keeps nothing alive, and a mapping whose every taker has let
+    /// go is mapped again by the next one to ask.
+    memo: Mutex<Memo>,
+}
+
+type Memo = HashMap<Arc<Mapping>, (Weak<SharedBag>, Vec<EvalError>)>;
+
+/// σ, π, ρ or α as [`SharedBag`]'s memo key: what the compiled operator
+/// computes — σ's coordinates and constants, π's coordinates, α's slots and
+/// constant — never the attribute names it was written with, which a ρ
+/// below it may have moved.
+#[derive(Debug, PartialEq, Eq, Hash)]
+pub(crate) enum Mapping {
+    Select(CompiledFormula),
+    Project(Vec<usize>),
+    Rename,
+    Assign(Vec<Slot>, Tuple),
+}
+
+impl Mapping {
+    /// The key of a tuple-at-a-time operator.
+    pub(crate) fn of(op: &CompiledOp) -> Mapping {
+        match op {
+            CompiledOp::Select { formula } => Mapping::Select(formula.clone()),
+            CompiledOp::Project { coords } => Mapping::Project(coords.clone()),
+            CompiledOp::Rename => Mapping::Rename,
+            CompiledOp::Assign { slots, constant } => {
+                Mapping::Assign(slots.clone(), constant.clone())
+            }
+            _ => unreachable!("{} maps no single tuple", op.kind()),
+        }
+    }
+}
+
+impl SharedBag {
+    /// What `mapping` makes of this bag, its errors appended to `errors`:
+    /// the bag another taker left in the memo while one still holds it,
+    /// else `map`'s. `map` runs outside the memo's lock, so distinct
+    /// mappings of one bag run on as many threads as ask; of two takers
+    /// that map it at once, the one that inserts first is kept.
+    pub(crate) fn mapped(
+        &self,
+        mapping: &Arc<Mapping>,
+        errors: &mut Vec<EvalError>,
+        map: impl FnOnce(&Multiset, &mut Vec<EvalError>) -> Multiset,
+    ) -> Arc<SharedBag> {
+        let held = |memo: &Memo| {
+            let (bag, met) = memo.get(&**mapping)?;
+            Some((bag.upgrade()?, met.clone()))
+        };
+        let found = held(&self.memo.lock());
+        let (bag, met) = found.unwrap_or_else(|| {
+            let mut met = Vec::new();
+            let bag = Arc::new(SharedBag::from(map(&self.bag, &mut met)));
+            let mut memo = self.memo.lock();
+            held(&memo).unwrap_or_else(|| {
+                let entry = (Arc::downgrade(&bag), met.clone());
+                memo.insert(Arc::clone(mapping), entry);
+                (bag, met)
+            })
+        });
+        errors.extend(met);
+        bag
+    }
+
+    /// The bag of a value nothing else holds; a copy of a shared one's.
+    pub(crate) fn into_bag(self: Arc<Self>) -> Multiset {
+        Arc::try_unwrap(self).map_or_else(|shared| shared.bag.clone(), |own| own.bag)
+    }
+}
+
+impl From<Multiset> for SharedBag {
+    fn from(bag: Multiset) -> Self {
+        SharedBag {
+            bag,
+            memo: Mutex::default(),
+        }
+    }
+}
+
+impl Deref for SharedBag {
+    type Target = Multiset;
+
+    fn deref(&self) -> &Multiset {
+        &self.bag
+    }
+}
+
 /// A per-tick change: inserted and deleted multisets.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Delta {
@@ -270,6 +376,14 @@ impl Delta {
 mod tests {
     use super::*;
     use serena_core::tuple;
+
+    impl SharedBag {
+        /// The bags the memo points at.
+        pub(crate) fn memoized(&self) -> Vec<Weak<SharedBag>> {
+            let memo = self.memo.lock();
+            memo.values().map(|(bag, _)| Weak::clone(bag)).collect()
+        }
+    }
 
     #[test]
     fn counts_and_removal() {

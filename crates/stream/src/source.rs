@@ -16,7 +16,9 @@
 //!   polled once per tick for the [`Batch`] of newly appended tuples;
 //! * [`Batch`] — one instant's appended tuples as one immutable value: every
 //!   query over the stream holds the same `Arc<Batch>` in its window ring,
-//!   and the same bag in what the window hands its parent;
+//!   the same bag in what the window hands its parent, and the same bag
+//!   again for each σ, π, ρ, α over that window that computes what another
+//!   query's does;
 //! * [`PushStream`] — a buffering `StreamSource` for manually pushed
 //!   tuples; [`FnStream`] — a source computed from the instant (e.g. a
 //!   simulated device sampler).
@@ -30,7 +32,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::xrelation::XRelation;
 
-use crate::multiset::{Delta, Multiset};
+use crate::multiset::{Delta, Multiset, SharedBag};
 
 /// Shared handle to a finite, updatable XD-Relation.
 #[derive(Clone)]
@@ -271,11 +273,13 @@ impl TableHandle {
 /// as the bag a window over the stream adds when the batch enters and takes
 /// back when it expires. Immutable, so the queries over one stream share one
 /// `Arc<Batch>` and the bag is built once, by whichever window asks first —
-/// never for a batch no window reads.
+/// never for a batch no window reads. The bag is a [`SharedBag`], so what
+/// σ, π, ρ, α over those windows make of it is mapped once per distinct
+/// operator, not once per query.
 #[derive(Debug, Default)]
 pub struct Batch {
     tuples: Vec<Tuple>,
-    bag: OnceLock<Arc<Multiset>>,
+    bag: OnceLock<Arc<SharedBag>>,
 }
 
 impl Batch {
@@ -294,9 +298,11 @@ impl Batch {
 
     /// The tuples as a bag — a shared value, which a window hands its parent
     /// by reference when the batch enters and again when it expires.
-    pub fn bag(&self) -> &Arc<Multiset> {
-        self.bag
-            .get_or_init(|| Arc::new(self.tuples.iter().cloned().collect()))
+    pub fn bag(&self) -> &Arc<SharedBag> {
+        self.bag.get_or_init(|| {
+            let bag: Multiset = self.tuples.iter().cloned().collect();
+            Arc::new(bag.into())
+        })
     }
 
     /// Number of tuples (occurrences).

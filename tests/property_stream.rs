@@ -17,6 +17,7 @@ use serena::core::schema::examples as schemas;
 use serena::core::schema::XSchema;
 use serena::core::service::fixtures::example_registry;
 use serena::core::tuple;
+use serena::pems::StreamHub;
 use serena::stream::{
     ContinuousQuery, Delta, FnStream, Multiset, PushStream, SourceSet, StreamKind, StreamPlan,
     TableHandle,
@@ -678,4 +679,137 @@ fn optimized_continuous_plans_tick_like_the_original() {
         moved_invocations <= 24,
         "{moved_invocations} plans left out of the tick comparison"
     );
+}
+
+// ---------------------------------------------------------------------
+// σ, π, ρ, α over one shared batch
+// ---------------------------------------------------------------------
+
+/// `temperatures` with a virtual `text` for α to realize.
+fn texted_readings_schema() -> SchemaRef {
+    XSchema::builder()
+        .real("location", DataType::Str)
+        .real("temperature", DataType::Real)
+        .virt("text", DataType::Str)
+        .build()
+        .unwrap()
+}
+
+/// What `temperatures` appends at `at`: a reading per place at most instants,
+/// and every fifth instant one whose temperature is a STRING, which a σ on
+/// `temperature` fails on.
+fn texted_readings(at: u64) -> Vec<Tuple> {
+    let mut batch: Vec<Tuple> = ["corridor", "office", "roof"]
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| !(at + *i as u64).is_multiple_of(4))
+        .map(|(i, place)| tuple![*place, 8.0 + ((at * 7 + i as u64 * 11) % 30) as f64])
+        .collect();
+    if at % 5 == 2 {
+        batch.push(tuple!["attic", "hot"]);
+    }
+    batch
+}
+
+/// A query over one more subscription of `hub`.
+fn over_hub(hub: &StreamHub, plan: &StreamPlan) -> ContinuousQuery {
+    let mut sources = SourceSet::new();
+    let subscription = Box::new(hub.subscribe());
+    sources.add_stream("temperatures", texted_readings_schema(), subscription);
+    ContinuousQuery::compile(plan, &mut sources).unwrap()
+}
+
+/// One to four σ, π, ρ, α over a window of `temperatures`, sometimes under
+/// `S[..]`.
+fn gen_chain(rng: &mut Rng, cat: &SourceSet) -> StreamPlan {
+    let mut plan = StreamPlan::source("temperatures").window(rng.u64_in(1, 3));
+    for _ in 0..rng.u64_in(1, 4) {
+        let schema = plan.schema(cat).unwrap();
+        let mut options = Vec::new();
+        options.extend(gen_selection(rng, &schema).map(|f| plan.clone().select(f)));
+        let keep: Vec<_> = schema
+            .names()
+            .filter(|_| rng.below(3) != 0)
+            .cloned()
+            .collect();
+        if !keep.is_empty() {
+            options.push(plan.clone().project(keep));
+        }
+        options.push(plan.clone().rename("location", "area"));
+        options.push(plan.clone().rename("area", "location"));
+        options.push(
+            plan.clone()
+                .assign_const("text", *rng.pick(&["Hot!", "Hi"])),
+        );
+        options.push(plan.clone().assign_attr("text", "location"));
+        options.retain(|p| p.stream_schema(cat).is_ok());
+        if options.is_empty() {
+            break;
+        }
+        plan = options.swap_remove(rng.below(options.len()));
+    }
+    if rng.below(4) == 0 {
+        plan = plan.stream(*rng.pick(&STREAM_KINDS));
+    }
+    plan
+}
+
+/// A chain compiled twice over one hub — whose subscriptions receive the
+/// same `Arc<Batch>` at an instant, so the second maps nothing the first
+/// did — beside a different chain that maps first, shows at every instant
+/// what the chain shows compiled alone over a hub of its own: the same
+/// delta, batch, actions and error count.
+#[test]
+fn chains_sharing_a_batch_tick_like_the_chain_alone() {
+    const PLANS: u64 = 128;
+    let mut cat = SourceSet::new();
+    let schema = texted_readings_schema();
+    cat.add_stream("temperatures", schema, Box::new(PushStream::new()));
+    let (mut errors, mut operators) = (0, [0; 4]);
+    for case in 0..PLANS {
+        let mut rng = Rng::new(0x5700 + case);
+        let chain = gen_chain(&mut rng, &cat);
+        let other = loop {
+            let other = gen_chain(&mut rng, &cat);
+            if other != chain {
+                break other;
+            }
+        };
+        let (hub, own) = (StreamHub::new(), StreamHub::new());
+        let mut shared = [
+            over_hub(&hub, &other),
+            over_hub(&hub, &chain),
+            over_hub(&hub, &chain),
+        ];
+        let mut alone = over_hub(&own, &chain);
+        let reg = example_registry();
+        for at in 0..10 {
+            for t in texted_readings(at) {
+                hub.push(t.clone());
+                own.push(t);
+            }
+            let reports = shared.each_mut().map(|q| q.tick_with(&reg, &NoopMetrics));
+            let expected = alone.tick_with(&reg, &NoopMetrics);
+            errors += expected.errors.len();
+            let sorted = |batch: &[Tuple]| {
+                let mut batch = batch.to_vec();
+                batch.sort();
+                batch
+            };
+            for got in &reports[1..] {
+                let context = format!("case {case} instant {at}: {chain} beside {other}");
+                assert_eq!(got.delta, expected.delta, "{context}");
+                assert_eq!(sorted(&got.batch), sorted(&expected.batch), "{context}");
+                assert_eq!(got.actions, expected.actions, "{context}");
+                assert_eq!(got.errors.len(), expected.errors.len(), "{context}");
+            }
+        }
+        let algebra = chain.to_algebra();
+        for (n, op) in operators.iter_mut().zip(["σ", "π", "ρ", "α"]) {
+            *n += usize::from(algebra.contains(op));
+        }
+    }
+    // every operator is drawn, and σ meets the mistyped reading
+    assert!(operators.iter().all(|&n| n >= 40), "{operators:?}");
+    assert!(errors >= 30, "only {errors} errors");
 }
