@@ -1,5 +1,5 @@
-//! E12 — physical-plan execution: compile-once vs recompile-per-call, and
-//! serial vs parallel β under slow services; E26 — one σπ statement through
+//! E12 — physical-plan execution: compile-once vs recompile-per-call; E26 —
+//! one σπ statement through
 //! `Pems::run_sql`, straight after another read and straight after a
 //! one-row write; E27 — the benchmark's two-table join statement; E28 —
 //! its `GROUP BY` statement.
@@ -9,19 +9,15 @@
 //! ```
 //!
 //! Besides the usual printed report, this harness writes every measurement
-//! (plus the parallel-β speedup factors) to `target/physical.json`.
-
-use std::time::Duration;
+//! to `target/physical.json`.
 
 use serena_bench::criterion_group;
-use serena_bench::harness::{
-    take_records, write_report, BenchRecord, BenchmarkId, Criterion, Json, Throughput,
-};
+use serena_bench::harness::{take_records, write_report, BenchmarkId, Criterion, Json, Throughput};
 use serena_bench::workload;
 
 use serena_core::exec::ExecContext;
 use serena_core::formula::Formula;
-use serena_core::physical::{ExecOptions, PhysicalPlan};
+use serena_core::physical::PhysicalPlan;
 use serena_core::plan::Plan;
 use serena_core::schema::{examples as schemas, XSchema};
 use serena_core::time::Instant;
@@ -29,12 +25,6 @@ use serena_core::tuple;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
 use serena_pems::Pems;
-use serena_services::faults::SlowInvoker;
-
-/// How slow each simulated device answers in the parallel-β comparison.
-const SLOW_CALL: Duration = Duration::from_millis(5);
-/// Rows in the slow-device relation: 16 × 5 ms ≈ 80 ms serial per pass.
-const SLOW_ROWS: usize = 16;
 
 /// A service-free pipeline where per-call overhead is pure plan work:
 /// σ → π over the scaled sensors table.
@@ -61,27 +51,6 @@ fn bench_compile_once_vs_recompile(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("recompile_each", n), &plan, |b, plan| {
             b.iter(|| ctx.execute(plan).unwrap())
         });
-    }
-    group.finish();
-}
-
-/// β over slow devices: one worker vs a bounded pool. Output is
-/// byte-identical either way; only the wall clock differs.
-fn bench_invoke_parallelism(c: &mut Criterion) {
-    let mut group = c.benchmark_group("physical_invoke_parallel");
-    let env = workload::scaled_environment(SLOW_ROWS, 0, 0);
-    let slow = SlowInvoker::new(workload::scaled_registry(SLOW_ROWS, 0), SLOW_CALL);
-    let plan = Plan::relation("sensors").invoke("getTemperature", "sensor");
-    let physical = PhysicalPlan::compile(&plan, &env).unwrap();
-    group.throughput(Throughput::Elements(SLOW_ROWS as u64));
-    for workers in [1usize, 2, 8] {
-        let ctx =
-            ExecContext::new(&env, &slow, Instant(1)).with_options(ExecOptions::parallel(workers));
-        group.bench_with_input(
-            BenchmarkId::new("workers", workers),
-            &physical,
-            |b, physical| b.iter(|| physical.execute(&ctx).unwrap()),
-        );
     }
     group.finish();
 }
@@ -171,37 +140,11 @@ fn bench_one_shot_select(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_compile_once_vs_recompile,
-    bench_invoke_parallelism,
     bench_one_shot_select
 );
 
-fn mean_of<'a>(records: &'a [BenchRecord], label: &str) -> Option<&'a BenchRecord> {
-    records.iter().find(|r| r.label == label)
-}
-
 fn main() {
     benches();
-    let records = take_records();
-
-    // One entry per measurement, plus derived speedups for the parallel-β
-    // comparison.
-    let mut report = vec![("results".to_string(), Json::records(&records))];
-    let serial = mean_of(&records, "physical_invoke_parallel/workers/1");
-    for workers in [2u32, 8] {
-        let parallel = mean_of(
-            &records,
-            &format!("physical_invoke_parallel/workers/{workers}"),
-        );
-        if let (Some(s), Some(p)) = (serial, parallel) {
-            let speedup = s.mean_ns as f64 / p.mean_ns.max(1) as f64;
-            println!("parallel β speedup ({workers} workers vs serial): {speedup:.2}x");
-            report.push((format!("speedup_{workers}_workers"), Json::Num(speedup)));
-        }
-    }
-    report.push((
-        "slow_call_ms".to_string(),
-        Json::Num(SLOW_CALL.as_millis() as f64),
-    ));
-    report.push(("slow_rows".to_string(), Json::Num(SLOW_ROWS as f64)));
+    let report = vec![("results".to_string(), Json::records(&take_records()))];
     write_report("physical", &Json::Obj(report));
 }

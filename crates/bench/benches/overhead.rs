@@ -25,7 +25,7 @@ use serena_core::exec::ExecContext;
 use serena_core::metrics::NoopMetrics;
 use serena_core::physical::PhysicalPlan;
 use serena_core::plan::Plan;
-use serena_core::prelude::{ExecOptions, Formula, Instant};
+use serena_core::prelude::{Formula, Instant};
 use serena_core::service::{fixtures, InvokerStack};
 use serena_core::telemetry::{InstrumentedLayer, MetricsRegistry, RegistrySink};
 use serena_pems::Pems;
@@ -153,10 +153,7 @@ fn beta_stack() -> Vec<OverheadRow> {
 /// them every tick (the paper's continuous-sensing workload).
 fn steady_pems() -> Pems {
     const WINDOW: u64 = 64;
-    let mut pems = Pems::builder()
-        .bus(BusConfig::instant())
-        .exec_options(ExecOptions::parallel(4))
-        .build();
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
     let rows: Vec<String> = (0..16u64)
         .map(|i| {
             pems.directory()

@@ -32,12 +32,9 @@ pub struct EvalOutcome {
 /// plan actually make?).
 ///
 /// Like every [`Invoker`], this type is `Send + Sync` and safe to call from
-/// several threads at once: the counters live behind a mutex, so when
-/// parallel β ([`ExecOptions::invoke_parallelism`]) fans one batch across a
-/// worker pool, each concurrent call still increments exactly once and no
-/// count is lost.
-///
-/// [`ExecOptions::invoke_parallelism`]: crate::physical::ExecOptions
+/// several threads at once: the counters live behind a mutex, so when a
+/// tick round runs queries over one invoker on several threads, each
+/// concurrent call still increments exactly once and no count is lost.
 pub struct CountingInvoker<'a> {
     inner: &'a dyn Invoker,
     counts: crate::sync::Mutex<std::collections::BTreeMap<String, u64>>,

@@ -37,7 +37,7 @@ pub struct ExecContext<'a> {
     pub at: Instant,
     /// Observation sink ([`NoopMetrics`] by default).
     pub metrics: &'a dyn MetricsSink,
-    /// Execution knobs (β parallelism; serial by default).
+    /// Execution knobs (β's degradation policy).
     pub options: ExecOptions,
 }
 

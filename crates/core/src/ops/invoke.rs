@@ -11,8 +11,6 @@
 //! Invocations of *active* binding patterns are recorded in the query's
 //! [`ActionSet`] (Definition 8).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use crate::action::{Action, ActionSet};
 use crate::binding::BindingPattern;
 use crate::error::{EvalError, PlanError};
@@ -165,12 +163,10 @@ pub fn invoke(
     actions: &mut ActionSet,
 ) -> Result<XRelation, EvalError> {
     let recipe = InvokeRecipe::prepare(r.schema(), prototype, service_attr)?;
-    let tuples: Vec<&Tuple> = r.iter().collect();
     let out = recipe.invoke_batch_observed(
-        &tuples,
+        r.iter(),
         invoker,
         at,
-        1,
         actions,
         &mut InvokeTally::default(),
         DegradePolicy::FailQuery,
@@ -200,7 +196,7 @@ pub struct InvokeRecipe {
 }
 
 /// The raw outcome of one prepared-and-invoked input tuple, produced by
-/// [`InvokeRecipe::call_batch`]: the resolved service reference, the
+/// [`InvokeRecipe::call`]: the resolved service reference, the
 /// projected input (both needed to record an [`Action`]) and the
 /// invocation's result.
 #[derive(Debug)]
@@ -262,10 +258,16 @@ impl InvokeRecipe {
         &self.bp
     }
 
-    /// Prepare and invoke one input tuple. `Err` when the service attribute
-    /// does not hold a service reference (nothing was invoked); otherwise
-    /// the invocation's own result rides in the [`TupleCall`].
-    fn call(&self, t: &Tuple, invoker: &dyn Invoker, at: Instant) -> Result<TupleCall, EvalError> {
+    /// Prepare and invoke one input tuple, on the calling thread. `Err`
+    /// when the service attribute does not hold a service reference
+    /// (nothing was invoked); otherwise the invocation's own result rides
+    /// in the [`TupleCall`].
+    pub fn call(
+        &self,
+        t: &Tuple,
+        invoker: &dyn Invoker,
+        at: Instant,
+    ) -> Result<TupleCall, EvalError> {
         let sref = t[self.service_coord].as_service_ref().ok_or_else(|| {
             EvalError::Value(format!(
                 "attribute `{}` does not hold a service reference: {}",
@@ -274,9 +276,9 @@ impl InvokeRecipe {
             ))
         })?;
         let input = t.project_positions(&self.input_coords);
-        // Contain panics here rather than letting them unwind through a
-        // scoped worker: a panicking service must surface as
-        // `EvalError::Panicked`, never poison the β pool or the process.
+        // Contain panics here rather than letting them unwind through the
+        // query's tick: a panicking service surfaces as
+        // `EvalError::Panicked`, never poisons the round or the process.
         let result =
             crate::service::invoke_contained(invoker, self.bp.prototype(), &sref, &input, at);
         Ok(TupleCall {
@@ -284,58 +286,6 @@ impl InvokeRecipe {
             input,
             result,
         })
-    }
-
-    /// Prepare and invoke every tuple of the batch, fanning the live
-    /// invocations across at most `parallelism` worker threads (serial when
-    /// `parallelism <= 1`). The returned outcomes are **in input order**:
-    /// entry `i` belongs to `tuples[i]`. A `Err` entry means the tuple's
-    /// service reference could not be extracted (nothing was invoked); an
-    /// `Ok` entry carries the invocation's own result.
-    ///
-    /// Every tuple is invoked regardless of other tuples' failures; callers
-    /// wanting serial stop-at-first-failure semantics use
-    /// [`InvokeRecipe::invoke_batch_observed`].
-    pub fn call_batch(
-        &self,
-        tuples: &[&Tuple],
-        invoker: &dyn Invoker,
-        at: Instant,
-        parallelism: usize,
-    ) -> Vec<Result<TupleCall, EvalError>> {
-        let workers = parallelism.min(tuples.len());
-        if workers <= 1 {
-            return tuples.iter().map(|t| self.call(t, invoker, at)).collect();
-        }
-        // Bounded worker pool over a shared cursor: each worker claims the
-        // next unclaimed index, invokes outside any lock, and writes its
-        // outcome back into the tuple's slot — results stay in input order.
-        let mut results: Vec<Option<Result<TupleCall, EvalError>>> = Vec::new();
-        results.resize_with(tuples.len(), || None);
-        let slots = crate::sync::Mutex::new(&mut results);
-        let cursor = AtomicUsize::new(0);
-        // Span context is thread-local; capture the operator span here so
-        // β spans recorded on worker threads still nest under it.
-        let parent_span = crate::telemetry::span::current();
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| {
-                    let _in_span = crate::telemetry::span::enter(parent_span);
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= tuples.len() {
-                            break;
-                        }
-                        let outcome = self.call(tuples[i], invoker, at);
-                        slots.lock()[i] = Some(outcome);
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every index was claimed by a worker"))
-            .collect()
     }
 
     /// Settle one invoked tuple: turn the invocation's `result` for input
@@ -383,42 +333,24 @@ impl InvokeRecipe {
     }
 
     /// β over a batch with the paper's §3.2 one-shot semantics: tuples are
-    /// settled in input order, each active invocation is recorded in
-    /// `actions`, and — under [`DegradePolicy::FailQuery`] — the first
-    /// failure aborts the batch (the tally still counts the failed attempt).
-    /// Under the degrading policies a failed tuple is dropped or null-filled
-    /// instead and the batch continues.
-    ///
-    /// With `parallelism <= 1` tuples are invoked one by one and nothing past
-    /// a failing tuple is invoked. Above that the live invocations are
-    /// fanned across up to `parallelism` worker threads with **identical**
-    /// observable behaviour — same output tuples in the same order, same
-    /// action set, same tally, same first-failure error: tuples past a
-    /// failing one may already have been in flight, but their results are
-    /// discarded and neither the action set nor the tally observes them.
-    #[allow(clippy::too_many_arguments)]
-    pub fn invoke_batch_observed(
+    /// invoked one by one, in input order, each active invocation is
+    /// recorded in `actions`, and — under [`DegradePolicy::FailQuery`] — the
+    /// first failure aborts the batch (the tally still counts the failed
+    /// attempt) and nothing past it is invoked. Under the degrading
+    /// policies a failed tuple is dropped or null-filled instead and the
+    /// batch continues.
+    pub fn invoke_batch_observed<'t>(
         &self,
-        tuples: &[&Tuple],
+        tuples: impl IntoIterator<Item = &'t Tuple>,
         invoker: &dyn Invoker,
         at: Instant,
-        parallelism: usize,
         actions: &mut ActionSet,
         tally: &mut InvokeTally,
         degrade: DegradePolicy,
     ) -> Result<Vec<Tuple>, EvalError> {
-        let calls: Box<dyn Iterator<Item = Result<TupleCall, EvalError>> + '_> = if parallelism > 1
-        {
-            Box::new(
-                self.call_batch(tuples, invoker, at, parallelism)
-                    .into_iter(),
-            )
-        } else {
-            Box::new(tuples.iter().map(|t| self.call(t, invoker, at)))
-        };
         let mut out = Vec::new();
-        for (t, call) in tuples.iter().zip(calls) {
-            let call = call?;
+        for t in tuples {
+            let call = self.call(t, invoker, at)?;
             if self.bp.is_active() {
                 actions.record(Action::new(self.bp.clone(), call.sref, call.input));
             }
@@ -677,12 +609,10 @@ mod tests {
         let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
         let mut actions = ActionSet::new();
         let mut tally = InvokeTally::default();
-        let tuples: Vec<&Tuple> = r.iter().collect();
         let out = recipe.invoke_batch_observed(
-            &tuples,
+            r.iter(),
             &reg,
             Instant(3),
-            1,
             &mut actions,
             &mut tally,
             degrade,
@@ -727,35 +657,6 @@ mod tests {
         assert_eq!(filled[0][2], Value::Real(0.0));
     }
 
-    #[test]
-    fn degraded_batches_match_across_parallelism() {
-        for degrade in [DegradePolicy::DropTuple, DegradePolicy::NullFill] {
-            let reg = flaky_registry();
-            let r = sensors();
-            let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
-            let tuples: Vec<&Tuple> = r.iter().collect();
-            let mut outs = Vec::new();
-            for parallelism in [1usize, 8] {
-                let mut actions = ActionSet::new();
-                let mut tally = InvokeTally::default();
-                let out = recipe
-                    .invoke_batch_observed(
-                        &tuples,
-                        &reg,
-                        Instant(3),
-                        parallelism,
-                        &mut actions,
-                        &mut tally,
-                        degrade,
-                    )
-                    .unwrap();
-                assert_eq!(tally.degraded, 1);
-                outs.push(out);
-            }
-            assert_eq!(outs[0], outs[1], "parallel path diverged for {degrade:?}");
-        }
-    }
-
     /// Registry where `sensor06` panics on every call; other sensors answer
     /// normally.
     fn panicky_registry() -> crate::service::StaticRegistry {
@@ -778,65 +679,123 @@ mod tests {
         let reg = panicky_registry();
         let r = sensors();
         let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
-        let tuples: Vec<&Tuple> = r.iter().collect();
         quiet_panics(|| {
             // FailQuery: the contained panic is the query's error
-            for parallelism in [1usize, 8] {
-                let mut actions = ActionSet::new();
-                let mut tally = InvokeTally::default();
-                let err = recipe
-                    .invoke_batch_observed(
-                        &tuples,
-                        &reg,
-                        Instant(3),
-                        parallelism,
-                        &mut actions,
-                        &mut tally,
-                        DegradePolicy::FailQuery,
-                    )
-                    .unwrap_err();
-                assert!(
-                    matches!(err, EvalError::Panicked { ref service, .. } if service == "sensor06"),
-                    "workers={parallelism}: {err:?}"
-                );
-                assert_eq!(tally.panics, 1, "workers={parallelism}");
-                assert_eq!(tally.failures, 1, "workers={parallelism}");
-            }
+            let mut actions = ActionSet::new();
+            let mut tally = InvokeTally::default();
+            let err = recipe
+                .invoke_batch_observed(
+                    r.iter(),
+                    &reg,
+                    Instant(3),
+                    &mut actions,
+                    &mut tally,
+                    DegradePolicy::FailQuery,
+                )
+                .unwrap_err();
+            assert!(
+                matches!(err, EvalError::Panicked { ref service, .. } if service == "sensor06"),
+                "{err:?}"
+            );
+            assert_eq!(tally.panics, 1);
+            assert_eq!(tally.failures, 1);
             // DropTuple: the panicking tuple degrades, the rest survive,
-            // and the parallel pool stays usable for a second batch
-            for parallelism in [1usize, 8] {
-                let mut actions = ActionSet::new();
-                let mut tally = InvokeTally::default();
-                let out = recipe
-                    .invoke_batch_observed(
-                        &tuples,
-                        &reg,
-                        Instant(3),
-                        parallelism,
-                        &mut actions,
-                        &mut tally,
-                        DegradePolicy::DropTuple,
-                    )
-                    .unwrap();
-                assert_eq!(out.len(), 3, "workers={parallelism}");
-                assert_eq!(tally.panics, 1);
-                assert_eq!(tally.degraded, 1);
-                // pool reuse after a contained panic: same call again
-                let mut tally2 = InvokeTally::default();
-                let out2 = recipe
-                    .invoke_batch_observed(
-                        &tuples,
-                        &reg,
-                        Instant(3),
-                        parallelism,
-                        &mut actions,
-                        &mut tally2,
-                        DegradePolicy::DropTuple,
-                    )
-                    .unwrap();
-                assert_eq!(out, out2);
-            }
+            // and a second batch after the contained panic answers the same
+            let mut tally = InvokeTally::default();
+            let out = recipe
+                .invoke_batch_observed(
+                    r.iter(),
+                    &reg,
+                    Instant(3),
+                    &mut actions,
+                    &mut tally,
+                    DegradePolicy::DropTuple,
+                )
+                .unwrap();
+            assert_eq!(out.len(), 3);
+            assert_eq!(tally.panics, 1);
+            assert_eq!(tally.degraded, 1);
+            let mut tally2 = InvokeTally::default();
+            let out2 = recipe
+                .invoke_batch_observed(
+                    r.iter(),
+                    &reg,
+                    Instant(3),
+                    &mut actions,
+                    &mut tally2,
+                    DegradePolicy::DropTuple,
+                )
+                .unwrap();
+            assert_eq!(out, out2);
         });
+    }
+
+    /// Definition 8 for a failing one-shot: `sendMessage` over 16 contacts
+    /// whose first messenger fails. Under `FailQuery` the statement stops at
+    /// that call — no later contact is messaged, so no effect happens that
+    /// the failed query's action set would not state.
+    #[test]
+    fn a_failed_one_shot_calls_nothing_past_its_failure() {
+        use crate::env::Environment;
+        use crate::exec::ExecContext;
+        use crate::physical::{ExecOptions, PhysicalPlan};
+        use crate::plan::Plan;
+        use crate::prototype::examples as protos;
+        use crate::service::{FnService, StaticRegistry};
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+
+        const N: usize = 16;
+        let calls = Arc::new(AtomicU64::new(0));
+        let reg = StaticRegistry::new();
+        for i in 0..N {
+            let calls = Arc::clone(&calls);
+            reg.register(
+                format!("m{i:02}"),
+                Arc::new(FnService::new(
+                    vec![protos::send_message()],
+                    move |_, _, _| {
+                        calls.fetch_add(1, Ordering::SeqCst);
+                        match i {
+                            0 => Err("m00 is down".to_string()),
+                            _ => Ok(vec![Tuple::new(vec![Value::Bool(true)])]),
+                        }
+                    },
+                )),
+            );
+        }
+        let mut env = Environment::new();
+        env.declare_prototype(protos::send_message()).unwrap();
+        let rows = (0..N).map(|i| {
+            tuple![
+                format!("c{i:02}").as_str(),
+                format!("c{i:02}@example.org").as_str(),
+                Value::service(format!("m{i:02}"))
+            ]
+        });
+        let schema = crate::schema::examples::contacts_schema();
+        env.define_relation("contacts", XRelation::from_tuples(schema, rows))
+            .unwrap();
+        let plan = Plan::relation("contacts")
+            .assign_const("text", "Hi")
+            .invoke("sendMessage", "messenger");
+        let physical = PhysicalPlan::compile(&plan, &env).unwrap();
+        let run = |degrade| {
+            calls.store(0, Ordering::SeqCst);
+            let ctx = ExecContext::new(&env, &reg, Instant(1))
+                .with_options(ExecOptions::serial().with_degrade(degrade));
+            (physical.execute(&ctx), calls.load(Ordering::SeqCst))
+        };
+
+        let (failed, made) = run(DegradePolicy::FailQuery);
+        assert!(matches!(failed, Err(EvalError::InvocationFailed { .. })));
+        assert_eq!(made, 1, "a failed one-shot invoked past its failure");
+
+        let (dropped, made) = run(DegradePolicy::DropTuple);
+        let dropped = dropped.unwrap();
+        assert_eq!(made, N as u64);
+        assert_eq!(dropped.relation.len(), N - 1);
+        assert_eq!(dropped.actions.len(), N);
     }
 
     #[test]
@@ -844,8 +803,8 @@ mod tests {
         let reg = panicky_registry();
         let r = sensors();
         let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
-        let tuples: Vec<&Tuple> = r.iter().collect();
-        let outcomes = quiet_panics(|| recipe.call_batch(&tuples, &reg, Instant(1), 8));
+        let outcomes: Vec<_> =
+            quiet_panics(|| r.iter().map(|t| recipe.call(t, &reg, Instant(1))).collect());
         let panicked: Vec<&EvalError> = outcomes
             .iter()
             .filter_map(|o| o.as_ref().ok())

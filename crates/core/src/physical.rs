@@ -15,11 +15,9 @@
 //! [`explain_analyze_text`](crate::exec::explain_analyze_text) over the
 //! logical plan — the NodeId stability contract.
 //!
-//! β invocation can additionally be fanned out across a bounded worker pool
-//! ([`ExecOptions::invoke_parallelism`], default serial): the batch is
-//! invoked on up to that many threads and reassembled in input-tuple order,
-//! so the output [`XRelation`] and [`ActionSet`] are identical to serial
-//! execution, as are the invocation/failure tallies.
+//! β invokes its batch tuple by tuple on the executing thread, in input
+//! order; under [`DegradePolicy::FailQuery`] nothing past the first failed
+//! call is invoked.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
@@ -38,39 +36,18 @@ use crate::tuple::Tuple;
 use crate::xrelation::XRelation;
 
 /// Execution knobs, separate from the data-plane [`ExecContext`] fields.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ExecOptions {
-    /// Maximum number of worker threads one β δ-batch is fanned across.
-    /// `1` (the default) invokes serially — fully deterministic invocation
-    /// order, no threads spawned.
-    pub invoke_parallelism: usize,
     /// How β reacts when one tuple's invocation fails (default:
     /// [`DegradePolicy::FailQuery`], the historical fail-the-query
     /// behaviour).
     pub degrade: DegradePolicy,
 }
 
-impl Default for ExecOptions {
-    fn default() -> Self {
-        ExecOptions {
-            invoke_parallelism: 1,
-            degrade: DegradePolicy::FailQuery,
-        }
-    }
-}
-
 impl ExecOptions {
-    /// Serial execution (the default).
+    /// The default options: fail the query on a failed invocation.
     pub fn serial() -> Self {
         ExecOptions::default()
-    }
-
-    /// Fan β invocations across up to `workers` threads (clamped to ≥ 1).
-    pub fn parallel(workers: usize) -> Self {
-        ExecOptions {
-            invoke_parallelism: workers.max(1),
-            ..ExecOptions::default()
-        }
     }
 
     /// Replace the β degradation policy.
@@ -330,12 +307,10 @@ impl PhysNode {
             }
             CompiledOp::Invoke { recipe } => {
                 let mut tally = InvokeTally::default();
-                let tuples: Vec<&Tuple> = ra.iter().collect();
                 let result = recipe.invoke_batch_observed(
-                    &tuples,
+                    ra.iter(),
                     ctx.invoker,
                     ctx.at,
-                    ctx.options.invoke_parallelism,
                     actions,
                     &mut tally,
                     ctx.options.degrade,
@@ -416,7 +391,6 @@ fn select(
 mod tests {
     use super::*;
     use crate::env::examples::example_environment;
-    use crate::eval::CountingInvoker;
     use crate::metrics::ExecStats;
     use crate::plan::examples::{q1, q1_prime, q2, q2_prime};
     use crate::service::fixtures::example_registry;
@@ -500,31 +474,6 @@ mod tests {
         assert_eq!(nodes[&NodeId(0)].op, OpKind::Invoke);
         assert_eq!(nodes[&NodeId(3)].op, OpKind::Relation);
         assert!(nodes.values().all(|n| n.applications == 2));
-    }
-
-    #[test]
-    fn parallel_invoke_is_output_identical_and_counts_once_per_tuple() {
-        let env = example_environment();
-        let reg = example_registry();
-        let plan = q2_prime(); // β before σ: invokes every camera
-        let physical = PhysicalPlan::compile(&plan, &env).unwrap();
-        let serial_counting = CountingInvoker::new(&reg);
-        let serial = {
-            let ctx = ExecContext::new(&env, &serial_counting, Instant(1));
-            physical.execute(&ctx).unwrap()
-        };
-        for workers in [2, 4, 16] {
-            let counting = CountingInvoker::new(&reg);
-            let stats = ExecStats::new();
-            let ctx = ExecContext::with_metrics(&env, &counting, Instant(1), &stats)
-                .with_options(ExecOptions::parallel(workers));
-            let out = physical.execute(&ctx).unwrap();
-            assert_eq!(out.relation, serial.relation);
-            assert_eq!(out.actions, serial.actions);
-            assert_eq!(counting.snapshot(), serial_counting.snapshot());
-            assert_eq!(stats.total_invocations(), serial_counting.total());
-            assert_eq!(stats.total_failures(), 0);
-        }
     }
 
     /// A seeded xorshift64* stream: core has no `tests/common`.

@@ -5,8 +5,8 @@
 //! [`InvocationObserver`] (the hook service-health trackers implement), and
 //! emits [`TraceEvent::Invocation`]/[`TraceEvent::Failure`] trace events —
 //! without changing the call's result in any way. This sits *under* the β
-//! operator, so both the one-shot executor and the batched/parallel
-//! continuous path (`InvokeRecipe::call_batch`) are observed identically.
+//! operator, so the one-shot executor and the continuous one (both call
+//! `InvokeRecipe::call` per tuple) are observed identically.
 
 use std::sync::Arc;
 use std::time::Duration;

@@ -26,9 +26,9 @@
 //!
 //! Parent/child linkage is implicit through a thread-local "current span"
 //! ([`current`]/[`enter`]): a span started while another is entered becomes
-//! its child. Work that hops threads (the scheduler's round, the β
-//! fan-out in `InvokeRecipe::call_batch`) captures `current()` before the
-//! hop and re-[`enter`]s it on the worker, so the tree survives migration.
+//! its child. Work that hops threads (the scheduler's round) captures
+//! `current()` before the hop and re-[`enter`]s it on the worker, so the
+//! tree survives migration.
 //!
 //! Timestamps are monotonic nanoseconds since the recorder's creation
 //! ([`FlightRecorder::now_ns`]), paired with the *logical*

@@ -63,7 +63,7 @@ pub enum MessengerFleet {
 /// Deterministic trace-driven tuple arrival schedule for the
 /// `temperatures` stream: at every instant a seeded, zipf-skewed subset of
 /// devices report a reading. A pure function of `(seed, instant)` — the
-/// same trace replays byte-identically, at any β parallelism.
+/// same trace replays byte-identically, at any scheduler width.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ArrivalTrace {
     seed: u64,
@@ -528,7 +528,7 @@ pub enum QueryTemplate {
     /// The discovered-sensor inventory: `sensors` as a changing relation.
     SensorInventory,
     /// Live sampling: `βˢ_{getTemperature[sensor], every}(sensors)` —
-    /// exercises the β invoker stack (and its parallelism) per tick.
+    /// exercises the β invoker stack per tick.
     SampledTemperatures {
         /// Re-invocation period in instants.
         every: u64,

@@ -13,8 +13,9 @@
 //! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
 //!   execution, one-shot environment snapshots;
 //! * [`processor::QueryProcessor`] — registered continuous queries in
-//!   lock-step, ticked in parallel; each runs the plan it was registered
-//!   with until it is unregistered;
+//!   lock-step, ticked in parallel by the scheduler's round; each runs the
+//!   plan it was registered with until it is unregistered, and calls its β
+//!   services on the thread that ticks it;
 //! * [`scheduler`] — how the processor runs a tick round: the queries split
 //!   into contiguous runs over scoped threads, the caller running the first
 //!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`] /

@@ -251,8 +251,8 @@ impl PemsBuilder {
     }
 
     /// Execution options applied to every one-shot evaluation and every
-    /// continuous query registered after construction (β parallelism;
-    /// serial by default).
+    /// continuous query registered after construction (β's degradation
+    /// policy; fail the query by default).
     pub fn exec_options(mut self, options: ExecOptions) -> Self {
         self.exec_options = options;
         self
@@ -907,7 +907,10 @@ impl Pems {
         }
     }
 
-    /// Parse and execute a `;`-separated program.
+    /// Parse and execute a `;`-separated program, statement by statement.
+    /// A program is not a transaction: it stops at its first failing
+    /// statement and returns that error, and the statements before it stay
+    /// applied. A program that does not parse applies nothing.
     pub fn run_program(&mut self, text: &str) -> Result<Vec<ExecOutcome>, PemsError> {
         let stmts = serena_ddl::parse_program(text)?;
         let mut out = Vec::with_capacity(stmts.len());
@@ -1507,6 +1510,27 @@ mod tests {
         );
     }
 
+    /// A program stops at its first failing statement and leaves the
+    /// statements before it applied.
+    #[test]
+    fn a_failing_statement_leaves_the_earlier_ones_applied() {
+        let mut pems = Pems::default();
+        let err = pems
+            .run_program(
+                "EXTENDED RELATION t ( x INTEGER );
+                 INSERT INTO t VALUES (1);
+                 INSERT INTO ghost VALUES (2);
+                 INSERT INTO t VALUES (3);",
+            )
+            .unwrap_err();
+        assert!(
+            matches!(&err, PemsError::Schema(SchemaError::UnknownRelation(r)) if r == "ghost"),
+            "{err:?}"
+        );
+        let t = pems.tables().table("t").expect("the table stays defined");
+        assert_eq!(t.relation().tuples(), [tuple![1i64]]);
+    }
+
     /// A DDL write to, or `DROP` of, a relation nobody defined is the typed
     /// `SchemaError::UnknownRelation` the table manager's API answers with.
     #[test]
@@ -1955,37 +1979,35 @@ mod tests {
             .into_service();
             pems.directory().register("email", svc);
             pems.run_program(SETUP).unwrap();
+            // a contact whose messenger no provider implements
+            pems.run_program("INSERT INTO contacts VALUES ('Denis', 'denis@elysee.fr', 'ghost');")
+                .unwrap();
             pems
         };
         let plan = Plan::relation("contacts")
             .assign_const("text", Value::str("Hi"))
             .invoke("sendMessage", "messenger");
 
-        let serial = build(ExecOptions::serial());
-        let parallel = build(ExecOptions::parallel(4));
-        let a = serial.one_shot(&plan).unwrap();
-        let b = parallel.one_shot(&plan).unwrap();
-        assert_eq!(a.relation, b.relation);
-        assert_eq!(a.actions, b.actions);
+        let mut failing = build(ExecOptions::serial());
+        let mut dropping =
+            build(ExecOptions::serial().with_degrade(serena_core::ops::DegradePolicy::DropTuple));
+        assert!(failing.one_shot(&plan).is_err());
+        let b = dropping.one_shot(&plan).unwrap();
+        assert_eq!(b.relation.len(), 2);
 
-        // continuous registration inherits the runtime's options and the
-        // parallel tick produces the same report as the serial one
-        let mut serial = serial;
-        let mut parallel = parallel;
-        for p in [&mut serial, &mut parallel] {
+        // continuous registration inherits the runtime's options too
+        for p in [&mut failing, &mut dropping] {
             p.run_program(
                 "REGISTER QUERY send AS INVOKE[sendMessage[messenger]](ASSIGN[text := 'Hi'](contacts));",
             )
             .unwrap();
         }
-        let ra = serial.tick();
-        let rb = parallel.tick();
+        let ra = failing.tick();
+        let rb = dropping.tick();
+        assert_eq!(ra[0].1.errors.len(), 1);
+        assert!(rb[0].1.errors.is_empty());
         assert_eq!(ra[0].1.delta, rb[0].1.delta);
-        assert_eq!(ra[0].1.actions, rb[0].1.actions);
-        assert_eq!(
-            ra[0].1.stats.total_invocations(),
-            rb[0].1.stats.total_invocations()
-        );
+        assert_eq!(rb[0].1.delta.inserts.len(), 2);
     }
 
     #[test]

@@ -9,10 +9,9 @@
 //! [`SchedulerConfig::workers`] contiguous runs, the first on the calling
 //! thread — the reproduction of the prototype's *asynchronous invocation
 //! handling*: slow service calls in one query do not serialize behind
-//! another query's, and 120 queries do not mean 120 OS threads. Each
-//! query's intra-β parallelism budget is divided by the number of
-//! concurrently ticking queries ([`ContinuousQuery::tick_with_budget`]) so
-//! the round's width bounds total concurrency instead of multiplying it.
+//! another query's, and 120 queries do not mean 120 OS threads. Within a
+//! query, β calls its services one tuple after another on the thread that
+//! ticks it, so the round's width is the tick's whole concurrency.
 //!
 //! A panicking query tick is contained: the query fails *that tick* (an
 //! [`EvalError::Panicked`] in its report, counted in
@@ -158,8 +157,7 @@ impl QueryProcessor {
     }
 
     /// [`Self::register`] with explicit execution options: every tick of
-    /// this query fans its β invocations across
-    /// `options.invoke_parallelism` workers.
+    /// this query applies `options.degrade` to its failed β invocations.
     pub fn register_with_options(
         &mut self,
         name: impl Into<String>,
@@ -356,22 +354,15 @@ impl QueryProcessor {
         // closures capture it by value.
         let tracer: Option<&FlightRecorder> = self.tracer.as_deref().filter(|r| r.armed());
         let n = self.queries.len();
-        // Concurrency this round: never more workers than queries, and the
-        // per-query β budget divides by it so the configured β width is a
-        // round-wide bound, not a per-query multiplier.
-        let concurrent = self.scheduler.workers.min(n).max(1);
         let mut round_span = tracer.and_then(|r| r.start("sched.round", at));
         if let Some(s) = round_span.as_mut() {
             s.attr_u64("queries", n as u64);
-            s.attr_u64("workers", concurrent as u64);
+            s.attr_u64("workers", self.scheduler.workers.min(n).max(1) as u64);
         }
         // One query tick with its span bracket: span → contained tick →
         // outcome attributes. Returns the span id for the tick-duration
         // histogram's exemplar (0 = no span).
-        let ticked = |name: &str,
-                      reg: &mut Registered,
-                      budget: usize|
-         -> (Result<TickReport, String>, u64) {
+        let ticked = |name: &str, reg: &mut Registered| -> (Result<TickReport, String>, u64) {
             if let Some(trace) = trace {
                 trace.emit(&TraceEvent::TickStart {
                     query: name.to_string(),
@@ -385,7 +376,7 @@ impl QueryProcessor {
             let Registered { query, exec, .. } = reg;
             let result = {
                 let _in_span = tick_span.as_ref().map(|s| s.enter());
-                contain(|| query.tick_with_budget(invoker, &Tee(&*exec, sink), budget))
+                contain(|| query.tick_with(invoker, &Tee(&*exec, sink)))
             };
             if let Some(s) = tick_span.as_mut() {
                 match &result {
@@ -411,10 +402,9 @@ impl QueryProcessor {
             WorkerPool::with_tracer(self.scheduler, self.tracer.clone()).scope(|scope| {
                 for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
                     let name = name.clone();
-                    let budget = (reg.query.invoke_parallelism() / concurrent).max(1);
                     let ticked = &ticked;
                     scope.submit(move || {
-                        let (result, sid) = ticked(&name, reg, budget);
+                        let (result, sid) = ticked(&name, reg);
                         *slot = Some((name, result, scheduled.elapsed(), sid));
                     });
                 }

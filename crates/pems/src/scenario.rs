@@ -6,7 +6,9 @@
 //! behind Local ERMs; four XD-Relations (`cameras`, `contacts`,
 //! `surveillance`, and the `temperatures` stream); a continuous alert query
 //! joining them so that heating a sensor over the threshold sends messages
-//! to the area's manager; plus a photo query in the spirit of `Q4`.
+//! to the area's manager; plus a photo query in the spirit of `Q4`. The
+//! fleet's catalog ([`EnvSpec::install_catalog`]) also defines the
+//! discovery-maintained `sensors` table, which no scenario query reads.
 //!
 //! **RSS feeds**: wrapper services stream seeded news items; a windowed
 //! continuous query keeps the recent items containing a tracked keyword.
@@ -17,7 +19,6 @@ use std::sync::Arc;
 use serena_core::sync::Mutex;
 
 use serena_core::formula::Formula;
-use serena_core::prototype::examples as protos;
 use serena_core::schema::XSchema;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
@@ -29,7 +30,7 @@ use serena_stream::plan::{StreamKind, StreamPlan};
 use serena_stream::source::StreamSource;
 
 use crate::envspec::EnvSpec;
-use crate::hub::{RssStream, SensorSampler};
+use crate::hub::RssStream;
 use crate::pems::{Pems, PemsError};
 
 /// Configuration of the temperature-surveillance deployment.
@@ -156,9 +157,9 @@ pub fn photo_query(threshold: f64) -> StreamPlan {
 
 /// Deploy the temperature-surveillance scenario.
 ///
-/// Devices are described and registered through the one public fleet
-/// path, [`EnvSpec`]; the scenario owns only its catalog (the §5.2
-/// XD-Relations), the contact/surveillance data and the queries.
+/// Devices and their catalog are described and registered through the one
+/// public fleet path, [`EnvSpec`]; the scenario owns only photo messaging,
+/// the contact/surveillance tables and data, and the queries.
 pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, PemsError> {
     let mut pems = Pems::builder().bus(config.bus).build();
     // Seed 1 keeps the historical per-device seeds (sensor/camera i → i+1).
@@ -168,56 +169,26 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
         .areas(config.areas.clone())
         .heat_events(config.heat_events.clone());
 
-    // --- prototypes (Table 1, plus the full scenario's photo messaging) ---
-    for p in [
-        protos::send_message(),
-        protos::check_photo(),
-        protos::take_photo(),
-        protos::get_temperature(),
-    ] {
-        pems.tables_mut().declare_prototype(p)?;
-    }
-    if config.photo_alerts {
+    // --- the fleet's catalog (Table 1's prototypes, `sensors`, `cameras`
+    // and the `temperatures` sampler), then what is the scenario's own:
+    // photo messaging, `contacts` and `surveillance` ---
+    spec.install_catalog(&mut pems)?;
+    let contacts_schema = if config.photo_alerts {
         pems.tables_mut().declare_prototype(
             serena_services::devices::messenger::send_photo_message_prototype(),
         )?;
-    }
-
-    // --- XD-Relations (Table 2 + §5.2's surveillance & temperatures) ---
-    let contacts_schema = if config.photo_alerts {
         photo_contacts_schema()
     } else {
         serena_core::schema::examples::contacts_schema()
     };
     pems.tables_mut()
         .define_table("contacts", contacts_schema)?;
-    let cameras_schema = serena_core::schema::examples::cameras_schema();
-    pems.tables_mut().define_table("cameras", cameras_schema)?;
     let surveillance_schema = XSchema::builder()
         .real("location", DataType::Str)
         .real("manager", DataType::Str)
         .build()?;
     pems.tables_mut()
         .define_table("surveillance", surveillance_schema)?;
-
-    // temperatures: a sampler over every *discovered* getTemperature
-    // provider — new sensors join the stream automatically.
-    let temp_schema = XSchema::builder()
-        .real("location", DataType::Str)
-        .real("temperature", DataType::Real)
-        .build()?;
-    let directory = pems.directory();
-    pems.tables_mut()
-        .define_stream_with("temperatures", temp_schema, move || {
-            Box::new(SensorSampler::new(
-                directory.clone(),
-                protos::get_temperature(),
-                &["location"],
-            )) as Box<dyn StreamSource>
-        })?;
-
-    // cameras table maintained by a discovery query (§5.1)
-    pems.register_discovery("cameras", "checkPhoto", "camera")?;
 
     // --- devices behind a Local ERM: the EnvSpec fleet path ---
     let fleet = spec.deploy_into(&pems);

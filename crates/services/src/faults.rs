@@ -114,8 +114,8 @@ impl Service for FaultyService {
         at: Instant,
     ) -> Result<Vec<Tuple>, String> {
         // Claim this call's index and bump the counter under one lock, so
-        // concurrent invocations (parallel β) each see a distinct position
-        // in the duty cycle.
+        // concurrent invocations (queries ticking in one round) each see a
+        // distinct position in the duty cycle.
         let call = {
             let mut calls = self.calls.lock();
             let i = *calls;
@@ -131,10 +131,8 @@ impl Service for FaultyService {
 }
 
 /// An [`Invoker`] decorator that sleeps a fixed wall-clock latency before
-/// every invocation — the "slow device" model the parallel-β benchmarks are
-/// built on. Because the sleep happens on the calling thread, N tuples
-/// fanned across W workers take roughly `ceil(N / W) × latency` instead of
-/// `N × latency`.
+/// every invocation — the "slow device" model. The sleep happens on the
+/// calling thread, so N calls made one after another take `N × latency`.
 pub struct SlowInvoker<I> {
     inner: I,
     latency: Duration,

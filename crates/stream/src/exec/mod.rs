@@ -320,7 +320,7 @@ impl ContinuousQuery {
     }
 
     /// [`ContinuousQuery::compile`] with explicit execution options
-    /// (β worker-pool width).
+    /// (β's degradation policy).
     pub fn compile_with_options(
         plan: &StreamPlan,
         sources: &mut SourceSet,
@@ -356,13 +356,6 @@ impl ContinuousQuery {
         self.next
     }
 
-    /// The configured β invocation pool width (see
-    /// [`ContinuousQuery::tick_with_budget`] for how a multi-query
-    /// scheduler divides it among concurrent ticks).
-    pub fn invoke_parallelism(&self) -> usize {
-        self.options.invoke_parallelism
-    }
-
     /// Align the query's clock so its next tick evaluates `at` — used when
     /// registering a query mid-run so it joins the global tick cadence.
     pub fn seek(&mut self, at: Instant) {
@@ -375,22 +368,6 @@ impl ContinuousQuery {
     /// statistics are always available in the returned
     /// [`TickReport::stats`].
     pub fn tick_with(&mut self, invoker: &dyn Invoker, sink: &dyn MetricsSink) -> TickReport {
-        self.tick_with_budget(invoker, sink, self.options.invoke_parallelism)
-    }
-
-    /// [`ContinuousQuery::tick_with`] under an explicit intra-β
-    /// parallelism budget: the effective β pool width for this tick is
-    /// `min(invoke_parallelism, budget)` (floored at 1). The multi-query
-    /// scheduler uses this to *divide* the configured budget among queries
-    /// ticking concurrently instead of multiplying it — β parallelism is
-    /// proven output-neutral (`tests/physical_differential.rs`), so the
-    /// clamp never changes results, only thread counts.
-    pub fn tick_with_budget(
-        &mut self,
-        invoker: &dyn Invoker,
-        sink: &dyn MetricsSink,
-        budget: usize,
-    ) -> TickReport {
         let started = std::time::Instant::now();
         let at = self.next;
         self.next = at.next();
@@ -405,7 +382,6 @@ impl ContinuousQuery {
                 actions: &mut actions,
                 errors: &mut errors,
                 metrics: &tee,
-                parallelism: self.options.invoke_parallelism.min(budget.max(1)),
                 degrade: self.options.degrade,
                 tracer: self.tracer.as_deref().filter(|r| r.armed()),
             };

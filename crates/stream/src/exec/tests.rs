@@ -434,17 +434,13 @@ fn tick_stats_track_beta_cache_hits_and_misses() {
     assert_eq!(r.errors.len(), 1);
 }
 
-/// Satellite regression (PR 3): the batched β path
-/// (`InvokeRecipe::call_batch`) must record cache hits/misses and
-/// failures in `ExecStats` identically to the serial path — stats are
-/// a function of the input, not of `invoke_parallelism`.
+/// β's statistics over a batch that mixes hits, misses and failures: every
+/// miss and failure is counted once, and the degrading policies count each
+/// failure as degraded.
 #[test]
-fn batched_beta_stats_identical_across_parallelism() {
+fn beta_stats_count_hits_misses_and_failures() {
     use serena_core::metrics::NodeStats;
-    fn run(
-        parallelism: usize,
-        degrade: DegradePolicy,
-    ) -> Vec<std::collections::BTreeMap<NodeId, NodeStats>> {
+    fn run(degrade: DegradePolicy) -> Vec<std::collections::BTreeMap<NodeId, NodeStats>> {
         let mut sources = SourceSet::new();
         let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
         sources.add_table("sensors", table.clone());
@@ -452,7 +448,7 @@ fn batched_beta_stats_identical_across_parallelism() {
         let mut q = ContinuousQuery::compile_with_options(
             &plan,
             &mut sources,
-            ExecOptions::parallel(parallelism).with_degrade(degrade),
+            ExecOptions::serial().with_degrade(degrade),
         )
         .unwrap();
         let reg = example_registry();
@@ -473,68 +469,16 @@ fn batched_beta_stats_identical_across_parallelism() {
         table.insert(tuple![Value::service("sensor01"), "corridor"]);
         table.insert(tuple![Value::service("sensor22"), "kitchen"]);
         per_tick.push(q.tick_with(&reg, &NoopMetrics).stats.nodes());
-        // tick 2: quiet
-        per_tick.push(q.tick_with(&reg, &NoopMetrics).stats.nodes());
         per_tick
     }
 
-    let serial = run(1, DegradePolicy::FailQuery);
-    // sanity: the scenario exercises every counter we compare
+    let serial = run(DegradePolicy::FailQuery);
     let beta0 = &serial[0][&NodeId(0)];
     assert_eq!((beta0.cache_misses, beta0.failures), (5, 2));
     let beta1 = &serial[1][&NodeId(0)];
     assert_eq!((beta1.cache_hits, beta1.cache_misses), (1, 1));
-    // and the degrading policies account every failure as degraded
-    let dropped = run(1, DegradePolicy::DropTuple);
+    let dropped = run(DegradePolicy::DropTuple);
     assert_eq!(dropped[0][&NodeId(0)].degraded, 2);
-
-    for degrade in [
-        DegradePolicy::FailQuery,
-        DegradePolicy::DropTuple,
-        DegradePolicy::NullFill,
-    ] {
-        let serial = run(1, degrade);
-        for workers in [1usize, 8] {
-            let batched = run(workers, degrade);
-            assert_eq!(batched.len(), serial.len());
-            for (tick, (a, b)) in serial.iter().zip(&batched).enumerate() {
-                assert_eq!(
-                    a.keys().collect::<Vec<_>>(),
-                    b.keys().collect::<Vec<_>>(),
-                    "node set diverged at tick {tick} (workers={workers})"
-                );
-                for (id, sa) in a {
-                    let sb = &b[id];
-                    assert_eq!(
-                        (
-                            sa.op,
-                            sa.applications,
-                            sa.tuples_in,
-                            sa.tuples_out,
-                            sa.invocations,
-                            sa.cache_hits,
-                            sa.cache_misses,
-                            sa.failures,
-                            sa.degraded
-                        ),
-                        (
-                            sb.op,
-                            sb.applications,
-                            sb.tuples_in,
-                            sb.tuples_out,
-                            sb.invocations,
-                            sb.cache_hits,
-                            sb.cache_misses,
-                            sb.failures,
-                            sb.degraded
-                        ),
-                        "node {id} diverged at tick {tick} \
-                         (workers={workers}, degrade={degrade:?})"
-                    );
-                }
-            }
-        }
-    }
 }
 
 /// Tentpole: β degradation in the incremental executor. `DropTuple`

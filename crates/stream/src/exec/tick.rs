@@ -16,8 +16,6 @@ pub(super) struct Ctx<'a> {
     pub(super) actions: &'a mut ActionSet,
     pub(super) errors: &'a mut Vec<EvalError>,
     pub(super) metrics: &'a dyn MetricsSink,
-    /// β worker-pool width for one δ-batch (1 = serial).
-    pub(super) parallelism: usize,
     /// How β/βˢ reacts when one tuple's invocation fails.
     pub(super) degrade: DegradePolicy,
     /// Armed flight recorder for per-operator spans (`None` = no tracing).
@@ -293,9 +291,8 @@ fn apply_invoke(
         }
     }
     // Insertions: §4.2 — invoke only for newly inserted tuples. Cache hits
-    // re-emit their cached extensions; the misses of one δ-batch are fanned
-    // across the worker pool together.
-    let mut misses: Vec<(&Tuple, usize)> = Vec::new();
+    // re-emit their cached extensions; each miss is invoked in turn.
+    let mut tally = InvokeTally::default();
     for (t, c) in inserts.iter() {
         if let Some(entry) = cache.get_mut(t) {
             // the same tuple re-inserted reuses its cached invocation
@@ -306,18 +303,9 @@ fn apply_invoke(
             }
             continue;
         }
-        misses.push((t, c));
-    }
-    if misses.is_empty() {
-        return out;
-    }
-    let tuples: Vec<&Tuple> = misses.iter().map(|(t, _)| *t).collect();
-    let outcomes = recipe.call_batch(&tuples, ctx.invoker, ctx.at, ctx.parallelism);
-    let mut tally = InvokeTally::default();
-    for ((t, c), outcome) in misses.into_iter().zip(outcomes) {
         obs.cache_misses += 1;
         tally.invocations += 1;
-        let settled = match outcome {
+        let settled = match recipe.call(t, ctx.invoker, ctx.at) {
             Ok(call) => {
                 // the action is recorded whether or not the call succeeded,
                 // matching the one-shot operator
@@ -365,14 +353,13 @@ fn sample(
     ctx: &mut Ctx<'_>,
     obs: &mut OpObservation,
 ) -> Vec<Tuple> {
-    let entries: Vec<(&Tuple, usize)> = current.iter().collect();
-    let tuples: Vec<&Tuple> = entries.iter().map(|(t, _)| *t).collect();
-    let outcomes = recipe.call_batch(&tuples, ctx.invoker, ctx.at, ctx.parallelism);
     let mut tally = InvokeTally::default();
     let mut batch = Vec::new();
-    for ((t, count), outcome) in entries.into_iter().zip(outcomes) {
+    for (t, count) in current.iter() {
         tally.invocations += 1;
-        let result = outcome.and_then(|call| call.result);
+        let result = recipe
+            .call(t, ctx.invoker, ctx.at)
+            .and_then(|call| call.result);
         match recipe.settle(t, result, ctx.degrade, &mut tally) {
             Ok(outputs) => {
                 for o in outputs.unwrap_or_default() {

@@ -13,7 +13,6 @@
 
 use std::sync::Arc;
 
-use serena::core::physical::ExecOptions;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
 use serena::pems::Pems;
 use serena::services::fleet::FailureProfile;
@@ -61,11 +60,7 @@ fn main() {
 
     // The edge runs the queries; every β call relays to the host, and
     // its state replicates back to the host after every tick.
-    let mut edge = Pems::builder()
-        .node_id("edge")
-        .exec_options(ExecOptions::parallel(4))
-        .dedup(true)
-        .build();
+    let mut edge = Pems::builder().node_id("edge").dedup(true).build();
     spec.install_catalog(&mut edge).expect("edge catalog");
     let names = workload
         .register_into(&mut edge, &spec)

@@ -8,7 +8,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serena::core::physical::ExecOptions;
 use serena::core::snapshot::Writer;
 use serena::core::time::Instant;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
@@ -63,10 +62,7 @@ fn host_on(transport: &Arc<dyn Transport>, addr: &str) -> (Pems, NodeHandle) {
 /// zero locally hosted services — every β call relays over the wire.
 fn edge_on(transport: &Arc<dyn Transport>, host_addr: &str) -> (Pems, Vec<String>) {
     let s = spec();
-    let mut edge = Pems::builder()
-        .node_id("edge")
-        .exec_options(ExecOptions::parallel(4))
-        .build();
+    let mut edge = Pems::builder().node_id("edge").build();
     s.install_catalog(&mut edge).expect("edge catalog installs");
     let names = workload()
         .register_into(&mut edge, &s)

@@ -1,8 +1,7 @@
 //! Determinism regression for the environment generator (ISSUE 6
 //! acceptance): the same `EnvSpec` seed replays **byte-identically** —
-//! across independent runs, across β invocation parallelism {1, 8},
-//! across scheduler worker counts {1, 2, 8} and with cross-query β dedup
-//! on or off (ISSUE 7).
+//! across independent runs, across scheduler worker counts {1, 2, 8} and
+//! with cross-query β dedup on or off.
 //!
 //! This is the property that lets future scheduler/operator PRs claim
 //! "byte-identical output vs serial" on realistic massive-scale workloads:
@@ -17,7 +16,6 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serena::core::physical::ExecOptions;
 use serena::core::snapshot::Writer;
 use serena::core::time::Instant;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
@@ -49,8 +47,8 @@ fn workload() -> WorkloadSpec {
         .queries(QueryTemplate::AreaWatch { window: 2 }, 3)
         .queries(QueryTemplate::RecentReadings { window: 4 }, 2)
         .queries(QueryTemplate::SensorInventory, 1)
-        // β-bearing: live invocations through the (possibly parallel)
-        // invoker stack — the part parallelism could perturb.
+        // β-bearing: live invocations through the invoker stack, which
+        // every thread of a round calls — the part a round could perturb.
         .queries(QueryTemplate::SampledTemperatures { every: 1 }, 2)
 }
 
@@ -79,7 +77,7 @@ fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
             // Errors are compared as a sorted multiset: *which* invocations
             // fail at an instant is part of the determinism contract, but
             // their surfacing order follows β invocation order, which is
-            // unspecified (and changes under invoke parallelism anyway).
+            // unspecified.
             let mut errors: Vec<String> = r.errors.iter().map(|e| e.to_string()).collect();
             errors.sort();
             Obs {
@@ -97,12 +95,12 @@ fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
         .collect()
 }
 
-/// Deploy the spec'd environment on a runtime with the given β
-/// parallelism, run `TICKS` instants, and return every observation plus
-/// a canonical rendering of the final runtime state: each query's current
-/// relation (sorted occurrences) and the full service-health report.
-fn run(parallelism: usize) -> (Vec<Obs>, Vec<String>) {
-    run_with(parallelism, 1, true)
+/// Deploy the spec'd environment on a single-worker runtime, run `TICKS`
+/// instants, and return every observation plus a canonical rendering of
+/// the final runtime state: each query's current relation (sorted
+/// occurrences) and the full service-health report.
+fn run() -> (Vec<Obs>, Vec<String>) {
+    run_with(1, true)
 }
 
 /// [`run`] generalised over the multi-query scheduler axes: pool width
@@ -111,21 +109,15 @@ fn run(parallelism: usize) -> (Vec<Obs>, Vec<String>) {
 /// callers can strip it when comparing dedup on/off (dedup changes how
 /// many *physical* calls back the same logical result — health attempt
 /// counts legitimately differ; everything a query observes must not).
-fn run_with(parallelism: usize, workers: usize, dedup: bool) -> (Vec<Obs>, Vec<String>) {
-    run_traced(parallelism, workers, dedup, false)
+fn run_with(workers: usize, dedup: bool) -> (Vec<Obs>, Vec<String>) {
+    run_traced(workers, dedup, false)
 }
 
 /// [`run_with`] with the span tracer's flight recorder explicitly armed or
 /// disarmed (ISSUE 8): recording spans must be strictly observational.
-fn run_traced(
-    parallelism: usize,
-    workers: usize,
-    dedup: bool,
-    tracing: bool,
-) -> (Vec<Obs>, Vec<String>) {
+fn run_traced(workers: usize, dedup: bool, tracing: bool) -> (Vec<Obs>, Vec<String>) {
     let s = spec();
     let mut pems = Pems::builder()
-        .exec_options(ExecOptions::parallel(parallelism))
         .scheduler(SchedulerConfig::new(workers))
         .dedup(dedup)
         .tracing(tracing)
@@ -185,11 +177,7 @@ fn collect_state(pems: &Pems, names: &[String]) -> Vec<String> {
 /// latency a local deployment has), and the edge's observations must be
 /// byte-identical to a single-node run — including the health report,
 /// because relayed errors re-surface structurally.
-fn run_distributed(
-    parallelism: usize,
-    transport: Arc<dyn Transport>,
-    addr: &str,
-) -> (Vec<Obs>, Vec<String>) {
+fn run_distributed(transport: Arc<dyn Transport>, addr: &str) -> (Vec<Obs>, Vec<String>) {
     let s = spec();
     let mut host = Pems::builder().node_id("host").build();
     s.install_catalog(&mut host).expect("host catalog installs");
@@ -200,7 +188,6 @@ fn run_distributed(
 
     let mut edge = Pems::builder()
         .node_id("edge")
-        .exec_options(ExecOptions::parallel(parallelism))
         .scheduler(SchedulerConfig::new(1))
         .dedup(true)
         .build();
@@ -234,8 +221,8 @@ fn fresh_uds_addr() -> String {
 
 #[test]
 fn same_seed_replays_byte_identically() {
-    let (a_obs, a_state) = run(1);
-    let (b_obs, b_state) = run(1);
+    let (a_obs, a_state) = run();
+    let (b_obs, b_state) = run();
     assert!(!a_obs.is_empty());
     assert_eq!(a_obs, b_obs, "two runs of the same spec diverged");
     assert_eq!(a_state, b_state, "final runtime state diverged");
@@ -249,28 +236,14 @@ fn same_seed_replays_byte_identically() {
 }
 
 #[test]
-fn parallel_replay_is_byte_identical_to_serial() {
-    let (serial_obs, serial_state) = run(1);
-    let (par_obs, par_state) = run(8);
-    assert_eq!(
-        serial_obs, par_obs,
-        "invoke_parallelism=8 diverged from serial"
-    );
-    assert_eq!(
-        serial_state, par_state,
-        "parallel final runtime state diverged from serial"
-    );
-}
-
-#[test]
 fn worker_counts_replay_byte_identically() {
     // ISSUE 7 acceptance: per-query deltas, actions and final relations
     // are byte-identical whether the tick round runs on one worker or
     // is split over several — and so is the health report, because with the
     // dedup memo armed the *physical* call set is deterministic too.
-    let (base_obs, base_state) = run_with(4, 1, true);
+    let (base_obs, base_state) = run_with(1, true);
     for workers in [2, 8] {
-        let (obs, state) = run_with(4, workers, true);
+        let (obs, state) = run_with(workers, true);
         assert_eq!(
             base_obs, obs,
             "workers={workers} diverged from the single-worker run"
@@ -285,8 +258,8 @@ fn worker_counts_replay_byte_identically() {
 #[test]
 fn dedup_toggle_changes_no_query_observable() {
     let queries = workload().total();
-    let (on_obs, on_state) = run_with(4, 4, true);
-    let (off_obs, off_state) = run_with(4, 4, false);
+    let (on_obs, on_state) = run_with(4, true);
+    let (off_obs, off_state) = run_with(4, false);
     assert_eq!(on_obs, off_obs, "β dedup changed a query's tick output");
     // Final relations must agree entry for entry; the trailing health
     // report is excluded — coalescing shrinks physical attempt counts.
@@ -303,10 +276,10 @@ fn flight_recorder_changes_no_query_observable() {
     // ISSUE 8 acceptance: the span tracer is a pure observer. Every
     // per-query delta, batch, action set, error multiset, β statistic,
     // final relation *and the health report* must be byte-identical with
-    // the flight recorder armed vs disarmed — on a 4-wide round with
-    // parallel β invocation, where spans actually record on every layer.
-    let (armed_obs, armed_state) = run_traced(4, 4, true, true);
-    let (off_obs, off_state) = run_traced(4, 4, true, false);
+    // the flight recorder armed vs disarmed — on a 4-wide round, where
+    // spans actually record on every layer.
+    let (armed_obs, armed_state) = run_traced(4, true, true);
+    let (off_obs, off_state) = run_traced(4, true, false);
     assert_eq!(
         armed_obs, off_obs,
         "an armed flight recorder changed a query's tick output"
@@ -323,22 +296,20 @@ fn two_node_inproc_replay_is_byte_identical_to_local() {
     // (fleet) and an edge node (queries) linked by the in-proc transport
     // changes *nothing* a query observes — deltas, batches, actions,
     // error multisets, β statistics, final relations and the health
-    // report all replay byte-identically, at serial and parallel β.
-    for parallelism in [1, 8] {
-        let (local_obs, local_state) = run(parallelism);
-        let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
-        let (dist_obs, dist_state) = run_distributed(parallelism, transport, "inproc:envgen-host");
-        assert_eq!(
-            local_obs, dist_obs,
-            "two-node in-proc run (parallelism={parallelism}) diverged from local"
-        );
-        assert_eq!(
-            local_state, dist_state,
-            "two-node in-proc final state (parallelism={parallelism}) diverged from local"
-        );
-        // the workload really crossed the wire: β invocations happened
-        assert!(dist_obs.iter().map(|o| o.invocations).sum::<u64>() > 0);
-    }
+    // report all replay byte-identically.
+    let (local_obs, local_state) = run();
+    let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+    let (dist_obs, dist_state) = run_distributed(transport, "inproc:envgen-host");
+    assert_eq!(
+        local_obs, dist_obs,
+        "two-node in-proc run diverged from local"
+    );
+    assert_eq!(
+        local_state, dist_state,
+        "two-node in-proc final state diverged from local"
+    );
+    // the workload really crossed the wire: β invocations happened
+    assert!(dist_obs.iter().map(|o| o.invocations).sum::<u64>() > 0);
 }
 
 #[test]
@@ -347,19 +318,14 @@ fn two_node_uds_replay_is_byte_identical_to_local() {
     // Same property over a real socket: length-prefixed frames on a
     // Unix-domain socket must relay β calls and directory events without
     // perturbing a single byte of query output.
-    for parallelism in [1, 8] {
-        let (local_obs, local_state) = run(parallelism);
-        let transport: Arc<dyn Transport> = Arc::new(SocketTransport::new());
-        let (dist_obs, dist_state) = run_distributed(parallelism, transport, &fresh_uds_addr());
-        assert_eq!(
-            local_obs, dist_obs,
-            "two-node UDS run (parallelism={parallelism}) diverged from local"
-        );
-        assert_eq!(
-            local_state, dist_state,
-            "two-node UDS final state (parallelism={parallelism}) diverged from local"
-        );
-    }
+    let (local_obs, local_state) = run();
+    let transport: Arc<dyn Transport> = Arc::new(SocketTransport::new());
+    let (dist_obs, dist_state) = run_distributed(transport, &fresh_uds_addr());
+    assert_eq!(local_obs, dist_obs, "two-node UDS run diverged from local");
+    assert_eq!(
+        local_state, dist_state,
+        "two-node UDS final state diverged from local"
+    );
 }
 
 #[test]

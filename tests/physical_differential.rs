@@ -1,10 +1,10 @@
 //! Differential testing: compiled (physical) execution vs the reference
 //! evaluator.
 //!
-//! For every example plan, every instant 0..5 and every β parallelism in
-//! {1, 4, 16}, [`PhysicalPlan`] compiled once and executed must produce the
-//! exact X-Relation and action set [`evaluate`] produces — the compiled
-//! parallel path is an optimisation, never a semantic change.
+//! For every example plan and every instant 0..5, [`PhysicalPlan`] compiled
+//! once and executed must produce the exact X-Relation and action set the
+//! reference evaluator produces — compilation is an optimisation, never a
+//! semantic change.
 
 use serena::core::env::examples::example_environment;
 use serena::core::env::Environment;
@@ -57,81 +57,43 @@ fn example_plans() -> Vec<(&'static str, Plan)> {
     ]
 }
 
-/// Compiled execution, at any parallelism, is indistinguishable from the
-/// reference evaluator on every example plan and instant.
+/// Compiled execution is indistinguishable from the reference evaluator on
+/// every example plan and instant.
 #[test]
-fn compiled_parallel_matches_reference_evaluator() {
+fn compiled_matches_reference_evaluator() {
     let env = example_environment();
     let reg = example_registry();
     for (name, plan) in example_plans() {
         let physical = PhysicalPlan::compile(&plan, &env)
             .unwrap_or_else(|e| panic!("{name} failed to compile: {e}"));
         for t in 0..=5u64 {
-            let reference = ExecContext::new(&env, &reg, Instant(t))
+            let ctx = ExecContext::new(&env, &reg, Instant(t));
+            let reference = ctx
                 .execute(&plan)
                 .unwrap_or_else(|e| panic!("{name} reference failed at t={t}: {e}"));
-            for parallelism in [1usize, 4, 16] {
-                let ctx = ExecContext::new(&env, &reg, Instant(t))
-                    .with_options(ExecOptions::parallel(parallelism));
-                let compiled = physical.execute(&ctx).unwrap_or_else(|e| {
-                    panic!("{name} compiled failed at t={t} workers={parallelism}: {e}")
-                });
-                assert_eq!(
-                    compiled.relation, reference.relation,
-                    "{name} relation diverged at t={t} workers={parallelism}"
-                );
-                assert_eq!(
-                    compiled.actions, reference.actions,
-                    "{name} actions diverged at t={t} workers={parallelism}"
-                );
-            }
+            let compiled = physical
+                .execute(&ctx)
+                .unwrap_or_else(|e| panic!("{name} compiled failed at t={t}: {e}"));
+            assert_eq!(
+                compiled.relation, reference.relation,
+                "{name} relation diverged at t={t}"
+            );
+            assert_eq!(
+                compiled.actions, reference.actions,
+                "{name} actions diverged at t={t}"
+            );
         }
     }
 }
 
-/// Per-operator statistics agree between serial and parallel execution of
-/// the same compiled plan: same node ids, same invocation totals.
-#[test]
-fn parallel_statistics_match_serial() {
-    let env = example_environment();
-    let reg = example_registry();
-    for (name, plan) in example_plans() {
-        let physical = PhysicalPlan::compile(&plan, &env).unwrap();
-        let serial = ExecStats::new();
-        PhysicalPlan::compile(&plan, &env)
-            .unwrap()
-            .execute(&ExecContext::with_metrics(&env, &reg, Instant(1), &serial))
-            .unwrap();
-        let parallel = ExecStats::new();
-        physical
-            .execute(
-                &ExecContext::with_metrics(&env, &reg, Instant(1), &parallel)
-                    .with_options(ExecOptions::parallel(8)),
-            )
-            .unwrap();
-        assert_eq!(serial.nodes().len(), parallel.nodes().len(), "{name}");
-        assert_eq!(
-            serial.total_invocations(),
-            parallel.total_invocations(),
-            "{name}"
-        );
-        for (id, s) in serial.nodes() {
-            let p = parallel
-                .node(id)
-                .unwrap_or_else(|| panic!("{name}: node {id:?} missing"));
-            assert_eq!(s.tuples_out, p.tuples_out, "{name} node {id:?}");
-            assert_eq!(s.invocations, p.invocations, "{name} node {id:?}");
-            assert_eq!(s.failures, p.failures, "{name} node {id:?}");
-        }
-    }
-}
-
-/// `CountingInvoker` under a wide concurrent fan-out: 64 tuples through an
-/// 16-worker β must count exactly 64 invocations — the mutex-guarded
+/// `CountingInvoker` called from several threads at once, as a tick round
+/// calls one invoker stack from each of its threads: 4 threads each running
+/// a 64-tuple β must count exactly 256 invocations — the mutex-guarded
 /// counters lose nothing to races.
 #[test]
 fn counting_invoker_is_exact_under_concurrency() {
     const N: usize = 64;
+    const THREADS: usize = 4;
     let mut env = Environment::new();
     env.declare_prototype(serena::core::prototype::examples::get_temperature())
         .unwrap();
@@ -154,18 +116,27 @@ fn counting_invoker_is_exact_under_concurrency() {
     let physical = PhysicalPlan::compile(&plan, &env).unwrap();
 
     let counting = CountingInvoker::new(&reg);
-    let out = physical
-        .execute(
-            &ExecContext::new(&env, &counting, Instant(1)).with_options(ExecOptions::parallel(16)),
-        )
-        .unwrap();
-    assert_eq!(out.relation.len(), N);
-    assert_eq!(counting.total(), N as u64);
-    assert_eq!(counting.count_of("getTemperature"), N as u64);
+    let outs: Vec<_> = std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    physical
+                        .execute(&ExecContext::new(&env, &counting, Instant(1)))
+                        .unwrap()
+                })
+            })
+            .collect();
+        runs.into_iter().map(|run| run.join().unwrap()).collect()
+    });
+    assert_eq!(counting.total(), (THREADS * N) as u64);
+    assert_eq!(counting.count_of("getTemperature"), (THREADS * N) as u64);
 
-    // and the parallel result is still the serial result
+    // and each thread's result is the reference evaluator's
     let serial = ExecContext::new(&env, &reg, Instant(1))
         .execute(&plan)
         .unwrap();
-    assert_eq!(out.relation, serial.relation);
+    for out in outs {
+        assert_eq!(out.relation.len(), N);
+        assert_eq!(out.relation, serial.relation);
+    }
 }

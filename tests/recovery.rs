@@ -6,7 +6,7 @@
 //! produces **byte-identical** output from that point on — same per-tick
 //! deltas (compared through their canonical snapshot encoding), same
 //! batches, same action sets, same β invocation/cache counters — at every
-//! kill point and at β parallelism 1 and 8. And: a service whose body
+//! kill point. And: a service whose body
 //! panics never takes the process down; the panic surfaces as a contained
 //! error visible in health, Prometheus and the tick report, honoring the
 //! configured degradation policy.
@@ -25,17 +25,15 @@ const TICKS: u64 = 6;
 /// function of the instant, and five continuous queries covering every
 /// stateful executor node kind (table delta, β cache, window ring,
 /// projection pipeline, βˢ sampling).
-fn recovery_pems(parallelism: usize) -> Pems {
-    recovery_pems_on(parallelism, None)
+fn recovery_pems() -> Pems {
+    recovery_pems_on(None)
 }
 
 /// [`recovery_pems`] with an explicit multi-query scheduler width
 /// (`None` keeps the runtime default).
-fn recovery_pems_on(parallelism: usize, workers: Option<usize>) -> Pems {
+fn recovery_pems_on(workers: Option<usize>) -> Pems {
     use serena::core::service::fixtures;
-    let mut builder = Pems::builder()
-        .bus(BusConfig::instant())
-        .exec_options(ExecOptions::parallel(parallelism));
+    let mut builder = Pems::builder().bus(BusConfig::instant());
     if let Some(w) = workers {
         builder = builder.scheduler(SchedulerConfig::new(w));
     }
@@ -159,56 +157,54 @@ fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
 
 /// Tentpole acceptance: kill the runtime after every instant `0..TICKS`,
 /// recover from the snapshot, and compare every remaining tick against the
-/// uninterrupted baseline — at β parallelism 1 and 8.
+/// uninterrupted baseline.
 #[test]
 fn recovery_is_byte_identical_at_every_kill_point() {
-    for parallelism in [1usize, 8] {
-        // the uninterrupted run
-        let mut baseline = recovery_pems(parallelism);
-        let mut expected = Vec::new();
-        for t in 0..TICKS {
-            apply_script(&mut baseline, t);
-            expected.push(observe(baseline.tick()));
+    // the uninterrupted run
+    let mut baseline = recovery_pems();
+    let mut expected = Vec::new();
+    for t in 0..TICKS {
+        apply_script(&mut baseline, t);
+        expected.push(observe(baseline.tick()));
+    }
+
+    for kill in 0..TICKS {
+        // run a fresh instance up to the kill point, snapshot, "crash"
+        let mut doomed = recovery_pems();
+        for t in 0..kill {
+            apply_script(&mut doomed, t);
+            doomed.tick();
+        }
+        let snapshot = doomed.snapshot_bytes();
+        drop(doomed);
+
+        // recover: re-run the static setup, rehydrate, resume
+        let mut recovered = recovery_pems();
+        recovered
+            .restore_bytes(&snapshot)
+            .unwrap_or_else(|e| panic!("restore failed (kill={kill}): {e}"));
+        assert_eq!(recovered.clock(), Instant(kill));
+        for t in kill..TICKS {
+            apply_script(&mut recovered, t);
+            let got = observe(recovered.tick());
+            assert_eq!(
+                got, expected[t as usize],
+                "tick {t} diverged after kill={kill}"
+            );
         }
 
-        for kill in 0..TICKS {
-            // run a fresh instance up to the kill point, snapshot, "crash"
-            let mut doomed = recovery_pems(parallelism);
-            for t in 0..kill {
-                apply_script(&mut doomed, t);
-                doomed.tick();
-            }
-            let snapshot = doomed.snapshot_bytes();
-            drop(doomed);
-
-            // recover: re-run the static setup, rehydrate, resume
-            let mut recovered = recovery_pems(parallelism);
-            recovered.restore_bytes(&snapshot).unwrap_or_else(|e| {
-                panic!("restore failed (kill={kill}, workers={parallelism}): {e}")
-            });
-            assert_eq!(recovered.clock(), Instant(kill));
-            for t in kill..TICKS {
-                apply_script(&mut recovered, t);
-                let got = observe(recovered.tick());
-                assert_eq!(
-                    got, expected[t as usize],
-                    "tick {t} diverged after kill={kill} workers={parallelism}"
-                );
-            }
-
-            // final aggregates agree with the uninterrupted run too
-            for query in ["all", "temps", "hot", "recent", "sampled"] {
-                assert_eq!(
-                    recovered.processor().stats(query),
-                    baseline.processor().stats(query),
-                    "stats for `{query}` diverged after kill={kill} workers={parallelism}"
-                );
-                assert_eq!(
-                    recovered.processor().current_relation(query),
-                    baseline.processor().current_relation(query),
-                    "result of `{query}` diverged after kill={kill} workers={parallelism}"
-                );
-            }
+        // final aggregates agree with the uninterrupted run too
+        for query in ["all", "temps", "hot", "recent", "sampled"] {
+            assert_eq!(
+                recovered.processor().stats(query),
+                baseline.processor().stats(query),
+                "stats for `{query}` diverged after kill={kill}"
+            );
+            assert_eq!(
+                recovered.processor().current_relation(query),
+                baseline.processor().current_relation(query),
+                "result of `{query}` diverged after kill={kill}"
+            );
         }
     }
 }
@@ -220,7 +216,7 @@ fn recovery_is_byte_identical_at_every_kill_point() {
 /// single-worker run is the ground truth for both resume widths.
 #[test]
 fn multi_worker_kill_restore_matches_single_worker_baseline() {
-    let mut baseline = recovery_pems_on(4, Some(1));
+    let mut baseline = recovery_pems_on(Some(1));
     let mut expected = Vec::new();
     for t in 0..TICKS {
         apply_script(&mut baseline, t);
@@ -229,7 +225,7 @@ fn multi_worker_kill_restore_matches_single_worker_baseline() {
 
     for kill in [2u64, 4] {
         // crash a 4-worker runtime mid-run…
-        let mut doomed = recovery_pems_on(4, Some(4));
+        let mut doomed = recovery_pems_on(Some(4));
         for t in 0..kill {
             apply_script(&mut doomed, t);
             doomed.tick();
@@ -239,7 +235,7 @@ fn multi_worker_kill_restore_matches_single_worker_baseline() {
 
         // …and resume on both pool widths: same bytes, same future.
         for resume_workers in [1usize, 4] {
-            let mut recovered = recovery_pems_on(4, Some(resume_workers));
+            let mut recovered = recovery_pems_on(Some(resume_workers));
             recovered.restore_bytes(&snapshot).unwrap_or_else(|e| {
                 panic!("restore failed (kill={kill}, resume workers={resume_workers}): {e}")
             });
@@ -271,7 +267,7 @@ fn recovery_from_checkpoint_file_resumes_identically() {
     let dir = std::env::temp_dir().join(format!("serena-recovery-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut baseline = recovery_pems(4);
+    let mut baseline = recovery_pems();
     let mut expected = Vec::new();
     for t in 0..TICKS {
         apply_script(&mut baseline, t);
@@ -280,7 +276,7 @@ fn recovery_from_checkpoint_file_resumes_identically() {
 
     // checkpoint every second tick; crash after 4 ticks — the file on
     // disk was last cut after tick 3 completed (clock = 4)
-    let mut doomed = recovery_pems(4);
+    let mut doomed = recovery_pems();
     for t in 0..4u64 {
         apply_script(&mut doomed, t);
         doomed.tick();
@@ -290,7 +286,7 @@ fn recovery_from_checkpoint_file_resumes_identically() {
     }
     drop(doomed);
 
-    let mut recovered = recovery_pems(4);
+    let mut recovered = recovery_pems();
     recovered.restore_from(&dir).unwrap();
     let resume = recovered.clock().ticks();
     assert_eq!(resume, 4, "checkpoint cut after tick 3");
@@ -307,8 +303,8 @@ fn recovery_from_checkpoint_file_resumes_identically() {
 
 /// Satellite acceptance: a panicking service never aborts the process.
 /// The panic is contained into an error, counted in health and
-/// `serena_beta_panic_total`, honors the degradation policy, and the β
-/// pool stays usable for subsequent ticks.
+/// `serena_beta_panic_total`, honors the degradation policy, and the
+/// runtime stays usable for subsequent ticks.
 #[test]
 fn panicking_service_is_contained_through_the_full_stack() {
     use serena::core::service::fixtures;
@@ -319,7 +315,7 @@ fn panicking_service_is_contained_through_the_full_stack() {
     let run = |degrade: DegradePolicy| {
         let mut pems = Pems::builder()
             .bus(BusConfig::instant())
-            .exec_options(ExecOptions::parallel(8).with_degrade(degrade))
+            .exec_options(ExecOptions::serial().with_degrade(degrade))
             .build();
         let reg = pems.directory();
         reg.register("sensor01", fixtures::temperature_sensor(1));
@@ -338,7 +334,7 @@ fn panicking_service_is_contained_through_the_full_stack() {
     };
 
     // DropTuple: the panicking sensor's tuple is dropped, the healthy
-    // sensor's survives — across several ticks (the pool is not poisoned)
+    // sensor's survives — across several ticks (nothing is poisoned)
     let mut pems = run(DegradePolicy::DropTuple);
     let first = pems.tick();
     assert_eq!(first[0].1.delta.inserts.len(), 1, "healthy tuple survives");

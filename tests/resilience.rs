@@ -11,10 +11,9 @@ use serena::services::bus::BusConfig;
 use serena::services::faults::{FaultPolicy, FaultyService};
 
 /// A PEMS over four temperature sensors (two optionally faulty), with the
-/// given resilience policy, β parallelism and degradation policy.
+/// given resilience policy and degradation policy.
 fn sensor_pems(
     policy: ResiliencePolicy,
-    parallelism: usize,
     degrade: DegradePolicy,
     faulty: Option<FaultPolicy>,
 ) -> Pems {
@@ -22,7 +21,7 @@ fn sensor_pems(
     let mut pems = Pems::builder()
         .bus(BusConfig::instant())
         .resilience(policy)
-        .exec_options(ExecOptions::parallel(parallelism).with_degrade(degrade))
+        .exec_options(ExecOptions::serial().with_degrade(degrade))
         .build();
     let reg = pems.directory();
     for (name, seed) in [
@@ -59,8 +58,7 @@ fn read_all() -> Plan {
 }
 
 /// Acceptance: with enough retry budget, a query over transiently-failing
-/// services returns *exactly* the fault-free result — at β parallelism 1
-/// and 8.
+/// services returns *exactly* the fault-free result.
 #[test]
 fn retries_make_transient_faults_invisible() {
     // each faulty service fails its first call, then answers for a while
@@ -69,42 +67,29 @@ fn retries_make_transient_faults_invisible() {
         .with_retries(2)
         .with_backoff(Duration::from_micros(50), Duration::from_micros(400));
 
-    for parallelism in [1usize, 8] {
-        let reference = sensor_pems(
-            ResiliencePolicy::disabled(),
-            parallelism,
-            DegradePolicy::FailQuery,
-            None,
-        );
-        let expected = reference.one_shot(&read_all()).unwrap();
+    let reference = sensor_pems(ResiliencePolicy::disabled(), DegradePolicy::FailQuery, None);
+    let expected = reference.one_shot(&read_all()).unwrap();
 
-        let resilient = sensor_pems(
-            policy,
-            parallelism,
-            DegradePolicy::FailQuery,
-            Some(fault.clone()),
-        );
-        let observed = resilient.one_shot(&read_all()).unwrap();
+    let resilient = sensor_pems(policy, DegradePolicy::FailQuery, Some(fault.clone()));
+    let observed = resilient.one_shot(&read_all()).unwrap();
 
-        assert_eq!(
-            observed.relation, expected.relation,
-            "retried output diverged from fault-free run (parallelism={parallelism})"
-        );
-        assert_eq!(observed.actions, expected.actions);
-        // the recovery really went through the retry path
-        let c = resilient.resilience_counters();
-        assert_eq!(c.retries, 2, "one retry per faulty sensor");
-        assert_eq!(c.rejected, 0);
+    assert_eq!(
+        observed.relation, expected.relation,
+        "retried output diverged from fault-free run"
+    );
+    assert_eq!(observed.actions, expected.actions);
+    // the recovery really went through the retry path
+    let c = resilient.resilience_counters();
+    assert_eq!(c.retries, 2, "one retry per faulty sensor");
+    assert_eq!(c.rejected, 0);
 
-        // sanity: without retries the same faults fail the query outright
-        let fragile = sensor_pems(
-            ResiliencePolicy::disabled(),
-            parallelism,
-            DegradePolicy::FailQuery,
-            Some(fault.clone()),
-        );
-        assert!(fragile.one_shot(&read_all()).is_err());
-    }
+    // sanity: without retries the same faults fail the query outright
+    let fragile = sensor_pems(
+        ResiliencePolicy::disabled(),
+        DegradePolicy::FailQuery,
+        Some(fault.clone()),
+    );
+    assert!(fragile.one_shot(&read_all()).is_err());
 }
 
 /// Acceptance: the breaker opens after consecutive failures, rejects calls
@@ -120,7 +105,7 @@ fn breaker_opens_half_opens_and_recovers() {
     let policy = ResiliencePolicy::disabled().with_breaker(2, 2);
     // DropTuple keeps the queries (and the probing) alive while services
     // are down
-    let mut pems = sensor_pems(policy, 1, DegradePolicy::DropTuple, Some(fault));
+    let mut pems = sensor_pems(policy, DegradePolicy::DropTuple, Some(fault));
     let flaky = ServiceRef::new("sensor06");
 
     // τ=0: two one-shots → two consecutive failures per faulty service →
@@ -167,7 +152,6 @@ fn degradation_surfaces_partial_results_and_counters() {
     // DropTuple: the two dead sensors vanish from the result
     let pems = sensor_pems(
         ResiliencePolicy::disabled(),
-        1,
         DegradePolicy::DropTuple,
         Some(dead.clone()),
     );
@@ -185,7 +169,6 @@ fn degradation_surfaces_partial_results_and_counters() {
     // NullFill: every sensor is present; dead ones carry the type default
     let pems = sensor_pems(
         ResiliencePolicy::disabled(),
-        1,
         DegradePolicy::NullFill,
         Some(dead),
     );

@@ -12,7 +12,6 @@
 //! * the Chrome/Perfetto export is syntactically valid JSON with the
 //!   expected event structure and attributes.
 
-use serena::core::physical::ExecOptions;
 use serena::core::telemetry::{chrome_trace, SpanRecord};
 use serena::core::time::Instant;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
@@ -52,7 +51,6 @@ fn workload() -> WorkloadSpec {
 fn run(workers: usize, dedup: bool, resilience: bool) -> (Pems, Vec<SpanRecord>) {
     let s = spec();
     let mut builder = Pems::builder()
-        .exec_options(ExecOptions::parallel(4))
         .scheduler(SchedulerConfig::new(workers))
         .dedup(dedup)
         .tracing(true);
