@@ -172,14 +172,16 @@ fn steady_pems() -> Pems {
         .build()
         .expect("readings schema");
     pems.tables_mut()
-        .define_stream_with("readings", schema, || {
-            Box::new(serena_stream::FnStream(|at: Instant| {
+        .define_stream_with(
+            "readings",
+            schema,
+            serena_stream::FnStream(|at: Instant| {
                 let t = at.ticks();
                 (0..2u64)
                     .map(|i| serena_core::tuple![format!("room{i}"), 10.0 + ((t + i) % 17) as f64])
                     .collect()
-            }))
-        })
+            }),
+        )
         .expect("readings stream");
     let sensors = || StreamPlan::source("sensors");
     for (name, plan) in [

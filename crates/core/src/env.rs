@@ -13,7 +13,6 @@ use std::sync::Arc;
 use crate::attr::AttrName;
 use crate::error::SchemaError;
 use crate::prototype::Prototype;
-use crate::schema::SchemaRef;
 use crate::value::DataType;
 use crate::xrelation::XRelation;
 
@@ -96,15 +95,6 @@ impl Environment {
         }
         self.relations.insert(name, relation);
         Ok(())
-    }
-
-    /// Define an empty relation over `schema`.
-    pub fn define_empty(
-        &mut self,
-        name: impl Into<String>,
-        schema: SchemaRef,
-    ) -> Result<(), SchemaError> {
-        self.define_relation(name, XRelation::empty(schema))
     }
 
     /// Remove a relation. Returns it if present.

@@ -143,14 +143,6 @@ pub enum DegradePolicy {
     NullFill,
 }
 
-impl DegradePolicy {
-    /// Whether a failed invocation under this policy aborts/errors the
-    /// query (i.e. the policy performs no degradation).
-    pub fn fails_query(&self) -> bool {
-        matches!(self, DegradePolicy::FailQuery)
-    }
-}
-
 /// `β_bp(r)`: evaluate the invocation operator at instant `at`, resolving
 /// services through `invoker` and recording active invocations in
 /// `actions`.

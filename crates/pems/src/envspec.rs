@@ -301,11 +301,6 @@ impl EnvSpec {
         self.arrivals.as_ref()
     }
 
-    /// Number of sensors in the spec.
-    pub fn sensor_count(&self) -> usize {
-        self.sensors
-    }
-
     /// The reference of sensor `index` (`sensor00` … zero-padded to the
     /// fleet's width, minimum 2).
     pub fn sensor_name(&self, index: usize) -> String {
@@ -448,27 +443,17 @@ impl EnvSpec {
             .real("location", DataType::Str)
             .real("temperature", DataType::Real)
             .build()?;
+        let tables = pems.tables();
         match self.arrivals {
             Some(trace) => {
                 let areas = self.areas.clone();
-                pems.tables_mut()
-                    .define_stream_with("temperatures", temp_schema, move || {
-                        Box::new(TraceSource {
-                            trace,
-                            areas: areas.clone(),
-                        }) as Box<dyn StreamSource>
-                    })?;
+                let source = TraceSource { trace, areas };
+                tables.define_stream_with("temperatures", temp_schema, source)?;
             }
             None => {
-                let directory = pems.directory();
-                pems.tables_mut()
-                    .define_stream_with("temperatures", temp_schema, move || {
-                        Box::new(SensorSampler::new(
-                            directory.clone(),
-                            protos::get_temperature(),
-                            &["location"],
-                        )) as Box<dyn StreamSource>
-                    })?;
+                let prototype = protos::get_temperature();
+                let source = SensorSampler::new(pems.directory(), prototype, &["location"]);
+                tables.define_stream_with("temperatures", temp_schema, source)?;
             }
         }
         Ok(())
@@ -489,7 +474,8 @@ fn pad_width(n: usize) -> usize {
 }
 
 /// A [`StreamSource`] replaying an [`ArrivalTrace`] — pure per instant, so
-/// every subscribing query sees the identical batch.
+/// a runtime restored from a checkpoint reads what the uninterrupted one
+/// read.
 struct TraceSource {
     trace: ArrivalTrace,
     areas: Vec<String>,

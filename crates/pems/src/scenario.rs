@@ -27,7 +27,6 @@ use serena_services::bus::BusConfig;
 use serena_services::devices::messenger::{MessengerKind, SentMessage};
 use serena_services::devices::rss::SimRssFeed;
 use serena_stream::plan::{StreamKind, StreamPlan};
-use serena_stream::source::StreamSource;
 
 use crate::envspec::EnvSpec;
 use crate::hub::RssStream;
@@ -272,16 +271,10 @@ pub fn deploy_rss(config: &RssConfig) -> Result<Pems, PemsError> {
         .real("source", DataType::Str)
         .real("title", DataType::Str)
         .build()?;
-    let feeds = config.feeds.clone();
+    let feeds = config.feeds.iter();
+    let feeds = feeds.map(|(n, s, p, k)| SimRssFeed::new(n.clone(), *s, *p, *k));
     pems.tables_mut()
-        .define_stream_with("news", news_schema, move || {
-            Box::new(RssStream::new(
-                feeds
-                    .iter()
-                    .map(|(n, s, p, k)| SimRssFeed::new(n.clone(), *s, *p, *k))
-                    .collect(),
-            )) as Box<dyn StreamSource>
-        })?;
+        .define_stream_with("news", news_schema, RssStream::new(feeds.collect()))?;
     pems.register_query(
         "keyword_watch",
         &rss_keyword_query(SimRssFeed::tracked_keyword(), config.window),
