@@ -268,20 +268,6 @@ impl NodeStats {
         self.elapsed += obs.elapsed;
     }
 
-    fn merge(&mut self, other: &NodeStats) {
-        self.applications += other.applications;
-        self.tuples_in += other.tuples_in;
-        self.tuples_out += other.tuples_out;
-        self.invocations += other.invocations;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.failures += other.failures;
-        self.degraded += other.degraded;
-        self.panics += other.panics;
-        self.remote_unavailable += other.remote_unavailable;
-        self.elapsed += other.elapsed;
-    }
-
     /// One-line summary of this node's counters — the annotation
     /// `EXPLAIN ANALYZE` prints next to each operator. Invocation counters
     /// appear only for β nodes (or when invocations were observed);
@@ -320,8 +306,7 @@ impl std::fmt::Display for NodeStats {
 }
 
 /// Thread-safe collector aggregating observations per node — the concrete
-/// [`MetricsSink`] behind `EXPLAIN ANALYZE`, `TickReport::stats` and the
-/// Query Processor's rolling per-query statistics.
+/// [`MetricsSink`] behind `EXPLAIN ANALYZE` and `TickReport::stats`.
 #[derive(Debug, Default)]
 pub struct ExecStats {
     nodes: Mutex<BTreeMap<NodeId, NodeStats>>,
@@ -351,20 +336,6 @@ impl ExecStats {
     /// Drop all recorded data.
     pub fn clear(&self) {
         self.nodes.lock().clear();
-    }
-
-    /// Fold `other`'s per-node aggregates into this collector.
-    pub fn merge_from(&self, other: &ExecStats) {
-        let other_nodes = other.nodes();
-        let mut mine = self.nodes.lock();
-        for (id, stats) in other_nodes {
-            match mine.get_mut(&id) {
-                Some(existing) => existing.merge(&stats),
-                None => {
-                    mine.insert(id, stats);
-                }
-            }
-        }
     }
 
     /// Total service invocations across all nodes.
@@ -410,61 +381,6 @@ impl ExecStats {
     pub fn root_tuples_out(&self) -> Option<u64> {
         self.nodes.lock().get(&NodeId(0)).map(|s| s.tuples_out)
     }
-
-    /// Serialize every per-node aggregate into `w` — the checkpoint form of
-    /// a query's rolling statistics. Self-time is persisted in nanoseconds
-    /// (saturating at `u64::MAX`).
-    pub fn encode(&self, w: &mut crate::snapshot::Writer) {
-        let nodes = self.nodes.lock();
-        w.usize(nodes.len());
-        for (id, s) in nodes.iter() {
-            w.usize(id.0);
-            w.u8(s.op.index() as u8);
-            w.u64(s.applications)
-                .u64(s.tuples_in)
-                .u64(s.tuples_out)
-                .u64(s.invocations)
-                .u64(s.cache_hits)
-                .u64(s.cache_misses)
-                .u64(s.failures)
-                .u64(s.degraded)
-                .u64(s.panics)
-                .u64(s.remote_unavailable)
-                .u64(u64::try_from(s.elapsed.as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-
-    /// Rebuild a collector from [`Self::encode`]'s output.
-    pub fn decode(
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<ExecStats, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let n = r.usize()?;
-        let mut nodes = BTreeMap::new();
-        for _ in 0..n {
-            let id = NodeId(r.usize()?);
-            let op_index = r.u8()? as usize;
-            let op = *OpKind::ALL
-                .get(op_index)
-                .ok_or_else(|| SnapshotError::Corrupt(format!("unknown op index {op_index}")))?;
-            let mut s = NodeStats::new(op);
-            s.applications = r.u64()?;
-            s.tuples_in = r.u64()?;
-            s.tuples_out = r.u64()?;
-            s.invocations = r.u64()?;
-            s.cache_hits = r.u64()?;
-            s.cache_misses = r.u64()?;
-            s.failures = r.u64()?;
-            s.degraded = r.u64()?;
-            s.panics = r.u64()?;
-            s.remote_unavailable = r.u64()?;
-            s.elapsed = Duration::from_nanos(r.u64()?);
-            nodes.insert(id, s);
-        }
-        Ok(ExecStats {
-            nodes: Mutex::new(nodes),
-        })
-    }
 }
 
 impl std::fmt::Display for ExecStats {
@@ -486,14 +402,6 @@ impl std::fmt::Display for ExecStats {
              cache_misses={misses} failures={failures}",
             nodes.len()
         )
-    }
-}
-
-impl Clone for ExecStats {
-    fn clone(&self) -> Self {
-        ExecStats {
-            nodes: Mutex::new(self.nodes.lock().clone()),
-        }
     }
 }
 
@@ -528,27 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_from_folds_per_node() {
-        let a = ExecStats::new();
-        let b = ExecStats::new();
-        let mut obs = OpObservation::new(NodeId(1), OpKind::Invoke);
-        obs.invocations = 3;
-        obs.cache_misses = 3;
-        a.record(&obs);
-        obs.invocations = 1;
-        obs.cache_hits = 2;
-        obs.cache_misses = 1;
-        b.record(&obs);
-        a.merge_from(&b);
-        let node = a.node(NodeId(1)).unwrap();
-        assert_eq!(node.applications, 2);
-        assert_eq!(node.invocations, 4);
-        assert_eq!(node.cache_hits, 2);
-        assert_eq!(node.cache_misses, 4);
-        assert_eq!(a.total_invocations(), 4);
-    }
-
-    #[test]
     fn tee_duplicates_and_noop_discards() {
         let a = ExecStats::new();
         let b = ExecStats::new();
@@ -578,30 +465,5 @@ mod tests {
         let quiet = ExecStats::new();
         quiet.record(&OpObservation::new(NodeId(0), OpKind::Invoke));
         assert!(!quiet.node(NodeId(0)).unwrap().summary().contains("panics"));
-    }
-
-    #[test]
-    fn exec_stats_snapshot_round_trip() {
-        let stats = ExecStats::new();
-        let mut obs = OpObservation::new(NodeId(0), OpKind::Invoke);
-        obs.tuples_in = 5;
-        obs.tuples_out = 5;
-        obs.invocations = 4;
-        obs.cache_hits = 1;
-        obs.cache_misses = 3;
-        obs.failures = 1;
-        obs.degraded = 1;
-        obs.panics = 1;
-        obs.elapsed = Duration::from_micros(12);
-        stats.record(&obs);
-        stats.record(&OpObservation::new(NodeId(3), OpKind::Window));
-
-        let mut w = crate::snapshot::Writer::new();
-        stats.encode(&mut w);
-        let bytes = w.into_bytes();
-        let mut r = crate::snapshot::Reader::new(&bytes);
-        let restored = ExecStats::decode(&mut r).unwrap();
-        assert!(r.is_at_end());
-        assert_eq!(restored.nodes(), stats.nodes());
     }
 }

@@ -25,10 +25,10 @@ use crate::value::{Bytes, ServiceRef, Value};
 pub const MAGIC: [u8; 8] = *b"SERENSNP";
 
 /// Current snapshot format version. Bumped on any incompatible change;
-/// [`read_header`] refuses other versions. v3: no adaptive section, and a
-/// window node writes no bootstrap flag; v1 and v2 snapshots are not
-/// readable.
-pub const VERSION: u32 = 3;
+/// [`read_header`] refuses other versions. v4: a query carries no per-node
+/// operator statistics (v3 also wrote each query's rolling `ExecStats`,
+/// wall-clock self-times included); v1–v3 snapshots are not readable.
+pub const VERSION: u32 = 4;
 
 /// Errors raised while encoding or (mostly) decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

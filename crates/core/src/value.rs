@@ -262,14 +262,6 @@ impl Value {
         }
     }
 
-    /// Boolean accessor.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-
     /// Integer accessor.
     pub fn as_int(&self) -> Option<i64> {
         match self {

@@ -22,7 +22,7 @@ use serena_core::env::Environment;
 use serena_core::error::{EvalError, PlanError, SchemaError};
 use serena_core::eval::EvalOutcome;
 use serena_core::exec::{explain_analyze_text, ExecContext};
-use serena_core::metrics::{ExecStats, MetricsSink, NoopMetrics, Tee};
+use serena_core::metrics::{ExecStats, MetricsSink, Tee};
 use serena_core::physical::ExecOptions;
 use serena_core::plan::Plan;
 use serena_core::schema::SchemaRef;
@@ -176,25 +176,22 @@ impl std::fmt::Display for ExplainAnalyze {
 }
 
 /// Step-by-step construction of a [`Pems`]: discovery-bus latency model,
-/// starting logical instant, and a PEMS-wide [`MetricsSink`] that observes
-/// every one-shot evaluation and every continuous tick.
+/// starting logical instant, execution options, scheduler, checkpoints.
 ///
 /// ```
 /// # use serena_pems::pems::Pems;
 /// # use serena_services::bus::BusConfig;
-/// # use std::sync::Arc;
-/// let stats = Arc::new(serena_core::metrics::ExecStats::new());
+/// # use serena_core::time::Instant;
 /// let pems = Pems::builder()
 ///     .bus(BusConfig::instant())
-///     .metrics(stats.clone())
+///     .clock(Instant(7))
 ///     .build();
-/// # let _ = pems;
+/// assert_eq!(pems.clock(), Instant(7));
 /// ```
 pub struct PemsBuilder {
     bus: BusConfig,
     node_id: String,
     clock: Instant,
-    metrics: Option<Arc<dyn MetricsSink>>,
     exec_options: ExecOptions,
     trace: Option<Arc<dyn TraceSink>>,
     resilience: ResiliencePolicy,
@@ -205,15 +202,14 @@ pub struct PemsBuilder {
 }
 
 impl PemsBuilder {
-    /// Defaults: default bus latency, clock at zero, no metrics sink,
-    /// serial execution, no trace sink, resilience disabled, scheduler and β dedup from the environment
-    /// (`SERENA_SCHED_WORKERS` / `SERENA_SCHED_DEDUP`).
+    /// Defaults: default bus latency, clock at zero, serial execution, no
+    /// trace sink, resilience disabled, scheduler and β dedup from the
+    /// environment (`SERENA_SCHED_WORKERS` / `SERENA_SCHED_DEDUP`).
     pub fn new() -> Self {
         PemsBuilder {
             bus: BusConfig::default(),
             node_id: "node0".to_string(),
             clock: Instant::ZERO,
-            metrics: None,
             exec_options: ExecOptions::default(),
             trace: None,
             resilience: ResiliencePolicy::disabled(),
@@ -240,13 +236,6 @@ impl PemsBuilder {
     /// Logical instant the runtime starts at (first tick evaluates it).
     pub fn clock(mut self, at: Instant) -> Self {
         self.clock = at;
-        self
-    }
-
-    /// Sink observing every operator application across the runtime —
-    /// one-shot queries and continuous ticks alike.
-    pub fn metrics(mut self, sink: Arc<dyn MetricsSink>) -> Self {
-        self.metrics = Some(sink);
         self
     }
 
@@ -353,7 +342,6 @@ impl PemsBuilder {
             processor,
             discoveries: Vec::new(),
             sql_counter: 0,
-            metrics: self.metrics.unwrap_or_else(|| Arc::new(NoopMetrics)),
             exec_options: self.exec_options,
             telemetry,
             telemetry_sink,
@@ -390,7 +378,6 @@ pub struct Pems {
     processor: QueryProcessor,
     discoveries: Vec<(String, DiscoveryQuery)>,
     sql_counter: u64,
-    metrics: Arc<dyn MetricsSink>,
     exec_options: ExecOptions,
     /// Named metric series for the whole runtime (always on; lock-cheap).
     telemetry: Arc<MetricsRegistry>,
@@ -433,7 +420,7 @@ impl Default for Pems {
 }
 
 impl Pems {
-    /// Start building a PEMS (bus config, clock, metrics sink).
+    /// Start building a PEMS (bus config, clock, options).
     pub fn builder() -> PemsBuilder {
         PemsBuilder::new()
     }
@@ -923,20 +910,15 @@ impl Pems {
     /// Evaluate a one-shot query "now": against a snapshot of the finite
     /// tables, at the current logical instant, through the live directory.
     pub fn one_shot(&self, plan: &Plan) -> Result<EvalOutcome, PemsError> {
-        self.one_shot_with(plan, &*self.metrics)
+        self.evaluate(plan, &self.telemetry_sink)
     }
 
-    /// [`Self::one_shot`], reporting per-operator observations to `sink`
-    /// instead of the PEMS-wide metrics sink.
-    pub fn one_shot_with(
-        &self,
-        plan: &Plan,
-        sink: &dyn MetricsSink,
-    ) -> Result<EvalOutcome, PemsError> {
+    /// Evaluate `plan` one-shot, reporting per-operator observations to
+    /// `sink`.
+    fn evaluate(&self, plan: &Plan, sink: &dyn MetricsSink) -> Result<EvalOutcome, PemsError> {
         let env = self.tables.snapshot_environment(Some(&plan.relations()));
         let invoker = self.invoker_stack();
-        let tee = Tee(&self.telemetry_sink, sink);
-        let ctx = ExecContext::with_metrics(&env, &*invoker, self.clock(), &tee)
+        let ctx = ExecContext::with_metrics(&env, &*invoker, self.clock(), sink)
             .with_options(self.exec_options);
         Ok(ctx.execute(plan)?)
     }
@@ -944,11 +926,10 @@ impl Pems {
     /// Evaluate `plan` one-shot and return the plan tree annotated with the
     /// observed per-node counts (rows out, tuples in, invocations, β-cache
     /// hits/misses, failures, wall time) — the classic `EXPLAIN ANALYZE`.
-    /// Observations also flow to the PEMS-wide metrics sink.
+    /// Observations also flow to the runtime's metrics registry.
     pub fn explain_analyze(&self, plan: &Plan) -> Result<ExplainAnalyze, PemsError> {
         let stats = ExecStats::new();
-        let tee = serena_core::metrics::Tee(&stats, &*self.metrics);
-        let outcome = self.one_shot_with(plan, &tee)?;
+        let outcome = self.evaluate(plan, &Tee(&stats, &self.telemetry_sink))?;
         let rendered = explain_analyze_text(plan, &stats);
         Ok(ExplainAnalyze {
             outcome,
@@ -1091,7 +1072,7 @@ impl Pems {
         );
         let reports = self
             .processor
-            .tick_all_with(&*invoker, &Tee(&self.telemetry_sink, &*self.metrics));
+            .tick_all_with(&*invoker, &self.telemetry_sink);
         drop(invoker);
         // every subscription has polled: what a hub still holds is what a
         // live subscription skipped
@@ -2011,14 +1992,17 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_clock_and_metrics() {
-        let sink = Arc::new(serena_core::metrics::ExecStats::new());
+    fn builder_configures_clock_and_observations_reach_the_registry() {
         let pems = Pems::builder()
             .bus(BusConfig::instant())
             .clock(Instant(7))
-            .metrics(sink.clone())
             .build();
         assert_eq!(pems.clock(), Instant(7));
+        let applications = |pems: &Pems| {
+            pems.metrics_registry()
+                .counter_value("serena_op_applications_total", &[("op", "Relation")])
+                .unwrap_or(0)
+        };
 
         let mut pems = pems;
         let (svc, _outbox) = serena_services::devices::messenger::SimMessenger::new(
@@ -2028,20 +2012,22 @@ mod tests {
         pems.directory().register("email", svc);
         pems.run_program(SETUP).unwrap();
 
-        // one-shot observations land in the PEMS-wide sink...
+        // one-shot observations land in the registry...
+        let before = applications(&pems);
         pems.one_shot(&Plan::relation("contacts")).unwrap();
+        assert_eq!(applications(&pems), before + 1);
         assert_eq!(pems.run_ticks(1).len(), 0);
-        let scan = sink.node(serena_core::metrics::NodeId(0)).unwrap();
-        assert_eq!(scan.tuples_out, 2);
 
-        // ...and continuous ticks tee into it too
+        // ...and a continuous tick's in its report and the registry
         pems.run_program("REGISTER QUERY watch AS contacts;")
             .unwrap();
-        sink.clear();
+        let before = applications(&pems);
         let reports = pems.tick();
         assert_eq!(reports.len(), 1);
-        let node = sink.node(serena_core::metrics::NodeId(0)).unwrap();
+        let stats = &reports[0].1.stats;
+        let node = stats.node(serena_core::metrics::NodeId(0)).unwrap();
         assert_eq!(node.tuples_out, 2);
+        assert_eq!(applications(&pems), before + 1);
         // ticks advanced the builder-seeded clock
         assert_eq!(pems.clock(), Instant(9));
     }

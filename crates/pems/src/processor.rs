@@ -24,7 +24,7 @@ use std::time::Duration;
 
 use serena_core::action::ActionSet;
 use serena_core::error::EvalError;
-use serena_core::metrics::{ExecStats, MetricsSink, Tee};
+use serena_core::metrics::{ExecStats, MetricsSink};
 use serena_core::physical::ExecOptions;
 use serena_core::service::Invoker;
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
@@ -93,8 +93,6 @@ struct Telemetry {
 struct Registered {
     query: ContinuousQuery,
     stats: QueryStats,
-    /// Rolling per-node statistics across all of the query's ticks.
-    exec: ExecStats,
     /// Registry series for this query, when telemetry is attached.
     series: Option<QuerySeries>,
 }
@@ -185,7 +183,6 @@ impl QueryProcessor {
             Registered {
                 query,
                 stats: QueryStats::default(),
-                exec: ExecStats::new(),
                 series,
             },
         );
@@ -245,12 +242,6 @@ impl QueryProcessor {
         self.queries.get(name).map(|r| &r.stats)
     }
 
-    /// Rolling per-node statistics of a query (accumulated across all its
-    /// ticks), keyed by the stream plan's pre-order node ids.
-    pub fn exec_stats(&self, name: &str) -> Option<&ExecStats> {
-        self.queries.get(name).map(|r| &r.exec)
-    }
-
     /// Snapshot of a query's current finite result.
     pub fn current_relation(&self, name: &str) -> Option<serena_core::xrelation::XRelation> {
         self.queries.get(name)?.query.current_relation()
@@ -267,10 +258,10 @@ impl QueryProcessor {
     }
 
     /// Serialize the processor's dynamic state — the global clock plus,
-    /// per registered query (in name order): executor state, aggregated
-    /// [`QueryStats`] and rolling per-node [`ExecStats`]. Telemetry series
-    /// are intentionally *not* captured: a restored processor keeps (or
-    /// re-creates) its own registry series.
+    /// per registered query (in name order): executor state and aggregated
+    /// [`QueryStats`]. Per-node observations and telemetry series are
+    /// intentionally *not* captured: they hold wall-clock self-times, and a
+    /// restored processor keeps (or re-creates) its own registry series.
     pub fn write_snapshot(&self, w: &mut Writer) {
         w.u64(self.clock.ticks());
         w.usize(self.queries.len());
@@ -286,7 +277,6 @@ impl QueryProcessor {
                 .u64(s.invocations)
                 .u64(s.cache_hits)
                 .u64(s.cache_misses);
-            reg.exec.encode(w);
         }
     }
 
@@ -322,17 +312,15 @@ impl QueryProcessor {
                 cache_hits: r.u64()?,
                 cache_misses: r.u64()?,
             };
-            reg.exec = ExecStats::decode(r)?;
         }
         self.clock = Instant(clock);
         Ok(())
     }
 
     /// Advance the global clock by one instant, ticking every registered
-    /// query at that instant (as one [`WorkerPool`] round), duplicating
-    /// every query's per-node observations into a shared `sink` as well
-    /// (the PEMS-wide sink configured through the builder). Each query's
-    /// rolling stats accumulate regardless.
+    /// query at that instant (as one [`WorkerPool`] round). Every query's
+    /// per-node observations go to its report's [`TickReport::stats`] and
+    /// to `sink` (the runtime's registry sink, when `Pems` ticks).
     ///
     /// Reports come back in registration (name) order whichever thread ran
     /// each query, and a panicking query tick fails only that query (its
@@ -373,10 +361,9 @@ impl QueryProcessor {
             if let Some(s) = tick_span.as_mut() {
                 s.attr_str("query", name);
             }
-            let Registered { query, exec, .. } = reg;
             let result = {
                 let _in_span = tick_span.as_ref().map(|s| s.enter());
-                contain(|| query.tick_with(invoker, &Tee(&*exec, sink)))
+                contain(|| reg.query.tick_with(invoker, sink))
             };
             if let Some(s) = tick_span.as_mut() {
                 match &result {
@@ -632,13 +619,6 @@ mod tests {
         assert_eq!(stats.invocations, 2);
         assert_eq!(stats.cache_misses, 2);
         assert_eq!(stats.cache_hits, 1);
-
-        // the rolling per-node view agrees: node 0 is the β root
-        let exec = qp.exec_stats("temps").unwrap();
-        let beta = exec.node(serena_core::metrics::NodeId(0)).unwrap();
-        assert_eq!(beta.applications, 4);
-        assert_eq!(beta.invocations, 2);
-        assert_eq!(beta.cache_hits, 1);
     }
 
     #[test]

@@ -1,24 +1,17 @@
-//! Observability tour: a PEMS built through [`PemsBuilder`] with a shared
-//! metrics sink, `EXPLAIN ANALYZE` over a one-shot query, and rolling
-//! per-query statistics over continuous ticks.
+//! Observability tour: `EXPLAIN ANALYZE` over a one-shot query, per-query
+//! statistics over continuous ticks, and the runtime's per-operator series
+//! in its metrics registry.
 //!
 //! ```sh
 //! cargo run --example explain_analyze
 //! ```
 
-use std::sync::Arc;
-
+use serena::core::metrics::OpKind;
 use serena::prelude::*;
 use serena::services::bus::BusConfig;
 
 fn main() {
-    // A PEMS-wide sink: every one-shot evaluation and every tick of every
-    // continuous query reports per-operator observations here.
-    let sink = Arc::new(ExecStats::new());
-    let mut pems = Pems::builder()
-        .bus(BusConfig::instant())
-        .metrics(sink.clone())
-        .build();
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
 
     let (svc, _outbox) = serena::services::devices::messenger::SimMessenger::new(
         serena::services::devices::messenger::MessengerKind::Email,
@@ -80,26 +73,19 @@ fn main() {
         stats.ticks, stats.inserted, stats.invocations, stats.cache_hits, stats.cache_misses
     );
 
-    println!("\n== Rolling per-node view of `greet` ==\n");
-    for (id, node) in pems
-        .processor()
-        .exec_stats("greet")
-        .expect("registered")
-        .nodes()
-    {
-        println!(
-            "{id} {:<10} applications={} in={} out={} invocations={}",
-            node.op.to_string(),
-            node.applications,
-            node.tuples_in,
-            node.tuples_out,
-            node.invocations
-        );
-    }
-
+    // Every one-shot evaluation and every tick of every continuous query
+    // reports its per-operator observations to the registry, labelled by
+    // operator kind.
+    let registry = pems.metrics_registry();
+    let total = |series: &str| -> u64 {
+        OpKind::ALL
+            .iter()
+            .filter_map(|op| registry.counter_value(series, &[("op", &op.to_string())]))
+            .sum()
+    };
     println!(
-        "\nPEMS-wide sink saw {} nodes, {} total invocations",
-        sink.nodes().len(),
-        sink.total_invocations()
+        "\nregistry: serena_op_applications_total={} serena_beta_invocations_total={}",
+        total("serena_op_applications_total"),
+        total("serena_beta_invocations_total")
     );
 }

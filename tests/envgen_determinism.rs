@@ -8,11 +8,8 @@
 //! "byte-identical output vs serial" on realistic massive-scale workloads:
 //! every per-query delta (through its canonical snapshot encoding), every
 //! batch, action set, error multiset and β-cache statistic must agree, and
-//! so must the final per-query relations and service-health report.
-//!
-//! Raw `Pems::snapshot_bytes` output is deliberately *not* compared: the
-//! checkpoint persists per-node wall-clock self-times (`ExecStats`), which
-//! are real elapsed durations and therefore never replay identically.
+//! so must the final per-query relations, the service-health report and the
+//! runtime's checkpoint, byte for byte.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -141,7 +138,8 @@ fn run_traced(s: &EnvSpec, workers: usize, dedup: bool, tracing: bool) -> (Vec<O
 }
 
 /// Canonical rendering of the final runtime state: one entry per query
-/// (its current relation, sorted), then the full service-health report.
+/// (its current relation, sorted), then the full service-health report,
+/// then the length and FNV-1a digest of `Pems::snapshot_bytes`.
 fn collect_state(pems: &Pems, names: &[String]) -> Vec<String> {
     let mut state = Vec::new();
     for name in names {
@@ -171,6 +169,14 @@ fn collect_state(pems: &Pems, names: &[String]) -> Vec<String> {
             h.window_len
         ));
     }
+    let snapshot = pems.snapshot_bytes();
+    let digest = snapshot.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    state.push(format!(
+        "snapshot: {} bytes, fnv1a {digest:016x}",
+        snapshot.len()
+    ));
     state
 }
 
@@ -275,13 +281,17 @@ fn dedup_toggle_changes_no_query_observable() {
         let (off_obs, off_state) = run_with(&s, 4, false);
         assert_eq!(on_obs, off_obs, "β dedup changed a query's tick output");
         // Final relations must agree entry for entry; the trailing health
-        // report is excluded — coalescing shrinks physical attempt counts.
+        // report and checkpoint are excluded — coalescing shrinks physical
+        // attempt counts.
         assert_eq!(
             on_state[..queries],
             off_state[..queries],
             "β dedup changed a final relation"
         );
-        assert!(on_state.len() > queries, "health report missing from state");
+        assert!(
+            on_state.len() > queries + 1,
+            "health report missing from state"
+        );
     }
 }
 

@@ -566,55 +566,55 @@ fn push_readings(pems: &Pems, t: u64) {
 }
 
 /// What `shared_window_pems().snapshot_bytes()` returned under snapshot
-/// format v2 (an adaptive section, a bootstrap flag per window) after
-/// instants 0 and 1 — the rings half-filled.
-const V2_SNAPSHOT_AFTER_TWO_INSTANTS: &str = "\
-    534552454e534e50020000000000000000000000000000000000000000000000000000000000000000000000\
-    00000000000000000200000000000000020000000000000004000000000000006d65616e0200000000000000\
-    03030000000000000003000000000000000303000000000000006c616202cdcccccccccc0c40010600000000\
-    000000010000000000000003000000000000000306000000000000006f666669636502cdcccccccccc044001\
-    030000000000000001000000000000000300000000000000030400000000000000726f6f6602676666666666\
-    1240010300000000000000010000000000000005040000000000000000020000000000000006000000000000\
-    0002000000000000000306000000000000006f66666963650200000000000000000200000000000000030300\
-    0000000000006c616202cdccccccccccf43f02000000000000000306000000000000006f666669636502cdcc\
-    cccccccc044002000000000000000303000000000000006c6162023433333333330f40020000000000000003\
-    06000000000000006f666669636502cdcccccccccc144002000000000000000303000000000000006c616202\
-    0000000000001a40060000000000000002000000000000000303000000000000006c616202676666666666e6\
-    3f0200000000000000030400000000000000726f6f6602000000000000004002000000000000000303000000\
-    000000006c6162026766666666660a400200000000000000030400000000000000726f6f6602676666666666\
-    124002000000000000000303000000000000006c6162029a9999999999174002000000000000000304000000\
-    00000000726f6f6602cdcccccccccc1c40010200000000000000040000000000000001000000000000000000\
-    0000000000000000000000000000000000000000000000000000000000000000000000000000030000000000\
-    000000000000000000000b02000000000000000c000000000000000500000000000000000000000000000000\
+/// format v3 (each query's rolling per-node statistics after its totals)
+/// after instants 0 and 1 — the rings half-filled.
+const V3_SNAPSHOT_AFTER_TWO_INSTANTS: &str = "\
+    534552454e534e50030000000000000000000000020000000000000002000000000000000400000000000000\
+    6d65616e020000000000000003030000000000000003000000000000000303000000000000006c616202cdcc\
+    cccccccc0c40010600000000000000010000000000000003000000000000000306000000000000006f666669\
+    636502cdcccccccccc0440010300000000000000010000000000000003000000000000000304000000000000\
+    00726f6f66026766666666661240010300000000000000010000000000000005040000000000000002000000\
+    00000000060000000000000002000000000000000306000000000000006f6666696365020000000000000000\
+    02000000000000000303000000000000006c616202cdccccccccccf43f020000000000000003060000000000\
+    00006f666669636502cdcccccccccc044002000000000000000303000000000000006c616202343333333333\
+    0f4002000000000000000306000000000000006f666669636502cdcccccccccc144002000000000000000303\
+    000000000000006c6162020000000000001a4006000000000000000200000000000000030300000000000000\
+    6c616202676666666666e63f0200000000000000030400000000000000726f6f660200000000000000400200\
+    0000000000000303000000000000006c6162026766666666660a400200000000000000030400000000000000\
+    726f6f6602676666666666124002000000000000000303000000000000006c6162029a999999999917400200\
+    000000000000030400000000000000726f6f6602cdcccccccccc1c4001020000000000000004000000000000\
+    0001000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    0000000000030000000000000000000000000000000b02000000000000000c00000000000000050000000000\
     0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    000000198301000000000001000000000000000c02000000000000000c000000000000000c00000000000000\
+    0000000000000000000000000000323401000000000001000000000000000c02000000000000000c00000000\
+    0000000c00000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000001eb700000000000002000000000000000102000000\
+    0000000000000000000000000c00000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000007d2a00000000000004000000\
+    000000007761726d020000000000000002050000000000000002000000000000000303000000000000006c61\
+    62029a99999999991740010000000000000002000000000000000303000000000000006c6162020000000000\
+    001a40010000000000000002000000000000000306000000000000006f666669636502cdcccccccccc144001\
+    000000000000000200000000000000030400000000000000726f6f6602676666666666124001000000000000\
+    000200000000000000030400000000000000726f6f6602cdcccccccccc1c4001000000000000000504000000\
+    000000000200000000000000060000000000000002000000000000000306000000000000006f666669636502\
+    000000000000000002000000000000000303000000000000006c616202cdccccccccccf43f02000000000000\
+    000306000000000000006f666669636502cdcccccccccc044002000000000000000303000000000000006c61\
+    62023433333333330f4002000000000000000306000000000000006f666669636502cdcccccccccc14400200\
+    0000000000000303000000000000006c6162020000000000001a400600000000000000020000000000000003\
+    03000000000000006c616202676666666666e63f0200000000000000030400000000000000726f6f66020000\
+    00000000004002000000000000000303000000000000006c6162026766666666660a40020000000000000003\
+    0400000000000000726f6f6602676666666666124002000000000000000303000000000000006c6162029a99\
+    9999999917400200000000000000030400000000000000726f6f6602cdcccccccccc1c400102000000000000\
+    0005000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000030000000000000000000000000000000602000000000000000c0000000000\
+    0000050000000000000000000000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000ef3c01000000000001000000000000000c0200000000\
+    0000000c000000000000000c0000000000000000000000000000000000000000000000000000000000000000\
+    00000000000000000000000000000000000000000000000000000000000000aa120000000000000200000000\
+    00000001020000000000000000000000000000000c0000000000000000000000000000000000000000000000\
+    000000000000000000000000000000000000000000000000000000000000000000000000000000008ba30000\
     0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    0000000000000000000000002cbc000000000000020000000000000001020000000000000000000000000000\
-    000c000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    0000000000000000000000000000000000000000008a1f00000000000004000000000000007761726d020000\
-    000000000002050000000000000002000000000000000303000000000000006c6162029a9999999999174001\
-    0000000000000002000000000000000303000000000000006c6162020000000000001a400100000000000000\
-    02000000000000000306000000000000006f666669636502cdcccccccccc1440010000000000000002000000\
-    00000000030400000000000000726f6f66026766666666661240010000000000000002000000000000000304\
-    00000000000000726f6f6602cdcccccccccc1c40010000000000000005040000000000000000020000000000\
-    0000060000000000000002000000000000000306000000000000006f66666963650200000000000000000200\
-    0000000000000303000000000000006c616202cdccccccccccf43f0200000000000000030600000000000000\
-    6f666669636502cdcccccccccc044002000000000000000303000000000000006c6162023433333333330f40\
-    02000000000000000306000000000000006f666669636502cdcccccccccc1440020000000000000003030000\
-    00000000006c6162020000000000001a40060000000000000002000000000000000303000000000000006c61\
-    6202676666666666e63f0200000000000000030400000000000000726f6f6602000000000000004002000000\
-    000000000303000000000000006c6162026766666666660a400200000000000000030400000000000000726f\
-    6f6602676666666666124002000000000000000303000000000000006c6162029a9999999999174002000000\
-    00000000030400000000000000726f6f6602cdcccccccccc1c40010200000000000000050000000000000000\
-    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    000000030000000000000000000000000000000602000000000000000c000000000000000500000000000000\
-    0000000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    0000000000000000000000001c5d00000000000001000000000000000c02000000000000000c000000000000\
-    000c000000000000000000000000000000000000000000000000000000000000000000000000000000000000\
-    000000000000000000000000000000000000000000c4a4000000000000020000000000000001020000000000\
-    000000000000000000000c000000000000000000000000000000000000000000000000000000000000000000\
-    000000000000000000000000000000000000000000000000000000000000b719000000000000000000000000\
-    000000000000000000000000000000000000000000000000000000000000000000000000000000000000";
+    0000000000000000";
 
 fn unhex(hex: &str) -> Vec<u8> {
     let digit = |b: u8| (b as char).to_digit(16).unwrap() as u8;
@@ -665,7 +665,7 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
             );
         }
     };
-    let v2 = unhex(V2_SNAPSHOT_AFTER_TWO_INSTANTS);
+    let v3 = unhex(V3_SNAPSHOT_AFTER_TWO_INSTANTS);
     for kill in [1u64, 2, 3, 7] {
         let mut doomed = shared_window_pems();
         for t in 0..kill {
@@ -675,19 +675,21 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
         let snapshot = doomed.snapshot_bytes();
         drop(doomed);
         if kill == 2 {
-            // v3 is v2 less the empty adaptive section (four 8-byte
-            // counts) and the two windows' bootstrap flags, to the byte
-            // count (the bytes themselves carry wall-clock operator timings)
-            assert_eq!(snapshot.len() + 4 * 8 + 2, v2.len());
+            // v4 is v3 less each query's per-node statistics, to the byte
+            // count (v3's bytes carry wall-clock self-times): per query a
+            // node count, per node its id, kind and eleven counters —
+            // `warm` has three nodes, `mean` three
+            let per_node = 8 + 1 + 11 * 8;
+            assert_eq!(snapshot.len() + 2 * 8 + 6 * per_node, v3.len());
         }
         resume(&snapshot, kill, "own snapshot");
     }
     let mut refusing = shared_window_pems();
     push_readings(&refusing, 0);
     assert_eq!(observe(refusing.tick()), expected[0]);
-    match refusing.restore_bytes(&v2) {
-        Err(PemsError::Snapshot(SnapshotError::UnsupportedVersion(2))) => {}
-        other => panic!("a v2 snapshot must be refused, got {other:?}"),
+    match refusing.restore_bytes(&v3) {
+        Err(PemsError::Snapshot(SnapshotError::UnsupportedVersion(3))) => {}
+        other => panic!("a v3 snapshot must be refused, got {other:?}"),
     }
     // the refusal happened at the header: nothing was restored
     assert_eq!(refusing.clock(), Instant(1));

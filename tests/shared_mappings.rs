@@ -10,12 +10,11 @@
 mod common;
 
 use common::Rng;
-use serena::core::snapshot::{read_header, Reader, Writer};
+use serena::core::snapshot::Writer;
 use serena::core::tuple;
 use serena::pems::SchedulerConfig;
 use serena::prelude::*;
 use serena::services::bus::BusConfig;
-use serena::stream::Multiset;
 
 const TICKS: u64 = 16;
 const PLACES: [&str; 6] = ["office", "roof", "lab", "hall", "attic", "cellar"];
@@ -93,56 +92,6 @@ fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
         .collect()
 }
 
-/// `pems.snapshot_bytes()` with each node's wall-clock self-time — the one
-/// field a replay cannot reproduce — zeroed. The walk knows this file's
-/// runtime: a push stream and no table, σ/π over a window over it, no
-/// service.
-fn snapshot(pems: &Pems) -> Vec<u8> {
-    let mut bytes = pems.snapshot_bytes();
-    let mut r = Reader::new(&bytes);
-    read_header(&mut r).unwrap();
-    assert_eq!(r.usize().unwrap(), 0, "no table");
-    r.u64().unwrap(); // the clock
-    let mut self_times = Vec::new();
-    for _ in 0..r.usize().unwrap() {
-        // the query's name and next instant, then its nodes in pre-order,
-        // down to the stream
-        r.str().unwrap();
-        r.u64().unwrap();
-        loop {
-            match r.u8().unwrap() {
-                1 => break,
-                2 => drop(Multiset::decode(&mut r).unwrap()),
-                5 => {
-                    r.u64().unwrap();
-                    for _ in 0..r.usize().unwrap() {
-                        for _ in 0..r.usize().unwrap() {
-                            r.tuple().unwrap();
-                        }
-                    }
-                }
-                tag => panic!("node tag {tag} in a σ/π window query"),
-            }
-        }
-        for _ in 0..8 {
-            r.u64().unwrap(); // the query's totals
-        }
-        for _ in 0..r.usize().unwrap() {
-            r.usize().unwrap();
-            r.u8().unwrap();
-            for _ in 0..10 {
-                r.u64().unwrap();
-            }
-            self_times.push(bytes.len() - r.remaining());
-            r.u64().unwrap();
-        }
-    }
-    for at in self_times {
-        bytes[at..at + 8].fill(0);
-    }
-    bytes
-}
-
 /// Every tick's reports and snapshot at `workers`.
 fn run(workers: usize) -> Vec<(Vec<Obs>, Vec<u8>)> {
     let mut pems = fanout_pems(workers);
@@ -150,7 +99,7 @@ fn run(workers: usize) -> Vec<(Vec<Obs>, Vec<u8>)> {
         .map(|at| {
             push_readings(&pems, at);
             let reports = observe(pems.tick());
-            (reports, snapshot(&pems))
+            (reports, pems.snapshot_bytes())
         })
         .collect()
 }
@@ -183,10 +132,10 @@ fn a_checkpoint_at_a_seeded_tick_resumes_the_uninterrupted_run() {
         drop(doomed);
         let mut recovered = fanout_pems(10 - workers);
         recovered.restore_bytes(&bytes).unwrap();
-        assert_eq!(snapshot(&recovered), expected[kill as usize - 1].1);
+        assert!(recovered.snapshot_bytes() == expected[kill as usize - 1].1);
         for at in kill..TICKS {
             push_readings(&recovered, at);
-            let got = (observe(recovered.tick()), snapshot(&recovered));
+            let got = (observe(recovered.tick()), recovered.snapshot_bytes());
             let context = format!("tick {at}, checkpoint after {kill}, workers={workers}");
             assert_eq!(got.0, expected[at as usize].0, "{context}");
             assert!(got.1 == expected[at as usize].1, "{context}");
