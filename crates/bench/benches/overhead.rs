@@ -14,7 +14,6 @@
 
 use std::cell::{Cell, RefCell};
 use std::sync::Arc;
-use std::time::Duration;
 
 use serena_bench::envgen::ScaleConfig;
 use serena_bench::harness::{self, Json, OverheadRow, Paired};
@@ -84,32 +83,24 @@ fn telemetry() -> Vec<OverheadRow> {
 }
 
 /// E14 — 200 live β calls through the bare registry vs the recommended
-/// resilience stack (retry budget + breaker) with no faults injected. The
-/// deadline variant adds two wall-clock reads per call and is informational.
+/// resilience stack (retry budget + breaker) with no faults injected.
 fn resilience() -> Vec<OverheadRow> {
     let env = workload::scaled_environment(200, 0, 0);
     let reg = workload::scaled_registry(200, 0);
     let plan = beta_plan();
     let bare = ExecContext::new(&env, &reg, Instant(1));
-    let measure = |policy: ResiliencePolicy| {
-        let armed = InvokerStack::new(&reg).layer(ResilientLayer::new(
-            policy,
-            Arc::new(ResilienceState::new()),
-        ));
-        let ctx = ExecContext::new(&env, &armed, Instant(1));
-        harness::paired(
-            100,
-            10,
-            || bare.execute(&plan).unwrap(),
-            || ctx.execute(&plan).unwrap(),
-        )
-    };
-    let standard = ResiliencePolicy::standard();
-    let deadline = standard.with_deadline(Duration::from_secs(1));
-    vec![
-        row("resilience_stack", measure(standard), true),
-        row("resilience_deadline", measure(deadline), false),
-    ]
+    let armed = InvokerStack::new(&reg).layer(ResilientLayer::new(
+        ResiliencePolicy::standard(),
+        Arc::new(ResilienceState::new()),
+    ));
+    let ctx = ExecContext::new(&env, &armed, Instant(1));
+    let m = harness::paired(
+        100,
+        10,
+        || bare.execute(&plan).unwrap(),
+        || ctx.execute(&plan).unwrap(),
+    );
+    vec![row("resilience_stack", m, true)]
 }
 
 /// E25 — what rebuilding the β stack costs. `Pems::tick` builds a fresh

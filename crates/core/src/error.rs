@@ -305,14 +305,6 @@ pub enum EvalError {
         /// The service reference involved.
         service: String,
     },
-    /// The invocation exceeded the per-call deadline configured in the
-    /// resilience layer (the call's result, if any, was discarded).
-    DeadlineExceeded {
-        /// The service reference involved.
-        service: String,
-        /// The prototype involved.
-        prototype: String,
-    },
     /// The service implementation panicked during the invocation. The
     /// panic was contained (`catch_unwind`) instead of aborting the
     /// process; the payload, when it was a string, is carried as `reason`.
@@ -382,10 +374,6 @@ impl fmt::Display for EvalError {
             EvalError::CircuitOpen { service } => {
                 write!(f, "circuit breaker open for service `{service}`")
             }
-            EvalError::DeadlineExceeded { service, prototype } => write!(
-                f,
-                "invocation of `{prototype}` on `{service}` exceeded its deadline"
-            ),
             EvalError::Panicked {
                 service,
                 prototype,

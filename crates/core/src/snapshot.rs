@@ -25,10 +25,13 @@ use crate::value::{Bytes, ServiceRef, Value};
 pub const MAGIC: [u8; 8] = *b"SERENSNP";
 
 /// Current snapshot format version. Bumped on any incompatible change;
-/// [`read_header`] refuses other versions. v4: a query carries no per-node
+/// [`read_header`] refuses other versions. v5: the resilience state has no
+/// deadline-timeout counter and a half-open breaker no probe budget (v4
+/// wrote a `u64` and a `u32` for them), and frames, which carry the same
+/// header, no longer know error tag 5. v4: a query carries no per-node
 /// operator statistics (v3 also wrote each query's rolling `ExecStats`,
-/// wall-clock self-times included); v1–v3 snapshots are not readable.
-pub const VERSION: u32 = 4;
+/// wall-clock self-times included); v1–v4 snapshots are not readable.
+pub const VERSION: u32 = 5;
 
 /// Errors raised while encoding or (mostly) decoding a snapshot.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -253,8 +253,8 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
                 let c = pems.resilience_counters();
                 if !pems.resilience_policy().is_disabled() {
                     println!(
-                        "resilience: {} retries, {} timeouts, breaker opened {}×, {} rejected",
-                        c.retries, c.timeouts, c.breaker_opened, c.rejected
+                        "resilience: {} retries, breaker opened {}×, {} rejected",
+                        c.retries, c.breaker_opened, c.rejected
                     );
                 }
             }

@@ -42,7 +42,7 @@ use serena_services::devices::camera::SimCamera;
 use serena_services::devices::messenger::{MessengerKind, SentMessage, SimMessenger};
 use serena_services::devices::temperature::SimTemperatureSensor;
 use serena_services::faults::{FaultPolicy, FaultyService};
-use serena_services::fleet::{mix64, FailureProfile, FlakyService, LatencyProfile, SlowService};
+use serena_services::fleet::{mix64, FailureProfile, LatencyProfile, SlowService};
 use serena_stream::plan::StreamPlan;
 use serena_stream::source::{Batch, StreamSource};
 
@@ -350,25 +350,24 @@ impl EnvSpec {
                 }
             }
             let mut svc = sensor.into_service();
+            // The explicit override, or else the profile's rate — a
+            // per-instant draw, so concurrent queries sharing a device see
+            // one outcome.
             let policy = self
                 .sensor_faults
                 .iter()
                 .find(|(idx, _)| *idx == i)
-                .map(|(_, p)| p.clone());
-            if let Some(policy) = policy {
-                // Explicit overrides keep FaultyService's stateful
-                // call-sequence semantics (outages, every-Nth).
-                if !matches!(policy, FaultPolicy::None) {
-                    svc = FaultyService::new(svc, policy);
-                }
-            } else if let Some(f) = self.failures {
-                // Profile draws use the pure-per-instant realization so
-                // concurrent queries sharing a device stay deterministic.
-                svc = FlakyService::wrap(
-                    svc,
-                    mix64(self.seed, i as u64, 0xF1EE7),
-                    f.rate_for(self.seed, i as u64, self.sensors as u64),
-                );
+                .map(|(_, p)| p.clone())
+                .or_else(|| {
+                    self.failures.map(|f| {
+                        FaultPolicy::rate(
+                            mix64(self.seed, i as u64, 0xF1EE7),
+                            f.rate_for(self.seed, i as u64, self.sensors as u64),
+                        )
+                    })
+                });
+            if let Some(policy) = policy.filter(|p| !matches!(p, FaultPolicy::None)) {
+                svc = FaultyService::new(svc, policy);
             }
             if let Some(lat) = self.latencies {
                 let delay = lat.latency_for(self.seed, i as u64, self.sensors as u64);

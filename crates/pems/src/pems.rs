@@ -258,8 +258,8 @@ impl PemsBuilder {
     }
 
     /// Resilience policy applied to every β invocation (one-shot and
-    /// continuous): per-service deadline, bounded retry with jittered
-    /// exponential backoff, and a circuit breaker. Disabled by default —
+    /// continuous): bounded retry with jittered exponential backoff and a
+    /// per-service circuit breaker. Disabled by default —
     /// a disabled policy adds no layer to the invoker stack. Pair with
     /// [`ExecOptions::with_degrade`] (via [`Self::exec_options`]) to let
     /// queries survive the failures that remain after retries.
@@ -391,7 +391,7 @@ pub struct Pems {
     trace: Option<Arc<dyn TraceSink>>,
     /// Resilience policy the invoker stack is built with.
     resilience_policy: ResiliencePolicy,
-    /// Breakers and retry/timeout counters, shared across rebuilt stacks.
+    /// Breakers and retry/breaker counters, shared across rebuilt stacks.
     resilience: Arc<ResilienceState>,
     /// Cross-query β dedup memo + counters, shared across rebuilt stacks
     /// (the memo is per-instant; the counters are cumulative).
@@ -519,9 +519,9 @@ impl Pems {
         Arc::clone(&self.health)
     }
 
-    /// Runtime-wide resilience counters: retries, converted deadline
-    /// timeouts, breaker trips and breaker-rejected calls. All zero when
-    /// no [`PemsBuilder::resilience`] policy was configured.
+    /// Runtime-wide resilience counters: retries, breaker trips and
+    /// breaker-rejected calls. All zero when no
+    /// [`PemsBuilder::resilience`] policy was configured.
     pub fn resilience_counters(&self) -> ResilienceCounters {
         self.resilience.counters()
     }
@@ -1254,7 +1254,7 @@ fn profile_text(
 /// The full β invoker stack: directory → panic containment (innermost, so
 /// a panicking service body becomes an [`EvalError::Panicked`] every outer
 /// layer sees as an ordinary failure) → instrumentation (metrics, health,
-/// trace) → resilience (retry/deadline/breaker, so every retry attempt is
+/// trace) → resilience (retry/breaker, so every retry attempt is
 /// individually observed and counted) → cross-query β dedup (outermost:
 /// only the *first* logical caller of a `(service, args)` key at an
 /// instant descends into resilience and performs — possibly retries — the

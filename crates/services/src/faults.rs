@@ -2,23 +2,30 @@
 //!
 //! §5.2 closes with "further experiments need to be conducted to assess the
 //! scalability and the robustness of our proposal" — this module provides
-//! the fault models those robustness tests need: services that fail
-//! intermittently, fail during scripted outages, or answer slowly
-//! (reporting a simulated latency without blocking the test clock).
+//! the fault models those robustness tests need: one decorator,
+//! [`FaultyService`], whose [`FaultPolicy`] makes a service fail
+//! intermittently, at a seeded rate, or during a scripted outage. Latency
+//! is injected by [`SlowService`](crate::fleet::SlowService).
 
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use serena_core::sync::Mutex;
-
-use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
-use serena_core::service::{Invoker, InvokerLayer, Service};
+use serena_core::service::Service;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
-use serena_core::value::ServiceRef;
+
+use crate::fleet::mix64;
 
 /// When a wrapped service misbehaves.
+///
+/// `Outage`, `Rate` and `None` are **pure per instant**: whether a call
+/// fails is a function of its instant alone, so every caller at τ sees the
+/// same outcome however many there are and in whatever order they call.
+/// `EveryNth` and `Intermittent` **count calls**: the outcome depends on
+/// how many calls came before, so they are deterministic only with one
+/// caller per instant — a sourced stream's hub, dedup on, or a single
+/// query.
 #[derive(Debug, Clone)]
 pub enum FaultPolicy {
     /// Every `n`-th invocation fails (1-based; `n = 1` fails always).
@@ -29,6 +36,14 @@ pub enum FaultPolicy {
         from: Instant,
         /// Last failing instant.
         to: Instant,
+    },
+    /// Fails at instant τ when `mix64(seed, τ) % 100 < percent`: a
+    /// long-run failure rate of `percent` %, drawn per instant.
+    Rate {
+        /// Seed of the per-instant draw.
+        seed: u64,
+        /// Failing instants per hundred (100 or more fails always).
+        percent: u64,
     },
     /// A repeating duty cycle: `fail` consecutive failing calls, then `ok`
     /// consecutive successful calls. Long-run failure rate is
@@ -48,23 +63,30 @@ pub enum FaultPolicy {
     None,
 }
 
+impl FaultPolicy {
+    /// A long-run failure `rate` (clamped to `0.0..=1.0`, rounded to whole
+    /// percent) as [`FaultPolicy::Rate`] drawn from `seed`, or
+    /// [`FaultPolicy::None`] when it rounds to zero.
+    pub fn rate(seed: u64, rate: f64) -> FaultPolicy {
+        match (rate.clamp(0.0, 1.0) * 100.0).round() as u64 {
+            0 => FaultPolicy::None,
+            percent => FaultPolicy::Rate { seed, percent },
+        }
+    }
+}
+
 /// A decorator injecting faults into any [`Service`].
 pub struct FaultyService {
     inner: Arc<dyn Service>,
     policy: FaultPolicy,
-    calls: Mutex<u64>,
+    calls: AtomicU64,
     error: String,
 }
 
 impl FaultyService {
     /// Wrap `inner` with `policy`.
     pub fn new(inner: Arc<dyn Service>, policy: FaultPolicy) -> Arc<Self> {
-        Arc::new(FaultyService {
-            inner,
-            policy,
-            calls: Mutex::new(0),
-            error: "injected fault: device unreachable".to_string(),
-        })
+        FaultyService::with_error(inner, policy, "injected fault: device unreachable")
     }
 
     /// Wrap with a custom error message.
@@ -76,14 +98,14 @@ impl FaultyService {
         Arc::new(FaultyService {
             inner,
             policy,
-            calls: Mutex::new(0),
+            calls: AtomicU64::new(0),
             error: error.into(),
         })
     }
 
     /// Total invocation attempts observed (including failed ones).
     pub fn attempts(&self) -> u64 {
-        *self.calls.lock()
+        self.calls.load(Ordering::Relaxed)
     }
 
     /// Whether the call with 0-based index `call` at instant `at` fails.
@@ -91,6 +113,9 @@ impl FaultyService {
         match &self.policy {
             FaultPolicy::EveryNth(n) => *n > 0 && call.is_multiple_of(*n),
             FaultPolicy::Outage { from, to } => *from <= at && at <= *to,
+            FaultPolicy::Rate { seed, percent } => {
+                mix64(*seed, at.ticks(), 0xF1A6) % 100 < *percent
+            }
             FaultPolicy::Intermittent { fail, ok } => {
                 // saturating: a cycle longer than u64::MAX never wraps back
                 // into the failing phase within one counter lifetime.
@@ -113,73 +138,14 @@ impl Service for FaultyService {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, String> {
-        // Claim this call's index and bump the counter under one lock, so
-        // concurrent invocations (queries ticking in one round) each see a
-        // distinct position in the duty cycle.
-        let call = {
-            let mut calls = self.calls.lock();
-            let i = *calls;
-            *calls += 1;
-            i
-        };
-        let fail = self.should_fail(call, at);
-        if fail {
+        // Claim this call's index and bump the counter in one atomic add,
+        // so concurrent invocations (queries ticking in one round) each see
+        // a distinct position in the duty cycle.
+        let call = self.calls.fetch_add(1, Ordering::Relaxed);
+        if self.should_fail(call, at) {
             return Err(self.error.clone());
         }
         self.inner.invoke(prototype, input, at)
-    }
-}
-
-/// An [`Invoker`] decorator that sleeps a fixed wall-clock latency before
-/// every invocation — the "slow device" model. The sleep happens on the
-/// calling thread, so N calls made one after another take `N × latency`.
-pub struct SlowInvoker<I> {
-    inner: I,
-    latency: Duration,
-}
-
-impl<I: Invoker> SlowInvoker<I> {
-    /// Wrap `inner`, delaying every [`Invoker::invoke`] by `latency`.
-    pub fn new(inner: I, latency: Duration) -> Self {
-        SlowInvoker { inner, latency }
-    }
-
-    /// The simulated per-call latency.
-    pub fn latency(&self) -> Duration {
-        self.latency
-    }
-
-    /// The wrapped invoker.
-    pub fn inner(&self) -> &I {
-        &self.inner
-    }
-}
-
-impl<'a> SlowInvoker<Box<dyn Invoker + 'a>> {
-    /// The [`InvokerLayer`] form, for use with
-    /// [`InvokerStack`](serena_core::service::InvokerStack):
-    /// `InvokerStack::new(base).layer(SlowInvoker::layer(latency))`.
-    pub fn layer(latency: Duration) -> impl InvokerLayer<'a> {
-        move |inner: Box<dyn Invoker + 'a>| -> Box<dyn Invoker + 'a> {
-            Box::new(SlowInvoker::new(inner, latency))
-        }
-    }
-}
-
-impl<I: Invoker> Invoker for SlowInvoker<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        std::thread::sleep(self.latency);
-        self.inner.invoke(prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        self.inner.providers_of(prototype)
     }
 }
 
@@ -305,19 +271,30 @@ mod tests {
     }
 
     #[test]
-    fn slow_invoker_as_layer_composes() {
-        use serena_core::service::InvokerStack;
-        let reg = fixtures::example_registry();
-        let stack = InvokerStack::new(reg).layer(SlowInvoker::layer(Duration::from_millis(1)));
-        let out = stack
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("sensor01"),
-                &Tuple::empty(),
-                Instant(0),
-            )
-            .unwrap();
-        assert_eq!(out.len(), 1);
+    fn rate_is_pure_per_instant() {
+        // every caller at τ sees the draw `mix64(seed, τ) % 100 < percent`,
+        // however many calls came before
+        let svc = FaultyService::new(
+            fixtures::temperature_sensor(2),
+            FaultPolicy::Rate {
+                seed: 9,
+                percent: 50,
+            },
+        );
+        let proto = protos::get_temperature();
+        let mut failures = 0;
+        for t in 0..100 {
+            let a = svc.invoke(&proto, &Tuple::empty(), Instant(t));
+            let b = svc.invoke(&proto, &Tuple::empty(), Instant(t));
+            assert_eq!(a.is_err(), b.is_err());
+            assert_eq!(a.is_err(), mix64(9, t, 0xF1A6) % 100 < 50);
+            if let Err(e) = a {
+                assert_eq!(e, "injected fault: device unreachable");
+                failures += 1;
+            }
+        }
+        assert!((25..=75).contains(&failures), "{failures} failures");
+        assert_eq!(svc.attempts(), 200);
     }
 
     #[test]
@@ -329,27 +306,6 @@ mod tests {
                 .is_ok());
         }
         assert_eq!(svc.prototypes().len(), 1);
-    }
-
-    #[test]
-    fn slow_invoker_delays_then_delegates() {
-        let reg = fixtures::example_registry();
-        let slow = SlowInvoker::new(reg, Duration::from_millis(5));
-        assert_eq!(slow.latency(), Duration::from_millis(5));
-        let sref = ServiceRef::new("sensor01");
-        let started = std::time::Instant::now();
-        let out = slow
-            .invoke(
-                &protos::get_temperature(),
-                &sref,
-                &Tuple::empty(),
-                Instant(0),
-            )
-            .unwrap();
-        assert!(started.elapsed() >= Duration::from_millis(5));
-        assert_eq!(out.len(), 1);
-        // provider listing is undelayed delegation
-        assert!(!slow.providers_of("getTemperature").is_empty());
     }
 
     #[test]

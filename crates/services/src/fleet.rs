@@ -14,20 +14,11 @@
 //!   devices, exported for downstream spec builders;
 //! * [`LatencyProfile`] — zipf-skewed per-service wall-clock latencies;
 //! * [`FailureProfile`] — zipf-skewed per-service failure rates, realized
-//!   either as replayable [`FaultPolicy::Intermittent`] duty cycles or (for
-//!   fleets shared by concurrent queries) as the pure-per-instant
-//!   [`FlakyService`];
-//! * [`FlakyService`] — a failure decorator whose outcome is a pure
-//!   function of `(seed, instant)`. Unlike
-//!   [`FaultyService`](crate::faults::FaultyService), whose attempt counter
-//!   is shared mutable state (so *which* of several concurrent queries
-//!   observes a duty-cycle failure is a race), a flaky service fails
-//!   identically for every caller at a given instant — the property the
-//!   determinism regression relies on;
-//! * [`SlowService`] — a per-*service* latency decorator (unlike
-//!   [`SlowInvoker`](crate::faults::SlowInvoker), which delays every call
-//!   of an invoker uniformly). Sleeping never affects logical outputs, so
-//!   latency injection preserves determinism.
+//!   as [`FaultPolicy::Rate`]: a failure is a pure function of
+//!   `(seed, instant)`, so every caller at an instant sees the same
+//!   outcome — the property the determinism regression relies on;
+//! * [`SlowService`] — the latency decorator. Sleeping never affects
+//!   logical outputs, so latency injection preserves determinism.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -37,7 +28,7 @@ use serena_core::service::Service;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 
-use crate::faults::FaultPolicy;
+use crate::faults::{FaultPolicy, FaultyService};
 
 /// Deterministic 64-bit mix (splitmix64 finalizer) — the same derivation
 /// the simulated devices use, exported so environment generators can draw
@@ -85,9 +76,9 @@ impl LatencyProfile {
 /// Zipf-skewed per-service failure rates: the rank-1 service fails at
 /// `max_rate`, the rank-r service at `max_rate / r^exponent`.
 ///
-/// Rates are *realized* as [`FaultPolicy::Intermittent`] duty cycles over a
-/// 100-call period, so the failures a query observes are a replayable
-/// function of the invocation sequence — not a per-call coin flip.
+/// Rates are *realized* by [`FaultPolicy::rate`] as a per-instant draw, so
+/// the failures a query observes are a replayable function of the seed and
+/// the instant — not of how many calls came before.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureProfile {
     /// Failure rate of the rank-1 (flakiest) service, in `0.0..=1.0`.
@@ -111,73 +102,21 @@ impl FailureProfile {
         let rank = zipf_rank(seed, index, fleet_size, 0xFA11) as f64;
         self.max_rate / rank.powf(self.exponent)
     }
-
-    /// The rate realized as a [`FaultPolicy`]: an `Intermittent` duty cycle
-    /// whose long-run rate rounds to [`Self::rate_for`] over a 100-call
-    /// period, or [`FaultPolicy::None`] when the rate rounds to zero.
-    pub fn policy_for(&self, seed: u64, index: u64, fleet_size: u64) -> FaultPolicy {
-        let fail = (self.rate_for(seed, index, fleet_size) * 100.0).round() as u64;
-        match fail.min(100) {
-            0 => FaultPolicy::None,
-            f => FaultPolicy::Intermittent {
-                fail: f,
-                ok: 100 - f,
-            },
-        }
-    }
 }
 
-/// A failure decorator that is a **pure function of the logical instant**:
-/// at instant τ the service either fails for *every* caller or for none,
-/// decided by `mix64(seed, τ)` against the configured rate. Concurrent
-/// queries invoking the same device therefore observe identical outcomes
-/// regardless of scheduling — the fault realization massive-scale specs
-/// use ([`FailureProfile`] supplies the per-device rate and seed).
-pub struct FlakyService {
-    inner: Arc<dyn Service>,
-    seed: u64,
-    rate_pct: u64,
-}
+/// The constructor for a service failing at a long-run rate. Nothing of
+/// this type exists: [`FlakyService::wrap`] builds a
+/// [`FaultyService`] under [`FaultPolicy::Rate`].
+pub enum FlakyService {}
 
 impl FlakyService {
     /// Wrap `inner` so invocations at instant τ fail with long-run
-    /// frequency `rate` (clamped to `0.0..=1.0`, rounded to whole
-    /// percent). A rate rounding to zero returns `inner` unwrapped.
+    /// frequency `rate` (see [`FaultPolicy::rate`]). A rate rounding to
+    /// zero returns `inner` unwrapped.
     pub fn wrap(inner: Arc<dyn Service>, seed: u64, rate: f64) -> Arc<dyn Service> {
-        let rate_pct = (rate.clamp(0.0, 1.0) * 100.0).round() as u64;
-        if rate_pct == 0 {
-            inner
-        } else {
-            Arc::new(FlakyService {
-                inner,
-                seed,
-                rate_pct,
-            })
-        }
-    }
-
-    /// Whether the service fails at `at` — pure, so callers (and test
-    /// oracles) can predict the schedule.
-    pub fn fails_at(&self, at: Instant) -> bool {
-        mix64(self.seed, at.ticks(), 0xF1A6) % 100 < self.rate_pct
-    }
-}
-
-impl Service for FlakyService {
-    fn prototypes(&self) -> Vec<Arc<Prototype>> {
-        self.inner.prototypes()
-    }
-
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, String> {
-        if self.fails_at(at) {
-            Err("injected fault: device unreachable".to_string())
-        } else {
-            self.inner.invoke(prototype, input, at)
+        match FaultPolicy::rate(seed, rate) {
+            FaultPolicy::None => inner,
+            policy => FaultyService::new(inner, policy),
         }
     }
 }
@@ -271,27 +210,32 @@ mod tests {
         let rates: Vec<f64> = (0..n).map(|i| p.rate_for(9, i, n)).collect();
         assert!(rates.iter().all(|r| (0.0..=0.5).contains(r)));
         // most devices round to a zero-failure policy under the skew
-        let healthy = (0..n)
-            .filter(|i| matches!(p.policy_for(9, *i, n), FaultPolicy::None))
+        let healthy = rates
+            .iter()
+            .filter(|r| matches!(FaultPolicy::rate(9, **r), FaultPolicy::None))
             .count();
         assert!(
             healthy > n as usize / 2,
             "only {healthy}/{n} devices healthy"
         );
         // at least the head of the distribution does fail
-        assert!((0..n).any(|i| !matches!(p.policy_for(9, i, n), FaultPolicy::None)));
+        assert!(rates
+            .iter()
+            .any(|r| !matches!(FaultPolicy::rate(9, *r), FaultPolicy::None)));
     }
 
     #[test]
     fn failure_policy_realizes_the_rate() {
-        let p = FailureProfile::new(1.0, 0.0); // every device at 100%
-        let policy = p.policy_for(1, 0, 10);
+        let rate = FailureProfile::new(1.0, 0.0).rate_for(1, 0, 10); // every device at 100%
         assert!(matches!(
-            policy,
-            FaultPolicy::Intermittent { fail: 100, ok: 0 }
+            FaultPolicy::rate(7, rate),
+            FaultPolicy::Rate {
+                seed: 7,
+                percent: 100
+            }
         ));
-        let none = FailureProfile::new(0.0, 1.0).policy_for(1, 0, 10);
-        assert!(matches!(none, FaultPolicy::None));
+        let none = FailureProfile::new(0.0, 1.0).rate_for(1, 0, 10);
+        assert!(matches!(FaultPolicy::rate(7, none), FaultPolicy::None));
     }
 
     #[test]

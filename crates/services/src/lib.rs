@@ -25,16 +25,17 @@
 //! * [`devices`] — simulated temperature sensors (with scriptable heat
 //!   events), cameras, messengers (e-mail / jabber / SMS with an
 //!   inspectable outbox) and RSS feed wrappers;
-//! * [`faults`] — failure injection: flaky, delayed or dying services for
-//!   robustness tests;
+//! * [`faults`] — failure injection: one decorator whose policy makes a
+//!   service fail by call count, at a seeded per-instant rate or during an
+//!   outage, for robustness tests;
 //! * [`fleet`] — deterministic fleet parameterization for massive
 //!   environments: zipf-skewed per-service latency and failure draws, all
-//!   pure functions of `(seed, index)`;
+//!   pure functions of `(seed, index)`, and the one latency decorator;
 //! * [`health`] — rolling per-service health (failure rate,
 //!   consecutive-error count, last-seen instant) fed by invocation
 //!   outcomes through [`serena_core::telemetry::InvocationObserver`];
-//! * [`resilience`] — the β resilience middleware: per-service deadline,
-//!   bounded retry with jittered exponential backoff, and a
+//! * [`resilience`] — the β resilience middleware: bounded retry with
+//!   jittered exponential backoff, and a
 //!   health-informed circuit breaker, composable onto any invoker via
 //!   [`serena_core::service::InvokerStack`];
 //! * [`discovery`] — turning "which services implement prototype ψ?" into

@@ -10,7 +10,7 @@
 //! * [`RemoteService`] is the local proxy for one advertised remote
 //!   service. It implements [`Service`], so it registers into the local
 //!   directory like any device — β calls to it traverse the *entire*
-//!   existing `InvokerStack` (deadlines, retries, circuit breakers,
+//!   existing `InvokerStack` (retries, circuit breakers,
 //!   dedup, telemetry) before crossing the wire, which is how PR 4's
 //!   resilience policies come to govern real network latency.
 //!

@@ -1,19 +1,15 @@
-//! The resilience layer for β invocations: deadline, retry/backoff,
-//! circuit breaking.
+//! The resilience layer for β invocations: retry/backoff and circuit
+//! breaking.
 //!
 //! The paper's services are "dynamic, volatile" (§2.1) and §5.2 calls for
 //! robustness experiments — yet a raw [`Invoker`] surfaces every transient
 //! fault straight into the query. [`ResilientLayer`] is an
-//! [`InvokerLayer`] that wraps any invoker with three independent,
-//! per-service mechanisms, all configured by a [`ResiliencePolicy`]:
+//! [`InvokerLayer`] that wraps any invoker with two independent,
+//! per-service mechanisms, both configured by a [`ResiliencePolicy`]:
 //!
-//! * **deadline** — invocations taking longer than
-//!   [`ResiliencePolicy::deadline`] are converted into
-//!   [`EvalError::DeadlineExceeded`] (a *soft* deadline: the call is not
-//!   cancelled, its late result is discarded);
 //! * **retry with backoff** — errors classified transient
-//!   ([`EvalError::InvocationFailed`], [`EvalError::DeadlineExceeded`]) are
-//!   retried up to [`ResiliencePolicy::max_retries`] times, sleeping an
+//!   ([`EvalError::InvocationFailed`], [`EvalError::RemoteUnavailable`])
+//!   are retried up to [`ResiliencePolicy::max_retries`] times, sleeping an
 //!   exponentially growing, deterministically jittered backoff between
 //!   attempts;
 //! * **circuit breaking** — after
@@ -22,8 +18,12 @@
 //!   one is attached) the service's breaker opens: calls fail fast with
 //!   [`EvalError::CircuitOpen`] without touching the service, until
 //!   [`ResiliencePolicy::breaker_cooldown`] logical instants pass and the
-//!   breaker half-opens to let probe calls through (closed → open →
+//!   breaker half-opens to let one probe call through (closed → open →
 //!   half-open).
+//!
+//! Every decision is a function of the call's outcomes and its logical
+//! instant: the layer reads no wall clock. The backoff sleep decides
+//! nothing — it only spaces the attempts out.
 //!
 //! Breaker state and counters live in a shared [`ResilienceState`] so they
 //! survive across ticks (the invoker stack is rebuilt per tick in the PEMS
@@ -53,7 +53,7 @@ use crate::health::HealthTracker;
 
 /// Everything the resilience layer is allowed to do on behalf of one
 /// invocation, per service. The default ([`ResiliencePolicy::disabled`]) is
-/// fully transparent: no deadline, no retries, no breaker.
+/// fully transparent: no retries, no breaker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ResiliencePolicy {
     /// Retries after the first failed attempt (0 = no retries).
@@ -62,15 +62,11 @@ pub struct ResiliencePolicy {
     pub backoff_base: Duration,
     /// Upper bound on any single backoff delay.
     pub backoff_cap: Duration,
-    /// Soft per-invocation deadline (None = unbounded).
-    pub deadline: Option<Duration>,
     /// Consecutive failures that open a service's breaker (0 = breaker
     /// disabled).
     pub breaker_threshold: u32,
     /// Logical instants an open breaker waits before half-opening.
     pub breaker_cooldown: u64,
-    /// Probe invocations admitted while half-open (clamped to ≥ 1).
-    pub half_open_probes: u32,
 }
 
 impl Default for ResiliencePolicy {
@@ -80,17 +76,15 @@ impl Default for ResiliencePolicy {
 }
 
 impl ResiliencePolicy {
-    /// Fully transparent: no deadline, no retries, no breaker. The invoker
+    /// Fully transparent: no retries, no breaker. The invoker
     /// stack skips the resilience layer entirely under this policy.
     pub fn disabled() -> Self {
         ResiliencePolicy {
             max_retries: 0,
             backoff_base: Duration::ZERO,
             backoff_cap: Duration::ZERO,
-            deadline: None,
             breaker_threshold: 0,
             breaker_cooldown: 0,
-            half_open_probes: 1,
         }
     }
 
@@ -101,17 +95,15 @@ impl ResiliencePolicy {
             max_retries: 2,
             backoff_base: Duration::from_millis(1),
             backoff_cap: Duration::from_millis(20),
-            deadline: None,
             breaker_threshold: 5,
             breaker_cooldown: 4,
-            half_open_probes: 1,
         }
     }
 
     /// Whether this policy does nothing at all (lets the stack skip the
     /// layer).
     pub fn is_disabled(&self) -> bool {
-        self.max_retries == 0 && self.deadline.is_none() && self.breaker_threshold == 0
+        self.max_retries == 0 && self.breaker_threshold == 0
     }
 
     /// Replace the retry budget.
@@ -124,12 +116,6 @@ impl ResiliencePolicy {
     pub fn with_backoff(mut self, base: Duration, cap: Duration) -> Self {
         self.backoff_base = base;
         self.backoff_cap = cap;
-        self
-    }
-
-    /// Replace the soft per-invocation deadline.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
         self
     }
 
@@ -168,12 +154,10 @@ pub enum BreakerState {
         /// First instant at which the breaker will half-open.
         until: Instant,
     },
-    /// A limited number of probe calls are admitted; one success closes
-    /// the breaker, one failure reopens it.
-    HalfOpen {
-        /// Probe admissions left at this state snapshot.
-        probes_left: u32,
-    },
+    /// The call that found the cooldown over is the one probe admitted;
+    /// its success closes the breaker, its failure reopens it, and every
+    /// other call meanwhile is rejected.
+    HalfOpen,
 }
 
 impl std::fmt::Display for BreakerState {
@@ -181,9 +165,7 @@ impl std::fmt::Display for BreakerState {
         match self {
             BreakerState::Closed => write!(f, "closed"),
             BreakerState::Open { until } => write!(f, "open(until {until})"),
-            BreakerState::HalfOpen { probes_left } => {
-                write!(f, "half-open({probes_left} probes left)")
-            }
+            BreakerState::HalfOpen => write!(f, "half-open"),
         }
     }
 }
@@ -208,8 +190,6 @@ impl Default for Breaker {
 pub struct ResilienceCounters {
     /// Retry attempts performed (beyond each invocation's first attempt).
     pub retries: u64,
-    /// Invocations converted to [`EvalError::DeadlineExceeded`].
-    pub timeouts: u64,
     /// Breaker transitions into [`BreakerState::Open`].
     pub breaker_opened: u64,
     /// Calls rejected fast with [`EvalError::CircuitOpen`].
@@ -229,7 +209,6 @@ pub struct ResilienceState {
     /// fast-paths skip the map lock entirely.
     engaged: AtomicU64,
     retries: AtomicU64,
-    timeouts: AtomicU64,
     breaker_opened: AtomicU64,
     rejected: AtomicU64,
 }
@@ -244,7 +223,6 @@ impl ResilienceState {
     pub fn counters(&self) -> ResilienceCounters {
         ResilienceCounters {
             retries: self.retries.load(Ordering::Relaxed),
-            timeouts: self.timeouts.load(Ordering::Relaxed),
             breaker_opened: self.breaker_opened.load(Ordering::Relaxed),
             rejected: self.rejected.load(Ordering::Relaxed),
         }
@@ -278,10 +256,7 @@ impl ResilienceState {
     /// deterministic).
     pub fn export_state(&self, w: &mut Writer) {
         let c = self.counters();
-        w.u64(c.retries)
-            .u64(c.timeouts)
-            .u64(c.breaker_opened)
-            .u64(c.rejected);
+        w.u64(c.retries).u64(c.breaker_opened).u64(c.rejected);
         let breakers = self.breakers.lock();
         let mut entries: Vec<(&ServiceRef, &Breaker)> = breakers.iter().collect();
         entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
@@ -295,8 +270,8 @@ impl ResilienceState {
                 BreakerState::Open { until } => {
                     w.u8(1).u64(until.ticks());
                 }
-                BreakerState::HalfOpen { probes_left } => {
-                    w.u8(2).u32(probes_left);
+                BreakerState::HalfOpen => {
+                    w.u8(2);
                 }
             }
         }
@@ -306,7 +281,6 @@ impl ResilienceState {
     /// replacing counters and breakers wholesale.
     pub fn import_state(&self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let retries = r.u64()?;
-        let timeouts = r.u64()?;
         let breaker_opened = r.u64()?;
         let rejected = r.u64()?;
         let n = r.usize()?;
@@ -319,9 +293,7 @@ impl ResilienceState {
                 1 => BreakerState::Open {
                     until: Instant(r.u64()?),
                 },
-                2 => BreakerState::HalfOpen {
-                    probes_left: r.u32()?,
-                },
+                2 => BreakerState::HalfOpen,
                 t => {
                     return Err(SnapshotError::Corrupt(format!("unknown breaker tag {t}")));
                 }
@@ -335,7 +307,6 @@ impl ResilienceState {
             );
         }
         self.retries.store(retries, Ordering::Relaxed);
-        self.timeouts.store(timeouts, Ordering::Relaxed);
         self.breaker_opened.store(breaker_opened, Ordering::Relaxed);
         self.rejected.store(rejected, Ordering::Relaxed);
         let mut breakers = self.breakers.lock();
@@ -350,7 +321,6 @@ impl ResilienceState {
 /// stacks like the breakers are kept by [`ResilienceState`].
 struct ResilienceSeries {
     retries: Arc<Counter>,
-    timeouts: Arc<Counter>,
     breaker_opened: Arc<Counter>,
     rejected: Arc<Counter>,
     /// `serena_breaker_transitions_total{service,to}` for
@@ -369,7 +339,6 @@ impl ResilienceSeries {
         };
         ResilienceSeries {
             retries: registry.counter("serena_resilience_retries_total", &labels),
-            timeouts: registry.counter("serena_resilience_timeouts_total", &labels),
             breaker_opened: registry.counter("serena_resilience_breaker_opened_total", &labels),
             rejected: registry.counter("serena_resilience_rejected_total", &labels),
             transitions: [
@@ -381,7 +350,7 @@ impl ResilienceSeries {
     }
 }
 
-/// The resilience middleware: deadline + retry/backoff + circuit breaker
+/// The resilience middleware: retry/backoff + circuit breaker
 /// around the invoker below it in an
 /// [`InvokerStack`](serena_core::service::InvokerStack). See the
 /// [module docs](self) for the semantics.
@@ -421,8 +390,7 @@ impl<'a> ResilientLayer<'a> {
         }
     }
 
-    /// Let the breaker also consult `health`'s consecutive-error count, and
-    /// record deadline conversions as failures there.
+    /// Let the breaker also consult `health`'s consecutive-error count.
     pub fn health(mut self, health: &'a HealthTracker) -> Self {
         self.health = Some(health);
         self
@@ -436,8 +404,7 @@ impl<'a> ResilientLayer<'a> {
     }
 
     /// Record one `beta.call` span per logical call into `tracer`,
-    /// annotated with attempts/retries, breaker state, deadline and
-    /// outcome; per-attempt spans from the instrumented layer below nest
+    /// annotated with attempts/retries, breaker state and outcome; per-attempt spans from the instrumented layer below nest
     /// inside it.
     pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
         self.tracer = Some(tracer);
@@ -522,17 +489,9 @@ impl Resilient<'_> {
         match b.state {
             BreakerState::Closed => Ok(()),
             BreakerState::Open { until } if at >= until => {
-                b.state = BreakerState::HalfOpen {
-                    probes_left: self.layer.policy.half_open_probes.max(1) - 1,
-                };
+                b.state = BreakerState::HalfOpen;
                 drop(breakers);
                 self.breaker_transition(service, at, "open", "half_open");
-                Ok(())
-            }
-            BreakerState::HalfOpen { probes_left } if probes_left > 0 => {
-                b.state = BreakerState::HalfOpen {
-                    probes_left: probes_left - 1,
-                };
                 Ok(())
             }
             _ => {
@@ -565,7 +524,7 @@ impl Resilient<'_> {
             // not a state change.
             match b.state {
                 BreakerState::Open { .. } => self.breaker_transition(service, at, "open", "closed"),
-                BreakerState::HalfOpen { .. } => {
+                BreakerState::HalfOpen => {
                     self.breaker_transition(service, at, "half_open", "closed")
                 }
                 BreakerState::Closed => {}
@@ -596,7 +555,7 @@ impl Resilient<'_> {
             .map(|h| h.consecutive_errors)
             .unwrap_or(0);
         let streak = b.consecutive_failures.max(health_view);
-        let half_open = matches!(b.state, BreakerState::HalfOpen { .. });
+        let half_open = b.state == BreakerState::HalfOpen;
         if half_open || streak >= u64::from(self.layer.policy.breaker_threshold) {
             b.state = BreakerState::Open {
                 until: at + self.layer.policy.breaker_cooldown,
@@ -631,13 +590,11 @@ fn jitter(service: &ServiceRef, at: Instant, attempt: u32) -> f64 {
 }
 
 /// An error worth retrying: the service exists and speaks the prototype,
-/// it just failed (or timed out) this time.
+/// it (or the link to its node) just failed this time.
 fn is_transient(e: &EvalError) -> bool {
     matches!(
         e,
-        EvalError::InvocationFailed { .. }
-            | EvalError::DeadlineExceeded { .. }
-            | EvalError::RemoteUnavailable { .. }
+        EvalError::InvocationFailed { .. } | EvalError::RemoteUnavailable { .. }
     )
 }
 
@@ -655,9 +612,6 @@ impl Invoker for Resilient<'_> {
         let mut span = self.layer.tracer.and_then(|t| t.start("beta.call", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());
-            if let Some(d) = self.layer.policy.deadline {
-                s.attr_u64("deadline_ms", d.as_millis() as u64);
-            }
         }
         let _in_span = span.as_ref().map(|s| s.enter());
         if let Err(e) = self.admit(service_ref, at) {
@@ -671,32 +625,7 @@ impl Invoker for Resilient<'_> {
         let mut attempt: u32 = 0;
         let outcome = loop {
             attempt += 1;
-            // the wall clock is only consulted when a deadline is armed
-            let started = self
-                .layer
-                .policy
-                .deadline
-                .map(|_| std::time::Instant::now());
-            let mut result = self.inner.invoke(prototype, service_ref, input, at);
-            if let (Some(deadline), Some(started)) = (self.layer.policy.deadline, started) {
-                if result.is_ok() && started.elapsed() > deadline {
-                    // Soft deadline: the call completed but too late — its
-                    // result is discarded. The instrumented layer below saw
-                    // a success, so feed the failure to health directly
-                    // (one extra attempt in its window).
-                    self.layer.state.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.bump(service_ref, |s| &s.timeouts);
-                    let err = EvalError::DeadlineExceeded {
-                        service: service_ref.to_string(),
-                        prototype: prototype.name().to_string(),
-                    };
-                    if let Some(health) = self.layer.health {
-                        health.record(service_ref, at, Some(&err.to_string()));
-                    }
-                    result = Err(err);
-                }
-            }
-            match result {
+            match self.inner.invoke(prototype, service_ref, input, at) {
                 Ok(rows) => {
                     self.on_success(service_ref, at);
                     break Ok(rows);
@@ -938,32 +867,6 @@ mod tests {
             BreakerState::Open { until: Instant(7) }
         );
         assert_eq!(state.counters().breaker_opened, 2);
-    }
-
-    #[test]
-    fn deadline_converts_slow_success() {
-        use crate::faults::SlowInvoker;
-        let reg = fixtures::example_registry();
-        let slow = SlowInvoker::new(reg, Duration::from_millis(10));
-        let policy = ResiliencePolicy::disabled().with_deadline(Duration::from_millis(1));
-        let health = HealthTracker::default();
-        let state = Arc::new(ResilienceState::new());
-        let invoker = InvokerStack::new(slow)
-            .layer(ResilientLayer::new(policy, state.clone()).health(&health));
-        let sref = ServiceRef::new("sensor01");
-        let err = invoker
-            .invoke(
-                &protos::get_temperature(),
-                &sref,
-                &Tuple::empty(),
-                Instant(0),
-            )
-            .unwrap_err();
-        assert!(matches!(err, EvalError::DeadlineExceeded { .. }));
-        assert_eq!(state.counters().timeouts, 1);
-        // the conversion is visible to health
-        let h = health.health_of(&sref).unwrap();
-        assert_eq!(h.failures, 1);
     }
 
     #[test]

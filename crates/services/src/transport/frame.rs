@@ -278,7 +278,8 @@ fn read_event(r: &mut Reader<'_>) -> Result<WireEvent, TransportError> {
 
 /// Encode an [`EvalError`] structurally. `Plan` errors cannot arise from
 /// a relayed β call, so they are the one variant carried as a display
-/// string (decoding to [`EvalError::Value`]).
+/// string (decoding to [`EvalError::Value`]). Tag 5 is retired: it decodes
+/// as malformed and is not to be reused.
 fn write_eval_error(w: &mut Writer, e: &EvalError) {
     match e {
         EvalError::UnknownService { reference } => {
@@ -303,9 +304,6 @@ fn write_eval_error(w: &mut Writer, e: &EvalError) {
         }
         EvalError::CircuitOpen { service } => {
             w.u8(4).str(service);
-        }
-        EvalError::DeadlineExceeded { service, prototype } => {
-            w.u8(5).str(service).str(prototype);
         }
         EvalError::Panicked {
             service,
@@ -355,10 +353,6 @@ fn read_eval_error(r: &mut Reader<'_>) -> Result<EvalError, TransportError> {
             detail: s(r)?,
         }),
         4 => Ok(EvalError::CircuitOpen { service: s(r)? }),
-        5 => Ok(EvalError::DeadlineExceeded {
-            service: s(r)?,
-            prototype: s(r)?,
-        }),
         6 => Ok(EvalError::Panicked {
             service: s(r)?,
             prototype: s(r)?,
@@ -703,10 +697,6 @@ mod tests {
             EvalError::CircuitOpen {
                 service: "s".into(),
             },
-            EvalError::DeadlineExceeded {
-                service: "s".into(),
-                prototype: "p".into(),
-            },
             EvalError::Panicked {
                 service: "s".into(),
                 prototype: "p".into(),
@@ -807,6 +797,21 @@ mod tests {
         assert!(matches!(
             Frame::from_payload(&payload),
             Err(TransportError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn retired_error_tag_is_malformed_not_panic() {
+        // tag 5 named a soft-deadline error no peer produces any more; the
+        // tags around it keep their numbers
+        let mut w = Writer::new();
+        write_header(&mut w);
+        w.u8(8); // InvokeErr
+        w.u8(5).str("s").str("p");
+        let payload = w.into_bytes();
+        assert!(matches!(
+            Frame::from_payload(&payload),
+            Err(TransportError::Malformed(m)) if m == "unknown error tag 5"
         ));
     }
 

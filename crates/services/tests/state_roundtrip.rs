@@ -184,13 +184,13 @@ fn resilience_breaker_phases_round_trip() {
     assert_eq!(dst.counters(), state.counters());
 }
 
-/// A half-open breaker mid-probe-budget survives export/import and the
-/// restored copy finishes the cycle exactly like the original would.
+/// An open breaker survives export/import and the restored copy finishes
+/// the cycle — half-open probe, then closed — exactly like the original
+/// would.
 #[test]
 fn resilience_half_open_mid_probe_round_trips() {
     let reg = flaky_registry(FaultPolicy::Intermittent { fail: 3, ok: 100 });
-    let mut policy = ResiliencePolicy::disabled().with_breaker(3, 4);
-    policy.half_open_probes = 3;
+    let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
     let state = Arc::new(ResilienceState::new());
     let invoker = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, state.clone()));
     let sref = ServiceRef::new("flaky");

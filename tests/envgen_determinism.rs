@@ -18,6 +18,7 @@ use serena::core::snapshot::Writer;
 use serena::core::time::Instant;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
 use serena::pems::{Pems, SchedulerConfig};
+use serena::services::faults::FaultPolicy;
 use serena::services::fleet::FailureProfile;
 use serena::services::transport::{InProcTransport, SocketTransport, Transport};
 use serena::stream::exec::TickReport;
@@ -29,12 +30,21 @@ fn spec() -> EnvSpec {
 }
 
 /// [`spec`] without its arrival trace: `temperatures` then samples every
-/// discovered sensor, failures included, once an instant.
+/// discovered sensor, failures included, once an instant. The profile's
+/// sensors fail at a seeded per-instant rate; sensor 5 instead has an
+/// outage, so both pure-per-instant fault paths run.
 fn sampled_spec() -> EnvSpec {
     EnvSpec::new(1234)
         .sensors(64)
         .cameras(8)
         .failures(FailureProfile::new(0.3, 1.0))
+        .sensor_fault(
+            5,
+            FaultPolicy::Outage {
+                from: Instant(2),
+                to: Instant(5),
+            },
+        )
         .heat_event(3, Instant(2), Instant(4), 40.0)
 }
 
@@ -251,24 +261,35 @@ fn same_seed_replays_byte_identically() {
 fn worker_counts_replay_byte_identically() {
     // ISSUE 7 acceptance: per-query deltas, actions and final relations
     // are byte-identical whether the tick round runs on one worker or
-    // is split over several — and so is the health report, because with the
-    // dedup memo armed the *physical* call set is deterministic too. Without
-    // `arrivals`, `temperatures` samples the fleet behind one hub: whichever
-    // worker's query reads it first at an instant polls it, and nothing a
-    // query observes may depend on which one it is.
+    // is split over several — and so is the health report and checkpoint.
+    // With the dedup memo armed the *physical* call set is deterministic;
+    // with it off every query calls the fleet itself, and the faults are
+    // still a function of the instant alone, so no call order shows.
+    // Without `arrivals`, `temperatures` samples the fleet behind one hub:
+    // whichever worker's query reads it first at an instant polls it, and
+    // nothing a query observes may depend on which one it is.
     for s in [spec(), sampled_spec()] {
-        let (base_obs, base_state) = run_with(&s, 1, true);
-        assert!(base_obs.iter().any(|o| !o.delta_bytes.is_empty()));
-        for workers in [2, 8] {
-            let (obs, state) = run_with(&s, workers, true);
-            assert_eq!(
-                base_obs, obs,
-                "workers={workers} diverged from the single-worker run"
+        for dedup in [true, false] {
+            let (base_obs, base_state) = run_with(&s, 1, dedup);
+            assert!(base_obs.iter().any(|o| !o.delta_bytes.is_empty()));
+            let outage = s.sensor_name(5);
+            assert!(
+                base_obs
+                    .iter()
+                    .any(|o| o.errors.iter().any(|e| e.contains(outage.as_str()))),
+                "the outage of {outage} must surface"
             );
-            assert_eq!(
-                base_state, state,
-                "workers={workers} final state diverged from the single-worker run"
-            );
+            for workers in [2, 8] {
+                let (obs, state) = run_with(&s, workers, dedup);
+                assert_eq!(
+                    base_obs, obs,
+                    "workers={workers} dedup={dedup} diverged from the single-worker run"
+                );
+                assert_eq!(
+                    base_state, state,
+                    "workers={workers} dedup={dedup} final state diverged from the single-worker run"
+                );
+            }
         }
     }
 }

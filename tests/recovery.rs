@@ -675,12 +675,14 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
         let snapshot = doomed.snapshot_bytes();
         drop(doomed);
         if kill == 2 {
-            // v4 is v3 less each query's per-node statistics, to the byte
-            // count (v3's bytes carry wall-clock self-times): per query a
-            // node count, per node its id, kind and eleven counters —
-            // `warm` has three nodes, `mean` three
+            // this format is v3 less each query's per-node statistics (v4;
+            // v3's bytes carry wall-clock self-times) and less the
+            // resilience state's deadline-timeout counter (v5), to the byte
+            // count: per query a node count, per node its id, kind and
+            // eleven counters — `warm` has three nodes, `mean` three — and
+            // one `u64`
             let per_node = 8 + 1 + 11 * 8;
-            assert_eq!(snapshot.len() + 2 * 8 + 6 * per_node, v3.len());
+            assert_eq!(snapshot.len() + 2 * 8 + 6 * per_node + 8, v3.len());
         }
         resume(&snapshot, kill, "own snapshot");
     }
