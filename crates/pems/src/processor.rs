@@ -6,7 +6,8 @@
 //! clock; each global tick evaluates every query at the same instant
 //! (§3.2's simultaneous-evaluation model). A round's query ticks are one
 //! [`WorkerPool`] round: split in name order into at most
-//! [`SchedulerConfig::workers`] contiguous runs, the first on the calling
+//! [`SchedulerConfig::workers`] contiguous runs of about equal cost, each
+//! query weighing its own previous tick, the first run on the calling
 //! thread — the reproduction of the prototype's *asynchronous invocation
 //! handling*: slow service calls in one query do not serialize behind
 //! another query's, and 120 queries do not mean 120 OS threads. Within a
@@ -95,6 +96,8 @@ struct Registered {
     stats: QueryStats,
     /// Registry series for this query, when telemetry is attached.
     series: Option<QuerySeries>,
+    /// Its last tick in ns, its weight in the next round (not checkpointed).
+    tick_ns: Option<u64>,
 }
 
 /// The continuous-query scheduler.
@@ -184,6 +187,7 @@ impl QueryProcessor {
                 query,
                 stats: QueryStats::default(),
                 series,
+                tick_ns: None,
             },
         );
         self.update_registered_gauge();
@@ -322,10 +326,15 @@ impl QueryProcessor {
     /// per-node observations go to its report's [`TickReport::stats`] and
     /// to `sink` (the runtime's registry sink, when `Pems` ticks).
     ///
+    /// The round is cut by cost: a query weighs its previous tick's
+    /// [`TickReport::elapsed`], one that has not ticked the mean of those
+    /// that have (or 1). Which thread ticks which query may change; no
+    /// output does.
+    ///
     /// Reports come back in registration (name) order whichever thread ran
     /// each query, and a panicking query tick fails only that query (its
-    /// report carries an [`EvalError::Panicked`]); the round and the clock
-    /// survive.
+    /// report carries an [`EvalError::Panicked`], and its `elapsed` is the
+    /// time its job ran); the round and the clock survive.
     pub fn tick_all_with(
         &mut self,
         invoker: &dyn Invoker,
@@ -378,7 +387,10 @@ impl QueryProcessor {
             let sid = tick_span.as_ref().map_or(0, |s| s.id());
             (result, sid)
         };
-        type Outcome = (String, Result<TickReport, String>, Duration, u64);
+        let last = self.queries.values().filter_map(|reg| reg.tick_ns);
+        let (sum, count) = last.fold((0, 0), |(sum, n), ns| (sum + u128::from(ns), n + 1));
+        let unticked = u128::checked_div(sum, count).map_or(1, |mean| mean as u64);
+        type Outcome = (String, Result<TickReport, String>, Duration, Duration, u64);
         let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
         {
             // Entered during submission so each job captures the round
@@ -390,9 +402,10 @@ impl QueryProcessor {
                 for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
                     let name = name.clone();
                     let ticked = &ticked;
-                    scope.submit(move || {
+                    scope.submit_weighted(reg.tick_ns.unwrap_or(unticked), move || {
+                        let started = std::time::Instant::now();
                         let (result, sid) = ticked(&name, reg);
-                        *slot = Some((name, result, scheduled.elapsed(), sid));
+                        *slot = Some((name, result, started.elapsed(), scheduled.elapsed(), sid));
                     });
                 }
             });
@@ -403,7 +416,7 @@ impl QueryProcessor {
         let reports: Vec<(String, TickReport, Duration, u64)> = slots
             .into_iter()
             .flatten()
-            .map(|(name, result, lag, sid)| match result {
+            .map(|(name, result, ran, lag, sid)| match result {
                 Ok(report) => (name, report, lag, sid),
                 Err(reason) => {
                     // The query's tick panicked (e.g. inside a stream
@@ -427,7 +440,7 @@ impl QueryProcessor {
                             reason,
                         }],
                         stats: ExecStats::new(),
-                        elapsed: lag,
+                        elapsed: ran,
                     };
                     (name, report, lag, sid)
                 }
@@ -435,6 +448,8 @@ impl QueryProcessor {
             .collect();
         for (name, report, lag, sid) in &reports {
             let reg = self.queries.get_mut(name).expect("registered");
+            let elapsed_ns = u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64;
+            reg.tick_ns = Some(elapsed_ns);
             let inserted = (report.delta.inserts.len() + report.batch.len()) as u64;
             let deleted = report.delta.deletes.len() as u64;
             reg.stats.ticks += 1;
@@ -450,10 +465,7 @@ impl QueryProcessor {
                 series.tuples.add(inserted);
                 series.errors.add(report.errors.len() as u64);
                 // exemplar: the p99 tick links straight to its span tree
-                series.tick_ns.record_with_exemplar(
-                    u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64,
-                    *sid,
-                );
+                series.tick_ns.record_with_exemplar(elapsed_ns, *sid);
                 series.lag_ns.record_duration(*lag);
                 // only live β batches are meaningful batch-size samples
                 let misses = report.stats.total_cache_misses();
@@ -465,7 +477,7 @@ impl QueryProcessor {
                 trace.emit(&TraceEvent::TickEnd {
                     query: name.clone(),
                     at: report.at,
-                    duration_ns: u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64,
+                    duration_ns: elapsed_ns,
                     inserted,
                     deleted,
                     errors: report.errors.len() as u64,
@@ -823,6 +835,140 @@ mod tests {
             assert_eq!(qp.stats("doomed").unwrap().errors, 2);
             assert_eq!(qp.stats("healthy").unwrap().errors, 0);
         }
+    }
+
+    #[test]
+    fn a_panicked_tick_lasts_its_own_job_not_its_queue_wait() {
+        use serena_stream::source::FnStream;
+        let mut qp = QueryProcessor::new();
+        qp.set_scheduler(SchedulerConfig::new(1));
+        let registry = Arc::new(MetricsRegistry::new());
+        qp.set_telemetry(registry.clone(), None);
+        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
+        let mut s1 = SourceSet::new();
+        s1.add_stream(
+            "s",
+            schema.clone(),
+            Box::new(FnStream(|_: Instant| {
+                std::thread::sleep(Duration::from_millis(20));
+                vec![tuple![1]]
+            })),
+        );
+        qp.register("a_slow", &StreamPlan::source("s"), &mut s1)
+            .unwrap();
+        let mut s2 = SourceSet::new();
+        s2.add_stream(
+            "s",
+            schema,
+            Box::new(FnStream(|at: Instant| -> Vec<_> {
+                panic!("stream source exploded at {at:?}")
+            })),
+        );
+        qp.register("b_doomed", &StreamPlan::source("s"), &mut s2)
+            .unwrap();
+        let reports = qp.tick_all_with(&example_registry(), &NoopMetrics);
+        let (slow, doomed) = (&reports[0].1, &reports[1].1);
+        assert!(matches!(&doomed.errors[..], [EvalError::Panicked { .. }]));
+        // On one worker the doomed job waited for the whole slow one: that
+        // wait is in its lag, not in its tick (nor in its next weight). The
+        // panic hook's own time (a backtrace) is the job's, so the tick is
+        // bounded by the lag, not by a constant.
+        let doomed_series = |name| registry.histogram(name, &[("query", "b_doomed")]).sum();
+        let lag_ns = doomed_series("serena_query_lag_ns");
+        assert_eq!(
+            doomed_series("serena_query_tick_duration_ns"),
+            doomed.elapsed.as_nanos() as u64
+        );
+        assert!(
+            doomed.elapsed + slow.elapsed <= Duration::from_nanos(lag_ns),
+            "tick {:?} + slow tick {:?} > lag {lag_ns} ns",
+            doomed.elapsed,
+            slow.elapsed
+        );
+    }
+
+    #[test]
+    fn a_round_is_cut_by_each_querys_last_tick() {
+        use serena_core::service::fixtures::temperature_sensor;
+        use serena_core::service::StaticRegistry;
+        use serena_core::telemetry::span::SpanRecord;
+        use serena_core::value::Value;
+        use serena_services::fleet::SlowService;
+        // Three light βˢ queries (one 2 ms call a tick) named before four
+        // heavy ones (one 40 ms call): no dedup here, so every query calls.
+        // The light ones must not be negligible: a run ends after the job
+        // that crosses its share, so `light + s0 + s1 ≥ s2 + s3` has to
+        // hold against the jitter of the heavy calls.
+        let run = |workers: usize| {
+            let tracer = Arc::new(FlightRecorder::default());
+            let mut qp = QueryProcessor::new();
+            qp.set_scheduler(SchedulerConfig::new(workers));
+            qp.set_tracer(tracer.clone());
+            let reg = StaticRegistry::new();
+            let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
+            for (kind, queries, sensor, ms) in
+                [("light", 3, "sensor06", 2), ("sampled", 4, "sensor01", 40)]
+            {
+                let delay = Duration::from_millis(ms);
+                reg.register(sensor, SlowService::wrap(temperature_sensor(ms), delay));
+                let sensors = TableHandle::new(serena_core::schema::examples::sensors_schema());
+                sensors.insert(tuple![Value::service(sensor), "corridor"]);
+                for i in 0..queries {
+                    let mut s = SourceSet::new();
+                    s.add_table("sensors", sensors.clone());
+                    qp.register(format!("{kind}{i}"), &plan, &mut s).unwrap();
+                }
+            }
+            let reports: Vec<_> = (0..4)
+                .flat_map(|_| qp.tick_all_with(&reg, &NoopMetrics))
+                .map(|(name, r)| (name, r.at, r.delta, r.batch, r.errors))
+                .collect();
+            assert_eq!(tracer.dropped_total(), 0);
+            (reports, tracer.snapshot())
+        };
+        let (serial, _) = run(1);
+        let (reports, spans) = run(2);
+        assert_eq!(reports, serial, "workers=2 diverged");
+        assert!(reports.iter().all(|r| r.4.is_empty()), "{reports:?}");
+
+        // per round, in instant order: the worker of each sampled query,
+        // read from its `sched.job` span and that job's `query.tick` child
+        let children = |parent: u64| {
+            spans
+                .iter()
+                .filter(move |s: &&SpanRecord| s.parent == parent)
+        };
+        let mut rounds: Vec<&SpanRecord> =
+            spans.iter().filter(|s| s.name == "sched.round").collect();
+        rounds.sort_by_key(|s| s.at);
+        let placed: Vec<Vec<u64>> = rounds
+            .iter()
+            .map(|round| {
+                let mut at: Vec<(String, u64)> = children(round.id)
+                    .map(|job| {
+                        let tick = children(job.id).find(|s| s.name == "query.tick");
+                        let query = tick.and_then(|t| t.attr_str("query")).expect("a tick");
+                        (query.to_string(), job.attr_u64("worker").expect("a worker"))
+                    })
+                    .collect();
+                at.sort();
+                assert!(at[..3]
+                    .iter()
+                    .all(|(q, w)| q.starts_with("light") && *w == 0));
+                at[3..].iter().map(|(_, w)| *w).collect()
+            })
+            .collect();
+        // the first round cuts by count, three heavy queries on worker 1;
+        // every later one by cost, two on each worker
+        assert_eq!(
+            placed,
+            [
+                vec![0, 1, 1, 1],
+                vec![0, 0, 1, 1],
+                vec![0, 0, 1, 1],
+                vec![0, 0, 1, 1]
+            ]
+        );
     }
 
     #[test]

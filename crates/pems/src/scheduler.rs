@@ -1,15 +1,16 @@
 //! The multi-query tick scheduler (DESIGN § 4, *Multi-query scheduler &
-//! β dedup*). A tick round submits one job per registered query, in name
-//! order; [`WorkerPool::scope`] cuts the list into at most `workers`
-//! contiguous runs (job `i` goes to run `i · runs / jobs`), runs the first
-//! on the calling thread and each other on a `std::thread::scope` thread
-//! spawned for the round, and returns when every run has finished. A
-//! round with one worker or one job spawns no thread. A panicking job is
-//! caught where it runs; the jobs after it in its run still run.
+//! β dedup*). A tick round submits one weighted job per registered query,
+//! in name order; [`WorkerPool::scope`] cuts the list into at most
+//! `workers` contiguous runs of about equal weight (with equal weights,
+//! job `i` goes to run `i · runs / jobs`), runs the first on the calling
+//! thread and each other on a `std::thread::scope` thread spawned for the
+//! round, and returns when every run has finished. A round with one
+//! worker or one job spawns no thread. A panicking job is caught where it
+//! runs; the jobs after it in its run still run.
 //!
 //! The jobs are independent — one per query, each writing its own result
 //! slot, read back in name order — so output is byte-identical at every
-//! worker count (`tests/envgen_determinism.rs`).
+//! worker count and whatever the weights (`tests/envgen_determinism.rs`).
 
 use std::cell::RefCell;
 use std::panic::AssertUnwindSafe;
@@ -57,10 +58,12 @@ impl SchedulerConfig {
     }
 }
 
-/// A submitted job, the span it was submitted under and when (both zero
-/// when no recorder is armed), so its `sched.job` span can cross threads.
+/// A submitted job, its weight, and the span it was submitted under and
+/// when (both zero when no recorder is armed), so its `sched.job` span can
+/// cross threads.
 struct Tracked<'env> {
     job: Box<dyn FnOnce() + Send + 'env>,
+    weight: u64,
     parent: u64,
     submitted_ns: u64,
 }
@@ -92,9 +95,9 @@ impl WorkerPool {
     }
 
     /// Run one round: `f` submits any number of jobs borrowing from the
-    /// caller's stack via [`Scope::submit`]; they start once `f` returns,
-    /// and `scope` returns when every one has finished. If `f` panics, the
-    /// jobs it submitted are dropped without running.
+    /// caller's stack via [`Scope::submit_weighted`]; they start once `f`
+    /// returns, and `scope` returns when every one has finished. If `f`
+    /// panics, the jobs it submitted are dropped without running.
     pub fn scope<'env, F>(&self, f: F)
     where
         F: FnOnce(&Scope<'env, '_>),
@@ -106,12 +109,23 @@ impl WorkerPool {
         };
         f(&scope);
         let mut jobs = scope.jobs.into_inner();
-        let n = jobs.len();
-        let runs = self.workers.min(n);
+        let runs = self.workers.min(jobs.len());
+        let weight = |t: &Tracked<'_>| u128::from(t.weight.max(1));
+        let total: u128 = jobs.iter().map(weight).sum();
+        // Run `r` starts at the first job whose predecessors weigh at least
+        // `r / runs` of the round, moved on so that no run is empty.
+        let (mut starts, mut i, mut before) = (vec![0], 0, 0);
+        for r in 1..runs {
+            let cap = jobs.len() - (runs - r);
+            while i == starts[r - 1] || (i < cap && before * (runs as u128) < (r as u128) * total) {
+                before += weight(&jobs[i]);
+                i += 1;
+            }
+            starts.push(i);
+        }
         std::thread::scope(|threads| {
-            // Run `r` starts at the first job `i` with `i · runs / n ≥ r`.
-            for r in (1..runs).rev() {
-                let tail = jobs.split_off((r * n).div_ceil(runs));
+            for (r, &start) in starts.iter().enumerate().skip(1).rev() {
+                let tail = jobs.split_off(start);
                 threads.spawn(move || run(tail, r, tracer));
             }
             run(jobs, 0, tracer);
@@ -128,6 +142,7 @@ fn run(jobs: Vec<Tracked<'_>>, worker: usize, tracer: Option<&FlightRecorder>) {
             let wait = tracer.map_or(0, |r| r.now_ns().saturating_sub(tracked.submitted_ns));
             s.attr_u64("queue_wait_ns", wait);
             s.attr_u64("worker", worker as u64);
+            s.attr_u64("weight_ns", tracked.weight);
         }
         let _in_span = job_span.as_ref().map(|s| s.enter());
         // a panicking job must not stop the rest of its run
@@ -143,13 +158,24 @@ pub struct Scope<'env, 'pool> {
 }
 
 impl<'env> Scope<'env, '_> {
-    /// Submit a job that may borrow from `'env`.
+    /// Submit a job that may borrow from `'env`, weighing 1.
     pub fn submit<F>(&self, f: F)
+    where
+        F: FnOnce() + Send + 'env,
+    {
+        self.submit_weighted(1, f);
+    }
+
+    /// Submit a job that may borrow from `'env` and is expected to cost
+    /// `weight` (any unit shared by the round; 0 counts as 1). The weight
+    /// decides only which thread runs the job.
+    pub fn submit_weighted<F>(&self, weight: u64, f: F)
     where
         F: FnOnce() + Send + 'env,
     {
         self.jobs.borrow_mut().push(Tracked {
             job: Box::new(f),
+            weight,
             parent: self.tracer.map_or(0, |_| span::current()),
             submitted_ns: self.tracer.map_or(0, |r| r.now_ns()),
         });
@@ -292,5 +318,40 @@ mod tests {
         // a one-job round and a one-worker round never leave the caller
         assert_eq!(threads_of(4, 1), vec![caller]);
         assert_eq!(threads_of(1, 9), vec![caller; 9]);
+    }
+
+    /// The job ranges a round at `workers` runs on one thread each, in
+    /// order, for jobs weighing `weights`.
+    fn runs_of(workers: usize, weights: &[u64]) -> Vec<std::ops::Range<usize>> {
+        let pool = WorkerPool::new(SchedulerConfig::new(workers));
+        let mut ran: Vec<Option<ThreadId>> = vec![None; weights.len()];
+        pool.scope(|scope| {
+            for (slot, &weight) in ran.iter_mut().zip(weights) {
+                scope.submit_weighted(weight, move || {
+                    *slot = Some(std::thread::current().id());
+                });
+            }
+        });
+        let ran: Vec<ThreadId> = ran.into_iter().map(|t| t.expect("job ran")).collect();
+        let mut runs: Vec<std::ops::Range<usize>> = Vec::new();
+        for (i, thread) in ran.iter().enumerate() {
+            match runs.last_mut() {
+                Some(run) if ran[run.start] == *thread => run.end = i + 1,
+                _ => runs.push(i..i + 1),
+            }
+        }
+        runs
+    }
+
+    #[test]
+    fn a_round_is_cut_by_weight() {
+        // three light jobs before four heavy ones: two heavy ones a run
+        assert_eq!(runs_of(2, &[1, 1, 1, 9, 9, 9, 9]), [0..5, 5..7]);
+        // one job heavier than all the others leaves no run empty
+        assert_eq!(runs_of(4, &[100, 1, 1, 1, 1]), [0..1, 1..2, 2..3, 3..5]);
+        assert_eq!(runs_of(4, &[1, 1, 1, 1, 100]), [0..2, 2..3, 3..4, 4..5]);
+        // a weight of 0 counts as 1
+        assert_eq!(runs_of(2, &[0; 4]), [0..2, 2..4]);
+        assert_eq!(runs_of(2, &[2, 0, 0, 0]), [0..2, 2..4]);
     }
 }

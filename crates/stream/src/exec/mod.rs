@@ -150,7 +150,9 @@ pub struct TickReport {
     /// [`NodeId`]s.
     pub stats: ExecStats,
     /// Wall-clock duration of the whole tick (all nodes, β calls
-    /// included) — the sample behind per-query tick-duration histograms.
+    /// included) — the sample behind per-query tick-duration histograms,
+    /// and the query's weight when the Query Processor cuts the next tick
+    /// round into runs of equal cost.
     pub elapsed: std::time::Duration,
 }
 

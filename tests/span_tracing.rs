@@ -146,15 +146,16 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
                 "{label}: dedup span mismatch"
             );
             // every round runs its queries as jobs, on the caller alone at
-            // one worker; a job carries its worker and queue wait and
-            // nothing else, and hangs off its round span, across the thread
-            // hop too
+            // one worker; a job carries its worker, queue wait and weight
+            // and nothing else, and hangs off its round span, across the
+            // thread hop too
             let jobs: Vec<&SpanRecord> = spans.iter().filter(|s| s.name == "sched.job").collect();
             assert!(jobs.iter().all(|j| {
                 let keys: Vec<&str> = j.attrs.iter().map(|(k, _)| *k).collect();
-                keys == ["queue_wait_ns", "worker"]
+                keys == ["queue_wait_ns", "worker", "weight_ns"]
                     && j.attr_u64("worker").is_some()
                     && j.attr_u64("queue_wait_ns").is_some()
+                    && j.attr_u64("weight_ns").is_some()
             }));
             assert_eq!(pems.flight_recorder().dropped_total(), 0, "{label}");
             for round in spans.iter().filter(|s| s.name == "sched.round") {
