@@ -16,7 +16,8 @@
 //!    swap on the targeted slot — no allocation beyond the span's own
 //!    attribute vector, no global lock, no I/O.
 //! 2. **Bounded memory.** Records land in per-lane ring buffers whose
-//!    total capacity comes from `SERENA_TRACE_CAPACITY` (default 16384).
+//!    total capacity is [`FlightRecorder::with_capacity`]'s argument
+//!    ([`DEFAULT_CAPACITY`], 16384, by default).
 //!    When a lane wraps, the oldest record is dropped and
 //!    [`FlightRecorder::dropped_total`] increments — surfaced as the
 //!    `serena_trace_dropped_total` counter.
@@ -41,20 +42,12 @@ use std::sync::Mutex;
 
 use crate::time::Instant;
 
-/// Default total ring capacity when `SERENA_TRACE_CAPACITY` is unset.
+/// Total ring capacity of [`FlightRecorder::default`].
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
-/// Most slots a recorder will ever allocate (they are built eagerly), so a
-/// capacity that arrives from outside the program cannot size the heap.
+/// Most slots a recorder will ever allocate (they are built eagerly), so no
+/// capacity a caller asks for can size the heap past it.
 const MAX_CAPACITY: usize = 1 << 20;
-
-/// The total capacity a `SERENA_TRACE_CAPACITY` value asks for; unset,
-/// unparsable or zero means [`DEFAULT_CAPACITY`].
-fn requested_capacity(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&c| c > 0)
-        .unwrap_or(DEFAULT_CAPACITY)
-}
 
 /// One span attribute value: small integers stay unboxed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -228,18 +221,6 @@ impl FlightRecorder {
             dropped: AtomicU64::new(0),
             epoch: std::time::Instant::now(),
         }
-    }
-
-    /// A recorder configured from the environment: `SERENA_TRACE_CAPACITY`
-    /// sets the total slot count and `SERENA_TRACE=0` starts it disarmed
-    /// (armed otherwise).
-    pub fn from_env() -> Self {
-        let capacity = std::env::var("SERENA_TRACE_CAPACITY").ok();
-        let rec = Self::with_capacity(requested_capacity(capacity.as_deref()));
-        if std::env::var("SERENA_TRACE").is_ok_and(|v| v.trim() == "0") {
-            rec.arm(false);
-        }
-        rec
     }
 
     /// Arm or disarm recording. Disarmed, [`FlightRecorder::start`]
@@ -564,15 +545,5 @@ mod tests {
     #[test]
     fn capacity_from_outside_is_clamped_before_it_allocates() {
         assert!(FlightRecorder::with_capacity(usize::MAX).capacity() <= MAX_CAPACITY);
-        // what `from_env` does with a hostile SERENA_TRACE_CAPACITY
-        for hostile in ["18446744073709551615", "1000000000000"] {
-            let asked = requested_capacity(Some(hostile));
-            assert!(asked > MAX_CAPACITY);
-            assert!(FlightRecorder::with_capacity(asked).capacity() <= MAX_CAPACITY);
-        }
-        for unset in [None, Some("0"), Some("lots"), Some("-5")] {
-            assert_eq!(requested_capacity(unset), DEFAULT_CAPACITY);
-        }
-        assert_eq!(requested_capacity(Some(" 256 ")), 256);
     }
 }

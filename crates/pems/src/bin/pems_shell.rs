@@ -18,8 +18,7 @@
 //!   * `.profile <query>` — per-query tick timeline and slowest operators
 //!     from the flight recorder;
 //!   * `.trace <file>` — export the retained spans as a Chrome/Perfetto
-//!     `trace.json` (`SERENA_TRACE=0` disarms the recorder,
-//!     `SERENA_TRACE_CAPACITY` bounds it);
+//!     `trace.json` (the recorder keeps the last 16 384);
 //!   * `.explain <SELECT …>` — the algebra expression a Serena SQL
 //!     statement lowers to (where each `WHERE` conjunct went); nothing is
 //!     executed, so an active `USING` prototype sends nothing;
@@ -33,6 +32,12 @@
 //! Every dot-command also accepts a backslash prefix (`\metrics`,
 //! `\health`, `\tick` …), psql-style.
 //!
+//! The shell reads four environment variables (the library reads none):
+//! `SERENA_SCHED_WORKERS` (threads per tick round, ≥ 1; a malformed value
+//! stops the shell), `SERENA_NODE_ID`, `SERENA_TRANSPORT` (`inproc` or
+//! `socket`, for `.serve` / `.connect` / `.replicate`) and
+//! `PEMS_SHELL_INTERACTIVE`.
+//!
 //! ```sh
 //! cargo run -p serena-pems --bin pems-shell            # interactive
 //! echo '.demo
@@ -41,21 +46,31 @@
 //! ```
 
 use std::io::{self, BufRead, Write};
+use std::sync::Arc;
 
-use serena_pems::{ExecOutcome, Pems};
+use serena_pems::{ExecOutcome, Pems, PemsError, SchedulerConfig};
 use serena_services::bus::BusConfig;
 use serena_services::node::NodeHandle;
+use serena_services::transport::{self, Transport};
 
 fn main() {
     let stdin = io::stdin();
     let node_id = std::env::var("SERENA_NODE_ID").unwrap_or_else(|_| "node0".to_string());
-    let mut pems = Pems::builder()
-        .bus(BusConfig::instant())
-        .node_id(node_id)
-        .build();
+    let mut builder = Pems::builder().bus(BusConfig::instant()).node_id(node_id);
+    if let Some(value) = std::env::var_os("SERENA_SCHED_WORKERS") {
+        let value = value.to_string_lossy();
+        let Some(n) = value.parse().ok().filter(|&n: &usize| n > 0) else {
+            eprintln!("error: SERENA_SCHED_WORKERS={value}: expected a worker count of at least 1");
+            std::process::exit(2);
+        };
+        builder = builder.scheduler(SchedulerConfig::new(n));
+    }
+    let mut pems = builder.build();
     let mut nodes: Vec<NodeHandle> = Vec::new();
     let mut buffer = String::new();
-    let interactive = atty_like();
+    // whether to print prompts: stdout-is-a-terminal cannot be asked
+    // portably without libc, and the prompt is cosmetic
+    let interactive = std::env::var("PEMS_SHELL_INTERACTIVE").is_ok_and(|v| v != "0");
 
     if interactive {
         println!("Serena PEMS shell — `.help` for commands, statements end with `;`");
@@ -110,15 +125,6 @@ fn main() {
     }
 }
 
-/// stdout-is-a-terminal heuristic without external crates: honour an
-/// explicit override, default to non-interactive when piped output is
-/// likely (we cannot know portably without libc; the prompt is cosmetic).
-fn atty_like() -> bool {
-    std::env::var("PEMS_SHELL_INTERACTIVE")
-        .map(|v| v != "0")
-        .unwrap_or(false)
-}
-
 fn prompt(interactive: bool, buffer: &str) {
     if interactive {
         print!(
@@ -144,6 +150,13 @@ fn print_outcome(outcome: ExecOutcome) {
             }
         }
     }
+}
+
+/// The transport `SERENA_TRANSPORT` names (in-proc when unset).
+fn named_transport() -> Result<Arc<dyn Transport>, PemsError> {
+    let name = std::env::var("SERENA_TRANSPORT").ok();
+    transport::select(name.as_deref())
+        .map_err(|e| PemsError::Other(format!("SERENA_TRANSPORT: {e}")))
 }
 
 fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool {
@@ -297,9 +310,8 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             None => println!("usage: .restore <dir>"),
         },
         ".serve" => match parts.next() {
-            // the transport comes from SERENA_TRANSPORT (inproc default;
-            // `socket` for tcp:/uds: addresses)
-            Some(addr) => match pems.serve(serena_services::transport::from_env(), addr) {
+            // SERENA_TRANSPORT=socket for tcp:/uds: addresses
+            Some(addr) => match named_transport().and_then(|t| pems.serve(t, addr)) {
                 Ok(handle) => {
                     println!("serving node `{}` at {}", pems.node_id(), handle.addr());
                     nodes.push(handle);
@@ -309,14 +321,14 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             None => println!("usage: .serve <addr>   (e.g. tcp:127.0.0.1:0, uds:/tmp/a.sock)"),
         },
         ".connect" => match parts.next() {
-            Some(addr) => match pems.connect_peer(serena_services::transport::from_env(), addr) {
+            Some(addr) => match named_transport().and_then(|t| pems.connect_peer(t, addr)) {
                 Ok(node) => println!("linked peer `{node}` at {addr}"),
                 Err(e) => println!("error: {e}"),
             },
             None => println!("usage: .connect <addr>"),
         },
         ".replicate" => match parts.next() {
-            Some(addr) => match pems.replicate_to(serena_services::transport::from_env(), addr) {
+            Some(addr) => match named_transport().and_then(|t| pems.replicate_to(t, addr)) {
                 Ok(node) => println!("replicating checkpoints to `{node}` at {addr}"),
                 Err(e) => println!("error: {e}"),
             },

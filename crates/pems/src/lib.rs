@@ -9,7 +9,8 @@
 //!   delivers into (the core Environment Resource Manager), table manager,
 //!   query processor and discovery queries, advanced tick by tick — per
 //!   instant: deliver due announcements and poll peers, refresh the
-//!   discovery tables, tick every query;
+//!   discovery tables, tick every query, checkpoint; every setting is a
+//!   [`pems::PemsBuilder`] argument, none an environment variable;
 //! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
 //!   execution, one-shot environment snapshots;
 //! * [`processor::QueryProcessor`] — registered continuous queries in
@@ -18,8 +19,7 @@
 //!   services on the thread that ticks it;
 //! * [`scheduler`] — how the processor runs a tick round: the queries split
 //!   into contiguous runs over scoped threads, the caller running the first
-//!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`] /
-//!   `SERENA_SCHED_WORKERS`);
+//!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`]);
 //! * [`hub`] — stream plumbing (broadcast hubs, sensor samplers, RSS
 //!   adapters);
 //! * [`recovery`] — periodic checkpoints of the runtime's dynamic state

@@ -1,0 +1,233 @@
+//! Checkpoint and restore: the runtime's dynamic state as one versioned
+//! snapshot, written to disk, streamed to a standby, and read back. See
+//! [`crate::recovery`] for the recovery model.
+
+use std::path::{Path, PathBuf};
+use std::sync::atomic::Ordering;
+
+use serena_core::snapshot::{self, Reader, SnapshotError, Writer};
+use serena_core::time::Instant;
+
+use super::{Pems, PemsError};
+use crate::recovery::{read_checkpoint, RecoveryManager};
+
+impl Pems {
+    /// Serialize the runtime's full dynamic state into one versioned
+    /// snapshot: table contents, per-query executor state and statistics,
+    /// the logical clock, circuit breakers and service-health windows.
+    /// Static setup (DDL, service registrations, query registrations) is
+    /// *not* captured — see [`crate::recovery`] for the recovery model.
+    pub fn snapshot_bytes(&self) -> Vec<u8> {
+        let hint = self.snapshot_size_hint.load(Ordering::Relaxed);
+        let mut w = Writer::with_capacity(hint + hint / 4 + 256);
+        snapshot::write_header(&mut w);
+        self.tables.export_tables(&mut w);
+        self.processor.write_snapshot(&mut w);
+        self.beta.resilience.export_state(&mut w);
+        self.beta.health.export_state(&mut w);
+        self.snapshot_size_hint.store(w.len(), Ordering::Relaxed);
+        w.into_bytes()
+    }
+
+    /// Restore dynamic state from [`Self::snapshot_bytes`] output. The
+    /// static setup must already have been re-run on this instance (same
+    /// tables, same queries, same plans); a disagreement surfaces as
+    /// [`SnapshotError::Mismatch`].
+    pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), PemsError> {
+        let mut r = Reader::new(bytes);
+        snapshot::read_header(&mut r)?;
+        // the tables are about to hold what the checkpointed runtime's
+        // did, not what this runtime's discovery queries wrote into them
+        for (_, query) in &mut self.discoveries {
+            query.forget();
+        }
+        self.tables.import_tables(&mut r)?;
+        self.processor.read_snapshot(&mut r)?;
+        self.beta.resilience.import_state(&mut r)?;
+        self.beta.health.import_state(&mut r)?;
+        if !r.is_at_end() {
+            return Err(SnapshotError::Corrupt(format!(
+                "{} trailing bytes after snapshot",
+                r.remaining()
+            ))
+            .into());
+        }
+        Ok(())
+    }
+
+    /// Restore from the checkpoint in `dir` (a checkpoint directory, or a
+    /// direct path to a snapshot file). Call after re-running the static
+    /// setup; the next [`Self::tick`] then evaluates exactly the instant
+    /// the checkpointed runtime would have evaluated next.
+    pub fn restore_from(&mut self, dir: impl AsRef<Path>) -> Result<(), PemsError> {
+        let bytes = read_checkpoint(dir)?;
+        self.restore_bytes(&bytes)
+    }
+
+    /// Write a one-off checkpoint of the current state into `dir`,
+    /// independent of any configured cadence — the shell's `.checkpoint`
+    /// command.
+    pub fn checkpoint_to(&self, dir: impl AsRef<Path>) -> Result<PathBuf, PemsError> {
+        let rm = RecoveryManager::new(dir.as_ref(), 1);
+        self.write_checkpoint(&rm, &self.snapshot_bytes())
+    }
+
+    /// Write already-cut snapshot bytes through `rm`, counted in
+    /// `serena_checkpoint_total`.
+    fn write_checkpoint(&self, rm: &RecoveryManager, bytes: &[u8]) -> Result<PathBuf, PemsError> {
+        let path = rm.write(bytes)?;
+        self.beta
+            .telemetry
+            .counter("serena_checkpoint_total", &[])
+            .inc();
+        Ok(path)
+    }
+
+    /// The last phase of the tick at `now`, where the snapshot cut is
+    /// consistent: cut one snapshot and fan it out — to disk if the cadence
+    /// says a checkpoint is due, and to the standby peer if one is linked.
+    /// Neither failure may take the runtime down: both are counted and
+    /// traced.
+    pub(super) fn checkpoint_and_replicate(&mut self, now: Instant) {
+        let due = self
+            .recovery
+            .as_mut()
+            .is_some_and(RecoveryManager::tick_completed);
+        if !due && self.standby.is_none() {
+            return;
+        }
+        let bytes = self.snapshot_bytes();
+        let telemetry = &self.beta.telemetry;
+        if let Some(rm) = self.recovery.as_ref().filter(|_| due) {
+            if let Err(e) = self.write_checkpoint(rm, &bytes) {
+                telemetry
+                    .counter("serena_checkpoint_errors_total", &[])
+                    .inc();
+                self.trace_failure("checkpoint", self.processor.clock(), &e);
+            }
+        }
+        if let Some(standby) = &self.standby {
+            match standby.send_checkpoint(now.0, &bytes) {
+                Ok(()) => telemetry.counter("serena_replication_total", &[]).inc(),
+                Err(e) => {
+                    telemetry
+                        .counter("serena_replication_errors_total", &[])
+                        .inc();
+                    self.trace_failure("replication", self.processor.clock(), &e);
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::pems::tests::{pems_with_messenger, SETUP};
+    use serena_services::bus::BusConfig;
+    use std::sync::Arc;
+
+    fn temp_dir(tag: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("serena-pems-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    #[test]
+    fn periodic_checkpoints_follow_the_cadence() {
+        let dir = temp_dir("cadence");
+        let mut pems = Pems::builder()
+            .bus(BusConfig::instant())
+            .checkpoint(&dir, 2)
+            .build();
+        let (svc, _outbox) = serena_services::devices::messenger::SimMessenger::new(
+            serena_services::devices::messenger::MessengerKind::Email,
+        )
+        .into_service();
+        pems.directory().register("email", svc);
+        pems.run_program(SETUP).unwrap();
+        pems.run_program("REGISTER QUERY watch AS contacts;")
+            .unwrap();
+        pems.run_ticks(5);
+        assert_eq!(
+            pems.metrics_registry()
+                .counter_value("serena_checkpoint_total", &[]),
+            Some(2) // after ticks 2 and 4
+        );
+        assert!(dir.join("serena.ckpt").exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn restore_resumes_exactly_where_the_checkpoint_cut() {
+        let dir = temp_dir("restore");
+        let setup = || {
+            let mut pems = pems_with_messenger();
+            pems.run_program(SETUP).unwrap();
+            pems.run_program("REGISTER QUERY watch AS SELECT[messenger = 'email'](contacts);")
+                .unwrap();
+            pems
+        };
+
+        let mut original = setup();
+        original.run_ticks(2);
+        original
+            .run_program("DELETE FROM contacts VALUES ('Carla', 'carla@elysee.fr', 'email');")
+            .unwrap();
+        original.checkpoint_to(&dir).unwrap(); // pending delete captured
+
+        // crash: re-run the static setup on a fresh process, rehydrate
+        let mut recovered = setup();
+        recovered.restore_from(&dir).unwrap();
+        assert_eq!(recovered.clock(), original.clock());
+        assert_eq!(
+            recovered.processor().stats("watch"),
+            original.processor().stats("watch")
+        );
+
+        // both runtimes tick forward in lock-step: the pending delete
+        // commits identically
+        let a = original.tick();
+        let b = recovered.tick();
+        assert_eq!(a[0].1.delta, b[0].1.delta);
+        assert_eq!(a[0].1.delta.deletes.len(), 1);
+        assert_eq!(
+            recovered.processor().current_relation("watch").unwrap(),
+            original.processor().current_relation("watch").unwrap()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn checkpoint_errors_are_reported_not_fatal() {
+        let mut pems = pems_with_messenger();
+        // restoring garbage is a typed snapshot error
+        assert!(matches!(
+            pems.restore_bytes(b"not a snapshot"),
+            Err(PemsError::Snapshot(_))
+        ));
+        // a checkpoint directory that cannot be created is counted and
+        // traced, and the tick still succeeds
+        use serena_core::telemetry::MemoryTrace;
+        let trace = Arc::new(MemoryTrace::new());
+        let mut pems = Pems::builder()
+            .bus(BusConfig::instant())
+            .trace(trace.clone())
+            .checkpoint("/proc/serena-cannot-write-here", 1)
+            .build();
+        pems.run_program("EXTENDED RELATION t ( x INTEGER );")
+            .unwrap();
+        pems.run_program("REGISTER QUERY q AS t;").unwrap();
+        let reports = pems.tick();
+        assert_eq!(reports.len(), 1);
+        assert_eq!(
+            pems.metrics_registry()
+                .counter_value("serena_checkpoint_errors_total", &[]),
+            Some(1)
+        );
+        assert!(trace.events().iter().any(|e| matches!(
+            e,
+            serena_core::telemetry::TraceEvent::Failure { scope, .. } if scope == "checkpoint"
+        )));
+    }
+}

@@ -40,7 +40,6 @@ pub struct RecoveryManager {
     dir: PathBuf,
     every: u64,
     ticks_since_checkpoint: u64,
-    checkpoints_written: u64,
 }
 
 impl RecoveryManager {
@@ -51,28 +50,7 @@ impl RecoveryManager {
             dir: dir.into(),
             every: every_n_ticks.max(1),
             ticks_since_checkpoint: 0,
-            checkpoints_written: 0,
         }
-    }
-
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// The configured cadence in ticks.
-    pub fn every_n_ticks(&self) -> u64 {
-        self.every
-    }
-
-    /// Path the current checkpoint lives at.
-    pub fn checkpoint_path(&self) -> PathBuf {
-        self.dir.join(CHECKPOINT_FILE)
-    }
-
-    /// Checkpoints successfully written so far.
-    pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written
     }
 
     /// Record one completed tick; true when the cadence says a checkpoint
@@ -91,9 +69,9 @@ impl RecoveryManager {
 
     /// Atomically replace the checkpoint with `bytes`: create the
     /// directory if needed, stage to a `.tmp` sibling, fsync, rename.
-    pub fn write(&mut self, bytes: &[u8]) -> Result<PathBuf, SnapshotError> {
+    pub fn write(&self, bytes: &[u8]) -> Result<PathBuf, SnapshotError> {
         fs::create_dir_all(&self.dir)?;
-        let target = self.checkpoint_path();
+        let target = self.dir.join(CHECKPOINT_FILE);
         let mut tmp = target.clone().into_os_string();
         tmp.push(TMP_SUFFIX);
         let tmp = PathBuf::from(tmp);
@@ -103,7 +81,6 @@ impl RecoveryManager {
             f.sync_all()?;
         }
         fs::rename(&tmp, &target)?;
-        self.checkpoints_written += 1;
         Ok(target)
     }
 }
@@ -145,7 +122,7 @@ mod tests {
     #[test]
     fn write_is_atomic_and_readable() {
         let dir = temp_dir("atomic");
-        let mut rm = RecoveryManager::new(&dir, 1);
+        let rm = RecoveryManager::new(&dir, 1);
         let path = rm.write(b"first").expect("write");
         assert_eq!(path, dir.join(CHECKPOINT_FILE));
         assert_eq!(read_checkpoint(&dir).expect("read"), b"first");
@@ -154,7 +131,6 @@ mod tests {
         assert_eq!(read_checkpoint(&dir).expect("read"), b"second");
         assert_eq!(read_checkpoint(&path).expect("direct path"), b"second");
         assert!(!dir.join(format!("{CHECKPOINT_FILE}{TMP_SUFFIX}")).exists());
-        assert_eq!(rm.checkpoints_written(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 

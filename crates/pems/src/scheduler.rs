@@ -44,18 +44,6 @@ impl SchedulerConfig {
             workers: workers.max(1),
         }
     }
-
-    /// [`SchedulerConfig::default`] with the `SERENA_SCHED_WORKERS`
-    /// environment override applied.
-    pub fn from_env() -> Self {
-        match std::env::var("SERENA_SCHED_WORKERS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-        {
-            Some(n) => SchedulerConfig::new(n),
-            None => SchedulerConfig::default(),
-        }
-    }
 }
 
 /// A submitted job, its weight, and the span it was submitted under and

@@ -3,22 +3,28 @@
 //! the PEMS without writing Rust.
 
 use std::io::Write;
-use std::process::{Command, Stdio};
+use std::process::{Command, Output, Stdio};
 
-fn run_shell(script: &str) -> String {
+/// The shell run over `script` with `vars` set in its environment.
+fn run_shell_with(vars: &[(&str, &str)], script: &str) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_pems_shell"))
+        .envs(vars.iter().copied())
         .stdin(Stdio::piped())
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("shell binary spawns");
-    child
+    // a shell that refuses its environment exits before it reads stdin
+    let _ = child
         .stdin
         .as_mut()
         .expect("stdin piped")
-        .write_all(script.as_bytes())
-        .expect("script written");
-    let out = child.wait_with_output().expect("shell exits");
+        .write_all(script.as_bytes());
+    child.wait_with_output().expect("shell exits")
+}
+
+fn run_shell(script: &str) -> String {
+    let out = run_shell_with(&[], script);
     assert!(out.status.success(), "shell exited with {:?}", out.status);
     String::from_utf8(out.stdout).expect("utf-8 output")
 }
@@ -153,4 +159,67 @@ fn explain_prints_the_lowered_algebra_without_executing() {
     assert!(out.contains(".explain <SELECT …> | .checkpoint <dir> | .restore <dir>"));
     assert!(!out.contains(".plan <query>"), "{out}");
     assert!(out.contains("unknown command `.plan` — try .help"), "{out}");
+}
+
+/// A worker count the shell cannot use stops it before it starts, with a
+/// message naming the variable and its value — never a silent default.
+#[test]
+fn a_malformed_worker_count_stops_the_shell_and_names_it() {
+    for value in ["abc", "0", "-2", ""] {
+        let out = run_shell_with(&[("SERENA_SCHED_WORKERS", value)], ".demo\n.quit\n");
+        assert!(
+            !out.status.success(),
+            "SERENA_SCHED_WORKERS={value:?} was accepted"
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("SERENA_SCHED_WORKERS={value}:")),
+            "{value:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{value:?}: the session ran");
+    }
+}
+
+/// The worker count the environment names is the one the rounds run on:
+/// `.top` shows the caller and one scoped thread.
+#[test]
+fn a_worker_count_from_the_environment_shows_in_top() {
+    let out = run_shell_with(
+        &[("SERENA_SCHED_WORKERS", "2")],
+        ".demo\n\
+         REGISTER QUERY a AS contacts;\n\
+         REGISTER QUERY b AS contacts;\n\
+         .tick 3\n\
+         .top\n\
+         .quit\n",
+    );
+    assert!(out.status.success(), "shell exited with {:?}", out.status);
+    let out = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(out.contains("  worker 0: "), "{out}");
+    assert!(out.contains("  worker 1: "), "{out}");
+    assert!(!out.contains("  worker 2: "), "{out}");
+}
+
+/// A transport name nobody serves is an error from `.serve`, not an
+/// in-proc endpoint; the session goes on.
+#[test]
+fn an_unknown_transport_is_an_error_not_an_inproc_endpoint() {
+    let out = run_shell_with(
+        &[("SERENA_TRANSPORT", "sokcet")],
+        ".serve inproc:shell-unknown-transport\n\
+         .connect inproc:shell-unknown-transport\n\
+         .demo\n\
+         .quit\n",
+    );
+    assert!(out.status.success(), "shell exited with {:?}", out.status);
+    let out = String::from_utf8(out.stdout).expect("utf-8 output");
+    assert!(!out.contains("serving node"), "{out}");
+    let errors = out
+        .lines()
+        .filter(|l| l.starts_with("error: SERENA_TRANSPORT:"));
+    for line in errors.clone() {
+        assert!(line.contains("unknown transport `sokcet`"), "{line}");
+    }
+    assert_eq!(errors.count(), 2, "{out}");
+    assert!(out.contains("loaded the paper's running example"), "{out}");
 }

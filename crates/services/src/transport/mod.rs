@@ -17,9 +17,9 @@
 //!   non-std.
 //!
 //! Address strings are scheme-prefixed: `inproc:<name>`, `uds:<path>`,
-//! `tcp:<host>:<port>`. [`from_env`] selects a transport from the
-//! `SERENA_TRANSPORT` environment variable (`inproc` — a process-wide
-//! shared hub — or `socket`).
+//! `tcp:<host>:<port>`. [`select`] picks a transport by name (`inproc` — a
+//! process-wide shared hub — or `socket`); the binaries pass it the
+//! `SERENA_TRANSPORT` environment variable.
 //!
 //! Malformed traffic is never a panic: oversized, truncated or garbage
 //! frames surface as typed [`TransportError`]s (see the hostile-input
@@ -80,6 +80,8 @@ pub enum TransportError {
     /// A frame arrived that is valid but unexpected in the current
     /// protocol state (e.g. a response tag where a request was required).
     Protocol(String),
+    /// [`select`] was asked for a transport no one serves.
+    UnknownTransport(String),
 }
 
 impl fmt::Display for TransportError {
@@ -107,6 +109,10 @@ impl fmt::Display for TransportError {
             }
             TransportError::Malformed(d) => write!(f, "malformed frame payload: {d}"),
             TransportError::Protocol(d) => write!(f, "protocol violation: {d}"),
+            TransportError::UnknownTransport(name) => write!(
+                f,
+                "unknown transport `{name}` (expected inproc, socket, uds, tcp or unix)"
+            ),
         }
     }
 }
@@ -161,15 +167,16 @@ impl<T: Transport + ?Sized> Transport for Arc<T> {
     }
 }
 
-/// Select a transport from the `SERENA_TRANSPORT` environment variable:
-/// `socket` (or `uds` / `tcp`) yields a [`SocketTransport`]; anything
-/// else — including unset — yields the process-wide shared
-/// [`InProcTransport`] hub, so co-located tools (shell, tests) find each
-/// other by `inproc:<name>`.
-pub fn from_env() -> Arc<dyn Transport> {
-    match std::env::var("SERENA_TRANSPORT").as_deref() {
-        Ok("socket") | Ok("uds") | Ok("tcp") | Ok("unix") => Arc::new(SocketTransport::new()),
-        _ => Arc::new(InProcTransport::shared()),
+/// Select a transport by name: `socket` (or `uds` / `tcp` / `unix`) yields
+/// a [`SocketTransport`]; `inproc` or no name yields the process-wide
+/// shared [`InProcTransport`] hub, so co-located tools (shell, tests) find
+/// each other by `inproc:<name>`. Any other name is
+/// [`TransportError::UnknownTransport`].
+pub fn select(name: Option<&str>) -> Result<Arc<dyn Transport>, TransportError> {
+    match name {
+        Some("socket" | "uds" | "tcp" | "unix") => Ok(Arc::new(SocketTransport::new())),
+        None | Some("inproc") => Ok(Arc::new(InProcTransport::shared())),
+        Some(other) => Err(TransportError::UnknownTransport(other.to_string())),
     }
 }
 
@@ -209,10 +216,20 @@ mod tests {
     }
 
     #[test]
-    fn env_selection_defaults_to_inproc() {
-        // without SERENA_TRANSPORT the shared in-proc hub is returned
-        if std::env::var("SERENA_TRANSPORT").is_err() {
-            assert_eq!(from_env().name(), "inproc");
+    fn selection_defaults_to_inproc_and_names_an_unknown_transport() {
+        let name = |n| select(n).map(|t| t.name());
+        assert_eq!(name(None), Ok("inproc"));
+        assert_eq!(name(Some("inproc")), Ok("inproc"));
+        for socket in ["socket", "uds", "tcp", "unix"] {
+            assert_eq!(name(Some(socket)), Ok("socket"));
         }
+        for unknown in ["sokcet", "", "INPROC"] {
+            assert_eq!(
+                name(Some(unknown)),
+                Err(TransportError::UnknownTransport(unknown.to_string()))
+            );
+        }
+        let err = select(Some("sokcet")).map(|_| ()).unwrap_err();
+        assert!(err.to_string().contains("`sokcet`"), "{err}");
     }
 }

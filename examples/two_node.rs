@@ -21,7 +21,9 @@ use serena::services::transport::{self, Transport};
 const TICKS: u64 = 20;
 
 fn main() {
-    let transport: Arc<dyn Transport> = transport::from_env();
+    let name = std::env::var("SERENA_TRANSPORT").ok();
+    let transport: Arc<dyn Transport> =
+        transport::select(name.as_deref()).expect("SERENA_TRANSPORT names a transport");
     let addr = match transport.name() {
         "socket" => format!(
             "uds:{}",
