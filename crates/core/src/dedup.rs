@@ -22,12 +22,13 @@
 //! outlives the instant whose determinism justifies it.
 //!
 //! The first caller owes the others a result whatever happens below it,
-//! so its upstream call is [contained](invoke_contained): an invocation
-//! observer or trace sink that panics (both run *above* the catch-panic
-//! layer) is memoized and served as the [`EvalError::Panicked`] the
-//! caller's own containment would have made of it — the same error for
-//! every caller of the key, and no key left in flight with a latch nobody
-//! will publish.
+//! so its upstream call is [contained](invoke_contained): a panic from an
+//! invocation observer, or from the [`TraceSink`](crate::telemetry::TraceSink)
+//! an instrumented or resilient layer opens its spans through (both run
+//! *above* the catch-panic layer), is memoized and served as the
+//! [`EvalError::Panicked`] the caller's own containment would have made of
+//! it — the same error for every caller of the key, and no key left in
+//! flight with a latch nobody will publish.
 //!
 //! Every coalesced call is counted per logical caller in
 //! `serena_beta_dedup_total{service=…}` (when a registry is attached,

@@ -100,7 +100,7 @@ pub mod prelude {
     pub use crate::service::{Invoker, InvokerLayer, InvokerStack, Service, StaticRegistry};
     pub use crate::telemetry::{
         beta_cache_hit_ratio, Counter, Gauge, Histogram, InstrumentedLayer, InvocationObserver,
-        JsonlTrace, MemoryTrace, MetricsRegistry, NoopTrace, RegistrySink, TraceEvent, TraceSink,
+        MetricsRegistry, NoopTrace, RegistrySink, TraceSink,
     };
     pub use crate::time::Instant;
     pub use crate::tuple::Tuple;

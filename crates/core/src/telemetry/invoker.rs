@@ -3,10 +3,11 @@
 //! [`InstrumentedLayer`] decorates any [`Invoker`] and, per call, records
 //! wall-clock latency into per-service registry series, notifies an
 //! [`InvocationObserver`] (the hook service-health trackers implement), and
-//! emits [`TraceEvent::Invocation`]/[`TraceEvent::Failure`] trace events —
-//! without changing the call's result in any way. This sits *under* the β
-//! operator, so the one-shot executor and the continuous one (both call
-//! `InvokeRecipe::call` per tuple) are observed identically.
+//! records a `beta.attempt` span (service, prototype, outcome, error text)
+//! through its [`TraceSink`] — without changing the call's result in any
+//! way. This sits *under* the β operator, so the one-shot executor and the
+//! continuous one (both call `InvokeRecipe::call` per tuple) are observed
+//! identically.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -20,8 +21,7 @@ use crate::value::ServiceRef;
 
 use super::histogram::Histogram;
 use super::registry::{Counter, MetricsRegistry};
-use super::span::FlightRecorder;
-use super::trace::{TraceEvent, TraceSink};
+use super::trace::TraceSink;
 
 /// Receives the outcome of every β service invocation — the feed for
 /// service-health tracking. `error` is `None` on success.
@@ -85,7 +85,6 @@ pub struct InstrumentedLayer<'a> {
     registry: Option<&'a MetricsRegistry>,
     observer: Option<&'a dyn InvocationObserver>,
     trace: Option<&'a dyn TraceSink>,
-    tracer: Option<&'a FlightRecorder>,
 }
 
 impl<'a> InstrumentedLayer<'a> {
@@ -107,16 +106,11 @@ impl<'a> InstrumentedLayer<'a> {
         self
     }
 
-    /// Emit invocation/failure trace events to `trace`.
+    /// Record one `beta.attempt` span per call through `trace` — its
+    /// service, prototype, `ok` and, on failure, `error` text — and stamp
+    /// the span id as the latency histogram's exemplar.
     pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Record one `beta.attempt` span per call into `tracer`, and stamp
-    /// the span id as the latency histogram's exemplar.
-    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
         self
     }
 }
@@ -148,9 +142,8 @@ impl Invoker for Instrumented<'_> {
             registry,
             observer,
             trace,
-            tracer,
         } = self.outputs;
-        let mut span = tracer.and_then(|t| t.start("beta.attempt", at));
+        let mut span = trace.and_then(|t| t.start("beta.attempt", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());
             s.attr_str("prototype", prototype.name());
@@ -190,22 +183,6 @@ impl Invoker for Instrumented<'_> {
                 result.as_ref().err(),
             );
         }
-        if let Some(trace) = trace {
-            trace.emit(&TraceEvent::Invocation {
-                service: service_ref.to_string(),
-                prototype: prototype.name().to_string(),
-                at,
-                latency_ns: u128::min(latency.as_nanos(), u64::MAX as u128) as u64,
-                ok: result.is_ok(),
-            });
-            if let Err(e) = &result {
-                trace.emit(&TraceEvent::Failure {
-                    scope: service_ref.to_string(),
-                    at,
-                    message: e.to_string(),
-                });
-            }
-        }
         result
     }
 
@@ -221,7 +198,7 @@ mod tests {
     use crate::service::fixtures::example_registry;
     use crate::service::InvokerStack;
     use crate::sync::Mutex;
-    use crate::telemetry::trace::MemoryTrace;
+    use crate::telemetry::FlightRecorder;
 
     #[derive(Default)]
     struct Outcomes(Mutex<Vec<(String, String, bool)>>);
@@ -246,7 +223,7 @@ mod tests {
         let inner = example_registry();
         let registry = MetricsRegistry::new();
         let outcomes = Outcomes::default();
-        let trace = MemoryTrace::new();
+        let trace = FlightRecorder::with_capacity(256);
         let invoker = InvokerStack::new(&inner).layer(
             InstrumentedLayer::new()
                 .registry(&registry)
@@ -303,13 +280,19 @@ mod tests {
         assert!(seen[0].2 && seen[1].2 && !seen[2].2);
         assert_eq!(seen[2].0, "ghost");
 
-        // 3 invocation events + 1 failure event
-        let events = trace.events();
-        assert_eq!(events.len(), 4);
-        assert!(matches!(
-            &events[3],
-            TraceEvent::Failure { scope, .. } if scope == "ghost"
-        ));
+        // one `beta.attempt` per call; the failed one carries its error
+        let spans = trace.snapshot();
+        assert_eq!(spans.len(), 3);
+        assert!(spans.iter().all(|s| s.name == "beta.attempt"));
+        let failed: Vec<_> = spans
+            .iter()
+            .filter(|s| s.attr_u64("ok") == Some(0))
+            .collect();
+        assert_eq!(failed.len(), 1);
+        assert_eq!(failed[0].attr_str("service"), Some("ghost"));
+        assert_eq!(failed[0].attr_str("prototype"), Some("getTemperature"));
+        let error = err.unwrap_err().to_string();
+        assert_eq!(failed[0].attr_str("error"), Some(error.as_str()));
         // pass-through: discovery is undisturbed
         assert!(!invoker.providers_of("getTemperature").is_empty());
     }

@@ -15,13 +15,12 @@
 //! * [`invoker`] — [`InstrumentedLayer`], measuring every β service
 //!   call (per-service latency histograms, failure counters) and feeding
 //!   [`InvocationObserver`]s such as service-health trackers;
-//! * [`trace`] — span-style [`TraceEvent`]s (query registered, tick
-//!   start/end, invocation, failure) behind a [`TraceSink`], with a JSONL
-//!   writer ([`JsonlTrace`]) for machine-readable export;
 //! * [`span`] — hierarchical wall-time spans in a bounded in-memory
 //!   [`FlightRecorder`] (scheduler round → worker job → query tick →
 //!   operator → β call/attempt), exportable as Chrome/Perfetto
-//!   `trace.json` via [`span::chrome_trace`].
+//!   `trace.json` via [`span::chrome_trace`] — the runtime's one trace;
+//! * [`trace`] — [`TraceSink`], the hook the β layers open their spans
+//!   through: the [`FlightRecorder`], or [`NoopTrace`] to record nothing.
 //!
 //! Everything here is optional and composable: executors keep talking to
 //! the `MetricsSink`/`Invoker` traits they already know; telemetry attaches
@@ -40,4 +39,4 @@ pub use invoker::{InstrumentedLayer, InvocationObserver};
 pub use registry::{Counter, Gauge, MetricsRegistry};
 pub use sink::{beta_cache_hit_ratio, RegistrySink};
 pub use span::{chrome_trace, ActiveSpan, AttrValue, FlightRecorder, SpanRecord};
-pub use trace::{JsonlTrace, MemoryTrace, NoopTrace, TraceEvent, TraceSink};
+pub use trace::{NoopTrace, TraceSink};

@@ -1,11 +1,11 @@
 //! Hierarchical span tracing and the in-memory **flight recorder**.
 //!
-//! PR 3's [`super::trace`] answers "what happened" as a flat event stream;
-//! this module answers "*where did the time go*": every interesting unit of
-//! work — a scheduler round, a worker job, a query tick, one operator of a
-//! compiled plan, one β attempt behind its retries — opens an
-//! [`ActiveSpan`], annotates it with attributes, and closes it (RAII) into
-//! a bounded ring of [`SpanRecord`]s held by the [`FlightRecorder`].
+//! The runtime's one trace, answering both "what happened" and "*where
+//! did the time go*": every interesting unit of work — a scheduler round,
+//! a worker job, a query tick, one operator of a compiled plan, one β
+//! attempt behind its retries — opens an [`ActiveSpan`], annotates it with
+//! attributes, and closes it (RAII) into a bounded ring of [`SpanRecord`]s
+//! held by the [`FlightRecorder`].
 //!
 //! Design constraints, in order:
 //!

@@ -175,7 +175,11 @@ fn dot_command(cmd: &str, pems: &mut Pems, nodes: &mut Vec<NodeHandle>) -> bool 
             );
         }
         ".tick" => {
-            let n: u64 = parts.next().and_then(|s| s.parse().ok()).unwrap_or(1);
+            let arg = parts.next().unwrap_or("1");
+            let Ok(n) = arg.parse::<u64>() else {
+                println!("error: .tick {arg}: expected a count of ticks");
+                return true;
+            };
             for _ in 0..n {
                 let at = pems.clock();
                 for (name, report) in pems.tick() {

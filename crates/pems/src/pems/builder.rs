@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use serena_core::dedup::DedupState;
 use serena_core::physical::ExecOptions;
-use serena_core::telemetry::{FlightRecorder, MetricsRegistry, RegistrySink, TraceSink};
+use serena_core::telemetry::{FlightRecorder, MetricsRegistry, RegistrySink};
 use serena_core::time::Instant;
 use serena_services::bus::{BusConfig, DiscoveryBus};
 use serena_services::directory::NodeDirectory;
@@ -38,7 +38,6 @@ pub struct PemsBuilder {
     node_id: String,
     clock: Instant,
     exec_options: ExecOptions,
-    trace: Option<Arc<dyn TraceSink>>,
     resilience: ResiliencePolicy,
     checkpoint: Option<(PathBuf, u64)>,
     scheduler: SchedulerConfig,
@@ -48,15 +47,14 @@ pub struct PemsBuilder {
 
 impl Default for PemsBuilder {
     /// Default bus latency, node `"node0"`, clock at zero, serial
-    /// execution, no trace sink, resilience disabled, no checkpoints, one
-    /// scheduler worker per core, β dedup on, span tracing armed.
+    /// execution, resilience disabled, no checkpoints, one scheduler
+    /// worker per core, β dedup on, span tracing armed.
     fn default() -> Self {
         PemsBuilder {
             bus: BusConfig::default(),
             node_id: "node0".to_string(),
             clock: Instant::ZERO,
             exec_options: ExecOptions::default(),
-            trace: None,
             resilience: ResiliencePolicy::disabled(),
             checkpoint: None,
             scheduler: SchedulerConfig::default(),
@@ -93,16 +91,6 @@ impl PemsBuilder {
     /// policy; fail the query by default).
     pub fn exec_options(mut self, options: ExecOptions) -> Self {
         self.exec_options = options;
-        self
-    }
-
-    /// Structured trace sink receiving span-style [`TraceEvent`]s (query
-    /// registered, tick start/end, invocation, failure) — e.g. a
-    /// [`serena_core::telemetry::JsonlTrace`] over a file.
-    ///
-    /// [`TraceEvent`]: serena_core::telemetry::TraceEvent
-    pub fn trace(mut self, sink: Arc<dyn TraceSink>) -> Self {
-        self.trace = Some(sink);
         self
     }
 
@@ -165,7 +153,7 @@ impl PemsBuilder {
         tracer.arm(self.tracing);
         let mut processor = QueryProcessor::new();
         processor.seek(self.clock);
-        processor.set_telemetry(Arc::clone(&telemetry), self.trace.clone());
+        processor.set_telemetry(Arc::clone(&telemetry));
         processor.set_scheduler(self.scheduler);
         processor.set_tracer(Arc::clone(&tracer));
         // Eagerly register the dedup/trace/replication series so they render
@@ -187,7 +175,6 @@ impl PemsBuilder {
             beta: BetaStack {
                 telemetry,
                 health: Arc::new(HealthTracker::new(DEFAULT_WINDOW)),
-                trace: self.trace,
                 tracer,
                 policy: self.resilience,
                 resilience: Arc::new(ResilienceState::new()),

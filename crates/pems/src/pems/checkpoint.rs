@@ -125,7 +125,6 @@ mod tests {
     use super::*;
     use crate::pems::tests::{pems_with_messenger, SETUP};
     use serena_services::bus::BusConfig;
-    use std::sync::Arc;
 
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("serena-pems-{tag}-{}", std::process::id()));
@@ -208,11 +207,8 @@ mod tests {
         ));
         // a checkpoint directory that cannot be created is counted and
         // traced, and the tick still succeeds
-        use serena_core::telemetry::MemoryTrace;
-        let trace = Arc::new(MemoryTrace::new());
         let mut pems = Pems::builder()
             .bus(BusConfig::instant())
-            .trace(trace.clone())
             .checkpoint("/proc/serena-cannot-write-here", 1)
             .build();
         pems.run_program("EXTENDED RELATION t ( x INTEGER );")
@@ -225,9 +221,12 @@ mod tests {
                 .counter_value("serena_checkpoint_errors_total", &[]),
             Some(1)
         );
-        assert!(trace.events().iter().any(|e| matches!(
-            e,
-            serena_core::telemetry::TraceEvent::Failure { scope, .. } if scope == "checkpoint"
-        )));
+        // ...and its span carries the error beside the counter
+        let spans = pems.flight_recorder().snapshot();
+        let failures: Vec<_> = spans.iter().filter(|s| s.name == "pems.failure").collect();
+        assert_eq!(failures.len(), 1, "{spans:?}");
+        assert_eq!(failures[0].attr_str("scope"), Some("checkpoint"));
+        let message = failures[0].attr_str("message").unwrap();
+        assert!(message.starts_with("snapshot i/o error"), "{message}");
     }
 }

@@ -290,15 +290,10 @@ mod tests {
     /// Prometheus text for a scenario run.
     #[test]
     fn telemetry_health_and_prometheus_render() {
-        use serena_core::telemetry::{MemoryTrace, TraceEvent};
         use serena_services::faults::{FaultPolicy, FaultyService};
         use serena_services::health::HealthStatus;
 
-        let trace = Arc::new(MemoryTrace::new());
-        let mut pems = Pems::builder()
-            .bus(BusConfig::instant())
-            .trace(trace.clone())
-            .build();
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
         let (svc, _outbox) = serena_services::devices::messenger::SimMessenger::new(
             serena_services::devices::messenger::MessengerKind::Email,
         )
@@ -338,10 +333,11 @@ mod tests {
         // and the shell's `.metrics` always expose it
         assert!(text.contains("# TYPE serena_beta_dedup_total counter"));
 
-        // the configured trace sink saw the failed invocations
-        assert!(trace
-            .events()
+        // the flight recorder saw the failed invocations
+        assert!(pems
+            .flight_recorder()
+            .snapshot()
             .iter()
-            .any(|e| matches!(e, TraceEvent::Invocation { ok: false, .. })));
+            .any(|s| s.name == "beta.attempt" && s.attr_u64("ok") == Some(0)));
     }
 }

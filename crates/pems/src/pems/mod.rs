@@ -37,7 +37,7 @@ use serena_core::error::{EvalError, PlanError, SchemaError};
 use serena_core::eval::EvalOutcome;
 use serena_core::physical::ExecOptions;
 use serena_core::snapshot::SnapshotError;
-use serena_core::telemetry::{RegistrySink, TraceEvent};
+use serena_core::telemetry::RegistrySink;
 use serena_core::time::Instant;
 use serena_ddl::DdlError;
 use serena_services::bus::{DiscoveryBus, LocalErm};
@@ -415,14 +415,12 @@ impl Pems {
         reports
     }
 
-    /// Tell the trace sink, when there is one, that `scope` failed.
-    fn trace_failure(&self, scope: &str, at: Instant, error: &dyn std::fmt::Display) {
-        if let Some(trace) = &self.beta.trace {
-            trace.emit(&TraceEvent::Failure {
-                scope: scope.to_string(),
-                at,
-                message: error.to_string(),
-            });
+    /// Record that `scope` failed at `at`: a `pems.failure` span, opened
+    /// and closed at once, carrying `scope` and the error's `message`.
+    fn trace_failure(&self, scope: &'static str, at: Instant, error: &dyn std::fmt::Display) {
+        if let Some(mut span) = self.beta.tracer.start("pems.failure", at) {
+            span.attr_str("scope", scope);
+            span.attr_str("message", error.to_string());
         }
     }
 

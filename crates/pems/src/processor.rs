@@ -29,9 +29,7 @@ use serena_core::metrics::{ExecStats, MetricsSink};
 use serena_core::physical::ExecOptions;
 use serena_core::service::Invoker;
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
-use serena_core::telemetry::{
-    Counter, FlightRecorder, Histogram, MetricsRegistry, TraceEvent, TraceSink,
-};
+use serena_core::telemetry::{Counter, FlightRecorder, Histogram, MetricsRegistry};
 use serena_core::time::Instant;
 use serena_stream::exec::{ContinuousQuery, SourceSet, TickReport};
 use serena_stream::plan::StreamPlan;
@@ -85,12 +83,6 @@ impl QuerySeries {
     }
 }
 
-struct Telemetry {
-    registry: Arc<MetricsRegistry>,
-    /// `None`: nobody listens, so no [`TraceEvent`] is built.
-    trace: Option<Arc<dyn TraceSink>>,
-}
-
 struct Registered {
     query: ContinuousQuery,
     stats: QueryStats,
@@ -105,10 +97,11 @@ struct Registered {
 pub struct QueryProcessor {
     queries: BTreeMap<String, Registered>,
     clock: Instant,
-    telemetry: Option<Telemetry>,
+    telemetry: Option<Arc<MetricsRegistry>>,
     scheduler: SchedulerConfig,
-    /// Flight recorder for `sched.round`/`sched.job`/`query.tick` spans,
-    /// propagated into every registered query and every round.
+    /// Flight recorder for `query.register`/`sched.round`/`sched.job`/
+    /// `query.tick` spans, propagated into every registered query and
+    /// every round.
     tracer: Option<Arc<FlightRecorder>>,
 }
 
@@ -173,14 +166,11 @@ impl QueryProcessor {
         let mut query = ContinuousQuery::compile_with_options(plan, sources, options)?;
         query.seek(self.clock);
         query.set_tracer(self.tracer.clone());
-        let series = self.telemetry.as_ref().map(|t| {
-            if let Some(trace) = &t.trace {
-                trace.emit(&TraceEvent::QueryRegistered {
-                    query: name.clone(),
-                });
-            }
-            QuerySeries::new(&t.registry, &name)
-        });
+        let tracer = self.tracer.as_deref();
+        if let Some(mut span) = tracer.and_then(|r| r.start("query.register", self.clock)) {
+            span.attr_str("query", name.as_str());
+        }
+        let series = self.telemetry.as_ref().map(|r| QuerySeries::new(r, &name));
         self.queries.insert(
             name,
             Registered {
@@ -196,24 +186,19 @@ impl QueryProcessor {
 
     /// Attach continuous-query telemetry: per-query tick-duration,
     /// freshness-lag and cache-miss-batch histograms plus tick/tuple/error
-    /// counters in `registry` (labelled `query=<name>`), and span-style
-    /// [`TraceEvent`]s to `trace` when there is one. Applies to
+    /// counters in `registry` (labelled `query=<name>`). Applies to
     /// already-registered queries and everything registered afterwards.
-    pub fn set_telemetry(
-        &mut self,
-        registry: Arc<MetricsRegistry>,
-        trace: Option<Arc<dyn TraceSink>>,
-    ) {
+    pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         for (name, reg) in &mut self.queries {
             reg.series = Some(QuerySeries::new(&registry, name));
         }
-        self.telemetry = Some(Telemetry { registry, trace });
+        self.telemetry = Some(registry);
         self.update_registered_gauge();
     }
 
     fn update_registered_gauge(&self) {
-        if let Some(t) = &self.telemetry {
-            t.registry
+        if let Some(registry) = &self.telemetry {
+            registry
                 .gauge("serena_queries_registered", &[])
                 .set(self.queries.len() as i64);
         }
@@ -228,8 +213,8 @@ impl QueryProcessor {
     pub fn deregister(&mut self, name: &str) -> bool {
         let removed = self.queries.remove(name).is_some();
         if removed {
-            if let Some(t) = &self.telemetry {
-                t.registry.remove_matching("query", name);
+            if let Some(registry) = &self.telemetry {
+                registry.remove_matching("query", name);
             }
             self.update_registered_gauge();
         }
@@ -344,8 +329,6 @@ impl QueryProcessor {
         // query's lag is the wall-clock from here to its tick completing.
         let scheduled = std::time::Instant::now();
         let at = self.clock;
-        let trace: Option<&dyn TraceSink> =
-            self.telemetry.as_ref().and_then(|t| t.trace.as_deref());
         // Disjoint field borrow (`self.queries` is borrowed mutably
         // below); `Option<&FlightRecorder>` is `Copy`, so the tick
         // closures capture it by value.
@@ -360,12 +343,6 @@ impl QueryProcessor {
         // outcome attributes. Returns the span id for the tick-duration
         // histogram's exemplar (0 = no span).
         let ticked = |name: &str, reg: &mut Registered| -> (Result<TickReport, String>, u64) {
-            if let Some(trace) = trace {
-                trace.emit(&TraceEvent::TickStart {
-                    query: name.to_string(),
-                    at,
-                });
-            }
             let mut tick_span = tracer.and_then(|r| r.start("query.tick", at));
             if let Some(s) = tick_span.as_mut() {
                 s.attr_str("query", name);
@@ -424,8 +401,8 @@ impl QueryProcessor {
                     // query for this instant with an empty delta and a
                     // Panicked error; its clock already advanced, so it
                     // stays in lock-step for the next round.
-                    if let Some(t) = &self.telemetry {
-                        t.registry
+                    if let Some(registry) = &self.telemetry {
+                        registry
                             .counter("serena_query_panics_total", &[("query", &name)])
                             .inc();
                     }
@@ -471,23 +448,6 @@ impl QueryProcessor {
                 let misses = report.stats.total_cache_misses();
                 if misses > 0 {
                     series.miss_batch.record(misses);
-                }
-            }
-            if let Some(trace) = trace {
-                trace.emit(&TraceEvent::TickEnd {
-                    query: name.clone(),
-                    at: report.at,
-                    duration_ns: elapsed_ns,
-                    inserted,
-                    deleted,
-                    errors: report.errors.len() as u64,
-                });
-                for e in &report.errors {
-                    trace.emit(&TraceEvent::Failure {
-                        scope: name.clone(),
-                        at: report.at,
-                        message: e.to_string(),
-                    });
                 }
             }
         }
@@ -634,17 +594,17 @@ mod tests {
     }
 
     #[test]
-    fn telemetry_series_and_trace_events() {
-        use serena_core::telemetry::MemoryTrace;
+    fn telemetry_series_and_spans() {
         let mut qp = QueryProcessor::new();
         let registry = Arc::new(MetricsRegistry::new());
-        let trace = Arc::new(MemoryTrace::new());
-        // one query registered before telemetry attaches, one after — both
-        // must get series
+        let recorder = Arc::new(FlightRecorder::with_capacity(256));
+        // one query registered before telemetry and the recorder attach,
+        // one after — both must get series
         let (table, mut s1) = int_table();
         qp.register("early", &StreamPlan::source("t"), &mut s1)
             .unwrap();
-        qp.set_telemetry(registry.clone(), Some(trace.clone()));
+        qp.set_telemetry(registry.clone());
+        qp.set_tracer(Arc::clone(&recorder));
         let mut s2 = SourceSet::new();
         s2.add_table("t", table.clone());
         qp.register("late", &StreamPlan::source("t"), &mut s2)
@@ -677,20 +637,20 @@ mod tests {
         }
         assert_eq!(registry.gauge("serena_queries_registered", &[]).get(), 2);
 
-        let events = trace.events();
-        assert!(
-            matches!(&events[0], TraceEvent::QueryRegistered { query } if query == "late"),
-            "{events:?}"
+        let spans = recorder.snapshot();
+        let registered: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "query.register")
+            .map(|s| s.attr_str("query"))
+            .collect();
+        assert_eq!(registered, [Some("late")]);
+        let ticks = spans.iter().filter(|s| s.name == "query.tick");
+        assert_eq!(ticks.clone().count(), 4);
+        assert!(ticks.clone().all(|s| s.attr_u64("errors") == Some(0)));
+        assert_eq!(
+            ticks.map(|s| s.attr_u64("inserted").unwrap()).sum::<u64>(),
+            2
         );
-        let starts = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::TickStart { .. }))
-            .count();
-        let ends = events
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::TickEnd { .. }))
-            .count();
-        assert_eq!((starts, ends), (4, 4));
 
         qp.deregister("late");
         assert_eq!(registry.gauge("serena_queries_registered", &[]).get(), 1);
@@ -773,13 +733,12 @@ mod tests {
 
     #[test]
     fn a_panicking_query_tick_fails_only_that_query() {
-        use serena_core::telemetry::MemoryTrace;
         use serena_stream::source::FnStream;
         for workers in [1, 4] {
             let mut qp = QueryProcessor::new();
             qp.set_scheduler(SchedulerConfig::new(workers));
             let registry = Arc::new(MetricsRegistry::new());
-            qp.set_telemetry(registry.clone(), Some(Arc::new(MemoryTrace::new())));
+            qp.set_telemetry(registry.clone());
             let (table, mut s1) = int_table();
             qp.register("healthy", &StreamPlan::source("t"), &mut s1)
                 .unwrap();
@@ -843,7 +802,7 @@ mod tests {
         let mut qp = QueryProcessor::new();
         qp.set_scheduler(SchedulerConfig::new(1));
         let registry = Arc::new(MetricsRegistry::new());
-        qp.set_telemetry(registry.clone(), None);
+        qp.set_telemetry(registry.clone());
         let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
         let mut s1 = SourceSet::new();
         s1.add_stream(

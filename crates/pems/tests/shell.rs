@@ -161,6 +161,34 @@ fn explain_prints_the_lowered_algebra_without_executing() {
     assert!(out.contains("unknown command `.plan` — try .help"), "{out}");
 }
 
+/// `.tick` with a count it cannot read names the count and ticks nothing;
+/// without a count it ticks once.
+#[test]
+fn a_malformed_tick_count_is_an_error_not_one_tick() {
+    let out = run_shell(
+        ".demo\n\
+         REGISTER QUERY watch AS contacts;\n\
+         .tick abc\n\
+         .tick -3\n\
+         .tick 2.5\n\
+         .queries\n\
+         .tick\n\
+         .queries\n\
+         .quit\n",
+    );
+    for count in ["abc", "-3", "2.5"] {
+        assert!(
+            out.contains(&format!("error: .tick {count}: expected a count of ticks")),
+            "{count}: {out}"
+        );
+    }
+    let ticks: Vec<&str> = out.lines().filter(|l| l.starts_with("watch: ")).collect();
+    assert_eq!(ticks.len(), 2, "{out}");
+    assert!(ticks[0].starts_with("watch: 0 ticks"), "{out}");
+    assert!(ticks[1].starts_with("watch: 1 ticks"), "{out}");
+    assert_eq!(out.matches("clock = ").count(), 1, "{out}");
+}
+
 /// A worker count the shell cannot use stops it before it starts, with a
 /// message naming the variable and its value — never a silent default.
 #[test]

@@ -44,7 +44,7 @@ use serena_core::prototype::Prototype;
 use serena_core::service::{Invoker, InvokerLayer};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
 use serena_core::sync::Mutex;
-use serena_core::telemetry::{Counter, FlightRecorder, MetricsRegistry, TraceEvent, TraceSink};
+use serena_core::telemetry::{Counter, MetricsRegistry, TraceSink};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
@@ -372,7 +372,6 @@ pub struct ResilientLayer<'a> {
     state: Arc<ResilienceState>,
     health: Option<&'a HealthTracker>,
     registry: Option<&'a MetricsRegistry>,
-    tracer: Option<&'a FlightRecorder>,
     trace: Option<&'a dyn TraceSink>,
 }
 
@@ -385,7 +384,6 @@ impl<'a> ResilientLayer<'a> {
             state,
             health: None,
             registry: None,
-            tracer: None,
             trace: None,
         }
     }
@@ -403,16 +401,10 @@ impl<'a> ResilientLayer<'a> {
         self
     }
 
-    /// Record one `beta.call` span per logical call into `tracer`,
-    /// annotated with attempts/retries, breaker state and outcome; per-attempt spans from the instrumented layer below nest
-    /// inside it.
-    pub fn tracer(mut self, tracer: &'a FlightRecorder) -> Self {
-        self.tracer = Some(tracer);
-        self
-    }
-
-    /// Emit a [`TraceEvent::BreakerTransition`] into `trace` on every
-    /// closed → open → half-open → closed edge.
+    /// Record one `beta.call` span per logical call through `trace`,
+    /// annotated with attempts/retries, breaker state, the breaker edges
+    /// the call crossed (`transition`) and outcome; per-attempt spans from
+    /// the instrumented layer below nest inside it.
     pub fn trace(mut self, trace: &'a dyn TraceSink) -> Self {
         self.trace = Some(trace);
         self
@@ -444,13 +436,14 @@ impl Resilient<'_> {
     }
 
     /// Publish one breaker edge: bump
-    /// `serena_breaker_transitions_total{service,to}` and emit a
-    /// [`TraceEvent::BreakerTransition`]. Labels: "closed" (index 0),
-    /// "open" (1), "half_open" (2).
+    /// `serena_breaker_transitions_total{service,to}` and extend `path`,
+    /// the states this call moved the breaker through (`closed->open`,
+    /// `open->half_open->closed`), which its `beta.call` span carries as
+    /// `transition`. Labels: "closed" (index 0), "open" (1), "half_open" (2).
     fn breaker_transition(
         &self,
         service: &ServiceRef,
-        at: Instant,
+        path: &mut String,
         from: &'static str,
         to: &'static str,
     ) {
@@ -460,14 +453,11 @@ impl Resilient<'_> {
             _ => 2,
         };
         self.bump(service, |s| &s.transitions[to_index]);
-        if let Some(trace) = self.layer.trace {
-            trace.emit(&TraceEvent::BreakerTransition {
-                service: service.to_string(),
-                at,
-                from: from.to_string(),
-                to: to.to_string(),
-            });
+        if path.is_empty() {
+            path.push_str(from);
         }
+        path.push_str("->");
+        path.push_str(to);
     }
 
     /// Gate one invocation through `service`'s breaker. Transitions
@@ -476,7 +466,7 @@ impl Resilient<'_> {
     /// Services without a breaker record are implicitly
     /// [`BreakerState::Closed`]; while no record exists anywhere (no
     /// failure observed yet) this is a single relaxed atomic load.
-    fn admit(&self, service: &ServiceRef, at: Instant) -> Result<(), EvalError> {
+    fn admit(&self, service: &ServiceRef, at: Instant, path: &mut String) -> Result<(), EvalError> {
         if self.layer.policy.breaker_threshold == 0
             || self.layer.state.engaged.load(Ordering::Relaxed) == 0
         {
@@ -491,7 +481,7 @@ impl Resilient<'_> {
             BreakerState::Open { until } if at >= until => {
                 b.state = BreakerState::HalfOpen;
                 drop(breakers);
-                self.breaker_transition(service, at, "open", "half_open");
+                self.breaker_transition(service, path, "open", "half_open");
                 Ok(())
             }
             _ => {
@@ -508,7 +498,7 @@ impl Resilient<'_> {
     /// One successful call: close the breaker, reset the failure streak.
     /// A reset breaker is back at the default, so its record is dropped
     /// (keeping the `engaged == 0` fast path reachable again).
-    fn on_success(&self, service: &ServiceRef, at: Instant) {
+    fn on_success(&self, service: &ServiceRef, path: &mut String) {
         if self.layer.policy.breaker_threshold == 0
             || self.layer.state.engaged.load(Ordering::Relaxed) == 0
         {
@@ -523,9 +513,11 @@ impl Resilient<'_> {
             // dropping a record that merely tracked a failure streak is
             // not a state change.
             match b.state {
-                BreakerState::Open { .. } => self.breaker_transition(service, at, "open", "closed"),
+                BreakerState::Open { .. } => {
+                    self.breaker_transition(service, path, "open", "closed")
+                }
                 BreakerState::HalfOpen => {
-                    self.breaker_transition(service, at, "half_open", "closed")
+                    self.breaker_transition(service, path, "half_open", "closed")
                 }
                 BreakerState::Closed => {}
             }
@@ -535,7 +527,7 @@ impl Resilient<'_> {
     /// One failed attempt: extend the failure streak (also consulting the
     /// health tracker's view when attached) and open the breaker when the
     /// threshold is reached — immediately when half-open.
-    fn on_failure(&self, service: &ServiceRef, at: Instant) {
+    fn on_failure(&self, service: &ServiceRef, at: Instant, path: &mut String) {
         if self.layer.policy.breaker_threshold == 0 {
             return;
         }
@@ -569,7 +561,7 @@ impl Resilient<'_> {
             self.bump(service, |s| &s.breaker_opened);
             self.breaker_transition(
                 service,
-                at,
+                path,
                 if half_open { "half_open" } else { "closed" },
                 "open",
             );
@@ -609,12 +601,13 @@ impl Invoker for Resilient<'_> {
         if self.layer.policy.is_disabled() {
             return self.inner.invoke(prototype, service_ref, input, at);
         }
-        let mut span = self.layer.tracer.and_then(|t| t.start("beta.call", at));
+        let mut span = self.layer.trace.and_then(|t| t.start("beta.call", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());
         }
         let _in_span = span.as_ref().map(|s| s.enter());
-        if let Err(e) = self.admit(service_ref, at) {
+        let mut transition = String::new();
+        if let Err(e) = self.admit(service_ref, at, &mut transition) {
             if let Some(s) = span.as_mut() {
                 s.attr_u64("attempts", 0);
                 s.attr_str("breaker", "rejected");
@@ -627,11 +620,11 @@ impl Invoker for Resilient<'_> {
             attempt += 1;
             match self.inner.invoke(prototype, service_ref, input, at) {
                 Ok(rows) => {
-                    self.on_success(service_ref, at);
+                    self.on_success(service_ref, &mut transition);
                     break Ok(rows);
                 }
                 Err(e) => {
-                    self.on_failure(service_ref, at);
+                    self.on_failure(service_ref, at, &mut transition);
                     if attempt > self.layer.policy.max_retries || !is_transient(&e) {
                         break Err(e);
                     }
@@ -660,6 +653,9 @@ impl Invoker for Resilient<'_> {
                 "breaker",
                 self.layer.state.breaker_of(service_ref).to_string(),
             );
+            if !transition.is_empty() {
+                s.attr_str("transition", transition);
+            }
             s.attr_u64("ok", outcome.is_ok() as u64);
         }
         outcome
@@ -796,23 +792,25 @@ mod tests {
 
     #[test]
     fn breaker_edges_publish_transition_telemetry() {
-        use serena_core::telemetry::MemoryTrace;
-        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 3, ok: 100 });
-        let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
+        use serena_core::telemetry::FlightRecorder;
+        // five failing attempts, then a long healthy phase
+        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 5, ok: 100 });
         let state = Arc::new(ResilienceState::new());
         let registry = MetricsRegistry::new();
-        let trace = MemoryTrace::new();
+        let recorder = FlightRecorder::with_capacity(256);
         let invoker = InvokerStack::new(&reg).layer(
-            ResilientLayer::new(policy, state.clone())
+            ResilientLayer::new(ResiliencePolicy::standard(), state.clone())
                 .registry(&registry)
-                .trace(&trace),
+                .trace(&recorder),
         );
 
-        // closed → open at τ=2, open → half-open → closed at τ=6
-        for t in 0..3u64 {
+        // τ=0: three attempts fail; τ=1: the fifth failure opens the
+        // breaker and stops the retries; τ=2: rejected; τ=5: the cooldown
+        // is over, the probe succeeds and closes it
+        for t in [0, 1, 2] {
             assert!(call(&invoker, Instant(t)).is_err());
         }
-        assert!(call(&invoker, Instant(6)).is_ok());
+        assert!(call(&invoker, Instant(5)).is_ok());
 
         let count = |to: &str| {
             registry
@@ -826,24 +824,39 @@ mod tests {
         assert_eq!(count("half_open"), 1);
         assert_eq!(count("closed"), 1);
 
-        let edges: Vec<(String, String, Instant)> = trace
-            .events()
+        // one `beta.call` span per call; the edges each call crossed are
+        // its `transition`
+        let calls = recorder.snapshot();
+        let seen: Vec<(Instant, u64, Option<&str>, Option<&str>)> = calls
             .iter()
-            .filter_map(|e| match e {
-                TraceEvent::BreakerTransition { from, to, at, .. } => {
-                    Some((from.clone(), to.clone(), *at))
-                }
-                _ => None,
+            .map(|s| {
+                assert_eq!(s.name, "beta.call");
+                assert_eq!(s.attr_str("service"), Some("flaky"));
+                let attempts = s.attr_u64("attempts").unwrap();
+                (
+                    s.at,
+                    attempts,
+                    s.attr_str("breaker"),
+                    s.attr_str("transition"),
+                )
             })
             .collect();
         assert_eq!(
-            edges,
+            seen,
             vec![
-                ("closed".into(), "open".into(), Instant(2)),
-                ("open".into(), "half_open".into(), Instant(6)),
-                ("half_open".into(), "closed".into(), Instant(6)),
+                (Instant(0), 3, Some("closed"), None),
+                (Instant(1), 2, Some("open(until τ=5)"), Some("closed->open")),
+                (Instant(2), 0, Some("rejected"), None),
+                (
+                    Instant(5),
+                    1,
+                    Some("closed"),
+                    Some("open->half_open->closed")
+                ),
             ]
         );
+        assert_eq!(calls[1].attr_u64("ok"), Some(0));
+        assert_eq!(calls[3].attr_u64("ok"), Some(1));
     }
 
     #[test]

@@ -16,21 +16,27 @@ use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
+use serena::core::dedup::{DedupLayer, DedupState};
+use serena::core::metrics::NoopMetrics;
 use serena::core::ops::DegradePolicy;
 use serena::core::physical::ExecOptions;
 use serena::core::plan::Plan;
 use serena::core::prototype::Prototype;
-use serena::core::service::Service;
-use serena::core::telemetry::{TraceEvent, TraceSink};
+use serena::core::schema::examples::sensors_schema;
+use serena::core::service::{CatchPanicLayer, InvokerStack, Service, StaticRegistry};
+use serena::core::telemetry::{ActiveSpan, InstrumentedLayer, TraceSink};
 use serena::core::time::Instant;
+use serena::core::tuple;
 use serena::core::tuple::Tuple;
 use serena::core::value::Value;
 use serena::pems::envspec::{EnvSpec, QueryTemplate, WorkloadSpec};
-use serena::pems::{Pems, SchedulerConfig};
+use serena::pems::{Pems, QueryProcessor, SchedulerConfig};
 use serena::services::devices::SimTemperatureSensor;
 use serena::services::fleet::FlakyService;
 use serena::services::resilience::ResiliencePolicy;
+use serena::stream::exec::SourceSet;
 use serena::stream::plan::StreamPlan;
+use serena::stream::source::TableHandle;
 
 const SENSORS: usize = 64;
 const INSTANTS: u64 = 60;
@@ -217,16 +223,17 @@ fn per_service_series_are_exact_across_rebuilt_stacks() {
     assert_eq!(serial.len(), pooled.len());
 }
 
-/// A sink that goes down for one instant: `emit` runs in the instrumented
-/// layer, *above* panic containment, so its panic unwinds through the
-/// resilient and dedup layers.
+/// A sink that goes down for one instant: asked to open `beta.attempt`
+/// at it, it panics. The instrumented layer asks *above* panic
+/// containment, so the panic unwinds through the dedup layer.
 struct DownAt(Instant);
 
 impl TraceSink for DownAt {
-    fn emit(&self, event: &TraceEvent) {
-        if matches!(event, TraceEvent::Invocation { at, .. } if *at == self.0) {
+    fn start(&self, name: &'static str, at: Instant) -> Option<ActiveSpan<'_>> {
+        if name == "beta.attempt" && at == self.0 {
             panic!("trace sink is down");
         }
+        None
     }
 }
 
@@ -235,20 +242,37 @@ fn a_call_that_unwinds_through_dedup_fails_its_instant_not_the_tick() {
     for workers in [1, 4] {
         let (reports, ticked) = mpsc::channel();
         let runtime = std::thread::spawn(move || {
-            let spec = EnvSpec::new(7).sensors(4);
-            let mut pems = Pems::builder()
-                .scheduler(SchedulerConfig::new(workers))
-                .dedup(true)
-                .trace(Arc::new(DownAt(Instant(2))))
-                .build();
-            spec.install_catalog(&mut pems).expect("catalog installs");
-            spec.deploy_into(&pems);
-            WorkloadSpec::new()
-                .queries(QueryTemplate::SampledTemperatures { every: 1 }, 2)
-                .register_into(&mut pems, &spec)
-                .expect("βˢ queries register");
-            for _ in 0..4 {
-                if reports.send(pems.tick()).is_err() {
+            let directory = StaticRegistry::new();
+            let sensors = TableHandle::new(sensors_schema());
+            let mut qp = QueryProcessor::new();
+            qp.set_scheduler(SchedulerConfig::new(workers));
+            let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
+            for name in ["sampled0", "sampled1"] {
+                let mut sources = SourceSet::new();
+                sources.add_table("sensors", sensors.clone());
+                qp.register(name, &plan, &mut sources)
+                    .expect("βˢ queries register");
+            }
+            let (sink, dedup) = (DownAt(Instant(2)), Arc::new(DedupState::new()));
+            for at in 0..4 {
+                // the fleet joins after instant 0, as a discovered one does
+                if at == 1 {
+                    for i in 0..4u64 {
+                        let name = format!("sensor{i}");
+                        let device = SimTemperatureSensor::room(7 + i).into_service();
+                        directory.register(name.as_str(), device);
+                        sensors.insert(tuple![Value::service(name), "office"]);
+                    }
+                }
+                // the runtime's stack, less what this test does not need
+                let stack = InvokerStack::new(&directory)
+                    .layer(CatchPanicLayer::new())
+                    .layer(InstrumentedLayer::new().trace(&sink))
+                    .layer(DedupLayer::new(Arc::clone(&dedup)).enabled(true));
+                if reports
+                    .send(qp.tick_all_with(&stack, &NoopMetrics))
+                    .is_err()
+                {
                     return;
                 }
             }

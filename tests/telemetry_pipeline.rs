@@ -1,11 +1,9 @@
 //! Cross-crate telemetry integration: a PEMS scenario with injected faults
 //! drives the whole observability pipeline — per-service health, the metric
-//! registry's Prometheus export, and structured JSONL traces (PR 3).
+//! registry's Prometheus export, and the flight recorder's spans.
 
-use std::io::Write;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-use serena::core::telemetry::{JsonlTrace, MemoryTrace, TraceEvent};
 use serena::pems::Pems;
 use serena::services::bus::BusConfig;
 use serena::services::faults::{FaultPolicy, FaultyService};
@@ -38,11 +36,7 @@ fn deploy(pems: &mut Pems) -> Arc<FaultyService> {
 
 #[test]
 fn faulty_service_health_and_prometheus_through_ticks() {
-    let trace = Arc::new(MemoryTrace::new());
-    let mut pems = Pems::builder()
-        .bus(BusConfig::instant())
-        .trace(trace.clone())
-        .build();
+    let mut pems = Pems::builder().bus(BusConfig::instant()).build();
     let flaky = deploy(&mut pems);
 
     let ticks = 4u64;
@@ -67,17 +61,33 @@ fn faulty_service_health_and_prometheus_through_ticks() {
         assert_eq!(bad.status(), HealthStatus::Degraded);
     }
 
-    // -- the trace saw the whole lifecycle --
-    let events = trace.events();
-    let count = |k: &str| events.iter().filter(|e| e.kind() == k).count();
-    assert_eq!(count("query_registered"), 1);
-    assert_eq!(count("tick_start"), ticks as usize);
-    assert_eq!(count("tick_end"), ticks as usize);
-    assert!(count("invocation") >= 2, "β invocations traced");
-    assert!(count("failure") > 0, "injected faults traced");
-    assert!(events
+    // -- the flight recorder saw the whole lifecycle --
+    let spans = pems.flight_recorder().snapshot();
+    let count = |name: &str| spans.iter().filter(|s| s.name == name).count();
+    assert_eq!(count("query.register"), 1);
+    assert_eq!(count("query.tick"), ticks as usize);
+    assert!(count("beta.attempt") >= 2, "β invocations traced");
+    // every failed attempt names its service and carries its error text
+    let failed: Vec<_> = spans
         .iter()
-        .any(|e| matches!(e, TraceEvent::Invocation { ok: false, .. })));
+        .filter(|s| s.name == "beta.attempt" && s.attr_u64("ok") == Some(0))
+        .collect();
+    assert!(!failed.is_empty(), "injected faults traced");
+    for s in &failed {
+        assert_eq!(s.attr_str("service"), Some("flaky"));
+        assert_eq!(s.attr_str("prototype"), Some("getTemperature"));
+        assert!(s.attr_str("error").is_some_and(|e| !e.is_empty()), "{s:?}");
+    }
+    let errors: u64 = spans
+        .iter()
+        .filter(|s| s.name == "query.tick")
+        .map(|s| s.attr_u64("errors").unwrap())
+        .sum();
+    assert_eq!(
+        errors,
+        failed.len() as u64,
+        "one query error per failed call"
+    );
 
     // -- Prometheus export is well-formed and carries the query series --
     let text = pems.render_metrics();
@@ -267,50 +277,4 @@ fn hostile_service_names_render_escaped_and_round_trip() {
         }
     }
     assert!(seen, "no per-service series rendered for the hostile name");
-}
-
-/// A `Write` handle tests can keep a second reference to, so the bytes a
-/// [`JsonlTrace`] produced stay readable after the PEMS is dropped.
-#[derive(Clone, Default)]
-struct SharedBuf(Arc<Mutex<Vec<u8>>>);
-
-impl Write for SharedBuf {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.0.lock().unwrap().extend_from_slice(buf);
-        Ok(buf.len())
-    }
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
-}
-
-#[test]
-fn jsonl_trace_writes_one_parseable_line_per_event() {
-    let buf = SharedBuf::default();
-    let mut pems = Pems::builder()
-        .bus(BusConfig::instant())
-        .trace(Arc::new(JsonlTrace::new(buf.clone())))
-        .build();
-    deploy(&mut pems);
-    pems.tick();
-    pems.tick();
-    drop(pems);
-
-    let bytes = buf.0.lock().unwrap().clone();
-    let text = String::from_utf8(bytes).unwrap();
-    let lines: Vec<&str> = text.lines().collect();
-    assert!(lines.len() >= 5, "registered + 2×(start,end) at minimum");
-    for line in &lines {
-        assert!(line.starts_with('{') && line.ends_with('}'), "{line}");
-        assert!(line.contains("\"ts_us\":"), "{line}");
-        assert!(line.contains("\"event\":\""), "{line}");
-    }
-    assert_eq!(
-        lines
-            .iter()
-            .filter(|l| l.contains("\"event\":\"tick_end\""))
-            .count(),
-        2
-    );
-    assert!(lines.iter().any(|l| l.contains("\"event\":\"failure\"")));
 }
