@@ -14,18 +14,28 @@
 //! [`DedupLayer`] exploits this: placed **outermost** in the PEMS
 //! [`InvokerStack`](crate::service::InvokerStack) (above resilience, so
 //! retries of a genuinely failing call still re-invoke), it keeps a
-//! per-instant table keyed on `(prototype, service, input)`. The first
-//! caller of a key performs the real call; concurrent callers of the same
-//! key block on an in-flight latch and receive a clone of the result;
-//! later callers within the same instant are served from the completed
-//! entry. Advancing to a new instant clears the table — the memo never
-//! outlives the instant whose determinism justifies it.
+//! per-instant table keyed on `(prototype, service, input)`. Advancing to
+//! a new instant clears the table — the memo never outlives the instant
+//! whose determinism justifies it.
 //!
-//! The first caller owes the others a result whatever happens below it,
-//! so its upstream call is [contained](invoke_contained): a panic from an
-//! invocation observer, or from the [`TraceSink`](crate::telemetry::TraceSink)
-//! an instrumented or resilient layer opens its spans through (both run
-//! *above* the catch-panic layer), is memoized and served as the
+//! A caller hands the layer a batch ([`Invoker::invoke_all`]; `invoke`
+//! is a batch of one). An instant's calls are one block of updates whose
+//! internal order nobody can observe (Gurevich's evolving algebras), so
+//! the batch is taken in `BLOCKS` blocks, under one lock each: a done
+//! key is served, an absent one claimed, one another batch holds in flight
+//! skipped and remembered. The claimed calls are made, then published at
+//! once through the block's latch, which the memo's entries point into;
+//! only then does the batch wait for what it skipped, so two batches never
+//! wait on each other, and two over the same keys split the calls. Lock
+//! order: the registry's locks (a first hit resolving its series) only
+//! under the memo's; a latch's under neither, holding neither.
+//!
+//! A batch owes every batch that skipped its keys a result whatever
+//! happens below it, so each upstream call is
+//! [contained](invoke_contained): a panic from an invocation observer, or
+//! from the [`TraceSink`](crate::telemetry::TraceSink) an instrumented or
+//! resilient layer opens its spans through (both run *above* the
+//! catch-panic layer), is memoized and served as the
 //! [`EvalError::Panicked`] the caller's own containment would have made of
 //! it — the same error for every caller of the key, and no key left in
 //! flight with a latch nobody will publish.
@@ -34,33 +44,69 @@
 //! `serena_beta_dedup_total{service=…}` (when a registry is attached,
 //! through the handle it [keeps per service](MetricsRegistry::bundle)) and
 //! in [`DedupState::hits`]; physical upstream calls remain individually
-//! observed by the instrumented layer below. A memo hit resolves no series
-//! and allocates nothing beyond the rows it hands back.
+//! observed by the instrumented layer below. A hit borrows the caller's
+//! parts to look its key up and counts through the handle the key's entry
+//! resolved on its first hit, so a scrape names the same series as ever.
 //!
 //! [`Service`]: crate::service::Service
 
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
+use std::sync::{Arc, Condvar, OnceLock};
 
 use crate::sync::Mutex;
 
 use crate::error::EvalError;
 use crate::prototype::Prototype;
 use crate::service::{invoke_contained, Invoker, InvokerLayer};
-use crate::telemetry::{Counter, FlightRecorder, MetricsRegistry};
+use crate::telemetry::{ActiveSpan, Counter, FlightRecorder, MetricsRegistry};
 use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::ServiceRef;
 
-/// The identity of one β invocation within an instant. All three parts
-/// are shared handles: building a key allocates nothing.
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct DedupKey {
-    prototype: Arc<str>,
-    service: ServiceRef,
-    input: Tuple,
+/// One β call's identity within an instant, as the memo keeps a claimed
+/// key; a lookup borrows the caller's parts instead ([`KeyParts`]).
+type DedupKey = (Arc<str>, ServiceRef, Tuple);
+
+/// A key as its parts, owned or borrowed: both hash and compare as the
+/// tuple of the parts, so a borrowed key finds its owned one.
+trait KeyParts {
+    fn parts(&self) -> (&str, &ServiceRef, &Tuple);
 }
+
+impl KeyParts for DedupKey {
+    fn parts(&self) -> (&str, &ServiceRef, &Tuple) {
+        (&self.0, &self.1, &self.2)
+    }
+}
+
+impl KeyParts for (&str, &ServiceRef, &Tuple) {
+    fn parts(&self) -> (&str, &ServiceRef, &Tuple) {
+        *self
+    }
+}
+
+impl<'a> Borrow<dyn KeyParts + 'a> for DedupKey {
+    fn borrow(&self) -> &(dyn KeyParts + 'a) {
+        self
+    }
+}
+
+impl Hash for dyn KeyParts + '_ {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.parts().hash(state)
+    }
+}
+
+impl PartialEq for dyn KeyParts + '_ {
+    fn eq(&self, other: &Self) -> bool {
+        self.parts() == other.parts()
+    }
+}
+
+impl Eq for dyn KeyParts + '_ {}
 
 /// `serena_beta_dedup_total{service}` — this layer's per-service
 /// [bundle](MetricsRegistry::bundle), so counting a coalesced call resolves
@@ -71,57 +117,61 @@ struct DedupSeries {
 
 type CallResult = Result<Vec<Tuple>, EvalError>;
 
-/// A latch one in-flight upstream call publishes its result through;
-/// concurrent callers of the same key wait here instead of re-invoking.
-struct Latch {
-    slot: Mutex<Outcome>,
-    ready: Condvar,
-}
+/// The blocks a batch is claimed in, one lock each: a second batch over
+/// the same keys claims the block after the one in flight (one whole-batch
+/// claim left it waiting on every call), so it waits for one block at most.
+const BLOCKS: usize = 16;
 
-#[derive(Default)]
-struct Outcome {
-    result: Option<CallResult>,
-    /// A caller sleeps on `ready`. Set under the lock before it sleeps, so
-    /// `publish` wakes exactly when someone waits: a wake with nobody
-    /// waiting is still a syscall, and most keys have no waiter.
-    waited: bool,
+/// One claimed block's results: set once, by the batch that claimed it,
+/// and read by every later caller of its keys at the instant — the memo's
+/// entries point into it rather than hold a copy.
+struct Latch {
+    results: OnceLock<Vec<CallResult>>,
+    /// A caller sleeps on `ready`: set under the lock before it sleeps, so
+    /// `publish` wakes (a syscall) only when someone waits.
+    waited: Mutex<bool>,
+    ready: Condvar,
 }
 
 impl Latch {
     fn new() -> Arc<Self> {
         Arc::new(Latch {
-            slot: Mutex::default(),
+            results: OnceLock::new(),
+            waited: Mutex::new(false),
             ready: Condvar::new(),
         })
     }
 
-    fn publish(&self, result: CallResult) {
-        let mut slot = self.slot.lock();
-        slot.result = Some(result);
-        if slot.waited {
+    fn publish(&self, results: Vec<CallResult>) {
+        let first = self.results.set(results).is_ok();
+        debug_assert!(first, "a block is published once");
+        if *self.waited.lock() {
             self.ready.notify_all();
         }
     }
 
-    fn wait(&self) -> CallResult {
-        let mut guard = self.slot.lock();
+    fn wait(&self) -> &[CallResult] {
+        let mut waited = self.waited.lock();
         loop {
-            if let Some(result) = guard.result.as_ref() {
-                return result.clone();
+            if let Some(results) = self.results.get() {
+                return results;
             }
-            guard.waited = true;
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+            *waited = true;
+            waited = self.ready.wait(waited).unwrap_or_else(|e| e.into_inner());
         }
     }
 }
 
-enum Entry {
-    /// The first caller is performing the upstream call; wait on the latch.
-    InFlight(Arc<Latch>),
-    /// The upstream call completed with this result.
-    Done(CallResult),
+/// One key of the instant: the result is this slot of the latch's, once
+/// the batch that claimed it has published.
+struct Entry {
+    latch: Arc<Latch>,
+    slot: usize,
+    /// The service's series, resolved by the key's first hit.
+    series: Option<Arc<DedupSeries>>,
 }
 
+#[derive(Default)]
 struct Table {
     /// Instant the entries belong to; a call at any other instant clears
     /// the table first (per-instant scoping, no external hook needed).
@@ -134,7 +184,7 @@ struct Table {
 /// the per-instant table, atomics for the counters.
 #[derive(Default)]
 pub struct DedupState {
-    table: Mutex<Option<Table>>,
+    table: Mutex<Table>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
@@ -154,52 +204,6 @@ impl DedupState {
     /// (cumulative).
     pub fn misses(&self) -> u64 {
         self.misses.load(Ordering::Relaxed)
-    }
-}
-
-/// What the table lookup decided a caller must do.
-enum Claim {
-    /// Serve this already-completed result.
-    Serve(CallResult),
-    /// Wait on this latch for the in-flight caller's result.
-    Wait(Arc<Latch>),
-    /// Perform the upstream call and publish through this latch.
-    Call(Arc<Latch>),
-}
-
-impl DedupState {
-    fn claim(&self, key: &DedupKey, at: Instant) -> Claim {
-        let mut guard = self.table.lock();
-        let table = guard.get_or_insert_with(|| Table {
-            at: None,
-            entries: HashMap::new(),
-        });
-        if table.at != Some(at) {
-            table.entries.clear();
-            table.at = Some(at);
-        }
-        match table.entries.get(key) {
-            Some(Entry::Done(result)) => Claim::Serve(result.clone()),
-            Some(Entry::InFlight(latch)) => Claim::Wait(Arc::clone(latch)),
-            None => {
-                let latch = Latch::new();
-                table
-                    .entries
-                    .insert(key.clone(), Entry::InFlight(Arc::clone(&latch)));
-                Claim::Call(latch)
-            }
-        }
-    }
-
-    fn complete(&self, key: &DedupKey, at: Instant, result: CallResult) {
-        let mut guard = self.table.lock();
-        if let Some(table) = guard.as_mut() {
-            // Only memoize if the table still belongs to this instant — a
-            // concurrent call at a newer instant may have cleared it.
-            if table.at == Some(at) {
-                table.entries.insert(key.clone(), Entry::Done(result));
-            }
-        }
     }
 }
 
@@ -250,11 +254,15 @@ impl DedupLayer {
         self
     }
 
-    fn count_dedup(&self, service: &ServiceRef) {
-        self.state.hits.fetch_add(1, Ordering::Relaxed);
+    /// Count one coalesced call of `service` through the key's `series`,
+    /// resolving it on the key's first hit.
+    fn count(&self, series: &mut Option<Arc<DedupSeries>>, service: &ServiceRef) {
         if let Some(registry) = &self.registry {
-            let series = registry.bundle(service, |r| DedupSeries {
-                coalesced: r.counter("serena_beta_dedup_total", &[("service", service.as_str())]),
+            let series = series.get_or_insert_with(|| {
+                registry.bundle(service, |r| DedupSeries {
+                    coalesced: r
+                        .counter("serena_beta_dedup_total", &[("service", service.as_str())]),
+                })
             });
             series.coalesced.inc();
         }
@@ -276,6 +284,27 @@ struct Dedup<'a> {
     layer: DedupLayer,
 }
 
+/// A `beta` span for one logical call, when a recorder is armed.
+fn logical_span<'r>(
+    tracer: Option<&'r FlightRecorder>,
+    prototype: &Prototype,
+    service: &ServiceRef,
+    at: Instant,
+) -> Option<ActiveSpan<'r>> {
+    let mut span = tracer?.start("beta", at)?;
+    span.attr_str("service", service.as_str());
+    span.attr_str("prototype", prototype.name());
+    Some(span)
+}
+
+/// Close a logical call's span with how the memo resolved it.
+fn finish(span: Option<ActiveSpan<'_>>, how: &'static str, result: &CallResult) {
+    if let Some(mut s) = span {
+        s.attr_str("dedup", how);
+        s.attr_u64("ok", result.is_ok() as u64);
+    }
+}
+
 impl Invoker for Dedup<'_> {
     fn invoke(
         &self,
@@ -284,50 +313,110 @@ impl Invoker for Dedup<'_> {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
+        let call = [(service_ref.clone(), input.clone())];
+        let mut out = self.invoke_all(prototype, &call, at);
+        out.pop().expect("one answer per call")
+    }
+
+    /// Claimed, called and published block by block, then what was
+    /// skipped collected (module docs).
+    fn invoke_all(
+        &self,
+        prototype: &Prototype,
+        calls: &[(ServiceRef, Tuple)],
+        at: Instant,
+    ) -> Vec<Result<Vec<Tuple>, EvalError>> {
         let DedupLayer { state, tracer, .. } = &self.layer;
-        let key = DedupKey {
-            prototype: Arc::clone(prototype.shared_name()),
-            service: service_ref.clone(),
-            input: input.clone(),
-        };
-        let mut span = tracer.as_deref().and_then(|t| t.start("beta", at));
-        if let Some(s) = span.as_mut() {
-            s.attr_str("service", service_ref.as_str());
-            s.attr_str("prototype", prototype.name());
+        let tracer = tracer.as_deref().filter(|t| t.armed());
+        let name = prototype.name();
+        let mut out: Vec<CallResult> = calls.iter().map(|_| Ok(Vec::new())).collect();
+        let mut skipped: Vec<(usize, Arc<Latch>, usize)> = Vec::new();
+        let (mut claimed, mut served) = (Vec::new(), Vec::new());
+        let size = calls.len().div_ceil(BLOCKS).max(1);
+        for (start, block) in (0..).step_by(size).zip(out.chunks_mut(size)) {
+            claimed.clear();
+            served.clear();
+            let mut coalesced = 0;
+            let mut latch = None;
+            {
+                let mut table = state.table.lock();
+                if table.at != Some(at) {
+                    table.entries.clear();
+                    table.at = Some(at);
+                }
+                for (i, answer) in (start..).zip(block.iter_mut()) {
+                    let (service, input) = &calls[i];
+                    let parts = (name, service, input);
+                    let Some(entry) = table.entries.get_mut(&parts as &dyn KeyParts) else {
+                        let key = (
+                            Arc::clone(prototype.shared_name()),
+                            service.clone(),
+                            input.clone(),
+                        );
+                        let latch = Arc::clone(latch.get_or_insert_with(Latch::new));
+                        let slot = claimed.len();
+                        let entry = Entry {
+                            latch,
+                            slot,
+                            series: None,
+                        };
+                        table.entries.insert(key, entry);
+                        claimed.push(i);
+                        continue;
+                    };
+                    match entry.latch.results.get() {
+                        Some(results) => {
+                            *answer = results[entry.slot].clone();
+                            served.extend(tracer.map(|_| i));
+                        }
+                        None => skipped.push((i, Arc::clone(&entry.latch), entry.slot)),
+                    }
+                    self.layer.count(&mut entry.series, service);
+                    coalesced += 1;
+                }
+            }
+            state.hits.fetch_add(coalesced, Ordering::Relaxed);
+            for &i in &served {
+                let span = logical_span(tracer, prototype, &calls[i].0, at);
+                finish(span, "hit", &block[i - start]);
+            }
+            let Some(latch) = latch else { continue };
+            let results: Vec<CallResult> = claimed
+                .iter()
+                .map(|&i| {
+                    let (service, input) = &calls[i];
+                    let span = logical_span(tracer, prototype, service, at);
+                    let result = {
+                        // the layers below nest under this logical β span
+                        let _in_span = span.as_ref().map(|s| s.enter());
+                        // contained: an unwinding call would skip the
+                        // publish below and leave its key in flight
+                        invoke_contained(&*self.inner, prototype, service, input, at)
+                    };
+                    finish(span, "call", &result);
+                    block[i - start] = result.clone();
+                    result
+                })
+                .collect();
+            state
+                .misses
+                .fetch_add(claimed.len() as u64, Ordering::Relaxed);
+            latch.publish(results);
         }
-        let (result, how) = match state.claim(&key, at) {
-            Claim::Serve(result) => {
-                self.layer.count_dedup(service_ref);
-                (result, "hit")
+        let mut skipped = skipped.into_iter().peekable();
+        while let Some((i, latch, slot)) = skipped.next() {
+            let span = logical_span(tracer, prototype, &calls[i].0, at);
+            let results = latch.wait();
+            let mut read = |i: usize, slot: usize, span| {
+                out[i] = results[slot].clone();
+                finish(span, "wait", &out[i]);
+            };
+            read(i, slot, span);
+            while let Some((i, _, slot)) = skipped.next_if(|(_, l, _)| Arc::ptr_eq(l, &latch)) {
+                read(i, slot, logical_span(tracer, prototype, &calls[i].0, at));
             }
-            Claim::Wait(latch) => {
-                let result = latch.wait();
-                self.layer.count_dedup(service_ref);
-                (result, "wait")
-            }
-            Claim::Call(latch) => {
-                let result = {
-                    // layers below (resilience, per-attempt
-                    // instrumentation) nest under this logical β span
-                    let _in_span = span.as_ref().map(|s| s.enter());
-                    // Contained: this caller owes every waiter on `latch`
-                    // a result. An observer or trace sink that panics
-                    // above the catch-panic layer would otherwise unwind
-                    // past the publish below and leave the key in flight
-                    // for good — the next caller of it would never wake.
-                    invoke_contained(&*self.inner, prototype, service_ref, input, at)
-                };
-                state.misses.fetch_add(1, Ordering::Relaxed);
-                state.complete(&key, at, result.clone());
-                latch.publish(result.clone());
-                (result, "call")
-            }
-        };
-        if let Some(s) = span.as_mut() {
-            s.attr_str("dedup", how);
-            s.attr_u64("ok", result.is_ok() as u64);
         }
-        result
+        out
     }
 
     fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
@@ -580,23 +669,23 @@ mod tests {
         let waiter = |latch: &Arc<Latch>| {
             let (done, outcome) = std::sync::mpsc::channel();
             let latch = Arc::clone(latch);
-            let thread = std::thread::spawn(move || done.send(latch.wait()));
+            let thread = std::thread::spawn(move || done.send(latch.wait().to_vec()));
             (outcome, thread)
         };
         let latch = Latch::new();
         let parked = waiter(&latch);
         // `waited` is set under the lock `Condvar::wait` releases
-        while !latch.slot.lock().waited {
+        while !*latch.waited.lock() {
             std::thread::yield_now();
         }
-        let result: CallResult = Ok(vec![Tuple::new(vec![Value::Int(7)])]);
-        latch.publish(result.clone());
+        let results: Vec<CallResult> = vec![Ok(vec![Tuple::new(vec![Value::Int(7)])])];
+        latch.publish(results.clone());
         let late = waiter(&latch);
         for (who, (outcome, thread)) in [("parked", parked), ("late", late)] {
             let served = outcome
                 .recv_timeout(std::time::Duration::from_secs(30))
                 .unwrap_or_else(|_| panic!("the {who} waiter was never served"));
-            assert_eq!(served, result, "{who}");
+            assert_eq!(served, results, "{who}");
             thread
                 .join()
                 .expect("waiter thread")
@@ -604,9 +693,9 @@ mod tests {
         }
         // nobody waited on this one: its publish wakes nobody
         let unwaited = Latch::new();
-        unwaited.publish(result.clone());
-        assert!(!unwaited.slot.lock().waited);
-        assert_eq!(unwaited.wait(), result);
+        unwaited.publish(results.clone());
+        assert!(!*unwaited.waited.lock());
+        assert_eq!(unwaited.wait(), results);
     }
 
     #[test]
@@ -652,6 +741,237 @@ mod tests {
         );
         let text = metrics.render_prometheus();
         assert!(text.contains("# TYPE serena_beta_dedup_total counter"));
+    }
+
+    /// Answers every call with its input as the one result row, after
+    /// handing the input to a hook — where a test counts, blocks or panics.
+    struct Keyed<F>(F);
+
+    impl<F: Fn(&Tuple) + Send + Sync> Invoker for Keyed<F> {
+        fn invoke(
+            &self,
+            _prototype: &Prototype,
+            _service_ref: &ServiceRef,
+            input: &Tuple,
+            _at: Instant,
+        ) -> Result<Vec<Tuple>, EvalError> {
+            (self.0)(input);
+            Ok(vec![input.clone()])
+        }
+
+        fn providers_of(&self, _prototype: &str) -> Vec<ServiceRef> {
+            Vec::new()
+        }
+    }
+
+    fn keyed<'a>(
+        state: &Arc<DedupState>,
+        hook: impl Fn(&Tuple) + Send + Sync + 'a,
+    ) -> Box<dyn Invoker + 'a> {
+        InvokerStack::new(Keyed(hook))
+            .layer(DedupLayer::new(Arc::clone(state)))
+            .into_inner()
+    }
+
+    /// `n` calls of one sensor, input `(k)` for the `k`-th.
+    fn keys(n: i64) -> Vec<(ServiceRef, Tuple)> {
+        let sensor = ServiceRef::new("sensor01");
+        (0..n)
+            .map(|k| (sensor.clone(), Tuple::new(vec![Value::Int(k)])))
+            .collect()
+    }
+
+    /// What [`Keyed`] answers each call of `calls`.
+    fn answers(calls: &[(ServiceRef, Tuple)]) -> Vec<CallResult> {
+        calls
+            .iter()
+            .map(|(_, input)| Ok(vec![input.clone()]))
+            .collect()
+    }
+
+    /// Run `test` on a thread of its own and wait for it a bounded time: a
+    /// key left in flight hangs its caller, and a test that hangs reports
+    /// nothing.
+    fn bounded<R: Send + 'static>(what: &str, test: impl FnOnce() -> R + Send + 'static) -> R {
+        let (done, outcome) = std::sync::mpsc::channel();
+        let thread = std::thread::spawn(move || done.send(test()));
+        let result = outcome
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|_| panic!("{what}: a caller waited for good"));
+        thread.join().expect("test thread").expect("receiver alive");
+        result
+    }
+
+    #[test]
+    fn two_batches_over_one_set_of_keys_split_the_calls() {
+        use std::collections::HashMap;
+        const KEYS: i64 = 64;
+        let (calls, callers, hits, misses) = bounded("two batches", || {
+            let state = Arc::new(DedupState::new());
+            let calls: Mutex<HashMap<Tuple, u32>> = Mutex::default();
+            let callers: Mutex<HashMap<std::thread::ThreadId, u32>> = Mutex::default();
+            // each thread's first call waits for the other's: neither
+            // batch may make every call while the other waits
+            let both = std::sync::Barrier::new(2);
+            let inv = keyed(&state, |input| {
+                *calls.lock().entry(input.clone()).or_default() += 1;
+                let first = {
+                    let mut callers = callers.lock();
+                    let made = callers.entry(std::thread::current().id()).or_default();
+                    *made += 1;
+                    *made == 1
+                };
+                if first {
+                    both.wait();
+                }
+            });
+            let batch = keys(KEYS);
+            let [a, b] = std::thread::scope(|scope| {
+                let issue = || {
+                    scope.spawn(|| inv.invoke_all(&protos::get_temperature(), &batch, Instant(4)))
+                };
+                [issue(), issue()].map(|h| h.join().expect("batch thread"))
+            });
+            assert_eq!(a, answers(&batch));
+            assert_eq!(b, a, "both batches get equal results");
+            drop(inv);
+            (
+                calls.into_inner(),
+                callers.into_inner(),
+                state.hits(),
+                state.misses(),
+            )
+        });
+        assert_eq!(calls.len(), KEYS as usize);
+        assert!(
+            calls.values().all(|&n| n == 1),
+            "a key reached the service twice: {calls:?}"
+        );
+        assert_eq!(
+            callers.len(),
+            2,
+            "both batches make physical calls: {callers:?}"
+        );
+        assert_eq!((hits + misses, misses), (2 * KEYS as u64, KEYS as u64));
+    }
+
+    #[test]
+    fn a_batch_naming_a_key_twice_calls_it_once() {
+        let state = Arc::new(DedupState::new());
+        let calls = AtomicU64::new(0);
+        let inv = keyed(&state, |_| {
+            calls.fetch_add(1, Ordering::SeqCst);
+        });
+        // the first key again in a later block (done by then), the last
+        // again in its own block (still in flight)
+        let mut batch = keys(40);
+        batch.extend([batch[0].clone(), batch[39].clone()]);
+        let out = inv.invoke_all(&protos::get_temperature(), &batch, Instant(1));
+        assert_eq!(out, answers(&batch));
+        assert_eq!(calls.load(Ordering::SeqCst), 40);
+        assert_eq!((state.hits(), state.misses()), (2, 40));
+    }
+
+    #[test]
+    fn a_call_finding_its_key_in_flight_under_a_batch_gets_its_own_result() {
+        let (answer, calls, hits, misses) = bounded("a call behind a batch", || {
+            let state = Arc::new(DedupState::new());
+            // 16 blocks of four keys: the first is 0–3
+            let batch = keys(64);
+            let (entered, inside) = std::sync::mpsc::channel();
+            let (go, release) = std::sync::mpsc::channel::<()>();
+            let release = Mutex::new(release);
+            let calls = AtomicU64::new(0);
+            let held = batch[2].1.clone();
+            let inv = keyed(&state, |input| {
+                calls.fetch_add(1, Ordering::SeqCst);
+                if *input == held {
+                    entered.send(()).expect("test alive");
+                    release.lock().recv().expect("test alive");
+                }
+            });
+            let proto = protos::get_temperature();
+            let answer = std::thread::scope(|scope| {
+                let batcher = scope.spawn(|| inv.invoke_all(&proto, &batch, Instant(7)));
+                // the batch claimed keys 0–3 and is calling key 2
+                inside.recv().expect("batch thread alive");
+                let (sensor, fourth) = &batch[3];
+                let caller = scope.spawn(|| inv.invoke(&proto, sensor, fourth, Instant(7)));
+                // the caller skipped key 3, still in flight
+                while state.hits() == 0 {
+                    std::thread::yield_now();
+                }
+                go.send(()).expect("batch thread alive");
+                assert_eq!(batcher.join().expect("batch thread"), answers(&batch));
+                caller.join().expect("caller thread")
+            });
+            (
+                answer,
+                calls.load(Ordering::SeqCst),
+                state.hits(),
+                state.misses(),
+            )
+        });
+        assert_eq!(answer, Ok(vec![Tuple::new(vec![Value::Int(3)])]));
+        assert_eq!((calls, hits, misses), (64, 1, 64));
+    }
+
+    #[test]
+    fn a_descent_that_unwinds_under_a_batch_is_every_callers_error() {
+        let (first, skipper, again, next, in_flight) = bounded("an unwound batch", || {
+            let state = Arc::new(DedupState::new());
+            let batch = keys(5);
+            let (entered, inside) = std::sync::mpsc::channel();
+            let (go, release) = std::sync::mpsc::channel::<()>();
+            let release = Mutex::new(release);
+            let unwound = AtomicU64::new(0);
+            let inv = keyed(&state, |input| {
+                if *input == batch[0].1 && unwound.fetch_add(1, Ordering::SeqCst) == 0 {
+                    entered.send(()).expect("test alive");
+                    release.lock().recv().expect("test alive");
+                    panic!("observer is down");
+                }
+            });
+            let proto = protos::get_temperature();
+            // 65 calls, so 13 blocks of five: the first is `batch`; and key
+            // 0 named twice, the batch's own second caller of it
+            let twice = [keys(64), vec![batch[0].clone()]].concat();
+            let (first, skipper) = std::thread::scope(|scope| {
+                let batcher = scope.spawn(|| inv.invoke_all(&proto, &twice, Instant(2)));
+                inside.recv().expect("batch thread alive");
+                let skipper = scope.spawn(|| inv.invoke_all(&proto, &batch, Instant(2)));
+                // the second batch, in blocks of one, skipped all five keys
+                while state.hits() < 5 {
+                    std::thread::yield_now();
+                }
+                go.send(()).expect("batch thread alive");
+                let first = batcher.join().expect("batch thread");
+                (first, skipper.join().expect("skipping thread"))
+            });
+            let again = inv.invoke(&proto, &batch[0].0, &batch[0].1, Instant(2));
+            let in_flight = state
+                .table
+                .lock()
+                .entries
+                .values()
+                .filter(|e| e.latch.results.get().is_none())
+                .count();
+            let next = inv.invoke_all(&proto, &batch, Instant(3));
+            let first = [first[0].clone(), first[64].clone(), first[1].clone()];
+            (first, skipper, again, next, in_flight)
+        });
+        let unwound = &first[0];
+        assert!(
+            matches!(unwound, Err(EvalError::Panicked { reason, .. }) if reason == "observer is down"),
+            "{unwound:?}"
+        );
+        assert_eq!(first[1], *unwound, "the batch's second caller of the key");
+        assert_eq!(skipper[0], *unwound, "the batch that skipped the key");
+        assert_eq!(again, *unwound, "a later caller at the instant");
+        assert_eq!(skipper[1..], answers(&keys(5))[1..]);
+        assert_eq!(first[2], skipper[1]);
+        assert_eq!(in_flight, 0, "nothing is left in flight");
+        assert_eq!(next, answers(&keys(5)), "the next instant starts clean");
     }
 
     #[test]

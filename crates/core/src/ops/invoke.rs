@@ -15,7 +15,7 @@ use crate::action::{Action, ActionSet};
 use crate::binding::BindingPattern;
 use crate::error::{EvalError, PlanError};
 use crate::schema::{AttrKind, Attribute, SchemaRef, XSchema};
-use crate::service::Invoker;
+use crate::service::{invoke_contained, Invoker};
 use crate::time::Instant;
 use crate::tuple::Tuple;
 use crate::value::ServiceRef;
@@ -187,20 +187,6 @@ pub struct InvokeRecipe {
     filler: Tuple,
 }
 
-/// The raw outcome of one prepared-and-invoked input tuple, produced by
-/// [`InvokeRecipe::call`]: the resolved service reference, the
-/// projected input (both needed to record an [`Action`]) and the
-/// invocation's result.
-#[derive(Debug)]
-pub struct TupleCall {
-    /// The service the tuple's service attribute referenced.
-    pub sref: ServiceRef,
-    /// The prototype input projected from the tuple.
-    pub input: Tuple,
-    /// What the invoker returned.
-    pub result: Result<Vec<Tuple>, EvalError>,
-}
-
 impl InvokeRecipe {
     /// Resolve `(prototype, service_attr)` on `in_schema` and pre-compute
     /// the full invocation recipe (schema derivation + coordinate maps).
@@ -250,16 +236,12 @@ impl InvokeRecipe {
         &self.bp
     }
 
-    /// Prepare and invoke one input tuple, on the calling thread. `Err`
-    /// when the service attribute does not hold a service reference
-    /// (nothing was invoked); otherwise the invocation's own result rides
-    /// in the [`TupleCall`].
-    pub fn call(
-        &self,
-        t: &Tuple,
-        invoker: &dyn Invoker,
-        at: Instant,
-    ) -> Result<TupleCall, EvalError> {
+    /// The call input tuple `t` makes: the service its service attribute
+    /// references and the prototype input projected from it, for the
+    /// invoker to take one at a time or many at once
+    /// ([`Invoker::invoke_all`]). `Err` when the service attribute does not
+    /// hold a service reference.
+    pub fn prepare_call(&self, t: &Tuple) -> Result<(ServiceRef, Tuple), EvalError> {
         let sref = t[self.service_coord].as_service_ref().ok_or_else(|| {
             EvalError::Value(format!(
                 "attribute `{}` does not hold a service reference: {}",
@@ -267,17 +249,7 @@ impl InvokeRecipe {
                 t[self.service_coord]
             ))
         })?;
-        let input = t.project_positions(&self.input_coords);
-        // Contain panics here rather than letting them unwind through the
-        // query's tick: a panicking service surfaces as
-        // `EvalError::Panicked`, never poisons the round or the process.
-        let result =
-            crate::service::invoke_contained(invoker, self.bp.prototype(), &sref, &input, at);
-        Ok(TupleCall {
-            sref,
-            input,
-            result,
-        })
+        Ok((sref, t.project_positions(&self.input_coords)))
     }
 
     /// Settle one invoked tuple: turn the invocation's `result` for input
@@ -342,15 +314,16 @@ impl InvokeRecipe {
     ) -> Result<Vec<Tuple>, EvalError> {
         let mut out = Vec::new();
         for t in tuples {
-            let call = self.call(t, invoker, at)?;
+            let (sref, input) = self.prepare_call(t)?;
+            // Contain panics here rather than letting them unwind through
+            // the statement: a panicking service surfaces as
+            // `EvalError::Panicked`, never poisons the process.
+            let result = invoke_contained(invoker, self.bp.prototype(), &sref, &input, at);
             if self.bp.is_active() {
-                actions.record(Action::new(self.bp.clone(), call.sref, call.input));
+                actions.record(Action::new(self.bp.clone(), sref, input));
             }
             tally.invocations += 1;
-            out.extend(
-                self.settle(t, call.result, degrade, tally)?
-                    .unwrap_or_default(),
-            );
+            out.extend(self.settle(t, result, degrade, tally)?.unwrap_or_default());
         }
         Ok(out)
     }
@@ -795,12 +768,14 @@ mod tests {
         let reg = panicky_registry();
         let r = sensors();
         let recipe = InvokeRecipe::prepare(r.schema(), "getTemperature", "sensor").unwrap();
-        let outcomes: Vec<_> =
-            quiet_panics(|| r.iter().map(|t| recipe.call(t, &reg, Instant(1))).collect());
+        let call = |t| {
+            let (sref, input) = recipe.prepare_call(t).unwrap();
+            invoke_contained(&reg, recipe.bp.prototype(), &sref, &input, Instant(1))
+        };
+        let outcomes: Vec<_> = quiet_panics(|| r.iter().map(call).collect());
         let panicked: Vec<&EvalError> = outcomes
             .iter()
-            .filter_map(|o| o.as_ref().ok())
-            .filter_map(|c| c.result.as_ref().err())
+            .filter_map(|o| o.as_ref().err())
             .filter(|e| matches!(e, EvalError::Panicked { .. }))
             .collect();
         assert_eq!(panicked.len(), 1);

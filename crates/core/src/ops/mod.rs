@@ -35,7 +35,7 @@ mod set;
 pub use aggregate::{aggregate, aggregate_schema, AggFun, AggSpec};
 pub use assign::{assign, assign_schema, AssignSource};
 pub use compiled::{CompiledOp, Slot};
-pub use invoke::{invoke, invoke_schema, DegradePolicy, InvokeRecipe, InvokeTally, TupleCall};
+pub use invoke::{invoke, invoke_schema, DegradePolicy, InvokeRecipe, InvokeTally};
 pub use join::{join, join_schema};
 pub use project::{project, project_schema};
 pub use rename::{rename, rename_schema};

@@ -177,58 +177,59 @@ pub trait Invoker: Send + Sync {
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError>;
 
+    /// Invoke `prototype` once per `(service, input)` of `calls` at `at`,
+    /// answering in order. Their order is not observable, so a layer may
+    /// take them as one (the dedup memo does); by default each is a
+    /// [contained](invoke_contained) call of its own.
+    fn invoke_all(
+        &self,
+        prototype: &Prototype,
+        calls: &[(ServiceRef, Tuple)],
+        at: Instant,
+    ) -> Vec<Result<Vec<Tuple>, EvalError>> {
+        let call = |(service_ref, input): &(ServiceRef, Tuple)| {
+            invoke_contained(self, prototype, service_ref, input, at)
+        };
+        calls.iter().map(call).collect()
+    }
+
     /// Service references of all currently registered services implementing
     /// `prototype` (used by service-discovery queries, §5.1).
     fn providers_of(&self, prototype: &str) -> Vec<ServiceRef>;
 }
 
-impl<I: Invoker + ?Sized> Invoker for &I {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        (**self).invoke(prototype, service_ref, input, at)
-    }
+/// A pointer to an invoker is that invoker: every method forwards,
+/// `invoke_all` too, so a batch reaches the layer that takes it as one.
+macro_rules! forward_invoker {
+    ($($pointer:ty),*) => {$(
+        impl<I: Invoker + ?Sized> Invoker for $pointer {
+            fn invoke(
+                &self,
+                prototype: &Prototype,
+                service_ref: &ServiceRef,
+                input: &Tuple,
+                at: Instant,
+            ) -> Result<Vec<Tuple>, EvalError> {
+                (**self).invoke(prototype, service_ref, input, at)
+            }
 
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        (**self).providers_of(prototype)
-    }
+            fn invoke_all(
+                &self,
+                prototype: &Prototype,
+                calls: &[(ServiceRef, Tuple)],
+                at: Instant,
+            ) -> Vec<Result<Vec<Tuple>, EvalError>> {
+                (**self).invoke_all(prototype, calls, at)
+            }
+
+            fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
+                (**self).providers_of(prototype)
+            }
+        }
+    )*};
 }
 
-impl<I: Invoker + ?Sized> Invoker for Box<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        (**self).invoke(prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        (**self).providers_of(prototype)
-    }
-}
-
-impl<I: Invoker + ?Sized> Invoker for Arc<I> {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        input: &Tuple,
-        at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        (**self).invoke(prototype, service_ref, input, at)
-    }
-
-    fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
-        (**self).providers_of(prototype)
-    }
-}
+forward_invoker!(&I, Box<I>, Arc<I>);
 
 /// One middleware layer of an [`InvokerStack`]: consumes the invoker built
 /// so far and returns the decorated one.
@@ -304,6 +305,15 @@ impl Invoker for InvokerStack<'_> {
         self.top.invoke(prototype, service_ref, input, at)
     }
 
+    fn invoke_all(
+        &self,
+        prototype: &Prototype,
+        calls: &[(ServiceRef, Tuple)],
+        at: Instant,
+    ) -> Vec<Result<Vec<Tuple>, EvalError>> {
+        self.top.invoke_all(prototype, calls, at)
+    }
+
     fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
         self.top.providers_of(prototype)
     }
@@ -311,11 +321,11 @@ impl Invoker for InvokerStack<'_> {
 
 /// Run one invocation with panic containment: a panicking service becomes
 /// [`EvalError::Panicked`] instead of unwinding into (and aborting) the
-/// execution engine. Used by the β batch executor and by
-/// [`CatchPanicLayer`]; string panic payloads are preserved as the
-/// error's `reason`.
-pub fn invoke_contained(
-    invoker: &dyn Invoker,
+/// execution engine. Used by one-shot β, the default
+/// [`Invoker::invoke_all`], the dedup layer and [`CatchPanicLayer`];
+/// string panic payloads are preserved as the error's `reason`.
+pub fn invoke_contained<I: Invoker + ?Sized>(
+    invoker: &I,
     prototype: &Prototype,
     service_ref: &ServiceRef,
     input: &Tuple,

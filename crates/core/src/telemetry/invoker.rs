@@ -5,9 +5,10 @@
 //! [`InvocationObserver`] (the hook service-health trackers implement), and
 //! records a `beta.attempt` span (service, prototype, outcome, error text)
 //! through its [`TraceSink`] — without changing the call's result in any
-//! way. This sits *under* the β operator, so the one-shot executor and the
-//! continuous one (both call `InvokeRecipe::call` per tuple) are observed
-//! identically.
+//! way. This sits *under* the β operator, so the one-shot executor (one
+//! call at a time) and the continuous one (a batch through
+//! `Invoker::invoke_all`, one call at a time below the dedup layer) are
+//! observed identically.
 
 use std::sync::Arc;
 use std::time::Duration;

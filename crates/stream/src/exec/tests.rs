@@ -368,6 +368,40 @@ fn sample_invoke_rejects_active_bp_and_surfaces_errors() {
     assert_eq!(r.errors.len(), 1);
 }
 
+/// Under `FailQuery` a βˢ's errors come in its operand's order, so two
+/// copies of one plan report the same list, unsorted, at every instant —
+/// not each in its own node's `RandomState` order.
+#[test]
+fn two_copies_of_a_sampler_report_the_same_errors_in_order() {
+    let schema = serena_core::schema::examples::sensors_schema();
+    let ghost = |i: usize| tuple![Value::service(format!("ghost{i:02}")), "void"];
+    let mut rows: Vec<Tuple> = (0..12).map(ghost).collect();
+    rows.push(tuple![Value::service("sensor01"), "corridor"]);
+    let table = TableHandle::with_tuples(schema, rows);
+    let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
+    let compile = || {
+        let mut sources = SourceSet::new();
+        sources.add_table("sensors", table.clone());
+        ContinuousQuery::compile(&plan, &mut sources).unwrap()
+    };
+    let (mut a, mut b) = (compile(), compile());
+    let reg = example_registry();
+    for at in 0..6 {
+        // the fleet changes under the samplers: the view is rebuilt
+        if at % 2 == 1 {
+            table.insert(ghost(20 + at));
+            table.delete(ghost(at));
+        }
+        let (ra, rb) = (
+            a.tick_with(&reg, &NoopMetrics),
+            b.tick_with(&reg, &NoopMetrics),
+        );
+        assert!(ra.errors.len() >= 8, "instant {at}: {:?}", ra.errors);
+        assert_eq!(ra.errors, rb.errors, "instant {at}");
+        assert_eq!(ra.batch, rb.batch, "instant {at}");
+    }
+}
+
 #[test]
 fn sample_invoke_feeds_windows_downstream() {
     // the full future-work composition: sensors →βˢ→ stream →W[1]→ σ

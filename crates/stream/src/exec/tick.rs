@@ -207,7 +207,7 @@ impl Op {
             }
             Op::SampleInvoke { recipe, period } => {
                 let batch = if ctx.at.ticks().is_multiple_of(*period) {
-                    sample(recipe, &children[0].current, ctx, obs)
+                    sample(recipe, &children[0], ctx, obs)
                 } else {
                     Vec::new()
                 };
@@ -291,85 +291,122 @@ fn apply_invoke(
         }
     }
     // Insertions: §4.2 — invoke only for newly inserted tuples. Cache hits
-    // re-emit their cached extensions; each miss is invoked in turn.
-    let mut tally = InvokeTally::default();
+    // re-emit their cached extensions; the misses are invoked together.
+    let mut misses = Vec::new();
     for (t, c) in inserts.iter() {
-        if let Some(entry) = cache.get_mut(t) {
-            // the same tuple re-inserted reuses its cached invocation
-            obs.cache_hits += 1;
-            entry.count += c;
-            for o in &entry.outputs {
-                out.inserts.insert(o.clone(), c);
-            }
+        let Some(entry) = cache.get_mut(t) else {
+            misses.push((t, c));
             continue;
-        }
-        obs.cache_misses += 1;
-        tally.invocations += 1;
-        let settled = match recipe.call(t, ctx.invoker, ctx.at) {
-            Ok(call) => {
-                // the action is recorded whether or not the call succeeded,
-                // matching the one-shot operator
-                if recipe.binding_pattern().is_active() {
-                    ctx.actions.record(Action::new(
-                        recipe.binding_pattern().clone(),
-                        call.sref,
-                        call.input,
-                    ));
-                }
-                recipe.settle(t, call.result, ctx.degrade, &mut tally)
-            }
-            Err(e) => {
-                // the tuple's service attribute held no service reference:
-                // nothing was invoked, no action recorded
-                tally.failures += 1;
-                Err(e)
-            }
         };
-        match settled {
-            // the extensions (a filler under NullFill) are cached so a later
-            // deletion retracts exactly what was emitted
-            Ok(Some(outputs)) => {
-                for o in &outputs {
-                    out.inserts.insert(o.clone(), c);
-                }
-                cache.insert(t.clone(), CacheEntry { count: c, outputs });
-            }
-            // dropped, not cached — a later re-insertion retries the service
-            Ok(None) => {}
-            // the tuple contributes nothing this tick, the error surfaces
-            Err(e) => ctx.errors.push(e),
+        // the same tuple re-inserted reuses its cached invocation
+        entry.count += c;
+        for o in &entry.outputs {
+            out.inserts.insert(o.clone(), c);
         }
     }
-    tally.record_into(obs);
+    obs.cache_hits += (inserts.distinct() - misses.len()) as u64;
+    obs.cache_misses += misses.len() as u64;
+    invoke_each(recipe, misses.into_iter(), ctx, obs, |t, c, outputs| {
+        // the extensions (a filler under NullFill) are cached so a later
+        // deletion retracts exactly what was emitted; a dropped tuple is
+        // not cached, so a later re-insertion retries the service
+        let Some(outputs) = outputs else { return };
+        for o in &outputs {
+            out.inserts.insert(o.clone(), c);
+        }
+        cache.insert(t.clone(), CacheEntry { count: c, outputs });
+    });
     out
 }
 
-/// βˢ on a sampling instant: invoke the *whole* current relation (distinct
-/// tuples; each occurrence contributes one output copy). The BP is passive
-/// (statically checked), so no actions are recorded.
-fn sample(
+/// β over `tuples` (each with its count): prepare each, hand the stack
+/// every call at once ([`Invoker::invoke_all`]), settle each in order. An
+/// active call is recorded whether or not it succeeded, as in one-shot β;
+/// a tuple that names no service calls nothing and fails. `emit` gets each
+/// tuple that did not fail with its extensions (`None`: dropped).
+fn invoke_each<'t>(
     recipe: &InvokeRecipe,
-    current: &Multiset,
+    tuples: impl Iterator<Item = (&'t Tuple, usize)> + Clone,
     ctx: &mut Ctx<'_>,
     obs: &mut OpObservation,
-) -> Vec<Tuple> {
+    mut emit: impl FnMut(&'t Tuple, usize, Option<Vec<Tuple>>),
+) {
+    let bp = recipe.binding_pattern();
+    let mut calls = Vec::with_capacity(tuples.size_hint().0);
+    // few fail here: their errors are kept by position, not a slot per call
+    let mut unprepared = Vec::new();
+    for (i, (t, _)) in tuples.clone().enumerate() {
+        match recipe.prepare_call(t) {
+            Ok(call) => calls.push(call),
+            Err(e) => unprepared.push((i, e)),
+        }
+    }
+    let results = ctx.invoker.invoke_all(bp.prototype(), &calls, ctx.at);
+    // kept only to record an active pattern's actions: a passive one's go
+    // before the outputs are built
+    let mut calls = if bp.is_active() {
+        calls.into_iter()
+    } else {
+        drop(calls);
+        Vec::new().into_iter()
+    };
+    let mut results = results.into_iter();
+    let mut unprepared = unprepared.into_iter().peekable();
     let mut tally = InvokeTally::default();
-    let mut batch = Vec::new();
-    for (t, count) in current.iter() {
+    for (i, (t, c)) in tuples.enumerate() {
         tally.invocations += 1;
-        let result = recipe
-            .call(t, ctx.invoker, ctx.at)
-            .and_then(|call| call.result);
-        match recipe.settle(t, result, ctx.degrade, &mut tally) {
-            Ok(outputs) => {
-                for o in outputs.unwrap_or_default() {
-                    batch.extend(std::iter::repeat_n(o, count));
-                }
+        let settled = match unprepared.next_if(|(j, _)| *j == i) {
+            Some((_, e)) => {
+                tally.failures += 1;
+                Err(e)
             }
+            None => {
+                if let Some((sref, input)) = calls.next() {
+                    ctx.actions.record(Action::new(bp.clone(), sref, input));
+                }
+                let result = results.next().expect("an answer per call");
+                recipe.settle(t, result, ctx.degrade, &mut tally)
+            }
+        };
+        match settled {
+            Ok(outputs) => emit(t, c, outputs),
             Err(e) => ctx.errors.push(e),
         }
     }
-    batch.sort();
     tally.record_into(obs);
+}
+
+/// βˢ on a sampling instant: invoke the *whole* current relation of
+/// `operand` (distinct tuples; each occurrence contributes one output
+/// copy), in ascending order. The BP is passive (statically checked), so
+/// no actions are recorded.
+fn sample(
+    recipe: &InvokeRecipe,
+    operand: &Node,
+    ctx: &mut Ctx<'_>,
+    obs: &mut OpObservation,
+) -> Vec<Tuple> {
+    let mut batch = Vec::with_capacity(operand.current.len());
+    let emit = |_: &Tuple, count, outputs: Option<Vec<Tuple>>| {
+        for o in outputs.unwrap_or_default() {
+            batch.extend(std::iter::repeat_n(o, count));
+        }
+    };
+    match &operand.op {
+        // a table leaf's `current` is the table's committed contents
+        // (`state.rs`), which the table keeps in order for every reader
+        Op::Table { handle, .. } => {
+            let ordered = handle.ordered();
+            debug_assert_eq!(ordered.len(), operand.current.distinct());
+            invoke_each(recipe, ordered.iter().map(|(t, c)| (t, *c)), ctx, obs, emit);
+        }
+        _ => {
+            let mut sorted: Vec<(&Tuple, usize)> = operand.current.iter().collect();
+            sorted.sort_unstable_by(|a, b| a.0.cmp(b.0));
+            invoke_each(recipe, sorted.into_iter(), ctx, obs, emit);
+        }
+    }
+    // born in the operand's order, so usually sorted already: one pass
+    batch.sort_unstable();
     batch
 }

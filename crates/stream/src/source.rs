@@ -59,6 +59,10 @@ struct TableState {
     /// cannot stand in for it: a `Multiset` iterates in `RandomState`
     /// order, and a statement's row order must not depend on that.
     relation: Option<Arc<XRelation>>,
+    /// `current` in ascending order with counts, once asked for
+    /// ([`TableHandle::ordered`]); dropped by whatever changes `current`
+    /// (a commit with a change, a restore), never checkpointed.
+    ordered: Option<Arc<[(Tuple, usize)]>>,
 }
 
 impl TableState {
@@ -121,6 +125,7 @@ impl TableHandle {
                 pending: Delta::new(),
                 committed: None,
                 relation: None,
+                ordered: None,
             })),
         }
     }
@@ -168,6 +173,21 @@ impl TableHandle {
     /// Snapshot of the current (already-ticked) contents.
     pub fn snapshot(&self) -> Multiset {
         self.inner.lock().current.clone()
+    }
+
+    /// [`TableHandle::snapshot`] in ascending order, with counts: one `Arc`
+    /// from the first ask after a commit that changed it to the next.
+    pub(crate) fn ordered(&self) -> Arc<[(Tuple, usize)]> {
+        let mut state = self.inner.lock();
+        if let Some(ordered) = &state.ordered {
+            return Arc::clone(ordered);
+        }
+        let mut entries: Vec<(Tuple, usize)> =
+            state.current.iter().map(|(t, n)| (t.clone(), n)).collect();
+        entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
+        let ordered: Arc<[(Tuple, usize)]> = entries.into();
+        state.ordered = Some(Arc::clone(&ordered));
+        ordered
     }
 
     /// The contents the table will have once pending mutations commit —
@@ -226,6 +246,7 @@ impl TableHandle {
         let mut state = self.inner.lock();
         state.current = current;
         state.relation = None;
+        state.ordered = None;
         // replayed, not assigned: the bytes come from outside and need not
         // hold what `pending` promises (a tuple on both sides, a deletion
         // the contents cannot honour)
@@ -251,6 +272,9 @@ impl TableHandle {
         let already = matches!(&state.committed, Some((t, _)) if *t == at);
         if !already {
             let delta = std::mem::take(&mut state.pending);
+            if !delta.is_empty() {
+                state.ordered = None;
+            }
             let missing = state.current.apply(&delta);
             debug_assert_eq!(missing, 0, "queued deletions exceed the contents");
             state.committed = Some((at, delta));
@@ -554,10 +578,20 @@ mod tests {
         tuples
     }
 
+    /// The oracle for the ordered committed view: the snapshot's entries,
+    /// sorted.
+    fn sorted_entries(t: &TableHandle) -> Vec<(Tuple, usize)> {
+        let mut entries: Vec<(Tuple, usize)> =
+            t.snapshot().iter().map(|(t, n)| (t.clone(), n)).collect();
+        entries.sort();
+        entries
+    }
+
     /// Random writes, ticks, restores and readers that come and go: the
     /// relation handed out is always the rebuilt one, tuple for tuple and in
     /// order; a held one stays as it was taken; between two writes there is
-    /// one; and a table nobody reads builds none.
+    /// one; and a table nobody reads builds none. The same for the ordered
+    /// committed view, between two commits that change the contents.
     #[test]
     fn the_shared_relation_is_the_rebuilt_one_after_every_step() {
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
@@ -565,12 +599,17 @@ mod tests {
         let (t, unread) = (TableHandle::new(schema()), TableHandle::new(schema()));
         let both = [&t, &unread];
         let mut held: Vec<(Arc<XRelation>, Vec<Tuple>)> = Vec::new();
+        type View = (Arc<[(Tuple, usize)]>, Vec<(Tuple, usize)>);
+        let mut held_views: Vec<View> = Vec::new();
+        let mut commits = [0; 2]; // changed the contents, did not
         let mut saved: Option<Vec<u8>> = None;
         let mut at = 0;
         let (mut patched, mut replaced) = (0, 0);
         let mut deleted = [0; 3]; // committed, pending-only, absent
         for step in 0..20_000 {
             let was = t.relation().tuples().to_vec();
+            let (view, committed) = (t.ordered(), t.snapshot());
+            let mut restored = false;
             match rng.below(16) {
                 0..=4 => {
                     let x = pick(&mut rng);
@@ -599,6 +638,7 @@ mod tests {
                         h.tick_at(Instant(at), false);
                     }
                     assert!(Arc::ptr_eq(&before, &t.relation()), "step {step}");
+                    commits[usize::from(t.snapshot() == committed)] += 1;
                 }
                 12 => {
                     let mut w = serena_core::snapshot::Writer::new();
@@ -610,10 +650,17 @@ mod tests {
                         let Some(bytes) = &saved else { continue };
                         h.import_state(&mut serena_core::snapshot::Reader::new(bytes))
                             .unwrap();
+                        restored = true;
                     }
                 }
-                14 => held.push((t.relation(), rebuilt(&t))),
-                _ if !held.is_empty() => drop(held.swap_remove(rng.below(held.len()))),
+                14 => {
+                    held.push((t.relation(), rebuilt(&t)));
+                    held_views.push((t.ordered(), sorted_entries(&t)));
+                }
+                _ if !held.is_empty() => {
+                    drop(held.swap_remove(rng.below(held.len())));
+                    drop(held_views.swap_remove(rng.below(held_views.len())));
+                }
                 _ => {}
             }
             let survived = t.inner.lock().relation.is_some();
@@ -631,11 +678,24 @@ mod tests {
             for (rel, as_taken) in &held {
                 assert_eq!(rel.tuples(), as_taken, "step {step}");
             }
-            assert!(unread.inner.lock().relation.is_none(), "step {step}");
+            let now = t.ordered();
+            assert_eq!(*now, *sorted_entries(&t), "step {step}");
+            if !restored && t.snapshot() == committed {
+                assert!(Arc::ptr_eq(&view, &now), "step {step}");
+            }
+            for (view, as_taken) in &held_views {
+                assert_eq!(**view, **as_taken, "step {step}");
+            }
+            let never_read = unread.inner.lock();
+            let built = (&never_read.relation, &never_read.ordered);
+            assert!(matches!(built, (None, None)), "step {step}");
+            drop(never_read);
             if held.len() > 4 {
                 held.remove(0);
+                held_views.remove(0);
             }
         }
+        assert!(commits.iter().all(|&n| n > 1_000), "{commits:?}");
         assert_eq!(unread.projected(), t.projected());
         // every path was taken: a write patched the relation in place, a
         // write found it held (or replaced the contents) and left it behind
