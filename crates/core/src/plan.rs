@@ -603,8 +603,7 @@ impl fmt::Display for Plan {
     }
 }
 
-/// Schema-only catalog built from `(name, schema)` pairs — handy in tests
-/// and the optimizer's cost model.
+/// Schema-only catalog built from `(name, schema)` pairs — handy in tests.
 #[derive(Default, Clone)]
 pub struct MapCatalog {
     map: std::collections::BTreeMap<String, SchemaRef>,

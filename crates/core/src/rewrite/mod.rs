@@ -11,16 +11,11 @@
 //! * [`optimizer`] — a heuristic fixpoint pipeline that pushes selections
 //!   toward the leaves and below *passive* invocation operators,
 //!   minimising service invocations. Active binding patterns are never
-//!   moved: "active binding patterns limit the possibility of rewriting";
-//! * [`cost`] — [`MeasuredCosts`], a simple cardinality/invocation cost
-//!   model (the paper defers cost models to future work; this extension
-//!   makes the optimizer benchmarks quantitative).
+//!   moved: "active binding patterns limit the possibility of rewriting".
 
-pub mod cost;
 pub mod optimizer;
 pub mod rules;
 
-pub use cost::{CostEstimate, CostParams, MeasuredCosts};
 pub use optimizer::{optimize, OptimizerReport};
 pub use rules::{apply_everywhere, Rule, RULES};
 

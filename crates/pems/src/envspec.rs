@@ -174,7 +174,6 @@ pub struct EnvSpec {
     latencies: Option<LatencyProfile>,
     arrivals: Option<ArrivalTrace>,
     bus: BusConfig,
-    lerm: String,
 }
 
 impl EnvSpec {
@@ -193,7 +192,6 @@ impl EnvSpec {
             latencies: None,
             arrivals: None,
             bus: BusConfig::instant(),
-            lerm: "building".into(),
         }
     }
 
@@ -275,12 +273,6 @@ impl EnvSpec {
         self
     }
 
-    /// Name of the Local ERM the fleet registers behind.
-    pub fn lerm(mut self, id: impl Into<String>) -> Self {
-        self.lerm = id.into();
-        self
-    }
-
     /// The spec's seed.
     pub fn seed(&self) -> u64 {
         self.seed
@@ -329,13 +321,13 @@ impl EnvSpec {
     }
 
     /// Register the fleet on `pems`: every sensor/camera/messenger behind
-    /// the spec's Local ERM, with directory metadata (`location` / `area`),
+    /// the Local ERM `building`, with directory metadata (`location` / `area`),
     /// scripted heat events, fault policies (explicit overrides first,
     /// then the failure profile) and latency draws applied. Does **not**
     /// declare catalog objects — callers own their DDL (or use
     /// [`Self::build`] for the standard catalog).
     pub fn deploy_into(&self, pems: &Pems) -> Fleet {
-        let lerm = pems.local_erm(&self.lerm);
+        let lerm = pems.local_erm(LERM);
         let now = pems.clock();
         let directory = pems.directory();
 
@@ -458,6 +450,9 @@ impl EnvSpec {
         Ok(())
     }
 }
+
+/// The Local ERM every fleet registers behind.
+const LERM: &str = "building";
 
 const KINDS: [MessengerKind; 3] = [
     MessengerKind::Email,

@@ -28,7 +28,7 @@ use std::sync::Arc;
 use serena_core::sync::Mutex;
 
 use serena_core::prototype::Prototype;
-use serena_core::service::Invoker;
+use serena_core::service::invoke_contained;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::Value;
@@ -281,11 +281,14 @@ impl StreamSource for SensorSampler {
             .directory
             .described_providers(self.prototype.name(), &self.metadata_attrs);
         for (reference, prefix) in providers {
-            // a failing sensor contributes no reading this instant
-            let Ok(results) =
-                self.directory
-                    .invoke(&self.prototype, &reference, &Tuple::empty(), at)
-            else {
+            // a failing or panicking sensor contributes no reading this instant
+            let Ok(results) = invoke_contained(
+                &*self.directory,
+                &self.prototype,
+                &reference,
+                &Tuple::empty(),
+                at,
+            ) else {
                 continue;
             };
             for r in results {
@@ -561,6 +564,12 @@ mod tests {
         dir.register("sensor02", flaky);
         dir.set("sensor01", "location", Value::str("corridor"));
         dir.set("sensor02", "location", Value::str("roof"));
+        // a sensor whose implementation panics
+        dir.register(
+            "sensor04",
+            serena_core::service::fixtures::panicking_sensor(),
+        );
+        dir.set("sensor04", "location", Value::str("attic"));
         // sensor03 registered but no metadata
         dir.register(
             "sensor03",

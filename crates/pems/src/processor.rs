@@ -66,7 +66,6 @@ struct QuerySeries {
     errors: Arc<Counter>,
     tick_ns: Arc<Histogram>,
     lag_ns: Arc<Histogram>,
-    miss_batch: Arc<Histogram>,
 }
 
 impl QuerySeries {
@@ -78,7 +77,6 @@ impl QuerySeries {
             errors: registry.counter("serena_query_errors_total", &labels),
             tick_ns: registry.histogram("serena_query_tick_duration_ns", &labels),
             lag_ns: registry.histogram("serena_query_lag_ns", &labels),
-            miss_batch: registry.histogram("serena_query_cache_miss_batch_size", &labels),
         }
     }
 }
@@ -184,9 +182,9 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Attach continuous-query telemetry: per-query tick-duration,
-    /// freshness-lag and cache-miss-batch histograms plus tick/tuple/error
-    /// counters in `registry` (labelled `query=<name>`). Applies to
+    /// Attach continuous-query telemetry: per-query tick-duration and
+    /// freshness-lag histograms plus tick/tuple/error counters in
+    /// `registry` (labelled `query=<name>`). Applies to
     /// already-registered queries and everything registered afterwards.
     pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
         for (name, reg) in &mut self.queries {
@@ -444,11 +442,6 @@ impl QueryProcessor {
                 // exemplar: the p99 tick links straight to its span tree
                 series.tick_ns.record_with_exemplar(elapsed_ns, *sid);
                 series.lag_ns.record_duration(*lag);
-                // only live β batches are meaningful batch-size samples
-                let misses = report.stats.total_cache_misses();
-                if misses > 0 {
-                    series.miss_batch.record(misses);
-                }
             }
         }
         self.clock = self.clock.next();

@@ -1,10 +1,10 @@
 //! Query rewriting and optimization (§3.3, Table 5).
 //!
-//! Shows the optimizer turning the naive `Q2'` into the pushed-down `Q2`
-//! shape, the measured invocation savings, the cost-model ranking, and —
-//! the paper's central caveat — why `Q1'` must *not* be rewritten: its
-//! selection sits above an *active* invocation, and moving it would change
-//! the action set (Example 6).
+//! Shows the heuristic optimizer turning the naive `Q2'` into the
+//! pushed-down `Q2` shape, the invocation savings counted by executing both
+//! plans, and — the paper's central caveat — why `Q1'` must *not* be
+//! rewritten: its selection sits above an *active* invocation, and moving
+//! it would change the action set (Example 6).
 //!
 //! ```sh
 //! cargo run --example optimizer_tour
@@ -14,7 +14,7 @@ use serena::core::env::examples::example_environment;
 use serena::core::eval::CountingInvoker;
 use serena::core::plan::examples::{q1_prime, q2, q2_prime};
 use serena::core::prelude::*;
-use serena::core::rewrite::{optimize, MeasuredCosts};
+use serena::core::rewrite::optimize;
 use serena::core::service::fixtures::example_registry;
 
 fn main() {
@@ -41,17 +41,6 @@ fn main() {
     println!("\ninvocations (naive)     : {:?}", count(&naive));
     println!("invocations (optimized) : {:?}", count(&report.plan));
     println!("invocations (paper's Q2): {:?}", count(&q2()));
-
-    // --- the cost model agrees ---
-    let mut costs = MeasuredCosts::new();
-    costs.observe_cardinality("cameras", 3);
-    costs.observe_cardinality("contacts", 3);
-    let c_naive = costs.estimate(&naive, &env).expect("estimable");
-    let c_opt = costs.estimate(&report.plan, &env).expect("estimable");
-    println!(
-        "\ncost model: naive {:.0} (≈{:.0} invocations) vs optimized {:.0} (≈{:.0} invocations)",
-        c_naive.cost, c_naive.invocations, c_opt.cost, c_opt.invocations
-    );
 
     // --- the active-invocation wall ---
     let q1p = q1_prime();
