@@ -162,7 +162,7 @@ fn steady_pems() -> Pems {
         .real("temperature", serena_core::value::DataType::Real)
         .build()
         .expect("readings schema");
-    pems.tables_mut()
+    pems.tables()
         .define_stream_with(
             "readings",
             schema,

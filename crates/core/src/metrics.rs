@@ -363,11 +363,6 @@ impl ExecStats {
         self.nodes.lock().values().map(|s| s.degraded).sum()
     }
 
-    /// Total contained service panics across all nodes.
-    pub fn total_panics(&self) -> u64 {
-        self.nodes.lock().values().map(|s| s.panics).sum()
-    }
-
     /// Total remote-unreachable failures across all nodes.
     pub fn total_remote_unavailable(&self) -> u64 {
         self.nodes
@@ -459,7 +454,6 @@ mod tests {
         stats.record(&obs);
         let node = stats.node(NodeId(0)).unwrap();
         assert_eq!(node.panics, 2);
-        assert_eq!(stats.total_panics(), 2);
         assert!(node.summary().contains("panics=2"));
         // zero panics stay out of the summary
         let quiet = ExecStats::new();

@@ -19,11 +19,13 @@
 //! `serena-stream`'s executor.
 
 use std::fmt;
+use std::sync::Arc;
 
 use crate::attr::AttrName;
 use crate::error::PlanError;
 use crate::formula::Formula;
 use crate::ops::{self, AggSpec, AssignSource};
+use crate::prototype::Prototype;
 use crate::schema::SchemaRef;
 
 /// Streaming operator flavour (§4.2).
@@ -75,13 +77,21 @@ impl StreamSchema {
     }
 }
 
-/// A source of XD-Relation schemas for static plan validation. Implemented
-/// by [`crate::env::Environment`] (all finite), by plain maps for
+/// What a name of the environment denotes (§2.3.2): an XD-Relation, for
+/// plan typing and SQL lowering, or a prototype, for SQL lowering and
+/// `EXTENDED RELATION` resolution. Implemented by
+/// [`crate::env::Environment`] (all finite), by a map of stream schemas in
 /// schema-only contexts, and by the runtime's table manager.
 pub trait SchemaCatalog {
     /// Schema and finite/infinite status of the named XD-Relation, if
     /// defined.
     fn schema_of(&self, name: &str) -> Option<StreamSchema>;
+
+    /// The declared prototype named `name`. A catalog of relations alone
+    /// knows none.
+    fn prototype_of(&self, _name: &str) -> Option<Arc<Prototype>> {
+        None
+    }
 }
 
 impl SchemaCatalog for crate::env::Environment {
@@ -89,38 +99,15 @@ impl SchemaCatalog for crate::env::Environment {
         self.relation(name)
             .map(|r| StreamSchema::finite(r.schema_ref()))
     }
+
+    fn prototype_of(&self, name: &str) -> Option<Arc<Prototype>> {
+        self.prototype(name).cloned()
+    }
 }
 
 impl SchemaCatalog for std::collections::BTreeMap<String, StreamSchema> {
     fn schema_of(&self, name: &str) -> Option<StreamSchema> {
         self.get(name).cloned()
-    }
-}
-
-/// Map-like lookup of *finite* relation schemas. The std map types and
-/// [`MapCatalog`] implement this one-method trait; a single blanket impl
-/// below derives [`SchemaCatalog`] from it, so `name → schema` containers
-/// need no per-type catalog boilerplate.
-pub trait SchemaLookup {
-    /// The schema stored under `name`, if any.
-    fn lookup(&self, name: &str) -> Option<&SchemaRef>;
-}
-
-impl<T: SchemaLookup> SchemaCatalog for T {
-    fn schema_of(&self, name: &str) -> Option<StreamSchema> {
-        self.lookup(name).cloned().map(StreamSchema::finite)
-    }
-}
-
-impl SchemaLookup for std::collections::HashMap<String, SchemaRef> {
-    fn lookup(&self, name: &str) -> Option<&SchemaRef> {
-        self.get(name)
-    }
-}
-
-impl SchemaLookup for std::collections::BTreeMap<String, SchemaRef> {
-    fn lookup(&self, name: &str) -> Option<&SchemaRef> {
-        self.get(name)
     }
 }
 
@@ -603,36 +590,6 @@ impl fmt::Display for Plan {
     }
 }
 
-/// Schema-only catalog built from `(name, schema)` pairs — handy in tests.
-#[derive(Default, Clone)]
-pub struct MapCatalog {
-    map: std::collections::BTreeMap<String, SchemaRef>,
-}
-
-impl MapCatalog {
-    /// Empty catalog.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Insert a schema under `name` (builder style).
-    pub fn with(mut self, name: impl Into<String>, schema: SchemaRef) -> Self {
-        self.map.insert(name.into(), schema);
-        self
-    }
-
-    /// Insert a schema under `name`.
-    pub fn insert(&mut self, name: impl Into<String>, schema: SchemaRef) {
-        self.map.insert(name.into(), schema);
-    }
-}
-
-impl SchemaLookup for MapCatalog {
-    fn lookup(&self, name: &str) -> Option<&SchemaRef> {
-        self.map.get(name)
-    }
-}
-
 /// The one-shot example queries of Table 4, as plan constructors. `Q3`/`Q4`
 /// (the continuous queries) are in `serena-stream::plan::examples`, beside
 /// the executor that runs them.
@@ -853,12 +810,5 @@ mod tests {
         assert!(!q2().is_continuous());
         let windowed = Plan::source("temperatures").window(1);
         assert!(Plan::relation("contacts").join(windowed).is_continuous());
-    }
-
-    #[test]
-    fn map_catalog_works() {
-        let cat = MapCatalog::new().with("contacts", crate::schema::examples::contacts_schema());
-        assert!(Plan::relation("contacts").schema(&cat).is_ok());
-        assert!(Plan::relation("absent").schema(&cat).is_err());
     }
 }

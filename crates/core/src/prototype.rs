@@ -80,11 +80,6 @@ impl RelationSchema {
             .find(|(a, _)| a.as_str() == name)
             .map(|(_, t)| *t)
     }
-
-    /// Whether the attribute *sets* of the two schemas intersect.
-    pub fn intersects(&self, other: &RelationSchema) -> bool {
-        self.names().any(|a| other.contains(a.as_str()))
-    }
 }
 
 impl fmt::Debug for RelationSchema {
@@ -335,14 +330,5 @@ mod tests {
             examples::get_temperature().to_ddl(),
             "PROTOTYPE getTemperature(  ) : ( temperature REAL );"
         );
-    }
-
-    #[test]
-    fn schema_intersection() {
-        let a = RelationSchema::new(vec![(AttrName::new("x"), DataType::Int)]).unwrap();
-        let b = RelationSchema::new(vec![(AttrName::new("x"), DataType::Int)]).unwrap();
-        let c = RelationSchema::new(vec![(AttrName::new("y"), DataType::Int)]).unwrap();
-        assert!(a.intersects(&b));
-        assert!(!a.intersects(&c));
     }
 }

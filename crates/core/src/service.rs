@@ -523,31 +523,6 @@ impl Invoker for StaticRegistry {
     }
 }
 
-/// An [`Invoker`] that refuses every invocation — for evaluating purely
-/// relational queries where reaching a β operator is a bug.
-pub struct NoServices;
-
-impl Invoker for NoServices {
-    fn invoke(
-        &self,
-        prototype: &Prototype,
-        service_ref: &ServiceRef,
-        _input: &Tuple,
-        _at: Instant,
-    ) -> Result<Vec<Tuple>, EvalError> {
-        Err(EvalError::UnknownService {
-            reference: format!(
-                "{service_ref} (NoServices invoker, prototype {})",
-                prototype.name()
-            ),
-        })
-    }
-
-    fn providers_of(&self, _prototype: &str) -> Vec<ServiceRef> {
-        Vec::new()
-    }
-}
-
 impl fmt::Debug for StaticRegistry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let guard = self.services.read();
@@ -773,20 +748,6 @@ mod tests {
         assert!(reg.unregister(&ServiceRef::new("email")));
         assert!(!reg.contains(&ServiceRef::new("email")));
         assert_eq!(reg.len(), 8);
-    }
-
-    #[test]
-    fn no_services_invoker_always_fails() {
-        let inv = NoServices;
-        assert!(inv
-            .invoke(
-                &protos::get_temperature(),
-                &ServiceRef::new("x"),
-                &Tuple::empty(),
-                Instant::ZERO
-            )
-            .is_err());
-        assert!(inv.providers_of("getTemperature").is_empty());
     }
 
     #[test]

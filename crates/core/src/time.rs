@@ -32,13 +32,6 @@ impl Instant {
     pub fn ticks(self) -> u64 {
         self.0
     }
-
-    /// Instants `max(0, self-period+1) ..= self`: the span covered by a
-    /// window `W[period]` evaluated at `self` (§4.2).
-    pub fn window_span(self, period: u64) -> std::ops::RangeInclusive<u64> {
-        let start = self.0.saturating_sub(period.saturating_sub(1));
-        start..=self.0
-    }
 }
 
 impl fmt::Display for Instant {
@@ -86,14 +79,6 @@ mod tests {
         assert_eq!(t + 3, Instant(8));
         assert_eq!(Instant(8) - t, 3);
         assert_eq!(t - Instant(8), 0); // saturating
-    }
-
-    #[test]
-    fn window_span_covers_last_period_instants() {
-        assert_eq!(Instant(10).window_span(1), 10..=10);
-        assert_eq!(Instant(10).window_span(3), 8..=10);
-        assert_eq!(Instant(1).window_span(5), 0..=1);
-        assert_eq!(Instant(0).window_span(0), 0..=0);
     }
 
     #[test]

@@ -74,14 +74,6 @@ impl Tuple {
         v.extend_from_slice(&other.0);
         Tuple(v.into())
     }
-
-    /// A new tuple with one extra trailing coordinate.
-    pub fn extended_with(&self, value: Value) -> Tuple {
-        let mut v = Vec::with_capacity(self.arity() + 1);
-        v.extend_from_slice(&self.0);
-        v.push(value);
-        Tuple(v.into())
-    }
 }
 
 impl Index<usize> for Tuple {
@@ -157,11 +149,10 @@ mod tests {
     }
 
     #[test]
-    fn concat_and_extend() {
+    fn concat_appends() {
         let a = tuple![1, 2];
         let b = tuple!["x"];
         assert_eq!(a.concat(&b), tuple![1, 2, "x"]);
-        assert_eq!(a.extended_with(Value::Bool(true)), tuple![1, 2, true]);
     }
 
     #[test]

@@ -49,7 +49,8 @@ pub enum Statement {
         active: bool,
     },
     /// `SERVICE ref IMPLEMENTS p1, p2;` — a static service declaration
-    /// (Table 1); the PEMS binds it to an implementation at registration.
+    /// (Table 1). It is accepted and stored nowhere: a service exists for
+    /// the runtime once it registers with the directory.
     Service {
         /// Service reference.
         name: String,

@@ -38,5 +38,4 @@ pub use ast::Statement;
 pub use parser::{parse_program, parse_query, ParseError};
 pub use resolve::{
     resolve_prototype, resolve_relation_schema, resolve_tuple, to_one_shot, DdlError,
-    PrototypeCatalog,
 };

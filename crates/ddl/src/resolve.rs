@@ -1,17 +1,17 @@
 //! Resolution: name-based declarations → core schema objects and tuples.
 //!
 //! `EXTENDED RELATION` statements reference prototypes by name, so
-//! resolution needs a [`PrototypeCatalog`] (the environment's declared
-//! prototypes), and `INSERT` / `DELETE` literals are typed against the
-//! target relation's schema. Query expressions need no resolution: the
-//! parser builds [`Plan`]s, and schema validation happens at
-//! plan-compilation time, as for programmatically-built plans.
+//! resolution asks the environment's [`SchemaCatalog`] for them
+//! ([`SchemaCatalog::prototype_of`]), and `INSERT` / `DELETE` literals are
+//! typed against the target relation's schema. Query expressions need no
+//! resolution: the parser builds [`Plan`]s, and schema validation happens
+//! at plan-compilation time, as for programmatically-built plans.
 
 use std::sync::Arc;
 
 use serena_core::attr::AttrName;
 use serena_core::error::{PlanError, SchemaError};
-use serena_core::plan::{Plan, SchemaCatalog, StreamSchema};
+use serena_core::plan::{Plan, SchemaCatalog};
 use serena_core::prototype::{Prototype, RelationSchema};
 use serena_core::schema::{Attribute, SchemaRef, XSchema};
 use serena_core::tuple::Tuple;
@@ -78,39 +78,6 @@ impl From<PlanError> for DdlError {
     }
 }
 
-/// Where `EXTENDED RELATION` resolution and the `SELECT` lowering find
-/// their prototypes — and, for a catalog that holds relations too, where the
-/// lowering learns what a `FROM` item binds.
-pub trait PrototypeCatalog {
-    /// The declared prototype named `name`.
-    fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>>;
-
-    /// Schema and finite/infinite status of the XD-Relation named `name`, for
-    /// [`crate::sql::lower_select`]'s placement of `WHERE` conjuncts on the
-    /// `FROM` items that bind them. A catalog of prototypes alone knows no
-    /// relation, and a statement lowered against it places nothing on an
-    /// item.
-    fn relation_schema(&self, _name: &str) -> Option<StreamSchema> {
-        None
-    }
-}
-
-impl PrototypeCatalog for serena_core::env::Environment {
-    fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>> {
-        self.prototype(name).cloned()
-    }
-
-    fn relation_schema(&self, name: &str) -> Option<StreamSchema> {
-        self.schema_of(name)
-    }
-}
-
-impl PrototypeCatalog for std::collections::BTreeMap<String, Arc<Prototype>> {
-    fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>> {
-        self.get(name).cloned()
-    }
-}
-
 /// Resolve a `PROTOTYPE` statement into a core prototype.
 pub fn resolve_prototype(
     name: &str,
@@ -128,7 +95,7 @@ pub fn resolve_prototype(
 pub fn resolve_relation_schema(
     attrs: &[AttrDecl],
     bindings: &[BindingDecl],
-    catalog: &dyn PrototypeCatalog,
+    catalog: &dyn SchemaCatalog,
 ) -> Result<SchemaRef, DdlError> {
     let attributes: Vec<Attribute> = attrs
         .iter()
@@ -143,7 +110,7 @@ pub fn resolve_relation_schema(
     let mut bps = Vec::with_capacity(bindings.len());
     for b in bindings {
         let proto = catalog
-            .lookup_prototype(&b.prototype)
+            .prototype_of(&b.prototype)
             .ok_or_else(|| DdlError::UnknownPrototype(b.prototype.clone()))?;
         // the restated lists, when present, must match the prototype
         let check = |given: &[String], actual: &RelationSchema, side: &str| {

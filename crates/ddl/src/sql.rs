@@ -67,19 +67,19 @@
 //! cameras; `quality` is a `checkPhoto` output, so its conjunct waits for
 //! the invocations.
 //!
-//! Lowering needs a [`PrototypeCatalog`] to know each USING prototype's
-//! output schema (for the WHERE split and for documentation-grade errors)
-//! and, when it holds relations too, what each `FROM` item binds.
+//! Lowering asks one [`SchemaCatalog`] for each USING prototype's output
+//! schema (for the WHERE split and for documentation-grade errors) and for
+//! what each `FROM` item binds.
 
 use serena_core::attr::AttrName;
 use serena_core::formula::Formula;
 use serena_core::ops::{AggSpec, AssignSource};
-use serena_core::plan::{Plan, StreamKind};
+use serena_core::plan::{Plan, SchemaCatalog, StreamKind};
 use serena_core::schema::SchemaRef;
 
 use crate::lexer::Token;
 use crate::parser::{agg_fun, ParseError, Parser};
-use crate::resolve::{DdlError, PrototypeCatalog};
+use crate::resolve::DdlError;
 
 /// One item of the `SELECT` list.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,7 +248,7 @@ fn from_item(p: &mut Parser) -> Result<FromItem, ParseError> {
 
 /// Lower a parsed `SELECT` onto the algebra (use
 /// [`crate::resolve::to_one_shot`] afterwards for one-shot execution).
-pub fn lower_select(ast: &SelectAst, catalog: &dyn PrototypeCatalog) -> Result<Plan, DdlError> {
+pub fn lower_select(ast: &SelectAst, catalog: &dyn SchemaCatalog) -> Result<Plan, DdlError> {
     if ast.from.is_empty() {
         return Err(DdlError::Value("FROM list is empty".into()));
     }
@@ -260,7 +260,7 @@ pub fn lower_select(ast: &SelectAst, catalog: &dyn PrototypeCatalog) -> Result<P
     let mut output_attrs: Vec<String> = Vec::new();
     for (proto_name, _) in &ast.using {
         let proto = catalog
-            .lookup_prototype(proto_name)
+            .prototype_of(proto_name)
             .ok_or_else(|| DdlError::UnknownPrototype(proto_name.clone()))?;
         output_attrs.extend(proto.output().names().map(|a| a.to_string()));
     }
@@ -379,9 +379,9 @@ fn lower_from(item: &FromItem) -> Plan {
 /// catalog knows the relation and the item reads it the way its status
 /// allows (`WINDOW` on a stream, none on a table); an item validation will
 /// refuse is left for validation to refuse.
-fn item_schema(item: &FromItem, catalog: &dyn PrototypeCatalog) -> Option<SchemaRef> {
+fn item_schema(item: &FromItem, catalog: &dyn SchemaCatalog) -> Option<SchemaRef> {
     catalog
-        .relation_schema(&item.relation)
+        .schema_of(&item.relation)
         .filter(|s| s.infinite == item.window.is_some())
         .map(|s| s.schema)
 }
@@ -398,7 +398,7 @@ fn split_conjuncts(f: &Formula) -> Vec<&Formula> {
 }
 
 /// Parse + lower in one step.
-pub fn compile_select(input: &str, catalog: &dyn PrototypeCatalog) -> Result<Plan, DdlError> {
+pub fn compile_select(input: &str, catalog: &dyn SchemaCatalog) -> Result<Plan, DdlError> {
     let ast = parse_select(input)?;
     lower_select(&ast, catalog)
 }
@@ -534,16 +534,6 @@ mod tests {
             compile_select(sql, &env).unwrap().to_algebra(),
             "π sensor,camera (σ location = area \
              ((σ location = 'office' (sensors) ⋈ σ area = 'office' (cameras))))"
-        );
-        // a catalog of prototypes alone knows no relation: nothing is placed
-        let prototypes: std::collections::BTreeMap<_, _> = env
-            .prototypes()
-            .map(|p| (p.name().to_string(), p.clone()))
-            .collect();
-        assert_eq!(
-            compile_select(sql, &prototypes).unwrap().to_algebra(),
-            "π sensor,camera (σ location = area (σ area = 'office' \
-             (σ location = 'office' ((sensors ⋈ cameras)))))"
         );
     }
 

@@ -273,11 +273,6 @@ impl EnvSpec {
         self
     }
 
-    /// The spec's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The configured areas.
     pub fn area_names(&self) -> &[String] {
         &self.areas
@@ -421,12 +416,12 @@ impl EnvSpec {
             protos::take_photo(),
             protos::send_message(),
         ] {
-            pems.tables_mut().declare_prototype(p)?;
+            pems.tables().declare_prototype(p)?;
         }
-        pems.tables_mut()
+        pems.tables()
             .define_table("sensors", schemas::sensors_schema())?;
         pems.register_discovery("sensors", "getTemperature", "sensor")?;
-        pems.tables_mut()
+        pems.tables()
             .define_table("cameras", schemas::cameras_schema())?;
         pems.register_discovery("cameras", "checkPhoto", "camera")?;
 

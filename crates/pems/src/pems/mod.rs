@@ -68,10 +68,11 @@ pub enum PemsError {
     Snapshot(SnapshotError),
     /// Node-to-node transport failure (serve/connect/replicate).
     Transport(TransportError),
-    /// A DDL `INSERT` / `DELETE` named a table a discovery query maintains
-    /// ([`Pems::register_discovery`]): its rows are the directory's
-    /// providers of `prototype`, and a user's write would last only until
-    /// the next re-listing.
+    /// A DDL `INSERT`, `DELETE` or `DROP` named a table a discovery query
+    /// maintains ([`Pems::register_discovery`]): its rows are the
+    /// directory's providers of `prototype`, a user's write would last only
+    /// until the next re-listing, and a dropped table would leave the
+    /// discovery folding into a name it no longer owns.
     DiscoveryMaintained {
         /// The table the statement named.
         table: String,
@@ -99,7 +100,7 @@ impl std::fmt::Display for PemsError {
             PemsError::DiscoveryMaintained { table, prototype } => write!(
                 f,
                 "table `{table}` is maintained by the discovery of `{prototype}` providers; \
-                 deploy or withdraw the service instead of writing the row"
+                 deploy or withdraw the service instead of writing the table"
             ),
             PemsError::DuplicateQuery(name) => write!(f, "query `{name}` already registered"),
             PemsError::UnknownQuery(name) => write!(f, "unknown query `{name}`"),
@@ -280,11 +281,6 @@ impl Pems {
     /// The Extended Table Manager.
     pub fn tables(&self) -> &ExtendedTableManager {
         &self.tables
-    }
-
-    /// Mutable access to the Extended Table Manager.
-    pub fn tables_mut(&mut self) -> &mut ExtendedTableManager {
-        &mut self.tables
     }
 
     /// The Query Processor.

@@ -32,16 +32,23 @@ impl std::fmt::Display for ExplainAnalyze {
 }
 
 impl Pems {
-    /// The table a DDL `INSERT` / `DELETE` writes: it exists and is the
-    /// user's to write. (The discovery fold writes its tables through
+    /// Refuse a DDL write (`INSERT`, `DELETE`, `DROP`) to a table a
+    /// discovery maintains. (The discovery fold writes its tables through
     /// [`crate::table_manager::ExtendedTableManager`] directly.)
-    fn user_table(&self, relation: &str) -> Result<TableHandle, PemsError> {
-        if let Some((table, query)) = self.discoveries.iter().find(|(t, _)| t == relation) {
-            return Err(PemsError::DiscoveryMaintained {
+    fn refuse_discovery_table(&self, relation: &str) -> Result<(), PemsError> {
+        match self.discoveries.iter().find(|(t, _)| t == relation) {
+            Some((table, query)) => Err(PemsError::DiscoveryMaintained {
                 table: table.clone(),
                 prototype: query.prototype().to_string(),
-            });
+            }),
+            None => Ok(()),
         }
+    }
+
+    /// The table a DDL `INSERT` / `DELETE` writes: it exists and is the
+    /// user's to write.
+    fn user_table(&self, relation: &str) -> Result<TableHandle, PemsError> {
+        self.refuse_discovery_table(relation)?;
         self.tables
             .table(relation)
             .ok_or_else(|| SchemaError::UnknownRelation(relation.to_string()).into())
@@ -61,11 +68,9 @@ impl Pems {
                 self.tables.declare_prototype(p)?;
                 Ok(ExecOutcome::Done)
             }
-            Statement::Service { name, prototypes } => {
-                self.tables
-                    .declare_service(name.clone(), prototypes.clone());
-                Ok(ExecOutcome::Done)
-            }
+            // a service exists for the runtime once it registers with the
+            // directory; its declaration is stored nowhere
+            Statement::Service { .. } => Ok(ExecOutcome::Done),
             Statement::ExtendedRelation {
                 name,
                 attrs,
@@ -98,6 +103,7 @@ impl Pems {
                 Ok(ExecOutcome::Done)
             }
             Statement::DropRelation { name } => {
+                self.refuse_discovery_table(name)?;
                 if !self.tables.drop_relation(name) {
                     return Err(SchemaError::UnknownRelation(name.clone()).into());
                 }
@@ -255,6 +261,8 @@ mod tests {
             "DELETE FROM sensors VALUES ('sensor01', 'lab');",
             // refused before its literals are typed against the schema
             "INSERT INTO sensors VALUES (1);",
+            // a dropped table would keep its discovery folding into it
+            "DROP RELATION sensors;",
         ] {
             let err = pems.run_program(write).unwrap_err();
             assert!(

@@ -173,20 +173,19 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
     // photo messaging, `contacts` and `surveillance` ---
     spec.install_catalog(&mut pems)?;
     let contacts_schema = if config.photo_alerts {
-        pems.tables_mut().declare_prototype(
+        pems.tables().declare_prototype(
             serena_services::devices::messenger::send_photo_message_prototype(),
         )?;
         photo_contacts_schema()
     } else {
         serena_core::schema::examples::contacts_schema()
     };
-    pems.tables_mut()
-        .define_table("contacts", contacts_schema)?;
+    pems.tables().define_table("contacts", contacts_schema)?;
     let surveillance_schema = XSchema::builder()
         .real("location", DataType::Str)
         .real("manager", DataType::Str)
         .build()?;
-    pems.tables_mut()
+    pems.tables()
         .define_table("surveillance", surveillance_schema)?;
 
     // --- devices behind a Local ERM: the EnvSpec fleet path ---
@@ -200,7 +199,7 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
             MessengerKind::Sms => format!("+336000000{i:02}"),
             _ => format!("{name}@example.org"),
         };
-        pems.tables_mut().insert(
+        pems.tables().insert(
             "contacts",
             Tuple::new(vec![
                 Value::str(&name),
@@ -208,7 +207,7 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
                 Value::service(kind.label()),
             ]),
         )?;
-        pems.tables_mut().insert(
+        pems.tables().insert(
             "surveillance",
             Tuple::new(vec![Value::str(spec.area_of(i)), Value::str(&name)]),
         )?;
@@ -273,7 +272,7 @@ pub fn deploy_rss(config: &RssConfig) -> Result<Pems, PemsError> {
         .build()?;
     let feeds = config.feeds.iter();
     let feeds = feeds.map(|(n, s, p, k)| SimRssFeed::new(n.clone(), *s, *p, *k));
-    pems.tables_mut()
+    pems.tables()
         .define_stream_with("news", news_schema, RssStream::new(feeds.collect()))?;
     pems.register_query(
         "keyword_watch",

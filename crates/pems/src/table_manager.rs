@@ -112,9 +112,6 @@ impl Catalog {
 #[derive(Default)]
 pub struct ExtendedTableManager {
     catalog: RwLock<Catalog>,
-    /// `SERVICE name IMPLEMENTS …` declarations (Table 1) — metadata the
-    /// registry is validated against.
-    service_decls: RwLock<BTreeMap<String, Vec<String>>>,
 }
 
 impl ExtendedTableManager {
@@ -145,20 +142,6 @@ impl ExtendedTableManager {
     /// All declared prototypes, sorted by name.
     pub fn prototypes(&self) -> Vec<Arc<Prototype>> {
         self.catalog.read().prototypes.values().cloned().collect()
-    }
-
-    /// Record a `SERVICE … IMPLEMENTS …` declaration.
-    pub fn declare_service(&self, name: impl Into<String>, prototypes: Vec<String>) {
-        self.service_decls.write().insert(name.into(), prototypes);
-    }
-
-    /// Declared services, sorted by name.
-    pub fn service_declarations(&self) -> Vec<(String, Vec<String>)> {
-        self.service_decls
-            .read()
-            .iter()
-            .map(|(n, p)| (n.clone(), p.clone()))
-            .collect()
     }
 
     /// Define a finite XD-Relation. Returns its shared handle.
@@ -384,15 +367,9 @@ impl SchemaCatalog for ExtendedTableManager {
             .get(name)
             .map(|d| StreamSchema::infinite(d.schema.clone()))
     }
-}
 
-impl serena_ddl::PrototypeCatalog for ExtendedTableManager {
-    fn lookup_prototype(&self, name: &str) -> Option<Arc<Prototype>> {
+    fn prototype_of(&self, name: &str) -> Option<Arc<Prototype>> {
         self.prototype(name)
-    }
-
-    fn relation_schema(&self, name: &str) -> Option<StreamSchema> {
-        self.schema_of(name)
     }
 }
 
@@ -554,22 +531,6 @@ mod tests {
         assert!(m.push_stream("hub", tuple![1]));
         assert!(!m.push_stream("gen", tuple![1]));
         assert!(!m.push_stream("nope", tuple![1]));
-    }
-
-    #[test]
-    fn service_declarations_recorded() {
-        let m = manager();
-        m.declare_service("email", vec!["sendMessage".into()]);
-        m.declare_service("camera01", vec!["checkPhoto".into(), "takePhoto".into()]);
-        let decls: Vec<(String, usize)> = m
-            .service_declarations()
-            .into_iter()
-            .map(|(n, p)| (n, p.len()))
-            .collect();
-        assert_eq!(
-            decls,
-            vec![("camera01".to_string(), 2), ("email".to_string(), 1)]
-        );
     }
 
     #[test]

@@ -16,7 +16,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::Value;
 
-use super::mix;
+use crate::fleet::mix64;
 
 /// A deterministic simulated camera.
 #[derive(Debug, Clone)]
@@ -25,11 +25,12 @@ pub struct SimCamera {
     seed: u64,
     /// Areas this camera covers.
     areas: Vec<String>,
-    /// Best quality the camera can deliver (0–10).
-    max_quality: i64,
-    /// Bytes per photo payload.
-    photo_size: usize,
 }
+
+/// Best quality a camera can deliver (0–10).
+const MAX_QUALITY: i64 = 9;
+/// Bytes per photo payload.
+const PHOTO_SIZE: usize = 256;
 
 impl SimCamera {
     /// A camera named `id` covering `areas`.
@@ -38,31 +39,17 @@ impl SimCamera {
             id: id.into(),
             seed,
             areas: areas.iter().map(|s| s.to_string()).collect(),
-            max_quality: 9,
-            photo_size: 256,
         }
     }
 
-    /// Cap the deliverable quality (builder style).
-    pub fn with_max_quality(mut self, q: i64) -> Self {
-        self.max_quality = q;
-        self
-    }
-
-    /// Set the synthetic photo payload size (builder style).
-    pub fn with_photo_size(mut self, bytes: usize) -> Self {
-        self.photo_size = bytes;
-        self
-    }
-
     /// Quality the camera reports for `area` at `at`: 0 when the area is
-    /// not covered, otherwise `max_quality` minus a small seeded wobble.
+    /// not covered, otherwise `MAX_QUALITY` minus a small seeded wobble.
     pub fn quality_at(&self, area: &str, at: Instant) -> i64 {
         if !self.areas.iter().any(|a| a == area) {
             return 0;
         }
-        let wobble = (mix(self.seed, at.ticks(), area.len() as u64) % 3) as i64;
-        (self.max_quality - wobble).max(1)
+        let wobble = (mix64(self.seed, at.ticks(), area.len() as u64) % 3) as i64;
+        (MAX_QUALITY - wobble).max(1)
     }
 
     /// Expected capture delay in seconds (depends only on the camera).
@@ -116,8 +103,8 @@ impl Service for SimCamera {
                 );
                 let mut payload = header.into_bytes();
                 let mut i = 0u64;
-                while payload.len() < self.photo_size {
-                    payload.push((mix(self.seed, at.ticks(), i) & 0xFF) as u8);
+                while payload.len() < PHOTO_SIZE {
+                    payload.push((mix64(self.seed, at.ticks(), i) & 0xFF) as u8);
                     i += 1;
                 }
                 Ok(vec![Tuple::new(vec![Value::blob(payload)])])
@@ -185,19 +172,5 @@ mod tests {
         assert!(c
             .invoke(&protos::get_temperature(), &Tuple::empty(), Instant(0))
             .is_err());
-    }
-
-    #[test]
-    fn builders_apply() {
-        let c = SimCamera::new("c", 3, &["lab"])
-            .with_max_quality(4)
-            .with_photo_size(16);
-        assert!(c.quality_at("lab", Instant(0)) <= 4);
-        let svc = c.into_service();
-        let photo = svc
-            .invoke(&protos::take_photo(), &tuple!["lab", 4], Instant(0))
-            .unwrap();
-        // header longer than 16 bytes is kept whole
-        assert!(photo[0][0].as_blob().unwrap().len() >= 16);
     }
 }

@@ -16,29 +16,3 @@ pub use camera::SimCamera;
 pub use messenger::{MessengerKind, SentMessage, SimMessenger};
 pub use rss::{RssItem, SimRssFeed};
 pub use temperature::{HeatEvent, SimTemperatureSensor};
-
-/// Deterministic 64-bit mix (splitmix64 finalizer) used by all devices to
-/// derive per-instant pseudo-random behaviour from (seed, instant, salt)
-/// without any RNG state.
-pub(crate) fn mix(seed: u64, t: u64, salt: u64) -> u64 {
-    let mut z = seed
-        .wrapping_mul(0x9E3779B97F4A7C15)
-        .wrapping_add(t.wrapping_mul(0xBF58476D1CE4E5B9))
-        .wrapping_add(salt.wrapping_mul(0x94D049BB133111EB));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn mix_is_deterministic_and_spread() {
-        assert_eq!(mix(1, 2, 3), mix(1, 2, 3));
-        assert_ne!(mix(1, 2, 3), mix(1, 2, 4));
-        assert_ne!(mix(1, 2, 3), mix(1, 3, 3));
-        assert_ne!(mix(1, 2, 3), mix(2, 2, 3));
-    }
-}

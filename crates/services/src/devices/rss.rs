@@ -18,7 +18,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
 
-use super::mix;
+use crate::fleet::mix64;
 
 /// One published feed item.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -112,10 +112,10 @@ impl SimRssFeed {
 
     fn headline(&self, at: Instant, slot: u64) -> String {
         let pick = |bank: &'static [&'static str], salt: u64| -> &'static str {
-            bank[(mix(self.seed, at.ticks(), salt.wrapping_add(slot * 97)) % bank.len() as u64)
+            bank[(mix64(self.seed, at.ticks(), salt.wrapping_add(slot * 97)) % bank.len() as u64)
                 as usize]
         };
-        let subject = if mix(self.seed, at.ticks(), 7 + slot) % 100 < self.keyword_pct {
+        let subject = if mix64(self.seed, at.ticks(), 7 + slot) % 100 < self.keyword_pct {
             SUBJECTS[0]
         } else {
             pick(SUBJECTS, 11)
@@ -125,11 +125,11 @@ impl SimRssFeed {
 
     /// The items published at exactly instant `at` (0, 1 or 2).
     pub fn items_at(&self, at: Instant) -> Vec<RssItem> {
-        let roll = mix(self.seed, at.ticks(), 3) % 100;
+        let roll = mix64(self.seed, at.ticks(), 3) % 100;
         if roll >= self.publish_pct {
             return Vec::new();
         }
-        let count = 1 + (mix(self.seed, at.ticks(), 5) % 2);
+        let count = 1 + (mix64(self.seed, at.ticks(), 5) % 2);
         (0..count)
             .map(|slot| RssItem {
                 source: self.name.clone(),

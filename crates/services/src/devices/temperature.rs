@@ -15,7 +15,7 @@ use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::Value;
 
-use super::mix;
+use crate::fleet::mix64;
 
 /// A scripted heating episode: between `from` and `to` (inclusive) the
 /// sensor reads `peak` degrees (ramping is deliberately instantaneous —
@@ -70,7 +70,7 @@ impl SimTemperatureSensor {
             }
         }
         // fluctuation in [-fluctuation, +fluctuation], quantized to 0.1 °C
-        let h = mix(self.seed, at.ticks(), 0xFEE1) % 2001;
+        let h = mix64(self.seed, at.ticks(), 0xFEE1) % 2001;
         let unit = (h as f64 / 1000.0) - 1.0;
         let raw = self.base + unit * self.fluctuation;
         (raw * 10.0).round() / 10.0

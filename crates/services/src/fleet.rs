@@ -30,11 +30,18 @@ use serena_core::tuple::Tuple;
 
 use crate::faults::{FaultPolicy, FaultyService};
 
-/// Deterministic 64-bit mix (splitmix64 finalizer) — the same derivation
-/// the simulated devices use, exported so environment generators can draw
-/// per-device parameters from `(seed, index, salt)` without an RNG.
+/// Deterministic 64-bit mix (splitmix64 finalizer): the simulated devices
+/// derive per-instant pseudo-random behaviour from `(seed, instant, salt)`
+/// with it, and environment generators per-device parameters from
+/// `(seed, index, salt)`, without any RNG state.
 pub fn mix64(seed: u64, t: u64, salt: u64) -> u64 {
-    crate::devices::mix(seed, t, salt)
+    let mut z = seed
+        .wrapping_mul(0x9E3779B97F4A7C15)
+        .wrapping_add(t.wrapping_mul(0xBF58476D1CE4E5B9))
+        .wrapping_add(salt.wrapping_mul(0x94D049BB133111EB));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
 }
 
 /// A device's zipf rank in a fleet of `n`: a deterministic pseudo-random
@@ -173,6 +180,8 @@ mod tests {
     fn mix64_is_deterministic() {
         assert_eq!(mix64(7, 3, 1), mix64(7, 3, 1));
         assert_ne!(mix64(7, 3, 1), mix64(7, 3, 2));
+        assert_ne!(mix64(7, 3, 1), mix64(7, 4, 1));
+        assert_ne!(mix64(7, 3, 1), mix64(8, 3, 1));
     }
 
     #[test]

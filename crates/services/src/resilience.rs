@@ -598,9 +598,6 @@ impl Invoker for Resilient<'_> {
         input: &Tuple,
         at: Instant,
     ) -> Result<Vec<Tuple>, EvalError> {
-        if self.layer.policy.is_disabled() {
-            return self.inner.invoke(prototype, service_ref, input, at);
-        }
         let mut span = self.layer.trace.and_then(|t| t.start("beta.call", at));
         if let Some(s) = span.as_mut() {
             s.attr_str("service", service_ref.as_str());

@@ -108,10 +108,10 @@ fn failing_sensor_degrades_gracefully() {
             FaultPolicy::EveryNth(1),
         ),
     );
-    pems.tables_mut()
+    pems.tables()
         .insert("sensors", tuple![Value::service("good"), "office"])
         .unwrap();
-    pems.tables_mut()
+    pems.tables()
         .insert("sensors", tuple![Value::service("bad"), "roof"])
         .unwrap();
 
@@ -192,7 +192,7 @@ fn service_replacement_changes_behaviour_not_schema() {
         )) as Arc<dyn serena::core::service::Service>
     };
     pems.directory().register("s1", fixed(20.0));
-    pems.tables_mut()
+    pems.tables()
         .insert("sensors", tuple![Value::service("s1"), "lab"])
         .unwrap();
 

@@ -59,7 +59,7 @@ fn recovery_pems_on(workers: Option<usize>) -> Pems {
         .real("temperature", serena::core::value::DataType::Real)
         .build()
         .unwrap();
-    pems.tables_mut()
+    pems.tables()
         .define_stream_with(
             "readings",
             schema,
@@ -467,7 +467,7 @@ fn stateful_pems() -> Pems {
         .real("temperature", serena::core::value::DataType::Real)
         .build()
         .unwrap();
-    pems.tables_mut()
+    pems.tables()
         .define_stream_with("readings", schema, serena::stream::FnStream(tenths))
         .unwrap();
     for (name, plan) in stateful_plans() {
