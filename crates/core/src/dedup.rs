@@ -13,10 +13,16 @@
 //!
 //! [`DedupLayer`] exploits this: placed **outermost** in the PEMS
 //! [`InvokerStack`](crate::service::InvokerStack) (above resilience, so
-//! retries of a genuinely failing call still re-invoke), it keeps a
-//! per-instant table keyed on `(prototype, service, input)`. Advancing to
-//! a new instant clears the table — the memo never outlives the instant
-//! whose determinism justifies it.
+//! retries of a genuinely failing call still re-invoke), it keeps a table
+//! keyed on `(prototype, service, input)` whose results belong to one
+//! instant. Only the results do: a sampling query asks the same keys at
+//! every instant, so advancing to a new instant updates what it must and
+//! leaves the rest in place (a step of an evolving algebra). It keeps the
+//! keys the previous instant asked for, disarmed, with the series handle
+//! each resolved, and drops every other key, so the table holds at most two
+//! instants' keys; a call that finds a disarmed key re-arms it in place as
+//! its claim, a miss like a fresh key's. No result outlives the instant
+//! whose determinism justifies it: disarming drops it with its latch.
 //!
 //! A caller hands the layer a batch ([`Invoker::invoke_all`]; `invoke`
 //! is a batch of one). An instant's calls are one block of updates whose
@@ -46,7 +52,9 @@
 //! in [`DedupState::hits`]; physical upstream calls remain individually
 //! observed by the instrumented layer below. A hit borrows the caller's
 //! parts to look its key up and counts through the handle the key's entry
-//! resolved on its first hit, so a scrape names the same series as ever.
+//! resolved on its first hit, kept with the key across instants; the sweep
+//! drops every kept handle once the registry has retired any service
+//! since, so a hit never counts into a series the scrape no longer shows.
 //!
 //! [`Service`]: crate::service::Service
 
@@ -125,6 +133,7 @@ const BLOCKS: usize = 16;
 /// One claimed block's results: set once, by the batch that claimed it,
 /// and read by every later caller of its keys at the instant — the memo's
 /// entries point into it rather than hold a copy.
+#[derive(Default)]
 struct Latch {
     results: OnceLock<Vec<CallResult>>,
     /// A caller sleeps on `ready`: set under the lock before it sleeps, so
@@ -135,11 +144,7 @@ struct Latch {
 
 impl Latch {
     fn new() -> Arc<Self> {
-        Arc::new(Latch {
-            results: OnceLock::new(),
-            waited: Mutex::new(false),
-            ready: Condvar::new(),
-        })
+        Arc::default()
     }
 
     fn publish(&self, results: Vec<CallResult>) {
@@ -162,26 +167,54 @@ impl Latch {
     }
 }
 
-/// One key of the instant: the result is this slot of the latch's, once
-/// the batch that claimed it has published.
+/// One key of the memo: armed at the table's instant, the result is this
+/// slot of the latch's, once the batch that claimed it has published;
+/// kept from the memo's previous instant, the latch is the table's
+/// `disarmed` one, which nobody publishes.
 struct Entry {
     latch: Arc<Latch>,
     slot: usize,
-    /// The service's series, resolved by the key's first hit.
+    /// The service's series, resolved by the key's first hit and kept with
+    /// the key until the registry retires a service.
     series: Option<Arc<DedupSeries>>,
 }
 
 #[derive(Default)]
 struct Table {
-    /// Instant the entries belong to; a call at any other instant clears
-    /// the table first (per-instant scoping, no external hook needed).
+    /// Instant the armed entries belong to; a call at any other instant
+    /// sweeps the table first (per-instant scoping, no external hook).
     at: Option<Instant>,
     entries: HashMap<DedupKey, Entry>,
+    /// What a kept key's entry points to until a call re-arms it.
+    disarmed: Arc<Latch>,
+    /// [`MetricsRegistry::retirements`] at the last sweep.
+    retirements: u64,
+}
+
+impl Table {
+    /// Move to instant `at`: keep the keys the previous instant asked for,
+    /// disarmed (their results go with their latches), and drop the rest;
+    /// drop every kept series handle if `registry` retired a service since.
+    fn advance(&mut self, at: Instant, registry: Option<&MetricsRegistry>) {
+        let retirements = registry.map_or(0, MetricsRegistry::retirements);
+        let retired = std::mem::replace(&mut self.retirements, retirements) != retirements;
+        let disarmed = &self.disarmed;
+        self.entries.retain(|_, e| {
+            let asked = !Arc::ptr_eq(&e.latch, disarmed);
+            e.latch = Arc::clone(disarmed);
+            if retired {
+                e.series = None;
+            }
+            asked
+        });
+        self.at = Some(at);
+    }
 }
 
 /// Shared dedup memo + counters, surviving rebuilt invoker stacks (one per
 /// PEMS runtime, like `ResilienceState`). Cheap to share: one mutex around
-/// the per-instant table, atomics for the counters.
+/// the table (results armed at one instant, keys kept from the one
+/// before), atomics for the counters.
 #[derive(Default)]
 pub struct DedupState {
     table: Mutex<Table>,
@@ -339,11 +372,18 @@ impl Invoker for Dedup<'_> {
             let mut coalesced = 0;
             let mut latch = None;
             {
-                let mut table = state.table.lock();
+                let mut guard = state.table.lock();
+                let table = &mut *guard;
                 if table.at != Some(at) {
-                    table.entries.clear();
-                    table.at = Some(at);
+                    table.advance(at, self.layer.registry.as_deref());
                 }
+                let mut claim = |i| {
+                    claimed.push(i);
+                    (
+                        Arc::clone(latch.get_or_insert_with(Latch::new)),
+                        claimed.len() - 1,
+                    )
+                };
                 for (i, answer) in (start..).zip(block.iter_mut()) {
                     let (service, input) = &calls[i];
                     let parts = (name, service, input);
@@ -353,17 +393,21 @@ impl Invoker for Dedup<'_> {
                             service.clone(),
                             input.clone(),
                         );
-                        let latch = Arc::clone(latch.get_or_insert_with(Latch::new));
-                        let slot = claimed.len();
+                        let (latch, slot) = claim(i);
                         let entry = Entry {
                             latch,
                             slot,
                             series: None,
                         };
                         table.entries.insert(key, entry);
-                        claimed.push(i);
                         continue;
                     };
+                    if Arc::ptr_eq(&entry.latch, &table.disarmed) {
+                        // a key kept from the previous instant: re-armed in
+                        // place as this block's claim
+                        (entry.latch, entry.slot) = claim(i);
+                        continue;
+                    }
                     match entry.latch.results.get() {
                         Some(results) => {
                             *answer = results[entry.slot].clone();
@@ -773,8 +817,10 @@ mod tests {
             .into_inner()
     }
 
+    type Calls = Vec<(ServiceRef, Tuple)>;
+
     /// `n` calls of one sensor, input `(k)` for the `k`-th.
-    fn keys(n: i64) -> Vec<(ServiceRef, Tuple)> {
+    fn keys(n: i64) -> Calls {
         let sensor = ServiceRef::new("sensor01");
         (0..n)
             .map(|k| (sensor.clone(), Tuple::new(vec![Value::Int(k)])))
@@ -972,6 +1018,208 @@ mod tests {
         assert_eq!(first[2], skipper[1]);
         assert_eq!(in_flight, 0, "nothing is left in flight");
         assert_eq!(next, answers(&keys(5)), "the next instant starts clean");
+    }
+
+    /// The `(service, input)` keys in the memo, and those of them armed
+    /// at its instant, each in order.
+    fn table_keys(state: &DedupState) -> (Calls, Calls) {
+        let table = state.table.lock();
+        let (mut all, mut armed) = (Vec::new(), Vec::new());
+        for ((_, service, input), entry) in &table.entries {
+            let key = (service.clone(), input.clone());
+            if !Arc::ptr_eq(&entry.latch, &table.disarmed) {
+                armed.push(key.clone());
+            }
+            all.push(key);
+        }
+        all.sort();
+        armed.sort();
+        (all, armed)
+    }
+
+    #[test]
+    fn a_key_the_previous_instant_did_not_ask_is_gone_at_the_next() {
+        let state = Arc::new(DedupState::new());
+        let calls = AtomicU64::new(0);
+        let inv = keyed(&state, |_| {
+            calls.fetch_add(1, Ordering::SeqCst);
+        });
+        let proto = protos::get_temperature();
+        let abc = keys(3);
+        let (a, b, c) = (&abc[0..1], &abc[1..2], &abc[2..3]);
+        inv.invoke_all(&proto, &abc[0..2], Instant(1));
+        inv.invoke_all(&proto, a, Instant(2));
+        // `b` is kept from instant 1, disarmed; `a` is re-armed at 2
+        assert_eq!(table_keys(&state), ([a, b].concat(), a.to_vec()));
+        let out = inv.invoke_all(&proto, c, Instant(3));
+        assert_eq!(out, answers(c));
+        assert_eq!(table_keys(&state), ([a, c].concat(), c.to_vec()));
+        // every instant called what it asked: a re-armed key is a miss
+        assert_eq!(calls.load(Ordering::SeqCst), 4);
+        assert_eq!((state.hits(), state.misses()), (0, 4));
+    }
+
+    #[test]
+    fn a_kept_key_counts_into_a_live_series_after_its_service_is_retired() {
+        let (reg, _calls) = counting_registry();
+        let state = Arc::new(DedupState::new());
+        let metrics = Arc::new(MetricsRegistry::new());
+        let inv = InvokerStack::new(&reg)
+            .layer(DedupLayer::new(Arc::clone(&state)).registry(Arc::clone(&metrics)))
+            .into_inner();
+        let twice = |at| {
+            let call = (ServiceRef::new("sensor01"), Tuple::empty());
+            inv.invoke_all(&protos::get_temperature(), &[call.clone(), call], at)
+        };
+        let kept = || {
+            let table = state.table.lock();
+            let entry = table.entries.values().next().expect("one key");
+            entry
+                .series
+                .clone()
+                .expect("resolved by the key's first hit")
+        };
+        let series = &[("service", "sensor01")];
+        twice(Instant(1));
+        let first = kept();
+        twice(Instant(2));
+        assert!(Arc::ptr_eq(&first, &kept()), "a kept key keeps its handle");
+        assert_eq!(
+            metrics.counter_value("serena_beta_dedup_total", series),
+            Some(2)
+        );
+        metrics.remove_matching("service", "sensor01");
+        assert!(!metrics.render_prometheus().contains("sensor01"));
+        twice(Instant(3));
+        assert!(
+            !Arc::ptr_eq(&first, &kept()),
+            "a retirement drops the handle"
+        );
+        assert_eq!(
+            metrics.counter_value("serena_beta_dedup_total", series),
+            Some(1)
+        );
+        let text = metrics.render_prometheus();
+        assert!(
+            text.contains("serena_beta_dedup_total{service=\"sensor01\"} 1"),
+            "{text}"
+        );
+    }
+
+    /// A seeded xorshift64* stream: core has no `tests/common`.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+        }
+    }
+
+    /// The memo across instants that advance, repeat and regress, against
+    /// a model: every answer is the service's at the call's instant, each
+    /// key asked at a stay at one instant makes one upstream call, every
+    /// logical call is a hit or a miss, and the table holds only the keys
+    /// asked at this stay or the one before it.
+    #[test]
+    fn the_memo_across_instants_answers_like_the_service() {
+        use std::collections::{BTreeSet, HashMap};
+        // the service's one REAL encodes the instant, itself and its input
+        fn reading(sensor: &str, input: &Tuple, at: Instant) -> Tuple {
+            let Some(Value::Int(k)) = input.values().next() else {
+                panic!("an input of the pool: {input:?}")
+            };
+            let sensor: i64 = sensor["sensor".len()..].parse().expect("sensorNN");
+            let code = at.ticks() as i64 * 10_000 + sensor * 100 + k;
+            Tuple::new(vec![Value::Real(code as f64)])
+        }
+        const POOL: usize = 24;
+        let sensors = ["sensor01", "sensor06", "sensor07"];
+        let made: Arc<Mutex<HashMap<(String, Tuple), u64>>> = Arc::default();
+        let reg = StaticRegistry::new();
+        for sensor in sensors {
+            let made = Arc::clone(&made);
+            let service = move |_: &Prototype, input: &Tuple, at: Instant| {
+                *made
+                    .lock()
+                    .entry((sensor.to_string(), input.clone()))
+                    .or_default() += 1;
+                Ok(vec![reading(sensor, input, at)])
+            };
+            let proto = protos::get_temperature();
+            reg.register(sensor, Arc::new(FnService::new(vec![proto], service)));
+        }
+        let pool: Calls = (0..POOL)
+            .map(|k| {
+                let sensor = ServiceRef::new(sensors[k % sensors.len()]);
+                (sensor, Tuple::new(vec![Value::Int(k as i64 / 2)]))
+            })
+            .collect();
+        let proto = protos::get_temperature();
+        let state = Arc::new(DedupState::new());
+        let inv = stack(&state, &reg);
+        let mut rng = Rng(0x5EED_0045);
+        let (mut at, mut logical) = (0u64, 0u64);
+        // the keys asked at the memo's instant (the last one called at),
+        // and at the one it called at before that
+        let (mut memo_at, mut stay, mut previous) = (None, BTreeSet::new(), BTreeSet::new());
+        for step in 0..400 {
+            at = match rng.below(6) {
+                0..=2 => at + 1,
+                3 | 4 => at,
+                _ => at.saturating_sub(1 + rng.below(3) as u64),
+            };
+            let batches: Vec<Calls> = (0..1 + rng.below(2))
+                .map(|_| {
+                    let n = rng.below(POOL);
+                    (0..n).map(|_| pool[rng.below(POOL)].clone()).collect()
+                })
+                .collect();
+            let before = made.lock().clone();
+            let answers: Vec<Vec<CallResult>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = (batches.iter())
+                    .map(|b| scope.spawn(|| inv.invoke_all(&proto, b, Instant(at))))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("batch"))
+                    .collect()
+            });
+            let asked: BTreeSet<usize> = (batches.iter().flatten())
+                .map(|call| pool.iter().position(|p| p == call).expect("from the pool"))
+                .collect();
+            if !asked.is_empty() && memo_at.replace(at) != Some(at) {
+                previous = std::mem::take(&mut stay);
+            }
+            for (batch, answers) in batches.iter().zip(&answers) {
+                logical += batch.len() as u64;
+                for ((sensor, input), answer) in batch.iter().zip(answers) {
+                    let expected = Ok(vec![reading(sensor.as_str(), input, Instant(at))]);
+                    assert_eq!(answer, &expected, "step {step}, instant {at}");
+                }
+            }
+            let made = made.lock();
+            for (k, (sensor, input)) in pool.iter().enumerate() {
+                let key = (sensor.as_str().to_string(), input.clone());
+                let calls = made.get(&key).unwrap_or(&0) - before.get(&key).unwrap_or(&0);
+                let expected = u64::from(asked.contains(&k) && !stay.contains(&k));
+                assert_eq!(calls, expected, "step {step}: key {k} at instant {at}");
+            }
+            stay.extend(asked);
+            assert_eq!(state.hits() + state.misses(), logical, "step {step}");
+            assert_eq!(state.misses(), made.values().sum::<u64>(), "step {step}");
+            let of = |keys: &BTreeSet<usize>| -> Calls {
+                let mut keys: Vec<_> = keys.iter().map(|&k| pool[k].clone()).collect();
+                keys.sort();
+                keys
+            };
+            let (all, armed) = table_keys(&state);
+            assert_eq!(armed, of(&stay), "step {step}: armed at instant {at:?}");
+            let kept: BTreeSet<usize> = stay.union(&previous).copied().collect();
+            assert_eq!(all, of(&kept), "step {step}: kept at instant {at:?}");
+        }
     }
 
     #[test]

@@ -213,12 +213,28 @@ impl MetricsRegistry {
         }
     }
 
+    /// How many services [`Self::remove_matching`] has retired: a handle
+    /// kept from a bundle since a lower count may count into a retired
+    /// series.
+    pub(crate) fn retirements(&self) -> u64 {
+        self.bundles.read().retirements
+    }
+
     /// Current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<u64> {
         self.counters
             .read()
             .get(&SeriesKey::new(name, labels))
             .map(|c| c.get())
+    }
+
+    /// The histogram series `name{labels}`, if it exists: unlike
+    /// [`Self::histogram`], a read never creates the series it asks for.
+    pub fn histogram_value(&self, name: &str, labels: &[(&str, &str)]) -> Option<Arc<Histogram>> {
+        self.histograms
+            .read()
+            .get(&SeriesKey::new(name, labels))
+            .map(Arc::clone)
     }
 
     /// Sum of all counter series sharing `name` (across label sets).

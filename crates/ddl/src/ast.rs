@@ -49,8 +49,9 @@ pub enum Statement {
         active: bool,
     },
     /// `SERVICE ref IMPLEMENTS p1, p2;` — a static service declaration
-    /// (Table 1). It is accepted and stored nowhere: a service exists for
-    /// the runtime once it registers with the directory.
+    /// (Table 1). Every prototype it names must be declared; it is stored
+    /// nowhere: a service exists for the runtime once it registers with
+    /// the directory.
     Service {
         /// Service reference.
         name: String,

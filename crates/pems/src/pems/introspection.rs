@@ -97,8 +97,10 @@ impl Pems {
     /// retained ticks, and the p99 tick with its exemplar span id.
     pub fn profile(&self, query: &str) -> String {
         let telemetry = &self.beta.telemetry;
-        let hist = telemetry.histogram("serena_query_tick_duration_ns", &[("query", query)]);
-        profile_text(query, &self.beta.tracer.snapshot(), hist.as_ref())
+        let hist = telemetry
+            .histogram_value("serena_query_tick_duration_ns", &[("query", query)])
+            .unwrap_or_default();
+        profile_text(query, &self.beta.tracer.snapshot(), &hist)
     }
 
     /// Live runtime dashboard — the shell's `.top` command: worker
@@ -147,7 +149,9 @@ impl Pems {
             let errors = telemetry
                 .counter_value("serena_query_errors_total", &labels)
                 .unwrap_or(0);
-            let hist = telemetry.histogram("serena_query_tick_duration_ns", &labels);
+            let hist = telemetry
+                .histogram_value("serena_query_tick_duration_ns", &labels)
+                .unwrap_or_default();
             out.push_str(&format!(
                 "  {name}: ticks={ticks} p50={:.2}ms p99={:.2}ms errors={errors}\n",
                 hist.p50() as f64 / 1e6,
@@ -160,7 +164,9 @@ impl Pems {
         out.push_str("services\n");
         for h in self.service_health() {
             let service = h.reference.as_str();
-            let hist = telemetry.histogram("serena_service_latency_ns", &[("service", service)]);
+            let hist = telemetry
+                .histogram_value("serena_service_latency_ns", &[("service", service)])
+                .unwrap_or_default();
             let breaker = breakers
                 .get(&h.reference)
                 .map_or_else(|| "-".to_string(), ToString::to_string);
@@ -339,5 +345,36 @@ mod tests {
             .snapshot()
             .iter()
             .any(|s| s.name == "beta.attempt" && s.attr_u64("ok") == Some(0)));
+    }
+
+    /// `profile` and `top` read the series they report and create none: a
+    /// query nobody registered, or a health row restored from a checkpoint
+    /// before its service's first call here, leaves every scrape as it was.
+    #[test]
+    fn introspection_creates_no_series() {
+        let setup = || {
+            let mut pems = crate::pems::tests::pems_with_messenger();
+            pems.run_program(SETUP).unwrap();
+            pems
+        };
+        let original = setup();
+        let send = Plan::relation("contacts")
+            .assign_const("text", Value::str("Hi"))
+            .invoke("sendMessage", "messenger");
+        original.one_shot(&send).unwrap();
+        let mut restored = setup();
+        restored.restore_bytes(&original.snapshot_bytes()).unwrap();
+        let before = restored.render_metrics();
+        assert!(!before.contains("serena_service_latency_ns"));
+
+        assert!(restored
+            .profile("no_such_query")
+            .starts_with("no retained ticks"));
+        let top = restored.top();
+        assert!(top.contains("  email: "), "the restored health row: {top}");
+        let after = restored.render_metrics();
+        assert!(!after.contains("no_such_query"));
+        assert!(!after.contains("serena_service_latency_ns"));
+        assert_eq!(after, before);
     }
 }

@@ -9,6 +9,7 @@ use serena_core::metrics::{ExecStats, MetricsSink, Tee};
 use serena_core::plan::Plan;
 use serena_ddl::ast::Statement;
 use serena_ddl::resolve::{resolve_prototype, resolve_relation_schema, resolve_tuple, to_one_shot};
+use serena_ddl::DdlError;
 use serena_stream::source::TableHandle;
 
 use super::{ExecOutcome, Pems, PemsError};
@@ -69,8 +70,17 @@ impl Pems {
                 Ok(ExecOutcome::Done)
             }
             // a service exists for the runtime once it registers with the
-            // directory; its declaration is stored nowhere
-            Statement::Service { .. } => Ok(ExecOutcome::Done),
+            // directory; its declaration is stored nowhere, but it may name
+            // only declared prototypes
+            Statement::Service { prototypes, .. } => {
+                if let Some(unknown) = prototypes
+                    .iter()
+                    .find(|p| self.tables.prototype(p).is_none())
+                {
+                    return Err(DdlError::UnknownPrototype(unknown.clone()).into());
+                }
+                Ok(ExecOutcome::Done)
+            }
             Statement::ExtendedRelation {
                 name,
                 attrs,
@@ -212,7 +222,6 @@ mod tests {
     use serena_core::time::Instant;
     use serena_core::tuple;
     use serena_core::value::Value;
-    use serena_ddl::DdlError;
     use serena_services::bus::BusConfig;
     use std::sync::Arc;
 
@@ -358,6 +367,52 @@ mod tests {
     #[test]
     fn a_failing_multi_row_delete_applies_nothing() {
         assert_a_failing_write_applies_nothing("DELETE FROM t VALUES (1), (2), ('three');");
+    }
+
+    /// Table 1's program declares every prototype before a service names
+    /// it; a misspelt name is refused as `EXTENDED RELATION` refuses it.
+    #[test]
+    fn a_service_naming_an_undeclared_prototype_is_refused() {
+        let mut pems = Pems::default();
+        let table_1 = "
+            PROTOTYPE sendMessage( address STRING, text STRING ) : ( sent BOOLEAN ) ACTIVE;
+            PROTOTYPE checkPhoto( area STRING ) : ( quality INTEGER, delay REAL );
+            PROTOTYPE takePhoto( area STRING, quality INTEGER ) : ( photo BLOB );
+            PROTOTYPE getTemperature( ) : ( temperature REAL );
+            SERVICE email IMPLEMENTS sendMessage;
+            SERVICE jabber IMPLEMENTS sendMessage;
+            SERVICE camera01 IMPLEMENTS checkPhoto, takePhoto;
+            SERVICE camera02 IMPLEMENTS checkPhoto, takePhoto;
+            SERVICE webcam07 IMPLEMENTS checkPhoto, takePhoto;
+            SERVICE sensor01 IMPLEMENTS getTemperature;
+            SERVICE sensor06 IMPLEMENTS getTemperature;
+            SERVICE sensor07 IMPLEMENTS getTemperature;
+            SERVICE sensor22 IMPLEMENTS getTemperature;
+        ";
+        let outcomes = pems.run_program(table_1).unwrap();
+        assert_eq!(outcomes.len(), 13);
+        for (statement, misspelt) in [
+            (
+                "SERVICE sensor01 IMPLEMENTS getTemprature;",
+                "getTemprature",
+            ),
+            (
+                "SERVICE camera03 IMPLEMENTS checkPhoto, takePhotos;",
+                "takePhotos",
+            ),
+            (
+                "EXTENDED RELATION t ( sensor SERVICE, temperature REAL VIRTUAL ) \
+                 USING BINDING PATTERNS ( getTemprature[sensor] ( ) : ( temperature ) );",
+                "getTemprature",
+            ),
+        ] {
+            let err = pems.run_program(statement).unwrap_err();
+            assert!(
+                matches!(&err, PemsError::Ddl(DdlError::UnknownPrototype(p)) if p == misspelt),
+                "{statement}: {err:?}"
+            );
+            assert_eq!(err.to_string(), format!("unknown prototype `{misspelt}`"));
+        }
     }
 
     /// A DDL write to, or `DROP` of, a relation nobody defined is the typed
