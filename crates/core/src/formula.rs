@@ -489,7 +489,7 @@ impl CompiledFormula {
     /// coordinate and the text. A tuple whose coordinate holds another text
     /// fails the whole formula with nothing else evaluated, and without an
     /// error: text compares with text.
-    pub(crate) fn leading_text_eq(&self) -> Option<(usize, &str)> {
+    pub fn leading_text_eq(&self) -> Option<(usize, &str)> {
         let mut first = &self.prog;
         while let CompiledNode::And(a, _) = first {
             first = a;

@@ -12,7 +12,8 @@
 //! equal text share a bucket, as [`Value::partial_cmp_typed`] compares them.
 //! It is derived state, and:
 //! - *built* by the first one-shot `σ` that can use it, on the relation that
-//!   `σ` reads — a table's shared instant, so it outlives the statement;
+//!   `σ` reads — a table's shared instant, so it outlives the statement —
+//!   through [`text_buckets`], which builds a stream bag's lookup too;
 //! - *kept current* by [`XRelation::insert`], [`XRelation::remove`],
 //!   [`XRelation::insert_sorted`] and [`XRelation::remove_sorted`], the only
 //!   ways a relation changes: an entry goes in at its place in the bucket, so
@@ -36,6 +37,29 @@ use crate::value::Value;
 /// One coordinate's text lookup: text → the tuples holding it, in relation
 /// order; `None` once a tuple held no text there (refused).
 type TextLookup = Option<HashMap<Box<str>, Vec<Tuple>>>;
+
+/// A text lookup's buckets for coordinate `coord` of `rows`: each text
+/// ([`Value::as_str`]) to the elements of the tuples holding it, in the
+/// order `rows` yields them; `None` as soon as a tuple holds no text there.
+/// The one builder of every text lookup — an [`XRelation`]'s, whose
+/// elements are its tuples, and a stream bag's, whose elements are a tuple
+/// and its count.
+pub fn text_buckets<'t, E>(
+    coord: usize,
+    rows: impl IntoIterator<Item = (&'t Tuple, E)>,
+) -> Option<HashMap<Box<str>, Vec<E>>> {
+    let mut buckets: HashMap<Box<str>, Vec<E>> = HashMap::new();
+    for (t, element) in rows {
+        let text = t.get(coord).and_then(Value::as_str)?;
+        match buckets.get_mut(text) {
+            Some(bucket) => bucket.push(element),
+            None => {
+                buckets.insert(text.into(), vec![element]);
+            }
+        }
+    }
+    Some(buckets)
+}
 
 /// An extended relation over an [`XSchema`](crate::schema::XSchema) (Definition 3).
 pub struct XRelation {
@@ -181,17 +205,7 @@ impl XRelation {
     fn build_lookup(&self, coord: usize) -> TextLookup {
         #[cfg(test)]
         tests::LOOKUP_BUILDS.with(|n| n.set(n.get() + 1));
-        let mut buckets: HashMap<Box<str>, Vec<Tuple>> = HashMap::new();
-        for t in &self.tuples {
-            let text = t.get(coord).and_then(Value::as_str)?;
-            match buckets.get_mut(text) {
-                Some(bucket) => bucket.push(t.clone()),
-                None => {
-                    buckets.insert(text.into(), vec![t.clone()]);
-                }
-            }
-        }
-        Some(buckets)
+        text_buckets(coord, self.tuples.iter().map(|t| (t, t.clone())))
     }
 
     /// Keep every built lookup current after the distinct tuple `t` entered

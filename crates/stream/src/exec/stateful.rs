@@ -20,7 +20,7 @@ use serena_core::attr::AttrName;
 use serena_core::ops::{AggFun, AggSpec};
 use serena_core::value::Value;
 
-use super::tick::map_bag;
+use super::tick::map_slide;
 use super::*;
 use crate::multiset::Mapping;
 
@@ -79,9 +79,7 @@ impl OpState {
                     for bag in operand {
                         let like = bags.back().map(|bag| &***bag);
                         // a failing tuple was reported when its batch entered
-                        let mapped = bag.mapped(&mapping, &mut Vec::new(), |bag, errors| {
-                            map_bag(op, bag, errors, like)
-                        });
+                        let mapped = map_slide(op, &mapping, bag, &mut Vec::new(), like);
                         bags.push_back(mapped);
                     }
                     OpState::Ring { mapping, bags }

@@ -1,3 +1,4 @@
+use super::tick::{map_bag, map_slide};
 use super::*;
 use crate::multiset::Mapping;
 use crate::plan::StreamPlan;
@@ -1621,6 +1622,147 @@ fn sharing_queries_show_what_they_show_alone() {
     drop((early, registered_late, restored));
     assert!(weak.len() > 4 * INSTANTS as usize);
     assert!(weak.iter().all(|bag| bag.strong_count() == 0));
+}
+
+/// σ over a shared bag that looks up the rows of its leading text equality
+/// maps what the scan maps, with the scan's errors in the scan's order, over
+/// bags whose `a` and `s` hold `Str`, `Service` and now and then an INTEGER
+/// (where the bag refuses a lookup and σ scans); and σ with distinct texts
+/// over one bag build one lookup per coordinate, also when two threads ask
+/// at once.
+#[test]
+fn a_looked_up_slide_selection_is_the_scan_row_for_row() {
+    use serena_core::formula::{CmpOp, Expr};
+    use std::cell::Cell;
+    use std::sync::Barrier;
+
+    const TEXTS: [&str; 4] = ["x", "y", "z", "w"];
+    let schema = XSchema::builder()
+        .real("a", DataType::Str)
+        .real("s", DataType::Service)
+        .real("n", DataType::Int)
+        .build()
+        .unwrap();
+    let mut rng = Rng::new(0x46_01);
+    let pick =
+        |rng: &mut Rng, items: &[&'static str]| items[rng.below(items.len() as u64) as usize];
+    // how a bag's `a` and `s` values are drawn: 0 `Str` only, 1 `Service`
+    // only, 2 either, 3 either and now and then an INTEGER in `s`
+    let text = |rng: &mut Rng, kind: u64, t: &str| match (kind, rng.below(2)) {
+        (0, _) | (2 | 3, 0) => Value::str(t),
+        _ => Value::service(t),
+    };
+    let draw = |rng: &mut Rng, kind: u64| {
+        let (a, s) = (pick(rng, &TEXTS), pick(rng, &TEXTS));
+        let a = text(rng, kind, a);
+        let s = if kind == 3 && rng.below(8) == 0 {
+            Value::Int(rng.below(3))
+        } else {
+            text(rng, kind, s)
+        };
+        Tuple::new(vec![a, s, Value::Int(rng.below(4))])
+    };
+    // `attr = 'text'`, either way round; or `n = 2`, whose constant is no text
+    let equality = |rng: &mut Rng| {
+        if rng.below(6) == 0 {
+            return Formula::eq_const("n", rng.below(4));
+        }
+        let attr = Expr::attr(pick(rng, &["a", "s"]));
+        let t = pick(rng, &["x", "y", "z", "w", "nothing"]);
+        let constant = Expr::Const(text(rng, 2, t));
+        match rng.below(2) {
+            0 => Formula::Cmp(attr, CmpOp::Eq, constant),
+            _ => Formula::Cmp(constant, CmpOp::Eq, attr),
+        }
+    };
+    // anything else; `s CONTAINS` and `s = …` fail on an INTEGER
+    let other = |rng: &mut Rng| match rng.below(5) {
+        0 => Formula::gt_const("n", rng.below(4)),
+        1 => Formula::eq_const("n", rng.below(4)),
+        2 => Formula::contains_const("s", pick(rng, &TEXTS)),
+        3 => Formula::ne_const("a", pick(rng, &TEXTS)),
+        _ => Formula::eq_const("s", pick(rng, &TEXTS)),
+    };
+    let formula = |rng: &mut Rng| {
+        let (lead, rest) = (equality(rng), other(rng));
+        match rng.below(7) {
+            0 => lead,
+            1 => lead.and(rest),
+            2 => lead.and(rest).and(other(rng)),
+            3 => rest.and(lead),
+            4 => lead.or(rest),
+            5 => lead.not().and(rest),
+            _ => lead.and(rest.or(other(rng))),
+        }
+    };
+    let select = |f: &Formula| CompiledOp::Select {
+        formula: f.compile(&schema).unwrap(),
+    };
+    let (mut looked_up, mut scanned, mut errors) = (0, 0, 0);
+    for round in 0..400 {
+        let kind = round % 4;
+        let bag = SharedBag::from(Multiset::from_tuples(
+            (0..1 + rng.below(40)).map(|_| draw(&mut rng, kind)),
+        ));
+        for _ in 0..8 {
+            let f = formula(&mut rng);
+            let compiled = f.compile(&schema).unwrap();
+            match compiled.leading_text_eq() {
+                Some((c, t)) if bag.text_lookup(c, t).is_some() => looked_up += 1,
+                _ => scanned += 1,
+            }
+            let op = CompiledOp::Select { formula: compiled };
+            let (mut got, mut expected) = (Vec::new(), Vec::new());
+            let mapping = Arc::new(Mapping::of(&op));
+            let lookup = map_slide(&op, &mapping, &bag, &mut got, None);
+            let scan = map_bag(&op, bag.iter(), &mut expected, None);
+            assert_eq!(**lookup, scan, "{f}");
+            assert_eq!(format!("{got:?}"), format!("{expected:?}"), "{f}");
+            errors += got.len();
+        }
+    }
+    assert!(
+        looked_up > 1_000 && scanned > 1_000,
+        "{looked_up} / {scanned}"
+    );
+    assert!(errors > 100, "{errors}");
+
+    // distinct texts over one bag: one build per coordinate asked …
+    let builds = || crate::multiset::LOOKUP_BUILDS.with(Cell::get);
+    let bag = SharedBag::from(Multiset::from_tuples((0..64).map(|_| draw(&mut rng, 2))));
+    let at_start = builds();
+    for attr in ["a", "s"] {
+        for text in TEXTS {
+            let op = select(&Formula::eq_const(attr, text).and(Formula::gt_const("n", 0)));
+            let mapping = Arc::new(Mapping::of(&op));
+            map_slide(&op, &mapping, &bag, &mut Vec::new(), None);
+        }
+    }
+    assert_eq!(builds() - at_start, 2);
+    // … also when two workers ask for it at once: one builds, the other
+    // waits for that build
+    let bag = SharedBag::from(Multiset::from_tuples((0..256).map(|_| draw(&mut rng, 2))));
+    let start = Barrier::new(2);
+    let built: usize = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..2)
+            .map(|worker| {
+                let (bag, start) = (&bag, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for text in TEXTS.iter().cycle().skip(worker).take(TEXTS.len()) {
+                        let op = select(&Formula::eq_const("a", *text));
+                        let mapping = Arc::new(Mapping::of(&op));
+                        let mut errors = Vec::new();
+                        let mapped = map_slide(&op, &mapping, bag, &mut errors, None);
+                        assert_eq!(**mapped, map_bag(&op, bag.iter(), &mut errors, None));
+                    }
+                    builds()
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).sum()
+    });
+    assert_eq!(built, 1);
 }
 
 /// SUM and AVG over values whose sums round: the continuous γ folds each

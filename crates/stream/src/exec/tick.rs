@@ -9,6 +9,7 @@ use serena_core::ops::{DegradePolicy, InvokeTally};
 
 use super::stateful::{join_delta, setop_delta};
 use super::*;
+use crate::multiset::Mapping;
 
 pub(super) struct Ctx<'a> {
     pub(super) at: Instant,
@@ -170,9 +171,7 @@ impl Op {
                         unreachable!("a ring is kept over a sliding operand")
                     };
                     let like = bags.back().map(|bag| &***bag);
-                    let entered = entered.mapped(mapping, ctx.errors, |bag, errors| {
-                        map_bag(op, bag, errors, like)
-                    });
+                    let entered = map_slide(op, mapping, &entered, ctx.errors, like);
                     bags.push_back(Arc::clone(&entered));
                     // what the expiring batch mapped to when it entered
                     let expired = expired.map(|_| bags.pop_front().expect("a bag per batch"));
@@ -238,26 +237,56 @@ fn apply(id: NodeId, current: &mut Multiset, [inserts, deletes]: [&Multiset; 2])
 /// operator: see [`OpState::Ring`].)
 fn map_delta(op: &CompiledOp, [inserts, deletes]: [&Multiset; 2], ctx: &mut Ctx<'_>) -> Delta {
     Delta {
-        inserts: map_bag(op, inserts, ctx.errors, None),
-        deletes: map_bag(op, deletes, ctx.errors, None),
+        inserts: map_bag(op, inserts.iter(), ctx.errors, None),
+        deletes: map_bag(op, deletes.iter(), ctx.errors, None),
     }
 }
 
-/// σ/π/ρ/α over one bag, tuple by tuple; a tuple the operator fails on
-/// contributes nothing and its error goes to `errors`. A tuple π or α builds
-/// that `like` — a ring's newest bag — holds is kept as `like`'s copy: a
-/// ring whose π bags each held their own cost `fanout` ≈ 10 % of its peak
-/// RSS. (σ and ρ hand on the operand's own tuples.)
-pub(super) fn map_bag(
+/// What σ/π/ρ/α make of a slide's entering bag `bag` (see
+/// [`OpState::Ring`]): the bag the memo holds under `mapping`, else
+/// [`map_bag`]'s, its errors appended to `errors`. A σ whose first conjunct
+/// is `attr = 'text'` maps only that text's rows when `bag` can look them up
+/// (DESIGN § 4, *A statement looks up the rows its equality selects*): every
+/// other tuple fails that conjunct without an error and with nothing else
+/// evaluated, and the rows come in bag order, so the bag and the errors are
+/// the scan's.
+pub(super) fn map_slide(
     op: &CompiledOp,
-    bag: &Multiset,
+    mapping: &Arc<Mapping>,
+    bag: &SharedBag,
+    errors: &mut Vec<EvalError>,
+    like: Option<&Multiset>,
+) -> Arc<SharedBag> {
+    bag.mapped(mapping, errors, |whole, errors| {
+        let rows = match op {
+            CompiledOp::Select { formula } => formula
+                .leading_text_eq()
+                .and_then(|(coord, text)| bag.text_lookup(coord, text)),
+            _ => None,
+        };
+        match rows {
+            Some(rows) => map_bag(op, rows.iter().map(|(t, c)| (t, *c)), errors, like),
+            None => map_bag(op, whole.iter(), errors, like),
+        }
+    })
+}
+
+/// σ/π/ρ/α over a bag's `rows` (distinct tuples and their counts), tuple by
+/// tuple; a tuple the operator fails on contributes nothing and its error
+/// goes to `errors`. A tuple π or α builds that `like` — a ring's newest
+/// bag — holds is kept as `like`'s copy: a ring whose π bags each held
+/// their own cost `fanout` ≈ 10 % of its peak RSS. (σ and ρ hand on the
+/// operand's own tuples.)
+pub(super) fn map_bag<'t>(
+    op: &CompiledOp,
+    rows: impl Iterator<Item = (&'t Tuple, usize)>,
     errors: &mut Vec<EvalError>,
     like: Option<&Multiset>,
 ) -> Multiset {
     let builds = matches!(op, CompiledOp::Project { .. } | CompiledOp::Assign { .. });
     let like = like.filter(|_| builds);
     let mut mapped = Multiset::new();
-    for (t, c) in bag.iter() {
+    for (t, c) in rows {
         match op.map_tuple(t) {
             Ok(Some(m)) => mapped.insert_like(m, c, like),
             Ok(None) => {}

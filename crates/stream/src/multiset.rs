@@ -6,11 +6,12 @@
 //! instantaneous states as [`Multiset`]s and communicates changes between
 //! operators as [`Delta`]s (inserted/deleted multisets per tick). A bag a
 //! window's slide hands on is a [`SharedBag`]: one value for every query
-//! over the stream, which remembers what σ, π, ρ, α made of it.
+//! over the stream, which remembers what σ, π, ρ, α made of it and looks up
+//! the rows a text equality selects.
 
 use std::collections::HashMap;
 use std::ops::Deref;
-use std::sync::{Arc, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 
 use serena_core::error::EvalError;
 use serena_core::formula::CompiledFormula;
@@ -18,6 +19,7 @@ use serena_core::ops::{CompiledOp, Slot};
 use serena_core::snapshot::{Reader, SnapshotError, Writer};
 use serena_core::sync::Mutex;
 use serena_core::tuple::Tuple;
+use serena_core::xrelation::text_buckets;
 
 /// A finite multiset of tuples with positive counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -210,6 +212,13 @@ impl FromIterator<Tuple> for Multiset {
 /// and the operator: the bag remembers it per distinct operator, with the
 /// errors the operator met, and every other query asking for the same
 /// mapping takes that bag instead of mapping again.
+///
+/// It also keeps a text lookup for each coordinate a σ has asked about:
+/// each text to the distinct tuples holding it there, with their counts, in
+/// bag order — or `None` when some tuple holds no text there. The first σ to ask
+/// builds it, every later one (on any thread) waits for that build and
+/// reads it. Like the memo it is derived from the bag, which never changes,
+/// and is never checkpointed.
 #[derive(Debug)]
 pub struct SharedBag {
     bag: Multiset,
@@ -217,9 +226,22 @@ pub struct SharedBag {
     /// entry keeps nothing alive, and a mapping whose every taker has let
     /// go is mapped again by the next one to ask.
     memo: Mutex<Memo>,
+    /// Text lookups by coordinate: one slot per coordinate of the bag's
+    /// tuples once a σ asked, each built on first use.
+    lookups: OnceLock<Box<[OnceLock<TextLookup>]>>,
 }
 
 type Memo = HashMap<Arc<Mapping>, (Weak<SharedBag>, Vec<EvalError>)>;
+
+/// One coordinate's text lookup: text → the distinct tuples holding it and
+/// their counts, in bag order; `None` when a tuple holds no text there.
+type TextLookup = Option<HashMap<Box<str>, Vec<(Tuple, usize)>>>;
+
+#[cfg(test)]
+thread_local! {
+    /// Text lookups built on this thread: each one walks its bag.
+    pub(crate) static LOOKUP_BUILDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
 
 /// σ, π, ρ or α as [`SharedBag`]'s memo key: what the compiled operator
 /// computes — σ's coordinates and constants, π's coordinates, α's slots and
@@ -279,6 +301,23 @@ impl SharedBag {
         bag
     }
 
+    /// The distinct tuples whose coordinate `coord` holds `text` and their
+    /// counts, in bag order; `None` when some tuple holds no text there. The
+    /// coordinate's lookup is built by the first call; a call on another
+    /// thread meanwhile waits for it.
+    pub(crate) fn text_lookup(&self, coord: usize, text: &str) -> Option<&[(Tuple, usize)]> {
+        let slots = self.lookups.get_or_init(|| {
+            let arity = self.bag.iter().next().map_or(0, |(t, _)| t.arity());
+            (0..arity).map(|_| OnceLock::new()).collect()
+        });
+        let lookup = slots.get(coord)?.get_or_init(|| {
+            #[cfg(test)]
+            LOOKUP_BUILDS.with(|n| n.set(n.get() + 1));
+            text_buckets(coord, self.bag.iter().map(|(t, c)| (t, (t.clone(), c))))
+        });
+        Some(lookup.as_ref()?.get(text).map_or(&[], Vec::as_slice))
+    }
+
     /// The bag of a value nothing else holds; a copy of a shared one's.
     pub(crate) fn into_bag(self: Arc<Self>) -> Multiset {
         Arc::try_unwrap(self).map_or_else(|shared| shared.bag.clone(), |own| own.bag)
@@ -290,6 +329,7 @@ impl From<Multiset> for SharedBag {
         SharedBag {
             bag,
             memo: Mutex::default(),
+            lookups: OnceLock::new(),
         }
     }
 }

@@ -5,7 +5,9 @@
 //! duplicate σ/π window queries over one push stream — must tick to the
 //! same reports and the same snapshot bytes at 1, 2 and 8 scheduler
 //! workers, and a checkpoint cut at a seeded tick must resume to the
-//! uninterrupted run.
+//! uninterrupted run. Which worker builds a batch's text lookup, which
+//! `σ_{location=p ∧ …}` reads instead of scanning, is a race of the same
+//! kind.
 
 mod common;
 
@@ -21,7 +23,10 @@ const PLACES: [&str; 6] = ["office", "roof", "lab", "hall", "attic", "cellar"];
 
 /// Duplicate σ and π window queries over one push stream, as `fanout`
 /// registers them: σ_{temperature>θ} over four θ, σ_{location=·} over four
-/// places, identical π_location, and one σπ chain, each several times.
+/// places, identical π_location, and one σπ chain, each several times;
+/// and σ_{location=p ∧ temperature>θ}, which looks its rows up, beside
+/// σ_{temperature>θ ∧ location=p}, whose equality is not leading and which
+/// scans.
 fn fanout_pems(workers: usize) -> Pems {
     let mut pems = Pems::builder()
         .bus(BusConfig::instant())
@@ -44,6 +49,15 @@ fn fanout_pems(workers: usize) -> Pems {
                 .select(Formula::gt_const("temperature", 15.0))
                 .project(["location"]),
         );
+    }
+    for i in 0..6 {
+        let (place, theta) = (PLACES[i % 4], 10.0 + 5.0 * (i % 3) as f64);
+        let (at, hot) = (
+            || Formula::eq_const("location", place),
+            || Formula::gt_const("temperature", theta),
+        );
+        plans.push(window(i).select(at().and(hot())));
+        plans.push(window(i).select(hot().and(at())));
     }
     for (i, plan) in plans.iter().enumerate() {
         pems.register_query(format!("q{i:02}"), plan).unwrap();
