@@ -137,7 +137,9 @@ impl serena_core::plan::SchemaCatalog for SourceSet {
 pub struct TickReport {
     /// The instant that was evaluated.
     pub at: Instant,
-    /// Root delta (finite roots).
+    /// Root delta (finite roots). A sliding root's shares the tables of
+    /// the bags its slide named with every query over the same stream; a
+    /// write into it copies what it writes into, never theirs.
     pub delta: Delta,
     /// Root stream batch (infinite roots; empty for finite roots).
     pub batch: Vec<Tuple>,

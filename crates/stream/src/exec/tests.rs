@@ -1523,6 +1523,76 @@ fn equal_operators_over_one_batch_hand_on_one_bag() {
     }
 }
 
+/// A window root's report hands its slide on: two queries over one window
+/// each report the entering batch's bag as `delta.inserts`, and the expired
+/// one's as `delta.deletes`, reading the batches' own tables. A write into
+/// one report's delta copies the table for that report alone: the other
+/// query's report, the ring's batches and every later report are what a
+/// query shows alone.
+#[test]
+fn a_report_shares_the_windows_bags_until_it_is_written() {
+    let (hub, apart) = (
+        Broadcast::new(broadcast_batch),
+        Broadcast::new(broadcast_batch),
+    );
+    let plan = s_window(2);
+    let (mut a, mut b, mut alone) = (
+        hub.compile(&plan, 0),
+        hub.compile(&plan, 0),
+        apart.compile(&plan, 0),
+    );
+    let mut written = 0;
+    for at in 0..8u64 {
+        let tick = |q: &mut ContinuousQuery| q.tick_with(&example_registry(), &NoopMetrics);
+        let (mut ra, rb, unshared) = (tick(&mut a), tick(&mut b), tick(&mut alone));
+        let expired = at.checked_sub(2).map(|at| hub.made(at));
+        for r in [&ra, &rb] {
+            assert_eq!(r.delta, unshared.delta, "instant {at}");
+            assert!(
+                r.delta.inserts.shares_table_with(hub.made(at).bag()),
+                "instant {at}"
+            );
+            if let Some(expired) = &expired {
+                assert!(
+                    r.delta.deletes.shares_table_with(expired.bag()),
+                    "instant {at}"
+                );
+            }
+        }
+        // `a`'s report takes a tuple out of each side and puts one in
+        for side in [&mut ra.delta.inserts, &mut ra.delta.deletes] {
+            let first = side.iter().next().map(|(t, _)| t.clone());
+            written += first.map_or(0, |t| side.remove(&t, 1));
+            side.insert(tuple![-1, -1], 1);
+        }
+        assert!(
+            !ra.delta.inserts.shares_table_with(hub.made(at).bag()),
+            "instant {at}"
+        );
+        assert_eq!(rb.delta, unshared.delta, "instant {at}");
+        assert!(
+            rb.delta.inserts.shares_table_with(hub.made(at).bag()),
+            "instant {at}"
+        );
+        for at in at.saturating_sub(1)..=at {
+            let batch: Multiset = broadcast_batch(Instant(at)).into_iter().collect();
+            assert_eq!(***hub.made(at).bag(), batch, "instant {at}");
+        }
+        assert_eq!(
+            a.current_relation(),
+            alone.current_relation(),
+            "instant {at}"
+        );
+        assert_eq!(
+            b.current_relation(),
+            alone.current_relation(),
+            "instant {at}"
+        );
+    }
+    // the writes took tuples out of shared bags, not only out of empty ones
+    assert!(written > 8, "{written}");
+}
+
 /// Queries that share mappings with others — σ, π, ρ, α and chains of
 /// them, some twice — each show, instant for instant, what the same plan
 /// shows compiled alone over a stream of its own: a query registered at

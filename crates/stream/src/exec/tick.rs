@@ -64,9 +64,10 @@ impl Out {
         }
     }
 
-    /// A finite output as a delta of its own: a shared bag of a slide is
-    /// copied (a table copy — nothing is hashed again), one nothing else
-    /// holds is taken.
+    /// A finite output as a delta of its own. A slide's two bags are handed
+    /// on, not copied: each side shares the table of the bag it names (a
+    /// pointer copy) until someone writes into it, and the first write
+    /// copies the table only while another holder still reads it.
     pub(super) fn into_delta(self) -> Delta {
         match self {
             Out::Finite(d) => d,

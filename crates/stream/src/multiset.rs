@@ -10,6 +10,7 @@
 //! the rows a text equality selects.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::ops::Deref;
 use std::sync::{Arc, OnceLock, Weak};
 
@@ -22,10 +23,83 @@ use serena_core::tuple::Tuple;
 use serena_core::xrelation::text_buckets;
 
 /// A finite multiset of tuples with positive counts.
+///
+/// A bag owns its table, except a bag a [`SharedBag`] holds: that one's
+/// table is shared, and so is every clone's of it — a pointer copy, which
+/// is what a slide hands on. The first write to a shared table takes it,
+/// copying it only while another bag still holds it; removing a tuple the
+/// bag does not hold writes nothing. An owned table costs its reads and
+/// writes one branch.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Multiset {
-    counts: HashMap<Tuple, usize>,
+    counts: Counts,
     total: usize,
+}
+
+type Table = HashMap<Tuple, usize>;
+
+/// A bag's table: read through `Deref`, written through
+/// [`Counts::to_mut`].
+#[derive(Clone)]
+enum Counts {
+    Owned(Table),
+    Shared(Arc<Table>),
+}
+
+impl Default for Counts {
+    fn default() -> Self {
+        Counts::Owned(Table::new())
+    }
+}
+
+impl Deref for Counts {
+    type Target = Table;
+
+    #[inline]
+    fn deref(&self) -> &Table {
+        match self {
+            Counts::Owned(table) => table,
+            Counts::Shared(table) => table,
+        }
+    }
+}
+
+impl Counts {
+    /// The table to write into, made this bag's own first if it is shared.
+    #[inline]
+    fn to_mut(&mut self) -> &mut Table {
+        match self {
+            Counts::Owned(table) => table,
+            shared => shared.unshare(),
+        }
+    }
+
+    /// A shared table made this bag's own: taken if nothing else holds it,
+    /// else copied.
+    #[cold]
+    fn unshare(&mut self) -> &mut Table {
+        let Counts::Shared(shared) = std::mem::take(self) else {
+            unreachable!("only a shared table is unshared")
+        };
+        *self = Counts::Owned(Arc::unwrap_or_clone(shared));
+        self.to_mut()
+    }
+}
+
+/// Equal contents, shared or not.
+impl PartialEq for Counts {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Counts {}
+
+/// The table's entries, shared or not.
+impl fmt::Debug for Counts {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
 }
 
 impl Multiset {
@@ -73,7 +147,7 @@ impl Multiset {
         if n == 0 {
             return;
         }
-        *self.counts.entry(t).or_insert(0) += n;
+        *self.counts.to_mut().entry(t).or_insert(0) += n;
         self.total += n;
     }
 
@@ -84,12 +158,12 @@ impl Multiset {
         let Some(like) = like.filter(|_| n > 0) else {
             return self.insert(t, n);
         };
-        if let Some(count) = self.counts.get_mut(&t) {
+        let counts = self.counts.to_mut();
+        if let Some(count) = counts.get_mut(&t) {
             *count += n;
         } else {
             let held = like.counts.get_key_value(&t);
-            self.counts
-                .insert(held.map_or(t, |(held, _)| held.clone()), n);
+            counts.insert(held.map_or(t, |(held, _)| held.clone()), n);
         }
         self.total += n;
     }
@@ -99,13 +173,17 @@ impl Multiset {
         if n == 0 {
             return 0;
         }
-        match self.counts.get_mut(t) {
+        let counts = match &mut self.counts {
+            Counts::Shared(shared) if !shared.contains_key(t) => return 0,
+            counts => counts.to_mut(),
+        };
+        match counts.get_mut(t) {
             None => 0,
             Some(c) => {
                 let removed = n.min(*c);
                 *c -= removed;
                 if *c == 0 {
-                    self.counts.remove(t);
+                    counts.remove(t);
                 }
                 self.total -= removed;
                 removed
@@ -120,9 +198,7 @@ impl Multiset {
 
     /// Iterate tuples with multiplicity (each occurrence yielded).
     pub fn iter_occurrences(&self) -> impl Iterator<Item = &Tuple> {
-        self.counts
-            .iter()
-            .flat_map(|(t, &c)| std::iter::repeat_n(t, c))
+        self.iter().flat_map(|(t, c)| std::iter::repeat_n(t, c))
     }
 
     /// Apply a delta in place. Deletions of absent tuples are clamped (and
@@ -192,9 +268,7 @@ impl Multiset {
         let n = r.usize()?;
         let mut m = Multiset::new();
         for _ in 0..n {
-            let t = r.tuple()?;
-            let c = r.usize()?;
-            m.insert(t, c);
+            m.insert(r.tuple()?, r.usize()?);
         }
         Ok(m)
     }
@@ -318,16 +392,22 @@ impl SharedBag {
         Some(lookup.as_ref()?.get(text).map_or(&[], Vec::as_slice))
     }
 
-    /// The bag of a value nothing else holds; a copy of a shared one's.
+    /// The bag as a [`Multiset`] of its own, which shares the table until
+    /// one of its holders writes: a pointer copy, never a table copy.
     pub(crate) fn into_bag(self: Arc<Self>) -> Multiset {
-        Arc::try_unwrap(self).map_or_else(|shared| shared.bag.clone(), |own| own.bag)
+        self.bag.clone()
     }
 }
 
 impl From<Multiset> for SharedBag {
-    fn from(bag: Multiset) -> Self {
+    /// The bag, its table shared from here on.
+    fn from(Multiset { counts, total }: Multiset) -> Self {
+        let counts = match counts {
+            Counts::Owned(table) => Counts::Shared(Arc::new(table)),
+            shared => shared,
+        };
         SharedBag {
-            bag,
+            bag: Multiset { counts, total },
             memo: Mutex::default(),
             lookups: OnceLock::new(),
         }
@@ -423,6 +503,95 @@ mod tests {
             let memo = self.memo.lock();
             memo.values().map(|(bag, _)| Weak::clone(bag)).collect()
         }
+    }
+
+    impl Multiset {
+        /// Whether `self` and `other` read one shared table.
+        pub(crate) fn shares_table_with(&self, other: &Multiset) -> bool {
+            match (&self.counts, &other.counts) {
+                (Counts::Shared(a), Counts::Shared(b)) => Arc::ptr_eq(a, b),
+                _ => false,
+            }
+        }
+    }
+
+    /// A seeded xorshift64* stream.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
+        }
+
+        /// A bag of up to `size` occurrences over `domain` values.
+        fn bag(&mut self, size: usize, domain: usize) -> Multiset {
+            let n = self.below(size + 1);
+            (0..n).map(|_| tuple![self.below(domain) as i64]).collect()
+        }
+    }
+
+    /// Clones of a `SharedBag`'s bag, written at random beside owned
+    /// models: each clone equals its model after every step, the shared
+    /// bag never changes, and a clone whose writes have all been no-ops —
+    /// zero counts, removals of tuples it does not hold, empty changes —
+    /// still reads the shared table.
+    #[test]
+    fn a_write_to_a_shared_bag_copies_it_for_the_writer_only() {
+        const DOMAIN: usize = 12;
+        // steps at which a clone that had not written yet removed a tuple it
+        // does not hold
+        let mut absent_removals = 0;
+        for seed in 1..=100u64 {
+            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            // half the domain is never in the shared bag
+            let model = rng.bag(24, DOMAIN / 2);
+            let shared = Arc::new(SharedBag::from(model.clone()));
+            let mut clones: Vec<Multiset> =
+                (0..3).map(|_| Arc::clone(&shared).into_bag()).collect();
+            let mut models = vec![model.clone(); clones.len()];
+            let mut wrote = vec![false; clones.len()];
+            for step in 0..60 {
+                let at = format!("seed {seed} step {step}");
+                let i = rng.below(clones.len());
+                let (bag, own) = (&mut clones[i], &mut models[i]);
+                let before = own.clone();
+                let t = tuple![rng.below(DOMAIN) as i64];
+                let n = rng.below(3);
+                match rng.below(4) {
+                    0 => {
+                        bag.insert(t.clone(), n);
+                        own.insert(t, n);
+                    }
+                    1 => {
+                        let like = (rng.below(2) == 0).then_some(&**shared);
+                        bag.insert_like(t.clone(), n, like);
+                        own.insert(t, n);
+                    }
+                    2 => {
+                        absent_removals += usize::from(n > 0 && !own.contains(&t) && !wrote[i]);
+                        assert_eq!(bag.remove(&t, n), own.remove(&t, n), "{at}");
+                    }
+                    _ => {
+                        let size = rng.below(2) * 3;
+                        let inserts = rng.bag(size, DOMAIN);
+                        let deletes = rng.bag(3, DOMAIN);
+                        let missing = bag.apply_sides(&inserts, &deletes);
+                        assert_eq!(missing, own.apply_sides(&inserts, &deletes), "{at}");
+                    }
+                }
+                wrote[i] |= *own != before;
+                assert_eq!(**shared, model, "{at}");
+                for ((bag, own), &wrote) in clones.iter().zip(&models).zip(&wrote) {
+                    assert_eq!(bag, own, "{at}");
+                    assert_eq!((bag.len(), bag.distinct()), (own.len(), own.distinct()));
+                    assert_eq!(bag.shares_table_with(&shared), !wrote, "{at}");
+                }
+            }
+        }
+        assert!(absent_removals > 40, "{absent_removals}");
     }
 
     #[test]
