@@ -157,22 +157,7 @@ fn steady_pems() -> Pems {
         rows.join(",")
     ))
     .expect("setup program");
-    let schema = serena_core::schema::XSchema::builder()
-        .real("location", serena_core::value::DataType::Str)
-        .real("temperature", serena_core::value::DataType::Real)
-        .build()
-        .expect("readings schema");
-    pems.tables()
-        .define_stream_with(
-            "readings",
-            schema,
-            serena_stream::FnStream(|at: Instant| {
-                let t = at.ticks();
-                (0..2u64)
-                    .map(|i| serena_core::tuple![format!("room{i}"), 10.0 + ((t + i) % 17) as f64])
-                    .collect()
-            }),
-        )
+    pems.run_program("EXTENDED RELATION readings ( location STRING, temperature REAL ) STREAM;")
         .expect("readings stream");
     let sensors = || StreamPlan::source("sensors");
     for (name, plan) in [
@@ -186,8 +171,20 @@ fn steady_pems() -> Pems {
         pems.register_query(name, &plan).expect("steady query");
     }
     // fill the window ring and warm the β cache
-    pems.run_ticks(WINDOW + 8);
+    for _ in 0..WINDOW + 8 {
+        tick_steady(&mut pems);
+    }
     pems
+}
+
+/// One tick of [`steady_pems`], after pushing that instant's two readings.
+fn tick_steady(pems: &mut Pems) -> Vec<(String, serena_stream::exec::TickReport)> {
+    let t = pems.clock().ticks();
+    for i in 0..2u64 {
+        let reading = serena_core::tuple![format!("room{i}"), 10.0 + ((t + i) % 17) as f64];
+        pems.tables().push_stream("readings", reading);
+    }
+    pems.tick()
 }
 
 /// E15 — what one `snapshot_bytes()` of a steady-state runtime costs as a
@@ -198,7 +195,7 @@ fn checkpoint() -> Vec<OverheadRow> {
     let measured = harness::paired(
         60,
         5,
-        || pems.borrow_mut().tick(),
+        || tick_steady(&mut pems.borrow_mut()),
         || pems.borrow().snapshot_bytes(),
     );
     vec![OverheadRow {

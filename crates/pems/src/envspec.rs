@@ -32,21 +32,20 @@ use std::sync::Arc;
 
 use serena_core::formula::Formula;
 use serena_core::prototype::examples as protos;
-use serena_core::schema::{examples as schemas, XSchema};
+use serena_core::schema::examples as schemas;
+use serena_core::service::FnService;
 use serena_core::sync::Mutex;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
-use serena_core::value::{DataType, Value};
+use serena_core::value::Value;
 use serena_services::bus::BusConfig;
 use serena_services::devices::camera::SimCamera;
 use serena_services::devices::messenger::{MessengerKind, SentMessage, SimMessenger};
 use serena_services::devices::temperature::SimTemperatureSensor;
 use serena_services::faults::{FaultPolicy, FaultyService};
 use serena_services::fleet::{mix64, FailureProfile, LatencyProfile, SlowService};
-use serena_stream::plan::StreamPlan;
-use serena_stream::source::{Batch, StreamSource};
+use serena_stream::plan::{StreamKind, StreamPlan};
 
-use crate::hub::SensorSampler;
 use crate::pems::{Pems, PemsError};
 
 /// How many messengers a spec deploys, and how they are named.
@@ -119,7 +118,7 @@ impl ArrivalTrace {
     /// Device picks follow a power-law skew toward low indices; readings
     /// span 15.0–32.9 °C so threshold queries around 30 °C see a hot
     /// minority.
-    pub fn events_at(&self, at: Instant) -> Vec<(usize, f64)> {
+    fn events_at(&self, at: Instant) -> Vec<(usize, f64)> {
         (0..self.count_at(at))
             .map(|k| {
                 let u =
@@ -295,12 +294,12 @@ impl EnvSpec {
     }
 
     /// The reference of camera `index`.
-    pub fn camera_name(&self, index: usize) -> String {
+    fn camera_name(&self, index: usize) -> String {
         format!("camera{index:0w$}", w = pad_width(self.cameras))
     }
 
     /// References of the messengers the spec deploys, in deployment order.
-    pub fn messenger_names(&self) -> Vec<String> {
+    fn messenger_names(&self) -> Vec<String> {
         match self.messengers {
             MessengerFleet::Kinds => KINDS.iter().map(|k| k.label().to_string()).collect(),
             MessengerFleet::Indexed(n) => (0..n)
@@ -398,7 +397,7 @@ impl EnvSpec {
     /// Build a ready [`Pems`] with the standard catalog and the fleet
     /// deployed: Table 1 prototypes; discovery-maintained `sensors` and
     /// `cameras` tables; and a `temperatures` stream — trace-driven when
-    /// [`Self::arrivals`] is set, otherwise live-sampling every discovered
+    /// [`Self::arrivals`] is set, otherwise sampling every discovered
     /// sensor (the §5.2 shape).
     pub fn build(&self) -> Result<(Pems, Fleet), PemsError> {
         let mut pems = Pems::builder().bus(self.bus).build();
@@ -409,6 +408,12 @@ impl EnvSpec {
 
     /// The standard-catalog half of [`Self::build`], for callers that need
     /// a custom [`Pems`] (execution options, checkpointing, …).
+    ///
+    /// `temperatures` is a derived stream ([`Pems::define_stream_as`]) over
+    /// `(location, temperature)`: `getTemperature` sampled from every
+    /// row of `sensors`, or — under [`Self::arrivals`] — `getReadings` of
+    /// the one row of `gateways`, the service on this node that replays
+    /// the trace.
     pub fn install_catalog(&self, pems: &mut Pems) -> Result<(), PemsError> {
         for p in [
             protos::get_temperature(),
@@ -425,29 +430,53 @@ impl EnvSpec {
             .define_table("cameras", schemas::cameras_schema())?;
         pems.register_discovery("cameras", "checkPhoto", "camera")?;
 
-        let temp_schema = XSchema::builder()
-            .real("location", DataType::Str)
-            .real("temperature", DataType::Real)
-            .build()?;
-        let tables = pems.tables();
-        match self.arrivals {
+        let readings = &["location", "temperature"];
+        let plan = match self.arrivals {
             Some(trace) => {
+                pems.run_program(&format!(
+                    "PROTOTYPE getReadings( ) : ( location STRING, temperature REAL );
+                     EXTENDED RELATION gateways (
+                       gateway SERVICE, location STRING VIRTUAL, temperature REAL VIRTUAL
+                     ) USING BINDING PATTERNS ( getReadings[gateway] );
+                     INSERT INTO gateways VALUES ('{GATEWAY}');"
+                ))?;
+                let prototypes = pems.tables().prototype("getReadings").into_iter().collect();
                 let areas = self.areas.clone();
-                let source = TraceSource { trace, areas };
-                tables.define_stream_with("temperatures", temp_schema, source)?;
+                let gateway =
+                    FnService::new(prototypes, move |_, _, at| Ok(trace.tuples_at(at, &areas)));
+                // hosted here, so a linked peer's own gateway never shadows it
+                pems.directory().register(GATEWAY, Arc::new(gateway));
+                sampled("gateways", "getReadings", "gateway", readings)
             }
-            None => {
-                let prototype = protos::get_temperature();
-                let source = SensorSampler::new(pems.directory(), prototype, &["location"]);
-                tables.define_stream_with("temperatures", temp_schema, source)?;
-            }
-        }
-        Ok(())
+            None => sampled("sensors", "getTemperature", "sensor", readings),
+        };
+        pems.define_stream_as("temperatures", &plan)
     }
+}
+
+/// The stream of what every provider listed in `table` answers to
+/// `prototype` at each instant, projected on `attrs`:
+/// `S[heartbeat](π_attrs(W[1](βˢ[1]_{prototype[service_attr]}(table))))`.
+/// π needs a finite operand, so the window and the heartbeat take the
+/// sample there and back.
+pub(crate) fn sampled(
+    table: &str,
+    prototype: &str,
+    service_attr: &str,
+    attrs: &[&str],
+) -> StreamPlan {
+    StreamPlan::source(table)
+        .sample_invoke(prototype, service_attr, 1)
+        .window(1)
+        .project(attrs.iter().copied())
+        .stream(StreamKind::Heartbeat)
 }
 
 /// The Local ERM every fleet registers behind.
 const LERM: &str = "building";
+
+/// The service an [`ArrivalTrace`] is read through.
+const GATEWAY: &str = "arrivals";
 
 const KINDS: [MessengerKind; 3] = [
     MessengerKind::Email,
@@ -460,20 +489,6 @@ const KINDS: [MessengerKind; 3] = [
 fn pad_width(n: usize) -> usize {
     let digits = n.saturating_sub(1).max(1).ilog10() as usize + 1;
     digits.max(2)
-}
-
-/// A [`StreamSource`] replaying an [`ArrivalTrace`] — pure per instant, so
-/// a runtime restored from a checkpoint reads what the uninterrupted one
-/// read.
-struct TraceSource {
-    trace: ArrivalTrace,
-    areas: Vec<String>,
-}
-
-impl StreamSource for TraceSource {
-    fn poll(&mut self, at: Instant) -> Arc<Batch> {
-        Arc::new(self.trace.tuples_at(at, &self.areas).into())
-    }
 }
 
 /// A continuous-query template a [`WorkloadSpec`] stamps instances from.

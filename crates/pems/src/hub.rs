@@ -1,46 +1,30 @@
-//! Stream plumbing: broadcast hubs and environment-fed stream sources.
+//! Stream plumbing: the broadcast hub behind every infinite XD-Relation.
 //!
 //! An infinite XD-Relation is one time → multiset mapping (§4.1): every
 //! query that reads it at an instant reads the same batch. Each
 //! [`serena_stream::source::StreamSource`] is single-consumer, so the
 //! Extended Table Manager keeps one [`StreamHub`] per stream and hands each
-//! query leaf its own subscription. A hub is fed one of two ways:
-//!
-//! * *pushed* ([`StreamHub::new`], DDL-declared `STREAM` relations): the
-//!   pushes of an instant become one [`Batch`];
-//! * *sourced* ([`StreamHub::sourced`]): the first subscription to poll at
-//!   an instant polls the hub's one source, so a source is polled once per
-//!   instant however many queries read it.
-//!
-//! Either way every subscription receives the instant's batch by `Arc`,
-//! kept only until the last live subscription has read it. The sources:
-//!
-//! * [`SensorSampler`] — the temperature stream of the surveillance
-//!   scenario: each tick, sample every currently-discovered provider of a
-//!   prototype (new sensors join the stream as soon as discovery sees
-//!   them — "without the need to stop the continuous query", §5.2);
-//! * [`RssStream`] — the RSS wrapper of scenario 2: merge the items the
-//!   simulated feeds publish at each instant.
+//! query leaf its own subscription. A hub is fed one way, by pushes: the
+//! pushes of an instant become one [`Batch`], which every subscription
+//! receives by `Arc`, kept only until the last live subscription has read
+//! it. Who pushes is the stream's business — the application, or a derived
+//! stream's plan ([`crate::pems::Pems::define_stream_as`]), which calls the
+//! environment through the β stack and pushes its output before the
+//! queries tick.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use serena_core::sync::Mutex;
 
-use serena_core::prototype::Prototype;
-use serena_core::service::invoke_contained;
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
-use serena_core::value::Value;
-use serena_services::devices::rss::SimRssFeed;
-use serena_services::directory::NodeDirectory;
 use serena_stream::source::{Batch, StreamSource};
 
 /// A broadcast hub: every subscription sees every batch sealed after it
-/// subscribed — pushed, or polled from the hub's source — and the
-/// subscriptions that poll at one instant receive the same `Arc<Batch>`.
-/// Retention is bounded by the slowest live subscription, not by the run's
-/// length.
+/// subscribed, and the subscriptions that poll at one instant receive the
+/// same `Arc<Batch>`. Retention is bounded by the slowest live
+/// subscription, not by the run's length.
 #[derive(Clone, Default)]
 pub struct StreamHub {
     state: Arc<Mutex<HubState>>,
@@ -62,9 +46,6 @@ struct HubState {
     /// next.
     cursors: HashMap<u64, u64>,
     next_subscription: u64,
-    /// A sourced hub's source, and the instant it last polled it.
-    source: Option<Box<dyn StreamSource>>,
-    polled: Option<Instant>,
 }
 
 impl HubState {
@@ -82,25 +63,6 @@ impl HubState {
             let batch = std::mem::replace(&mut self.open, room);
             let readers = self.cursors.len();
             self.sealed.push_back((Arc::new(batch.into()), readers));
-        }
-    }
-
-    /// A sourced hub's first poll at `at` polls the source and seals its
-    /// batch, unchanged, for every live subscription. The instant counts as
-    /// polled only once the source returned: a source that panics fails the
-    /// tick of every query that reads it at `at`.
-    fn draw(&mut self, at: Instant) {
-        if self.polled == Some(at) {
-            return;
-        }
-        let Some(source) = self.source.as_mut() else {
-            return;
-        };
-        let batch = source.poll(at);
-        self.polled = Some(at);
-        if !batch.is_empty() {
-            let readers = self.cursors.len();
-            self.sealed.push_back((batch, readers));
         }
     }
 
@@ -132,45 +94,23 @@ impl StreamHub {
         Self::default()
     }
 
-    /// A hub fed by `source`, polled by the first subscription to poll at
-    /// an instant; with no subscription it is never polled.
-    pub fn sourced(source: impl StreamSource + 'static) -> Self {
-        let hub = Self::new();
-        hub.state.lock().source = Some(Box::new(source));
-        hub
-    }
-
     /// Append a tuple; every live subscription will deliver it on its next
     /// poll. With no subscription there is nobody to deliver it to, ever
-    /// (history is not replayed), so nothing is kept. A sourced hub takes
-    /// no pushes: `false`, and nothing is kept.
-    pub fn push(&self, t: Tuple) -> bool {
+    /// (history is not replayed), so nothing is kept.
+    pub fn push(&self, t: Tuple) {
         let mut state = self.state.lock();
-        if state.source.is_some() {
-            return false;
-        }
         if !state.cursors.is_empty() {
             state.open.push(t);
         }
-        true
     }
 
-    /// A restored runtime resumes at an instant a sourced hub may already
-    /// have polled: forget that it did, and what it polled, so the source is
-    /// polled again there and no subscription reads an instant twice. A
-    /// pushed hub keeps its pushes.
-    pub fn rewind(&self) {
-        let mut state = self.state.lock();
-        if state.source.is_some() {
-            state.polled = None;
-            let end = state.end();
-            state.sealed.clear();
-            state.base = end;
-            state.cursors.values_mut().for_each(|cursor| *cursor = end);
-        }
+    /// Whether a live subscription reads the hub: a derived stream nobody
+    /// reads is not ticked.
+    pub(crate) fn is_read(&self) -> bool {
+        !self.state.lock().cursors.is_empty()
     }
 
-    /// Tuples retained: pushed or polled, and not yet read by every live
+    /// Tuples retained: pushed, and not yet read by every live
     /// subscription.
     pub fn len(&self) -> usize {
         let state = self.state.lock();
@@ -182,7 +122,7 @@ impl StreamHub {
         self.len() == 0
     }
 
-    /// A new subscription starting after everything pushed or polled so
+    /// A new subscription starting after everything pushed so
     /// far (streams are append-only: history is not replayed).
     pub fn subscribe(&self) -> HubSubscription {
         let mut state = self.state.lock();
@@ -206,14 +146,12 @@ pub struct HubSubscription {
 }
 
 impl StreamSource for HubSubscription {
-    /// What was pushed or polled since the previous poll. The first poll at
-    /// an instant polls a sourced hub's source, or seals the open pushes, so
-    /// every subscription polling at that instant returns the same `Arc`;
-    /// one that skipped polls gets the batches it missed concatenated, in
-    /// order, as a batch of its own.
-    fn poll(&mut self, at: Instant) -> Arc<Batch> {
+    /// What was pushed since the previous poll. The first poll at an
+    /// instant seals the open pushes, so every subscription polling at that
+    /// instant returns the same `Arc`; one that skipped polls gets the
+    /// batches it missed concatenated, in order, as a batch of its own.
+    fn poll(&mut self, _: Instant) -> Arc<Batch> {
         let mut state = self.state.lock();
-        state.draw(at);
         state.seal();
         let end = state.end();
         let cursor = state
@@ -246,88 +184,9 @@ impl Drop for HubSubscription {
     }
 }
 
-/// A stream that samples every discovered provider of a prototype each
-/// tick, emitting `(…metadata attrs…, …output attrs…)` tuples.
-///
-/// For the surveillance scenario: prototype `getTemperature`, metadata
-/// attribute `location` → stream `(location, temperature)`.
-pub struct SensorSampler {
-    directory: Arc<NodeDirectory>,
-    prototype: Arc<Prototype>,
-    /// Metadata keys prepended to each output tuple (e.g. `["location"]`).
-    metadata_attrs: Vec<String>,
-}
-
-impl SensorSampler {
-    /// Sample providers of `prototype`, prefixing outputs with the given
-    /// directory metadata attributes.
-    pub fn new(
-        directory: Arc<NodeDirectory>,
-        prototype: Arc<Prototype>,
-        metadata_attrs: &[&str],
-    ) -> Self {
-        SensorSampler {
-            directory,
-            prototype,
-            metadata_attrs: metadata_attrs.iter().map(|s| s.to_string()).collect(),
-        }
-    }
-}
-
-impl StreamSource for SensorSampler {
-    fn poll(&mut self, at: Instant) -> Arc<Batch> {
-        let mut out = Vec::new();
-        let (_, providers) = self
-            .directory
-            .described_providers(self.prototype.name(), &self.metadata_attrs);
-        for (reference, prefix) in providers {
-            // a failing or panicking sensor contributes no reading this instant
-            let Ok(results) = invoke_contained(
-                &*self.directory,
-                &self.prototype,
-                &reference,
-                &Tuple::empty(),
-                at,
-            ) else {
-                continue;
-            };
-            for r in results {
-                let mut values = prefix.clone();
-                values.extend(r.values().cloned());
-                out.push(Tuple::new(values));
-            }
-        }
-        Arc::new(out.into())
-    }
-}
-
-/// Merge the per-instant items of several simulated RSS feeds into one
-/// `(source, title)` stream.
-pub struct RssStream {
-    feeds: Vec<SimRssFeed>,
-}
-
-impl RssStream {
-    /// A stream over the given feeds.
-    pub fn new(feeds: Vec<SimRssFeed>) -> Self {
-        RssStream { feeds }
-    }
-}
-
-impl StreamSource for RssStream {
-    fn poll(&mut self, at: Instant) -> Arc<Batch> {
-        let items = self.feeds.iter().flat_map(|f| f.items_at(at));
-        let tuples: Vec<Tuple> = items
-            .map(|item| Tuple::new(vec![Value::str(&item.source), Value::str(&item.title)]))
-            .collect();
-        Arc::new(tuples.into())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serena_core::prototype::examples as protos;
     use serena_core::tuple;
 
     #[test]
@@ -368,38 +227,15 @@ mod tests {
     }
 
     #[test]
-    fn a_sourced_hub_polls_its_source_once_per_instant() {
-        let polled = Arc::new(Mutex::new(Vec::new()));
-        let log = Arc::clone(&polled);
-        let source = serena_stream::source::FnStream(move |at: Instant| {
-            log.lock().push(at);
-            vec![tuple![at.ticks() as i64], tuple![0]]
-        });
-        let hub = StreamHub::sourced(source);
-        assert!(!hub.push(tuple![1]), "a sourced hub takes no pushes");
-        let (mut a, mut b) = (hub.subscribe(), hub.subscribe());
-        for at in (0..3).map(Instant) {
-            let for_a = a.poll(at);
-            assert_eq!(hub.len(), 2, "b has yet to read it");
-            assert!(Arc::ptr_eq(&for_a, &b.poll(at)), "{at:?}");
-            assert_eq!(for_a.tuples(), [tuple![at.ticks() as i64], tuple![0]]);
-            assert!(hub.is_empty());
-        }
-        // an instant only one subscription polls is polled once too; the
-        // other reads it with the next instant's batch
-        a.poll(Instant(3));
-        assert_eq!(b.poll(Instant(4)).len(), 4);
-        assert_eq!(a.poll(Instant(4)).len(), 2);
-        assert_eq!(*polled.lock(), (0..5).map(Instant).collect::<Vec<_>>());
-        // rewound, as a restore does, the hub polls instant 5 again and drops
-        // what it polled there: b, which had yet to read it, reads it once
-        a.poll(Instant(5));
-        hub.rewind();
-        assert!(hub.is_empty());
-        assert_eq!(b.poll(Instant(5)).len(), 2);
-        assert_eq!(a.poll(Instant(5)).len(), 2);
-        assert_eq!(polled.lock()[5..], [Instant(5), Instant(5)]);
-        assert!(!hub.push(tuple![1]) && hub.is_empty());
+    fn a_hub_is_read_while_a_subscription_lives() {
+        let hub = StreamHub::new();
+        assert!(!hub.is_read());
+        let (a, b) = (hub.subscribe(), hub.subscribe());
+        assert!(hub.is_read());
+        drop(a);
+        assert!(hub.is_read());
+        drop(b);
+        assert!(!hub.is_read());
     }
 
     #[test]
@@ -523,74 +359,5 @@ mod tests {
             }
             assert!(hub.len() <= pushed.len(), "instant {at}: {}", hub.len());
         }
-    }
-
-    #[test]
-    fn sensor_sampler_emits_located_readings() {
-        let dir = Arc::new(NodeDirectory::new("test"));
-        dir.register(
-            "sensor01",
-            serena_core::service::fixtures::temperature_sensor(1),
-        );
-        dir.register(
-            "sensor06",
-            serena_core::service::fixtures::temperature_sensor(6),
-        );
-        dir.set("sensor01", "location", Value::str("corridor"));
-        dir.set("sensor06", "location", Value::str("office"));
-        let mut sampler = SensorSampler::new(dir, protos::get_temperature(), &["location"]);
-        let batch = sampler.poll(Instant(3));
-        assert_eq!(batch.len(), 2);
-        for t in batch.tuples() {
-            assert_eq!(t.arity(), 2);
-            assert!(t[1].as_real().is_some());
-        }
-        // deterministic at the instant
-        assert_eq!(batch.tuples(), sampler.poll(Instant(3)).tuples());
-    }
-
-    #[test]
-    fn sensor_sampler_skips_undescribed_and_failing_providers() {
-        let dir = Arc::new(NodeDirectory::new("test"));
-        dir.register(
-            "sensor01",
-            serena_core::service::fixtures::temperature_sensor(1),
-        );
-        // a registered-but-faulty sensor
-        let flaky = serena_services::faults::FaultyService::new(
-            serena_core::service::fixtures::temperature_sensor(2),
-            serena_services::faults::FaultPolicy::EveryNth(1),
-        );
-        dir.register("sensor02", flaky);
-        dir.set("sensor01", "location", Value::str("corridor"));
-        dir.set("sensor02", "location", Value::str("roof"));
-        // a sensor whose implementation panics
-        dir.register(
-            "sensor04",
-            serena_core::service::fixtures::panicking_sensor(),
-        );
-        dir.set("sensor04", "location", Value::str("attic"));
-        // sensor03 registered but no metadata
-        dir.register(
-            "sensor03",
-            serena_core::service::fixtures::temperature_sensor(3),
-        );
-        let mut sampler = SensorSampler::new(dir, protos::get_temperature(), &["location"]);
-        let batch = sampler.poll(Instant(0));
-        assert_eq!(batch.len(), 1); // only sensor01 delivers
-        assert_eq!(batch.tuples()[0][0], Value::str("corridor"));
-    }
-
-    #[test]
-    fn rss_stream_merges_feeds() {
-        let feeds = vec![
-            SimRssFeed::new("lemonde", 17, 100, 30),
-            SimRssFeed::new("figaro", 29, 100, 30),
-        ];
-        let expected: usize = feeds.iter().map(|f| f.items_at(Instant(4)).len()).sum();
-        let mut s = RssStream::new(feeds);
-        let batch = s.poll(Instant(4));
-        assert_eq!(batch.len(), expected);
-        assert!(batch.tuples().iter().all(|t| t.arity() == 2));
     }
 }

@@ -9,7 +9,8 @@
 //!   delivers into (the core Environment Resource Manager), table manager,
 //!   query processor and discovery queries, advanced tick by tick — per
 //!   instant: deliver due announcements and poll peers, refresh the
-//!   discovery tables, tick every query, checkpoint; every setting is a
+//!   discovery tables, tick the derived streams, tick every query,
+//!   checkpoint; every setting is a
 //!   [`pems::PemsBuilder`] argument, none an environment variable;
 //! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
 //!   execution, one-shot environment snapshots;
@@ -20,8 +21,7 @@
 //! * [`scheduler`] — how the processor runs a tick round: the queries split
 //!   into contiguous runs over scoped threads, the caller running the first
 //!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`]);
-//! * [`hub`] — stream plumbing (broadcast hubs, sensor samplers, RSS
-//!   adapters);
+//! * [`hub`] — stream plumbing: the broadcast hub every stream is;
 //! * [`recovery`] — periodic checkpoints of the runtime's dynamic state
 //!   and crash recovery ([`pems::PemsBuilder::checkpoint`],
 //!   [`pems::Pems::restore_from`]);
@@ -63,7 +63,7 @@ pub mod scheduler;
 pub mod table_manager;
 
 pub use envspec::{ArrivalTrace, EnvSpec, Fleet, MessengerFleet, QueryTemplate, WorkloadSpec};
-pub use hub::{RssStream, SensorSampler, StreamHub};
+pub use hub::StreamHub;
 pub use pems::{ExecOutcome, ExplainAnalyze, Pems, PemsBuilder, PemsError};
 pub use processor::{QueryProcessor, QueryStats};
 pub use recovery::RecoveryManager;

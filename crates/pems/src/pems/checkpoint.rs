@@ -32,15 +32,31 @@ impl Pems {
     /// Restore dynamic state from [`Self::snapshot_bytes`] output. The
     /// static setup must already have been re-run on this instance (same
     /// tables, same queries, same plans); a disagreement surfaces as
-    /// [`SnapshotError::Mismatch`].
+    /// [`SnapshotError::Mismatch`]. All or nothing: a snapshot that fails
+    /// part-way — a mismatch, a corrupt section, a trailing byte — leaves
+    /// the runtime as it was, by re-applying a snapshot cut before. Should
+    /// that re-apply fail too, the error names both failures.
     pub fn restore_bytes(&mut self, bytes: &[u8]) -> Result<(), PemsError> {
-        let mut r = Reader::new(bytes);
-        snapshot::read_header(&mut r)?;
-        // the tables are about to hold what the checkpointed runtime's
-        // did, not what this runtime's discovery queries wrote into them
+        let before = self.snapshot_bytes();
+        if let Err(e) = self.apply_snapshot(bytes) {
+            return Err(match self.apply_snapshot(&before) {
+                Ok(()) => e.into(),
+                Err(undo) => SnapshotError::Mismatch(format!("{e}; undo failed: {undo}")).into(),
+            });
+        }
+        // the tables hold what the checkpointed runtime's did, not what
+        // this runtime's discovery queries wrote into them
         for (_, query) in &mut self.discoveries {
             query.forget();
         }
+        Ok(())
+    }
+
+    /// Read `bytes` into the runtime's dynamic state, section by section:
+    /// an error leaves the sections read so far applied.
+    fn apply_snapshot(&mut self, bytes: &[u8]) -> Result<(), SnapshotError> {
+        let mut r = Reader::new(bytes);
+        snapshot::read_header(&mut r)?;
         self.tables.import_tables(&mut r)?;
         self.processor.read_snapshot(&mut r)?;
         self.beta.resilience.import_state(&mut r)?;
@@ -49,8 +65,7 @@ impl Pems {
             return Err(SnapshotError::Corrupt(format!(
                 "{} trailing bytes after snapshot",
                 r.remaining()
-            ))
-            .into());
+            )));
         }
         Ok(())
     }
@@ -195,6 +210,46 @@ mod tests {
             original.processor().current_relation("watch").unwrap()
         );
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A restore that fails part-way applies nothing: one trailing byte
+    /// is found after every section was read, and a query named otherwise
+    /// after the tables were — either way the runtime keeps the state it
+    /// had, byte for byte, and a good snapshot still restores.
+    #[test]
+    fn a_failed_restore_changes_nothing() {
+        let setup = |query: &str| {
+            let mut pems = pems_with_messenger();
+            pems.run_program(SETUP).unwrap();
+            let register =
+                format!("REGISTER QUERY {query} AS SELECT[messenger = 'email'](contacts);");
+            pems.run_program(&register).unwrap();
+            pems
+        };
+        let cut = |query: &str| {
+            let mut pems = setup(query);
+            pems.run_ticks(3);
+            pems.run_program("DELETE FROM contacts VALUES ('Carla', 'carla@elysee.fr', 'email');")
+                .unwrap();
+            pems.snapshot_bytes()
+        };
+        let good = cut("watch");
+        let mut trailing = good.clone();
+        trailing.push(0);
+        let mut target = setup("watch");
+        target.run_ticks(1);
+        let before = target.snapshot_bytes();
+        for (bytes, refused) in [
+            (trailing, "trailing"),
+            (cut("other"), "where `watch` is defined"),
+        ] {
+            let err = target.restore_bytes(&bytes).unwrap_err();
+            assert!(err.to_string().contains(refused), "{err}");
+            assert_eq!(target.snapshot_bytes(), before, "{err}");
+            assert_eq!(target.clock(), Instant(1));
+        }
+        target.restore_bytes(&good).unwrap();
+        assert_eq!(target.snapshot_bytes(), good);
     }
 
     #[test]

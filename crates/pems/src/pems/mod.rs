@@ -12,8 +12,11 @@
 //!    directory, and every linked peer is polled;
 //! 2. discovery queries bring their provider tables up to date with what
 //!    the directory logged since the previous tick;
-//! 3. every registered continuous query evaluates the instant;
-//! 4. the tick is complete, so a snapshot cut here is consistent: one is
+//! 3. every derived stream a query reads evaluates the instant, in
+//!    definition order, and pushes its batch into its hub — the one way the
+//!    environment enters a stream ([`Pems::define_stream_as`]);
+//! 4. every registered continuous query evaluates the instant;
+//! 5. the tick is complete, so a snapshot cut here is consistent: one is
 //!    written if a checkpoint is due and streamed to a linked standby.
 //!
 //! This module owns the runtime, its registrations, its links to other
@@ -35,6 +38,7 @@ use std::sync::Arc;
 
 use serena_core::error::{EvalError, PlanError, SchemaError};
 use serena_core::eval::EvalOutcome;
+use serena_core::ops::DegradePolicy;
 use serena_core::physical::ExecOptions;
 use serena_core::snapshot::SnapshotError;
 use serena_core::telemetry::RegistrySink;
@@ -45,7 +49,8 @@ use serena_services::directory::{NodeDirectory, PeerStatus};
 use serena_services::discovery::{Applied, DiscoveryQuery};
 use serena_services::node::{NodeHandle, RemoteNodeClient, ServiceNode};
 use serena_services::transport::{Transport, TransportError};
-use serena_stream::exec::TickReport;
+use serena_stream::exec::{ContinuousQuery, TickReport};
+use serena_stream::plan::StreamPlan;
 
 use crate::processor::QueryProcessor;
 use crate::recovery::RecoveryManager;
@@ -323,12 +328,46 @@ impl Pems {
         Ok(())
     }
 
+    /// Define stream `name` as the output of `plan`, a continuous plan
+    /// whose output is infinite — e.g. §5.2's temperatures,
+    /// `S[heartbeat](π_{location,temperature}(W[1](βˢ[1]_{getTemperature[sensor]}(sensors))))`.
+    /// At every instant a query reads `name`, the plan ticks before the
+    /// queries, through the same β stack, and its batch is pushed into the
+    /// stream's hub, which every reader shares. A call that fails or panics
+    /// drops its row ([`DegradePolicy::DropTuple`]); while no query reads
+    /// the stream, the plan does not tick and calls nothing. Its state is
+    /// checkpointed with the queries'; it reports no tick of its own, and
+    /// the stream takes no [`ExtendedTableManager::push_stream`].
+    pub fn define_stream_as(
+        &mut self,
+        name: impl Into<String>,
+        plan: &StreamPlan,
+    ) -> Result<(), PemsError> {
+        let options = ExecOptions::default().with_degrade(DegradePolicy::DropTuple);
+        let mut sources = self.tables.source_set_for(plan);
+        let query = ContinuousQuery::compile_with_options(plan, &mut sources, options)?;
+        let schema = query.schema();
+        if !schema.infinite {
+            return Err(PlanError::StreamStatusMismatch {
+                operator: "stream definition",
+                detail: "a stream is defined by a plan whose output is infinite".into(),
+            }
+            .into());
+        }
+        let name = name.into();
+        let hub = self
+            .tables
+            .define_stream(name.clone(), schema.schema.clone(), true)?;
+        self.processor.define_stream(name, query, hub);
+        Ok(())
+    }
+
     /// Register a continuous query by name and plan. The query runs with
     /// the runtime's configured [`ExecOptions`].
     pub fn register_query(
         &mut self,
         name: impl Into<String>,
-        plan: &serena_stream::plan::StreamPlan,
+        plan: &StreamPlan,
     ) -> Result<(), PemsError> {
         let name = name.into();
         let mut sources = self.tables.source_set_for(plan);
@@ -347,7 +386,7 @@ impl Pems {
     /// queries).
     pub fn register_queries<I, S>(&mut self, queries: I) -> Result<Vec<String>, PemsError>
     where
-        I: IntoIterator<Item = (S, serena_stream::plan::StreamPlan)>,
+        I: IntoIterator<Item = (S, StreamPlan)>,
         S: Into<String>,
     {
         let mut names = Vec::new();
@@ -382,11 +421,15 @@ impl Pems {
             };
             telemetry.counter(series, &[("table", table)]).add(n);
         }
-        // 3. evaluate every continuous query at `now`, through the same
-        // stack one-shot queries use, with dedup armed for the round
-        // (disjoint field borrows: the stack must not borrow all of `self`
-        // while the processor ticks mutably)
+        // 3 and 4. evaluate the derived streams, then every continuous query,
+        // at `now`, through the same stack one-shot queries use, with dedup
+        // armed for the instant (disjoint field borrows: the stack must not
+        // borrow all of `self` while the processor ticks mutably)
         let invoker = self.beta.tick_round(&self.directory);
+        let panicked = self.processor.tick_streams(&*invoker, &self.telemetry_sink);
+        for (stream, reason) in &panicked {
+            self.trace_failure("stream", now, &format_args!("{stream}: {reason}"));
+        }
         let reports = self
             .processor
             .tick_all_with(&*invoker, &self.telemetry_sink);
@@ -406,7 +449,7 @@ impl Pems {
                 .add(dropped - self.trace_dropped_seen);
             self.trace_dropped_seen = dropped;
         }
-        // 4. checkpoint and replicate
+        // 5. checkpoint and replicate
         self.checkpoint_and_replicate(now);
         reports
     }
@@ -436,9 +479,11 @@ impl Pems {
 #[cfg(test)]
 pub(super) mod tests {
     use super::*;
+    use serena_core::plan::SchemaCatalog;
     use serena_core::tuple;
     use serena_core::value::Value;
     use serena_services::bus::BusConfig;
+    use serena_stream::plan::StreamKind;
 
     pub(super) const SETUP: &str = "
         PROTOTYPE sendMessage( address STRING, text STRING ) : ( sent BOOLEAN ) ACTIVE;
@@ -582,6 +627,57 @@ pub(super) mod tests {
         assert_eq!(err.to_string(), "unknown query `ghost`");
         pems.run_program("UNREGISTER QUERY watch;").unwrap();
         assert!(pems.processor().names().is_empty());
+    }
+
+    /// A derived stream needs a plan whose output is infinite and a fresh
+    /// name; refused either way, it leaves nothing defined. Defined, it
+    /// takes no push: its plan alone feeds it.
+    #[test]
+    fn a_stream_is_derived_from_an_infinite_plan_under_a_fresh_name() {
+        let mut pems = pems_with_messenger();
+        pems.run_program(SETUP).unwrap();
+        let finite = StreamPlan::source("contacts");
+        let err = pems.define_stream_as("s", &finite).unwrap_err();
+        assert!(
+            matches!(err, PemsError::Plan(PlanError::StreamStatusMismatch { .. })),
+            "{err:?}"
+        );
+        let derived = finite.project(["name"]).stream(StreamKind::Insertion);
+        let err = pems.define_stream_as("contacts", &derived).unwrap_err();
+        assert!(
+            matches!(&err, PemsError::Schema(SchemaError::DuplicateRelation(n)) if n == "contacts"),
+            "{err:?}"
+        );
+        assert!(pems.tables().schema_of("s").is_none());
+        pems.define_stream_as("s", &derived).unwrap();
+        assert!(pems.tables().schema_of("s").unwrap().infinite);
+        assert!(!pems.tables().push_stream("s", tuple!["Nicolas"]));
+    }
+
+    /// A derived stream whose tick panics pushes nothing at that instant,
+    /// and the failure is traced; its readers tick, and so does the stream
+    /// at the next instant.
+    #[test]
+    fn a_panicking_derived_stream_pushes_nothing_and_is_traced() {
+        let mut pems = Pems::default();
+        pems.run_program("EXTENDED RELATION s ( x INTEGER, y INTEGER ) STREAM;")
+            .unwrap();
+        let plan = StreamPlan::source("s").window(1).project(["y"]);
+        let derived = plan.stream(StreamKind::Insertion);
+        pems.define_stream_as("ys", &derived).unwrap();
+        let reader = StreamPlan::source("ys").window(1);
+        pems.register_query("reader", &reader).unwrap();
+        // a tuple one short: π cannot take its `y`
+        assert!(pems.tables().push_stream("s", tuple![1]));
+        let reports = pems.tick();
+        assert!(reports[0].1.errors.is_empty());
+        assert!(reports[0].1.delta.inserts.is_empty());
+        let spans = pems.flight_recorder().snapshot();
+        let failed = spans.iter().find(|s| s.name == "pems.failure").unwrap();
+        assert_eq!(failed.attr_str("scope"), Some("stream"));
+        assert!(pems.tables().push_stream("s", tuple![2, 7]));
+        let reports = pems.tick();
+        assert_eq!(reports[0].1.delta.inserts.len(), 1);
     }
 
     #[test]

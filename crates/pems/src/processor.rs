@@ -18,6 +18,12 @@
 //! [`EvalError::Panicked`] in its report, counted in
 //! `serena_query_panics_total` and traced as a failure) while every other
 //! query keeps running.
+//!
+//! Before the round, the processor ticks its *derived streams*
+//! ([`crate::pems::Pems::define_stream_as`]): continuous plans whose output
+//! batch is pushed into a stream's hub, so the queries of the round read it
+//! at the same instant. They tick in definition order, on the calling
+//! thread, and only while a live subscription reads the stream.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -35,7 +41,9 @@ use serena_stream::exec::{ContinuousQuery, SourceSet, TickReport};
 use serena_stream::plan::StreamPlan;
 use serena_stream::Delta;
 
+use crate::hub::StreamHub;
 use crate::pems::PemsError;
+use crate::recovery::{read_count, read_named};
 use crate::scheduler::{SchedulerConfig, WorkerPool};
 
 /// Aggregated statistics for one registered query.
@@ -90,10 +98,20 @@ struct Registered {
     tick_ns: Option<u64>,
 }
 
+/// A stream defined by a continuous plan: what it pushes into `hub` at an
+/// instant is the batch its query emits there.
+struct Derived {
+    stream: String,
+    query: ContinuousQuery,
+    hub: StreamHub,
+}
+
 /// The continuous-query scheduler.
 #[derive(Default)]
 pub struct QueryProcessor {
     queries: BTreeMap<String, Registered>,
+    /// Derived streams, in definition order.
+    derived: Vec<Derived>,
     clock: Instant,
     telemetry: Option<Arc<MetricsRegistry>>,
     scheduler: SchedulerConfig,
@@ -219,6 +237,33 @@ impl QueryProcessor {
         removed
     }
 
+    /// Feed `hub` with `query`'s output from the next tick on: stream
+    /// `stream`'s definition, checkpointed with the queries.
+    pub(crate) fn define_stream(&mut self, stream: String, query: ContinuousQuery, hub: StreamHub) {
+        self.derived.push(Derived { stream, query, hub });
+    }
+
+    /// Tick, at the clock, every derived stream a live subscription reads,
+    /// in definition order, pushing each one's batch into its hub. A stream
+    /// nobody reads is not ticked; when one is read again it resumes at
+    /// the clock. A tick that panics pushes nothing: the stream's name and
+    /// the reason are returned.
+    pub(crate) fn tick_streams(
+        &mut self,
+        invoker: &dyn Invoker,
+        sink: &dyn MetricsSink,
+    ) -> Vec<(String, String)> {
+        let mut panicked = Vec::new();
+        for derived in self.derived.iter_mut().filter(|d| d.hub.is_read()) {
+            derived.query.seek(self.clock);
+            match contain(|| derived.query.tick_with(invoker, sink)) {
+                Ok(report) => report.batch.into_iter().for_each(|t| derived.hub.push(t)),
+                Err(reason) => panicked.push((derived.stream.clone(), reason)),
+            }
+        }
+        panicked
+    }
+
     /// Registered query names, sorted.
     pub fn names(&self) -> Vec<&str> {
         self.queries.keys().map(|s| s.as_str()).collect()
@@ -244,14 +289,16 @@ impl QueryProcessor {
         }
     }
 
-    /// Serialize the processor's dynamic state — the global clock plus,
-    /// per registered query (in name order): executor state and aggregated
-    /// [`QueryStats`]. Per-node observations and telemetry series are
-    /// intentionally *not* captured: they hold wall-clock self-times, and a
-    /// restored processor keeps (or re-creates) its own registry series.
+    /// Serialize the processor's dynamic state — the global clock, the
+    /// count of queries and derived streams, then per registered query (in
+    /// name order) its name, executor state and aggregated [`QueryStats`],
+    /// and per derived stream (in definition order) its name and executor
+    /// state. Per-node observations and telemetry series are intentionally
+    /// *not* captured: they hold wall-clock self-times, and a restored
+    /// processor keeps (or re-creates) its own registry series.
     pub fn write_snapshot(&self, w: &mut Writer) {
         w.u64(self.clock.ticks());
-        w.usize(self.queries.len());
+        w.usize(self.queries.len() + self.derived.len());
         for (name, reg) in &self.queries {
             w.str(name);
             reg.query.write_snapshot(w);
@@ -265,29 +312,24 @@ impl QueryProcessor {
                 .u64(s.cache_hits)
                 .u64(s.cache_misses);
         }
+        for derived in &self.derived {
+            w.str(&derived.stream);
+            derived.query.write_snapshot(w);
+        }
     }
 
     /// Restore state written by [`Self::write_snapshot`]. The same queries
-    /// (by name, with structurally identical plans) must already be
-    /// registered — recovery re-runs the static setup, then rehydrates the
-    /// dynamic state. Errors with [`SnapshotError::Mismatch`] when the
-    /// registered query set disagrees with the snapshot.
+    /// and derived streams (by name, with structurally identical plans)
+    /// must already be defined — recovery re-runs the static setup, then
+    /// rehydrates the dynamic state. Errors with [`SnapshotError::Mismatch`]
+    /// when the defined set disagrees with the snapshot.
     pub fn read_snapshot(&mut self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
         let clock = r.u64()?;
-        let n = r.usize()?;
-        if n != self.queries.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot holds {n} queries, {} registered",
-                self.queries.len()
-            )));
-        }
-        for (name, reg) in &mut self.queries {
-            let stored = r.str()?;
-            if stored != *name {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot query `{stored}` does not match registered `{name}`"
-                )));
-            }
+        let defined = self.queries.len() + self.derived.len();
+        read_count(r, "queries and derived streams", defined)?;
+        let queries = self.queries.iter_mut();
+        let queries = queries.map(|(name, reg)| (name.as_str(), reg));
+        read_named(r, "query", queries, |reg, r| {
             reg.query.read_snapshot(r)?;
             reg.stats = QueryStats {
                 ticks: r.u64()?,
@@ -299,7 +341,11 @@ impl QueryProcessor {
                 cache_hits: r.u64()?,
                 cache_misses: r.u64()?,
             };
-        }
+            Ok(())
+        })?;
+        let derived = self.derived.iter_mut();
+        let derived = derived.map(|d| (d.stream.as_str(), &mut d.query));
+        read_named(r, "stream", derived, ContinuousQuery::read_snapshot)?;
         self.clock = Instant(clock);
         Ok(())
     }

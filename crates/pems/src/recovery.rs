@@ -14,8 +14,9 @@
 //! then calls [`crate::pems::Pems::restore_from`]. The snapshot is cut at
 //! a tick boundary (after a tick completes, before the next begins), so a
 //! restored runtime's next tick evaluates exactly the instant the original
-//! would have — byte-identical output from there on, provided sources are
-//! deterministic functions of the instant.
+//! would have — byte-identical output from there on, provided services are
+//! deterministic functions of the instant. The re-run setup decides what
+//! each section of named entries must hold.
 //!
 //! Checkpoint files are written atomically: the snapshot is staged to a
 //! `.tmp` sibling and `rename(2)`d into place, so a crash mid-write leaves
@@ -25,7 +26,7 @@ use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use serena_core::snapshot::SnapshotError;
+use serena_core::snapshot::{Reader, SnapshotError};
 
 /// File name of the current checkpoint inside the checkpoint directory.
 pub const CHECKPOINT_FILE: &str = "serena.ckpt";
@@ -95,6 +96,43 @@ pub fn read_checkpoint(dir: impl AsRef<Path>) -> Result<Vec<u8>, SnapshotError> 
         p.to_path_buf()
     };
     Ok(fs::read(path)?)
+}
+
+/// Read a snapshot section's count of entries and check it against the
+/// `defined` ones the re-run setup made: a [`SnapshotError::Mismatch`]
+/// naming what the entries are if it differs.
+pub(crate) fn read_count(
+    r: &mut Reader<'_>,
+    what: &str,
+    defined: usize,
+) -> Result<(), SnapshotError> {
+    let n = r.usize()?;
+    if n != defined {
+        let held = format!("snapshot holds {n} {what}, {defined} defined");
+        return Err(SnapshotError::Mismatch(held));
+    }
+    Ok(())
+}
+
+/// Read named snapshot entries into `entries`, the ones the re-run setup
+/// defined, in order: per entry its name, then what `read` takes of it. A
+/// name that differs is a [`SnapshotError::Mismatch`] naming what the entry
+/// is.
+pub(crate) fn read_named<'r, 'n, T>(
+    r: &mut Reader<'r>,
+    what: &str,
+    entries: impl Iterator<Item = (&'n str, T)>,
+    mut read: impl FnMut(T, &mut Reader<'r>) -> Result<(), SnapshotError>,
+) -> Result<(), SnapshotError> {
+    for (name, entry) in entries {
+        let stored = r.str()?;
+        if stored != name {
+            let held = format!("snapshot holds {what} `{stored}` where `{name}` is defined");
+            return Err(SnapshotError::Mismatch(held));
+        }
+        read(entry, r)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

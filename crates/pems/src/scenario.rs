@@ -10,8 +10,10 @@
 //! fleet's catalog ([`EnvSpec::install_catalog`]) also defines the
 //! discovery-maintained `sensors` table, which no scenario query reads.
 //!
-//! **RSS feeds**: wrapper services stream seeded news items; a windowed
-//! continuous query keeps the recent items containing a tracked keyword.
+//! **RSS feeds**: wrapper services serve seeded news items through
+//! `fetchNews`, a derived `news` stream samples them every instant, and a
+//! windowed continuous query keeps the recent items containing a tracked
+//! keyword.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,11 +27,10 @@ use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
 use serena_services::bus::BusConfig;
 use serena_services::devices::messenger::{MessengerKind, SentMessage};
-use serena_services::devices::rss::SimRssFeed;
+use serena_services::devices::rss::{fetch_news_prototype, SimRssFeed};
 use serena_stream::plan::{StreamKind, StreamPlan};
 
-use crate::envspec::EnvSpec;
-use crate::hub::RssStream;
+use crate::envspec::{sampled, EnvSpec};
 use crate::pems::{Pems, PemsError};
 
 /// Configuration of the temperature-surveillance deployment.
@@ -169,7 +170,7 @@ pub fn deploy_surveillance(config: &SurveillanceConfig) -> Result<Surveillance, 
         .heat_events(config.heat_events.clone());
 
     // --- the fleet's catalog (Table 1's prototypes, `sensors`, `cameras`
-    // and the `temperatures` sampler), then what is the scenario's own:
+    // and the `temperatures` stream), then what is the scenario's own:
     // photo messaging, `contacts` and `surveillance` ---
     spec.install_catalog(&mut pems)?;
     let contacts_schema = if config.photo_alerts {
@@ -263,17 +264,29 @@ pub fn rss_keyword_query(keyword: &str, window: u64) -> StreamPlan {
         .select(Formula::contains_const("title", keyword))
 }
 
-/// Deploy the RSS scenario: a `news` stream over the configured feeds.
+/// Deploy the RSS scenario: each configured feed is a `fetchNews` service
+/// listed in the `feeds` table, and `news` is the derived stream of what
+/// they serve at each instant, `(source, title)`.
 pub fn deploy_rss(config: &RssConfig) -> Result<Pems, PemsError> {
     let mut pems = Pems::builder().bus(BusConfig::instant()).build();
-    let news_schema = XSchema::builder()
-        .real("source", DataType::Str)
-        .real("title", DataType::Str)
+    let fetch_news = fetch_news_prototype();
+    pems.tables().declare_prototype(Arc::clone(&fetch_news))?;
+    let feeds_schema = XSchema::builder()
+        .real("feed", DataType::Service)
+        .virt("source", DataType::Str)
+        .virt("title", DataType::Str)
+        .bind(fetch_news, "feed")
         .build()?;
-    let feeds = config.feeds.iter();
-    let feeds = feeds.map(|(n, s, p, k)| SimRssFeed::new(n.clone(), *s, *p, *k));
-    pems.tables()
-        .define_stream_with("news", news_schema, RssStream::new(feeds.collect()))?;
+    pems.tables().define_table("feeds", feeds_schema)?;
+    for (name, seed, publish, keyword) in &config.feeds {
+        let feed = SimRssFeed::new(name.clone(), *seed, *publish, *keyword);
+        pems.directory()
+            .register(name.as_str(), feed.into_service());
+        pems.tables()
+            .insert("feeds", Tuple::new(vec![Value::service(name)]))?;
+    }
+    let news = sampled("feeds", "fetchNews", "feed", &["source", "title"]);
+    pems.define_stream_as("news", &news)?;
     pems.register_query(
         "keyword_watch",
         &rss_keyword_query(SimRssFeed::tracked_keyword(), config.window),

@@ -4,8 +4,9 @@
 //! DDL statements, and to manage their data (insertion and deletion of
 //! tuples)." Finite XD-Relations are backed by shared
 //! [`TableHandle`]s; infinite ones by one broadcast [`StreamHub`] each —
-//! fed by external pushes or by one [`StreamSource`] the hub polls once per
-//! instant — so every query reading a stream at an instant reads one batch.
+//! fed by external pushes, or by a derived stream's plan
+//! ([`crate::pems::Pems::define_stream_as`]) — so every query reading a
+//! stream at an instant reads one batch.
 //!
 //! Relations of both kinds, the declared prototypes and the URSA ledger
 //! over all of them (§2.3.2) sit behind **one** lock. No tick contends for
@@ -42,10 +43,13 @@ use serena_stream::plan::{StreamPlan, StreamSchema};
 use serena_stream::source::{StreamSource, TableHandle};
 
 use crate::hub::StreamHub;
+use crate::recovery::{read_count, read_named};
 
 struct StreamDef {
     schema: SchemaRef,
     hub: StreamHub,
+    /// Fed by a derived stream's plan, not by [`ExtendedTableManager::push_stream`].
+    derived: bool,
 }
 
 /// What is defined: the named XD-Relations of both kinds (a name is in at
@@ -164,33 +168,27 @@ impl ExtendedTableManager {
         name: impl Into<String>,
         schema: SchemaRef,
     ) -> Result<StreamHub, SchemaError> {
-        let hub = StreamHub::new();
-        self.define_stream(name.into(), schema, hub.clone())?;
-        Ok(hub)
+        self.define_stream(name.into(), schema, false)
     }
 
-    /// Define an infinite XD-Relation fed by `source`, behind a hub: the
-    /// first query to read the stream at an instant polls the source, and
-    /// every other query reading it then reads the same batch.
-    pub fn define_stream_with(
-        &self,
-        name: impl Into<String>,
-        schema: SchemaRef,
-        source: impl StreamSource + 'static,
-    ) -> Result<(), SchemaError> {
-        self.define_stream(name.into(), schema, StreamHub::sourced(source))
-    }
-
-    fn define_stream(
+    /// Define an infinite XD-Relation; a `derived` one takes no
+    /// [`Self::push_stream`]: its plan alone pushes into the returned hub.
+    pub(crate) fn define_stream(
         &self,
         name: String,
         schema: SchemaRef,
-        hub: StreamHub,
-    ) -> Result<(), SchemaError> {
+        derived: bool,
+    ) -> Result<StreamHub, SchemaError> {
         let mut catalog = self.catalog.write();
         let name = catalog.admit(name, &schema)?;
-        catalog.streams.insert(name, StreamDef { schema, hub });
-        Ok(())
+        let hub = StreamHub::new();
+        let def = StreamDef {
+            schema,
+            hub: hub.clone(),
+            derived,
+        };
+        catalog.streams.insert(name, def);
+        Ok(hub)
     }
 
     /// Handle of a finite table (a cheap `Arc` clone of the shared
@@ -200,10 +198,14 @@ impl ExtendedTableManager {
     }
 
     /// Push a tuple into a pushed stream. `false` if the stream does not
-    /// exist or is sourced.
+    /// exist or is derived.
     pub fn push_stream(&self, name: &str, t: Tuple) -> bool {
         let catalog = self.catalog.read();
-        catalog.streams.get(name).is_some_and(|def| def.hub.push(t))
+        let Some(def) = catalog.streams.get(name).filter(|def| !def.derived) else {
+            return false;
+        };
+        def.hub.push(t);
+        true
     }
 
     /// Tuples each stream's hub retains (see [`StreamHub::len`]), in name
@@ -302,32 +304,13 @@ impl ExtendedTableManager {
     }
 
     /// Restore table contents written by [`Self::export_tables`] into the
-    /// already-defined tables, and rewind every stream's hub
-    /// ([`StreamHub::rewind`]): a sourced stream is polled again from the
-    /// restored instant on. Errors with [`SnapshotError::Mismatch`] when
+    /// already-defined tables. Errors with [`SnapshotError::Mismatch`] when
     /// the defined table set disagrees with the snapshot.
     pub fn import_tables(&self, r: &mut Reader<'_>) -> Result<(), SnapshotError> {
-        for def in self.catalog.read().streams.values() {
-            def.hub.rewind();
-        }
         let tables = self.tables_by_name();
-        let n = r.usize()?;
-        if n != tables.len() {
-            return Err(SnapshotError::Mismatch(format!(
-                "snapshot holds {n} tables, {} defined",
-                tables.len()
-            )));
-        }
-        for (name, handle) in &tables {
-            let stored = r.str()?;
-            if stored != *name {
-                return Err(SnapshotError::Mismatch(format!(
-                    "snapshot table `{stored}` does not match defined `{name}`"
-                )));
-            }
-            handle.import_state(r)?;
-        }
-        Ok(())
+        read_count(r, "tables", tables.len())?;
+        let tables = tables.iter().map(|(name, handle)| (name.as_str(), handle));
+        read_named(r, "table", tables, |handle, r| handle.import_state(r))
     }
 
     /// The environment a one-shot statement evaluates against (§3.2):
@@ -379,7 +362,6 @@ mod tests {
     use serena_core::prototype::examples as protos;
     use serena_core::schema::examples as schemas;
     use serena_core::tuple;
-    use serena_stream::source::FnStream;
 
     fn manager() -> ExtendedTableManager {
         let m = ExtendedTableManager::new();
@@ -422,7 +404,8 @@ mod tests {
             for refused in [
                 m.define_table("b", over_x(second)).map(|_| ()),
                 m.define_push_stream("b", over_x(second)).map(|_| ()),
-                m.define_stream_with("b", over_x(second), FnStream(|_| unreachable!())),
+                m.define_stream("b".into(), over_x(second), true)
+                    .map(|_| ()),
             ] {
                 assert_eq!(refused.unwrap_err(), violation("x", first, second));
             }
@@ -526,10 +509,11 @@ mod tests {
             .build()
             .unwrap();
         m.define_push_stream("hub", schema.clone()).unwrap();
-        m.define_stream_with("gen", schema, FnStream(|_| Vec::new()))
-            .unwrap();
+        let derived = m.define_stream("derived".into(), schema, true).unwrap();
+        let _reader = derived.subscribe();
         assert!(m.push_stream("hub", tuple![1]));
-        assert!(!m.push_stream("gen", tuple![1]));
+        assert!(!m.push_stream("derived", tuple![1]));
+        assert!(derived.is_empty(), "a derived stream's plan alone pushes");
         assert!(!m.push_stream("nope", tuple![1]));
     }
 

@@ -24,7 +24,8 @@
 //!   base of the β executor's `InvokerStack`.
 //!
 //! Services of linked peers appear here as local proxies
-//! ([`RemoteService`]). Liveness is heartbeat-driven: every
+//! ([`RemoteService`]), except under a reference a service hosted here
+//! holds: the node's own service wins. Liveness is heartbeat-driven: every
 //! [`NodeDirectory::poll_peers`] round-trip doubles as the heartbeat, and
 //! a peer that fails one is marked down and its proxies removed —
 //! continuous queries observe the departure exactly like a local leave. A
@@ -116,12 +117,7 @@ impl State {
 
     fn insert(&mut self, reference: ServiceRef, entry: Entry) {
         let local = entry.host.is_none();
-        let replaced = self.services.insert(reference.clone(), entry);
-        // a proxy taking over a reference that was hosted here: peers
-        // following the log must see the local service go
-        if !local && replaced.is_some_and(|old| old.host.is_none()) {
-            self.append(reference.clone(), true);
-        }
+        self.services.insert(reference.clone(), entry);
         self.append(reference, local);
     }
 
@@ -180,8 +176,14 @@ impl State {
         refs
     }
 
-    /// Register a proxy for a service advertised by the peer behind `client`.
+    /// Register a proxy for a service advertised by the peer behind
+    /// `client`, unless a service hosted here holds the reference: a peer
+    /// never shadows this node's own.
     fn adopt(&mut self, client: &RemoteNodeClient, ad: ServiceAd) {
+        let hosted_here = |e: &Entry| e.host.is_none();
+        if self.services.get(&ad.reference).is_some_and(hosted_here) {
+            return;
+        }
         for (key, value) in ad.metadata {
             self.set(ad.reference.clone(), &key, value);
         }
@@ -472,8 +474,7 @@ impl NodeDirectory {
     ) -> Result<String, TransportError> {
         let client = RemoteNodeClient::connect(transport, addr, &self.node)?;
         let node = client.node().to_string();
-        // a self-link would shadow every local service with a proxy to
-        // this very node, turning each β call into an infinite relay
+        // a self-link would relay a β call back to the node that made it
         if node == self.node {
             return Err(TransportError::Protocol(format!(
                 "node `{node}` refuses to link to itself"
@@ -781,8 +782,12 @@ mod tests {
             present
         }
 
+        /// A peer's advertisement never shadows a service hosted here.
         fn adopt(&mut self, node: &str, ad: &ServiceAd) {
             let name = ad.reference.as_str().to_string();
+            if self.services.get(&name).is_some_and(|e| e.host.is_none()) {
+                return;
+            }
             let slot = self.metadata.entry(name.clone()).or_default();
             slot.extend(ad.metadata.iter().cloned());
             let entry = ModelEntry {

@@ -24,8 +24,8 @@ use crate::fleet::mix64;
 /// same outcome however many there are and in whatever order they call.
 /// `EveryNth` and `Intermittent` **count calls**: the outcome depends on
 /// how many calls came before, so they are deterministic only with one
-/// caller per instant — a sourced stream's hub, dedup on, or a single
-/// query.
+/// caller per instant — the derived stream that samples the service, dedup
+/// on, or a single query.
 #[derive(Debug, Clone)]
 pub enum FaultPolicy {
     /// Every `n`-th invocation fails (1-based; `n = 1` fails always).

@@ -2,8 +2,10 @@
 //!
 //! §4.1: relations and data streams are both XD-Relations; finite ones are
 //! updatable tables (the Extended Table Manager's insert/delete of tuples,
-//! §5.1), infinite ones are append-only streams fed by the environment
-//! (sensor samplers, RSS wrappers, …).
+//! §5.1), infinite ones are append-only streams. In a runtime every stream
+//! is fed by pushes — from the application, or from the plan of a derived stream
+//! that samples the environment (§7's βˢ over a table of sensors, RSS
+//! wrappers, …); what an executor leaf reads of it is a `StreamSource`.
 //!
 //! * [`TableHandle`] — a shared, mutable finite XD-Relation; mutations are
 //!   buffered, each taking effect after the ones before it, and their net
@@ -12,16 +14,17 @@
 //!   ([`TableHandle::relation`]): built by the first statement that asks,
 //!   shared by every one until a write changes it, kept current by the
 //!   writes;
-//! * [`StreamSource`] — the producer side of an infinite XD-Relation:
-//!   polled once per tick for the [`Batch`] of newly appended tuples;
+//! * [`StreamSource`] — what a query's leaf over an infinite XD-Relation
+//!   reads: polled once per tick for the [`Batch`] of newly appended
+//!   tuples;
 //! * [`Batch`] — one instant's appended tuples as one immutable value: every
 //!   query over the stream holds the same `Arc<Batch>` in its window ring,
 //!   the same bag in what the window hands its parent, and the same bag
 //!   again for each σ, π, ρ, α over that window that computes what another
 //!   query's does;
 //! * [`PushStream`] — a buffering `StreamSource` for manually pushed
-//!   tuples; [`FnStream`] — a source computed from the instant (e.g. a
-//!   simulated device sampler).
+//!   tuples; [`FnStream`] — a source computed from the instant, for a
+//!   query compiled outside a runtime.
 
 use std::sync::{Arc, OnceLock};
 

@@ -3,13 +3,15 @@
 //! β invocations through proxied services, is killed mid-run, and a
 //! standby resumes **byte-identically** from the replicated checkpoint.
 //! Plus: peer death evicts proxies fail-fast and recovery re-syncs them,
-//! and a served endpoint survives hostile bytes on the wire.
+//! the edge's trace-driven stream reads its own trace before and after the
+//! host dies, and a served endpoint survives hostile bytes on the wire.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use serena::core::snapshot::Writer;
 use serena::core::time::Instant;
+use serena::core::value::ServiceRef;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
 use serena::pems::Pems;
 use serena::services::directory::NodeDirectory;
@@ -17,6 +19,7 @@ use serena::services::fleet::FailureProfile;
 use serena::services::node::{NodeHandle, ServiceNode};
 use serena::services::transport::{InProcTransport, SocketTransport, Transport};
 use serena::stream::exec::TickReport;
+use serena::stream::plan::StreamPlan;
 
 const TICKS: u64 = 8;
 const KILL: u64 = 4;
@@ -59,7 +62,8 @@ fn host_on(transport: &Arc<dyn Transport>, addr: &str) -> (Pems, NodeHandle) {
 }
 
 /// An edge node linked to the host at `host_addr`: catalog + workload,
-/// zero locally hosted services — every β call relays over the wire.
+/// hosting only its own trace gateway — every fleet β call relays over
+/// the wire.
 fn edge_on(transport: &Arc<dyn Transport>, host_addr: &str) -> (Pems, Vec<String>) {
     let s = spec();
     let mut edge = Pems::builder().node_id("edge").build();
@@ -217,7 +221,9 @@ fn peer_death_evicts_proxies_and_reconnect_resyncs() {
         host.tick();
         edge.tick();
     }
-    let adopted = edge.directory().len();
+    // the one service the edge hosts itself: its trace gateway
+    let own = vec![ServiceRef::new("arrivals")];
+    let adopted = edge.directory().len() - own.len();
     assert!(adopted > 0, "edge must have adopted the host's fleet");
     let status = edge.peer_status();
     assert_eq!(status.len(), 1);
@@ -232,7 +238,7 @@ fn peer_death_evicts_proxies_and_reconnect_resyncs() {
     let status = edge.peer_status();
     assert!(!status[0].alive, "dead peer must be marked down");
     assert_eq!(status[0].services, 0, "proxies must be evicted");
-    assert_eq!(edge.directory().len(), 0);
+    assert_eq!(edge.directory().references(), own);
 
     // Re-serve the same address: the next poll re-syncs everything.
     let _handle2 = host
@@ -243,7 +249,53 @@ fn peer_death_evicts_proxies_and_reconnect_resyncs() {
     let status = edge.peer_status();
     assert!(status[0].alive, "recovered peer must be live again");
     assert_eq!(status[0].services, adopted, "full listing must re-sync");
-    assert_eq!(edge.directory().len(), adopted);
+    assert_eq!(edge.directory().len(), adopted + own.len());
+}
+
+/// The edge reads `temperatures` from its own trace gateway, whatever
+/// the peer it links to serves: a host that runs the same catalog over
+/// another trace feeds the edge none of its rows, and once the host's
+/// endpoint is gone the edge's readers go on, row for row as a runtime
+/// that never linked.
+#[test]
+fn the_edge_reads_its_own_trace_while_linked_and_after_the_host_dies() {
+    let transport: Arc<dyn Transport> = Arc::new(InProcTransport::new());
+    let other = spec().arrivals(ArrivalTrace::new(78).mean_per_tick(8));
+    let mut host = Pems::builder().node_id("host").build();
+    other
+        .install_catalog(&mut host)
+        .expect("host catalog installs");
+    other.deploy_into(&host);
+    let mut handle = host
+        .serve(Arc::clone(&transport), "inproc:dist-trace-host")
+        .expect("host serves");
+    let (mut edge, _) = edge_on(&transport, handle.addr());
+    let mut alone = Pems::default();
+    spec()
+        .install_catalog(&mut alone)
+        .expect("catalog installs");
+    let readings = StreamPlan::source("temperatures").window(1);
+    for pems in [&mut edge, &mut alone] {
+        pems.register_query("readings", &readings)
+            .expect("registers");
+    }
+    let rows = |pems: &Pems| {
+        let held = pems.processor().current_relation("readings");
+        held.expect("readings is registered").into_tuples()
+    };
+    let mut read = 0;
+    for t in 0..TICKS {
+        if t == KILL {
+            handle.shutdown();
+        }
+        host.tick();
+        edge.tick();
+        alone.tick();
+        assert_eq!(rows(&edge), rows(&alone), "instant {t}");
+        read += rows(&edge).len();
+    }
+    assert!(!edge.peer_status()[0].alive, "the host is down");
+    assert!(read > 0, "the trace feeds the stream");
 }
 
 /// A node must refuse to link to itself, and a served endpoint must
@@ -281,7 +333,7 @@ fn self_links_and_proxy_relays_are_refused() {
         .directory()
         .references()
         .into_iter()
-        .next()
+        .find(|r| edge.directory().hosted_by(r).is_some())
         .expect("edge adopted the host's fleet");
 
     let mut conn = transport

@@ -21,8 +21,8 @@ use serena::services::bus::BusConfig;
 const TICKS: u64 = 6;
 
 /// A deterministic PEMS: four simulated sensors, a finite `sensors` table
-/// mutated by [`apply_script`], a `readings` stream that is a pure
-/// function of the instant, and five continuous queries covering every
+/// mutated by [`apply_script`], a `readings` stream it pushes into — a pure
+/// function of the instant — and five continuous queries covering every
 /// stateful executor node kind (table delta, β cache, window ring,
 /// projection pipeline, βˢ sampling).
 fn recovery_pems() -> Pems {
@@ -51,27 +51,10 @@ fn recovery_pems_on(workers: Option<usize>) -> Pems {
         "PROTOTYPE getTemperature( ) : ( temperature REAL );
          EXTENDED RELATION sensors (
            sensor SERVICE, location STRING, temperature REAL VIRTUAL
-         ) USING BINDING PATTERNS ( getTemperature[sensor] );",
+         ) USING BINDING PATTERNS ( getTemperature[sensor] );
+         EXTENDED RELATION readings ( location STRING, temperature REAL ) STREAM;",
     )
     .unwrap();
-    let schema = serena::core::schema::XSchema::builder()
-        .real("location", serena::core::value::DataType::Str)
-        .real("temperature", serena::core::value::DataType::Real)
-        .build()
-        .unwrap();
-    pems.tables()
-        .define_stream_with(
-            "readings",
-            schema,
-            serena::stream::FnStream(|at: Instant| {
-                let t = at.ticks();
-                vec![
-                    tuple!["office", 15.0 + t as f64],
-                    tuple!["roof", 5.0 + (t % 3) as f64],
-                ]
-            }),
-        )
-        .unwrap();
     pems.register_query("all", &StreamPlan::source("sensors"))
         .unwrap();
     pems.register_query(
@@ -101,9 +84,15 @@ fn recovery_pems_on(workers: Option<usize>) -> Pems {
     pems
 }
 
-/// The scripted table mutations applied *before* tick `t` — the input the
-/// driver keeps replaying after a recovery.
+/// The scripted table mutations and `readings` pushes applied *before*
+/// tick `t` — the input the test keeps replaying after a recovery.
 fn apply_script(pems: &mut Pems, t: u64) {
+    for reading in [
+        tuple!["office", 15.0 + t as f64],
+        tuple!["roof", 5.0 + (t % 3) as f64],
+    ] {
+        assert!(pems.tables().push_stream("readings", reading));
+    }
     let program = match t {
         0 => "INSERT INTO sensors VALUES ('sensor01', 'corridor'), ('sensor06', 'office');",
         2 => "INSERT INTO sensors VALUES ('sensor07', 'office');",
@@ -458,18 +447,31 @@ fn stateful_plans() -> Vec<(&'static str, StreamPlan)> {
     ]
 }
 
+/// `readings` as a derived stream, the way the environment enters one:
+/// `getReadings` of the one `gateways` row, a service answering
+/// [`tenths`] of the instant, sampled every instant.
 fn stateful_pems() -> Pems {
+    use serena::core::service::FnService;
     let mut pems = Pems::builder().bus(BusConfig::instant()).build();
-    pems.run_program("EXTENDED RELATION rooms ( location STRING, floor INTEGER );")
-        .unwrap();
-    let schema = serena::core::schema::XSchema::builder()
-        .real("location", serena::core::value::DataType::Str)
-        .real("temperature", serena::core::value::DataType::Real)
-        .build()
-        .unwrap();
-    pems.tables()
-        .define_stream_with("readings", schema, serena::stream::FnStream(tenths))
-        .unwrap();
+    pems.run_program(
+        "EXTENDED RELATION rooms ( location STRING, floor INTEGER );
+         PROTOTYPE getReadings( ) : ( location STRING, temperature REAL );
+         EXTENDED RELATION gateways (
+           gateway SERVICE, location STRING VIRTUAL, temperature REAL VIRTUAL
+         ) USING BINDING PATTERNS ( getReadings[gateway] );
+         INSERT INTO gateways VALUES ('gateway');",
+    )
+    .unwrap();
+    let get_readings = pems.tables().prototype("getReadings").unwrap();
+    let gateway = FnService::new(vec![get_readings], |_, _, at| Ok(tenths(at)));
+    pems.directory()
+        .register("gateway", std::sync::Arc::new(gateway));
+    let readings = StreamPlan::source("gateways")
+        .sample_invoke("getReadings", "gateway", 1)
+        .window(1)
+        .project(["location", "temperature"])
+        .stream(StreamKind::Heartbeat);
+    pems.define_stream_as("readings", &readings).unwrap();
     for (name, plan) in stateful_plans() {
         pems.register_query(name, &plan).unwrap();
     }
@@ -804,10 +806,10 @@ fn discovery_relations_relist_after_a_restore_on_a_live_runtime() {
 }
 
 /// A live runtime restored to a checkpoint resumes at an instant its
-/// sourced stream's hub has already polled: the hub polls its source there
-/// again, so every query over `readings` reports the uninterrupted run's
-/// deltas from the restored instant on — no empty batch at the replayed
-/// instant, no window that drifts after it.
+/// derived stream has already sampled: the stream samples its gateway
+/// there again, so every query over `readings` reports the uninterrupted
+/// run's deltas from the restored instant on — no empty batch at the
+/// replayed instant, no window that drifts after it.
 #[test]
 fn a_sourced_stream_is_polled_again_after_a_restore_on_a_live_runtime() {
     const RUN: u64 = 12;
