@@ -13,7 +13,6 @@ use serena_core::formula::Formula;
 use serena_core::metrics::NoopMetrics;
 use serena_core::schema::XSchema;
 use serena_core::service::fixtures::example_registry;
-use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
 use serena_pems::envspec::{EnvSpec, QueryTemplate, WorkloadSpec};
@@ -22,7 +21,7 @@ use serena_pems::scenario::{deploy_surveillance, SurveillanceConfig};
 use serena_pems::table_manager::ExtendedTableManager;
 use serena_pems::{Pems, SchedulerConfig};
 use serena_stream::plan::StreamPlan;
-use serena_stream::{ContinuousQuery, FnStream, SourceSet};
+use serena_stream::{ContinuousQuery, SourceSet, StreamHub};
 
 fn bench_windowed_select(c: &mut Criterion) {
     let mut group = c.benchmark_group("windowed_select_tick");
@@ -35,27 +34,24 @@ fn bench_windowed_select(c: &mut Criterion) {
                 .real("temperature", DataType::Real)
                 .build()
                 .unwrap();
+            let temps = StreamHub::new();
             let mut sources = SourceSet::new();
-            sources.add_stream(
-                "temps",
-                schema,
-                Box::new(FnStream(move |at: Instant| {
-                    (0..rate)
-                        .map(|i| {
-                            Tuple::new(vec![
-                                Value::str(format!("area{}", i % 7)),
-                                Value::Real(15.0 + ((at.ticks() as usize + i) % 20) as f64),
-                            ])
-                        })
-                        .collect()
-                })),
-            );
+            sources.add_stream("temps", schema, temps.clone());
             let plan = StreamPlan::source("temps")
                 .window(4)
                 .select(Formula::gt_const("temperature", 30.0));
             let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
             let reg = example_registry();
-            b.iter(|| q.tick_with(&reg, &NoopMetrics));
+            b.iter(|| {
+                let at = q.next_instant().ticks() as usize;
+                for i in 0..rate {
+                    temps.push(Tuple::new(vec![
+                        Value::str(format!("area{}", i % 7)),
+                        Value::Real(15.0 + ((at + i) % 20) as f64),
+                    ]));
+                }
+                q.tick_with(&reg, &NoopMetrics)
+            });
         });
     }
     group.finish();
@@ -80,20 +76,8 @@ fn bench_incremental_join(c: &mut Criterion) {
                     .unwrap();
                 let mut sources = SourceSet::new();
                 // streaming left side: 10 tuples per tick through W[2]
-                sources.add_stream(
-                    "l",
-                    left_schema,
-                    Box::new(FnStream(move |at: Instant| {
-                        (0..10)
-                            .map(|i| {
-                                Tuple::new(vec![
-                                    Value::Int(((at.ticks() as i64) + i) % right_size as i64),
-                                    Value::Real(i as f64),
-                                ])
-                            })
-                            .collect()
-                    })),
-                );
+                let left = StreamHub::new();
+                sources.add_stream("l", left_schema, left.clone());
                 let right = serena_stream::TableHandle::with_tuples(
                     right_schema,
                     (0..right_size).map(|i| {
@@ -106,7 +90,16 @@ fn bench_incremental_join(c: &mut Criterion) {
                     .join(StreamPlan::source("r"));
                 let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
                 let reg = example_registry();
-                b.iter(|| q.tick_with(&reg, &NoopMetrics));
+                b.iter(|| {
+                    let at = q.next_instant().ticks() as i64;
+                    for i in 0..10 {
+                        left.push(Tuple::new(vec![
+                            Value::Int((at + i) % right_size as i64),
+                            Value::Real(i as f64),
+                        ]));
+                    }
+                    q.tick_with(&reg, &NoopMetrics)
+                });
             },
         );
     }

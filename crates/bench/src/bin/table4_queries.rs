@@ -86,28 +86,26 @@ fn main() {
 
 fn run_continuous() {
     use serena_stream::plan::examples::{q3, q4};
-    use serena_stream::{ContinuousQuery, FnStream, SourceSet, TableHandle};
+    use serena_stream::{ContinuousQuery, SourceSet, StreamHub, TableHandle};
 
     let temps_schema = serena_core::schema::XSchema::builder()
         .real("location", DataType::Str)
         .real("temperature", DataType::Real)
         .build()
         .unwrap();
-    // scripted stream: hot spike at τ2, cold dip at τ4
-    let script = |at: Instant| match at.ticks() {
-        2 => vec![tuple!["office", 40.0]],
-        4 => vec![tuple!["office", 5.0]],
-        _ => vec![tuple!["office", 21.0]],
+    // scripted stream: hot spike at τ2, cold dip at τ4, pushed before each
+    // tick
+    let temperatures = StreamHub::new();
+    let script = |t: u64| match t {
+        2 => temperatures.push(tuple!["office", 40.0]),
+        4 => temperatures.push(tuple!["office", 5.0]),
+        _ => temperatures.push(tuple!["office", 21.0]),
     };
     let reg = example_registry();
 
     println!("Q3 = {}", q3());
     let mut sources = SourceSet::new();
-    sources.add_stream(
-        "temperatures",
-        temps_schema.clone(),
-        Box::new(FnStream(script)),
-    );
+    sources.add_stream("temperatures", temps_schema.clone(), temperatures.clone());
     sources.add_table(
         "contacts",
         TableHandle::with_tuples(
@@ -117,6 +115,7 @@ fn run_continuous() {
     );
     let mut q3 = ContinuousQuery::compile(&q3(), &mut sources).unwrap();
     for t in 0..6u64 {
+        script(t);
         let r = q3.tick_with(&reg, &NoopMetrics);
         if !r.actions.is_empty() {
             println!("  τ={t}: {} alert(s): {}", r.actions.len(), r.actions);
@@ -125,7 +124,7 @@ fn run_continuous() {
 
     println!("Q4 = {}", q4());
     let mut sources = SourceSet::new();
-    sources.add_stream("temperatures", temps_schema, Box::new(FnStream(script)));
+    sources.add_stream("temperatures", temps_schema, temperatures.clone());
     sources.add_table(
         "cameras",
         TableHandle::with_tuples(
@@ -135,6 +134,7 @@ fn run_continuous() {
     );
     let mut q4 = ContinuousQuery::compile(&q4(), &mut sources).unwrap();
     for t in 0..6u64 {
+        script(t);
         let r = q4.tick_with(&reg, &NoopMetrics);
         if !r.batch.is_empty() {
             println!("  τ={t}: photo stream emitted {} blob(s)", r.batch.len());

@@ -93,26 +93,6 @@ impl OpKind {
     pub fn index(self) -> usize {
         self as usize
     }
-
-    /// The operator's algebra symbol (empty for leaves).
-    pub fn symbol(&self) -> &'static str {
-        match self {
-            OpKind::Relation | OpKind::Source => "",
-            OpKind::Union => "∪",
-            OpKind::Intersect => "∩",
-            OpKind::Difference => "−",
-            OpKind::Project => "π",
-            OpKind::Select => "σ",
-            OpKind::Rename => "ρ",
-            OpKind::Join => "⋈",
-            OpKind::Assign => "α",
-            OpKind::Invoke => "β",
-            OpKind::Aggregate => "γ",
-            OpKind::Window => "W",
-            OpKind::StreamOf => "S",
-            OpKind::SampleInvoke => "βˢ",
-        }
-    }
 }
 
 impl std::fmt::Display for OpKind {

@@ -462,26 +462,6 @@ impl Plan {
         }
     }
 
-    /// Whether the plan contains an invocation of an *active* binding
-    /// pattern — determined statically against `catalog`. Queries without
-    /// active invocations always have empty action sets, and their β
-    /// operators may be freely reorganised (§3.3).
-    pub fn has_active_invocation(&self, catalog: &dyn SchemaCatalog) -> Result<bool, PlanError> {
-        if let Plan::Invoke(p, proto, service_attr) = self {
-            let s = p.schema(catalog)?;
-            let (_, bp) = ops::invoke_schema(&s, proto, service_attr.as_str())?;
-            if bp.is_active() {
-                return Ok(true);
-            }
-        }
-        for c in self.children() {
-            if c.has_active_invocation(catalog)? {
-                return Ok(true);
-            }
-        }
-        Ok(false)
-    }
-
     /// One-line algebra notation, e.g.
     /// `β sendMessage[messenger] (α text:='Bonjour!' (σ name <> 'Carla' (contacts)))`.
     pub fn to_algebra(&self) -> String {
@@ -682,16 +662,6 @@ mod tests {
             Plan::relation("nope").schema(&env),
             Err(PlanError::UnknownRelation(_))
         ));
-    }
-
-    #[test]
-    fn active_invocation_detection() {
-        let env = example_environment();
-        assert!(q1().has_active_invocation(&env).unwrap());
-        assert!(!q2().has_active_invocation(&env).unwrap());
-        assert!(!Plan::relation("contacts")
-            .has_active_invocation(&env)
-            .unwrap());
     }
 
     #[test]

@@ -214,7 +214,7 @@ impl XSchema {
     }
 
     /// 0-based position of `name` in the full schema.
-    pub fn position_of(&self, name: &str) -> Option<usize> {
+    fn position_of(&self, name: &str) -> Option<usize> {
         self.attrs.iter().position(|a| a.name.as_str() == name)
     }
 

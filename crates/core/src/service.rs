@@ -71,7 +71,7 @@ pub trait Service: Send + Sync {
 
 /// A classified invocation failure, as reported by
 /// [`Service::invoke_classified`]. Registries map each variant onto the
-/// corresponding [`EvalError`]; see [`fault_to_eval_error`].
+/// corresponding [`EvalError`] (`fault_to_eval_error`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum InvokeFault {
     /// The service implementation itself failed (device fault, simulated
@@ -97,7 +97,7 @@ pub enum InvokeFault {
 /// Map a classified fault onto the [`EvalError`] a registry reports for an
 /// invocation of `prototype` on `service`. Shared by every registry so
 /// local and proxied services surface identical errors.
-pub fn fault_to_eval_error(
+fn fault_to_eval_error(
     fault: InvokeFault,
     service: &ServiceRef,
     prototype: &Prototype,

@@ -2,9 +2,9 @@
 //!
 //! A [`Histogram`] buckets `u64` samples (latencies in nanoseconds, batch
 //! sizes, …) into **log-linear** buckets: each power-of-two octave is split
-//! into [`SUBS`] linear sub-buckets, bounding the relative quantile error
+//! into `SUBS` linear sub-buckets, bounding the relative quantile error
 //! at `1 / SUBS` (12.5%) while keeping the whole table at a fixed
-//! [`BUCKET_COUNT`] slots. Recording is a handful of relaxed atomic
+//! `BUCKET_COUNT` slots. Recording is a handful of relaxed atomic
 //! increments — no locks, no allocation — so histograms can sit on hot
 //! paths shared across executor threads.
 
@@ -12,13 +12,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Linear sub-buckets per power-of-two octave (relative error ≤ 1/SUBS).
-pub const SUBS: u64 = 8;
+const SUBS: u64 = 8;
 
 /// log2(SUBS) — samples below `SUBS` get an exact bucket each.
 const SUB_BITS: u32 = 3;
 
 /// Total bucket count: the exact linear region plus 61 octaves × SUBS.
-pub const BUCKET_COUNT: usize = (SUBS as usize) * 62;
+const BUCKET_COUNT: usize = (SUBS as usize) * 62;
 
 /// Map a sample to its bucket index.
 fn bucket_index(v: u64) -> usize {

@@ -144,7 +144,7 @@ pub enum DataType {
 
 impl DataType {
     /// DDL keyword for this type.
-    pub fn ddl_name(&self) -> &'static str {
+    fn ddl_name(&self) -> &'static str {
         match self {
             DataType::Bool => "BOOLEAN",
             DataType::Int => "INTEGER",

@@ -91,8 +91,7 @@ impl XRelation {
     }
 
     /// Build from tuples, dropping duplicates. Tuple/schema conformance is
-    /// *not* checked here; use [`XRelation::try_from_tuples`] for checked
-    /// construction.
+    /// *not* checked here.
     pub fn from_tuples(schema: SchemaRef, tuples: impl IntoIterator<Item = Tuple>) -> Self {
         let mut r = XRelation::empty(schema);
         for t in tuples {
@@ -103,7 +102,7 @@ impl XRelation {
 
     /// Checked construction: every tuple must conform to the schema (arity
     /// and types).
-    pub fn try_from_tuples(
+    fn try_from_tuples(
         schema: SchemaRef,
         tuples: impl IntoIterator<Item = Tuple>,
     ) -> Result<Self, String> {

@@ -20,7 +20,7 @@ use serena_core::tuple;
 use serena_core::value::DataType;
 use serena_ddl::sql::{compile_select, parse_select};
 use serena_ddl::{parse_program, parse_query, DdlError, ParseError};
-use serena_stream::{ContinuousQuery, FnStream, SourceSet};
+use serena_stream::{ContinuousQuery, SourceSet, StreamHub};
 
 fn on_a_2mib_stack(f: impl FnOnce() + Send + 'static) {
     std::thread::Builder::new()
@@ -167,19 +167,18 @@ fn survive(what: &str, one_shot: Plan, continuous: Plan) {
         .real("temperature", DataType::Real)
         .build()
         .unwrap();
+    let hub = StreamHub::new();
     let sources = || {
         let mut sources = SourceSet::new();
-        // one subscription per leaf; the plan has fewer leaves than nodes
-        for _ in 0..continuous.node_count() {
-            let batch = |at: Instant| vec![tuple!["office", at.ticks() as f64]];
-            sources.add_stream("readings", readings.clone(), Box::new(FnStream(batch)));
-        }
+        sources.add_stream("readings", readings.clone(), hub.clone());
         sources
     };
+    let push = |at: Instant| hub.push(tuple!["office", at.ticks() as f64]);
     continuous.stream_schema(&sources()).unwrap();
     drop(optimize(&continuous, &sources()));
     let mut query = ContinuousQuery::compile(&continuous, &mut sources()).unwrap();
     for _ in 0..3 {
+        push(query.next_instant());
         assert!(query.tick_with(&reg, &NoopMetrics).errors.is_empty());
     }
     let mut w = Writer::new();
@@ -188,6 +187,7 @@ fn survive(what: &str, one_shot: Plan, continuous: Plan) {
     restored
         .read_snapshot(&mut Reader::new(&w.into_bytes()))
         .unwrap();
+    push(query.next_instant());
     assert_eq!(
         restored.tick_with(&reg, &NoopMetrics).delta,
         query.tick_with(&reg, &NoopMetrics).delta,

@@ -12,8 +12,10 @@
 //!   discovery tables, tick the derived streams, tick every query,
 //!   checkpoint; every setting is a
 //!   [`pems::PemsBuilder`] argument, none an environment variable;
-//! * [`table_manager::ExtendedTableManager`] — named XD-Relations, DDL
-//!   execution, one-shot environment snapshots;
+//! * [`table_manager::ExtendedTableManager`] — named XD-Relations (a
+//!   stream is a [`serena_stream::source::StreamHub`], re-exported as
+//!   [`StreamHub`], which every query's leaves over it subscribe to when
+//!   they compile), DDL execution, one-shot environment snapshots;
 //! * [`processor::QueryProcessor`] — registered continuous queries in
 //!   lock-step, ticked in parallel by the scheduler's round; each runs the
 //!   plan it was registered with until it is unregistered, and calls its β
@@ -21,7 +23,6 @@
 //! * [`scheduler`] — how the processor runs a tick round: the queries split
 //!   into contiguous runs over scoped threads, the caller running the first
 //!   ([`scheduler::WorkerPool`], sized by [`scheduler::SchedulerConfig`]);
-//! * [`hub`] — stream plumbing: the broadcast hub every stream is;
 //! * [`recovery`] — periodic checkpoints of the runtime's dynamic state
 //!   and crash recovery ([`pems::PemsBuilder::checkpoint`],
 //!   [`pems::Pems::restore_from`]);
@@ -54,7 +55,10 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 pub mod envspec;
-pub mod hub;
+/// The broadcast hub every stream is, defined in [`serena_stream::source`].
+pub mod hub {
+    pub use serena_stream::source::StreamHub;
+}
 pub mod pems;
 pub mod processor;
 pub mod recovery;

@@ -660,15 +660,19 @@ pub(super) mod tests {
     #[test]
     fn a_panicking_derived_stream_pushes_nothing_and_is_traced() {
         let mut pems = Pems::default();
-        pems.run_program("EXTENDED RELATION s ( x INTEGER, y INTEGER ) STREAM;")
+        let schema = serena_core::schema::XSchema::builder()
+            .real("x", serena_core::value::DataType::Int)
+            .real("y", serena_core::value::DataType::Int)
+            .build()
             .unwrap();
+        let s = pems.tables().define_push_stream("s", schema).unwrap();
         let plan = StreamPlan::source("s").window(1).project(["y"]);
         let derived = plan.stream(StreamKind::Insertion);
         pems.define_stream_as("ys", &derived).unwrap();
         let reader = StreamPlan::source("ys").window(1);
         pems.register_query("reader", &reader).unwrap();
-        // a tuple one short: π cannot take its `y`
-        assert!(pems.tables().push_stream("s", tuple![1]));
+        // a tuple one short, past `push_stream`'s check: π cannot take its `y`
+        s.push(tuple![1]);
         let reports = pems.tick();
         assert!(reports[0].1.errors.is_empty());
         assert!(reports[0].1.delta.inserts.is_empty());

@@ -39,9 +39,9 @@ use serena_core::telemetry::{Counter, FlightRecorder, Histogram, MetricsRegistry
 use serena_core::time::Instant;
 use serena_stream::exec::{ContinuousQuery, SourceSet, TickReport};
 use serena_stream::plan::StreamPlan;
+use serena_stream::source::StreamHub;
 use serena_stream::Delta;
 
-use crate::hub::StreamHub;
 use crate::pems::PemsError;
 use crate::recovery::{read_count, read_named};
 use crate::scheduler::{SchedulerConfig, WorkerPool};
@@ -521,10 +521,13 @@ mod tests {
     use super::*;
     use serena_core::formula::Formula;
     use serena_core::metrics::NoopMetrics;
+    use serena_core::prototype::Prototype;
     use serena_core::schema::XSchema;
     use serena_core::service::fixtures::example_registry;
+    use serena_core::service::StaticRegistry;
     use serena_core::tuple;
-    use serena_core::value::DataType;
+    use serena_core::tuple::Tuple;
+    use serena_core::value::{DataType, ServiceRef, Value};
     use serena_stream::source::TableHandle;
 
     fn int_table() -> (TableHandle, SourceSet) {
@@ -604,7 +607,6 @@ mod tests {
 
     #[test]
     fn rolling_stats_accumulate_beta_counters() {
-        use serena_core::value::Value;
         let mut qp = QueryProcessor::new();
         let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
         let mut sources = SourceSet::new();
@@ -770,9 +772,59 @@ mod tests {
         assert!(matches!(err, SnapshotError::Mismatch(_)), "{err}");
     }
 
+    /// A registry's services called one by one with nothing around them:
+    /// unlike the default [`Invoker::invoke_all`], no call is contained, so
+    /// a service that panics unwinds through the tick of the query calling
+    /// it.
+    struct Uncontained(StaticRegistry);
+
+    impl Invoker for Uncontained {
+        fn invoke(
+            &self,
+            prototype: &Prototype,
+            service_ref: &ServiceRef,
+            input: &Tuple,
+            at: Instant,
+        ) -> Result<Vec<Tuple>, EvalError> {
+            self.0.invoke(prototype, service_ref, input, at)
+        }
+
+        fn invoke_all(
+            &self,
+            prototype: &Prototype,
+            calls: &[(ServiceRef, Tuple)],
+            at: Instant,
+        ) -> Vec<Result<Vec<Tuple>, EvalError>> {
+            let call = |(service, input): &(_, _)| self.invoke(prototype, service, input, at);
+            calls.iter().map(call).collect()
+        }
+
+        fn providers_of(&self, prototype: &str) -> Vec<ServiceRef> {
+            self.0.providers_of(prototype)
+        }
+    }
+
+    /// `βˢ getTemperature[sensor] every 1` over a `sensors` table of its
+    /// own, and that table: the query calls every sensor the table holds
+    /// at every instant.
+    fn sampling() -> (StreamPlan, SourceSet, TableHandle) {
+        let sensors = TableHandle::new(serena_core::schema::examples::sensors_schema());
+        let mut sources = SourceSet::new();
+        sources.add_table("sensors", sensors.clone());
+        let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
+        (plan, sources, sensors)
+    }
+
+    fn sensor(name: &str) -> Tuple {
+        tuple![Value::service(name), "office"]
+    }
+
     #[test]
     fn a_panicking_query_tick_fails_only_that_query() {
-        use serena_stream::source::FnStream;
+        use serena_core::service::fixtures::panicking_sensor;
+        let services = StaticRegistry::new();
+        services.register("sensor99", panicking_sensor());
+        let reg = Uncontained(services);
         for workers in [1, 4] {
             let mut qp = QueryProcessor::new();
             qp.set_scheduler(SchedulerConfig::new(workers));
@@ -781,27 +833,16 @@ mod tests {
             let (table, mut s1) = int_table();
             qp.register("healthy", &StreamPlan::source("t"), &mut s1)
                 .unwrap();
-            let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
-            let mut s2 = SourceSet::new();
-            s2.add_stream(
-                "s",
-                schema,
-                Box::new(FnStream(|at: Instant| {
-                    if at >= Instant(1) {
-                        panic!("stream source exploded at {at:?}");
-                    }
-                    vec![tuple![7]]
-                })),
-            );
-            qp.register("doomed", &StreamPlan::source("s"), &mut s2)
-                .unwrap();
+            let (plan, mut s2, sensors) = sampling();
+            qp.register("doomed", &plan, &mut s2).unwrap();
 
-            let reg = example_registry();
             table.insert(tuple![1]);
             let first = qp.tick_all_with(&reg, &NoopMetrics);
             assert!(first.iter().all(|(_, r)| r.errors.is_empty()), "{workers}");
 
+            // the doomed query's sensor joins after its first instant
             table.insert(tuple![2]);
+            sensors.insert(sensor("sensor99"));
             let second = qp.tick_all_with(&reg, &NoopMetrics);
             // name order preserved, healthy query unaffected
             assert_eq!(second[0].0, "doomed");
@@ -815,7 +856,7 @@ mod tests {
                 matches!(
                     &doomed.errors[..],
                     [EvalError::Panicked { service, reason, .. }]
-                        if service == "query:doomed" && reason.contains("exploded")
+                        if service == "query:doomed" && reason.contains("firmware")
                 ),
                 "workers={workers}: {:?}",
                 doomed.errors
@@ -837,34 +878,22 @@ mod tests {
 
     #[test]
     fn a_panicked_tick_lasts_its_own_job_not_its_queue_wait() {
-        use serena_stream::source::FnStream;
+        use serena_core::service::fixtures::{panicking_sensor, temperature_sensor};
+        use serena_services::fleet::SlowService;
         let mut qp = QueryProcessor::new();
         qp.set_scheduler(SchedulerConfig::new(1));
         let registry = Arc::new(MetricsRegistry::new());
         qp.set_telemetry(registry.clone());
-        let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
-        let mut s1 = SourceSet::new();
-        s1.add_stream(
-            "s",
-            schema.clone(),
-            Box::new(FnStream(|_: Instant| {
-                std::thread::sleep(Duration::from_millis(20));
-                vec![tuple![1]]
-            })),
-        );
-        qp.register("a_slow", &StreamPlan::source("s"), &mut s1)
-            .unwrap();
-        let mut s2 = SourceSet::new();
-        s2.add_stream(
-            "s",
-            schema,
-            Box::new(FnStream(|at: Instant| -> Vec<_> {
-                panic!("stream source exploded at {at:?}")
-            })),
-        );
-        qp.register("b_doomed", &StreamPlan::source("s"), &mut s2)
-            .unwrap();
-        let reports = qp.tick_all_with(&example_registry(), &NoopMetrics);
+        let services = StaticRegistry::new();
+        let slow = SlowService::wrap(temperature_sensor(1), Duration::from_millis(20));
+        services.register("sensor01", slow);
+        services.register("sensor99", panicking_sensor());
+        for (query, name) in [("a_slow", "sensor01"), ("b_doomed", "sensor99")] {
+            let (plan, mut sources, sensors) = sampling();
+            sensors.insert(sensor(name));
+            qp.register(query, &plan, &mut sources).unwrap();
+        }
+        let reports = qp.tick_all_with(&Uncontained(services), &NoopMetrics);
         let (slow, doomed) = (&reports[0].1, &reports[1].1);
         assert!(matches!(&doomed.errors[..], [EvalError::Panicked { .. }]));
         // On one worker the doomed job waited for the whole slow one: that
@@ -888,9 +917,7 @@ mod tests {
     #[test]
     fn a_round_is_cut_by_each_querys_last_tick() {
         use serena_core::service::fixtures::temperature_sensor;
-        use serena_core::service::StaticRegistry;
         use serena_core::telemetry::span::SpanRecord;
-        use serena_core::value::Value;
         use serena_services::fleet::SlowService;
         // Three light βˢ queries (one 2 ms call a tick) named before four
         // heavy ones (one 40 ms call): no dedup here, so every query calls.

@@ -29,7 +29,7 @@ use std::path::{Path, PathBuf};
 use serena_core::snapshot::{Reader, SnapshotError};
 
 /// File name of the current checkpoint inside the checkpoint directory.
-pub const CHECKPOINT_FILE: &str = "serena.ckpt";
+const CHECKPOINT_FILE: &str = "serena.ckpt";
 
 /// Staging suffix used for the atomic write-then-rename protocol.
 const TMP_SUFFIX: &str = ".tmp";
@@ -87,7 +87,7 @@ impl RecoveryManager {
 }
 
 /// Read the checkpoint bytes from `dir` (a directory containing
-/// [`CHECKPOINT_FILE`], or a direct path to a snapshot file).
+/// the checkpoint file, or a direct path to a snapshot file).
 pub fn read_checkpoint(dir: impl AsRef<Path>) -> Result<Vec<u8>, SnapshotError> {
     let p = dir.as_ref();
     let path = if p.is_dir() {

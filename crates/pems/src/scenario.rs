@@ -83,7 +83,7 @@ pub struct Surveillance {
 
 /// The surveillance alert query:
 /// `β_sendMessage(α_text(ρ_manager→name(surveillance) ⋈ σ_temp>θ(W[1](temperatures)) ⋈ contacts))`.
-pub fn alert_query(threshold: f64) -> StreamPlan {
+fn alert_query(threshold: f64) -> StreamPlan {
     StreamPlan::source("temperatures")
         .window(1)
         .select(Formula::gt_const("temperature", threshold))
@@ -98,7 +98,7 @@ pub fn alert_query(threshold: f64) -> StreamPlan {
 /// `contacts` "with an additional attribute allowing to send a picture
 /// with a message". `photo` is **virtual** — it gets realized implicitly
 /// by the natural join with the camera subquery's real `photo` attribute.
-pub fn photo_contacts_schema() -> serena_core::schema::SchemaRef {
+fn photo_contacts_schema() -> serena_core::schema::SchemaRef {
     XSchema::builder()
         .real("name", DataType::Str)
         .real("address", DataType::Str)
@@ -119,7 +119,7 @@ pub fn photo_contacts_schema() -> serena_core::schema::SchemaRef {
 /// photo message to the area's manager. The camera subquery's real `photo`
 /// attribute realizes the contacts' virtual `photo` through the natural
 /// join (Table 3(d)'s implicit realization, load-bearing here).
-pub fn full_alert_query(threshold: f64) -> StreamPlan {
+fn full_alert_query(threshold: f64) -> StreamPlan {
     let shots = StreamPlan::source("temperatures")
         .window(1)
         .select(Formula::gt_const("temperature", threshold))
@@ -142,7 +142,7 @@ pub fn full_alert_query(threshold: f64) -> StreamPlan {
 
 /// The photo query (Q4-flavoured): photograph areas whose temperature
 /// exceeds the threshold.
-pub fn photo_query(threshold: f64) -> StreamPlan {
+fn photo_query(threshold: f64) -> StreamPlan {
     StreamPlan::source("temperatures")
         .window(1)
         .select(Formula::gt_const("temperature", threshold))
@@ -258,7 +258,7 @@ impl Default for RssConfig {
 }
 
 /// The RSS keyword query: recent items whose title contains `keyword`.
-pub fn rss_keyword_query(keyword: &str, window: u64) -> StreamPlan {
+fn rss_keyword_query(keyword: &str, window: u64) -> StreamPlan {
     StreamPlan::source("news")
         .window(window)
         .select(Formula::contains_const("title", keyword))

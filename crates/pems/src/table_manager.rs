@@ -4,16 +4,18 @@
 //! DDL statements, and to manage their data (insertion and deletion of
 //! tuples)." Finite XD-Relations are backed by shared
 //! [`TableHandle`]s; infinite ones by one broadcast [`StreamHub`] each —
-//! fed by external pushes, or by a derived stream's plan
-//! ([`crate::pems::Pems::define_stream_as`]) — so every query reading a
-//! stream at an instant reads one batch.
+//! fed by external pushes, checked against the stream's schema, or by a
+//! derived stream's plan ([`crate::pems::Pems::define_stream_as`]) — so
+//! every query reading a stream at an instant reads one batch.
 //!
 //! Relations of both kinds, the declared prototypes and the URSA ledger
 //! over all of them (§2.3.2) sit behind **one** lock. No tick contends for
-//! it: a registered query holds clones of its [`TableHandle`]s and its own
-//! stream subscriptions, so the manager is consulted when a relation is
-//! defined, looked up by name, subscribed to or exported — never per
-//! tuple. Every method takes `&self` (the manager is interior-mutable),
+//! it: a registered query holds clones of its [`TableHandle`]s and the
+//! subscriptions its compile took of the hubs
+//! ([`ExtendedTableManager::source_set_for`] hands it one handle per
+//! relation it names), so the manager is consulted when a relation is
+//! defined, looked up by name, pushed into or exported — never by a tick.
+//! Every method takes `&self` (the manager is interior-mutable),
 //! a name is fresh across both kinds and an attribute keeps one type
 //! across every definition under that one lock, and the maps are ordered,
 //! so `export_tables` / `snapshot_environment` walk them in name order as
@@ -40,16 +42,17 @@ use serena_core::tuple::Tuple;
 use serena_core::value::DataType;
 use serena_stream::exec::SourceSet;
 use serena_stream::plan::{StreamPlan, StreamSchema};
-use serena_stream::source::{StreamSource, TableHandle};
+use serena_stream::source::{StreamHub, TableHandle};
 
-use crate::hub::StreamHub;
 use crate::recovery::{read_count, read_named};
 
 struct StreamDef {
     schema: SchemaRef,
     hub: StreamHub,
-    /// Fed by a derived stream's plan, not by [`ExtendedTableManager::push_stream`].
-    derived: bool,
+    /// The real attributes' types in coordinate order — what a tuple
+    /// [`ExtendedTableManager::push_stream`] takes must hold. `None` for a
+    /// derived stream, which its plan alone feeds.
+    pushed: Option<Box<[DataType]>>,
 }
 
 /// What is defined: the named XD-Relations of both kinds (a name is in at
@@ -182,10 +185,11 @@ impl ExtendedTableManager {
         let mut catalog = self.catalog.write();
         let name = catalog.admit(name, &schema)?;
         let hub = StreamHub::new();
+        let reals = schema.attrs().iter().filter(|a| a.is_real());
         let def = StreamDef {
+            pushed: (!derived).then(|| reals.map(|a| a.ty).collect()),
             schema,
             hub: hub.clone(),
-            derived,
         };
         catalog.streams.insert(name, def);
         Ok(hub)
@@ -197,15 +201,24 @@ impl ExtendedTableManager {
         self.catalog.read().tables.get(name).cloned()
     }
 
-    /// Push a tuple into a pushed stream. `false` if the stream does not
-    /// exist or is derived.
+    /// Push a tuple into a pushed stream. `false`, and nothing pushed, if
+    /// the stream does not exist, is derived, or the tuple does not fit it:
+    /// one value per real attribute, each of the attribute's type.
     pub fn push_stream(&self, name: &str, t: Tuple) -> bool {
         let catalog = self.catalog.read();
-        let Some(def) = catalog.streams.get(name).filter(|def| !def.derived) else {
+        let Some((def, types)) = catalog
+            .streams
+            .get(name)
+            .and_then(|def| Some((def, def.pushed.as_deref()?)))
+        else {
             return false;
         };
-        def.hub.push(t);
-        true
+        let fits =
+            t.arity() == types.len() && t.values().zip(types).all(|(v, ty)| v.conforms_to(*ty));
+        if fits {
+            def.hub.push(t);
+        }
+        fits
     }
 
     /// Tuples each stream's hub retains (see [`StreamHub::len`]), in name
@@ -251,34 +264,20 @@ impl ExtendedTableManager {
         true
     }
 
-    /// Build the [`SourceSet`] a continuous plan compiles against: shared
-    /// table handles plus a subscription of the stream's hub per *leaf* over
-    /// a stream — a plan may name one stream twice, and both leaves read the
-    /// same batch at an instant, as every other query reading it does.
+    /// Build the [`SourceSet`] a continuous plan compiles against: the
+    /// shared handle of each relation the plan names — a table's, or a
+    /// stream's hub, which the compile subscribes once per leaf over it.
     pub fn source_set_for(&self, plan: &StreamPlan) -> SourceSet {
+        let catalog = self.catalog.read();
         let mut sources = SourceSet::new();
-        self.add_leaves(plan, &mut sources);
-        sources
-    }
-
-    fn add_leaves(&self, plan: &StreamPlan, sources: &mut SourceSet) {
-        if let StreamPlan::Relation(name) = plan {
-            if let Some(handle) = self.table(name) {
-                sources.add_table(name.clone(), handle);
-            } else if let Some((schema, source)) = self.subscribe(name) {
-                sources.add_stream(name.clone(), schema, source);
+        for name in plan.relations() {
+            if let Some(handle) = catalog.tables.get(name) {
+                sources.add_table(name, handle.clone());
+            } else if let Some(def) = catalog.streams.get(name) {
+                sources.add_stream(name, def.schema.clone(), def.hub.clone());
             }
         }
-        for child in plan.children() {
-            self.add_leaves(child, sources);
-        }
-    }
-
-    /// A new subscription of stream `name`'s hub, with its schema.
-    fn subscribe(&self, name: &str) -> Option<(SchemaRef, Box<dyn StreamSource>)> {
-        let catalog = self.catalog.read();
-        let def = catalog.streams.get(name)?;
-        Some((def.schema.clone(), Box::new(def.hub.subscribe())))
+        sources
     }
 
     /// Every finite table, in name order.
@@ -515,6 +514,35 @@ mod tests {
         assert!(!m.push_stream("derived", tuple![1]));
         assert!(derived.is_empty(), "a derived stream's plan alone pushes");
         assert!(!m.push_stream("nope", tuple![1]));
+    }
+
+    /// A pushed tuple holds one value per real attribute, each of its type
+    /// (a virtual attribute has no coordinate): a tuple one short, or a
+    /// STRING where a REAL goes, is refused, and no reader sees it.
+    #[test]
+    fn a_pushed_tuple_must_fit_its_stream() {
+        use serena_core::metrics::NoopMetrics;
+        use serena_core::value::DataType::{Int, Real, Str};
+        let m = manager();
+        let schema = XSchema::builder()
+            .real("x", Int)
+            .virt("note", Str)
+            .real("y", Real)
+            .build()
+            .unwrap();
+        m.define_push_stream("s", schema).unwrap();
+        let plan = StreamPlan::source("s").window(1).project(["y"]);
+        let mut sources = m.source_set_for(&plan);
+        let mut reader =
+            serena_stream::exec::ContinuousQuery::compile(&plan, &mut sources).unwrap();
+        assert!(!m.push_stream("s", tuple![1]));
+        assert!(!m.push_stream("s", tuple![1, "hot"]));
+        assert!(!m.push_stream("s", tuple![1, 2.5, 3.5]));
+        assert!(m.push_stream("s", tuple![1, 2.5]));
+        let reg = serena_core::service::fixtures::example_registry();
+        let report = reader.tick_with(&reg, &NoopMetrics);
+        assert!(report.errors.is_empty(), "{:?}", report.errors);
+        assert_eq!(report.delta.inserts.sorted_occurrences(), [tuple![2.5]]);
     }
 
     #[test]

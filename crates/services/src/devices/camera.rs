@@ -44,7 +44,7 @@ impl SimCamera {
 
     /// Quality the camera reports for `area` at `at`: 0 when the area is
     /// not covered, otherwise `MAX_QUALITY` minus a small seeded wobble.
-    pub fn quality_at(&self, area: &str, at: Instant) -> i64 {
+    fn quality_at(&self, area: &str, at: Instant) -> i64 {
         if !self.areas.iter().any(|a| a == area) {
             return 0;
         }

@@ -6,9 +6,9 @@
 //! generates a deterministic item schedule from a seeded headline grammar:
 //! at some instants a feed publishes 0 items, at others 1–2, and a
 //! configurable fraction of headlines contains a tracked keyword (the
-//! paper's example keyword is "Obama"). The PEMS stream adapter polls
-//! [`SimRssFeed::items_at`] each tick; [`SimRssFeed::into_service`]
-//! additionally exposes the feed as a pull-based `fetchNews` service.
+//! paper's example keyword is "Obama"). [`SimRssFeed::into_service`]
+//! exposes the feed as a pull-based `fetchNews` service, which the PEMS's
+//! derived `news` stream samples each tick.
 
 use std::sync::Arc;
 
@@ -124,7 +124,7 @@ impl SimRssFeed {
     }
 
     /// The items published at exactly instant `at` (0, 1 or 2).
-    pub fn items_at(&self, at: Instant) -> Vec<RssItem> {
+    fn items_at(&self, at: Instant) -> Vec<RssItem> {
         let roll = mix64(self.seed, at.ticks(), 3) % 100;
         if roll >= self.publish_pct {
             return Vec::new();

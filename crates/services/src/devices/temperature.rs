@@ -63,7 +63,7 @@ impl SimTemperatureSensor {
     }
 
     /// The reading at `at` — pure, replayable.
-    pub fn reading_at(&self, at: Instant) -> f64 {
+    fn reading_at(&self, at: Instant) -> f64 {
         for ev in &self.events {
             if ev.from <= at && at <= ev.to {
                 return ev.peak;

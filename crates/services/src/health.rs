@@ -27,7 +27,7 @@ use serena_core::value::ServiceRef;
 pub const DEFAULT_WINDOW: usize = 32;
 
 /// Consecutive errors at which a service is reported [`HealthStatus::Down`].
-pub const DOWN_AFTER: u64 = 3;
+const DOWN_AFTER: u64 = 3;
 
 #[derive(Debug, Default)]
 struct HealthEntry {
@@ -47,7 +47,7 @@ pub enum HealthStatus {
     Healthy,
     /// Some failures in the window, but the service still answers.
     Degraded,
-    /// At least [`DOWN_AFTER`] consecutive errors — presumed gone.
+    /// At least three consecutive errors — presumed gone.
     Down,
 }
 

@@ -35,7 +35,7 @@ use super::TransportError;
 
 /// Frame magic — distinct from the snapshot magic so a checkpoint file
 /// piped at a listener is rejected at the first four bytes.
-pub const FRAME_MAGIC: [u8; 4] = *b"SRNF";
+const FRAME_MAGIC: [u8; 4] = *b"SRNF";
 
 /// Maximum accepted payload length (64 MiB). Covers any realistic
 /// checkpoint replication frame while bounding what a hostile peer can
@@ -452,7 +452,7 @@ impl Frame {
 
     /// Decode a frame *payload* (the bytes after magic + length). The
     /// entire payload must be consumed — trailing bytes are malformed.
-    pub fn from_payload(payload: &[u8]) -> Result<Frame, TransportError> {
+    fn from_payload(payload: &[u8]) -> Result<Frame, TransportError> {
         let mut r = Reader::new(payload);
         read_header(&mut r).map_err(corrupt)?;
         let frame = match r.u8().map_err(corrupt)? {

@@ -36,8 +36,9 @@ pub(super) fn build(
                 let handle = handle.clone();
                 let started = false;
                 (handle.schema(), Op::Table { handle, started })
-            } else if let Some((schema, source)) = sources.take_stream(name) {
-                (schema, Op::Stream { source })
+            } else if let Some((schema, hub)) = sources.streams.get(name) {
+                let source = hub.subscribe();
+                (schema.clone(), Op::Stream { source })
             } else {
                 return Err(PlanError::UnknownRelation(name.clone()));
             }

@@ -28,6 +28,12 @@
 //!   parent the entered and the expired one's bag by reference; **S\[kind\]**
 //!   converts a finite node's delta back into a stream.
 //!
+//! A plan compiles against a [`SourceSet`]: one shared handle per relation
+//! it names — a [`TableHandle`], or a stream's [`StreamHub`]. The compile
+//! subscribes each leaf over a stream to the hub, so the query owns its
+//! subscriptions, drops them with itself, and a compile that fails keeps
+//! none.
+//!
 //! A sliding node keeps `current` only where its parent reads it; the
 //! query's result is the root's content (`Node::content`), derived where it
 //! is not kept.
@@ -55,7 +61,7 @@ use std::sync::Arc;
 
 use serena_core::action::ActionSet;
 use serena_core::error::{EvalError, PlanError};
-use serena_core::metrics::{ExecStats, MetricsSink, NodeId, NoopMetrics, OpKind, Tee};
+use serena_core::metrics::{ExecStats, MetricsSink, NodeId, OpKind, Tee};
 use serena_core::ops::{CompiledOp, InvokeRecipe};
 use serena_core::physical::ExecOptions;
 use serena_core::schema::SchemaRef;
@@ -68,17 +74,17 @@ use serena_core::xrelation::XRelation;
 
 use crate::multiset::{Delta, Multiset, SharedBag};
 use crate::plan::{StreamKind, StreamPlan, StreamSchema};
-use crate::source::{Batch, StreamSource, TableHandle};
+use crate::source::{Batch, HubSubscription, StreamHub, TableHandle};
 use stateful::OpState;
 
-/// The named XD-Relations a continuous query runs over.
+/// The named XD-Relations a continuous query runs over: a shared handle per
+/// table and per stream. Compiling a plan subscribes each of its leaves
+/// over a stream to the stream's hub, so a plan that names a stream twice
+/// reads it through two subscriptions, and both read one batch an instant.
 #[derive(Default)]
 pub struct SourceSet {
     tables: HashMap<String, TableHandle>,
-    /// Per stream, the subscriptions not yet taken: every leaf of a plan
-    /// polls a subscription of its own, so a plan that names a stream
-    /// twice needs two.
-    streams: HashMap<String, (SchemaRef, Vec<Box<dyn StreamSource>>)>,
+    streams: HashMap<String, (SchemaRef, StreamHub)>,
 }
 
 impl SourceSet {
@@ -93,26 +99,15 @@ impl SourceSet {
         self
     }
 
-    /// Add one subscription of an infinite XD-Relation (a stream) with its
-    /// schema — once per leaf of the plan that names it.
+    /// Add an infinite XD-Relation (a stream) with its schema.
     pub fn add_stream(
         &mut self,
         name: impl Into<String>,
         schema: SchemaRef,
-        source: Box<dyn StreamSource>,
+        hub: StreamHub,
     ) -> &mut Self {
-        let (_, subscriptions) = self
-            .streams
-            .entry(name.into())
-            .or_insert_with(|| (schema, Vec::new()));
-        subscriptions.push(source);
+        self.streams.insert(name.into(), (schema, hub));
         self
-    }
-
-    /// The subscription one leaf over stream `name` polls.
-    fn take_stream(&mut self, name: &str) -> Option<(SchemaRef, Box<dyn StreamSource>)> {
-        let (schema, subscriptions) = self.streams.get_mut(name)?;
-        Some((schema.clone(), subscriptions.pop()?))
     }
 
     /// Handle to a registered table.
@@ -189,7 +184,7 @@ enum Op {
         started: bool,
     },
     Stream {
-        source: Box<dyn StreamSource>,
+        source: HubSubscription,
     },
     /// σ, π, ρ, α, ∪, ∩, −, ⋈, γ: operand deltas in, the output's delta
     /// out (σ, π, ρ, α over a sliding operand slide themselves). `state` is
@@ -317,8 +312,9 @@ pub struct ContinuousQuery {
 }
 
 impl ContinuousQuery {
-    /// Compile `plan` against `sources`, consuming the stream sources it
-    /// references. Performs full static validation first.
+    /// Compile `plan` against `sources`, subscribing each of its leaves over
+    /// a stream to the stream's hub; the subscriptions go with the query.
+    /// Performs full static validation first.
     pub fn compile(plan: &StreamPlan, sources: &mut SourceSet) -> Result<Self, PlanError> {
         Self::compile_with_options(plan, sources, ExecOptions::default())
     }
@@ -404,13 +400,6 @@ impl ContinuousQuery {
             stats,
             elapsed: started.elapsed(),
         }
-    }
-
-    /// Run `n` ticks, collecting reports.
-    pub fn run(&mut self, invoker: &dyn Invoker, n: u64) -> Vec<TickReport> {
-        (0..n)
-            .map(|_| self.tick_with(invoker, &NoopMetrics))
-            .collect()
     }
 
     /// Snapshot the current instantaneous result as an [`XRelation`]

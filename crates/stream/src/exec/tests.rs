@@ -2,8 +2,8 @@ use super::tick::{map_bag, map_slide};
 use super::*;
 use crate::multiset::Mapping;
 use crate::plan::StreamPlan;
-use crate::source::{FnStream, PushStream};
 use serena_core::formula::Formula;
+use serena_core::metrics::NoopMetrics;
 use serena_core::ops::{AggFun, AggSpec, DegradePolicy};
 use serena_core::schema::XSchema;
 use serena_core::service::fixtures::example_registry;
@@ -15,6 +15,19 @@ fn int_schema(name: &str) -> SchemaRef {
         .real(name, DataType::Int)
         .build()
         .unwrap()
+}
+
+/// Push what `batch` appends at `q`'s next instant into `hub`, then tick `q`
+/// over the example registry.
+fn tick_fed(
+    q: &mut ContinuousQuery,
+    hub: &StreamHub,
+    batch: impl Fn(Instant) -> Vec<Tuple>,
+) -> TickReport {
+    batch(q.next_instant())
+        .into_iter()
+        .for_each(|t| hub.push(t));
+    q.tick_with(&example_registry(), &NoopMetrics)
 }
 
 #[test]
@@ -48,8 +61,8 @@ fn table_select_project_pipeline() {
 #[test]
 fn window_slides_and_expires() {
     let mut sources = SourceSet::new();
-    let push = PushStream::new();
-    sources.add_stream("s", int_schema("x"), Box::new(push.clone()));
+    let push = StreamHub::new();
+    sources.add_stream("s", int_schema("x"), push.clone());
     let plan = StreamPlan::source("s").window(2);
     let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
     let reg = example_registry();
@@ -212,6 +225,44 @@ fn invoke_failure_surfaces_error_and_continues() {
     assert_eq!(r.delta.inserts.len(), 1); // the healthy sensor got through
 }
 
+/// A plan naming one stream twice holds a subscription per leaf, and both
+/// read the instant's one batch — an idle instant's too. The hub is read
+/// exactly while the query lives: a compile that fails keeps nothing.
+#[test]
+fn each_leaf_over_a_stream_reads_the_instants_one_batch() {
+    let (mut sources, s) = (SourceSet::new(), StreamHub::new());
+    sources.add_stream("s", int_schema("x"), s.clone());
+    let twice = StreamPlan::source("s")
+        .window(2)
+        .union(StreamPlan::source("s").window(3));
+    let failing = twice.clone().join(StreamPlan::source("nope"));
+    assert!(ContinuousQuery::compile(&failing, &mut sources).is_err());
+    assert!(!s.is_read());
+    let mut q = ContinuousQuery::compile(&twice, &mut sources).unwrap();
+    assert!(s.is_read());
+    let leaves = q.root.children.iter().map(|w| &w.children[0].op);
+    assert_eq!(
+        leaves.filter(|op| matches!(op, Op::Stream { .. })).count(),
+        2
+    );
+    for at in 0..4 {
+        let idle = |at: Instant| match at.ticks() {
+            2 => vec![],
+            n => vec![tuple![n as i64]],
+        };
+        tick_fed(&mut q, &s, idle);
+        let newest = |w: &Node| match &w.op {
+            Op::Window { ring, .. } => Arc::clone(ring.back().expect("a batch entered")),
+            _ => panic!("a window under ∪"),
+        };
+        let [a, b] = [0, 1].map(|i| newest(&q.root.children[i]));
+        assert!(Arc::ptr_eq(&a, &b), "instant {at}");
+        assert_eq!(a.is_empty(), at == 2);
+    }
+    drop(q);
+    assert!(!s.is_read());
+}
+
 #[test]
 fn windowed_aggregate_mean_temperature() {
     let mut sources = SourceSet::new();
@@ -221,22 +272,22 @@ fn windowed_aggregate_mean_temperature() {
         .build()
         .unwrap();
     // synthetic stream: at tick t, one reading (office, 20+t)
-    let src = FnStream(move |at: Instant| vec![tuple!["office", 20.0 + at.ticks() as f64]]);
-    sources.add_stream("temps", schema, Box::new(src));
+    let temps = StreamHub::new();
+    let reading = |at: Instant| vec![tuple!["office", 20.0 + at.ticks() as f64]];
+    sources.add_stream("temps", schema, temps.clone());
     let plan = StreamPlan::source("temps").window(2).aggregate(
         ["location"],
         vec![AggSpec::new(AggFun::Avg, "temperature").named("mean")],
     );
     let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
 
-    q.tick_with(&reg, &NoopMetrics); // window {20} → mean 20
+    tick_fed(&mut q, &temps, reading); // window {20} → mean 20
     let rel = q.current_relation().unwrap();
     assert!(rel.contains(&tuple!["office", 20.0]));
-    q.tick_with(&reg, &NoopMetrics); // window {20, 21} → mean 20.5
+    tick_fed(&mut q, &temps, reading); // window {20, 21} → mean 20.5
     let rel = q.current_relation().unwrap();
     assert!(rel.contains(&tuple!["office", 20.5]));
-    q.tick_with(&reg, &NoopMetrics); // window {21, 22} → mean 21.5
+    tick_fed(&mut q, &temps, reading); // window {21, 22} → mean 21.5
     let rel = q.current_relation().unwrap();
     assert!(rel.contains(&tuple!["office", 21.5]));
 }
@@ -271,25 +322,25 @@ fn q3_sends_hot_alerts_once_per_reading() {
         .build()
         .unwrap();
     // hot reading only at tick 3
-    let src = FnStream(|at: Instant| {
+    let temperatures = StreamHub::new();
+    let reading = |at: Instant| {
         if at.ticks() == 3 {
             vec![tuple!["office", 40.0]]
         } else {
             vec![tuple!["office", 20.0]]
         }
-    });
-    sources.add_stream("temperatures", temps_schema, Box::new(src));
+    };
+    sources.add_stream("temperatures", temps_schema, temperatures.clone());
     let contacts = TableHandle::with_tuples(
         serena_core::schema::examples::contacts_schema(),
         serena_core::xrelation::examples::contacts().into_tuples(),
     );
     sources.add_table("contacts", contacts);
     let mut q = ContinuousQuery::compile(&crate::plan::examples::q3(), &mut sources).unwrap();
-    let reg = example_registry();
 
     let mut total_actions = 0;
     for t in 0..6 {
-        let r = q.tick_with(&reg, &NoopMetrics);
+        let r = tick_fed(&mut q, &temperatures, reading);
         if t == 3 {
             // 3 contacts × 1 hot reading
             assert_eq!(r.actions.len(), 3, "tick {t}");
@@ -591,20 +642,19 @@ fn tick_with_accumulates_into_external_sink() {
 #[test]
 fn snapshot_restores_window_and_clock_mid_stream() {
     // deterministic stream: one reading per tick, value = tick
-    fn make() -> (SourceSet, StreamPlan) {
-        let mut sources = SourceSet::new();
-        let src = FnStream(|at: Instant| vec![tuple![at.ticks() as i64]]);
-        sources.add_stream("s", int_schema("x"), Box::new(src));
-        (sources, StreamPlan::source("s").window(2))
+    let reading = |at: Instant| vec![tuple![at.ticks() as i64]];
+    fn make() -> (SourceSet, StreamPlan, StreamHub) {
+        let (mut sources, s) = (SourceSet::new(), StreamHub::new());
+        sources.add_stream("s", int_schema("x"), s.clone());
+        (sources, StreamPlan::source("s").window(2), s)
     }
-    let reg = example_registry();
 
     // uninterrupted run: 6 ticks
-    let (mut sources, plan) = make();
+    let (mut sources, plan, s) = make();
     let mut baseline = ContinuousQuery::compile(&plan, &mut sources).unwrap();
     let mut expected = Vec::new();
     for t in 0..6u64 {
-        let r = baseline.tick_with(&reg, &NoopMetrics);
+        let r = tick_fed(&mut baseline, &s, reading);
         if t >= 3 {
             expected.push((
                 r.delta.inserts.sorted_occurrences(),
@@ -614,23 +664,23 @@ fn snapshot_restores_window_and_clock_mid_stream() {
     }
 
     // interrupted run: 3 ticks, snapshot, "crash", restore, 3 more
-    let (mut sources, plan) = make();
+    let (mut sources, plan, s) = make();
     let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
     for _ in 0..3 {
-        q.tick_with(&reg, &NoopMetrics);
+        tick_fed(&mut q, &s, reading);
     }
     let mut w = Writer::new();
     q.write_snapshot(&mut w);
     let bytes = w.into_bytes();
     drop(q);
 
-    let (mut sources, plan) = make();
+    let (mut sources, plan, s) = make();
     let mut restored = ContinuousQuery::compile(&plan, &mut sources).unwrap();
     restored.read_snapshot(&mut Reader::new(&bytes)).unwrap();
     assert_eq!(restored.next_instant(), Instant(3));
     let got: Vec<_> = (0..3)
         .map(|_| {
-            let r = restored.tick_with(&reg, &NoopMetrics);
+            let r = tick_fed(&mut restored, &s, reading);
             (
                 r.delta.inserts.sorted_occurrences(),
                 r.delta.deletes.sorted_occurrences(),
@@ -706,24 +756,24 @@ fn q4_emits_photo_stream_on_cold_readings() {
         .real("temperature", DataType::Real)
         .build()
         .unwrap();
-    let src = FnStream(|at: Instant| {
+    let temperatures = StreamHub::new();
+    let reading = |at: Instant| {
         if at.ticks() == 2 {
             vec![tuple!["office", 5.0]]
         } else {
             vec![tuple!["office", 20.0]]
         }
-    });
-    sources.add_stream("temperatures", temps_schema, Box::new(src));
+    };
+    sources.add_stream("temperatures", temps_schema, temperatures.clone());
     let cameras = TableHandle::with_tuples(
         serena_core::schema::examples::cameras_schema(),
         serena_core::xrelation::examples::cameras().into_tuples(),
     );
     sources.add_table("cameras", cameras);
     let mut q = ContinuousQuery::compile(&crate::plan::examples::q4(), &mut sources).unwrap();
-    let reg = example_registry();
 
     for t in 0..5 {
-        let r = q.tick_with(&reg, &NoopMetrics);
+        let r = tick_fed(&mut q, &temperatures, reading);
         if t == 2 {
             // two cameras cover "office" (camera01, webcam07)
             assert_eq!(r.batch.len(), 2, "tick {t}");
@@ -734,9 +784,15 @@ fn q4_emits_photo_stream_on_cold_readings() {
     }
 }
 
+/// What stream `temps` appends at `at`.
+fn temps_batch(at: Instant) -> Vec<Tuple> {
+    let t = at.ticks() as f64;
+    vec![tuple!["office", 20.0 + t], tuple!["lab", 15.0 - t]]
+}
+
 /// One plan holding every node kind: table, stream, σ, π, ρ, α, ∪, ⋈,
-/// γ, β, W, S[insertion], βˢ.
-fn every_node_kind(sensors: &TableHandle, rooms: &TableHandle) -> ContinuousQuery {
+/// γ, β, W, S[insertion], βˢ — the stream `temps` read from `hub`.
+fn every_node_kind(sensors: &TableHandle, rooms: &TableHandle, hub: &StreamHub) -> ContinuousQuery {
     let mut sources = SourceSet::new();
     sources.add_table("sensors", sensors.clone());
     sources.add_table("rooms", rooms.clone());
@@ -745,11 +801,7 @@ fn every_node_kind(sensors: &TableHandle, rooms: &TableHandle) -> ContinuousQuer
         .real("temperature", DataType::Real)
         .build()
         .unwrap();
-    let src = FnStream(|at: Instant| {
-        let t = at.ticks() as f64;
-        vec![tuple!["office", 20.0 + t], tuple!["lab", 15.0 - t]]
-    });
-    sources.add_stream("temps", temps, Box::new(src));
+    sources.add_stream("temps", temps, hub.clone());
     let readings = |p: StreamPlan| p.project(["location", "temperature"]);
     let plan = StreamPlan::source("temps")
         .window(3)
@@ -807,15 +859,15 @@ fn snapshot_bytes_match_the_recorded_format() {
             .unwrap(),
         vec![tuple!["office", 1], tuple!["corridor", 0], tuple!["lab", 2]],
     );
-    let reg = example_registry();
-    let mut q = every_node_kind(&sensors, &rooms);
-    let r = q.tick_with(&reg, &NoopMetrics);
+    let temps = StreamHub::new();
+    let mut q = every_node_kind(&sensors, &rooms, &temps);
+    let r = tick_fed(&mut q, &temps, temps_batch);
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     assert!(!r.batch.is_empty());
     sensors.insert(tuple![Value::service("sensor22"), "lab"]);
     sensors.insert(tuple![Value::service("sensor06"), "office"]);
     sensors.delete(tuple![Value::service("sensor01"), "corridor"]);
-    let r = q.tick_with(&reg, &NoopMetrics);
+    let r = tick_fed(&mut q, &temps, temps_batch);
     assert!(r.errors.is_empty(), "{:?}", r.errors);
     // populated β cache, W[3] holding two of three batches
     assert_eq!(digest(&q), (2802, "f3518726fb22c236".into()));
@@ -910,12 +962,15 @@ fn recompute(op: &CompiledOp, children: &[Node]) -> Multiset {
 /// virtual one for α). Attribute domains are small, so tuples repeat
 /// (counts above one, in a table, inside a batch and across a window's
 /// batches), and `x` drifts upwards, so join keys and groups appear and
-/// vanish for good.
+/// vanish for good. Every query compiled against the world reads the same
+/// tables and hubs.
 struct World {
     seed: u64,
     t: TableHandle,
     u: TableHandle,
     r: TableHandle,
+    s: StreamHub,
+    m: StreamHub,
 }
 
 fn drift(at: u64) -> i64 {
@@ -963,26 +1018,31 @@ impl World {
             t: TableHandle::new(ints("x", "y")),
             u: TableHandle::new(ints("y", "x")),
             r: TableHandle::new(xz),
+            s: StreamHub::new(),
+            m: StreamHub::new(),
         }
     }
 
-    /// A source set of this world for one more query: the tables are
-    /// shared, the stream is the same function of the instant every time —
-    /// subscribed twice, for the plans with two leaves over it.
+    /// A source set of this world for one more query.
     fn sources(&self) -> SourceSet {
         let mut sources = SourceSet::new();
         sources.add_table("t", self.t.clone());
         sources.add_table("u", self.u.clone());
         sources.add_table("r", self.r.clone());
-        let seed = self.seed;
+        sources.add_stream("s", self.t.schema(), self.s.clone());
         let located = serena_core::schema::examples::sensors_schema();
-        for _ in 0..2 {
-            let batches = FnStream(move |at| s_batch(seed, at));
-            sources.add_stream("s", self.t.schema(), Box::new(batches));
-            let batches = FnStream(move |at| m_batch(seed, at));
-            sources.add_stream("m", located.clone(), Box::new(batches));
-        }
+        sources.add_stream("m", located, self.m.clone());
         sources
+    }
+
+    /// Push what the streams append at instant `at`.
+    fn push(&self, at: Instant) {
+        s_batch(self.seed, at)
+            .into_iter()
+            .for_each(|t| self.s.push(t));
+        m_batch(self.seed, at)
+            .into_iter()
+            .for_each(|t| self.m.push(t));
     }
 
     /// The table writes before instant `at`: a few deletions of tuples the
@@ -1144,6 +1204,7 @@ fn differential(seed: u64, plans: &[StreamPlan], instants: u64) {
     let (mut emitted, mut held) = (0, 0);
     for at in 0..instants {
         world.churn(&mut rng, at);
+        world.push(Instant(at));
         for (q, plan) in queries.iter_mut().zip(&rooted) {
             let before = q.root.content().into_owned();
             let report = q.tick_with(&reg, &NoopMetrics);
@@ -1336,6 +1397,7 @@ fn a_restored_ring_continues_the_uninterrupted_run() {
     let reg = example_registry();
     let compile = |plan: &StreamPlan| ContinuousQuery::compile(plan, &mut world.sources()).unwrap();
     let next = |q: &mut ContinuousQuery| {
+        world.push(q.next_instant());
         let r = q.tick_with(&reg, &NoopMetrics);
         assert!(r.errors.is_empty(), "{:?}", r.errors);
         (r.at, r.delta, q.current_relation().unwrap())
@@ -1380,20 +1442,19 @@ fn a_restored_ring_continues_the_uninterrupted_run() {
 /// bag the batch mapped to on entry, which does not hold it.
 #[test]
 fn a_bad_tuple_is_one_error_when_it_enters() {
-    let mut sources = SourceSet::new();
+    let (mut sources, s) = (SourceSet::new(), StreamHub::new());
     // instant 1 appends a STRING where `x` is an INTEGER
-    let src = FnStream(|at: Instant| match at.ticks() {
+    let batch = |at: Instant| match at.ticks() {
         1 => vec![tuple!["oops"], tuple![7]],
         n => vec![tuple![n as i64]],
-    });
-    sources.add_stream("s", int_schema("x"), Box::new(src));
+    };
+    sources.add_stream("s", int_schema("x"), s.clone());
     let plan = StreamPlan::source("s")
         .window(3)
         .select(Formula::gt_const("x", 0))
         .rename("x", "k");
     let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
-    let reg = example_registry();
-    let reports = q.run(&reg, 8);
+    let reports: Vec<_> = (0..8).map(|_| tick_fed(&mut q, &s, batch)).collect();
     let errors: Vec<usize> = reports.iter().map(|r| r.errors.len()).collect();
     assert_eq!(errors, [0, 1, 0, 0, 0, 0, 0, 0]);
     assert!(
@@ -1412,19 +1473,25 @@ fn a_bad_tuple_is_one_error_when_it_enters() {
 // σ, π, ρ, α over one shared batch: mapped once per distinct operator.
 // ---------------------------------------------------------------------
 
-/// Stream `s(x, y)`, with a virtual `note` for α, as a hub delivers it:
-/// every subscription polling an instant gets the same `Arc<Batch>`, made by
-/// the first to poll it and kept, so a test can look at it afterwards.
-#[derive(Clone)]
+/// Stream `s(x, y)`, with a virtual `note` for α, over one hub: the first
+/// query to tick at an instant pushes the instant's batch, and every
+/// subscription polling that instant gets the same `Arc<Batch>`, which the
+/// broadcast keeps so a test can look at it afterwards. The queries over it
+/// tick in lock-step.
 struct Broadcast {
-    made: Arc<serena_core::sync::Mutex<HashMap<u64, Arc<Batch>>>>,
+    hub: StreamHub,
+    /// Polled right after each push: it seals the instant's batch.
+    witness: serena_core::sync::Mutex<(HubSubscription, HashMap<u64, Arc<Batch>>)>,
     batch: fn(Instant) -> Vec<Tuple>,
 }
 
 impl Broadcast {
     fn new(batch: fn(Instant) -> Vec<Tuple>) -> Self {
+        let hub = StreamHub::new();
+        let witness = serena_core::sync::Mutex::new((hub.subscribe(), HashMap::new()));
         Broadcast {
-            made: Arc::default(),
+            hub,
+            witness,
             batch,
         }
     }
@@ -1438,26 +1505,26 @@ impl Broadcast {
             .build()
             .unwrap();
         let mut sources = SourceSet::new();
-        for _ in 0..2 {
-            sources.add_stream("s", schema.clone(), Box::new(self.clone()));
-        }
+        sources.add_stream("s", schema, self.hub.clone());
         let mut q = ContinuousQuery::compile(plan, &mut sources).unwrap();
         q.seek(Instant(at));
         q
     }
 
-    fn made(&self, at: u64) -> Arc<Batch> {
-        Arc::clone(&self.made.lock()[&at])
+    /// Tick `q`, the instant's batch pushed first if no query has ticked at
+    /// it yet.
+    fn tick(&self, q: &mut ContinuousQuery) -> TickReport {
+        let at = q.next_instant();
+        let (witness, made) = &mut *self.witness.lock();
+        made.entry(at.ticks()).or_insert_with(|| {
+            (self.batch)(at).into_iter().for_each(|t| self.hub.push(t));
+            witness.poll()
+        });
+        q.tick_with(&example_registry(), &NoopMetrics)
     }
-}
 
-impl StreamSource for Broadcast {
-    fn poll(&mut self, at: Instant) -> Arc<Batch> {
-        let mut made = self.made.lock();
-        let batch = made
-            .entry(at.ticks())
-            .or_insert_with(|| Arc::new((self.batch)(at).into()));
-        Arc::clone(batch)
+    fn made(&self, at: u64) -> Arc<Batch> {
+        Arc::clone(&self.witness.lock().1[&at])
     }
 }
 
@@ -1468,8 +1535,8 @@ fn broadcast_batch(at: Instant) -> Vec<Tuple> {
 /// What one instant of a query shows: its report and its result.
 type Shown = (Delta, Vec<Tuple>, ActionSet, usize, Option<XRelation>);
 
-fn shown(q: &mut ContinuousQuery) -> Shown {
-    let r = q.tick_with(&example_registry(), &NoopMetrics);
+fn shown(hub: &Broadcast, q: &mut ContinuousQuery) -> Shown {
+    let r = hub.tick(q);
     let (delta, batch, actions, errors) = (r.delta, r.batch, r.actions, r.errors.len());
     (delta, batch, actions, errors, q.current_relation())
 }
@@ -1505,7 +1572,7 @@ fn equal_operators_over_one_batch_hand_on_one_bag() {
     ];
     let mut queries: Vec<_> = plans.iter().map(|p| hub.compile(p, 0)).collect();
     for at in 0..4 {
-        queries.iter_mut().for_each(|q| drop(shown(q)));
+        queries.iter_mut().for_each(|q| drop(shown(&hub, q)));
         let [equal, again, theta, named, renamed] = [0, 1, 2, 3, 4].map(|i| newest(&queries[i]));
         assert!(Arc::ptr_eq(&equal.0, &again.0), "instant {at}");
         assert!(!Arc::ptr_eq(&equal.0, &theta.0), "instant {at}");
@@ -1543,8 +1610,7 @@ fn a_report_shares_the_windows_bags_until_it_is_written() {
     );
     let mut written = 0;
     for at in 0..8u64 {
-        let tick = |q: &mut ContinuousQuery| q.tick_with(&example_registry(), &NoopMetrics);
-        let (mut ra, rb, unshared) = (tick(&mut a), tick(&mut b), tick(&mut alone));
+        let (mut ra, rb, unshared) = (hub.tick(&mut a), hub.tick(&mut b), apart.tick(&mut alone));
         let expired = at.checked_sub(2).map(|at| hub.made(at));
         for r in [&ra, &rb] {
             assert_eq!(r.delta, unshared.delta, "instant {at}");
@@ -1632,15 +1698,17 @@ fn sharing_queries_show_what_they_show_alone() {
     let alone: Vec<Vec<Shown>> = plans
         .iter()
         .map(|plan| {
-            let mut q = Broadcast::new(batch).compile(plan, 0);
-            (0..INSTANTS).map(|_| shown(&mut q)).collect()
+            let own = Broadcast::new(batch);
+            let mut q = own.compile(plan, 0);
+            (0..INSTANTS).map(|_| shown(&own, &mut q)).collect()
         })
         .collect();
     let late: Vec<Vec<Shown>> = plans
         .iter()
         .map(|plan| {
-            let mut q = Broadcast::new(batch).compile(plan, 5);
-            (5..INSTANTS).map(|_| shown(&mut q)).collect()
+            let own = Broadcast::new(batch);
+            let mut q = own.compile(plan, 5);
+            (5..INSTANTS).map(|_| shown(&own, &mut q)).collect()
         })
         .collect();
     let hub = Broadcast::new(batch);
@@ -1653,12 +1721,12 @@ fn sharing_queries_show_what_they_show_alone() {
         }
         for (i, q) in early.iter_mut().enumerate() {
             let context = format!("{} at {at}", plans[i].to_algebra());
-            let now = shown(q);
+            let now = shown(&hub, q);
             assert_eq!(now, alone[i][at as usize], "{context}");
             assert_eq!(now.3, if at == 2 { fails[i] } else { 0 }, "{context}");
         }
         for (i, q) in registered_late.iter_mut().enumerate() {
-            let now = shown(q);
+            let now = shown(&hub, q);
             let context = format!("{} registered at 5, at {at}", plans[i].to_algebra());
             assert_eq!(now, late[i][at as usize - 5], "{context}");
         }
@@ -1678,7 +1746,7 @@ fn sharing_queries_show_what_they_show_alone() {
                 4..=9 => {
                     let q = q.as_mut().expect("restored");
                     let context = format!("{} restored, at {at}", plans[i].to_algebra());
-                    assert_eq!(shown(q), alone[i][at as usize], "{context}");
+                    assert_eq!(shown(&hub, q), alone[i][at as usize], "{context}");
                 }
                 _ => {}
             }
@@ -1933,14 +2001,12 @@ fn indexes_and_groups_hold_only_what_the_operands_hold() {
             .build()
             .unwrap()
     };
-    let mut sources = SourceSet::new();
-    for (name, schema) in [("s", pair("k", "a")), ("p", pair("k", "b"))] {
-        // two tuples an instant under a key no other instant uses
-        let src = FnStream(|at: Instant| {
-            let k = at.ticks() as i64;
-            vec![tuple![k, 0], tuple![k, 1]]
-        });
-        sources.add_stream(name, schema, Box::new(src));
+    let (mut sources, hubs) = (SourceSet::new(), [StreamHub::new(), StreamHub::new()]);
+    for ((name, schema), hub) in [("s", pair("k", "a")), ("p", pair("k", "b"))]
+        .into_iter()
+        .zip(&hubs)
+    {
+        sources.add_stream(name, schema, hub.clone());
     }
     let plan = StreamPlan::source("s")
         .window(4)
@@ -1949,6 +2015,12 @@ fn indexes_and_groups_hold_only_what_the_operands_hold() {
     let mut q = ContinuousQuery::compile(&plan, &mut sources).unwrap();
     let reg = example_registry();
     for _ in 0..2_000 {
+        // two tuples an instant under a key no other instant uses
+        let k = q.next_instant().ticks() as i64;
+        for hub in &hubs {
+            hub.push(tuple![k, 0]);
+            hub.push(tuple![k, 1]);
+        }
         q.tick_with(&reg, &NoopMetrics);
     }
     let distinct_keys = |m: &Multiset| {

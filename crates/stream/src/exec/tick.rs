@@ -164,7 +164,7 @@ impl Op {
                 *started = true;
                 delta
             }
-            Op::Stream { source } => return Out::Batch(source.poll(ctx.at)),
+            Op::Stream { source } => return Out::Batch(source.poll()),
             Op::Serena { op, state } => match state {
                 OpState::Stateless => map_delta(op, sides(&input), ctx),
                 OpState::Ring { mapping, bags } => {

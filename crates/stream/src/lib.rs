@@ -6,8 +6,10 @@
 //!
 //! * [`multiset`] — instantaneous states as tuple multisets and per-tick
 //!   deltas (§4.1's CQL-style semantics);
-//! * [`source`] — dynamic tables ([`source::TableHandle`]) and stream
-//!   producers ([`source::StreamSource`]);
+//! * [`source`] — dynamic tables ([`source::TableHandle`]) and streams
+//!   ([`source::StreamHub`]): a stream is pushed into, and every executor
+//!   leaf over it reads the instant's one batch through a subscription of
+//!   its own;
 //! * [`plan`] — [`plan::StreamPlan`], the name continuous-query code
 //!   gives [`serena_core::plan::Plan`] (one tree: the Serena operators plus
 //!   `W[period]`, `S[insertion|deletion|heartbeat]` and `βˢ`, with static
@@ -27,7 +29,7 @@
 //! use serena_core::value::DataType;
 //! use serena_stream::exec::{ContinuousQuery, SourceSet};
 //! use serena_stream::plan::StreamPlan;
-//! use serena_stream::source::PushStream;
+//! use serena_stream::source::StreamHub;
 //!
 //! // a temperature stream, windowed and filtered
 //! let schema = XSchema::builder()
@@ -35,9 +37,9 @@
 //!     .real("temperature", DataType::Real)
 //!     .build()
 //!     .unwrap();
-//! let push = PushStream::new();
+//! let temps = StreamHub::new();
 //! let mut sources = SourceSet::new();
-//! sources.add_stream("temps", schema, Box::new(push.clone()));
+//! sources.add_stream("temps", schema, temps.clone());
 //!
 //! let plan = StreamPlan::source("temps")
 //!     .window(1)
@@ -45,7 +47,7 @@
 //! let mut query = ContinuousQuery::compile(&plan, &mut sources).unwrap();
 //!
 //! let registry = example_registry();
-//! push.push(tuple!["office", 40.0]);
+//! temps.push(tuple!["office", 40.0]);
 //! let report = query.tick_with(&registry, &NoopMetrics);
 //! assert_eq!(report.delta.inserts.len(), 1);
 //! ```
@@ -63,4 +65,4 @@ pub mod source;
 pub use exec::{ContinuousQuery, SourceSet, TickReport};
 pub use multiset::{Delta, Multiset};
 pub use plan::{StreamKind, StreamPlan, StreamSchema};
-pub use source::{FnStream, PushStream, StreamSource, TableHandle};
+pub use source::{StreamHub, TableHandle};

@@ -180,7 +180,7 @@ fn time_dependence_and_instant_determinism() {
 fn example_8_continuous_queries() {
     use serena::core::schema::XSchema;
     use serena::stream::plan::examples::{q3, q4};
-    use serena::stream::{ContinuousQuery, FnStream, SourceSet, TableHandle};
+    use serena::stream::{ContinuousQuery, SourceSet, StreamHub, TableHandle};
 
     let temps_schema = XSchema::builder()
         .real("location", DataType::Str)
@@ -188,19 +188,16 @@ fn example_8_continuous_queries() {
         .build()
         .unwrap();
 
+    // the office's reading at `q`'s next instant: `odd` at `at`, else 20.0
+    let feed = |hub: &StreamHub, q: &ContinuousQuery, at: u64, odd: f64| {
+        let hot_or_cold = q.next_instant() == Instant(at);
+        hub.push(tuple!["office", if hot_or_cold { odd } else { 20.0 }]);
+    };
+
     // Q3: hot at τ=2 → 3 contacts alerted once
+    let temperatures = StreamHub::new();
     let mut sources = SourceSet::new();
-    sources.add_stream(
-        "temperatures",
-        temps_schema.clone(),
-        Box::new(FnStream(|at: Instant| {
-            if at.ticks() == 2 {
-                vec![tuple!["office", 36.0]]
-            } else {
-                vec![tuple!["office", 20.0]]
-            }
-        })),
-    );
+    sources.add_stream("temperatures", temps_schema.clone(), temperatures.clone());
     sources.add_table(
         "contacts",
         TableHandle::with_tuples(
@@ -211,24 +208,17 @@ fn example_8_continuous_queries() {
     let mut q3 = ContinuousQuery::compile(&q3(), &mut sources).unwrap();
     assert!(!q3.schema().infinite, "Q3's result is finite (ends in β)");
     let reg = example_registry();
-    let actions: Vec<usize> = (0..4)
-        .map(|_| q3.tick_with(&reg, &NoopMetrics).actions.len())
-        .collect();
+    let mut actions = Vec::new();
+    for _ in 0..4 {
+        feed(&temperatures, &q3, 2, 36.0);
+        actions.push(q3.tick_with(&reg, &NoopMetrics).actions.len());
+    }
     assert_eq!(actions, vec![0, 0, 3, 0]);
 
     // Q4: cold at τ=1 → photos from the office cameras
+    let temperatures = StreamHub::new();
     let mut sources = SourceSet::new();
-    sources.add_stream(
-        "temperatures",
-        temps_schema,
-        Box::new(FnStream(|at: Instant| {
-            if at.ticks() == 1 {
-                vec![tuple!["office", 5.0]]
-            } else {
-                vec![tuple!["office", 20.0]]
-            }
-        })),
-    );
+    sources.add_stream("temperatures", temps_schema, temperatures.clone());
     sources.add_table(
         "cameras",
         TableHandle::with_tuples(
@@ -238,9 +228,11 @@ fn example_8_continuous_queries() {
     );
     let mut q4 = ContinuousQuery::compile(&q4(), &mut sources).unwrap();
     assert!(q4.schema().infinite, "Q4's result is a stream (ends in S)");
-    let batches: Vec<Vec<Tuple>> = (0..4)
-        .map(|_| q4.tick_with(&reg, &NoopMetrics).batch)
-        .collect();
+    let mut batches: Vec<Vec<Tuple>> = Vec::new();
+    for _ in 0..4 {
+        feed(&temperatures, &q4, 1, 5.0);
+        batches.push(q4.tick_with(&reg, &NoopMetrics).batch);
+    }
     let sizes: Vec<usize> = batches.iter().map(Vec::len).collect();
     assert_eq!(sizes, vec![0, 2, 0, 0]); // camera01 + webcam07 cover office
                                          // each photo is taken at the cold instant, not when its camera row
