@@ -475,6 +475,7 @@ mod tests {
     use crate::service::fixtures::example_registry;
     use crate::service::{FnService, InvokerStack, StaticRegistry};
     use crate::value::Value;
+    use serena_testkit::Rng;
 
     /// A registry whose sensor counts every physical invocation.
     fn counting_registry() -> (StaticRegistry, Arc<AtomicU64>) {
@@ -1106,18 +1107,6 @@ mod tests {
         );
     }
 
-    /// A seeded xorshift64* stream: core has no `tests/common`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
-        }
-    }
-
     /// The memo across instants that advance, repeat and regress, against
     /// a model: every answer is the service's at the call's instant, each
     /// key asked at a stay at one instant makes one upstream call, every
@@ -1160,7 +1149,7 @@ mod tests {
         let proto = protos::get_temperature();
         let state = Arc::new(DedupState::new());
         let inv = stack(&state, &reg);
-        let mut rng = Rng(0x5EED_0045);
+        let mut rng = Rng::from_state(0x5EED_0045);
         let (mut at, mut logical) = (0u64, 0u64);
         // the keys asked at the memo's instant (the last one called at),
         // and at the one it called at before that

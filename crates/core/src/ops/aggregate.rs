@@ -322,6 +322,7 @@ mod tests {
     use crate::attr::attr;
     use crate::schema::XSchema;
     use crate::tuple;
+    use serena_testkit::Rng;
 
     fn readings() -> XRelation {
         let s = XSchema::builder()
@@ -447,13 +448,8 @@ mod tests {
             .real("y", DataType::Int)
             .build()
             .unwrap();
-        let mut state = 0x9E37_79B9_7F4A_7C15u64;
-        let mut below = |n: u64| {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state.wrapping_mul(0x2545_F491_4F6C_DD1D) % n
-        };
+        let mut rng = Rng::from_state(0x9E37_79B9_7F4A_7C15);
+        let mut below = |n| rng.below(n);
         let funs = [
             AggFun::Count,
             AggFun::Sum,
@@ -466,11 +462,11 @@ mod tests {
             let rows = if case % 20 == 0 { 0 } else { below(120) };
             let tuples = (0..rows).map(|_| {
                 // few distinct values per column: keys repeat across groups
-                let x = (below(2_000) as f64 - 1_000.0) / [3.0, 7.0, 10.0][below(3) as usize];
+                let x = (below(2_000) as f64 - 1_000.0) / [3.0, 7.0, 10.0][below(3)];
                 Tuple::new(vec![
-                    Value::str(["p", "q", "r"][below(3) as usize]),
+                    Value::str(["p", "q", "r"][below(3)]),
                     Value::Int(below(3) as i64),
-                    Value::service(["s1", "s2"][below(2) as usize]),
+                    Value::service(["s1", "s2"][below(2)]),
                     Value::Real(x),
                     Value::Int(below(50) as i64 - 25),
                 ])

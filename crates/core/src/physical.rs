@@ -392,25 +392,10 @@ mod tests {
     use super::*;
     use crate::env::examples::example_environment;
     use crate::metrics::ExecStats;
-    use crate::plan::examples::{q1, q1_prime, q2, q2_prime};
+    use crate::plan::examples::{q1, q2};
     use crate::service::fixtures::example_registry;
     use crate::time::Instant;
-
-    #[test]
-    fn compiled_plan_matches_interpreter_outputs() {
-        let env = example_environment();
-        let reg = example_registry();
-        for plan in [q1(), q1_prime(), q2(), q2_prime()] {
-            let physical = PhysicalPlan::compile(&plan, &env).unwrap();
-            for t in 0..4 {
-                let ctx = ExecContext::new(&env, &reg, Instant(t));
-                let a = physical.execute(&ctx).unwrap();
-                let b = ctx.execute(&plan).unwrap();
-                assert_eq!(a.relation, b.relation);
-                assert_eq!(a.actions, b.actions);
-            }
-        }
-    }
+    use serena_testkit::Rng;
 
     #[test]
     fn compiled_schema_matches_static_validation() {
@@ -474,22 +459,6 @@ mod tests {
         assert_eq!(nodes[&NodeId(0)].op, OpKind::Invoke);
         assert_eq!(nodes[&NodeId(3)].op, OpKind::Relation);
         assert!(nodes.values().all(|n| n.applications == 2));
-    }
-
-    /// A seeded xorshift64* stream: core has no `tests/common`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
-        }
-
-        fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
-            &items[self.below(items.len())]
-        }
     }
 
     /// A `σ` that looks its rows up returns what the scan returns — the same
@@ -558,7 +527,7 @@ mod tests {
             }
         };
 
-        let mut rng = Rng(0x5EED_1A2B_3C4D_5E6F);
+        let mut rng = Rng::from_state(0x5EED_1A2B_3C4D_5E6F);
         // four kinds × {kept in ascending order, in insertion order}
         let mut rels: Vec<Arc<XRelation>> = (0..8)
             .map(|_| Arc::new(XRelation::empty(schema.clone())))

@@ -301,13 +301,6 @@ impl XSchema {
         &self.bps
     }
 
-    /// Find a binding pattern by prototype name (first match).
-    pub fn find_bp(&self, prototype: &str) -> Option<&BindingPattern> {
-        self.bps
-            .iter()
-            .find(|bp| bp.prototype().name() == prototype)
-    }
-
     /// Find a binding pattern by prototype name *and* service attribute.
     pub fn find_bp_exact(&self, prototype: &str, service_attr: &str) -> Option<&BindingPattern> {
         self.bps.iter().find(|bp| {
@@ -704,7 +697,7 @@ mod tests {
     fn cameras_schema_has_two_bps() {
         let s = cameras_schema();
         assert_eq!(s.binding_patterns().len(), 2);
-        assert!(s.find_bp("checkPhoto").is_some());
+        assert!(s.find_bp_exact("checkPhoto", "camera").is_some());
         assert!(s.find_bp_exact("takePhoto", "camera").is_some());
         assert!(s.find_bp_exact("takePhoto", "webcam").is_none());
     }

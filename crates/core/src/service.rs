@@ -395,7 +395,7 @@ impl Invoker for CatchPanic<'_> {
 
 /// Validate an invocation result against `Output_ψ` — arity and value
 /// types. Shared by every `Invoker` implementation.
-pub fn validate_invocation_result(
+fn validate_invocation_result(
     prototype: &Prototype,
     service: &ServiceRef,
     result: &[Tuple],

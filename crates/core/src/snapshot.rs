@@ -334,6 +334,14 @@ pub fn read_header(r: &mut Reader<'_>) -> Result<u32, SnapshotError> {
     Ok(version)
 }
 
+/// FNV-1a (64-bit) of `bytes`: the workspace's one digest of snapshot
+/// bytes and service names, fixed by its definition across toolchains.
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

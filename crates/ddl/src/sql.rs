@@ -100,8 +100,8 @@ pub struct FromItem {
 }
 
 /// A parsed Serena SQL `SELECT`. Its clauses hold the algebra's own
-/// parameter types; what is left to [`lower_select`] is their placement,
-/// which consults the catalog.
+/// parameter types; what is left to lowering (in [`compile_select`]) is
+/// their placement, which consults the catalog.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SelectAst {
     /// `SELECT` list; empty = `*`.
@@ -248,7 +248,7 @@ fn from_item(p: &mut Parser) -> Result<FromItem, ParseError> {
 
 /// Lower a parsed `SELECT` onto the algebra (use
 /// [`crate::resolve::to_one_shot`] afterwards for one-shot execution).
-pub fn lower_select(ast: &SelectAst, catalog: &dyn SchemaCatalog) -> Result<Plan, DdlError> {
+fn lower_select(ast: &SelectAst, catalog: &dyn SchemaCatalog) -> Result<Plan, DdlError> {
     if ast.from.is_empty() {
         return Err(DdlError::Value("FROM list is empty".into()));
     }

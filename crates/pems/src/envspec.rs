@@ -690,7 +690,7 @@ mod tests {
     fn faults_and_latencies_apply_to_the_fleet() {
         let spec = EnvSpec::new(5)
             .sensors(4)
-            .sensor_fault(1, FaultPolicy::EveryNth(1))
+            .sensor_fault(1, FaultPolicy::Intermittent { fail: 1, ok: 0 })
             .latencies(LatencyProfile::new(
                 std::time::Duration::from_micros(50),
                 1.0,

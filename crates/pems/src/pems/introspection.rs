@@ -305,7 +305,7 @@ mod tests {
         )
         .into_service();
         // every invocation fails → health must notice through β
-        let faulty = FaultyService::new(svc, FaultPolicy::EveryNth(1));
+        let faulty = FaultyService::new(svc, FaultPolicy::Intermittent { fail: 1, ok: 0 });
         pems.directory().register("email", faulty.clone());
         pems.run_program(SETUP).unwrap();
 

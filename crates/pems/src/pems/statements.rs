@@ -57,7 +57,7 @@ impl Pems {
 
     /// Execute a parsed statement. An `INSERT` or `DELETE` types every one
     /// of its tuples before it writes any: one that fails writes nothing.
-    pub fn run_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome, PemsError> {
+    fn run_statement(&mut self, stmt: &Statement) -> Result<ExecOutcome, PemsError> {
         match stmt {
             Statement::Prototype {
                 name,

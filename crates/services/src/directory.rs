@@ -448,11 +448,6 @@ impl NodeDirectory {
         Some((state.position(), events))
     }
 
-    /// The advertisement for `reference`, if it is hosted locally.
-    pub fn advertise(&self, reference: &ServiceRef) -> Option<ServiceAd> {
-        self.state.read().advertise(reference)
-    }
-
     /// Advertisements for every locally hosted service (sorted by
     /// reference), paired with the log position of the listing.
     pub fn advertise_all(&self) -> (u64, Vec<ServiceAd>) {
@@ -584,6 +579,7 @@ mod tests {
     use serena_stream::exec::{ContinuousQuery, SourceSet};
     use serena_stream::multiset::Multiset;
     use serena_stream::source::TableHandle;
+    use serena_testkit::Rng;
     use std::collections::BTreeMap;
 
     fn sref(name: &str) -> ServiceRef {
@@ -608,7 +604,11 @@ mod tests {
         assert!(dir.resolve(&sref("sensor01")).is_some());
         assert_eq!(dir.get("sensor01", "location"), Some(Value::str("office")));
         assert_eq!(
-            dir.advertise(&sref("sensor01")).unwrap().metadata,
+            dir.state
+                .read()
+                .advertise(&sref("sensor01"))
+                .unwrap()
+                .metadata,
             vec![("location".to_string(), Value::str("office"))]
         );
 
@@ -696,7 +696,9 @@ mod tests {
         let dir = NodeDirectory::new("n1");
         dir.register_from("sensor01", fixtures::temperature_sensor(1), "building");
         dir.set("sensor01", "location", Value::str("office"));
-        let ad = dir.advertise(&sref("sensor01")).unwrap();
+        let (_, ads) = dir.advertise_all();
+        assert_eq!(ads.len(), 1);
+        let ad = &ads[0];
         assert_eq!(ad.origin, "building");
         assert_eq!(ad.prototypes.len(), 1);
         assert_eq!(ad.prototypes[0].name(), "getTemperature");
@@ -704,8 +706,6 @@ mod tests {
             ad.metadata,
             vec![("location".to_string(), Value::str("office"))]
         );
-        let (_, ads) = dir.advertise_all();
-        assert_eq!(ads.len(), 1);
     }
 
     #[test]
@@ -740,18 +740,6 @@ mod tests {
         let handle = ServiceNode::serve(Arc::clone(transport), &addr, host).unwrap();
         let client = RemoteNodeClient::connect(Arc::clone(transport), &addr, "model").unwrap();
         (handle, client)
-    }
-
-    /// xorshift64*, as `tests/common::Rng`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
-        }
     }
 
     #[derive(Clone, Debug, PartialEq)]
@@ -936,7 +924,7 @@ mod tests {
 
         let dir = NodeDirectory::new("model");
         let mut model = Model::default();
-        let mut rng = Rng(0x5EED_D1CE);
+        let mut rng = Rng::from_state(0x5EED_D1CE);
         let mut now = 0u64;
         let mut followed = BTreeMap::new();
         let mut cursor = 0u64;
@@ -1154,7 +1142,7 @@ mod tests {
             );
             dir.set(near.clone(), "location", Value::str("office"));
             bus.deliver_due(Instant(round), &dir);
-            let mut ad = dir.advertise(&sref(&near)).unwrap();
+            let mut ad = dir.state.read().advertise(&sref(&near)).unwrap();
             ad.reference = sref(&far);
             let joined = PeerUpdate::Events(vec![WireEvent::Joined(ad)]);
             dir.state.write().apply(&client, joined);

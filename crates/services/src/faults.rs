@@ -22,14 +22,12 @@ use crate::fleet::mix64;
 /// `Outage`, `Rate` and `None` are **pure per instant**: whether a call
 /// fails is a function of its instant alone, so every caller at τ sees the
 /// same outcome however many there are and in whatever order they call.
-/// `EveryNth` and `Intermittent` **count calls**: the outcome depends on
-/// how many calls came before, so they are deterministic only with one
-/// caller per instant — the derived stream that samples the service, dedup
-/// on, or a single query.
+/// `Intermittent` **counts calls**: the outcome depends on how many calls
+/// came before, so it is deterministic only with one caller per instant —
+/// the derived stream that samples the service, dedup on, or a single
+/// query.
 #[derive(Debug, Clone)]
 pub enum FaultPolicy {
-    /// Every `n`-th invocation fails (1-based; `n = 1` fails always).
-    EveryNth(u64),
     /// Fails during the inclusive instant range.
     Outage {
         /// First failing instant.
@@ -50,6 +48,7 @@ pub enum FaultPolicy {
     /// `fail / (fail + ok)` — the predictable signal health trackers are
     /// tested against.
     ///
+    /// `fail: 1, ok: n − 1` fails every `n`-th call, the first included.
     /// Zero-length phases degenerate cleanly: `fail = 0` never fails
     /// (whatever `ok` is, including 0), and `ok = 0` with `fail > 0` always
     /// fails.
@@ -90,7 +89,7 @@ impl FaultyService {
     }
 
     /// Wrap with a custom error message.
-    pub fn with_error(
+    fn with_error(
         inner: Arc<dyn Service>,
         policy: FaultPolicy,
         error: impl Into<String>,
@@ -111,7 +110,6 @@ impl FaultyService {
     /// Whether the call with 0-based index `call` at instant `at` fails.
     fn should_fail(&self, call: u64, at: Instant) -> bool {
         match &self.policy {
-            FaultPolicy::EveryNth(n) => *n > 0 && call.is_multiple_of(*n),
             FaultPolicy::Outage { from, to } => *from <= at && at <= *to,
             FaultPolicy::Rate { seed, percent } => {
                 mix64(*seed, at.ticks(), 0xF1A6) % 100 < *percent
@@ -157,8 +155,11 @@ mod tests {
 
     #[test]
     fn every_nth_fails_periodically() {
-        // n=2 → calls 0, 2, 4… fail
-        let svc = FaultyService::new(fixtures::temperature_sensor(1), FaultPolicy::EveryNth(2));
+        // `fail: 1, ok: n − 1` fails every n-th call: n = 2 → calls 0, 2, 4… fail
+        let svc = FaultyService::new(
+            fixtures::temperature_sensor(1),
+            FaultPolicy::Intermittent { fail: 1, ok: 1 },
+        );
         let mut outcomes = Vec::new();
         for _ in 0..6 {
             outcomes.push(
@@ -312,7 +313,7 @@ mod tests {
     fn custom_error_propagates() {
         let svc = FaultyService::with_error(
             fixtures::temperature_sensor(1),
-            FaultPolicy::EveryNth(1),
+            FaultPolicy::Intermittent { fail: 1, ok: 0 },
             "battery dead",
         );
         let err = svc

@@ -32,9 +32,7 @@
 //! results instead of erroring — is the executor's side of the contract:
 //! see [`DegradePolicy`](serena_core::ops::DegradePolicy).
 
-use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -42,13 +40,14 @@ use std::time::Duration;
 use serena_core::error::EvalError;
 use serena_core::prototype::Prototype;
 use serena_core::service::{Invoker, InvokerLayer};
-use serena_core::snapshot::{Reader, SnapshotError, Writer};
+use serena_core::snapshot::{fnv1a, Reader, SnapshotError, Writer};
 use serena_core::sync::Mutex;
 use serena_core::telemetry::{Counter, MetricsRegistry, TraceSink};
 use serena_core::time::Instant;
 use serena_core::tuple::Tuple;
 use serena_core::value::ServiceRef;
 
+use crate::fleet::mix64;
 use crate::health::HealthTracker;
 
 /// Everything the resilience layer is allowed to do on behalf of one
@@ -570,14 +569,11 @@ impl Resilient<'_> {
 }
 
 /// Deterministic jitter factor in `[0.5, 1.0)` for one (service,
-/// instant, attempt) triple — stable across runs, decorrelated across
-/// services and attempts.
+/// instant, attempt) triple — stable across runs and toolchains,
+/// decorrelated across services and attempts.
 fn jitter(service: &ServiceRef, at: Instant, attempt: u32) -> f64 {
-    let mut hasher = DefaultHasher::new();
-    service.as_str().hash(&mut hasher);
-    at.ticks().hash(&mut hasher);
-    attempt.hash(&mut hasher);
-    let unit = (hasher.finish() >> 11) as f64 / (1u64 << 53) as f64;
+    let name = fnv1a(service.as_str().as_bytes());
+    let unit = (mix64(name, at.ticks(), u64::from(attempt)) >> 11) as f64 / (1u64 << 53) as f64;
     0.5 + unit / 2.0
 }
 
@@ -698,7 +694,7 @@ mod tests {
 
     #[test]
     fn disabled_policy_is_transparent() {
-        let (reg, faulty) = flaky(FaultPolicy::EveryNth(2));
+        let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 1 });
         let state = Arc::new(ResilienceState::new());
         let invoker = resilient(&reg, ResiliencePolicy::disabled(), &state);
         assert!(call(&invoker, Instant(0)).is_err()); // call 0 fails
@@ -736,7 +732,7 @@ mod tests {
 
     #[test]
     fn retry_budget_exhausts_on_persistent_faults() {
-        let (reg, faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
+        let (reg, faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 0 }); // always fails
         let state = Arc::new(ResilienceState::new());
         let invoker = resilient(&reg, ResiliencePolicy::disabled().with_retries(3), &state);
         let err = call(&invoker, Instant(0)).unwrap_err();
@@ -858,7 +854,7 @@ mod tests {
 
     #[test]
     fn half_open_probe_failure_reopens() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1)); // always fails
+        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 0 }); // always fails
         let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
         let state = Arc::new(ResilienceState::new());
         let invoker = resilient(&reg, policy, &state);
@@ -881,7 +877,7 @@ mod tests {
 
     #[test]
     fn registry_series_are_published() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
+        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 0 });
         let registry = MetricsRegistry::new();
         let policy = ResiliencePolicy::disabled().with_retries(1);
         let invoker = InvokerStack::new(&reg).layer(
@@ -896,7 +892,7 @@ mod tests {
 
     #[test]
     fn resilience_state_round_trips_through_snapshot() {
-        let (reg, _faulty) = flaky(FaultPolicy::EveryNth(1));
+        let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 1, ok: 0 });
         let policy = ResiliencePolicy::disabled().with_breaker(2, 3);
         let state = Arc::new(ResilienceState::new());
         let invoker = resilient(&reg, policy, &state);

@@ -153,7 +153,7 @@ fn resilience_fresh_state_round_trips() {
 /// open, reopened after a failed probe.
 #[test]
 fn resilience_breaker_phases_round_trip() {
-    let reg = flaky_registry(FaultPolicy::EveryNth(1)); // always fails
+    let reg = flaky_registry(FaultPolicy::Intermittent { fail: 1, ok: 0 }); // always fails
     let policy = ResiliencePolicy::disabled().with_breaker(3, 4);
     let state = Arc::new(ResilienceState::new());
     let invoker = InvokerStack::new(&reg).layer(ResilientLayer::new(policy, state.clone()));
@@ -218,7 +218,7 @@ fn resilience_half_open_mid_probe_round_trips() {
 
 #[test]
 fn resilience_counters_round_trip_independently_of_breakers() {
-    let reg = flaky_registry(FaultPolicy::EveryNth(1));
+    let reg = flaky_registry(FaultPolicy::Intermittent { fail: 1, ok: 0 });
     let policy = ResiliencePolicy::disabled()
         .with_breaker(2, 10)
         .with_retries(1);

@@ -7,8 +7,10 @@ use serena_core::metrics::NoopMetrics;
 use serena_core::ops::{AggFun, AggSpec, DegradePolicy};
 use serena_core::schema::XSchema;
 use serena_core::service::fixtures::example_registry;
+use serena_core::snapshot::fnv1a;
 use serena_core::tuple;
 use serena_core::value::{DataType, Value};
+use serena_testkit::Rng;
 
 fn int_schema(name: &str) -> SchemaRef {
     XSchema::builder()
@@ -830,11 +832,7 @@ fn digest(q: &ContinuousQuery) -> (usize, String) {
     let mut w = Writer::new();
     q.write_snapshot(&mut w);
     let bytes = w.into_bytes();
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in &bytes {
-        h = (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (bytes.len(), format!("{h:016x}"))
+    (bytes.len(), format!("{:016x}", fnv1a(&bytes)))
 }
 
 /// Snapshot format guard: the digest was recorded from the executor of
@@ -876,24 +874,6 @@ fn snapshot_bytes_match_the_recorded_format() {
 // ---------------------------------------------------------------------
 // The delta-native ⋈, ∪/∩/− and γ against the naive tick they refine.
 // ---------------------------------------------------------------------
-
-/// xorshift64*, as `tests/common::Rng`.
-struct Rng(u64);
-
-impl Rng {
-    fn new(seed: u64) -> Self {
-        Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1)
-    }
-
-    fn below(&mut self, bound: u64) -> i64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound) as i64
-    }
-}
 
 /// The reference: the instantaneous output of ⋈, ∪, ∩, − or γ rebuilt from
 /// its operands' whole `current`. Until PR 14 this *was* the tick of these
@@ -981,7 +961,7 @@ fn drift(at: u64) -> i64 {
 fn s_batch(seed: u64, at: Instant) -> Vec<Tuple> {
     let mut rng = Rng::new(seed ^ (at.ticks() + 1).wrapping_mul(0xA24B_AED4_963E_E407));
     (0..rng.below(7))
-        .map(|_| tuple![drift(at.ticks()) + rng.below(4), rng.below(3)])
+        .map(|_| tuple![drift(at.ticks()) + rng.i64_in(0, 4), rng.i64_in(0, 3)])
         .collect()
 }
 
@@ -993,8 +973,8 @@ fn m_batch(seed: u64, at: Instant) -> Vec<Tuple> {
     let reading = |sensor: &str, room: i64| tuple![Value::service(sensor), format!("room{room}")];
     let mut batch = vec![reading("sensor01", 0), reading("sensor01", 0)];
     for _ in 0..rng.below(4) {
-        let sensor = ["sensor01", "sensor06", "sensor07", "sensor22"][rng.below(4) as usize];
-        batch.push(reading(sensor, rng.below(2)));
+        let sensor = *rng.pick(&["sensor01", "sensor06", "sensor07", "sensor22"]);
+        batch.push(reading(sensor, rng.i64_in(0, 2)));
     }
     batch
 }
@@ -1049,13 +1029,13 @@ impl World {
     /// table holds, a few insertions — some of a tuple it already holds,
     /// some of one deleted in this same instant.
     fn churn(&self, rng: &mut Rng, at: u64) {
-        let x = |rng: &mut Rng| drift(at) + rng.below(4);
+        let x = |rng: &mut Rng| drift(at) + rng.i64_in(0, 4);
         for (table, fresh) in [
             (
                 &self.t,
-                &(|rng: &mut Rng| tuple![x(rng), rng.below(3)]) as &dyn Fn(&mut Rng) -> Tuple,
+                &(|rng: &mut Rng| tuple![x(rng), rng.i64_in(0, 3)]) as &dyn Fn(&mut Rng) -> Tuple,
             ),
-            (&self.u, &|rng: &mut Rng| tuple![rng.below(3), x(rng)]),
+            (&self.u, &|rng: &mut Rng| tuple![rng.i64_in(0, 3), x(rng)]),
             // quarters: every sum is exact, whatever order it is taken in
             (&self.r, &|rng: &mut Rng| {
                 tuple![x(rng), rng.below(12) as f64 * 0.25]
@@ -1065,7 +1045,7 @@ impl World {
             let mut deleted = Vec::new();
             for _ in 0..rng.below(4) {
                 if !held.is_empty() {
-                    let t = &held[rng.below(held.len() as u64) as usize];
+                    let t = rng.pick(&held);
                     table.delete(t.clone());
                     deleted.push(t.clone());
                 }
@@ -1073,7 +1053,7 @@ impl World {
             for _ in 0..rng.below(4) {
                 let t = match rng.below(4) {
                     0 if !deleted.is_empty() => deleted[0].clone(),
-                    1 if !held.is_empty() => held[rng.below(held.len() as u64) as usize].clone(),
+                    1 if !held.is_empty() => rng.pick(&held).clone(),
                     _ => fresh(rng),
                 };
                 table.insert(t);
@@ -1782,8 +1762,7 @@ fn a_looked_up_slide_selection_is_the_scan_row_for_row() {
         .build()
         .unwrap();
     let mut rng = Rng::new(0x46_01);
-    let pick =
-        |rng: &mut Rng, items: &[&'static str]| items[rng.below(items.len() as u64) as usize];
+    let pick = |rng: &mut Rng, items: &[&'static str]| *rng.pick(items);
     // how a bag's `a` and `s` values are drawn: 0 `Str` only, 1 `Service`
     // only, 2 either, 3 either and now and then an INTEGER in `s`
     let text = |rng: &mut Rng, kind: u64, t: &str| match (kind, rng.below(2)) {
@@ -1794,16 +1773,16 @@ fn a_looked_up_slide_selection_is_the_scan_row_for_row() {
         let (a, s) = (pick(rng, &TEXTS), pick(rng, &TEXTS));
         let a = text(rng, kind, a);
         let s = if kind == 3 && rng.below(8) == 0 {
-            Value::Int(rng.below(3))
+            Value::Int(rng.i64_in(0, 3))
         } else {
             text(rng, kind, s)
         };
-        Tuple::new(vec![a, s, Value::Int(rng.below(4))])
+        Tuple::new(vec![a, s, Value::Int(rng.i64_in(0, 4))])
     };
     // `attr = 'text'`, either way round; or `n = 2`, whose constant is no text
     let equality = |rng: &mut Rng| {
         if rng.below(6) == 0 {
-            return Formula::eq_const("n", rng.below(4));
+            return Formula::eq_const("n", rng.i64_in(0, 4));
         }
         let attr = Expr::attr(pick(rng, &["a", "s"]));
         let t = pick(rng, &["x", "y", "z", "w", "nothing"]);
@@ -1815,8 +1794,8 @@ fn a_looked_up_slide_selection_is_the_scan_row_for_row() {
     };
     // anything else; `s CONTAINS` and `s = …` fail on an INTEGER
     let other = |rng: &mut Rng| match rng.below(5) {
-        0 => Formula::gt_const("n", rng.below(4)),
-        1 => Formula::eq_const("n", rng.below(4)),
+        0 => Formula::gt_const("n", rng.i64_in(0, 4)),
+        1 => Formula::eq_const("n", rng.i64_in(0, 4)),
         2 => Formula::contains_const("s", pick(rng, &TEXTS)),
         3 => Formula::ne_const("a", pick(rng, &TEXTS)),
         _ => Formula::eq_const("s", pick(rng, &TEXTS)),
@@ -1935,7 +1914,7 @@ fn continuous_avg_is_a_function_of_the_group_content() {
         tuple![
             location,
             seq,
-            [0.1, 0.2, 0.3][rng.below(3) as usize] * (1 + rng.below(9)) as f64
+            *rng.pick(&[0.1, 0.2, 0.3]) * (1 + rng.below(9)) as f64
         ]
     };
     let mut seq = 0;
@@ -1955,7 +1934,7 @@ fn continuous_avg_is_a_function_of_the_group_content() {
         if at > 0 {
             let held = readings.snapshot().sorted_occurrences();
             for _ in 0..30 {
-                let t = &held[rng.below(held.len() as u64) as usize];
+                let t = rng.pick(&held);
                 if t[0] != Value::str("roof") {
                     readings.delete(t.clone());
                 }

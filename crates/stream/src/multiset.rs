@@ -496,6 +496,7 @@ impl Delta {
 mod tests {
     use super::*;
     use serena_core::tuple;
+    use serena_testkit::Rng;
 
     impl SharedBag {
         /// The bags the memo points at.
@@ -515,22 +516,10 @@ mod tests {
         }
     }
 
-    /// A seeded xorshift64* stream.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, n: usize) -> usize {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            (self.0.wrapping_mul(0x2545_F491_4F6C_DD1D) % n as u64) as usize
-        }
-
-        /// A bag of up to `size` occurrences over `domain` values.
-        fn bag(&mut self, size: usize, domain: usize) -> Multiset {
-            let n = self.below(size + 1);
-            (0..n).map(|_| tuple![self.below(domain) as i64]).collect()
-        }
+    /// A bag of up to `size` occurrences over `domain` values.
+    fn random_bag(rng: &mut Rng, size: usize, domain: usize) -> Multiset {
+        let n = rng.below(size + 1);
+        (0..n).map(|_| tuple![rng.below(domain) as i64]).collect()
     }
 
     /// Clones of a `SharedBag`'s bag, written at random beside owned
@@ -545,9 +534,9 @@ mod tests {
         // does not hold
         let mut absent_removals = 0;
         for seed in 1..=100u64 {
-            let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+            let mut rng = Rng::new(seed);
             // half the domain is never in the shared bag
-            let model = rng.bag(24, DOMAIN / 2);
+            let model = random_bag(&mut rng, 24, DOMAIN / 2);
             let shared = Arc::new(SharedBag::from(model.clone()));
             let mut clones: Vec<Multiset> =
                 (0..3).map(|_| Arc::clone(&shared).into_bag()).collect();
@@ -576,8 +565,8 @@ mod tests {
                     }
                     _ => {
                         let size = rng.below(2) * 3;
-                        let inserts = rng.bag(size, DOMAIN);
-                        let deletes = rng.bag(3, DOMAIN);
+                        let inserts = random_bag(&mut rng, size, DOMAIN);
+                        let deletes = random_bag(&mut rng, 3, DOMAIN);
                         let missing = bag.apply_sides(&inserts, &deletes);
                         assert_eq!(missing, own.apply_sides(&inserts, &deletes), "{at}");
                     }

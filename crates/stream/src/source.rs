@@ -529,6 +529,7 @@ mod tests {
     use serena_core::schema::XSchema;
     use serena_core::tuple;
     use serena_core::value::DataType;
+    use serena_testkit::Rng;
 
     fn schema() -> SchemaRef {
         XSchema::builder().real("x", DataType::Int).build().unwrap()
@@ -678,20 +679,6 @@ mod tests {
         assert_eq!(restored.snapshot().len(), 3);
     }
 
-    /// xorshift64*, as `tests/common::Rng`.
-    struct Rng(u64);
-
-    impl Rng {
-        fn below(&mut self, bound: usize) -> usize {
-            let mut x = self.0;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            self.0 = x;
-            (x.wrapping_mul(0x2545_F491_4F6C_DD1D) % bound as u64) as usize
-        }
-    }
-
     /// The oracle: what every statement rebuilt for itself before the table
     /// kept its relation — the projected bag, sorted, duplicates dropped.
     fn rebuilt(t: &TableHandle) -> Vec<Tuple> {
@@ -716,7 +703,7 @@ mod tests {
     /// committed view, between two commits that change the contents.
     #[test]
     fn the_shared_relation_is_the_rebuilt_one_after_every_step() {
-        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        let mut rng = Rng::from_state(0x9E37_79B9_7F4A_7C15);
         let pick = |rng: &mut Rng| tuple![rng.below(10) as i64];
         let (t, unread) = (TableHandle::new(schema()), TableHandle::new(schema()));
         let both = [&t, &unread];

@@ -26,7 +26,7 @@ fn main() {
                 to: Instant(4),
             },
         )
-        .sensor_fault(2, FaultPolicy::EveryNth(2));
+        .sensor_fault(2, FaultPolicy::Intermittent { fail: 1, ok: 1 });
     let (mut pems, fleet) = spec.build().expect("setup");
     let names = WorkloadSpec::new()
         .queries(QueryTemplate::SampledTemperatures { every: 1 }, 1)

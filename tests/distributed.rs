@@ -6,10 +6,12 @@
 //! the edge's trace-driven stream reads its own trace before and after the
 //! host dies, and a served endpoint survives hostile bytes on the wire.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serena::core::snapshot::Writer;
+use common::observe;
 use serena::core::time::Instant;
 use serena::core::value::ServiceRef;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
@@ -18,7 +20,6 @@ use serena::services::directory::NodeDirectory;
 use serena::services::fleet::FailureProfile;
 use serena::services::node::{NodeHandle, ServiceNode};
 use serena::services::transport::{InProcTransport, SocketTransport, Transport};
-use serena::stream::exec::TickReport;
 use serena::stream::plan::StreamPlan;
 
 const TICKS: u64 = 8;
@@ -74,40 +75,6 @@ fn edge_on(transport: &Arc<dyn Transport>, host_addr: &str) -> (Pems, Vec<String
     edge.connect_peer(Arc::clone(transport), host_addr)
         .expect("edge links host");
     (edge, names)
-}
-
-/// Everything observable about one query's tick, in comparable form
-/// (errors as a sorted multiset — surfacing order follows β order).
-#[derive(Debug, PartialEq)]
-struct Obs {
-    query: String,
-    at: Instant,
-    delta_bytes: Vec<u8>,
-    batch: Vec<serena::core::tuple::Tuple>,
-    actions: String,
-    errors: Vec<String>,
-    invocations: u64,
-}
-
-fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
-    reports
-        .into_iter()
-        .map(|(query, r)| {
-            let mut w = Writer::new();
-            r.delta.encode(&mut w);
-            let mut errors: Vec<String> = r.errors.iter().map(|e| e.to_string()).collect();
-            errors.sort();
-            Obs {
-                query,
-                at: r.at,
-                delta_bytes: w.into_bytes(),
-                batch: r.batch.clone(),
-                actions: r.actions.to_string(),
-                errors,
-                invocations: r.stats.total_invocations(),
-            }
-        })
-        .collect()
 }
 
 /// A collision-free UDS address for this test binary.

@@ -11,17 +11,19 @@
 //! so must the final per-query relations, the service-health report and the
 //! runtime's checkpoint, byte for byte.
 
+mod common;
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use serena::core::snapshot::Writer;
+use common::{observe, Obs};
+use serena::core::snapshot::fnv1a;
 use serena::core::time::Instant;
 use serena::pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
 use serena::pems::{Pems, SchedulerConfig};
 use serena::services::faults::FaultPolicy;
 use serena::services::fleet::FailureProfile;
 use serena::services::transport::{InProcTransport, SocketTransport, Transport};
-use serena::stream::exec::TickReport;
 
 const TICKS: u64 = 8;
 
@@ -63,49 +65,6 @@ fn workload() -> WorkloadSpec {
         // β-bearing: live invocations through the invoker stack, which
         // every thread of a round calls — the part a round could perturb.
         .queries(QueryTemplate::SampledTemperatures { every: 1 }, 2)
-}
-
-/// Everything observable about one query's tick, in comparable form. The
-/// delta goes through its canonical snapshot encoding so equality is
-/// byte-level, not just structural.
-#[derive(Debug, PartialEq)]
-struct Obs {
-    query: String,
-    at: Instant,
-    delta_bytes: Vec<u8>,
-    batch: Vec<serena::core::tuple::Tuple>,
-    actions: String,
-    errors: Vec<String>,
-    invocations: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-}
-
-fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
-    reports
-        .into_iter()
-        .map(|(query, r)| {
-            let mut w = Writer::new();
-            r.delta.encode(&mut w);
-            // Errors are compared as a sorted multiset: *which* invocations
-            // fail at an instant is part of the determinism contract, but
-            // their surfacing order follows β invocation order, which is
-            // unspecified.
-            let mut errors: Vec<String> = r.errors.iter().map(|e| e.to_string()).collect();
-            errors.sort();
-            Obs {
-                query,
-                at: r.at,
-                delta_bytes: w.into_bytes(),
-                batch: r.batch.clone(),
-                actions: r.actions.to_string(),
-                errors,
-                invocations: r.stats.total_invocations(),
-                cache_hits: r.stats.total_cache_hits(),
-                cache_misses: r.stats.total_cache_misses(),
-            }
-        })
-        .collect()
 }
 
 /// Deploy the spec'd environment on a single-worker runtime, run `TICKS`
@@ -180,12 +139,10 @@ fn collect_state(pems: &Pems, names: &[String]) -> Vec<String> {
         ));
     }
     let snapshot = pems.snapshot_bytes();
-    let digest = snapshot.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    });
     state.push(format!(
-        "snapshot: {} bytes, fnv1a {digest:016x}",
-        snapshot.len()
+        "snapshot: {} bytes, fnv1a {:016x}",
+        snapshot.len(),
+        fnv1a(&snapshot)
     ));
     state
 }

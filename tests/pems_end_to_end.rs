@@ -105,7 +105,7 @@ fn failing_sensor_degrades_gracefully() {
         "bad",
         FaultyService::new(
             serena::core::service::fixtures::temperature_sensor(2),
-            FaultPolicy::EveryNth(1),
+            FaultPolicy::Intermittent { fail: 1, ok: 0 },
         ),
     );
     pems.tables()

@@ -1,8 +1,10 @@
 //! Differential testing: compiled (physical) execution vs a reference
 //! evaluator.
 //!
-//! The reference folds a plan over the `ops::*` executors, one operator at a
-//! time, with no compilation step: each node's operands are evaluated into
+//! The reference (`tests/common`'s `reference`) folds a plan over the
+//! `ops::*` executors, one operator at a time, with no compilation step —
+//! the fold `property_stream` checks continuous plans against too: each
+//! node's operands are evaluated into
 //! whole X-Relations and handed to `ops::union`, `ops::select`,
 //! `ops::join`, …. For every example plan and every instant 0..5,
 //! [`PhysicalPlan`] compiled once and executed must produce the X-Relation
@@ -15,55 +17,19 @@
 //! inside either is shared by both sides and shows here only as far as it
 //! moves what the operators around it see.
 
+mod common;
+
+use common::reference;
 use serena::core::action::ActionSet;
 use serena::core::env::examples::example_environment;
 use serena::core::env::Environment;
 use serena::core::eval::CountingInvoker;
-use serena::core::ops::{self, AggFun, AggSpec};
+use serena::core::ops::{AggFun, AggSpec};
 use serena::core::plan::examples::{q1, q1_prime, q2, q2_prime};
 use serena::core::prelude::*;
 use serena::core::schema::examples::sensors_schema;
 use serena::core::service::fixtures::{example_registry, temperature_sensor};
 use serena::core::xrelation::XRelation;
-
-/// `plan` evaluated at `at` by folding it over the `ops::*` executors;
-/// active invocations are recorded into `actions`. One-shot plans only.
-fn reference(
-    plan: &Plan,
-    env: &Environment,
-    invoker: &dyn Invoker,
-    at: Instant,
-    actions: &mut ActionSet,
-) -> XRelation {
-    let mut eval = |p: &Plan| reference(p, env, invoker, at, actions);
-    match plan {
-        Plan::Relation(name) => env.relation(name).expect("relation defined").clone(),
-        Plan::Union(a, b) => ops::union(&eval(a), &eval(b)).unwrap(),
-        Plan::Intersect(a, b) => ops::intersect(&eval(a), &eval(b)).unwrap(),
-        Plan::Difference(a, b) => ops::difference(&eval(a), &eval(b)).unwrap(),
-        Plan::Project(r, attrs) => ops::project(&eval(r), attrs).unwrap(),
-        Plan::Select(r, f) => ops::select(&eval(r), f).unwrap(),
-        Plan::Rename(r, from, to) => ops::rename(&eval(r), from, to).unwrap(),
-        Plan::Join(a, b) => ops::join(&eval(a), &eval(b)).unwrap(),
-        Plan::Assign(r, attr, source) => ops::assign(&eval(r), attr, source).unwrap(),
-        Plan::Aggregate(r, group, aggs) => ops::aggregate(&eval(r), group, aggs).unwrap(),
-        Plan::Invoke(r, prototype, service_attr) => {
-            let operand = eval(r);
-            ops::invoke(
-                &operand,
-                prototype,
-                service_attr.as_str(),
-                invoker,
-                at,
-                actions,
-            )
-            .unwrap()
-        }
-        Plan::Window(..) | Plan::Stream(..) | Plan::SampleInvoke(..) => {
-            unreachable!("continuous operator in a one-shot plan: {plan}")
-        }
-    }
-}
 
 /// Every example plan exercised below: the paper's four queries plus
 /// aggregate, rename and join pipelines covering the remaining operators.

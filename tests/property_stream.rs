@@ -8,7 +8,7 @@
 
 mod common;
 
-use common::Rng;
+use common::{reference, Rng};
 use serena::core::formula::Formula;
 use serena::core::ops::{AggFun, AggSpec};
 use serena::core::prelude::*;
@@ -35,6 +35,17 @@ enum Op {
     Insert(i64, i64),
     Delete(i64, i64),
     TickOnly,
+}
+
+/// `plan` evaluated once by the reference over `relations`, each under
+/// its name.
+fn one_shot(plan: &Plan, relations: Vec<(&str, XRelation)>) -> XRelation {
+    let mut env = Environment::new();
+    for (name, relation) in relations {
+        env.define_relation(name, relation).unwrap();
+    }
+    let reg = example_registry();
+    reference(plan, &env, &reg, Instant::ZERO, &mut ActionSet::new())
 }
 
 fn gen_ops(rng: &mut Rng) -> Vec<Op> {
@@ -85,14 +96,10 @@ fn continuous_select_equals_one_shot() {
             assert_eq!(current.len(), replayed.distinct());
 
             // …and matches the one-shot evaluation over the table's state.
-            let mut env = serena::core::env::Environment::new();
             let snapshot =
                 XRelation::from_tuples(int_schema(), table.snapshot().iter_occurrences().cloned());
-            env.define_relation("t", snapshot).unwrap();
-            let one_shot = ExecContext::new(&env, &reg, Instant::ZERO)
-                .execute(&serena::core::plan::Plan::relation("t").select(f.clone()))
-                .unwrap();
-            assert_eq!(current, one_shot.relation);
+            let plan = Plan::relation("t").select(f.clone());
+            assert_eq!(current, one_shot(&plan, vec![("t", snapshot)]));
         }
     }
 }
@@ -204,23 +211,17 @@ fn every_aggregate() -> Vec<AggSpec> {
 /// the deltas reported along the way add up to the one-shot answer.
 #[test]
 fn continuous_set_ops_equal_one_shot() {
-    use serena::core::ops;
     type Continuous = fn(StreamPlan, StreamPlan) -> StreamPlan;
-    type OneShot = fn(&XRelation, &XRelation) -> XRelation;
+    type OneShot = fn(Plan, Plan) -> Plan;
     let set_ops: [(Continuous, OneShot); 5] = [
-        (StreamPlan::union, |l, r| ops::union(l, r).unwrap()),
-        (StreamPlan::intersect, |l, r| ops::intersect(l, r).unwrap()),
-        (StreamPlan::difference, |l, r| {
-            ops::difference(l, r).unwrap()
-        }),
+        (StreamPlan::union, Plan::union),
+        (StreamPlan::intersect, Plan::intersect),
+        (StreamPlan::difference, Plan::difference),
         // on both attributes, the key's coordinates swapped on the right
-        (StreamPlan::join, |l, r| ops::join(l, r).unwrap()),
+        (StreamPlan::join, Plan::join),
         (
             |l, r| l.union(r).aggregate(["x"], every_aggregate()),
-            |l, r| {
-                let group = [serena::core::attr::attr("x")];
-                ops::aggregate(&ops::union(l, r).unwrap(), &group, &every_aggregate()).unwrap()
-            },
+            |l, r| l.union(r).aggregate(["x"], every_aggregate()),
         ),
     ];
     let yx_schema = XSchema::builder()
@@ -241,7 +242,7 @@ fn continuous_set_ops_equal_one_shot() {
         let mut rng = Rng::new(0x5500 + case);
         let left_ops = gen_ops(&mut rng);
         let right_ops = gen_ops(&mut rng);
-        for (continuous, one_shot) in set_ops {
+        for (continuous, one_shot_op) in set_ops {
             let l = TableHandle::new(int_schema());
             let r = TableHandle::new(yx_schema.clone());
             let mut sources = SourceSet::new();
@@ -266,7 +267,8 @@ fn continuous_set_ops_equal_one_shot() {
                 XRelation::from_tuples(int_schema(), l.snapshot().iter_occurrences().cloned());
             let r_rel =
                 XRelation::from_tuples(yx_schema.clone(), r.snapshot().iter_occurrences().cloned());
-            let expected = one_shot(&l_rel, &r_rel);
+            let once = one_shot_op(Plan::relation("l"), Plan::relation("r"));
+            let expected = one_shot(&once, vec![("l", l_rel), ("r", r_rel)]);
             let replayed = XRelation::from_tuples(
                 q.schema().schema.clone(),
                 replayed.iter_occurrences().cloned(),
@@ -324,7 +326,8 @@ fn incremental_join_consistency() {
         // recompute from scratch over the final snapshots
         let l_rel = XRelation::from_tuples(int_schema(), l.snapshot().iter_occurrences().cloned());
         let r_rel = XRelation::from_tuples(r_schema, r.snapshot().iter_occurrences().cloned());
-        let expected = serena::core::ops::join(&l_rel, &r_rel).unwrap();
+        let plan = Plan::relation("l").join(Plan::relation("r"));
+        let expected = one_shot(&plan, vec![("l", l_rel), ("r", r_rel)]);
         assert_eq!(q.current_relation().unwrap(), expected);
         let _ = Delta::new();
     }

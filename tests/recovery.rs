@@ -11,9 +11,12 @@
 //! error visible in health, Prometheus and the tick report, honoring the
 //! configured degradation policy.
 
+mod common;
+
+use common::{observe, Baseline, Handoff};
 use serena::core::snapshot::{SnapshotError, Writer};
 use serena::core::tuple;
-use serena::pems::SchedulerConfig;
+use serena::pems::{PemsBuilder, SchedulerConfig};
 use serena::prelude::*;
 use serena::services::bus::BusConfig;
 
@@ -26,18 +29,18 @@ const TICKS: u64 = 6;
 /// stateful executor node kind (table delta, β cache, window ring,
 /// projection pipeline, βˢ sampling).
 fn recovery_pems() -> Pems {
-    recovery_pems_on(None)
+    recovery_pems_from(Pems::builder())
 }
 
-/// [`recovery_pems`] with an explicit multi-query scheduler width
-/// (`None` keeps the runtime default).
-fn recovery_pems_on(workers: Option<usize>) -> Pems {
+/// [`recovery_pems`] with an explicit multi-query scheduler width.
+fn recovery_pems_on(workers: usize) -> Pems {
+    recovery_pems_from(Pems::builder().scheduler(SchedulerConfig::new(workers)))
+}
+
+/// [`recovery_pems`] built from `builder`.
+fn recovery_pems_from(builder: PemsBuilder) -> Pems {
     use serena::core::service::fixtures;
-    let mut builder = Pems::builder().bus(BusConfig::instant());
-    if let Some(w) = workers {
-        builder = builder.scheduler(SchedulerConfig::new(w));
-    }
-    let mut pems = builder.build();
+    let mut pems = builder.bus(BusConfig::instant()).build();
     let reg = pems.directory();
     for (name, seed) in [
         ("sensor01", 1u64),
@@ -107,96 +110,14 @@ fn apply_script(pems: &mut Pems, t: u64) {
     pems.run_program(program).unwrap();
 }
 
-/// Everything observable about one query's tick, in comparable form. The
-/// delta goes through its canonical snapshot encoding so equality is
-/// byte-level, not just structural.
-#[derive(Debug, PartialEq)]
-struct Obs {
-    query: String,
-    at: Instant,
-    delta_bytes: Vec<u8>,
-    batch: Vec<serena::core::tuple::Tuple>,
-    actions: String,
-    errors: Vec<String>,
-    invocations: u64,
-    cache_hits: u64,
-    cache_misses: u64,
-    failures: u64,
-}
-
-fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
-    reports
-        .into_iter()
-        .map(|(query, r)| {
-            let mut w = Writer::new();
-            r.delta.encode(&mut w);
-            Obs {
-                query,
-                at: r.at,
-                delta_bytes: w.into_bytes(),
-                batch: r.batch.clone(),
-                actions: r.actions.to_string(),
-                errors: r.errors.iter().map(|e| e.to_string()).collect(),
-                invocations: r.stats.total_invocations(),
-                cache_hits: r.stats.total_cache_hits(),
-                cache_misses: r.stats.total_cache_misses(),
-                failures: r.stats.total_failures(),
-            }
-        })
-        .collect()
-}
-
 /// Tentpole acceptance: kill the runtime after every instant `0..TICKS`,
 /// recover from the snapshot, and compare every remaining tick against the
 /// uninterrupted baseline.
 #[test]
 fn recovery_is_byte_identical_at_every_kill_point() {
-    // the uninterrupted run
-    let mut baseline = recovery_pems();
-    let mut expected = Vec::new();
-    for t in 0..TICKS {
-        apply_script(&mut baseline, t);
-        expected.push(observe(baseline.tick()));
-    }
-
+    let mut baseline = Baseline::run(recovery_pems(), TICKS, apply_script);
     for kill in 0..TICKS {
-        // run a fresh instance up to the kill point, snapshot, "crash"
-        let mut doomed = recovery_pems();
-        for t in 0..kill {
-            apply_script(&mut doomed, t);
-            doomed.tick();
-        }
-        let snapshot = doomed.snapshot_bytes();
-        drop(doomed);
-
-        // recover: re-run the static setup, rehydrate, resume
-        let mut recovered = recovery_pems();
-        recovered
-            .restore_bytes(&snapshot)
-            .unwrap_or_else(|e| panic!("restore failed (kill={kill}): {e}"));
-        assert_eq!(recovered.clock(), Instant(kill));
-        for t in kill..TICKS {
-            apply_script(&mut recovered, t);
-            let got = observe(recovered.tick());
-            assert_eq!(
-                got, expected[t as usize],
-                "tick {t} diverged after kill={kill}"
-            );
-        }
-
-        // final aggregates agree with the uninterrupted run too
-        for query in ["all", "temps", "hot", "recent", "sampled"] {
-            assert_eq!(
-                recovered.processor().stats(query),
-                baseline.processor().stats(query),
-                "stats for `{query}` diverged after kill={kill}"
-            );
-            assert_eq!(
-                recovered.processor().current_relation(query),
-                baseline.processor().current_relation(query),
-                "result of `{query}` diverged after kill={kill}"
-            );
-        }
+        baseline.crash_and_resume(kill, recovery_pems(), recovery_pems(), Handoff::Bytes, "");
     }
 }
 
@@ -207,45 +128,18 @@ fn recovery_is_byte_identical_at_every_kill_point() {
 /// single-worker run is the ground truth for both resume widths.
 #[test]
 fn multi_worker_kill_restore_matches_single_worker_baseline() {
-    let mut baseline = recovery_pems_on(Some(1));
-    let mut expected = Vec::new();
-    for t in 0..TICKS {
-        apply_script(&mut baseline, t);
-        expected.push(observe(baseline.tick()));
-    }
-
+    let mut baseline = Baseline::run(recovery_pems_on(1), TICKS, apply_script);
+    // crash a 4-worker runtime mid-run, and resume on both pool widths:
+    // same bytes, same future
     for kill in [2u64, 4] {
-        // crash a 4-worker runtime mid-run…
-        let mut doomed = recovery_pems_on(Some(4));
-        for t in 0..kill {
-            apply_script(&mut doomed, t);
-            doomed.tick();
-        }
-        let snapshot = doomed.snapshot_bytes();
-        drop(doomed);
-
-        // …and resume on both pool widths: same bytes, same future.
         for resume_workers in [1usize, 4] {
-            let mut recovered = recovery_pems_on(Some(resume_workers));
-            recovered.restore_bytes(&snapshot).unwrap_or_else(|e| {
-                panic!("restore failed (kill={kill}, resume workers={resume_workers}): {e}")
-            });
-            assert_eq!(recovered.clock(), Instant(kill));
-            for t in kill..TICKS {
-                apply_script(&mut recovered, t);
-                let got = observe(recovered.tick());
-                assert_eq!(
-                    got, expected[t as usize],
-                    "tick {t} diverged (kill={kill}, resume workers={resume_workers})"
-                );
-            }
-            for query in ["all", "temps", "hot", "recent", "sampled"] {
-                assert_eq!(
-                    recovered.processor().current_relation(query),
-                    baseline.processor().current_relation(query),
-                    "result of `{query}` diverged (kill={kill}, resume workers={resume_workers})"
-                );
-            }
+            baseline.crash_and_resume(
+                kill,
+                recovery_pems_on(4),
+                recovery_pems_on(resume_workers),
+                Handoff::Bytes,
+                &format!("resume workers={resume_workers}"),
+            );
         }
     }
 }
@@ -258,37 +152,17 @@ fn recovery_from_checkpoint_file_resumes_identically() {
     let dir = std::env::temp_dir().join(format!("serena-recovery-e2e-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
 
-    let mut baseline = recovery_pems();
-    let mut expected = Vec::new();
-    for t in 0..TICKS {
-        apply_script(&mut baseline, t);
-        expected.push(observe(baseline.tick()));
-    }
-
+    let mut baseline = Baseline::run(recovery_pems(), TICKS, apply_script);
     // checkpoint every second tick; crash after 4 ticks — the file on
     // disk was last cut after tick 3 completed (clock = 4)
-    let mut doomed = recovery_pems();
-    for t in 0..4u64 {
-        apply_script(&mut doomed, t);
-        doomed.tick();
-        if (t + 1) % 2 == 0 {
-            doomed.checkpoint_to(&dir).unwrap();
-        }
-    }
-    drop(doomed);
-
-    let mut recovered = recovery_pems();
-    recovered.restore_from(&dir).unwrap();
-    let resume = recovered.clock().ticks();
-    assert_eq!(resume, 4, "checkpoint cut after tick 3");
-    for t in resume..TICKS {
-        apply_script(&mut recovered, t);
-        let got = observe(recovered.tick());
-        assert_eq!(
-            got, expected[t as usize],
-            "tick {t} diverged after file recovery"
-        );
-    }
+    let doomed = recovery_pems_from(Pems::builder().checkpoint(&dir, 2));
+    baseline.crash_and_resume(
+        4,
+        doomed,
+        recovery_pems(),
+        Handoff::File(&dir),
+        "from the file",
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -495,47 +369,17 @@ fn apply_rooms_script(pems: &mut Pems, t: u64) {
 #[test]
 fn delta_native_operators_resume_byte_identically() {
     const RUN: u64 = 28;
-    let mut baseline = stateful_pems();
-    let mut expected = Vec::new();
-    for t in 0..RUN {
-        apply_rooms_script(&mut baseline, t);
-        expected.push(observe(baseline.tick()));
-    }
-    let emitted: usize = expected.iter().flatten().map(|o| o.delta_bytes.len()).sum();
+    let mut baseline = Baseline::run(stateful_pems(), RUN, apply_rooms_script);
+    let emitted: usize = baseline
+        .ticks
+        .iter()
+        .flat_map(|(obs, _)| obs)
+        .map(|o| o.delta_bytes.len())
+        .sum();
     assert!(emitted > 10_000, "the run must exercise the operators");
-
-    let mut seed = 0x14_u64;
-    for _ in 0..4 {
-        // xorshift64: kill points in 3..RUN-3
-        seed ^= seed << 13;
-        seed ^= seed >> 7;
-        seed ^= seed << 17;
-        let kill = 3 + seed % (RUN - 6);
-        let mut doomed = stateful_pems();
-        for t in 0..kill {
-            apply_rooms_script(&mut doomed, t);
-            doomed.tick();
-        }
-        let snapshot = doomed.snapshot_bytes();
-        drop(doomed);
-
-        let mut recovered = stateful_pems();
-        recovered
-            .restore_bytes(&snapshot)
-            .unwrap_or_else(|e| panic!("restore failed (kill={kill}): {e}"));
-        assert_eq!(recovered.clock(), Instant(kill));
-        for t in kill..RUN {
-            apply_rooms_script(&mut recovered, t);
-            let got = observe(recovered.tick());
-            assert_eq!(got, expected[t as usize], "tick {t} diverged, kill={kill}");
-        }
-        for (query, _) in stateful_plans() {
-            assert_eq!(
-                recovered.processor().current_relation(query),
-                baseline.processor().current_relation(query),
-                "result of `{query}` diverged after kill={kill}"
-            );
-        }
+    // the kill points xorshift64 drew from 0x14 in 3..RUN-3
+    for kill in [23, 9, 3, 20] {
+        baseline.crash_and_resume(kill, stateful_pems(), stateful_pems(), Handoff::Bytes, "");
     }
 }
 
@@ -561,7 +405,7 @@ fn shared_window_pems() -> Pems {
     pems
 }
 
-fn push_readings(pems: &Pems, t: u64) {
+fn push_readings(pems: &mut Pems, t: u64) {
     for reading in tenths(Instant(t)) {
         assert!(pems.tables().push_stream("readings", reading));
     }
@@ -635,61 +479,28 @@ fn unhex(hex: &str) -> Vec<u8> {
 #[test]
 fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
     const RUN: u64 = 12;
-    let mut baseline = shared_window_pems();
-    let mut expected = Vec::new();
-    for t in 0..RUN {
-        push_readings(&baseline, t);
-        expected.push(observe(baseline.tick()));
-    }
-    let resume = |snapshot: &[u8], kill: u64, from: &str| {
-        let mut recovered = shared_window_pems();
-        recovered
-            .restore_bytes(snapshot)
-            .unwrap_or_else(|e| panic!("restore failed ({from}, kill={kill}): {e}"));
-        assert_eq!(recovered.clock(), Instant(kill));
-        for t in kill..RUN {
-            push_readings(&recovered, t);
-            let got = observe(recovered.tick());
-            assert_eq!(
-                got, expected[t as usize],
-                "tick {t} diverged ({from}, kill={kill})"
-            );
-        }
-        for query in ["warm", "mean"] {
-            assert_eq!(
-                recovered.processor().current_relation(query),
-                baseline.processor().current_relation(query),
-                "result of `{query}` diverged ({from}, kill={kill})"
-            );
-            assert_eq!(
-                recovered.processor().stats(query),
-                baseline.processor().stats(query)
-            );
-        }
-    };
-    let v3 = unhex(V3_SNAPSHOT_AFTER_TWO_INSTANTS);
+    let mut baseline = Baseline::run(shared_window_pems(), RUN, push_readings);
     for kill in [1u64, 2, 3, 7] {
-        let mut doomed = shared_window_pems();
-        for t in 0..kill {
-            push_readings(&doomed, t);
-            doomed.tick();
-        }
-        let snapshot = doomed.snapshot_bytes();
-        drop(doomed);
-        if kill == 2 {
-            // this format is v3 less each query's per-node statistics (v4;
-            // v3's bytes carry wall-clock self-times) and less the
-            // resilience state's deadline-timeout counter (v5), to the byte
-            // count: per query a node count, per node its id, kind and
-            // eleven counters — `warm` has three nodes, `mean` three — and
-            // one `u64`
-            let per_node = 8 + 1 + 11 * 8;
-            assert_eq!(snapshot.len() + 2 * 8 + 6 * per_node + 8, v3.len());
-        }
-        resume(&snapshot, kill, "own snapshot");
+        baseline.crash_and_resume(
+            kill,
+            shared_window_pems(),
+            shared_window_pems(),
+            Handoff::Bytes,
+            "",
+        );
     }
+    // the snapshot after two instants is v3 less each query's per-node
+    // statistics (v4; v3's bytes carry wall-clock self-times) and less the
+    // resilience state's deadline-timeout counter (v5), to the byte count:
+    // per query a node count, per node its id, kind and eleven counters —
+    // `warm` has three nodes, `mean` three — and one `u64`
+    let v3 = unhex(V3_SNAPSHOT_AFTER_TWO_INSTANTS);
+    let per_node = 8 + 1 + 11 * 8;
+    let after_two = &baseline.ticks[1].1;
+    assert_eq!(after_two.len() + 2 * 8 + 6 * per_node + 8, v3.len());
+    let expected: Vec<_> = baseline.ticks.into_iter().map(|(obs, _)| obs).collect();
     let mut refusing = shared_window_pems();
-    push_readings(&refusing, 0);
+    push_readings(&mut refusing, 0);
     assert_eq!(observe(refusing.tick()), expected[0]);
     match refusing.restore_bytes(&v3) {
         Err(PemsError::Snapshot(SnapshotError::UnsupportedVersion(3))) => {}
@@ -697,7 +508,7 @@ fn shared_window_rings_resume_byte_identically_and_from_a_parent_snapshot() {
     }
     // the refusal happened at the header: nothing was restored
     assert_eq!(refusing.clock(), Instant(1));
-    push_readings(&refusing, 1);
+    push_readings(&mut refusing, 1);
     assert_eq!(observe(refusing.tick()), expected[1]);
 }
 
@@ -864,46 +675,22 @@ fn self_union_pems() -> Pems {
 /// instant, and a kill mid-run restores both rings.
 #[test]
 fn a_stream_named_twice_in_one_plan_registers_ticks_and_resumes() {
-    use serena::stream::Multiset;
+    use serena::core::snapshot::Reader;
+    use serena::stream::{Delta, Multiset};
     const RUN: u64 = 8;
-    let push = |pems: &Pems, t: u64| {
-        for tuple in tenths(Instant(t)) {
-            assert!(pems.tables().push_stream("readings", tuple));
-        }
-    };
+    let mut baseline = Baseline::run(self_union_pems(), RUN, push_readings);
 
     // the result is the bag union of the last batch and the last three
-    let mut baseline = self_union_pems();
     let mut held = Multiset::new();
-    let mut expected = Vec::new();
-    for t in 0..RUN {
-        push(&baseline, t);
-        let reports = baseline.tick();
-        held.apply(&reports[0].1.delta);
+    for (t, (obs, _)) in (0..RUN).zip(&baseline.ticks) {
+        let delta = Delta::decode(&mut Reader::new(&obs[0].delta_bytes)).unwrap();
+        held.apply(&delta);
         let reference: Multiset = (t.saturating_sub(2)..=t)
             .chain([t])
             .flat_map(|b| tenths(Instant(b)))
             .collect();
         assert_eq!(held, reference, "instant {t}");
-        expected.push(observe(reports));
     }
 
-    const KILL: u64 = 4;
-    let mut doomed = self_union_pems();
-    for t in 0..KILL {
-        push(&doomed, t);
-        doomed.tick();
-    }
-    let snapshot = doomed.snapshot_bytes();
-    drop(doomed);
-    let mut recovered = self_union_pems();
-    recovered.restore_bytes(&snapshot).unwrap();
-    for t in KILL..RUN {
-        push(&recovered, t);
-        assert_eq!(observe(recovered.tick()), expected[t as usize], "tick {t}");
-    }
-    assert_eq!(
-        recovered.processor().current_relation("both"),
-        baseline.processor().current_relation("both")
-    );
+    baseline.crash_and_resume(4, self_union_pems(), self_union_pems(), Handoff::Bytes, "");
 }

@@ -147,7 +147,7 @@ fn breaker_opens_half_opens_and_recovers() {
 /// in the Prometheus rendering.
 #[test]
 fn degradation_surfaces_partial_results_and_counters() {
-    let dead = FaultPolicy::EveryNth(1); // the faulty sensors never answer
+    let dead = FaultPolicy::Intermittent { fail: 1, ok: 0 }; // the faulty sensors never answer
 
     // DropTuple: the two dead sensors vanish from the result
     let pems = sensor_pems(

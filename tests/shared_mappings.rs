@@ -11,8 +11,7 @@
 
 mod common;
 
-use common::Rng;
-use serena::core::snapshot::Writer;
+use common::{Baseline, Handoff, Rng};
 use serena::core::tuple;
 use serena::pems::SchedulerConfig;
 use serena::prelude::*;
@@ -67,7 +66,7 @@ fn fanout_pems(workers: usize) -> Pems {
 
 /// What the stream appends at `at`: 48 readings drawn from few enough
 /// values that a batch repeats some of them.
-fn push_readings(pems: &Pems, at: u64) {
+fn push_readings(pems: &mut Pems, at: u64) {
     let mut rng = Rng::new(0x3201 + at);
     for _ in 0..48 {
         let place = *rng.pick(&PLACES);
@@ -76,55 +75,18 @@ fn push_readings(pems: &Pems, at: u64) {
     }
 }
 
-/// One query's tick in comparable form: the delta through its canonical
-/// encoding, so equality is byte-level.
-#[derive(Debug, PartialEq)]
-struct Obs {
-    query: String,
-    at: Instant,
-    delta: Vec<u8>,
-    batch: Vec<Tuple>,
-    actions: String,
-    errors: Vec<String>,
-}
-
-fn observe(reports: Vec<(String, TickReport)>) -> Vec<Obs> {
-    reports
-        .into_iter()
-        .map(|(query, r)| {
-            let mut w = Writer::new();
-            r.delta.encode(&mut w);
-            Obs {
-                query,
-                at: r.at,
-                delta: w.into_bytes(),
-                batch: r.batch,
-                actions: r.actions.to_string(),
-                errors: r.errors.iter().map(|e| e.to_string()).collect(),
-            }
-        })
-        .collect()
-}
-
 /// Every tick's reports and snapshot at `workers`.
-fn run(workers: usize) -> Vec<(Vec<Obs>, Vec<u8>)> {
-    let mut pems = fanout_pems(workers);
-    (0..TICKS)
-        .map(|at| {
-            push_readings(&pems, at);
-            let reports = observe(pems.tick());
-            (reports, pems.snapshot_bytes())
-        })
-        .collect()
+fn run(workers: usize) -> Baseline<fn(&mut Pems, u64)> {
+    Baseline::run(fanout_pems(workers), TICKS, push_readings)
 }
 
 #[test]
 fn reports_and_snapshots_are_byte_identical_at_every_worker_count() {
-    let serial = run(1);
+    let serial = run(1).ticks;
     let moved = serial.iter().flat_map(|(obs, _)| obs);
-    assert!(moved.filter(|o| o.delta.len() > 16).count() > 200);
+    assert!(moved.filter(|o| o.delta_bytes.len() > 16).count() > 200);
     for workers in [2, 8] {
-        for (at, (got, expected)) in run(workers).iter().zip(&serial).enumerate() {
+        for (at, (got, expected)) in run(workers).ticks.iter().zip(&serial).enumerate() {
             assert_eq!(got.0, expected.0, "reports at {at}, workers={workers}");
             assert!(got.1 == expected.1, "snapshot at {at}, workers={workers}");
         }
@@ -133,26 +95,12 @@ fn reports_and_snapshots_are_byte_identical_at_every_worker_count() {
 
 #[test]
 fn a_checkpoint_at_a_seeded_tick_resumes_the_uninterrupted_run() {
-    let expected = run(1);
+    let mut baseline = run(1);
     for seed in 0..3 {
         let kill = Rng::new(0x3202 + seed).u64_in(1, TICKS - 1);
         let workers = [2, 8, 2][seed as usize];
-        let mut doomed = fanout_pems(workers);
-        for at in 0..kill {
-            push_readings(&doomed, at);
-            doomed.tick();
-        }
-        let bytes = doomed.snapshot_bytes();
-        drop(doomed);
-        let mut recovered = fanout_pems(10 - workers);
-        recovered.restore_bytes(&bytes).unwrap();
-        assert!(recovered.snapshot_bytes() == expected[kill as usize - 1].1);
-        for at in kill..TICKS {
-            push_readings(&recovered, at);
-            let got = (observe(recovered.tick()), recovered.snapshot_bytes());
-            let context = format!("tick {at}, checkpoint after {kill}, workers={workers}");
-            assert_eq!(got.0, expected[at as usize].0, "{context}");
-            assert!(got.1 == expected[at as usize].1, "{context}");
-        }
+        let (doomed, fresh) = (fanout_pems(workers), fanout_pems(10 - workers));
+        let context = format!("workers={workers}");
+        baseline.crash_and_resume(kill, doomed, fresh, Handoff::Bytes, &context);
     }
 }

@@ -49,7 +49,7 @@ fn sensor_calls(pems: &Pems, spec: &EnvSpec, sensors: usize) -> Vec<u64> {
 fn identical_queries_over_a_sampled_stream_report_equal_deltas() {
     let spec = EnvSpec::new(11)
         .sensors(4)
-        .sensor_fault(1, FaultPolicy::EveryNth(2));
+        .sensor_fault(1, FaultPolicy::Intermittent { fail: 1, ok: 1 });
     let (mut pems, _fleet) = spec.build().unwrap();
     let plan = StreamPlan::source("temperatures").window(1);
     pems.register_query("a", &plan).unwrap();
@@ -172,7 +172,7 @@ fn a_panicking_sensor_drops_its_row_not_the_readers_tick() {
 fn a_sensor_that_always_fails_opens_its_breaker() {
     let spec = EnvSpec::new(9)
         .sensors(3)
-        .sensor_fault(1, FaultPolicy::EveryNth(1));
+        .sensor_fault(1, FaultPolicy::Intermittent { fail: 1, ok: 0 });
     let policy = ResiliencePolicy {
         max_retries: 0,
         backoff_base: Duration::ZERO,
