@@ -64,14 +64,8 @@ pub struct Histogram {
 }
 
 impl Default for Histogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    fn default() -> Self {
         Histogram {
             buckets: (0..BUCKET_COUNT).map(|_| AtomicU64::new(0)).collect(),
             exemplars: OnceLock::new(),
@@ -80,7 +74,9 @@ impl Histogram {
             max: AtomicU64::new(0),
         }
     }
+}
 
+impl Histogram {
     /// Record one sample.
     pub fn record(&self, v: u64) {
         self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
@@ -162,7 +158,7 @@ impl Histogram {
     /// Returns the upper bound of the bucket holding the rank-`⌈q·n⌉`
     /// sample, capped at the exact observed [`Histogram::max`]. Returns 0
     /// when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
+    fn quantile(&self, q: f64) -> u64 {
         let total = self.count();
         if total == 0 {
             return 0;
@@ -181,11 +177,6 @@ impl Histogram {
     /// Estimated median.
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
-    }
-
-    /// Estimated 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.90)
     }
 
     /// Estimated 99th percentile.
@@ -238,7 +229,7 @@ mod tests {
 
     #[test]
     fn exact_for_small_values() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [0u64, 1, 2, 3, 3, 7] {
             h.record(v);
         }
@@ -254,7 +245,7 @@ mod tests {
     fn quantile_error_is_bounded() {
         // Deterministic pseudo-random samples; histogram quantiles must be
         // within 1/SUBS of the exact order statistics.
-        let h = Histogram::new();
+        let h = Histogram::default();
         let mut samples: Vec<u64> = (0u64..10_000)
             .map(|i| (i.wrapping_mul(2654435761) % 1_000_000) + 1)
             .collect();
@@ -276,7 +267,7 @@ mod tests {
 
     #[test]
     fn cumulative_buckets_end_at_count() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [5u64, 100, 100, 4096, 1 << 30] {
             h.record(v);
         }
@@ -292,7 +283,7 @@ mod tests {
 
     #[test]
     fn exemplars_link_quantiles_to_spans() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.exemplar_for_quantile(0.99), None);
         for _ in 0..99 {
             h.record_with_exemplar(10, 7); // fast bucket, exemplar 7
@@ -307,7 +298,7 @@ mod tests {
 
     #[test]
     fn an_unstamped_histogram_holds_no_exemplar_table() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         for v in [10u64, 1 << 20] {
             h.record(v);
             h.record_with_exemplar(v, 0); // tracing off: span id 0
@@ -324,7 +315,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zeroed() {
-        let h = Histogram::new();
+        let h = Histogram::default();
         assert_eq!(h.count(), 0);
         assert_eq!(h.p99(), 0);
         assert_eq!(h.mean(), 0.0);

@@ -6,7 +6,7 @@
 //! by (§5.2's robustness/scalability concerns):
 //!
 //! * [`registry`] — a lock-cheap [`MetricsRegistry`] of named counters,
-//!   gauges and log-linear [`Histogram`]s (p50/p90/p99/max), rendered in
+//!   gauges and log-linear [`Histogram`]s (p50/p99/max), rendered in
 //!   the Prometheus text format by
 //!   [`MetricsRegistry::render_prometheus`];
 //! * [`sink`] — [`RegistrySink`], bridging per-operator observations into

@@ -4,7 +4,7 @@
 //! did the time go*": every interesting unit of work — a scheduler round,
 //! a worker job, a query tick, one operator of a compiled plan, one β
 //! attempt behind its retries — opens an [`ActiveSpan`], annotates it with
-//! attributes, and closes it (RAII) into a bounded ring of [`SpanRecord`]s
+//! attributes, and closes it (RAII) into a bounded queue of [`SpanRecord`]s
 //! held by the [`FlightRecorder`].
 //!
 //! Design constraints, in order:
@@ -12,24 +12,28 @@
 //! 1. **Low overhead when armed, near-zero when disarmed.** Starting a
 //!    span costs one relaxed atomic load (armed check) plus, when armed,
 //!    an id fetch-add and a thread-local read. Recording a finished span
-//!    is one fetch-add on a per-lane cursor and one uncontended mutex
-//!    swap on the targeted slot — no allocation beyond the span's own
-//!    attribute vector, no global lock, no I/O.
-//! 2. **Bounded memory.** Records land in per-lane ring buffers whose
-//!    total capacity is [`FlightRecorder::with_capacity`]'s argument
-//!    ([`DEFAULT_CAPACITY`], 16384, by default).
-//!    When a lane wraps, the oldest record is dropped and
-//!    [`FlightRecorder::dropped_total`] increments — surfaced as the
-//!    `serena_trace_dropped_total` counter.
+//!    takes its lane's lock (one lane per core, so it is contended only
+//!    when two threads share a lane) and pushes the record at the back —
+//!    no global lock, no I/O, and no panic site: the lock does not poison.
+//! 2. **Bounded memory, and none until used.** Each lane is a FIFO of at
+//!    most its share of [`FlightRecorder::with_capacity`]'s argument
+//!    ([`DEFAULT_CAPACITY`], 16384, by default). A lane allocates nothing
+//!    until its first span closes, then reserves exactly its bound: a
+//!    recorder that never records, armed or not, holds no span storage.
+//!    When a lane is full, its oldest record leaves the front (and is
+//!    dropped once the lock is released) and the recorder's drop counter
+//!    increments — in a runtime, that counter *is* the
+//!    `serena_trace_dropped_total` series ([`FlightRecorder::new`]).
 //! 3. **Strictly observational.** The recorder never influences execution:
 //!    queries, deltas, actions and β results are byte-identical whether it
 //!    is armed or disarmed (guarded by `tests/envgen_determinism.rs`).
 //!
 //! Parent/child linkage is implicit through a thread-local "current span"
-//! ([`current`]/[`enter`]): a span started while another is entered becomes
-//! its child. Work that hops threads (the scheduler's round) captures
-//! `current()` before the hop and re-[`enter`]s it on the worker, so the
-//! tree survives migration.
+//! ([`current`]/[`ActiveSpan::enter`]): a span started while another is
+//! entered becomes its child. Work that hops threads (the scheduler's round)
+//! captures `current()` before the hop and opens its span on the worker
+//! with that parent ([`FlightRecorder::start_with`]), so the tree survives
+//! migration.
 //!
 //! Timestamps are monotonic nanoseconds since the recorder's creation
 //! ([`FlightRecorder::now_ns`]), paired with the *logical*
@@ -37,16 +41,19 @@
 //! two clocks of a tick-based algebra engine. [`chrome_trace`] renders a
 //! snapshot in the Chrome/Perfetto `trace.json` format.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::Arc;
 
+use super::registry::Counter;
+use crate::sync::Mutex;
 use crate::time::Instant;
 
-/// Total ring capacity of [`FlightRecorder::default`].
+/// Total capacity of [`FlightRecorder::default`].
 pub const DEFAULT_CAPACITY: usize = 16_384;
 
-/// Most slots a recorder will ever allocate (they are built eagerly), so no
-/// capacity a caller asks for can size the heap past it.
+/// Most spans a recorder will ever hold, so no capacity a caller asks for
+/// can size a lane's reservation past it.
 const MAX_CAPACITY: usize = 1 << 20;
 
 /// One span attribute value: small integers stay unboxed.
@@ -83,7 +90,7 @@ pub struct SpanRecord {
     pub start_ns: u64,
     /// Monotonic end, nanoseconds since recorder creation.
     pub end_ns: u64,
-    /// Ring-buffer lane (≈ worker) the span was recorded on.
+    /// Lane (≈ worker) the span was recorded on.
     pub lane: u32,
     /// Attributes, in insertion order.
     pub attrs: Vec<(&'static str, AttrValue)>,
@@ -117,31 +124,6 @@ impl SpanRecord {
     }
 }
 
-/// One drop-oldest ring: a monotone cursor plus fixed slots. The cursor
-/// reservation is lock-free; the slot swap takes a per-slot mutex that is
-/// uncontended unless the ring wraps within one write's critical section.
-struct Lane {
-    cursor: AtomicU64,
-    slots: Vec<Mutex<Option<SpanRecord>>>,
-}
-
-impl Lane {
-    fn new(capacity: usize) -> Self {
-        Lane {
-            cursor: AtomicU64::new(0),
-            slots: (0..capacity).map(|_| Mutex::new(None)).collect(),
-        }
-    }
-
-    /// Store a record, returning `true` if an older record was evicted.
-    fn push(&self, rec: SpanRecord) -> bool {
-        let i = self.cursor.fetch_add(1, Ordering::Relaxed) as usize;
-        let slot = &self.slots[i % self.slots.len()];
-        let evicted = slot.lock().expect("lane slot poisoned").replace(rec);
-        evicted.is_some()
-    }
-}
-
 thread_local! {
     /// Innermost entered span id on this thread (0 = none).
     static CURRENT: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -157,17 +139,8 @@ pub fn current() -> u64 {
     CURRENT.with(|c| c.get())
 }
 
-/// Make `id` the calling thread's current span until the guard drops.
-///
-/// `enter(0)` is a harmless no-op context ("no parent") — convenient when
-/// re-entering a captured parent that may not exist.
-pub fn enter(id: u64) -> EnterGuard {
-    let prev = CURRENT.with(|c| c.replace(id));
-    EnterGuard { prev }
-}
-
-/// Restores the previously-current span on drop. Not `Send`: the guard
-/// must drop on the thread that entered.
+/// Restores the previously-current span on drop; drop it on the thread
+/// that entered.
 pub struct EnterGuard {
     prev: u64,
 }
@@ -178,24 +151,19 @@ impl Drop for EnterGuard {
     }
 }
 
-/// The bounded in-memory span store: per-lane rings, a global id source,
+/// The bounded in-memory span store: per-lane queues, a global id source,
 /// an armed flag and a drop counter.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    lanes: Vec<Lane>,
+    /// One FIFO of closed spans per lane. A lane allocates nothing until
+    /// its first record, then reserves exactly `per_lane` and never grows
+    /// past it.
+    lanes: Vec<Mutex<VecDeque<SpanRecord>>>,
+    per_lane: usize,
     armed: AtomicBool,
     next_id: AtomicU64,
-    dropped: AtomicU64,
+    dropped: Arc<Counter>,
     epoch: std::time::Instant,
-}
-
-impl std::fmt::Debug for Lane {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Lane")
-            .field("capacity", &self.slots.len())
-            .field("cursor", &self.cursor.load(Ordering::Relaxed))
-            .finish()
-    }
 }
 
 impl Default for FlightRecorder {
@@ -205,20 +173,27 @@ impl Default for FlightRecorder {
 }
 
 impl FlightRecorder {
-    /// A recorder with `capacity` total slots (at least 64 per lane, at most
-    /// 2²⁰ in all), spread over one lane per available core (capped at 16),
-    /// armed.
+    /// A recorder holding at most `capacity` spans in all (at least 64 per
+    /// lane, at most 2²⁰), spread over one lane per available core (capped
+    /// at 16), armed, counting its evictions privately.
     pub fn with_capacity(capacity: usize) -> Self {
+        Self::new(capacity, Arc::default())
+    }
+
+    /// [`FlightRecorder::with_capacity`], counting every evicted span into
+    /// `dropped` (the runtime passes its `serena_trace_dropped_total`).
+    pub fn new(capacity: usize, dropped: Arc<Counter>) -> Self {
         let lanes = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .clamp(1, 16);
         let per_lane = (capacity.min(MAX_CAPACITY) / lanes).max(64);
         FlightRecorder {
-            lanes: (0..lanes).map(|_| Lane::new(per_lane)).collect(),
+            lanes: (0..lanes).map(|_| Mutex::default()).collect(),
+            per_lane,
             armed: AtomicBool::new(true),
             next_id: AtomicU64::new(1),
-            dropped: AtomicU64::new(0),
+            dropped,
             epoch: std::time::Instant::now(),
         }
     }
@@ -234,14 +209,15 @@ impl FlightRecorder {
         self.armed.load(Ordering::Relaxed)
     }
 
-    /// Total records evicted by ring wrap since creation.
+    /// Total records evicted from full lanes, as counted by the recorder's
+    /// drop counter.
     pub fn dropped_total(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
+        self.dropped.get()
     }
 
-    /// Total slot capacity across lanes.
+    /// Most spans the lanes hold together.
     pub fn capacity(&self) -> usize {
-        self.lanes.iter().map(|l| l.slots.len()).sum()
+        self.per_lane * self.lanes.len()
     }
 
     /// Monotonic nanoseconds since this recorder was created.
@@ -285,7 +261,9 @@ impl FlightRecorder {
         })
     }
 
-    /// Store a finished record into the calling thread's lane.
+    /// Append a finished record to the calling thread's lane; when the lane
+    /// is full, its oldest record leaves the front, counted, and is dropped
+    /// once the lock is released.
     fn record(&self, mut rec: SpanRecord) {
         let lane = LANE_HINT.with(|h| {
             let mut v = h.get();
@@ -296,8 +274,19 @@ impl FlightRecorder {
             v
         }) % self.lanes.len();
         rec.lane = lane as u32;
-        if self.lanes[lane].push(rec) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+        let mut records = self.lanes[lane].lock();
+        if records.capacity() == 0 {
+            records.reserve_exact(self.per_lane);
+        }
+        let evicted = if records.len() == self.per_lane {
+            records.pop_front()
+        } else {
+            None
+        };
+        records.push_back(rec);
+        drop(records);
+        if evicted.is_some() {
+            self.dropped.inc();
         }
     }
 
@@ -310,30 +299,25 @@ impl FlightRecorder {
     pub fn snapshot(&self) -> Vec<SpanRecord> {
         let mut out = Vec::new();
         for lane in &self.lanes {
-            for slot in &lane.slots {
-                if let Some(rec) = slot.lock().expect("lane slot poisoned").as_ref() {
-                    out.push(rec.clone());
-                }
-            }
+            out.extend(lane.lock().iter().cloned());
         }
         out.sort_by_key(|r| (r.start_ns, r.id));
         out
     }
 
-    /// Drop all retained records (the drop counter is preserved).
+    /// Drop all retained records and the lanes' storage (the drop counter
+    /// is preserved).
     pub fn clear(&self) {
         for lane in &self.lanes {
-            for slot in &lane.slots {
-                slot.lock().expect("lane slot poisoned").take();
-            }
+            drop(std::mem::take(&mut *lane.lock()));
         }
     }
 }
 
 /// An open span: annotate with [`ActiveSpan::attr_u64`]/
 /// [`ActiveSpan::attr_str`], optionally [`ActiveSpan::enter`] it so work
-/// below attaches as children, and let it drop (or call
-/// [`ActiveSpan::finish`]) to stamp the end time and store the record.
+/// below attaches as children, and let it drop to stamp the end time and
+/// store the record.
 /// RAII guarantees every started span is closed, even across `?`/panic
 /// unwinds contained further up.
 pub struct ActiveSpan<'r> {
@@ -363,11 +347,9 @@ impl ActiveSpan<'_> {
 
     /// Make this span the thread's current span until the guard drops.
     pub fn enter(&self) -> EnterGuard {
-        enter(self.id())
+        let prev = CURRENT.with(|c| c.replace(self.id()));
+        EnterGuard { prev }
     }
-
-    /// Close the span now (equivalent to dropping it).
-    pub fn finish(self) {}
 }
 
 impl Drop for ActiveSpan<'_> {
@@ -540,6 +522,61 @@ mod tests {
         assert!(rec.capacity() >= DEFAULT_CAPACITY / 16);
         assert!(rec.armed());
         assert!(rec.now_ns() <= rec.now_ns());
+    }
+
+    /// What each lane has reserved for records.
+    fn reserved(rec: &FlightRecorder) -> Vec<usize> {
+        rec.lanes.iter().map(|l| l.lock().capacity()).collect()
+    }
+
+    #[test]
+    fn a_recorder_holds_no_span_storage_until_a_span_closes() {
+        for armed in [true, false] {
+            let rec = FlightRecorder::default();
+            rec.arm(armed);
+            assert!(reserved(&rec).iter().all(|&c| c == 0), "armed={armed}");
+            let open = rec.start("query.tick", Instant(1));
+            assert!(reserved(&rec).iter().all(|&c| c == 0), "armed={armed}");
+            drop(open);
+            let held: usize = reserved(&rec).iter().sum();
+            assert_eq!(held, if armed { rec.per_lane } else { 0 }, "armed={armed}");
+        }
+    }
+
+    #[test]
+    fn a_wrapped_lane_holds_exactly_its_bound_newest_kept() {
+        let rec = FlightRecorder::with_capacity(1);
+        let bound = rec.per_lane;
+        let ids: Vec<u64> = (0..bound + 10)
+            .map(|_| rec.start("op.select", Instant(0)).unwrap().id())
+            .collect();
+        let lane = rec.lanes.iter().find(|l| !l.lock().is_empty());
+        let records = lane.unwrap().lock();
+        assert_eq!(records.len(), bound);
+        assert_eq!(
+            records.capacity(),
+            bound,
+            "a lane reserves its bound, no more"
+        );
+        let kept: Vec<u64> = records.iter().map(|r| r.id).collect();
+        assert_eq!(kept, ids[10..]);
+    }
+
+    #[test]
+    fn drops_count_into_the_counter_the_recorder_was_built_with() {
+        let dropped = Arc::new(Counter::default());
+        let rec = FlightRecorder::new(1, Arc::clone(&dropped));
+        for _ in 0..rec.capacity() + 10 {
+            rec.start("op.select", Instant(0)).unwrap();
+        }
+        assert!(dropped.get() >= 10);
+        assert_eq!(rec.dropped_total(), dropped.get());
+        rec.clear();
+        assert!(
+            reserved(&rec).iter().all(|&c| c == 0),
+            "clear frees the lanes"
+        );
+        assert_eq!(rec.dropped_total(), dropped.get());
     }
 
     #[test]

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use serena_core::dedup::DedupState;
 use serena_core::physical::ExecOptions;
+use serena_core::telemetry::span::DEFAULT_CAPACITY;
 use serena_core::telemetry::{FlightRecorder, MetricsRegistry, RegistrySink};
 use serena_core::time::Instant;
 use serena_services::bus::{BusConfig, DiscoveryBus};
@@ -149,17 +150,18 @@ impl PemsBuilder {
     /// Assemble the runtime.
     pub fn build(self) -> Pems {
         let telemetry = Arc::new(MetricsRegistry::new());
-        let tracer = Arc::new(FlightRecorder::default());
+        // the recorder counts its evictions straight into the series
+        let dropped = telemetry.counter("serena_trace_dropped_total", &[]);
+        let tracer = Arc::new(FlightRecorder::new(DEFAULT_CAPACITY, dropped));
         tracer.arm(self.tracing);
         let mut processor = QueryProcessor::new();
         processor.seek(self.clock);
         processor.set_telemetry(Arc::clone(&telemetry));
         processor.set_scheduler(self.scheduler);
         processor.set_tracer(Arc::clone(&tracer));
-        // Eagerly register the dedup/trace/replication series so they render
-        // (at zero) from the first `.metrics` call, armed or not.
+        // Eagerly register the dedup/replication series so they render (at
+        // zero) from the first `.metrics` call, armed or not.
         telemetry.counter("serena_beta_dedup_total", &[]);
-        telemetry.counter("serena_trace_dropped_total", &[]);
         telemetry.counter("serena_replication_total", &[]);
         telemetry.counter("serena_replication_errors_total", &[]);
         Pems {
@@ -185,7 +187,6 @@ impl PemsBuilder {
                 .checkpoint
                 .map(|(dir, every)| RecoveryManager::new(dir, every)),
             snapshot_size_hint: std::sync::atomic::AtomicUsize::new(0),
-            trace_dropped_seen: 0,
         }
     }
 }
@@ -280,6 +281,32 @@ mod tests {
         assert_eq!(applications(&pems), before + 1);
         // ticks advanced the builder-seeded clock
         assert_eq!(pems.clock(), Instant(9));
+    }
+
+    /// The recorder counts its evictions into the registry's series, so the
+    /// scrape and `.top` read its count with no tick in between.
+    #[test]
+    fn a_wrapped_recorder_counts_its_drops_in_the_scrape() {
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
+        pems.run_program(SETUP).unwrap();
+        pems.run_program("REGISTER QUERY watch AS contacts;")
+            .unwrap();
+        pems.run_ticks(2);
+        let recorder = pems.flight_recorder();
+        for _ in 0..=recorder.capacity() {
+            recorder.start("op.select", pems.clock()).unwrap();
+        }
+        let dropped = recorder.dropped_total();
+        assert!(dropped > 0, "the ring wrapped");
+        let scraped = format!("\nserena_trace_dropped_total {dropped}\n");
+        assert!(pems.render_metrics().contains(&scraped));
+        assert!(pems.top().contains(&format!(" dropped={dropped}\n")));
+        pems.tick();
+        let dropped = recorder.dropped_total();
+        let series = pems
+            .metrics_registry()
+            .counter_value("serena_trace_dropped_total", &[]);
+        assert_eq!(series, Some(dropped));
     }
 
     /// The defaults are what the builder says, whatever the process

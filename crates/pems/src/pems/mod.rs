@@ -185,10 +185,6 @@ pub struct Pems {
     recovery: Option<RecoveryManager>,
     /// Size of the last snapshot, used to preallocate the next one.
     snapshot_size_hint: AtomicUsize,
-    /// Recorder drop count already published to
-    /// `serena_trace_dropped_total` (the counter is monotone; the recorder
-    /// reports a cumulative total).
-    trace_dropped_seen: u64,
 }
 
 impl Default for Pems {
@@ -440,14 +436,6 @@ impl Pems {
             telemetry
                 .gauge("serena_hub_retained_tuples", &[("stream", &stream)])
                 .set(retained as i64);
-        }
-        // publish the flight recorder's eviction count as a monotone series
-        let dropped = self.beta.tracer.dropped_total();
-        if dropped > self.trace_dropped_seen {
-            telemetry
-                .counter("serena_trace_dropped_total", &[])
-                .add(dropped - self.trace_dropped_seen);
-            self.trace_dropped_seen = dropped;
         }
         // 5. checkpoint and replicate
         self.checkpoint_and_replicate(now);

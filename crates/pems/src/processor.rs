@@ -419,7 +419,7 @@ impl QueryProcessor {
             // hop); the guard outlives the round, so job and tick spans
             // all close inside the round's interval.
             let _in_round = round_span.as_ref().map(|s| s.enter());
-            WorkerPool::with_tracer(self.scheduler, self.tracer.clone()).scope(|scope| {
+            WorkerPool::with_tracer(self.scheduler, self.tracer.clone(), at).scope(|scope| {
                 for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
                     let name = name.clone();
                     let ticked = &ticked;

@@ -60,20 +60,28 @@ struct Tracked<'env> {
 pub struct WorkerPool {
     workers: usize,
     tracer: Option<Arc<FlightRecorder>>,
+    /// The logical instant every `sched.job` span carries.
+    at: Instant,
 }
 
 impl WorkerPool {
     /// Rounds of `config.workers` threads (at least 1).
     pub fn new(config: SchedulerConfig) -> Self {
-        Self::with_tracer(config, None)
+        Self::with_tracer(config, None, Instant::ZERO)
     }
 
     /// [`WorkerPool::new`] recording one `sched.job` span per executed
-    /// job into `tracer` (worker, queue wait vs run time).
-    pub fn with_tracer(config: SchedulerConfig, tracer: Option<Arc<FlightRecorder>>) -> Self {
+    /// job into `tracer` (worker, queue wait vs run time), stamped with
+    /// the logical instant `at` its rounds tick.
+    pub fn with_tracer(
+        config: SchedulerConfig,
+        tracer: Option<Arc<FlightRecorder>>,
+        at: Instant,
+    ) -> Self {
         WorkerPool {
             workers: config.workers.max(1),
             tracer,
+            at,
         }
     }
 
@@ -111,21 +119,22 @@ impl WorkerPool {
             }
             starts.push(i);
         }
+        let at = self.at;
         std::thread::scope(|threads| {
             for (r, &start) in starts.iter().enumerate().skip(1).rev() {
                 let tail = jobs.split_off(start);
-                threads.spawn(move || run(tail, r, tracer));
+                threads.spawn(move || run(tail, r, tracer, at));
             }
-            run(jobs, 0, tracer);
+            run(jobs, 0, tracer, at);
         });
     }
 }
 
-/// Run one contiguous run of a round, in order, as worker `worker`.
-fn run(jobs: Vec<Tracked<'_>>, worker: usize, tracer: Option<&FlightRecorder>) {
+/// Run one contiguous run of a round at instant `at`, in order, as worker
+/// `worker`.
+fn run(jobs: Vec<Tracked<'_>>, worker: usize, tracer: Option<&FlightRecorder>, at: Instant) {
     for tracked in jobs {
-        let mut job_span =
-            tracer.and_then(|r| r.start_with("sched.job", tracked.parent, Instant::ZERO));
+        let mut job_span = tracer.and_then(|r| r.start_with("sched.job", tracked.parent, at));
         if let Some(s) = job_span.as_mut() {
             let wait = tracer.map_or(0, |r| r.now_ns().saturating_sub(tracked.submitted_ns));
             s.attr_u64("queue_wait_ns", wait);

@@ -97,6 +97,11 @@ fn assert_span_tree_invariants(spans: &[SpanRecord], label: &str) {
                     p.start_ns,
                     p.end_ns
                 );
+                assert_eq!(
+                    s.at, p.at,
+                    "{label}: span {} ({}) is not at its parent {} ({})'s instant",
+                    s.id, s.name, p.id, p.name
+                );
             }
         }
     }
