@@ -6,13 +6,17 @@
 //! cargo bench -p serena-bench --bench continuous
 //! ```
 
+use std::sync::Arc;
+
 use serena_bench::harness::{take_records, BenchmarkId, Criterion, Throughput};
 use serena_bench::{criterion_group, criterion_main};
 
 use serena_core::formula::Formula;
 use serena_core::metrics::NoopMetrics;
+use serena_core::physical::ExecOptions;
 use serena_core::schema::XSchema;
 use serena_core::service::fixtures::example_registry;
+use serena_core::telemetry::FlightRecorder;
 use serena_core::tuple::Tuple;
 use serena_core::value::{DataType, Value};
 use serena_pems::envspec::{EnvSpec, QueryTemplate, WorkloadSpec};
@@ -139,8 +143,10 @@ fn bench_shared_stream_tick(c: &mut Criterion) {
                 .unwrap();
             let tables = ExtendedTableManager::new();
             let hub = tables.define_push_stream("readings", schema).unwrap();
-            let mut processor = QueryProcessor::new();
-            processor.set_scheduler(SchedulerConfig::new(1));
+            let recorder = Arc::new(FlightRecorder::default());
+            recorder.arm(false);
+            let mut processor =
+                QueryProcessor::new(Arc::default(), recorder, SchedulerConfig::new(1));
             for i in 0..queries {
                 let theta = 28.0 + (i % 8) as f64 * 0.5;
                 let plan = StreamPlan::source("readings")
@@ -148,7 +154,12 @@ fn bench_shared_stream_tick(c: &mut Criterion) {
                     .select(Formula::gt_const("temperature", theta));
                 let mut sources = tables.source_set_for(&plan);
                 processor
-                    .register(format!("q{i:03}"), &plan, &mut sources)
+                    .register(
+                        format!("q{i:03}"),
+                        &plan,
+                        &mut sources,
+                        ExecOptions::default(),
+                    )
                     .unwrap();
             }
             // eight instants of arrivals, materialised before timing

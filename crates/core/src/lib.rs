@@ -99,8 +99,8 @@ pub mod prelude {
     pub use crate::schema::{AttrKind, Attribute, SchemaRef, XSchema};
     pub use crate::service::{Invoker, InvokerLayer, InvokerStack, Service, StaticRegistry};
     pub use crate::telemetry::{
-        beta_cache_hit_ratio, Counter, Gauge, Histogram, InstrumentedLayer, InvocationObserver,
-        MetricsRegistry, NoopTrace, RegistrySink, TraceSink,
+        Counter, Gauge, Histogram, InstrumentedLayer, InvocationObserver, MetricsRegistry,
+        NoopTrace, RegistrySink, TraceSink,
     };
     pub use crate::time::Instant;
     pub use crate::tuple::Tuple;

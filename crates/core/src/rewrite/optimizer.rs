@@ -37,13 +37,6 @@ pub struct OptimizerReport {
     pub iterations: usize,
 }
 
-impl OptimizerReport {
-    /// Total number of rule applications.
-    pub fn total_applications(&self) -> usize {
-        self.applied.iter().map(|(_, n)| n).sum()
-    }
-}
-
 const MAX_ITERATIONS: usize = 32;
 
 /// Phase 1: normalize.
@@ -124,7 +117,7 @@ mod tests {
     fn optimizer_turns_q2_prime_into_q2_shape() {
         let env = example_environment();
         let report = optimize(&q2_prime(), &env);
-        assert!(report.total_applications() > 0);
+        assert!(!report.applied.is_empty());
         // invocation counts now match the hand-written Q2
         let reg = example_registry();
         let c_opt = CountingInvoker::new(&reg);
@@ -179,7 +172,7 @@ mod tests {
             .rename("location", "place")
             .select(Formula::eq_const("place", "office").and(Formula::ne_const("name", "Carla")));
         let report = optimize(&plan, &env);
-        assert!(report.total_applications() >= 3);
+        assert!(report.applied.iter().map(|(_, n)| n).sum::<usize>() >= 3);
         let reg = example_registry();
         let r = check_over_instants(&plan, &report.plan, &env, &reg, (0..3).map(Instant)).unwrap();
         assert!(r.equivalent());

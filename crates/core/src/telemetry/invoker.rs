@@ -224,7 +224,7 @@ mod tests {
         let inner = example_registry();
         let registry = MetricsRegistry::new();
         let outcomes = Outcomes::default();
-        let trace = FlightRecorder::with_capacity(256);
+        let trace = FlightRecorder::default();
         let invoker = InvokerStack::new(&inner).layer(
             InstrumentedLayer::new()
                 .registry(&registry)

@@ -37,6 +37,6 @@ pub mod trace;
 pub use histogram::Histogram;
 pub use invoker::{InstrumentedLayer, InvocationObserver};
 pub use registry::{Counter, Gauge, MetricsRegistry};
-pub use sink::{beta_cache_hit_ratio, RegistrySink};
+pub use sink::RegistrySink;
 pub use span::{chrome_trace, ActiveSpan, AttrValue, FlightRecorder, SpanRecord};
 pub use trace::{NoopTrace, TraceSink};

@@ -99,18 +99,6 @@ impl MetricsSink for RegistrySink {
     }
 }
 
-/// The β-cache hit ratio recorded in `registry` across all operators:
-/// `hits / (hits + misses)`, or 0 when no β invocations were observed.
-pub fn beta_cache_hit_ratio(registry: &MetricsRegistry) -> f64 {
-    let hits = registry.sum_counters("serena_beta_cache_hits_total");
-    let misses = registry.sum_counters("serena_beta_cache_misses_total");
-    if hits + misses == 0 {
-        0.0
-    } else {
-        hits as f64 / (hits + misses) as f64
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,14 +155,5 @@ mod tests {
             registry.counter_value("serena_op_applications_total", &[("op", "Select")]),
             Some(1)
         );
-        let ratio = beta_cache_hit_ratio(&registry);
-        assert!((ratio - 1.0 / 3.0).abs() < 1e-9, "{ratio}");
-    }
-
-    #[test]
-    fn hit_ratio_zero_when_no_beta_traffic() {
-        let registry = MetricsRegistry::new();
-        let _sink = RegistrySink::new(&registry);
-        assert_eq!(beta_cache_hit_ratio(&registry), 0.0);
     }
 }

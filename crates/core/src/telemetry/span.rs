@@ -16,8 +16,8 @@
 //!    when two threads share a lane) and pushes the record at the back —
 //!    no global lock, no I/O, and no panic site: the lock does not poison.
 //! 2. **Bounded memory, and none until used.** Each lane is a FIFO of at
-//!    most its share of [`FlightRecorder::with_capacity`]'s argument
-//!    ([`DEFAULT_CAPACITY`], 16384, by default). A lane allocates nothing
+//!    most its share of [`DEFAULT_CAPACITY`] (16384 spans over at most 16
+//!    lanes, so at least 1024 a lane). A lane allocates nothing
 //!    until its first span closes, then reserves exactly its bound: a
 //!    recorder that never records, armed or not, holds no span storage.
 //!    When a lane is full, its oldest record leaves the front (and is
@@ -49,12 +49,8 @@ use super::registry::Counter;
 use crate::sync::Mutex;
 use crate::time::Instant;
 
-/// Total capacity of [`FlightRecorder::default`].
+/// Most spans a recorder holds, over all its lanes.
 pub const DEFAULT_CAPACITY: usize = 16_384;
-
-/// Most spans a recorder will ever hold, so no capacity a caller asks for
-/// can size a lane's reservation past it.
-const MAX_CAPACITY: usize = 1 << 20;
 
 /// One span attribute value: small integers stay unboxed.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -167,27 +163,23 @@ pub struct FlightRecorder {
 }
 
 impl Default for FlightRecorder {
+    /// [`FlightRecorder::new`], counting its evictions privately.
     fn default() -> Self {
-        Self::with_capacity(DEFAULT_CAPACITY)
+        Self::new(Arc::default())
     }
 }
 
 impl FlightRecorder {
-    /// A recorder holding at most `capacity` spans in all (at least 64 per
-    /// lane, at most 2²⁰), spread over one lane per available core (capped
-    /// at 16), armed, counting its evictions privately.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self::new(capacity, Arc::default())
-    }
-
-    /// [`FlightRecorder::with_capacity`], counting every evicted span into
-    /// `dropped` (the runtime passes its `serena_trace_dropped_total`).
-    pub fn new(capacity: usize, dropped: Arc<Counter>) -> Self {
+    /// A recorder holding at most [`DEFAULT_CAPACITY`] spans in all, spread
+    /// over one lane per available core (capped at 16), armed, counting
+    /// every evicted span into `dropped` (the runtime passes its
+    /// `serena_trace_dropped_total`).
+    pub fn new(dropped: Arc<Counter>) -> Self {
         let lanes = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(4)
             .clamp(1, 16);
-        let per_lane = (capacity.min(MAX_CAPACITY) / lanes).max(64);
+        let per_lane = DEFAULT_CAPACITY / lanes;
         FlightRecorder {
             lanes: (0..lanes).map(|_| Mutex::default()).collect(),
             per_lane,
@@ -422,7 +414,7 @@ mod tests {
 
     #[test]
     fn spans_nest_through_the_thread_local() {
-        let rec = FlightRecorder::with_capacity(256);
+        let rec = FlightRecorder::default();
         {
             let root = rec.start("sched.round", Instant(1)).unwrap();
             let _g = root.enter();
@@ -448,7 +440,7 @@ mod tests {
 
     #[test]
     fn disarmed_recorder_records_nothing() {
-        let rec = FlightRecorder::with_capacity(256);
+        let rec = FlightRecorder::default();
         rec.arm(false);
         assert!(rec.start("query.tick", Instant(0)).is_none());
         assert!(rec.snapshot().is_empty());
@@ -459,7 +451,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_counts() {
-        let rec = FlightRecorder::with_capacity(1); // floors at 64/lane
+        let rec = FlightRecorder::default();
         let cap = rec.capacity();
         for _ in 0..cap + 10 {
             rec.start("op.select", Instant(0)).unwrap();
@@ -476,7 +468,7 @@ mod tests {
 
     #[test]
     fn explicit_parent_survives_thread_hops() {
-        let rec = std::sync::Arc::new(FlightRecorder::with_capacity(256));
+        let rec = std::sync::Arc::new(FlightRecorder::default());
         let parent_id = {
             let parent = rec.start("sched.round", Instant(7)).unwrap();
             let id = parent.id();
@@ -499,7 +491,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_is_valid_shape() {
-        let rec = FlightRecorder::with_capacity(256);
+        let rec = FlightRecorder::default();
         {
             let mut s = rec.start("beta.attempt", Instant(2)).unwrap();
             s.attr_str("service", "needs \"escaping\"\\here\n");
@@ -545,7 +537,7 @@ mod tests {
 
     #[test]
     fn a_wrapped_lane_holds_exactly_its_bound_newest_kept() {
-        let rec = FlightRecorder::with_capacity(1);
+        let rec = FlightRecorder::default();
         let bound = rec.per_lane;
         let ids: Vec<u64> = (0..bound + 10)
             .map(|_| rec.start("op.select", Instant(0)).unwrap().id())
@@ -565,7 +557,7 @@ mod tests {
     #[test]
     fn drops_count_into_the_counter_the_recorder_was_built_with() {
         let dropped = Arc::new(Counter::default());
-        let rec = FlightRecorder::new(1, Arc::clone(&dropped));
+        let rec = FlightRecorder::new(Arc::clone(&dropped));
         for _ in 0..rec.capacity() + 10 {
             rec.start("op.select", Instant(0)).unwrap();
         }
@@ -577,10 +569,5 @@ mod tests {
             "clear frees the lanes"
         );
         assert_eq!(rec.dropped_total(), dropped.get());
-    }
-
-    #[test]
-    fn capacity_from_outside_is_clamped_before_it_allocates() {
-        assert!(FlightRecorder::with_capacity(usize::MAX).capacity() <= MAX_CAPACITY);
     }
 }

@@ -23,11 +23,6 @@ impl Instant {
         Instant(self.0 + 1)
     }
 
-    /// The previous instant, saturating at zero.
-    pub fn prev(self) -> Instant {
-        Instant(self.0.saturating_sub(1))
-    }
-
     /// Raw tick count.
     pub fn ticks(self) -> u64 {
         self.0
@@ -74,8 +69,6 @@ mod tests {
     fn arithmetic() {
         let t = Instant(5);
         assert_eq!(t.next(), Instant(6));
-        assert_eq!(t.prev(), Instant(4));
-        assert_eq!(Instant::ZERO.prev(), Instant::ZERO);
         assert_eq!(t + 3, Instant(8));
         assert_eq!(Instant(8) - t, 3);
         assert_eq!(t - Instant(8), 0); // saturating

@@ -6,9 +6,7 @@ use std::sync::Arc;
 
 use serena_core::dedup::DedupState;
 use serena_core::physical::ExecOptions;
-use serena_core::telemetry::span::DEFAULT_CAPACITY;
 use serena_core::telemetry::{FlightRecorder, MetricsRegistry, RegistrySink};
-use serena_core::time::Instant;
 use serena_services::bus::{BusConfig, DiscoveryBus};
 use serena_services::directory::NodeDirectory;
 use serena_services::health::{HealthTracker, DEFAULT_WINDOW};
@@ -22,22 +20,19 @@ use crate::scheduler::SchedulerConfig;
 use crate::table_manager::ExtendedTableManager;
 
 /// Step-by-step construction of a [`Pems`]: discovery-bus latency model,
-/// starting logical instant, execution options, scheduler, checkpoints.
+/// execution options, scheduler, checkpoints. Every runtime starts at
+/// instant 0; a restore sets the clock from its snapshot.
 ///
 /// ```
 /// # use serena_pems::pems::Pems;
 /// # use serena_services::bus::BusConfig;
 /// # use serena_core::time::Instant;
-/// let pems = Pems::builder()
-///     .bus(BusConfig::instant())
-///     .clock(Instant(7))
-///     .build();
-/// assert_eq!(pems.clock(), Instant(7));
+/// let pems = Pems::builder().bus(BusConfig::instant()).build();
+/// assert_eq!(pems.clock(), Instant::ZERO);
 /// ```
 pub struct PemsBuilder {
     bus: BusConfig,
     node_id: String,
-    clock: Instant,
     exec_options: ExecOptions,
     resilience: ResiliencePolicy,
     checkpoint: Option<(PathBuf, u64)>,
@@ -47,14 +42,13 @@ pub struct PemsBuilder {
 }
 
 impl Default for PemsBuilder {
-    /// Default bus latency, node `"node0"`, clock at zero, serial
-    /// execution, resilience disabled, no checkpoints, one scheduler
-    /// worker per core, β dedup on, span tracing armed.
+    /// Default bus latency, node `"node0"`, serial execution, resilience
+    /// disabled, no checkpoints, one scheduler worker per core, β dedup on,
+    /// span tracing armed.
     fn default() -> Self {
         PemsBuilder {
             bus: BusConfig::default(),
             node_id: "node0".to_string(),
-            clock: Instant::ZERO,
             exec_options: ExecOptions::default(),
             resilience: ResiliencePolicy::disabled(),
             checkpoint: None,
@@ -78,12 +72,6 @@ impl PemsBuilder {
     /// `"node0"`.
     pub fn node_id(mut self, id: impl Into<String>) -> Self {
         self.node_id = id.into();
-        self
-    }
-
-    /// Logical instant the runtime starts at (first tick evaluates it).
-    pub fn clock(mut self, at: Instant) -> Self {
-        self.clock = at;
         self
     }
 
@@ -152,13 +140,10 @@ impl PemsBuilder {
         let telemetry = Arc::new(MetricsRegistry::new());
         // the recorder counts its evictions straight into the series
         let dropped = telemetry.counter("serena_trace_dropped_total", &[]);
-        let tracer = Arc::new(FlightRecorder::new(DEFAULT_CAPACITY, dropped));
+        let tracer = Arc::new(FlightRecorder::new(dropped));
         tracer.arm(self.tracing);
-        let mut processor = QueryProcessor::new();
-        processor.seek(self.clock);
-        processor.set_telemetry(Arc::clone(&telemetry));
-        processor.set_scheduler(self.scheduler);
-        processor.set_tracer(Arc::clone(&tracer));
+        let processor =
+            QueryProcessor::new(Arc::clone(&telemetry), Arc::clone(&tracer), self.scheduler);
         // Eagerly register the dedup/replication series so they render (at
         // zero) from the first `.metrics` call, armed or not.
         telemetry.counter("serena_beta_dedup_total", &[]);
@@ -243,19 +228,14 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_clock_and_observations_reach_the_registry() {
-        let pems = Pems::builder()
-            .bus(BusConfig::instant())
-            .clock(Instant(7))
-            .build();
-        assert_eq!(pems.clock(), Instant(7));
+    fn observations_reach_the_registry() {
         let applications = |pems: &Pems| {
             pems.metrics_registry()
                 .counter_value("serena_op_applications_total", &[("op", "Relation")])
                 .unwrap_or(0)
         };
 
-        let mut pems = pems;
+        let mut pems = Pems::builder().bus(BusConfig::instant()).build();
         let (svc, _outbox) = serena_services::devices::messenger::SimMessenger::new(
             serena_services::devices::messenger::MessengerKind::Email,
         )
@@ -279,8 +259,6 @@ mod tests {
         let node = stats.node(serena_core::metrics::NodeId(0)).unwrap();
         assert_eq!(node.tuples_out, 2);
         assert_eq!(applications(&pems), before + 1);
-        // ticks advanced the builder-seeded clock
-        assert_eq!(pems.clock(), Instant(9));
     }
 
     /// The recorder counts its evictions into the registry's series, so the

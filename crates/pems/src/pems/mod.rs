@@ -365,15 +365,9 @@ impl Pems {
         name: impl Into<String>,
         plan: &StreamPlan,
     ) -> Result<(), PemsError> {
-        let name = name.into();
         let mut sources = self.tables.source_set_for(plan);
-        self.processor.register_with_options(
-            name.as_str(),
-            plan,
-            &mut sources,
-            self.exec_options,
-        )?;
-        Ok(())
+        self.processor
+            .register(name, plan, &mut sources, self.exec_options)
     }
 
     /// Register a batch of continuous queries in declaration order,

@@ -92,8 +92,7 @@ impl QuerySeries {
 struct Registered {
     query: ContinuousQuery,
     stats: QueryStats,
-    /// Registry series for this query, when telemetry is attached.
-    series: Option<QuerySeries>,
+    series: QuerySeries,
     /// Its last tick in ns, its weight in the next round (not checkpointed).
     tick_ns: Option<u64>,
 }
@@ -107,24 +106,41 @@ struct Derived {
 }
 
 /// The continuous-query scheduler.
-#[derive(Default)]
 pub struct QueryProcessor {
     queries: BTreeMap<String, Registered>,
     /// Derived streams, in definition order.
     derived: Vec<Derived>,
     clock: Instant,
-    telemetry: Option<Arc<MetricsRegistry>>,
+    telemetry: Arc<MetricsRegistry>,
     scheduler: SchedulerConfig,
     /// Flight recorder for `query.register`/`sched.round`/`sched.job`/
     /// `query.tick` spans, propagated into every registered query and
     /// every round.
-    tracer: Option<Arc<FlightRecorder>>,
+    tracer: Arc<FlightRecorder>,
 }
 
 impl QueryProcessor {
-    /// Empty processor with the clock at zero.
-    pub fn new() -> Self {
-        Self::default()
+    /// Empty processor with the clock at zero, ticking rounds on
+    /// `scheduler`'s workers. Every query it registers gets per-query
+    /// tick-duration and freshness-lag histograms plus tick/tuple/error
+    /// counters in `registry` (labelled `query=<name>`), and records its
+    /// ticks and per-operator work as spans in `tracer`, beside the
+    /// rounds' and jobs' spans.
+    pub fn new(
+        registry: Arc<MetricsRegistry>,
+        tracer: Arc<FlightRecorder>,
+        scheduler: SchedulerConfig,
+    ) -> Self {
+        let processor = QueryProcessor {
+            queries: BTreeMap::new(),
+            derived: Vec::new(),
+            clock: Instant::ZERO,
+            telemetry: registry,
+            scheduler,
+            tracer,
+        };
+        processor.update_registered_gauge();
+        processor
     }
 
     /// The instant the next global tick evaluates.
@@ -143,32 +159,12 @@ impl QueryProcessor {
         self.scheduler
     }
 
-    /// Attach a flight recorder: tick rounds, per-worker jobs, query
-    /// ticks and (through each query's executor) per-operator work all
-    /// record hierarchical spans into it. Applies to already-registered
-    /// queries and everything registered afterwards.
-    pub fn set_tracer(&mut self, tracer: Arc<FlightRecorder>) {
-        for reg in self.queries.values_mut() {
-            reg.query.set_tracer(Some(Arc::clone(&tracer)));
-        }
-        self.tracer = Some(tracer);
-    }
-
     /// Register a continuous query under `name`, compiling `plan` against
-    /// `sources`. The query joins the global cadence: its first tick is the
-    /// next global tick. A taken `name` is [`PemsError::DuplicateQuery`].
+    /// `sources`; every tick of it applies `options.degrade` to its failed
+    /// β invocations. The query joins the global cadence: its first tick is
+    /// the next global tick. A taken `name` is
+    /// [`PemsError::DuplicateQuery`].
     pub fn register(
-        &mut self,
-        name: impl Into<String>,
-        plan: &StreamPlan,
-        sources: &mut SourceSet,
-    ) -> Result<(), PemsError> {
-        self.register_with_options(name, plan, sources, ExecOptions::default())
-    }
-
-    /// [`Self::register`] with explicit execution options: every tick of
-    /// this query applies `options.degrade` to its failed β invocations.
-    pub fn register_with_options(
         &mut self,
         name: impl Into<String>,
         plan: &StreamPlan,
@@ -181,12 +177,11 @@ impl QueryProcessor {
         }
         let mut query = ContinuousQuery::compile_with_options(plan, sources, options)?;
         query.seek(self.clock);
-        query.set_tracer(self.tracer.clone());
-        let tracer = self.tracer.as_deref();
-        if let Some(mut span) = tracer.and_then(|r| r.start("query.register", self.clock)) {
+        query.set_tracer(Some(Arc::clone(&self.tracer)));
+        if let Some(mut span) = self.tracer.start("query.register", self.clock) {
             span.attr_str("query", name.as_str());
         }
-        let series = self.telemetry.as_ref().map(|r| QuerySeries::new(r, &name));
+        let series = QuerySeries::new(&self.telemetry, &name);
         self.queries.insert(
             name,
             Registered {
@@ -200,24 +195,10 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Attach continuous-query telemetry: per-query tick-duration and
-    /// freshness-lag histograms plus tick/tuple/error counters in
-    /// `registry` (labelled `query=<name>`). Applies to
-    /// already-registered queries and everything registered afterwards.
-    pub fn set_telemetry(&mut self, registry: Arc<MetricsRegistry>) {
-        for (name, reg) in &mut self.queries {
-            reg.series = Some(QuerySeries::new(&registry, name));
-        }
-        self.telemetry = Some(registry);
-        self.update_registered_gauge();
-    }
-
     fn update_registered_gauge(&self) {
-        if let Some(registry) = &self.telemetry {
-            registry
-                .gauge("serena_queries_registered", &[])
-                .set(self.queries.len() as i64);
-        }
+        self.telemetry
+            .gauge("serena_queries_registered", &[])
+            .set(self.queries.len() as i64);
     }
 
     /// Deregister a query. Returns whether it existed.
@@ -229,9 +210,7 @@ impl QueryProcessor {
     pub fn deregister(&mut self, name: &str) -> bool {
         let removed = self.queries.remove(name).is_some();
         if removed {
-            if let Some(registry) = &self.telemetry {
-                registry.remove_matching("query", name);
-            }
+            self.telemetry.remove_matching("query", name);
             self.update_registered_gauge();
         }
         removed
@@ -277,16 +256,6 @@ impl QueryProcessor {
     /// Snapshot of a query's current finite result.
     pub fn current_relation(&self, name: &str) -> Option<serena_core::xrelation::XRelation> {
         self.queries.get(name)?.query.current_relation()
-    }
-
-    /// Align the global clock so the next tick evaluates `at` (and re-seek
-    /// every registered query to match) — used by the PEMS builder to start
-    /// a runtime at a nonzero instant.
-    pub fn seek(&mut self, at: Instant) {
-        self.clock = at;
-        for reg in self.queries.values_mut() {
-            reg.query.seek(at);
-        }
     }
 
     /// Serialize the processor's dynamic state — the global clock, the
@@ -374,11 +343,10 @@ impl QueryProcessor {
         let scheduled = std::time::Instant::now();
         let at = self.clock;
         // Disjoint field borrow (`self.queries` is borrowed mutably
-        // below); `Option<&FlightRecorder>` is `Copy`, so the tick
-        // closures capture it by value.
-        let tracer: Option<&FlightRecorder> = self.tracer.as_deref().filter(|r| r.armed());
+        // below); the tick closures capture the reference by value.
+        let tracer: &FlightRecorder = &self.tracer;
         let n = self.queries.len();
-        let mut round_span = tracer.and_then(|r| r.start("sched.round", at));
+        let mut round_span = tracer.start("sched.round", at);
         if let Some(s) = round_span.as_mut() {
             s.attr_u64("queries", n as u64);
             s.attr_u64("workers", self.scheduler.workers.min(n).max(1) as u64);
@@ -387,7 +355,7 @@ impl QueryProcessor {
         // outcome attributes. Returns the span id for the tick-duration
         // histogram's exemplar (0 = no span).
         let ticked = |name: &str, reg: &mut Registered| -> (Result<TickReport, String>, u64) {
-            let mut tick_span = tracer.and_then(|r| r.start("query.tick", at));
+            let mut tick_span = tracer.start("query.tick", at);
             if let Some(s) = tick_span.as_mut() {
                 s.attr_str("query", name);
             }
@@ -419,7 +387,8 @@ impl QueryProcessor {
             // hop); the guard outlives the round, so job and tick spans
             // all close inside the round's interval.
             let _in_round = round_span.as_ref().map(|s| s.enter());
-            WorkerPool::with_tracer(self.scheduler, self.tracer.clone(), at).scope(|scope| {
+            let pool = WorkerPool::with_tracer(self.scheduler, Some(Arc::clone(&self.tracer)), at);
+            pool.scope(|scope| {
                 for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
                     let name = name.clone();
                     let ticked = &ticked;
@@ -445,11 +414,9 @@ impl QueryProcessor {
                     // query for this instant with an empty delta and a
                     // Panicked error; its clock already advanced, so it
                     // stays in lock-step for the next round.
-                    if let Some(registry) = &self.telemetry {
-                        registry
-                            .counter("serena_query_panics_total", &[("query", &name)])
-                            .inc();
-                    }
+                    self.telemetry
+                        .counter("serena_query_panics_total", &[("query", &name)])
+                        .inc();
                     let report = TickReport {
                         at,
                         delta: Delta::new(),
@@ -481,14 +448,13 @@ impl QueryProcessor {
             reg.stats.invocations += report.stats.total_invocations();
             reg.stats.cache_hits += report.stats.total_cache_hits();
             reg.stats.cache_misses += report.stats.total_cache_misses();
-            if let Some(series) = &reg.series {
-                series.ticks.inc();
-                series.tuples.add(inserted);
-                series.errors.add(report.errors.len() as u64);
-                // exemplar: the p99 tick links straight to its span tree
-                series.tick_ns.record_with_exemplar(elapsed_ns, *sid);
-                series.lag_ns.record_duration(*lag);
-            }
+            let series = &reg.series;
+            series.ticks.inc();
+            series.tuples.add(inserted);
+            series.errors.add(report.errors.len() as u64);
+            // exemplar: the p99 tick links straight to its span tree
+            series.tick_ns.record_with_exemplar(elapsed_ns, *sid);
+            series.lag_ns.record_duration(*lag);
         }
         self.clock = self.clock.next();
         reports
@@ -530,6 +496,11 @@ mod tests {
     use serena_core::value::{DataType, ServiceRef, Value};
     use serena_stream::source::TableHandle;
 
+    /// A processor with a registry and a recorder of its own.
+    fn processor(scheduler: SchedulerConfig) -> QueryProcessor {
+        QueryProcessor::new(Arc::default(), Arc::default(), scheduler)
+    }
+
     fn int_table() -> (TableHandle, SourceSet) {
         let schema = XSchema::builder().real("x", DataType::Int).build().unwrap();
         let table = TableHandle::new(schema);
@@ -540,16 +511,22 @@ mod tests {
 
     #[test]
     fn lockstep_ticking_and_stats() {
-        let mut qp = QueryProcessor::new();
+        let mut qp = processor(SchedulerConfig::default());
         let (table, mut s1) = int_table();
-        qp.register("all", &StreamPlan::source("t"), &mut s1)
-            .unwrap();
+        qp.register(
+            "all",
+            &StreamPlan::source("t"),
+            &mut s1,
+            ExecOptions::default(),
+        )
+        .unwrap();
         let mut s2 = SourceSet::new();
         s2.add_table("t", table.clone());
         qp.register(
             "big",
             &StreamPlan::source("t").select(Formula::gt_const("x", 10)),
             &mut s2,
+            ExecOptions::default(),
         )
         .unwrap();
 
@@ -568,10 +545,15 @@ mod tests {
 
     #[test]
     fn late_registration_bootstraps_from_current_state() {
-        let mut qp = QueryProcessor::new();
+        let mut qp = processor(SchedulerConfig::default());
         let (table, mut s1) = int_table();
-        qp.register("first", &StreamPlan::source("t"), &mut s1)
-            .unwrap();
+        qp.register(
+            "first",
+            &StreamPlan::source("t"),
+            &mut s1,
+            ExecOptions::default(),
+        )
+        .unwrap();
         let reg = example_registry();
         table.insert(tuple![1]);
         qp.tick_all_with(&reg, &NoopMetrics);
@@ -579,8 +561,13 @@ mod tests {
         // register a second query mid-run: it must see the existing tuple
         let mut s2 = SourceSet::new();
         s2.add_table("t", table.clone());
-        qp.register("late", &StreamPlan::source("t"), &mut s2)
-            .unwrap();
+        qp.register(
+            "late",
+            &StreamPlan::source("t"),
+            &mut s2,
+            ExecOptions::default(),
+        )
+        .unwrap();
         let reports = qp.tick_all_with(&reg, &NoopMetrics);
         let late = reports.iter().find(|(n, _)| n == "late").unwrap();
         assert_eq!(late.1.delta.inserts.len(), 1);
@@ -592,12 +579,18 @@ mod tests {
 
     #[test]
     fn duplicate_names_rejected_and_deregister() {
-        let mut qp = QueryProcessor::new();
+        let mut qp = processor(SchedulerConfig::default());
         let (_, mut s1) = int_table();
-        qp.register("q", &StreamPlan::source("t"), &mut s1).unwrap();
+        qp.register(
+            "q",
+            &StreamPlan::source("t"),
+            &mut s1,
+            ExecOptions::default(),
+        )
+        .unwrap();
         let (_, mut s2) = int_table();
         assert!(matches!(
-            qp.register("q", &StreamPlan::source("t"), &mut s2),
+            qp.register("q", &StreamPlan::source("t"), &mut s2, ExecOptions::default()),
             Err(PemsError::DuplicateQuery(name)) if name == "q"
         ));
         assert!(qp.deregister("q"));
@@ -607,7 +600,7 @@ mod tests {
 
     #[test]
     fn rolling_stats_accumulate_beta_counters() {
-        let mut qp = QueryProcessor::new();
+        let mut qp = processor(SchedulerConfig::default());
         let table = TableHandle::new(serena_core::schema::examples::sensors_schema());
         let mut sources = SourceSet::new();
         sources.add_table("sensors", table.clone());
@@ -615,6 +608,7 @@ mod tests {
             "temps",
             &StreamPlan::source("sensors").invoke("getTemperature", "sensor"),
             &mut sources,
+            ExecOptions::default(),
         )
         .unwrap();
         let reg = example_registry();
@@ -636,20 +630,30 @@ mod tests {
 
     #[test]
     fn telemetry_series_and_spans() {
-        let mut qp = QueryProcessor::new();
         let registry = Arc::new(MetricsRegistry::new());
-        let recorder = Arc::new(FlightRecorder::with_capacity(256));
-        // one query registered before telemetry and the recorder attach,
-        // one after — both must get series
+        let recorder = Arc::new(FlightRecorder::default());
+        let mut qp = QueryProcessor::new(
+            registry.clone(),
+            Arc::clone(&recorder),
+            SchedulerConfig::default(),
+        );
         let (table, mut s1) = int_table();
-        qp.register("early", &StreamPlan::source("t"), &mut s1)
-            .unwrap();
-        qp.set_telemetry(registry.clone());
-        qp.set_tracer(Arc::clone(&recorder));
+        qp.register(
+            "early",
+            &StreamPlan::source("t"),
+            &mut s1,
+            ExecOptions::default(),
+        )
+        .unwrap();
         let mut s2 = SourceSet::new();
         s2.add_table("t", table.clone());
-        qp.register("late", &StreamPlan::source("t"), &mut s2)
-            .unwrap();
+        qp.register(
+            "late",
+            &StreamPlan::source("t"),
+            &mut s2,
+            ExecOptions::default(),
+        )
+        .unwrap();
 
         let reg = example_registry();
         table.insert(tuple![1]);
@@ -684,7 +688,7 @@ mod tests {
             .filter(|s| s.name == "query.register")
             .map(|s| s.attr_str("query"))
             .collect();
-        assert_eq!(registered, [Some("late")]);
+        assert_eq!(registered, [Some("early"), Some("late")]);
         let ticks = spans.iter().filter(|s| s.name == "query.tick");
         assert_eq!(ticks.clone().count(), 4);
         assert!(ticks.clone().all(|s| s.attr_u64("errors") == Some(0)));
@@ -715,13 +719,14 @@ mod tests {
     fn snapshot_round_trips_clock_queries_and_stats() {
         let reg = example_registry();
         let build = |table: &TableHandle| {
-            let mut qp = QueryProcessor::new();
+            let mut qp = processor(SchedulerConfig::default());
             let mut s = SourceSet::new();
             s.add_table("t", table.clone());
             qp.register(
                 "big",
                 &StreamPlan::source("t").select(Formula::gt_const("x", 10)),
                 &mut s,
+                ExecOptions::default(),
             )
             .unwrap();
             qp
@@ -763,9 +768,14 @@ mod tests {
 
         // a mismatched query set is a typed error, not a crash
         let (t3, mut s3) = int_table();
-        let mut other = QueryProcessor::new();
+        let mut other = processor(SchedulerConfig::default());
         other
-            .register("different", &StreamPlan::source("t"), &mut s3)
+            .register(
+                "different",
+                &StreamPlan::source("t"),
+                &mut s3,
+                ExecOptions::default(),
+            )
             .unwrap();
         let _ = t3;
         let err = other.read_snapshot(&mut Reader::new(&qbytes)).unwrap_err();
@@ -826,15 +836,20 @@ mod tests {
         services.register("sensor99", panicking_sensor());
         let reg = Uncontained(services);
         for workers in [1, 4] {
-            let mut qp = QueryProcessor::new();
-            qp.set_scheduler(SchedulerConfig::new(workers));
             let registry = Arc::new(MetricsRegistry::new());
-            qp.set_telemetry(registry.clone());
+            let scheduler = SchedulerConfig::new(workers);
+            let mut qp = QueryProcessor::new(registry.clone(), Arc::default(), scheduler);
             let (table, mut s1) = int_table();
-            qp.register("healthy", &StreamPlan::source("t"), &mut s1)
-                .unwrap();
+            qp.register(
+                "healthy",
+                &StreamPlan::source("t"),
+                &mut s1,
+                ExecOptions::default(),
+            )
+            .unwrap();
             let (plan, mut s2, sensors) = sampling();
-            qp.register("doomed", &plan, &mut s2).unwrap();
+            qp.register("doomed", &plan, &mut s2, ExecOptions::default())
+                .unwrap();
 
             table.insert(tuple![1]);
             let first = qp.tick_all_with(&reg, &NoopMetrics);
@@ -880,10 +895,9 @@ mod tests {
     fn a_panicked_tick_lasts_its_own_job_not_its_queue_wait() {
         use serena_core::service::fixtures::{panicking_sensor, temperature_sensor};
         use serena_services::fleet::SlowService;
-        let mut qp = QueryProcessor::new();
-        qp.set_scheduler(SchedulerConfig::new(1));
         let registry = Arc::new(MetricsRegistry::new());
-        qp.set_telemetry(registry.clone());
+        let scheduler = SchedulerConfig::new(1);
+        let mut qp = QueryProcessor::new(registry.clone(), Arc::default(), scheduler);
         let services = StaticRegistry::new();
         let slow = SlowService::wrap(temperature_sensor(1), Duration::from_millis(20));
         services.register("sensor01", slow);
@@ -891,7 +905,8 @@ mod tests {
         for (query, name) in [("a_slow", "sensor01"), ("b_doomed", "sensor99")] {
             let (plan, mut sources, sensors) = sampling();
             sensors.insert(sensor(name));
-            qp.register(query, &plan, &mut sources).unwrap();
+            qp.register(query, &plan, &mut sources, ExecOptions::default())
+                .unwrap();
         }
         let reports = qp.tick_all_with(&Uncontained(services), &NoopMetrics);
         let (slow, doomed) = (&reports[0].1, &reports[1].1);
@@ -926,9 +941,8 @@ mod tests {
         // hold against the jitter of the heavy calls.
         let run = |workers: usize| {
             let tracer = Arc::new(FlightRecorder::default());
-            let mut qp = QueryProcessor::new();
-            qp.set_scheduler(SchedulerConfig::new(workers));
-            qp.set_tracer(tracer.clone());
+            let scheduler = SchedulerConfig::new(workers);
+            let mut qp = QueryProcessor::new(Arc::default(), tracer.clone(), scheduler);
             let reg = StaticRegistry::new();
             let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
             for (kind, queries, sensor, ms) in
@@ -941,7 +955,8 @@ mod tests {
                 for i in 0..queries {
                     let mut s = SourceSet::new();
                     s.add_table("sensors", sensors.clone());
-                    qp.register(format!("{kind}{i}"), &plan, &mut s).unwrap();
+                    qp.register(format!("{kind}{i}"), &plan, &mut s, ExecOptions::default())
+                        .unwrap();
                 }
             }
             let reports: Vec<_> = (0..4)
@@ -999,8 +1014,7 @@ mod tests {
     #[test]
     fn worker_counts_do_not_change_results() {
         let run = |workers: usize| {
-            let mut qp = QueryProcessor::new();
-            qp.set_scheduler(SchedulerConfig::new(workers));
+            let mut qp = processor(SchedulerConfig::new(workers));
             let (table, _) = int_table();
             for i in 0..6 {
                 let mut s = SourceSet::new();
@@ -1009,6 +1023,7 @@ mod tests {
                     format!("q{i}"),
                     &StreamPlan::source("t").select(Formula::gt_const("x", i)),
                     &mut s,
+                    ExecOptions::default(),
                 )
                 .unwrap();
             }
@@ -1029,13 +1044,18 @@ mod tests {
 
     #[test]
     fn many_parallel_queries_agree() {
-        let mut qp = QueryProcessor::new();
+        let mut qp = processor(SchedulerConfig::default());
         let (table, _) = int_table();
         for i in 0..8 {
             let mut s = SourceSet::new();
             s.add_table("t", table.clone());
-            qp.register(format!("q{i}"), &StreamPlan::source("t"), &mut s)
-                .unwrap();
+            qp.register(
+                format!("q{i}"),
+                &StreamPlan::source("t"),
+                &mut s,
+                ExecOptions::default(),
+            )
+            .unwrap();
         }
         let reg = example_registry();
         for v in 0..10 {

@@ -97,17 +97,6 @@ impl SimMessenger {
         }
     }
 
-    /// Handle to the outbox (clone to keep after moving the service into a
-    /// registry).
-    pub fn outbox(&self) -> Arc<Mutex<Vec<SentMessage>>> {
-        Arc::clone(&self.outbox)
-    }
-
-    /// Snapshot of delivered messages.
-    pub fn sent(&self) -> Vec<SentMessage> {
-        self.outbox.lock().clone()
-    }
-
     /// Wrap into a shareable [`Service`], returning the outbox handle too.
     pub fn into_service(self) -> (Arc<dyn Service>, Arc<Mutex<Vec<SentMessage>>>) {
         let outbox = Arc::clone(&self.outbox);
@@ -176,9 +165,7 @@ mod tests {
 
     #[test]
     fn email_delivery_recorded() {
-        let m = SimMessenger::new(MessengerKind::Email);
-        let outbox = m.outbox();
-        let (svc, _) = m.into_service();
+        let (svc, outbox) = SimMessenger::new(MessengerKind::Email).into_service();
         let out = svc
             .invoke(
                 &protos::send_message(),

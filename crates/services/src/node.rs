@@ -150,14 +150,6 @@ impl RemoteNodeClient {
         }
     }
 
-    /// Liveness probe; returns the peer's current service count.
-    pub fn heartbeat(&self, at: Instant) -> Result<u64, TransportError> {
-        match self.call(&Frame::Heartbeat { at: at.0 })? {
-            Frame::HeartbeatAck { services, .. } => Ok(services),
-            other => Err(unexpected("HeartbeatAck", &other)),
-        }
-    }
-
     /// Push a checkpoint to a standby peer and wait for its ack.
     pub fn send_checkpoint(&self, tick: u64, bytes: &[u8]) -> Result<(), TransportError> {
         let frame = Frame::Checkpoint {
@@ -213,8 +205,6 @@ fn unexpected(wanted: &str, got: &Frame) -> TransportError {
         Frame::Invoke { .. } => "Invoke",
         Frame::InvokeOk { .. } => "InvokeOk",
         Frame::InvokeErr { .. } => "InvokeErr",
-        Frame::Heartbeat { .. } => "Heartbeat",
-        Frame::HeartbeatAck { .. } => "HeartbeatAck",
         Frame::Checkpoint { .. } => "Checkpoint",
         Frame::CheckpointAck { .. } => "CheckpointAck",
         Frame::Bye => "Bye",
@@ -425,10 +415,6 @@ fn serve_connection(mut conn: Box<dyn Connection>, state: &NodeState) {
                 Ok(tuples) => Frame::InvokeOk { tuples },
                 Err(error) => Frame::InvokeErr { error },
             },
-            Frame::Heartbeat { at } => Frame::HeartbeatAck {
-                at,
-                services: directory.len() as u64,
-            },
             Frame::Checkpoint { tick, bytes } => {
                 *state.last_checkpoint.lock() = Some((tick, bytes));
                 Frame::CheckpointAck { tick }
@@ -539,8 +525,6 @@ mod tests {
             .unwrap()
             .unwrap_err();
         assert!(matches!(err, EvalError::UnknownService { .. }));
-
-        assert_eq!(client.heartbeat(Instant(4)).unwrap(), 1);
     }
 
     #[test]

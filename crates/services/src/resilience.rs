@@ -320,7 +320,6 @@ impl ResilienceState {
 /// stacks like the breakers are kept by [`ResilienceState`].
 struct ResilienceSeries {
     retries: Arc<Counter>,
-    breaker_opened: Arc<Counter>,
     rejected: Arc<Counter>,
     /// `serena_breaker_transitions_total{service,to}` for
     /// `to ∈ {closed, open, half_open}`, in that order.
@@ -338,7 +337,6 @@ impl ResilienceSeries {
         };
         ResilienceSeries {
             retries: registry.counter("serena_resilience_retries_total", &labels),
-            breaker_opened: registry.counter("serena_resilience_breaker_opened_total", &labels),
             rejected: registry.counter("serena_resilience_rejected_total", &labels),
             transitions: [
                 transition("closed"),
@@ -557,7 +555,6 @@ impl Resilient<'_> {
                 .state
                 .breaker_opened
                 .fetch_add(1, Ordering::Relaxed);
-            self.bump(service, |s| &s.breaker_opened);
             self.breaker_transition(
                 service,
                 path,
@@ -790,7 +787,7 @@ mod tests {
         let (reg, _faulty) = flaky(FaultPolicy::Intermittent { fail: 5, ok: 100 });
         let state = Arc::new(ResilienceState::new());
         let registry = MetricsRegistry::new();
-        let recorder = FlightRecorder::with_capacity(256);
+        let recorder = FlightRecorder::default();
         let invoker = InvokerStack::new(&reg).layer(
             ResilientLayer::new(ResiliencePolicy::standard(), state.clone())
                 .registry(&registry)

@@ -68,7 +68,8 @@ pub enum WireEvent {
 }
 
 /// One protocol message. Tags are part of the wire format; new variants
-/// append, existing tags never change meaning.
+/// append, existing tags never change meaning. Tags 9 and 10 are retired:
+/// they decode as malformed and are not to be reused.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Frame {
     /// Client hello, carrying the caller's node id.
@@ -128,19 +129,6 @@ pub enum Frame {
     InvokeErr {
         /// The evaluation error exactly as a local caller would see it.
         error: EvalError,
-    },
-    /// Liveness probe (used where no poll traffic flows, e.g. standbys).
-    Heartbeat {
-        /// The sender's logical instant.
-        at: u64,
-    },
-    /// Reply to [`Frame::Heartbeat`].
-    HeartbeatAck {
-        /// Echo of the probe's instant.
-        at: u64,
-        /// Number of services the node currently hosts (cheap sanity
-        /// signal for monitors).
-        services: u64,
     },
     /// A replicated checkpoint pushed to a standby peer.
     Checkpoint {
@@ -426,12 +414,6 @@ impl Frame {
                 w.u8(8);
                 write_eval_error(&mut w, error);
             }
-            Frame::Heartbeat { at } => {
-                w.u8(9).u64(*at);
-            }
-            Frame::HeartbeatAck { at, services } => {
-                w.u8(10).u64(*at).u64(*services);
-            }
             Frame::Checkpoint { tick, bytes } => {
                 w.u8(11).u64(*tick).bytes(bytes);
             }
@@ -500,13 +482,6 @@ impl Frame {
             }
             8 => Frame::InvokeErr {
                 error: read_eval_error(&mut r)?,
-            },
-            9 => Frame::Heartbeat {
-                at: r.u64().map_err(corrupt)?,
-            },
-            10 => Frame::HeartbeatAck {
-                at: r.u64().map_err(corrupt)?,
-                services: r.u64().map_err(corrupt)?,
             },
             11 => Frame::Checkpoint {
                 tick: r.u64().map_err(corrupt)?,
@@ -652,11 +627,6 @@ mod tests {
                     reason: "boom".into(),
                 },
             },
-            Frame::Heartbeat { at: 7 },
-            Frame::HeartbeatAck {
-                at: 7,
-                services: 12,
-            },
             Frame::Checkpoint {
                 tick: 9,
                 bytes: vec![1, 2, 3, 4],
@@ -763,7 +733,7 @@ mod tests {
 
     #[test]
     fn truncated_frames_are_rejected() {
-        let wire = Frame::Heartbeat { at: 7 }.to_wire();
+        let wire = Frame::PollEvents { after: 7 }.to_wire();
         // cut mid-header
         let mut cursor = &wire[..3];
         assert!(matches!(
@@ -813,6 +783,23 @@ mod tests {
             Frame::from_payload(&payload),
             Err(TransportError::Malformed(m)) if m == "unknown error tag 5"
         ));
+    }
+
+    #[test]
+    fn retired_frame_tags_are_malformed_not_panic() {
+        // tags 9 and 10 named a heartbeat and its ack, which no node sends
+        // any more (the per-tick poll is the liveness check); the tags
+        // around them keep their numbers
+        for tag in [9u8, 10] {
+            let mut w = Writer::new();
+            write_header(&mut w);
+            w.u8(tag).u64(7);
+            let payload = w.into_bytes();
+            assert!(matches!(
+                Frame::from_payload(&payload),
+                Err(TransportError::Malformed(m)) if m == format!("unknown frame tag {tag}")
+            ));
+        }
     }
 
     #[test]

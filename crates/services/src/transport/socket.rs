@@ -181,17 +181,13 @@ mod tests {
         let server = std::thread::spawn(move || {
             let mut conn = listener.accept().unwrap();
             let frame = conn.recv().unwrap();
-            assert_eq!(frame, Frame::Heartbeat { at: 3 });
-            conn.send(&Frame::HeartbeatAck { at: 3, services: 0 })
-                .unwrap();
+            assert_eq!(frame, Frame::PollEvents { after: 3 });
+            conn.send(&Frame::Bye).unwrap();
         });
 
         let mut conn = t.connect(&addr).unwrap();
-        conn.send(&Frame::Heartbeat { at: 3 }).unwrap();
-        assert_eq!(
-            conn.recv().unwrap(),
-            Frame::HeartbeatAck { at: 3, services: 0 }
-        );
+        conn.send(&Frame::PollEvents { after: 3 }).unwrap();
+        assert_eq!(conn.recv().unwrap(), Frame::Bye);
         server.join().unwrap();
     }
 
@@ -257,7 +253,7 @@ mod tests {
         client.join().unwrap();
 
         // peer that dies mid-frame surfaces Truncated
-        let wire = Frame::Heartbeat { at: 1 }.to_wire();
+        let wire = Frame::PollEvents { after: 1 }.to_wire();
         let raw_addr = addr.trim_start_matches("tcp:").to_string();
         let client = std::thread::spawn(move || {
             let mut s = std::net::TcpStream::connect(raw_addr).unwrap();

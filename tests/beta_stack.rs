@@ -244,13 +244,16 @@ fn a_call_that_unwinds_through_dedup_fails_its_instant_not_the_tick() {
         let runtime = std::thread::spawn(move || {
             let directory = StaticRegistry::new();
             let sensors = TableHandle::new(sensors_schema());
-            let mut qp = QueryProcessor::new();
-            qp.set_scheduler(SchedulerConfig::new(workers));
+            let mut qp = QueryProcessor::new(
+                Arc::default(),
+                Arc::default(),
+                SchedulerConfig::new(workers),
+            );
             let plan = StreamPlan::source("sensors").sample_invoke("getTemperature", "sensor", 1);
             for name in ["sampled0", "sampled1"] {
                 let mut sources = SourceSet::new();
                 sources.add_table("sensors", sensors.clone());
-                qp.register(name, &plan, &mut sources)
+                qp.register(name, &plan, &mut sources, ExecOptions::default())
                     .expect("βˢ queries register");
             }
             let (sink, dedup) = (DownAt(Instant(2)), Arc::new(DedupState::new()));

@@ -181,3 +181,36 @@ fn degradation_surfaces_partial_results_and_counters() {
         .collect();
     assert_eq!(filled.len(), 2, "dead sensors answer with the default");
 }
+
+/// The scrape has one breaker-open count: the `to="open"` transitions of
+/// every service sum to the runtime's `breaker_opened` counter, also when a
+/// half-open probe fails and the breaker opens again.
+#[test]
+fn breaker_opens_are_counted_once_in_the_scrape() {
+    let fault = FaultPolicy::Outage {
+        from: Instant(0),
+        to: Instant(3),
+    };
+    let policy = ResiliencePolicy::disabled().with_breaker(2, 2);
+    let mut pems = sensor_pems(policy, DegradePolicy::DropTuple, Some(fault));
+    pems.run_program("REGISTER QUERY temps AS SAMPLE[getTemperature[sensor], 1](sensors);")
+        .unwrap();
+    pems.run_ticks(8);
+
+    let opened = pems.resilience_counters().breaker_opened;
+    assert!(
+        opened > 2,
+        "a failed probe opened a breaker again: {opened}"
+    );
+    let registry = pems.metrics_registry();
+    let transitions: u64 = ["sensor01", "sensor06", "sensor07", "sensor22"]
+        .iter()
+        .filter_map(|service| {
+            let labels = [("service", *service), ("to", "open")];
+            registry.counter_value("serena_breaker_transitions_total", &labels)
+        })
+        .sum();
+    assert_eq!(transitions, opened);
+    let scrape = pems.render_metrics();
+    assert!(!scrape.contains("serena_resilience_breaker_opened_total"));
+}
