@@ -21,6 +21,7 @@ use std::time::Duration;
 use serena_pems::envspec::{ArrivalTrace, EnvSpec, QueryTemplate, WorkloadSpec};
 use serena_pems::pems::Pems;
 use serena_pems::scheduler::SchedulerConfig;
+use serena_services::bus::BusConfig;
 use serena_services::fleet::{FailureProfile, LatencyProfile};
 
 /// Parameters of one scale-benchmark run.
@@ -41,8 +42,9 @@ pub struct ScaleConfig {
     /// Mean tuple arrivals per instant on the `temperatures` stream.
     pub mean_arrivals: usize,
     /// Scheduler worker-pool width for the multi-query tick rounds
-    /// (`0` keeps the runtime's own default — `SERENA_SCHED_WORKERS` or
-    /// the machine's available parallelism).
+    /// (`0` keeps the builder's default, one worker per available core;
+    /// the runtime reads no environment variable, only `pems_shell` reads
+    /// `SERENA_SCHED_WORKERS`).
     pub workers: usize,
 }
 
@@ -65,9 +67,9 @@ impl Default for ScaleConfig {
 }
 
 impl ScaleConfig {
-    /// The default configuration with `SERENA_SCALE_{SEED, DEVICES,
-    /// CAMERAS, MESSENGERS, QUERIES, TICKS, ARRIVALS, WORKERS}` overrides
-    /// applied — how the CI smoke shrinks the run to 2·10³ devices.
+    /// The default configuration with `SERENA_SCALE_{DEVICES, CAMERAS,
+    /// MESSENGERS, QUERIES, TICKS, ARRIVALS}` overrides applied — how the
+    /// CI smoke shrinks the run to 2·10³ devices.
     pub fn from_env() -> Self {
         fn read<T: std::str::FromStr>(var: &str, default: T) -> T {
             std::env::var(var)
@@ -77,14 +79,13 @@ impl ScaleConfig {
         }
         let d = ScaleConfig::default();
         ScaleConfig {
-            seed: read("SERENA_SCALE_SEED", d.seed),
             devices: read("SERENA_SCALE_DEVICES", d.devices),
             cameras: read("SERENA_SCALE_CAMERAS", d.cameras),
             messengers: read("SERENA_SCALE_MESSENGERS", d.messengers),
             queries: read("SERENA_SCALE_QUERIES", d.queries),
             ticks: read("SERENA_SCALE_TICKS", d.ticks),
             mean_arrivals: read("SERENA_SCALE_ARRIVALS", d.mean_arrivals),
-            workers: read("SERENA_SCALE_WORKERS", d.workers),
+            ..d
         }
     }
 
@@ -142,10 +143,13 @@ impl ScaleConfig {
     /// of [`run_scale`] and the per-tick Criterion measurement.
     pub fn deploy(&self) -> (Pems, Vec<String>) {
         let spec = self.spec();
-        let (mut pems, _fleet) = spec.build().expect("scale spec deploys");
+        let mut builder = Pems::builder().bus(BusConfig::instant());
         if self.workers > 0 {
-            pems.set_scheduler(SchedulerConfig::new(self.workers));
+            builder = builder.scheduler(SchedulerConfig::new(self.workers));
         }
+        let mut pems = builder.build();
+        spec.install_catalog(&mut pems).expect("scale spec deploys");
+        spec.deploy_into(&pems);
         let names = self
             .workload()
             .register_into(&mut pems, &spec)

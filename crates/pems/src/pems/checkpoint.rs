@@ -9,6 +9,7 @@ use serena_core::snapshot::{self, Reader, SnapshotError, Writer};
 use serena_core::time::Instant;
 
 use super::{Pems, PemsError};
+use crate::processor::trace_failure;
 use crate::recovery::{read_checkpoint, RecoveryManager};
 
 impl Pems {
@@ -118,7 +119,7 @@ impl Pems {
                 telemetry
                     .counter("serena_checkpoint_errors_total", &[])
                     .inc();
-                self.trace_failure("checkpoint", self.processor.clock(), &e);
+                trace_failure(&self.beta.tracer, "checkpoint", self.processor.clock(), &e);
             }
         }
         if let Some(standby) = &self.standby {
@@ -128,7 +129,7 @@ impl Pems {
                     telemetry
                         .counter("serena_replication_errors_total", &[])
                         .inc();
-                    self.trace_failure("replication", self.processor.clock(), &e);
+                    trace_failure(&self.beta.tracer, "replication", self.processor.clock(), &e);
                 }
             }
         }

@@ -12,10 +12,11 @@
 //!    directory, and every linked peer is polled;
 //! 2. discovery queries bring their provider tables up to date with what
 //!    the directory logged since the previous tick;
-//! 3. every derived stream a query reads evaluates the instant, in
-//!    definition order, and pushes its batch into its hub — the one way the
-//!    environment enters a stream ([`Pems::define_stream_as`]);
-//! 4. every registered continuous query evaluates the instant;
+//! 3. the Query Processor ticks the instant in one call: first every
+//!    derived stream a query reads, in definition order, pushing its batch
+//!    into its hub — the one way the environment enters a stream
+//!    ([`Pems::define_stream_as`]);
+//! 4. then, in the same call, every registered continuous query;
 //! 5. the tick is complete, so a snapshot cut here is consistent: one is
 //!    written if a checkpoint is due and streamed to a linked standby.
 //!
@@ -49,12 +50,11 @@ use serena_services::directory::{NodeDirectory, PeerStatus};
 use serena_services::discovery::{Applied, DiscoveryQuery};
 use serena_services::node::{NodeHandle, RemoteNodeClient, ServiceNode};
 use serena_services::transport::{Transport, TransportError};
-use serena_stream::exec::{ContinuousQuery, TickReport};
+use serena_stream::exec::TickReport;
 use serena_stream::plan::StreamPlan;
 
 use crate::processor::QueryProcessor;
 use crate::recovery::RecoveryManager;
-use crate::scheduler::SchedulerConfig;
 use crate::table_manager::ExtendedTableManager;
 use beta::BetaStack;
 
@@ -267,12 +267,6 @@ impl Pems {
         self.directory.peer_status()
     }
 
-    /// Replace the tick scheduler configuration (threads per round) on a
-    /// built runtime — how the scale bench sweeps its worker axis.
-    pub fn set_scheduler(&mut self, config: SchedulerConfig) {
-        self.processor.set_scheduler(config);
-    }
-
     /// Create a Local Environment Resource Manager attached to this PEMS's
     /// discovery bus.
     pub fn local_erm(&self, id: impl Into<String>) -> LocalErm {
@@ -341,7 +335,7 @@ impl Pems {
     ) -> Result<(), PemsError> {
         let options = ExecOptions::default().with_degrade(DegradePolicy::DropTuple);
         let mut sources = self.tables.source_set_for(plan);
-        let query = ContinuousQuery::compile_with_options(plan, &mut sources, options)?;
+        let query = self.processor.compile(plan, &mut sources, options)?;
         let schema = query.schema();
         if !schema.infinite {
             return Err(PlanError::StreamStatusMismatch {
@@ -416,10 +410,6 @@ impl Pems {
         // armed for the instant (disjoint field borrows: the stack must not
         // borrow all of `self` while the processor ticks mutably)
         let invoker = self.beta.tick_round(&self.directory);
-        let panicked = self.processor.tick_streams(&*invoker, &self.telemetry_sink);
-        for (stream, reason) in &panicked {
-            self.trace_failure("stream", now, &format_args!("{stream}: {reason}"));
-        }
         let reports = self
             .processor
             .tick_all_with(&*invoker, &self.telemetry_sink);
@@ -434,15 +424,6 @@ impl Pems {
         // 5. checkpoint and replicate
         self.checkpoint_and_replicate(now);
         reports
-    }
-
-    /// Record that `scope` failed at `at`: a `pems.failure` span, opened
-    /// and closed at once, carrying `scope` and the error's `message`.
-    fn trace_failure(&self, scope: &'static str, at: Instant, error: &dyn std::fmt::Display) {
-        if let Some(mut span) = self.beta.tracer.start("pems.failure", at) {
-            span.attr_str("scope", scope);
-            span.attr_str("message", error.to_string());
-        }
     }
 
     /// Run `n` ticks, returning all reports flattened.

@@ -19,18 +19,23 @@
 //! `serena_query_panics_total` and traced as a failure) while every other
 //! query keeps running.
 //!
-//! Before the round, the processor ticks its *derived streams*
-//! ([`crate::pems::Pems::define_stream_as`]): continuous plans whose output
-//! batch is pushed into a stream's hub, so the queries of the round read it
-//! at the same instant. They tick in definition order, on the calling
-//! thread, and only while a live subscription reads the stream.
+//! The processor is the one place a continuous plan is compiled and
+//! ticked, a registered query or a *derived stream*
+//! ([`crate::pems::Pems::define_stream_as`]): a continuous plan whose
+//! output batch is pushed into a stream's hub. A global tick has two
+//! phases. First the derived streams tick, in definition order, on the
+//! calling thread, and only while a live subscription reads the stream, so
+//! the queries read their batches at the same instant. Then the round
+//! ticks the queries. Every plan ticks inside a span of its own
+//! (`stream.tick` or `query.tick`) that its operators and β calls nest
+//! under, and a panic fails that plan at that instant only.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::time::Duration;
 
 use serena_core::action::ActionSet;
-use serena_core::error::EvalError;
+use serena_core::error::{EvalError, PlanError};
 use serena_core::metrics::{ExecStats, MetricsSink};
 use serena_core::physical::ExecOptions;
 use serena_core::service::Invoker;
@@ -114,8 +119,8 @@ pub struct QueryProcessor {
     telemetry: Arc<MetricsRegistry>,
     scheduler: SchedulerConfig,
     /// Flight recorder for `query.register`/`sched.round`/`sched.job`/
-    /// `query.tick` spans, propagated into every registered query and
-    /// every round.
+    /// `query.tick`/`stream.tick` spans, propagated into every compiled
+    /// plan and every round.
     tracer: Arc<FlightRecorder>,
 }
 
@@ -148,12 +153,6 @@ impl QueryProcessor {
         self.clock
     }
 
-    /// Replace the tick scheduler configuration; the next round runs on
-    /// `config.workers` threads.
-    pub fn set_scheduler(&mut self, config: SchedulerConfig) {
-        self.scheduler = config;
-    }
-
     /// The current scheduler configuration.
     pub fn scheduler(&self) -> SchedulerConfig {
         self.scheduler
@@ -175,9 +174,7 @@ impl QueryProcessor {
         if self.queries.contains_key(&name) {
             return Err(PemsError::DuplicateQuery(name));
         }
-        let mut query = ContinuousQuery::compile_with_options(plan, sources, options)?;
-        query.seek(self.clock);
-        query.set_tracer(Some(Arc::clone(&self.tracer)));
+        let query = self.compile(plan, sources, options)?;
         if let Some(mut span) = self.tracer.start("query.register", self.clock) {
             span.attr_str("query", name.as_str());
         }
@@ -193,6 +190,20 @@ impl QueryProcessor {
         );
         self.update_registered_gauge();
         Ok(())
+    }
+
+    /// Compile `plan` against `sources` into a query whose next tick is the
+    /// clock and whose ticks are recorded in the processor's recorder.
+    pub(crate) fn compile(
+        &self,
+        plan: &StreamPlan,
+        sources: &mut SourceSet,
+        options: ExecOptions,
+    ) -> Result<ContinuousQuery, PlanError> {
+        let mut query = ContinuousQuery::compile_with_options(plan, sources, options)?;
+        query.seek(self.clock);
+        query.set_tracer(Arc::clone(&self.tracer));
+        Ok(query)
     }
 
     fn update_registered_gauge(&self) {
@@ -216,31 +227,11 @@ impl QueryProcessor {
         removed
     }
 
-    /// Feed `hub` with `query`'s output from the next tick on: stream
-    /// `stream`'s definition, checkpointed with the queries.
+    /// Feed `hub` with `query`'s output (a [`Self::compile`]d plan) from
+    /// the next tick on: stream `stream`'s definition, checkpointed with
+    /// the queries.
     pub(crate) fn define_stream(&mut self, stream: String, query: ContinuousQuery, hub: StreamHub) {
         self.derived.push(Derived { stream, query, hub });
-    }
-
-    /// Tick, at the clock, every derived stream a live subscription reads,
-    /// in definition order, pushing each one's batch into its hub. A stream
-    /// nobody reads is not ticked; when one is read again it resumes at
-    /// the clock. A tick that panics pushes nothing: the stream's name and
-    /// the reason are returned.
-    pub(crate) fn tick_streams(
-        &mut self,
-        invoker: &dyn Invoker,
-        sink: &dyn MetricsSink,
-    ) -> Vec<(String, String)> {
-        let mut panicked = Vec::new();
-        for derived in self.derived.iter_mut().filter(|d| d.hub.is_read()) {
-            derived.query.seek(self.clock);
-            match contain(|| derived.query.tick_with(invoker, sink)) {
-                Ok(report) => report.batch.into_iter().for_each(|t| derived.hub.push(t)),
-                Err(reason) => panicked.push((derived.stream.clone(), reason)),
-            }
-        }
-        panicked
     }
 
     /// Registered query names, sorted.
@@ -319,10 +310,16 @@ impl QueryProcessor {
         Ok(())
     }
 
-    /// Advance the global clock by one instant, ticking every registered
-    /// query at that instant (as one [`WorkerPool`] round). Every query's
-    /// per-node observations go to its report's [`TickReport::stats`] and
-    /// to `sink` (the runtime's registry sink, when `Pems` ticks).
+    /// Advance the global clock by one instant. First every derived stream
+    /// a live subscription reads ticks at the clock, in definition order on
+    /// the calling thread, and pushes its batch into its hub; a stream
+    /// nobody reads is not ticked, and resumes at the clock when one is
+    /// read again. A stream tick that panics pushes nothing and is traced as
+    /// a `pems.failure` with scope `stream`. Then every registered query
+    /// ticks at that instant, as one [`WorkerPool`] round. Every plan's
+    /// per-node observations go to `sink` (the runtime's registry sink,
+    /// when `Pems` ticks), and a query's also to its report's
+    /// [`TickReport::stats`].
     ///
     /// The round is cut by cost: a query weighs its previous tick's
     /// [`TickReport::elapsed`], one that has not ticked the mean of those
@@ -338,32 +335,29 @@ impl QueryProcessor {
         invoker: &dyn Invoker,
         sink: &dyn MetricsSink,
     ) -> Vec<(String, TickReport)> {
-        // Freshness lag: every query in this round is *scheduled* now; a
-        // query's lag is the wall-clock from here to its tick completing.
-        let scheduled = std::time::Instant::now();
         let at = self.clock;
-        // Disjoint field borrow (`self.queries` is borrowed mutably
-        // below); the tick closures capture the reference by value.
-        let tracer: &FlightRecorder = &self.tracer;
-        let n = self.queries.len();
-        let mut round_span = tracer.start("sched.round", at);
-        if let Some(s) = round_span.as_mut() {
-            s.attr_u64("queries", n as u64);
-            s.attr_u64("workers", self.scheduler.workers.min(n).max(1) as u64);
-        }
-        // One query tick with its span bracket: span → contained tick →
-        // outcome attributes. Returns the span id for the tick-duration
-        // histogram's exemplar (0 = no span).
-        let ticked = |name: &str, reg: &mut Registered| -> (Result<TickReport, String>, u64) {
-            let mut tick_span = tracer.start("query.tick", at);
-            if let Some(s) = tick_span.as_mut() {
-                s.attr_str("query", name);
+        // Disjoint field borrows (`self.derived` and `self.queries` are
+        // borrowed mutably below); the tick closures capture them by value.
+        let (tracer, telemetry): (&FlightRecorder, &MetricsRegistry) =
+            (&self.tracer, &self.telemetry);
+        // One plan's tick, a stream's or a query's: a span `name` labelled
+        // `key=value`, entered around the tick so the plan's operator and β
+        // spans nest under it → contained tick → outcome attributes.
+        // Returns the span id for the tick-duration histogram's exemplar
+        // (0 = no span).
+        let tick = |name: &'static str,
+                    (key, value): (&'static str, &str),
+                    query: &mut ContinuousQuery|
+         -> (Result<TickReport, String>, u64) {
+            let mut span = tracer.start(name, at);
+            if let Some(s) = span.as_mut() {
+                s.attr_str(key, value);
             }
             let result = {
-                let _in_span = tick_span.as_ref().map(|s| s.enter());
-                contain(|| reg.query.tick_with(invoker, sink))
+                let _in_span = span.as_ref().map(|s| s.enter());
+                contain(|| query.tick_with(invoker, sink))
             };
-            if let Some(s) = tick_span.as_mut() {
+            if let Some(s) = span.as_mut() {
                 match &result {
                     Ok(r) => {
                         s.attr_u64("inserted", (r.delta.inserts.len() + r.batch.len()) as u64);
@@ -373,14 +367,31 @@ impl QueryProcessor {
                     Err(_) => s.attr_u64("panicked", 1),
                 }
             }
-            let sid = tick_span.as_ref().map_or(0, |s| s.id());
-            (result, sid)
+            (result, span.as_ref().map_or(0, |s| s.id()))
         };
+        for d in self.derived.iter_mut().filter(|d| d.hub.is_read()) {
+            d.query.seek(at);
+            match tick("stream.tick", ("stream", &d.stream), &mut d.query).0 {
+                Ok(report) => report.batch.into_iter().for_each(|t| d.hub.push(t)),
+                Err(reason) => {
+                    let error = format_args!("{}: {reason}", d.stream);
+                    trace_failure(tracer, "stream", at, &error);
+                }
+            }
+        }
+        // Freshness lag: every query in this round is *scheduled* now; a
+        // query's lag is the wall-clock from here to its tick completing.
+        let scheduled = std::time::Instant::now();
+        let n = self.queries.len();
+        let mut round_span = tracer.start("sched.round", at);
+        if let Some(s) = round_span.as_mut() {
+            s.attr_u64("queries", n as u64);
+            s.attr_u64("workers", self.scheduler.workers.min(n).max(1) as u64);
+        }
         let last = self.queries.values().filter_map(|reg| reg.tick_ns);
         let (sum, count) = last.fold((0, 0), |(sum, n), ns| (sum + u128::from(ns), n + 1));
         let unticked = u128::checked_div(sum, count).map_or(1, |mean| mean as u64);
-        type Outcome = (String, Result<TickReport, String>, Duration, Duration, u64);
-        let mut slots: Vec<Option<Outcome>> = (0..n).map(|_| None).collect();
+        let mut slots: Vec<Option<(String, TickReport)>> = (0..n).map(|_| None).collect();
         {
             // Entered during submission so each job captures the round
             // span as its parent (`sched.job` spans bridge the thread
@@ -390,77 +401,88 @@ impl QueryProcessor {
             let pool = WorkerPool::with_tracer(self.scheduler, Some(Arc::clone(&self.tracer)), at);
             pool.scope(|scope| {
                 for (slot, (name, reg)) in slots.iter_mut().zip(self.queries.iter_mut()) {
-                    let name = name.clone();
-                    let ticked = &ticked;
+                    let tick = &tick;
                     scope.submit_weighted(reg.tick_ns.unwrap_or(unticked), move || {
                         let started = std::time::Instant::now();
-                        let (result, sid) = ticked(&name, reg);
-                        *slot = Some((name, result, started.elapsed(), scheduled.elapsed(), sid));
+                        let (result, sid) = tick("query.tick", ("query", name), &mut reg.query);
+                        let (ran, lag) = (started.elapsed(), scheduled.elapsed());
+                        let report = result.unwrap_or_else(|reason| {
+                            // The query's tick panicked (e.g. in an
+                            // operator, outside the β containment layer):
+                            // fail this query for this instant with an
+                            // empty delta and a Panicked error; its clock
+                            // already advanced, so it stays in lock-step for
+                            // the next round.
+                            telemetry
+                                .counter("serena_query_panics_total", &[("query", name)])
+                                .inc();
+                            TickReport {
+                                at,
+                                delta: Delta::new(),
+                                batch: Vec::new(),
+                                actions: ActionSet::new(),
+                                errors: vec![EvalError::Panicked {
+                                    service: format!("query:{name}"),
+                                    prototype: "tick".to_string(),
+                                    reason,
+                                }],
+                                stats: ExecStats::new(),
+                                elapsed: ran,
+                            }
+                        });
+                        reg.record(&report, lag, sid);
+                        *slot = Some((name.clone(), report));
                     });
                 }
             });
         }
         drop(round_span);
+        self.clock = self.clock.next();
         // scope() returned ⇒ every job ran (even panicking ones are
         // contained inside the job), so every slot is filled.
-        let reports: Vec<(String, TickReport, Duration, u64)> = slots
-            .into_iter()
-            .flatten()
-            .map(|(name, result, ran, lag, sid)| match result {
-                Ok(report) => (name, report, lag, sid),
-                Err(reason) => {
-                    // The query's tick panicked (e.g. inside a stream
-                    // closure, outside the β containment layer): fail this
-                    // query for this instant with an empty delta and a
-                    // Panicked error; its clock already advanced, so it
-                    // stays in lock-step for the next round.
-                    self.telemetry
-                        .counter("serena_query_panics_total", &[("query", &name)])
-                        .inc();
-                    let report = TickReport {
-                        at,
-                        delta: Delta::new(),
-                        batch: Vec::new(),
-                        actions: ActionSet::new(),
-                        errors: vec![EvalError::Panicked {
-                            service: format!("query:{name}"),
-                            prototype: "tick".to_string(),
-                            reason,
-                        }],
-                        stats: ExecStats::new(),
-                        elapsed: ran,
-                    };
-                    (name, report, lag, sid)
-                }
-            })
-            .collect();
-        for (name, report, lag, sid) in &reports {
-            let reg = self.queries.get_mut(name).expect("registered");
-            let elapsed_ns = u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64;
-            reg.tick_ns = Some(elapsed_ns);
-            let inserted = (report.delta.inserts.len() + report.batch.len()) as u64;
-            let deleted = report.delta.deletes.len() as u64;
-            reg.stats.ticks += 1;
-            reg.stats.inserted += inserted;
-            reg.stats.deleted += deleted;
-            reg.stats.actions += report.actions.len() as u64;
-            reg.stats.errors += report.errors.len() as u64;
-            reg.stats.invocations += report.stats.total_invocations();
-            reg.stats.cache_hits += report.stats.total_cache_hits();
-            reg.stats.cache_misses += report.stats.total_cache_misses();
-            let series = &reg.series;
-            series.ticks.inc();
-            series.tuples.add(inserted);
-            series.errors.add(report.errors.len() as u64);
-            // exemplar: the p99 tick links straight to its span tree
-            series.tick_ns.record_with_exemplar(elapsed_ns, *sid);
-            series.lag_ns.record_duration(*lag);
-        }
-        self.clock = self.clock.next();
-        reports
-            .into_iter()
-            .map(|(name, report, _, _)| (name, report))
-            .collect()
+        slots.into_iter().flatten().collect()
+    }
+}
+
+impl Registered {
+    /// Fold one tick's report into the query's stats and series, and weigh
+    /// its next tick by this one. `lag` runs from the round's start to the
+    /// tick's end; `span` is the tick's span id, the tick-duration
+    /// histogram's exemplar (0 = no span).
+    fn record(&mut self, report: &TickReport, lag: Duration, span: u64) {
+        let elapsed_ns = u128::min(report.elapsed.as_nanos(), u64::MAX as u128) as u64;
+        self.tick_ns = Some(elapsed_ns);
+        let inserted = (report.delta.inserts.len() + report.batch.len()) as u64;
+        let stats = &mut self.stats;
+        stats.ticks += 1;
+        stats.inserted += inserted;
+        stats.deleted += report.delta.deletes.len() as u64;
+        stats.actions += report.actions.len() as u64;
+        stats.errors += report.errors.len() as u64;
+        stats.invocations += report.stats.total_invocations();
+        stats.cache_hits += report.stats.total_cache_hits();
+        stats.cache_misses += report.stats.total_cache_misses();
+        let series = &self.series;
+        series.ticks.inc();
+        series.tuples.add(inserted);
+        series.errors.add(report.errors.len() as u64);
+        // exemplar: the p99 tick links straight to its span tree
+        series.tick_ns.record_with_exemplar(elapsed_ns, span);
+        series.lag_ns.record_duration(lag);
+    }
+}
+
+/// Record that `scope` failed at `at`: a `pems.failure` span, opened and
+/// closed at once, carrying `scope` and the error's `message`.
+pub(crate) fn trace_failure(
+    tracer: &FlightRecorder,
+    scope: &'static str,
+    at: Instant,
+    error: &dyn std::fmt::Display,
+) {
+    if let Some(mut span) = tracer.start("pems.failure", at) {
+        span.attr_str("scope", scope);
+        span.attr_str("message", error.to_string());
     }
 }
 

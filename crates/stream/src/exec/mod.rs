@@ -338,12 +338,12 @@ impl ContinuousQuery {
         })
     }
 
-    /// Attach (or detach) a flight recorder: every tick then records one
-    /// span per plan node, keyed by the compile-time [`NodeId`], with
-    /// delta sizes and β counters as attributes. Purely observational —
-    /// results are byte-identical with or without a recorder.
-    pub fn set_tracer(&mut self, tracer: Option<Arc<FlightRecorder>>) {
-        self.tracer = tracer;
+    /// Attach a flight recorder: every tick then records one span per
+    /// plan node, keyed by the compile-time [`NodeId`], with delta sizes
+    /// and β counters as attributes. Purely observational — results are
+    /// byte-identical with or without a recorder.
+    pub fn set_tracer(&mut self, tracer: Arc<FlightRecorder>) {
+        self.tracer = Some(tracer);
     }
 
     /// The query's output schema and finite/infinite status.

@@ -76,7 +76,7 @@ fn run() -> (Vec<Obs>, Vec<String>) {
 }
 
 /// [`run`] generalised over the spec and the multi-query scheduler axes:
-/// pool width (`SERENA_SCHED_WORKERS`) and cross-query β dedup. The
+/// pool width (`SchedulerConfig::workers`) and cross-query β dedup. The
 /// returned state keeps the service-health report *last*, after one entry
 /// per query, so callers can strip it when comparing dedup on/off (dedup
 /// changes how many *physical* calls back the same logical result — health

@@ -9,6 +9,9 @@
 //!   its parent's interval (the RAII guards bracket inner work, including
 //!   across the scheduler's thread hop);
 //! * per query, the `query.tick` spans' logical instants are monotone;
+//! * every β span (`beta`, `beta.call`, `beta.attempt`) hangs, through
+//!   its parents, off the tick of the plan that called it: a `query.tick`
+//!   or a derived stream's `stream.tick`, never a root;
 //! * the Chrome/Perfetto export is syntactically valid JSON with the
 //!   expected event structure and attributes.
 
@@ -105,6 +108,25 @@ fn assert_span_tree_invariants(spans: &[SpanRecord], label: &str) {
             }
         }
     }
+    // every β span is inside a plan's tick; a chain that leaves the
+    // retained set is not judged
+    for s in spans
+        .iter()
+        .filter(|s| matches!(s.name, "beta" | "beta.call" | "beta.attempt"))
+    {
+        let mut up = s;
+        while !matches!(up.name, "query.tick" | "stream.tick") {
+            assert_ne!(
+                up.parent, 0,
+                "{label}: β span {} ({}) is not under a tick: {} ({}) is a root",
+                s.id, s.name, up.id, up.name
+            );
+            match by_id.get(&up.parent) {
+                Some(p) => up = *p,
+                None => break,
+            }
+        }
+    }
     // per query, tick instants are monotone in recording order (the
     // snapshot is sorted by start time)
     let mut per_query: HashMap<&str, Vec<&SpanRecord>> = HashMap::new();
@@ -163,6 +185,34 @@ fn span_tree_invariants_hold_across_workers_and_dedup() {
                     && j.attr_u64("weight_ns").is_some()
             }));
             assert_eq!(pems.flight_recorder().dropped_total(), 0, "{label}");
+            // the derived `temperatures` stream ticks once an instant in a
+            // span of its own, and its operators are recorded under it
+            let streams: Vec<&SpanRecord> =
+                spans.iter().filter(|s| s.name == "stream.tick").collect();
+            let at: Vec<u64> = streams.iter().map(|s| s.at.ticks()).collect();
+            assert_eq!(at, (0..TICKS).collect::<Vec<_>>(), "{label}");
+            let by_id: std::collections::HashMap<u64, &SpanRecord> =
+                spans.iter().map(|s| (s.id, s)).collect();
+            for tick in streams {
+                assert_eq!(tick.attr_str("stream"), Some("temperatures"), "{label}");
+                let under = |s: &SpanRecord| {
+                    let mut parent = s.parent;
+                    while let Some(p) = by_id.get(&parent) {
+                        if p.id == tick.id {
+                            return true;
+                        }
+                        parent = p.parent;
+                    }
+                    false
+                };
+                for op in ["op.sample_invoke", "op.project", "op.streamof"] {
+                    assert!(
+                        spans.iter().any(|s| s.name == op && under(s)),
+                        "{label}: no {op} under the stream tick at {:?}",
+                        tick.at
+                    );
+                }
+            }
             for round in spans.iter().filter(|s| s.name == "sched.round") {
                 assert!(
                     jobs.iter().any(|j| j.parent == round.id),
